@@ -24,7 +24,10 @@
 // paused, resumed, and (while still pending) canceled. Crash and
 // set-failed are immediate kinds: they model power cuts and member
 // failures, which do not wait politely behind queued work, so Submit
-// executes them inline without draining the queue.
+// executes them inline, beside the queue: they never hold the running
+// slot and never start the next queued job. A crash additionally fails
+// the executing job (its in-flight I/O died with the host), and until a
+// recover job runs every other queued kind fails with storerr.ErrCrashed.
 package admin
 
 import (
@@ -317,7 +320,6 @@ func (o *Orchestrator) submit(cmd Command) (uint64, error) {
 	if cmd.Kind == KindCrash || cmd.Kind == KindSetFailed {
 		// Immediate kinds: power cuts and member failures take effect
 		// now, not after queued maintenance drains.
-		o.start(r)
 		o.execImmediate(r)
 		return id, nil
 	}
@@ -396,7 +398,10 @@ func (o *Orchestrator) Resume(id uint64) error {
 	return nil
 }
 
-// kick starts the next runnable queued job if none is executing.
+// kick starts the next runnable queued job if none is executing. While
+// the array is crashed only a recover job can do anything useful — any
+// other kind would issue I/O into dead driver queues and hold the queue
+// forever — so those fail as they reach the head.
 func (o *Orchestrator) kick() {
 	for o.running == 0 && len(o.queue) > 0 {
 		id := o.queue[0]
@@ -405,23 +410,25 @@ func (o *Orchestrator) kick() {
 		if r.job.State != StatePending {
 			continue // canceled while queued
 		}
-		o.start(r)
+		if o.p.Crashed() && r.job.Kind != KindRecover {
+			o.settle(r, fmt.Errorf("admin: job %d: %w", id, storerr.ErrCrashed))
+			o.publish()
+			continue
+		}
+		o.running = id
+		r.job.State = StateRunning
+		r.job.StartedAt = int64(o.eng.Now())
+		o.publish()
 		o.exec(r)
 		return
 	}
 }
 
-func (o *Orchestrator) start(r *jobRun) {
-	o.running = r.job.ID
-	r.job.State = StateRunning
-	r.job.StartedAt = int64(o.eng.Now())
-	o.publish()
-}
-
-// finish retires the executing job and starts the next one.
-func (o *Orchestrator) finish(r *jobRun, err error) {
+// settle records a job's terminal state and finish time.
+func (o *Orchestrator) settle(r *jobRun, err error) {
 	r.job.FinishedAt = int64(o.eng.Now())
 	r.err = err
+	r.parked = nil
 	switch {
 	case err != nil:
 		r.job.State = StateFailed
@@ -431,14 +438,38 @@ func (o *Orchestrator) finish(r *jobRun, err error) {
 	default:
 		r.job.State = StateDone
 	}
+}
+
+// finish retires the executing job and starts the next one. A job a crash
+// already aborted is ignored: its late callbacks must not free the
+// running slot a successor now holds.
+func (o *Orchestrator) finish(r *jobRun, err error) {
+	if r.job.State.Terminal() {
+		return
+	}
+	o.settle(r, err)
 	o.running = 0
 	o.publish()
 	o.kick()
 }
 
+// progress publishes a paced job's step counter. Like finish and gate it
+// drops the late callbacks of a job a crash already failed.
+func (o *Orchestrator) progress(r *jobRun, p Progress) {
+	if r.job.State.Terminal() {
+		return
+	}
+	r.job.Progress = p
+	o.publish()
+}
+
 // gate is the step boundary for paced jobs: it observes cancel requests,
-// parks the continuation while paused, and otherwise proceeds.
+// parks the continuation while paused, and otherwise proceeds. The
+// continuation of a job a crash aborted is dropped.
 func (o *Orchestrator) gate(r *jobRun, cont func()) {
+	if r.job.State.Terminal() {
+		return
+	}
 	if r.cancelReq {
 		o.finish(r, nil)
 		return
@@ -452,8 +483,13 @@ func (o *Orchestrator) gate(r *jobRun, cont func()) {
 
 // execImmediate runs crash/set-failed synchronously at submit time.
 // Crash must kill in-flight commands, so it cannot be an event behind
-// them in the queue.
+// them in the queue. Immediate jobs happen beside the queue, not in it:
+// they never occupy the running slot and never start the next queued job
+// — with one exception that is the crash's own semantics: the executing
+// job's in-flight I/O died with the host, so a successful crash fails it
+// and lets the queue move on (to the recover job, typically).
 func (o *Orchestrator) execImmediate(r *jobRun) {
+	r.job.StartedAt = int64(o.eng.Now())
 	var err error
 	switch r.job.Kind {
 	case KindCrash:
@@ -466,7 +502,11 @@ func (o *Orchestrator) execImmediate(r *jobRun) {
 		}
 	}
 	r.job.Progress = Progress{Done: 1, Total: 1}
-	o.finish(r, err)
+	o.settle(r, err)
+	o.publish()
+	if run := o.jobs[o.running]; run != nil && r.job.Kind == KindCrash && err == nil {
+		o.finish(run, fmt.Errorf("admin: job %d interrupted by crash job %d: %w", run.job.ID, r.job.ID, storerr.ErrCrashed))
+	}
 }
 
 func (o *Orchestrator) exec(r *jobRun) {
@@ -488,8 +528,7 @@ func (o *Orchestrator) execReplace(r *jobRun) {
 		StripesPerStep: p.StripesPerStep,
 		StepGap:        sim.Time(p.StepGapNanos),
 		OnProgress: func(done, total int) {
-			r.job.Progress = Progress{Done: int64(done), Total: int64(total), Detail: "stripes"}
-			o.publish()
+			o.progress(r, Progress{Done: int64(done), Total: int64(total), Detail: "stripes"})
 		},
 		Gate: func(next func()) { o.gate(r, next) },
 	}
@@ -523,8 +562,7 @@ func (o *Orchestrator) execScrub(r *jobRun) {
 				unreadable += int64(n)
 			}
 			lba = at + int64(n)
-			r.job.Progress.Done = lba
-			o.publish()
+			o.progress(r, Progress{Done: lba, Total: total, Detail: "blocks"})
 			if lba >= total {
 				if unreadable > 0 {
 					o.finish(r, fmt.Errorf("admin: scrub found %d unreadable blocks: %w", unreadable, storerr.ErrUnreadable))

@@ -215,6 +215,65 @@ func TestImmediateKindsBypassQueue(t *testing.T) {
 	}
 }
 
+// TestImmediateKindDoesNotAdvanceQueue is the regression test for the
+// serial-queue bug: an immediate kind submitted while a paced job is
+// executing must not free the running slot, or the next queued replace
+// starts while the first is still rebuilding.
+func TestImmediateKindDoesNotAdvanceQueue(t *testing.T) {
+	p, o := newBIZA(t, 8)
+	fill(t, p, 256)
+	gap := int64(sim.Millisecond)
+	id1, _ := o.Submit(KindReplace, Params{Device: 0, StripesPerStep: 1, StepGapNanos: gap})
+	id2, _ := o.Submit(KindReplace, Params{Device: 1, StripesPerStep: 1, StepGapNanos: gap})
+	p.Eng.RunUntil(p.Eng.Now() + 10*sim.Microsecond)
+	if j, _ := o.Job(id1); j.State != StateRunning {
+		t.Fatalf("job %d = %s before the immediate, want running", id1, j.State)
+	}
+	sf, _ := o.Submit(KindSetFailed, Params{Device: 2, Failed: false})
+	if j, _ := o.Job(sf); j.State != StateDone || j.StartedAt != j.FinishedAt {
+		t.Fatalf("set-failed job = %+v, want done at submit", j)
+	}
+	j1, _ := o.Job(id1)
+	j2, _ := o.Job(id2)
+	if j1.State != StateRunning || j2.State != StatePending {
+		t.Fatalf("after immediate: job %d %s, job %d %s; want running, pending", id1, j1.State, id2, j2.State)
+	}
+	p.Eng.Run()
+	j1, _ = o.Job(id1)
+	j2, _ = o.Job(id2)
+	if j1.State != StateDone || j2.State != StateDone || j2.StartedAt < j1.FinishedAt {
+		t.Fatalf("final: job1 %+v job2 %+v, want both done, serialized", j1, j2)
+	}
+}
+
+// TestCrashFailsExecutingAndQueuedJobs: a crash kills the executing job's
+// in-flight I/O, so that job fails rather than holding the queue forever,
+// queued maintenance fails as it reaches a crashed array, and the recover
+// job behind them still runs.
+func TestCrashFailsExecutingAndQueuedJobs(t *testing.T) {
+	p, o := newBIZA(t, 9)
+	fill(t, p, 64)
+	scrub, _ := o.Submit(KindScrub, Params{BlocksPerStep: 64, GapNanos: int64(sim.Millisecond)})
+	queued, _ := o.Submit(KindReplace, Params{Device: 0})
+	p.Eng.RunUntil(p.Eng.Now() + 3*sim.Millisecond)
+	if _, err := o.Submit(KindCrash, Params{}); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := o.Submit(KindRecover, Params{})
+	p.Eng.Run()
+	for _, id := range []uint64{scrub, queued} {
+		if j, _ := o.Job(id); j.State != StateFailed || !errors.Is(o.Err(id), storerr.ErrCrashed) {
+			t.Fatalf("job %d = %+v (err %v), want failed with ErrCrashed", id, j, o.Err(id))
+		}
+	}
+	if j, _ := o.Job(rec); j.State != StateDone || p.Crashed() {
+		t.Fatalf("recover job = %+v (crashed=%v), want done", j, p.Crashed())
+	}
+	if p.Replacements() != 0 {
+		t.Fatalf("queued replace ran on a crashed array")
+	}
+}
+
 func TestOrchestratorErrorSentinels(t *testing.T) {
 	p, o := newBIZA(t, 6)
 	if _, err := o.Submit(Kind("mystery"), Params{}); !errors.Is(err, storerr.ErrBadArgument) {

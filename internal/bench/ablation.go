@@ -146,11 +146,6 @@ func batchingPoint(s Scale, r *Run, point string) []*Table {
 	return []*Table{t}
 }
 
-// AblationBatching reproduces the batching ablation in full (all sizes).
-func AblationBatching(s Scale, r *Run) *Table {
-	return Experiments["batching"].Tables(s, r)[0]
-}
-
 // detectPoint measures the §4.3 guess-and-verify detector on aged devices
 // for one shuffle fraction: as the fraction of zones whose channel
 // deviates from round-robin grows, the vote-based corrector should keep
@@ -209,12 +204,6 @@ func detectPoint(s Scale, r *Run, point string) []*Table {
 		f3(mispredictRate(pAvoid)), f3(mispredictRateCorrected(pAvoid)),
 		f3(collideAvoid), f3(collideNo))
 	return []*Table{t}
-}
-
-// AblationChannelDetect reproduces the detection ablation in full (all
-// shuffle fractions).
-func AblationChannelDetect(s Scale, r *Run) *Table {
-	return Experiments["detect"].Tables(s, r)[0]
 }
 
 // mispredictRate reports the fraction of zones whose round-robin guess
@@ -319,9 +308,4 @@ func wearPoint(s Scale, r *Run, point string) []*Table {
 	t.Add(string(kind), fmt.Sprintf("%d", total), fmt.Sprintf("%d", max),
 		f2(mean), f2(float64(programmed)/(1<<30)))
 	return []*Table{t}
-}
-
-// WearDistribution reproduces the wear table in full (all platforms).
-func WearDistribution(s Scale, r *Run) *Table {
-	return Experiments["wear"].Tables(s, r)[0]
 }

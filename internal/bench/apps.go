@@ -77,11 +77,6 @@ func fig13aPoint(s Scale, r *Run, point string) []*Table {
 	return []*Table{t}
 }
 
-// Fig13Filebench reproduces Fig. 13a in full (all personalities).
-func Fig13Filebench(s Scale, r *Run) *Table {
-	return Experiments["fig13a"].Tables(s, r)[0]
-}
-
 // fig13bPoint runs one db_bench fill workload (16 B keys / 1 KiB values)
 // of the LSM key-value store on the filesystem over each platform.
 func fig13bPoint(s Scale, r *Run, point string) []*Table {
@@ -118,9 +113,4 @@ func fig13bPoint(s Scale, r *Run, point string) []*Table {
 	row = append(row, f2(x))
 	t.Add(row...)
 	return []*Table{t}
-}
-
-// Fig13DBBench reproduces Fig. 13b in full (all fill workloads).
-func Fig13DBBench(s Scale, r *Run) *Table {
-	return Experiments["fig13b"].Tables(s, r)[0]
 }

@@ -89,12 +89,6 @@ type Run struct {
 // callers get the same values the Runner produces for (seed, exp).
 func NewRun(seed uint64, exp string) *Run { return &Run{base: seed, exp: exp} }
 
-// SetShards sets the engine-shard count sharded experiments partition one
-// run across (the Runner sets it from Runner.Shards). Output is
-// contractually bit-identical at any value; the count only chooses how
-// many goroutines advance the simulation.
-func (r *Run) SetShards(n int) { r.shards = n }
-
 // Shards reports the configured engine-shard count (at least 1).
 func (r *Run) Shards() int {
 	if r.shards < 1 {
@@ -169,16 +163,9 @@ func (r *Run) PlatformOn(eng *sim.Engine, shard int, kind stack.Kind, opts stack
 	return stack.NewOn(eng, kind, opts)
 }
 
-// EnableTrace turns on per-platform span/event collection for this run
-// (the Runner does this automatically when Runner.Trace is set).
-func (r *Run) EnableTrace(cfg obs.Config) {
-	c := cfg
-	r.traceCfg = &c
-}
-
 // EnableSeries arms a virtual-time series sampler on every trace this run
 // attaches (the Runner does this when Runner.Series is set). Requires
-// tracing: enabling series without EnableTrace also enables tracing with
+// tracing: enabling series on an untraced run also enables tracing with
 // the default config.
 func (r *Run) EnableSeries(cfg metrics.SamplerConfig) {
 	c := cfg

@@ -36,7 +36,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	tab := Table3ZonePlacement(QuickScale(), testRun("table3"))
+	tab := Experiments["table3"].Tables(QuickScale(), testRun("table3"))[0]
 	single := parse(t, tab.Rows[0][1])
 	same := parse(t, tab.Rows[1][1])
 	diverse := parse(t, tab.Rows[2][1])
@@ -55,7 +55,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	tab := Fig5IntraZone(QuickScale(), testRun("fig5"))
+	tab := Experiments["fig5"].Tables(QuickScale(), testRun("fig5"))[0]
 	for _, r := range tab.Rows {
 		d1, d32 := parse(t, r[1]), parse(t, r[2])
 		if d1 >= d32 {
@@ -69,7 +69,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tabs := Fig10Write(QuickScale(), testRun("fig10"))
+	tabs := Experiments["fig10"].Tables(QuickScale(), testRun("fig10"))
 	tput := tabs[0]
 	// Row order: BIZA, dmzap+RAIZN, mdraid+dmzap, mdraid+ConvSSD, RAIZN.
 	col := 2 // seq64K
@@ -89,7 +89,7 @@ func TestFig10Shape(t *testing.T) {
 func TestFig14Shape(t *testing.T) {
 	s := QuickScale()
 	s.TraceOps = 8000
-	tab := Fig14WriteAmp(s, testRun("fig14"))
+	tab := Experiments["fig14"].Tables(s, testRun("fig14"))[0]
 	// On casa (hot workload) BIZA must beat BIZAw/oSelector and the
 	// dmzap+RAIZN adapter, and land between ideal and nocache. (The
 	// mdraid comparison is scale-sensitive — its volatile stripe cache
@@ -138,7 +138,7 @@ func TestTableRendering(t *testing.T) {
 func TestDetectAblationShape(t *testing.T) {
 	s := QuickScale()
 	s.TraceOps = 3000
-	tab := AblationChannelDetect(s, testRun("detect"))
+	tab := Experiments["detect"].Tables(s, testRun("detect"))[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

@@ -57,8 +57,8 @@ type fleetClient struct {
 // between arrays through the deterministic cross-shard fabric. Tables
 // report per-array-group traffic and the per-client fairness spread;
 // every cell derives from virtual time only, so output is bit-identical
-// at any -shards value. The wall-clock payoff of sharding is tracked
-// separately (BENCH_perf.json fleet_scale).
+// at any -shards value. The wall-clock payoff of sharding is measured
+// separately (the benchmark ladder's sim.shard2_speedup rung).
 func Fleet(s Scale, r *Run) []*Table {
 	numArrays, numClients := s.FleetArrays, s.FleetClients
 	if numArrays < 1 || numClients < 1 {

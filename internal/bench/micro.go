@@ -130,11 +130,6 @@ func table3Point(s Scale, r *Run, point string) []*Table {
 	return []*Table{t}
 }
 
-// Table3ZonePlacement reproduces Table 3 in full (all scenarios).
-func Table3ZonePlacement(s Scale, r *Run) *Table {
-	return Experiments["table3"].Tables(s, r)[0]
-}
-
 // fig5Point runs one request size of Fig. 5: single-zone write throughput
 // with 1 versus 32 in-flight writes.
 func fig5Point(s Scale, r *Run, point string) []*Table {
@@ -162,11 +157,6 @@ func fig5Point(s Scale, r *Run, point string) []*Table {
 	}
 	t.Add(fmt.Sprintf("%d", sizeKB), f1(d1), f1(d32), f2(retained))
 	return []*Table{t}
-}
-
-// Fig5IntraZone reproduces Fig. 5 in full (all request sizes).
-func Fig5IntraZone(s Scale, r *Run) *Table {
-	return Experiments["fig5"].Tables(s, r)[0]
 }
 
 // microKinds lists the platforms of the Fig. 10/11 grid in row order.
@@ -239,17 +229,6 @@ func fig11Point(s Scale, r *Run, point string) []*Table {
 	return microGridPoint(s, r, true, stack.Kind(point))
 }
 
-// Fig10Write reproduces Fig. 10: write throughput and average latency
-// across platforms, patterns, and sizes (iodepth 32).
-func Fig10Write(s Scale, r *Run) []*Table {
-	return Experiments["fig10"].Tables(s, r)
-}
-
-// Fig11Read reproduces Fig. 11: read performance on preconditioned spans.
-func Fig11Read(s Scale, r *Run) []*Table {
-	return Experiments["fig11"].Tables(s, r)
-}
-
 // fig17Point runs one platform of Fig. 17: per-component CPU usage and
 // CPU efficiency for 64 and 192 KiB sequential writes.
 func fig17Point(s Scale, r *Run, point string) []*Table {
@@ -283,9 +262,4 @@ func fig17Point(s Scale, r *Run, point string) []*Table {
 			f2(gbps), f1(eff))
 	}
 	return []*Table{t}
-}
-
-// Fig17CPU reproduces Fig. 17 in full (all platforms).
-func Fig17CPU(s Scale, r *Run) *Table {
-	return Experiments["fig17"].Tables(s, r)[0]
 }

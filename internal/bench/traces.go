@@ -93,11 +93,6 @@ func fig12Point(s Scale, r *Run, point string) []*Table {
 	return []*Table{t}
 }
 
-// Fig12TraceThroughput reproduces Fig. 12 in full (all ten traces).
-func Fig12TraceThroughput(s Scale, r *Run) *Table {
-	return Experiments["fig12"].Tables(s, r)[0]
-}
-
 // fig14Point measures one trace of Fig. 14: flash write counts normalized
 // to user writes, split into data and parity, across platforms. The
 // "no cache" and "ideal" reference bars are analytic bounds computed from
@@ -141,11 +136,6 @@ func fig14Point(s Scale, r *Run, point string) []*Table {
 		fmt.Sprintf("%s(%s+%s)", f2(unique*(1+1/k)), f2(unique), f2(unique/k)))
 	t.Add(row...)
 	return []*Table{t}
-}
-
-// Fig14WriteAmp reproduces Fig. 14 in full (all ten traces).
-func Fig14WriteAmp(s Scale, r *Run) *Table {
-	return Experiments["fig14"].Tables(s, r)[0]
 }
 
 func uniqueWriteBytes(tr *trace.Trace) uint64 {
@@ -192,9 +182,4 @@ func fig16Point(s Scale, r *Run, point string) []*Table {
 	}
 	t.Add(row...)
 	return []*Table{t}
-}
-
-// Fig16ZRWASweep reproduces Fig. 16 in full (all ZRWA sizes).
-func Fig16ZRWASweep(s Scale, r *Run) *Table {
-	return Experiments["fig16"].Tables(s, r)[0]
 }

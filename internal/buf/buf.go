@@ -1,10 +1,10 @@
-// Package buf provides the unified, refcounted, size-class-segregated
-// buffer pool shared by the whole data path (workload → core → erasure →
-// nvme → zns). It replaces the per-layer, per-goroutine free lists from
-// the earlier performance pass with one mbuf-style object that travels
-// unchanged across layer boundaries: layers take references instead of
-// copying payloads, and the flash model's defensive copy becomes a
-// refcount hold.
+// Package buf provides the refcounted, size-class-segregated buffer pool
+// behind every recycled []byte on the data path (workload → core →
+// erasure → nvme → zns). A refcounted Buf travels unchanged across layer
+// boundaries: layers take references instead of copying payloads, and the
+// flash model's defensive copy becomes a refcount hold. Scratch that
+// never crosses a boundary (block copies, OOB records, parity
+// accumulators) uses the raw Alloc/Free side of the same pool.
 //
 // Ownership protocol (move semantics): a payload is a (view []byte,
 // own *Buf) pair. Passing `own` to a callee transfers exactly one
@@ -13,17 +13,11 @@
 // after handing it off must Retain first. A nil *Buf is always legal and
 // means "caller-owned bytes, copy if you must keep them".
 //
-// Layout: each Buf fronts one pooled slab laid out as
-//
-//	[ headroom | data ... spare | OOB ]
-//
-// with the out-of-band area pinned to the slab tail so Append can grow
-// data into the spare region and Prepend can consume headroom — the
-// append/trim semantics used by read-modify-write.
+// Layout: each Buf fronts one pooled slab laid out as [ data | OOB ].
 //
 // Pools are single-goroutine by design (one per simulation shard /
-// platform), so reference counts are plain integers: no atomics on the
-// hot path.
+// platform, plus a private one inside each device model), so reference
+// counts are plain integers: no atomics on the hot path.
 package buf
 
 import (
@@ -42,7 +36,7 @@ const (
 // Stats is the pool's cumulative accounting. All counters are
 // deterministic: pools are driven only from simulation goroutines.
 type Stats struct {
-	Gets        int64 // buffers handed out (Get/GetZero/Copy/Alloc)
+	Gets        int64 // buffers handed out (Get/Alloc)
 	Hits        int64 // ... of which were served from a free list
 	Misses      int64 // ... of which heap-allocated (cold pool or oversize)
 	Copies      int64 // payload copies noted by layers via NoteCopy
@@ -104,52 +98,24 @@ func classFor(total int) int {
 }
 
 // Buf is one refcounted buffer. Access the payload with Bytes and the
-// out-of-band area with OOB; grow or shrink the payload with
-// Append/Prepend/TrimFront/TrimBack. Created with one reference.
+// out-of-band area with OOB. Created with one reference.
 type Buf struct {
-	pool   *Pool
-	mem    []byte // whole slab
-	off    int    // data start
-	n      int    // data length
-	oobOff int    // OOB area start (pinned to slab tail)
-	oobN   int
-	refs   int32
-	class  int16 // -1: oversize, slab not recycled
+	pool  *Pool
+	mem   []byte // whole slab: data, then OOB
+	n     int    // data length
+	oobN  int
+	refs  int32
+	class int16 // -1: oversize, slab not recycled
 }
 
 // Get returns a buffer with n data bytes and an oob-byte out-of-band
 // area, with one reference. Contents are unspecified (pooled memory is
-// recycled, not rezeroed); use GetZero when initial zeros matter.
-func (p *Pool) Get(n, oob int) *Buf { return p.get(0, n, oob) }
-
-// GetHead is Get with head bytes of headroom before the data area, for
-// callers that will Prepend.
-func (p *Pool) GetHead(head, n, oob int) *Buf { return p.get(head, n, oob) }
-
-// GetZero is Get with the data and OOB areas zeroed.
-func (p *Pool) GetZero(n, oob int) *Buf {
-	b := p.get(0, n, oob)
-	clear(b.mem[b.off : b.off+b.n])
-	if oob > 0 {
-		clear(b.mem[b.oobOff:])
+// recycled, not rezeroed).
+func (p *Pool) Get(n, oob int) *Buf {
+	if n < 0 || oob < 0 {
+		panic(fmt.Sprintf("buf: Get(%d, %d): negative size", n, oob))
 	}
-	return b
-}
-
-// Copy returns a new buffer holding a copy of data, counting the copy
-// in the pool's copy stats.
-func (p *Pool) Copy(data []byte, oob int) *Buf {
-	b := p.get(0, len(data), oob)
-	copy(b.mem[b.off:], data)
-	p.NoteCopy(len(data))
-	return b
-}
-
-func (p *Pool) get(head, n, oob int) *Buf {
-	if head < 0 || n < 0 || oob < 0 {
-		panic(fmt.Sprintf("buf: Get(%d, %d, %d): negative size", head, n, oob))
-	}
-	total := head + n + oob
+	total := n + oob
 	class := classFor(total)
 	p.stats.Gets++
 	var b *Buf
@@ -174,9 +140,7 @@ func (p *Pool) get(head, n, oob int) *Buf {
 		b.mem = make([]byte, size)
 	}
 	b.pool = p
-	b.off = head
 	b.n = n
-	b.oobOff = len(b.mem) - oob
 	b.oobN = oob
 	b.refs = 1
 	b.class = int16(class)
@@ -225,38 +189,28 @@ func (p *Pool) AllocZero(n int) []byte {
 	return s
 }
 
-// Free recycles a slab obtained from Alloc. Foreign slices are accepted
-// and recycled into the class fitting their capacity, so callers may mix
-// pool and heap memory.
+// Free recycles a slab obtained from Alloc; nil-safe. Foreign slices are
+// accepted and recycled like Donate, so callers may mix pool and heap
+// memory.
 func (p *Pool) Free(s []byte) {
 	if s == nil {
 		return
 	}
 	p.rawLive--
-	// Recycle by capacity: an Alloc(26) slab has cap 64 and must go back
-	// to the class it can serve. Only exact class-size capacities
-	// re-enter the pool; odd foreign slices are left to the GC.
-	c := cap(s)
-	if c >= 1<<minClassShift && c&(c-1) == 0 {
-		if class := classFor(c); class >= 0 && 1<<(minClassShift+class) == c {
-			p.rawFree[class] = append(p.rawFree[class], s[:c])
-		}
-	}
+	p.Donate(s)
 }
 
 // Donate recycles a slab the pool did not hand out — typically a heap
 // slice returned by a device read — without touching the outstanding-slab
-// accounting that Free maintains for Alloc'd memory. Odd capacities are
-// left to the GC, exactly as in Free.
+// accounting that Free maintains for Alloc'd memory. Slabs recycle by
+// capacity: an Alloc(26) slab has cap 64 and must go back to the class it
+// can serve. Only exact class-size capacities re-enter the pool; odd
+// foreign slices are left to the GC.
 func (p *Pool) Donate(s []byte) {
-	if s == nil {
-		return
-	}
 	c := cap(s)
-	if c >= 1<<minClassShift && c&(c-1) == 0 {
-		if class := classFor(c); class >= 0 && 1<<(minClassShift+class) == c {
-			p.rawFree[class] = append(p.rawFree[class], s[:c])
-		}
+	if c >= 1<<minClassShift && c <= 1<<maxClassShift && c&(c-1) == 0 {
+		class := classFor(c)
+		p.rawFree[class] = append(p.rawFree[class], s[:c])
 	}
 }
 
@@ -303,62 +257,15 @@ func (b *Buf) checkPoison() {
 	}
 }
 
-// Refs reports the current reference count (test/diagnostic use).
-func (b *Buf) Refs() int { return int(b.refs) }
-
 // Len reports the data length.
 func (b *Buf) Len() int { return b.n }
 
 // Bytes returns the data area. The slice stays valid until the final
 // Release.
-func (b *Buf) Bytes() []byte { return b.mem[b.off : b.off+b.n] }
+func (b *Buf) Bytes() []byte { return b.mem[:b.n] }
 
-// OOB returns the out-of-band area at the slab tail.
-func (b *Buf) OOB() []byte { return b.mem[b.oobOff : b.oobOff+b.oobN] }
-
-// Headroom reports the bytes available for Prepend.
-func (b *Buf) Headroom() int { return b.off }
-
-// Tailroom reports the bytes available for Append.
-func (b *Buf) Tailroom() int { return b.oobOff - (b.off + b.n) }
-
-// Append grows the data area by n bytes into the spare region and
-// returns the newly exposed tail (unspecified contents).
-func (b *Buf) Append(n int) []byte {
-	if b.off+b.n+n > b.oobOff {
-		panic(fmt.Sprintf("buf: Append(%d) overflows tailroom %d", n, b.Tailroom()))
-	}
-	b.n += n
-	return b.mem[b.off+b.n-n : b.off+b.n]
-}
-
-// Prepend grows the data area by n bytes into the headroom and returns
-// the newly exposed head (unspecified contents).
-func (b *Buf) Prepend(n int) []byte {
-	if n > b.off {
-		panic(fmt.Sprintf("buf: Prepend(%d) overflows headroom %d", n, b.off))
-	}
-	b.off -= n
-	b.n += n
-	return b.mem[b.off : b.off+n]
-}
-
-// TrimFront drops n bytes from the head of the data area.
-func (b *Buf) TrimFront(n int) {
-	if n > b.n {
-		panic(fmt.Sprintf("buf: TrimFront(%d) beyond length %d", n, b.n))
-	}
-	b.off += n
-	b.n -= n
-}
-
-// TrimBack drops n bytes from the tail of the data area.
-func (b *Buf) TrimBack(n int) {
-	if n > b.n {
-		panic(fmt.Sprintf("buf: TrimBack(%d) beyond length %d", n, b.n))
-	}
-	b.n -= n
-}
+// OOB returns the out-of-band area, which follows the data.
+func (b *Buf) OOB() []byte { return b.mem[b.n : b.n+b.oobN] }
 
 // Retain on a nil receiver is a no-op, so code holding an optional
 // ownership pointer can fan out without nil checks.

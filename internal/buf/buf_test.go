@@ -48,57 +48,6 @@ func TestRefcountHoldsSlab(t *testing.T) {
 	}
 }
 
-func TestGetZeroAndCopy(t *testing.T) {
-	p := NewPool()
-	b := p.Get(128, 0)
-	for i := range b.Bytes() {
-		b.Bytes()[i] = 0xFF
-	}
-	b.Release()
-	z := p.GetZero(128, 8)
-	for i, v := range z.Bytes() {
-		if v != 0 {
-			t.Fatalf("GetZero byte %d = %#x, want 0", i, v)
-		}
-	}
-	z.Release()
-
-	src := []byte("payload goes here")
-	c := p.Copy(src, 0)
-	if string(c.Bytes()) != string(src) {
-		t.Fatalf("Copy = %q, want %q", c.Bytes(), src)
-	}
-	if st := p.Stats(); st.Copies != 1 || st.CopiedBytes != int64(len(src)) {
-		t.Fatalf("copy stats = %+v", st)
-	}
-	c.Release()
-}
-
-func TestAppendTrimPrepend(t *testing.T) {
-	p := NewPool()
-	b := p.GetHead(16, 32, 8)
-	if b.Headroom() != 16 {
-		t.Fatalf("Headroom = %d, want 16", b.Headroom())
-	}
-	tail := b.Append(8)
-	if len(tail) != 8 || b.Len() != 40 {
-		t.Fatalf("Append: tail %d, len %d", len(tail), b.Len())
-	}
-	head := b.Prepend(4)
-	if len(head) != 4 || b.Len() != 44 || b.Headroom() != 12 {
-		t.Fatalf("Prepend: head %d len %d headroom %d", len(head), b.Len(), b.Headroom())
-	}
-	b.TrimFront(4)
-	b.TrimBack(8)
-	if b.Len() != 32 {
-		t.Fatalf("after trims len = %d, want 32", b.Len())
-	}
-	if b.Tailroom() <= 0 {
-		t.Fatalf("Tailroom = %d, want > 0", b.Tailroom())
-	}
-	b.Release()
-}
-
 func TestOversizeFallsBackToHeap(t *testing.T) {
 	p := NewPool()
 	b := p.Get(2<<20, 0)

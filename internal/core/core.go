@@ -389,9 +389,6 @@ func (c *Core) DetectCorrections() uint64 { return c.detectCorrects }
 // GhostCache exposes the selector's cache (diagnostics).
 func (c *Core) GhostCache() *ghostcache.Cache { return c.ghost }
 
-// Devices reports the member count.
-func (c *Core) Devices() int { return len(c.devs) }
-
 func (c *Core) chunkBytes() int64 { return int64(c.blockSize) }
 
 // classify maps a ghost-cache level to a placement class.

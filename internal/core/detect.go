@@ -1,9 +1,6 @@
 package core
 
-import (
-	"biza/internal/sim"
-	"biza/internal/zns"
-)
+import "biza/internal/zns"
 
 // observeLatency feeds the §4.3 guess-and-verify detector with a completed
 // write. A latency spike while GC is active casts a vote that the target
@@ -122,6 +119,3 @@ func (c *Core) scoreDispatch(ds *devState, zs *zoneState) {
 // GuessedChannel reports the detector's current belief for a zone
 // (diagnostics and tests).
 func (c *Core) GuessedChannel(dev, zone int) int { return c.devs[dev].guessed[zone] }
-
-// EWMALatency reports the detector's latency baseline.
-func (c *Core) EWMALatency() sim.Time { return sim.Time(c.ewmaLatency) }

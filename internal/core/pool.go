@@ -1,11 +1,12 @@
 package core
 
-// Hot-path buffer plumbing over the unified pool (internal/buf). Block
-// scratch, OOB records, and coalesced batch payloads all draw from one
-// size-class-segregated pool instead of the per-kind free lists of the
-// earlier performance pass; the pool counts hits, misses (the old silent
-// heap fallback, now observable as the pool_miss probe), and payload
-// copies. The simulation is single-goroutine, so no locking anywhere.
+// Hot-path recycling. Block scratch, OOB records, and coalesced batch
+// payloads all draw from the array's buf.Pool (c.pool), which counts hits,
+// misses (the pool_miss probe), and payload copies; buffers it never
+// handed out — device read results, which the ZNS model allocates fresh —
+// re-enter it through Donate so the outstanding-slab count stays
+// balanced. Vectors and records keep small free lists below. The
+// simulation is single-goroutine, so no locking anywhere.
 //
 // Ownership discipline: a raw buffer handed to the device layer may be
 // recycled in the write-done callback, because the ZNS model copies
@@ -13,9 +14,6 @@ package core
 // (setData/setOOB) or before completion (storeDirect). Refcounted
 // payloads (schedOp.own) skip that copy entirely: the device holds
 // references instead — see zones.go.
-
-// getBuf returns a zeroed block-size scratch buffer.
-func (c *Core) getBuf() []byte { return c.pool.AllocZero(c.blockSize) }
 
 // copyBuf returns a pooled block-size buffer holding a copy of src,
 // counted in the pool's copy stats.
@@ -25,29 +23,6 @@ func (c *Core) copyBuf(src []byte) []byte {
 	c.pool.NoteCopy(len(src))
 	return b
 }
-
-// putBuf recycles a pool-allocated block-size buffer; nil-safe. Buffers
-// that did not come from Alloc go through donateBuf instead, so the
-// pool's outstanding-slab accounting stays balanced.
-func (c *Core) putBuf(b []byte) { c.pool.Free(b) }
-
-// donateBuf recycles a buffer the pool never handed out — device read
-// results, which the ZNS model allocates fresh — without touching the
-// outstanding-slab count.
-func (c *Core) donateBuf(b []byte) { c.pool.Donate(b) }
-
-// getOOB returns an oobLen record buffer; contents are overwritten by the
-// caller (encodeOOB fills every byte).
-func (c *Core) getOOB() []byte { return c.pool.Alloc(oobLen) }
-
-// putOOB recycles an OOB record; nil-safe.
-func (c *Core) putOOB(b []byte) { c.pool.Free(b) }
-
-// getBatch returns a zeroed n-byte coalesced-payload buffer.
-func (c *Core) getBatch(n int) []byte { return c.pool.AllocZero(n) }
-
-// putBatch recycles a coalesced-payload buffer; nil-safe.
-func (c *Core) putBatch(b []byte) { c.pool.Free(b) }
 
 // getVec returns an n-element nil-filled [][]byte (per-batch OOB vectors,
 // parity accumulators, old-parity scratch).

@@ -10,23 +10,23 @@ import (
 )
 
 // TestPoolBufSemantics checks the buffer pool contracts the write path
-// relies on: getBuf returns zeroed memory after a dirty put, copyBuf
+// relies on: AllocZero returns zeroed memory after a dirty Free, copyBuf
 // snapshots its source (and counts the copy), and foreign buffers go
-// through donateBuf without disturbing the outstanding-slab accounting.
+// through Donate without disturbing the outstanding-slab accounting.
 func TestPoolBufSemantics(t *testing.T) {
 	_, c, _ := newCore(t, nil)
-	b := c.getBuf()
+	b := c.pool.AllocZero(c.blockSize)
 	if len(b) != c.blockSize {
-		t.Fatalf("getBuf len = %d, want %d", len(b), c.blockSize)
+		t.Fatalf("AllocZero len = %d, want %d", len(b), c.blockSize)
 	}
 	for i := range b {
 		b[i] = 0xAB
 	}
-	c.putBuf(b)
-	b2 := c.getBuf()
+	c.pool.Free(b)
+	b2 := c.pool.AllocZero(c.blockSize)
 	for i, v := range b2 {
 		if v != 0 {
-			t.Fatalf("getBuf reused dirty buffer: byte %d = %#x", i, v)
+			t.Fatalf("AllocZero reused dirty buffer: byte %d = %#x", i, v)
 		}
 	}
 	src := pat(7, c.blockSize)
@@ -39,11 +39,11 @@ func TestPoolBufSemantics(t *testing.T) {
 	if got := c.pool.Stats().Copies; got != copies+1 {
 		t.Fatalf("copyBuf recorded %d copies, want %d", got, copies+1)
 	}
-	c.putBuf(nil)                            // nil-safe
-	c.donateBuf(make([]byte, c.blockSize/2)) // foreign buffer: no accounting
-	c.donateBuf(nil)                         // nil-safe
-	c.putBuf(cp)
-	c.putBuf(b2)
+	c.pool.Free(nil)                           // nil-safe
+	c.pool.Donate(make([]byte, c.blockSize/2)) // foreign buffer: no accounting
+	c.pool.Donate(nil)                         // nil-safe
+	c.pool.Free(cp)
+	c.pool.Free(b2)
 	if live := c.pool.RawLive(); live != 0 {
 		t.Fatalf("raw slabs outstanding after balanced put cycle: %d", live)
 	}
@@ -55,7 +55,7 @@ func TestPoolVecDropsReferences(t *testing.T) {
 	_, c, _ := newCore(t, nil)
 	v := c.getVec(3)
 	for i := range v {
-		v[i] = c.getBuf()
+		v[i] = c.pool.AllocZero(c.blockSize)
 	}
 	c.putVec(v)
 	v2 := c.getVec(3)
@@ -72,14 +72,14 @@ func TestPoolVecDropsReferences(t *testing.T) {
 func TestPoolCycleAllocFree(t *testing.T) {
 	_, c, _ := newCore(t, nil)
 	cycle := func() {
-		b := c.getBuf()
+		b := c.pool.AllocZero(c.blockSize)
 		cp := c.copyBuf(b)
-		c.putBuf(b)
-		c.putBuf(cp)
-		o := c.getOOB()
-		c.putOOB(o)
-		bt := c.getBatch(4 * c.blockSize)
-		c.putBatch(bt)
+		c.pool.Free(b)
+		c.pool.Free(cp)
+		o := c.pool.Alloc(oobLen)
+		c.pool.Free(o)
+		bt := c.pool.AllocZero(4 * c.blockSize)
+		c.pool.Free(bt)
 		v := c.getVec(4)
 		c.putVec(v)
 		ops := c.getOps()

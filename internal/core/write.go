@@ -29,7 +29,7 @@ const (
 // encodeOOB fills a pooled record (recycled by the dispatch-done callbacks
 // in zones.go once the device has copied it).
 func (c *Core) encodeOOB(kind byte, lbn, sn int64, seq uint64, idx int) []byte {
-	b := c.getOOB()
+	b := c.pool.Alloc(oobLen)
 	b[0] = kind
 	binary.LittleEndian.PutUint64(b[1:], uint64(lbn))
 	binary.LittleEndian.PutUint64(b[9:], uint64(sn))
@@ -266,9 +266,9 @@ func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, c
 			// folding unknown deltas would corrupt the surviving parity.
 			// Unwind the in-place attempt and re-home the chunk through
 			// the append path instead.
-			c.donateBuf(oldData)
+			c.pool.Donate(oldData)
 			for r := 0; r < m; r++ {
-				c.donateBuf(oldParity[r])
+				c.pool.Donate(oldParity[r])
 			}
 			c.putVec(oldParity)
 			c.unpin(e.pa)
@@ -287,7 +287,7 @@ func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, c
 		delta := c.pool.Alloc(c.blockSize)
 		if oldData != nil {
 			erasure.XOR(delta, oldData, payload)
-			c.donateBuf(oldData)
+			c.pool.Donate(oldData)
 		} else {
 			copy(delta, payload)
 		}
@@ -296,15 +296,15 @@ func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, c
 			if oldParity[r] != nil {
 				np = c.pool.Alloc(c.blockSize)
 				c.coder.DeltaRow(r, chunkIdx, delta, oldParity[r], np)
-				c.donateBuf(oldParity[r])
+				c.pool.Donate(oldParity[r])
 			} else {
-				np = c.getBuf()
+				np = c.pool.AllocZero(c.blockSize)
 				erasure.MulXor(c.coder.Coeff(r, chunkIdx), delta, np)
 			}
 			c.acct.ChargeParity(cpumodel.CompBIZA, int64(c.blockSize))
 			writeParity(r, np)
 		}
-		c.putBuf(delta)
+		c.pool.Free(delta)
 		c.putVec(oldParity)
 	}
 	ds.q.Read(e.pa.zone, e.pa.off, 1, func(r zns.ReadResult) {
@@ -449,7 +449,7 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 		if st.accs == nil {
 			st.accs = c.getVec(c.cfg.Parity)
 			for r := range st.accs {
-				st.accs[r] = c.getBuf()
+				st.accs[r] = c.pool.AllocZero(c.blockSize)
 			}
 		}
 		for r := range st.accs {
@@ -508,7 +508,7 @@ func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64
 		// is on its way to the device — the accumulators retire here.
 		if se.sealed && st.accs != nil {
 			for r := range st.accs {
-				c.putBuf(st.accs[r])
+				c.pool.Free(st.accs[r])
 			}
 			c.putVec(st.accs)
 			st.accs = nil
@@ -563,7 +563,7 @@ func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64
 		}
 		nzs, noff, err := pds.alloc(class)
 		if err != nil {
-			c.putBuf(parityData)
+			c.pool.Free(parityData)
 			parityDone(err)
 			continue
 		}

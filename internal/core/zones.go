@@ -388,10 +388,10 @@ func (ds *devState) dispatchInPlace(zs *zoneState, op schedOp) {
 		}
 		// The device copied OOB (and any raw payload) at submission, or
 		// holds references to a refcounted payload; recycle and release.
-		ds.c.putOOB(op.oob)
+		ds.c.pool.Free(op.oob)
 		ds.c.putVec(oob)
 		if op.ownData {
-			ds.c.putBuf(op.data)
+			ds.c.pool.Free(op.data)
 		}
 		buf.Release(op.own)
 		ds.drain(zs)
@@ -436,7 +436,7 @@ func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
 			// Merged command: gather-copy into one coalesced slab. The copy
 			// buys one device command for n blocks and is counted, so the
 			// merge-vs-copy tradeoff stays observable (payload_copy probe).
-			batch = ds.c.getBatch(n * bs)
+			batch = ds.c.pool.AllocZero(n * bs)
 			data = batch
 			for i, op := range b.ops {
 				if op.data != nil {
@@ -468,13 +468,13 @@ func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
 		// own references); recycle the gather buffer, the OOB records,
 		// owned payloads, and the batch's op slice.
 		for i := range b.ops {
-			ds.c.putOOB(b.ops[i].oob)
+			ds.c.pool.Free(b.ops[i].oob)
 			if b.ops[i].ownData {
-				ds.c.putBuf(b.ops[i].data)
+				ds.c.pool.Free(b.ops[i].data)
 			}
 			buf.Release(b.ops[i].own)
 		}
-		ds.c.putBatch(batch)
+		ds.c.pool.Free(batch)
 		ds.c.putVec(oob)
 		ds.c.putOps(b.ops)
 		ds.drain(zs)

@@ -124,7 +124,6 @@ type Adapter struct {
 	userBytes     uint64
 	migratedBytes uint64
 	gcEvents      uint64
-	writeErrs     map[string]int
 }
 
 // New builds an adapter over backend. acct may be nil.
@@ -150,7 +149,6 @@ func New(backend zoneapi.Backend, cfg Config, acct *cpumodel.Accountant) (*Adapt
 		acct:       acct,
 		l2z:        make([]loc, logicalBlocks),
 		zones:      make([]zoneInfo, zones),
-		writeErrs:  make(map[string]int),
 		storesData: zoneapi.StoresData(backend),
 	}
 	for i := range a.l2z {
@@ -360,9 +358,6 @@ func (a *Adapter) submit(z int, p pending) {
 	// its reserved offset (keeping the zone sequential); the mapping table
 	// already points at the newer copy.
 	a.backend.Write(z, p.off, 1, p.data, p.tag, func(r zns.WriteResult) {
-		if r.Err != nil {
-			a.writeErrs[r.Err.Error()]++
-		}
 		if p.done != nil {
 			p.done(r)
 		}
@@ -570,15 +565,4 @@ func (a *Adapter) pickVictim() int {
 // ResetAccounting zeroes adapter-level traffic counters.
 func (a *Adapter) ResetAccounting() {
 	a.userBytes, a.migratedBytes, a.gcEvents = 0, 0, 0
-}
-
-// WriteErrs reports device write errors by message (diagnostics).
-func (a *Adapter) WriteErrs() map[string]int { return a.writeErrs }
-
-// Diagnostics reports internal queue states (tests).
-func (a *Adapter) Diagnostics() (stalled, freeZones int, gcRunning bool, queued int) {
-	for i := range a.zones {
-		queued += len(a.zones[i].queue)
-	}
-	return len(a.stalled), len(a.freeZones), a.gcRunning, queued
 }

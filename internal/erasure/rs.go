@@ -418,13 +418,3 @@ func MulXor(coeff byte, src, dst []byte) {
 	}
 	mulSliceXor(coeff, src, dst)
 }
-
-// MulXorInto computes dst = base ^ coeff*src in one fused pass, the
-// read-modify-write shape of a parity delta application that must not
-// clobber base.
-func MulXorInto(coeff byte, src, base, dst []byte) {
-	if len(src) != len(base) || len(src) != len(dst) {
-		panic("erasure: MulXorInto length mismatch")
-	}
-	mulSliceXorInto(coeff, src, base, dst)
-}

@@ -27,10 +27,6 @@ func (r RunStats) Speedup() float64 {
 	return float64(r.VirtualNanos) / float64(r.WallNanos)
 }
 
-// VirtualPerWallSecond reports simulated seconds per wall second — the
-// runner's throughput figure of merit.
-func (r RunStats) VirtualPerWallSecond() float64 { return r.Speedup() }
-
 // Add merges other into r.
 func (r *RunStats) Add(other RunStats) {
 	r.WallNanos += other.WallNanos

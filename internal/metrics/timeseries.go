@@ -72,9 +72,6 @@ func (s *Sampler) Interval() int64 { return s.interval }
 // Len reports recorded ticks per series.
 func (s *Sampler) Len() int { return s.count }
 
-// Sources reports the number of registered sources.
-func (s *Sampler) Sources() int { return len(s.names) }
-
 // Register adds a named source sampled by fn at every subsequent tick.
 // Ticks recorded before registration backfill as zero, so every series in
 // a sampler spans the same window. Registration order is the export order

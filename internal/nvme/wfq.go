@@ -71,9 +71,6 @@ func (w *WFQ) AddFlow(weight int) int {
 	return id
 }
 
-// Flows reports the number of registered flows.
-func (w *WFQ) Flows() int { return len(w.flows) }
-
 // Len reports the total number of queued requests across all flows.
 func (w *WFQ) Len() int { return w.queued }
 

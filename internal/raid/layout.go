@@ -22,9 +22,6 @@ func NewLayout(disks, parity int, chunkBlocks int64) (*Layout, error) {
 	return &Layout{disks: disks, parity: parity, chunkBlocks: chunkBlocks}, nil
 }
 
-// Disks reports the total member count.
-func (l *Layout) Disks() int { return l.disks }
-
 // Parity reports parity chunks per stripe (1 = RAID 5, 2 = RAID 6).
 func (l *Layout) Parity() int { return l.parity }
 

@@ -21,9 +21,6 @@ func NewResource(eng *Engine, servers int) *Resource {
 	return &Resource{eng: eng, freeAt: make([]Time, servers)}
 }
 
-// Servers reports the number of parallel servers.
-func (r *Resource) Servers() int { return len(r.freeAt) }
-
 // Submit enqueues a job with the given service time. done, if non-nil, runs
 // when the job completes; start is when service began (after queueing) and
 // end when it finished. Submit returns the completion time.

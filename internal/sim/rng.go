@@ -78,14 +78,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomizes the order of n elements using the provided swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // ZipfGen samples from a Zipf distribution over ranks [0, n) with exponent
 // theta using precomputed cumulative weights (exact inverse-CDF sampling).
 type ZipfGen struct {

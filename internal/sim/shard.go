@@ -82,9 +82,6 @@ func (s *Shard) ID() int { return s.id }
 // Engine returns the shard's simulation engine.
 func (s *Shard) Engine() *Engine { return s.eng }
 
-// Group returns the owning group.
-func (s *Shard) Group() *ShardGroup { return s.g }
-
 // Send schedules fn to run on shard dst at absolute virtual time at. src
 // is the logical source key used for canonical merge ordering; it must
 // identify the logical sender independently of the shard count (see the
@@ -145,9 +142,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 
 // Shard returns shard i.
 func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
-
-// Window reports the barrier window width.
-func (g *ShardGroup) Window() Time { return g.window }
 
 // Now reports the group's completed-up-to virtual time: every shard's
 // engine has advanced exactly this far.

@@ -165,19 +165,7 @@ func NewOn(eng *sim.Engine, kind Kind, opts Options) (*Platform, error) {
 		p.plan = plan
 	}
 
-	attachFaults := func(q *nvme.Queue, dev int) {
-		if p.plan == nil {
-			return
-		}
-		in := p.plan.Injector(dev)
-		if opts.Trace != nil {
-			in.SetTracer(opts.Trace, dev)
-		}
-		q.SetInjector(in)
-	}
-
 	newZNSQueues := func(zoneOrdered bool) ([]*nvme.Queue, error) {
-		var queues []*nvme.Queue
 		for i := 0; i < opts.Members; i++ {
 			dc := opts.ZNS
 			dc.Seed = opts.Seed + uint64(i)
@@ -186,19 +174,9 @@ func NewOn(eng *sim.Engine, kind Kind, opts Options) (*Platform, error) {
 				return nil, err
 			}
 			p.ZNSDevs = append(p.ZNSDevs, d)
-			q := nvme.New(d, nvme.Config{
-				ReorderWindow: opts.ReorderWindow,
-				ZoneOrdered:   zoneOrdered,
-				Seed:          opts.Seed + uint64(i) + 1000,
-			})
-			if opts.Trace != nil {
-				q.SetTracer(opts.Trace, i)
-			}
-			attachFaults(q, i)
-			queues = append(queues, q)
+			p.queues = append(p.queues, p.newMemberQueue(i, d, opts.Seed+uint64(i)+1000, zoneOrdered, true))
 		}
-		p.queues = queues
-		return queues, nil
+		return p.queues, nil
 	}
 
 	switch kind {
@@ -263,26 +241,14 @@ func NewOn(eng *sim.Engine, kind Kind, opts Options) (*Platform, error) {
 		p.userBytes = func() uint64 { return waA().UserBytes }
 
 	case KindMdraidDmzap:
+		queues, err := newZNSQueues(false) // dmzap keeps one write in flight per zone itself
+		if err != nil {
+			return nil, err
+		}
 		var members []blockdev.Device
-		for i := 0; i < opts.Members; i++ {
-			dc := opts.ZNS
-			dc.Seed = opts.Seed + uint64(i)
-			d, err := zns.New(eng, dc)
-			if err != nil {
-				return nil, err
-			}
-			p.ZNSDevs = append(p.ZNSDevs, d)
-			q := nvme.New(d, nvme.Config{
-				ReorderWindow: opts.ReorderWindow,
-				Seed:          opts.Seed + uint64(i) + 1000,
-			})
-			if opts.Trace != nil {
-				q.SetTracer(opts.Trace, i)
-			}
-			attachFaults(q, i)
-			p.queues = append(p.queues, q)
+		for _, q := range queues {
 			ad, err := dmzap.New(zoneapi.SingleDevice{Q: q},
-				dmzap.DefaultConfig(dc.NumZones, dc.MaxOpenZones), p.Acct)
+				dmzap.DefaultConfig(opts.ZNS.NumZones, opts.ZNS.MaxOpenZones), p.Acct)
 			if err != nil {
 				return nil, err
 			}
@@ -557,6 +523,28 @@ func (s *seqZoneDevice) Trim(lba int64, nblocks int) {
 	}
 }
 
+// newMemberQueue builds member i's driver queue over dev, traced like the
+// rest of the platform and, when withFaults, carrying the member's
+// injector from the fault plan (with the state it has accumulated).
+func (p *Platform) newMemberQueue(i int, dev *zns.Device, seed uint64, zoneOrdered, withFaults bool) *nvme.Queue {
+	q := nvme.New(dev, nvme.Config{
+		ReorderWindow: p.opts.ReorderWindow,
+		ZoneOrdered:   zoneOrdered,
+		Seed:          seed,
+	})
+	if p.opts.Trace != nil {
+		q.SetTracer(p.opts.Trace, i)
+	}
+	if withFaults && p.plan != nil {
+		in := p.plan.Injector(i)
+		if p.opts.Trace != nil {
+			in.SetTracer(p.opts.Trace, i)
+		}
+		q.SetInjector(in)
+	}
+	return q
+}
+
 // installBIZA wires a (new or recovered) engine into the platform.
 func (p *Platform) installBIZA(c *core.Core) {
 	if p.opts.Trace != nil {
@@ -606,13 +594,7 @@ func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done fun
 	if dev >= 0 && dev < len(p.ZNSDevs) {
 		p.ZNSDevs[dev] = nd
 	}
-	nq := nvme.New(nd, nvme.Config{
-		ReorderWindow: p.opts.ReorderWindow,
-		Seed:          sim.DeriveSeed(p.opts.Seed, "replace-queue", gen, member),
-	})
-	if p.opts.Trace != nil {
-		nq.SetTracer(p.opts.Trace, dev)
-	}
+	nq := p.newMemberQueue(dev, nd, sim.DeriveSeed(p.opts.Seed, "replace-queue", gen, member), false, false)
 	if dev >= 0 && dev < len(p.queues) {
 		p.queues[dev] = nq
 	}
@@ -622,10 +604,6 @@ func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done fun
 // Replacements reports how many device replacements the platform has
 // started (auto-replace plus explicit admin jobs).
 func (p *Platform) Replacements() uint64 { return p.replacements }
-
-// Recoveries reports how many crash-recovery cycles have completed or
-// are in flight.
-func (p *Platform) Recoveries() uint64 { return p.recoveries }
 
 // Crash models a host power loss: every member driver queue dies with its
 // in-flight commands, and every device drops write-buffer contents that
@@ -679,23 +657,9 @@ func (p *Platform) Recover(done func(error)) {
 	}
 	p.recoveries++
 	gen := fmt.Sprintf("%d", p.recoveries)
-	var queues []*nvme.Queue
+	queues := make([]*nvme.Queue, len(p.ZNSDevs))
 	for i, d := range p.ZNSDevs {
-		q := nvme.New(d, nvme.Config{
-			ReorderWindow: p.opts.ReorderWindow,
-			Seed:          sim.DeriveSeed(p.opts.Seed, "recover", gen, fmt.Sprintf("dev%d", i)),
-		})
-		if p.opts.Trace != nil {
-			q.SetTracer(p.opts.Trace, i)
-		}
-		if p.plan != nil {
-			in := p.plan.Injector(i)
-			if p.opts.Trace != nil {
-				in.SetTracer(p.opts.Trace, i)
-			}
-			q.SetInjector(in)
-		}
-		queues = append(queues, q)
+		queues[i] = p.newMemberQueue(i, d, sim.DeriveSeed(p.opts.Seed, "recover", gen, fmt.Sprintf("dev%d", i)), false, true)
 	}
 	p.queues = queues
 	core.Recover(queues, p.bizaCfg, p.Acct, func(c *core.Core, err error) {

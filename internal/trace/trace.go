@@ -4,8 +4,6 @@
 package trace
 
 import (
-	"sort"
-
 	"biza/internal/blockdev"
 	"biza/internal/metrics"
 	"biza/internal/sim"
@@ -190,11 +188,4 @@ func Replay(eng *sim.Engine, dev blockdev.Device, t *Trace, depth int) Result {
 	eng.Run()
 	res.Elapsed = eng.Now() - start
 	return res
-}
-
-// SortThresholds returns sorted copies for CDF plotting helpers.
-func SortThresholds(ts []int64) []int64 {
-	out := append([]int64(nil), ts...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -38,7 +38,7 @@ func newArrayPerf(t *testing.T) (*sim.Engine, *Array, []*zns.Device) {
 	return eng, a, devs
 }
 
-// TestStripeBufPoolSemantics: getSB hands back an emptied record, getAcc
+// TestStripeBufPoolSemantics: getSB hands back an emptied record, the pool
 // a zeroed accumulator, and putSB drops chunk references so pooled stripe
 // buffers do not pin payloads.
 func TestStripeBufPoolSemantics(t *testing.T) {
@@ -46,7 +46,7 @@ func TestStripeBufPoolSemantics(t *testing.T) {
 	sb := a.getSB()
 	sb.lbns = append(sb.lbns, 7)
 	sb.data = append(sb.data, make([]byte, a.blockSize))
-	sb.acc = a.getAcc()
+	sb.acc = a.pool.AllocZero(a.blockSize)
 	sb.acc[0] = 0xCD
 	a.putSB(sb)
 	sb2 := a.getSB()
@@ -54,14 +54,14 @@ func TestStripeBufPoolSemantics(t *testing.T) {
 		t.Fatalf("recycled stripeBuf not emptied: lbns=%d data=%d acc=%v",
 			len(sb2.lbns), len(sb2.data), sb2.acc != nil)
 	}
-	acc := a.getAcc()
+	acc := a.pool.AllocZero(a.blockSize)
 	for i, v := range acc {
 		if v != 0 {
-			t.Fatalf("getAcc reused dirty accumulator: byte %d = %#x", i, v)
+			t.Fatalf("AllocZero reused dirty accumulator: byte %d = %#x", i, v)
 		}
 	}
-	a.putAcc(acc)
-	a.putAcc(nil) // nil-safe
+	a.pool.Free(acc)
+	a.pool.Free(nil) // nil-safe
 	a.putSB(sb2)
 }
 
@@ -71,7 +71,7 @@ func TestStripeBufPoolCycleAllocFree(t *testing.T) {
 	_, a, _ := newArray(t)
 	cycle := func() {
 		sb := a.getSB()
-		sb.acc = a.getAcc()
+		sb.acc = a.pool.AllocZero(a.blockSize)
 		a.putSB(sb)
 	}
 	cycle()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"biza/internal/blockdev"
+	"biza/internal/buf"
 	"biza/internal/erasure"
 	"biza/internal/metrics"
 	"biza/internal/nvme"
@@ -96,10 +97,10 @@ type Array struct {
 	gcEvents    uint64
 	stalled     []func()
 
-	// Free lists for stripe-forming state: steady-state stripe writes
-	// reuse one stripeBuf and one parity accumulator per stripe slot.
-	sbFree  []*stripeBuf
-	accFree [][]byte
+	// Stripe-forming state recycles: steady-state stripe writes reuse one
+	// stripeBuf record and one pooled parity accumulator per stripe slot.
+	sbFree []*stripeBuf
+	pool   *buf.Pool
 
 	tr *obs.Trace
 }
@@ -121,28 +122,9 @@ func (a *Array) putSB(sb *stripeBuf) {
 		sb.data[i] = nil
 	}
 	sb.data = sb.data[:0]
-	a.putAcc(sb.acc)
+	a.pool.Free(sb.acc)
 	sb.acc = nil
 	a.sbFree = append(a.sbFree, sb)
-}
-
-// getAcc returns a zeroed block-size parity accumulator.
-func (a *Array) getAcc() []byte {
-	if n := len(a.accFree); n > 0 {
-		b := a.accFree[n-1]
-		a.accFree = a.accFree[:n-1]
-		clear(b)
-		return b
-	}
-	return make([]byte, a.blockSize)
-}
-
-// putAcc recycles an accumulator; nil-safe.
-func (a *Array) putAcc(b []byte) {
-	if b == nil || cap(b) < a.blockSize {
-		return
-	}
-	a.accFree = append(a.accFree, b[:a.blockSize])
 }
 
 // SetTracer attaches an observability trace: array-level spans cover each
@@ -168,6 +150,7 @@ func New(queues []*nvme.Queue, cfg Config) (*Array, error) {
 		blockSize:  base.BlockSize,
 		zoneBlocks: base.ZoneBlocks,
 		bmt:        make(map[int64]pa),
+		pool:       buf.NewPool(),
 	}
 	for _, q := range queues {
 		ds := &devState{q: q, zones: make([]*zoneState, q.Device().Config().NumZones)}
@@ -329,7 +312,7 @@ func (a *Array) writeChunk(lbn int64, payload []byte, tag zns.WriteTag, gc bool,
 	a.cur.data = append(a.cur.data, payload)
 	if payload != nil {
 		if a.cur.acc == nil {
-			a.cur.acc = a.getAcc()
+			a.cur.acc = a.pool.AllocZero(a.blockSize)
 		}
 		erasure.XORInto(a.cur.acc, payload)
 	}
@@ -402,7 +385,7 @@ func (a *Array) sealStripe(st *stripeBuf) {
 	a.putSB(st)
 	ds.q.Append(zs.id, 1, acc, nil, zns.TagParity, func(r zns.AppendResult) {
 		zs.inflight--
-		a.putAcc(acc)
+		a.pool.Free(acc)
 	})
 }
 
@@ -428,9 +411,9 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 		}
 	}
 	bs := int64(a.blockSize)
-	var buf []byte
+	var out []byte
 	if a.StoresData() {
-		buf = make([]byte, int64(nblocks)*bs)
+		out = make([]byte, int64(nblocks)*bs)
 	}
 	remaining := 0
 	var firstErr error
@@ -440,7 +423,7 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 		}
 		remaining--
 		if remaining == 0 && done != nil {
-			done(blockdev.ReadResult{Err: firstErr, Data: buf, Latency: a.eng.Now() - start})
+			done(blockdev.ReadResult{Err: firstErr, Data: out, Latency: a.eng.Now() - start})
 		}
 	}
 	type fetch struct {
@@ -456,7 +439,7 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	if len(fetches) == 0 {
 		if done != nil {
 			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Data: buf, Latency: a.eng.Now() - start})
+				done(blockdev.ReadResult{Data: out, Latency: a.eng.Now() - start})
 			})
 		}
 		return
@@ -466,7 +449,7 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 		f := f
 		a.devs[f.p.dev].q.Read(f.p.zone, f.p.off, 1, func(r zns.ReadResult) {
 			if r.Data != nil {
-				copy(buf[f.idx*bs:(f.idx+1)*bs], r.Data)
+				copy(out[f.idx*bs:(f.idx+1)*bs], r.Data)
 			}
 			finish(r.Err)
 		})

@@ -76,9 +76,6 @@ func (t WriteTag) String() string {
 	return "unknown"
 }
 
-// IsParity reports whether the tag carries parity bytes.
-func (t WriteTag) IsParity() bool { return t == TagParity || t == TagGCParity }
-
 // WriteResult is the completion of a Write.
 type WriteResult struct {
 	Err     error
@@ -195,15 +192,18 @@ type Device struct {
 	spanHint  obs.SpanID
 	hintValid bool
 
-	// Free lists for pooled command records and write-buffer scratch (the
-	// simulation is single-goroutine; see ops.go).
-	wopFree  []*writeOp
-	ropFree  []*readOp
-	popFree  []*programOp
-	bbFree   []*bufBlock
-	dataFree [][]byte
-	oobFree  [][]byte
-	runFree  [][]*bufBlock
+	// Free lists for pooled command records (the simulation is
+	// single-goroutine; see ops.go).
+	wopFree []*writeOp
+	ropFree []*readOp
+	popFree []*programOp
+	bbFree  []*bufBlock
+	runFree [][]*bufBlock
+
+	// pool recycles the write buffer's payload and OOB copies. It is the
+	// device's own, never the array's: the array pool's Stats are published
+	// run output, and device-internal scratch must not move them.
+	pool *buf.Pool
 }
 
 // New creates a device. The zone-to-channel map is fixed at creation:
@@ -222,6 +222,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		controller: sim.NewResource(eng, 1),
 		writeLink:  sim.NewResource(eng, 1),
 		readLink:   sim.NewResource(eng, 1),
+		pool:       buf.NewPool(),
 	}
 	d.chans = make([]*channel, cfg.NumChannels)
 	for i := range d.chans {

@@ -1003,3 +1003,58 @@ func TestOpenReportChannelExposure(t *testing.T) {
 		t.Fatal("bad zone accepted")
 	}
 }
+
+// TestZRWAOverwriteAllocFree gates the write buffer's steady state: once
+// warm, filling a ZRWA window with caller-owned payloads and OOB records,
+// overwriting it in place, and committing it to flash allocates nothing —
+// the buffer's payload and OOB copies recycle through the device pool when
+// their flash programs retire.
+func TestZRWAOverwriteAllocFree(t *testing.T) {
+	cfg := TestConfig()
+	cfg.StoreData = false // retired programs recycle their scratch instead of handing it to the flash store
+	cfg.ZoneBlocks = 1024 * cfg.ZRWABlocks
+	eng := sim.NewEngine()
+	d, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	n := int(cfg.ZRWABlocks)
+	data := block(1, n*cfg.BlockSize)
+	oob := make([][]byte, n)
+	for i := range oob {
+		oob[i] = block(byte(i), 26)
+	}
+	var failed error
+	done := func(r WriteResult) {
+		if r.Err != nil {
+			failed = r.Err
+		}
+	}
+	var lba int64
+	window := func() {
+		d.Write(0, lba, n, data, oob, TagUserData, done) // first touch: scratch from the pool
+		d.Write(0, lba, n, data, oob, TagUserData, done) // overwrite: absorbed in place
+		eng.Run()
+		lba += int64(n)
+		if err := d.CommitZRWA(0, lba); err != nil {
+			failed = err
+		}
+		eng.Run() // programs retire, scratch returns to the pool
+	}
+	for i := 0; i < 8; i++ {
+		window()
+	}
+	allocs := testing.AllocsPerRun(200, window)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if st := d.Stats(); st.AbsorbedBytes == 0 || st.TotalProgrammed() == 0 {
+		t.Fatalf("stats = %+v, want both absorbed and programmed traffic", st)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state ZRWA window allocates %.1f objects/op, want 0", allocs)
+	}
+}

@@ -367,9 +367,10 @@ func (op *programOp) Fire(s, e sim.Time) {
 	}
 }
 
-// bufBlock / scratch-buffer free lists. Data and OOB copies in the write
-// buffer are recycled when their flash program retires (StoreData hands
-// them over to the flash store instead, so only the record recycles).
+// Write-buffer blocks. Their data and OOB copies are scratch from the
+// device's private pool, recycled when the flash program retires
+// (StoreData hands them over to the flash store instead, so only the
+// record recycles).
 
 func (d *Device) getBufBlock() *bufBlock {
 	if n := len(d.bbFree); n > 0 {
@@ -385,12 +386,10 @@ func (d *Device) putBufBlock(bb *bufBlock) {
 		// data is a borrowed view, not device scratch: drop the reference
 		// instead of recycling someone else's slab.
 		bb.own.Release()
-	} else if bb.data != nil {
-		d.dataFree = append(d.dataFree, bb.data)
+	} else {
+		d.pool.Free(bb.data)
 	}
-	if bb.oob != nil {
-		d.oobFree = append(d.oobFree, bb.oob)
-	}
+	d.pool.Free(bb.oob)
 	*bb = bufBlock{}
 	d.bbFree = append(d.bbFree, bb)
 }
@@ -400,43 +399,29 @@ func (d *Device) putBufBlock(bb *bufBlock) {
 // otherwise it defensively copies into pooled scratch, counted in
 // FlashStats.BufCopiedBytes — the copy the zero-copy gates assert away.
 func (d *Device) setData(bb *bufBlock, src []byte, own *buf.Buf) {
+	if bb.own != nil {
+		bb.own.Release()
+		bb.own, bb.data = nil, nil
+	}
 	if own != nil {
-		if bb.own != nil {
-			bb.own.Release()
-		} else if bb.data != nil {
-			d.dataFree = append(d.dataFree, bb.data)
-		}
+		d.pool.Free(bb.data)
 		own.Retain()
 		bb.own = own
 		bb.data = src
 		return
 	}
-	if bb.own != nil {
-		bb.own.Release()
-		bb.own = nil
-		bb.data = nil
-	}
 	if bb.data == nil {
-		if n := len(d.dataFree); n > 0 {
-			bb.data = d.dataFree[n-1]
-			d.dataFree = d.dataFree[:n-1]
-		} else {
-			bb.data = make([]byte, d.cfg.BlockSize)
-		}
+		bb.data = d.pool.Alloc(d.cfg.BlockSize)
 	}
 	bb.data = append(bb.data[:0], src...)
 	d.stats.BufCopiedBytes += uint64(len(src))
 }
 
-// setOOB copies src into the block's OOB scratch, reusing pooled buffers.
+// setOOB copies src into the block's OOB scratch.
 func (d *Device) setOOB(bb *bufBlock, src []byte) {
-	if bb.oob == nil {
-		if n := len(d.oobFree); n > 0 {
-			bb.oob = d.oobFree[n-1]
-			d.oobFree = d.oobFree[:n-1]
-		} else {
-			bb.oob = make([]byte, 0, len(src))
-		}
+	if cap(bb.oob) < len(src) {
+		d.pool.Free(bb.oob)
+		bb.oob = d.pool.Alloc(len(src))
 	}
 	bb.oob = append(bb.oob[:0], src...)
 }

@@ -139,8 +139,8 @@ construction order; the skew shows up as the first bin carrying an
 order of magnitude more traffic — and a queueing-inflated p50 — while
 the cold tail stays at the uncontended ~15-20 us service latency. Output
 is byte-identical at any `-shards` value (CI compares 1/2/8); the
-wall-clock scaling lives in BENCH_perf.json's `fleet_scale` sweep, not
-in any table cell.""",
+wall-clock scaling is the benchmark ladder's `sim.shard2_speedup` rung
+(`go run ./benchmark -ladder`), not any table cell.""",
     "fleet-clients": """Companion fairness view: per-client completed ops for the same run.
 Closed-loop clients over a zipf-skewed fleet still all make progress;
 the min/p50/p99 spread quantifies how much the popular arrays' queues
@@ -188,8 +188,8 @@ the simulated substrate at the default scale
 deterministic). Absolute numbers come from the queueing model calibrated in
 DESIGN.md — the reproduction target is each artifact's *shape*: who wins,
 by roughly what factor, and where the crossovers fall. Regenerate any
-entry with `go run ./cmd/bizabench -exp <id>`; a fast smoke pass of the
-same artifacts runs via `go test -bench=. .`.
+entry with `go run ./cmd/bizabench -exp <id>`; `-exp all -quick` is a
+fast smoke pass of the same artifacts.
 
 Headline claims reproduced: BIZA reduces flash write counts below both
 adapter baselines on reuse-friendly traces while staying within the
