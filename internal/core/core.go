@@ -29,6 +29,7 @@ import (
 	"biza/internal/buf"
 	"biza/internal/cpumodel"
 	"biza/internal/erasure"
+	"biza/internal/fifo"
 	"biza/internal/ghostcache"
 	"biza/internal/metrics"
 	"biza/internal/nvme"
@@ -152,7 +153,8 @@ type bmtEntry struct {
 
 // smtEntry records a stripe: its data chunk locations, parity locations,
 // and the logical blocks its chunks carry (needed for stripe-dissolving GC
-// and degraded reads).
+// and degraded reads). Entries are recycled (getSE in pool.go), their three
+// slices carved once at full-stripe capacity.
 type smtEntry struct {
 	chunks  []pa    // data chunk slots; contents feed parity even when stale
 	lbns    []int64 // logical block carried by each chunk; -1 when stale
@@ -163,14 +165,24 @@ type smtEntry struct {
 
 	// In-place parity updates are read-modify-write on the parity slot;
 	// concurrent updates to one stripe must serialize or deltas are lost.
+	// ipq parks the rewrites (chunk records) and dissolutions that arrived
+	// meanwhile; each is fired as an event when its turn comes.
 	ipBusy bool
-	ipq    []func()
+	ipq    fifo.Queue[sim.Handler]
 
 	// dissolving marks a stripe claimed by GC or rebuild. In-place updates
 	// mutate slot content without moving the bmt mapping, so a migration
 	// racing one would re-home the pre-update content and silently lose an
 	// acknowledged write; once set, rewrites take the append path instead.
 	dissolving bool
+
+	// Recycling: dead marks an entry removed from the SMT; holds counts the
+	// asynchronous users that may still touch it after that (its open
+	// stripe, in-place updates in flight, parked ipq entries). The entry
+	// returns to the free list when it is dead and unheld.
+	holds int
+	dead  bool
+	live  bool
 }
 
 // Core is the BIZA engine. It implements blockdev.Device.
@@ -202,8 +214,8 @@ type Core struct {
 	reconTotal     uint64
 	degradedWrites uint64 // chunk writes acked while their member was down
 
-	// allocWaiters holds writes parked on transient open-slot exhaustion.
-	allocWaiters []func()
+	// allocWaiters holds chunks parked on transient open-slot exhaustion.
+	allocWaiters []*chunkRec
 
 	nextSN    int64
 	seq       uint64 // monotonic write sequence for OOB disambiguation
@@ -237,11 +249,17 @@ type Core struct {
 	// OOB records, and coalesced batch payloads all come from one
 	// size-class-segregated pool shared down the stack, so steady-state
 	// stripe writes allocate nothing. The remaining free lists recycle
-	// record slices that have no byte-pool equivalent.
-	pool    *buf.Pool
-	vecFree [][][]byte
-	opsFree [][]schedOp
-	abFree  []*appendBatch
+	// vectors and the write path's records, which have no byte-pool
+	// equivalent.
+	pool       *buf.Pool
+	vecFree    [][][]byte
+	writeFree  []*writeRec
+	chunkFree  []*chunkRec
+	stripeFree []*openStripe
+	smtFree    []*smtEntry
+	smtSlab    []smtEntry // fresh entries not yet handed out
+	batchFree  []*appendBatch
+	liveRecs   recCounts
 }
 
 // Pool returns the core's unified buffer pool. The stack layer publishes
@@ -254,17 +272,28 @@ func (c *Core) Pool() *buf.Pool { return c.pool }
 // logged as typed events.
 func (c *Core) SetTracer(tr *obs.Trace) { c.tr = tr }
 
+// openStripe is the append-side state of a stripe still taking chunks or
+// still writing parity. Its parity slots are its SMT entry's (se.parity),
+// which it holds until retired. A recycled record (getStripe in pool.go).
 type openStripe struct {
+	c             *Core
+	live          bool
 	sn            int64
-	parity        []pa // m parity slots (each in its zone's ZRWA)
+	se            *smtEntry
+	class         Class
 	count         int
 	accs          [][]byte // running partial parity per row; nil without payloads
 	parityWritten bool     // first parity write is an append, later in-place
 
 	// One parity generation in flight per stripe; extra appends coalesce.
-	parityBusy    bool
-	parityDirty   bool
-	parityWaiters []func(error)
+	// remaining and firstErr belong to that generation; the chunks waiting
+	// for parity form a FIFO list through chunkRec.nextWaiter.
+	parityBusy  bool
+	parityDirty bool
+	remaining   int
+	firstErr    error
+	waitHead    *chunkRec
+	waitTail    *chunkRec
 }
 
 // New builds a BIZA array over the member queues. Queues must wrap

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"biza/internal/obs"
+	"biza/internal/sim"
 	"biza/internal/storerr"
 	"biza/internal/zns"
 )
@@ -15,7 +16,7 @@ func (c *Core) maybeStartGC(ds *devState) {
 	if ds.gcRunning {
 		return
 	}
-	if len(ds.freeZones) >= c.cfg.GCLowWater && len(ds.stalled) == 0 {
+	if len(ds.freeZones) >= c.cfg.GCLowWater && ds.stalled.Len() == 0 {
 		return
 	}
 	ds.gcRunning = true
@@ -28,7 +29,7 @@ func (c *Core) maybeStartGC(ds *devState) {
 // duration, the victim's guessed channel and the GC destination zones'
 // guessed channels are tagged BUSY so pickZone steers user writes away.
 func (c *Core) gcStep(ds *devState) {
-	if len(ds.freeZones) >= c.cfg.GCHighWater && len(ds.stalled) == 0 {
+	if len(ds.freeZones) >= c.cfg.GCHighWater && ds.stalled.Len() == 0 {
 		ds.gcRunning = false
 		return
 	}
@@ -36,10 +37,8 @@ func (c *Core) gcStep(ds *devState) {
 	if victim < 0 {
 		ds.gcRunning = false
 		// Nothing collectible: release any stalled writers (no deadlock).
-		for len(ds.stalled) > 0 {
-			fn := ds.stalled[0]
-			ds.stalled = ds.stalled[1:]
-			fn()
+		for ds.stalled.Len() > 0 {
+			c.appendChunk(ds.stalled.Pop())
 		}
 		return
 	}
@@ -112,9 +111,25 @@ func (c *Core) gcStep(ds *devState) {
 // stripes and releases the old stripe. Its live blocks are pinned for the
 // duration so in-place updates cannot race the migration reads.
 func (c *Core) dissolveStripe(sn int64, done func()) {
+	(&dissolve{c: c, sn: sn, done: done}).run()
+}
+
+// dissolve is one stripe dissolution: the parent of its migration chunks,
+// and the entry parked on the stripe's ipq while an in-place update is
+// still in flight.
+type dissolve struct {
+	c         *Core
+	sn        int64
+	done      func()
+	remaining int       // live chunks not yet re-homed
+	parked    *smtEntry // the stripe whose ipq holds this dissolution
+}
+
+func (d *dissolve) run() {
+	c, sn := d.c, d.sn
 	se := c.smt[sn]
 	if se == nil {
-		done()
+		d.done()
 		return
 	}
 	// Claim the stripe: later rewrites of its blocks append elsewhere (the
@@ -123,16 +138,23 @@ func (c *Core) dissolveStripe(sn int64, done func()) {
 	// guard — so wait for it to finish before capturing the live set.
 	se.dissolving = true
 	if se.ipBusy {
-		se.ipq = append(se.ipq, func() { c.dissolveStripe(sn, done) })
+		d.parked = se
+		se.holds++
+		se.ipq.Push(d)
 		return
 	}
 	if !se.sealed {
 		// The stripe is still open: seal it short. Its partial parity is
-		// the valid parity of the chunks written so far.
+		// the valid parity of the chunks written so far. With no parity
+		// generation in flight to retire the open-stripe record, it
+		// retires here.
 		se.sealed = true
 		for class := Class(0); class < numClasses; class++ {
 			if st := c.open[class]; st != nil && st.sn == sn {
 				c.open[class] = nil
+				if !st.parityBusy {
+					c.putStripe(st)
+				}
 			}
 		}
 	}
@@ -151,37 +173,10 @@ func (c *Core) dissolveStripe(sn int64, done func()) {
 		if se.pending == 0 {
 			c.releaseStripe(sn, se)
 		}
-		done()
+		d.done()
 		return
 	}
-	remaining := len(live)
-	finishOne := func(lbn int64) {
-		delete(c.gcPinned, lbn)
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		// All live chunks rehomed; the old stripe died through the
-		// invalidate() calls of the migrations. If it still lingers
-		// (pending completions), release explicitly once safe.
-		if se2 := c.smt[sn]; se2 != nil && se2.valid == 0 && se2.pending == 0 {
-			c.releaseStripe(sn, se2)
-		}
-		done()
-	}
-	migrate := func(lbn int64, p pa, data []byte) {
-		// The block may have been rewritten while the read was in flight
-		// (pinning stops in-place updates, but a fresh append can still
-		// supersede it).
-		if cur, ok := c.bmt[lbn]; !ok || cur.pa != p {
-			finishOne(lbn)
-			return
-		}
-		c.gcMigrated += uint64(c.blockSize)
-		c.writeChunk(lbn, data, nil, classGC, zns.TagGCData, func(error) {
-			finishOne(lbn)
-		})
-	}
+	d.remaining = len(live)
 	for _, m := range live {
 		m := m
 		if c.failed[m.p.dev] {
@@ -189,10 +184,10 @@ func (c *Core) dissolveStripe(sn int64, done func()) {
 			// from the stripe's survivors instead of reading it.
 			c.reconstructChunk(m.lbn, func(data []byte, err error) {
 				if err != nil {
-					finishOne(m.lbn)
+					d.chunkDone(m.lbn, nil)
 					return
 				}
-				migrate(m.lbn, m.p, data)
+				d.migrate(m.lbn, m.p, data)
 			})
 			continue
 		}
@@ -204,15 +199,60 @@ func (c *Core) dissolveStripe(sn int64, done func()) {
 					// rebuild the chunk from the survivors instead.
 					c.reconstructChunk(m.lbn, func(data []byte, err error) {
 						if err != nil {
-							finishOne(m.lbn)
+							d.chunkDone(m.lbn, nil)
 							return
 						}
-						migrate(m.lbn, m.p, data)
+						d.migrate(m.lbn, m.p, data)
 					})
 					return
 				}
 			}
-			migrate(m.lbn, m.p, r.Data)
+			d.migrate(m.lbn, m.p, r.Data)
 		})
 	}
+}
+
+// Fire implements sim.Handler: the in-place update that parked this
+// dissolution has finished, so retry, then let the stripe's queue go on.
+func (d *dissolve) Fire(_, _ sim.Time) {
+	se := d.parked
+	d.parked = nil
+	d.run()
+	d.c.ipNext(se)
+	d.c.dropSE(se)
+}
+
+// migrate re-homes one live chunk through the write flow as a GC-class
+// chunk with this dissolution as its parent.
+func (d *dissolve) migrate(lbn int64, p pa, data []byte) {
+	c := d.c
+	// The block may have been rewritten while the read was in flight
+	// (pinning stops in-place updates, but a fresh append can still
+	// supersede it).
+	if cur, ok := c.bmt[lbn]; !ok || cur.pa != p {
+		d.chunkDone(lbn, nil)
+		return
+	}
+	c.gcMigrated += uint64(c.blockSize)
+	ch := c.getChunk()
+	ch.lbn, ch.payload, ch.class, ch.tag, ch.parent = lbn, data, classGC, zns.TagGCData, d
+	c.writeChunk(ch)
+}
+
+// chunkDone implements chunkParent: one live chunk is re-homed (or given
+// up on; the migration's own error is not the dissolution's).
+func (d *dissolve) chunkDone(lbn int64, _ error) {
+	c := d.c
+	delete(c.gcPinned, lbn)
+	d.remaining--
+	if d.remaining > 0 {
+		return
+	}
+	// All live chunks rehomed; the old stripe died through the
+	// invalidate() calls of the migrations. If it still lingers
+	// (pending completions), release explicitly once safe.
+	if se := c.smt[d.sn]; se != nil && se.valid == 0 && se.pending == 0 {
+		c.releaseStripe(d.sn, se)
+	}
+	d.done()
 }

@@ -5,8 +5,30 @@ package core
 // misses (the pool_miss probe), and payload copies; buffers it never
 // handed out — device read results, which the ZNS model allocates fresh —
 // re-enter it through Donate so the outstanding-slab count stays
-// balanced. Vectors and records keep small free lists below. The
-// simulation is single-goroutine, so no locking anywhere.
+// balanced. The simulation is single-goroutine, so no locking anywhere.
+//
+// The write path's control state lives in five recycled records instead
+// of per-chunk closures, each on a plain-slice free list below:
+//
+//   - writeRec (write.go): one block-interface Write; its chunks report
+//     to it, and it is put back after the caller's callback returns.
+//   - chunkRec (write.go): one chunk from writeCommon or a GC migration to
+//     its completion. It is the completion target of its own device ops,
+//     the entry parked on stalled/allocWaiters/ipq, and its stripe's
+//     parity waiter; put back after its parent's chunkDone returns.
+//   - openStripe (core.go): a stripe's append-side state and its one
+//     in-flight parity generation; put back when the final generation of
+//     a sealed stripe has run its waiters.
+//   - smtEntry (core.go): put back when the stripe has left the SMT and its
+//     last asynchronous holder (open stripe, in-place update, parked
+//     retry) has let go.
+//   - appendBatch (zones.go): one device command, staged through
+//     completion; keeps its op and OOB slices across reuse.
+//
+// Every record carries a live flag: putting one back twice, or completing
+// through one that is already back, panics instead of corrupting whatever
+// write the record was handed to next. liveRecs counts records out per
+// kind, so a drained array can be checked for strays.
 //
 // Ownership discipline: a raw buffer handed to the device layer may be
 // recycled in the write-done callback, because the ZNS model copies
@@ -24,8 +46,8 @@ func (c *Core) copyBuf(src []byte) []byte {
 	return b
 }
 
-// getVec returns an n-element nil-filled [][]byte (per-batch OOB vectors,
-// parity accumulators, old-parity scratch).
+// getVec returns an n-element nil-filled [][]byte (parity accumulators,
+// old-parity scratch).
 func (c *Core) getVec(n int) [][]byte {
 	if l := len(c.vecFree); l > 0 {
 		v := c.vecFree[l-1]
@@ -49,41 +71,175 @@ func (c *Core) putVec(v [][]byte) {
 	c.vecFree = append(c.vecFree, v[:0])
 }
 
-// getOps returns an empty schedOp slice with pooled capacity.
-func (c *Core) getOps() []schedOp {
-	if n := len(c.opsFree); n > 0 {
-		s := c.opsFree[n-1]
-		c.opsFree = c.opsFree[:n-1]
-		return s
+// recCounts is the number of records currently out of their free lists.
+type recCounts struct{ write, chunk, stripe, smt, batch int }
+
+func (c *Core) getWrite() *writeRec {
+	c.liveRecs.write++
+	var w *writeRec
+	if n := len(c.writeFree); n > 0 {
+		w = c.writeFree[n-1]
+		c.writeFree = c.writeFree[:n-1]
+	} else {
+		w = &writeRec{c: c}
 	}
-	return nil
+	w.live = true
+	return w
 }
 
-// putOps recycles a batch's op slice, clearing records so closures and
-// payload references do not linger.
-func (c *Core) putOps(s []schedOp) {
-	for i := range s {
-		s[i] = schedOp{}
+func (c *Core) putWrite(w *writeRec) {
+	if !w.live {
+		panic("core: write record put twice")
 	}
-	c.opsFree = append(c.opsFree, s[:0])
+	*w = writeRec{c: c}
+	c.liveRecs.write--
+	c.writeFree = append(c.writeFree, w)
 }
 
-// getAB returns a pooled appendBatch record.
-func (c *Core) getAB() *appendBatch {
-	if n := len(c.abFree); n > 0 {
-		b := c.abFree[n-1]
-		c.abFree = c.abFree[:n-1]
-		return b
+func (c *Core) getChunk() *chunkRec {
+	c.liveRecs.chunk++
+	var ch *chunkRec
+	if n := len(c.chunkFree); n > 0 {
+		ch = c.chunkFree[n-1]
+		c.chunkFree = c.chunkFree[:n-1]
+	} else {
+		ch = &chunkRec{c: c}
 	}
-	return &appendBatch{}
+	ch.live = true
+	return ch
 }
 
-// putAB recycles an appendBatch record (the ops slice is recycled
-// separately after dispatch completes); nil-safe.
-func (c *Core) putAB(b *appendBatch) {
-	if b == nil {
+// putChunk recycles a chunk record, keeping only its read callbacks (bound
+// once per record).
+func (c *Core) putChunk(ch *chunkRec) {
+	if !ch.live {
+		panic("core: chunk record put twice")
+	}
+	*ch = chunkRec{c: c, onOldData: ch.onOldData, onOldParity: ch.onOldParity}
+	c.liveRecs.chunk--
+	c.chunkFree = append(c.chunkFree, ch)
+}
+
+func (c *Core) getStripe() *openStripe {
+	c.liveRecs.stripe++
+	var st *openStripe
+	if n := len(c.stripeFree); n > 0 {
+		st = c.stripeFree[n-1]
+		c.stripeFree = c.stripeFree[:n-1]
+	} else {
+		st = &openStripe{c: c}
+	}
+	st.live = true
+	return st
+}
+
+// putStripe retires an open-stripe record and drops its hold on the SMT
+// entry. Accumulators still attached (a stripe sealed short by GC with no
+// parity generation in flight) are left to the collector, as they always
+// were: freeing them would move the pool's hit ratio, which is run output.
+func (c *Core) putStripe(st *openStripe) {
+	if !st.live {
+		panic("core: stripe record put twice")
+	}
+	c.putVec(st.accs)
+	se := st.se
+	*st = openStripe{c: c}
+	c.liveRecs.stripe--
+	c.stripeFree = append(c.stripeFree, st)
+	c.dropSE(se)
+}
+
+// getSE returns an empty SMT entry whose chunk, block and parity slices
+// have room for a full stripe, so filling it never allocates. The SMT
+// grows by one entry per stripe until the array has been written once
+// (after that, releases feed the free list), so fresh entries come
+// smtSlabLen at a time, their slices carved from two shared arrays.
+func (c *Core) getSE() *smtEntry {
+	c.liveRecs.smt++
+	var se *smtEntry
+	if n := len(c.smtFree); n > 0 {
+		se = c.smtFree[n-1]
+		c.smtFree = c.smtFree[:n-1]
+	} else {
+		if len(c.smtSlab) == 0 {
+			c.smtSlab = c.newSMTSlab()
+		}
+		se = &c.smtSlab[0]
+		c.smtSlab = c.smtSlab[1:]
+	}
+	se.live = true
+	return se
+}
+
+const smtSlabLen = 64
+
+func (c *Core) newSMTSlab() []smtEntry {
+	k, n := c.nData, c.nData+c.cfg.Parity
+	ents := make([]smtEntry, smtSlabLen)
+	slots := make([]pa, smtSlabLen*n)
+	lbns := make([]int64, smtSlabLen*k)
+	for i := range ents {
+		s := slots[i*n : (i+1)*n : (i+1)*n]
+		ents[i].chunks, ents[i].parity = s[:0:k], s[k:]
+		ents[i].lbns = lbns[i*k : i*k : (i+1)*k]
+	}
+	return ents
+}
+
+// dropSE releases one asynchronous hold on an SMT entry; the entry is
+// recycled once it has also left the SMT.
+func (c *Core) dropSE(se *smtEntry) {
+	if !se.live || se.holds <= 0 {
+		panic("core: SMT entry dropped without a hold")
+	}
+	se.holds--
+	c.maybePutSE(se)
+}
+
+// retireSE takes an entry that has just left the SMT (or never entered
+// it) out of service; it is recycled at once if nothing holds it.
+func (c *Core) retireSE(se *smtEntry) {
+	se.dead = true
+	c.maybePutSE(se)
+}
+
+// maybePutSE recycles an entry that is out of the SMT and unheld.
+func (c *Core) maybePutSE(se *smtEntry) {
+	if !se.dead || se.holds > 0 {
 		return
 	}
-	b.ops = nil
-	c.abFree = append(c.abFree, b)
+	*se = smtEntry{chunks: se.chunks[:0], lbns: se.lbns[:0], parity: se.parity, ipq: se.ipq}
+	c.liveRecs.smt--
+	c.smtFree = append(c.smtFree, se)
+}
+
+func (c *Core) getBatch() *appendBatch {
+	c.liveRecs.batch++
+	var b *appendBatch
+	if n := len(c.batchFree); n > 0 {
+		b = c.batchFree[n-1]
+		c.batchFree = c.batchFree[:n-1]
+	} else {
+		b = &appendBatch{}
+		b.done = b.complete
+	}
+	b.live = true
+	return b
+}
+
+// putBatch recycles a device-command record, clearing its op and OOB
+// slices (kept for their capacity) so payload references do not linger.
+func (c *Core) putBatch(b *appendBatch) {
+	if !b.live {
+		panic("core: batch record put twice")
+	}
+	for i := range b.ops {
+		b.ops[i] = schedOp{}
+	}
+	for i := range b.oob {
+		b.oob[i] = nil
+	}
+	*b = appendBatch{ops: b.ops[:0], oob: b.oob[:0], done: b.done}
+	c.liveRecs.batch--
+	c.batchFree = append(c.batchFree, b)
 }

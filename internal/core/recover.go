@@ -193,14 +193,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		ds := c.devs[p.dev]
 		zs := ds.zones[p.zone]
 		if zs == nil {
-			zs = &zoneState{
-				id:         p.zone,
-				doneSet:    make(map[int64]bool),
-				ipOffsets:  make(map[int64]int),
-				rmapLBN:    makeFilled(c.zoneBlocks, -1),
-				rmapSN:     makeFilled(c.zoneBlocks, -1),
-				rmapStripe: makeFilled(c.zoneBlocks, -1),
-			}
+			zs = ds.newZoneState(p.zone)
 			zs.wpAlloc = zoneWritten[p.dev][p.zone]
 			zs.maxSubmitted = zs.wpAlloc - 1
 			zs.donePrefix = zs.wpAlloc
@@ -211,11 +204,10 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 	smtOf := func(sn int64) *smtEntry {
 		se := c.smt[sn]
 		if se == nil {
-			parity := make([]pa, c.cfg.Parity)
-			for i := range parity {
-				parity[i] = paNone
+			se = c.getSE()
+			for i := range se.parity {
+				se.parity[i] = paNone
 			}
-			se = &smtEntry{parity: parity}
 			c.smt[sn] = se
 		}
 		return se
@@ -282,6 +274,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 				}
 			}
 			delete(c.smt, sn)
+			c.retireSE(se)
 		}
 	}
 	// Zone pools and groups: empty zones are free; full zones are GC

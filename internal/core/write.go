@@ -71,6 +71,153 @@ func (c *Core) WriteBuf(lba int64, nblocks int, b *buf.Buf, done func(blockdev.W
 	c.writeCommon(lba, nblocks, b.Bytes(), b, done)
 }
 
+// chunkParent is told when a chunk write has completed: the Write the
+// chunk belongs to, or the stripe dissolution migrating it.
+type chunkParent interface {
+	chunkDone(lbn int64, err error)
+}
+
+// completer is the completion target of a scheduled device write: the
+// chunk record for its data op and its in-place updates, the open stripe
+// for the rows of a parity generation.
+type completer interface {
+	ioDone(err error)
+}
+
+// writeRec is one block-interface Write in flight: its chunks report here
+// and the last one acknowledges the caller.
+type writeRec struct {
+	c         *Core
+	live      bool
+	remaining int
+	firstErr  error
+	start     sim.Time
+	span      obs.SpanID
+	done      func(blockdev.WriteResult)
+}
+
+func (w *writeRec) chunkDone(_ int64, err error) {
+	if !w.live {
+		panic("core: write record used after put")
+	}
+	if err != nil && w.firstErr == nil {
+		w.firstErr = err
+	}
+	w.remaining--
+	if w.remaining > 0 {
+		return
+	}
+	c := w.c
+	now := c.eng.Now()
+	c.tr.SpanEnd(w.span, int64(now), w.firstErr != nil)
+	if w.done != nil {
+		w.done(blockdev.WriteResult{Err: w.firstErr, Latency: now - w.start})
+	}
+	c.putWrite(w)
+}
+
+// chunkRec carries one chunk through the write flow. It is the completion
+// target of the chunk's own device ops, the thing parked while the chunk
+// waits (free-zone cliff, open-slot exhaustion, a busy stripe), and its
+// stripe's parity waiter, so no step of the flow allocates a callback.
+type chunkRec struct {
+	c       *Core
+	live    bool
+	lbn     int64
+	payload []byte
+	own     *buf.Buf // one transferred reference pinning payload, or nil
+	class   Class
+	tag     zns.WriteTag
+	parent  chunkParent
+
+	pending  int   // completions outstanding: data + parity
+	firstErr error // first of them to fail
+	// se is the stripe the chunk joined (append), is updating in place, or
+	// is parked on (ipq).
+	se         *smtEntry
+	nextWaiter *chunkRec // next chunk waiting on the same parity generation
+
+	// In-place update state (tryInPlace). zs is the data slot's zone as
+	// resolved at admission; a device replacement must not re-route it.
+	inplace   bool
+	e         bmtEntry
+	zs        *zoneState
+	idx       int    // chunk index within the stripe: the parity coefficients
+	seq       uint64 // OOB sequence of the update
+	oldData   []byte
+	oldParity [][]byte
+	reads     int
+	readErr   error
+	// Read callbacks of the payload read-modify-write, bound once per
+	// record and kept across reuse.
+	onOldData   func(zns.ReadResult)
+	onOldParity []func(zns.ReadResult)
+}
+
+// Event arguments for a chunk record parked and then rescheduled.
+const (
+	fireRewrite sim.Time = iota // from a stripe's ipq: retry writeChunk
+	fireAppend                  // from allocWaiters: retry appendChunk
+)
+
+// Fire implements sim.Handler for a parked chunk whose turn has come.
+func (ch *chunkRec) Fire(kind, _ sim.Time) {
+	if !ch.live {
+		panic("core: chunk record used after put")
+	}
+	c := ch.c
+	if kind == fireAppend {
+		c.appendChunk(ch)
+		return
+	}
+	se := ch.se
+	ch.se = nil
+	c.writeChunk(ch)
+	c.ipNext(se)
+	c.dropSE(se)
+}
+
+// ioDone implements completer: one of the chunk's own device writes
+// finished. A write whose member died underneath still counts — the
+// content was folded into the stripe's parity host-side (append) or is
+// covered by the surviving slots (in place), so the chunk remains
+// reconstructable and the write is acknowledged degraded.
+func (ch *chunkRec) ioDone(err error) {
+	if !ch.live {
+		panic("core: chunk record used after put")
+	}
+	if !ch.inplace {
+		ch.se.pending--
+	}
+	if err != nil && storerr.Reconstructable(err) && ch.c.degradedOK() {
+		ch.c.degradedWrites++
+		err = nil
+	}
+	ch.finish(err)
+}
+
+// finish counts one completion (device write or parity generation) and,
+// on the last, hands the chunk's result to its parent and recycles it.
+func (ch *chunkRec) finish(err error) {
+	if err != nil && ch.firstErr == nil {
+		ch.firstErr = err
+	}
+	ch.pending--
+	if ch.pending > 0 {
+		return
+	}
+	c := ch.c
+	if ch.inplace {
+		if ch.payload != nil {
+			ch.se.ipBusy = false
+			c.ipNext(ch.se)
+		}
+		c.dropSE(ch.se)
+	}
+	ch.parent.chunkDone(ch.lbn, ch.firstErr)
+	c.putChunk(ch)
+}
+
 // writeCommon is the shared §4.1 write path. own, if non-nil, carries one
 // transferred reference pinning data; each chunk takes a reference of its
 // own before the original is dropped.
@@ -78,63 +225,54 @@ func (c *Core) writeCommon(lba int64, nblocks int, data []byte, own *buf.Buf, do
 	start := c.eng.Now()
 	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > c.Blocks() {
 		buf.Release(own)
-		if done != nil {
-			c.eng.After(sim.Microsecond, func() {
-				done(blockdev.WriteResult{Err: blockdev.ErrOutOfRange, Latency: c.eng.Now() - start})
-			})
-		}
+		c.rejectWrite(done)
 		return
 	}
 	bs := c.chunkBytes()
 	c.userBytes += uint64(nblocks) * uint64(bs)
-	var span obs.SpanID
-	if c.tr != nil {
-		span = c.tr.SpanBegin(int64(start), obs.LayerBIZA, obs.OpWrite, -1, -1, lba, int64(nblocks))
-		innerDone := done
-		done = func(r blockdev.WriteResult) {
-			c.tr.SpanEnd(span, int64(c.eng.Now()), r.Err != nil)
-			if innerDone != nil {
-				innerDone(r)
-			}
-		}
-	}
-	remaining := nblocks
-	var firstErr error
+	w := c.getWrite()
+	w.remaining, w.start, w.done = nblocks, start, done
+	w.span = c.tr.SpanBegin(int64(start), obs.LayerBIZA, obs.OpWrite, -1, -1, lba, int64(nblocks))
 	for i := 0; i < nblocks; i++ {
-		lbn := lba + int64(i)
-		var payload []byte
+		ch := c.getChunk()
+		ch.lbn = lba + int64(i)
 		if data != nil {
-			payload = data[int64(i)*bs : (int64(i)+1)*bs]
+			ch.payload = data[int64(i)*bs : (int64(i)+1)*bs]
 		}
 		c.clock += uint64(bs)
-		class := c.classify(lbn)
+		ch.class = c.classify(ch.lbn)
+		ch.tag, ch.parent = zns.TagUserData, w
 		buf.Retain(own) // one reference per chunk, consumed by writeChunk
-		c.writeChunk(lbn, payload, own, class, zns.TagUserData, func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(blockdev.WriteResult{Err: firstErr, Latency: c.eng.Now() - start})
-			}
-		})
+		ch.own = own
+		c.writeChunk(ch)
 	}
 	buf.Release(own) // drop the caller's transferred reference
+}
+
+// rejectWrite fails an out-of-range Write a microsecond later.
+func (c *Core) rejectWrite(done func(blockdev.WriteResult)) {
+	if done == nil {
+		return
+	}
+	start := c.eng.Now()
+	c.eng.After(sim.Microsecond, func() {
+		done(blockdev.WriteResult{Err: blockdev.ErrOutOfRange, Latency: c.eng.Now() - start})
+	})
 }
 
 // writeChunk stores one chunk. If the current copy still sits inside its
 // zone's ZRWA window (and is not pinned by GC), it is updated in place —
 // the paper's endurance fast path. Otherwise a new slot is allocated from
 // the class's zone group and the chunk joins the class's open stripe.
-// own, if non-nil, is one transferred reference pinning payload; every
-// path through the write flow consumes it exactly once.
-func (c *Core) writeChunk(lbn int64, payload []byte, own *buf.Buf, class Class, tag zns.WriteTag, done func(error)) {
-	if e, ok := c.bmt[lbn]; ok && !c.gcPinned[lbn] {
-		if c.tryInPlace(lbn, e, payload, own, class, tag, done) {
+// ch.own, if non-nil, is one transferred reference pinning the payload;
+// every path through the write flow consumes it exactly once.
+func (c *Core) writeChunk(ch *chunkRec) {
+	if e, ok := c.bmt[ch.lbn]; ok && !c.gcPinned[ch.lbn] {
+		if c.tryInPlace(ch, e) {
 			return
 		}
 	}
-	c.appendChunk(lbn, payload, own, class, tag, done)
+	c.appendChunk(ch)
 }
 
 // tryInPlace updates a chunk and its stripe's parity inside their ZRWA
@@ -143,7 +281,7 @@ func (c *Core) writeChunk(lbn int64, payload []byte, own *buf.Buf, class Class, 
 // either slot has been committed to flash. In-place read-modify-write of
 // a stripe's parity serializes per stripe (lost-delta and same-slot
 // reorder protection).
-func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, class Class, tag zns.WriteTag, done func(error)) bool {
+func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	if c.failed[e.pa.dev] {
 		return false // degraded member: append a fresh copy elsewhere
 	}
@@ -177,74 +315,34 @@ func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, c
 	if chunkIdx < 0 {
 		return false
 	}
-	if payload != nil {
+	if ch.payload != nil {
 		if se.ipBusy {
-			// The parked closure keeps the chunk's reference and re-transfers
-			// it when the queue drains.
-			se.ipq = append(se.ipq, func() { c.writeChunk(lbn, payload, own, class, tag, done) })
+			// The parked record keeps the chunk's reference and re-enters
+			// writeChunk when the queue drains.
+			ch.se = se
+			se.holds++
+			se.ipq.Push(ch)
 			return true
 		}
 		se.ipBusy = true
 	}
 	c.inplaceHits++
 	c.seq++
-	seq := c.seq
 	m := len(se.parity)
-	pending := 1 + m
+	ch.inplace, ch.se, ch.e, ch.zs, ch.idx, ch.seq = true, se, e, zs, chunkIdx, c.seq
+	ch.pending = 1 + m
+	se.holds++
 	// Pin every slot NOW: the payload path reads before writing, and the
 	// window must not slide past any of these offsets in the meantime.
 	zs.ipOffsets[e.pa.off]++
 	for _, ppa := range se.parity {
 		c.devs[ppa.dev].zones[ppa.zone].ipOffsets[ppa.off]++
 	}
-	var firstErr error
-	finish := func(err error) {
-		if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
-			// The slot's member died mid-update; the new content is still
-			// covered by the surviving slots, so the write completes
-			// degraded rather than failing.
-			c.degradedWrites++
-			err = nil
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		pending--
-		if pending > 0 {
-			return
-		}
-		if payload != nil {
-			se.ipBusy = false
-			c.ipNext(se)
-		}
-		if done != nil {
-			done(firstErr)
-		}
-	}
-	writeParity := func(r int, parityData []byte) {
-		ppa := se.parity[r]
-		pds := c.devs[ppa.dev]
-		pzs := pds.zones[ppa.zone]
-		c.parityBytes += uint64(c.blockSize)
-		pds.submitChunk(pzs, schedOp{
-			off: ppa.off, inplace: true, reserved: true, data: parityData,
-			ownData: parityData != nil,
-			oob:     c.encodeOOB(oobKindParity, int64(r), e.sn, seq, r), tag: zns.TagParity,
-			done: func(w zns.WriteResult) { finish(w.Err) },
-		})
-	}
-	writeData := func() {
-		ds.submitChunk(zs, schedOp{
-			off: e.pa.off, inplace: true, reserved: true, data: payload, own: own,
-			oob: c.encodeOOB(oobKindData, lbn, e.sn, seq, chunkIdx), tag: tag,
-			done: func(r zns.WriteResult) { finish(r.Err) },
-		})
-	}
-	if payload == nil {
+	if ch.payload == nil {
 		// Performance mode: traffic without content.
-		writeData()
+		ch.writeData()
 		for r := 0; r < m; r++ {
-			writeParity(r, nil)
+			ch.writeParity(r, nil)
 		}
 		return true
 	}
@@ -252,118 +350,152 @@ func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, c
 	// reads, since every slot is inside a ZRWA window. Scratch comes from
 	// the unified pool; the read results (fresh heap copies from the
 	// device model) are donated into it once folded.
-	var oldData []byte
-	var readErr error
-	oldParity := c.getVec(m)
-	reads := 1 + m
-	afterReads := func() {
-		reads--
-		if reads > 0 {
-			return
+	if ch.onOldData == nil {
+		ch.onOldData = func(r zns.ReadResult) { ch.oldRead(-1, r) }
+		ch.onOldParity = make([]func(zns.ReadResult), m)
+		for r := range ch.onOldParity {
+			r := r
+			ch.onOldParity[r] = func(res zns.ReadResult) { ch.oldRead(r, res) }
 		}
-		if readErr != nil {
-			// The old content is unreadable (member death mid-update);
-			// folding unknown deltas would corrupt the surviving parity.
-			// Unwind the in-place attempt and re-home the chunk through
-			// the append path instead.
-			c.pool.Donate(oldData)
-			for r := 0; r < m; r++ {
-				c.pool.Donate(oldParity[r])
-			}
-			c.putVec(oldParity)
-			c.unpin(e.pa)
-			for _, ppa := range se.parity {
-				c.unpin(ppa)
-			}
-			se.ipBusy = false
-			c.ipNext(se)
-			c.appendChunk(lbn, payload, own, class, tag, done)
-			return
-		}
-		writeData()
-		// Fused single-pass kernels: delta = old ^ new in one XOR, then each
-		// parity row reads old parity and writes new parity in one sweep
-		// (DeltaRow) — no intermediate copy of either operand.
-		delta := c.pool.Alloc(c.blockSize)
-		if oldData != nil {
-			erasure.XOR(delta, oldData, payload)
-			c.pool.Donate(oldData)
-		} else {
-			copy(delta, payload)
-		}
-		for r := 0; r < m; r++ {
-			var np []byte
-			if oldParity[r] != nil {
-				np = c.pool.Alloc(c.blockSize)
-				c.coder.DeltaRow(r, chunkIdx, delta, oldParity[r], np)
-				c.pool.Donate(oldParity[r])
-			} else {
-				np = c.pool.AllocZero(c.blockSize)
-				erasure.MulXor(c.coder.Coeff(r, chunkIdx), delta, np)
-			}
-			c.acct.ChargeParity(cpumodel.CompBIZA, int64(c.blockSize))
-			writeParity(r, np)
-		}
-		c.pool.Free(delta)
-		c.putVec(oldParity)
 	}
-	ds.q.Read(e.pa.zone, e.pa.off, 1, func(r zns.ReadResult) {
-		if r.Err != nil {
-			c.noteIOError(e.pa.dev, r.Err)
-			if readErr == nil {
-				readErr = r.Err
-			}
-		}
-		oldData = r.Data
-		afterReads()
-	})
+	ch.oldParity = c.getVec(m)
+	ch.reads = 1 + m
+	ds.q.Read(e.pa.zone, e.pa.off, 1, ch.onOldData)
 	for r := 0; r < m; r++ {
-		r := r
 		ppa := se.parity[r]
-		c.devs[ppa.dev].q.Read(ppa.zone, ppa.off, 1, func(res zns.ReadResult) {
-			if res.Err != nil {
-				c.noteIOError(ppa.dev, res.Err)
-				if readErr == nil {
-					readErr = res.Err
-				}
-			}
-			oldParity[r] = res.Data
-			afterReads()
-		})
+		c.devs[ppa.dev].q.Read(ppa.zone, ppa.off, 1, ch.onOldParity[r])
 	}
 	return true
+}
+
+// writeData issues the in-place rewrite of the chunk's data slot.
+func (ch *chunkRec) writeData() {
+	c := ch.c
+	ch.zs.ds.submitChunk(ch.zs, schedOp{
+		off: ch.e.pa.off, inplace: true, reserved: true, data: ch.payload, own: ch.own,
+		oob: c.encodeOOB(oobKindData, ch.lbn, ch.e.sn, ch.seq, ch.idx), tag: ch.tag,
+		done: ch,
+	})
+}
+
+// writeParity issues the in-place rewrite of parity row r.
+func (ch *chunkRec) writeParity(r int, parityData []byte) {
+	c := ch.c
+	ppa := ch.se.parity[r]
+	pds := c.devs[ppa.dev]
+	c.parityBytes += uint64(c.blockSize)
+	pds.submitChunk(pds.zones[ppa.zone], schedOp{
+		off: ppa.off, inplace: true, reserved: true, data: parityData,
+		ownData: parityData != nil,
+		oob:     c.encodeOOB(oobKindParity, int64(r), ch.e.sn, ch.seq, r), tag: zns.TagParity,
+		done: ch,
+	})
+}
+
+// oldRead collects one read of the payload read-modify-write: the old data
+// chunk (r < 0) or old parity row r. The last one folds the deltas and
+// issues the writes.
+func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
+	if !ch.live {
+		panic("core: chunk record used after put")
+	}
+	c, se := ch.c, ch.se
+	dev := ch.e.pa.dev
+	if r >= 0 {
+		dev = se.parity[r].dev
+	}
+	if res.Err != nil {
+		c.noteIOError(dev, res.Err)
+		if ch.readErr == nil {
+			ch.readErr = res.Err
+		}
+	}
+	if r < 0 {
+		ch.oldData = res.Data
+	} else {
+		ch.oldParity[r] = res.Data
+	}
+	ch.reads--
+	if ch.reads > 0 {
+		return
+	}
+	m := len(se.parity)
+	oldData, oldParity := ch.oldData, ch.oldParity
+	ch.oldData, ch.oldParity = nil, nil
+	if ch.readErr != nil {
+		// The old content is unreadable (member death mid-update);
+		// folding unknown deltas would corrupt the surviving parity.
+		// Unwind the in-place attempt and re-home the chunk through
+		// the append path instead.
+		c.pool.Donate(oldData)
+		for r := 0; r < m; r++ {
+			c.pool.Donate(oldParity[r])
+		}
+		c.putVec(oldParity)
+		c.unpin(ch.e.pa)
+		for _, ppa := range se.parity {
+			c.unpin(ppa)
+		}
+		se.ipBusy = false
+		c.ipNext(se)
+		ch.inplace, ch.se, ch.zs, ch.readErr = false, nil, nil, nil
+		c.dropSE(se)
+		c.appendChunk(ch)
+		return
+	}
+	ch.writeData()
+	// Fused single-pass kernels: delta = old ^ new in one XOR, then each
+	// parity row reads old parity and writes new parity in one sweep
+	// (DeltaRow) — no intermediate copy of either operand.
+	delta := c.pool.Alloc(c.blockSize)
+	if oldData != nil {
+		erasure.XOR(delta, oldData, ch.payload)
+		c.pool.Donate(oldData)
+	} else {
+		copy(delta, ch.payload)
+	}
+	for r := 0; r < m; r++ {
+		var np []byte
+		if oldParity[r] != nil {
+			np = c.pool.Alloc(c.blockSize)
+			c.coder.DeltaRow(r, ch.idx, delta, oldParity[r], np)
+			c.pool.Donate(oldParity[r])
+		} else {
+			np = c.pool.AllocZero(c.blockSize)
+			erasure.MulXor(c.coder.Coeff(r, ch.idx), delta, np)
+		}
+		c.acct.ChargeParity(cpumodel.CompBIZA, int64(c.blockSize))
+		ch.writeParity(r, np)
+	}
+	c.pool.Free(delta)
+	c.putVec(oldParity)
 }
 
 // ipNext drains a stripe's queued rewrites. Each popped entry either takes
 // the in-place path again (sets ipBusy; its completion resumes the drain)
 // or falls through to an append (which never pops), so the drain continues
 // until the stripe is busy or the queue is empty — queued writes can never
-// strand behind a path change (slot flushed, stripe dissolving).
+// strand behind a path change (slot flushed, stripe dissolving). The
+// entry's own Fire calls ipNext again after its retry.
 func (c *Core) ipNext(se *smtEntry) {
-	if se.ipBusy || len(se.ipq) == 0 {
+	if se.ipBusy || se.ipq.Len() == 0 {
 		return
 	}
-	next := se.ipq[0]
-	se.ipq = se.ipq[1:]
-	c.eng.After(0, func() {
-		next()
-		c.ipNext(se)
-	})
+	c.eng.AfterEvent(0, se.ipq.Pop(), fireRewrite, 0)
 }
 
 // appendChunk allocates a fresh slot for the chunk, joins it to the open
-// stripe of its class, and updates the partial parity in place. own, if
-// non-nil, is one transferred reference pinning payload (parked closures
-// carry it along until the chunk dispatches).
-func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class, tag zns.WriteTag, done func(error)) {
+// stripe of its class, and updates the partial parity in place. A chunk
+// that cannot proceed parks its record (with the payload reference it
+// carries) until the blocker clears.
+func (c *Core) appendChunk(ch *chunkRec) {
+	class := ch.class
 	// Free-zone cliff: park user work while GC needs headroom; GC's own
 	// migrations (classGC) bypass.
 	if class != classGC {
 		for _, ds := range c.devs {
 			if len(ds.freeZones) <= c.stallFloor() && ds.pickVictim() >= 0 {
-				ds.stalled = append(ds.stalled, func() {
-					c.appendChunk(lbn, payload, own, class, tag, done)
-				})
+				ds.stalled.Push(ch)
 				c.maybeStartGC(ds)
 				return
 			}
@@ -375,9 +507,7 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 		if err != nil {
 			// Transient: open-zone slots exhausted while retired zones
 			// drain. Park and retry when a slot frees.
-			c.allocWaiters = append(c.allocWaiters, func() {
-				c.appendChunk(lbn, payload, own, class, tag, done)
-			})
+			c.allocWaiters = append(c.allocWaiters, ch)
 			return
 		}
 		st = ns
@@ -389,16 +519,14 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 	ds := c.devs[dev]
 	zs, off, err := ds.alloc(class)
 	if err != nil {
-		c.allocWaiters = append(c.allocWaiters, func() {
-			c.appendChunk(lbn, payload, own, class, tag, done)
-		})
+		c.allocWaiters = append(c.allocWaiters, ch)
 		return
 	}
 	// Invalidate the previous copy.
+	lbn := ch.lbn
 	c.invalidate(lbn)
 
-	sn := st.sn
-	se := c.smt[sn]
+	sn, se := st.sn, st.se
 	se.chunks = append(se.chunks, pa{dev: dev, zone: zs.id, off: off})
 	se.lbns = append(se.lbns, lbn)
 	se.valid++
@@ -411,33 +539,12 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 
 	c.seq++
 	seq := c.seq
-	pending := 2
-	var firstErr error
-	finish := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		pending--
-		if pending == 0 && done != nil {
-			done(firstErr)
-		}
-	}
+	ch.se = se
+	ch.pending = 2 // the data write and the stripe's parity generation
 	ds.submitChunk(zs, schedOp{
-		off: off, data: payload, own: own,
-		oob: c.encodeOOB(oobKindData, lbn, sn, seq, st.count), tag: tag,
-		done: func(r zns.WriteResult) {
-			se.pending--
-			err := r.Err
-			if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
-				// The member died under the append. The payload was
-				// already folded into the stripe's parity accumulator
-				// host-side, so the chunk remains reconstructable from
-				// the survivors: acknowledge the write degraded.
-				c.degradedWrites++
-				err = nil
-			}
-			finish(err)
-		},
+		off: off, data: ch.payload, own: ch.own,
+		oob: c.encodeOOB(oobKindData, lbn, sn, seq, st.count), tag: ch.tag,
+		done: ch,
 	})
 
 	// Partial parity: fold the chunk into every row's accumulator and
@@ -445,7 +552,7 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 	// ZRWA). The first write of each slot is its append; later updates are
 	// in-place and absorbed by the device buffer. A slot flushed out of
 	// its window (stripe lingered) is relocated.
-	if payload != nil {
+	if ch.payload != nil {
 		if st.accs == nil {
 			st.accs = c.getVec(c.cfg.Parity)
 			for r := range st.accs {
@@ -453,7 +560,7 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 			}
 		}
 		for r := range st.accs {
-			erasure.MulXor(c.coder.Coeff(r, st.count), payload, st.accs[r])
+			erasure.MulXor(c.coder.Coeff(r, st.count), ch.payload, st.accs[r])
 		}
 		c.acct.ChargeParity(cpumodel.CompBIZA, int64(c.blockSize)*int64(c.cfg.Parity))
 	}
@@ -462,73 +569,45 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 		se.sealed = true
 		c.open[class] = nil
 	}
-	c.writeStripeParity(st, se, class, seq, func(err error) { finish(err) })
+	c.writeStripeParity(st, seq, ch)
 }
 
 // writeStripeParity schedules a rewrite of the stripe's parity slot with
-// the current accumulator. Only one parity write per stripe is in flight:
-// concurrent chunk appends coalesce onto the next write (same-slot
-// delivery reordering would otherwise leave a stale accumulator final).
-func (c *Core) writeStripeParity(st *openStripe, se *smtEntry, class Class, seq uint64, done func(error)) {
-	st.parityWaiters = append(st.parityWaiters, done)
+// the current accumulator, and queues ch to hear how it went. Only one
+// parity write per stripe is in flight: concurrent chunk appends coalesce
+// onto the next write (same-slot delivery reordering would otherwise leave
+// a stale accumulator final).
+func (c *Core) writeStripeParity(st *openStripe, seq uint64, ch *chunkRec) {
+	if st.waitTail == nil {
+		st.waitHead = ch
+	} else {
+		st.waitTail.nextWaiter = ch
+	}
+	st.waitTail = ch
 	if st.parityBusy {
 		st.parityDirty = true
 		return
 	}
-	c.issueParity(st, se, class, seq)
+	c.issueParity(st, seq)
 }
 
-func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64) {
+// issueParity starts a parity generation: one write per row, completing
+// through st.ioDone. A row whose relocation cannot allocate completes
+// synchronously, inside the loop.
+func (c *Core) issueParity(st *openStripe, seq uint64) {
+	se := st.se
 	st.parityBusy = true
 	st.parityDirty = false
-	m := len(st.parity)
-	remaining := m
-	var firstErr error
-	parityDone := func(err error) {
-		if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
-			// A parity member died: this row is missing, but the data
-			// chunks (and any surviving rows) keep the stripe within its
-			// fault budget.
-			c.degradedWrites++
-			err = nil
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		if st.parityDirty {
-			c.issueParity(st, se, class, c.seq)
-			return
-		}
-		st.parityBusy = false
-		// A sealed stripe takes no more appends, and the last parity copy
-		// is on its way to the device — the accumulators retire here.
-		if se.sealed && st.accs != nil {
-			for r := range st.accs {
-				c.pool.Free(st.accs[r])
-			}
-			c.putVec(st.accs)
-			st.accs = nil
-		}
-		waiters := st.parityWaiters
-		st.parityWaiters = nil
-		for _, w := range waiters {
-			if w != nil {
-				w(firstErr)
-			}
-		}
-	}
+	m := len(se.parity)
+	st.remaining, st.firstErr = m, nil
 	wasWritten := st.parityWritten
 	st.parityWritten = true
 	// A sealed stripe takes no further appends, so this is the final parity
 	// generation: move the accumulators into the dispatch instead of
-	// copying them (parityDone's retirement sweep skips the nil slots).
+	// copying them (ioDone's retirement sweep skips the nil slots).
 	final := se.sealed
 	for r := 0; r < m; r++ {
-		ppa := st.parity[r]
+		ppa := se.parity[r]
 		pds := c.devs[ppa.dev]
 		pzs := pds.zones[ppa.zone]
 		var parityData []byte
@@ -551,7 +630,7 @@ func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64
 				off: ppa.off, inplace: wasWritten, data: parityData,
 				ownData: parityData != nil,
 				oob:     c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
-				done: func(w zns.WriteResult) { parityDone(w.Err) },
+				done: st,
 			})
 			continue
 		}
@@ -561,21 +640,75 @@ func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64
 			pzs.rmapSN[ppa.off] = -1
 			pzs.valid--
 		}
-		nzs, noff, err := pds.alloc(class)
+		nzs, noff, err := pds.alloc(st.class)
 		if err != nil {
 			c.pool.Free(parityData)
-			parityDone(err)
+			st.ioDone(err)
 			continue
 		}
-		st.parity[r] = pa{dev: ppa.dev, zone: nzs.id, off: noff}
-		se.parity[r] = st.parity[r]
+		se.parity[r] = pa{dev: ppa.dev, zone: nzs.id, off: noff}
 		nzs.rmapSN[noff] = st.sn
 		nzs.valid++
 		pds.submitChunk(nzs, schedOp{
 			off: noff, data: parityData, ownData: parityData != nil,
 			oob: c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
-			done: func(w zns.WriteResult) { parityDone(w.Err) },
+			done: st,
 		})
+	}
+}
+
+// ioDone implements completer: one row of the stripe's parity generation
+// finished. The last row either starts the next generation (appends
+// arrived meanwhile) or reports to every waiting chunk; a sealed stripe's
+// record retires after that.
+func (st *openStripe) ioDone(err error) {
+	if !st.live {
+		panic("core: stripe record used after put")
+	}
+	c := st.c
+	if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
+		// A parity member died: this row is missing, but the data
+		// chunks (and any surviving rows) keep the stripe within its
+		// fault budget.
+		c.degradedWrites++
+		err = nil
+	}
+	if err != nil && st.firstErr == nil {
+		st.firstErr = err
+	}
+	st.remaining--
+	if st.remaining > 0 {
+		return
+	}
+	if st.parityDirty {
+		c.issueParity(st, c.seq)
+		return
+	}
+	st.parityBusy = false
+	// A sealed stripe takes no more appends, and the last parity copy
+	// is on its way to the device — the accumulators retire here, and the
+	// record once the waiters have heard. (An unsealed stripe may be
+	// appended to, and even sealed and finished, from inside a waiter's
+	// callback, so nothing below touches st unless it retires here.)
+	retire := st.se.sealed
+	if retire && st.accs != nil {
+		for r := range st.accs {
+			c.pool.Free(st.accs[r])
+		}
+		c.putVec(st.accs)
+		st.accs = nil
+	}
+	err = st.firstErr
+	w := st.waitHead
+	st.waitHead, st.waitTail = nil, nil
+	for w != nil {
+		next := w.nextWaiter
+		w.nextWaiter = nil
+		w.finish(err)
+		w = next
+	}
+	if retire {
+		c.putStripe(st)
 	}
 }
 
@@ -583,14 +716,14 @@ func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64
 // skipping the stripe's parity devices.
 func (c *Core) stripeDataDevice(st *openStripe, idx int) int {
 	isParity := func(d int) bool {
-		for _, p := range st.parity {
+		for _, p := range st.se.parity {
 			if p.dev == d {
 				return true
 			}
 		}
 		return false
 	}
-	base := st.parity[0].dev
+	base := st.se.parity[0].dev
 	seen := 0
 	for i := 1; i <= len(c.devs); i++ {
 		d := (base + i) % len(c.devs)
@@ -612,29 +745,31 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 	base := c.parityRot % len(c.devs)
 	c.parityRot++
 	sn := c.nextSN
-	parity := make([]pa, m)
+	se := c.getSE()
 	for r := 0; r < m; r++ {
 		pdev := (base + r) % len(c.devs)
 		pds := c.devs[pdev]
 		pzs, poff, err := pds.alloc(class)
 		if err != nil {
 			// Roll back slots already taken for this stripe.
-			for rr := 0; rr < r; rr++ {
-				q := parity[rr]
+			for _, q := range se.parity[:r] {
 				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.rmapSN[q.off] == sn {
 					zs.rmapSN[q.off] = -1
 					zs.valid--
 				}
 			}
+			c.retireSE(se)
 			return nil, err
 		}
-		parity[r] = pa{dev: pdev, zone: pzs.id, off: poff}
+		se.parity[r] = pa{dev: pdev, zone: pzs.id, off: poff}
 		pzs.rmapSN[poff] = sn
 		pzs.valid++
 	}
 	c.nextSN++
-	st := &openStripe{sn: sn, parity: parity}
-	c.smt[sn] = &smtEntry{parity: append([]pa(nil), parity...)}
+	st := c.getStripe()
+	st.sn, st.se, st.class = sn, se, class
+	se.holds++
+	c.smt[sn] = se
 	return st, nil
 }
 
@@ -689,6 +824,7 @@ func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 		}
 	}
 	delete(c.smt, sn)
+	c.retireSE(se)
 }
 
 // Trim implements blockdev.Device.

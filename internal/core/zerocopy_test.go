@@ -114,6 +114,9 @@ func TestZeroCopyUserDataPath(t *testing.T) {
 // refcounted buffer came home: Live()==0 means each transferred
 // reference was released exactly once across the engine, driver queue,
 // and flash-model buffer — on success, retry, and harden paths alike.
+// The records that carried them must be home too: every write, chunk and
+// batch record on its free list, stripe records and SMT entries out only
+// for the stripes still open or mapped.
 func TestZeroCopyNoLeaks(t *testing.T) {
 	eng, c, _ := newCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
 		for i := range *dcfgs {
@@ -140,4 +143,5 @@ func TestZeroCopyNoLeaks(t *testing.T) {
 	if live := c.pool.Live(); live != 0 {
 		t.Fatalf("%d refcounted buffers still held after drain: a layer is leaking references", live)
 	}
+	assertNoStrayRecords(t, c)
 }

@@ -5,7 +5,9 @@ import (
 
 	"biza/internal/buf"
 	"biza/internal/cpumodel"
+	"biza/internal/fifo"
 	"biza/internal/nvme"
+	"biza/internal/sim"
 	"biza/internal/zns"
 )
 
@@ -14,6 +16,7 @@ import (
 // sliding window's left edge), and the queue of writes waiting for the
 // window to slide.
 type zoneState struct {
+	ds    *devState
 	id    int
 	class Class
 
@@ -22,12 +25,13 @@ type zoneState struct {
 	donePrefix   int64 // all appends below this offset have completed
 	doneSet      map[int64]bool
 	inflight     int
-	pendq        []appendBatch // batches waiting for the window (ascending)
+	pendq        fifo.Queue[*appendBatch] // batches waiting for the window (ascending)
 
 	// stage accumulates contiguous appends submitted within one event so
 	// they go to the device as one multi-block command (the block layer's
 	// request merging; without it 4 KiB chunk traffic drowns in
-	// per-command overhead).
+	// per-command overhead). The zone itself is the zero-delay event that
+	// flushes it (Fire); stagePending says one is scheduled.
 	stage        *appendBatch
 	stagePending bool
 
@@ -52,23 +56,31 @@ type schedOp struct {
 	reserved bool
 	data     []byte
 	// ownData marks raw payloads drawn from the core's pool (parity
-	// accumulator copies/moves); the dispatch-done callback recycles them.
+	// accumulator copies/moves); the dispatch completion recycles them.
 	// GC reads stay caller-owned.
 	ownData bool
 	// own carries one reference to a refcounted user payload (WriteBuf);
 	// data is a view into it. Dispatch hands the device a fresh reference
-	// and the done callback releases this one.
+	// and the completion releases this one.
 	own  *buf.Buf
 	oob  []byte
 	tag  zns.WriteTag
-	done func(zns.WriteResult)
+	done completer // the chunk or open-stripe record that hears the result
 }
 
-// appendBatch is a run of contiguous append chunks dispatched as one
-// device write.
+// appendBatch is one device write: a run of contiguous append chunks, or a
+// single in-place update. The record is recycled (getBatch in pool.go) and
+// lives from staging through the device completion, which is its complete
+// method, bound to done once per record.
 type appendBatch struct {
-	off int64
-	ops []schedOp
+	live    bool
+	zs      *zoneState
+	off     int64
+	ops     []schedOp
+	inplace bool
+	gather  []byte   // coalesced payload to recycle, nil when passing through
+	oob     [][]byte // per-block OOB records handed to the device
+	done    func(zns.WriteResult)
 }
 
 func (b *appendBatch) end() int64 { return b.off + int64(len(b.ops)) }
@@ -113,7 +125,7 @@ type devState struct {
 	busyConf map[int]bool // channel marked from a confirmed zone
 
 	gcRunning bool
-	stalled   []func()
+	stalled   fifo.Queue[*chunkRec] // user chunks parked at the free-zone cliff
 }
 
 func newDevState(c *Core, id int, q *nvme.Queue) (*devState, error) {
@@ -196,18 +208,24 @@ func (ds *devState) openNewZone(class Class) (*zoneState, error) {
 		ds.guessed[z] = ch
 		ds.confirmed[z] = true
 	}
+	zs := ds.newZoneState(z)
+	zs.class = class
+	ds.zones[z] = zs
+	return zs, nil
+}
+
+// newZoneState returns the host-side state of an empty zone.
+func (ds *devState) newZoneState(z int) *zoneState {
 	zb := ds.c.zoneBlocks
-	zs := &zoneState{
+	return &zoneState{
+		ds:         ds,
 		id:         z,
-		class:      class,
 		doneSet:    make(map[int64]bool),
 		ipOffsets:  make(map[int64]int),
 		rmapLBN:    makeFilled(zb, -1),
 		rmapSN:     makeFilled(zb, -1),
 		rmapStripe: makeFilled(zb, -1),
 	}
-	ds.zones[z] = zs
-	return zs, nil
 }
 
 func makeFilled(n int64, v int64) []int64 {
@@ -322,32 +340,35 @@ func (ds *devState) submitChunk(zs *zoneState, op schedOp) {
 		return
 	}
 	ds.flushStage(zs)
-	b := ds.c.getAB()
+	b := ds.c.getBatch()
 	b.off = op.off
-	b.ops = append(ds.c.getOps(), op)
+	b.ops = append(b.ops, op)
 	zs.stage = b
 	if !zs.stagePending {
 		zs.stagePending = true
-		ds.c.eng.After(0, func() {
-			zs.stagePending = false
-			ds.flushStage(zs)
-		})
+		ds.c.eng.AfterEvent(0, zs, 0, 0)
 	}
+}
+
+// Fire implements sim.Handler: the zero-delay event that ends a staging
+// round.
+func (zs *zoneState) Fire(_, _ sim.Time) {
+	zs.stagePending = false
+	zs.ds.flushStage(zs)
 }
 
 // flushStage moves the staged batch to dispatch or the window queue.
 func (ds *devState) flushStage(zs *zoneState) {
-	if zs.stage == nil {
+	b := zs.stage
+	if b == nil {
 		return
 	}
-	b := *zs.stage
-	ds.c.putAB(zs.stage)
 	zs.stage = nil
-	if len(zs.pendq) == 0 && ds.canAppend(zs, b.end()-1) {
+	if zs.pendq.Len() == 0 && ds.canAppend(zs, b.end()-1) {
 		ds.dispatchBatch(zs, b)
 		return
 	}
-	zs.pendq = append(zs.pendq, b)
+	zs.pendq.Push(b)
 }
 
 // canAppend reports whether an append at off keeps every in-flight write
@@ -370,59 +391,46 @@ func (ds *devState) dispatchInPlace(zs *zoneState, op schedOp) {
 	// In-place updates deliberately ignore BUSY tags (§4.3: the ZRWA
 	// buffer is separate from the flash channels), so they are not scored.
 	zs.inflight++
-	var oob [][]byte
+	b := ds.c.getBatch()
+	b.zs, b.off, b.inplace = zs, op.off, true
+	b.ops = append(b.ops, op)
 	if op.oob != nil {
-		oob = ds.c.getVec(1)
-		oob[0] = op.oob
-	}
-	done := func(r zns.WriteResult) {
-		zs.inflight--
-		ds.c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
-		zs.ipOffsets[op.off]--
-		if zs.ipOffsets[op.off] <= 0 {
-			delete(zs.ipOffsets, op.off)
-		}
-		ds.c.observeLatency(ds, zs, r)
-		if op.done != nil {
-			op.done(r)
-		}
-		// The device copied OOB (and any raw payload) at submission, or
-		// holds references to a refcounted payload; recycle and release.
-		ds.c.pool.Free(op.oob)
-		ds.c.putVec(oob)
-		if op.ownData {
-			ds.c.pool.Free(op.data)
-		}
-		buf.Release(op.own)
-		ds.drain(zs)
-		ds.maybeFinish(zs)
+		b.oob = append(b.oob, op.oob)
 	}
 	if op.own != nil {
 		// Zero-copy: the driver gets a fresh reference; ours is released in
-		// the completion above.
+		// the completion.
 		op.own.Retain()
-		ds.q.WriteOwned(zs.id, op.off, 1, op.data, oob, op.tag, op.own, done)
+		ds.q.WriteOwned(zs.id, op.off, 1, op.data, b.oobVec(), op.tag, op.own, b.done)
 		return
 	}
-	ds.q.Write(zs.id, op.off, 1, op.data, oob, op.tag, done)
+	ds.q.Write(zs.id, op.off, 1, op.data, b.oobVec(), op.tag, b.done)
 }
 
-func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
+// oobVec returns the batch's OOB vector as the device expects it: nil when
+// no op carries a record.
+func (b *appendBatch) oobVec() [][]byte {
+	if len(b.oob) == 0 {
+		return nil
+	}
+	return b.oob
+}
+
+func (ds *devState) dispatchBatch(zs *zoneState, b *appendBatch) {
 	ds.c.scoreDispatch(ds, zs)
 	zs.inflight++
 	if b.end()-1 > zs.maxSubmitted {
 		zs.maxSubmitted = b.end() - 1
 	}
+	b.zs = zs
 	n := len(b.ops)
 	var data []byte
-	var batch []byte // gather buffer to recycle, nil when passing through
-	var oob [][]byte
 	hasData, hasOOB := false, false
-	for _, op := range b.ops {
-		if op.data != nil {
+	for i := range b.ops {
+		if b.ops[i].data != nil {
 			hasData = true
 		}
-		if op.oob != nil {
+		if b.ops[i].oob != nil {
 			hasOOB = true
 		}
 	}
@@ -436,57 +444,70 @@ func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
 			// Merged command: gather-copy into one coalesced slab. The copy
 			// buys one device command for n blocks and is counted, so the
 			// merge-vs-copy tradeoff stays observable (payload_copy probe).
-			batch = ds.c.pool.AllocZero(n * bs)
-			data = batch
-			for i, op := range b.ops {
-				if op.data != nil {
-					copy(data[i*bs:], op.data)
+			b.gather = ds.c.pool.AllocZero(n * bs)
+			data = b.gather
+			for i := range b.ops {
+				if b.ops[i].data != nil {
+					copy(data[i*bs:], b.ops[i].data)
 					ds.c.pool.NoteCopy(bs)
 				}
 			}
 		}
 	}
 	if hasOOB {
-		oob = ds.c.getVec(n)
-		for i, op := range b.ops {
-			oob[i] = op.oob
-		}
-	}
-	done := func(r zns.WriteResult) {
-		zs.inflight--
-		ds.c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
 		for i := range b.ops {
-			ds.markDone(zs, b.off+int64(i))
+			b.oob = append(b.oob, b.ops[i].oob)
 		}
-		ds.c.observeLatency(ds, zs, r)
-		for _, op := range b.ops {
-			if op.done != nil {
-				op.done(r)
-			}
-		}
-		// The device copied payload and OOB at submission (or holds its
-		// own references); recycle the gather buffer, the OOB records,
-		// owned payloads, and the batch's op slice.
-		for i := range b.ops {
-			ds.c.pool.Free(b.ops[i].oob)
-			if b.ops[i].ownData {
-				ds.c.pool.Free(b.ops[i].data)
-			}
-			buf.Release(b.ops[i].own)
-		}
-		ds.c.pool.Free(batch)
-		ds.c.putVec(oob)
-		ds.c.putOps(b.ops)
-		ds.drain(zs)
-		ds.maybeFinish(zs)
 	}
 	if n == 1 && b.ops[0].own != nil {
 		own := b.ops[0].own
-		own.Retain() // fresh reference for the driver; ours releases in done
-		ds.q.WriteOwned(zs.id, b.off, 1, data, oob, b.ops[0].tag, own, done)
+		own.Retain() // fresh reference for the driver; ours releases in complete
+		ds.q.WriteOwned(zs.id, b.off, 1, data, b.oobVec(), b.ops[0].tag, own, b.done)
 		return
 	}
-	ds.q.Write(zs.id, b.off, n, data, oob, b.ops[0].tag, done)
+	ds.q.Write(zs.id, b.off, n, data, b.oobVec(), b.ops[0].tag, b.done)
+}
+
+// complete is the device completion of a dispatched batch: it slides the
+// zone's window state, tells every op's record, and recycles what the
+// command carried. The device copied payload and OOB at submission (or
+// holds its own references), so the gather buffer, the OOB records, owned
+// payloads and the record itself all go back here.
+func (b *appendBatch) complete(r zns.WriteResult) {
+	if !b.live {
+		panic("core: batch record used after put")
+	}
+	zs := b.zs
+	ds := zs.ds
+	c := ds.c
+	zs.inflight--
+	c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
+	if b.inplace {
+		zs.ipOffsets[b.off]--
+		if zs.ipOffsets[b.off] <= 0 {
+			delete(zs.ipOffsets, b.off)
+		}
+	} else {
+		for i := range b.ops {
+			ds.markDone(zs, b.off+int64(i))
+		}
+	}
+	c.observeLatency(ds, zs, r)
+	for i := range b.ops {
+		b.ops[i].done.ioDone(r.Err)
+	}
+	for i := range b.ops {
+		op := &b.ops[i]
+		c.pool.Free(op.oob)
+		if op.ownData {
+			c.pool.Free(op.data)
+		}
+		buf.Release(op.own)
+	}
+	c.pool.Free(b.gather)
+	c.putBatch(b)
+	ds.drain(zs)
+	ds.maybeFinish(zs)
 }
 
 // markDone advances the completed prefix over contiguous finished appends.
@@ -520,10 +541,8 @@ func (c *Core) unpin(p pa) {
 
 // drain releases queued batches that now fit entirely inside the window.
 func (ds *devState) drain(zs *zoneState) {
-	for len(zs.pendq) > 0 && ds.canAppend(zs, zs.pendq[0].end()-1) {
-		b := zs.pendq[0]
-		zs.pendq = zs.pendq[1:]
-		ds.dispatchBatch(zs, b)
+	for zs.pendq.Len() > 0 && ds.canAppend(zs, zs.pendq.Peek().end()-1) {
+		ds.dispatchBatch(zs, zs.pendq.Pop())
 	}
 }
 
@@ -531,7 +550,7 @@ func (ds *devState) drain(zs *zoneState) {
 // the ZRWA tail, releases the open slot, and retries parked allocations.
 func (ds *devState) maybeFinish(zs *zoneState) {
 	if zs.sealedF || zs.wpAlloc < ds.c.zoneBlocks || zs.inflight > 0 ||
-		len(zs.pendq) > 0 || zs.stage != nil {
+		zs.pendq.Len() > 0 || zs.stage != nil {
 		return
 	}
 	zs.sealedF = true
@@ -558,10 +577,8 @@ func (ds *devState) freeZone(z int) {
 		}
 	}
 	ds.freeZones = append(ds.freeZones, z)
-	for len(ds.stalled) > 0 && (len(ds.freeZones) > ds.c.stallFloor() || ds.pickVictim() < 0) {
-		fn := ds.stalled[0]
-		ds.stalled = ds.stalled[1:]
-		fn()
+	for ds.stalled.Len() > 0 && (len(ds.freeZones) > ds.c.stallFloor() || ds.pickVictim() < 0) {
+		ds.c.appendChunk(ds.stalled.Pop())
 	}
 	ds.c.runAllocWaiters()
 }
@@ -569,14 +586,11 @@ func (ds *devState) freeZone(z int) {
 // runAllocWaiters retries work parked on transient allocation failures
 // (open-zone slots exhausted while retired zones drained).
 func (c *Core) runAllocWaiters() {
-	if len(c.allocWaiters) == 0 {
-		return
+	for i, ch := range c.allocWaiters {
+		c.eng.AfterEvent(0, ch, fireAppend, 0)
+		c.allocWaiters[i] = nil
 	}
-	waiters := c.allocWaiters
-	c.allocWaiters = nil
-	for _, w := range waiters {
-		c.eng.After(0, w)
-	}
+	c.allocWaiters = c.allocWaiters[:0]
 }
 
 // pickVictim returns the full zone with the least valid chunks, or -1.

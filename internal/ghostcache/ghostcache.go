@@ -19,7 +19,6 @@ package ghostcache
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
 )
 
@@ -97,13 +96,13 @@ func DefaultConfig(totalZRWABytes uint64) Config {
 }
 
 type entry struct {
-	key      uint64
-	lastSeen uint64  // bytes-written clock at last access
-	reaccess uint32  // accumulated reaccess count (revenue)
-	predRD   float64 // weighted moving average reuse distance (cost)
-	level    Level
-	elem     *list.Element // when level == LevelLRU
-	heapIdx  int           // when level == LevelHR or LevelHP
+	key        uint64
+	lastSeen   uint64  // bytes-written clock at last access
+	reaccess   uint32  // accumulated reaccess count (revenue)
+	predRD     float64 // weighted moving average reuse distance (cost)
+	level      Level
+	prev, next *entry // LRU ring links when level == LevelLRU; next chains the free list
+	heapIdx    int    // when level == LevelHR or LevelHP
 }
 
 // hrHeap orders by reaccess ascending: the least-revenue entry evicts first.
@@ -130,28 +129,65 @@ func (h *hpHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *
 type Cache struct {
 	cfg     Config
 	entries map[uint64]*entry
-	lru     *list.List // front = MRU
+	lru     entry // ring sentinel of the intrusive LRU list: lru.next = MRU, lru.prev = LRU
+	lruLen  int
 	hr      hrHeap
 	hp      hpHeap
 
+	// Entries evicted from the LRU level are reused for later misses, and
+	// fresh ones are carved from slabs, so a miss costs no allocation of
+	// its own once the hierarchy is full (and 1/entrySlab before that).
+	free *entry
+	slab []entry
+
 	hits, misses uint64
 }
+
+const entrySlab = 256
 
 // New builds the hierarchy; panics on invalid config (programmer error).
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{
-		cfg:     cfg,
-		entries: make(map[uint64]*entry),
-		lru:     list.New(),
-	}
+	c := &Cache{cfg: cfg, entries: make(map[uint64]*entry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Len reports tracked entries per level (lru, hr, hp).
 func (c *Cache) Len() (lru, hr, hp int) {
-	return c.lru.Len(), len(c.hr), len(c.hp)
+	return c.lruLen, len(c.hr), len(c.hp)
+}
+
+// newEntry returns a zeroed entry: an evicted one if any, else the next of
+// the current slab.
+func (c *Cache) newEntry() *entry {
+	if e := c.free; e != nil {
+		c.free = e.next
+		*e = entry{}
+		return e
+	}
+	if len(c.slab) == 0 {
+		c.slab = make([]entry, entrySlab)
+	}
+	e := &c.slab[0]
+	c.slab = c.slab[1:]
+	return e
+}
+
+// lruPushFront links e in as the most recently used LRU-level entry.
+func (c *Cache) lruPushFront(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+	c.lruLen++
+}
+
+// lruRemove unlinks e from the LRU ring.
+func (c *Cache) lruRemove(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	c.lruLen--
 }
 
 // HitRate reports the fraction of accesses that found the key tracked.
@@ -188,9 +224,10 @@ func (c *Cache) Access(key uint64, clock uint64) Level {
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		e = &entry{key: key, lastSeen: clock, level: LevelLRU}
+		e = c.newEntry()
+		e.key, e.lastSeen, e.level = key, clock, LevelLRU
 		c.entries[key] = e
-		e.elem = c.lru.PushFront(e)
+		c.lruPushFront(e)
 		c.enforceLRUCap()
 		return LevelLRU
 	}
@@ -205,11 +242,11 @@ func (c *Cache) Access(key uint64, clock uint64) Level {
 	}
 	switch e.level {
 	case LevelLRU:
-		c.lru.MoveToFront(e.elem)
+		c.lruRemove(e)
 		if e.reaccess >= c.cfg.RevenueThreshold {
-			c.lru.Remove(e.elem)
-			e.elem = nil
 			c.promoteToHR(e)
+		} else {
+			c.lruPushFront(e)
 		}
 	case LevelHR:
 		heap.Fix(&c.hr, e.heapIdx)
@@ -246,11 +283,11 @@ func (c *Cache) promoteToHP(e *entry) {
 }
 
 func (c *Cache) enforceLRUCap() {
-	for c.lru.Len() > c.cfg.LRUEntries {
-		tail := c.lru.Back()
-		e := tail.Value.(*entry)
-		c.lru.Remove(tail)
+	for c.lruLen > c.cfg.LRUEntries {
+		e := c.lru.prev
+		c.lruRemove(e)
 		delete(c.entries, e.key)
+		e.next, c.free = c.free, e
 	}
 }
 
@@ -258,7 +295,7 @@ func (c *Cache) enforceHRCap() {
 	for len(c.hr) > c.cfg.HREntries {
 		e := heap.Pop(&c.hr).(*entry)
 		e.level = LevelLRU
-		e.elem = c.lru.PushFront(e)
+		c.lruPushFront(e)
 		c.enforceLRUCap()
 	}
 }

@@ -259,3 +259,28 @@ func TestScanResistance(t *testing.T) {
 		t.Fatalf("scan polluted hr=%d hp=%d", hr, hp)
 	}
 }
+
+// TestMissAtCapacityAllocFree: once the LRU level is full, a miss reuses
+// the entry it evicts, so a scan of never-seen keys costs no allocation
+// (it used to cost an entry and a list element per miss).
+func TestMissAtCapacityAllocFree(t *testing.T) {
+	cfg := testCfg()
+	c := New(cfg)
+	key, clock := uint64(0), uint64(0)
+	miss := func() {
+		key++
+		clock += 4096
+		if lvl := c.Access(key, clock); lvl != LevelLRU {
+			t.Fatalf("first access of key %d classified %v", key, lvl)
+		}
+	}
+	for i := 0; i < 4*cfg.LRUEntries; i++ {
+		miss()
+	}
+	if allocs := testing.AllocsPerRun(1000, miss); allocs != 0 {
+		t.Fatalf("miss at capacity allocates %.1f, want 0", allocs)
+	}
+	if lru, _, _ := c.Len(); lru != cfg.LRUEntries {
+		t.Fatalf("LRU level holds %d entries, want its capacity %d", lru, cfg.LRUEntries)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"biza/internal/buf"
+	"biza/internal/fifo"
 	"biza/internal/obs"
 	"biza/internal/sim"
 )
@@ -134,8 +135,7 @@ type bufBlock struct {
 
 type waiter struct {
 	need int64 // buffer credit still required
-	run  func()
-	op   *writeOp // pooled-record waiter (run is nil)
+	op   *writeOp
 }
 
 type zone struct {
@@ -147,8 +147,8 @@ type zone struct {
 	dirty      map[int64]*bufBlock
 	pending    map[int64]*bufBlock // committed, program in flight
 	credit     int64               // free buffer slots (blocks)
-	waiters    []waiter
-	data       map[int64][]byte // flash contents (StoreData only)
+	waiters    fifo.Queue[waiter]  // writes waiting for buffer credit
+	data       map[int64][]byte    // flash contents (StoreData only)
 	oob        map[int64][]byte
 	eraseCount uint64
 	channel    int
@@ -447,7 +447,7 @@ func (d *Device) Close(z int) error {
 	if !zn.state.IsOpen() {
 		return ErrWrongState
 	}
-	if len(zn.waiters) > 0 {
+	if zn.waiters.Len() > 0 {
 		return ErrWrongState
 	}
 	if zn.zrwa {
@@ -475,7 +475,7 @@ func (d *Device) Finish(z int) error {
 	default:
 		return ErrWrongState
 	}
-	if len(zn.waiters) > 0 {
+	if zn.waiters.Len() > 0 {
 		return ErrWrongState
 	}
 	wasOpen := zn.state.IsOpen()
@@ -522,7 +522,7 @@ func (d *Device) CommitZRWA(z int, upTo int64) error {
 // on the same channel. done (optional) fires when the erase finishes.
 func (d *Device) Reset(z int, done func(error)) {
 	zn, err := d.zoneArg(z)
-	if err != nil || len(zn.waiters) > 0 {
+	if err != nil || zn.waiters.Len() > 0 {
 		if err == nil {
 			err = ErrWrongState
 		}
@@ -648,31 +648,25 @@ func (d *Device) program(zn *zone, start int64, blocks []*bufBlock) {
 
 func (d *Device) releaseCredit(zn *zone, n int64) {
 	zn.credit += n
-	for len(zn.waiters) > 0 {
-		w := &zn.waiters[0]
-		if zn.credit < w.need {
+	for zn.waiters.Len() > 0 {
+		if zn.credit < zn.waiters.Peek().need {
 			return
 		}
+		w := zn.waiters.Pop()
 		zn.credit -= w.need
-		run, op := w.run, w.op
-		zn.waiters = zn.waiters[1:]
-		if op != nil {
-			op.creditGranted()
-		} else {
-			run()
-		}
+		w.op.creditGranted()
 	}
 }
 
 // acquireCreditOp continues op once op.need buffer slots are available,
 // preserving FIFO order among waiters.
 func (d *Device) acquireCreditOp(zn *zone, op *writeOp) {
-	if len(zn.waiters) == 0 && zn.credit >= op.need {
+	if zn.waiters.Len() == 0 && zn.credit >= op.need {
 		zn.credit -= op.need
 		op.creditGranted()
 		return
 	}
-	zn.waiters = append(zn.waiters, waiter{need: op.need, op: op})
+	zn.waiters.Push(waiter{need: op.need, op: op})
 }
 
 // Write submits an async write of nblocks starting at block lba of zone z.
@@ -984,12 +978,9 @@ func (d *Device) PowerLoss() {
 	d.epoch++
 	var dropped, hardened int64
 	for _, zn := range d.zones {
-		for i := range zn.waiters {
-			if op := zn.waiters[i].op; op != nil {
-				d.putWriteOp(op)
-			}
+		for zn.waiters.Len() > 0 {
+			d.putWriteOp(zn.waiters.Pop().op)
 		}
-		zn.waiters = nil
 		if zn.dirty == nil && zn.pending == nil {
 			continue
 		}
