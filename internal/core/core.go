@@ -34,6 +34,7 @@ import (
 	"biza/internal/metrics"
 	"biza/internal/nvme"
 	"biza/internal/obs"
+	"biza/internal/pagetab"
 	"biza/internal/sim"
 )
 
@@ -146,10 +147,25 @@ type pa struct {
 var paNone = pa{dev: -1}
 
 // bmtEntry maps a logical block to its chunk location and owning stripe.
+// The zero value is "no mapping, not pinned", which is what an absent BMT
+// slot reads as. The mapping and the pin are independent: a block trimmed
+// or not yet re-homed while GC migrates it has a pin and no mapping.
 type bmtEntry struct {
-	pa pa
-	sn int64
+	off    int64
+	sn     int64
+	zone   int32
+	dev1   int16 // member device + 1; 0 = the block has no mapping
+	pinned bool  // being migrated by GC or rebuild: in-place updates defer
 }
+
+func mapTo(p pa, sn int64) bmtEntry {
+	return bmtEntry{off: p.off, sn: sn, zone: int32(p.zone), dev1: int16(p.dev + 1)}
+}
+
+func (e bmtEntry) mapped() bool { return e.dev1 != 0 }
+
+// loc is the chunk's address; paNone for an unmapped block.
+func (e bmtEntry) loc() pa { return pa{dev: int(e.dev1) - 1, zone: int(e.zone), off: e.off} }
 
 // smtEntry records a stripe: its data chunk locations, parity locations,
 // and the logical blocks its chunks carry (needed for stripe-dissolving GC
@@ -198,10 +214,9 @@ type Core struct {
 	zoneBlocks int64
 	zrwaBlocks int64
 
-	bmt      map[int64]bmtEntry
-	smt      map[int64]*smtEntry
-	gcPinned map[int64]bool // blocks being migrated: in-place updates defer
-	failed   []bool         // per-device failure flags (degraded mode)
+	bmt    pagetab.Table[bmtEntry]  // by logical block
+	smt    pagetab.Table[*smtEntry] // by stripe number
+	failed []bool                   // per-device failure flags (degraded mode)
 
 	// Member health (see health.go): dead is permanent device death
 	// detected from completion errors; failed additionally routes reads
@@ -342,9 +357,6 @@ func New(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core, er
 		blockSize:  base.BlockSize,
 		zoneBlocks: base.ZoneBlocks,
 		zrwaBlocks: base.ZRWABlocks,
-		bmt:        make(map[int64]bmtEntry),
-		smt:        make(map[int64]*smtEntry),
-		gcPinned:   make(map[int64]bool),
 		failed:     make([]bool, len(queues)),
 		dead:       make([]bool, len(queues)),
 		rebuilding: make([]bool, len(queues)),

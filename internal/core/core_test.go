@@ -210,12 +210,12 @@ func TestStripeParityConsistency(t *testing.T) {
 	wsync(eng, c, 0, 3, payload) // exactly one stripe (nData=3)
 	eng.Run()
 	var se *smtEntry
-	for _, e := range c.smt {
+	c.smt.Range(func(_ int64, e *smtEntry) bool {
 		if e.sealed && e.valid == 3 {
 			se = e
-			break
 		}
-	}
+		return se == nil
+	})
 	if se == nil {
 		t.Fatal("no sealed stripe found")
 	}

@@ -104,7 +104,7 @@ func TestDegradedReadInFlightStripe(t *testing.T) {
 	wsync(eng, c, 1, 1, pat(51, 4096))
 	eng.Run()
 	for lba := int64(0); lba < 2; lba++ {
-		dev := c.bmt[lba].pa.dev
+		dev := c.bmt.Get(lba).loc().dev
 		if err := c.SetDeviceFailed(dev, true); err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestRAID6DegradedInFlightDoubleLoss(t *testing.T) {
 	wsync(eng, c, 1, 1, pat(61, 4096))
 	eng.Run()
 	// Lose the owning member of each in-flight chunk simultaneously.
-	d0, d1 := c.bmt[0].pa.dev, c.bmt[1].pa.dev
+	d0, d1 := c.bmt.Get(0).loc().dev, c.bmt.Get(1).loc().dev
 	if d0 == d1 {
 		t.Fatalf("chunks colocated on dev %d", d0)
 	}
@@ -294,7 +294,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 			t.Fatalf("write %d: %v", i, r.Err)
 		}
 	}
-	se := c.smt[c.bmt[0].sn]
+	se := c.smt.Get(c.bmt.Get(0).sn)
 	if se == nil || !se.sealed {
 		t.Fatal("stripe not sealed — test setup broken")
 	}
@@ -312,7 +312,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	}
 	// While the RMW is stalled, hot-swap the member holding another chunk
 	// of the same stripe: the rebuild dissolves that stripe.
-	victim := c.bmt[1].pa.dev
+	victim := c.bmt.Get(1).loc().dev
 	dc := devConfig()
 	dc.Seed = 888
 	nd, err := zns.New(eng, dc)

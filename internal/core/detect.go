@@ -21,7 +21,7 @@ func (c *Core) observeLatency(ds *devState, zs *zoneState, r zns.WriteResult) {
 		c.ewmaLatency = 0.05*lat + 0.95*c.ewmaLatency
 	}
 	c.latSamples++
-	if !c.cfg.EnableGCAvoid || len(ds.busy) == 0 || c.latSamples < 200 {
+	if !c.cfg.EnableGCAvoid || !ds.gcActive() || c.latSamples < 200 {
 		return
 	}
 	spike := lat > c.cfg.SpikeFactor*c.ewmaLatency
@@ -54,8 +54,8 @@ func (c *Core) observeLatency(ds *devState, zs *zoneState, r zns.WriteResult) {
 		ds.votes[zs.id] = make(map[int]int)
 	}
 	voted := false
-	for ch := range ds.busy {
-		if ch == ds.guessed[zs.id] {
+	for ch, n := range ds.busy {
+		if n == 0 || ch == ds.guessed[zs.id] {
 			continue
 		}
 		ds.votes[zs.id][ch]++
@@ -104,7 +104,7 @@ func (c *Core) BusyCollisions() (writes, collisions uint64) {
 // GC's own migration writes necessarily land on busy channels and are
 // excluded: the metric is about USER traffic steering.
 func (c *Core) scoreDispatch(ds *devState, zs *zoneState) {
-	if c.oracle == nil || len(ds.busy) == 0 || zs.class == classGC {
+	if c.oracle == nil || !ds.gcActive() || zs.class == classGC {
 		return
 	}
 	c.busyWrites++

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"biza/internal/obs"
 	"biza/internal/sim"
@@ -76,21 +76,18 @@ func (c *Core) gcStep(ds *devState) {
 		})
 	}
 
-	// Collect the owning stripes of every slot in the victim.
-	snSet := map[int64]bool{}
+	// Collect the owning stripes of every slot in the victim, ascending.
+	var sns []int64
 	for off := int64(0); off < vzs.wpAlloc; off++ {
 		if sn := vzs.rmapStripe[off]; sn >= 0 {
-			snSet[sn] = true
+			sns = append(sns, sn)
 		}
 		if sn := vzs.rmapSN[off]; sn >= 0 {
-			snSet[sn] = true
+			sns = append(sns, sn)
 		}
 	}
-	sns := make([]int64, 0, len(snSet))
-	for sn := range snSet {
-		sns = append(sns, sn)
-	}
-	sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
+	slices.Sort(sns)
+	sns = slices.Compact(sns)
 
 	remaining := len(sns)
 	if remaining == 0 {
@@ -127,7 +124,7 @@ type dissolve struct {
 
 func (d *dissolve) run() {
 	c, sn := d.c, d.sn
-	se := c.smt[sn]
+	se := c.smt.Get(sn)
 	if se == nil {
 		d.done()
 		return
@@ -166,7 +163,7 @@ func (d *dissolve) run() {
 	for i, lbn := range se.lbns {
 		if lbn >= 0 && se.chunks[i].dev >= 0 {
 			live = append(live, migrant{lbn: lbn, p: se.chunks[i]})
-			c.gcPinned[lbn] = true
+			c.setPinned(lbn, true)
 		}
 	}
 	if len(live) == 0 {
@@ -229,7 +226,7 @@ func (d *dissolve) migrate(lbn int64, p pa, data []byte) {
 	// The block may have been rewritten while the read was in flight
 	// (pinning stops in-place updates, but a fresh append can still
 	// supersede it).
-	if cur, ok := c.bmt[lbn]; !ok || cur.pa != p {
+	if cur := c.bmt.Get(lbn); cur.loc() != p {
 		d.chunkDone(lbn, nil)
 		return
 	}
@@ -243,7 +240,7 @@ func (d *dissolve) migrate(lbn int64, p pa, data []byte) {
 // up on; the migration's own error is not the dissolution's).
 func (d *dissolve) chunkDone(lbn int64, _ error) {
 	c := d.c
-	delete(c.gcPinned, lbn)
+	c.setPinned(lbn, false)
 	d.remaining--
 	if d.remaining > 0 {
 		return
@@ -251,8 +248,26 @@ func (d *dissolve) chunkDone(lbn int64, _ error) {
 	// All live chunks rehomed; the old stripe died through the
 	// invalidate() calls of the migrations. If it still lingers
 	// (pending completions), release explicitly once safe.
-	if se := c.smt[d.sn]; se != nil && se.valid == 0 && se.pending == 0 {
+	if se := c.smt.Get(d.sn); se != nil && se.valid == 0 && se.pending == 0 {
 		c.releaseStripe(d.sn, se)
 	}
 	d.done()
+}
+
+// setPinned sets or clears a block's GC pin, a bit of its BMT entry that
+// outlives the mapping.
+func (c *Core) setPinned(lbn int64, pinned bool) {
+	e := c.bmt.Get(lbn)
+	e.pinned = pinned
+	c.putBMT(lbn, e)
+}
+
+// putBMT stores a block's entry; one with neither mapping nor pin is the
+// zero value, which is what an empty slot reads as, so the slot is freed.
+func (c *Core) putBMT(lbn int64, e bmtEntry) {
+	if e == (bmtEntry{}) {
+		c.bmt.Delete(lbn)
+		return
+	}
+	c.bmt.Set(lbn, e)
 }

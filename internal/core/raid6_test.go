@@ -205,7 +205,7 @@ func TestRAID6StripeDevicesDistinct(t *testing.T) {
 	eng, c, _ := newCore6(t)
 	wsync(eng, c, 0, 9, pat(1, 9*4096)) // 3 full stripes (k=3)
 	eng.Run()
-	for sn, se := range c.smt {
+	c.smt.Range(func(sn int64, se *smtEntry) bool {
 		used := map[int]bool{}
 		for _, p := range se.chunks {
 			if p.dev < 0 {
@@ -225,6 +225,7 @@ func TestRAID6StripeDevicesDistinct(t *testing.T) {
 			}
 			used[p.dev] = true
 		}
-	}
+		return true
+	})
 	_ = blockdev.ErrOutOfRange
 }

@@ -64,27 +64,30 @@ func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 		bufIdx    []int64
 	}
 	var runs []runT
-	lastRun := map[[2]int]int{} // (dev,zone) -> index of its latest run
-	var degraded []int64        // buffer block indices needing reconstruction
+	var degraded []int64 // buffer block indices needing reconstruction
 	for i := int64(0); i < int64(nblocks); i++ {
-		e, ok := c.bmt[lba+i]
-		if !ok {
+		e := c.bmt.Get(lba + i)
+		if !e.mapped() {
 			continue // unwritten reads as zeros
 		}
-		if c.failed[e.pa.dev] {
+		at := e.loc()
+		if c.failed[at.dev] {
 			degraded = append(degraded, i)
 			continue
 		}
-		key := [2]int{e.pa.dev, e.pa.zone}
-		if li, ok := lastRun[key]; ok {
-			r := &runs[li]
-			if r.off+int64(len(r.bufIdx)) == e.pa.off {
-				r.bufIdx = append(r.bufIdx, i)
-				continue
+		// Only the latest run of a (device, zone) can take the block; a read
+		// spans a handful of runs, so look for it from the back.
+		var last *runT
+		for li := len(runs) - 1; li >= 0 && last == nil; li-- {
+			if runs[li].dev == at.dev && runs[li].zone == at.zone {
+				last = &runs[li]
 			}
 		}
-		runs = append(runs, runT{dev: e.pa.dev, zone: e.pa.zone, off: e.pa.off, bufIdx: []int64{i}})
-		lastRun[key] = len(runs) - 1
+		if last != nil && last.off+int64(len(last.bufIdx)) == at.off {
+			last.bufIdx = append(last.bufIdx, i)
+			continue
+		}
+		runs = append(runs, runT{dev: at.dev, zone: at.zone, off: at.off, bufIdx: []int64{i}})
 	}
 	outstanding := len(runs) + len(degraded)
 	if outstanding == 0 {
@@ -152,17 +155,18 @@ func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 // are read too; chunk positions a short stripe never filled are
 // zero shards by construction.
 func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
-	e, ok := c.bmt[lbn]
-	if !ok {
+	e := c.bmt.Get(lbn)
+	if !e.mapped() {
 		done(nil, nil)
 		return
 	}
+	at := e.loc()
 	inner := done
 	done = func(data []byte, err error) {
-		c.noteReconstruct(e.pa.dev, lbn, err)
+		c.noteReconstruct(at.dev, lbn, err)
 		inner(data, err)
 	}
-	se := c.smt[e.sn]
+	se := c.smt.Get(e.sn)
 	if se == nil {
 		done(nil, ErrUnrecoverable)
 		return
@@ -181,7 +185,7 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 			continue
 		}
 		p := se.chunks[i]
-		if p == e.pa {
+		if p == at {
 			target = i
 			continue // the missing shard
 		}

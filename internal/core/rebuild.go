@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"biza/internal/nvme"
 	"biza/internal/sim"
@@ -92,25 +92,15 @@ func (c *Core) ReplaceDevicePaced(dev int, q *nvme.Queue, ctl RebuildControl, do
 	}
 
 	// Every stripe with a data or parity slot on the member needs
-	// dissolution.
-	snSet := map[int64]bool{}
-	for sn, se := range c.smt {
-		for _, p := range se.chunks {
-			if p.dev == dev {
-				snSet[sn] = true
-			}
+	// dissolution, in ascending stripe number: the SMT's own order.
+	onMember := func(p pa) bool { return p.dev == dev }
+	var sns []int64
+	c.smt.Range(func(sn int64, se *smtEntry) bool {
+		if slices.ContainsFunc(se.chunks, onMember) || slices.ContainsFunc(se.parity, onMember) {
+			sns = append(sns, sn)
 		}
-		for _, p := range se.parity {
-			if p.dev == dev {
-				snSet[sn] = true
-			}
-		}
-	}
-	sns := make([]int64, 0, len(snSet))
-	for sn := range snSet {
-		sns = append(sns, sn)
-	}
-	sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
+		return true
+	})
 
 	total := len(sns)
 	if total == 0 {

@@ -50,9 +50,6 @@ func Recover(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant, done f
 		blockSize:  base.BlockSize,
 		zoneBlocks: base.ZoneBlocks,
 		zrwaBlocks: base.ZRWABlocks,
-		bmt:        make(map[int64]bmtEntry),
-		smt:        make(map[int64]*smtEntry),
-		gcPinned:   make(map[int64]bool),
 		failed:     make([]bool, len(queues)),
 		dead:       make([]bool, len(queues)),
 		rebuilding: make([]bool, len(queues)),
@@ -66,21 +63,7 @@ func Recover(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant, done f
 	}
 	c.ghost = ghostcache.New(gcfg)
 	for i, q := range queues {
-		dcfg := q.Device().Config()
-		ds := &devState{
-			c:         c,
-			id:        i,
-			q:         q,
-			zones:     make([]*zoneState, dcfg.NumZones),
-			guessed:   make([]int, dcfg.NumZones),
-			confirmed: make([]bool, dcfg.NumZones),
-			votes:     make([]map[int]int, dcfg.NumZones),
-			busy:      make(map[int]int),
-			busyConf:  make(map[int]bool),
-		}
-		for z := 0; z < dcfg.NumZones; z++ {
-			ds.guessed[z] = z % dcfg.NumChannels
-		}
+		ds := emptyDevState(c, i, q)
 		ds.diagnose(cfg.DiagnoseZones)
 		c.devs = append(c.devs, ds)
 	}
@@ -202,13 +185,13 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		return zs
 	}
 	smtOf := func(sn int64) *smtEntry {
-		se := c.smt[sn]
+		se := c.smt.Get(sn)
 		if se == nil {
 			se = c.getSE()
 			for i := range se.parity {
 				se.parity[i] = paNone
 			}
-			c.smt[sn] = se
+			c.smt.Set(sn, se)
 		}
 		return se
 	}
@@ -234,7 +217,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		if live {
 			se.lbns[r.idx] = r.lbn
 			se.valid++
-			c.bmt[r.lbn] = bmtEntry{pa: r.p, sn: r.sn}
+			c.bmt.Set(r.lbn, mapTo(r.p, r.sn))
 			zs.rmapLBN[r.p.off] = r.lbn
 			zs.valid++
 		}
@@ -252,7 +235,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 	}
 	// Drop stripes missing any parity record (never got their first
 	// parity write): their chunks were not acknowledged; forget them.
-	for sn, se := range c.smt {
+	c.smt.Range(func(sn int64, se *smtEntry) bool {
 		incomplete := false
 		for _, p := range se.parity {
 			if p.dev < 0 {
@@ -263,7 +246,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		if incomplete {
 			for i, lbn := range se.lbns {
 				if lbn >= 0 {
-					delete(c.bmt, lbn)
+					c.bmt.Delete(lbn)
 					if zs := c.devs[se.chunks[i].dev].zones[se.chunks[i].zone]; zs != nil {
 						if zs.rmapLBN[se.chunks[i].off] == lbn {
 							zs.rmapLBN[se.chunks[i].off] = -1
@@ -273,10 +256,11 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 					}
 				}
 			}
-			delete(c.smt, sn)
+			c.smt.Delete(sn)
 			c.retireSE(se)
 		}
-	}
+		return true
+	})
 	// Zone pools and groups: empty zones are free; full zones are GC
 	// candidates; open zones are reused to seed the class groups.
 	var openPool []*zoneState

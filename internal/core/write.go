@@ -267,10 +267,8 @@ func (c *Core) rejectWrite(done func(blockdev.WriteResult)) {
 // ch.own, if non-nil, is one transferred reference pinning the payload;
 // every path through the write flow consumes it exactly once.
 func (c *Core) writeChunk(ch *chunkRec) {
-	if e, ok := c.bmt[ch.lbn]; ok && !c.gcPinned[ch.lbn] {
-		if c.tryInPlace(ch, e) {
-			return
-		}
+	if e := c.bmt.Get(ch.lbn); e.mapped() && !e.pinned && c.tryInPlace(ch, e) {
+		return
 	}
 	c.appendChunk(ch)
 }
@@ -282,15 +280,16 @@ func (c *Core) writeChunk(ch *chunkRec) {
 // a stripe's parity serializes per stripe (lost-delta and same-slot
 // reorder protection).
 func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
-	if c.failed[e.pa.dev] {
+	at := e.loc()
+	if c.failed[at.dev] {
 		return false // degraded member: append a fresh copy elsewhere
 	}
-	ds := c.devs[e.pa.dev]
-	zs := ds.zones[e.pa.zone]
-	if zs == nil || zs.sealedF || e.pa.off < zs.devWP(c.zrwaBlocks) || !zs.slotDone(e.pa.off) {
+	ds := c.devs[at.dev]
+	zs := ds.zones[at.zone]
+	if zs == nil || zs.sealedF || at.off < zs.devWP(c.zrwaBlocks) || !zs.slotDone(at.off) {
 		return false
 	}
-	se := c.smt[e.sn]
+	se := c.smt.Get(e.sn)
 	if se == nil || !se.sealed || se.dissolving {
 		return false
 	}
@@ -307,7 +306,7 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	// The chunk's index within the stripe selects the parity coefficients.
 	chunkIdx := -1
 	for i, p := range se.chunks {
-		if p == e.pa {
+		if p == at {
 			chunkIdx = i
 			break
 		}
@@ -334,9 +333,9 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	se.holds++
 	// Pin every slot NOW: the payload path reads before writing, and the
 	// window must not slide past any of these offsets in the meantime.
-	zs.ipOffsets[e.pa.off]++
+	zs.pin(at.off)
 	for _, ppa := range se.parity {
-		c.devs[ppa.dev].zones[ppa.zone].ipOffsets[ppa.off]++
+		c.devs[ppa.dev].zones[ppa.zone].pin(ppa.off)
 	}
 	if ch.payload == nil {
 		// Performance mode: traffic without content.
@@ -360,7 +359,7 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	}
 	ch.oldParity = c.getVec(m)
 	ch.reads = 1 + m
-	ds.q.Read(e.pa.zone, e.pa.off, 1, ch.onOldData)
+	ds.q.Read(at.zone, at.off, 1, ch.onOldData)
 	for r := 0; r < m; r++ {
 		ppa := se.parity[r]
 		c.devs[ppa.dev].q.Read(ppa.zone, ppa.off, 1, ch.onOldParity[r])
@@ -372,7 +371,7 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 func (ch *chunkRec) writeData() {
 	c := ch.c
 	ch.zs.ds.submitChunk(ch.zs, schedOp{
-		off: ch.e.pa.off, inplace: true, reserved: true, data: ch.payload, own: ch.own,
+		off: ch.e.off, inplace: true, reserved: true, data: ch.payload, own: ch.own,
 		oob: c.encodeOOB(oobKindData, ch.lbn, ch.e.sn, ch.seq, ch.idx), tag: ch.tag,
 		done: ch,
 	})
@@ -400,7 +399,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 		panic("core: chunk record used after put")
 	}
 	c, se := ch.c, ch.se
-	dev := ch.e.pa.dev
+	dev := ch.e.loc().dev
 	if r >= 0 {
 		dev = se.parity[r].dev
 	}
@@ -432,7 +431,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 			c.pool.Donate(oldParity[r])
 		}
 		c.putVec(oldParity)
-		c.unpin(ch.e.pa)
+		c.unpin(ch.e.loc())
 		for _, ppa := range se.parity {
 			c.unpin(ppa)
 		}
@@ -522,16 +521,20 @@ func (c *Core) appendChunk(ch *chunkRec) {
 		c.allocWaiters = append(c.allocWaiters, ch)
 		return
 	}
-	// Invalidate the previous copy.
+	// Invalidate the previous copy; a GC pin outlives the remapping.
 	lbn := ch.lbn
-	c.invalidate(lbn)
+	old := c.bmt.Get(lbn)
+	c.invalidate(lbn, old)
 
 	sn, se := st.sn, st.se
-	se.chunks = append(se.chunks, pa{dev: dev, zone: zs.id, off: off})
+	at := pa{dev: dev, zone: zs.id, off: off}
+	se.chunks = append(se.chunks, at)
 	se.lbns = append(se.lbns, lbn)
 	se.valid++
 	se.pending++
-	c.bmt[lbn] = bmtEntry{pa: pa{dev: dev, zone: zs.id, off: off}, sn: sn}
+	e := mapTo(at, sn)
+	e.pinned = old.pinned
+	c.bmt.Set(lbn, e)
 	zs.rmapLBN[off] = lbn
 	zs.rmapStripe[off] = sn
 	zs.valid++
@@ -769,26 +772,25 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 	st := c.getStripe()
 	st.sn, st.se, st.class = sn, se, class
 	se.holds++
-	c.smt[sn] = se
+	c.smt.Set(sn, se)
 	return st, nil
 }
 
-// invalidate drops the previous copy of a logical block: clears its zone
-// slot and its stripe membership; fully dead sealed stripes release their
-// parity slots and vanish.
-func (c *Core) invalidate(lbn int64) {
-	e, ok := c.bmt[lbn]
-	if !ok {
+// invalidate drops the copy of a logical block that e, its BMT entry, maps:
+// clears its zone slot and its stripe membership; fully dead sealed stripes
+// release their parity slots and vanish. The caller rewrites the BMT slot.
+func (c *Core) invalidate(lbn int64, e bmtEntry) {
+	if !e.mapped() {
 		return
 	}
-	ds := c.devs[e.pa.dev]
-	if zs := ds.zones[e.pa.zone]; zs != nil && zs.rmapLBN[e.pa.off] == lbn {
-		zs.rmapLBN[e.pa.off] = -1
+	at := e.loc()
+	if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.rmapLBN[at.off] == lbn {
+		zs.rmapLBN[at.off] = -1
 		zs.valid--
 	}
-	if se := c.smt[e.sn]; se != nil {
+	if se := c.smt.Get(e.sn); se != nil {
 		for i, p := range se.chunks {
-			if p == e.pa && se.lbns[i] == lbn {
+			if p == at && se.lbns[i] == lbn {
 				// Keep the slot address: its content still feeds the
 				// stripe's parity for reconstruction; only liveness drops.
 				se.lbns[i] = -1
@@ -800,7 +802,6 @@ func (c *Core) invalidate(lbn int64) {
 			c.releaseStripe(e.sn, se)
 		}
 	}
-	delete(c.bmt, lbn)
 }
 
 // releaseStripe frees a dead stripe's parity slots, clears its slots'
@@ -823,13 +824,15 @@ func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 			zs.rmapStripe[p.off] = -1
 		}
 	}
-	delete(c.smt, sn)
+	c.smt.Delete(sn)
 	c.retireSE(se)
 }
 
 // Trim implements blockdev.Device.
 func (c *Core) Trim(lba int64, nblocks int) {
-	for i := int64(0); i < int64(nblocks); i++ {
-		c.invalidate(lba + i)
+	for lbn := lba; lbn < lba+int64(nblocks); lbn++ {
+		e := c.bmt.Get(lbn)
+		c.invalidate(lbn, e)
+		c.putBMT(lbn, bmtEntry{pinned: e.pinned}) // a GC pin outlives the mapping
 	}
 }

@@ -20,10 +20,10 @@ type zoneState struct {
 	id    int
 	class Class
 
-	wpAlloc      int64 // next append offset (allocation cursor)
-	maxSubmitted int64 // highest append offset handed to the driver
-	donePrefix   int64 // all appends below this offset have completed
-	doneSet      map[int64]bool
+	wpAlloc      int64    // next append offset (allocation cursor)
+	maxSubmitted int64    // highest append offset handed to the driver
+	donePrefix   int64    // all appends below this offset have completed
+	doneSet      []uint64 // §4.4 bitmap, one bit per offset: completed ahead of the prefix
 	inflight     int
 	pendq        fifo.Queue[*appendBatch] // batches waiting for the window (ascending)
 
@@ -35,10 +35,16 @@ type zoneState struct {
 	stage        *appendBatch
 	stagePending bool
 
-	// ipOffsets tracks outstanding in-place writes: the window must not
-	// slide past them while they are in flight, or a reordered delivery
-	// could land behind the device's committed boundary.
-	ipOffsets map[int64]int
+	// ipOffsets counts the outstanding in-place writes of each offset: the
+	// window must not slide past them while they are in flight, or a
+	// reordered delivery could land behind the device's committed boundary.
+	// A slot is pinned only inside [devWP, devWP+ZRWA) and canAppend keeps
+	// it there, so the counts live in a ring of ZRWA entries indexed by
+	// offset mod ZRWA; ipPins totals them and ipMin is the lowest pinned
+	// offset while ipPins > 0.
+	ipOffsets []int32
+	ipPins    int
+	ipMin     int64
 
 	rmapLBN    []int64 // off -> logical block (live data chunks), -1 otherwise
 	rmapSN     []int64 // off -> stripe number (parity chunks), -1 otherwise
@@ -90,7 +96,48 @@ func (b *appendBatch) end() int64 { return b.off + int64(len(b.ops)) }
 // still queued or in flight would race delivery order (stale content could
 // win) or even extend the device window unexpectedly.
 func (zs *zoneState) slotDone(off int64) bool {
-	return off < zs.donePrefix || zs.doneSet[off]
+	return off < zs.donePrefix || zs.doneSet[off>>6]&(1<<(off&63)) != 0
+}
+
+// inWindow reports whether off lies in the ZRWA-sized range that starts at
+// the host's estimate of the device's committed boundary.
+func (zs *zoneState) inWindow(off int64) bool {
+	w := int64(len(zs.ipOffsets))
+	lo := zs.devWP(w)
+	return off >= lo && off < lo+w
+}
+
+// pin counts one more outstanding in-place write at off.
+func (zs *zoneState) pin(off int64) {
+	if !zs.inWindow(off) {
+		panic("core: in-place pin outside the zone's window")
+	}
+	w := int64(len(zs.ipOffsets))
+	zs.ipOffsets[off%w]++
+	if zs.ipPins == 0 || off < zs.ipMin {
+		zs.ipMin = off
+	}
+	zs.ipPins++
+}
+
+// unpin releases one pin of off and reports whether off is now unpinned. A
+// pin the zone never took (the slot's zone state was replaced under an
+// update in flight) is ignored and reads as unpinned.
+func (zs *zoneState) unpin(off int64) bool {
+	w := int64(len(zs.ipOffsets))
+	if !zs.inWindow(off) || zs.ipOffsets[off%w] == 0 {
+		return true
+	}
+	zs.ipOffsets[off%w]--
+	zs.ipPins--
+	if zs.ipOffsets[off%w] > 0 {
+		return false
+	}
+	if off == zs.ipMin && zs.ipPins > 0 {
+		for zs.ipMin++; zs.ipOffsets[zs.ipMin%w] == 0; zs.ipMin++ {
+		}
+	}
+	return true
 }
 
 // devWP reports the host's conservative estimate of the device's committed
@@ -121,14 +168,18 @@ type devState struct {
 	confirmed []bool
 	votes     []map[int]int
 
-	busy     map[int]int  // channel -> refcount of GC activity
-	busyConf map[int]bool // channel marked from a confirmed zone
+	busy      []int  // channel -> refcount of GC activity
+	busyConf  []bool // channel marked from a confirmed zone
+	busyChans int    // channels with a refcount
 
 	gcRunning bool
 	stalled   fifo.Queue[*chunkRec] // user chunks parked at the free-zone cliff
 }
 
-func newDevState(c *Core, id int, q *nvme.Queue) (*devState, error) {
+// emptyDevState returns a member's state with every zone unaccounted for:
+// newDevState puts them all in the free pool, recovery sorts them by what
+// the device reports.
+func emptyDevState(c *Core, id int, q *nvme.Queue) *devState {
 	cfg := q.Device().Config()
 	ds := &devState{
 		c:         c,
@@ -138,12 +189,19 @@ func newDevState(c *Core, id int, q *nvme.Queue) (*devState, error) {
 		guessed:   make([]int, cfg.NumZones),
 		confirmed: make([]bool, cfg.NumZones),
 		votes:     make([]map[int]int, cfg.NumZones),
-		busy:      make(map[int]int),
-		busyConf:  make(map[int]bool),
+		busy:      make([]int, cfg.NumChannels),
+		busyConf:  make([]bool, cfg.NumChannels),
 	}
 	for z := 0; z < cfg.NumZones; z++ {
-		ds.freeZones = append(ds.freeZones, z)
 		ds.guessed[z] = z % cfg.NumChannels // round-robin guess (§4.3)
+	}
+	return ds
+}
+
+func newDevState(c *Core, id int, q *nvme.Queue) (*devState, error) {
+	ds := emptyDevState(c, id, q)
+	for z := range ds.zones {
+		ds.freeZones = append(ds.freeZones, z)
 	}
 	// Open the initial zone groups.
 	for class := Class(0); class < numClasses; class++ {
@@ -220,8 +278,8 @@ func (ds *devState) newZoneState(z int) *zoneState {
 	return &zoneState{
 		ds:         ds,
 		id:         z,
-		doneSet:    make(map[int64]bool),
-		ipOffsets:  make(map[int64]int),
+		doneSet:    make([]uint64, (zb+63)/64),
+		ipOffsets:  make([]int32, ds.c.zrwaBlocks),
 		rmapLBN:    makeFilled(zb, -1),
 		rmapSN:     makeFilled(zb, -1),
 		rmapStripe: makeFilled(zb, -1),
@@ -239,10 +297,16 @@ func makeFilled(n int64, v int64) []int64 {
 // channelBusy reports whether a channel carries GC traffic.
 func (ds *devState) channelBusy(ch int) bool { return ds.busy[ch] > 0 }
 
+// gcActive reports whether any channel carries GC traffic.
+func (ds *devState) gcActive() bool { return ds.busyChans > 0 }
+
 // markBusy tags the guessed channel of zone z as BUSY for the duration of
 // a GC phase; fromConfirmed notes whether the channel identity is certain.
 func (ds *devState) markBusy(z int) (ch int, release func()) {
 	ch = ds.guessed[z]
+	if ds.busy[ch] == 0 {
+		ds.busyChans++
+	}
 	ds.busy[ch]++
 	if ds.confirmed[z] {
 		ds.busyConf[ch] = true
@@ -254,9 +318,9 @@ func (ds *devState) markBusy(z int) (ch int, release func()) {
 		}
 		released = true
 		ds.busy[ch]--
-		if ds.busy[ch] <= 0 {
-			delete(ds.busy, ch)
-			delete(ds.busyConf, ch)
+		if ds.busy[ch] == 0 {
+			ds.busyChans--
+			ds.busyConf[ch] = false
 		}
 	}
 }
@@ -268,7 +332,7 @@ func (ds *devState) pickZone(class Class) (*zoneState, error) {
 	ds.c.acct.Charge(cpumodel.CompBIZA, cpumodel.CostSchedule)
 	group := ds.groups[class]
 	n := len(group)
-	avoid := ds.c.cfg.EnableGCAvoid && len(ds.busy) > 0
+	avoid := ds.c.cfg.EnableGCAvoid && ds.gcActive()
 	var fallback *zoneState
 	for try := 0; try < n; try++ {
 		slot := (ds.rr[class] + try) % n
@@ -323,7 +387,7 @@ func (ds *devState) submitChunk(zs *zoneState, op schedOp) {
 	ds.c.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
 	if op.inplace {
 		if !op.reserved {
-			zs.ipOffsets[op.off]++
+			zs.pin(op.off)
 		}
 		ds.dispatchInPlace(zs, op)
 		return
@@ -376,15 +440,8 @@ func (ds *devState) flushStage(zs *zoneState) {
 // the completed prefix, and not so far ahead that a reordered delivery
 // would shift the device boundary past an outstanding in-place write.
 func (ds *devState) canAppend(zs *zoneState, off int64) bool {
-	if off >= zs.donePrefix+ds.c.zrwaBlocks {
-		return false
-	}
-	for ip := range zs.ipOffsets {
-		if off >= ip+ds.c.zrwaBlocks {
-			return false
-		}
-	}
-	return true
+	return off < zs.donePrefix+ds.c.zrwaBlocks &&
+		(zs.ipPins == 0 || off < zs.ipMin+ds.c.zrwaBlocks)
 }
 
 func (ds *devState) dispatchInPlace(zs *zoneState, op schedOp) {
@@ -483,10 +540,7 @@ func (b *appendBatch) complete(r zns.WriteResult) {
 	zs.inflight--
 	c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
 	if b.inplace {
-		zs.ipOffsets[b.off]--
-		if zs.ipOffsets[b.off] <= 0 {
-			delete(zs.ipOffsets, b.off)
-		}
+		zs.unpin(b.off)
 	} else {
 		for i := range b.ops {
 			ds.markDone(zs, b.off+int64(i))
@@ -512,15 +566,14 @@ func (b *appendBatch) complete(r zns.WriteResult) {
 
 // markDone advances the completed prefix over contiguous finished appends.
 func (ds *devState) markDone(zs *zoneState, off int64) {
-	if off == zs.donePrefix {
-		zs.donePrefix++
-		for zs.doneSet[zs.donePrefix] {
-			delete(zs.doneSet, zs.donePrefix)
-			zs.donePrefix++
-		}
+	if off != zs.donePrefix {
+		zs.doneSet[off>>6] |= 1 << (off & 63)
 		return
 	}
-	zs.doneSet[off] = true
+	zs.donePrefix++
+	for zs.donePrefix < ds.c.zoneBlocks && zs.slotDone(zs.donePrefix) {
+		zs.donePrefix++
+	}
 }
 
 // unpin releases one in-place window pin taken at admission time without
@@ -532,9 +585,7 @@ func (c *Core) unpin(p pa) {
 	if zs == nil {
 		return
 	}
-	zs.ipOffsets[p.off]--
-	if zs.ipOffsets[p.off] <= 0 {
-		delete(zs.ipOffsets, p.off)
+	if zs.unpin(p.off) {
 		ds.drain(zs)
 	}
 }

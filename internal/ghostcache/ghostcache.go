@@ -20,6 +20,8 @@ package ghostcache
 import (
 	"container/heap"
 	"fmt"
+
+	"biza/internal/pagetab"
 )
 
 // Level is a chunk's current classification.
@@ -124,11 +126,13 @@ func (h hpHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i;
 func (h *hpHeap) Push(x any)        { e := x.(*entry); e.heapIdx = len(*h); *h = append(*h, e) }
 func (h *hpHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// Cache is the three-level ghost-cache hierarchy. Not safe for concurrent
-// use; the simulation is single-goroutine.
+// Cache is the three-level ghost-cache hierarchy. Keys are logical block
+// numbers: the index is a direct-indexed table, so its memory follows the
+// largest key seen. Not safe for concurrent use; the simulation is
+// single-goroutine.
 type Cache struct {
 	cfg     Config
-	entries map[uint64]*entry
+	entries pagetab.Table[*entry]
 	lru     entry // ring sentinel of the intrusive LRU list: lru.next = MRU, lru.prev = LRU
 	lruLen  int
 	hr      hrHeap
@@ -150,7 +154,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, entries: make(map[uint64]*entry)}
+	c := &Cache{cfg: cfg}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
 }
@@ -202,7 +206,7 @@ func (c *Cache) HitRate() float64 {
 // Level reports the key's current classification without recording an
 // access.
 func (c *Cache) Level(key uint64) Level {
-	if e, ok := c.entries[key]; ok {
+	if e := c.entries.Get(int64(key)); e != nil {
 		return e.level
 	}
 	return LevelNone
@@ -210,8 +214,8 @@ func (c *Cache) Level(key uint64) Level {
 
 // PredictedReuseDistance reports the WMA reuse distance for a tracked key.
 func (c *Cache) PredictedReuseDistance(key uint64) (float64, bool) {
-	e, ok := c.entries[key]
-	if !ok || e.reaccess == 0 {
+	e := c.entries.Get(int64(key))
+	if e == nil || e.reaccess == 0 {
 		return 0, false
 	}
 	return e.predRD, true
@@ -221,12 +225,12 @@ func (c *Cache) PredictedReuseDistance(key uint64) (float64, bool) {
 // bytes-written clock and returns the classification AFTER the update —
 // the level the zone-group selector should place this chunk by.
 func (c *Cache) Access(key uint64, clock uint64) Level {
-	e, ok := c.entries[key]
-	if !ok {
+	e := c.entries.Get(int64(key))
+	if e == nil {
 		c.misses++
 		e = c.newEntry()
 		e.key, e.lastSeen, e.level = key, clock, LevelLRU
-		c.entries[key] = e
+		c.entries.Set(int64(key), e)
 		c.lruPushFront(e)
 		c.enforceLRUCap()
 		return LevelLRU
@@ -286,7 +290,7 @@ func (c *Cache) enforceLRUCap() {
 	for c.lruLen > c.cfg.LRUEntries {
 		e := c.lru.prev
 		c.lruRemove(e)
-		delete(c.entries, e.key)
+		c.entries.Delete(int64(e.key))
 		e.next, c.free = c.free, e
 	}
 }

@@ -96,18 +96,23 @@ func (e *Engine) advanceTo(t Time) {
 // Pending reports the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// push inserts ev, maintaining the 4-ary heap invariant.
+// push inserts ev, maintaining the 4-ary heap invariant. An event is nine
+// words, three of them pointers, so both sifts move a hole instead of
+// swapping: the moving event stays in a local, parents (or children) slide
+// into the hole, and it is stored once where the hole ends up.
 func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
+	e.events = append(e.events, event{})
+	h := e.events
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !e.events[i].before(&e.events[p]) {
+		if !ev.before(&h[p]) {
 			break
 		}
-		e.events[i], e.events[p] = e.events[p], e.events[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = ev
 }
 
 // pop removes and returns the earliest event. The heap must be non-empty.
@@ -115,23 +120,24 @@ func (e *Engine) pop() event {
 	h := e.events
 	root := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = event{} // drop fn/h references so fired events don't pin memory
 	e.events = h[:n]
-	if n > 1 {
-		e.siftDown(0)
+	if n > 0 {
+		e.siftDown(last)
 	}
 	return root
 }
 
-// siftDown restores the heap invariant below node i.
-func (e *Engine) siftDown(i int) {
+// siftDown places ev, which belongs at or below the vacant root.
+func (e *Engine) siftDown(ev event) {
 	h := e.events
 	n := len(h)
+	i := 0
 	for {
 		c := i<<2 + 1 // first child
 		if c >= n {
-			return
+			break
 		}
 		// Find the smallest of up to four children.
 		best := c
@@ -144,12 +150,13 @@ func (e *Engine) siftDown(i int) {
 				best = j
 			}
 		}
-		if !h[best].before(&h[i]) {
-			return
+		if !h[best].before(&ev) {
+			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = h[best]
 		i = best
 	}
+	h[i] = ev
 }
 
 // schedule validates t and pushes ev with the next sequence number.

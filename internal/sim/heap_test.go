@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -76,6 +77,48 @@ func TestHeapOrderMatchesContainerHeap(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: firing order diverges at %d: got %d want %d\ngot  %v\nwant %v",
 					trial, i, got[i], want[i], got, want)
+			}
+		}
+	}
+}
+
+// TestHeapOrderMatchesSort: whatever the interleaving of pushes and pops,
+// events fire in the order a stable sort by timestamp puts them in — (at,
+// seq) is a total order, so how the heap sifts cannot show. The heap here
+// is deep enough (thousands of events, five levels) and tied enough (a few
+// dozen distinct timestamps) that a sift comparing or storing the wrong
+// element would.
+func TestHeapOrderMatchesSort(t *testing.T) {
+	type sched struct {
+		at Time
+		id int
+	}
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		e := NewEngine()
+		var all []sched
+		var got []int
+		push := func() {
+			id := len(all)
+			at := e.Now() + Time(rng.Intn(24))
+			all = append(all, sched{at, id})
+			e.At(at, func() { got = append(got, id) })
+		}
+		for i := 0; i < 3000; i++ {
+			push()
+		}
+		for e.Step() {
+			for n := rng.Intn(3); n > 0 && len(all) < 6000; n-- {
+				push()
+			}
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+		if len(got) != len(all) {
+			t.Fatalf("trial %d: fired %d of %d events", trial, len(got), len(all))
+		}
+		for i := range all {
+			if got[i] != all[i].id {
+				t.Fatalf("trial %d: event %d fired was %d, the sort has %d", trial, i, got[i], all[i].id)
 			}
 		}
 	}

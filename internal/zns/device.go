@@ -6,6 +6,7 @@ import (
 	"biza/internal/buf"
 	"biza/internal/fifo"
 	"biza/internal/obs"
+	"biza/internal/pagetab"
 	"biza/internal/sim"
 )
 
@@ -119,18 +120,20 @@ func (f FlashStats) TotalProgrammed() uint64 {
 // ProgrammedByTag reports programmed bytes for one traffic class.
 func (f FlashStats) ProgrammedByTag(t WriteTag) uint64 { return f.ProgrammedBytes[t] }
 
-// bufBlock is one dirty or committed-but-unprogrammed block in the device
-// write buffer. acked marks content whose write completion reached the
-// host: power loss hardens acked blocks (capacitor flush) and drops
-// unacknowledged ones. When own is non-nil, data is a borrowed view into
-// the caller's refcounted buffer (one reference held per block) instead of
-// a device-side copy — the zero-copy form of the defensive payload copy.
+// bufBlock is one block in the device write buffer: dirty, or committed
+// with its flash program in flight. acked marks content whose write
+// completion reached the host: power loss hardens acked blocks (capacitor
+// flush) and drops unacknowledged ones. When own is non-nil, data is a
+// borrowed view into the caller's refcounted buffer (one reference held
+// per block) instead of a device-side copy — the zero-copy form of the
+// defensive payload copy.
 type bufBlock struct {
-	data  []byte
-	oob   []byte
-	own   *buf.Buf // reference pinning data when it is a borrowed view
-	tag   WriteTag
-	acked bool
+	data      []byte
+	oob       []byte
+	own       *buf.Buf // reference pinning data when it is a borrowed view
+	tag       WriteTag
+	acked     bool
+	committed bool // below wp, owned by a programOp until it retires
 }
 
 type waiter struct {
@@ -139,17 +142,19 @@ type waiter struct {
 }
 
 type zone struct {
-	idx        int
-	state      ZoneState
-	zrwa       bool  // opened with ZRWA
-	wp         int64 // committed boundary in blocks; ZRWA window starts here
-	written    int64 // highest block index written + 1 (for reads)
-	dirty      map[int64]*bufBlock
-	pending    map[int64]*bufBlock // committed, program in flight
-	credit     int64               // free buffer slots (blocks)
-	waiters    fifo.Queue[waiter]  // writes waiting for buffer credit
-	data       map[int64][]byte    // flash contents (StoreData only)
-	oob        map[int64][]byte
+	idx     int
+	state   ZoneState
+	zrwa    bool  // opened with ZRWA
+	wp      int64 // committed boundary in blocks; ZRWA window starts here
+	written int64 // highest block index written + 1 (for reads)
+	// buffered is the write buffer by block offset. Dirty blocks lie in
+	// [wp, wp+ZRWABlocks) — the ZRWA path admits no write outside it and a
+	// commit takes every dirty block below the new wp — and committed ones
+	// below wp, wherever a caller driving the device directly put them.
+	buffered   pagetab.Table[*bufBlock]
+	credit     int64                 // free buffer slots (blocks)
+	waiters    fifo.Queue[waiter]    // writes waiting for buffer credit
+	data, oob  pagetab.Table[[]byte] // flash contents by block offset (StoreData only)
 	eraseCount uint64
 	channel    int
 }
@@ -200,6 +205,11 @@ type Device struct {
 	bbFree  []*bufBlock
 	runFree [][]*bufBlock
 
+	// The zones' tables share their pages: a reset zone's go to the next
+	// zone to fill.
+	bufPages   pagetab.Pool[*bufBlock]
+	flashPages pagetab.Pool[[]byte]
+
 	// pool recycles the write buffer's payload and OOB copies. It is the
 	// device's own, never the array's: the array pool's Stats are published
 	// run output, and device-internal scratch must not move them.
@@ -239,7 +249,8 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		if cfg.ShuffleFraction > 0 && rng.Float64() < cfg.ShuffleFraction {
 			ch = rng.Intn(cfg.NumChannels)
 		}
-		d.zones[i] = &zone{idx: i, channel: ch}
+		d.zones[i] = &zone{idx: i, channel: ch, buffered: d.bufPages.Table(),
+			data: d.flashPages.Table(), oob: d.flashPages.Table()}
 	}
 	return d, nil
 }
@@ -430,10 +441,6 @@ func (d *Device) Open(z int, withZRWA bool) error {
 		// This is what starves a single in-flight writer (Fig. 5) while a
 		// deep queue keeps the channel pipeline full.
 		zn.credit = d.cfg.ZRWABlocks
-		if zn.dirty == nil {
-			zn.dirty = make(map[int64]*bufBlock)
-			zn.pending = make(map[int64]*bufBlock)
-		}
 	}
 	return nil
 }
@@ -451,7 +458,7 @@ func (d *Device) Close(z int) error {
 		return ErrWrongState
 	}
 	if zn.zrwa {
-		d.commitRange(zn, zn.maxDirty()+1, obs.CommitClose)
+		d.commitRange(zn, d.maxDirty(zn)+1, obs.CommitClose)
 		zn.zrwa = false
 	}
 	prev := zn.state
@@ -543,18 +550,19 @@ func (d *Device) Reset(z int, done func(error)) {
 	zn.zrwa = false
 	zn.wp = 0
 	zn.written = 0
-	// Recycle the dirty buffer blocks the erase discards. Pending blocks
+	// Recycle the dirty buffer blocks the erase discards. Committed blocks
 	// stay out: their in-flight programOps still reference them and will
 	// recycle them at retirement — recycling here would double-free.
-	for b, bb := range zn.dirty {
-		d.putBufBlock(bb)
-		delete(zn.dirty, b)
-	}
-	zn.dirty = nil
-	zn.pending = nil
+	zn.buffered.Range(func(_ int64, bb *bufBlock) bool {
+		if !bb.committed {
+			d.putBufBlock(bb)
+		}
+		return true
+	})
+	zn.buffered.Clear()
 	zn.credit = 0
-	zn.data = nil
-	zn.oob = nil
+	zn.data.Clear()
+	zn.oob.Clear()
 	zn.eraseCount++
 	d.stats.Erases++
 	d.traceState(zn, prev, ZoneEmpty)
@@ -578,14 +586,20 @@ func (d *Device) Reset(z int, done func(error)) {
 	}
 }
 
-func (zn *zone) maxDirty() int64 {
-	max := zn.wp - 1
-	for b := range zn.dirty {
-		if b > max {
-			max = b
+// windowEnd is the end of the zone's ZRWA window, above which no block is
+// dirty.
+func (d *Device) windowEnd(zn *zone) int64 {
+	return min(zn.wp+d.cfg.ZRWABlocks, d.cfg.ZoneBlocks)
+}
+
+// maxDirty returns the highest dirty block, or wp-1 when none is.
+func (d *Device) maxDirty(zn *zone) int64 {
+	for b := d.windowEnd(zn) - 1; b >= zn.wp; b-- {
+		if bb := zn.buffered.Get(b); bb != nil && !bb.committed {
+			return b
 		}
 	}
-	return max
+	return zn.wp - 1
 }
 
 // commitRange advances the committed boundary to upTo and schedules flash
@@ -605,9 +619,9 @@ func (d *Device) commitRange(zn *zone, upTo int64, reason uint8) {
 	var runStart int64 = -1
 	run := d.getRun()
 	const maxBatch = 16 // 64 KiB batches spread commits across dies
-	for b := zn.wp; b < upTo; b++ {
-		bb, ok := zn.dirty[b]
-		if !ok {
+	for b, end := zn.wp, min(upTo, d.windowEnd(zn)); b < end; b++ {
+		bb := zn.buffered.Get(b)
+		if bb == nil || bb.committed {
 			if len(run) > 0 {
 				d.program(zn, runStart, run)
 				run = d.getRun()
@@ -615,8 +629,7 @@ func (d *Device) commitRange(zn *zone, upTo int64, reason uint8) {
 			runStart = -1
 			continue
 		}
-		delete(zn.dirty, b)
-		zn.pending[b] = bb
+		bb.committed = true
 		if runStart < 0 {
 			runStart = b
 		}
@@ -795,16 +808,17 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	// Count slots needed (first-touch blocks only) and install contents in
 	// one pass — buffering happens at validation time, before the command
 	// queues for credit, so concurrent in-flight writes see consistent
-	// dirty state. One map lookup per block.
+	// dirty state. One table lookup per block; every block is inside the
+	// window here, so whatever is buffered at it is dirty.
 	var need int64
 	bs := int64(d.cfg.BlockSize)
 	for i := int64(0); i < n; i++ {
 		b := lba + i
-		bb := zn.dirty[b]
+		bb := zn.buffered.Get(b)
 		if bb == nil {
 			need++
 			bb = d.getBufBlock()
-			zn.dirty[b] = bb
+			zn.buffered.Set(b, bb)
 		} else {
 			d.stats.AbsorbedBytes += uint64(d.cfg.BlockSize)
 		}
@@ -825,19 +839,36 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 }
 
 func (d *Device) storeDirect(zn *zone, lba int64, nblocks int, data []byte, oob [][]byte) {
-	if zn.data == nil {
-		zn.data = make(map[int64][]byte)
-		zn.oob = make(map[int64][]byte)
-	}
 	bs := int64(d.cfg.BlockSize)
 	for i := int64(0); i < int64(nblocks); i++ {
 		b := lba + i
 		if data != nil {
-			zn.data[b] = append([]byte(nil), data[i*bs:(i+1)*bs]...)
+			zn.data.Set(b, append([]byte(nil), data[i*bs:(i+1)*bs]...))
 		}
 		if oob != nil && int(i) < len(oob) && oob[i] != nil {
-			zn.oob[b] = append([]byte(nil), oob[i]...)
+			zn.oob.Set(b, append([]byte(nil), oob[i]...))
 		}
+	}
+}
+
+// persist moves a buffered block's contents to the flash store (StoreData
+// only): scratch buffers change owner, borrowed views are copied out
+// before their reference drops.
+func (d *Device) persist(zn *zone, b int64, bb *bufBlock) {
+	if !d.cfg.StoreData {
+		return
+	}
+	if bb.data != nil {
+		if bb.own != nil {
+			zn.data.Set(b, append([]byte(nil), bb.data...))
+		} else {
+			zn.data.Set(b, bb.data)
+			bb.data = nil
+		}
+	}
+	if bb.oob != nil {
+		zn.oob.Set(b, bb.oob)
+		bb.oob = nil
 	}
 }
 
@@ -900,18 +931,11 @@ func (d *Device) Read(z int, lba int64, nblocks int, done func(ReadResult)) {
 	}
 
 	op.inBuffer = true
-	for i := int64(0); i < n; i++ {
-		b := lba + i
-		if zn.dirty != nil {
-			if _, ok := zn.dirty[b]; ok {
-				continue
-			}
-			if _, ok := zn.pending[b]; ok {
-				continue
-			}
+	for b := lba; b < lba+n; b++ {
+		if zn.buffered.Get(b) == nil {
+			op.inBuffer = false
+			break
 		}
-		op.inBuffer = false
-		break
 	}
 	op.stage = rCtrl
 	d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
@@ -921,11 +945,8 @@ func (d *Device) Read(z int, lba int64, nblocks int, done func(ReadResult)) {
 // capacitor-protected: from this ack on, PowerLoss hardens rather than
 // drops them. Blocks already programmed to flash need no marking.
 func (d *Device) ackRange(zn *zone, lba, n int64) {
-	for i := int64(0); i < n; i++ {
-		b := lba + i
-		if bb, ok := zn.dirty[b]; ok {
-			bb.acked = true
-		} else if bb, ok := zn.pending[b]; ok {
+	for b := lba; b < lba+n; b++ {
+		if bb := zn.buffered.Get(b); bb != nil {
 			bb.acked = true
 		}
 	}
@@ -934,26 +955,7 @@ func (d *Device) ackRange(zn *zone, lba, n int64) {
 // harden persists one buffered block during the power-loss capacitor
 // flush: contents move to flash at zero service cost.
 func (d *Device) harden(zn *zone, b int64, bb *bufBlock) {
-	if d.cfg.StoreData {
-		if zn.data == nil {
-			zn.data = make(map[int64][]byte)
-			zn.oob = make(map[int64][]byte)
-		}
-		if bb.data != nil {
-			if bb.own != nil {
-				// Borrowed view: the flash store cannot take ownership of a
-				// slice inside a refcounted slab about to be released.
-				zn.data[b] = append([]byte(nil), bb.data...)
-			} else {
-				zn.data[b] = bb.data
-				bb.data = nil
-			}
-		}
-		if bb.oob != nil {
-			zn.oob[b] = bb.oob
-			bb.oob = nil
-		}
-	}
+	d.persist(zn, b, bb)
 	d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
 	d.putBufBlock(bb)
 }
@@ -981,24 +983,17 @@ func (d *Device) PowerLoss() {
 		for zn.waiters.Len() > 0 {
 			d.putWriteOp(zn.waiters.Pop().op)
 		}
-		if zn.dirty == nil && zn.pending == nil {
-			continue
-		}
-		for b, bb := range zn.pending {
-			d.harden(zn, b, bb)
-			hardened++
-			delete(zn.pending, b)
-		}
-		for b, bb := range zn.dirty {
-			if bb.acked {
+		zn.buffered.Range(func(b int64, bb *bufBlock) bool {
+			if bb.committed || bb.acked {
 				d.harden(zn, b, bb)
 				hardened++
 			} else {
 				d.putBufBlock(bb)
 				dropped++
 			}
-			delete(zn.dirty, b)
-		}
+			return true
+		})
+		zn.buffered.Clear()
 		if zn.zrwa {
 			zn.credit = d.cfg.ZRWABlocks
 		}

@@ -3,6 +3,8 @@ package zns
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"biza/internal/sim"
@@ -26,12 +28,40 @@ func block(seed byte, size int) []byte {
 	return b
 }
 
+// checkBuffered panics unless every zone's write buffer is where the
+// device's tables assume it is: a dirty block inside the zone's ZRWA
+// window, a committed one below the write pointer.
+func checkBuffered(d *Device) {
+	for _, zn := range d.zones {
+		zn.buffered.Range(func(b int64, bb *bufBlock) bool {
+			switch {
+			case bb.committed && b >= zn.wp:
+				panic(fmt.Sprintf("zone %d: committed block %d at or above wp %d", zn.idx, b, zn.wp))
+			case !bb.committed && (!zn.zrwa || b < zn.wp || b >= zn.wp+d.cfg.ZRWABlocks):
+				panic(fmt.Sprintf("zone %d (zrwa %v): dirty block %d outside [%d, %d)",
+					zn.idx, zn.zrwa, b, zn.wp, zn.wp+d.cfg.ZRWABlocks))
+			}
+			return true
+		})
+	}
+}
+
+// runChecked drains the engine, checking the buffer invariant after every
+// event. The sync helpers run through it, so every scenario in this file
+// is checked at every step.
+func runChecked(eng *sim.Engine, d *Device) {
+	checkBuffered(d)
+	for eng.Step() {
+		checkBuffered(d)
+	}
+}
+
 // writeSync drives a write to completion and returns its result.
 func writeSync(eng *sim.Engine, d *Device, z int, lba int64, n int, data []byte, tag WriteTag) WriteResult {
 	var res WriteResult
 	got := false
 	d.Write(z, lba, n, data, nil, tag, func(r WriteResult) { res = r; got = true })
-	eng.Run()
+	runChecked(eng, d)
 	if !got {
 		panic("write never completed")
 	}
@@ -42,7 +72,7 @@ func readSync(eng *sim.Engine, d *Device, z int, lba int64, n int) ReadResult {
 	var res ReadResult
 	got := false
 	d.Read(z, lba, n, func(r ReadResult) { res = r; got = true })
-	eng.Run()
+	runChecked(eng, d)
 	if !got {
 		panic("read never completed")
 	}
@@ -1056,5 +1086,124 @@ func TestZRWAOverwriteAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state ZRWA window allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBufferedBlocksStayInWindow drives ZRWA zones directly with random
+// window writes, overwrites, window shifts, commits, closes, finishes,
+// resets and power cuts at random depths of in-flight work, and checks
+// after every event that dirty blocks lie in [wp, wp+ZRWABlocks) and
+// committed ones below wp — what lets commitRange and maxDirty look no
+// further than the window.
+func TestBufferedBlocksStayInWindow(t *testing.T) {
+	cfg := TestConfig()
+	cfg.ZoneBlocks = 8 * cfg.ZRWABlocks
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := sim.NewEngine()
+		d, err := New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const zones = 3
+		for step := 0; step < 600; step++ {
+			z := rng.Intn(zones)
+			zn := d.zones[z]
+			switch op := rng.Intn(20); {
+			case zn.state == ZoneEmpty:
+				if err := d.Open(z, true); err != nil {
+					t.Fatal(err)
+				}
+			case zn.state == ZoneFull || op == 0:
+				d.Reset(z, nil)
+			case !zn.zrwa: // closed, or reopened without its window
+				d.Finish(z)
+			case op == 1:
+				d.Finish(z)
+			case op == 2:
+				d.Close(z)
+			case op == 3:
+				d.PowerLoss()
+			case op < 7:
+				d.CommitZRWA(z, zn.wp+rng.Int63n(cfg.ZRWABlocks+1))
+			default:
+				// Up to half a window ahead of the window's end: shifts it.
+				n := 1 + rng.Intn(4)
+				lba := zn.wp + rng.Int63n(cfg.ZRWABlocks*3/2)
+				d.Write(z, lba, n, block(byte(step), n*cfg.BlockSize), nil, TagUserData, nil)
+			}
+			checkBuffered(d)
+			// Leave a random amount of work in flight behind the next step.
+			for n := rng.Intn(12); n > 0 && eng.Step(); n-- {
+				checkBuffered(d)
+			}
+		}
+		runChecked(eng, d)
+		if st := d.Stats(); st.TotalProgrammed() == 0 || st.AbsorbedBytes == 0 || st.Erases == 0 {
+			t.Fatalf("seed %d exercised too little: %+v", seed, st)
+		}
+	}
+}
+
+// TestPowerLossHardensAscending: the capacitor flush walks each zone's
+// buffer in block order, committed and acknowledged blocks alike, and
+// drops the unacknowledged ones.
+func TestPowerLossHardensAscending(t *testing.T) {
+	eng, d := newTestDev(t)
+	bs := d.cfg.BlockSize
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	// Blocks 0-7 acknowledged, then committed with their programs in flight;
+	// 13, 9, 11 acknowledged out of order; 10 still unacknowledged at the cut.
+	for b := int64(7); b >= 0; b-- {
+		writeSync(eng, d, 0, b, 1, block(byte(b), bs), TagUserData)
+	}
+	if err := d.CommitZRWA(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int64{13, 9, 11} {
+		d.Write(0, b, 1, block(byte(b), bs), nil, TagUserData, nil)
+	}
+	for !d.zones[0].buffered.Get(11).acked {
+		if !eng.Step() {
+			t.Fatal("writes never acknowledged")
+		}
+	}
+	d.Write(0, 10, 1, block(10, bs), nil, TagUserData, nil)
+	blockOf := map[*bufBlock]int64{}
+	d.zones[0].buffered.Range(func(b int64, bb *bufBlock) bool {
+		blockOf[bb] = b
+		return true
+	})
+	if len(blockOf) != 12 {
+		t.Fatalf("%d blocks buffered at the cut, want 12 (programs retired early?)", len(blockOf))
+	}
+	recycled := len(d.bbFree)
+	d.PowerLoss()
+	checkBuffered(d)
+	// Every buffered block went back to the free list as it was hardened
+	// or dropped: that is the order PowerLoss visited them in.
+	var order []int64
+	for _, bb := range d.bbFree[recycled:] {
+		order = append(order, blockOf[bb])
+	}
+	want := []int64{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("PowerLoss visited blocks %v, want %v", order, want)
+	}
+	if d.zones[0].buffered.Len() != 0 {
+		t.Fatalf("%d blocks still buffered after the cut", d.zones[0].buffered.Len())
+	}
+	eng.Run() // aborted programs and commands die silently
+	for _, b := range want {
+		r := readSync(eng, d, 0, b, 1)
+		wantData := block(byte(b), bs)
+		if b == 10 {
+			wantData = make([]byte, bs) // never acknowledged: dropped
+		}
+		if r.Err != nil || !bytes.Equal(r.Data, wantData) {
+			t.Fatalf("block %d after the cut: err %v, content wrong %v", b, r.Err, !bytes.Equal(r.Data, wantData))
+		}
 	}
 }

@@ -224,15 +224,11 @@ func (op *readOp) gather() ReadResult {
 	for i := int64(0); i < op.n; i++ {
 		b := op.lba + i
 		var src, so []byte
-		if zn.dirty != nil {
-			if bb, ok := zn.dirty[b]; ok {
-				src, so = bb.data, bb.oob
-			} else if bb, ok := zn.pending[b]; ok {
-				src, so = bb.data, bb.oob
-			}
+		if bb := zn.buffered.Get(b); bb != nil {
+			src, so = bb.data, bb.oob
 		}
-		if src == nil && zn.data != nil {
-			src, so = zn.data[b], zn.oob[b]
+		if src == nil {
+			src, so = zn.data.Get(b), zn.oob.Get(b)
 		}
 		if src != nil {
 			copy(data[i*bs:(i+1)*bs], src)
@@ -333,27 +329,13 @@ func (op *programOp) Fire(s, e sim.Time) {
 		d.tr.Segment(int64(s), int64(e), obs.LayerZNS, obs.SegProgramDie, d.trDev, zn.idx, chIdx, nblk)
 		for i, bb := range op.blocks {
 			b := op.start + int64(i)
-			delete(zn.pending, b)
-			if d.cfg.StoreData {
-				if zn.data == nil {
-					zn.data = make(map[int64][]byte)
-					zn.oob = make(map[int64][]byte)
-				}
-				// Ownership of scratch buffers transfers to the flash store;
-				// borrowed views are copied out before their reference drops.
-				if bb.data != nil {
-					if bb.own != nil {
-						zn.data[b] = append([]byte(nil), bb.data...)
-					} else {
-						zn.data[b] = bb.data
-						bb.data = nil
-					}
-				}
-				if bb.oob != nil {
-					zn.oob[b] = bb.oob
-					bb.oob = nil
-				}
+			// Whatever committed block the buffer holds at b leaves it, as
+			// it always has: after a reset that raced this program it is
+			// not bb but the zone's next tenant of the slot.
+			if cur := zn.buffered.Get(b); cur != nil && cur.committed {
+				zn.buffered.Delete(b)
 			}
+			d.persist(zn, b, bb)
 			d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
 			d.putBufBlock(bb)
 			op.blocks[i] = nil
