@@ -72,7 +72,9 @@ type Options struct {
 	FTL ftl.Config
 	// Engine overrides the BIZA engine configuration.
 	Engine *core.Config
-	// StoreData retains payloads for read-back (costs host memory).
+	// StoreData retains payloads for read-back. The simulated media is then
+	// held in host memory: what is currently programmed, in 256 KiB extents
+	// that a zone reset hands to the next zone to fill.
 	StoreData bool
 	// Seed makes every stochastic element reproducible.
 	Seed uint64

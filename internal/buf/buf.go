@@ -189,24 +189,15 @@ func (p *Pool) AllocZero(n int) []byte {
 	return s
 }
 
-// Free recycles a slab obtained from Alloc; nil-safe. Foreign slices are
-// accepted and recycled like Donate, so callers may mix pool and heap
-// memory.
+// Free recycles a slab obtained from Alloc; nil-safe. Slabs recycle by
+// capacity: an Alloc(26) slab has cap 64 and must go back to the class it
+// can serve. An oversize slab (no class has its capacity) is left to the
+// GC.
 func (p *Pool) Free(s []byte) {
 	if s == nil {
 		return
 	}
 	p.rawLive--
-	p.Donate(s)
-}
-
-// Donate recycles a slab the pool did not hand out — typically a heap
-// slice returned by a device read — without touching the outstanding-slab
-// accounting that Free maintains for Alloc'd memory. Slabs recycle by
-// capacity: an Alloc(26) slab has cap 64 and must go back to the class it
-// can serve. Only exact class-size capacities re-enter the pool; odd
-// foreign slices are left to the GC.
-func (p *Pool) Donate(s []byte) {
 	c := cap(s)
 	if c >= 1<<minClassShift && c <= 1<<maxClassShift && c&(c-1) == 0 {
 		class := classFor(c)

@@ -389,7 +389,7 @@ func (c *Core) BlockSize() int { return c.blockSize }
 // when every member device retains them.
 func (c *Core) StoresData() bool {
 	for _, ds := range c.devs {
-		if !ds.q.Device().Config().StoreData {
+		if !ds.storeData {
 			return false
 		}
 	}

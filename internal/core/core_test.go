@@ -227,7 +227,7 @@ func TestStripeParityConsistency(t *testing.T) {
 	}
 	var got []byte
 	pp := se.parity[0]
-	c.devs[pp.dev].q.Read(pp.zone, pp.off, 1, func(r zns.ReadResult) { got = r.Data })
+	c.devs[pp.dev].q.ReadInto(pp.zone, pp.off, 1, nil, false, func(r zns.ReadResult) { got = r.Data })
 	eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatal("sealed parity != XOR of chunks")

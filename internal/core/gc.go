@@ -177,34 +177,22 @@ func (d *dissolve) run() {
 	for _, m := range live {
 		m := m
 		if c.failed[m.p.dev] {
-			// Source member is gone (rebuild path): reconstruct the chunk
-			// from the stripe's survivors instead of reading it.
-			c.reconstructChunk(m.lbn, func(data []byte, err error) {
-				if err != nil {
-					d.chunkDone(m.lbn, nil)
-					return
-				}
-				d.migrate(m.lbn, m.p, data)
-			})
+			d.reconstruct(m.lbn, m.p) // source member is gone (rebuild path)
 			continue
 		}
-		c.devs[m.p.dev].q.Read(m.p.zone, m.p.off, 1, func(r zns.ReadResult) {
+		dst := c.readBuf(1)
+		c.devs[m.p.dev].q.ReadInto(m.p.zone, m.p.off, 1, dst, false, func(r zns.ReadResult) {
+			data := dst
 			if r.Err != nil {
 				c.noteIOError(m.p.dev, r.Err)
+				c.pool.Free(dst)
+				data = nil
 				if storerr.Reconstructable(r.Err) {
-					// The source member died (or rotted) under the read:
-					// rebuild the chunk from the survivors instead.
-					c.reconstructChunk(m.lbn, func(data []byte, err error) {
-						if err != nil {
-							d.chunkDone(m.lbn, nil)
-							return
-						}
-						d.migrate(m.lbn, m.p, data)
-					})
+					d.reconstruct(m.lbn, m.p) // it died (or rotted) under the read
 					return
 				}
 			}
-			d.migrate(m.lbn, m.p, r.Data)
+			d.migrate(m.lbn, m.p, data, data != nil)
 		})
 	}
 }
@@ -219,20 +207,38 @@ func (d *dissolve) Fire(_, _ sim.Time) {
 	d.c.dropSE(se)
 }
 
+// reconstruct migrates a live chunk whose source cannot be read, rebuilt
+// from the stripe's survivors.
+func (d *dissolve) reconstruct(lbn int64, p pa) {
+	d.c.reconstructChunk(lbn, func(data []byte, err error) {
+		if err != nil {
+			d.chunkDone(lbn, nil)
+			return
+		}
+		d.migrate(lbn, p, data, false)
+	})
+}
+
 // migrate re-homes one live chunk through the write flow as a GC-class
-// chunk with this dissolution as its parent.
-func (d *dissolve) migrate(lbn int64, p pa, data []byte) {
+// chunk with this dissolution as its parent. pooled says data is pool
+// scratch (the migration read's destination), which the chunk then owns
+// and frees when it is done.
+func (d *dissolve) migrate(lbn int64, p pa, data []byte, pooled bool) {
 	c := d.c
 	// The block may have been rewritten while the read was in flight
 	// (pinning stops in-place updates, but a fresh append can still
 	// supersede it).
 	if cur := c.bmt.Get(lbn); cur.loc() != p {
+		if pooled {
+			c.pool.Free(data)
+		}
 		d.chunkDone(lbn, nil)
 		return
 	}
 	c.gcMigrated += uint64(c.blockSize)
 	ch := c.getChunk()
-	ch.lbn, ch.payload, ch.class, ch.tag, ch.parent = lbn, data, classGC, zns.TagGCData, d
+	ch.lbn, ch.payload, ch.pooled = lbn, data, pooled
+	ch.class, ch.tag, ch.parent = classGC, zns.TagGCData, d
 	c.writeChunk(ch)
 }
 

@@ -1,11 +1,9 @@
 package core
 
-// Hot-path recycling. Block scratch, OOB records, and coalesced batch
-// payloads all draw from the array's buf.Pool (c.pool), which counts hits,
-// misses (the pool_miss probe), and payload copies; buffers it never
-// handed out — device read results, which the ZNS model allocates fresh —
-// re-enter it through Donate so the outstanding-slab count stays
-// balanced. The simulation is single-goroutine, so no locking anywhere.
+// Hot-path recycling. Block scratch, OOB records, coalesced batch payloads
+// and the destinations of device reads all draw from the array's buf.Pool
+// (c.pool), which counts hits, misses (the pool_miss probe), and payload
+// copies. The simulation is single-goroutine, so no locking anywhere.
 //
 // The write path's control state lives in five recycled records instead
 // of per-chunk closures, each on a plain-slice free list below:
@@ -36,6 +34,16 @@ package core
 // (setData/setOOB) or before completion (storeDirect). Refcounted
 // payloads (schedOp.own) skip that copy entirely: the device holds
 // references instead — see zones.go.
+
+// readBuf returns pool scratch for an n-block device read to gather into,
+// to be Freed by whoever consumes the read; nil in performance mode, where
+// the devices hold no payloads and a read moves none.
+func (c *Core) readBuf(n int) []byte {
+	if !c.StoresData() {
+		return nil
+	}
+	return c.pool.Alloc(n * c.blockSize)
+}
 
 // copyBuf returns a pooled block-size buffer holding a copy of src,
 // counted in the pool's copy stats.
@@ -110,12 +118,15 @@ func (c *Core) getChunk() *chunkRec {
 }
 
 // putChunk recycles a chunk record, keeping only its read callbacks (bound
-// once per record).
+// once per record). The record is zeroed where it lies and the three kept
+// words written back, not overwritten with a temporary built beside it.
 func (c *Core) putChunk(ch *chunkRec) {
 	if !ch.live {
 		panic("core: chunk record put twice")
 	}
-	*ch = chunkRec{c: c, onOldData: ch.onOldData, onOldParity: ch.onOldParity}
+	onOldData, onOldParity := ch.onOldData, ch.onOldParity
+	*ch = chunkRec{}
+	ch.c, ch.onOldData, ch.onOldParity = c, onOldData, onOldParity
 	c.liveRecs.chunk--
 	c.chunkFree = append(c.chunkFree, ch)
 }
@@ -233,13 +244,11 @@ func (c *Core) putBatch(b *appendBatch) {
 	if !b.live {
 		panic("core: batch record put twice")
 	}
-	for i := range b.ops {
-		b.ops[i] = schedOp{}
-	}
-	for i := range b.oob {
-		b.oob[i] = nil
-	}
-	*b = appendBatch{ops: b.ops[:0], oob: b.oob[:0], done: b.done}
+	clear(b.ops)
+	clear(b.oob)
+	ops, oob, done := b.ops[:0], b.oob[:0], b.done
+	*b = appendBatch{}
+	b.ops, b.oob, b.done = ops, oob, done
 	c.liveRecs.batch--
 	c.batchFree = append(c.batchFree, b)
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // TestPoolBufSemantics checks the buffer pool contracts the write path
-// relies on: AllocZero returns zeroed memory after a dirty Free, copyBuf
-// snapshots its source (and counts the copy), and foreign buffers go
-// through Donate without disturbing the outstanding-slab accounting.
+// relies on: AllocZero returns zeroed memory after a dirty Free, and
+// copyBuf snapshots its source (and counts the copy).
 func TestPoolBufSemantics(t *testing.T) {
 	_, c, _ := newCore(t, nil)
 	b := c.pool.AllocZero(c.blockSize)
@@ -39,9 +38,7 @@ func TestPoolBufSemantics(t *testing.T) {
 	if got := c.pool.Stats().Copies; got != copies+1 {
 		t.Fatalf("copyBuf recorded %d copies, want %d", got, copies+1)
 	}
-	c.pool.Free(nil)                           // nil-safe
-	c.pool.Donate(make([]byte, c.blockSize/2)) // foreign buffer: no accounting
-	c.pool.Donate(nil)                         // nil-safe
+	c.pool.Free(nil) // nil-safe
 	c.pool.Free(cp)
 	c.pool.Free(b2)
 	if live := c.pool.RawLive(); live != 0 {

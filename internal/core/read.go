@@ -111,8 +111,22 @@ func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	for _, r := range runs {
 		r := r
 		c.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
-		c.devs[r.dev].q.Read(r.zone, r.off, len(r.bufIdx), func(res zns.ReadResult) {
+		// A run whose blocks are neighbours in the caller's buffer too (any
+		// single block is) gathers straight into it; a striped one goes
+		// through pool scratch and is de-striped below.
+		n := int64(len(r.bufIdx))
+		var dst, scratch []byte
+		if buf != nil {
+			if first := r.bufIdx[0]; r.bufIdx[n-1]-first == n-1 {
+				dst = buf[first*bs : (first+n)*bs]
+			} else {
+				scratch = c.pool.Alloc(int(n * bs))
+				dst = scratch
+			}
+		}
+		c.devs[r.dev].q.ReadInto(r.zone, r.off, int(n), dst, false, func(res zns.ReadResult) {
 			if res.Err != nil {
+				c.pool.Free(scratch)
 				c.noteIOError(r.dev, res.Err)
 				if storerr.Reconstructable(res.Err) {
 					// The member died (or the blocks rotted) under this
@@ -129,13 +143,16 @@ func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 					}
 					return
 				}
+				finishOne(res.Err)
+				return
 			}
-			if res.Data != nil {
+			if scratch != nil {
 				for j, idx := range r.bufIdx {
-					copy(buf[idx*bs:(idx+1)*bs], res.Data[int64(j)*bs:(int64(j)+1)*bs])
+					copy(buf[idx*bs:(idx+1)*bs], scratch[int64(j)*bs:(int64(j)+1)*bs])
 				}
+				c.pool.Free(scratch)
 			}
-			finishOne(res.Err)
+			finishOne(nil)
 		})
 	}
 	for _, i := range degraded {
@@ -173,15 +190,28 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 	}
 	k, m := c.nData, len(se.parity)
 	shards := make([][]byte, k+m)
+	// Shards that are zero by construction (and, in performance mode, every
+	// shard fetched without content) alias one zeroed block; the fetched
+	// ones are gathered into pool scratch. All of it goes back once the
+	// code has run: only the rebuilt shard leaves, and that one is the
+	// coder's own allocation.
+	var zero []byte
+	zeroShard := func() []byte {
+		if zero == nil {
+			zero = c.pool.AllocZero(c.blockSize)
+		}
+		return zero
+	}
 	type fetch struct {
 		idx int
 		p   pa
+		dst []byte
 	}
 	var fetches []fetch
 	target := -1
 	for i := 0; i < k; i++ {
 		if i >= len(se.chunks) {
-			shards[i] = make([]byte, c.blockSize) // never written: zero shard
+			shards[i] = zeroShard() // never written
 			continue
 		}
 		p := se.chunks[i]
@@ -190,7 +220,7 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 			continue // the missing shard
 		}
 		if p.dev < 0 {
-			shards[i] = make([]byte, c.blockSize)
+			shards[i] = zeroShard()
 			continue
 		}
 		if c.failed[p.dev] {
@@ -199,6 +229,7 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 		fetches = append(fetches, fetch{idx: i, p: p})
 	}
 	if target < 0 {
+		c.pool.Free(zero)
 		done(nil, ErrUnrecoverable)
 		return
 	}
@@ -211,24 +242,31 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 	}
 	remaining := len(fetches)
 	if remaining == 0 {
+		c.pool.Free(zero)
 		done(nil, ErrUnrecoverable)
 		return
 	}
 	var firstErr error
 	finish := func() {
-		if firstErr != nil {
-			done(nil, firstErr)
-			return
+		var data []byte
+		err := firstErr
+		if err == nil {
+			if c.coder.Reconstruct(shards) != nil {
+				err = ErrUnrecoverable
+			} else {
+				data = shards[target]
+			}
 		}
-		if err := c.coder.Reconstruct(shards); err != nil {
-			done(nil, ErrUnrecoverable)
-			return
+		for _, f := range fetches {
+			c.pool.Free(f.dst)
 		}
-		done(shards[target], nil)
+		c.pool.Free(zero)
+		done(data, err)
 	}
-	for _, f := range fetches {
-		f := f
-		c.devs[f.p.dev].q.Read(f.p.zone, f.p.off, 1, func(r zns.ReadResult) {
+	for i := range fetches {
+		f := &fetches[i]
+		f.dst = c.readBuf(1)
+		c.devs[f.p.dev].q.ReadInto(f.p.zone, f.p.off, 1, f.dst, false, func(r zns.ReadResult) {
 			if r.Err != nil {
 				c.noteIOError(f.p.dev, r.Err)
 				// A reconstructable fetch failure just leaves this shard
@@ -236,11 +274,10 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 				if !storerr.Reconstructable(r.Err) && firstErr == nil {
 					firstErr = r.Err
 				}
-			}
-			if r.Data != nil {
-				shards[f.idx] = r.Data
-			} else if r.Err == nil {
-				shards[f.idx] = make([]byte, c.blockSize)
+			} else if f.dst != nil {
+				shards[f.idx] = f.dst
+			} else {
+				shards[f.idx] = zeroShard()
 			}
 			remaining--
 			if remaining == 0 {

@@ -159,6 +159,64 @@ func TestChunkWriteAllocFree(t *testing.T) {
 	})
 }
 
+// TestPayloadRMWAllocFree gates the payload read-modify-write once warm:
+// an in-place update that carries bytes reads the old chunk and the old
+// parity into pool scratch, folds the delta and rewrites both slots, and
+// every buffer it drew — the read destinations included — is back when it
+// completes.
+func TestPayloadRMWAllocFree(t *testing.T) {
+	eng, c, _ := newCore(t, nil)
+	c.pool.SetPoison(true)
+	// One full stripe with content, sealed and still inside every slot's
+	// window.
+	k := int64(c.nData)
+	wbsync(t, eng, c, 0, int(k), 1)
+	lba, stamp := int64(0), byte(1)
+	done := func(r blockdev.WriteResult) {
+		if r.Err != nil {
+			t.Errorf("update: %v", r.Err)
+		}
+	}
+	step := func() {
+		stamp++
+		b := c.pool.Get(c.blockSize, 0)
+		fill := b.Bytes()
+		for i := range fill {
+			fill[i] = stamp
+		}
+		c.WriteBuf(lba, 1, b, done)
+		eng.Run()
+		lba = (lba + 1) % k
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	hits, live, raw := c.InPlaceHits(), c.pool.Live(), c.pool.RawLive()
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Fatalf("payload in-place update allocates %.0f per Write, want 0", allocs)
+	}
+	if got := c.InPlaceHits() - hits; got != runs+1 { // AllocsPerRun warms up once
+		t.Fatalf("%d of %d measured updates went in place", got, runs+1)
+	}
+	if c.pool.Live() != live || c.pool.RawLive() != raw {
+		t.Fatalf("pool holds %d buffers and %d raw slabs after the updates, %d and %d before: a read destination or a delta leaked",
+			c.pool.Live(), c.pool.RawLive(), live, raw)
+	}
+	assertNoStrayRecords(t, c)
+	// The parity the deltas produced still rebuilds the newest content.
+	last := (lba + k - 1) % k
+	if err := c.SetDeviceFailed(c.bmt.Get(last).loc().dev, true); err != nil {
+		t.Fatal(err)
+	}
+	var res blockdev.ReadResult
+	c.Read(last, 1, func(r blockdev.ReadResult) { res = r })
+	eng.Run()
+	if res.Err != nil || len(res.Data) != c.blockSize || res.Data[0] != stamp || res.Data[c.blockSize-1] != stamp {
+		t.Fatalf("degraded read of the last update: err %v, want every byte %#x", res.Err, stamp)
+	}
+}
+
 // TestRecordDiscipline: with the array pool's poison switch on, putting a
 // record back twice panics, and so does a completion arriving through a
 // record that is already back.

@@ -110,7 +110,7 @@ func Recover(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant, done f
 			}
 			d, z := d, z
 			outstanding++
-			q.Read(z, 0, int(extent), func(r zns.ReadResult) {
+			q.ReadInto(z, 0, int(extent), nil, true, func(r zns.ReadResult) {
 				if r.Err != nil && scanErr == nil {
 					scanErr = r.Err
 				}

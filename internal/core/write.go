@@ -126,6 +126,7 @@ type chunkRec struct {
 	lbn     int64
 	payload []byte
 	own     *buf.Buf // one transferred reference pinning payload, or nil
+	pooled  bool     // payload is pool scratch the chunk owns (a migration's read)
 	class   Class
 	tag     zns.WriteTag
 	parent  chunkParent
@@ -215,6 +216,9 @@ func (ch *chunkRec) finish(err error) {
 		c.dropSE(ch.se)
 	}
 	ch.parent.chunkDone(ch.lbn, ch.firstErr)
+	if ch.pooled {
+		c.pool.Free(ch.payload)
+	}
 	c.putChunk(ch)
 }
 
@@ -346,9 +350,8 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 		return true
 	}
 	// Parity deltas need the old chunk and the old parities — all buffered
-	// reads, since every slot is inside a ZRWA window. Scratch comes from
-	// the unified pool; the read results (fresh heap copies from the
-	// device model) are donated into it once folded.
+	// reads, since every slot is inside a ZRWA window, gathered into pool
+	// scratch that goes back once folded.
 	if ch.onOldData == nil {
 		ch.onOldData = func(r zns.ReadResult) { ch.oldRead(-1, r) }
 		ch.onOldParity = make([]func(zns.ReadResult), m)
@@ -359,10 +362,12 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	}
 	ch.oldParity = c.getVec(m)
 	ch.reads = 1 + m
-	ds.q.Read(at.zone, at.off, 1, ch.onOldData)
+	ch.oldData = c.readBuf(1)
+	ds.q.ReadInto(at.zone, at.off, 1, ch.oldData, false, ch.onOldData)
 	for r := 0; r < m; r++ {
 		ppa := se.parity[r]
-		c.devs[ppa.dev].q.Read(ppa.zone, ppa.off, 1, ch.onOldParity[r])
+		ch.oldParity[r] = c.readBuf(1)
+		c.devs[ppa.dev].q.ReadInto(ppa.zone, ppa.off, 1, ch.oldParity[r], false, ch.onOldParity[r])
 	}
 	return true
 }
@@ -370,7 +375,7 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 // writeData issues the in-place rewrite of the chunk's data slot.
 func (ch *chunkRec) writeData() {
 	c := ch.c
-	ch.zs.ds.submitChunk(ch.zs, schedOp{
+	ch.zs.ds.submitChunk(ch.zs, &schedOp{
 		off: ch.e.off, inplace: true, reserved: true, data: ch.payload, own: ch.own,
 		oob: c.encodeOOB(oobKindData, ch.lbn, ch.e.sn, ch.seq, ch.idx), tag: ch.tag,
 		done: ch,
@@ -383,7 +388,7 @@ func (ch *chunkRec) writeParity(r int, parityData []byte) {
 	ppa := ch.se.parity[r]
 	pds := c.devs[ppa.dev]
 	c.parityBytes += uint64(c.blockSize)
-	pds.submitChunk(pds.zones[ppa.zone], schedOp{
+	pds.submitChunk(pds.zones[ppa.zone], &schedOp{
 		off: ppa.off, inplace: true, reserved: true, data: parityData,
 		ownData: parityData != nil,
 		oob:     c.encodeOOB(oobKindParity, int64(r), ch.e.sn, ch.seq, r), tag: zns.TagParity,
@@ -392,8 +397,8 @@ func (ch *chunkRec) writeParity(r int, parityData []byte) {
 }
 
 // oldRead collects one read of the payload read-modify-write: the old data
-// chunk (r < 0) or old parity row r. The last one folds the deltas and
-// issues the writes.
+// chunk (r < 0) or old parity row r, gathered into ch.oldData and
+// ch.oldParity[r]. The last one folds the deltas and issues the writes.
 func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 	if !ch.live {
 		panic("core: chunk record used after put")
@@ -409,11 +414,6 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 			ch.readErr = res.Err
 		}
 	}
-	if r < 0 {
-		ch.oldData = res.Data
-	} else {
-		ch.oldParity[r] = res.Data
-	}
 	ch.reads--
 	if ch.reads > 0 {
 		return
@@ -426,9 +426,9 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 		// folding unknown deltas would corrupt the surviving parity.
 		// Unwind the in-place attempt and re-home the chunk through
 		// the append path instead.
-		c.pool.Donate(oldData)
+		c.pool.Free(oldData)
 		for r := 0; r < m; r++ {
-			c.pool.Donate(oldParity[r])
+			c.pool.Free(oldParity[r])
 		}
 		c.putVec(oldParity)
 		c.unpin(ch.e.loc())
@@ -449,7 +449,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 	delta := c.pool.Alloc(c.blockSize)
 	if oldData != nil {
 		erasure.XOR(delta, oldData, ch.payload)
-		c.pool.Donate(oldData)
+		c.pool.Free(oldData)
 	} else {
 		copy(delta, ch.payload)
 	}
@@ -458,7 +458,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 		if oldParity[r] != nil {
 			np = c.pool.Alloc(c.blockSize)
 			c.coder.DeltaRow(r, ch.idx, delta, oldParity[r], np)
-			c.pool.Donate(oldParity[r])
+			c.pool.Free(oldParity[r])
 		} else {
 			np = c.pool.AllocZero(c.blockSize)
 			erasure.MulXor(c.coder.Coeff(r, ch.idx), delta, np)
@@ -544,7 +544,7 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	seq := c.seq
 	ch.se = se
 	ch.pending = 2 // the data write and the stripe's parity generation
-	ds.submitChunk(zs, schedOp{
+	ds.submitChunk(zs, &schedOp{
 		off: off, data: ch.payload, own: ch.own,
 		oob: c.encodeOOB(oobKindData, lbn, sn, seq, st.count), tag: ch.tag,
 		done: ch,
@@ -629,7 +629,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		inWindow := pzs != nil && !pzs.sealedF && pzs.rmapSN[ppa.off] == st.sn &&
 			ppa.off >= pzs.devWP(c.zrwaBlocks)
 		if inWindow {
-			pds.submitChunk(pzs, schedOp{
+			pds.submitChunk(pzs, &schedOp{
 				off: ppa.off, inplace: wasWritten, data: parityData,
 				ownData: parityData != nil,
 				oob:     c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
@@ -652,7 +652,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		se.parity[r] = pa{dev: ppa.dev, zone: nzs.id, off: noff}
 		nzs.rmapSN[noff] = st.sn
 		nzs.valid++
-		pds.submitChunk(nzs, schedOp{
+		pds.submitChunk(nzs, &schedOp{
 			off: noff, data: parityData, ownData: parityData != nil,
 			oob: c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
 			done: st,

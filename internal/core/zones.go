@@ -62,8 +62,8 @@ type schedOp struct {
 	reserved bool
 	data     []byte
 	// ownData marks raw payloads drawn from the core's pool (parity
-	// accumulator copies/moves); the dispatch completion recycles them.
-	// GC reads stay caller-owned.
+	// accumulator copies/moves); the dispatch completion recycles them. A
+	// GC migration's payload belongs to its chunk record instead.
 	ownData bool
 	// own carries one reference to a refcounted user payload (WriteBuf);
 	// data is a view into it. Dispatch hands the device a fresh reference
@@ -153,9 +153,10 @@ func (zs *zoneState) devWP(zrwa int64) int64 {
 // devState manages one member device: zone groups per class, the free
 // pool, the guess-and-verify channel map, and BUSY-channel bookkeeping.
 type devState struct {
-	c  *Core
-	id int
-	q  *nvme.Queue
+	c         *Core
+	id        int
+	q         *nvme.Queue
+	storeData bool // the device retains payloads (zns.Config.StoreData)
 
 	zones  []*zoneState // by zone id; nil for zones in the free pool
 	groups [numClasses][]*zoneState
@@ -191,6 +192,7 @@ func emptyDevState(c *Core, id int, q *nvme.Queue) *devState {
 		votes:     make([]map[int]int, cfg.NumZones),
 		busy:      make([]int, cfg.NumChannels),
 		busyConf:  make([]bool, cfg.NumChannels),
+		storeData: cfg.StoreData,
 	}
 	for z := 0; z < cfg.NumZones; z++ {
 		ds.guessed[z] = z % cfg.NumChannels // round-robin guess (§4.3)
@@ -382,8 +384,9 @@ func (ds *devState) alloc(class Class) (*zoneState, int64, error) {
 // scheduler: appends beyond the window wait for completions to slide it;
 // in-place updates (already inside the device window) dispatch directly
 // and pin the window so it cannot slide past them while in flight.
-// Contiguous appends stage into one multi-block device command.
-func (ds *devState) submitChunk(zs *zoneState, op schedOp) {
+// Contiguous appends stage into one multi-block device command. op is
+// copied once, into the batch that carries it; the pointer is not kept.
+func (ds *devState) submitChunk(zs *zoneState, op *schedOp) {
 	ds.c.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
 	if op.inplace {
 		if !op.reserved {
@@ -400,13 +403,13 @@ func (ds *devState) submitChunk(zs *zoneState, op schedOp) {
 		maxBatch = 1
 	}
 	if zs.stage != nil && zs.stage.end() == op.off && int64(len(zs.stage.ops)) < maxBatch {
-		zs.stage.ops = append(zs.stage.ops, op)
+		zs.stage.ops = append(zs.stage.ops, *op)
 		return
 	}
 	ds.flushStage(zs)
 	b := ds.c.getBatch()
 	b.off = op.off
-	b.ops = append(b.ops, op)
+	b.ops = append(b.ops, *op)
 	zs.stage = b
 	if !zs.stagePending {
 		zs.stagePending = true
@@ -444,13 +447,13 @@ func (ds *devState) canAppend(zs *zoneState, off int64) bool {
 		(zs.ipPins == 0 || off < zs.ipMin+ds.c.zrwaBlocks)
 }
 
-func (ds *devState) dispatchInPlace(zs *zoneState, op schedOp) {
+func (ds *devState) dispatchInPlace(zs *zoneState, op *schedOp) {
 	// In-place updates deliberately ignore BUSY tags (§4.3: the ZRWA
 	// buffer is separate from the flash channels), so they are not scored.
 	zs.inflight++
 	b := ds.c.getBatch()
 	b.zs, b.off, b.inplace = zs, op.off, true
-	b.ops = append(b.ops, op)
+	b.ops = append(b.ops, *op)
 	if op.oob != nil {
 		b.oob = append(b.oob, op.oob)
 	}

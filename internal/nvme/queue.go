@@ -136,8 +136,9 @@ type qop struct {
 	z       int
 	lba     int64
 	nblocks int
-	data    []byte
+	data    []byte // write payload, or the read destination
 	oob     [][]byte
+	withOOB bool     // read: copy OOB records too
 	own     *buf.Buf // transferred reference pinning data (WriteOwned)
 	tag     zns.WriteTag
 	span    obs.SpanID
@@ -180,7 +181,7 @@ func (q *Queue) getOp() *qop {
 func (q *Queue) putOp(op *qop) {
 	buf.Release(op.own)
 	op.data, op.oob, op.own = nil, nil, nil
-	op.attempt, op.delayed = 0, false
+	op.attempt, op.delayed, op.withOOB = 0, false, false
 	op.wdone, op.rdone, op.adone, op.edone = nil, nil, nil, nil
 	q.opFree = append(q.opFree, op)
 }
@@ -273,7 +274,7 @@ func (op *qop) Fire(_, _ sim.Time) {
 			q.dev.Write(op.z, op.lba, op.nblocks, op.data, op.oob, op.tag, op.wfwd)
 		}
 	case opRead:
-		q.dev.Read(op.z, op.lba, op.nblocks, op.rfwd)
+		q.dev.ReadInto(op.z, op.lba, op.nblocks, op.data, op.withOOB, op.rfwd)
 	case opAppend:
 		q.dev.Append(op.z, op.nblocks, op.data, op.oob, op.tag, op.afwd)
 	case opReset:
@@ -461,11 +462,14 @@ func (q *Queue) WriteOwned(z int, lba int64, nblocks int, data []byte, oob [][]b
 	q.eng.AtEvent(op.at, op, 0, 0)
 }
 
-// Read submits a zone read through the driver stack.
-func (q *Queue) Read(z int, lba int64, nblocks int, done func(zns.ReadResult)) {
+// ReadInto submits a zone read through the driver stack; dst and withOOB
+// are the device's (zns.Device.ReadInto). dst stays the caller's: it comes
+// back as the result's Data, and a command that vanishes with a killed
+// queue simply never touches it.
+func (q *Queue) ReadInto(z int, lba int64, nblocks int, dst []byte, withOOB bool, done func(zns.ReadResult)) {
 	op := q.getOp()
 	op.kind, op.z, op.lba, op.nblocks = opRead, z, lba, nblocks
-	op.rdone = done
+	op.data, op.withOOB, op.rdone = dst, withOOB, done
 	op.start = q.eng.Now()
 	op.at = q.deliverAt(z, false)
 	if q.tr != nil {

@@ -115,7 +115,7 @@ func TestReadThroughQueue(t *testing.T) {
 		t.Fatal("write failed")
 	}
 	var got []byte
-	q.Read(0, 0, 1, func(r zns.ReadResult) { got = r.Data })
+	q.ReadInto(0, 0, 1, nil, false, func(r zns.ReadResult) { got = r.Data })
 	eng.Run()
 	if len(got) != 4096 || got[0] != 0xab {
 		t.Fatal("read through queue returned wrong data")
@@ -310,7 +310,7 @@ func TestRetriesDisabledReadAndReset(t *testing.T) {
 		fault.TransientErrors(0, fault.AnyOp, 1),
 	}}, 12))
 	var rerr, eerr error
-	q.Read(0, 0, 1, func(r zns.ReadResult) { rerr = r.Err })
+	q.ReadInto(0, 0, 1, nil, false, func(r zns.ReadResult) { rerr = r.Err })
 	q.Reset(0, func(err error) { eerr = err })
 	eng.Run()
 	if !errors.Is(rerr, storerr.ErrTransient) {
@@ -367,7 +367,7 @@ func TestInjectedDeathCompletesWithErrors(t *testing.T) {
 			}
 		})
 	}
-	q.Read(0, 0, 1, func(r zns.ReadResult) {
+	q.ReadInto(0, 0, 1, nil, false, func(r zns.ReadResult) {
 		completions++
 		if errors.Is(r.Err, storerr.ErrDeviceDead) {
 			deadErrs++

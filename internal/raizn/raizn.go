@@ -443,7 +443,7 @@ func (a *Array) Read(z int, lba int64, nblocks int, done func(zns.ReadResult)) {
 	outstanding = len(runs)
 	for _, r := range runs {
 		r := r
-		a.queues[r.dev].Read(pz, r.off, len(r.bufIdx), func(res zns.ReadResult) {
+		a.queues[r.dev].ReadInto(pz, r.off, len(r.bufIdx), nil, false, func(res zns.ReadResult) {
 			if res.Data != nil {
 				for j, idx := range r.bufIdx {
 					copy(buf[idx*bs:(idx+1)*bs], res.Data[int64(j)*bs:(int64(j)+1)*bs])

@@ -10,9 +10,9 @@
 // hand-rolled 4-ary min-heap (no container/heap interface boxing, no
 // per-event allocation inside the engine), and hot schedulers can avoid
 // caller-side closure allocation entirely by scheduling a pooled record
-// through the Handler interface (AtEvent/AfterEvent) or a pre-stored
-// two-argument callback (atTimed, used by Resource). See DESIGN.md,
-// "Event core".
+// through the Handler interface (AtEvent/AfterEvent). Plain callbacks
+// travel as Handlers too (fnHandler, timedHandler). See DESIGN.md, "Event
+// core".
 package sim
 
 import (
@@ -41,14 +41,23 @@ type Handler interface {
 	Fire(a, b Time)
 }
 
-// event is one scheduled callback, stored by value in the heap. Exactly
-// one of fn, tfn, h is set.
+// fnHandler and timedHandler carry a plain callback as a Handler. Func
+// values are pointer-shaped, so the conversion to the interface stores the
+// value itself and does not allocate.
+type fnHandler func()
+
+func (f fnHandler) Fire(_, _ Time) { f() }
+
+type timedHandler func(a, b Time)
+
+func (f timedHandler) Fire(a, b Time) { f(a, b) }
+
+// event is one scheduled callback, stored by value in the heap: six words,
+// two of them the handler.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among events with equal timestamps
-	a, b Time   // arguments for tfn / h
-	fn   func()
-	tfn  func(a, b Time)
+	a, b Time   // arguments for h.Fire
 	h    Handler
 }
 
@@ -96,10 +105,10 @@ func (e *Engine) advanceTo(t Time) {
 // Pending reports the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// push inserts ev, maintaining the 4-ary heap invariant. An event is nine
-// words, three of them pointers, so both sifts move a hole instead of
-// swapping: the moving event stays in a local, parents (or children) slide
-// into the hole, and it is stored once where the hole ends up.
+// push inserts ev, maintaining the 4-ary heap invariant. An event is six
+// words, so both sifts move a hole instead of swapping: the moving event
+// stays in a local, parents (or children) slide into the hole, and it is
+// stored once where the hole ends up.
 func (e *Engine) push(ev event) {
 	e.events = append(e.events, event{})
 	h := e.events
@@ -121,7 +130,7 @@ func (e *Engine) pop() event {
 	root := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // drop fn/h references so fired events don't pin memory
+	h[n] = event{} // drop the handler so fired events don't pin memory
 	e.events = h[:n]
 	if n > 0 {
 		e.siftDown(last)
@@ -172,7 +181,7 @@ func (e *Engine) schedule(t Time, ev event) {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would mean causality is broken somewhere in the simulation.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, event{fn: fn}) }
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, event{h: fnHandler(fn)}) }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
@@ -189,20 +198,11 @@ func (e *Engine) AfterEvent(d Time, h Handler, a, b Time) { e.AtEvent(e.now+d, h
 // atTimed schedules fn(a, b) at absolute time t without a wrapper closure
 // (package-internal: Resource completions).
 func (e *Engine) atTimed(t Time, fn func(a, b Time), a, b Time) {
-	e.schedule(t, event{tfn: fn, a: a, b: b})
+	e.schedule(t, event{h: timedHandler(fn), a: a, b: b})
 }
 
 // fire dispatches one popped event.
-func (ev *event) fire() {
-	switch {
-	case ev.fn != nil:
-		ev.fn()
-	case ev.tfn != nil:
-		ev.tfn(ev.a, ev.b)
-	case ev.h != nil:
-		ev.h.Fire(ev.a, ev.b)
-	}
-}
+func (ev *event) fire() { ev.h.Fire(ev.a, ev.b) }
 
 // consumeStop reports whether a stop request is pending, clearing it. Each
 // Stop halts exactly one Run/RunUntil.

@@ -446,11 +446,12 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	}
 	remaining = len(fetches)
 	for _, f := range fetches {
-		f := f
-		a.devs[f.p.dev].q.Read(f.p.zone, f.p.off, 1, func(r zns.ReadResult) {
-			if r.Data != nil {
-				copy(out[f.idx*bs:(f.idx+1)*bs], r.Data)
-			}
+		// Each block is gathered straight into its place in the result.
+		var dst []byte
+		if out != nil {
+			dst = out[f.idx*bs : (f.idx+1)*bs]
+		}
+		a.devs[f.p.dev].q.ReadInto(f.p.zone, f.p.off, 1, dst, false, func(r zns.ReadResult) {
 			finish(r.Err)
 		})
 	}
@@ -555,12 +556,24 @@ func (a *Array) gcStep(ds *devState) {
 			devIdx = i
 		}
 	}
+	stores := a.StoresData()
 	for _, off := range live {
 		off := off
 		lbn := zs.rmap[off]
-		ds.q.Read(victim, off, 1, func(r zns.ReadResult) {
+		// The chunk travels in pool scratch, back once its append has
+		// completed (the device has copied it by then).
+		var dst []byte
+		if stores {
+			dst = a.pool.Alloc(a.blockSize)
+		}
+		ds.q.ReadInto(victim, off, 1, dst, false, func(r zns.ReadResult) {
+			data := dst
+			if r.Err != nil {
+				data = nil // a failed read migrates, as it always has, without content
+			}
 			cur, ok := a.bmt[lbn]
 			if !ok || cur != (pa{dev: devIdx, zone: victim, off: off}) {
+				a.pool.Free(dst)
 				remaining--
 				if remaining == 0 {
 					finish()
@@ -568,7 +581,8 @@ func (a *Array) gcStep(ds *devState) {
 				return
 			}
 			a.gcMigrated += uint64(a.blockSize)
-			a.writeChunk(lbn, r.Data, zns.TagGCData, true, func(error) {
+			a.writeChunk(lbn, data, zns.TagGCData, true, func(error) {
+				a.pool.Free(dst)
 				remaining--
 				if remaining == 0 {
 					finish()

@@ -91,11 +91,11 @@ type AppendResult struct {
 	Latency sim.Time
 }
 
-// ReadResult is the completion of a Read.
+// ReadResult is the completion of a read.
 type ReadResult struct {
 	Err     error
-	Data    []byte   // nil unless Config.StoreData
-	OOB     [][]byte // per-block OOB records, nil entries for never-written
+	Data    []byte   // the destination, filled; nil unless Config.StoreData
+	OOB     [][]byte // per-block OOB records when asked for, nil entries for never-written
 	Latency sim.Time
 }
 
@@ -126,7 +126,9 @@ func (f FlashStats) ProgrammedByTag(t WriteTag) uint64 { return f.ProgrammedByte
 // flush) and drops unacknowledged ones. When own is non-nil, data is a
 // borrowed view into the caller's refcounted buffer (one reference held
 // per block) instead of a device-side copy — the zero-copy form of the
-// defensive payload copy.
+// defensive payload copy. Either way the block only lends its bytes: the
+// flash store copies them out (persist), and the scratch or the reference
+// goes back where it came from when the block retires (putBufBlock).
 type bufBlock struct {
 	data      []byte
 	oob       []byte
@@ -151,12 +153,33 @@ type zone struct {
 	// [wp, wp+ZRWABlocks) — the ZRWA path admits no write outside it and a
 	// commit takes every dirty block below the new wp — and committed ones
 	// below wp, wherever a caller driving the device directly put them.
-	buffered   pagetab.Table[*bufBlock]
-	credit     int64                 // free buffer slots (blocks)
-	waiters    fifo.Queue[waiter]    // writes waiting for buffer credit
-	data, oob  pagetab.Table[[]byte] // flash contents by block offset (StoreData only)
+	buffered pagetab.Table[*bufBlock]
+	credit   int64              // free buffer slots (blocks)
+	waiters  fifo.Queue[waiter] // writes waiting for buffer credit
+	// store is the flash contents (StoreData only): extent i holds blocks
+	// [i*extentBlocks, (i+1)*extentBlocks), nil until one of them is
+	// programmed. Reset hands the extents to the device's free list.
+	store      []*extent
 	eraseCount uint64
 	channel    int
+}
+
+// extentBlocks is the flash store's allocation unit. An open zone holds at
+// most one partly filled extent, so the unit bounds what the store keeps
+// beyond the bytes programmed: at 64 blocks that is under 256 KiB per open
+// zone, and a zone's extent vector is one pointer per 256 KiB. (256 blocks
+// measured +4 % live heap on the payload benchmark.)
+const extentBlocks = 64
+
+// extent is the media behind extentBlocks consecutive blocks of one zone:
+// a data slab, an OOB slab of Config.OOBBytesPerBlock per block, which
+// blocks hold data, and how long each block's OOB record is (0 = none).
+// Slab bytes outside those marks are stale and never read.
+type extent struct {
+	data    []byte
+	oob     []byte
+	hasData uint64
+	oobLen  [extentBlocks]uint16
 }
 
 type channel struct {
@@ -202,13 +225,14 @@ type Device struct {
 	wopFree []*writeOp
 	ropFree []*readOp
 	popFree []*programOp
+	eopFree []*resetOp
 	bbFree  []*bufBlock
 	runFree [][]*bufBlock
 
-	// The zones' tables share their pages: a reset zone's go to the next
-	// zone to fill.
-	bufPages   pagetab.Pool[*bufBlock]
-	flashPages pagetab.Pool[[]byte]
+	// The zones' buffer tables share their pages, and their flash stores
+	// their extents: a reset zone's go to the next zone to fill.
+	bufPages pagetab.Pool[*bufBlock]
+	extFree  []*extent
 
 	// pool recycles the write buffer's payload and OOB copies. It is the
 	// device's own, never the array's: the array pool's Stats are published
@@ -249,8 +273,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		if cfg.ShuffleFraction > 0 && rng.Float64() < cfg.ShuffleFraction {
 			ch = rng.Intn(cfg.NumChannels)
 		}
-		d.zones[i] = &zone{idx: i, channel: ch, buffered: d.bufPages.Table(),
-			data: d.flashPages.Table(), oob: d.flashPages.Table()}
+		d.zones[i] = &zone{idx: i, channel: ch, buffered: d.bufPages.Table()}
 	}
 	return d, nil
 }
@@ -552,17 +575,25 @@ func (d *Device) Reset(z int, done func(error)) {
 	zn.written = 0
 	// Recycle the dirty buffer blocks the erase discards. Committed blocks
 	// stay out: their in-flight programOps still reference them and will
-	// recycle them at retirement — recycling here would double-free.
-	zn.buffered.Range(func(_ int64, bb *bufBlock) bool {
+	// recycle them at retirement — recycling here would double-free. The
+	// entries go one by one, so the emptied pages return to the device's
+	// pool while the zone keeps its directory, as it keeps its extent
+	// vector below, for the refill.
+	zn.buffered.Range(func(b int64, bb *bufBlock) bool {
 		if !bb.committed {
 			d.putBufBlock(bb)
 		}
+		zn.buffered.Delete(b)
 		return true
 	})
-	zn.buffered.Clear()
 	zn.credit = 0
-	zn.data.Clear()
-	zn.oob.Clear()
+	for i, x := range zn.store {
+		if x != nil {
+			d.extFree = append(d.extFree, x)
+			zn.store[i] = nil
+		}
+	}
+	zn.store = zn.store[:0]
 	zn.eraseCount++
 	d.stats.Erases++
 	d.traceState(zn, prev, ZoneEmpty)
@@ -572,17 +603,11 @@ func (d *Device) Reset(z int, done func(error)) {
 			int64(zn.eraseCount), 0, 0)
 	}
 	// Erase busies every die on the channel.
+	op := d.getResetOp()
+	op.zn, op.remaining, op.done = zn, d.cfg.DiesPerChannel, done
 	ch := d.chans[zn.channel]
-	chIdx := zn.channel
-	remaining := d.cfg.DiesPerChannel
 	for i := 0; i < d.cfg.DiesPerChannel; i++ {
-		ch.dies.Submit(d.cfg.ResetLatency, func(s, e sim.Time) {
-			d.tr.Segment(int64(s), int64(e), obs.LayerZNS, obs.SegErase, d.trDev, zn.idx, chIdx, 0)
-			remaining--
-			if remaining == 0 && done != nil {
-				done(nil)
-			}
-		})
+		ch.dies.SubmitEvent(d.cfg.ResetLatency, op)
 	}
 }
 
@@ -655,6 +680,7 @@ func (d *Device) commitRange(zn *zone, upTo int64, reason uint8) {
 func (d *Device) program(zn *zone, start int64, blocks []*bufBlock) {
 	op := d.getProgramOp()
 	op.zn, op.start, op.blocks, op.stage = zn, start, blocks, pBus
+	op.erase = zn.eraseCount
 	size := int64(len(blocks)) * int64(d.cfg.BlockSize)
 	d.chans[zn.channel].writeBus.SubmitEvent(size*sim.Second/d.cfg.ChannelWriteBW, op)
 }
@@ -743,6 +769,14 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	if data != nil && int64(len(data)) != n*int64(d.cfg.BlockSize) {
 		op.fail(fmt.Errorf("zns: data length %d for %d blocks", len(data), nblocks))
 		return
+	}
+	if d.cfg.StoreData {
+		for _, rec := range oob {
+			if len(rec) > d.cfg.OOBBytesPerBlock {
+				op.fail(fmt.Errorf("zns: OOB record of %d bytes, %d per block", len(rec), d.cfg.OOBBytesPerBlock))
+				return
+			}
+		}
 	}
 	// Implicit open on first write to an empty/closed zone.
 	if zn.state == ZoneEmpty || zn.state == ZoneClosed {
@@ -838,37 +872,84 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
 }
 
-func (d *Device) storeDirect(zn *zone, lba int64, nblocks int, data []byte, oob [][]byte) {
-	bs := int64(d.cfg.BlockSize)
-	for i := int64(0); i < int64(nblocks); i++ {
-		b := lba + i
-		if data != nil {
-			zn.data.Set(b, append([]byte(nil), data[i*bs:(i+1)*bs]...))
-		}
-		if oob != nil && int(i) < len(oob) && oob[i] != nil {
-			zn.oob.Set(b, append([]byte(nil), oob[i]...))
-		}
+// storeBlock programs block b of zn into the flash store (StoreData only):
+// one copy per part into the block's slot of its extent, taken from the
+// device's free list when the extent is first touched. A nil part leaves
+// what the slot holds.
+func (d *Device) storeBlock(zn *zone, b int64, data, oob []byte) {
+	if data == nil && len(oob) == 0 {
+		return
+	}
+	i, s := int(b/extentBlocks), int(b%extentBlocks)
+	for i >= len(zn.store) {
+		zn.store = append(zn.store, nil)
+	}
+	x := zn.store[i]
+	if x == nil {
+		x = d.getExtent()
+		zn.store[i] = x
+	}
+	if data != nil {
+		copy(x.data[s*d.cfg.BlockSize:(s+1)*d.cfg.BlockSize], data)
+		x.hasData |= 1 << s
+	}
+	if len(oob) > 0 {
+		x.oobLen[s] = uint16(copy(x.oob[s*d.cfg.OOBBytesPerBlock:(s+1)*d.cfg.OOBBytesPerBlock], oob))
 	}
 }
 
-// persist moves a buffered block's contents to the flash store (StoreData
-// only): scratch buffers change owner, borrowed views are copied out
-// before their reference drops.
-func (d *Device) persist(zn *zone, b int64, bb *bufBlock) {
-	if !d.cfg.StoreData {
-		return
+// stored returns what the flash store holds at block b of zn, as views
+// into its extent: nil for a part never programmed.
+func (d *Device) stored(zn *zone, b int64) (data, oob []byte) {
+	i, s := int(b/extentBlocks), int(b%extentBlocks)
+	if i >= len(zn.store) || zn.store[i] == nil {
+		return nil, nil
 	}
-	if bb.data != nil {
-		if bb.own != nil {
-			zn.data.Set(b, append([]byte(nil), bb.data...))
-		} else {
-			zn.data.Set(b, bb.data)
-			bb.data = nil
+	x := zn.store[i]
+	if x.hasData&(1<<s) != 0 {
+		data = x.data[s*d.cfg.BlockSize : (s+1)*d.cfg.BlockSize]
+	}
+	if n := int(x.oobLen[s]); n > 0 {
+		oob = x.oob[s*d.cfg.OOBBytesPerBlock:][:n]
+	}
+	return data, oob
+}
+
+// getExtent takes an extent off the free list, or allocates one: both
+// slabs in one allocation.
+func (d *Device) getExtent() *extent {
+	if n := len(d.extFree); n > 0 {
+		x := d.extFree[n-1]
+		d.extFree[n-1] = nil
+		d.extFree = d.extFree[:n-1]
+		x.hasData, x.oobLen = 0, [extentBlocks]uint16{}
+		return x
+	}
+	nd := extentBlocks * d.cfg.BlockSize
+	mem := make([]byte, nd+extentBlocks*d.cfg.OOBBytesPerBlock)
+	return &extent{data: mem[:nd:nd], oob: mem[nd:]}
+}
+
+func (d *Device) storeDirect(zn *zone, lba int64, nblocks int, data []byte, oob [][]byte) {
+	bs := int64(d.cfg.BlockSize)
+	for i := int64(0); i < int64(nblocks); i++ {
+		var blk, rec []byte
+		if data != nil {
+			blk = data[i*bs : (i+1)*bs]
 		}
+		if int(i) < len(oob) {
+			rec = oob[i]
+		}
+		d.storeBlock(zn, lba+i, blk, rec)
 	}
-	if bb.oob != nil {
-		zn.oob.Set(b, bb.oob)
-		bb.oob = nil
+}
+
+// persist copies a buffered block's contents to the flash store (StoreData
+// only). The block keeps its scratch or its borrowed view; putBufBlock
+// returns them.
+func (d *Device) persist(zn *zone, b int64, bb *bufBlock) {
+	if d.cfg.StoreData {
+		d.storeBlock(zn, b, bb.data, bb.oob)
 	}
 }
 
@@ -900,11 +981,23 @@ func (d *Device) Append(z int, nblocks int, data []byte, oob [][]byte, tag Write
 	d.write(z, zn.wp, nblocks, data, oob, tag, nil, span, hinted, nil, done)
 }
 
-// Read submits an async read of nblocks starting at block lba of zone z.
-// Blocks resident in the ZRWA buffer are served from DRAM; anything else
+// Read is ReadInto with a destination the device allocates and no OOB.
+func (d *Device) Read(z int, lba int64, nblocks int, done func(ReadResult)) {
+	d.ReadInto(z, lba, nblocks, nil, false, done)
+}
+
+// ReadInto submits an async read of nblocks starting at block lba of zone
+// z. Blocks resident in the ZRWA buffer are served from DRAM; anything else
 // takes the flash path through the zone's channel (and therefore contends
 // with GC traffic on that channel).
-func (d *Device) Read(z int, lba int64, nblocks int, done func(ReadResult)) {
+//
+// With Config.StoreData the payload is gathered into dst at completion and
+// returned as ReadResult.Data; dst must hold nblocks*BlockSize bytes and
+// stays the caller's (nil: the device allocates it). withOOB additionally
+// copies each block's OOB record into ReadResult.OOB — the zone scan of
+// crash recovery is the one reader that wants them. Without StoreData
+// neither is touched.
+func (d *Device) ReadInto(z int, lba int64, nblocks int, dst []byte, withOOB bool, done func(ReadResult)) {
 	op := d.getReadOp()
 	op.start = d.eng.Now()
 	span, hinted := d.takeHint()
@@ -921,6 +1014,19 @@ func (d *Device) Read(z int, lba int64, nblocks int, done func(ReadResult)) {
 	if nblocks <= 0 || lba < 0 || lba+n > d.cfg.ZoneBlocks {
 		op.fail(ErrBadRange)
 		return
+	}
+	if d.cfg.StoreData {
+		if dst == nil {
+			dst = make([]byte, n*int64(d.cfg.BlockSize))
+		} else if int64(len(dst)) != n*int64(d.cfg.BlockSize) {
+			op.fail(fmt.Errorf("zns: read destination of %d bytes for %d blocks", len(dst), nblocks))
+			return
+		}
+		op.dst = dst
+		if withOOB {
+			op.oob = make([][]byte, n)
+			op.oobMem = make([]byte, n*int64(d.cfg.OOBBytesPerBlock))
+		}
 	}
 	op.size = n * int64(d.cfg.BlockSize)
 	d.stats.ReadBytes += uint64(op.size)

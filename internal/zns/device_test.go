@@ -68,10 +68,11 @@ func writeSync(eng *sim.Engine, d *Device, z int, lba int64, n int, data []byte,
 	return res
 }
 
+// readSync drives a read, OOB records included, to completion.
 func readSync(eng *sim.Engine, d *Device, z int, lba int64, n int) ReadResult {
 	var res ReadResult
 	got := false
-	d.Read(z, lba, n, func(r ReadResult) { res = r; got = true })
+	d.ReadInto(z, lba, n, nil, true, func(r ReadResult) { res = r; got = true })
 	runChecked(eng, d)
 	if !got {
 		panic("read never completed")
@@ -1041,7 +1042,7 @@ func TestOpenReportChannelExposure(t *testing.T) {
 // their flash programs retire.
 func TestZRWAOverwriteAllocFree(t *testing.T) {
 	cfg := TestConfig()
-	cfg.StoreData = false // retired programs recycle their scratch instead of handing it to the flash store
+	cfg.StoreData = false // performance mode; TestStoreDataRefillAllocFree is the same gate with the flash store on
 	cfg.ZoneBlocks = 1024 * cfg.ZRWABlocks
 	eng := sim.NewEngine()
 	d, err := New(eng, cfg)

@@ -169,7 +169,12 @@ type readOp struct {
 	start    sim.Time
 	err      error
 	stage    uint8
-	done     func(ReadResult)
+	// StoreData only: where gather puts the payload, and (recovery's zone
+	// scan) the OOB vector with the slab its records are carved from.
+	dst    []byte
+	oob    [][]byte
+	oobMem []byte
+	done   func(ReadResult)
 }
 
 func (d *Device) getReadOp() *readOp {
@@ -210,17 +215,16 @@ func (op *readOp) complete(res ReadResult) {
 	}
 }
 
-// gather assembles the read payload at completion time (StoreData only):
-// buffered blocks win over flash contents, matching what a real device
-// would return from its write buffer.
+// gather assembles the read payload in the destination at completion time
+// (StoreData only): buffered blocks win over flash contents, matching what
+// a real device would return from its write buffer, and a block never
+// written reads as zeros.
 func (op *readOp) gather() ReadResult {
 	d, zn := op.d, op.zn
-	if !d.cfg.StoreData {
+	if op.dst == nil {
 		return ReadResult{}
 	}
-	data := make([]byte, op.size)
-	oob := make([][]byte, op.n)
-	bs := int64(d.cfg.BlockSize)
+	bs, ob := int64(d.cfg.BlockSize), int64(d.cfg.OOBBytesPerBlock)
 	for i := int64(0); i < op.n; i++ {
 		b := op.lba + i
 		var src, so []byte
@@ -228,16 +232,20 @@ func (op *readOp) gather() ReadResult {
 			src, so = bb.data, bb.oob
 		}
 		if src == nil {
-			src, so = zn.data.Get(b), zn.oob.Get(b)
+			src, so = d.stored(zn, b)
 		}
-		if src != nil {
-			copy(data[i*bs:(i+1)*bs], src)
+		if blk := op.dst[i*bs : (i+1)*bs]; src != nil {
+			copy(blk, src)
+		} else {
+			clear(blk)
 		}
-		if so != nil {
-			oob[i] = append([]byte(nil), so...)
+		if op.oob != nil && len(so) > 0 {
+			rec := op.oobMem[i*ob:][:len(so)]
+			copy(rec, so)
+			op.oob[i] = rec
 		}
 	}
-	return ReadResult{Data: data, OOB: oob}
+	return ReadResult{Data: op.dst, OOB: op.oob}
 }
 
 func (op *readOp) Fire(s, e sim.Time) {
@@ -288,6 +296,7 @@ type programOp struct {
 	zn     *zone
 	start  int64
 	epoch  uint64 // device power epoch at submission
+	erase  uint64 // the zone's erase count at submission
 	blocks []*bufBlock
 	stage  uint8
 }
@@ -327,6 +336,11 @@ func (op *programOp) Fire(s, e sim.Time) {
 		ch.dies.SubmitEvent(dieTime, op)
 	case pDie:
 		d.tr.Segment(int64(s), int64(e), obs.LayerZNS, obs.SegProgramDie, d.trDev, zn.idx, chIdx, nblk)
+		// The zone was reset while the program was in flight: its blocks
+		// belong to the erased tenant and must not land in the store of the
+		// next one. Only the contents are dropped; the program still took
+		// its time, counts as programmed and releases its buffer slots.
+		stale := op.erase != zn.eraseCount
 		for i, bb := range op.blocks {
 			b := op.start + int64(i)
 			// Whatever committed block the buffer holds at b leaves it, as
@@ -335,7 +349,9 @@ func (op *programOp) Fire(s, e sim.Time) {
 			if cur := zn.buffered.Get(b); cur != nil && cur.committed {
 				zn.buffered.Delete(b)
 			}
-			d.persist(zn, b, bb)
+			if !stale {
+				d.persist(zn, b, bb)
+			}
 			d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
 			d.putBufBlock(bb)
 			op.blocks[i] = nil
@@ -349,10 +365,43 @@ func (op *programOp) Fire(s, e sim.Time) {
 	}
 }
 
+// resetOp is one zone erase: every die of the zone's channel fires it once
+// (the erase is not cut short by a power loss), the last one completes the
+// command.
+type resetOp struct {
+	d         *Device
+	zn        *zone
+	remaining int
+	done      func(error)
+}
+
+func (d *Device) getResetOp() *resetOp {
+	if n := len(d.eopFree); n > 0 {
+		op := d.eopFree[n-1]
+		d.eopFree = d.eopFree[:n-1]
+		return op
+	}
+	return &resetOp{d: d}
+}
+
+func (op *resetOp) Fire(s, e sim.Time) {
+	d, zn := op.d, op.zn
+	d.tr.Segment(int64(s), int64(e), obs.LayerZNS, obs.SegErase, d.trDev, zn.idx, zn.channel, 0)
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	done := op.done
+	*op = resetOp{d: d}
+	d.eopFree = append(d.eopFree, op)
+	if done != nil {
+		done(nil)
+	}
+}
+
 // Write-buffer blocks. Their data and OOB copies are scratch from the
-// device's private pool, recycled when the flash program retires
-// (StoreData hands them over to the flash store instead, so only the
-// record recycles).
+// device's private pool, recycled when the flash program retires (with
+// StoreData the program first copies them into the flash store).
 
 func (d *Device) getBufBlock() *bufBlock {
 	if n := len(d.bbFree); n > 0 {

@@ -1,0 +1,388 @@
+package zns
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"biza/internal/buf"
+	"biza/internal/sim"
+)
+
+// extentsInUse counts the flash-store extents the zones hold.
+func extentsInUse(d *Device) int {
+	n := 0
+	for _, zn := range d.zones {
+		for _, x := range zn.store {
+			if x != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestProgramRetiringAfterResetDoesNotPersist: a flash program still in
+// flight when its zone is reset belongs to the erased tenant. It must keep
+// its timing and its counters, and leave the refilled zone's store alone.
+func TestProgramRetiringAfterResetDoesNotPersist(t *testing.T) {
+	eng, d := newTestDev(t)
+	bs := d.cfg.BlockSize
+	const old, refilled = 16, 4
+	fill := func(n int64, stamp byte, label string) {
+		t.Helper()
+		if err := d.Open(0, true); err != nil {
+			t.Fatal(err)
+		}
+		for b := int64(0); b < n; b++ {
+			oob := [][]byte{[]byte(fmt.Sprintf("%s %d", label, b))}
+			d.Write(0, b, 1, block(stamp+byte(b), bs), oob, TagUserData, nil)
+		}
+		// Commit at once: the programs are in flight behind this call.
+		if err := d.CommitZRWA(0, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(old, 0x10, "old")
+	d.Reset(0, nil)
+	fill(refilled, 0x80, "new")
+	runChecked(eng, d)
+
+	r := readSync(eng, d, 0, 0, old)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	for b := int64(0); b < old; b++ {
+		got, gotOOB := r.Data[int(b)*bs:int(b+1)*bs], r.OOB[b]
+		want, wantOOB := make([]byte, bs), ""
+		if b < refilled {
+			want, wantOOB = block(0x80+byte(b), bs), fmt.Sprintf("new %d", b)
+		}
+		if !bytes.Equal(got, want) || string(gotOOB) != wantOOB {
+			t.Errorf("block %d: data[0] %#x OOB %q, want data[0] %#x OOB %q", b, got[0], gotOOB, want[0], wantOOB)
+		}
+		if data, oob := d.stored(d.zones[0], b); b >= refilled && (data != nil || oob != nil) {
+			t.Errorf("block %d of the erased tenant reached the refilled zone's store", b)
+		}
+	}
+	if got, want := d.Stats().TotalProgrammed(), uint64((old+refilled)*bs); got != want {
+		t.Errorf("programmed %d bytes, want %d: the stale programs still count", got, want)
+	}
+	if d.zones[0].buffered.Len() != 0 || d.zones[0].credit != d.cfg.ZRWABlocks {
+		t.Errorf("%d blocks buffered, credit %d after every program retired", d.zones[0].buffered.Len(), d.zones[0].credit)
+	}
+}
+
+// TestFlashStoreMatchesOracle drives StoreData devices with random window
+// writes (copied and owned payloads, with and without OOB), overwrites,
+// sequential writes, commits, closes, finishes, resets, power cuts and
+// reads, and compares what every block of every zone reads as — payload
+// and OOB record — with a map-backed oracle after every step, together
+// with the buffer invariant.
+func TestFlashStoreMatchesOracle(t *testing.T) {
+	cfg := TestConfig()
+	cfg.BlockSize = 256
+	cfg.ZoneBlocks = 3*extentBlocks + 8 // a partly filled last extent
+	const zones = 3
+	type key [2]int64 // zone, block
+	type content struct {
+		data, oob []byte
+		acked     bool // a write covering the buffered block completed
+		// What a power cut hardened at this offset while it was still above
+		// the write pointer: a later rewrite shadows it from the buffer, and
+		// uncovers it again if it is dropped unacknowledged.
+		hardData, hardOOB []byte
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := sim.NewEngine()
+		d, err := New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := buf.NewPool()
+		bs := cfg.BlockSize
+		oracle := map[key]*content{}
+		put := func(z int, b int64, data, oob []byte) {
+			c := oracle[key{int64(z), b}]
+			if c == nil {
+				c = &content{}
+				oracle[key{int64(z), b}] = c
+			}
+			c.data = data
+			if oob != nil {
+				c.oob = oob
+			}
+		}
+		// verify compares a read of [lba, lba+n) of zone z with the oracle.
+		verify := func(step, z int, lba, n int64, r ReadResult, withOOB bool) {
+			t.Helper()
+			for i := int64(0); i < n; i++ {
+				want, wantOOB := make([]byte, bs), []byte(nil)
+				if c := oracle[key{int64(z), lba + i}]; c != nil {
+					want, wantOOB = c.data, c.oob
+				}
+				if got := r.Data[int(i)*bs : int(i+1)*bs]; !bytes.Equal(got, want) {
+					t.Fatalf("seed %d step %d: zone %d block %d reads data[0] %#x, want %#x", seed, step, z, lba+i, got[0], want[0])
+				}
+				if withOOB && !bytes.Equal(r.OOB[i], wantOOB) {
+					t.Fatalf("seed %d step %d: zone %d block %d reads OOB %q, want %q", seed, step, z, lba+i, r.OOB[i], wantOOB)
+				}
+			}
+		}
+		whole := readOp{d: d, n: cfg.ZoneBlocks, dst: make([]byte, int(cfg.ZoneBlocks)*bs),
+			oob: make([][]byte, cfg.ZoneBlocks), oobMem: make([]byte, int(cfg.ZoneBlocks)*cfg.OOBBytesPerBlock)}
+		check := func(step int) {
+			t.Helper()
+			checkBuffered(d)
+			for z := 0; z < zones; z++ {
+				whole.zn = d.zones[z]
+				clear(whole.oob)
+				verify(step, z, 0, cfg.ZoneBlocks, whole.gather(), true)
+			}
+		}
+		for step := 0; step < 500; step++ {
+			z := rng.Intn(zones)
+			zn := d.zones[z]
+			switch op := rng.Intn(24); {
+			case zn.state == ZoneEmpty:
+				if err := d.Open(z, rng.Intn(4) != 0); err != nil {
+					t.Fatal(err)
+				}
+			case zn.state == ZoneFull || op == 0:
+				// Programs retire first: one that outlives the reset takes the
+				// next tenant's committed block out of the buffer early (see
+				// programOp.Fire), which TestProgramRetiringAfterReset covers.
+				runChecked(eng, d)
+				d.Reset(z, nil)
+				for b := int64(0); b < cfg.ZoneBlocks; b++ {
+					delete(oracle, key{int64(z), b})
+				}
+				if len(zn.store) != 0 {
+					t.Fatalf("seed %d step %d: zone %d holds %d extents after its reset", seed, step, z, len(zn.store))
+				}
+			case op == 1:
+				d.Finish(z)
+			case op == 2:
+				d.Close(z)
+			case op == 3:
+				d.PowerLoss()
+				for k, c := range oracle {
+					switch {
+					case k[1] < d.zones[k[0]].wp: // committed: hardened as it is
+					case c.acked:
+						c.hardData, c.hardOOB, c.acked = c.data, c.oob, false
+					case c.hardData != nil: // dirty and never acknowledged: dropped
+						c.data, c.oob = c.hardData, c.hardOOB
+					default:
+						delete(oracle, k)
+					}
+				}
+			case op < 7 && zn.zrwa:
+				d.CommitZRWA(z, zn.wp+rng.Int63n(cfg.ZRWABlocks+1))
+			case op < 11:
+				lba := rng.Int63n(cfg.ZoneBlocks)
+				n := min(1+rng.Int63n(2*extentBlocks), cfg.ZoneBlocks-lba)
+				var dst []byte
+				if rng.Intn(2) == 0 {
+					dst = make([]byte, int(n)*bs)
+				}
+				withOOB := rng.Intn(2) == 0
+				d.ReadInto(z, lba, int(n), dst, withOOB, func(r ReadResult) {
+					if r.Err != nil || (dst != nil && &r.Data[0] != &dst[0]) {
+						t.Errorf("seed %d step %d: read: err %v, own destination returned %v", seed, step, r.Err, dst == nil || &r.Data[0] == &dst[0])
+						return
+					}
+					verify(step, z, lba, n, r, withOOB)
+				})
+			default:
+				n := int64(1 + rng.Intn(4))
+				lba := zn.wp // sequential zones take writes at the pointer only
+				if zn.zrwa {
+					// Up to half a window ahead of the window's end: shifts it.
+					lba += rng.Int63n(cfg.ZRWABlocks * 3 / 2)
+				}
+				if lba+n > cfg.ZoneBlocks {
+					continue
+				}
+				data := make([]byte, int(n)*bs)
+				rng.Read(data)
+				// Whether a block carries an OOB record is a property of the
+				// block, not of the write: a rewrite without one would keep
+				// the record of a copy a power cut hardened at that offset.
+				oob := make([][]byte, n)
+				for i := range oob {
+					if b := lba + int64(i); b%4 != 3 {
+						oob[i] = []byte(fmt.Sprintf("z%d b%d step%d", z, b, step))
+					}
+				}
+				apply := func() {
+					for i := int64(0); i < n; i++ {
+						put(z, lba+i, data[int(i)*bs:int(i+1)*bs], oob[i])
+					}
+				}
+				zrwa := zn.zrwa
+				done := func(r WriteResult) {
+					if r.Err != nil {
+						t.Errorf("seed %d step %d: write: %v", seed, step, r.Err)
+					}
+					if !zrwa {
+						apply() // programmed just before the completion
+					}
+					for i := int64(0); i < n; i++ {
+						oracle[key{int64(z), lba + i}].acked = true
+					}
+				}
+				if zrwa {
+					apply() // buffered at submission
+				}
+				if rng.Intn(2) == 0 {
+					own := pool.Get(len(data), 0)
+					copy(own.Bytes(), data)
+					d.WriteOwned(z, lba, int(n), own.Bytes(), oob, TagUserData, own, done)
+				} else {
+					d.Write(z, lba, int(n), data, oob, TagUserData, done)
+				}
+			}
+			check(step)
+			// Leave a random amount of work in flight behind the next step.
+			for n := rng.Intn(12); n > 0 && eng.Step(); n-- {
+				check(step)
+			}
+		}
+		runChecked(eng, d)
+		check(-1)
+		if st := d.Stats(); st.TotalProgrammed() == 0 || st.AbsorbedBytes == 0 || st.Erases == 0 {
+			t.Fatalf("seed %d exercised too little: %+v", seed, st)
+		}
+		// Resets recycle: the device never made more extents than its zones
+		// can hold at once.
+		made := extentsInUse(d) + len(d.extFree)
+		if most := zones * int((cfg.ZoneBlocks+extentBlocks-1)/extentBlocks); made > most {
+			t.Fatalf("seed %d: %d extents allocated for zones that hold %d", seed, made, most)
+		}
+		for z := 0; z < zones; z++ {
+			d.Reset(z, nil)
+		}
+		runChecked(eng, d)
+		if extentsInUse(d) != 0 || len(d.extFree) != made {
+			t.Fatalf("seed %d: %d extents in use and %d of %d free after every zone was reset", seed, extentsInUse(d), len(d.extFree), made)
+		}
+		if pool.Live() != 0 || d.pool.RawLive() != 0 {
+			t.Fatalf("seed %d: %d owned payloads and %d scratch slabs still out with nothing buffered", seed, pool.Live(), d.pool.RawLive())
+		}
+	}
+}
+
+// TestStoreDataRefillAllocFree gates the flash store's steady state: once
+// a zone has been filled and reset, refilling it with payload and OOB
+// allocates nothing — the buffer scratch comes back from the retired
+// programs, the extents from the reset — and a reset zone holds no extent.
+func TestStoreDataRefillAllocFree(t *testing.T) {
+	cfg := TestConfig()
+	eng := sim.NewEngine()
+	d, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(cfg.ZRWABlocks)
+	data := block(1, n*cfg.BlockSize)
+	oob := make([][]byte, n)
+	for i := range oob {
+		oob[i] = block(byte(i), 26)
+	}
+	var failed error
+	done := func(r WriteResult) {
+		if r.Err != nil {
+			failed = r.Err
+		}
+	}
+	inUse := 0
+	cycle := func() {
+		if err := d.Open(0, true); err != nil {
+			failed = err
+		}
+		for lba := int64(0); lba < cfg.ZoneBlocks; lba += int64(n) {
+			d.Write(0, lba, n, data, oob, TagUserData, done) // shifts the window: commits the one before
+			eng.Run()
+		}
+		if err := d.Finish(0); err != nil {
+			failed = err
+		}
+		eng.Run()
+		inUse = extentsInUse(d)
+		d.Reset(0, nil)
+		eng.Run()
+	}
+	cycle()
+	if want := int(cfg.ZoneBlocks) / extentBlocks; inUse != want {
+		t.Fatalf("a full zone holds %d extents, want %d", inUse, want)
+	}
+	allocs := testing.AllocsPerRun(20, cycle)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs != 0 {
+		t.Fatalf("refilling a reset zone allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := extentsInUse(d); got != 0 {
+		t.Fatalf("%d extents in use after the reset, want 0", got)
+	}
+}
+
+// TestReadIntoAllocFree: a read into a supplied buffer allocates nothing,
+// whether the blocks are served from the write buffer or from flash.
+func TestReadIntoAllocFree(t *testing.T) {
+	eng, d := newTestDev(t)
+	bs := d.cfg.BlockSize
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	const flash, buffered = 8, 8
+	for b := int64(0); b < flash+buffered; b++ {
+		writeSync(eng, d, 0, b, 1, block(byte(b), bs), TagUserData)
+	}
+	if err := d.CommitZRWA(0, flash); err != nil {
+		t.Fatal(err)
+	}
+	runChecked(eng, d)
+	for _, tc := range []struct {
+		name string
+		lba  int64
+	}{{"flash", 0}, {"buffered", flash}} {
+		dst := make([]byte, 4*bs)
+		var res ReadResult
+		done := func(r ReadResult) { res = r }
+		read := func() {
+			d.ReadInto(0, tc.lba, 4, dst, false, done)
+			eng.Run()
+		}
+		allocs := testing.AllocsPerRun(100, read)
+		if res.Err != nil || !bytes.Equal(res.Data[3*bs:], block(byte(tc.lba+3), bs)) || &res.Data[0] != &dst[0] {
+			t.Fatalf("%s read: err %v, wrong content or not the destination supplied", tc.name, res.Err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s read into a supplied buffer allocates %.1f objects/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestStoreRejectsWhatItCannotHold: with StoreData a write whose OOB record
+// exceeds the per-block quota and a read whose destination has the wrong
+// size fail like any other malformed command, touching nothing.
+func TestStoreRejectsWhatItCannotHold(t *testing.T) {
+	eng, d := newTestDev(t)
+	bs := d.cfg.BlockSize
+	long := [][]byte{make([]byte, d.cfg.OOBBytesPerBlock+1)}
+	var werr, rerr error
+	d.Write(0, 0, 1, block(1, bs), long, TagUserData, func(r WriteResult) { werr = r.Err })
+	d.ReadInto(0, 0, 2, make([]byte, bs), false, func(r ReadResult) { rerr = r.Err })
+	runChecked(eng, d)
+	if werr == nil || rerr == nil {
+		t.Fatalf("oversized OOB record: %v; short read destination: %v; want both rejected", werr, rerr)
+	}
+	if info, _ := d.ZoneInfo(0); info.State != ZoneEmpty || extentsInUse(d) != 0 {
+		t.Fatalf("a rejected write left zone 0 %v with %d extents", info.State, extentsInUse(d))
+	}
+}

@@ -79,7 +79,7 @@ func (s SingleDevice) Write(z int, lba int64, nblocks int, data []byte, tag zns.
 
 // Read implements Backend.
 func (s SingleDevice) Read(z int, lba int64, nblocks int, done func(zns.ReadResult)) {
-	s.Q.Read(z, lba, nblocks, done)
+	s.Q.ReadInto(z, lba, nblocks, nil, false, done)
 }
 
 // StoresData implements DataStorer.
