@@ -65,18 +65,18 @@ type WriteAmper interface {
 	WriteAmp() metrics.WriteAmp
 }
 
-// DataStorer is optionally implemented by devices that know whether their
-// reads return payloads. Performance-mode stacks (StoreData=false on the
-// flash model) report false, letting upper layers skip allocating
-// zero-filled read buffers on the hot path.
+// DataStorer is optionally implemented by devices and zoned backends that
+// know whether their reads return payloads. Performance-mode stacks
+// (StoreData=false on the flash model) report false, letting upper layers
+// skip allocating zero-filled read buffers on the hot path.
 type DataStorer interface {
 	StoresData() bool
 }
 
-// StoresData reports whether d retains payloads; devices that do not
-// implement DataStorer are assumed to (the conservative default — callers
-// then allocate read buffers as before).
-func StoresData(d Device) bool {
+// StoresData reports whether d (a Device or a zoneapi.Backend) retains
+// payloads; those that do not implement DataStorer are assumed to (the
+// conservative default — callers then allocate read buffers as before).
+func StoresData(d any) bool {
 	if s, ok := d.(DataStorer); ok {
 		return s.StoresData()
 	}

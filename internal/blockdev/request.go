@@ -1,0 +1,114 @@
+package blockdev
+
+import "biza/internal/sim"
+
+// InRange reports whether [lba, lba+nblocks) is a non-empty range inside a
+// device of the given capacity.
+func InRange(lba int64, nblocks int, blocks int64) bool {
+	return nblocks > 0 && lba >= 0 && lba+int64(nblocks) <= blocks
+}
+
+// CheckWrite is the prologue of a Write on a device of the given capacity:
+// it reports whether the range is valid and otherwise fails the request
+// with ErrOutOfRange a microsecond later (sim.Deliver: never before the
+// Write call returns).
+func CheckWrite(eng *sim.Engine, lba int64, nblocks int, blocks int64, done func(WriteResult)) bool {
+	if InRange(lba, nblocks, blocks) {
+		return true
+	}
+	sim.Deliver(eng, sim.Microsecond, done, WriteResult{Err: ErrOutOfRange, Latency: sim.Microsecond})
+	return false
+}
+
+// CheckRead is CheckWrite for a Read.
+func CheckRead(eng *sim.Engine, lba int64, nblocks int, blocks int64, done func(ReadResult)) bool {
+	if InRange(lba, nblocks, blocks) {
+		return true
+	}
+	sim.Deliver(eng, sim.Microsecond, done, ReadResult{Err: ErrOutOfRange, Latency: sim.Microsecond})
+	return false
+}
+
+// WriteDone returns the epilogue of a Write submitted now: given the first
+// error of its parts, it completes done (which may be nil) with that and
+// the time the request took.
+func WriteDone(eng *sim.Engine, done func(WriteResult)) func(err error) {
+	start := eng.Now()
+	return func(err error) {
+		if done != nil {
+			done(WriteResult{Err: err, Latency: eng.Now() - start})
+		}
+	}
+}
+
+// ReadDone is WriteDone for a Read that gathers into data.
+func ReadDone(eng *sim.Engine, data []byte, done func(ReadResult)) func(err error) {
+	start := eng.Now()
+	return func(err error) {
+		if done != nil {
+			done(ReadResult{Err: err, Data: data, Latency: eng.Now() - start})
+		}
+	}
+}
+
+// Run is one device read of a scattered request: Blocks blocks at Off of
+// Unit (a member, a zone), which land at block At of the request's buffer.
+type Run struct {
+	Unit   int
+	Off    int64
+	Blocks int
+	At     int
+}
+
+// Runs gathers the blocks of one read, in request order, into as few
+// device reads as possible.
+type Runs []Run
+
+// Add places block at of the request at off of unit, extending the last
+// run when it continues it in both the unit and the request.
+func (rs *Runs) Add(unit int, off int64, at int) {
+	if n := len(*rs); n > 0 {
+		last := &(*rs)[n-1]
+		if last.Unit == unit && last.Off+int64(last.Blocks) == off && last.At+last.Blocks == at {
+			last.Blocks++
+			return
+		}
+	}
+	*rs = append(*rs, Run{Unit: unit, Off: off, Blocks: 1, At: at})
+}
+
+// WriteSync submits one write and runs eng dry. It is for callers with
+// nothing else in flight (tests, examples): a write still outstanding when
+// the engine has no event left is a hang in the stack below, and panics.
+func WriteSync(eng *sim.Engine, d Device, lba int64, nblocks int, data []byte) WriteResult {
+	var res WriteResult
+	ok := false
+	d.Write(lba, nblocks, data, func(r WriteResult) { res, ok = r, true })
+	eng.Run()
+	if !ok {
+		panic("blockdev: write hung")
+	}
+	return res
+}
+
+// ReadSync is WriteSync for a read.
+func ReadSync(eng *sim.Engine, d Device, lba int64, nblocks int) ReadResult {
+	var res ReadResult
+	ok := false
+	d.Read(lba, nblocks, func(r ReadResult) { res, ok = r, true })
+	eng.Run()
+	if !ok {
+		panic("blockdev: read hung")
+	}
+	return res
+}
+
+// Pattern returns n bytes that differ by seed and by position, so a
+// misplaced or stale block shows up in a comparison.
+func Pattern(seed byte, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed ^ byte(i*31)
+	}
+	return b
+}

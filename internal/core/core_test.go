@@ -49,36 +49,6 @@ func newCore(t *testing.T, mutate func(*Config, *[]zns.Config)) (*sim.Engine, *C
 	return eng, c, devs
 }
 
-func wsync(eng *sim.Engine, c *Core, lba int64, n int, data []byte) blockdev.WriteResult {
-	var res blockdev.WriteResult
-	ok := false
-	c.Write(lba, n, data, func(r blockdev.WriteResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("core write hung")
-	}
-	return res
-}
-
-func rsync(eng *sim.Engine, c *Core, lba int64, n int) blockdev.ReadResult {
-	var res blockdev.ReadResult
-	ok := false
-	c.Read(lba, n, func(r blockdev.ReadResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("core read hung")
-	}
-	return res
-}
-
-func pat(seed byte, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = seed ^ byte(i*31)
-	}
-	return b
-}
-
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	d, _ := zns.New(eng, devConfig())
@@ -98,11 +68,11 @@ func TestValidation(t *testing.T) {
 
 func TestWriteReadRoundTripSequential(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
-	payload := pat(1, 48*4096)
-	if r := wsync(eng, c, 0, 48, payload); r.Err != nil {
+	payload := blockdev.Pattern(1, 48*4096)
+	if r := blockdev.WriteSync(eng, c, 0, 48, payload); r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	r := rsync(eng, c, 0, 48)
+	r := blockdev.ReadSync(eng, c, 0, 48)
 	if r.Err != nil || !bytes.Equal(r.Data, payload) {
 		t.Fatalf("round trip mismatch err=%v", r.Err)
 	}
@@ -112,13 +82,13 @@ func TestWriteReadRoundTripRandom(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
 	lbas := []int64{500, 3, 999, 250, 0, 77}
 	for i, lba := range lbas {
-		if r := wsync(eng, c, lba, 1, pat(byte(i+1), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(i+1), 4096)); r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
 	for i, lba := range lbas {
-		r := rsync(eng, c, lba, 1)
-		if !bytes.Equal(r.Data, pat(byte(i+1), 4096)) {
+		r := blockdev.ReadSync(eng, c, lba, 1)
+		if !bytes.Equal(r.Data, blockdev.Pattern(byte(i+1), 4096)) {
 			t.Fatalf("lba %d mismatch", lba)
 		}
 	}
@@ -127,17 +97,17 @@ func TestWriteReadRoundTripRandom(t *testing.T) {
 func TestOverwriteVisibility(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
 	for i := 0; i < 8; i++ {
-		wsync(eng, c, 42, 1, pat(byte(i), 4096))
+		blockdev.WriteSync(eng, c, 42, 1, blockdev.Pattern(byte(i), 4096))
 	}
-	r := rsync(eng, c, 42, 1)
-	if !bytes.Equal(r.Data, pat(7, 4096)) {
+	r := blockdev.ReadSync(eng, c, 42, 1)
+	if !bytes.Equal(r.Data, blockdev.Pattern(7, 4096)) {
 		t.Fatal("overwrite not visible")
 	}
 }
 
 func TestUnwrittenReadsZero(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
-	r := rsync(eng, c, 123, 4)
+	r := blockdev.ReadSync(eng, c, 123, 4)
 	for _, b := range r.Data {
 		if b != 0 {
 			t.Fatal("unwritten not zero")
@@ -147,7 +117,7 @@ func TestUnwrittenReadsZero(t *testing.T) {
 
 func TestOutOfRange(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
-	if r := wsync(eng, c, c.Blocks(), 1, nil); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
+	if r := blockdev.WriteSync(eng, c, c.Blocks(), 1, nil); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
 		t.Fatalf("err = %v", r.Err)
 	}
 }
@@ -157,7 +127,7 @@ func TestInPlaceAbsorption(t *testing.T) {
 	// flash programs stay far below issued writes.
 	eng, c, devs := newCore(t, nil)
 	for i := 0; i < 100; i++ {
-		wsync(eng, c, 7, 1, pat(byte(i), 4096))
+		blockdev.WriteSync(eng, c, 7, 1, blockdev.Pattern(byte(i), 4096))
 	}
 	if c.InPlaceHits() == 0 {
 		t.Fatal("no in-place updates")
@@ -169,8 +139,8 @@ func TestInPlaceAbsorption(t *testing.T) {
 	if absorbed == 0 {
 		t.Fatal("device absorbed nothing")
 	}
-	r := rsync(eng, c, 7, 1)
-	if !bytes.Equal(r.Data, pat(99, 4096)) {
+	r := blockdev.ReadSync(eng, c, 7, 1)
+	if !bytes.Equal(r.Data, blockdev.Pattern(99, 4096)) {
 		t.Fatal("hot block content wrong")
 	}
 }
@@ -182,7 +152,7 @@ func TestPartialParityAbsorbedInZRWA(t *testing.T) {
 	eng, c, devs := newCore(t, nil)
 	const blocks = 300
 	for lba := int64(0); lba < blocks; lba += 4 {
-		wsync(eng, c, lba, 4, pat(byte(lba), 4*4096))
+		blockdev.WriteSync(eng, c, lba, 4, blockdev.Pattern(byte(lba), 4*4096))
 	}
 	eng.Run()
 	var parityFlash, parityAbsorbed uint64
@@ -206,8 +176,8 @@ func TestStripeParityConsistency(t *testing.T) {
 	// After sealing, parity slot content must equal XOR of the stripe's
 	// chunk slot contents (read back through the engine's own tables).
 	eng, c, _ := newCore(t, nil)
-	payload := pat(3, 3*4096)
-	wsync(eng, c, 0, 3, payload) // exactly one stripe (nData=3)
+	payload := blockdev.Pattern(3, 3*4096)
+	blockdev.WriteSync(eng, c, 0, 3, payload) // exactly one stripe (nData=3)
 	eng.Run()
 	var se *smtEntry
 	c.smt.Range(func(_ int64, e *smtEntry) bool {
@@ -262,7 +232,7 @@ func TestSelectorClassifiesHotBlocks(t *testing.T) {
 	// must promote and the selector place them as ZRWA class.
 	for round := 0; round < 8; round++ {
 		for lba := int64(0); lba < 4; lba++ {
-			wsync(eng, c, lba, 1, nil)
+			blockdev.WriteSync(eng, c, lba, 1, nil)
 		}
 	}
 	hp := 0
@@ -283,7 +253,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 	written := make(map[int64]bool)
 	for i := 0; i < int(span)*4; i++ {
 		lba := rng.Int63n(span)
-		if r := wsync(eng, c, lba, 1, pat(byte(lba), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(lba), 4096)); r.Err != nil {
 			t.Fatalf("write %d: %v", lba, r.Err)
 		}
 		written[lba] = true
@@ -296,11 +266,11 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 		if !written[lba] {
 			continue
 		}
-		r := rsync(eng, c, lba, 1)
+		r := blockdev.ReadSync(eng, c, lba, 1)
 		if r.Err != nil {
 			t.Fatalf("read %d: %v", lba, r.Err)
 		}
-		if !bytes.Equal(r.Data, pat(byte(lba), 4096)) {
+		if !bytes.Equal(r.Data, blockdev.Pattern(byte(lba), 4096)) {
 			t.Fatalf("data corrupted at %d", lba)
 		}
 	}
@@ -308,14 +278,14 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 
 func TestDegradedReadReconstructs(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
-	payload := pat(9, 12*4096)
-	wsync(eng, c, 0, 12, payload)
+	payload := blockdev.Pattern(9, 12*4096)
+	blockdev.WriteSync(eng, c, 0, 12, payload)
 	eng.Run()
 	for dev := 0; dev < 4; dev++ {
 		if err := c.SetDeviceFailed(dev, true); err != nil {
 			t.Fatal(err)
 		}
-		r := rsync(eng, c, 0, 12)
+		r := blockdev.ReadSync(eng, c, 0, 12)
 		if r.Err != nil {
 			t.Fatalf("degraded read with dev %d failed: %v", dev, r.Err)
 		}
@@ -330,11 +300,11 @@ func TestDegradedReadAfterOverwrites(t *testing.T) {
 	// Stale chunks feed parity: reconstruction must survive overwrites.
 	eng, c, _ := newCore(t, nil)
 	for i := 0; i < 6; i++ {
-		wsync(eng, c, int64(i), 1, pat(byte(i), 4096))
+		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	// Overwrite some blocks (their old slots become stale but remain).
-	wsync(eng, c, 1, 1, pat(101, 4096))
-	wsync(eng, c, 3, 1, pat(103, 4096))
+	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(101, 4096))
+	blockdev.WriteSync(eng, c, 3, 1, blockdev.Pattern(103, 4096))
 	eng.Run()
 	for dev := 0; dev < 4; dev++ {
 		c.SetDeviceFailed(dev, true)
@@ -342,11 +312,11 @@ func TestDegradedReadAfterOverwrites(t *testing.T) {
 			lba  int64
 			seed byte
 		}{{0, 0}, {1, 101}, {2, 2}, {3, 103}, {4, 4}, {5, 5}} {
-			r := rsync(eng, c, check.lba, 1)
+			r := blockdev.ReadSync(eng, c, check.lba, 1)
 			if r.Err != nil {
 				t.Fatalf("dev %d down, lba %d: %v", dev, check.lba, r.Err)
 			}
-			if !bytes.Equal(r.Data, pat(check.seed, 4096)) {
+			if !bytes.Equal(r.Data, blockdev.Pattern(check.seed, 4096)) {
 				t.Fatalf("dev %d down, lba %d wrong content", dev, check.lba)
 			}
 		}
@@ -356,9 +326,9 @@ func TestDegradedReadAfterOverwrites(t *testing.T) {
 
 func TestTrim(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
-	wsync(eng, c, 10, 4, pat(1, 4*4096))
+	blockdev.WriteSync(eng, c, 10, 4, blockdev.Pattern(1, 4*4096))
 	c.Trim(10, 4)
-	r := rsync(eng, c, 10, 4)
+	r := blockdev.ReadSync(eng, c, 10, 4)
 	for _, b := range r.Data {
 		if b != 0 {
 			t.Fatal("trimmed data still readable")
@@ -404,7 +374,7 @@ func TestRecoveryRestoresData(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		lba := rng.Int63n(c.Blocks() / 4)
 		seed := byte(i)
-		if r := wsync(eng, c, lba, 1, pat(seed, 4096)); r.Err == nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(seed, 4096)); r.Err == nil {
 			want[lba] = seed
 		}
 	}
@@ -427,20 +397,20 @@ func TestRecoveryRestoresData(t *testing.T) {
 		t.Fatal("recovery did not complete")
 	}
 	for lba, seed := range want {
-		r := rsync(eng, rc, lba, 1)
+		r := blockdev.ReadSync(eng, rc, lba, 1)
 		if r.Err != nil {
 			t.Fatalf("post-recovery read %d: %v", lba, r.Err)
 		}
-		if !bytes.Equal(r.Data, pat(seed, 4096)) {
+		if !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("post-recovery content wrong at %d", lba)
 		}
 	}
 	// The recovered array must accept new writes.
-	if r := wsync(eng, rc, 0, 4, pat(200, 4*4096)); r.Err != nil {
+	if r := blockdev.WriteSync(eng, rc, 0, 4, blockdev.Pattern(200, 4*4096)); r.Err != nil {
 		t.Fatalf("post-recovery write: %v", r.Err)
 	}
-	r := rsync(eng, rc, 0, 4)
-	if !bytes.Equal(r.Data, pat(200, 4*4096)) {
+	r := blockdev.ReadSync(eng, rc, 0, 4)
+	if !bytes.Equal(r.Data, blockdev.Pattern(200, 4*4096)) {
 		t.Fatal("post-recovery write not visible")
 	}
 }
@@ -463,7 +433,7 @@ func TestSelectorAblationIncreasesFlashWrites(t *testing.T) {
 			} else {
 				lba = hotSpan + rng.Int63n(coldSpan)
 			}
-			wsync(eng, c, lba, 1, nil)
+			blockdev.WriteSync(eng, c, lba, 1, nil)
 		}
 		eng.Run()
 		var programmed uint64
@@ -484,7 +454,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, c, _ := newCore(t, nil)
 		rng := sim.NewRNG(23)
 		for i := 0; i < 2000; i++ {
-			wsync(eng, c, rng.Int63n(c.Blocks()/4), 1, nil)
+			blockdev.WriteSync(eng, c, rng.Int63n(c.Blocks()/4), 1, nil)
 		}
 		eng.Run()
 		return c.userBytes, c.parityBytes, c.GCEvents()

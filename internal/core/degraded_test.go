@@ -35,7 +35,7 @@ func TestInjectedDeathDetectedAndReadsReconstruct(t *testing.T) {
 	want := map[int64]byte{}
 	for i := 0; i < 120; i++ {
 		lba := int64(i)
-		if r := wsync(eng, c, lba, 1, pat(byte(i), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(i), 4096)); r.Err != nil {
 			t.Fatalf("write %d: %v", i, r.Err)
 		}
 		want[lba] = byte(i)
@@ -46,11 +46,11 @@ func TestInjectedDeathDetectedAndReadsReconstruct(t *testing.T) {
 		{Kind: fault.DeviceDeath, Dev: 1, AfterOps: 1},
 	}}, 7)
 	for lba, seed := range want {
-		r := rsync(eng, c, lba, 1)
+		r := blockdev.ReadSync(eng, c, lba, 1)
 		if r.Err != nil {
 			t.Fatalf("degraded read %d: %v", lba, r.Err)
 		}
-		if !bytes.Equal(r.Data, pat(seed, 4096)) {
+		if !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("degraded read %d: wrong content", lba)
 		}
 	}
@@ -76,7 +76,7 @@ func TestDegradedWritesAckedAndReadable(t *testing.T) {
 	want := map[int64]byte{}
 	for i := 0; i < 90; i++ {
 		lba := int64(i)
-		if r := wsync(eng, c, lba, 1, pat(byte(i+3), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(i+3), 4096)); r.Err != nil {
 			t.Fatalf("degraded write %d: %v", i, r.Err)
 		}
 		want[lba] = byte(i + 3)
@@ -88,8 +88,8 @@ func TestDegradedWritesAckedAndReadable(t *testing.T) {
 	// Every block reads back — chunks routed to the dead member are
 	// recovered from the surviving slots (their payload fed the parity).
 	for lba, seed := range want {
-		r := rsync(eng, c, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+		r := blockdev.ReadSync(eng, c, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("lba %d after degraded writes: %v", lba, r.Err)
 		}
 	}
@@ -100,19 +100,19 @@ func TestDegradedReadInFlightStripe(t *testing.T) {
 	// parity (still sitting in the parity member's ZRWA).
 	eng, c, _ := newCore(t, nil)
 	// Two chunks of a three-data-chunk stripe: the stripe stays open.
-	wsync(eng, c, 0, 1, pat(50, 4096))
-	wsync(eng, c, 1, 1, pat(51, 4096))
+	blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(50, 4096))
+	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(51, 4096))
 	eng.Run()
 	for lba := int64(0); lba < 2; lba++ {
 		dev := c.bmt.Get(lba).loc().dev
 		if err := c.SetDeviceFailed(dev, true); err != nil {
 			t.Fatal(err)
 		}
-		r := rsync(eng, c, lba, 1)
+		r := blockdev.ReadSync(eng, c, lba, 1)
 		if r.Err != nil {
 			t.Fatalf("in-flight stripe, lba %d (dev %d down): %v", lba, dev, r.Err)
 		}
-		if !bytes.Equal(r.Data, pat(byte(50+lba), 4096)) {
+		if !bytes.Equal(r.Data, blockdev.Pattern(byte(50+lba), 4096)) {
 			t.Fatalf("in-flight stripe, lba %d: wrong content", lba)
 		}
 		c.SetDeviceFailed(dev, false)
@@ -121,8 +121,8 @@ func TestDegradedReadInFlightStripe(t *testing.T) {
 
 func TestRAID6DegradedInFlightDoubleLoss(t *testing.T) {
 	eng, c, _ := newCore6(t)
-	wsync(eng, c, 0, 1, pat(60, 4096))
-	wsync(eng, c, 1, 1, pat(61, 4096))
+	blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(60, 4096))
+	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(61, 4096))
 	eng.Run()
 	// Lose the owning member of each in-flight chunk simultaneously.
 	d0, d1 := c.bmt.Get(0).loc().dev, c.bmt.Get(1).loc().dev
@@ -132,8 +132,8 @@ func TestRAID6DegradedInFlightDoubleLoss(t *testing.T) {
 	c.SetDeviceFailed(d0, true)
 	c.SetDeviceFailed(d1, true)
 	for lba := int64(0); lba < 2; lba++ {
-		r := rsync(eng, c, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(byte(60+lba), 4096)) {
+		r := blockdev.ReadSync(eng, c, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(byte(60+lba), 4096)) {
 			t.Fatalf("double loss, in-flight lba %d: %v", lba, r.Err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRAID6DoubleInjectedDeath(t *testing.T) {
 	want := map[int64]byte{}
 	for i := 0; i < 100; i++ {
 		lba := int64(i)
-		if r := wsync(eng, c, lba, 1, pat(byte(i+7), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(i+7), 4096)); r.Err != nil {
 			t.Fatalf("write %d: %v", i, r.Err)
 		}
 		want[lba] = byte(i + 7)
@@ -155,8 +155,8 @@ func TestRAID6DoubleInjectedDeath(t *testing.T) {
 		{Kind: fault.DeviceDeath, Dev: 3, AfterOps: 1},
 	}}, 13)
 	for lba, seed := range want {
-		r := rsync(eng, c, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+		r := blockdev.ReadSync(eng, c, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("double-death read %d: %v", lba, r.Err)
 		}
 	}
@@ -165,10 +165,10 @@ func TestRAID6DoubleInjectedDeath(t *testing.T) {
 		t.Fatalf("health = %v", h)
 	}
 	// m=2 still accepts writes with two members down.
-	if r := wsync(eng, c, 200, 1, pat(99, 4096)); r.Err != nil {
+	if r := blockdev.WriteSync(eng, c, 200, 1, blockdev.Pattern(99, 4096)); r.Err != nil {
 		t.Fatalf("double-degraded write: %v", r.Err)
 	}
-	if r := rsync(eng, c, 200, 1); r.Err != nil || !bytes.Equal(r.Data, pat(99, 4096)) {
+	if r := blockdev.ReadSync(eng, c, 200, 1); r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(99, 4096)) {
 		t.Fatalf("double-degraded readback: %v", r.Err)
 	}
 }
@@ -186,7 +186,7 @@ func TestUnreadableBlocksReconstructWithoutDeath(t *testing.T) {
 	want := map[int64]byte{}
 	for i := 0; i < 60; i++ {
 		lba := int64(i)
-		if r := wsync(eng, c, lba, 1, pat(byte(i+1), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(i+1), 4096)); r.Err != nil {
 			t.Fatalf("write %d: %v", i, r.Err)
 		}
 		want[lba] = byte(i + 1)
@@ -194,8 +194,8 @@ func TestUnreadableBlocksReconstructWithoutDeath(t *testing.T) {
 	eng.Run()
 	attachPlan(t, c, &fault.Spec{Rules: rules}, 17)
 	for lba, seed := range want {
-		r := rsync(eng, c, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+		r := blockdev.ReadSync(eng, c, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("unreadable-member read %d: %v", lba, r.Err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestMemberDeathHandlerFiresOnce(t *testing.T) {
 		{Kind: fault.DeviceDeath, Dev: 3, AfterOps: 1},
 	}}, 19)
 	for i := 0; i < 40; i++ {
-		wsync(eng, c, int64(i), 1, pat(byte(i), 4096))
+		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	eng.Run()
 	if len(deaths) != 1 || deaths[0] != 3 {
@@ -230,7 +230,7 @@ func TestInjectedDeathThenReplaceRestoresTolerance(t *testing.T) {
 		for i := 0; i < 80; i++ {
 			lba := int64(i)
 			seed := byte(base + i)
-			if r := wsync(eng, c, lba, 1, pat(seed, 4096)); r.Err != nil {
+			if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(seed, 4096)); r.Err != nil {
 				t.Fatalf("write %d: %v", i, r.Err)
 			}
 			want[lba] = seed
@@ -271,8 +271,8 @@ func TestInjectedDeathThenReplaceRestoresTolerance(t *testing.T) {
 	for dev := 0; dev < 4; dev++ {
 		c.SetDeviceFailed(dev, true)
 		for lba, seed := range want {
-			r := rsync(eng, c, lba, 1)
-			if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+			r := blockdev.ReadSync(eng, c, lba, 1)
+			if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 				t.Fatalf("post-rebuild (dev %d down) lba %d: %v", dev, lba, r.Err)
 			}
 		}
@@ -290,7 +290,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	eng, c, _ := newCore(t, nil)
 	k := c.nData
 	for i := 0; i < k; i++ {
-		if r := wsync(eng, c, int64(i), 1, pat(byte(10+i), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(10+i), 4096)); r.Err != nil {
 			t.Fatalf("write %d: %v", i, r.Err)
 		}
 	}
@@ -306,7 +306,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	}}, 11)
 	var wres blockdev.WriteResult
 	acked := false
-	c.Write(0, 1, pat(99, 4096), func(r blockdev.WriteResult) { wres = r; acked = true })
+	c.Write(0, 1, blockdev.Pattern(99, 4096), func(r blockdev.WriteResult) { wres = r; acked = true })
 	if !se.ipBusy {
 		t.Fatal("rewrite did not take the in-place path — test setup broken")
 	}
@@ -331,18 +331,18 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 		t.Fatalf("rewrite acked=%v err=%v", acked, wres.Err)
 	}
 	// The acknowledged rewrite survived the dissolution...
-	if r := rsync(eng, c, 0, 1); r.Err != nil || !bytes.Equal(r.Data, pat(99, 4096)) {
+	if r := blockdev.ReadSync(eng, c, 0, 1); r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(99, 4096)) {
 		t.Fatalf("lbn 0 lost its in-flight rewrite (err=%v)", r.Err)
 	}
 	// ...and so did the rest of the stripe, with tolerance restored.
 	for dev := 0; dev < len(c.devs); dev++ {
 		c.SetDeviceFailed(dev, true)
 		for i := 0; i < k; i++ {
-			want := pat(byte(10+i), 4096)
+			want := blockdev.Pattern(byte(10+i), 4096)
 			if i == 0 {
-				want = pat(99, 4096)
+				want = blockdev.Pattern(99, 4096)
 			}
-			r := rsync(eng, c, int64(i), 1)
+			r := blockdev.ReadSync(eng, c, int64(i), 1)
 			if r.Err != nil || !bytes.Equal(r.Data, want) {
 				t.Fatalf("dev %d down, lbn %d: %v", dev, i, r.Err)
 			}

@@ -28,7 +28,7 @@ func TestPoolBufSemantics(t *testing.T) {
 			t.Fatalf("AllocZero reused dirty buffer: byte %d = %#x", i, v)
 		}
 	}
-	src := pat(7, c.blockSize)
+	src := blockdev.Pattern(7, c.blockSize)
 	copies := c.pool.Stats().Copies
 	cp := c.copyBuf(src)
 	src[0] ^= 0xFF
@@ -118,7 +118,7 @@ func TestSteadyStateStripeWriteAllocs(t *testing.T) {
 	k := c.nData
 	span := c.Blocks() / 2
 	for lba := int64(0); lba+int64(k) <= span; lba += int64(k) {
-		wsync(eng, c, lba, k, nil)
+		blockdev.WriteSync(eng, c, lba, k, nil)
 	}
 	done := func(r blockdev.WriteResult) {}
 	lba := int64(0)

@@ -42,11 +42,11 @@ func newCore6(t *testing.T) (*sim.Engine, *Core, []*zns.Device) {
 
 func TestRAID6RoundTrip(t *testing.T) {
 	eng, c, _ := newCore6(t)
-	payload := pat(4, 24*4096)
-	if r := wsync(eng, c, 0, 24, payload); r.Err != nil {
+	payload := blockdev.Pattern(4, 24*4096)
+	if r := blockdev.WriteSync(eng, c, 0, 24, payload); r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	r := rsync(eng, c, 0, 24)
+	r := blockdev.ReadSync(eng, c, 0, 24)
 	if r.Err != nil || !bytes.Equal(r.Data, payload) {
 		t.Fatalf("raid6 round trip: %v", r.Err)
 	}
@@ -54,12 +54,12 @@ func TestRAID6RoundTrip(t *testing.T) {
 
 func TestRAID6SingleFailure(t *testing.T) {
 	eng, c, _ := newCore6(t)
-	payload := pat(7, 12*4096)
-	wsync(eng, c, 0, 12, payload)
+	payload := blockdev.Pattern(7, 12*4096)
+	blockdev.WriteSync(eng, c, 0, 12, payload)
 	eng.Run()
 	for dev := 0; dev < 5; dev++ {
 		c.SetDeviceFailed(dev, true)
-		r := rsync(eng, c, 0, 12)
+		r := blockdev.ReadSync(eng, c, 0, 12)
 		if r.Err != nil || !bytes.Equal(r.Data, payload) {
 			t.Fatalf("dev %d failed: err=%v", dev, r.Err)
 		}
@@ -69,14 +69,14 @@ func TestRAID6SingleFailure(t *testing.T) {
 
 func TestRAID6DoubleFailure(t *testing.T) {
 	eng, c, _ := newCore6(t)
-	payload := pat(9, 12*4096)
-	wsync(eng, c, 0, 12, payload)
+	payload := blockdev.Pattern(9, 12*4096)
+	blockdev.WriteSync(eng, c, 0, 12, payload)
 	eng.Run()
 	for a := 0; a < 5; a++ {
 		for b := a + 1; b < 5; b++ {
 			c.SetDeviceFailed(a, true)
 			c.SetDeviceFailed(b, true)
-			r := rsync(eng, c, 0, 12)
+			r := blockdev.ReadSync(eng, c, 0, 12)
 			if r.Err != nil || !bytes.Equal(r.Data, payload) {
 				t.Fatalf("devs %d+%d failed: err=%v", a, b, r.Err)
 			}
@@ -90,12 +90,12 @@ func TestRAID6DoubleFailureAfterOverwrites(t *testing.T) {
 	// In-place RS parity deltas must keep BOTH parities consistent.
 	eng, c, _ := newCore6(t)
 	for i := 0; i < 9; i++ {
-		wsync(eng, c, int64(i), 1, pat(byte(i), 4096))
+		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	// Rewrite some blocks several times (in-place path).
 	for round := 0; round < 5; round++ {
-		wsync(eng, c, 2, 1, pat(byte(50+round), 4096))
-		wsync(eng, c, 5, 1, pat(byte(80+round), 4096))
+		blockdev.WriteSync(eng, c, 2, 1, blockdev.Pattern(byte(50+round), 4096))
+		blockdev.WriteSync(eng, c, 5, 1, blockdev.Pattern(byte(80+round), 4096))
 	}
 	eng.Run()
 	expect := map[int64]byte{0: 0, 1: 1, 2: 54, 3: 3, 4: 4, 5: 84, 6: 6, 7: 7, 8: 8}
@@ -104,11 +104,11 @@ func TestRAID6DoubleFailureAfterOverwrites(t *testing.T) {
 			c.SetDeviceFailed(a, true)
 			c.SetDeviceFailed(b, true)
 			for lba, seed := range expect {
-				r := rsync(eng, c, lba, 1)
+				r := blockdev.ReadSync(eng, c, lba, 1)
 				if r.Err != nil {
 					t.Fatalf("devs %d+%d, lba %d: %v", a, b, lba, r.Err)
 				}
-				if !bytes.Equal(r.Data, pat(seed, 4096)) {
+				if !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 					t.Fatalf("devs %d+%d, lba %d: wrong content", a, b, lba)
 				}
 			}
@@ -125,7 +125,7 @@ func TestRAID6GCPreservesData(t *testing.T) {
 	written := map[int64]bool{}
 	for i := 0; i < int(span)*8; i++ {
 		lba := rng.Int63n(span)
-		if r := wsync(eng, c, lba, 1, pat(byte(lba), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(lba), 4096)); r.Err != nil {
 			t.Fatalf("write: %v", r.Err)
 		}
 		written[lba] = true
@@ -138,8 +138,8 @@ func TestRAID6GCPreservesData(t *testing.T) {
 		if !written[lba] {
 			continue
 		}
-		r := rsync(eng, c, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(byte(lba), 4096)) {
+		r := blockdev.ReadSync(eng, c, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(byte(lba), 4096)) {
 			t.Fatalf("lba %d corrupted after raid6 GC: %v", lba, r.Err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestRAID6Recovery(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		lba := rng.Int63n(c.Blocks() / 8)
 		seed := byte(i)
-		if r := wsync(eng, c, lba, 1, pat(seed, 4096)); r.Err == nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(seed, 4096)); r.Err == nil {
 			want[lba] = seed
 		}
 	}
@@ -171,8 +171,8 @@ func TestRAID6Recovery(t *testing.T) {
 		t.Fatal(rerr)
 	}
 	for lba, seed := range want {
-		r := rsync(eng, rc, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+		r := blockdev.ReadSync(eng, rc, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("post-recovery lba %d: %v", lba, r.Err)
 		}
 	}
@@ -180,8 +180,8 @@ func TestRAID6Recovery(t *testing.T) {
 	rc.SetDeviceFailed(0, true)
 	rc.SetDeviceFailed(3, true)
 	for lba, seed := range want {
-		r := rsync(eng, rc, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+		r := blockdev.ReadSync(eng, rc, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("post-recovery degraded lba %d: %v", lba, r.Err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestRAID6RejectsTooFewMembers(t *testing.T) {
 
 func TestRAID6StripeDevicesDistinct(t *testing.T) {
 	eng, c, _ := newCore6(t)
-	wsync(eng, c, 0, 9, pat(1, 9*4096)) // 3 full stripes (k=3)
+	blockdev.WriteSync(eng, c, 0, 9, blockdev.Pattern(1, 9*4096)) // 3 full stripes (k=3)
 	eng.Run()
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
 		used := map[int]bool{}

@@ -17,7 +17,7 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		lba := rng.Int63n(c.Blocks() / 8)
 		seed := byte(i)
-		if r := wsync(eng, c, lba, 1, pat(seed, 4096)); r.Err == nil {
+		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(seed, 4096)); r.Err == nil {
 			want[lba] = seed
 		}
 	}
@@ -41,8 +41,8 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 
 	// All data intact, with no degraded flag set.
 	for lba, seed := range want {
-		r := rsync(eng, c, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+		r := blockdev.ReadSync(eng, c, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("post-rebuild lba %d: %v", lba, r.Err)
 		}
 	}
@@ -50,8 +50,8 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 	for dev := 0; dev < 4; dev++ {
 		c.SetDeviceFailed(dev, true)
 		for lba, seed := range want {
-			r := rsync(eng, c, lba, 1)
-			if r.Err != nil || !bytes.Equal(r.Data, pat(seed, 4096)) {
+			r := blockdev.ReadSync(eng, c, lba, 1)
+			if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 				t.Fatalf("post-rebuild degraded (dev %d) lba %d: %v", dev, lba, r.Err)
 			}
 		}
@@ -59,7 +59,7 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 	}
 	// The fresh member participates in new writes.
 	for i := 0; i < 200; i++ {
-		wsync(eng, c, int64(i), 1, pat(byte(i), 4096))
+		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	eng.Run()
 	if nd.Stats().TotalProgrammed() == 0 && nd.Stats().AbsorbedBytes == 0 {

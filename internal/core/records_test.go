@@ -56,7 +56,7 @@ func TestChunkWriteAllocFree(t *testing.T) {
 		const n = 16
 		span := c.Blocks() / 2 / n * n
 		for lba := int64(0); lba < span; lba += n {
-			wsync(eng, c, lba, n, nil)
+			blockdev.WriteSync(eng, c, lba, n, nil)
 		}
 		lba := int64(0)
 		step := func() {
@@ -137,7 +137,7 @@ func TestChunkWriteAllocFree(t *testing.T) {
 		eng, c, _ := newCore(t, perfMode)
 		// One full stripe, sealed and still inside every slot's window.
 		k := int64(c.nData)
-		wsync(eng, c, 0, int(k), nil)
+		blockdev.WriteSync(eng, c, 0, int(k), nil)
 		lba := int64(0)
 		step := func() {
 			c.Write(lba, 1, nil, done)
@@ -321,13 +321,13 @@ func TestParityRelocationFailureCompletesSynchronously(t *testing.T) {
 	t.Run("raid5-open", func(t *testing.T) {
 		eng, c, _ := newCore(t, nil)
 		run(t, c, 1, func(lba int64, n int) blockdev.WriteResult {
-			return wsync(eng, c, lba, n, pat(byte(lba), n*4096))
+			return blockdev.WriteSync(eng, c, lba, n, blockdev.Pattern(byte(lba), n*4096))
 		})
 	})
 	t.Run("raid6-sealing", func(t *testing.T) {
 		eng, c, _ := newCore6(t)
 		run(t, c, c.nData-1, func(lba int64, n int) blockdev.WriteResult {
-			return wsync(eng, c, lba, n, pat(byte(lba), n*4096))
+			return blockdev.WriteSync(eng, c, lba, n, blockdev.Pattern(byte(lba), n*4096))
 		})
 	})
 }
@@ -346,7 +346,7 @@ func TestMemberDeathMidAppendAcksEachChunkOnce(t *testing.T) {
 	tally := &chunkTally{done: map[int64]int{}}
 	for lbn := int64(0); lbn < n; lbn++ {
 		ch := c.getChunk()
-		ch.lbn, ch.payload, ch.class, ch.tag, ch.parent = lbn, pat(byte(lbn), 4096), ClassTrivial, zns.TagUserData, tally
+		ch.lbn, ch.payload, ch.class, ch.tag, ch.parent = lbn, blockdev.Pattern(byte(lbn), 4096), ClassTrivial, zns.TagUserData, tally
 		c.writeChunk(ch)
 	}
 	eng.Run()
@@ -366,8 +366,8 @@ func TestMemberDeathMidAppendAcksEachChunkOnce(t *testing.T) {
 	}
 	assertNoStrayRecords(t, c)
 	for lbn := int64(0); lbn < n; lbn++ {
-		r := rsync(eng, c, lbn, 1)
-		if r.Err != nil || r.Data[0] != pat(byte(lbn), 1)[0] {
+		r := blockdev.ReadSync(eng, c, lbn, 1)
+		if r.Err != nil || r.Data[0] != blockdev.Pattern(byte(lbn), 1)[0] {
 			t.Fatalf("block %d after the death: err=%v", lbn, r.Err)
 		}
 	}

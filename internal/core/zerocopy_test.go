@@ -59,7 +59,7 @@ func TestZeroCopyUserDataPath(t *testing.T) {
 		k := c.nData
 		span := c.Blocks() / 2
 		for lba := int64(0); lba+int64(k) <= span; lba += int64(k) {
-			wsync(eng, c, lba, k, nil)
+			blockdev.WriteSync(eng, c, lba, k, nil)
 		}
 		before := totalBufCopied(devs)
 		lba := int64(0)
@@ -71,7 +71,7 @@ func TestZeroCopyUserDataPath(t *testing.T) {
 				for j := range data {
 					data[j] = byte(lba + 1)
 				}
-				if res := wsync(eng, c, lba, k, data); res.Err != nil {
+				if res := blockdev.WriteSync(eng, c, lba, k, data); res.Err != nil {
 					t.Fatalf("Write(%d): %v", lba, res.Err)
 				}
 			}

@@ -22,7 +22,9 @@ import (
 
 	"biza/internal/blockdev"
 	"biza/internal/cpumodel"
+	"biza/internal/fifo"
 	"biza/internal/metrics"
+	"biza/internal/raid"
 	"biza/internal/sim"
 	"biza/internal/zns"
 	"biza/internal/zoneapi"
@@ -43,18 +45,7 @@ type Config struct {
 // DefaultConfig sizes the adapter for a backend with the given zone count
 // and open-zone limit.
 func DefaultConfig(zones, maxOpen int) Config {
-	op := zones / 8
-	if op < 4 {
-		op = 4
-	}
-	low := op/2 + 1
-	if low < 3 {
-		low = 3
-	}
-	high := op - 1
-	if high <= low {
-		high = low + 1
-	}
+	op, low, high := raid.Watermarks(zones)
 	// Open-zone budget: each ring zone can briefly coexist with its
 	// draining predecessor when it fills (and the whole ring fills nearly
 	// simultaneously under round-robin placement), and the GC zone has the
@@ -71,19 +62,6 @@ func DefaultConfig(zones, maxOpen int) Config {
 	}
 }
 
-type zoneState uint8
-
-const (
-	zsFree zoneState = iota
-	zsOpen
-	zsFull
-)
-
-type loc struct {
-	zone int
-	off  int64
-}
-
 type pending struct {
 	lba      int64
 	off      int64 // zone offset assigned at enqueue (FIFO per zone)
@@ -93,13 +71,10 @@ type pending struct {
 	done     func(zns.WriteResult)
 }
 
-type zoneInfo struct {
-	state zoneState
-	wp    int64
-	valid int64
-	rmap  []int64 // offset -> lba, -1 invalid
-	busy  bool    // one in-flight write
-	queue []pending
+// zoneQueue serializes the writes of one zone.
+type zoneQueue struct {
+	busy  bool // one in-flight write
+	queue fifo.Queue[pending]
 }
 
 // Adapter exposes a block device over a zoned backend. It implements
@@ -110,14 +85,14 @@ type Adapter struct {
 	eng     *sim.Engine
 	acct    *cpumodel.Accountant
 
-	l2z       []loc
-	zones     []zoneInfo
+	log       *raid.ZoneLog // mapping, valid counts, free list (one unit)
+	zones     []zoneQueue
+	order     []int // every zone, by number: the victim tie-break
 	openRing  []int
 	gcZone    int // dedicated GC destination zone (separate from the ring)
 	rr        int
-	freeZones []int
 	gcRunning bool
-	stalled   []pending // user writes parked at the free-zone cliff
+	stalled   fifo.Queue[pending] // user writes parked at the free-zone cliff
 
 	storesData bool // backend retains payloads (cached at New)
 
@@ -147,15 +122,13 @@ func New(backend zoneapi.Backend, cfg Config, acct *cpumodel.Accountant) (*Adapt
 		backend:    backend,
 		eng:        backend.Engine(),
 		acct:       acct,
-		l2z:        make([]loc, logicalBlocks),
-		zones:      make([]zoneInfo, zones),
-		storesData: zoneapi.StoresData(backend),
+		log:        raid.NewZoneLog(1, zones, backend.ZoneBlocks(), logicalBlocks),
+		zones:      make([]zoneQueue, zones),
+		order:      make([]int, zones),
+		storesData: blockdev.StoresData(backend),
 	}
-	for i := range a.l2z {
-		a.l2z[i] = loc{zone: -1}
-	}
-	for i := range a.zones {
-		a.freeZones = append(a.freeZones, i)
+	for z := range a.order {
+		a.order[z] = z
 	}
 	for i := 0; i < cfg.OpenZones; i++ {
 		a.openRing = append(a.openRing, a.takeFree())
@@ -172,7 +145,7 @@ func (a *Adapter) BlockSize() int { return a.backend.BlockSize() }
 func (a *Adapter) StoresData() bool { return a.storesData }
 
 // Blocks implements blockdev.Device.
-func (a *Adapter) Blocks() int64 { return int64(len(a.l2z)) }
+func (a *Adapter) Blocks() int64 { return a.log.Blocks() }
 
 // GCEvents reports completed victim collections.
 func (a *Adapter) GCEvents() uint64 { return a.gcEvents }
@@ -205,34 +178,10 @@ func (a *Adapter) stallFloor() int {
 }
 
 func (a *Adapter) takeFree() int {
-	if len(a.freeZones) == 0 {
-		full, busyN, queued := 0, 0, 0
-		for i := range a.zones {
-			zi := &a.zones[i]
-			if zi.state == zsFull {
-				full++
-				if zi.busy {
-					busyN++
-				}
-				if len(zi.queue) > 0 {
-					queued++
-				}
-			}
-		}
-		panic(fmt.Sprintf("dmzap: out of free zones — full=%d busy=%d queued=%d stalled=%d gc=%v victim=%d",
-			full, busyN, queued, len(a.stalled), a.gcRunning, a.pickVictim()))
-	}
-	z := a.freeZones[0]
-	a.freeZones = a.freeZones[1:]
-	zi := &a.zones[z]
-	zi.state = zsOpen
-	zi.wp = 0
-	zi.valid = 0
-	if zi.rmap == nil {
-		zi.rmap = make([]int64, a.backend.ZoneBlocks())
-	}
-	for i := range zi.rmap {
-		zi.rmap[i] = -1
+	z, ok := a.log.Take(0)
+	if !ok {
+		panic(fmt.Sprintf("dmzap: out of free zones — stalled=%d gc=%v victim=%d",
+			a.stalled.Len(), a.gcRunning, a.victim()))
 	}
 	return z
 }
@@ -240,42 +189,30 @@ func (a *Adapter) takeFree() int {
 // Write implements blockdev.Device: splits the request into blocks,
 // appends each to the next open zone (round-robin), one in flight per zone.
 func (a *Adapter) Write(lba int64, nblocks int, data []byte, done func(blockdev.WriteResult)) {
-	start := a.eng.Now()
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > a.Blocks() {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.WriteResult{Err: blockdev.ErrOutOfRange, Latency: a.eng.Now() - start})
-			})
-		}
+	if !blockdev.CheckWrite(a.eng, lba, nblocks, a.Blocks(), done) {
 		return
 	}
 	bs := int64(a.BlockSize())
 	a.userBytes += uint64(nblocks) * uint64(bs)
-	remaining := nblocks
-	var firstErr error
+	f := sim.NewFanIn(blockdev.WriteDone(a.eng, done))
+	part := func(r zns.WriteResult) { f.Done(r.Err) }
+	f.Add(nblocks)
 	for i := 0; i < nblocks; i++ {
 		var payload []byte
 		if data != nil {
 			payload = data[int64(i)*bs : int64(i+1)*bs]
 		}
-		a.writeBlock(lba+int64(i), payload, zns.TagUserData, func(r zns.WriteResult) {
-			if r.Err != nil && firstErr == nil {
-				firstErr = r.Err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(blockdev.WriteResult{Err: firstErr, Latency: a.eng.Now() - start})
-			}
-		})
+		a.writeBlock(lba+int64(i), payload, zns.TagUserData, part)
 	}
+	f.Seal()
 }
 
 // writeBlock appends one block to an open zone and updates the mapping on
 // completion. User writes stall at the free-zone cliff so GC migration
 // always has zones to move data into; GC's own writes bypass the stall.
 func (a *Adapter) writeBlock(lba int64, data []byte, tag zns.WriteTag, done func(zns.WriteResult)) {
-	if tag == zns.TagUserData && len(a.freeZones) <= a.stallFloor() && a.pickVictim() >= 0 {
-		a.stalled = append(a.stalled, pending{lba: lba, data: data, tag: tag, enqueued: a.eng.Now(), done: done})
+	if tag == zns.TagUserData && a.log.FreeZones(0) <= a.stallFloor() && a.victim() >= 0 {
+		a.stalled.Push(pending{lba: lba, data: data, done: done})
 		a.maybeStartGC()
 		return
 	}
@@ -285,30 +222,19 @@ func (a *Adapter) writeBlock(lba int64, data []byte, tag zns.WriteTag, done func
 	if tag == zns.TagGCData {
 		// Migration writes fill the dedicated GC zone so one collection
 		// can retire at most one fresh zone, keeping reclaim net-positive.
-		if a.zones[a.gcZone].wp >= a.backend.ZoneBlocks() {
-			a.zones[a.gcZone].state = zsFull
+		if a.log.Full(a.gcZone) {
+			a.log.Retire(a.gcZone)
 			a.gcZone = a.takeFree()
 		}
 		z = a.gcZone
 	} else {
 		z = a.pickZone()
 	}
-	zi := &a.zones[z]
-	off := zi.wp
-	zi.wp++
+	off := a.log.Reserve(z)
 	// Install the mapping immediately (dm-zap updates its table before
 	// submission; the serialized dispatch makes this safe).
-	if old := a.l2z[lba]; old.zone >= 0 {
-		ozi := &a.zones[old.zone]
-		if ozi.rmap[old.off] == lba {
-			ozi.rmap[old.off] = -1
-			ozi.valid--
-		}
-	}
-	a.l2z[lba] = loc{zone: z, off: off}
-	zi.rmap[off] = lba
-	zi.valid++
-	if zi.wp >= a.backend.ZoneBlocks() && z != a.gcZone {
+	a.log.Map(lba, z, off)
+	if a.log.Full(z) && z != a.gcZone {
 		a.retireZone(z)
 	}
 	a.dispatch(z, pending{lba: lba, off: off, data: data, tag: tag, enqueued: a.eng.Now(), done: done})
@@ -323,7 +249,7 @@ func (a *Adapter) pickZone() int {
 
 // retireZone replaces a filled zone in the open ring with a fresh one.
 func (a *Adapter) retireZone(z int) {
-	a.zones[z].state = zsFull
+	a.log.Retire(z)
 	for i, oz := range a.openRing {
 		if oz == z {
 			a.openRing[i] = a.takeFree()
@@ -337,17 +263,17 @@ func (a *Adapter) retireZone(z int) {
 // charged to the dm-zap component as spin-lock CPU, matching §5.7's
 // finding that the lock dominates dm-zap's CPU cost.
 func (a *Adapter) dispatch(z int, p pending) {
-	zi := &a.zones[z]
-	if zi.busy {
-		zi.queue = append(zi.queue, p)
+	zq := &a.zones[z]
+	if zq.busy {
+		zq.queue.Push(p)
 		return
 	}
-	zi.busy = true
+	zq.busy = true
 	a.submit(z, p)
 }
 
 func (a *Adapter) submit(z int, p pending) {
-	zi := &a.zones[z]
+	zq := &a.zones[z]
 	if wait := a.eng.Now() - p.enqueued; wait > 0 {
 		// The real adapter spins while the zone lock is held.
 		a.acct.Charge(cpumodel.CompDmzap, wait)
@@ -361,26 +287,18 @@ func (a *Adapter) submit(z int, p pending) {
 		if p.done != nil {
 			p.done(r)
 		}
-		if len(zi.queue) > 0 {
-			next := zi.queue[0]
-			zi.queue = zi.queue[1:]
-			a.submit(z, next)
+		if zq.queue.Len() > 0 {
+			a.submit(z, zq.queue.Pop())
 			return
 		}
-		zi.busy = false
+		zq.busy = false
 	})
 }
 
 // Read implements blockdev.Device, splitting across zones as needed and
 // coalescing contiguous runs within one zone.
 func (a *Adapter) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
-	start := a.eng.Now()
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > a.Blocks() {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Err: blockdev.ErrOutOfRange, Latency: a.eng.Now() - start})
-			})
-		}
+	if !blockdev.CheckRead(a.eng, lba, nblocks, a.Blocks(), done) {
 		return
 	}
 	bs := int64(a.BlockSize())
@@ -388,74 +306,35 @@ func (a *Adapter) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	if a.storesData {
 		buf = make([]byte, int64(nblocks)*bs)
 	}
-	remaining := 0
-	var firstErr error
-	finishOne := func() {
-		remaining--
-		if remaining == 0 && done != nil {
-			done(blockdev.ReadResult{Err: firstErr, Data: buf, Latency: a.eng.Now() - start})
-		}
-	}
-	// Build contiguous (zone, offset) runs.
-	type run struct {
-		zone    int
-		off     int64
-		blocks  int
-		bufBase int64
-	}
-	var runs []run
+	var runs blockdev.Runs
 	for i := 0; i < nblocks; i++ {
-		l := a.l2z[lba+int64(i)]
-		if l.zone < 0 {
-			continue // unmapped reads as zeros
+		if l := a.log.At(lba + int64(i)); l.Zone >= 0 { // unmapped reads as zeros
+			runs.Add(l.Zone, l.Off, i)
 		}
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			if last.zone == l.zone && last.off+int64(last.blocks) == l.off &&
-				last.bufBase+int64(last.blocks)*bs == int64(i)*bs {
-				last.blocks++
-				continue
-			}
-		}
-		runs = append(runs, run{zone: l.zone, off: l.off, blocks: 1, bufBase: int64(i) * bs})
 	}
 	if len(runs) == 0 {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Data: buf, Latency: a.eng.Now() - start})
-			})
-		}
+		sim.Deliver(a.eng, sim.Microsecond, done, blockdev.ReadResult{Data: buf, Latency: sim.Microsecond})
 		return
 	}
-	remaining = len(runs)
+	f := sim.NewFanIn(blockdev.ReadDone(a.eng, buf, done))
+	f.Add(len(runs))
 	for _, r := range runs {
-		r := r
+		at := int64(r.At) * bs
 		a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
-		a.backend.Read(r.zone, r.off, r.blocks, func(res zns.ReadResult) {
-			if res.Err != nil && firstErr == nil {
-				firstErr = res.Err
-			}
+		a.backend.Read(r.Unit, r.Off, r.Blocks, func(res zns.ReadResult) {
 			if res.Data != nil {
-				copy(buf[r.bufBase:], res.Data)
+				copy(buf[at:], res.Data)
 			}
-			finishOne()
+			f.Done(res.Err)
 		})
 	}
+	f.Seal()
 }
 
 // Trim implements blockdev.Device.
 func (a *Adapter) Trim(lba int64, nblocks int) {
 	for i := int64(0); i < int64(nblocks); i++ {
-		l := a.l2z[lba+i]
-		if l.zone < 0 {
-			continue
-		}
-		zi := &a.zones[l.zone]
-		if zi.rmap[l.off] == lba+i {
-			zi.rmap[l.off] = -1
-			zi.valid--
-		}
-		a.l2z[lba+i] = loc{zone: -1}
+		a.log.Unmap(lba + i)
 	}
 }
 
@@ -465,7 +344,7 @@ func (a *Adapter) maybeStartGC() {
 	if a.gcRunning {
 		return
 	}
-	if len(a.freeZones) >= a.cfg.GCLowWater && len(a.stalled) == 0 {
+	if a.log.FreeZones(0) >= a.cfg.GCLowWater && a.stalled.Len() == 0 {
 		return
 	}
 	a.gcRunning = true
@@ -476,90 +355,56 @@ func (a *Adapter) maybeStartGC() {
 // normal write path — interfering with user I/O exactly as the paper
 // complains — then resets the victim.
 func (a *Adapter) gcStep() {
-	if len(a.freeZones) >= a.cfg.GCHighWater && len(a.stalled) == 0 {
+	if a.log.FreeZones(0) >= a.cfg.GCHighWater && a.stalled.Len() == 0 {
 		a.gcRunning = false
 		return
 	}
-	victim := a.pickVictim()
+	victim := a.victim()
 	if victim < 0 {
 		a.gcRunning = false
 		return
 	}
 	a.gcEvents++
-	zi := &a.zones[victim]
-	var lbas []int64
-	for off := int64(0); off < zi.wp; off++ {
-		if l := zi.rmap[off]; l >= 0 {
-			lbas = append(lbas, l)
-		}
-	}
-	finish := func() {
+	finish := func(error) {
 		a.backend.Reset(victim, func(error) {
-			zi.state = zsFree
-			zi.wp = 0
-			a.freeZones = append(a.freeZones, victim)
-			for len(a.stalled) > 0 && (len(a.freeZones) > a.stallFloor() || a.pickVictim() < 0) {
-				p := a.stalled[0]
-				a.stalled = a.stalled[1:]
-				a.writeBlock(p.lba, p.data, p.tag, p.done)
+			a.log.Release(victim)
+			for a.stalled.Len() > 0 && (a.log.FreeZones(0) > a.stallFloor() || a.victim() < 0) {
+				p := a.stalled.Pop()
+				a.writeBlock(p.lba, p.data, zns.TagUserData, p.done)
 			}
 			a.eng.After(0, a.gcStep)
 		})
 	}
-	if len(lbas) == 0 {
-		finish()
-		return
-	}
-	remaining := len(lbas)
-	bs := int64(a.BlockSize())
-	for _, l := range lbas {
-		l := l
-		cur := a.l2z[l]
-		if cur.zone != victim {
-			// Overwritten since scan; nothing to move.
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-			continue
-		}
-		a.backend.Read(victim, cur.off, 1, func(res zns.ReadResult) {
+	f := sim.NewFanIn(finish)
+	migrated := func(zns.WriteResult) { f.Done(nil) }
+	bs := uint64(a.BlockSize())
+	for _, l := range a.log.Live(victim) {
+		cur := a.log.At(l)
+		f.Add(1)
+		a.backend.Read(victim, cur.Off, 1, func(res zns.ReadResult) {
 			// Re-check: a user write may have superseded this block while
 			// the read was in flight; migrating then would resurrect stale
 			// data over the newer copy.
-			if a.l2z[l] != cur {
-				remaining--
-				if remaining == 0 {
-					finish()
-				}
+			if a.log.At(l) != cur {
+				f.Done(nil)
 				return
 			}
-			a.migratedBytes += uint64(bs)
-			a.writeBlock(l, res.Data, zns.TagGCData, func(zns.WriteResult) {
-				remaining--
-				if remaining == 0 {
-					finish()
-				}
-			})
+			a.migratedBytes += bs
+			a.writeBlock(l, res.Data, zns.TagGCData, migrated)
 		})
+	}
+	if f.Seal() == 0 {
+		finish(nil)
 	}
 }
 
-// pickVictim returns the full zone with the fewest valid blocks. Zones
+// victim returns the full zone with the fewest valid blocks. Zones
 // with writes still queued or in flight are not collectible: migrating
 // them would read stale data and the reset would race the tail writes.
-func (a *Adapter) pickVictim() int {
-	best, bestValid := -1, int64(1)<<62
-	for i := range a.zones {
-		zi := &a.zones[i]
-		if zi.state != zsFull || zi.busy || len(zi.queue) > 0 {
-			continue
-		}
-		if zi.valid < bestValid {
-			best, bestValid = i, zi.valid
-		}
-	}
-	return best
+func (a *Adapter) victim() int {
+	return a.log.PickVictim(a.order, func(z int) bool {
+		return !a.zones[z].busy && a.zones[z].queue.Len() == 0
+	})
 }
 
 // ResetAccounting zeroes adapter-level traffic counters.

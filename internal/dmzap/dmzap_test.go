@@ -2,7 +2,6 @@ package dmzap
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -30,36 +29,6 @@ func newAdapter(t *testing.T) (*sim.Engine, *Adapter, *zns.Device, *cpumodel.Acc
 	return eng, a, dev, acct
 }
 
-func wsync(eng *sim.Engine, a *Adapter, lba int64, n int, data []byte) blockdev.WriteResult {
-	var res blockdev.WriteResult
-	ok := false
-	a.Write(lba, n, data, func(r blockdev.WriteResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("write hung")
-	}
-	return res
-}
-
-func rsync(eng *sim.Engine, a *Adapter, lba int64, n int) blockdev.ReadResult {
-	var res blockdev.ReadResult
-	ok := false
-	a.Read(lba, n, func(r blockdev.ReadResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("read hung")
-	}
-	return res
-}
-
-func pat(seed byte, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = seed ^ byte(i*11)
-	}
-	return b
-}
-
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	dev, _ := zns.New(eng, zns.TestConfig())
@@ -81,58 +50,15 @@ func TestRandomWriteReadRoundTrip(t *testing.T) {
 	// Random (non-sequential) LBAs — the whole point of the adapter.
 	lbas := []int64{100, 5, 999, 42, 0, 512}
 	for i, lba := range lbas {
-		if r := wsync(eng, a, lba, 1, pat(byte(i+1), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, a, lba, 1, blockdev.Pattern(byte(i+1), 4096)); r.Err != nil {
 			t.Fatalf("write %d: %v", lba, r.Err)
 		}
 	}
 	for i, lba := range lbas {
-		r := rsync(eng, a, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(byte(i+1), 4096)) {
+		r := blockdev.ReadSync(eng, a, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(byte(i+1), 4096)) {
 			t.Fatalf("read %d mismatch (err=%v)", lba, r.Err)
 		}
-	}
-}
-
-func TestOverwriteVisibility(t *testing.T) {
-	eng, a, _, _ := newAdapter(t)
-	for i := 0; i < 5; i++ {
-		wsync(eng, a, 7, 1, pat(byte(i), 4096))
-	}
-	r := rsync(eng, a, 7, 1)
-	if !bytes.Equal(r.Data, pat(4, 4096)) {
-		t.Fatal("stale data after overwrites")
-	}
-}
-
-func TestMultiBlockWriteSplit(t *testing.T) {
-	eng, a, _, _ := newAdapter(t)
-	payload := pat(9, 16*4096)
-	if r := wsync(eng, a, 50, 16, payload); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	r := rsync(eng, a, 50, 16)
-	if !bytes.Equal(r.Data, payload) {
-		t.Fatal("multi-block round trip mismatch")
-	}
-}
-
-func TestUnmappedReadsZero(t *testing.T) {
-	eng, a, _, _ := newAdapter(t)
-	r := rsync(eng, a, 123, 2)
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	for _, b := range r.Data {
-		if b != 0 {
-			t.Fatal("unmapped read not zero")
-		}
-	}
-}
-
-func TestOutOfRangeRejected(t *testing.T) {
-	eng, a, _, _ := newAdapter(t)
-	if r := wsync(eng, a, a.Blocks(), 1, nil); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
-		t.Fatalf("err = %v", r.Err)
 	}
 }
 
@@ -179,7 +105,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 	rng := sim.NewRNG(3)
 	for i := 0; i < int(span)*6; i++ {
 		lba := rng.Int63n(span)
-		wsync(eng, a, lba, 1, pat(byte(lba), 4096))
+		blockdev.WriteSync(eng, a, lba, 1, blockdev.Pattern(byte(lba), 4096))
 	}
 	eng.Run()
 	if a.GCEvents() == 0 {
@@ -187,11 +113,11 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 	}
 	// All data must survive migration.
 	for lba := int64(0); lba < span; lba += 17 {
-		r := rsync(eng, a, lba, 1)
+		r := blockdev.ReadSync(eng, a, lba, 1)
 		if r.Err != nil {
 			t.Fatalf("read %d after GC: %v", lba, r.Err)
 		}
-		if r.Data[0] != (pat(byte(lba), 4096))[0] {
+		if r.Data[0] != (blockdev.Pattern(byte(lba), 4096))[0] {
 			t.Fatalf("data corrupted by GC at %d", lba)
 		}
 	}
@@ -206,7 +132,7 @@ func TestTrimPreventsMigration(t *testing.T) {
 	span := a.Blocks() / 2
 	for round := 0; round < 4; round++ {
 		for lba := int64(0); lba < span; lba++ {
-			wsync(eng, a, lba, 1, nil)
+			blockdev.WriteSync(eng, a, lba, 1, nil)
 		}
 		a.Trim(0, int(span))
 	}
@@ -220,7 +146,7 @@ func TestTrimPreventsMigration(t *testing.T) {
 func TestFlashAccountingMatchesBackend(t *testing.T) {
 	eng, a, dev, _ := newAdapter(t)
 	for i := 0; i < 64; i++ {
-		wsync(eng, a, int64(i), 1, nil)
+		blockdev.WriteSync(eng, a, int64(i), 1, nil)
 	}
 	// Flush open zones so every block reaches flash.
 	eng.Run()
@@ -235,7 +161,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, a, _, _ := newAdapter(t)
 		rng := sim.NewRNG(21)
 		for i := 0; i < 1500; i++ {
-			wsync(eng, a, rng.Int63n(a.Blocks()/3), 1, nil)
+			blockdev.WriteSync(eng, a, rng.Int63n(a.Blocks()/3), 1, nil)
 		}
 		eng.Run()
 		wa := a.WriteAmp()

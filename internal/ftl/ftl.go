@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"biza/internal/blockdev"
+	"biza/internal/fifo"
 	"biza/internal/metrics"
 	"biza/internal/obs"
 	"biza/internal/sim"
@@ -160,8 +161,8 @@ type Device struct {
 	readLink   *sim.Resource
 
 	cacheCredit int64
-	waiters     []waiter
-	stalled     []func() // allocation parked below the critical watermark
+	waiters     fifo.Queue[waiter]
+	stalled     fifo.Queue[func()] // allocation parked below the critical watermark
 
 	logicalPages int64
 
@@ -353,29 +354,22 @@ func (d *Device) mapPage(lpn, ppn int64) {
 // with background drain and GC.
 func (d *Device) Write(lba int64, nblocks int, data []byte, done func(blockdev.WriteResult)) {
 	start := d.eng.Now()
-	fail := func(err error) {
-		if done != nil {
-			d.eng.After(d.cfg.CmdOverhead, func() {
-				done(blockdev.WriteResult{Err: err, Latency: d.eng.Now() - start})
-			})
-		}
-	}
 	n := int64(nblocks)
-	if nblocks <= 0 || lba < 0 || lba+n > d.logicalPages {
-		fail(blockdev.ErrOutOfRange)
-		return
+	var err error
+	switch {
+	case !blockdev.InRange(lba, nblocks, d.logicalPages):
+		err = blockdev.ErrOutOfRange
+	case data != nil && int64(len(data)) != n*int64(d.cfg.BlockSize):
+		err = blockdev.ErrBadArgument
 	}
-	if data != nil && int64(len(data)) != n*int64(d.cfg.BlockSize) {
-		fail(blockdev.ErrBadArgument)
+	if err != nil {
+		sim.Deliver(d.eng, d.cfg.CmdOverhead, done, blockdev.WriteResult{Err: err, Latency: d.cfg.CmdOverhead})
 		return
 	}
 	size := n * int64(d.cfg.BlockSize)
 	d.userWritten += uint64(size)
 
-	var span obs.SpanID
-	if d.tr != nil {
-		span = d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpWrite, d.trDev, -1, lba, n)
-	}
+	span := d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpWrite, d.trDev, -1, lba, n)
 
 	// Page allocation happens only once cache credit is granted: the cache
 	// is the device's admission control, which bounds how far allocation
@@ -395,7 +389,7 @@ func (d *Device) Write(lba int64, nblocks int, data []byte, done func(blockdev.W
 							delete(d.data, lpn)
 						}
 					}
-					d.programPage(ppn, ch, false)
+					d.programPage(ch)
 				}
 				d.maybeStartGC()
 				d.writeLink.Submit(size*sim.Second/d.cfg.DeviceWriteBW, func(s, e sim.Time) {
@@ -416,17 +410,13 @@ func (d *Device) Write(lba int64, nblocks int, data []byte, done func(blockdev.W
 
 // programPage schedules the flash program of one page on channel ch and
 // releases one cache credit when it completes.
-func (d *Device) programPage(ppn int64, ch int, gc bool) {
+func (d *Device) programPage(ch int) {
 	size := int64(d.cfg.BlockSize)
 	cr := d.chans[ch]
 	cr.writeBus.Submit(size*sim.Second/d.cfg.ChannelWriteBW, func(_, _ sim.Time) {
 		cr.dies.Submit(size*sim.Second/d.cfg.DieWriteBW, func(_, _ sim.Time) {
 			d.programmed += uint64(size)
-			if gc {
-				d.gcMigrated += uint64(size)
-			} else {
-				d.releaseCache(1)
-			}
+			d.releaseCache(1)
 		})
 	})
 }
@@ -450,15 +440,13 @@ func (d *Device) allocWhenSafe(fn func()) {
 		fn()
 		return
 	}
-	d.stalled = append(d.stalled, fn)
+	d.stalled.Push(fn)
 	d.maybeStartGC()
 }
 
 func (d *Device) releaseStalled() {
-	for len(d.stalled) > 0 && (len(d.freeList) > d.criticalWater() || d.pickVictim() < 0) {
-		fn := d.stalled[0]
-		d.stalled = d.stalled[1:]
-		fn()
+	for d.stalled.Len() > 0 && (len(d.freeList) > d.criticalWater() || d.pickVictim() < 0) {
+		d.stalled.Pop()()
 	}
 }
 
@@ -468,41 +456,30 @@ func (d *Device) acquireCache(need int64, fn func()) {
 	if need > d.cfg.CacheBlocks {
 		need = d.cfg.CacheBlocks
 	}
-	if len(d.waiters) == 0 && d.cacheCredit >= need {
+	if d.waiters.Len() == 0 && d.cacheCredit >= need {
 		d.cacheCredit -= need
 		fn()
 		return
 	}
-	d.waiters = append(d.waiters, waiter{need: need, run: fn})
+	d.waiters.Push(waiter{need: need, run: fn})
 }
 
 func (d *Device) releaseCache(n int64) {
 	d.cacheCredit += n
-	for len(d.waiters) > 0 {
-		w := &d.waiters[0]
-		if d.cacheCredit < w.need {
-			return
-		}
+	for d.waiters.Len() > 0 && d.cacheCredit >= d.waiters.Peek().need {
+		w := d.waiters.Pop()
 		d.cacheCredit -= w.need
-		run := w.run
-		d.waiters = d.waiters[1:]
-		run()
+		w.run()
 	}
 }
 
 // Read implements blockdev.Device.
 func (d *Device) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	start := d.eng.Now()
-	fail := func(err error) {
-		if done != nil {
-			d.eng.After(d.cfg.CmdOverhead, func() {
-				done(blockdev.ReadResult{Err: err, Latency: d.eng.Now() - start})
-			})
-		}
-	}
 	n := int64(nblocks)
-	if nblocks <= 0 || lba < 0 || lba+n > d.logicalPages {
-		fail(blockdev.ErrOutOfRange)
+	if !blockdev.InRange(lba, nblocks, d.logicalPages) {
+		sim.Deliver(d.eng, d.cfg.CmdOverhead, done,
+			blockdev.ReadResult{Err: blockdev.ErrOutOfRange, Latency: d.cfg.CmdOverhead})
 		return
 	}
 	size := n * int64(d.cfg.BlockSize)
@@ -513,7 +490,9 @@ func (d *Device) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	if ppn := d.l2p[lba]; ppn != invalidPPN {
 		ch = d.blocks[ppn/int64(d.cfg.PagesPerBlock)].channel
 	}
+	span := d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpRead, d.trDev, -1, lba, n)
 	finish := func() {
+		d.tr.SpanEnd(span, int64(d.eng.Now()), false)
 		if done == nil {
 			return
 		}
@@ -528,15 +507,6 @@ func (d *Device) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 			}
 		}
 		done(blockdev.ReadResult{Data: data, Latency: d.eng.Now() - start})
-	}
-	var span obs.SpanID
-	if d.tr != nil {
-		span = d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpRead, d.trDev, -1, lba, n)
-		innerFinish := finish
-		finish = func() {
-			d.tr.SpanEnd(span, int64(d.eng.Now()), false)
-			innerFinish()
-		}
 	}
 	cr := d.chans[ch]
 	d.controller.Submit(d.cfg.CmdOverhead, func(_, _ sim.Time) {
@@ -615,8 +585,7 @@ func (d *Device) gcStep() {
 		}
 	}
 	size := int64(d.cfg.BlockSize)
-	remaining := len(migrate)
-	finishVictim := func() {
+	finishVictim := func(error) {
 		// Erase occupies the victim channel's dies; the next victim is
 		// collected concurrently so erases on different channels overlap.
 		cr := d.chans[fb.channel]
@@ -642,10 +611,8 @@ func (d *Device) gcStep() {
 		}
 		d.eng.After(0, d.gcStep)
 	}
-	if remaining == 0 {
-		finishVictim()
-		return
-	}
+	moved := sim.NewFanIn(finishVictim)
+	moved.Add(len(migrate))
 	for _, ppn := range migrate {
 		lpn := d.p2l[ppn]
 		newPPN, ch := d.allocPage(lpn, true)
@@ -659,14 +626,14 @@ func (d *Device) gcStep() {
 					dst.dies.Submit(size*sim.Second/d.cfg.DieWriteBW, func(_, _ sim.Time) {
 						d.programmed += uint64(size)
 						d.gcMigrated += uint64(size)
-						remaining--
-						if remaining == 0 {
-							finishVictim()
-						}
+						moved.Done(nil)
 					})
 				})
 			})
 		})
+	}
+	if moved.Seal() == 0 {
+		finishVictim(nil)
 	}
 }
 

@@ -1,8 +1,6 @@
 package ftl
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -17,36 +15,6 @@ func newDev(t *testing.T) (*sim.Engine, *Device) {
 		t.Fatal(err)
 	}
 	return eng, d
-}
-
-func wsync(eng *sim.Engine, d *Device, lba int64, n int, data []byte) blockdev.WriteResult {
-	var res blockdev.WriteResult
-	ok := false
-	d.Write(lba, n, data, func(r blockdev.WriteResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("write did not complete")
-	}
-	return res
-}
-
-func rsync(eng *sim.Engine, d *Device, lba int64, n int) blockdev.ReadResult {
-	var res blockdev.ReadResult
-	ok := false
-	d.Read(lba, n, func(r blockdev.ReadResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("read did not complete")
-	}
-	return res
-}
-
-func pattern(seed byte, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = seed ^ byte(i*3)
-	}
-	return b
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -76,48 +44,13 @@ func TestCapacityReflectsOverProvision(t *testing.T) {
 	}
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	eng, d := newDev(t)
-	p := pattern(5, 3*4096)
-	if r := wsync(eng, d, 10, 3, p); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	r := rsync(eng, d, 10, 3)
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if !bytes.Equal(r.Data, p) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestOverwriteReturnsLatest(t *testing.T) {
-	eng, d := newDev(t)
-	wsync(eng, d, 0, 1, pattern(1, 4096))
-	wsync(eng, d, 0, 1, pattern(2, 4096))
-	r := rsync(eng, d, 0, 1)
-	if !bytes.Equal(r.Data, pattern(2, 4096)) {
-		t.Fatal("overwrite not visible")
-	}
-}
-
-func TestOutOfRangeRejected(t *testing.T) {
-	eng, d := newDev(t)
-	if r := wsync(eng, d, d.Blocks(), 1, nil); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
-		t.Fatalf("oob write err = %v", r.Err)
-	}
-	if r := rsync(eng, d, -1, 1); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
-		t.Fatalf("oob read err = %v", r.Err)
-	}
-}
-
 func TestOverwritesTriggerGC(t *testing.T) {
 	eng, d := newDev(t)
 	// Hammer a working set larger than free-block slack so GC must run.
 	span := d.Blocks() / 2
 	for round := 0; round < 6; round++ {
 		for lba := int64(0); lba < span; lba += 8 {
-			wsync(eng, d, lba, 8, nil)
+			blockdev.WriteSync(eng, d, lba, 8, nil)
 		}
 	}
 	eng.Run()
@@ -137,7 +70,7 @@ func TestWriteAmpGrowsUnderRandomOverwrite(t *testing.T) {
 	rng := sim.NewRNG(3)
 	span := d.Blocks() * 3 / 4
 	for i := 0; i < 4000; i++ {
-		wsync(eng, d, rng.Int63n(span), 1, nil)
+		blockdev.WriteSync(eng, d, rng.Int63n(span), 1, nil)
 	}
 	eng.Run()
 	wa := d.WriteAmp()
@@ -156,7 +89,7 @@ func TestSequentialOverwriteLowWA(t *testing.T) {
 	span := d.Blocks() * 3 / 4
 	for round := 0; round < 8; round++ {
 		for lba := int64(0); lba+8 <= span; lba += 8 {
-			wsync(eng, d, lba, 8, nil)
+			blockdev.WriteSync(eng, d, lba, 8, nil)
 		}
 	}
 	eng.Run()
@@ -168,9 +101,9 @@ func TestSequentialOverwriteLowWA(t *testing.T) {
 
 func TestTrimInvalidates(t *testing.T) {
 	eng, d := newDev(t)
-	wsync(eng, d, 0, 8, pattern(9, 8*4096))
+	blockdev.WriteSync(eng, d, 0, 8, blockdev.Pattern(9, 8*4096))
 	d.Trim(0, 8)
-	r := rsync(eng, d, 0, 1)
+	r := blockdev.ReadSync(eng, d, 0, 1)
 	for _, b := range r.Data {
 		if b != 0 {
 			t.Fatal("trimmed data still readable")
@@ -181,7 +114,7 @@ func TestTrimInvalidates(t *testing.T) {
 	span := d.Blocks() / 2
 	for round := 0; round < 3; round++ {
 		for lba := int64(0); lba < span; lba += 8 {
-			wsync(eng, d, lba, 8, nil)
+			blockdev.WriteSync(eng, d, lba, 8, nil)
 			d.Trim(lba, 8)
 		}
 	}
@@ -197,7 +130,7 @@ func TestGCLatencySpike(t *testing.T) {
 	// quiescent latency — the §2.3 tail-latency observation.
 	quiet := func() int64 {
 		eng, d := newDev(t)
-		r := wsync(eng, d, 0, 1, nil)
+		r := blockdev.WriteSync(eng, d, 0, 1, nil)
 		return r.Latency
 	}()
 	eng, d := newDev(t)
@@ -209,7 +142,7 @@ func TestGCLatencySpike(t *testing.T) {
 	}
 	var worst int64
 	for i := 0; i < 50; i++ {
-		r := wsync(eng, d, rng.Int63n(span), 1, nil)
+		r := blockdev.WriteSync(eng, d, rng.Int63n(span), 1, nil)
 		if r.Latency > worst {
 			worst = r.Latency
 		}
@@ -225,7 +158,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, d := newDev(t)
 		rng := sim.NewRNG(11)
 		for i := 0; i < 2000; i++ {
-			wsync(eng, d, rng.Int63n(d.Blocks()/2), 1, nil)
+			blockdev.WriteSync(eng, d, rng.Int63n(d.Blocks()/2), 1, nil)
 		}
 		eng.Run()
 		wa := d.WriteAmp()

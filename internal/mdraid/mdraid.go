@@ -19,6 +19,7 @@ import (
 	"biza/internal/blockdev"
 	"biza/internal/cpumodel"
 	"biza/internal/erasure"
+	"biza/internal/fifo"
 	"biza/internal/metrics"
 	"biza/internal/raid"
 	"biza/internal/sim"
@@ -79,6 +80,8 @@ type Array struct {
 	lru      *list.List // front = MRU
 	capacity int        // stripes
 
+	storesData bool // every member retains payloads
+
 	userBytes  uint64
 	dataOut    uint64
 	parityOut  uint64
@@ -94,7 +97,7 @@ type Array struct {
 	// the array instead of hiding behind the volatile cache.
 	inflightFlush int64
 	maxInflight   int64
-	ackWaiters    []func()
+	ackWaiters    fifo.Queue[func(error)]
 }
 
 // New builds the array; members must share geometry. eng drives timers.
@@ -134,6 +137,11 @@ func New(eng *sim.Engine, members []blockdev.Device, cfg Config, acct *cpumodel.
 		cache:    make(map[int64]*stripeEntry),
 		lru:      list.New(),
 		capacity: capacity,
+
+		storesData: true,
+	}
+	for _, m := range members {
+		a.storesData = a.storesData && blockdev.StoresData(m)
 	}
 	a.maxInflight = cfg.StripeCacheBytes
 	if a.maxInflight < stripeDataBytes*4 {
@@ -147,14 +155,7 @@ func (a *Array) BlockSize() int { return a.members[0].BlockSize() }
 
 // StoresData implements blockdev.DataStorer: reads return payloads only
 // when every member retains them.
-func (a *Array) StoresData() bool {
-	for _, m := range a.members {
-		if !blockdev.StoresData(m) {
-			return false
-		}
-	}
-	return true
-}
+func (a *Array) StoresData() bool { return a.storesData }
 
 // Blocks implements blockdev.Device: data capacity across members.
 func (a *Array) Blocks() int64 {
@@ -185,15 +186,10 @@ func (a *Array) stripePages() int { return int(a.layout.StripeBlocks()) }
 // Write implements blockdev.Device: pages land in the stripe cache; full
 // stripes flush immediately, the rest on pressure or timer.
 func (a *Array) Write(lba int64, nblocks int, data []byte, done func(blockdev.WriteResult)) {
-	start := a.eng.Now()
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > a.Blocks() {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.WriteResult{Err: blockdev.ErrOutOfRange, Latency: a.eng.Now() - start})
-			})
-		}
+	if !blockdev.CheckWrite(a.eng, lba, nblocks, a.Blocks(), done) {
 		return
 	}
+	ack := blockdev.WriteDone(a.eng, done)
 	bs := int64(a.BlockSize())
 	a.userBytes += uint64(nblocks) * uint64(bs)
 	a.acct.Charge(cpumodel.CompMdraid, cpumodel.CostSchedule)
@@ -226,36 +222,23 @@ func (a *Array) Write(lba int64, nblocks int, data []byte, done func(blockdev.Wr
 		if a.cfg.AckFromCache {
 			// Volatile-cache ack, but bounded: when flush traffic backs up
 			// past the cache budget, acks wait for the members to drain.
-			a.ackWhenDrained(func() {
-				if done != nil {
-					done(blockdev.WriteResult{Latency: a.eng.Now() - start})
-				}
-			})
+			a.ackWhenDrained(ack)
 			return
 		}
 		// Write-through: flush everything this request touched and ack
 		// after members complete.
-		remaining := 0
-		var firstErr error
-		finish := func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(blockdev.WriteResult{Err: firstErr, Latency: a.eng.Now() - start})
-			}
-		}
+		f := sim.NewFanIn(ack)
+		flushed := f.Done
 		first, _, _ := a.layout.Locate(lba)
 		last, _, _ := a.layout.Locate(lba + int64(nblocks) - 1)
 		for s := first; s <= last; s++ {
 			if e, ok := a.cache[s]; ok {
-				remaining++
-				a.flushStripe(e, finish)
+				f.Add(1)
+				a.flushStripe(e, flushed)
 			}
 		}
-		if remaining == 0 && done != nil {
-			done(blockdev.WriteResult{Err: firstErr, Latency: a.eng.Now() - start})
+		if f.Seal() == 0 {
+			ack(nil)
 		}
 	})
 }
@@ -280,22 +263,20 @@ func (a *Array) entry(stripe int64) *stripeEntry {
 	return e
 }
 
-// ackWhenDrained runs fn immediately while flush traffic is within the
-// budget, otherwise parks it until member completions free space.
-func (a *Array) ackWhenDrained(fn func()) {
-	if a.inflightFlush <= a.maxInflight && len(a.ackWaiters) == 0 {
-		fn()
+// ackWhenDrained acknowledges (fn(nil)) immediately while flush traffic is
+// within the budget, otherwise once member completions have freed space.
+func (a *Array) ackWhenDrained(fn func(error)) {
+	if a.inflightFlush <= a.maxInflight && a.ackWaiters.Len() == 0 {
+		fn(nil)
 		return
 	}
-	a.ackWaiters = append(a.ackWaiters, fn)
+	a.ackWaiters.Push(fn)
 }
 
 func (a *Array) releaseInflight(n int64) {
 	a.inflightFlush -= n
-	for len(a.ackWaiters) > 0 && a.inflightFlush <= a.maxInflight {
-		fn := a.ackWaiters[0]
-		a.ackWaiters = a.ackWaiters[1:]
-		fn()
+	for a.ackWaiters.Len() > 0 && a.inflightFlush <= a.maxInflight {
+		a.ackWaiters.Pop()(nil)
 	}
 }
 
@@ -320,6 +301,19 @@ func (a *Array) timerFlush() {
 	a.timerArmed = false
 }
 
+// pageRuns calls fn(first, n) for each maximal run of consecutive numbers
+// in the ascending list pages.
+func pageRuns(pages []int, fn func(first, n int)) {
+	for i := 0; i < len(pages); {
+		j := i + 1
+		for j < len(pages) && pages[j] == pages[j-1]+1 {
+			j++
+		}
+		fn(pages[i], j-i)
+		i = j
+	}
+}
+
 // flushStripe writes a stripe's dirty pages and its parity to the members.
 // Full stripes compute parity from buffered data; partial stripes
 // read-modify-write (reading old pages costs member reads — the classic
@@ -331,69 +325,32 @@ func (a *Array) flushStripe(e *stripeEntry, done func(error)) {
 	bs := int64(a.BlockSize())
 	full := e.filled == a.stripePages()
 	pagesPerChunk := int(a.cfg.ChunkBlocks)
+	base := a.layout.DiskOffset(s, 0) // the stripe's chunk on every member
+	pmember := a.layout.ParityDisk(s, 0)
 
-	outstanding := 0
-	var firstErr error
-	finish := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done(firstErr)
-		}
-	}
-
-	writeChunkRuns := func(member int, memberBase int64, pages []int, payload func(int) []byte) {
-		// Coalesce consecutive pages into member writes (the block layer's
-		// request merging; conventional SSDs benefit, dm-zap members will
-		// re-split internally — matching §5.2's 64 KiB explanation).
-		i := 0
-		for i < len(pages) {
-			j := i
-			for j+1 < len(pages) && pages[j+1] == pages[j]+1 {
-				j++
+	writes := sim.NewFanIn(done)
+	// write issues one member write of n pages at page of the member's chunk.
+	write := func(member, page, n int, buf []byte) {
+		writes.Add(1)
+		a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
+		nbytes := int64(n) * bs
+		a.inflightFlush += nbytes
+		a.members[member].Write(base+int64(page), n, buf, func(r blockdev.WriteResult) {
+			if r.Err != nil {
+				a.flushErrs++
 			}
-			runPages := pages[i : j+1]
-			var buf []byte
-			hasData := false
-			for _, p := range runPages {
-				if payload(p) != nil {
-					hasData = true
-					break
-				}
-			}
-			if hasData {
-				buf = make([]byte, int64(len(runPages))*bs)
-				for k, p := range runPages {
-					if d := payload(p); d != nil {
-						copy(buf[int64(k)*bs:], d)
-					}
-				}
-			}
-			off := memberBase + int64(runPages[0]%pagesPerChunk)
-			outstanding++
-			a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
-			nbytes := int64(len(runPages)) * bs
-			a.inflightFlush += nbytes
-			a.members[member].Write(off, len(runPages), buf, func(r blockdev.WriteResult) {
-				if r.Err != nil {
-					a.flushErrs++
-				}
-				a.releaseInflight(nbytes)
-				finish(r.Err)
-			})
-			i = j + 1
-		}
+			a.releaseInflight(nbytes)
+			writes.Done(r.Err)
+		})
 	}
 
 	// Gather dirty pages per data chunk.
 	type chunkPages struct {
 		member int
-		base   int64
 		pages  []int
 	}
 	var chunks []chunkPages
+	totalDirty := 0
 	for c := 0; c < a.layout.DataDisks(); c++ {
 		var pages []int
 		for p := c * pagesPerChunk; p < (c+1)*pagesPerChunk; p++ {
@@ -401,15 +358,30 @@ func (a *Array) flushStripe(e *stripeEntry, done func(error)) {
 				pages = append(pages, p)
 			}
 		}
-		if len(pages) == 0 {
-			continue
+		if len(pages) > 0 {
+			chunks = append(chunks, chunkPages{member: a.layout.DataDisk(s, c), pages: pages})
+			totalDirty += len(pages)
 		}
-		member := a.layout.DataDisk(s, c)
-		base := a.layout.DiskOffset(s, 0)
-		chunks = append(chunks, chunkPages{member: member, base: base, pages: pages})
 	}
-	pmember := a.layout.ParityDisk(s, 0)
-	pbase := a.layout.DiskOffset(s, 0)
+	// writeData coalesces each chunk's consecutive dirty pages into member
+	// writes (the block layer's request merging; conventional SSDs benefit,
+	// dm-zap members will re-split internally — matching §5.2's 64 KiB
+	// explanation).
+	writeData := func() {
+		for _, cp := range chunks {
+			pageRuns(cp.pages, func(first, n int) {
+				var buf []byte
+				if run := e.data[first : first+n]; anyData(run) {
+					buf = make([]byte, int64(n)*bs)
+					for k, d := range run {
+						copy(buf[int64(k)*bs:], d)
+					}
+				}
+				write(cp.member, first%pagesPerChunk, n, buf)
+			})
+			a.dataOut += uint64(len(cp.pages)) * uint64(bs)
+		}
+	}
 
 	if full {
 		// Full-stripe write: parity per parity-chunk page = XOR of the
@@ -427,105 +399,55 @@ func (a *Array) flushStripe(e *stripeEntry, done func(error)) {
 				}
 			}
 		}
-		for _, cp := range chunks {
-			writeChunkRuns(cp.member, cp.base, cp.pages, func(p int) []byte { return e.data[p] })
-			a.dataOut += uint64(len(cp.pages)) * uint64(bs)
-		}
-		outstanding++
+		writeData()
 		a.parityOut += uint64(pagesPerChunk) * uint64(bs)
-		a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
-		pbytes := int64(pagesPerChunk) * bs
-		a.inflightFlush += pbytes
-		a.members[pmember].Write(pbase, pagesPerChunk, parity, func(r blockdev.WriteResult) {
-			if r.Err != nil {
-				a.flushErrs++
-			}
-			a.releaseInflight(pbytes)
-			finish(r.Err)
-		})
-		if outstanding == 0 && done != nil {
-			done(nil)
-		}
+		write(pmember, 0, pagesPerChunk, parity)
+		writes.Seal()
 		return
 	}
 
 	// Partial stripe: read-modify-write. Read old copies of the dirty
 	// pages and the parity pages they affect, then write new data and
 	// updated parity.
-	dirtyParityPages := map[int]bool{}
-	totalDirty := 0
+	var ppages []int // parity pages the dirty pages affect, ascending
+	affected := make([]bool, pagesPerChunk)
 	for _, cp := range chunks {
 		for _, p := range cp.pages {
-			dirtyParityPages[p%pagesPerChunk] = true
-			totalDirty++
+			affected[p%pagesPerChunk] = true
 		}
 	}
-	reads := 0
-	finishRead := func() {
-		reads--
-		if reads > 0 {
-			return
+	for pp, hit := range affected {
+		if hit {
+			ppages = append(ppages, pp)
 		}
+	}
+	reads := sim.NewFanIn(func(error) {
 		// All old copies in; write new data and parity deltas.
 		a.acct.ChargeParity(cpumodel.CompMdraid, int64(totalDirty)*bs*2)
-		for _, cp := range chunks {
-			writeChunkRuns(cp.member, cp.base, cp.pages, func(p int) []byte { return e.data[p] })
-			a.dataOut += uint64(len(cp.pages)) * uint64(bs)
-		}
-		var ppages []int
-		for pp := 0; pp < pagesPerChunk; pp++ {
-			if dirtyParityPages[pp] {
-				ppages = append(ppages, pp)
-			}
-		}
-		i := 0
-		for i < len(ppages) {
-			j := i
-			for j+1 < len(ppages) && ppages[j+1] == ppages[j]+1 {
-				j++
-			}
-			run := ppages[i : j+1]
-			outstanding++
-			a.parityOut += uint64(len(run)) * uint64(bs)
-			a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
-			rbytes := int64(len(run)) * bs
-			a.inflightFlush += rbytes
-			a.members[pmember].Write(pbase+int64(run[0]), len(run), nil, func(r blockdev.WriteResult) {
-				if r.Err != nil {
-					a.flushErrs++
-				}
-				a.releaseInflight(rbytes)
-				finish(r.Err)
-			})
-			i = j + 1
-		}
-		if outstanding == 0 && done != nil {
-			done(firstErr)
-		}
-	}
+		writeData()
+		pageRuns(ppages, func(first, n int) {
+			a.parityOut += uint64(n) * uint64(bs)
+			write(pmember, first, n, nil)
+		})
+		writes.Seal()
+	})
 	// Old-data reads: one per dirty page plus affected parity pages. The
 	// returned payloads only matter for real parity math, which needs the
 	// full un-dirty stripe state; this simulation carries write payloads
 	// for correctness testing via full-stripe paths and read-back, so RMW
 	// parity content is not recomputed here — only its traffic is modeled.
-	reads = totalDirty + len(dirtyParityPages)
-	a.rmwReads += uint64(reads) * uint64(bs)
+	reads.Add(totalDirty + len(ppages))
+	a.rmwReads += uint64(totalDirty+len(ppages)) * uint64(bs)
+	old := func(blockdev.ReadResult) { reads.Done(nil) }
 	for _, cp := range chunks {
 		for _, p := range cp.pages {
-			outstandingRead := p
-			_ = outstandingRead
-			a.members[cp.member].Read(cp.base+int64(p%pagesPerChunk), 1, func(blockdev.ReadResult) {
-				finishRead()
-			})
+			a.members[cp.member].Read(base+int64(p%pagesPerChunk), 1, old)
 		}
 	}
-	for pp := 0; pp < pagesPerChunk; pp++ {
-		if dirtyParityPages[pp] {
-			a.members[pmember].Read(pbase+int64(pp), 1, func(blockdev.ReadResult) {
-				finishRead()
-			})
-		}
+	for _, pp := range ppages {
+		a.members[pmember].Read(base+int64(pp), 1, old)
 	}
+	reads.Seal()
 }
 
 func anyData(pages [][]byte) bool {
@@ -540,13 +462,7 @@ func anyData(pages [][]byte) bool {
 // Read implements blockdev.Device: dirty cached pages are served from the
 // stripe cache; the rest from members, coalesced per member.
 func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
-	start := a.eng.Now()
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > a.Blocks() {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Err: blockdev.ErrOutOfRange, Latency: a.eng.Now() - start})
-			})
-		}
+	if !blockdev.CheckRead(a.eng, lba, nblocks, a.Blocks(), done) {
 		return
 	}
 	bs := int64(a.BlockSize())
@@ -554,14 +470,8 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	if a.StoresData() {
 		buf = make([]byte, int64(nblocks)*bs)
 	}
-	type runT struct {
-		member  int
-		off     int64
-		blocks  int
-		bufBase int64
-	}
-	var runs []runT
-	cached := 0
+	complete := blockdev.ReadDone(a.eng, buf, done)
+	var runs blockdev.Runs
 	for i := 0; i < nblocks; i++ {
 		stripe, chunk, off := a.layout.Locate(lba + int64(i))
 		page := int(int64(chunk)*a.cfg.ChunkBlocks + off)
@@ -569,45 +479,25 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 			if e.data[page] != nil {
 				copy(buf[int64(i)*bs:], e.data[page])
 			}
-			cached++
 			continue
 		}
-		member := a.layout.DataDisk(stripe, chunk)
-		moff := a.layout.DiskOffset(stripe, off)
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			if last.member == member && last.off+int64(last.blocks) == moff &&
-				last.bufBase+int64(last.blocks)*bs == int64(i)*bs {
-				last.blocks++
-				continue
-			}
-		}
-		runs = append(runs, runT{member: member, off: moff, blocks: 1, bufBase: int64(i) * bs})
+		runs.Add(a.layout.DataDisk(stripe, chunk), a.layout.DiskOffset(stripe, off), i)
 	}
 	a.head.Submit(a.cfg.PageCost*sim.Time(nblocks)/2, func(_, _ sim.Time) {
-		if len(runs) == 0 {
-			if done != nil {
-				done(blockdev.ReadResult{Data: buf, Latency: a.eng.Now() - start})
-			}
-			return
-		}
-		remaining := len(runs)
-		var firstErr error
+		f := sim.NewFanIn(complete)
+		f.Add(len(runs))
 		for _, r := range runs {
-			r := r
+			at := int64(r.At) * bs
 			a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
-			a.members[r.member].Read(r.off, r.blocks, func(res blockdev.ReadResult) {
-				if res.Err != nil && firstErr == nil {
-					firstErr = res.Err
-				}
+			a.members[r.Unit].Read(r.Off, r.Blocks, func(res blockdev.ReadResult) {
 				if res.Data != nil {
-					copy(buf[r.bufBase:], res.Data)
+					copy(buf[at:], res.Data)
 				}
-				remaining--
-				if remaining == 0 && done != nil {
-					done(blockdev.ReadResult{Err: firstErr, Data: buf, Latency: a.eng.Now() - start})
-				}
+				f.Done(res.Err)
 			})
+		}
+		if f.Seal() == 0 {
+			complete(nil)
 		}
 	})
 }

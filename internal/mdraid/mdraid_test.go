@@ -2,7 +2,6 @@ package mdraid
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -40,36 +39,6 @@ func testCfg() Config {
 	return c
 }
 
-func wsync(eng *sim.Engine, a *Array, lba int64, n int, data []byte) blockdev.WriteResult {
-	var res blockdev.WriteResult
-	ok := false
-	a.Write(lba, n, data, func(r blockdev.WriteResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("mdraid write hung")
-	}
-	return res
-}
-
-func rsync(eng *sim.Engine, a *Array, lba int64, n int) blockdev.ReadResult {
-	var res blockdev.ReadResult
-	ok := false
-	a.Read(lba, n, func(r blockdev.ReadResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("mdraid read hung")
-	}
-	return res
-}
-
-func pat(seed byte, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = seed + byte(i*7)
-	}
-	return b
-}
-
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	d, _ := ftl.New(eng, ftl.TestConfig())
@@ -86,11 +55,11 @@ func TestValidation(t *testing.T) {
 func TestFullStripeRoundTrip(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
 	// One full stripe: 3 data chunks x 4 blocks.
-	payload := pat(5, 12*4096)
-	if r := wsync(eng, a, 0, 12, payload); r.Err != nil {
+	payload := blockdev.Pattern(5, 12*4096)
+	if r := blockdev.WriteSync(eng, a, 0, 12, payload); r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	r := rsync(eng, a, 0, 12)
+	r := blockdev.ReadSync(eng, a, 0, 12)
 	if r.Err != nil || !bytes.Equal(r.Data, payload) {
 		t.Fatalf("round trip mismatch err=%v", r.Err)
 	}
@@ -98,16 +67,16 @@ func TestFullStripeRoundTrip(t *testing.T) {
 
 func TestPartialWriteRoundTripThroughCacheAndFlush(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
-	payload := pat(9, 2*4096)
-	wsync(eng, a, 5, 2, payload)
+	payload := blockdev.Pattern(9, 2*4096)
+	blockdev.WriteSync(eng, a, 5, 2, payload)
 	// Read while dirty (served from cache).
-	r := rsync(eng, a, 5, 2)
+	r := blockdev.ReadSync(eng, a, 5, 2)
 	if !bytes.Equal(r.Data, payload) {
 		t.Fatal("cache read mismatch")
 	}
 	// Run past the flush timer, then read from members.
 	eng.RunUntil(eng.Now() + 20*sim.Millisecond)
-	r = rsync(eng, a, 5, 2)
+	r = blockdev.ReadSync(eng, a, 5, 2)
 	if !bytes.Equal(r.Data, payload) {
 		t.Fatal("post-flush read mismatch")
 	}
@@ -120,28 +89,21 @@ func TestRandomOverwriteRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		lba := rng.Int63n(a.Blocks())
 		seed := byte(i)
-		wsync(eng, a, lba, 1, pat(seed, 4096))
+		blockdev.WriteSync(eng, a, lba, 1, blockdev.Pattern(seed, 4096))
 		want[lba] = seed
 	}
 	eng.RunUntil(eng.Now() + 50*sim.Millisecond)
 	for lba, seed := range want {
-		r := rsync(eng, a, lba, 1)
-		if !bytes.Equal(r.Data, pat(seed, 4096)) {
+		r := blockdev.ReadSync(eng, a, lba, 1)
+		if !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
 			t.Fatalf("lba %d mismatch", lba)
 		}
 	}
 }
 
-func TestOutOfRange(t *testing.T) {
-	eng, a, _ := newArray(t, testCfg())
-	if r := wsync(eng, a, a.Blocks(), 1, nil); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
-		t.Fatalf("err = %v", r.Err)
-	}
-}
-
 func TestFullStripeAvoidsRMW(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
-	wsync(eng, a, 0, 12, pat(1, 12*4096)) // exactly one full stripe
+	blockdev.WriteSync(eng, a, 0, 12, blockdev.Pattern(1, 12*4096)) // exactly one full stripe
 	eng.Run()
 	if a.RMWReads() != 0 {
 		t.Fatalf("full-stripe write incurred %d RMW read bytes", a.RMWReads())
@@ -154,7 +116,7 @@ func TestFullStripeAvoidsRMW(t *testing.T) {
 
 func TestPartialStripeIncursRMW(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
-	wsync(eng, a, 0, 1, pat(1, 4096))
+	blockdev.WriteSync(eng, a, 0, 1, blockdev.Pattern(1, 4096))
 	eng.RunUntil(eng.Now() + 20*sim.Millisecond) // timer flush
 	if a.RMWReads() == 0 {
 		t.Fatal("partial flush did not read-modify-write")
@@ -179,8 +141,8 @@ func TestCachePressureEvicts(t *testing.T) {
 	cfg.StripeCacheBytes = 12 * 4096 // exactly one stripe
 	cfg.FlushInterval = 0
 	eng, a, _ := newArray(t, cfg)
-	wsync(eng, a, 0, 1, nil)   // stripe 0 dirty
-	wsync(eng, a, 100, 1, nil) // stripe far away: evicts stripe 0
+	blockdev.WriteSync(eng, a, 0, 1, nil)   // stripe 0 dirty
+	blockdev.WriteSync(eng, a, 100, 1, nil) // stripe far away: evicts stripe 0
 	eng.Run()
 	wa := a.WriteAmp()
 	if wa.FlashDataBytes == 0 {
@@ -193,7 +155,7 @@ func TestWriteMergingBenefitsSequential(t *testing.T) {
 	// engine-level data-out equals user bytes (no RMW, no re-writes).
 	eng, a, _ := newArray(t, testCfg())
 	for lba := int64(0); lba < 480; lba += 12 {
-		wsync(eng, a, lba, 12, nil)
+		blockdev.WriteSync(eng, a, lba, 12, nil)
 	}
 	eng.Run()
 	wa := a.WriteAmp()
@@ -243,7 +205,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, a, _ := newArray(t, testCfg())
 		rng := sim.NewRNG(77)
 		for i := 0; i < 800; i++ {
-			wsync(eng, a, rng.Int63n(a.Blocks()/2), 2, nil)
+			blockdev.WriteSync(eng, a, rng.Int63n(a.Blocks()/2), 2, nil)
 		}
 		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
 		wa := a.WriteAmp()

@@ -75,21 +75,6 @@ func (l *Layout) isParityDisk(stripe int64, d int) bool {
 	return false
 }
 
-// ChunkIndexOnDisk reports the inverse of DataDisk: which data chunk index
-// member d holds in the stripe, or -1 if d holds parity.
-func (l *Layout) ChunkIndexOnDisk(stripe int64, d int) int {
-	if l.isParityDisk(stripe, d) {
-		return -1
-	}
-	idx := 0
-	for i := 0; i < d; i++ {
-		if !l.isParityDisk(stripe, i) {
-			idx++
-		}
-	}
-	return idx
-}
-
 // Locate maps a user LBA to (stripe, data chunk index, offset in chunk).
 func (l *Layout) Locate(lba int64) (stripe int64, chunk int, offset int64) {
 	sb := l.StripeBlocks()

@@ -70,22 +70,6 @@ func TestRAID6ParityPairsDistinct(t *testing.T) {
 	}
 }
 
-func TestChunkIndexOnDiskInverse(t *testing.T) {
-	l, _ := NewLayout(5, 1, 4)
-	for s := int64(0); s < 10; s++ {
-		for i := 0; i < l.DataDisks(); i++ {
-			d := l.DataDisk(s, i)
-			if got := l.ChunkIndexOnDisk(s, d); got != i {
-				t.Fatalf("inverse failed: stripe %d chunk %d disk %d -> %d", s, i, d, got)
-			}
-		}
-		p := l.ParityDisk(s, 0)
-		if got := l.ChunkIndexOnDisk(s, p); got != -1 {
-			t.Fatalf("parity disk reported data index %d", got)
-		}
-	}
-}
-
 func TestLocateLBARoundTrip(t *testing.T) {
 	l, _ := NewLayout(4, 1, 16)
 	if err := quick.Check(func(x uint32) bool {

@@ -19,6 +19,7 @@ import (
 
 	"biza/internal/cpumodel"
 	"biza/internal/erasure"
+	"biza/internal/fifo"
 	"biza/internal/metrics"
 	"biza/internal/nvme"
 	"biza/internal/obs"
@@ -36,8 +37,10 @@ type Config struct {
 
 const metaZonesReserved = 2 // physical zones 0..1 reserved on every member
 
-// rowState tracks a partially written stripe row.
+// rowState tracks a logical zone's partially written stripe row. A zone
+// fills sequentially, so it has at most one: count == 0 means none.
 type rowState struct {
+	row       int64
 	acc       []byte // XOR accumulator (nil when payloads are nil)
 	count     int    // data chunks received
 	journaled bool   // partial parity already journaled for this row
@@ -46,7 +49,6 @@ type rowState struct {
 // Array is the RAIZN engine. It implements zoneapi.Backend so dm-zap can
 // stack on top (the dmzap+RAIZN platform).
 type Array struct {
-	cfg    Config
 	queues []*nvme.Queue
 	eng    *sim.Engine
 	layout *raid.Layout
@@ -54,9 +56,10 @@ type Array struct {
 	zoneBlocks   int64 // physical blocks per member zone
 	logicalZones int
 	blockSize    int
+	storesData   bool // every member retains payloads
 
-	wp    []int64 // logical zone write pointers (in logical blocks)
-	rows  []map[int64]*rowState
+	wp    []int64    // logical zone write pointers (in logical blocks)
+	open  []rowState // per logical zone: its open row
 	cache *stripeCache
 
 	// Centralized metadata journal: device 0, alternating physical zones
@@ -73,23 +76,19 @@ type Array struct {
 	tr *obs.Trace
 }
 
-// SetAccountant wires CPU-cost attribution (Fig. 17); nil disables it.
+// SetAccountant wires CPU-cost attribution (Fig. 17) to acct, non-nil.
+// Until then the charges go to an accountant nobody reads, as in dmzap and
+// mdraid.
 func (a *Array) SetAccountant(acct *cpumodel.Accountant) { a.acct = acct }
 
 // SetTracer attaches an observability trace: array-level spans cover each
 // zone Write/Read end to end.
 func (a *Array) SetTracer(tr *obs.Trace) { a.tr = tr }
 
-func (a *Array) charge(d sim.Time) {
-	if a.acct != nil {
-		a.acct.Charge(cpumodel.CompRAIZN, d)
-	}
-}
-
 // stripeCache is a FIFO of row keys whose partial parity is held in DRAM.
 type stripeCache struct {
 	capacity int
-	fifo     []rowKey
+	fifo     fifo.Queue[rowKey]
 	members  map[rowKey]bool
 }
 
@@ -123,19 +122,20 @@ func New(queues []*nvme.Queue, cfg Config) (*Array, error) {
 		return nil, err
 	}
 	a := &Array{
-		cfg:          cfg,
 		queues:       queues,
 		eng:          queues[0].Device().Engine(),
 		layout:       layout,
 		zoneBlocks:   base.ZoneBlocks,
 		logicalZones: base.NumZones - metaZonesReserved,
 		blockSize:    base.BlockSize,
+		acct:         &cpumodel.Accountant{},
+		storesData:   true,
+	}
+	for _, q := range queues {
+		a.storesData = a.storesData && q.Device().Config().StoreData
 	}
 	a.wp = make([]int64, a.logicalZones)
-	a.rows = make([]map[int64]*rowState, a.logicalZones)
-	for i := range a.rows {
-		a.rows[i] = make(map[int64]*rowState)
-	}
+	a.open = make([]rowState, a.logicalZones)
 	if cfg.StripeCacheBytes > 0 {
 		rows := int(cfg.StripeCacheBytes / int64(a.blockSize))
 		if rows < 1 {
@@ -159,16 +159,9 @@ func (a *Array) ZoneBlocks() int64 { return a.zoneBlocks * int64(a.dataDisks()) 
 // Zones implements zoneapi.Backend.
 func (a *Array) Zones() int { return a.logicalZones }
 
-// StoresData implements zoneapi.DataStorer: the array returns payloads
+// StoresData implements blockdev.DataStorer: the array returns payloads
 // only when every member device retains them.
-func (a *Array) StoresData() bool {
-	for _, q := range a.queues {
-		if !q.Device().Config().StoreData {
-			return false
-		}
-	}
-	return true
-}
+func (a *Array) StoresData() bool { return a.storesData }
 
 // MaxOpenZones implements zoneapi.Backend: one logical zone consumes a
 // physical open zone on every member; device 0 also carries the metadata
@@ -195,79 +188,65 @@ func (a *Array) MetaBytes() uint64 { return a.metaBytes }
 // physZone maps a logical zone to its members' physical zone index.
 func (a *Array) physZone(z int) int { return z + metaZonesReserved }
 
+// openRow returns zone z's open row if it is row, else nil.
+func (a *Array) openRow(z int, row int64) *rowState {
+	if rs := &a.open[z]; rs.count > 0 && rs.row == row {
+		return rs
+	}
+	return nil
+}
+
 // Write implements zoneapi.Backend: strictly sequential per logical zone.
 // Each logical block lands on the data member of its stripe row; completed
 // rows emit final parity to the rotating parity member; every request
 // journals its partial-parity record to the centralized metadata zone
 // (unless the stripe cache absorbs it).
 func (a *Array) Write(z int, lba int64, nblocks int, data []byte, tag zns.WriteTag, done func(zns.WriteResult)) {
-	start := a.eng.Now()
-	fail := func(err error) {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(zns.WriteResult{Err: err, Latency: a.eng.Now() - start})
-			})
-		}
-	}
-	if z < 0 || z >= a.logicalZones {
-		fail(zns.ErrBadZone)
-		return
-	}
 	n := int64(nblocks)
-	if nblocks <= 0 || lba+n > a.ZoneBlocks() {
-		fail(zns.ErrBadRange)
+	var err error
+	switch {
+	case z < 0 || z >= a.logicalZones:
+		err = zns.ErrBadZone
+	case nblocks <= 0 || lba+n > a.ZoneBlocks():
+		err = zns.ErrBadRange
+	case lba != a.wp[z]:
+		err = zns.ErrNotSequential
+	}
+	if err != nil {
+		sim.Deliver(a.eng, sim.Microsecond, done, zns.WriteResult{Err: err, Latency: sim.Microsecond})
 		return
 	}
-	if lba != a.wp[z] {
-		fail(zns.ErrNotSequential)
-		return
-	}
+	start := a.eng.Now()
 	a.wp[z] += n
 	a.userBytes += uint64(n) * uint64(a.blockSize)
-	if a.tr != nil {
-		span := a.tr.SpanBegin(int64(start), obs.LayerRAIZN, obs.OpWrite, -1, z, lba, n)
-		innerDone := done
-		done = func(r zns.WriteResult) {
-			a.tr.SpanEnd(span, int64(a.eng.Now()), r.Err != nil)
-			if innerDone != nil {
-				innerDone(r)
-			}
-		}
-	}
-	a.charge(cpumodel.CostSchedule + cpumodel.CostMapUpdate*sim.Time(n))
-	if a.acct != nil {
-		a.acct.ChargeParity(cpumodel.CompRAIZN, n*int64(a.blockSize))
-		a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission*sim.Time(n))
-	}
+	span := a.tr.SpanBegin(int64(start), obs.LayerRAIZN, obs.OpWrite, -1, z, lba, n)
+	a.acct.Charge(cpumodel.CompRAIZN, cpumodel.CostSchedule+cpumodel.CostMapUpdate*sim.Time(n))
+	a.acct.ChargeParity(cpumodel.CompRAIZN, n*int64(a.blockSize))
+	a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission*sim.Time(n))
 
-	outstanding := 0
-	var firstErr error
-	finishOne := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
+	// Every request issues at least its data blocks, so the fan-in fires.
+	f := sim.NewFanIn(func(err error) {
+		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
+		if done != nil {
+			done(zns.WriteResult{Err: err, Latency: a.eng.Now() - start})
 		}
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done(zns.WriteResult{Err: firstErr, Latency: a.eng.Now() - start})
-		}
-	}
+	})
+	part := func(r zns.WriteResult) { f.Done(r.Err) }
 
 	k := int64(a.dataDisks())
 	bs := int64(a.blockSize)
 	pz := a.physZone(z)
-	var touched []int64
+	rs := &a.open[z]
+	opened := false // the row open when the loop ends began in this request
 	// Row-major processing: because the logical zone fills sequentially,
 	// rows complete in order, and emitting each completed row's parity
 	// before touching the next row keeps every member's physical zone
 	// strictly sequential (data or parity, exactly one block per row).
 	for i := int64(0); i < n; {
-		blk := lba + i
-		row := blk / k
-		rs := a.rows[z][row]
-		if rs == nil {
-			rs = &rowState{}
-			a.rows[z][row] = rs
-			touched = append(touched, row)
+		row := (lba + i) / k
+		if rs.count == 0 {
+			*rs = rowState{row: row}
+			opened = true
 		}
 		for ; i < n && (lba+i)/k == row; i++ {
 			col := int((lba + i) % k)
@@ -276,10 +255,8 @@ func (a *Array) Write(z int, lba int64, nblocks int, data []byte, tag zns.WriteT
 			if data != nil {
 				payload = data[i*bs : (i+1)*bs]
 			}
-			outstanding++
-			a.queues[dev].Write(pz, row, 1, payload, nil, tag, func(r zns.WriteResult) {
-				finishOne(r.Err)
-			})
+			f.Add(1)
+			a.queues[dev].Write(pz, row, 1, payload, nil, tag, part)
 			rs.count++
 			if payload != nil {
 				if rs.acc == nil {
@@ -290,55 +267,43 @@ func (a *Array) Write(z int, lba int64, nblocks int, data []byte, tag zns.WriteT
 		}
 		if rs.count == int(k) {
 			pdev := a.layout.ParityDisk(row, 0)
-			outstanding++
+			f.Add(1)
 			a.parityBytes += uint64(bs)
-			a.queues[pdev].Write(pz, row, 1, rs.acc, nil, zns.TagParity, func(r zns.WriteResult) {
-				finishOne(r.Err)
-			})
-			delete(a.rows[z], row)
+			a.queues[pdev].Write(pz, row, 1, rs.acc, nil, zns.TagParity, part)
+			*rs = rowState{}
+			opened = false
 			if a.cache != nil {
 				a.cache.drop(rowKey{zone: z, row: row})
 			}
 		}
 	}
 
-	// Journal partial parity for the request: one block per incomplete row
-	// it touched — the centralized-metadata-zone traffic that caps RAIZN's
-	// throughput (§3.3). The stripe cache, when enabled, defers journaling
-	// in the hope the row completes in DRAM.
+	// Journal partial parity for the request: one block for the incomplete
+	// row it opened — the centralized-metadata-zone traffic that caps
+	// RAIZN's throughput (§3.3). The stripe cache, when enabled, defers
+	// journaling in the hope the row completes in DRAM.
 	journal := 0
-	for _, row := range touched {
-		rs := a.rows[z][row]
-		if rs == nil || rs.journaled {
-			continue // completed above, or already journaled
-		}
+	if opened && !rs.journaled {
 		if a.cache != nil {
-			for _, evicted := range a.cache.insert(rowKey{zone: z, row: row}) {
-				if ev := a.rows[evicted.zone][evicted.row]; ev != nil && !ev.journaled {
+			for _, evicted := range a.cache.insert(rowKey{zone: z, row: rs.row}) {
+				if ev := a.openRow(evicted.zone, evicted.row); ev != nil && !ev.journaled {
 					ev.journaled = true
 					journal++
 				}
 			}
-			continue
+		} else {
+			rs.journaled = true
+			journal++
 		}
-		rs.journaled = true
-		journal++
 	}
-	if journal > 0 {
-		outstanding += a.writeJournal(journal, finishOne)
-	}
-	if outstanding == 0 && done != nil {
-		a.eng.After(sim.Microsecond, func() {
-			done(zns.WriteResult{Err: firstErr, Latency: a.eng.Now() - start})
-		})
-	}
+	a.writeJournal(journal, f, part)
+	f.Seal()
 }
 
 // writeJournal appends nblocks of partial-parity records to the central
-// metadata zone, rotating between the two reserved zones on member 0.
-// Returns how many completions the caller should expect.
-func (a *Array) writeJournal(nblocks int, finishOne func(error)) int {
-	issued := 0
+// metadata zone, rotating between the two reserved zones on member 0, each
+// append one more part of f.
+func (a *Array) writeJournal(nblocks int, f *sim.FanIn, part func(zns.WriteResult)) {
 	for nblocks > 0 {
 		if a.metaWP >= a.zoneBlocks {
 			// Current journal zone full: switch to the spare and reset the
@@ -355,45 +320,29 @@ func (a *Array) writeJournal(nblocks int, finishOne func(error)) int {
 		off := a.metaWP
 		a.metaWP += batch
 		a.metaBytes += uint64(batch) * uint64(a.blockSize)
-		issued++
-		a.queues[0].Write(a.metaZone, off, int(batch), nil, nil, zns.TagMeta, func(r zns.WriteResult) {
-			finishOne(r.Err)
-		})
+		f.Add(1)
+		a.queues[0].Write(a.metaZone, off, int(batch), nil, nil, zns.TagMeta, part)
 		nblocks -= int(batch)
 	}
-	return issued
 }
 
 // Read implements zoneapi.Backend, splitting the logical range into
 // per-member runs.
 func (a *Array) Read(z int, lba int64, nblocks int, done func(zns.ReadResult)) {
-	start := a.eng.Now()
-	fail := func(err error) {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(zns.ReadResult{Err: err, Latency: a.eng.Now() - start})
-			})
-		}
-	}
-	if z < 0 || z >= a.logicalZones {
-		fail(zns.ErrBadZone)
-		return
-	}
 	n := int64(nblocks)
-	if nblocks <= 0 || lba < 0 || lba+n > a.ZoneBlocks() {
-		fail(zns.ErrBadRange)
+	var err error
+	switch {
+	case z < 0 || z >= a.logicalZones:
+		err = zns.ErrBadZone
+	case nblocks <= 0 || lba < 0 || lba+n > a.ZoneBlocks():
+		err = zns.ErrBadRange
+	}
+	if err != nil {
+		sim.Deliver(a.eng, sim.Microsecond, done, zns.ReadResult{Err: err, Latency: sim.Microsecond})
 		return
 	}
-	if a.tr != nil {
-		span := a.tr.SpanBegin(int64(start), obs.LayerRAIZN, obs.OpRead, -1, z, lba, n)
-		innerDone := done
-		done = func(r zns.ReadResult) {
-			a.tr.SpanEnd(span, int64(a.eng.Now()), r.Err != nil)
-			if innerDone != nil {
-				innerDone(r)
-			}
-		}
-	}
+	start := a.eng.Now()
+	span := a.tr.SpanBegin(int64(start), obs.LayerRAIZN, obs.OpRead, -1, z, lba, n)
 	k := int64(a.dataDisks())
 	bs := int64(a.blockSize)
 	pz := a.physZone(z)
@@ -401,17 +350,12 @@ func (a *Array) Read(z int, lba int64, nblocks int, done func(zns.ReadResult)) {
 	if a.StoresData() {
 		buf = make([]byte, n*bs)
 	}
-	var firstErr error
-	outstanding := 0
-	finishOne := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
+	f := sim.NewFanIn(func(err error) {
+		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
+		if done != nil {
+			done(zns.ReadResult{Err: err, Data: buf, Latency: a.eng.Now() - start})
 		}
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done(zns.ReadResult{Err: firstErr, Data: buf, Latency: a.eng.Now() - start})
-		}
-	}
+	})
 	// Group blocks per member and coalesce consecutive row offsets into one
 	// device read; each run carries the buffer index of every block so the
 	// result can be de-striped.
@@ -440,44 +384,36 @@ func (a *Array) Read(z int, lba int64, nblocks int, done func(zns.ReadResult)) {
 		runs = append(runs, runT{dev: dev, off: row, bufIdx: []int64{i}})
 		lastRunOfDev[dev] = len(runs) - 1
 	}
-	outstanding = len(runs)
+	f.Add(len(runs))
 	for _, r := range runs {
-		r := r
 		a.queues[r.dev].ReadInto(pz, r.off, len(r.bufIdx), nil, false, func(res zns.ReadResult) {
 			if res.Data != nil {
 				for j, idx := range r.bufIdx {
 					copy(buf[idx*bs:(idx+1)*bs], res.Data[int64(j)*bs:(int64(j)+1)*bs])
 				}
 			}
-			finishOne(res.Err)
+			f.Done(res.Err)
 		})
 	}
+	f.Seal()
 }
 
 // Reset implements zoneapi.Backend: resets the logical zone's physical zone
 // on every member.
 func (a *Array) Reset(z int, done func(error)) {
 	if z < 0 || z >= a.logicalZones {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() { done(zns.ErrBadZone) })
-		}
+		sim.Deliver(a.eng, sim.Microsecond, done, error(zns.ErrBadZone))
 		return
 	}
 	a.wp[z] = 0
-	a.rows[z] = make(map[int64]*rowState)
-	remaining := len(a.queues)
-	var firstErr error
+	a.open[z] = rowState{}
+	f := sim.NewFanIn(done)
+	part := f.Done
+	f.Add(len(a.queues))
 	for _, q := range a.queues {
-		q.Reset(a.physZone(z), func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(firstErr)
-			}
-		})
+		q.Reset(a.physZone(z), part)
 	}
+	f.Seal()
 }
 
 // Finish implements zoneapi.Backend.
@@ -485,14 +421,14 @@ func (a *Array) Finish(z int) error {
 	if z < 0 || z >= a.logicalZones {
 		return zns.ErrBadZone
 	}
-	var firstErr error
+	var first error // the first member's failure, if any
 	for _, q := range a.queues {
-		if err := q.Device().Finish(a.physZone(z)); err != nil && firstErr == nil {
-			firstErr = err
+		if err := q.Device().Finish(a.physZone(z)); first == nil {
+			first = err
 		}
 	}
 	a.wp[z] = a.ZoneBlocks()
-	return firstErr
+	return first
 }
 
 // insert adds a key to the FIFO cache and returns evicted keys.
@@ -501,11 +437,10 @@ func (c *stripeCache) insert(k rowKey) []rowKey {
 		return nil
 	}
 	c.members[k] = true
-	c.fifo = append(c.fifo, k)
+	c.fifo.Push(k)
 	var evicted []rowKey
-	for len(c.fifo) > c.capacity {
-		e := c.fifo[0]
-		c.fifo = c.fifo[1:]
+	for c.fifo.Len() > c.capacity {
+		e := c.fifo.Pop()
 		if c.members[e] {
 			delete(c.members, e)
 			evicted = append(evicted, e)

@@ -1,6 +1,7 @@
 package raizn
 
 import (
+	"biza/internal/blockdev"
 	"bytes"
 	"errors"
 	"testing"
@@ -58,14 +59,6 @@ func rsync(eng *sim.Engine, a *Array, z int, lba int64, n int) zns.ReadResult {
 	return res
 }
 
-func pat(seed byte, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = seed ^ byte(i*13)
-	}
-	return b
-}
-
 func TestNewValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	d, _ := zns.New(eng, zns.TestConfig())
@@ -91,7 +84,7 @@ func TestGeometry(t *testing.T) {
 
 func TestSequentialWriteReadRoundTrip(t *testing.T) {
 	eng, a, _ := newArray(t, Config{})
-	payload := pat(3, 48*4096)
+	payload := blockdev.Pattern(3, 48*4096)
 	if r := wsync(eng, a, 0, 0, 48, payload); r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -118,7 +111,7 @@ func TestNonSequentialRejected(t *testing.T) {
 func TestParityIsXOROfRow(t *testing.T) {
 	eng, a, devs := newArray(t, Config{})
 	// One full stripe row: 3 data blocks.
-	payload := pat(7, 3*4096)
+	payload := blockdev.Pattern(7, 3*4096)
 	wsync(eng, a, 0, 0, 3, payload)
 	// Row 0's parity lives on disk 3 (left-asymmetric), physical zone 2, offset 0.
 	var parity []byte
@@ -139,7 +132,7 @@ func TestParityIsXOROfRow(t *testing.T) {
 func TestDegradedReconstructionPossible(t *testing.T) {
 	// Sanity: data + parity on the members suffice to rebuild a lost chunk.
 	eng, a, devs := newArray(t, Config{})
-	payload := pat(9, 3*4096)
+	payload := blockdev.Pattern(9, 3*4096)
 	wsync(eng, a, 0, 0, 3, payload)
 	read := func(dev int) []byte {
 		var out []byte
@@ -243,7 +236,7 @@ func TestStripeCacheEvictionJournals(t *testing.T) {
 
 func TestResetLogicalZone(t *testing.T) {
 	eng, a, _ := newArray(t, Config{})
-	payload := pat(1, 6*4096)
+	payload := blockdev.Pattern(1, 6*4096)
 	wsync(eng, a, 0, 0, 6, payload)
 	var rerr error
 	ok := false

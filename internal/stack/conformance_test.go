@@ -1,0 +1,231 @@
+package stack
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"biza/internal/blockdev"
+	"biza/internal/ftl"
+	"biza/internal/sim"
+	"biza/internal/storerr"
+)
+
+// conformanceRow is one blockdev.Device under the contract every stack in
+// this repository is benchmarked through. The want* fields are the places
+// a device may legitimately differ.
+type conformanceRow struct {
+	name  string
+	build func(t *testing.T) (*sim.Engine, blockdev.Device)
+	// wantSequentialOnly: writes must land on the write pointer (RAIZN's
+	// zoned shim), so an overwrite is an error instead of the new content.
+	wantSequentialOnly bool
+	// wantTrimKept: a trimmed range still reads its old content (the shim
+	// has no discard path and drops trims).
+	wantTrimKept bool
+}
+
+func platformRow(kind Kind, mod func(*conformanceRow)) conformanceRow {
+	row := conformanceRow{name: string(kind), build: func(t *testing.T) (*sim.Engine, blockdev.Device) {
+		p, err := New(kind, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Eng, p.Dev
+	}}
+	if mod != nil {
+		mod(&row)
+	}
+	return row
+}
+
+func conformanceRows() []conformanceRow {
+	return []conformanceRow{
+		platformRow(KindBIZA, nil),
+		platformRow(KindBIZANoSel, nil),
+		platformRow(KindBIZANoAvoid, nil),
+		platformRow(KindRAIZN, func(r *conformanceRow) { r.wantSequentialOnly, r.wantTrimKept = true, true }),
+		platformRow(KindDmzapRAIZN, nil),
+		platformRow(KindMdraidDmzap, nil),
+		platformRow(KindMdraidConvSSD, nil),
+		platformRow(KindZapRAID, nil),
+		{name: "bare ftl.Device", build: func(t *testing.T) (*sim.Engine, blockdev.Device) {
+			eng := sim.NewEngine()
+			d, err := ftl.New(eng, ftl.TestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng, d
+		}},
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDeviceConformance holds every platform kind and a bare conventional
+// SSD to one table of block-device behaviours.
+func TestDeviceConformance(t *testing.T) {
+	const n = 24 // blocks per request: crosses chunks, stripes and dm-zap zones
+	checks := []struct {
+		name string
+		run  func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device)
+	}{
+		{"payload round trip", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			payload := blockdev.Pattern(3, n*d.BlockSize())
+			if r := blockdev.WriteSync(eng, d, 0, n, payload); r.Err != nil {
+				t.Fatalf("write: %v", r.Err)
+			}
+			if r := blockdev.ReadSync(eng, d, 0, n); r.Err != nil || !bytes.Equal(r.Data, payload) {
+				t.Fatalf("read back differs (err=%v)", r.Err)
+			}
+			bs := d.BlockSize()
+			if r := blockdev.ReadSync(eng, d, 5, 7); r.Err != nil || !bytes.Equal(r.Data, payload[5*bs:12*bs]) {
+				t.Fatalf("inner range differs (err=%v)", r.Err)
+			}
+		}},
+		{"overwrite visibility", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			var last []byte
+			for pass := byte(1); pass <= 3; pass++ {
+				last = blockdev.Pattern(pass, n*d.BlockSize())
+				r := blockdev.WriteSync(eng, d, 0, n, last)
+				if row.wantSequentialOnly && pass > 1 {
+					if r.Err == nil {
+						t.Fatal("a sequential-only device accepted an overwrite")
+					}
+					return
+				}
+				if r.Err != nil {
+					t.Fatalf("pass %d: %v", pass, r.Err)
+				}
+			}
+			if r := blockdev.ReadSync(eng, d, 0, n); r.Err != nil || !bytes.Equal(r.Data, last) {
+				t.Fatalf("read does not return the last write (err=%v)", r.Err)
+			}
+		}},
+		{"unmapped reads zero", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			r := blockdev.ReadSync(eng, d, 64, n)
+			if r.Err != nil || len(r.Data) != n*d.BlockSize() || !allZero(r.Data) {
+				t.Fatalf("never-written range: err=%v len=%d zero=%v", r.Err, len(r.Data), allZero(r.Data))
+			}
+		}},
+		{"out of range fails after the call returns", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			var errs []error
+			d.Write(d.Blocks(), 1, nil, func(r blockdev.WriteResult) { errs = append(errs, r.Err) })
+			d.Read(d.Blocks(), 1, func(r blockdev.ReadResult) { errs = append(errs, r.Err) })
+			d.Read(-1, 1, func(r blockdev.ReadResult) { errs = append(errs, r.Err) })
+			if len(errs) != 0 {
+				t.Fatal("a completion ran inside the submitting call")
+			}
+			eng.Run()
+			if len(errs) != 3 {
+				t.Fatalf("%d of 3 requests completed", len(errs))
+			}
+			for i, err := range errs {
+				if !errors.Is(err, storerr.ErrOutOfRange) {
+					t.Fatalf("request %d: err = %v, want ErrOutOfRange", i, err)
+				}
+			}
+		}},
+		{"trim then read", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			payload := blockdev.Pattern(9, n*d.BlockSize())
+			if r := blockdev.WriteSync(eng, d, 0, n, payload); r.Err != nil {
+				t.Fatalf("write: %v", r.Err)
+			}
+			d.Trim(0, n)
+			r := blockdev.ReadSync(eng, d, 0, n)
+			if r.Err != nil {
+				t.Fatalf("read after trim: %v", r.Err)
+			}
+			if row.wantTrimKept != bytes.Equal(r.Data, payload) || !row.wantTrimKept && !allZero(r.Data) {
+				t.Fatalf("after trim: kept=%v zero=%v, want kept=%v", bytes.Equal(r.Data, payload), allZero(r.Data), row.wantTrimKept)
+			}
+		}},
+		{"same seed replays identical latencies", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			run := func(eng *sim.Engine, d blockdev.Device) []sim.Time {
+				var lat []sim.Time
+				for i := int64(0); i < 40; i++ {
+					lat = append(lat, blockdev.WriteSync(eng, d, i*4, 4, nil).Latency)
+				}
+				for i := int64(0); i < 40; i += 3 {
+					lat = append(lat, blockdev.ReadSync(eng, d, i*4, 4).Latency)
+				}
+				return lat
+			}
+			a := run(eng, d)
+			b := run(row.build(t))
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("op %d took %d ns, then %d ns on an identical device", i, a[i], b[i])
+				}
+			}
+		}},
+	}
+	for _, row := range conformanceRows() {
+		for _, c := range checks {
+			t.Run(row.name+"/"+c.name, func(t *testing.T) {
+				eng, d := row.build(t)
+				c.run(t, row, eng, d)
+			})
+		}
+	}
+}
+
+// TestRAIZNShimReadAcrossZoneBoundary: a read straddling two logical zones
+// is stitched from both, and — like a one-zone read — carries no buffer at
+// all when the stack stores no data.
+func TestRAIZNShimReadAcrossZoneBoundary(t *testing.T) {
+	tests := []struct {
+		name      string
+		storeData bool
+	}{
+		{name: "performance mode returns nil", storeData: false},
+		{name: "stored data is stitched across the boundary", storeData: true},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOpts()
+			opts.ZNS.StoreData = tc.storeData
+			p, err := New(KindRAIZN, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zb := p.RAIZN.ZoneBlocks()
+			bs := p.Dev.BlockSize()
+			const chunk = 64
+			var want []byte // the last 8 blocks of zone 0 and the first 8 of zone 1
+			for lba := int64(0); lba < zb+chunk; lba += chunk {
+				payload := blockdev.Pattern(byte(lba/chunk), chunk*bs)
+				if r := blockdev.WriteSync(p.Eng, p.Dev, lba, chunk, payload); r.Err != nil {
+					t.Fatalf("fill at %d: %v", lba, r.Err)
+				}
+				switch lba {
+				case zb - chunk:
+					want = append(want, payload[(chunk-8)*bs:]...)
+				case zb:
+					want = append(want, payload[:8*bs]...)
+				}
+			}
+			one := blockdev.ReadSync(p.Eng, p.Dev, zb-16, 8)
+			two := blockdev.ReadSync(p.Eng, p.Dev, zb-8, 16)
+			if one.Err != nil || two.Err != nil {
+				t.Fatalf("read errors: %v, %v", one.Err, two.Err)
+			}
+			if !tc.storeData {
+				if one.Data != nil || two.Data != nil {
+					t.Fatalf("a stack storing no data returned buffers of %d and %d bytes", len(one.Data), len(two.Data))
+				}
+				return
+			}
+			if !bytes.Equal(two.Data, want) {
+				t.Fatal("bytes across the zone boundary differ from what was written")
+			}
+		})
+	}
+}

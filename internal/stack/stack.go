@@ -116,19 +116,13 @@ type Platform struct {
 	BIZA  *core.Core
 	RAIZN *raizn.Array
 
-	userBytes    func() uint64
 	opts         Options
-	members      []blockdev.Device
 	queues       []*nvme.Queue // member driver queues (ZNS-based platforms)
 	plan         *fault.Plan
 	bizaCfg      core.Config // resolved engine config (BIZA kinds)
 	crashed      bool
 	recoveries   uint64
 	replacements uint64
-	// engineParity reports (data, parity) engine-level output for
-	// platforms whose members cannot tag traffic (mdraid over block
-	// devices); FlashWriteAmp redistributes flash bytes by that ratio.
-	engineParity func() (uint64, uint64)
 }
 
 // New assembles a platform of the given kind on a fresh simulation engine.
@@ -165,161 +159,12 @@ func NewOn(eng *sim.Engine, kind Kind, opts Options) (*Platform, error) {
 		p.plan = plan
 	}
 
-	newZNSQueues := func(zoneOrdered bool) ([]*nvme.Queue, error) {
-		for i := 0; i < opts.Members; i++ {
-			dc := opts.ZNS
-			dc.Seed = opts.Seed + uint64(i)
-			d, err := zns.New(eng, dc)
-			if err != nil {
-				return nil, err
-			}
-			p.ZNSDevs = append(p.ZNSDevs, d)
-			p.queues = append(p.queues, p.newMemberQueue(i, d, opts.Seed+uint64(i)+1000, zoneOrdered, true))
-		}
-		return p.queues, nil
-	}
-
-	switch kind {
-	case KindBIZA, KindBIZANoSel, KindBIZANoAvoid:
-		queues, err := newZNSQueues(false) // BIZA's scheduler replaces zone locking
-		if err != nil {
-			return nil, err
-		}
-		ccfg := core.DefaultConfig(opts.ZNS.NumZones)
-		if opts.BIZAConfig != nil {
-			ccfg = *opts.BIZAConfig
-		}
-		switch kind {
-		case KindBIZANoSel:
-			ccfg.EnableSelector = false
-		case KindBIZANoAvoid:
-			ccfg.EnableGCAvoid = false
-		}
-		p.bizaCfg = ccfg
-		c, err := core.New(queues, ccfg, p.Acct)
-		if err != nil {
-			return nil, err
-		}
-		p.installBIZA(c)
-		if p.plan != nil {
-			for _, t := range p.plan.PowerLossTimes() {
-				eng.At(t, func() {
-					if err := p.Crash(); err != nil {
-						return
-					}
-					p.Recover(nil)
-				})
-			}
-		}
-
-	case KindRAIZN, KindDmzapRAIZN:
-		queues, err := newZNSQueues(true) // RAIZN relies on zone write locking
-		if err != nil {
-			return nil, err
-		}
-		r, err := raizn.New(queues, raizn.Config{StripeCacheBytes: opts.RAIZNStripeCacheBytes})
-		if err != nil {
-			return nil, err
-		}
-		r.SetAccountant(p.Acct)
-		if opts.Trace != nil {
-			r.SetTracer(opts.Trace)
-		}
-		p.RAIZN = r
-		if kind == KindRAIZN {
-			sd := &seqZoneDevice{a: r, eng: p.Eng, tr: opts.Trace}
-			p.Dev = sd
-			p.userBytes = func() uint64 { return r.WriteAmp().UserBytes }
-			break
-		}
-		ad, err := dmzap.New(r, dmzap.DefaultConfig(r.Zones(), r.MaxOpenZones()), p.Acct)
-		if err != nil {
-			return nil, err
-		}
-		p.Dev = ad
-		waA := ad.WriteAmp
-		p.userBytes = func() uint64 { return waA().UserBytes }
-
-	case KindMdraidDmzap:
-		queues, err := newZNSQueues(false) // dmzap keeps one write in flight per zone itself
-		if err != nil {
-			return nil, err
-		}
-		var members []blockdev.Device
-		for _, q := range queues {
-			ad, err := dmzap.New(zoneapi.SingleDevice{Q: q},
-				dmzap.DefaultConfig(opts.ZNS.NumZones, opts.ZNS.MaxOpenZones), p.Acct)
-			if err != nil {
-				return nil, err
-			}
-			members = append(members, ad)
-		}
-		mcfg := mdraid.DefaultConfig()
-		if opts.MdraidConfig != nil {
-			mcfg = *opts.MdraidConfig
-		}
-		md, err := mdraid.New(eng, members, mcfg, p.Acct)
-		if err != nil {
-			return nil, err
-		}
-		p.members = members
-		p.Dev = md
-		waM := md.WriteAmp
-		p.userBytes = func() uint64 { return waM().UserBytes }
-		p.engineParity = func() (uint64, uint64) {
-			w := waM()
-			return w.FlashDataBytes, w.FlashParityBytes
-		}
-
-	case KindZapRAID:
-		queues, err := newZNSQueues(false) // appends need no ordering
-		if err != nil {
-			return nil, err
-		}
-		z, err := zapraid.New(queues, zapraid.DefaultConfig(opts.ZNS.NumZones))
-		if err != nil {
-			return nil, err
-		}
-		if opts.Trace != nil {
-			z.SetTracer(opts.Trace)
-		}
-		p.Dev = z
-		waZ := z.WriteAmp
-		p.userBytes = func() uint64 { return waZ().UserBytes }
-
-	case KindMdraidConvSSD:
-		var members []blockdev.Device
-		for i := 0; i < opts.Members; i++ {
-			fc := opts.FTL
-			fc.Seed = opts.Seed + uint64(i)
-			d, err := ftl.New(eng, fc)
-			if err != nil {
-				return nil, err
-			}
-			p.FTLDevs = append(p.FTLDevs, d)
-			if opts.Trace != nil {
-				d.SetTracer(opts.Trace, i)
-			}
-			members = append(members, d)
-		}
-		mcfg := mdraid.DefaultConfig()
-		if opts.MdraidConfig != nil {
-			mcfg = *opts.MdraidConfig
-		}
-		md, err := mdraid.New(eng, members, mcfg, p.Acct)
-		if err != nil {
-			return nil, err
-		}
-		p.Dev = md
-		waM := md.WriteAmp
-		p.userBytes = func() uint64 { return waM().UserBytes }
-		p.engineParity = func() (uint64, uint64) {
-			w := waM()
-			return w.FlashDataBytes, w.FlashParityBytes
-		}
-
-	default:
+	build, ok := builders[kind]
+	if !ok {
 		return nil, fmt.Errorf("stack: unknown platform %q", kind)
+	}
+	if err := build(p); err != nil {
+		return nil, err
 	}
 	if tr := opts.Trace; tr != nil {
 		// Snapshot cumulative device telemetry when the run finalizes:
@@ -361,13 +206,166 @@ func NewOn(eng *sim.Engine, kind Kind, opts Options) (*Platform, error) {
 	return p, nil
 }
 
+// builders assembles each platform kind into p.
+var builders = map[Kind]func(p *Platform) error{
+	KindBIZA:          (*Platform).buildBIZA,
+	KindBIZANoSel:     (*Platform).buildBIZA,
+	KindBIZANoAvoid:   (*Platform).buildBIZA,
+	KindRAIZN:         (*Platform).buildRAIZN,
+	KindDmzapRAIZN:    (*Platform).buildRAIZN,
+	KindMdraidDmzap:   (*Platform).buildMdraid,
+	KindMdraidConvSSD: (*Platform).buildMdraid,
+	KindZapRAID:       (*Platform).buildZapRAID,
+}
+
+// newZNSQueues simulates the member ZNS SSDs and their driver queues.
+func (p *Platform) newZNSQueues(zoneOrdered bool) ([]*nvme.Queue, error) {
+	for i := 0; i < p.opts.Members; i++ {
+		dc := p.opts.ZNS
+		dc.Seed = p.opts.Seed + uint64(i)
+		d, err := zns.New(p.Eng, dc)
+		if err != nil {
+			return nil, err
+		}
+		p.ZNSDevs = append(p.ZNSDevs, d)
+		p.queues = append(p.queues, p.newMemberQueue(i, d, p.opts.Seed+uint64(i)+1000, zoneOrdered, true))
+	}
+	return p.queues, nil
+}
+
+func (p *Platform) buildBIZA() error {
+	queues, err := p.newZNSQueues(false) // BIZA's scheduler replaces zone locking
+	if err != nil {
+		return err
+	}
+	ccfg := core.DefaultConfig(p.opts.ZNS.NumZones)
+	if p.opts.BIZAConfig != nil {
+		ccfg = *p.opts.BIZAConfig
+	}
+	switch p.Kind {
+	case KindBIZANoSel:
+		ccfg.EnableSelector = false
+	case KindBIZANoAvoid:
+		ccfg.EnableGCAvoid = false
+	}
+	p.bizaCfg = ccfg
+	c, err := core.New(queues, ccfg, p.Acct)
+	if err != nil {
+		return err
+	}
+	p.installBIZA(c)
+	if p.plan != nil {
+		for _, t := range p.plan.PowerLossTimes() {
+			p.Eng.At(t, func() {
+				if err := p.Crash(); err != nil {
+					return
+				}
+				p.Recover(nil)
+			})
+		}
+	}
+	return nil
+}
+
+// buildRAIZN assembles RAIZN behind the sequential shim, or under dm-zap.
+func (p *Platform) buildRAIZN() error {
+	queues, err := p.newZNSQueues(true) // RAIZN relies on zone write locking
+	if err != nil {
+		return err
+	}
+	r, err := raizn.New(queues, raizn.Config{StripeCacheBytes: p.opts.RAIZNStripeCacheBytes})
+	if err != nil {
+		return err
+	}
+	r.SetAccountant(p.Acct)
+	r.SetTracer(p.opts.Trace)
+	p.RAIZN = r
+	if p.Kind == KindRAIZN {
+		p.Dev = &seqZoneDevice{a: r, eng: p.Eng, tr: p.opts.Trace}
+		return nil
+	}
+	p.Dev, err = dmzap.New(r, dmzap.DefaultConfig(r.Zones(), r.MaxOpenZones()), p.Acct)
+	return err
+}
+
+// dmzapMembers simulates one dm-zap adapter per ZNS SSD.
+func (p *Platform) dmzapMembers() ([]blockdev.Device, error) {
+	queues, err := p.newZNSQueues(false) // dmzap keeps one write in flight per zone itself
+	if err != nil {
+		return nil, err
+	}
+	var members []blockdev.Device
+	for _, q := range queues {
+		ad, err := dmzap.New(zoneapi.SingleDevice{Q: q},
+			dmzap.DefaultConfig(p.opts.ZNS.NumZones, p.opts.ZNS.MaxOpenZones), p.Acct)
+		if err != nil {
+			return nil, err
+		}
+		members = append(members, ad)
+	}
+	return members, nil
+}
+
+// ftlMembers simulates the conventional SSDs.
+func (p *Platform) ftlMembers() ([]blockdev.Device, error) {
+	var members []blockdev.Device
+	for i := 0; i < p.opts.Members; i++ {
+		fc := p.opts.FTL
+		fc.Seed = p.opts.Seed + uint64(i)
+		d, err := ftl.New(p.Eng, fc)
+		if err != nil {
+			return nil, err
+		}
+		p.FTLDevs = append(p.FTLDevs, d)
+		d.SetTracer(p.opts.Trace, i)
+		members = append(members, d)
+	}
+	return members, nil
+}
+
+// buildMdraid puts the md engine over the kind's block members.
+func (p *Platform) buildMdraid() error {
+	newMembers := p.ftlMembers
+	if p.Kind == KindMdraidDmzap {
+		newMembers = p.dmzapMembers
+	}
+	members, err := newMembers()
+	if err != nil {
+		return err
+	}
+	mcfg := mdraid.DefaultConfig()
+	if p.opts.MdraidConfig != nil {
+		mcfg = *p.opts.MdraidConfig
+	}
+	md, err := mdraid.New(p.Eng, members, mcfg, p.Acct)
+	if err != nil {
+		return err
+	}
+	p.Dev = md
+	return nil
+}
+
+func (p *Platform) buildZapRAID() error {
+	queues, err := p.newZNSQueues(false) // appends need no ordering
+	if err != nil {
+		return err
+	}
+	z, err := zapraid.New(queues, zapraid.DefaultConfig(p.opts.ZNS.NumZones))
+	if err != nil {
+		return err
+	}
+	z.SetTracer(p.opts.Trace)
+	p.Dev = z
+	return nil
+}
+
 // FlashWriteAmp reports the ground-truth endurance view: user bytes
 // admitted at the front-end versus bytes physically programmed (split
 // data/parity) on the member devices.
 func (p *Platform) FlashWriteAmp() metrics.WriteAmp {
 	var wa metrics.WriteAmp
-	if p.userBytes != nil {
-		wa.UserBytes = p.userBytes()
+	if e, ok := p.Dev.(blockdev.WriteAmper); ok {
+		wa.UserBytes = e.WriteAmp().UserBytes
 	}
 	for _, d := range p.ZNSDevs {
 		st := d.Stats()
@@ -383,8 +381,9 @@ func (p *Platform) FlashWriteAmp() metrics.WriteAmp {
 	}
 	// Members below mdraid see untagged block traffic; split the flash
 	// volume by the engine's own data/parity output ratio.
-	if p.engineParity != nil {
-		d, par := p.engineParity()
+	if md, ok := p.Dev.(*mdraid.Array); ok {
+		w := md.WriteAmp()
+		d, par := w.FlashDataBytes, w.FlashParityBytes
 		if total := d + par; total > 0 {
 			flash := wa.FlashDataBytes + wa.FlashParityBytes
 			wa.FlashParityBytes = uint64(float64(flash) * float64(par) / float64(total))
@@ -434,6 +433,9 @@ func (s *seqZoneDevice) Blocks() int64 {
 	return s.a.ZoneBlocks() * int64(s.a.Zones())
 }
 
+// WriteAmp implements blockdev.WriteAmper with the array's accounting.
+func (s *seqZoneDevice) WriteAmp() metrics.WriteAmp { return s.a.WriteAmp() }
+
 func (s *seqZoneDevice) Write(lba int64, nblocks int, data []byte, done func(blockdev.WriteResult)) {
 	zb := s.a.ZoneBlocks()
 	z := int(lba / zb)
@@ -441,27 +443,17 @@ func (s *seqZoneDevice) Write(lba int64, nblocks int, data []byte, done func(blo
 	if off+int64(nblocks) > zb {
 		// Split at the zone boundary.
 		first := int(zb - off)
-		var bs int64
-		if data != nil {
-			bs = int64(s.a.BlockSize())
-		}
-		remaining := 2
-		var firstErr error
-		part := func(r blockdev.WriteResult) {
-			if r.Err != nil && firstErr == nil {
-				firstErr = r.Err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(blockdev.WriteResult{Err: firstErr, Latency: r.Latency})
-			}
-		}
+		f := sim.NewFanIn(blockdev.WriteDone(s.eng, done))
+		part := func(r blockdev.WriteResult) { f.Done(r.Err) }
 		var d1, d2 []byte
 		if data != nil {
-			d1, d2 = data[:int64(first)*bs], data[int64(first)*bs:]
+			cut := int64(first) * int64(s.a.BlockSize())
+			d1, d2 = data[:cut], data[cut:]
 		}
+		f.Add(2)
 		s.Write(lba, first, d1, part)
 		s.Write(lba+int64(first), nblocks-first, d2, part)
+		f.Seal()
 		return
 	}
 	s.a.Write(z, off, nblocks, data, zns.TagUserData, func(r zns.WriteResult) {
@@ -476,28 +468,27 @@ func (s *seqZoneDevice) Read(lba int64, nblocks int, done func(blockdev.ReadResu
 	z := int(lba / zb)
 	off := lba % zb
 	if off+int64(nblocks) > zb {
+		// Split at the zone boundary and stitch the halves; like the
+		// one-zone path, a stack that stores no data returns none.
 		n1 := int(zb - off)
-		buf := make([]byte, int64(nblocks)*int64(s.a.BlockSize()))
-		remaining := 2
-		var firstErr error
-		var last blockdev.ReadResult
+		bs := int64(s.a.BlockSize())
+		var buf []byte
+		if s.a.StoresData() {
+			buf = make([]byte, int64(nblocks)*bs)
+		}
+		f := sim.NewFanIn(blockdev.ReadDone(s.eng, buf, done))
 		part := func(base int64) func(zns.ReadResult) {
 			return func(r zns.ReadResult) {
-				if r.Err != nil && firstErr == nil {
-					firstErr = r.Err
-				}
 				if r.Data != nil {
 					copy(buf[base:], r.Data)
 				}
-				remaining--
-				if remaining == 0 && done != nil {
-					last = blockdev.ReadResult{Err: firstErr, Data: buf, Latency: r.Latency}
-					done(last)
-				}
+				f.Done(r.Err)
 			}
 		}
+		f.Add(2)
 		s.a.Read(z, off, n1, part(0))
-		s.a.Read(z+1, 0, nblocks-n1, part(int64(n1)*int64(s.a.BlockSize())))
+		s.a.Read(z+1, 0, nblocks-n1, part(int64(n1)*bs))
+		f.Seal()
 		return
 	}
 	s.a.Read(z, off, nblocks, func(r zns.ReadResult) {
@@ -552,8 +543,6 @@ func (p *Platform) installBIZA(c *core.Core) {
 	}
 	p.BIZA = c
 	p.Dev = c
-	wa := c.WriteAmp
-	p.userBytes = func() uint64 { return wa().UserBytes }
 	if p.opts.AutoReplace {
 		c.OnMemberDeath(func(dev int) { p.ReplaceDevice(dev, nil) })
 	}
@@ -572,11 +561,7 @@ func (p *Platform) ReplaceDevice(dev int, done func(error)) {
 // rebuild rate against foreground tail latency.
 func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done func(error)) {
 	if p.BIZA == nil {
-		if done != nil {
-			p.Eng.After(0, func() {
-				done(fmt.Errorf("stack: %s cannot rebuild: %w", p.Kind, storerr.ErrNotSupported))
-			})
-		}
+		sim.Deliver(p.Eng, 0, done, fmt.Errorf("stack: %s cannot rebuild: %w", p.Kind, storerr.ErrNotSupported))
 		return
 	}
 	p.replacements++
@@ -586,9 +571,7 @@ func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done fun
 	dc.Seed = sim.DeriveSeed(p.opts.Seed, "replace", gen, member)
 	nd, err := zns.New(p.Eng, dc)
 	if err != nil {
-		if done != nil {
-			p.Eng.After(0, func() { done(err) })
-		}
+		sim.Deliver(p.Eng, 0, done, err)
 		return
 	}
 	if dev >= 0 && dev < len(p.ZNSDevs) {
@@ -642,17 +625,12 @@ func (p *Platform) Queues() []*nvme.Queue { return p.queues }
 // be driven for it to finish. Every member must be readable — replace a
 // dead member first.
 func (p *Platform) Recover(done func(error)) {
-	fail := func(err error) {
-		if done != nil {
-			p.Eng.After(0, func() { done(err) })
-		}
-	}
 	if p.BIZA == nil {
-		fail(fmt.Errorf("stack: %s cannot crash-recover: %w", p.Kind, storerr.ErrNotSupported))
+		sim.Deliver(p.Eng, 0, done, fmt.Errorf("stack: %s cannot crash-recover: %w", p.Kind, storerr.ErrNotSupported))
 		return
 	}
 	if !p.crashed {
-		fail(fmt.Errorf("stack: not crashed: %w", storerr.ErrWrongState))
+		sim.Deliver(p.Eng, 0, done, fmt.Errorf("stack: not crashed: %w", storerr.ErrWrongState))
 		return
 	}
 	p.recoveries++
@@ -707,7 +685,3 @@ func (p *Platform) ResetAccounting() {
 		r.ResetAccounting()
 	}
 }
-
-// Members exposes the member block devices under an mdraid platform
-// (diagnostics).
-func (p *Platform) Members() []blockdev.Device { return p.members }

@@ -21,35 +21,6 @@ func smallOpts() Options {
 	return Options{ZNS: z, FTL: f, Seed: 1}
 }
 
-func TestAllPlatformsServeIO(t *testing.T) {
-	for _, kind := range []Kind{KindBIZA, KindBIZANoSel, KindBIZANoAvoid,
-		KindDmzapRAIZN, KindMdraidDmzap, KindMdraidConvSSD, KindRAIZN, KindZapRAID} {
-		t.Run(string(kind), func(t *testing.T) {
-			p, err := New(kind, smallOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload := make([]byte, 8*4096)
-			for i := range payload {
-				payload[i] = byte(i * 7)
-			}
-			var werr error
-			okW := false
-			p.Dev.Write(0, 8, payload, func(r blockdev.WriteResult) { werr = r.Err; okW = true })
-			p.Eng.Run()
-			if !okW || werr != nil {
-				t.Fatalf("write ok=%v err=%v", okW, werr)
-			}
-			var data []byte
-			p.Dev.Read(0, 8, func(r blockdev.ReadResult) { data = r.Data })
-			p.Eng.Run()
-			if !bytes.Equal(data, payload) {
-				t.Fatal("round trip mismatch")
-			}
-		})
-	}
-}
-
 func TestRAIZNShimRejectsRandomWrites(t *testing.T) {
 	p, err := New(KindRAIZN, smallOpts())
 	if err != nil {

@@ -10,13 +10,16 @@ package zapraid
 
 import (
 	"fmt"
+	"slices"
 
 	"biza/internal/blockdev"
 	"biza/internal/buf"
 	"biza/internal/erasure"
+	"biza/internal/fifo"
 	"biza/internal/metrics"
 	"biza/internal/nvme"
 	"biza/internal/obs"
+	"biza/internal/raid"
 	"biza/internal/sim"
 	"biza/internal/zns"
 )
@@ -32,48 +35,29 @@ type Config struct {
 
 // DefaultConfig sizes the engine for the device zone count.
 func DefaultConfig(zonesPerDevice int) Config {
-	op := zonesPerDevice / 8
-	if op < 4 {
-		op = 4
-	}
-	low := op/2 + 1
-	if low < 3 {
-		low = 3
-	}
-	return Config{OpenZonesPerDevice: 2, GCLowWater: low, GCHighWater: op - 1}
+	_, low, high := raid.Watermarks(zonesPerDevice)
+	return Config{OpenZonesPerDevice: 2, GCLowWater: low, GCHighWater: high}
 }
 
-type pa struct {
-	dev  int
-	zone int
-	off  int64
-}
+// stallFloor is the per-device free-zone count at which user writes park.
+const stallFloor = 2
 
-var paNone = pa{dev: -1}
-
-type zoneState struct {
-	id       int
-	appended int64 // blocks appended (upper bound on next assigned LBA)
-	valid    int64
-	rmap     []int64 // off -> lbn (live data), -1 otherwise
-	inflight int
-}
-
+// devState is one member: its queue, its open zones and its collector.
+// Zones carry their ZoneLog number, idx*zonesPerDev + the device's own.
 type devState struct {
+	idx       int
 	q         *nvme.Queue
-	open      []*zoneState
+	open      []int
 	rr        int
-	free      []int
-	full      []int
-	zones     []*zoneState
+	full      []int // retired zones, oldest first: the victim tie-break
 	gcRunning bool
 }
 
-// stripeBuf gathers chunks of the forming stripe in host DRAM.
-type stripeBuf struct {
-	lbns []int64
-	data [][]byte
-	acc  []byte
+// stalledChunk is a user chunk parked at the free-zone cliff.
+type stalledChunk struct {
+	lbn     int64
+	payload []byte
+	done    func(error)
 }
 
 // Array is the append-based engine. It implements blockdev.Device.
@@ -81,50 +65,31 @@ type Array struct {
 	cfg   Config
 	eng   *sim.Engine
 	devs  []*devState
-	coder *erasure.Coder
 	nData int
 
-	blockSize  int
-	zoneBlocks int64
+	blockSize   int
+	zoneBlocks  int64
+	zonesPerDev int
+	storesData  bool // every member retains payloads
 
-	bmt map[int64]pa // logical block -> chunk location
-	cur *stripeBuf
-	rot int
+	log      *raid.ZoneLog // block -> chunk location; one unit per member
+	inflight []int         // appends outstanding, per zone
+
+	// The forming stripe: how many chunks it holds, their running XOR (a
+	// pooled block, nil until a chunk carries a payload), and the rotation.
+	forming int
+	acc     []byte
+	rot     int
 
 	userBytes   uint64
 	parityBytes uint64
 	gcMigrated  uint64
 	gcEvents    uint64
-	stalled     []func()
+	stalled     fifo.Queue[stalledChunk]
 
-	// Stripe-forming state recycles: steady-state stripe writes reuse one
-	// stripeBuf record and one pooled parity accumulator per stripe slot.
-	sbFree []*stripeBuf
-	pool   *buf.Pool
+	pool *buf.Pool // parity accumulators and GC migration scratch
 
 	tr *obs.Trace
-}
-
-// getSB returns a pooled (emptied) stripe buffer.
-func (a *Array) getSB() *stripeBuf {
-	if n := len(a.sbFree); n > 0 {
-		sb := a.sbFree[n-1]
-		a.sbFree = a.sbFree[:n-1]
-		return sb
-	}
-	return &stripeBuf{}
-}
-
-// putSB recycles a stripe buffer and its accumulator.
-func (a *Array) putSB(sb *stripeBuf) {
-	sb.lbns = sb.lbns[:0]
-	for i := range sb.data {
-		sb.data[i] = nil
-	}
-	sb.data = sb.data[:0]
-	a.pool.Free(sb.acc)
-	sb.acc = nil
-	a.sbFree = append(a.sbFree, sb)
 }
 
 // SetTracer attaches an observability trace: array-level spans cover each
@@ -138,54 +103,32 @@ func New(queues []*nvme.Queue, cfg Config) (*Array, error) {
 		return nil, fmt.Errorf("zapraid: need >= 3 members")
 	}
 	base := queues[0].Device().Config()
-	coder, err := erasure.NewCoder(len(queues)-1, 1)
-	if err != nil {
-		return nil, err
-	}
 	a := &Array{
-		cfg:        cfg,
-		eng:        queues[0].Device().Engine(),
-		coder:      coder,
-		nData:      len(queues) - 1,
-		blockSize:  base.BlockSize,
-		zoneBlocks: base.ZoneBlocks,
-		bmt:        make(map[int64]pa),
-		pool:       buf.NewPool(),
+		cfg:         cfg,
+		eng:         queues[0].Device().Engine(),
+		nData:       len(queues) - 1,
+		blockSize:   base.BlockSize,
+		zoneBlocks:  base.ZoneBlocks,
+		zonesPerDev: base.NumZones,
+		storesData:  true,
+		inflight:    make([]int, len(queues)*base.NumZones),
+		pool:        buf.NewPool(),
 	}
-	for _, q := range queues {
-		ds := &devState{q: q, zones: make([]*zoneState, q.Device().Config().NumZones)}
-		for z := 0; z < len(ds.zones); z++ {
-			ds.free = append(ds.free, z)
-		}
-		for i := 0; i < cfg.OpenZonesPerDevice; i++ {
-			zs, err := a.openZone(ds)
-			if err != nil {
-				return nil, err
+	logical := int64(base.NumZones-cfg.GCHighWater-2) * a.zoneBlocks * int64(a.nData)
+	a.log = raid.NewZoneLog(len(queues), base.NumZones, a.zoneBlocks, logical)
+	for i, q := range queues {
+		a.storesData = a.storesData && q.Device().Config().StoreData
+		ds := &devState{idx: i, q: q}
+		for j := 0; j < cfg.OpenZonesPerDevice; j++ {
+			z, ok := a.log.Take(i)
+			if !ok {
+				return nil, fmt.Errorf("zapraid: out of free zones")
 			}
-			ds.open = append(ds.open, zs)
+			ds.open = append(ds.open, z)
 		}
 		a.devs = append(a.devs, ds)
 	}
 	return a, nil
-}
-
-func (a *Array) openZone(ds *devState) (*zoneState, error) {
-	if len(ds.free) == 0 {
-		return nil, fmt.Errorf("zapraid: out of free zones")
-	}
-	z := ds.free[0]
-	ds.free = ds.free[1:]
-	zs := &zoneState{id: z, rmap: makeFilled(a.zoneBlocks, -1)}
-	ds.zones[z] = zs
-	return zs, nil
-}
-
-func makeFilled(n int64, v int64) []int64 {
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
 }
 
 // BlockSize implements blockdev.Device.
@@ -193,20 +136,10 @@ func (a *Array) BlockSize() int { return a.blockSize }
 
 // StoresData implements blockdev.DataStorer: reads return payloads only
 // when every member device retains them.
-func (a *Array) StoresData() bool {
-	for _, ds := range a.devs {
-		if !ds.q.Device().Config().StoreData {
-			return false
-		}
-	}
-	return true
-}
+func (a *Array) StoresData() bool { return a.storesData }
 
 // Blocks implements blockdev.Device.
-func (a *Array) Blocks() int64 {
-	zones := int64(len(a.devs[0].zones)) - int64(a.cfg.GCHighWater) - 2
-	return zones * a.zoneBlocks * int64(a.nData)
-}
+func (a *Array) Blocks() int64 { return a.log.Blocks() }
 
 // WriteAmp reports engine-level accounting.
 func (a *Array) WriteAmp() metrics.WriteAmp {
@@ -226,27 +159,29 @@ func (a *Array) ResetAccounting() {
 	a.userBytes, a.parityBytes, a.gcMigrated, a.gcEvents = 0, 0, 0, 0
 }
 
+// local is zone z's number on its own device.
+func (a *Array) local(z int) int { return z % a.zonesPerDev }
+
 // pickZone selects an open zone on dev with room, rotating; full zones are
 // retired and replaced.
-func (a *Array) pickZone(ds *devState) (*zoneState, error) {
+func (a *Array) pickZone(ds *devState) (int, error) {
 	for try := 0; try < len(ds.open); try++ {
 		slot := (ds.rr + try) % len(ds.open)
-		zs := ds.open[slot]
-		if zs == nil || zs.appended >= a.zoneBlocks {
-			nz, err := a.openZone(ds)
-			if err != nil {
+		z := ds.open[slot]
+		if a.log.Full(z) {
+			nz, ok := a.log.Take(ds.idx)
+			if !ok {
 				continue
 			}
-			if zs != nil {
-				ds.full = append(ds.full, zs.id)
-			}
+			a.log.Retire(z)
+			ds.full = append(ds.full, z)
 			ds.open[slot] = nz
-			zs = nz
+			z = nz
 		}
 		ds.rr = (slot + 1) % len(ds.open)
-		return zs, nil
+		return z, nil
 	}
-	return nil, fmt.Errorf("zapraid: no open zone with room")
+	return -1, fmt.Errorf("zapraid: no open zone with room")
 }
 
 // Write implements blockdev.Device: every block becomes a chunk appended
@@ -254,241 +189,161 @@ func (a *Array) pickZone(ds *devState) (*zoneState, error) {
 // the members in parallel (no ordering hazard — the device assigns the
 // offsets, §3.2).
 func (a *Array) Write(lba int64, nblocks int, data []byte, done func(blockdev.WriteResult)) {
-	start := a.eng.Now()
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > a.Blocks() {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.WriteResult{Err: blockdev.ErrOutOfRange, Latency: a.eng.Now() - start})
-			})
-		}
+	if !blockdev.CheckWrite(a.eng, lba, nblocks, a.Blocks(), done) {
 		return
 	}
 	bs := int64(a.blockSize)
 	a.userBytes += uint64(nblocks) * uint64(bs)
-	if a.tr != nil {
-		span := a.tr.SpanBegin(int64(start), obs.LayerZapRAID, obs.OpWrite, -1, -1, lba, int64(nblocks))
-		innerDone := done
-		done = func(r blockdev.WriteResult) {
-			a.tr.SpanEnd(span, int64(a.eng.Now()), r.Err != nil)
-			if innerDone != nil {
-				innerDone(r)
-			}
-		}
-	}
-	remaining := nblocks
-	var firstErr error
+	span := a.tr.SpanBegin(int64(a.eng.Now()), obs.LayerZapRAID, obs.OpWrite, -1, -1, lba, int64(nblocks))
+	complete := blockdev.WriteDone(a.eng, done)
+	f := sim.NewFanIn(func(err error) {
+		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
+		complete(err)
+	})
+	part := f.Done
+	f.Add(nblocks)
 	for i := 0; i < nblocks; i++ {
 		var payload []byte
 		if data != nil {
 			payload = data[int64(i)*bs : (int64(i)+1)*bs]
 		}
-		a.writeChunk(lba+int64(i), payload, zns.TagUserData, false, func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(blockdev.WriteResult{Err: firstErr, Latency: a.eng.Now() - start})
-			}
-		})
+		a.writeChunk(lba+int64(i), payload, zns.TagUserData, part)
 	}
+	f.Seal()
 }
 
-func (a *Array) writeChunk(lbn int64, payload []byte, tag zns.WriteTag, gc bool, done func(error)) {
+// writeChunk appends one chunk; tag is TagUserData or TagGCData.
+func (a *Array) writeChunk(lbn int64, payload []byte, tag zns.WriteTag, done func(error)) {
 	// Free-zone cliff for user writes.
-	if !gc {
+	if tag == zns.TagUserData {
 		for _, ds := range a.devs {
-			if len(ds.free) <= 2 && a.pickVictim(ds) >= 0 {
-				a.stalled = append(a.stalled, func() { a.writeChunk(lbn, payload, tag, gc, done) })
+			if a.log.FreeZones(ds.idx) <= stallFloor && a.victim(ds) >= 0 {
+				a.stalled.Push(stalledChunk{lbn: lbn, payload: payload, done: done})
 				a.maybeStartGC(ds)
 				return
 			}
 		}
 	}
-	if a.cur == nil {
-		a.cur = a.getSB()
-	}
-	a.cur.lbns = append(a.cur.lbns, lbn)
-	a.cur.data = append(a.cur.data, payload)
 	if payload != nil {
-		if a.cur.acc == nil {
-			a.cur.acc = a.pool.AllocZero(a.blockSize)
+		if a.acc == nil {
+			a.acc = a.pool.AllocZero(a.blockSize)
 		}
-		erasure.XORInto(a.cur.acc, payload)
+		erasure.XORInto(a.acc, payload)
 	}
-	idx := len(a.cur.lbns) - 1
-	st := a.cur
 	// The chunk appends immediately; its stripe's parity follows when the
 	// stripe completes.
-	dev := (a.rot + 1 + idx) % len(a.devs)
-	ds := a.devs[dev]
-	zs, err := a.pickZone(ds)
+	ds := a.devs[(a.rot+1+a.forming)%len(a.devs)]
+	a.forming++
+	z, err := a.pickZone(ds)
 	if err != nil {
-		if done != nil {
-			done(err)
-		}
+		done(err)
 		return
 	}
-	zs.appended++
-	zs.inflight++
-	if gc {
-		tag = zns.TagGCData
-	}
-	ds.q.Append(zs.id, 1, payload, nil, tag, func(r zns.AppendResult) {
-		zs.inflight--
+	a.log.Reserve(z)
+	a.inflight[z]++
+	ds.q.Append(a.local(z), 1, payload, nil, tag, func(r zns.AppendResult) {
+		a.inflight[z]--
 		if r.Err != nil {
-			if done != nil {
-				done(r.Err)
-			}
+			done(r.Err)
 			return
 		}
 		// Mapping is only known at completion: the device chose the slot.
-		if old, ok := a.bmt[lbn]; ok && old.dev >= 0 {
-			if ozs := a.devs[old.dev].zones[old.zone]; ozs != nil && ozs.rmap[old.off] == lbn {
-				ozs.rmap[old.off] = -1
-				ozs.valid--
-			}
-		}
 		// A racing newer write may have landed already; last writer wins
 		// by completion order (append semantics provide no better).
-		a.bmt[lbn] = pa{dev: dev, zone: zs.id, off: r.LBA}
-		zs.rmap[r.LBA] = lbn
-		zs.valid++
+		a.log.Map(lbn, z, r.LBA)
 		a.maybeStartGC(ds)
-		if done != nil {
-			done(nil)
-		}
+		done(nil)
 	})
-	if len(st.lbns) == a.nData {
-		a.sealStripe(st)
-		a.cur = nil
+	if a.forming == a.nData {
+		a.sealStripe()
+		a.forming = 0
 		a.rot++
 	}
 }
 
-// sealStripe appends the parity chunk of a completed stripe. The stripe
-// buffer is recycled at submission (nothing reads it afterwards) and the
-// accumulator once the device has copied it.
-func (a *Array) sealStripe(st *stripeBuf) {
-	pdev := a.rot % len(a.devs)
-	ds := a.devs[pdev]
-	zs, err := a.pickZone(ds)
+// releaseStalled resubmits parked chunks, oldest first, while ds has more
+// than floor free zones.
+func (a *Array) releaseStalled(ds *devState, floor int) {
+	for a.stalled.Len() > 0 && a.log.FreeZones(ds.idx) > floor {
+		c := a.stalled.Pop()
+		a.writeChunk(c.lbn, c.payload, zns.TagUserData, c.done)
+	}
+}
+
+// sealStripe appends the parity chunk of the completed stripe; the
+// accumulator goes back to the pool once the device has copied it.
+func (a *Array) sealStripe() {
+	ds := a.devs[a.rot%len(a.devs)]
+	acc := a.acc
+	a.acc = nil
+	z, err := a.pickZone(ds)
 	if err != nil {
-		a.putSB(st)
+		a.pool.Free(acc)
 		return
 	}
-	zs.appended++
-	zs.inflight++
+	a.log.Reserve(z)
+	a.inflight[z]++
 	a.parityBytes += uint64(a.blockSize)
-	acc := st.acc
-	st.acc = nil
-	a.putSB(st)
-	ds.q.Append(zs.id, 1, acc, nil, zns.TagParity, func(r zns.AppendResult) {
-		zs.inflight--
+	ds.q.Append(a.local(z), 1, acc, nil, zns.TagParity, func(r zns.AppendResult) {
+		a.inflight[z]--
 		a.pool.Free(acc)
 	})
 }
 
 // Read implements blockdev.Device.
 func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
-	start := a.eng.Now()
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > a.Blocks() {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Err: blockdev.ErrOutOfRange, Latency: a.eng.Now() - start})
-			})
-		}
+	if !blockdev.CheckRead(a.eng, lba, nblocks, a.Blocks(), done) {
 		return
 	}
-	if a.tr != nil {
-		span := a.tr.SpanBegin(int64(start), obs.LayerZapRAID, obs.OpRead, -1, -1, lba, int64(nblocks))
-		innerDone := done
-		done = func(r blockdev.ReadResult) {
-			a.tr.SpanEnd(span, int64(a.eng.Now()), r.Err != nil)
-			if innerDone != nil {
-				innerDone(r)
-			}
-		}
-	}
+	span := a.tr.SpanBegin(int64(a.eng.Now()), obs.LayerZapRAID, obs.OpRead, -1, -1, lba, int64(nblocks))
 	bs := int64(a.blockSize)
 	var out []byte
-	if a.StoresData() {
+	if a.storesData {
 		out = make([]byte, int64(nblocks)*bs)
 	}
-	remaining := 0
-	var firstErr error
-	finish := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		remaining--
-		if remaining == 0 && done != nil {
-			done(blockdev.ReadResult{Err: firstErr, Data: out, Latency: a.eng.Now() - start})
-		}
+	finish := blockdev.ReadDone(a.eng, out, done)
+	complete := func(err error) {
+		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
+		finish(err)
 	}
-	type fetch struct {
-		p   pa
-		idx int64
-	}
-	var fetches []fetch
+	f := sim.NewFanIn(complete)
+	part := func(r zns.ReadResult) { f.Done(r.Err) }
 	for i := int64(0); i < int64(nblocks); i++ {
-		if p, ok := a.bmt[lba+i]; ok && p.dev >= 0 {
-			fetches = append(fetches, fetch{p: p, idx: i})
+		p := a.log.At(lba + i)
+		if p.Zone < 0 {
+			continue
 		}
-	}
-	if len(fetches) == 0 {
-		if done != nil {
-			a.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Data: out, Latency: a.eng.Now() - start})
-			})
-		}
-		return
-	}
-	remaining = len(fetches)
-	for _, f := range fetches {
 		// Each block is gathered straight into its place in the result.
 		var dst []byte
 		if out != nil {
-			dst = out[f.idx*bs : (f.idx+1)*bs]
+			dst = out[i*bs : (i+1)*bs]
 		}
-		a.devs[f.p.dev].q.ReadInto(f.p.zone, f.p.off, 1, dst, false, func(r zns.ReadResult) {
-			finish(r.Err)
-		})
+		f.Add(1)
+		a.devs[p.Zone/a.zonesPerDev].q.ReadInto(a.local(p.Zone), p.Off, 1, dst, false, part)
+	}
+	if f.Seal() == 0 {
+		a.eng.After(sim.Microsecond, func() { complete(nil) })
 	}
 }
 
 // Trim implements blockdev.Device.
 func (a *Array) Trim(lba int64, nblocks int) {
 	for i := int64(0); i < int64(nblocks); i++ {
-		if p, ok := a.bmt[lba+i]; ok && p.dev >= 0 {
-			if zs := a.devs[p.dev].zones[p.zone]; zs != nil && zs.rmap[p.off] == lba+i {
-				zs.rmap[p.off] = -1
-				zs.valid--
-			}
-			delete(a.bmt, lba+i)
-		}
+		a.log.Unmap(lba + i)
 	}
 }
 
-func (a *Array) pickVictim(ds *devState) int {
-	best, bestValid := -1, int64(1)<<62
-	for i, z := range ds.full {
-		zs := ds.zones[z]
-		if zs == nil || zs.inflight > 0 {
-			continue
-		}
-		if zs.valid < bestValid {
-			best, bestValid = i, zs.valid
-		}
-	}
-	return best
+// victim returns ds's retired zone with the fewest valid chunks, skipping
+// zones with appends still in flight, or -1.
+func (a *Array) victim(ds *devState) int {
+	return a.log.PickVictim(ds.full, func(z int) bool { return a.inflight[z] == 0 })
 }
 
 func (a *Array) maybeStartGC(ds *devState) {
 	if ds.gcRunning {
 		return
 	}
-	if len(ds.free) >= a.cfg.GCLowWater && len(a.stalled) == 0 {
+	if a.log.FreeZones(ds.idx) >= a.cfg.GCLowWater && a.stalled.Len() == 0 {
 		return
 	}
 	ds.gcRunning = true
@@ -496,98 +351,60 @@ func (a *Array) maybeStartGC(ds *devState) {
 }
 
 // gcStep migrates the live chunks of the sparsest full zone via re-append
-// (each migration joins a new stripe) and resets the victim.
+// (each migration joins a new stripe) and resets the victim. The loop is
+// zapraid's own — dm-zap's reads through a backend, maps at submission and
+// parks differently — over the ZoneLog both share.
 func (a *Array) gcStep(ds *devState) {
-	if len(ds.free) >= a.cfg.GCHighWater && len(a.stalled) == 0 {
+	if a.log.FreeZones(ds.idx) >= a.cfg.GCHighWater && a.stalled.Len() == 0 {
 		ds.gcRunning = false
 		return
 	}
-	vi := a.pickVictim(ds)
-	if vi < 0 {
+	victim := a.victim(ds)
+	if victim < 0 {
 		ds.gcRunning = false
-		for len(a.stalled) > 0 {
-			fn := a.stalled[0]
-			a.stalled = a.stalled[1:]
-			fn()
-		}
+		a.releaseStalled(ds, -1) // nothing to wait for: let every parked chunk go
 		return
 	}
-	victim := ds.full[vi]
-	ds.full = append(ds.full[:vi], ds.full[vi+1:]...)
-	zs := ds.zones[victim]
+	i := slices.Index(ds.full, victim)
+	ds.full = slices.Delete(ds.full, i, i+1)
 	a.gcEvents++
-	if a.tr != nil {
-		dev := -1
-		for i, d := range a.devs {
-			if d == ds {
-				dev = i
-				break
-			}
-		}
-		a.tr.Event(int64(a.eng.Now()), obs.LayerZapRAID, obs.EvGCVictim, dev, victim,
-			zs.valid, int64(len(ds.free)), 0)
-	}
-	var live []int64
-	for off := int64(0); off < a.zoneBlocks; off++ {
-		if l := zs.rmap[off]; l >= 0 {
-			live = append(live, off)
-		}
-	}
-	finish := func() {
-		ds.q.Reset(victim, func(error) {
-			ds.zones[victim] = nil
-			ds.free = append(ds.free, victim)
-			for len(a.stalled) > 0 && len(ds.free) > 2 {
-				fn := a.stalled[0]
-				a.stalled = a.stalled[1:]
-				fn()
-			}
+	a.tr.Event(int64(a.eng.Now()), obs.LayerZapRAID, obs.EvGCVictim, ds.idx, a.local(victim),
+		a.log.Valid(victim), int64(a.log.FreeZones(ds.idx)), 0)
+	finish := func(error) {
+		ds.q.Reset(a.local(victim), func(error) {
+			a.log.Release(victim)
+			a.releaseStalled(ds, stallFloor)
 			a.eng.After(0, func() { a.gcStep(ds) })
 		})
 	}
-	if len(live) == 0 {
-		finish()
-		return
-	}
-	remaining := len(live)
-	devIdx := -1
-	for i, d := range a.devs {
-		if d == ds {
-			devIdx = i
-		}
-	}
-	stores := a.StoresData()
-	for _, off := range live {
-		off := off
-		lbn := zs.rmap[off]
+	f := sim.NewFanIn(finish)
+	for _, lbn := range a.log.Live(victim) {
+		cur := a.log.At(lbn)
 		// The chunk travels in pool scratch, back once its append has
 		// completed (the device has copied it by then).
 		var dst []byte
-		if stores {
+		if a.storesData {
 			dst = a.pool.Alloc(a.blockSize)
 		}
-		ds.q.ReadInto(victim, off, 1, dst, false, func(r zns.ReadResult) {
+		f.Add(1)
+		ds.q.ReadInto(a.local(victim), cur.Off, 1, dst, false, func(r zns.ReadResult) {
+			if a.log.At(lbn) != cur {
+				a.pool.Free(dst)
+				f.Done(nil)
+				return
+			}
 			data := dst
 			if r.Err != nil {
 				data = nil // a failed read migrates, as it always has, without content
 			}
-			cur, ok := a.bmt[lbn]
-			if !ok || cur != (pa{dev: devIdx, zone: victim, off: off}) {
-				a.pool.Free(dst)
-				remaining--
-				if remaining == 0 {
-					finish()
-				}
-				return
-			}
 			a.gcMigrated += uint64(a.blockSize)
-			a.writeChunk(lbn, data, zns.TagGCData, true, func(error) {
+			a.writeChunk(lbn, data, zns.TagGCData, func(error) {
 				a.pool.Free(dst)
-				remaining--
-				if remaining == 0 {
-					finish()
-				}
+				f.Done(nil)
 			})
 		})
+	}
+	if f.Seal() == 0 {
+		finish(nil)
 	}
 }

@@ -36,55 +36,13 @@ func newArray(t *testing.T) (*sim.Engine, *Array, []*zns.Device) {
 
 func dc(devs []*zns.Device) int { return devs[0].Config().NumZones }
 
-func wsync(eng *sim.Engine, a *Array, lba int64, n int, data []byte) blockdev.WriteResult {
-	var res blockdev.WriteResult
-	ok := false
-	a.Write(lba, n, data, func(r blockdev.WriteResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("zapraid write hung")
-	}
-	return res
-}
-
-func rsync(eng *sim.Engine, a *Array, lba int64, n int) blockdev.ReadResult {
-	var res blockdev.ReadResult
-	ok := false
-	a.Read(lba, n, func(r blockdev.ReadResult) { res = r; ok = true })
-	eng.Run()
-	if !ok {
-		panic("zapraid read hung")
-	}
-	return res
-}
-
-func pat(seed byte, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = seed ^ byte(i*23)
-	}
-	return b
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	eng, a, _ := newArray(t)
-	payload := pat(3, 24*4096)
-	if r := wsync(eng, a, 0, 24, payload); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	r := rsync(eng, a, 0, 24)
-	if r.Err != nil || !bytes.Equal(r.Data, payload) {
-		t.Fatalf("round trip: %v", r.Err)
-	}
-}
-
 func TestRandomOverwrites(t *testing.T) {
 	eng, a, _ := newArray(t)
 	for i := 0; i < 6; i++ {
-		wsync(eng, a, 9, 1, pat(byte(i), 4096))
+		blockdev.WriteSync(eng, a, 9, 1, blockdev.Pattern(byte(i), 4096))
 	}
-	r := rsync(eng, a, 9, 1)
-	if !bytes.Equal(r.Data, pat(5, 4096)) {
+	r := blockdev.ReadSync(eng, a, 9, 1)
+	if !bytes.Equal(r.Data, blockdev.Pattern(5, 4096)) {
 		t.Fatal("latest overwrite not visible")
 	}
 }
@@ -93,7 +51,7 @@ func TestNoAbsorptionEveryOverwriteHitsFlash(t *testing.T) {
 	// The design contrast with BIZA: appends cannot absorb overwrites.
 	eng, a, devs := newArray(t)
 	for i := 0; i < 50; i++ {
-		wsync(eng, a, 3, 1, nil)
+		blockdev.WriteSync(eng, a, 3, 1, nil)
 	}
 	eng.Run()
 	var programmed, absorbed uint64
@@ -111,7 +69,7 @@ func TestNoAbsorptionEveryOverwriteHitsFlash(t *testing.T) {
 
 func TestParityPerStripe(t *testing.T) {
 	eng, a, devs := newArray(t)
-	wsync(eng, a, 0, 9, nil) // 3 stripes (k=3)
+	blockdev.WriteSync(eng, a, 0, 9, nil) // 3 stripes (k=3)
 	eng.Run()
 	var parity uint64
 	for _, d := range devs {
@@ -129,7 +87,7 @@ func TestGCReclaimsAndPreserves(t *testing.T) {
 	written := map[int64]bool{}
 	for i := 0; i < int(span)*5; i++ {
 		lba := rng.Int63n(span)
-		if r := wsync(eng, a, lba, 1, pat(byte(lba), 4096)); r.Err != nil {
+		if r := blockdev.WriteSync(eng, a, lba, 1, blockdev.Pattern(byte(lba), 4096)); r.Err != nil {
 			t.Fatalf("write: %v", r.Err)
 		}
 		written[lba] = true
@@ -142,8 +100,8 @@ func TestGCReclaimsAndPreserves(t *testing.T) {
 		if !written[lba] {
 			continue
 		}
-		r := rsync(eng, a, lba, 1)
-		if r.Err != nil || !bytes.Equal(r.Data, pat(byte(lba), 4096)) {
+		r := blockdev.ReadSync(eng, a, lba, 1)
+		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(byte(lba), 4096)) {
 			t.Fatalf("lba %d corrupted: %v", lba, r.Err)
 		}
 	}

@@ -35,21 +35,6 @@ type Backend interface {
 	Finish(z int) error
 }
 
-// DataStorer is optionally implemented by backends that know whether their
-// reads return payloads (see blockdev.DataStorer).
-type DataStorer interface {
-	StoresData() bool
-}
-
-// StoresData reports whether b retains payloads; backends that do not
-// implement DataStorer are assumed to.
-func StoresData(b Backend) bool {
-	if s, ok := b.(DataStorer); ok {
-		return s.StoresData()
-	}
-	return true
-}
-
 // SingleDevice adapts one ZNS SSD behind a driver queue to Backend. The
 // queue should have ZoneOrdered set unless the caller serializes writes
 // itself (dm-zap does: one in-flight write per zone).
@@ -82,7 +67,7 @@ func (s SingleDevice) Read(z int, lba int64, nblocks int, done func(zns.ReadResu
 	s.Q.ReadInto(z, lba, nblocks, nil, false, done)
 }
 
-// StoresData implements DataStorer.
+// StoresData implements blockdev.DataStorer.
 func (s SingleDevice) StoresData() bool { return s.Q.Device().Config().StoreData }
 
 // Reset implements Backend.
