@@ -264,8 +264,8 @@ type Core struct {
 	// OOB records, and coalesced batch payloads all come from one
 	// size-class-segregated pool shared down the stack, so steady-state
 	// stripe writes allocate nothing. The remaining free lists recycle
-	// vectors and the write path's records, which have no byte-pool
-	// equivalent.
+	// vectors and the write and read paths' records, which have no
+	// byte-pool equivalent.
 	pool       *buf.Pool
 	vecFree    [][][]byte
 	writeFree  []*writeRec
@@ -274,6 +274,7 @@ type Core struct {
 	smtFree    []*smtEntry
 	smtSlab    []smtEntry // fresh entries not yet handed out
 	batchFree  []*appendBatch
+	readFree   []*readRec
 	liveRecs   recCounts
 }
 

@@ -65,6 +65,7 @@ func TestInjectedDeathDetectedAndReadsReconstruct(t *testing.T) {
 	if c.Reconstructions() == 0 {
 		t.Fatal("no reads were served via reconstruction")
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestDegradedWritesAckedAndReadable(t *testing.T) {
@@ -93,6 +94,7 @@ func TestDegradedWritesAckedAndReadable(t *testing.T) {
 			t.Fatalf("lba %d after degraded writes: %v", lba, r.Err)
 		}
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestDegradedReadInFlightStripe(t *testing.T) {
@@ -137,6 +139,7 @@ func TestRAID6DegradedInFlightDoubleLoss(t *testing.T) {
 			t.Fatalf("double loss, in-flight lba %d: %v", lba, r.Err)
 		}
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestRAID6DoubleInjectedDeath(t *testing.T) {
@@ -171,6 +174,7 @@ func TestRAID6DoubleInjectedDeath(t *testing.T) {
 	if r := blockdev.ReadSync(eng, c, 200, 1); r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(99, 4096)) {
 		t.Fatalf("double-degraded readback: %v", r.Err)
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestUnreadableBlocksReconstructWithoutDeath(t *testing.T) {
@@ -205,6 +209,7 @@ func TestUnreadableBlocksReconstructWithoutDeath(t *testing.T) {
 	if c.Health()[0] != MemberHealthy {
 		t.Fatal("read-only rot misreported as member death")
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestMemberDeathHandlerFiresOnce(t *testing.T) {
@@ -278,6 +283,7 @@ func TestInjectedDeathThenReplaceRestoresTolerance(t *testing.T) {
 		}
 		c.SetDeviceFailed(dev, false)
 	}
+	assertNoStrayRecords(t, c)
 	_ = blockdev.ErrOutOfRange
 }
 

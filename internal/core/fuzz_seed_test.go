@@ -127,4 +127,5 @@ func runModelSweep(t *testing.T, seed uint64) {
 		}
 		c.SetDeviceFailed(dev, false)
 	}
+	assertNoStrayRecords(t, c)
 }

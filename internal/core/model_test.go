@@ -143,6 +143,7 @@ func TestModelRandomizedWithRecovery(t *testing.T) {
 	if c.GCEvents() == 0 {
 		t.Log("note: GC did not trigger in this run")
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestModelDegradedSweep(t *testing.T) {
@@ -184,6 +185,7 @@ func TestModelDegradedSweep(t *testing.T) {
 		}
 		c.SetDeviceFailed(dev, false)
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestModelConcurrentDepth(t *testing.T) {
@@ -217,6 +219,7 @@ func TestModelConcurrentDepth(t *testing.T) {
 			t.Fatalf("lba %d: stale content after concurrent rounds", i)
 		}
 	}
+	assertNoStrayRecords(t, c)
 	_ = fmt.Sprint
 }
 
@@ -334,4 +337,5 @@ func TestModelChaosWithFaults(t *testing.T) {
 			checkN(lba, 1)
 		}
 	}
+	assertNoStrayRecords(t, c)
 }

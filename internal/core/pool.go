@@ -23,6 +23,15 @@ package core
 //   - appendBatch (zones.go): one device command, staged through
 //     completion; keeps its op and OOB slices across reuse.
 //
+// The read path has one: readRec (read.go), a block-interface Read owning a
+// vector of run slots, one per device command, each with its blocks' buffer
+// indices and a completion callback bound once. It is put back before the
+// caller's callback runs, so a Read issued from inside may take it; the
+// block-by-block fallback when a member dies under a run, which can end the
+// read midway, therefore loops over a copy of the slot's indices. That
+// fallback, degraded blocks, GC's migration reads and the recovery scan keep
+// their closures: no fault-free user read reaches them.
+//
 // Every record carries a live flag: putting one back twice, or completing
 // through one that is already back, panics instead of corrupting whatever
 // write the record was handed to next. liveRecs counts records out per
@@ -80,7 +89,7 @@ func (c *Core) putVec(v [][]byte) {
 }
 
 // recCounts is the number of records currently out of their free lists.
-type recCounts struct{ write, chunk, stripe, smt, batch int }
+type recCounts struct{ write, chunk, stripe, smt, batch, read int }
 
 func (c *Core) getWrite() *writeRec {
 	c.liveRecs.write++
@@ -102,6 +111,30 @@ func (c *Core) putWrite(w *writeRec) {
 	*w = writeRec{c: c}
 	c.liveRecs.write--
 	c.writeFree = append(c.writeFree, w)
+}
+
+func (c *Core) getRead() *readRec {
+	c.liveRecs.read++
+	var rd *readRec
+	if n := len(c.readFree); n > 0 {
+		rd = c.readFree[n-1]
+		c.readFree = c.readFree[:n-1]
+	} else {
+		rd = &readRec{c: c}
+	}
+	rd.live = true
+	return rd
+}
+
+// putRead recycles a read record, keeping its run slots and its degraded
+// list for their capacity.
+func (c *Core) putRead(rd *readRec) {
+	if !rd.live {
+		panic("core: read record put twice")
+	}
+	*rd = readRec{c: c, runs: rd.runs, degraded: rd.degraded[:0]}
+	c.liveRecs.read--
+	c.readFree = append(c.readFree, rd)
 }
 
 func (c *Core) getChunk() *chunkRec {

@@ -25,145 +25,201 @@ func (c *Core) SetDeviceFailed(dev int, failed bool) error {
 	return nil
 }
 
+// readRec is one block-interface Read in flight: its runs and degraded
+// blocks report here and the last one answers the caller. A recycled record
+// (getRead in pool.go).
+type readRec struct {
+	c           *Core
+	live        bool
+	lba         int64
+	start       sim.Time
+	span        obs.SpanID
+	buf         []byte // the result; nil in performance mode
+	outstanding int    // runs and reconstructions to come, plus Read itself while it submits
+	firstErr    error
+	done        func(blockdev.ReadResult)
+	// runs[:nruns] are this read's device commands; the slots beyond, and
+	// both slices' capacity, are kept from earlier reads.
+	runs     []*readRun
+	nruns    int
+	degraded []int64 // buffer block indices needing reconstruction
+}
+
+// readRun is one slot of a read record: blocks at consecutive offsets of one
+// zone, read by one device command (the block layer's request merging).
+// Chunks of a striped logical range are neighbours on each member even though
+// their buffer positions interleave, so it carries their buffer indices.
+type readRun struct {
+	rd        *readRec
+	dev, zone int
+	off       int64
+	bufIdx    []int64
+	scratch   []byte               // de-striping scratch, or nil
+	onDone    func(zns.ReadResult) // r.complete, bound once per slot
+}
+
 // Read implements blockdev.Device: BMT lookups, coalesced per-zone reads,
 // and parity reconstruction for chunks on failed members.
 func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
-	start := c.eng.Now()
+	rd := c.getRead()
+	rd.lba, rd.start, rd.done, rd.outstanding = lba, c.eng.Now(), done, 1
 	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > c.Blocks() {
-		if done != nil {
-			c.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Err: blockdev.ErrOutOfRange, Latency: c.eng.Now() - start})
-			})
-		}
+		rd.firstErr = blockdev.ErrOutOfRange
+		rd.submitted()
 		return
 	}
+	rd.span = c.tr.SpanBegin(int64(rd.start), obs.LayerBIZA, obs.OpRead, -1, -1, lba, int64(nblocks))
 	bs := c.chunkBytes()
-	var span obs.SpanID
-	if c.tr != nil {
-		span = c.tr.SpanBegin(int64(start), obs.LayerBIZA, obs.OpRead, -1, -1, lba, int64(nblocks))
-		innerDone := done
-		done = func(r blockdev.ReadResult) {
-			c.tr.SpanEnd(span, int64(c.eng.Now()), r.Err != nil)
-			if innerDone != nil {
-				innerDone(r)
-			}
-		}
-	}
-	var buf []byte
 	if c.StoresData() {
-		buf = make([]byte, int64(nblocks)*bs)
+		rd.buf = make([]byte, int64(nblocks)*bs)
 	}
-	// Coalesce per (device, zone): chunks of a striped logical range land
-	// at consecutive zone offsets on each member even though their buffer
-	// positions interleave, so each run carries its blocks' buffer indices
-	// for de-striping (one device command per run, the block layer's
-	// request merging).
-	type runT struct {
-		dev, zone int
-		off       int64
-		bufIdx    []int64
-	}
-	var runs []runT
-	var degraded []int64 // buffer block indices needing reconstruction
 	for i := int64(0); i < int64(nblocks); i++ {
 		e := c.bmt.Get(lba + i)
 		if !e.mapped() {
 			continue // unwritten reads as zeros
 		}
-		at := e.loc()
-		if c.failed[at.dev] {
-			degraded = append(degraded, i)
-			continue
-		}
-		// Only the latest run of a (device, zone) can take the block; a read
-		// spans a handful of runs, so look for it from the back.
-		var last *runT
-		for li := len(runs) - 1; li >= 0 && last == nil; li-- {
-			if runs[li].dev == at.dev && runs[li].zone == at.zone {
-				last = &runs[li]
-			}
-		}
-		if last != nil && last.off+int64(len(last.bufIdx)) == at.off {
-			last.bufIdx = append(last.bufIdx, i)
-			continue
-		}
-		runs = append(runs, runT{dev: at.dev, zone: at.zone, off: at.off, bufIdx: []int64{i}})
-	}
-	outstanding := len(runs) + len(degraded)
-	if outstanding == 0 {
-		if done != nil {
-			c.eng.After(sim.Microsecond, func() {
-				done(blockdev.ReadResult{Data: buf, Latency: c.eng.Now() - start})
-			})
-		}
-		return
-	}
-	var firstErr error
-	finishOne := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done(blockdev.ReadResult{Err: firstErr, Data: buf, Latency: c.eng.Now() - start})
+		if at := e.loc(); c.failed[at.dev] {
+			rd.degraded = append(rd.degraded, i)
+		} else {
+			rd.addBlock(at, i)
 		}
 	}
-	for _, r := range runs {
-		r := r
+	rd.outstanding += rd.nruns + len(rd.degraded)
+	for _, r := range rd.runs[:rd.nruns] {
 		c.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
 		// A run whose blocks are neighbours in the caller's buffer too (any
 		// single block is) gathers straight into it; a striped one goes
-		// through pool scratch and is de-striped below.
+		// through pool scratch and is de-striped on completion.
 		n := int64(len(r.bufIdx))
-		var dst, scratch []byte
-		if buf != nil {
+		var dst []byte
+		if rd.buf != nil {
 			if first := r.bufIdx[0]; r.bufIdx[n-1]-first == n-1 {
-				dst = buf[first*bs : (first+n)*bs]
+				dst = rd.buf[first*bs : (first+n)*bs]
 			} else {
-				scratch = c.pool.Alloc(int(n * bs))
-				dst = scratch
+				r.scratch = c.pool.Alloc(int(n * bs))
+				dst = r.scratch
 			}
 		}
-		c.devs[r.dev].q.ReadInto(r.zone, r.off, int(n), dst, false, func(res zns.ReadResult) {
-			if res.Err != nil {
-				c.pool.Free(scratch)
-				c.noteIOError(r.dev, res.Err)
-				if storerr.Reconstructable(res.Err) {
-					// The member died (or the blocks rotted) under this
-					// read: serve each block through parity instead.
-					outstanding += len(r.bufIdx) - 1
-					for _, idx := range r.bufIdx {
-						idx := idx
-						c.reconstructChunk(lba+idx, func(data []byte, err error) {
-							if data != nil && buf != nil {
-								copy(buf[idx*bs:(idx+1)*bs], data)
-							}
-							finishOne(err)
-						})
-					}
-					return
-				}
-				finishOne(res.Err)
+		c.devs[r.dev].q.ReadInto(r.zone, r.off, int(n), dst, false, r.onDone)
+	}
+	for _, i := range rd.degraded {
+		rd.reconstruct(i)
+	}
+	rd.submitted()
+}
+
+// addBlock puts the block at buffer index i into the run it extends, or
+// into a new one. Only the latest run of a (device, zone) can take it; a
+// read spans a handful of runs, so look for it from the back.
+func (rd *readRec) addBlock(at pa, i int64) {
+	for li := rd.nruns - 1; li >= 0; li-- {
+		if r := rd.runs[li]; r.dev == at.dev && r.zone == at.zone {
+			if r.off+int64(len(r.bufIdx)) == at.off {
+				r.bufIdx = append(r.bufIdx, i)
 				return
 			}
-			if scratch != nil {
-				for j, idx := range r.bufIdx {
-					copy(buf[idx*bs:(idx+1)*bs], scratch[int64(j)*bs:(int64(j)+1)*bs])
-				}
-				c.pool.Free(scratch)
-			}
-			finishOne(nil)
-		})
+			break
+		}
 	}
-	for _, i := range degraded {
-		i := i
-		c.reconstructChunk(lba+i, func(data []byte, err error) {
-			if data != nil && buf != nil {
-				copy(buf[i*bs:], data)
-			}
-			finishOne(err)
-		})
+	if rd.nruns == len(rd.runs) {
+		r := &readRun{rd: rd}
+		r.onDone = r.complete
+		rd.runs = append(rd.runs, r)
 	}
+	r := rd.runs[rd.nruns]
+	rd.nruns++
+	r.dev, r.zone, r.off, r.scratch = at.dev, at.zone, at.off, nil
+	r.bufIdx = append(r.bufIdx[:0], i)
+}
+
+// submitted drops the count Read holds on its own record while it submits.
+// If that was the last — out of range, nothing mapped, or every block failed
+// reconstruction on the spot — nothing asynchronous is left to answer, so the
+// record is the event that does: no completion runs inside the call it answers.
+func (rd *readRec) submitted() {
+	if rd.outstanding--; rd.outstanding > 0 {
+		return
+	}
+	if rd.done == nil && rd.span == 0 {
+		rd.c.putRead(rd) // nobody to tell and no span to end
+		return
+	}
+	rd.c.eng.AfterEvent(sim.Microsecond, rd, 0, 0)
+}
+
+// Fire implements sim.Handler for the deferred completion.
+func (rd *readRec) Fire(_, _ sim.Time) { rd.finish() }
+
+// finishOne counts one run or reconstruction done; the last answers.
+func (rd *readRec) finishOne(err error) {
+	if !rd.live {
+		panic("core: read record used after put")
+	}
+	if err != nil && rd.firstErr == nil {
+		rd.firstErr = err
+	}
+	if rd.outstanding--; rd.outstanding == 0 {
+		rd.finish()
+	}
+}
+
+// finish answers the caller. The record goes back first: the callback may
+// issue the next Read, which is free to take it.
+func (rd *readRec) finish() {
+	c := rd.c
+	now := c.eng.Now()
+	c.tr.SpanEnd(rd.span, int64(now), rd.firstErr != nil)
+	done, res := rd.done, blockdev.ReadResult{Err: rd.firstErr, Data: rd.buf, Latency: now - rd.start}
+	c.putRead(rd)
+	if done != nil {
+		done(res)
+	}
+}
+
+// complete is the run's device completion: de-stripe and count it done.
+func (r *readRun) complete(res zns.ReadResult) {
+	rd := r.rd
+	if !rd.live {
+		panic("core: read record used after put")
+	}
+	c, bs := rd.c, rd.c.chunkBytes()
+	if res.Err != nil {
+		c.pool.Free(r.scratch)
+		c.noteIOError(r.dev, res.Err)
+		if storerr.Reconstructable(res.Err) {
+			// The member died (or the blocks rotted) under this read: serve
+			// each block through parity instead. One that fails on the spot
+			// may end the read, and the caller's callback may reuse this slot
+			// for its next one, so the loop runs over a copy of the indices.
+			idxs := append([]int64(nil), r.bufIdx...)
+			rd.outstanding += len(idxs) - 1
+			for _, idx := range idxs {
+				rd.reconstruct(idx)
+			}
+			return
+		}
+		rd.finishOne(res.Err)
+		return
+	}
+	if r.scratch != nil {
+		for j, idx := range r.bufIdx {
+			copy(rd.buf[idx*bs:(idx+1)*bs], r.scratch[int64(j)*bs:(int64(j)+1)*bs])
+		}
+		c.pool.Free(r.scratch)
+	}
+	rd.finishOne(nil)
+}
+
+// reconstruct serves the block at buffer index idx through parity: the cold
+// path, which no fault-free run reaches, so it stays on closures.
+func (rd *readRec) reconstruct(idx int64) {
+	buf, bs := rd.buf, rd.c.chunkBytes()
+	rd.c.reconstructChunk(rd.lba+idx, func(data []byte, err error) {
+		if data != nil && buf != nil {
+			copy(buf[idx*bs:(idx+1)*bs], data)
+		}
+		rd.finishOne(err)
+	})
 }
 
 // reconstructChunk rebuilds one chunk of a failed member from the

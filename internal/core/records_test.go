@@ -17,7 +17,7 @@ import (
 )
 
 // assertNoStrayRecords checks that a drained array has every record back
-// on its free list: no Write, chunk or device command is in flight, an
+// on its free list: no Write, Read, chunk or device command is in flight, an
 // open-stripe record is out only for the stripes still open, and an SMT
 // entry only for the stripes still mapped.
 func assertNoStrayRecords(t *testing.T, c *Core) {
@@ -248,6 +248,14 @@ func TestRecordDiscipline(t *testing.T) {
 	c.putBatch(b)
 	mustPanic("batch record put twice", func() { c.putBatch(b) })
 	mustPanic("batch record completed after put", func() { b.done(zns.WriteResult{}) })
+
+	rd := c.getRead()
+	rd.addBlock(pa{}, 0)
+	c.putRead(rd)
+	mustPanic("read record put twice", func() { c.putRead(rd) })
+	mustPanic("read record completed after put", func() { rd.finishOne(nil) })
+	mustPanic("read run completed after put", func() { rd.runs[0].complete(zns.ReadResult{}) })
+	mustPanic("read record fired after put", func() { rd.Fire(0, 0) })
 
 	se := c.getSE()
 	st := c.getStripe()

@@ -127,9 +127,9 @@ type Queue struct {
 }
 
 // qop is a pooled in-flight command record: one event schedules its
-// delivery to the device, and a completion closure cached on the record
-// (allocated once per record, reused across recycles) forwards the result,
-// so a steady-state submission allocates nothing in the driver layer.
+// delivery to the device, and a completion callback cached on the record
+// (bound when it first carries that kind of command, kept across recycles)
+// forwards the result, so a steady-state submission allocates nothing here.
 type qop struct {
 	q       *Queue
 	kind    uint8 // opWrite, opRead, opAppend, opReset
@@ -150,7 +150,7 @@ type qop struct {
 	rdone   func(zns.ReadResult)
 	adone   func(zns.AppendResult)
 	edone   func(error)
-	// Cached forwarding closures (capture only the record pointer).
+	// Cached forwarding callbacks: the record's finish methods, bound.
 	wfwd func(zns.WriteResult)
 	rfwd func(zns.ReadResult)
 	afwd func(zns.AppendResult)
@@ -170,12 +170,7 @@ func (q *Queue) getOp() *qop {
 		q.opFree = q.opFree[:n-1]
 		return op
 	}
-	op := &qop{q: q}
-	op.wfwd = func(r zns.WriteResult) { op.finishWrite(r) }
-	op.rfwd = func(r zns.ReadResult) { op.finishRead(r) }
-	op.afwd = func(r zns.AppendResult) { op.finishAppend(r) }
-	op.efwd = func(err error) { op.finishReset(err) }
-	return op
+	return &qop{q: q}
 }
 
 func (q *Queue) putOp(op *qop) {
@@ -265,6 +260,9 @@ func (op *qop) Fire(_, _ sim.Time) {
 	}
 	switch op.kind {
 	case opWrite:
+		if op.wfwd == nil {
+			op.wfwd = op.finishWrite
+		}
 		if op.own != nil {
 			// The record keeps its own reference across retries; each
 			// delivery transfers a fresh one to the device.
@@ -274,10 +272,19 @@ func (op *qop) Fire(_, _ sim.Time) {
 			q.dev.Write(op.z, op.lba, op.nblocks, op.data, op.oob, op.tag, op.wfwd)
 		}
 	case opRead:
+		if op.rfwd == nil {
+			op.rfwd = op.finishRead
+		}
 		q.dev.ReadInto(op.z, op.lba, op.nblocks, op.data, op.withOOB, op.rfwd)
 	case opAppend:
+		if op.afwd == nil {
+			op.afwd = op.finishAppend
+		}
 		q.dev.Append(op.z, op.nblocks, op.data, op.oob, op.tag, op.afwd)
 	case opReset:
+		if op.efwd == nil {
+			op.efwd = op.finishReset
+		}
 		q.dev.Reset(op.z, op.efwd)
 	}
 }

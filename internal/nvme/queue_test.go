@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"biza/internal/fault"
@@ -407,5 +408,68 @@ func TestKillDropsInFlightSilently(t *testing.T) {
 	}
 	if !q.Killed() {
 		t.Fatal("Killed() false")
+	}
+}
+
+// TestOpRecordAllocFree gates the driver's records: a pooled one costs a
+// command nothing, and a fresh one costs itself plus the one forwarding
+// callback of the kind of command it carries — a queue that only ever
+// writes binds no read, append or reset callback. (All four were bound on
+// every fresh record: five allocations each.)
+func TestOpRecordAllocFree(t *testing.T) {
+	eng, q := newStack(t, Config{})
+	if err := q.Device().Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	wdone := func(r zns.WriteResult) {
+		if r.Err != nil {
+			failed = r.Err
+		}
+	}
+	rdone := func(r zns.ReadResult) {
+		if r.Err != nil {
+			failed = r.Err
+		}
+	}
+	dst := make([]byte, 4096)
+	write := func() { // an overwrite inside the ZRWA window
+		q.Write(0, 0, 1, nil, nil, zns.TagUserData, wdone)
+		eng.Run()
+	}
+	read := func() {
+		q.ReadInto(0, 0, 1, dst, false, rdone)
+		eng.Run()
+	}
+	mallocs := func(f func()) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	for i := 0; i < 4; i++ { // warm the device, the event heap and the free list
+		write()
+		read()
+	}
+	q.opFree = q.opFree[:0] // the next command takes a fresh record
+
+	if got := mallocs(write); got != 2 {
+		t.Errorf("the first write on a fresh record allocates %d times, want 2: the record and its write callback", got)
+	}
+	op := q.opFree[0]
+	if op.wfwd == nil || op.rfwd != nil || op.afwd != nil || op.efwd != nil {
+		t.Errorf("a record that has only written holds callbacks write=%t read=%t append=%t reset=%t",
+			op.wfwd != nil, op.rfwd != nil, op.afwd != nil, op.efwd != nil)
+	}
+	if got := mallocs(read); got != 1 {
+		t.Errorf("the first read on a record that has written allocates %d times, want 1: its read callback", got)
+	}
+	if got := mallocs(func() { write(); read() }); got != 0 {
+		t.Errorf("a write and a read on a pooled record allocate %d times, want 0", got)
+	}
+	if failed != nil {
+		t.Fatal(failed)
 	}
 }

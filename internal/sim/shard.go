@@ -30,9 +30,10 @@ package sim
 // partition is identical for any shard count, including a group of one
 // shard — which is exactly the property the CI determinism matrix pins.
 import (
+	"cmp"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -45,22 +46,23 @@ type xmsg struct {
 	fn  func()
 }
 
-// xless is the canonical merge order: (time, source key, FIFO seq). The
-// destination shard is a final backstop so the sort is total even if a
+// xcmp is the canonical merge order: (time, source key, FIFO seq). The
+// destination shard is a final backstop so the order is total even if a
 // caller violates the unique-source-key discipline; it is never reached
 // under correct use because one logical sender emits strictly increasing
-// seqs.
-func xless(a, b *xmsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// seqs. A total order leaves a sort no freedom: whichever algorithm runs,
+// the merged stream is the same.
+func xcmp(a, b xmsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	if a.src != b.src {
-		return a.src < b.src
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
 	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
+	if c := cmp.Compare(a.seq, b.seq); c != 0 {
+		return c
 	}
-	return a.dst < b.dst
+	return cmp.Compare(a.dst, b.dst)
 }
 
 // Shard is one partition of a ShardGroup: an Engine plus the outbox used
@@ -193,7 +195,7 @@ func (g *ShardGroup) merge() {
 		}
 	}
 	if grew {
-		sort.Slice(g.pending, func(i, j int) bool { return xless(&g.pending[i], &g.pending[j]) })
+		slices.SortFunc(g.pending, xcmp)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"biza/internal/blockdev"
+	"biza/internal/core"
 	"biza/internal/ftl"
 	"biza/internal/sim"
 	"biza/internal/storerr"
@@ -131,6 +132,29 @@ func TestDeviceConformance(t *testing.T) {
 				if !errors.Is(err, storerr.ErrOutOfRange) {
 					t.Fatalf("request %d: err = %v, want ErrOutOfRange", i, err)
 				}
+			}
+		}},
+		{"a read nothing can serve fails after the call returns", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			c, ok := d.(*core.Core)
+			if !ok {
+				t.Skip("only BIZA has a switch that fails members under the block device")
+			}
+			if r := blockdev.WriteSync(eng, d, 0, n, blockdev.Pattern(4, n*d.BlockSize())); r.Err != nil {
+				t.Fatalf("write: %v", r.Err)
+			}
+			for dev := range c.Health() {
+				if err := c.SetDeviceFailed(dev, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var errs []error
+			d.Read(0, n, func(r blockdev.ReadResult) { errs = append(errs, r.Err) })
+			if len(errs) != 0 {
+				t.Fatal("a completion ran inside the submitting call")
+			}
+			eng.Run()
+			if len(errs) != 1 || !errors.Is(errs[0], core.ErrUnrecoverable) {
+				t.Fatalf("completions = %v, want one ErrUnrecoverable", errs)
 			}
 		}},
 		{"trim then read", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
