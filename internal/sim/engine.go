@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -69,12 +70,23 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
+// lt is before as 0 or 1, without a branch: the borrow out of the 128-bit
+// subtraction (a.at, a.seq) - (b.at, b.seq). Exact while at >= 0, which
+// schedule's "t < e.now" check enforces (the clock starts at 0 and never
+// goes back).
+func lt(a, b *event) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
+}
+
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use; the entire simulation runs on one goroutine.
 type Engine struct {
 	now     Time
 	seq     uint64
 	events  []event // 4-ary min-heap ordered by (at, seq)
+	vacant  bool    // events[0] has fired (or is firing) and its slot awaits reuse
 	stopped bool
 	sink    *atomic.Int64 // optional: accumulates virtual time advanced
 }
@@ -103,7 +115,12 @@ func (e *Engine) advanceTo(t Time) {
 }
 
 // Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	if e.vacant {
+		return len(e.events) - 1
+	}
+	return len(e.events)
+}
 
 // push inserts ev, maintaining the 4-ary heap invariant. An event is six
 // words, so both sifts move a hole instead of swapping: the moving event
@@ -124,10 +141,14 @@ func (e *Engine) push(ev event) {
 	h[i] = ev
 }
 
-// pop removes and returns the earliest event. The heap must be non-empty.
-func (e *Engine) pop() event {
+// closeRoot fills a root that fireRoot left vacant and no schedule reused,
+// the classic way: the last leaf moves up and sifts down.
+func (e *Engine) closeRoot() {
+	if !e.vacant {
+		return
+	}
+	e.vacant = false
 	h := e.events
-	root := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{} // drop the handler so fired events don't pin memory
@@ -135,40 +156,46 @@ func (e *Engine) pop() event {
 	if n > 0 {
 		e.siftDown(last)
 	}
-	return root
 }
 
-// siftDown places ev, which belongs at or below the vacant root.
+// siftDown places ev, which belongs at or below the vacant root. (at, seq)
+// is a total order, so which of the valid heap shapes results cannot change
+// the firing order.
 func (e *Engine) siftDown(ev event) {
 	h := e.events
 	n := len(h)
-	i := 0
-	for {
-		c := i<<2 + 1 // first child
-		if c >= n {
-			break
-		}
-		// Find the smallest of up to four children.
-		best := c
-		last := c + 4
-		if last > n {
-			last = n
-		}
-		for j := c + 1; j < last; j++ {
-			if h[j].before(&h[best]) {
-				best = j
-			}
-		}
+	i, c := 0, 1 // the hole and its first child
+	for ; c+3 < n; c = i<<2 + 1 {
+		// All four children: the smallest by arithmetic on lt, so the one
+		// branch per level is the well-predicted "stop here?".
+		m01 := c + lt(&h[c+1], &h[c])
+		m23 := c + 2 + lt(&h[c+3], &h[c+2])
+		best := m01 + (m23-m01)&-lt(&h[m23], &h[m01])
 		if !h[best].before(&ev) {
-			break
+			h[i] = ev
+			return
 		}
 		h[i] = h[best]
 		i = best
 	}
+	if c < n { // the one node on the path with one to three children, all leaves
+		best := c
+		for j := c + 1; j < n; j++ {
+			if h[j].before(&h[best]) {
+				best = j
+			}
+		}
+		if h[best].before(&ev) {
+			h[i] = h[best]
+			i = best
+		}
+	}
 	h[i] = ev
 }
 
-// schedule validates t and pushes ev with the next sequence number.
+// schedule validates t and inserts ev with the next sequence number: down
+// from the root if the event being fired left it vacant, else up from a
+// new leaf.
 func (e *Engine) schedule(t Time, ev event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
@@ -176,6 +203,11 @@ func (e *Engine) schedule(t Time, ev event) {
 	e.seq++
 	ev.at = t
 	ev.seq = e.seq
+	if e.vacant {
+		e.vacant = false
+		e.siftDown(ev)
+		return
+	}
 	e.push(ev)
 }
 
@@ -201,8 +233,17 @@ func (e *Engine) atTimed(t Time, fn func(a, b Time), a, b Time) {
 	e.schedule(t, event{h: timedHandler(fn), a: a, b: b})
 }
 
-// fire dispatches one popped event.
-func (ev *event) fire() { ev.h.Fire(ev.a, ev.b) }
+// fireRoot fires the earliest event and leaves its slot vacant for the
+// first schedule the handler makes, which then costs the only sift of this
+// event; closeRoot pays for a handler that scheduled nothing. The heap must
+// be non-empty and the root occupied.
+func (e *Engine) fireRoot() {
+	ev := e.events[0]
+	e.events[0].h = nil // drop the handler so fired events don't pin memory
+	e.vacant = true
+	e.advanceTo(ev.at)
+	ev.h.Fire(ev.a, ev.b)
+}
 
 // consumeStop reports whether a stop request is pending, clearing it. Each
 // Stop halts exactly one Run/RunUntil.
@@ -222,10 +263,8 @@ func (e *Engine) Run() {
 	if e.consumeStop() {
 		return
 	}
-	for len(e.events) > 0 {
-		ev := e.pop()
-		e.advanceTo(ev.at)
-		ev.fire()
+	for e.closeRoot(); len(e.events) > 0; e.closeRoot() {
+		e.fireRoot()
 		if e.consumeStop() {
 			return
 		}
@@ -239,10 +278,8 @@ func (e *Engine) RunUntil(t Time) {
 	if e.consumeStop() {
 		return
 	}
-	for len(e.events) > 0 && e.events[0].at <= t {
-		ev := e.pop()
-		e.advanceTo(ev.at)
-		ev.fire()
+	for e.closeRoot(); len(e.events) > 0 && e.events[0].at <= t; e.closeRoot() {
+		e.fireRoot()
 		if e.consumeStop() {
 			return
 		}
@@ -255,12 +292,11 @@ func (e *Engine) RunUntil(t Time) {
 // Step fires exactly one event, if any, and reports whether one fired.
 // Step ignores pending stop requests.
 func (e *Engine) Step() bool {
+	e.closeRoot()
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.advanceTo(ev.at)
-	ev.fire()
+	e.fireRoot()
 	return true
 }
 

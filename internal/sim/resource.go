@@ -8,9 +8,7 @@ type Resource struct {
 	eng    *Engine
 	freeAt []Time
 
-	// Busy accounting for utilization metrics.
-	busy     Time
-	lastIdle Time
+	busy Time // cumulative service time, for utilization metrics
 }
 
 // NewResource returns a station with servers parallel servers.
