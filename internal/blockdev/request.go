@@ -29,28 +29,6 @@ func CheckRead(eng *sim.Engine, lba int64, nblocks int, blocks int64, done func(
 	return false
 }
 
-// WriteDone returns the epilogue of a Write submitted now: given the first
-// error of its parts, it completes done (which may be nil) with that and
-// the time the request took.
-func WriteDone(eng *sim.Engine, done func(WriteResult)) func(err error) {
-	start := eng.Now()
-	return func(err error) {
-		if done != nil {
-			done(WriteResult{Err: err, Latency: eng.Now() - start})
-		}
-	}
-}
-
-// ReadDone is WriteDone for a Read that gathers into data.
-func ReadDone(eng *sim.Engine, data []byte, done func(ReadResult)) func(err error) {
-	start := eng.Now()
-	return func(err error) {
-		if done != nil {
-			done(ReadResult{Err: err, Data: data, Latency: eng.Now() - start})
-		}
-	}
-}
-
 // Run is one device read of a scattered request: Blocks blocks at Off of
 // Unit (a member, a zone), which land at block At of the request's buffer.
 type Run struct {
@@ -61,7 +39,9 @@ type Run struct {
 }
 
 // Runs gathers the blocks of one read, in request order, into as few
-// device reads as possible.
+// device reads as possible. A recycled request record keeps its Runs and
+// starts the next read from rs[:0], so a warm record gathers without
+// allocating.
 type Runs []Run
 
 // Add places block at of the request at off of unit, extending the last

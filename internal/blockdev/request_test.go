@@ -41,7 +41,7 @@ func TestRunsCoalesce(t *testing.T) {
 	}
 }
 
-func TestPrologueAndEpilogue(t *testing.T) {
+func TestPrologue(t *testing.T) {
 	eng := sim.NewEngine()
 	var got []WriteResult
 	done := func(r WriteResult) { got = append(got, r) }
@@ -65,14 +65,13 @@ func TestPrologueAndEpilogue(t *testing.T) {
 			t.Fatalf("failure = %+v, want ErrOutOfRange after 1µs", r)
 		}
 	}
-	errA := errors.New("a")
-	var rd ReadResult
-	buf := []byte{1}
-	fin := ReadDone(eng, buf, func(r ReadResult) { rd = r })
-	eng.After(7, func() { fin(errA) })
-	eng.Run()
-	if rd.Err != errA || rd.Latency != 7 || &rd.Data[0] != &buf[0] {
-		t.Fatalf("epilogue delivered %+v, want errA, 7 ns and the caller's buffer", rd)
+	var rd []ReadResult
+	if CheckRead(eng, 100, 1, 100, func(r ReadResult) { rd = append(rd, r) }) || len(rd) != 0 {
+		t.Fatal("CheckRead accepted lba 100 on 100 blocks, or failed it inside the call")
 	}
-	WriteDone(eng, nil)(nil) // a nil done is fine
+	eng.Run()
+	if len(rd) != 1 || !errors.Is(rd[0].Err, ErrOutOfRange) || rd[0].Latency != sim.Microsecond {
+		t.Fatalf("read failures = %+v, want one ErrOutOfRange after 1µs", rd)
+	}
+	CheckWrite(eng, -1, 1, 100, nil) // a nil done is fine
 }

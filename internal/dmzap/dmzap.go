@@ -62,6 +62,8 @@ func DefaultConfig(zones, maxOpen int) Config {
 	}
 }
 
+// pending is one block on its way into a zone: parked on stalled, then
+// queued for its zone.
 type pending struct {
 	lba      int64
 	off      int64 // zone offset assigned at enqueue (FIFO per zone)
@@ -71,10 +73,53 @@ type pending struct {
 	done     func(zns.WriteResult)
 }
 
-// zoneQueue serializes the writes of one zone.
+// zoneQueue serializes the writes of one zone. With one write in flight
+// per zone the zone itself is that write's record: it keeps the owner's
+// callback and is the backend's completion target (onDone, bound once).
 type zoneQueue struct {
-	busy  bool // one in-flight write
-	queue fifo.Queue[pending]
+	a      *Adapter
+	z      int
+	busy   bool                  // one in-flight write
+	done   func(zns.WriteResult) // its owner
+	onDone func(zns.WriteResult) // zq.complete
+	queue  fifo.Queue[pending]
+}
+
+// writeReq is one block-interface Write: its blocks report to the fan-in
+// it carries, whose last answers the caller. Recycled; put back before the
+// caller's callback runs.
+type writeReq struct {
+	a       *Adapter
+	live    bool
+	start   sim.Time
+	done    func(blockdev.WriteResult)
+	f       sim.FanIn
+	onBlock func(zns.WriteResult) // w.blockDone
+	onAll   func(error)           // w.finish
+}
+
+// readReq is one block-interface Read: runs are its backend reads,
+// parts[i] the completion slot of runs[i] (slots, like both slices'
+// capacity, are kept across reuse). It is also the event that answers a
+// read of nothing mapped. Put back before the caller's callback runs.
+type readReq struct {
+	a     *Adapter
+	live  bool
+	start sim.Time
+	done  func(blockdev.ReadResult)
+	buf   []byte // the result; nil when the backend stores no data
+	f     sim.FanIn
+	runs  blockdev.Runs
+	parts []*readPart
+	onAll func(error) // rd.finish
+}
+
+// readPart is the completion slot of one run: where in the result its
+// blocks land.
+type readPart struct {
+	rd     *readReq
+	at     int64                // byte offset in rd.buf
+	onDone func(zns.ReadResult) // p.complete
 }
 
 // Adapter exposes a block device over a zoned backend. It implements
@@ -93,6 +138,11 @@ type Adapter struct {
 	rr        int
 	gcRunning bool
 	stalled   fifo.Queue[pending] // user writes parked at the free-zone cliff
+
+	// Recycled request records and how many of each were ever made.
+	writeFree []*writeReq
+	readFree  []*readReq
+	made      struct{ write, read int }
 
 	storesData bool // backend retains payloads (cached at New)
 
@@ -129,6 +179,8 @@ func New(backend zoneapi.Backend, cfg Config, acct *cpumodel.Accountant) (*Adapt
 	}
 	for z := range a.order {
 		a.order[z] = z
+		zq := &a.zones[z]
+		zq.a, zq.z, zq.onDone = a, z, zq.complete
 	}
 	for i := 0; i < cfg.OpenZones; i++ {
 		a.openRing = append(a.openRing, a.takeFree())
@@ -186,6 +238,50 @@ func (a *Adapter) takeFree() int {
 	return z
 }
 
+func (a *Adapter) getWrite() *writeReq {
+	n := len(a.writeFree)
+	if n == 0 {
+		a.made.write++
+		w := &writeReq{a: a, live: true}
+		w.onBlock, w.onAll = w.blockDone, w.finish
+		return w
+	}
+	w := a.writeFree[n-1]
+	a.writeFree = a.writeFree[:n-1]
+	w.live = true
+	return w
+}
+
+func (a *Adapter) putWrite(w *writeReq) {
+	if !w.live {
+		panic("dmzap: write record put twice")
+	}
+	*w = writeReq{a: a, onBlock: w.onBlock, onAll: w.onAll}
+	a.writeFree = append(a.writeFree, w)
+}
+
+func (a *Adapter) getRead() *readReq {
+	n := len(a.readFree)
+	if n == 0 {
+		a.made.read++
+		rd := &readReq{a: a, live: true}
+		rd.onAll = rd.finish
+		return rd
+	}
+	rd := a.readFree[n-1]
+	a.readFree = a.readFree[:n-1]
+	rd.live = true
+	return rd
+}
+
+func (a *Adapter) putRead(rd *readReq) {
+	if !rd.live {
+		panic("dmzap: read record put twice")
+	}
+	*rd = readReq{a: a, runs: rd.runs[:0], parts: rd.parts, onAll: rd.onAll}
+	a.readFree = append(a.readFree, rd)
+}
+
 // Write implements blockdev.Device: splits the request into blocks,
 // appends each to the next open zone (round-robin), one in flight per zone.
 func (a *Adapter) Write(lba int64, nblocks int, data []byte, done func(blockdev.WriteResult)) {
@@ -194,17 +290,34 @@ func (a *Adapter) Write(lba int64, nblocks int, data []byte, done func(blockdev.
 	}
 	bs := int64(a.BlockSize())
 	a.userBytes += uint64(nblocks) * uint64(bs)
-	f := sim.NewFanIn(blockdev.WriteDone(a.eng, done))
-	part := func(r zns.WriteResult) { f.Done(r.Err) }
-	f.Add(nblocks)
+	w := a.getWrite()
+	w.start, w.done = a.eng.Now(), done
+	w.f.Arm(w.onAll)
+	w.f.Add(nblocks)
 	for i := 0; i < nblocks; i++ {
 		var payload []byte
 		if data != nil {
 			payload = data[int64(i)*bs : int64(i+1)*bs]
 		}
-		a.writeBlock(lba+int64(i), payload, zns.TagUserData, part)
+		a.writeBlock(lba+int64(i), payload, zns.TagUserData, w.onBlock)
 	}
-	f.Seal()
+	w.f.Seal()
+}
+
+func (w *writeReq) blockDone(r zns.WriteResult) {
+	if !w.live {
+		panic("dmzap: write record used after put")
+	}
+	w.f.Done(r.Err)
+}
+
+func (w *writeReq) finish(err error) {
+	a := w.a
+	done, res := w.done, blockdev.WriteResult{Err: err, Latency: a.eng.Now() - w.start}
+	a.putWrite(w)
+	if done != nil {
+		done(res)
+	}
 }
 
 // writeBlock appends one block to an open zone and updates the mapping on
@@ -269,11 +382,11 @@ func (a *Adapter) dispatch(z int, p pending) {
 		return
 	}
 	zq.busy = true
-	a.submit(z, p)
+	zq.submit(p)
 }
 
-func (a *Adapter) submit(z int, p pending) {
-	zq := &a.zones[z]
+func (zq *zoneQueue) submit(p pending) {
+	a := zq.a
 	if wait := a.eng.Now() - p.enqueued; wait > 0 {
 		// The real adapter spins while the zone lock is held.
 		a.acct.Charge(cpumodel.CompDmzap, wait)
@@ -283,16 +396,25 @@ func (a *Adapter) submit(z int, p pending) {
 	// rule cannot be violated. A block superseded while queued still writes
 	// its reserved offset (keeping the zone sequential); the mapping table
 	// already points at the newer copy.
-	a.backend.Write(z, p.off, 1, p.data, p.tag, func(r zns.WriteResult) {
-		if p.done != nil {
-			p.done(r)
-		}
-		if zq.queue.Len() > 0 {
-			a.submit(z, zq.queue.Pop())
-			return
-		}
-		zq.busy = false
-	})
+	zq.done = p.done
+	a.backend.Write(zq.z, p.off, 1, p.data, p.tag, zq.onDone)
+}
+
+// complete is the backend's answer for the zone's write in flight: tell
+// its owner, then submit the next block queued for the zone.
+func (zq *zoneQueue) complete(r zns.WriteResult) {
+	if !zq.busy {
+		panic("dmzap: completion for a zone with no write in flight")
+	}
+	if done := zq.done; done != nil {
+		zq.done = nil
+		done(r)
+	}
+	if zq.queue.Len() > 0 {
+		zq.submit(zq.queue.Pop())
+		return
+	}
+	zq.busy = false
 }
 
 // Read implements blockdev.Device, splitting across zones as needed and
@@ -302,33 +424,63 @@ func (a *Adapter) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 		return
 	}
 	bs := int64(a.BlockSize())
-	var buf []byte
+	rd := a.getRead()
+	rd.start, rd.done = a.eng.Now(), done
 	if a.storesData {
-		buf = make([]byte, int64(nblocks)*bs)
+		rd.buf = make([]byte, int64(nblocks)*bs)
 	}
-	var runs blockdev.Runs
 	for i := 0; i < nblocks; i++ {
 		if l := a.log.At(lba + int64(i)); l.Zone >= 0 { // unmapped reads as zeros
-			runs.Add(l.Zone, l.Off, i)
+			rd.runs.Add(l.Zone, l.Off, i)
 		}
 	}
-	if len(runs) == 0 {
-		sim.Deliver(a.eng, sim.Microsecond, done, blockdev.ReadResult{Data: buf, Latency: sim.Microsecond})
+	if len(rd.runs) == 0 {
+		// Nothing to read: the record is the event that answers, a
+		// microsecond on. Nobody to tell schedules nothing.
+		if done == nil {
+			a.putRead(rd)
+			return
+		}
+		a.eng.AfterEvent(sim.Microsecond, rd, 0, 0)
 		return
 	}
-	f := sim.NewFanIn(blockdev.ReadDone(a.eng, buf, done))
-	f.Add(len(runs))
-	for _, r := range runs {
-		at := int64(r.At) * bs
-		a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
-		a.backend.Read(r.Unit, r.Off, r.Blocks, func(res zns.ReadResult) {
-			if res.Data != nil {
-				copy(buf[at:], res.Data)
-			}
-			f.Done(res.Err)
-		})
+	for len(rd.parts) < len(rd.runs) {
+		p := &readPart{rd: rd}
+		p.onDone = p.complete
+		rd.parts = append(rd.parts, p)
 	}
-	f.Seal()
+	rd.f.Arm(rd.onAll)
+	rd.f.Add(len(rd.runs))
+	for i, r := range rd.runs {
+		p := rd.parts[i]
+		p.at = int64(r.At) * bs
+		a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission)
+		a.backend.Read(r.Unit, r.Off, r.Blocks, p.onDone)
+	}
+	rd.f.Seal()
+}
+
+// Fire implements sim.Handler for the read that issued nothing.
+func (rd *readReq) Fire(_, _ sim.Time) { rd.finish(nil) }
+
+func (p *readPart) complete(res zns.ReadResult) {
+	rd := p.rd
+	if !rd.live {
+		panic("dmzap: read record used after put")
+	}
+	if res.Data != nil {
+		copy(rd.buf[p.at:], res.Data)
+	}
+	rd.f.Done(res.Err)
+}
+
+func (rd *readReq) finish(err error) {
+	a := rd.a
+	done, res := rd.done, blockdev.ReadResult{Err: err, Data: rd.buf, Latency: a.eng.Now() - rd.start}
+	a.putRead(rd)
+	if done != nil {
+		done(res)
+	}
 }
 
 // Trim implements blockdev.Device.

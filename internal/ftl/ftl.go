@@ -136,9 +136,31 @@ type flashBlock struct {
 }
 
 type channelRes struct {
+	d        *Device
 	writeBus *sim.Resource
 	readBus  *sim.Resource
 	dies     *sim.Resource
+}
+
+// pageOnBus and pageOnDie are the two stages of a page program
+// (programPage) as events. A program carries nothing but its channel, so
+// the channel itself, under these two names, is the handler of both: no
+// record, no closure.
+type (
+	pageOnBus channelRes
+	pageOnDie channelRes
+)
+
+// Fire: the page has crossed the channel bus; program it on a die.
+func (c *pageOnBus) Fire(_, _ sim.Time) {
+	size := int64(c.d.cfg.BlockSize)
+	c.dies.SubmitEvent(size*sim.Second/c.d.cfg.DieWriteBW, (*pageOnDie)(c))
+}
+
+// Fire: the page is on flash and its cache credit is free again.
+func (c *pageOnDie) Fire(_, _ sim.Time) {
+	c.d.programmed += uint64(c.d.cfg.BlockSize)
+	c.d.releaseCache(1)
 }
 
 // Device is the simulated conventional SSD. It implements blockdev.Device.
@@ -161,8 +183,11 @@ type Device struct {
 	readLink   *sim.Resource
 
 	cacheCredit int64
-	waiters     fifo.Queue[waiter]
-	stalled     fifo.Queue[func()] // allocation parked below the critical watermark
+	waiters     fifo.Queue[*req] // writes waiting for cache credit
+	stalled     fifo.Queue[*req] // writes parked below the critical watermark
+
+	reqFree []*req // recycled request records
+	reqMade int
 
 	logicalPages int64
 
@@ -204,11 +229,6 @@ func (d *Device) ChannelReadBusy(ch int) sim.Time {
 	return d.chans[ch].readBus.BusyTime()
 }
 
-type waiter struct {
-	need int64
-	run  func()
-}
-
 // New creates a device with all blocks free.
 func New(eng *sim.Engine, cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
@@ -242,6 +262,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 	d.chans = make([]*channelRes, cfg.NumChannels)
 	for i := range d.chans {
 		d.chans[i] = &channelRes{
+			d:        d,
 			writeBus: sim.NewResource(eng, 1),
 			readBus:  sim.NewResource(eng, 1),
 			dies:     sim.NewResource(eng, cfg.DiesPerChannel),
@@ -366,59 +387,147 @@ func (d *Device) Write(lba int64, nblocks int, data []byte, done func(blockdev.W
 		sim.Deliver(d.eng, d.cfg.CmdOverhead, done, blockdev.WriteResult{Err: err, Latency: d.cfg.CmdOverhead})
 		return
 	}
-	size := n * int64(d.cfg.BlockSize)
-	d.userWritten += uint64(size)
+	d.userWritten += uint64(n) * uint64(d.cfg.BlockSize)
+	r := d.getReq()
+	r.stage, r.lba, r.n, r.data, r.start, r.wdone = wCtrl, lba, n, data, start, done
+	r.span = d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpWrite, d.trDev, -1, lba, n)
+	d.controller.SubmitEvent(d.cfg.CmdOverhead, r)
+}
 
-	span := d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpWrite, d.trDev, -1, lba, n)
+// req is one Write or Read from the command's arrival to the caller's
+// callback: a recycled record that is itself the event of every stage, the
+// entry parked on waiters and stalled, and the holder of the caller's
+// callback. It goes back before that callback runs.
+type req struct {
+	d     *Device
+	live  bool
+	stage uint8
+	lba   int64
+	n     int64
+	data  []byte // write payload, or nil
+	ch    int    // read: the channel that serves it
+	span  obs.SpanID
+	start sim.Time
+	wdone func(blockdev.WriteResult)
+	rdone func(blockdev.ReadResult)
+}
 
-	// Page allocation happens only once cache credit is granted: the cache
-	// is the device's admission control, which bounds how far allocation
-	// can run ahead of GC and keeps free-block accounting safe.
-	bs := int64(d.cfg.BlockSize)
-	d.controller.Submit(d.cfg.CmdOverhead, func(_, _ sim.Time) {
-		d.acquireCache(n, func() {
-			d.allocWhenSafe(func() {
-				for i := int64(0); i < n; i++ {
-					lpn := lba + i
-					ppn, ch := d.allocPage(lpn, false)
-					d.mapPage(lpn, ppn)
-					if d.data != nil {
-						if data != nil {
-							d.data[lpn] = append([]byte(nil), data[i*bs:(i+1)*bs]...)
-						} else {
-							delete(d.data, lpn)
-						}
-					}
-					d.programPage(ch)
+// The stage a request's next event ends.
+const (
+	wCtrl = iota // write: controller overhead, then cache admission
+	wXfer        // write: host link transfer
+	wBuf         // write: buffer latency, then the acknowledgement
+	rCtrl        // read: controller overhead
+	rBus         // read: channel bus
+	rDie         // read: die
+	rXfer        // read: host link transfer, then the answer
+)
+
+func (d *Device) getReq() *req {
+	n := len(d.reqFree)
+	if n == 0 {
+		d.reqMade++
+		return &req{d: d, live: true}
+	}
+	r := d.reqFree[n-1]
+	d.reqFree = d.reqFree[:n-1]
+	r.live = true
+	return r
+}
+
+func (d *Device) putReq(r *req) {
+	if !r.live {
+		panic("ftl: request record put twice")
+	}
+	*r = req{d: d}
+	d.reqFree = append(d.reqFree, r)
+}
+
+// Fire implements sim.Handler: the stage that just ended, served from s to
+// e (now), starts the next one.
+func (r *req) Fire(s, e sim.Time) {
+	if !r.live {
+		panic("ftl: request record used after put")
+	}
+	d := r.d
+	size := r.n * int64(d.cfg.BlockSize)
+	switch r.stage {
+	case wCtrl:
+		// Page allocation happens only once cache credit is granted: the
+		// cache is the device's admission control, which bounds how far
+		// allocation can run ahead of GC and keeps free-block accounting safe.
+		d.acquireCache(r)
+	case wXfer:
+		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseXfer, d.trDev, -1, -1)
+		r.stage = wBuf
+		d.eng.AfterEvent(d.cfg.BufWriteLatency, r, e, e+d.cfg.BufWriteLatency)
+	case wBuf:
+		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseBuffer, d.trDev, -1, -1)
+		d.tr.SpanEnd(r.span, int64(e), false)
+		done, res := r.wdone, blockdev.WriteResult{Latency: e - r.start}
+		d.putReq(r)
+		if done != nil {
+			done(res)
+		}
+	case rCtrl:
+		r.stage = rBus
+		d.chans[r.ch].readBus.SubmitEvent(size*sim.Second/d.cfg.ChannelReadBW, r)
+	case rBus:
+		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseBus, d.trDev, -1, r.ch)
+		r.stage = rDie
+		d.chans[r.ch].dies.SubmitEvent(d.cfg.DieReadLatency+size*sim.Second/d.cfg.DieReadBW, r)
+	case rDie:
+		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseDie, d.trDev, -1, r.ch)
+		r.stage = rXfer
+		d.readLink.SubmitEvent(size*sim.Second/d.cfg.DeviceReadBW, r)
+	case rXfer:
+		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseXfer, d.trDev, -1, -1)
+		d.tr.SpanEnd(r.span, int64(e), false)
+		done, res := r.rdone, blockdev.ReadResult{Latency: e - r.start}
+		if done != nil && d.data != nil {
+			res.Data = make([]byte, size)
+			bs := int64(d.cfg.BlockSize)
+			for i := int64(0); i < r.n; i++ {
+				if src, ok := d.data[r.lba+i]; ok {
+					copy(res.Data[i*bs:(i+1)*bs], src)
 				}
-				d.maybeStartGC()
-				d.writeLink.Submit(size*sim.Second/d.cfg.DeviceWriteBW, func(s, e sim.Time) {
-					d.tr.Mark(span, int64(s), int64(e), obs.LayerFTL, obs.PhaseXfer, d.trDev, -1, -1)
-					bufStart := d.eng.Now()
-					d.eng.After(d.cfg.BufWriteLatency, func() {
-						d.tr.Mark(span, int64(bufStart), int64(d.eng.Now()), obs.LayerFTL, obs.PhaseBuffer, d.trDev, -1, -1)
-						d.tr.SpanEnd(span, int64(d.eng.Now()), false)
-						if done != nil {
-							done(blockdev.WriteResult{Latency: d.eng.Now() - start})
-						}
-					})
-				})
-			})
-		})
-	})
+			}
+		}
+		d.putReq(r)
+		if done != nil {
+			done(res)
+		}
+	}
+}
+
+// program maps and programs the pages of a write that holds its cache
+// credit and is clear of the write cliff, then moves its payload over the
+// host link.
+func (r *req) program() {
+	d, bs := r.d, int64(r.d.cfg.BlockSize)
+	for i := int64(0); i < r.n; i++ {
+		lpn := r.lba + i
+		ppn, ch := d.allocPage(lpn, false)
+		d.mapPage(lpn, ppn)
+		if d.data != nil {
+			if r.data != nil {
+				d.data[lpn] = append([]byte(nil), r.data[i*bs:(i+1)*bs]...)
+			} else {
+				delete(d.data, lpn)
+			}
+		}
+		d.programPage(ch)
+	}
+	d.maybeStartGC()
+	r.stage = wXfer
+	d.writeLink.SubmitEvent(r.n*bs*sim.Second/d.cfg.DeviceWriteBW, r)
 }
 
 // programPage schedules the flash program of one page on channel ch and
 // releases one cache credit when it completes.
 func (d *Device) programPage(ch int) {
-	size := int64(d.cfg.BlockSize)
 	cr := d.chans[ch]
-	cr.writeBus.Submit(size*sim.Second/d.cfg.ChannelWriteBW, func(_, _ sim.Time) {
-		cr.dies.Submit(size*sim.Second/d.cfg.DieWriteBW, func(_, _ sim.Time) {
-			d.programmed += uint64(size)
-			d.releaseCache(1)
-		})
-	})
+	cr.writeBus.SubmitEvent(int64(d.cfg.BlockSize)*sim.Second/d.cfg.ChannelWriteBW, (*pageOnBus)(cr))
 }
 
 // criticalWater is the free-block floor below which user allocation stalls
@@ -432,44 +541,44 @@ func (d *Device) criticalWater() int {
 	return w
 }
 
-// allocWhenSafe runs fn immediately when free blocks are above the critical
-// watermark, or parks it until GC frees space. Parked work resumes in FIFO
-// order, and only stalls while GC can actually make progress.
-func (d *Device) allocWhenSafe(fn func()) {
+// allocWhenSafe programs r at once when free blocks are above the critical
+// watermark, or parks it until GC frees space. Parked writes resume in FIFO
+// order, and only stall while GC can actually make progress.
+func (d *Device) allocWhenSafe(r *req) {
 	if len(d.freeList) > d.criticalWater() || d.pickVictim() < 0 {
-		fn()
+		r.program()
 		return
 	}
-	d.stalled.Push(fn)
+	d.stalled.Push(r)
 	d.maybeStartGC()
 }
 
 func (d *Device) releaseStalled() {
 	for d.stalled.Len() > 0 && (len(d.freeList) > d.criticalWater() || d.pickVictim() < 0) {
-		d.stalled.Pop()()
+		d.stalled.Pop().program()
 	}
 }
 
-func (d *Device) acquireCache(need int64, fn func()) {
-	// Requests larger than the cache admit at full-cache granularity (the
-	// real device streams them through); otherwise they could never enter.
-	if need > d.cfg.CacheBlocks {
-		need = d.cfg.CacheBlocks
-	}
-	if d.waiters.Len() == 0 && d.cacheCredit >= need {
-		d.cacheCredit -= need
-		fn()
+// need is the cache credit a write asks for. Requests larger than the cache
+// admit at full-cache granularity (the real device streams them through);
+// otherwise they could never enter.
+func (r *req) need() int64 { return min(r.n, r.d.cfg.CacheBlocks) }
+
+func (d *Device) acquireCache(r *req) {
+	if d.waiters.Len() == 0 && d.cacheCredit >= r.need() {
+		d.cacheCredit -= r.need()
+		d.allocWhenSafe(r)
 		return
 	}
-	d.waiters.Push(waiter{need: need, run: fn})
+	d.waiters.Push(r)
 }
 
 func (d *Device) releaseCache(n int64) {
 	d.cacheCredit += n
-	for d.waiters.Len() > 0 && d.cacheCredit >= d.waiters.Peek().need {
-		w := d.waiters.Pop()
-		d.cacheCredit -= w.need
-		w.run()
+	for d.waiters.Len() > 0 && d.cacheCredit >= d.waiters.Peek().need() {
+		r := d.waiters.Pop()
+		d.cacheCredit -= r.need()
+		d.allocWhenSafe(r)
 	}
 }
 
@@ -482,7 +591,6 @@ func (d *Device) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 			blockdev.ReadResult{Err: blockdev.ErrOutOfRange, Latency: d.cfg.CmdOverhead})
 		return
 	}
-	size := n * int64(d.cfg.BlockSize)
 	// Route the read through the channel of the first mapped page (reads of
 	// a multi-page span touch several channels; one-channel routing is a
 	// conservative simplification).
@@ -490,37 +598,10 @@ func (d *Device) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	if ppn := d.l2p[lba]; ppn != invalidPPN {
 		ch = d.blocks[ppn/int64(d.cfg.PagesPerBlock)].channel
 	}
-	span := d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpRead, d.trDev, -1, lba, n)
-	finish := func() {
-		d.tr.SpanEnd(span, int64(d.eng.Now()), false)
-		if done == nil {
-			return
-		}
-		var data []byte
-		if d.data != nil {
-			data = make([]byte, size)
-			bs := int64(d.cfg.BlockSize)
-			for i := int64(0); i < n; i++ {
-				if src, ok := d.data[lba+i]; ok {
-					copy(data[i*bs:(i+1)*bs], src)
-				}
-			}
-		}
-		done(blockdev.ReadResult{Data: data, Latency: d.eng.Now() - start})
-	}
-	cr := d.chans[ch]
-	d.controller.Submit(d.cfg.CmdOverhead, func(_, _ sim.Time) {
-		cr.readBus.Submit(size*sim.Second/d.cfg.ChannelReadBW, func(s, e sim.Time) {
-			d.tr.Mark(span, int64(s), int64(e), obs.LayerFTL, obs.PhaseBus, d.trDev, -1, ch)
-			cr.dies.Submit(d.cfg.DieReadLatency+size*sim.Second/d.cfg.DieReadBW, func(s, e sim.Time) {
-				d.tr.Mark(span, int64(s), int64(e), obs.LayerFTL, obs.PhaseDie, d.trDev, -1, ch)
-				d.readLink.Submit(size*sim.Second/d.cfg.DeviceReadBW, func(s, e sim.Time) {
-					d.tr.Mark(span, int64(s), int64(e), obs.LayerFTL, obs.PhaseXfer, d.trDev, -1, -1)
-					finish()
-				})
-			})
-		})
-	})
+	r := d.getReq()
+	r.stage, r.lba, r.n, r.ch, r.start, r.rdone = rCtrl, lba, n, ch, start, done
+	r.span = d.tr.SpanBegin(int64(start), obs.LayerFTL, obs.OpRead, d.trDev, -1, lba, n)
+	d.controller.SubmitEvent(d.cfg.CmdOverhead, r)
 }
 
 // Trim implements blockdev.Device: unmaps the range without flash traffic.

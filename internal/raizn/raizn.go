@@ -73,7 +73,98 @@ type Array struct {
 	parityBytes uint64
 	metaBytes   uint64
 
+	// Recycled request records and how many of each were ever made.
+	writeFree []*writeReq
+	readFree  []*readReq
+	made      struct{ write, read int }
+
 	tr *obs.Trace
+}
+
+// writeReq is one zone Write: its data, parity and journal blocks report
+// to the fan-in it carries, whose last ends the span and answers the
+// caller. Recycled; put back before the caller's callback runs.
+type writeReq struct {
+	a      *Array
+	live   bool
+	start  sim.Time
+	span   obs.SpanID
+	done   func(zns.WriteResult)
+	f      sim.FanIn
+	onPart func(zns.WriteResult) // w.partDone
+	onAll  func(error)           // w.finish
+}
+
+// readReq is one zone Read, de-striped: runs[:nruns] are its member reads,
+// lastRun[dev] the latest of them on each member. The slots beyond nruns,
+// their index slices and lastRun are kept across reuse. Put back before the
+// caller's callback runs.
+type readReq struct {
+	a       *Array
+	live    bool
+	start   sim.Time
+	span    obs.SpanID
+	done    func(zns.ReadResult)
+	buf     []byte // the result; nil when the members store no data
+	f       sim.FanIn
+	runs    []*readRun
+	nruns   int
+	lastRun []int
+	onAll   func(error) // rd.finish
+}
+
+// readRun is one member read: consecutive row offsets of one member, with
+// the result-buffer index of every block so the result can be de-striped.
+type readRun struct {
+	rd     *readReq
+	dev    int
+	off    int64
+	bufIdx []int64
+	onDone func(zns.ReadResult) // r.complete
+}
+
+func (a *Array) getWrite() *writeReq {
+	n := len(a.writeFree)
+	if n == 0 {
+		a.made.write++
+		w := &writeReq{a: a, live: true}
+		w.onPart, w.onAll = w.partDone, w.finish
+		return w
+	}
+	w := a.writeFree[n-1]
+	a.writeFree = a.writeFree[:n-1]
+	w.live = true
+	return w
+}
+
+func (a *Array) putWrite(w *writeReq) {
+	if !w.live {
+		panic("raizn: write record put twice")
+	}
+	*w = writeReq{a: a, onPart: w.onPart, onAll: w.onAll}
+	a.writeFree = append(a.writeFree, w)
+}
+
+func (a *Array) getRead() *readReq {
+	n := len(a.readFree)
+	if n == 0 {
+		a.made.read++
+		rd := &readReq{a: a, live: true, lastRun: make([]int, len(a.queues))}
+		rd.onAll = rd.finish
+		return rd
+	}
+	rd := a.readFree[n-1]
+	a.readFree = a.readFree[:n-1]
+	rd.live = true
+	return rd
+}
+
+func (a *Array) putRead(rd *readReq) {
+	if !rd.live {
+		panic("raizn: read record put twice")
+	}
+	*rd = readReq{a: a, runs: rd.runs, lastRun: rd.lastRun, onAll: rd.onAll}
+	a.readFree = append(a.readFree, rd)
 }
 
 // SetAccountant wires CPU-cost attribution (Fig. 17) to acct, non-nil.
@@ -90,6 +181,7 @@ type stripeCache struct {
 	capacity int
 	fifo     fifo.Queue[rowKey]
 	members  map[rowKey]bool
+	evicted  []rowKey // insert's result, reused
 }
 
 type rowKey struct {
@@ -216,22 +308,18 @@ func (a *Array) Write(z int, lba int64, nblocks int, data []byte, tag zns.WriteT
 		sim.Deliver(a.eng, sim.Microsecond, done, zns.WriteResult{Err: err, Latency: sim.Microsecond})
 		return
 	}
-	start := a.eng.Now()
+	w := a.getWrite()
+	w.start, w.done = a.eng.Now(), done
 	a.wp[z] += n
 	a.userBytes += uint64(n) * uint64(a.blockSize)
-	span := a.tr.SpanBegin(int64(start), obs.LayerRAIZN, obs.OpWrite, -1, z, lba, n)
+	w.span = a.tr.SpanBegin(int64(w.start), obs.LayerRAIZN, obs.OpWrite, -1, z, lba, n)
 	a.acct.Charge(cpumodel.CompRAIZN, cpumodel.CostSchedule+cpumodel.CostMapUpdate*sim.Time(n))
 	a.acct.ChargeParity(cpumodel.CompRAIZN, n*int64(a.blockSize))
 	a.acct.Charge(cpumodel.CompIO, cpumodel.CostSubmission*sim.Time(n))
 
 	// Every request issues at least its data blocks, so the fan-in fires.
-	f := sim.NewFanIn(func(err error) {
-		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
-		if done != nil {
-			done(zns.WriteResult{Err: err, Latency: a.eng.Now() - start})
-		}
-	})
-	part := func(r zns.WriteResult) { f.Done(r.Err) }
+	f, part := &w.f, w.onPart
+	f.Arm(w.onAll)
 
 	k := int64(a.dataDisks())
 	bs := int64(a.blockSize)
@@ -300,6 +388,23 @@ func (a *Array) Write(z int, lba int64, nblocks int, data []byte, tag zns.WriteT
 	f.Seal()
 }
 
+func (w *writeReq) partDone(r zns.WriteResult) {
+	if !w.live {
+		panic("raizn: write record used after put")
+	}
+	w.f.Done(r.Err)
+}
+
+func (w *writeReq) finish(err error) {
+	a, now := w.a, w.a.eng.Now()
+	a.tr.SpanEnd(w.span, int64(now), err != nil)
+	done, res := w.done, zns.WriteResult{Err: err, Latency: now - w.start}
+	a.putWrite(w)
+	if done != nil {
+		done(res)
+	}
+}
+
 // writeJournal appends nblocks of partial-parity records to the central
 // metadata zone, rotating between the two reserved zones on member 0, each
 // append one more part of f.
@@ -341,61 +446,72 @@ func (a *Array) Read(z int, lba int64, nblocks int, done func(zns.ReadResult)) {
 		sim.Deliver(a.eng, sim.Microsecond, done, zns.ReadResult{Err: err, Latency: sim.Microsecond})
 		return
 	}
-	start := a.eng.Now()
-	span := a.tr.SpanBegin(int64(start), obs.LayerRAIZN, obs.OpRead, -1, z, lba, n)
+	rd := a.getRead()
+	rd.start, rd.done = a.eng.Now(), done
+	rd.span = a.tr.SpanBegin(int64(rd.start), obs.LayerRAIZN, obs.OpRead, -1, z, lba, n)
 	k := int64(a.dataDisks())
-	bs := int64(a.blockSize)
 	pz := a.physZone(z)
-	var buf []byte
 	if a.StoresData() {
-		buf = make([]byte, n*bs)
+		rd.buf = make([]byte, n*int64(a.blockSize))
 	}
-	f := sim.NewFanIn(func(err error) {
-		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
-		if done != nil {
-			done(zns.ReadResult{Err: err, Data: buf, Latency: a.eng.Now() - start})
-		}
-	})
 	// Group blocks per member and coalesce consecutive row offsets into one
 	// device read; each run carries the buffer index of every block so the
 	// result can be de-striped.
-	type runT struct {
-		dev    int
-		off    int64
-		bufIdx []int64 // logical block index (into buf) per run block
-	}
-	var runs []runT
-	lastRunOfDev := make([]int, len(a.queues))
-	for i := range lastRunOfDev {
-		lastRunOfDev[i] = -1
+	for i := range rd.lastRun {
+		rd.lastRun[i] = -1
 	}
 	for i := int64(0); i < n; i++ {
 		blk := lba + i
 		row := blk / k
 		col := int(blk % k)
 		dev := a.layout.DataDisk(row, col)
-		if li := lastRunOfDev[dev]; li >= 0 {
-			r := &runs[li]
-			if r.off+int64(len(r.bufIdx)) == row {
+		if li := rd.lastRun[dev]; li >= 0 {
+			if r := rd.runs[li]; r.off+int64(len(r.bufIdx)) == row {
 				r.bufIdx = append(r.bufIdx, i)
 				continue
 			}
 		}
-		runs = append(runs, runT{dev: dev, off: row, bufIdx: []int64{i}})
-		lastRunOfDev[dev] = len(runs) - 1
+		if rd.nruns == len(rd.runs) {
+			r := &readRun{rd: rd}
+			r.onDone = r.complete
+			rd.runs = append(rd.runs, r)
+		}
+		r := rd.runs[rd.nruns]
+		r.dev, r.off, r.bufIdx = dev, row, append(r.bufIdx[:0], i)
+		rd.lastRun[dev] = rd.nruns
+		rd.nruns++
 	}
-	f.Add(len(runs))
-	for _, r := range runs {
-		a.queues[r.dev].ReadInto(pz, r.off, len(r.bufIdx), nil, false, func(res zns.ReadResult) {
-			if res.Data != nil {
-				for j, idx := range r.bufIdx {
-					copy(buf[idx*bs:(idx+1)*bs], res.Data[int64(j)*bs:(int64(j)+1)*bs])
-				}
-			}
-			f.Done(res.Err)
-		})
+	rd.f.Arm(rd.onAll)
+	rd.f.Add(rd.nruns)
+	for _, r := range rd.runs[:rd.nruns] {
+		a.queues[r.dev].ReadInto(pz, r.off, len(r.bufIdx), nil, false, r.onDone)
 	}
-	f.Seal()
+	rd.f.Seal()
+}
+
+// complete is the run's device completion: de-stripe and count it done.
+func (r *readRun) complete(res zns.ReadResult) {
+	rd := r.rd
+	if !rd.live {
+		panic("raizn: read record used after put")
+	}
+	if res.Data != nil {
+		bs := int64(rd.a.blockSize)
+		for j, idx := range r.bufIdx {
+			copy(rd.buf[idx*bs:(idx+1)*bs], res.Data[int64(j)*bs:(int64(j)+1)*bs])
+		}
+	}
+	rd.f.Done(res.Err)
+}
+
+func (rd *readReq) finish(err error) {
+	a, now := rd.a, rd.a.eng.Now()
+	a.tr.SpanEnd(rd.span, int64(now), err != nil)
+	done, res := rd.done, zns.ReadResult{Err: err, Data: rd.buf, Latency: now - rd.start}
+	a.putRead(rd)
+	if done != nil {
+		done(res)
+	}
 }
 
 // Reset implements zoneapi.Backend: resets the logical zone's physical zone
@@ -431,22 +547,23 @@ func (a *Array) Finish(z int) error {
 	return first
 }
 
-// insert adds a key to the FIFO cache and returns evicted keys.
+// insert adds a key to the FIFO cache and returns evicted keys, valid
+// until the next insert.
 func (c *stripeCache) insert(k rowKey) []rowKey {
 	if c.members[k] {
 		return nil
 	}
 	c.members[k] = true
 	c.fifo.Push(k)
-	var evicted []rowKey
+	c.evicted = c.evicted[:0]
 	for c.fifo.Len() > c.capacity {
 		e := c.fifo.Pop()
 		if c.members[e] {
 			delete(c.members, e)
-			evicted = append(evicted, e)
+			c.evicted = append(c.evicted, e)
 		}
 	}
-	return evicted
+	return c.evicted
 }
 
 // drop removes a completed row from the cache without journaling.

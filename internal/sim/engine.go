@@ -88,7 +88,10 @@ type Engine struct {
 	events  []event // 4-ary min-heap ordered by (at, seq)
 	vacant  bool    // events[0] has fired (or is firing) and its slot awaits reuse
 	stopped bool
-	sink    *atomic.Int64 // optional: accumulates virtual time advanced
+	// sink, optional, accumulates the virtual time this engine advances;
+	// credited is the clock reading it has been told about so far.
+	sink     *atomic.Int64
+	credited Time
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -98,18 +101,31 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // SetTimeSink registers an accumulator credited with every nanosecond of
-// virtual time this engine advances. Many engines (one simulation each,
-// possibly on different goroutines) may share one sink, which is how the
-// benchmark runner totals simulated time per experiment.
-func (e *Engine) SetTimeSink(sink *atomic.Int64) { e.sink = sink }
+// virtual time this engine advances from now on. Many engines (one
+// simulation each, possibly on different goroutines) may share one sink,
+// which is how the benchmark runner totals simulated time per experiment;
+// so the engine does not touch the shared word per event but once per
+// Run, RunUntil or Step, as the call returns. The sink is exact whenever
+// no such call is on the stack.
+func (e *Engine) SetTimeSink(sink *atomic.Int64) {
+	e.credit()
+	e.sink, e.credited = sink, e.now
+}
 
-// advanceTo moves the clock forward to t, crediting the sink. Called once
-// per clock movement, so recursion through Run/RunUntil never double-counts.
+// credit tells the sink how far the clock has moved since it was last
+// told. Deferred by every call that moves the clock, so a nested call, a
+// Stop and a handler panic the caller recovers all leave the sink exact,
+// and no nanosecond is counted twice.
+func (e *Engine) credit() {
+	if e.sink != nil && e.now > e.credited {
+		e.sink.Add(e.now - e.credited)
+		e.credited = e.now
+	}
+}
+
+// advanceTo moves the clock forward to t.
 func (e *Engine) advanceTo(t Time) {
 	if t > e.now {
-		if e.sink != nil {
-			e.sink.Add(t - e.now)
-		}
 		e.now = t
 	}
 }
@@ -260,6 +276,7 @@ func (e *Engine) consumeStop() bool {
 // A Stop issued while the engine is idle latches: the next Run (or
 // RunUntil) returns before firing anything, consuming the request.
 func (e *Engine) Run() {
+	defer e.credit()
 	if e.consumeStop() {
 		return
 	}
@@ -275,6 +292,7 @@ func (e *Engine) Run() {
 // Events scheduled beyond t remain pending. A pending or mid-run Stop halts
 // the call before the clock advances to t (and is consumed, like Run).
 func (e *Engine) RunUntil(t Time) {
+	defer e.credit()
 	if e.consumeStop() {
 		return
 	}
@@ -292,6 +310,7 @@ func (e *Engine) RunUntil(t Time) {
 // Step fires exactly one event, if any, and reports whether one fired.
 // Step ignores pending stop requests.
 func (e *Engine) Step() bool {
+	defer e.credit()
 	e.closeRoot()
 	if len(e.events) == 0 {
 		return false

@@ -14,6 +14,12 @@ package sim
 //		// nothing was issued: the caller's own case (complete now, complete
 //		// after a delay, skip straight to the next step)
 //	}
+//
+// A recycled request record embeds its FanIn by value and Arms it once per
+// request with a callback bound once per record; NewFanIn is for the paths
+// that run once per victim or per reset and keep their closures. fire may
+// recycle and re-arm the fan-in it was called from: nothing here touches f
+// after calling it.
 type FanIn struct {
 	fire     func(error)
 	firstErr error
@@ -25,6 +31,15 @@ type FanIn struct {
 // NewFanIn returns an open fan-in that calls fire with the first error any
 // part reported (nil if none did). fire may be nil.
 func NewFanIn(fire func(err error)) *FanIn { return &FanIn{fire: fire} }
+
+// Arm opens f, the zero value or a fan-in whose parts are all in, for the
+// parts of another request.
+func (f *FanIn) Arm(fire func(err error)) {
+	if f.left > 0 {
+		panic("sim: fan-in armed with parts outstanding")
+	}
+	*f = FanIn{fire: fire}
+}
 
 // Add announces n more parts.
 func (f *FanIn) Add(n int) {
@@ -50,10 +65,11 @@ func (f *FanIn) Done(err error) {
 // none, the fan-in never fires.
 func (f *FanIn) Seal() int {
 	f.sealed = true
-	if f.issued > 0 && f.left == 0 {
+	issued := f.issued
+	if issued > 0 && f.left == 0 {
 		f.complete()
 	}
-	return f.issued
+	return issued
 }
 
 func (f *FanIn) complete() {

@@ -57,3 +57,66 @@ func TestEngineTimeSink(t *testing.T) {
 		t.Fatalf("shared sink = %d, want %d", got, 21*Microsecond)
 	}
 }
+
+// TestEngineTimeSinkCreditedOnExit: the engine tells the sink about the
+// clock once per Run, RunUntil or Step, as the call returns — so on every
+// exit, however it came about, the sink reads what it would have read had
+// every event credited its own step: the distance the clock has moved
+// since the sink was attached.
+func TestEngineTimeSinkCreditedOnExit(t *testing.T) {
+	var vt atomic.Int64
+	e := NewEngine()
+	e.After(3, func() {})
+	e.Run() // before the sink is attached: not its time
+	e.SetTimeSink(&vt)
+	t0 := e.Now()
+	check := func(when string) {
+		t.Helper()
+		if got, want := vt.Load(), e.Now()-t0; got != want {
+			t.Fatalf("%s: sink = %d, want the %d ns the clock moved", when, got, want)
+		}
+	}
+	check("attached")
+
+	// A handler that runs the engine itself: the nested call credits what it
+	// covered, the outer one only the rest.
+	e.After(10, func() {
+		e.After(5, func() {})
+		e.After(50, func() {})
+		e.RunUntil(e.Now() + 20)
+		check("after the nested RunUntil, inside the handler")
+		e.Step()
+		check("after the nested Step, inside the handler")
+	})
+	e.After(100, func() {})
+	e.Run()
+	check("after Run with nested calls")
+
+	// Stop mid-run leaves later events pending and the clock where it was.
+	e.After(10, func() { e.Stop() })
+	e.After(20, func() {})
+	e.Run()
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after Stop, want 1", e.Pending())
+	}
+	check("after a stopped Run")
+	e.RunUntil(e.Now() + 5) // short of the pending event: the idle jump counts
+	check("after RunUntil short of the next event")
+
+	// A handler panic the caller recovers: the clock had moved to the event.
+	e.After(30, func() { panic("boom") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the handler's panic did not reach the caller")
+			}
+		}()
+		e.Run()
+	}()
+	check("after a recovered panic")
+	e.Run()
+	check("after the run that picks up behind the panic")
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d at the end", e.Pending())
+	}
+}

@@ -16,19 +16,30 @@ import (
 // this repository is benchmarked through. The want* fields are the places
 // a device may legitimately differ.
 type conformanceRow struct {
-	name  string
-	build func(t *testing.T) (*sim.Engine, blockdev.Device)
+	name string
+	// build assembles the device; storeData is whether its flash retains
+	// payloads (the experiments run without).
+	build func(t *testing.T, storeData bool) (*sim.Engine, blockdev.Device)
 	// wantSequentialOnly: writes must land on the write pointer (RAIZN's
 	// zoned shim), so an overwrite is an error instead of the new content.
 	wantSequentialOnly bool
 	// wantTrimKept: a trimmed range still reads its old content (the shim
 	// has no discard path and drops trims).
 	wantTrimKept bool
+	// wantStaleReadBehindFlush: a read right behind an acknowledged write
+	// can miss it. mdraid acknowledges from its volatile stripe cache and
+	// takes a stripe out of the cache when its flush starts; until the member
+	// writes land, a read of it goes to members that (dm-zap) already map
+	// the new location and have nothing there yet. A defect of the model
+	// (ROADMAP item 1g), pinned here rather than hidden.
+	wantStaleReadBehindFlush bool
 }
 
 func platformRow(kind Kind, mod func(*conformanceRow)) conformanceRow {
-	row := conformanceRow{name: string(kind), build: func(t *testing.T) (*sim.Engine, blockdev.Device) {
-		p, err := New(kind, smallOpts())
+	row := conformanceRow{name: string(kind), build: func(t *testing.T, storeData bool) (*sim.Engine, blockdev.Device) {
+		opts := smallOpts()
+		opts.ZNS.StoreData, opts.FTL.StoreData = storeData, storeData
+		p, err := New(kind, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,12 +58,14 @@ func conformanceRows() []conformanceRow {
 		platformRow(KindBIZANoAvoid, nil),
 		platformRow(KindRAIZN, func(r *conformanceRow) { r.wantSequentialOnly, r.wantTrimKept = true, true }),
 		platformRow(KindDmzapRAIZN, nil),
-		platformRow(KindMdraidDmzap, nil),
+		platformRow(KindMdraidDmzap, func(r *conformanceRow) { r.wantStaleReadBehindFlush = true }),
 		platformRow(KindMdraidConvSSD, nil),
 		platformRow(KindZapRAID, nil),
-		{name: "bare ftl.Device", build: func(t *testing.T) (*sim.Engine, blockdev.Device) {
+		{name: "bare ftl.Device", build: func(t *testing.T, storeData bool) (*sim.Engine, blockdev.Device) {
 			eng := sim.NewEngine()
-			d, err := ftl.New(eng, ftl.TestConfig())
+			cfg := ftl.TestConfig()
+			cfg.StoreData = storeData
+			d, err := ftl.New(eng, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,6 +121,71 @@ func TestDeviceConformance(t *testing.T) {
 			}
 			if r := blockdev.ReadSync(eng, d, 0, n); r.Err != nil || !bytes.Equal(r.Data, last) {
 				t.Fatalf("read does not return the last write (err=%v)", r.Err)
+			}
+		}},
+		{"payload write, read while dirty, stack stores no data", func(t *testing.T, row conformanceRow, _ *sim.Engine, _ blockdev.Device) {
+			// The read arrives while the write is still in flight (in mdraid:
+			// while its pages are dirty in the stripe cache, which holds the
+			// payload although no member will). There is no result buffer to
+			// serve anything into.
+			eng, d := row.build(t, false)
+			var wr *blockdev.WriteResult
+			var rr *blockdev.ReadResult
+			d.Write(0, 2, blockdev.Pattern(7, 2*d.BlockSize()), func(r blockdev.WriteResult) { wr = &r })
+			d.Read(0, 2, func(r blockdev.ReadResult) { rr = &r })
+			eng.Run()
+			if wr == nil || rr == nil || wr.Err != nil || rr.Err != nil {
+				t.Fatalf("write = %+v, read = %+v, want both complete without error", wr, rr)
+			}
+			if rr.Data != nil {
+				t.Fatalf("a stack storing no data returned %d bytes", len(rr.Data))
+			}
+		}},
+		{"requests issued from inside a completion", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
+			// Each completion callback at once issues the next write and a
+			// read: a stack on recycled request records hands out the record
+			// whose callback is still on the stack.
+			bs := d.BlockSize()
+			var want []byte
+			var errs []error
+			reads, writes := 0, 0
+			var write func(pass int)
+			write = func(pass int) {
+				payload := blockdev.Pattern(byte(pass), n*bs)
+				want = append(want, payload...)
+				d.Write(int64(pass*n), n, payload, func(r blockdev.WriteResult) {
+					writes++
+					errs = append(errs, r.Err)
+					if pass < 3 {
+						write(pass + 1)
+					}
+					d.Read(int64(pass*n), n, func(r blockdev.ReadResult) {
+						reads++
+						errs = append(errs, r.Err)
+						if !row.wantStaleReadBehindFlush && !bytes.Equal(r.Data, payload) {
+							t.Errorf("pass %d read back differs", pass)
+						}
+						if pass == 0 { // and a read from inside a read's completion
+							d.Read(0, 1, func(r blockdev.ReadResult) {
+								reads++
+								errs = append(errs, r.Err)
+							})
+						}
+					})
+				})
+			}
+			write(0)
+			eng.Run()
+			if writes != 4 || reads != 5 {
+				t.Fatalf("%d of 4 writes and %d of 5 reads completed", writes, reads)
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Fatalf("a request failed: %v", err)
+				}
+			}
+			if r := blockdev.ReadSync(eng, d, 0, 4*n); r.Err != nil || !bytes.Equal(r.Data, want) {
+				t.Fatalf("the four writes do not read back (err=%v)", r.Err)
 			}
 		}},
 		{"unmapped reads zero", func(t *testing.T, row conformanceRow, eng *sim.Engine, d blockdev.Device) {
@@ -183,7 +261,7 @@ func TestDeviceConformance(t *testing.T) {
 				return lat
 			}
 			a := run(eng, d)
-			b := run(row.build(t))
+			b := run(row.build(t, true))
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("op %d took %d ns, then %d ns on an identical device", i, a[i], b[i])
@@ -194,7 +272,7 @@ func TestDeviceConformance(t *testing.T) {
 	for _, row := range conformanceRows() {
 		for _, c := range checks {
 			t.Run(row.name+"/"+c.name, func(t *testing.T) {
-				eng, d := row.build(t)
+				eng, d := row.build(t, true)
 				c.run(t, row, eng, d)
 			})
 		}

@@ -425,6 +425,52 @@ type seqZoneDevice struct {
 	eng       *sim.Engine
 	tr        *obs.Trace
 	trimDrops uint64
+
+	reqFree []*shimReq // recycled request records
+	reqMade int
+}
+
+// shimReq is one Write or Read through the shim: a recycled record whose
+// fan-in collects the array's answers, one per logical zone the request
+// touches, and turns them into the block interface's. Put back before the
+// caller's callback runs.
+type shimReq struct {
+	s       *seqZoneDevice
+	live    bool
+	start   sim.Time
+	wdone   func(blockdev.WriteResult)
+	rdone   func(blockdev.ReadResult)
+	data    []byte // read: the result — the array's own, or stitched from two zones
+	hi      int64  // read: where the second zone's bytes start in data
+	f       sim.FanIn
+	onWrote func(zns.WriteResult) // r.wrote
+	onLo    func(zns.ReadResult)  // r.readLo
+	onHi    func(zns.ReadResult)  // r.readHi
+	onWAll  func(error)           // r.wroteAll
+	onRAll  func(error)           // r.readAll
+}
+
+func (s *seqZoneDevice) getReq() *shimReq {
+	n := len(s.reqFree)
+	if n == 0 {
+		s.reqMade++
+		r := &shimReq{s: s, live: true}
+		r.onWrote, r.onLo, r.onHi, r.onWAll, r.onRAll = r.wrote, r.readLo, r.readHi, r.wroteAll, r.readAll
+		return r
+	}
+	r := s.reqFree[n-1]
+	s.reqFree = s.reqFree[:n-1]
+	r.live = true
+	return r
+}
+
+// putReq recycles r, keeping the callbacks bound to it.
+func (s *seqZoneDevice) putReq(r *shimReq) {
+	if !r.live {
+		panic("stack: shim request record put twice")
+	}
+	r.live, r.wdone, r.rdone, r.data = false, nil, nil, nil
+	s.reqFree = append(s.reqFree, r)
 }
 
 func (s *seqZoneDevice) BlockSize() int { return s.a.BlockSize() }
@@ -437,65 +483,95 @@ func (s *seqZoneDevice) Blocks() int64 {
 func (s *seqZoneDevice) WriteAmp() metrics.WriteAmp { return s.a.WriteAmp() }
 
 func (s *seqZoneDevice) Write(lba int64, nblocks int, data []byte, done func(blockdev.WriteResult)) {
-	zb := s.a.ZoneBlocks()
-	z := int(lba / zb)
-	off := lba % zb
-	if off+int64(nblocks) > zb {
-		// Split at the zone boundary.
-		first := int(zb - off)
-		f := sim.NewFanIn(blockdev.WriteDone(s.eng, done))
-		part := func(r blockdev.WriteResult) { f.Done(r.Err) }
-		var d1, d2 []byte
+	r := s.getReq()
+	r.start, r.wdone = s.eng.Now(), done
+	r.f.Arm(r.onWAll)
+	zb, bs := s.a.ZoneBlocks(), int64(s.a.BlockSize())
+	// One zone write per logical zone the range touches; a range the array
+	// refuses (empty, off the write pointer, beyond the last zone) is one
+	// write too, which it fails.
+	for {
+		off := lba % zb
+		n := nblocks
+		if off+int64(n) > zb {
+			n = int(zb - off) // split at the zone boundary
+		}
+		var part []byte
 		if data != nil {
-			cut := int64(first) * int64(s.a.BlockSize())
-			d1, d2 = data[:cut], data[cut:]
+			part, data = data[:int64(n)*bs], data[int64(n)*bs:]
 		}
-		f.Add(2)
-		s.Write(lba, first, d1, part)
-		s.Write(lba+int64(first), nblocks-first, d2, part)
-		f.Seal()
-		return
+		r.f.Add(1)
+		s.a.Write(int(lba/zb), off, n, part, zns.TagUserData, r.onWrote)
+		if lba, nblocks = lba+int64(n), nblocks-n; nblocks <= 0 {
+			break
+		}
 	}
-	s.a.Write(z, off, nblocks, data, zns.TagUserData, func(r zns.WriteResult) {
-		if done != nil {
-			done(blockdev.WriteResult{Err: r.Err, Latency: r.Latency})
-		}
-	})
+	r.f.Seal()
+}
+
+func (r *shimReq) wrote(res zns.WriteResult) {
+	if !r.live {
+		panic("stack: shim request record used after put")
+	}
+	r.f.Done(res.Err)
+}
+
+func (r *shimReq) wroteAll(err error) {
+	done, res := r.wdone, blockdev.WriteResult{Err: err, Latency: r.s.eng.Now() - r.start}
+	r.s.putReq(r)
+	if done != nil {
+		done(res)
+	}
 }
 
 func (s *seqZoneDevice) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
+	r := s.getReq()
+	r.start, r.rdone = s.eng.Now(), done
+	r.f.Arm(r.onRAll)
 	zb := s.a.ZoneBlocks()
-	z := int(lba / zb)
-	off := lba % zb
+	z, off := int(lba/zb), lba%zb
 	if off+int64(nblocks) > zb {
 		// Split at the zone boundary and stitch the halves; like the
 		// one-zone path, a stack that stores no data returns none.
 		n1 := int(zb - off)
 		bs := int64(s.a.BlockSize())
-		var buf []byte
 		if s.a.StoresData() {
-			buf = make([]byte, int64(nblocks)*bs)
+			r.data = make([]byte, int64(nblocks)*bs)
 		}
-		f := sim.NewFanIn(blockdev.ReadDone(s.eng, buf, done))
-		part := func(base int64) func(zns.ReadResult) {
-			return func(r zns.ReadResult) {
-				if r.Data != nil {
-					copy(buf[base:], r.Data)
-				}
-				f.Done(r.Err)
-			}
-		}
-		f.Add(2)
-		s.a.Read(z, off, n1, part(0))
-		s.a.Read(z+1, 0, nblocks-n1, part(int64(n1)*bs))
-		f.Seal()
-		return
+		r.hi = int64(n1) * bs
+		r.f.Add(2)
+		s.a.Read(z, off, n1, r.onLo)
+		s.a.Read(z+1, 0, nblocks-n1, r.onHi)
+	} else {
+		r.f.Add(1)
+		s.a.Read(z, off, nblocks, r.onLo)
 	}
-	s.a.Read(z, off, nblocks, func(r zns.ReadResult) {
-		if done != nil {
-			done(blockdev.ReadResult{Err: r.Err, Data: r.Data, Latency: r.Latency})
-		}
-	})
+	r.f.Seal()
+}
+
+func (r *shimReq) readLo(res zns.ReadResult) { r.readPart(0, res) }
+func (r *shimReq) readHi(res zns.ReadResult) { r.readPart(r.hi, res) }
+
+// readPart takes one zone's answer: copied into place when the request
+// stitches two, handed through as it is when it has no buffer of its own.
+func (r *shimReq) readPart(at int64, res zns.ReadResult) {
+	if !r.live {
+		panic("stack: shim request record used after put")
+	}
+	if r.data == nil {
+		r.data = res.Data
+	} else if res.Data != nil {
+		copy(r.data[at:], res.Data)
+	}
+	r.f.Done(res.Err)
+}
+
+func (r *shimReq) readAll(err error) {
+	done, res := r.rdone, blockdev.ReadResult{Err: err, Data: r.data, Latency: r.s.eng.Now() - r.start}
+	r.s.putReq(r)
+	if done != nil {
+		done(res)
+	}
 }
 
 // Trim is dropped, not forwarded: RAIZN has no sub-zone discard path — a

@@ -53,11 +53,49 @@ type devState struct {
 	gcRunning bool
 }
 
-// stalledChunk is a user chunk parked at the free-zone cliff.
-type stalledChunk struct {
-	lbn     int64
-	payload []byte
-	done    func(error)
+// chunkRec is one chunk, data or parity, on its way to flash: a recycled
+// record that is the entry parked on stalled (user data at the free-zone
+// cliff) and then the completion target of its append (onAppend, bound
+// once). It goes back before done runs.
+type chunkRec struct {
+	a        *Array
+	live     bool
+	lbn      int64 // data: the block it holds
+	payload  []byte
+	tag      zns.WriteTag
+	ds       *devState
+	z        int
+	done     func(error)            // data: the chunk's owner
+	onAppend func(zns.AppendResult) // c.complete
+}
+
+// writeReq is one block-interface Write: its chunks report to the fan-in
+// it carries, whose last ends the span and answers the caller. Recycled;
+// put back before the caller's callback runs.
+type writeReq struct {
+	a       *Array
+	live    bool
+	start   sim.Time
+	span    obs.SpanID
+	done    func(blockdev.WriteResult)
+	f       sim.FanIn
+	onChunk func(error) // w.f.Done
+	onAll   func(error) // w.finish
+}
+
+// readReq is one block-interface Read, each mapped block gathered straight
+// into its place in the result. It is also the event that answers a read
+// of nothing mapped. Put back before the caller's callback runs.
+type readReq struct {
+	a      *Array
+	live   bool
+	start  sim.Time
+	span   obs.SpanID
+	done   func(blockdev.ReadResult)
+	out    []byte // the result; nil when the members store no data
+	f      sim.FanIn
+	onPart func(zns.ReadResult) // rd.partDone
+	onAll  func(error)          // rd.finish
 }
 
 // Array is the append-based engine. It implements blockdev.Device.
@@ -85,7 +123,13 @@ type Array struct {
 	parityBytes uint64
 	gcMigrated  uint64
 	gcEvents    uint64
-	stalled     fifo.Queue[stalledChunk]
+	stalled     fifo.Queue[*chunkRec]
+
+	// Recycled request records and how many of each were ever made.
+	chunkFree []*chunkRec
+	writeFree []*writeReq
+	readFree  []*readReq
+	made      struct{ chunk, write, read int }
 
 	pool *buf.Pool // parity accumulators and GC migration scratch
 
@@ -184,6 +228,72 @@ func (a *Array) pickZone(ds *devState) (int, error) {
 	return -1, fmt.Errorf("zapraid: no open zone with room")
 }
 
+func (a *Array) getChunk() *chunkRec {
+	n := len(a.chunkFree)
+	if n == 0 {
+		a.made.chunk++
+		c := &chunkRec{a: a, live: true}
+		c.onAppend = c.complete
+		return c
+	}
+	c := a.chunkFree[n-1]
+	a.chunkFree = a.chunkFree[:n-1]
+	c.live = true
+	return c
+}
+
+func (a *Array) putChunk(c *chunkRec) {
+	if !c.live {
+		panic("zapraid: chunk record put twice")
+	}
+	*c = chunkRec{a: a, onAppend: c.onAppend}
+	a.chunkFree = append(a.chunkFree, c)
+}
+
+func (a *Array) getWrite() *writeReq {
+	n := len(a.writeFree)
+	if n == 0 {
+		a.made.write++
+		w := &writeReq{a: a, live: true}
+		w.onChunk, w.onAll = w.f.Done, w.finish
+		return w
+	}
+	w := a.writeFree[n-1]
+	a.writeFree = a.writeFree[:n-1]
+	w.live = true
+	return w
+}
+
+func (a *Array) putWrite(w *writeReq) {
+	if !w.live {
+		panic("zapraid: write record put twice")
+	}
+	*w = writeReq{a: a, onChunk: w.onChunk, onAll: w.onAll}
+	a.writeFree = append(a.writeFree, w)
+}
+
+func (a *Array) getRead() *readReq {
+	n := len(a.readFree)
+	if n == 0 {
+		a.made.read++
+		rd := &readReq{a: a, live: true}
+		rd.onPart, rd.onAll = rd.partDone, rd.finish
+		return rd
+	}
+	rd := a.readFree[n-1]
+	a.readFree = a.readFree[:n-1]
+	rd.live = true
+	return rd
+}
+
+func (a *Array) putRead(rd *readReq) {
+	if !rd.live {
+		panic("zapraid: read record put twice")
+	}
+	*rd = readReq{a: a, onPart: rd.onPart, onAll: rd.onAll}
+	a.readFree = append(a.readFree, rd)
+}
+
 // Write implements blockdev.Device: every block becomes a chunk appended
 // to the forming stripe; when k chunks gather, data and parity append to
 // the members in parallel (no ordering hazard — the device assigns the
@@ -194,41 +304,55 @@ func (a *Array) Write(lba int64, nblocks int, data []byte, done func(blockdev.Wr
 	}
 	bs := int64(a.blockSize)
 	a.userBytes += uint64(nblocks) * uint64(bs)
-	span := a.tr.SpanBegin(int64(a.eng.Now()), obs.LayerZapRAID, obs.OpWrite, -1, -1, lba, int64(nblocks))
-	complete := blockdev.WriteDone(a.eng, done)
-	f := sim.NewFanIn(func(err error) {
-		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
-		complete(err)
-	})
-	part := f.Done
-	f.Add(nblocks)
+	w := a.getWrite()
+	w.start, w.done = a.eng.Now(), done
+	w.span = a.tr.SpanBegin(int64(w.start), obs.LayerZapRAID, obs.OpWrite, -1, -1, lba, int64(nblocks))
+	w.f.Arm(w.onAll)
+	w.f.Add(nblocks)
 	for i := 0; i < nblocks; i++ {
 		var payload []byte
 		if data != nil {
 			payload = data[int64(i)*bs : (int64(i)+1)*bs]
 		}
-		a.writeChunk(lba+int64(i), payload, zns.TagUserData, part)
+		a.writeChunk(lba+int64(i), payload, zns.TagUserData, w.onChunk)
 	}
-	f.Seal()
+	w.f.Seal()
+}
+
+func (w *writeReq) finish(err error) {
+	a, now := w.a, w.a.eng.Now()
+	a.tr.SpanEnd(w.span, int64(now), err != nil)
+	done, res := w.done, blockdev.WriteResult{Err: err, Latency: now - w.start}
+	a.putWrite(w)
+	if done != nil {
+		done(res)
+	}
 }
 
 // writeChunk appends one chunk; tag is TagUserData or TagGCData.
 func (a *Array) writeChunk(lbn int64, payload []byte, tag zns.WriteTag, done func(error)) {
+	c := a.getChunk()
+	c.lbn, c.payload, c.tag, c.done = lbn, payload, tag, done
+	a.place(c)
+}
+
+// place appends data chunk c to the forming stripe, or parks it.
+func (a *Array) place(c *chunkRec) {
 	// Free-zone cliff for user writes.
-	if tag == zns.TagUserData {
+	if c.tag == zns.TagUserData {
 		for _, ds := range a.devs {
 			if a.log.FreeZones(ds.idx) <= stallFloor && a.victim(ds) >= 0 {
-				a.stalled.Push(stalledChunk{lbn: lbn, payload: payload, done: done})
+				a.stalled.Push(c)
 				a.maybeStartGC(ds)
 				return
 			}
 		}
 	}
-	if payload != nil {
+	if c.payload != nil {
 		if a.acc == nil {
 			a.acc = a.pool.AllocZero(a.blockSize)
 		}
-		erasure.XORInto(a.acc, payload)
+		erasure.XORInto(a.acc, c.payload)
 	}
 	// The chunk appends immediately; its stripe's parity follows when the
 	// stripe completes.
@@ -236,24 +360,15 @@ func (a *Array) writeChunk(lbn int64, payload []byte, tag zns.WriteTag, done fun
 	a.forming++
 	z, err := a.pickZone(ds)
 	if err != nil {
+		done := c.done
+		a.putChunk(c)
 		done(err)
 		return
 	}
 	a.log.Reserve(z)
 	a.inflight[z]++
-	ds.q.Append(a.local(z), 1, payload, nil, tag, func(r zns.AppendResult) {
-		a.inflight[z]--
-		if r.Err != nil {
-			done(r.Err)
-			return
-		}
-		// Mapping is only known at completion: the device chose the slot.
-		// A racing newer write may have landed already; last writer wins
-		// by completion order (append semantics provide no better).
-		a.log.Map(lbn, z, r.LBA)
-		a.maybeStartGC(ds)
-		done(nil)
-	})
+	c.ds, c.z = ds, z
+	ds.q.Append(a.local(z), 1, c.payload, nil, c.tag, c.onAppend)
 	if a.forming == a.nData {
 		a.sealStripe()
 		a.forming = 0
@@ -261,17 +376,38 @@ func (a *Array) writeChunk(lbn int64, payload []byte, tag zns.WriteTag, done fun
 	}
 }
 
+// complete is the device's answer to c's append.
+func (c *chunkRec) complete(r zns.AppendResult) {
+	a, ds, z, lbn, done := c.a, c.ds, c.z, c.lbn, c.done
+	a.inflight[z]--
+	if c.tag == zns.TagParity {
+		// The accumulator goes back to the pool: the device has copied it.
+		a.pool.Free(c.payload)
+		a.putChunk(c)
+		return
+	}
+	a.putChunk(c)
+	if r.Err != nil {
+		done(r.Err)
+		return
+	}
+	// Mapping is only known at completion: the device chose the slot.
+	// A racing newer write may have landed already; last writer wins
+	// by completion order (append semantics provide no better).
+	a.log.Map(lbn, z, r.LBA)
+	a.maybeStartGC(ds)
+	done(nil)
+}
+
 // releaseStalled resubmits parked chunks, oldest first, while ds has more
 // than floor free zones.
 func (a *Array) releaseStalled(ds *devState, floor int) {
 	for a.stalled.Len() > 0 && a.log.FreeZones(ds.idx) > floor {
-		c := a.stalled.Pop()
-		a.writeChunk(c.lbn, c.payload, zns.TagUserData, c.done)
+		a.place(a.stalled.Pop())
 	}
 }
 
-// sealStripe appends the parity chunk of the completed stripe; the
-// accumulator goes back to the pool once the device has copied it.
+// sealStripe appends the parity chunk of the completed stripe.
 func (a *Array) sealStripe() {
 	ds := a.devs[a.rot%len(a.devs)]
 	acc := a.acc
@@ -284,10 +420,9 @@ func (a *Array) sealStripe() {
 	a.log.Reserve(z)
 	a.inflight[z]++
 	a.parityBytes += uint64(a.blockSize)
-	ds.q.Append(a.local(z), 1, acc, nil, zns.TagParity, func(r zns.AppendResult) {
-		a.inflight[z]--
-		a.pool.Free(acc)
-	})
+	c := a.getChunk()
+	c.payload, c.tag, c.z = acc, zns.TagParity, z
+	ds.q.Append(a.local(z), 1, acc, nil, zns.TagParity, c.onAppend)
 }
 
 // Read implements blockdev.Device.
@@ -295,19 +430,14 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	if !blockdev.CheckRead(a.eng, lba, nblocks, a.Blocks(), done) {
 		return
 	}
-	span := a.tr.SpanBegin(int64(a.eng.Now()), obs.LayerZapRAID, obs.OpRead, -1, -1, lba, int64(nblocks))
+	rd := a.getRead()
+	rd.start, rd.done = a.eng.Now(), done
+	rd.span = a.tr.SpanBegin(int64(rd.start), obs.LayerZapRAID, obs.OpRead, -1, -1, lba, int64(nblocks))
 	bs := int64(a.blockSize)
-	var out []byte
 	if a.storesData {
-		out = make([]byte, int64(nblocks)*bs)
+		rd.out = make([]byte, int64(nblocks)*bs)
 	}
-	finish := blockdev.ReadDone(a.eng, out, done)
-	complete := func(err error) {
-		a.tr.SpanEnd(span, int64(a.eng.Now()), err != nil)
-		finish(err)
-	}
-	f := sim.NewFanIn(complete)
-	part := func(r zns.ReadResult) { f.Done(r.Err) }
+	rd.f.Arm(rd.onAll)
 	for i := int64(0); i < int64(nblocks); i++ {
 		p := a.log.At(lba + i)
 		if p.Zone < 0 {
@@ -315,14 +445,35 @@ func (a *Array) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 		}
 		// Each block is gathered straight into its place in the result.
 		var dst []byte
-		if out != nil {
-			dst = out[i*bs : (i+1)*bs]
+		if rd.out != nil {
+			dst = rd.out[i*bs : (i+1)*bs]
 		}
-		f.Add(1)
-		a.devs[p.Zone/a.zonesPerDev].q.ReadInto(a.local(p.Zone), p.Off, 1, dst, false, part)
+		rd.f.Add(1)
+		a.devs[p.Zone/a.zonesPerDev].q.ReadInto(a.local(p.Zone), p.Off, 1, dst, false, rd.onPart)
 	}
-	if f.Seal() == 0 {
-		a.eng.After(sim.Microsecond, func() { complete(nil) })
+	if rd.f.Seal() == 0 {
+		// Nothing mapped: the record is the event that answers.
+		a.eng.AfterEvent(sim.Microsecond, rd, 0, 0)
+	}
+}
+
+// Fire implements sim.Handler for the read that issued nothing.
+func (rd *readReq) Fire(_, _ sim.Time) { rd.finish(nil) }
+
+func (rd *readReq) partDone(r zns.ReadResult) {
+	if !rd.live {
+		panic("zapraid: read record used after put")
+	}
+	rd.f.Done(r.Err)
+}
+
+func (rd *readReq) finish(err error) {
+	a, now := rd.a, rd.a.eng.Now()
+	a.tr.SpanEnd(rd.span, int64(now), err != nil)
+	done, res := rd.done, blockdev.ReadResult{Err: err, Data: rd.out, Latency: now - rd.start}
+	a.putRead(rd)
+	if done != nil {
+		done(res)
 	}
 }
 
