@@ -130,8 +130,10 @@ func (ad *Admin) run(kind JobKind, p JobParams) error {
 }
 
 // Crash submits an immediate power-cut job: in-flight commands die with
-// their driver queues; pending simulation events are NOT drained first
-// (a power cut does not wait for outstanding work).
+// their driver queues and unacknowledged write-buffer contents are dropped
+// (acknowledged ZRWA blocks harden, PLP-style); pending simulation events
+// are NOT drained first (a power cut does not wait for outstanding work).
+// I/O fails with ErrCrashed until Recover succeeds. BIZA kinds only.
 func (ad *Admin) Crash() error {
 	id, err := ad.orc.Submit(JobCrash, JobParams{})
 	if err != nil {
@@ -151,11 +153,14 @@ func (ad *Admin) SetDeviceFailed(dev int, failed bool) error {
 }
 
 // Recover submits a recovery job and drives the simulation until the
-// OOB scan completes.
+// OOB scan completes: fresh driver queues attach to the surviving devices
+// and the mapping tables are rebuilt from the per-block OOB records. All
+// acknowledged data is readable afterwards.
 func (ad *Admin) Recover() error { return ad.run(JobRecover, JobParams{}) }
 
-// ReplaceDevice submits an unpaced device-replacement job and drives the
-// simulation until redundancy is restored.
+// ReplaceDevice submits an unpaced device-replacement job — a failed member
+// hot-swapped for a fresh device — and drives the simulation until
+// redundancy is restored (BIZA kinds only).
 func (ad *Admin) ReplaceDevice(dev int) error {
 	return ad.run(JobReplace, JobParams{Device: dev})
 }

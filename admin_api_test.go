@@ -28,19 +28,19 @@ func TestAdminFacade(t *testing.T) {
 	if err := ad.ReplaceDevicePaced(1, 4, 100_000); err != nil {
 		t.Fatalf("paced replace: %v", err)
 	}
-	if err := arr.Crash(); err != nil {
+	if err := ad.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.Recover(); err != nil {
+	if err := ad.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.SetDeviceFailed(0, true); err != nil {
+	if err := ad.SetDeviceFailed(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.SetDeviceFailed(0, false); err != nil {
+	if err := ad.SetDeviceFailed(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := arr.ReplaceDevice(2); err != nil {
+	if err := ad.ReplaceDevice(2); err != nil {
 		t.Fatal(err)
 	}
 

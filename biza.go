@@ -273,21 +273,6 @@ func (a *Array) GCEvents() uint64 {
 	return a.p.BIZA.GCEvents()
 }
 
-// SetDeviceFailed toggles a member failure for degraded-mode reads (BIZA
-// kinds only). Thin wrapper over an Admin JobSetFailed job; the job
-// record (timing, outcome) lands in Admin().Jobs().
-func (a *Array) SetDeviceFailed(dev int, failed bool) error {
-	return a.Admin().SetDeviceFailed(dev, failed)
-}
-
-// ReplaceDevice hot-swaps a failed member with a fresh device and
-// rebuilds redundancy, driving the simulation to completion (BIZA kinds
-// only). Thin wrapper over an unpaced Admin JobReplace job; use
-// Admin().ReplaceDevicePaced to bound the rebuild's foreground impact.
-func (a *Array) ReplaceDevice(dev int) error {
-	return a.Admin().ReplaceDevice(dev)
-}
-
 // Health reports the state of every member (BIZA kinds only; nil
 // otherwise). A dead or failed member reads as degraded while its chunks
 // are served via parity reconstruction; rebuilding members are mid
@@ -307,21 +292,6 @@ func (a *Array) Reconstructions() uint64 {
 	}
 	return a.p.BIZA.Reconstructions()
 }
-
-// Crash models a host power loss: in-flight commands die with their
-// driver queues and unacknowledged write-buffer contents are dropped
-// (acknowledged ZRWA blocks harden, PLP-style). I/O fails with ErrCrashed
-// until Recover succeeds. BIZA kinds only. Thin wrapper over an
-// immediate Admin JobCrash job — pending simulation events are NOT
-// drained first, so in-flight work dies exactly as a real power cut.
-func (a *Array) Crash() error { return a.Admin().Crash() }
-
-// Recover restarts a crashed array: fresh driver queues attach to the
-// surviving devices and the mapping tables are rebuilt from the per-block
-// OOB records, driving the simulation until the scan completes. All
-// acknowledged data is readable afterwards. Thin wrapper over an Admin
-// JobRecover job.
-func (a *Array) Recover() error { return a.Admin().Recover() }
 
 // Volume is a named tenant slice of the array with its own QoS class.
 // See internal/volume for the asynchronous API and semantics.
@@ -378,12 +348,12 @@ func (a *Array) OpenKV(fs *lsfs.FS) (*kvstore.DB, error) {
 }
 
 // OpsServer is the embeddable live observability endpoint: it serves
-// /metrics (Prometheus exposition), /vars (JSON snapshot), /series
-// (virtual-time series), /stream (server-sent events), /healthz,
-// /readyz, and /debug/pprof. Producers publish immutable OpsSnapshot
-// values; handlers only read published snapshots, so serving never
-// perturbs a deterministic simulation. bizabench -serve uses exactly
-// this server.
+// /v1/metrics (Prometheus exposition), /v1/vars (JSON snapshot),
+// /v1/series (virtual-time series), /v1/stream (server-sent events),
+// /v1/healthz, /v1/readyz, and /debug/pprof. Producers publish immutable
+// OpsSnapshot values; handlers only read published snapshots, so serving
+// never perturbs a deterministic simulation. bizabench -serve uses
+// exactly this server.
 type OpsServer = ops.Server
 
 // OpsSnapshot is one immutable published view served by an OpsServer.

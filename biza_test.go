@@ -76,7 +76,7 @@ func TestDegradedMode(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	a.WriteSync(0, 12, payload)
-	if err := a.SetDeviceFailed(1, true); err != nil {
+	if err := a.Admin().SetDeviceFailed(1, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.ReadSync(0, 12)
@@ -132,7 +132,7 @@ func TestReplaceDevice(t *testing.T) {
 		payload[i] = byte(i * 5)
 	}
 	a.WriteSync(0, 12, payload)
-	if err := a.ReplaceDevice(2); err != nil {
+	if err := a.Admin().ReplaceDevice(2); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.ReadSync(0, 12)
@@ -140,7 +140,7 @@ func TestReplaceDevice(t *testing.T) {
 		t.Fatalf("post-rebuild read: %v", err)
 	}
 	// Redundancy restored.
-	a.SetDeviceFailed(0, true)
+	a.Admin().SetDeviceFailed(0, true)
 	got, err = a.ReadSync(0, 12)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("post-rebuild degraded read: %v", err)

@@ -51,7 +51,7 @@ func run() int {
 	seed := flag.Uint64("seed", bench.DefaultSeed, "base seed for all derived RNG streams")
 	jsonPath := flag.String("json", "", "write machine-readable results ("+bench.ReportSchema+" schema) to this file")
 	series := flag.Bool("series", false, "sample virtual-time series into the report's \"series\" section (deterministic at any -parallel/-shards)")
-	serve := flag.String("serve", "", "serve the live ops endpoint (/metrics /vars /series /stream /debug/pprof) on this address; blocks after the sweep until SIGINT/SIGTERM")
+	serve := flag.String("serve", "", "serve the live ops endpoint (/v1/metrics /v1/vars /v1/series /v1/stream /v1/jobs /debug/pprof) on this address; blocks after the sweep until SIGINT/SIGTERM")
 	live := flag.Bool("live", false, "with -serve: skip the sweep and serve one long-lived array whose admin jobs are driven over POST /v1/jobs until SIGINT/SIGTERM")
 	stats := flag.Bool("stats", true, "print per-experiment wall/virtual-time accounting to stderr")
 	tracePath := flag.String("trace", "", "write a Perfetto trace_event JSON trace to this file")
@@ -131,7 +131,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "bizabench: ops endpoint: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "# ops endpoint on http://%s (/metrics /vars /series /stream /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "# ops endpoint on http://%s (/v1/metrics /v1/vars /v1/series /v1/stream /v1/jobs /debug/pprof)\n", addr)
 		if !*live {
 			opsSrv.Attach(runner)
 		}

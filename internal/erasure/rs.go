@@ -71,18 +71,6 @@ func (c *Coder) K() int { return c.k }
 // M reports the parity shard count.
 func (c *Coder) M() int { return c.m }
 
-// ParityRows returns a copy of the generator's parity coefficient rows:
-// ParityRows()[r][col] is the GF(256) coefficient applied to data shard
-// col when computing parity shard r. External oracles (perf snapshots,
-// cross-implementation checks) use it to recompute parity independently.
-func (c *Coder) ParityRows() [][]byte {
-	rows := make([][]byte, c.m)
-	for r := range rows {
-		rows[r] = append([]byte(nil), c.parityRows[r]...)
-	}
-	return rows
-}
-
 // Encode computes parity shards from data shards. data must hold k
 // equal-length shards; parity must hold m shards of the same length and is
 // overwritten.
@@ -156,24 +144,6 @@ func (c *Coder) encode3(data [][]byte, p0, p1, p2 []byte) {
 		encPack3x1(&c.pack3[col], data[col], p0, p1, p2, acc)
 		acc = true
 	}
-}
-
-// UpdateParity applies an incremental parity delta for an in-place data
-// shard update: given old and new contents of data shard idx, it XORs the
-// appropriate multiple of (old ^ new) into each parity shard. This is the
-// partial-parity primitive the AFA engines use (RAID 5: parity ^= old^new).
-// Callers on an allocation-free path compute the delta into their own
-// buffer and use Delta directly.
-func (c *Coder) UpdateParity(idx int, oldData, newData []byte, parity [][]byte) error {
-	if idx < 0 || idx >= c.k {
-		return fmt.Errorf("erasure: shard index %d out of range", idx)
-	}
-	if len(oldData) != len(newData) {
-		return errors.New("erasure: old/new shard length mismatch")
-	}
-	delta := make([]byte, len(oldData))
-	xorWide(delta, oldData, newData)
-	return c.Delta(idx, delta, parity)
 }
 
 // Delta is the parity-delta fast path for in-place RMW: given the XOR

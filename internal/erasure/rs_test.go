@@ -181,38 +181,6 @@ func TestReconstructTooManyMissing(t *testing.T) {
 	}
 }
 
-func TestUpdateParityMatchesReencode(t *testing.T) {
-	c, err := NewCoder(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 32
-	data := make([][]byte, 4)
-	for i := range data {
-		data[i] = fillPattern(n, byte(i+1))
-	}
-	parity := [][]byte{make([]byte, n), make([]byte, n)}
-	if err := c.Encode(data, parity); err != nil {
-		t.Fatal(err)
-	}
-	// Update shard 2 in place via delta and compare against full re-encode.
-	oldShard := append([]byte(nil), data[2]...)
-	newShard := fillPattern(n, 99)
-	if err := c.UpdateParity(2, oldShard, newShard, parity); err != nil {
-		t.Fatal(err)
-	}
-	data[2] = newShard
-	want := [][]byte{make([]byte, n), make([]byte, n)}
-	if err := c.Encode(data, want); err != nil {
-		t.Fatal(err)
-	}
-	for r := range want {
-		if !bytes.Equal(parity[r], want[r]) {
-			t.Fatalf("incremental parity %d diverges from re-encode", r)
-		}
-	}
-}
-
 func TestVerify(t *testing.T) {
 	c, _ := NewCoder(3, 2)
 	data := [][]byte{fillPattern(16, 1), fillPattern(16, 2), fillPattern(16, 3)}

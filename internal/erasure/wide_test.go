@@ -103,42 +103,6 @@ func TestEncodeReconstructMatchScalarOracle(t *testing.T) {
 	}
 }
 
-// TestUpdateParityMatchesReencode checks the delta path (wide kernels)
-// against a full re-encode on unaligned lengths.
-func TestUpdateParityWideMatchesReencode(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, shardLen := range []int{13, 4096, 4099} {
-		c, err := NewCoder(5, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([][]byte, 5)
-		for i := range data {
-			data[i] = make([]byte, shardLen)
-			rng.Read(data[i])
-		}
-		parity := [][]byte{make([]byte, shardLen), make([]byte, shardLen)}
-		if err := c.Encode(data, parity); err != nil {
-			t.Fatal(err)
-		}
-		newShard := make([]byte, shardLen)
-		rng.Read(newShard)
-		if err := c.UpdateParity(2, data[2], newShard, parity); err != nil {
-			t.Fatal(err)
-		}
-		data[2] = newShard
-		want := [][]byte{make([]byte, shardLen), make([]byte, shardLen)}
-		if err := c.Encode(data, want); err != nil {
-			t.Fatal(err)
-		}
-		for r := range want {
-			if !bytes.Equal(parity[r], want[r]) {
-				t.Fatalf("len %d: UpdateParity parity[%d] != re-encoded parity", shardLen, r)
-			}
-		}
-	}
-}
-
 // TestEncodeAllocFree proves steady-state Encode performs zero allocations.
 func TestEncodeAllocFree(t *testing.T) {
 	c, err := NewCoder(4, 2)

@@ -212,15 +212,6 @@ func (c *Cache) Level(key uint64) Level {
 	return LevelNone
 }
 
-// PredictedReuseDistance reports the WMA reuse distance for a tracked key.
-func (c *Cache) PredictedReuseDistance(key uint64) (float64, bool) {
-	e := c.entries.Get(int64(key))
-	if e == nil || e.reaccess == 0 {
-		return 0, false
-	}
-	return e.predRD, true
-}
-
 // Access records a write access to key at the given cumulative
 // bytes-written clock and returns the classification AFTER the update —
 // the level the zone-group selector should place this chunk by.

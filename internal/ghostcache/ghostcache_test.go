@@ -198,14 +198,13 @@ func TestPredictedReuseDistanceWMA(t *testing.T) {
 	c := New(testCfg())
 	c.Access(1, 0)
 	c.Access(1, 100) // first observed rd = 100
-	got, ok := c.PredictedReuseDistance(1)
-	if !ok || got != 100 {
-		t.Fatalf("pred = %v ok=%v, want 100", got, ok)
+	e := c.entries.Get(1)
+	if e.reaccess != 1 || e.predRD != 100 {
+		t.Fatalf("pred = %v after %d re-accesses, want 100", e.predRD, e.reaccess)
 	}
 	c.Access(1, 300) // rd 200 -> wma 0.5*200+0.5*100 = 150
-	got, _ = c.PredictedReuseDistance(1)
-	if got != 150 {
-		t.Fatalf("wma = %v, want 150", got)
+	if e.predRD != 150 {
+		t.Fatalf("wma = %v, want 150", e.predRD)
 	}
 }
 

@@ -117,37 +117,3 @@ func RunBench(eng *sim.Engine, db *DB, spec BenchSpec) BenchResult {
 	res.Elapsed = eng.Now() - start
 	return res
 }
-
-// RunReadRandom issues count random Gets over keys [0, keySpace) after a
-// fill, reporting the rate — the classic db_bench readrandom extension.
-func RunReadRandom(eng *sim.Engine, db *DB, keySpace, count, keyBytes, depth int, seed uint64) BenchResult {
-	rng := sim.NewRNG(seed ^ 0x4ead)
-	res := BenchResult{}
-	start := eng.Now()
-	issued := 0
-	var issue func()
-	issue = func() {
-		if issued >= count {
-			return
-		}
-		issued++
-		k := fmt.Sprintf("%0*d", keyBytes, rng.Intn(keySpace))
-		db.Get(k, func(_ []byte, err error) {
-			if err != nil && err != ErrNotFound {
-				res.Errors++
-			} else {
-				res.Ops++
-			}
-			issue()
-		})
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	for i := 0; i < depth; i++ {
-		issue()
-	}
-	eng.Run()
-	res.Elapsed = eng.Now() - start
-	return res
-}

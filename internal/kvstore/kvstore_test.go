@@ -182,14 +182,3 @@ func TestDBBenchWorkloads(t *testing.T) {
 		t.Fatal("unknown bench accepted")
 	}
 }
-
-func TestReadRandomAfterFill(t *testing.T) {
-	eng, db := newDB(t)
-	spec, _ := DefaultBench("fillseq", 200)
-	spec.ValueB = 256
-	RunBench(eng, db, spec)
-	res := RunReadRandom(eng, db, 200, 300, 16, 8, 5)
-	if res.Ops != 300 || res.Errors != 0 {
-		t.Fatalf("readrandom ops=%d errors=%d", res.Ops, res.Errors)
-	}
-}

@@ -21,18 +21,3 @@ func JainIndex(xs []float64) float64 {
 	}
 	return sum * sum / (float64(n) * sumSq)
 }
-
-// WeightedJainIndex computes Jain's index over weight-normalized
-// allocations x_i/w_i, so a tenant receiving exactly its provisioned
-// share contributes as if allocations were equal. Entries with
-// non-positive weight are skipped.
-func WeightedJainIndex(xs, weights []float64) float64 {
-	norm := make([]float64, 0, len(xs))
-	for i, x := range xs {
-		if i >= len(weights) || weights[i] <= 0 {
-			continue
-		}
-		norm = append(norm, x/weights[i])
-	}
-	return JainIndex(norm)
-}

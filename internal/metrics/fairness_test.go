@@ -28,17 +28,3 @@ func TestJainIndex(t *testing.T) {
 		t.Errorf("3:1 split = %v, want 0.8", got)
 	}
 }
-
-func TestWeightedJainIndex(t *testing.T) {
-	// Allocations proportional to weights are perfectly fair.
-	if got := WeightedJainIndex([]float64{30, 10}, []float64{3, 1}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("proportional = %v, want 1", got)
-	}
-	// Zero-weight entries are skipped, not divided by.
-	if got := WeightedJainIndex([]float64{5, 9, 5}, []float64{1, 0, 1}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("skip zero weight = %v, want 1", got)
-	}
-	if got := WeightedJainIndex(nil, nil); got != 0 {
-		t.Errorf("empty = %v, want 0", got)
-	}
-}

@@ -32,7 +32,7 @@ const (
 
 // SeriesDump is one exported virtual-time series: the value of one source
 // at times 0, IntervalNs, 2*IntervalNs, ... . It rides in the benchmark
-// Result JSON ("series" section) and in the ops endpoint's /series dump.
+// Result JSON ("series" section) and in the ops endpoint's /v1/series dump.
 type SeriesDump struct {
 	Trace      string    `json:"trace,omitempty"` // owning trace name
 	Name       string    `json:"name"`            // probe/source name

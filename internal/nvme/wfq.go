@@ -74,12 +74,6 @@ func (w *WFQ) AddFlow(weight int) int {
 // Len reports the total number of queued requests across all flows.
 func (w *WFQ) Len() int { return w.queued }
 
-// FlowLen reports the number of queued requests of one flow.
-func (w *WFQ) FlowLen(flow int) int {
-	f := &w.flows[flow]
-	return len(f.tags) - f.head
-}
-
 // Push enqueues a request of the given cost (any positive unit — the
 // volume manager uses bytes) on a flow. Requests within one flow dispatch
 // in FIFO order; across flows, in virtual-finish-tag order.

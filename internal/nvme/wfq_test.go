@@ -11,8 +11,8 @@ func TestWFQSingleFlowFIFO(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Push(f, 100)
 	}
-	if w.Len() != 10 || w.FlowLen(f) != 10 {
-		t.Fatalf("len=%d flowlen=%d", w.Len(), w.FlowLen(f))
+	if w.Len() != 10 {
+		t.Fatalf("len=%d", w.Len())
 	}
 	for i := 0; i < 10; i++ {
 		got, ok := w.Pop()

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -234,107 +231,30 @@ func (b *attrBuilder) finish() *Attribution {
 	return a
 }
 
-// Attribute reads a trace exported with WritePerfetto or WriteJSONL
-// (format auto-detected) and computes per-stage latency attribution.
+// Attribute reads a trace exported with WritePerfetto or WriteJSONL and
+// computes per-stage latency attribution.
 func Attribute(r io.Reader) (*Attribution, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("empty trace: %w", err)
-	}
 	b := newAttrBuilder()
-	if head[0] == '[' {
-		err = b.feedPerfetto(br)
-	} else {
-		err = b.feedJSONL(br)
-	}
+	err := ReadExport(r, func(rec ExportRec) error {
+		p := b.proc(rec.Proc)
+		switch rec.Kind {
+		case ExpMeta:
+			p.name = rec.Name
+		case ExpSpanBegin:
+			p.begin(rec.Span, rec.Name, rec.TS)
+		case ExpSlice:
+			if rec.Mark { // segments belong to no span
+				p.mark(rec.Span, rec.TS, rec.Dur, rec.Name)
+			}
+		case ExpSpanEnd:
+			b.end(p, rec.Span, rec.TS)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return b.finish(), nil
-}
-
-func (b *attrBuilder) feedJSONL(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var l jsonlLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		p := b.proc(l.Trace)
-		switch l.Rec {
-		case "meta":
-			p.name = l.Name
-		case "span-begin":
-			p.begin(l.Span, l.Layer+" "+l.Op, l.TS)
-		case "mark":
-			p.mark(l.Span, l.TS, l.Dur, l.Phase)
-		case "span-end":
-			b.end(p, l.Span, l.TS)
-		}
-	}
-	return sc.Err()
-}
-
-func (b *attrBuilder) feedPerfetto(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	if _, err := dec.Token(); err != nil { // opening '['
-		return fmt.Errorf("trace is not a JSON array: %w", err)
-	}
-	for dec.More() {
-		var ev perfettoEvent
-		if err := dec.Decode(&ev); err != nil {
-			return fmt.Errorf("bad trace event: %w", err)
-		}
-		p := b.proc(ev.Pid)
-		switch ev.Ph {
-		case "M":
-			if ev.Name == "process_name" {
-				var args struct {
-					Name string `json:"name"`
-				}
-				json.Unmarshal(ev.Args, &args)
-				p.name = args.Name
-			}
-		case "b":
-			ts, err := usToNs(ev.TS)
-			if err != nil {
-				return err
-			}
-			p.begin(ev.ID, ev.Name, ts)
-		case "X":
-			if ev.Cat != "phase" {
-				continue // segments carry no span id
-			}
-			start, err := usToNs(ev.TS)
-			if err != nil {
-				return err
-			}
-			dur, err := usToNs(ev.Dur)
-			if err != nil {
-				return err
-			}
-			var args struct {
-				Span uint64 `json:"span"`
-			}
-			json.Unmarshal(ev.Args, &args)
-			p.mark(args.Span, start, dur, ev.Name)
-		case "e":
-			ts, err := usToNs(ev.TS)
-			if err != nil {
-				return err
-			}
-			b.end(p, ev.ID, ts)
-		}
-	}
-	return nil
 }
 
 // WriteReport prints the attribution: per engine, per (layer, op), the

@@ -1,32 +1,47 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Explain reads a trace previously exported with WritePerfetto or
-// WriteJSONL (format auto-detected) and prints, per traced engine, the top
-// contention sources: service tracks ranked by busy time, span latency by
-// layer/operation, zone event counts, and final probe values.
+// WriteJSONL and prints, per traced engine, the top contention sources:
+// service tracks ranked by busy time, span latency by layer/operation, zone
+// event counts, and final probe values.
 func Explain(r io.Reader, w io.Writer, top int) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(1)
-	if err != nil {
-		return fmt.Errorf("empty trace: %w", err)
-	}
+	byProc := map[int]*explainProc{}
 	var procs []*explainProc
-	if head[0] == '[' {
-		procs, err = parsePerfetto(br)
-	} else {
-		procs, err = parseJSONL(br)
-	}
+	err := ReadExport(r, func(rec ExportRec) error {
+		p, ok := byProc[rec.Proc]
+		if !ok {
+			p = newExplainProc(rec.Proc)
+			byProc[rec.Proc] = p
+			procs = append(procs, p)
+		}
+		switch rec.Kind {
+		case ExpMeta:
+			p.name = rec.Name
+		case ExpSpanBegin:
+			p.beginSpan(rec.Span, rec.Name, rec.TS)
+		case ExpSlice:
+			p.addSlice(rec.Track, rec.TS, rec.Dur)
+		case ExpSpanEnd:
+			p.endSpan(rec.Span, rec.TS, rec.Failed)
+		case ExpEvent:
+			p.see(rec.TS)
+			name := rec.Name
+			if rec.Reason != "" {
+				name += "/" + rec.Reason
+			}
+			p.events[name]++
+		case ExpCounter:
+			p.see(rec.TS)
+			p.counters[rec.Name] = rec.Value
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -206,233 +221,4 @@ func (p *explainProc) write(w io.Writer, top int) {
 			fmt.Fprintf(w, "    %-32s %d\n", c.k, c.v)
 		}
 	}
-}
-
-// perfettoEvent is the subset of trace_event fields Explain and
-// Attribute need.
-type perfettoEvent struct {
-	Name string          `json:"name"`
-	Ph   string          `json:"ph"`
-	Cat  string          `json:"cat"`
-	ID   uint64          `json:"id"`
-	Pid  int             `json:"pid"`
-	Tid  int             `json:"tid"`
-	TS   json.Number     `json:"ts"`
-	Dur  json.Number     `json:"dur"`
-	Args json.RawMessage `json:"args"`
-}
-
-func parsePerfetto(r io.Reader) ([]*explainProc, error) {
-	dec := json.NewDecoder(r)
-	if _, err := dec.Token(); err != nil { // opening '['
-		return nil, fmt.Errorf("trace is not a JSON array: %w", err)
-	}
-	byPid := map[int]*explainProc{}
-	var order []*explainProc
-	proc := func(pid int) *explainProc {
-		p, ok := byPid[pid]
-		if !ok {
-			p = newExplainProc(pid)
-			byPid[pid] = p
-			order = append(order, p)
-		}
-		return p
-	}
-	threadName := map[[2]int]string{}
-	for dec.More() {
-		var ev perfettoEvent
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("bad trace event: %w", err)
-		}
-		p := proc(ev.Pid)
-		switch ev.Ph {
-		case "M":
-			var args struct {
-				Name string `json:"name"`
-			}
-			json.Unmarshal(ev.Args, &args)
-			switch ev.Name {
-			case "process_name":
-				p.name = args.Name
-			case "thread_name":
-				threadName[[2]int{ev.Pid, ev.Tid}] = args.Name
-			}
-		case "X":
-			start, err := usToNs(ev.TS)
-			if err != nil {
-				return nil, err
-			}
-			dur, err := usToNs(ev.Dur)
-			if err != nil {
-				return nil, err
-			}
-			track := threadName[[2]int{ev.Pid, ev.Tid}]
-			if track == "" {
-				track = fmt.Sprintf("tid%d", ev.Tid)
-			}
-			p.addSlice(track, start, dur)
-		case "b":
-			ts, err := usToNs(ev.TS)
-			if err != nil {
-				return nil, err
-			}
-			p.beginSpan(ev.ID, ev.Name, ts)
-		case "e":
-			ts, err := usToNs(ev.TS)
-			if err != nil {
-				return nil, err
-			}
-			var args struct {
-				Status string `json:"status"`
-			}
-			json.Unmarshal(ev.Args, &args)
-			p.endSpan(ev.ID, ts, args.Status == "error")
-		case "i":
-			ts, err := usToNs(ev.TS)
-			if err != nil {
-				return nil, err
-			}
-			p.see(ts)
-			name := ev.Name
-			var args struct {
-				Reason string `json:"reason"`
-			}
-			json.Unmarshal(ev.Args, &args)
-			if args.Reason != "" {
-				name += "/" + args.Reason
-			}
-			p.events[name]++
-		case "C":
-			ts, err := usToNs(ev.TS)
-			if err != nil {
-				return nil, err
-			}
-			p.see(ts)
-			var args struct {
-				Value int64 `json:"value"`
-			}
-			json.Unmarshal(ev.Args, &args)
-			p.counters[ev.Name] = args.Value
-		}
-	}
-	return order, nil
-}
-
-// jsonlLine is the union of WriteJSONL line shapes.
-type jsonlLine struct {
-	Trace  int    `json:"trace"`
-	Rec    string `json:"rec"`
-	Name   string `json:"name"`
-	TS     int64  `json:"ts"`
-	Span   uint64 `json:"span"`
-	Layer  string `json:"layer"`
-	Op     string `json:"op"`
-	Phase  string `json:"phase"`
-	Seg    string `json:"seg"`
-	Event  string `json:"event"`
-	Status string `json:"status"`
-	Reason string `json:"reason"`
-	Dev    int    `json:"dev"`
-	Ch     int    `json:"ch"`
-	Dur    int64  `json:"dur"`
-	Probe  string `json:"probe"`
-	Value  int64  `json:"value"`
-}
-
-func parseJSONL(r io.Reader) ([]*explainProc, error) {
-	byTrace := map[int]*explainProc{}
-	var order []*explainProc
-	proc := func(n int) *explainProc {
-		p, ok := byTrace[n]
-		if !ok {
-			p = newExplainProc(n)
-			byTrace[n] = p
-			order = append(order, p)
-		}
-		return p
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var l jsonlLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		p := proc(l.Trace)
-		switch l.Rec {
-		case "meta":
-			p.name = l.Name
-		case "span-begin":
-			p.beginSpan(l.Span, l.Layer+" "+l.Op, l.TS)
-		case "span-end":
-			p.endSpan(l.Span, l.TS, l.Status == "error")
-		case "mark":
-			p.addSlice(jsonlTrack(l.Dev, l.Ch, l.Layer), l.TS, l.Dur)
-		case "segment":
-			p.addSlice(jsonlTrack(l.Dev, l.Ch, l.Layer), l.TS, l.Dur)
-		case "event":
-			p.see(l.TS)
-			name := l.Event
-			if l.Reason != "" {
-				name += "/" + l.Reason
-			}
-			p.events[name]++
-		case "counter":
-			p.see(l.TS)
-			p.counters[l.Probe] = l.Value
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return order, nil
-}
-
-func jsonlTrack(dev, ch int, layer string) string {
-	if ch >= 0 {
-		return fmt.Sprintf("dev%d ch%d", dev, ch)
-	}
-	if dev >= 0 {
-		return fmt.Sprintf("dev%d %s", dev, layer)
-	}
-	return layer + " service"
-}
-
-// usToNs converts a fixed-point microsecond literal ("12.345") to integer
-// nanoseconds without float round-trip.
-func usToNs(n json.Number) (int64, error) {
-	s := n.String()
-	if s == "" {
-		return 0, nil
-	}
-	neg := strings.HasPrefix(s, "-")
-	if neg {
-		s = s[1:]
-	}
-	whole, frac := s, ""
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		whole, frac = s[:i], s[i+1:]
-	}
-	us, err := strconv.ParseInt(whole, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad timestamp %q: %w", n, err)
-	}
-	for len(frac) < 3 {
-		frac += "0"
-	}
-	ns, err := strconv.ParseInt(frac[:3], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad timestamp %q: %w", n, err)
-	}
-	v := us*1000 + ns
-	if neg {
-		v = -v
-	}
-	return v, nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Every ProbeKind must render a stable, non-fallback name: the JSONL
-// exporter, the probe snapshot, and the ops /metrics endpoint all key on
+// exporter, the probe snapshot, and the ops /v1/metrics endpoint all key on
 // it, so a probe added without a ProbeName case would silently export
 // under the "probe%d" placeholder.
 func TestProbeNameExhaustive(t *testing.T) {

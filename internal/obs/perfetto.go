@@ -80,12 +80,12 @@ func WritePerfetto(w io.Writer, traces []*Trace) error {
 				item(fmt.Sprintf(`{"name":"end","cat":"span","ph":"e","id":%d,"pid":%d,"tid":0,"ts":%s,"args":{"status":%s}}`,
 					r.Span, pid, ts(r.TS), quote(status)))
 			case RecMark:
-				track := markTrack(r)
+				track := trackName(int(r.Dev), int(r.Arg1), r.Layer.String())
 				item(fmt.Sprintf(`{"name":%s,"cat":"phase","ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"layer":%s,"span":%d,"zone":%d}}`,
 					quote(Phase(r.Sub).String()), pid, tid(track), ts(r.TS), ts(r.Arg0-r.TS),
 					quote(r.Layer.String()), r.Span, r.Zone))
 			case RecSegment:
-				track := markTrack(r)
+				track := trackName(int(r.Dev), int(r.Arg1), r.Layer.String())
 				item(fmt.Sprintf(`{"name":%s,"cat":"segment","ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"blocks":%d,"layer":%s,"zone":%d}}`,
 					quote(Seg(r.Sub).String()), pid, tid(track), ts(r.TS), ts(r.Arg0-r.TS),
 					r.Flag, quote(r.Layer.String()), r.Zone))
@@ -105,15 +105,16 @@ func WritePerfetto(w io.Writer, traces []*Trace) error {
 	return bw.Flush()
 }
 
-// markTrack names the service track of a mark or segment record.
-func markTrack(r Record) string {
-	if r.Arg1 >= 0 {
-		return fmt.Sprintf("dev%d ch%d", r.Dev, r.Arg1)
+// trackName names the service track of a mark or segment: the channel when
+// there is one, else the device, else the layer.
+func trackName(dev, ch int, layer string) string {
+	if ch >= 0 {
+		return fmt.Sprintf("dev%d ch%d", dev, ch)
 	}
-	if r.Dev >= 0 {
-		return fmt.Sprintf("dev%d %s", r.Dev, r.Layer)
+	if dev >= 0 {
+		return fmt.Sprintf("dev%d %s", dev, layer)
 	}
-	return fmt.Sprintf("%s service", r.Layer)
+	return layer + " service"
 }
 
 // eventArgs renders the per-kind attributes of an event record with keys

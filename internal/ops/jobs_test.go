@@ -142,7 +142,7 @@ func TestJobRoutes(t *testing.T) {
 
 	// /metrics reflects the job list once a sink is attached.
 	s.Publish(testSnapshot(false))
-	_, metricsBody := do(t, s, "GET", "/metrics", "")
+	_, metricsBody := do(t, s, "GET", "/v1/metrics", "")
 	if !strings.Contains(metricsBody, `biza_admin_jobs{state="pending"} 1`) {
 		t.Fatalf("metrics missing job family:\n%s", metricsBody)
 	}
@@ -186,37 +186,27 @@ func TestJobErrorMapping(t *testing.T) {
 	}
 }
 
-// TestRouteAndMethodErrors: unknown paths 404; wrong methods 405 — on
-// both the versioned and legacy spellings.
+// TestRouteAndMethodErrors: unknown paths — the unversioned spellings
+// among them — 404; wrong methods 405.
 func TestRouteAndMethodErrors(t *testing.T) {
 	s := New()
 	s.Publish(testSnapshot(true))
 	if res, _ := do(t, s, "GET", "/no/such/route", ""); res.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown route = %d, want 404", res.StatusCode)
 	}
-	for _, path := range []string{"/metrics", "/v1/metrics", "/vars", "/v1/vars", "/series", "/v1/series", "/readyz", "/v1/readyz"} {
-		if res, _ := do(t, s, "POST", path, ""); res.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("POST %s = %d, want 405", path, res.StatusCode)
+	for _, path := range []string{"/metrics", "/vars", "/series", "/stream", "/healthz", "/readyz"} {
+		if res, _ := do(t, s, "GET", path, ""); res.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, res.StatusCode)
 		}
-		if res, _ := do(t, s, "GET", path, ""); res.StatusCode != 200 {
-			t.Fatalf("GET %s = %d, want 200", path, res.StatusCode)
+		if res, _ := do(t, s, "POST", "/v1"+path, ""); res.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("POST /v1%s = %d, want 405", path, res.StatusCode)
+		}
+		if res, _ := do(t, s, "GET", "/v1"+path, ""); res.StatusCode != 200 {
+			t.Fatalf("GET /v1%s = %d, want 200", path, res.StatusCode)
 		}
 	}
 	if res, _ := do(t, s, "DELETE", "/v1/jobs", ""); res.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE /v1/jobs = %d, want 405", res.StatusCode)
-	}
-}
-
-// TestVersionedAliasesAgree: /v1/X and /X serve identical bytes.
-func TestVersionedAliasesAgree(t *testing.T) {
-	s := New()
-	s.Publish(testSnapshot(true))
-	for _, path := range []string{"/metrics", "/vars", "/series"} {
-		_, legacy := do(t, s, "GET", path, "")
-		_, versioned := do(t, s, "GET", "/v1"+path, "")
-		if legacy != versioned {
-			t.Fatalf("%s and /v1%s diverge", path, path)
-		}
 	}
 }
 
@@ -250,7 +240,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 
 	// The server keeps serving: a fresh subscriber sees the next publish.
 	s.Publish(testSnapshot(true))
-	res2, err := http.Get(ts.URL + "/stream")
+	res2, err := http.Get(ts.URL + "/v1/stream")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,5 @@
 // Package ops embeds a live operations endpoint into benchmark and
-// simulation processes. The API is versioned under /v1/; the original
-// unversioned paths remain as aliases. The server exposes:
+// simulation processes. Every route but the Go profiler's is under /v1/:
 //
 //	/v1/metrics       Prometheus exposition text (probe counters/gauges)
 //	/v1/vars          full JSON snapshot (probes, series, trace tail)
@@ -9,8 +8,8 @@
 //	/v1/jobs          admin jobs: POST submits, GET lists
 //	/v1/jobs/{id}     GET status, DELETE cancels
 //	/v1/jobs/{id}/pause, /v1/jobs/{id}/resume
-//	/healthz          liveness (always 200)
-//	/readyz           readiness (200 once Done or serving a live array)
+//	/v1/healthz       liveness (always 200)
+//	/v1/readyz        readiness (200 once Done or serving a live array)
 //	/debug/pprof/     Go runtime profiles
 //
 // Determinism boundary, read side: the simulation never calls into this
@@ -73,7 +72,7 @@ type Snapshot struct {
 	Failed     int    `json:"failed"`               // experiments that ended in error (final snapshot)
 
 	// Live marks a snapshot from a live array serving admin jobs rather
-	// than a finite sweep; /readyz reports ready while Live even though
+	// than a finite sweep; /v1/readyz reports ready while Live even though
 	// Done never comes.
 	Live bool `json:"live,omitempty"`
 
@@ -82,7 +81,7 @@ type Snapshot struct {
 	Series       []metrics.SeriesDump `json:"series,omitempty"`     // virtual-time series
 	TraceTail    []string             `json:"trace_tail,omitempty"` // last trace records, JSONL
 	// Jobs carries the admin job list (JSON array of admin.Job) when the
-	// producer runs a control plane; /vars surfaces it verbatim.
+	// producer runs a control plane; /v1/vars surfaces it verbatim.
 	Jobs json.RawMessage `json:"jobs,omitempty"`
 }
 
@@ -107,23 +106,15 @@ type Server struct {
 func New() *Server {
 	s := &Server{mux: http.NewServeMux(), change: make(chan struct{})}
 	s.snap.Store(&Snapshot{})
-	// Read routes register under /v1/ and at their original unversioned
-	// paths; method enforcement (405) comes from the pattern router.
-	alias := func(pat string, h http.HandlerFunc) {
-		method, path, _ := strings.Cut(pat, " ")
-		s.mux.HandleFunc(pat, h)
-		s.mux.HandleFunc(method+" /v1"+path, h)
-	}
-	alias("GET /metrics", s.handleMetrics)
-	alias("GET /vars", s.handleVars)
-	alias("GET /series", s.handleSeries)
-	alias("GET /stream", s.handleStream)
-	alias("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+	// Method enforcement (405) comes from the pattern router.
+	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v1/vars", s.handleVars)
+	s.mux.HandleFunc("GET /v1/series", s.handleSeries)
+	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
+	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	alias("GET /readyz", s.handleReady)
-	// Mutating routes are v1-only: they arrived with the versioned API
-	// and have no legacy spelling to preserve.
+	s.mux.HandleFunc("GET /v1/readyz", s.handleReady)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -161,7 +152,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Snapshot returns the most recently published snapshot (never nil).
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Publish swaps in a new snapshot and wakes every /stream subscriber.
+// Publish swaps in a new snapshot and wakes every /v1/stream subscriber.
 // The snapshot's Seq is assigned here; everything else is the caller's.
 func (s *Server) Publish(snap Snapshot) {
 	s.mu.Lock()
@@ -208,7 +199,7 @@ func (s *Server) Close() error {
 // Attach arms the runner so every completed config point publishes a
 // cumulative snapshot: probes merge, series and trace tails accumulate.
 // Call Finish with the sweep's report afterwards to publish the final
-// Done snapshot (which flips /readyz to 200).
+// Done snapshot (which flips /v1/readyz to 200).
 func (s *Server) Attach(rn *bench.Runner) {
 	var mu sync.Mutex
 	var points int
@@ -518,7 +509,7 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// streamView is the compact per-event payload of /stream: the snapshot
+// streamView is the compact per-event payload of /v1/stream: the snapshot
 // minus its bulky series points and full tail.
 type streamView struct {
 	Seq          uint64 `json:"seq"`

@@ -49,19 +49,19 @@ func get(t *testing.T, srv *Server, path string) (*http.Response, string) {
 
 func TestHealthAndReadiness(t *testing.T) {
 	s := New()
-	if res, _ := get(t, s, "/healthz"); res.StatusCode != 200 {
-		t.Fatalf("/healthz = %d before any publish", res.StatusCode)
+	if res, _ := get(t, s, "/v1/healthz"); res.StatusCode != 200 {
+		t.Fatalf("/v1/healthz = %d before any publish", res.StatusCode)
 	}
-	if res, _ := get(t, s, "/readyz"); res.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz = %d before the final snapshot, want 503", res.StatusCode)
+	if res, _ := get(t, s, "/v1/readyz"); res.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/v1/readyz = %d before the final snapshot, want 503", res.StatusCode)
 	}
 	s.Publish(testSnapshot(false))
-	if res, _ := get(t, s, "/readyz"); res.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz = %d on a live (not Done) snapshot, want 503", res.StatusCode)
+	if res, _ := get(t, s, "/v1/readyz"); res.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/v1/readyz = %d on a live (not Done) snapshot, want 503", res.StatusCode)
 	}
 	s.Publish(testSnapshot(true))
-	if res, _ := get(t, s, "/readyz"); res.StatusCode != 200 {
-		t.Fatalf("/readyz = %d after the Done snapshot, want 200", res.StatusCode)
+	if res, _ := get(t, s, "/v1/readyz"); res.StatusCode != 200 {
+		t.Fatalf("/v1/readyz = %d after the Done snapshot, want 200", res.StatusCode)
 	}
 }
 
@@ -71,9 +71,9 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [-+0-9
 func TestMetricsExposition(t *testing.T) {
 	s := New()
 	s.Publish(testSnapshot(true))
-	res, body := get(t, s, "/metrics")
+	res, body := get(t, s, "/v1/metrics")
 	if res.StatusCode != 200 {
-		t.Fatalf("/metrics = %d", res.StatusCode)
+		t.Fatalf("/v1/metrics = %d", res.StatusCode)
 	}
 	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
@@ -121,18 +121,18 @@ func TestMetricsExposition(t *testing.T) {
 func TestVarsAndSeriesJSON(t *testing.T) {
 	s := New()
 	s.Publish(testSnapshot(false))
-	_, body := get(t, s, "/vars")
+	_, body := get(t, s, "/v1/vars")
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/vars is not valid JSON: %v", err)
+		t.Fatalf("/v1/vars is not valid JSON: %v", err)
 	}
 	if snap.Seq != 1 || snap.Experiment != "fig10" || len(snap.Probes) != 3 {
 		t.Fatalf("unexpected /vars snapshot: %+v", snap)
 	}
-	_, body = get(t, s, "/series")
+	_, body = get(t, s, "/v1/series")
 	var series []metrics.SeriesDump
 	if err := json.Unmarshal([]byte(body), &series); err != nil {
-		t.Fatalf("/series is not valid JSON: %v", err)
+		t.Fatalf("/v1/series is not valid JSON: %v", err)
 	}
 	if len(series) != 1 || series[0].Name != "qd/dev0" || len(series[0].Points) != 3 {
 		t.Fatalf("unexpected /series: %+v", series)
@@ -140,8 +140,8 @@ func TestVarsAndSeriesJSON(t *testing.T) {
 
 	// Empty snapshot still serves a JSON array, not null.
 	empty := New()
-	if _, body := get(t, empty, "/series"); strings.TrimSpace(body) != "[]" {
-		t.Fatalf("/series with no data = %q, want []", body)
+	if _, body := get(t, empty, "/v1/series"); strings.TrimSpace(body) != "[]" {
+		t.Fatalf("/v1/series with no data = %q, want []", body)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestStreamDeliversPublishes(t *testing.T) {
 	defer httpSrv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, "GET", httpSrv.URL+"/stream", nil)
+	req, _ := http.NewRequestWithContext(ctx, "GET", httpSrv.URL+"/v1/stream", nil)
 	res, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +230,8 @@ func TestAttachPublishesLiveSweep(t *testing.T) {
 		t.Fatalf("final snapshot has %d series, report has %d",
 			len(final.Series), len(rep.Results[0].Series))
 	}
-	if res, _ := get(t, s, "/readyz"); res.StatusCode != 200 {
-		t.Fatalf("/readyz = %d after Finish", res.StatusCode)
+	if res, _ := get(t, s, "/v1/readyz"); res.StatusCode != 200 {
+		t.Fatalf("/v1/readyz = %d after Finish", res.StatusCode)
 	}
 }
 
@@ -243,7 +243,7 @@ func TestStartServesOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := http.Get("http://" + addr.String() + "/metrics")
+	res, err := http.Get("http://" + addr.String() + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,19 +168,6 @@ func TestResourceQueueSpillsToAllServers(t *testing.T) {
 	}
 }
 
-func TestResourceBacklog(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	r.Submit(100, nil)
-	if got := r.Backlog(); got != 100 {
-		t.Fatalf("backlog = %d, want 100", got)
-	}
-	e.RunUntil(100)
-	if got := r.Backlog(); got != 0 {
-		t.Fatalf("backlog after drain = %d, want 0", got)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {
@@ -219,18 +206,6 @@ func TestRNGFloat64Bounds(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

@@ -62,23 +62,5 @@ func (r *Resource) reserve(service Time) (start, end Time) {
 	return start, end
 }
 
-// NextFree reports the earliest time at which any server becomes free.
-func (r *Resource) NextFree() Time {
-	best := r.freeAt[0]
-	for _, t := range r.freeAt[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	if now := r.eng.Now(); best < now {
-		return now
-	}
-	return best
-}
-
-// Backlog reports the queueing delay a job submitted now would experience
-// before service starts.
-func (r *Resource) Backlog() Time { return r.NextFree() - r.eng.Now() }
-
 // BusyTime reports cumulative service time delivered by all servers.
 func (r *Resource) BusyTime() Time { return r.busy }

@@ -194,85 +194,3 @@ func Precondition(eng *sim.Engine, dev blockdev.Device, spanBlocks int64, chunk 
 	}
 	eng.Run()
 }
-
-// RateSpec describes an open-loop workload: requests arrive at a fixed
-// rate regardless of completions (the latency-sensitive regime, where
-// queueing delay is visible instead of hidden by a closed loop).
-type RateSpec struct {
-	Pattern    Pattern
-	Read       bool
-	SizeBlocks int
-	// IntervalNS is the virtual time between arrivals.
-	IntervalNS sim.Time
-	Count      int
-	SpanBlocks int64
-	Seed       uint64
-}
-
-// RunOpenLoop issues Count requests at fixed intervals and reports the
-// latency distribution once all complete.
-func RunOpenLoop(eng *sim.Engine, dev blockdev.Device, spec RateSpec) MicroResult {
-	span := spec.SpanBlocks
-	if span == 0 || span > dev.Blocks() {
-		span = dev.Blocks()
-	}
-	size := int64(spec.SizeBlocks)
-	if size < 1 {
-		size = 1
-	}
-	if spec.IntervalNS < 1 {
-		spec.IntervalNS = sim.Microsecond
-	}
-	rng := sim.NewRNG(spec.Seed ^ 0x0be1)
-	res := MicroResult{Lat: metrics.NewHistogram()}
-	start := eng.Now()
-	var cursor int64
-	nextLBA := func() int64 {
-		if spec.Pattern == Seq {
-			lba := cursor
-			cursor += size
-			if cursor > span {
-				cursor, lba = size, 0
-			}
-			return lba
-		}
-		slots := span / size
-		if slots < 1 {
-			return 0
-		}
-		return rng.Int63n(slots) * size
-	}
-	for i := 0; i < spec.Count; i++ {
-		at := start + sim.Time(i)*spec.IntervalNS
-		eng.At(at, func() {
-			lba := nextLBA()
-			if spec.Read {
-				dev.Read(lba, int(size), func(r blockdev.ReadResult) {
-					if r.Err != nil {
-						res.Errors++
-						return
-					}
-					res.Ops++
-					res.Bytes += uint64(size) * uint64(dev.BlockSize())
-					res.Lat.Record(r.Latency)
-				})
-			} else {
-				dev.Write(lba, int(size), nil, func(r blockdev.WriteResult) {
-					if r.Err != nil {
-						res.Errors++
-						return
-					}
-					res.Ops++
-					res.Bytes += uint64(size) * uint64(dev.BlockSize())
-					res.Lat.Record(r.Latency)
-				})
-			}
-		})
-	}
-	eng.Run()
-	res.Elapsed = eng.Now() - start
-	if res.Elapsed <= 0 {
-		res.Elapsed = 1
-	}
-	return res
-}

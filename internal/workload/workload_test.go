@@ -145,37 +145,3 @@ func TestDepthIncreasesThroughput(t *testing.T) {
 		t.Fatalf("depth scaling broken: d1=%.0f d16=%.0f", d1, d16)
 	}
 }
-
-func TestRunOpenLoopLatencyGrowsWithRate(t *testing.T) {
-	// Open-loop at a rate beyond service capacity must show queueing
-	// delay; a gentle rate must not.
-	run := func(interval sim.Time) float64 {
-		eng := sim.NewEngine()
-		dev, _ := ftl.New(eng, ftl.TestConfig())
-		res := RunOpenLoop(eng, dev, RateSpec{
-			Pattern: Seq, SizeBlocks: 4, IntervalNS: interval, Count: 400,
-		})
-		if res.Ops == 0 {
-			t.Fatal("no ops")
-		}
-		return res.Lat.Mean()
-	}
-	gentle := run(200 * sim.Microsecond)
-	flood := run(2 * sim.Microsecond)
-	if flood <= gentle {
-		t.Fatalf("open-loop queueing missing: flood mean %v <= gentle %v", flood, gentle)
-	}
-}
-
-func TestRunOpenLoopReads(t *testing.T) {
-	eng := sim.NewEngine()
-	dev, _ := ftl.New(eng, ftl.TestConfig())
-	Precondition(eng, dev, dev.Blocks()/2, 16)
-	res := RunOpenLoop(eng, dev, RateSpec{
-		Pattern: Rand, Read: true, SizeBlocks: 2, IntervalNS: 50 * sim.Microsecond,
-		Count: 200, SpanBlocks: dev.Blocks() / 2, Seed: 3,
-	})
-	if res.Ops != 200 || res.Errors != 0 {
-		t.Fatalf("ops=%d errors=%d", res.Ops, res.Errors)
-	}
-}

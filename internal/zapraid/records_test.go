@@ -7,6 +7,7 @@ package zapraid
 
 import (
 	"testing"
+	"time"
 
 	"biza/internal/blockdev"
 	"biza/internal/sim"
@@ -48,10 +49,7 @@ func TestRecordDiscipline(t *testing.T) {
 
 // TestRecordsComeHome overwrites a working set until the collectors run
 // (migrated chunks travel on chunk records too), with reads of mapped,
-// partly mapped and unmapped ranges and requests for nobody in between. The
-// bursts stay short of the free-zone cliff: a chunk parked there for one
-// member can be re-parked for another by the collector's release loop,
-// which then never ends (ROADMAP item 1h, the same at the parent).
+// partly mapped and unmapped ranges and requests for nobody in between.
 func TestRecordsComeHome(t *testing.T) {
 	eng, a, _ := newArray(t)
 	span := a.Blocks() / 4
@@ -98,5 +96,47 @@ func TestRecordsComeHome(t *testing.T) {
 	got.chunk, got.write, got.read = len(a.chunkFree), len(a.writeFree), len(a.readFree)
 	if got != a.made {
 		t.Fatalf("records made %+v, on the free lists %+v", a.made, got)
+	}
+}
+
+// TestReleaseAtCliffTerminates submits bursts of 512 writes between engine
+// runs, so chunks park at the free-zone cliff of one member while another
+// collects. The release loop used to pop the oldest parked chunk because
+// the collecting member had room and place parked it again because another
+// was at the cliff, for ever (ROADMAP item 1h); the watchdog turns that
+// into a failure instead of a hung suite.
+func TestReleaseAtCliffTerminates(t *testing.T) {
+	eng, a, _ := newArray(t)
+	span := a.Blocks() / 4
+	rng := sim.NewRNG(13)
+	rounds, writes := int(span)*2, 0
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < rounds; i++ {
+			a.Write(rng.Int63n(span-8), 1+rng.Intn(8), nil, func(r blockdev.WriteResult) {
+				if r.Err == nil {
+					writes++
+				}
+			})
+			if i%512 == 511 {
+				eng.Run()
+			}
+		}
+		eng.Run()
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the engine is still running: a parked chunk is being re-parked without end")
+	}
+	if writes != rounds {
+		t.Fatalf("%d of %d writes completed", writes, rounds)
+	}
+	if a.stalled.Len() != 0 {
+		t.Fatalf("%d chunks still parked", a.stalled.Len())
+	}
+	if a.GCEvents() == 0 {
+		t.Fatal("GC never ran")
 	}
 }

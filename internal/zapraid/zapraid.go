@@ -336,18 +336,32 @@ func (a *Array) writeChunk(lbn int64, payload []byte, tag zns.WriteTag, done fun
 	a.place(c)
 }
 
-// place appends data chunk c to the forming stripe, or parks it.
-func (a *Array) place(c *chunkRec) {
-	// Free-zone cliff for user writes.
-	if c.tag == zns.TagUserData {
-		for _, ds := range a.devs {
-			if a.log.FreeZones(ds.idx) <= stallFloor && a.victim(ds) >= 0 {
-				a.stalled.Push(c)
-				a.maybeStartGC(ds)
-				return
-			}
+// atCliff returns the first member whose free zones are down to the stall
+// floor while it has a zone to collect — user chunks wait for it — or nil.
+func (a *Array) atCliff() *devState {
+	for _, ds := range a.devs {
+		if a.log.FreeZones(ds.idx) <= stallFloor && a.victim(ds) >= 0 {
+			return ds
 		}
 	}
+	return nil
+}
+
+// place appends data chunk c to the forming stripe, or parks a user chunk
+// while a member is at the free-zone cliff.
+func (a *Array) place(c *chunkRec) {
+	if c.tag == zns.TagUserData {
+		if ds := a.atCliff(); ds != nil {
+			a.stalled.Push(c)
+			a.maybeStartGC(ds)
+			return
+		}
+	}
+	a.appendChunk(c)
+}
+
+// appendChunk appends data chunk c to the forming stripe.
+func (a *Array) appendChunk(c *chunkRec) {
 	if c.payload != nil {
 		if a.acc == nil {
 			a.acc = a.pool.AllocZero(a.blockSize)
@@ -400,10 +414,16 @@ func (c *chunkRec) complete(r zns.AppendResult) {
 }
 
 // releaseStalled resubmits parked chunks, oldest first, while ds has more
-// than floor free zones.
+// than floor free zones and no other member is at the cliff: popping then
+// would park the chunk again behind younger ones, with nothing changed for
+// the next turn of the loop. That member's collector releases the rest.
 func (a *Array) releaseStalled(ds *devState, floor int) {
 	for a.stalled.Len() > 0 && a.log.FreeZones(ds.idx) > floor {
-		a.place(a.stalled.Pop())
+		if at := a.atCliff(); at != nil {
+			a.maybeStartGC(at)
+			return
+		}
+		a.appendChunk(a.stalled.Pop())
 	}
 }
 

@@ -1128,22 +1128,3 @@ func (d *Device) SetOffline(z int) error {
 	d.traceOpenCount()
 	return nil
 }
-
-// ChannelUtilization reports the fraction of elapsed virtual time channel
-// ch's program bus spent busy — telemetry for parallelism experiments.
-func (d *Device) ChannelUtilization(ch int, elapsed sim.Time) float64 {
-	if ch < 0 || ch >= len(d.chans) || elapsed <= 0 {
-		return 0
-	}
-	return float64(d.chans[ch].writeBus.BusyTime()) / float64(elapsed)
-}
-
-// ReportZones returns the REPORT ZONES view of every zone (the full-device
-// variant of ZoneInfo; recovery and tooling use it).
-func (d *Device) ReportZones() []ZoneInfo {
-	out := make([]ZoneInfo, len(d.zones))
-	for z := range d.zones {
-		out[z], _ = d.ZoneInfo(z)
-	}
-	return out
-}

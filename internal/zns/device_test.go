@@ -978,14 +978,13 @@ func TestChannelUtilizationTelemetry(t *testing.T) {
 		writeSync(eng, d, 0, lba, 16, nil, TagUserData)
 	}
 	eng.Run()
-	elapsed := eng.Now()
-	if u := d.ChannelUtilization(0, elapsed); u <= 0 {
-		t.Fatalf("channel 0 utilization = %v", u)
+	if busy := d.ChannelWriteBusy(0); busy <= 0 || busy > eng.Now() {
+		t.Fatalf("channel 0 busy %v of %v elapsed", busy, eng.Now())
 	}
-	if u := d.ChannelUtilization(1, elapsed); u != 0 {
-		t.Fatalf("idle channel utilization = %v", u)
+	if busy := d.ChannelWriteBusy(1); busy != 0 {
+		t.Fatalf("idle channel busy = %v", busy)
 	}
-	if u := d.ChannelUtilization(-1, elapsed); u != 0 {
+	if busy := d.ChannelWriteBusy(-1); busy != 0 {
 		t.Fatal("bad channel index not guarded")
 	}
 }
@@ -994,15 +993,14 @@ func TestReportZones(t *testing.T) {
 	eng, d := newTestDev(t)
 	writeSync(eng, d, 0, 0, 4, nil, TagUserData)
 	d.Open(3, true)
-	infos := d.ReportZones()
-	if len(infos) != d.Zones() {
-		t.Fatalf("report length %d", len(infos))
+	if info, err := d.ZoneInfo(0); err != nil || info.WritePtr != 4 || info.State != ZoneImplicitOpen {
+		t.Fatalf("zone0 info %+v, %v", info, err)
 	}
-	if infos[0].WritePtr != 4 || infos[0].State != ZoneImplicitOpen {
-		t.Fatalf("zone0 info %+v", infos[0])
+	if info, err := d.ZoneInfo(3); err != nil || !info.ZRWA || info.State != ZoneExplicitOpen {
+		t.Fatalf("zone3 info %+v, %v", info, err)
 	}
-	if !infos[3].ZRWA || infos[3].State != ZoneExplicitOpen {
-		t.Fatalf("zone3 info %+v", infos[3])
+	if _, err := d.ZoneInfo(d.Zones()); err == nil {
+		t.Fatal("zone past the end reported")
 	}
 }
 

@@ -5,12 +5,12 @@
 //	go run scripts/check_metrics.go -prom metrics.txt
 //	go run scripts/check_metrics.go -series a.json -series b.json
 //
-// -prom validates a saved /metrics body against the Prometheus text
+// -prom validates a saved /v1/metrics body against the Prometheus text
 // exposition format (version 0.0.4): every non-comment line must be a
 // well-formed sample, every family must carry a # TYPE declaration before
 // its first sample, and the required biza_* families must be present.
 //
-// -series (repeatable) parses saved /series bodies; every series must be
+// -series (repeatable) parses saved /v1/series bodies; every series must be
 // well-formed (named, positive cadence, finite points), and when two or
 // more dumps are given they must be identical — the endpoint republishes
 // simulation-derived data, so runs differing only in execution layout

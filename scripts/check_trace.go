@@ -1,34 +1,22 @@
 //go:build ignore
 
-// Command check_trace gates CI on a bizabench -trace artifact (Perfetto
-// trace_event JSON). It fails (non-zero exit) if the trace is missing,
-// malformed, has non-monotonic virtual timestamps within any process,
-// carries unmatched or zero I/O spans, lacks spans from the nvme and zns
-// layers plus at least one array engine (biza/raizn/zapraid), or records
-// zero zone events.
+// Command check_trace gates CI on a bizabench -trace or -trace-jsonl
+// artifact, read through obs.ReadExport. It fails (non-zero exit) if the
+// trace is missing, malformed, has non-monotonic virtual timestamps within
+// any process, carries unmatched or zero I/O spans, lacks spans from the
+// nvme and zns layers plus at least one array engine (biza/raizn/zapraid),
+// or records zero zone events.
 //
 // Usage: go run scripts/check_trace.go /tmp/fig10_trace.json
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
-)
 
-type event struct {
-	Name string          `json:"name"`
-	Cat  string          `json:"cat"`
-	Ph   string          `json:"ph"`
-	ID   uint64          `json:"id"`
-	Pid  int             `json:"pid"`
-	TS   json.Number     `json:"ts"`
-	Dur  json.Number     `json:"dur"`
-	Args json.RawMessage `json:"args"`
-}
+	"biza/internal/obs"
+)
 
 func main() {
 	if len(os.Args) != 2 {
@@ -41,85 +29,58 @@ func main() {
 	}
 	defer f.Close()
 
-	dec := json.NewDecoder(bufio.NewReaderSize(f, 1<<16))
-	tok, err := dec.Token()
-	if err != nil {
-		fail("%s: not JSON: %v", path, err)
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		fail("%s: not a trace_event JSON array", path)
-	}
-
 	var (
 		n          int
 		lastTS     = map[int]int64{} // pid -> last seen ts (monotonicity)
 		openSpans  = map[int]map[uint64]bool{}
 		spanBegins int
-		spanEnds   int
 		zoneEvents int
-		layers     = map[string]int{} // span layer (cat) -> count
+		layers     = map[string]int{} // span or slice layer -> count
 	)
-	for dec.More() {
-		var ev event
-		if err := dec.Decode(&ev); err != nil {
-			fail("%s: event %d: %v", path, n, err)
-		}
+	err = obs.ReadExport(f, func(r obs.ExportRec) error {
 		n++
-		if ev.Ph == "M" {
-			continue // metadata carries no timestamp
+		if r.Kind == obs.ExpMeta {
+			return nil // metadata carries no timestamp
 		}
-		ts, err := usToNs(ev.TS)
-		if err != nil {
-			fail("%s: event %d (%s %q): %v", path, n, ev.Ph, ev.Name, err)
+		if r.TS < 0 {
+			return fmt.Errorf("negative timestamp %d ns", r.TS)
 		}
-		if ts < 0 {
-			fail("%s: event %d (%s %q): negative timestamp %s", path, n, ev.Ph, ev.Name, ev.TS)
+		if last, ok := lastTS[r.Proc]; ok && r.TS < last {
+			return fmt.Errorf("pid %d timestamp went backwards (%d < %d ns)", r.Proc, r.TS, last)
 		}
-		if last, ok := lastTS[ev.Pid]; ok && ts < last {
-			fail("%s: event %d (%s %q): pid %d timestamp went backwards (%d < %d ns)",
-				path, n, ev.Ph, ev.Name, ev.Pid, ts, last)
-		}
-		lastTS[ev.Pid] = ts
-		switch ev.Ph {
-		case "b":
+		lastTS[r.Proc] = r.TS
+		switch r.Kind {
+		case obs.ExpSpanBegin:
 			spanBegins++
-			layers[ev.Cat]++
-			if openSpans[ev.Pid] == nil {
-				openSpans[ev.Pid] = map[uint64]bool{}
+			layers[r.Layer]++
+			if openSpans[r.Proc] == nil {
+				openSpans[r.Proc] = map[uint64]bool{}
 			}
-			if openSpans[ev.Pid][ev.ID] {
-				fail("%s: pid %d: span %d begun twice", path, ev.Pid, ev.ID)
+			if openSpans[r.Proc][r.Span] {
+				return fmt.Errorf("pid %d: span %d begun twice", r.Proc, r.Span)
 			}
-			openSpans[ev.Pid][ev.ID] = true
-		case "e":
-			spanEnds++
-			if !openSpans[ev.Pid][ev.ID] {
-				fail("%s: pid %d: span %d ended without begin", path, ev.Pid, ev.ID)
+			openSpans[r.Proc][r.Span] = true
+		case obs.ExpSpanEnd:
+			if !openSpans[r.Proc][r.Span] {
+				return fmt.Errorf("pid %d: span %d ended without begin", r.Proc, r.Span)
 			}
-			delete(openSpans[ev.Pid], ev.ID)
-		case "X":
-			dur, err := usToNs(ev.Dur)
-			if err != nil || dur < 0 {
-				fail("%s: event %d (%q): bad duration %s", path, n, ev.Name, ev.Dur)
+			delete(openSpans[r.Proc], r.Span)
+		case obs.ExpSlice:
+			if r.Dur < 0 {
+				return fmt.Errorf("%q: negative duration %d ns", r.Name, r.Dur)
 			}
-			// Service slices attribute their layer via args (the async
-			// I/O span is owned by the driver queue; device layers
-			// contribute phase/segment slices to it).
-			var args struct {
-				Layer string `json:"layer"`
+			// The async I/O span is owned by the driver queue; device
+			// layers contribute phase/segment slices to it.
+			if r.Layer != "" {
+				layers[r.Layer]++
 			}
-			json.Unmarshal(ev.Args, &args)
-			if args.Layer != "" {
-				layers[args.Layer]++
-			}
-		case "i":
-			if ev.Cat == "event" {
-				zoneEvents++
-			}
+		case obs.ExpEvent:
+			zoneEvents++
 		}
-	}
-	if tok, err = dec.Token(); err != nil {
-		fail("%s: missing closing bracket: %v", path, err)
+		return nil
+	})
+	if err != nil {
+		fail("%s: %v", path, err)
 	}
 
 	if spanBegins == 0 {
@@ -147,7 +108,7 @@ func main() {
 	for l, c := range layers {
 		ls = append(ls, fmt.Sprintf("%s=%d", l, c))
 	}
-	fmt.Printf("trace check ok: %d events, %d spans (%s), %d zone events, %d processes\n",
+	fmt.Printf("trace check ok: %d records, %d spans (%s), %d zone events, %d processes\n",
 		n, spanBegins, strings.Join(sorted(ls), " "), zoneEvents, len(lastTS))
 }
 
@@ -158,31 +119,6 @@ func sorted(s []string) []string {
 		}
 	}
 	return s
-}
-
-// usToNs converts a fixed-point microsecond literal ("12.345") to integer
-// nanoseconds without a float round-trip.
-func usToNs(n json.Number) (int64, error) {
-	s := n.String()
-	if s == "" {
-		return 0, nil
-	}
-	whole, frac := s, ""
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		whole, frac = s[:i], s[i+1:]
-	}
-	us, err := strconv.ParseInt(whole, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad timestamp %q: %w", n, err)
-	}
-	for len(frac) < 3 {
-		frac += "0"
-	}
-	ns, err := strconv.ParseInt(frac[:3], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad timestamp %q: %w", n, err)
-	}
-	return us*1000 + ns, nil
 }
 
 func fail(format string, args ...any) {
