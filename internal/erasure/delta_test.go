@@ -8,16 +8,16 @@ import (
 )
 
 // misalign returns a view of fresh memory starting off bytes past an
-// 8-byte-aligned base, so the slab kernels' alignment check fails and
-// the portable fallback runs.
+// 8-byte-aligned base, so operands can start on different word offsets.
 func misalign(n, off int) []byte {
 	return make([]byte, n+off)[off : off+n]
 }
 
 // TestDeltaMatchesReencode is the parity-delta property test: for random
-// partial-stripe updates, Delta-applied parity must equal a full
-// re-encode — across geometries, unaligned lengths that exercise the
-// cache-line slab edges, and misaligned buffers that force the fallback.
+// partial-stripe updates, DeltaRow-applied parity must equal a full
+// re-encode for every row and leave the old parity untouched — across
+// geometries, lengths around the word and cache-line edges, and buffers
+// that start off an 8-byte boundary.
 func TestDeltaMatchesReencode(t *testing.T) {
 	lengths := []int{1, 7, 63, 64, 65, 127, 128, 200, 511, 512, 4096, 4099}
 	for _, geom := range []struct{ k, m int }{{4, 1}, {5, 2}, {6, 3}, {9, 4}} {
@@ -48,14 +48,6 @@ func TestDeltaMatchesReencode(t *testing.T) {
 					delta := misalign(shardLen, off)
 					XOR(delta, data[idx], newShard)
 
-					got := make([][]byte, geom.m)
-					for r := range got {
-						got[r] = append([]byte(nil), parity[r]...)
-					}
-					if err := c.Delta(idx, delta, got); err != nil {
-						t.Fatal(err)
-					}
-
 					data[idx] = newShard
 					want := make([][]byte, geom.m)
 					for r := range want {
@@ -64,14 +56,6 @@ func TestDeltaMatchesReencode(t *testing.T) {
 					if err := c.Encode(data, want); err != nil {
 						t.Fatal(err)
 					}
-					for r := range want {
-						if !bytes.Equal(got[r], want[r]) {
-							t.Fatalf("Delta parity[%d] != full re-encode", r)
-						}
-					}
-
-					// The fused DeltaRow variant must agree row for row and
-					// leave the old parity untouched.
 					for r := 0; r < geom.m; r++ {
 						oldP := append([]byte(nil), parity[r]...)
 						newP := misalign(shardLen, off)
@@ -89,119 +73,22 @@ func TestDeltaMatchesReencode(t *testing.T) {
 	}
 }
 
-// TestMulXorIntoMatchesScalar cross-checks the fused kernel against the
-// byte-at-a-time reference for all coefficients over slab-edge lengths
-// and misaligned operands.
-func TestMulXorIntoMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 100, 4096, 4099} {
-		for _, off := range []int{0, 1} {
-			src := misalign(n, off)
-			base := misalign(n, off)
-			rng.Read(src)
-			rng.Read(base)
-			for c := 0; c < 256; c++ {
-				want := append([]byte(nil), base...)
-				mulSliceXorRef(byte(c), src, want)
-				got := misalign(n, off)
-				mulSliceXorInto(byte(c), src, base, got)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("mulSliceXorInto c=%d n=%d off=%d diverges from scalar", c, n, off)
-				}
-			}
-		}
-	}
-}
-
-// TestSlabKernelsMatchFallback pins the unsafe 64-byte slab loops
-// against the portable paths on identical inputs, sweeping lengths
-// around every slab boundary.
-func TestSlabKernelsMatchFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for n := 60; n <= 200; n++ {
-		a := make([]byte, n) // aligned: make() of word-sized+ is 8-aligned
-		b := make([]byte, n)
-		rng.Read(a)
-		rng.Read(b)
-		if !aligned8(a) || !aligned8(b) {
-			t.Skip("allocator returned unaligned slices; slab path untestable here")
-		}
-
-		gotX := append([]byte(nil), b...)
-		xorIntoWide(gotX, a) // slab path (aligned)
-		wantX := append([]byte(nil), b...)
-		for i := range wantX {
-			wantX[i] ^= a[i]
-		}
-		if !bytes.Equal(gotX, wantX) {
-			t.Fatalf("n=%d: slab xorIntoWide diverges", n)
-		}
-
-		got3 := make([]byte, n)
-		xorWide(got3, a, b)
-		for i := range got3 {
-			if got3[i] != a[i]^b[i] {
-				t.Fatalf("n=%d: slab xorWide diverges at %d", n, i)
-			}
-		}
-
-		const coeff = 0x53
-		gotM := append([]byte(nil), b...)
-		mulSliceXor(coeff, a, gotM)
-		wantM := append([]byte(nil), b...)
-		mulSliceXorRef(coeff, a, wantM)
-		if !bytes.Equal(gotM, wantM) {
-			t.Fatalf("n=%d: slab mulSliceXor diverges", n)
-		}
-
-		gotS := make([]byte, n)
-		mulSliceSet(coeff, a, gotS)
-		wantS := make([]byte, n)
-		mulSliceXorRef(coeff, a, wantS)
-		if !bytes.Equal(gotS, wantS) {
-			t.Fatalf("n=%d: slab mulSliceSet diverges", n)
-		}
-
-		d2 := make([]byte, n)
-		d3 := make([]byte, n)
-		rng.Read(d2)
-		rng.Read(d3)
-		p := make([]byte, n)
-		xorSet4(a, b, d2, d3, p, false)
-		for i := range p {
-			if p[i] != a[i]^b[i]^d2[i]^d3[i] {
-				t.Fatalf("n=%d: slab xorSet4 set diverges at %d", n, i)
-			}
-		}
-		prev := append([]byte(nil), p...)
-		xorSet4(a, b, d2, d3, p, true)
-		for i := range p {
-			if p[i] != 0 { // x ^ x = 0
-				t.Fatalf("n=%d: slab xorSet4 acc diverges at %d (prev %02x)", n, i, prev[i])
-			}
-		}
-	}
-}
-
-// TestDeltaAllocFree gates the fast path: applying a parity delta and
-// the fused row variant allocate nothing.
+// TestDeltaAllocFree gates the RMW path: the fused parity delta and the
+// accumulate-into-fresh-parity kernel allocate nothing.
 func TestDeltaAllocFree(t *testing.T) {
 	c, err := NewCoder(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	delta := make([]byte, 4096)
-	parity := [][]byte{make([]byte, 4096), make([]byte, 4096)}
 	oldP := make([]byte, 4096)
 	newP := make([]byte, 4096)
 	rand.New(rand.NewSource(3)).Read(delta)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := c.Delta(1, delta, parity); err != nil {
-			t.Fatal(err)
-		}
 		c.DeltaRow(0, 1, delta, oldP, newP)
+		MulXor(c.Coeff(1, 1), delta, newP)
 	}); allocs != 0 {
-		t.Fatalf("Delta path allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("delta path allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -214,17 +101,5 @@ func BenchmarkDeltaRowFused(b *testing.B) {
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		c.DeltaRow(1, 2, delta, oldP, newP)
-	}
-}
-
-func BenchmarkXorSet4Slab(b *testing.B) {
-	bufs := make([][]byte, 5)
-	for i := range bufs {
-		bufs[i] = make([]byte, 4096)
-		rand.New(rand.NewSource(int64(i))).Read(bufs[i])
-	}
-	b.SetBytes(4 * 4096)
-	for i := 0; i < b.N; i++ {
-		xorSet4(bufs[0], bufs[1], bufs[2], bufs[3], bufs[4], i&1 == 1)
 	}
 }

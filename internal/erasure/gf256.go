@@ -11,6 +11,9 @@ const gfPoly = 0x11d
 var (
 	gfExp [512]byte // exp table doubled to avoid mod 255 in Mul
 	gfLog [256]byte
+	// mulTab[c][b] = c·b: one 256-byte product row per coefficient (64 KiB
+	// in all), so the slice kernels do one lookup per byte.
+	mulTab [256][256]byte
 )
 
 func init() {
@@ -25,6 +28,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for c := 0; c < 256; c++ {
+		for b := 0; b < 256; b++ {
+			mulTab[c][b] = gfMul(byte(c), byte(b))
+		}
 	}
 }
 
@@ -50,22 +58,9 @@ func gfDiv(a, b byte) byte {
 // gfInv returns the multiplicative inverse. Zero panics.
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// gfPow raises a field element to a non-negative power.
-func gfPow(a byte, n int) byte {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	l := (int(gfLog[a]) * n) % 255
-	return gfExp[l]
-}
-
 // mulSliceXorRef computes dst[i] ^= c * src[i] for all i, one byte at a
 // time through the log/exp tables. It is the reference implementation the
-// wide (8-bytes-per-step) kernels in gf256wide.go are tested against, and
-// the fallback shape the split-table technique optimizes.
+// product-table kernels in kernels.go are tested against.
 func mulSliceXorRef(c byte, src, dst []byte) {
 	if c == 0 {
 		return

@@ -7,30 +7,66 @@ import (
 	"testing"
 )
 
-// TestWideKernelsMatchScalar cross-checks every wide kernel against the
-// byte-at-a-time reference for all 256 coefficients over awkward lengths
-// (word-aligned, unaligned tails, tiny slices).
-func TestWideKernelsMatchScalar(t *testing.T) {
+// TestKernelsMatchReference checks every slice kernel against the
+// byte-at-a-time mulSliceXorRef: all 256 coefficients (coefficient 1 only
+// for the XOR kernels), lengths on either side of the word and cache-line
+// edges, and operands starting 0, 1 or 3 bytes past an 8-byte boundary:
+// every pair of operands meets every pair of offsets (all 27 combinations
+// cost 21 s under -race, these 9 a third of that). dst starts poisoned,
+// so a kernel must write every byte, and the inputs must come back intact.
+func TestKernelsMatchReference(t *testing.T) {
+	kernels := []struct {
+		name string
+		xor  bool // coefficient fixed at 1
+		set  bool // dst = c*src; otherwise dst = base ^ c*src
+		run  func(c byte, src, base, dst []byte)
+	}{
+		{"mulSliceXor", false, false, func(c byte, src, base, dst []byte) { copy(dst, base); mulSliceXor(c, src, dst) }},
+		{"MulXor", false, false, func(c byte, src, base, dst []byte) { copy(dst, base); MulXor(c, src, dst) }},
+		{"mulSliceSet", false, true, func(c byte, src, _, dst []byte) { mulSliceSet(c, src, dst) }},
+		{"mulSliceXorInto", false, false, mulSliceXorInto},
+		{"XOR", true, false, func(_ byte, src, base, dst []byte) { XOR(dst, base, src) }},
+		{"XORInto", true, false, func(_ byte, src, base, dst []byte) { copy(dst, base); XORInto(dst, src) }},
+	}
+	offs := []int{0, 1, 3}
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 63, 64, 100, 4096, 4099} {
-		src := make([]byte, n)
-		base := make([]byte, n)
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097} {
+		src, base, poison := make([]byte, n), make([]byte, n), bytes.Repeat([]byte{0xdb}, n)
 		rng.Read(src)
 		rng.Read(base)
+		var srcs, bases, dsts [3][]byte
+		for i, off := range offs {
+			srcs[i], bases[i], dsts[i] = misalign(n, off), misalign(n, off), misalign(n, off)
+			copy(srcs[i], src)
+			copy(bases[i], base)
+		}
+		want := make([]byte, n)
 		for c := 0; c < 256; c++ {
-			want := append([]byte(nil), base...)
-			mulSliceXorRef(byte(c), src, want)
-			got := append([]byte(nil), base...)
-			mulSliceXor(byte(c), src, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("mulSliceXor c=%d n=%d diverges from scalar", c, n)
-			}
-			set := append([]byte(nil), base...)
-			mulSliceSet(byte(c), src, set)
-			wantSet := make([]byte, n)
-			mulSliceXorRef(byte(c), src, wantSet)
-			if !bytes.Equal(set, wantSet) {
-				t.Fatalf("mulSliceSet c=%d n=%d diverges from scalar", c, n)
+			for _, k := range kernels {
+				if k.xor && c != 1 {
+					continue
+				}
+				if k.set {
+					clear(want)
+				} else {
+					copy(want, base)
+				}
+				mulSliceXorRef(byte(c), src, want)
+				for si := range offs {
+					for bi := range offs {
+						di := (si + bi) % len(offs)
+						s, b, d := srcs[si], bases[bi], dsts[di]
+						copy(d, poison)
+						k.run(byte(c), s, b, d)
+						if !bytes.Equal(d, want) {
+							t.Fatalf("%s c=%d n=%d offsets src/base/dst %d/%d/%d diverges from reference",
+								k.name, c, n, offs[si], offs[bi], offs[di])
+						}
+						if !bytes.Equal(s, src) || !bytes.Equal(b, base) {
+							t.Fatalf("%s c=%d n=%d clobbered an input", k.name, c, n)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -123,7 +159,7 @@ func TestEncodeAllocFree(t *testing.T) {
 	}
 }
 
-func benchmarkEncode(b *testing.B, k, m, shardLen int, fn func(c *Coder, data, parity [][]byte)) {
+func benchmarkEncode(b *testing.B, k, m, shardLen int) {
 	c, err := NewCoder(k, m)
 	if err != nil {
 		b.Fatal(err)
@@ -141,39 +177,17 @@ func benchmarkEncode(b *testing.B, k, m, shardLen int, fn func(c *Coder, data, p
 	b.SetBytes(int64(k * shardLen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn(c, data, parity)
-	}
-}
-
-// scalarEncode is the pre-wide-kernel Encode shape, kept as the benchmark
-// baseline the >=4x speedup target is measured against.
-func scalarEncode(c *Coder, data, parity [][]byte) {
-	for r := 0; r < c.m; r++ {
-		p := parity[r]
-		clear(p)
-		for col := 0; col < c.k; col++ {
-			mulSliceXorRef(c.parityRows[r][col], data[col], p)
+		if err := c.Encode(data, parity); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEncodeWide4x2(b *testing.B) {
-	benchmarkEncode(b, 4, 2, 4096, func(c *Coder, data, parity [][]byte) { c.Encode(data, parity) })
-}
+func BenchmarkEncode4x2(b *testing.B) { benchmarkEncode(b, 4, 2, 4096) }
 
-func BenchmarkEncodeScalar4x2(b *testing.B) {
-	benchmarkEncode(b, 4, 2, 4096, scalarEncode)
-}
+func BenchmarkEncode8x3(b *testing.B) { benchmarkEncode(b, 8, 3, 4096) }
 
-func BenchmarkEncodeWide8x3(b *testing.B) {
-	benchmarkEncode(b, 8, 3, 4096, func(c *Coder, data, parity [][]byte) { c.Encode(data, parity) })
-}
-
-func BenchmarkEncodeScalar8x3(b *testing.B) {
-	benchmarkEncode(b, 8, 3, 4096, scalarEncode)
-}
-
-func BenchmarkMulSliceXorWide(b *testing.B) {
+func BenchmarkMulSliceXor(b *testing.B) {
 	src := make([]byte, 4096)
 	dst := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(src)
@@ -183,7 +197,7 @@ func BenchmarkMulSliceXorWide(b *testing.B) {
 	}
 }
 
-func BenchmarkMulSliceXorScalar(b *testing.B) {
+func BenchmarkMulSliceXorRef(b *testing.B) {
 	src := make([]byte, 4096)
 	dst := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(src)

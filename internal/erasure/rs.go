@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 )
@@ -14,12 +15,6 @@ type Coder struct {
 	// parityRows[r][c] is the coefficient applied to data shard c when
 	// producing parity shard r.
 	parityRows [][]byte
-	// Packed per-column product tables (see gf256pack.go): one table load
-	// yields the products for every parity row at once. Built in NewCoder
-	// for the geometries the AFA engines use; nil for m == 1 (plain XOR)
-	// and m > 3 (generic wide path).
-	pack2 [][256]uint16 // m == 2
-	pack3 [][256]uint32 // m == 3
 }
 
 // ErrTooManyMissing reports an unrecoverable erasure pattern.
@@ -50,26 +45,8 @@ func NewCoder(k, m int) (*Coder, error) {
 		}
 		c.parityRows[r] = row
 	}
-	switch m {
-	case 2:
-		c.pack2 = make([][256]uint16, k)
-		for col := 0; col < k; col++ {
-			c.pack2[col] = buildPair2(c.parityRows[0][col], c.parityRows[1][col])
-		}
-	case 3:
-		c.pack3 = make([][256]uint32, k)
-		for col := 0; col < k; col++ {
-			c.pack3[col] = buildPair3(c.parityRows[0][col], c.parityRows[1][col], c.parityRows[2][col])
-		}
-	}
 	return c, nil
 }
-
-// K reports the data shard count.
-func (c *Coder) K() int { return c.k }
-
-// M reports the parity shard count.
-func (c *Coder) M() int { return c.m }
 
 // Encode computes parity shards from data shards. data must hold k
 // equal-length shards; parity must hold m shards of the same length and is
@@ -78,95 +55,24 @@ func (c *Coder) Encode(data, parity [][]byte) error {
 	if err := c.checkShards(data, parity); err != nil {
 		return err
 	}
-	switch c.m {
-	case 1:
-		c.encode1(data, parity[0])
-	case 2:
-		c.encode2(data, parity[0], parity[1])
-	case 3:
-		c.encode3(data, parity[0], parity[1], parity[2])
-	default:
-		for r := 0; r < c.m; r++ {
-			p := parity[r]
-			// First column overwrites (no zero-fill pass), the rest accumulate.
-			mulSliceSet(c.parityRows[r][0], data[0], p)
-			for col := 1; col < c.k; col++ {
-				mulSliceXor(c.parityRows[r][col], data[col], p)
-			}
-		}
-	}
-	return nil
-}
-
-// encode1 is RAID 5 parity: p = XOR of all data shards, four columns per
-// pass.
-func (c *Coder) encode1(data [][]byte, p []byte) {
-	col, acc := 0, false
-	for ; col+4 <= c.k; col += 4 {
-		xorSet4(data[col], data[col+1], data[col+2], data[col+3], p, acc)
-		acc = true
-	}
-	for ; col < c.k; col++ {
-		if acc {
-			xorIntoWide(p, data[col])
-		} else {
-			copy(p, data[col])
-			acc = true
-		}
-	}
-}
-
-// encode2 is the m == 2 hot path: packed pair tables, four columns fused
-// per pass so each source word is loaded once and parity stays in
-// registers.
-func (c *Coder) encode2(data [][]byte, p0, p1 []byte) {
-	col, acc := 0, false
-	for ; col+4 <= c.k; col += 4 {
-		encPack2x4(&c.pack2[col], &c.pack2[col+1], &c.pack2[col+2], &c.pack2[col+3],
-			data[col], data[col+1], data[col+2], data[col+3], p0, p1, acc)
-		acc = true
-	}
-	for ; col < c.k; col++ {
-		encPack2x1(&c.pack2[col], data[col], p0, p1, acc)
-		acc = true
-	}
-}
-
-// encode3 mirrors encode2 with triple-packed tables.
-func (c *Coder) encode3(data [][]byte, p0, p1, p2 []byte) {
-	col, acc := 0, false
-	for ; col+4 <= c.k; col += 4 {
-		encPack3x4(&c.pack3[col], &c.pack3[col+1], &c.pack3[col+2], &c.pack3[col+3],
-			data[col], data[col+1], data[col+2], data[col+3], p0, p1, p2, acc)
-		acc = true
-	}
-	for ; col < c.k; col++ {
-		encPack3x1(&c.pack3[col], data[col], p0, p1, p2, acc)
-		acc = true
-	}
-}
-
-// Delta is the parity-delta fast path for in-place RMW: given the XOR
-// difference of data shard idx (delta = old ^ new), it folds
-// Coeff(r, idx)*delta into each parity shard — partial-stripe updates
-// touch only the delta instead of re-encoding the stripe. Allocation-free.
-func (c *Coder) Delta(idx int, delta []byte, parity [][]byte) error {
-	if idx < 0 || idx >= c.k {
-		return fmt.Errorf("erasure: shard index %d out of range", idx)
-	}
 	for r := 0; r < c.m; r++ {
-		if len(parity[r]) != len(delta) {
-			return errors.New("erasure: parity shard length mismatch")
+		p := parity[r]
+		// First column overwrites (no zero-fill pass), the rest accumulate.
+		mulSliceSet(c.parityRows[r][0], data[0], p)
+		for col := 1; col < c.k; col++ {
+			mulSliceXor(c.parityRows[r][col], data[col], p)
 		}
-		mulSliceXor(c.parityRows[r][idx], delta, parity[r])
 	}
 	return nil
 }
 
-// DeltaRow is Delta for a single parity row r, fused: newParity =
-// oldParity ^ Coeff(r, idx)*delta in one pass, leaving oldParity intact.
-// Engines use it when the pre-update parity must stay live (an in-flight
-// read of the old stripe) while the updated copy is produced.
+// DeltaRow is the parity-delta path for in-place RMW: given the XOR
+// difference of data shard idx (delta = old ^ new), newParity = oldParity
+// ^ Coeff(r, idx)*delta in one pass, leaving oldParity intact — a
+// partial-stripe update touches only the delta instead of re-encoding the
+// stripe. Engines use the fused form because the pre-update parity must
+// stay live (an in-flight read of the old stripe) while the updated copy
+// is produced. Allocation-free.
 func (c *Coder) DeltaRow(r, idx int, delta, oldParity, newParity []byte) {
 	if r < 0 || r >= c.m || idx < 0 || idx >= c.k {
 		panic("erasure: DeltaRow index out of range")
@@ -355,20 +261,24 @@ func (c *Coder) checkShards(data, parity [][]byte) error {
 }
 
 // XOR computes dst = a ^ b elementwise; all slices must share a length.
-// It is the fast path RAID 5 engines use for single-parity math.
+// It is the fast path RAID 5 engines use for single-parity math. dst may
+// equal an input exactly; partial overlap panics (crypto/subtle checks it
+// from Go 1.24 on).
 func XOR(dst, a, b []byte) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("erasure: XOR length mismatch")
 	}
-	xorWide(dst, a, b)
+	subtle.XORBytes(dst, a, b)
 }
 
-// XORInto accumulates src into dst (dst ^= src).
+// XORInto accumulates src into dst (dst ^= src). dst may equal an input
+// exactly; partial overlap panics (crypto/subtle checks it from Go 1.24
+// on).
 func XORInto(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("erasure: XORInto length mismatch")
 	}
-	xorIntoWide(dst, src)
+	subtle.XORBytes(dst, dst, src)
 }
 
 // Coeff reports the generator coefficient applied to data shard col when

@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"testing"
 	"testing/quick"
 )
@@ -58,21 +59,6 @@ func TestGFDivByZeroPanics(t *testing.T) {
 		}
 	}()
 	gfDiv(5, 0)
-}
-
-func TestGFPow(t *testing.T) {
-	for a := 1; a < 256; a++ {
-		p := byte(1)
-		for n := 0; n < 10; n++ {
-			if got := gfPow(byte(a), n); got != p {
-				t.Fatalf("pow(%d,%d) = %d, want %d", a, n, got, p)
-			}
-			p = gfMul(p, byte(a))
-		}
-	}
-	if gfPow(0, 0) != 1 || gfPow(0, 5) != 0 {
-		t.Fatal("0^0 or 0^n wrong")
-	}
 }
 
 func TestNewCoderGeometry(t *testing.T) {
@@ -262,13 +248,29 @@ func TestXORHelpers(t *testing.T) {
 	}
 }
 
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
 func TestXORPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	XOR(make([]byte, 2), make([]byte, 3), make([]byte, 3))
+	if !panics(func() { XOR(make([]byte, 2), make([]byte, 3), make([]byte, 3)) }) {
+		t.Fatal("length mismatch did not panic")
+	}
+	// dst may equal an input exactly; partial overlap panics.
+	buf := make([]byte, 16)
+	XOR(buf[:8], buf[:8], buf[8:])
+	XORInto(buf[:8], buf[:8])
+	if !panics(func() { subtle.XORBytes(buf[1:9], buf[:8], buf[8:]) }) {
+		t.Skip("this toolchain's crypto/subtle predates its overlap check (Go 1.24)")
+	}
+	if !panics(func() { XOR(buf[1:9], buf[:8], buf[8:]) }) {
+		t.Fatal("XOR with partially overlapping dst did not panic")
+	}
+	if !panics(func() { XORInto(buf[1:9], buf[:8]) }) {
+		t.Fatal("XORInto with partially overlapping dst did not panic")
+	}
 }
 
 func TestCoeffMatchesEncode(t *testing.T) {
