@@ -7,27 +7,47 @@ import (
 	"testing"
 )
 
-// TestKernelsMatchReference checks every slice kernel against the
-// byte-at-a-time mulSliceXorRef: all 256 coefficients (coefficient 1 only
-// for the XOR kernels), lengths on either side of the word and cache-line
-// edges, and operands starting 0, 1 or 3 bytes past an 8-byte boundary:
-// every pair of operands meets every pair of offsets (all 27 combinations
-// cost 21 s under -race, these 9 a third of that). dst starts poisoned,
-// so a kernel must write every byte, and the inputs must come back intact.
-func TestKernelsMatchReference(t *testing.T) {
-	kernels := []struct {
-		name string
-		xor  bool // coefficient fixed at 1
-		set  bool // dst = c*src; otherwise dst = base ^ c*src
-		run  func(c byte, src, base, dst []byte)
-	}{
+type sliceKernel struct {
+	name string
+	xor  bool // coefficient fixed at 1
+	set  bool // dst = c*src; otherwise dst = base ^ c*src
+	run  func(c byte, src, base, dst []byte)
+}
+
+// TestWideKernelsMatchScalar checks the multiply kernels that Encode and
+// Reconstruct run against the byte-at-a-time reference.
+func TestWideKernelsMatchScalar(t *testing.T) {
+	checkKernels(t, []sliceKernel{
 		{"mulSliceXor", false, false, func(c byte, src, base, dst []byte) { copy(dst, base); mulSliceXor(c, src, dst) }},
 		{"MulXor", false, false, func(c byte, src, base, dst []byte) { copy(dst, base); MulXor(c, src, dst) }},
 		{"mulSliceSet", false, true, func(c byte, src, _, dst []byte) { mulSliceSet(c, src, dst) }},
-		{"mulSliceXorInto", false, false, mulSliceXorInto},
+	})
+}
+
+// TestMulXorIntoMatchesScalar checks the fused three-operand kernel behind
+// DeltaRow against the byte-at-a-time reference.
+func TestMulXorIntoMatchesScalar(t *testing.T) {
+	checkKernels(t, []sliceKernel{{"mulSliceXorInto", false, false, mulSliceXorInto}})
+}
+
+// TestKernelsMatchReference checks the exported XOR kernels against the
+// byte-at-a-time reference.
+func TestKernelsMatchReference(t *testing.T) {
+	checkKernels(t, []sliceKernel{
 		{"XOR", true, false, func(_ byte, src, base, dst []byte) { XOR(dst, base, src) }},
 		{"XORInto", true, false, func(_ byte, src, base, dst []byte) { copy(dst, base); XORInto(dst, src) }},
-	}
+	})
+}
+
+// checkKernels runs each kernel against mulSliceXorRef: all 256
+// coefficients (coefficient 1 only for the XOR kernels), lengths on either
+// side of the word and cache-line edges, and operands starting 0, 1 or 3
+// bytes past an 8-byte boundary: every pair of operands meets every pair
+// of offsets (all 27 combinations cost 21 s under -race, these 9 a third
+// of that). dst starts poisoned, so a kernel must write every byte, and
+// the inputs must come back intact.
+func checkKernels(t *testing.T, kernels []sliceKernel) {
+	t.Helper()
 	offs := []int{0, 1, 3}
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097} {
