@@ -128,21 +128,19 @@ func (r *Run) NewEngine() *sim.Engine {
 // (experiment, point, ordinal, kind) tuple; names depend only on the
 // deterministic construction order inside RunPoint, never on scheduling.
 func (r *Run) Platform(kind stack.Kind, opts stack.Options) (*stack.Platform, error) {
-	return r.PlatformOn(r.NewEngine(), -1, kind, opts)
+	return r.PlatformOn(r.NewEngine(), kind, opts)
 }
 
 // PlatformOnShard assembles a platform on a shard's engine (a fleet
-// partition). The attached trace is tagged with the shard id — a runtime
-// diagnostic the exporters omit, keeping trace artifacts byte-identical
-// at any shard count. Call it from the coordinating goroutine, in
-// canonical partition order, before the group starts running.
+// partition). The trace does not record the shard, so trace artifacts stay
+// byte-identical at any shard count. Call it from the coordinating
+// goroutine, in canonical partition order, before the group starts running.
 func (r *Run) PlatformOnShard(sh *sim.Shard, kind stack.Kind, opts stack.Options) (*stack.Platform, error) {
-	return r.PlatformOn(sh.Engine(), sh.ID(), kind, opts)
+	return r.PlatformOn(sh.Engine(), kind, opts)
 }
 
-// PlatformOn assembles a platform on the given engine; shard tags the
-// attached trace (-1 when the run is not sharded).
-func (r *Run) PlatformOn(eng *sim.Engine, shard int, kind stack.Kind, opts stack.Options) (*stack.Platform, error) {
+// PlatformOn assembles a platform on the given engine.
+func (r *Run) PlatformOn(eng *sim.Engine, kind stack.Kind, opts stack.Options) (*stack.Platform, error) {
 	if r.traceCfg != nil && opts.Trace == nil {
 		tr := obs.New(*r.traceCfg)
 		name := r.exp
@@ -150,7 +148,6 @@ func (r *Run) PlatformOn(eng *sim.Engine, shard int, kind stack.Kind, opts stack
 			name += "/" + r.point
 		}
 		tr.SetName(fmt.Sprintf("%s/%d/%s", name, len(r.traces), kind))
-		tr.SetShard(shard)
 		if r.seriesCfg != nil {
 			tr.EnableSampler(*r.seriesCfg)
 			// Extend the series through any probe-quiet tail: by finalize

@@ -356,3 +356,17 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 		c.SetDeviceFailed(dev, false)
 	}
 }
+
+// MemberState.String reads obs's table by value (EvMemberState records
+// carry the raw state), so the numbering is the contract: a state inserted
+// mid-enum must fail here, not rename states in every trace.
+func TestMemberStateNames(t *testing.T) {
+	for s, want := range map[MemberState]string{
+		MemberHealthy: "healthy", MemberDegraded: "degraded", MemberRebuilding: "rebuilding",
+		MemberRebuilding + 1: "unknown",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("MemberState(%d) = %q, want %q", s, got, want)
+		}
+	}
+}

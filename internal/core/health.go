@@ -7,8 +7,8 @@ import (
 	"biza/internal/storerr"
 )
 
-// MemberState is the health of one array member. Numbering matches the obs
-// layer's memberStateNames table (trace exporters render it by value).
+// MemberState is the health of one array member. Its names are
+// obs.MemberStateName's (trace exporters render it by value).
 type MemberState uint8
 
 const (
@@ -22,17 +22,7 @@ const (
 	MemberRebuilding
 )
 
-func (s MemberState) String() string {
-	switch s {
-	case MemberHealthy:
-		return "healthy"
-	case MemberDegraded:
-		return "degraded"
-	case MemberRebuilding:
-		return "rebuilding"
-	}
-	return "unknown"
-}
+func (s MemberState) String() string { return obs.MemberStateName(int64(s)) }
 
 // Health reports the current state of every member.
 func (c *Core) Health() []MemberState {

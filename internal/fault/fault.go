@@ -36,8 +36,7 @@ import (
 	"biza/internal/storerr"
 )
 
-// Kind discriminates fault rules. Numbering is mirrored by
-// obs.FaultKindName; keep in sync.
+// Kind discriminates fault rules. Its names are obs.FaultKindName's.
 type Kind uint8
 
 // Fault kinds.
@@ -49,21 +48,7 @@ const (
 	PowerLoss
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Transient:
-		return "transient"
-	case Latency:
-		return "latency"
-	case Unreadable:
-		return "unreadable"
-	case DeviceDeath:
-		return "device-death"
-	case PowerLoss:
-		return "power-loss"
-	}
-	return "unknown"
-}
+func (k Kind) String() string { return obs.FaultKindName(uint8(k)) }
 
 // Op selects which commands a rule affects.
 type Op uint8

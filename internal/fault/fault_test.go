@@ -252,3 +252,17 @@ func TestInjectedErrorsWrapSentinels(t *testing.T) {
 		t.Fatal("injected errors do not wrap the storerr sentinels")
 	}
 }
+
+// Kind.String reads obs's table by value (EvFault records carry the raw
+// kind), so the numbering is the contract: a kind inserted mid-enum must
+// fail here, not rename faults in every trace.
+func TestKindNames(t *testing.T) {
+	for k, want := range map[Kind]string{
+		Transient: "transient", Latency: "latency", Unreadable: "unreadable",
+		DeviceDeath: "device-death", PowerLoss: "power-loss", PowerLoss + 1: "unknown",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d) = %q, want %q", k, got, want)
+		}
+	}
+}

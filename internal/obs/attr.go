@@ -38,7 +38,8 @@ const (
 
 // AttrStageNames names the attribution stages, indexed by Stage constant.
 var AttrStageNames = [NumAttrStages]string{
-	"qos-stall", "queue", "xfer", "bus", "die", "buffer", "unattributed",
+	StageQoS: "qos-stall", StageQueue: "queue", StageXfer: "xfer", StageBus: "bus",
+	StageDie: "die", StageBuffer: "buffer", StageOther: "unattributed",
 }
 
 // attrStagePrio ranks stages for overlap resolution: the deepest active

@@ -27,6 +27,16 @@ import (
 // it, so call sites never branch on sampling themselves.
 type SpanID = uint64
 
+// Every name obs exports is declared once, in a table indexed by the
+// value it names. nameAt is the one lookup: a value outside its table (a
+// corrupt record, or a value newer than this reader) renders as "unknown".
+func nameAt(names []string, v int64) string {
+	if v >= 0 && v < int64(len(names)) {
+		return names[v]
+	}
+	return "unknown"
+}
+
 // Layer identifies the stack layer that recorded a span or segment.
 type Layer uint8
 
@@ -43,25 +53,12 @@ const (
 	numLayers // sentinel for exhaustiveness tests; keep last
 )
 
-func (l Layer) String() string {
-	switch l {
-	case LayerNVMe:
-		return "nvme"
-	case LayerZNS:
-		return "zns"
-	case LayerFTL:
-		return "ftl"
-	case LayerBIZA:
-		return "biza"
-	case LayerRAIZN:
-		return "raizn"
-	case LayerZapRAID:
-		return "zapraid"
-	case LayerVolume:
-		return "volume"
-	}
-	return "unknown"
+var layerNames = [numLayers]string{
+	LayerNVMe: "nvme", LayerZNS: "zns", LayerFTL: "ftl", LayerBIZA: "biza",
+	LayerRAIZN: "raizn", LayerZapRAID: "zapraid", LayerVolume: "volume",
 }
+
+func (l Layer) String() string { return nameAt(layerNames[:], int64(l)) }
 
 // Op is the operation a span covers.
 type Op uint8
@@ -76,19 +73,9 @@ const (
 	numOps // sentinel for exhaustiveness tests; keep last
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpWrite:
-		return "write"
-	case OpRead:
-		return "read"
-	case OpAppend:
-		return "append"
-	case OpReset:
-		return "reset"
-	}
-	return "unknown"
-}
+var opNames = [numOps]string{OpWrite: "write", OpRead: "read", OpAppend: "append", OpReset: "reset"}
+
+func (o Op) String() string { return nameAt(opNames[:], int64(o)) }
 
 // Phase is one service interval inside a span's lifecycle.
 type Phase uint8
@@ -109,23 +96,12 @@ const (
 	numPhases // sentinel for exhaustiveness tests; keep last
 )
 
-func (p Phase) String() string {
-	switch p {
-	case PhaseQueue:
-		return "queue"
-	case PhaseXfer:
-		return "xfer"
-	case PhaseBus:
-		return "bus"
-	case PhaseDie:
-		return "die"
-	case PhaseBuffer:
-		return "buffer"
-	case PhaseQoS:
-		return "qos-stall"
-	}
-	return "unknown"
+var phaseNames = [numPhases]string{
+	PhaseQueue: "queue", PhaseXfer: "xfer", PhaseBus: "bus", PhaseDie: "die",
+	PhaseBuffer: "buffer", PhaseQoS: "qos-stall",
 }
+
+func (p Phase) String() string { return nameAt(phaseNames[:], int64(p)) }
 
 // Seg classifies standalone service segments: device-internal work not tied
 // to one host I/O, which is exactly the hidden traffic (ZRWA flush programs,
@@ -141,17 +117,9 @@ const (
 	numSegs // sentinel for exhaustiveness tests; keep last
 )
 
-func (s Seg) String() string {
-	switch s {
-	case SegProgramBus:
-		return "program-bus"
-	case SegProgramDie:
-		return "program-die"
-	case SegErase:
-		return "erase"
-	}
-	return "unknown"
-}
+var segNames = [numSegs]string{SegProgramBus: "program-bus", SegProgramDie: "program-die", SegErase: "erase"}
+
+func (s Seg) String() string { return nameAt(segNames[:], int64(s)) }
 
 // EventKind is a typed instantaneous event.
 type EventKind uint8
@@ -159,7 +127,7 @@ type EventKind uint8
 // Event kinds.
 const (
 	// EvZoneState: a zone changed state. Arg0 = old state, Arg1 = new
-	// state (zns.ZoneState numbering).
+	// state (ZoneStateName numbering).
 	EvZoneState EventKind = iota
 	// EvZoneReset: a zone was erased. Arg0 = resulting erase count.
 	EvZoneReset
@@ -171,7 +139,7 @@ const (
 	EvGCVictim
 	// EvFault: the fault layer injected a failure into a delivered
 	// command. Arg0 = op (obs.Op numbering), Arg1 = lba (-1 none),
-	// Flag = fault kind (fault.Kind numbering, see FaultKindName).
+	// Flag = fault kind (FaultKindName numbering).
 	EvFault
 	// EvReconstruct: the array served a chunk by parity reconstruction
 	// instead of reading a failed member. Dev = the failed member,
@@ -188,54 +156,13 @@ const (
 	numEventKinds // sentinel for exhaustiveness tests; keep last
 )
 
-func (e EventKind) String() string {
-	switch e {
-	case EvZoneState:
-		return "zone-state"
-	case EvZoneReset:
-		return "zone-reset"
-	case EvZRWACommit:
-		return "zrwa-commit"
-	case EvGCVictim:
-		return "gc-victim"
-	case EvFault:
-		return "fault"
-	case EvReconstruct:
-		return "reconstruct"
-	case EvMemberState:
-		return "member-state"
-	case EvPowerLoss:
-		return "power-loss"
-	}
-	return "unknown"
+var eventNames = [numEventKinds]string{
+	EvZoneState: "zone-state", EvZoneReset: "zone-reset", EvZRWACommit: "zrwa-commit",
+	EvGCVictim: "gc-victim", EvFault: "fault", EvReconstruct: "reconstruct",
+	EvMemberState: "member-state", EvPowerLoss: "power-loss",
 }
 
-// faultKindNames mirrors fault.Kind numbering (obs cannot import fault:
-// fault holds a *Trace). Keep in sync with internal/fault/fault.go.
-var faultKindNames = []string{
-	"transient", "latency", "unreadable", "device-death", "power-loss",
-}
-
-// FaultKindName names a fault.Kind value carried in an EvFault record.
-func FaultKindName(f uint8) string {
-	if int(f) < len(faultKindNames) {
-		return faultKindNames[f]
-	}
-	return "unknown"
-}
-
-// memberStateNames mirrors core.MemberState numbering. Keep in sync with
-// internal/core/health.go.
-var memberStateNames = []string{"healthy", "degraded", "rebuilding"}
-
-// MemberStateName names a core.MemberState value carried in an
-// EvMemberState record.
-func MemberStateName(v int64) string {
-	if v >= 0 && int(v) < len(memberStateNames) {
-		return memberStateNames[v]
-	}
-	return "unknown"
-}
+func (e EventKind) String() string { return nameAt(eventNames[:], int64(e)) }
 
 // ZRWA commit reasons (Record.Flag of EvZRWACommit).
 const (
@@ -245,34 +172,37 @@ const (
 	CommitFinish                // zone finish flushed the window
 )
 
-// CommitReason names a commit reason flag.
-func CommitReason(f uint8) string {
-	switch f {
-	case CommitImplicit:
-		return "implicit"
-	case CommitExplicit:
-		return "explicit"
-	case CommitClose:
-		return "close"
-	case CommitFinish:
-		return "finish"
-	}
-	return "unknown"
+var commitReasonNames = [...]string{
+	CommitImplicit: "implicit", CommitExplicit: "explicit", CommitClose: "close", CommitFinish: "finish",
 }
 
-// zoneStateNames mirrors zns.ZoneState numbering (obs cannot import zns:
-// zns holds a *Trace). Keep in sync with internal/zns/device.go.
-var zoneStateNames = []string{
+// CommitReason names a commit reason flag.
+func CommitReason(f uint8) string { return nameAt(commitReasonNames[:], int64(f)) }
+
+// The state enums below belong to packages that hold a *Trace, so obs
+// cannot import them. Their owners' String methods read these tables
+// instead, and each owner's tests pin its numbering to them.
+
+// faultKindNames is indexed by fault.Kind.
+var faultKindNames = [...]string{"transient", "latency", "unreadable", "device-death", "power-loss"}
+
+// FaultKindName names a fault.Kind value carried in an EvFault record.
+func FaultKindName(f uint8) string { return nameAt(faultKindNames[:], int64(f)) }
+
+// memberStateNames is indexed by core.MemberState.
+var memberStateNames = [...]string{"healthy", "degraded", "rebuilding"}
+
+// MemberStateName names a core.MemberState value carried in an
+// EvMemberState record.
+func MemberStateName(v int64) string { return nameAt(memberStateNames[:], v) }
+
+// zoneStateNames is indexed by zns.ZoneState.
+var zoneStateNames = [...]string{
 	"empty", "implicit-open", "explicit-open", "closed", "full", "read-only", "offline",
 }
 
 // ZoneStateName names a zns.ZoneState value carried in an EvZoneState record.
-func ZoneStateName(v int64) string {
-	if v >= 0 && int(v) < len(zoneStateNames) {
-		return zoneStateNames[v]
-	}
-	return "unknown"
-}
+func ZoneStateName(v int64) string { return nameAt(zoneStateNames[:], v) }
 
 // RecKind discriminates ring records.
 type RecKind uint8
@@ -312,55 +242,81 @@ type Record struct {
 // the probe key, so hot-path emission never touches a string.
 type ProbeKind uint8
 
-// Probe families.
+// Probe families, each declared by its probeDefs row.
 const (
-	// ProbeQueueDepth: in-flight commands in one driver queue (gauge).
 	ProbeQueueDepth ProbeKind = iota
-	// ProbeOpenZones: open zones on one device (gauge).
 	ProbeOpenZones
-	// ProbeChanWriteBusy: cumulative program-bus busy ns of one channel
-	// (counter; aux = channel).
 	ProbeChanWriteBusy
-	// ProbeChanReadBusy: cumulative read-bus busy ns of one channel
-	// (counter; aux = channel).
 	ProbeChanReadBusy
-	// ProbeFaults: cumulative faults injected into one device's command
-	// stream (counter).
 	ProbeFaults
-	// ProbeReconstructs: cumulative chunks the array served by parity
-	// reconstruction (counter; dev = the failed member).
 	ProbeReconstructs
-	// ProbeTenantQD: queued plus in-flight ops of one tenant volume
-	// (gauge; dev = tenant id, capped at int16 by the key packing).
 	ProbeTenantQD
-	// ProbeTenantStalls: cumulative token-bucket throttle stalls of one
-	// tenant volume (counter; dev = tenant id).
 	ProbeTenantStalls
-	// ProbeTenantBytes: cumulative payload bytes completed for one tenant
-	// volume (counter; dev = tenant id) — the achieved share over a run.
 	ProbeTenantBytes
-	// ProbeTrimDropped: blocks whose trims a stack without a discard path
-	// silently dropped (counter; see stack.Platform.TrimDrops).
 	ProbeTrimDropped
-	// ProbePoolMiss: buffer-pool requests that heap-allocated because no
-	// recycled slab of the size class was available (counter; dev =
-	// platform's first member, 0 aux). A cold pool misses once per slab;
-	// sustained growth means the working set outruns recycling.
 	ProbePoolMiss
-	// ProbePoolLive: refcounted buffers held by the data path at
-	// finalize (gauge) — pool occupancy; nonzero after drain is a leak.
 	ProbePoolLive
-	// ProbePayloadCopy: payload copies performed between the workload
-	// generator and the flash model (counter) — the zero-copy path keeps
-	// this flat during steady-state stripe writes.
 	ProbePayloadCopy
 
 	numProbeKinds // sentinel for exhaustiveness tests; keep last
 )
 
-func (p ProbeKind) gauge() bool {
-	return p == ProbeQueueDepth || p == ProbeOpenZones || p == ProbeTenantQD ||
-		p == ProbePoolLive
+// probeScope is the suffix a probe key's (dev, aux) adds to its family, as
+// a format with explicit argument indexes, so it may use either or both.
+type probeScope string
+
+const (
+	global     probeScope = ""
+	perDev     probeScope = "/dev%[1]d"
+	perChannel probeScope = "/dev%[1]d/ch%[2]d" // aux = channel
+	perTenant  probeScope = "/t%[1]d"           // dev = tenant id
+)
+
+// probeDef is one probe family: export-name prefix, suffix scope, and
+// nature (a gauge's summary is its maximum, a counter's its final value).
+type probeDef struct {
+	family string
+	scope  probeScope
+	nature metrics.ProbeKind
+}
+
+// probeDefs is the probe registry, one row per family.
+var probeDefs = [numProbeKinds]probeDef{
+	// In-flight commands in one driver queue.
+	ProbeQueueDepth: {"qd", perDev, metrics.ProbeGauge},
+	// Open zones on one device.
+	ProbeOpenZones: {"open_zones", perDev, metrics.ProbeGauge},
+	// Cumulative program-bus busy ns of one channel.
+	ProbeChanWriteBusy: {"chan_write_busy_ns", perChannel, metrics.ProbeCounter},
+	// Cumulative read-bus busy ns of one channel.
+	ProbeChanReadBusy: {"chan_read_busy_ns", perChannel, metrics.ProbeCounter},
+	// Cumulative faults injected into one device's command stream.
+	ProbeFaults: {"faults", perDev, metrics.ProbeCounter},
+	// Cumulative chunks the array served by parity reconstruction (dev =
+	// the failed member).
+	ProbeReconstructs: {"reconstructs", perDev, metrics.ProbeCounter},
+	// Queued plus in-flight ops of one tenant volume (tenant id capped at
+	// int16 by the key packing).
+	ProbeTenantQD: {"tenant_qd", perTenant, metrics.ProbeGauge},
+	// Cumulative token-bucket throttle stalls of one tenant volume.
+	ProbeTenantStalls: {"tenant_stalls", perTenant, metrics.ProbeCounter},
+	// Cumulative payload bytes completed for one tenant volume — the
+	// achieved share over a run.
+	ProbeTenantBytes: {"tenant_bytes", perTenant, metrics.ProbeCounter},
+	// Blocks whose trims a stack without a discard path silently dropped
+	// (see stack.Platform.TrimDrops).
+	ProbeTrimDropped: {"trim_dropped", global, metrics.ProbeCounter},
+	// Buffer-pool requests that heap-allocated because no recycled slab of
+	// the size class was available. A cold pool misses once per slab;
+	// sustained growth means the working set outruns recycling.
+	ProbePoolMiss: {"pool_miss", global, metrics.ProbeCounter},
+	// Refcounted buffers held by the data path at finalize — pool
+	// occupancy; nonzero after drain is a leak.
+	ProbePoolLive: {"pool_live", global, metrics.ProbeGauge},
+	// Payload copies performed between the workload generator and the
+	// flash model — the zero-copy path keeps this flat during steady-state
+	// stripe writes.
+	ProbePayloadCopy: {"payload_copy", global, metrics.ProbeCounter},
 }
 
 // ProbeKey packs a probe identity into a ring-record key.
@@ -375,35 +331,23 @@ func probeKeyParts(key uint64) (kind ProbeKind, dev, aux int) {
 // ProbeName renders a probe key's stable export name.
 func ProbeName(key uint64) string {
 	kind, dev, aux := probeKeyParts(key)
-	switch kind {
-	case ProbeQueueDepth:
-		return fmt.Sprintf("qd/dev%d", dev)
-	case ProbeOpenZones:
-		return fmt.Sprintf("open_zones/dev%d", dev)
-	case ProbeChanWriteBusy:
-		return fmt.Sprintf("chan_write_busy_ns/dev%d/ch%d", dev, aux)
-	case ProbeChanReadBusy:
-		return fmt.Sprintf("chan_read_busy_ns/dev%d/ch%d", dev, aux)
-	case ProbeFaults:
-		return fmt.Sprintf("faults/dev%d", dev)
-	case ProbeReconstructs:
-		return fmt.Sprintf("reconstructs/dev%d", dev)
-	case ProbeTenantQD:
-		return fmt.Sprintf("tenant_qd/t%d", dev)
-	case ProbeTenantStalls:
-		return fmt.Sprintf("tenant_stalls/t%d", dev)
-	case ProbeTenantBytes:
-		return fmt.Sprintf("tenant_bytes/t%d", dev)
-	case ProbeTrimDropped:
-		return "trim_dropped"
-	case ProbePoolMiss:
-		return "pool_miss"
-	case ProbePoolLive:
-		return "pool_live"
-	case ProbePayloadCopy:
-		return "payload_copy"
+	if kind >= numProbeKinds {
+		return fmt.Sprintf("probe%d/dev%d/%d", kind, dev, aux)
 	}
-	return fmt.Sprintf("probe%d/dev%d/%d", kind, dev, aux)
+	d := probeDefs[kind]
+	if d.scope == global {
+		return d.family
+	}
+	return fmt.Sprintf(d.family+string(d.scope), dev, aux)
+}
+
+// probeNature reports a probe key's gauge/counter nature; a kind outside
+// the registry aggregates as a counter.
+func probeNature(key uint64) metrics.ProbeKind {
+	if kind, _, _ := probeKeyParts(key); kind < numProbeKinds {
+		return probeDefs[kind].nature
+	}
+	return metrics.ProbeCounter
 }
 
 type probeAgg struct {
@@ -430,7 +374,6 @@ const DefaultCapacity = 1 << 18
 // It is single-goroutine, like the engine it observes.
 type Trace struct {
 	name    string
-	shard   int
 	cap     int
 	sampleN uint64
 
@@ -465,30 +408,9 @@ func New(cfg Config) *Trace {
 	}
 	return &Trace{
 		cap:     cfg.Capacity,
-		shard:   -1,
 		sampleN: uint64(n),
 		probes:  make(map[uint64]*probeAgg),
 	}
-}
-
-// SetShard tags the trace with the engine shard that executed it (sharded
-// fleet runs; see sim.ShardGroup). The tag is a runtime diagnostic only:
-// the Perfetto and JSONL exporters deliberately omit it, because which
-// physical shard ran a partition depends on the shard count, and trace
-// artifacts are contractually byte-identical at any shard count. Nil-safe.
-func (t *Trace) SetShard(shard int) {
-	if t != nil {
-		t.shard = shard
-	}
-}
-
-// Shard reports the executing shard tag, or -1 when the trace was not
-// produced by a sharded run.
-func (t *Trace) Shard() int {
-	if t == nil {
-		return -1
-	}
-	return t.shard
 }
 
 // SetName labels the trace (export process name). Nil-safe.
@@ -669,14 +591,9 @@ func (t *Trace) ProbeStats() []metrics.ProbeStat {
 	out := make([]metrics.ProbeStat, 0, len(t.probeSeq))
 	for _, key := range t.probeSeq {
 		agg := t.probes[key]
-		kind, _, _ := probeKeyParts(key)
-		ps := metrics.ProbeStat{Name: ProbeName(key)}
-		if kind.gauge() {
-			ps.Kind = metrics.ProbeGauge
+		ps := metrics.ProbeStat{Name: ProbeName(key), Kind: probeNature(key), Value: float64(agg.last)}
+		if ps.Kind == metrics.ProbeGauge {
 			ps.Value = float64(agg.max)
-		} else {
-			ps.Kind = metrics.ProbeCounter
-			ps.Value = float64(agg.last)
 		}
 		out = append(out, ps)
 	}

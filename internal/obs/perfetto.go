@@ -117,30 +117,36 @@ func trackName(dev, ch int, layer string) string {
 	return layer + " service"
 }
 
-// eventArgs renders the per-kind attributes of an event record with keys
-// in fixed (alphabetical) order.
-func eventArgs(r Record) string {
-	switch EventKind(r.Sub) {
-	case EvZoneState:
+// eventArgFmts renders each event kind's attributes with keys in fixed
+// (alphabetical) order.
+var eventArgFmts = [numEventKinds]func(Record) string{
+	EvZoneState: func(r Record) string {
 		return fmt.Sprintf(`"from":%s,"to":%s,"zone":%d`,
 			quote(ZoneStateName(r.Arg0)), quote(ZoneStateName(r.Arg1)), r.Zone)
-	case EvZoneReset:
-		return fmt.Sprintf(`"erases":%d,"zone":%d`, r.Arg0, r.Zone)
-	case EvZRWACommit:
+	},
+	EvZoneReset: func(r Record) string { return fmt.Sprintf(`"erases":%d,"zone":%d`, r.Arg0, r.Zone) },
+	EvZRWACommit: func(r Record) string {
 		return fmt.Sprintf(`"blocks":%d,"reason":%s,"upto":%d,"zone":%d`,
 			r.Arg1, quote(CommitReason(r.Flag)), r.Arg0, r.Zone)
-	case EvGCVictim:
+	},
+	EvGCVictim: func(r Record) string {
 		return fmt.Sprintf(`"free_zones":%d,"valid":%d,"zone":%d`, r.Arg1, r.Arg0, r.Zone)
-	case EvFault:
+	},
+	EvFault: func(r Record) string {
 		return fmt.Sprintf(`"fault":%s,"lba":%d,"op":%s,"zone":%d`,
 			quote(FaultKindName(r.Flag)), r.Arg1, quote(Op(r.Arg0).String()), r.Zone)
-	case EvReconstruct:
-		return fmt.Sprintf(`"failed":%d,"lbn":%d`, r.Arg1, r.Arg0)
-	case EvMemberState:
-		return fmt.Sprintf(`"from":%s,"to":%s`,
-			quote(MemberStateName(r.Arg1)), quote(MemberStateName(r.Arg0)))
-	case EvPowerLoss:
-		return fmt.Sprintf(`"dropped":%d,"hardened":%d`, r.Arg0, r.Arg1)
+	},
+	EvReconstruct: func(r Record) string { return fmt.Sprintf(`"failed":%d,"lbn":%d`, r.Arg1, r.Arg0) },
+	EvMemberState: func(r Record) string {
+		return fmt.Sprintf(`"from":%s,"to":%s`, quote(MemberStateName(r.Arg1)), quote(MemberStateName(r.Arg0)))
+	},
+	EvPowerLoss: func(r Record) string { return fmt.Sprintf(`"dropped":%d,"hardened":%d`, r.Arg0, r.Arg1) },
+}
+
+// eventArgs renders the per-kind attributes of an event record.
+func eventArgs(r Record) string {
+	if int(r.Sub) < len(eventArgFmts) {
+		return eventArgFmts[r.Sub](r)
 	}
 	return fmt.Sprintf(`"arg0":%d,"arg1":%d,"zone":%d`, r.Arg0, r.Arg1, r.Zone)
 }

@@ -9,8 +9,7 @@ import "biza/internal/metrics"
 
 // EnableSampler attaches a virtual-time series sampler. Every probe the
 // trace has seen (or later sees) becomes a sampled source automatically,
-// in probe-first-seen order; SampleFunc adds custom sources. Nil-safe;
-// enabling twice replaces the sampler.
+// in probe-first-seen order. Nil-safe; enabling twice replaces the sampler.
 func (t *Trace) EnableSampler(cfg metrics.SamplerConfig) {
 	if t == nil {
 		return
@@ -26,22 +25,7 @@ func (t *Trace) EnableSampler(cfg metrics.SamplerConfig) {
 // for a gauge and the cumulative total for a counter (rates derive by
 // differencing adjacent points).
 func (t *Trace) registerProbeSeries(agg *probeAgg) {
-	kind, _, _ := probeKeyParts(agg.key)
-	mk := metrics.ProbeCounter
-	if kind.gauge() {
-		mk = metrics.ProbeGauge
-	}
-	t.sampler.Register(ProbeName(agg.key), mk, func() float64 { return float64(agg.last) })
-}
-
-// SampleFunc registers a custom series source sampled at every tick.
-// Call order must be deterministic — it is the export order. Nil-safe,
-// no-op without an enabled sampler.
-func (t *Trace) SampleFunc(name string, kind metrics.ProbeKind, fn func() float64) {
-	if t == nil || t.sampler == nil {
-		return
-	}
-	t.sampler.Register(name, kind, fn)
+	t.sampler.Register(ProbeName(agg.key), probeNature(agg.key), func() float64 { return float64(agg.last) })
 }
 
 // AdvanceSampler catches the sampler up to ts without recording a probe —

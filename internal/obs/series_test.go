@@ -85,22 +85,9 @@ func TestTraceAdvanceSamplerExtendsSeries(t *testing.T) {
 	}
 }
 
-func TestTraceSeriesSampleFunc(t *testing.T) {
-	tr := New(Config{})
-	tr.EnableSampler(metrics.SamplerConfig{Interval: 10, MaxPoints: 16})
-	v := 2.5
-	tr.SampleFunc("custom/x", metrics.ProbeGauge, func() float64 { return v })
-	tr.AdvanceSampler(25)
-	d := tr.SeriesDumps()
-	if len(d) != 1 || d[0].Name != "custom/x" || d[0].Points[0] != 2.5 {
-		t.Fatalf("custom source dump: %+v", d)
-	}
-}
-
 func TestTraceSeriesNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.EnableSampler(metrics.SamplerConfig{})
-	tr.SampleFunc("x", metrics.ProbeGauge, func() float64 { return 0 })
 	tr.AdvanceSampler(100)
 	if tr.SeriesDumps() != nil {
 		t.Fatal("nil trace SeriesDumps should be nil")

@@ -10,7 +10,8 @@ import (
 	"biza/internal/sim"
 )
 
-// ZoneState is the NVMe ZNS zone state machine.
+// ZoneState is the NVMe ZNS zone state machine. Its names are
+// obs.ZoneStateName's.
 type ZoneState uint8
 
 // Zone states.
@@ -24,25 +25,7 @@ const (
 	ZoneOffline
 )
 
-func (s ZoneState) String() string {
-	switch s {
-	case ZoneEmpty:
-		return "empty"
-	case ZoneImplicitOpen:
-		return "implicit-open"
-	case ZoneExplicitOpen:
-		return "explicit-open"
-	case ZoneClosed:
-		return "closed"
-	case ZoneFull:
-		return "full"
-	case ZoneReadOnly:
-		return "read-only"
-	case ZoneOffline:
-		return "offline"
-	}
-	return "unknown"
-}
+func (s ZoneState) String() string { return obs.ZoneStateName(int64(s)) }
 
 // IsOpen reports whether the state counts against the open-zone limit.
 func (s ZoneState) IsOpen() bool { return s == ZoneImplicitOpen || s == ZoneExplicitOpen }

@@ -90,3 +90,18 @@ func BenchmarkWriteUntraced(b *testing.B) {
 func BenchmarkWriteTraced(b *testing.B) {
 	benchWrites(b, obs.New(obs.Config{}))
 }
+
+// ZoneState.String reads obs's table by value, so the numbering is the
+// contract: a state inserted mid-enum must fail here, not rename states in
+// every trace.
+func TestZoneStateNames(t *testing.T) {
+	for s, want := range map[ZoneState]string{
+		ZoneEmpty: "empty", ZoneImplicitOpen: "implicit-open", ZoneExplicitOpen: "explicit-open",
+		ZoneClosed: "closed", ZoneFull: "full", ZoneReadOnly: "read-only", ZoneOffline: "offline",
+		ZoneOffline + 1: "unknown",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("ZoneState(%d) = %q, want %q", s, got, want)
+		}
+	}
+}
