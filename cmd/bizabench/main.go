@@ -45,7 +45,6 @@ func run() int {
 	exp := flag.String("exp", "all", "experiment id(s), comma-separated (see -list), or 'all'")
 	quick := flag.Bool("quick", false, "reduced scale (seconds instead of minutes)")
 	list := flag.Bool("list", false, "list experiment ids")
-	md := flag.Bool("md", false, "emit GitHub-flavored markdown tables")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for independent experiment points")
 	shards := flag.Int("shards", runtime.NumCPU(), "engine shards per point for sharded experiments (fleet, tenants); output is identical at any value")
 	seed := flag.Uint64("seed", bench.DefaultSeed, "base seed for all derived RNG streams")
@@ -175,12 +174,6 @@ func run() int {
 		}
 	}
 
-	render := func(t *bench.Table) string {
-		if *md {
-			return t.Markdown()
-		}
-		return t.String()
-	}
 	for i := range rep.Results {
 		res := &rep.Results[i]
 		if res.Error != "" {
@@ -188,7 +181,7 @@ func run() int {
 			continue
 		}
 		for _, t := range res.Tables {
-			fmt.Println(render(t))
+			fmt.Println(t.String())
 		}
 	}
 

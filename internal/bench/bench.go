@@ -331,32 +331,14 @@ func registerPoints(id string, points []string, fn func(Scale, *Run, string) []*
 	Experiments[id] = &Experiment{ID: id, Points: points, RunPoint: fn}
 }
 
-// IDs returns the registered experiment ids in canonical order.
+// IDs returns the registered experiment ids in canonical order
+// (TestExperimentRegistry holds the two sets equal).
 func IDs() []string {
-	order := []string{"table2", "table3", "table6", "fig4", "fig5", "fig10",
+	return []string{"table2", "table3", "table6", "fig4", "fig5", "fig10",
 		"fig11", "fig12", "fig13a", "fig13b", "fig14", "fig15", "fig16", "fig17",
 		"detect", "batching", "wear", "append", "avail", "fleet", "tenants",
 		"rolling", "future"}
-	var out []string
-	for _, id := range order {
-		if _, ok := Experiments[id]; ok {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // newLatHist is shorthand for a latency histogram.
 func newLatHist() *metrics.Histogram { return metrics.NewHistogram() }
-
-// Markdown renders the table as GitHub-flavored markdown (EXPERIMENTS.md).
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)
-	b.WriteString("| " + strings.Join(t.Header, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Header)) + "\n")
-	for _, r := range t.Rows {
-		b.WriteString("| " + strings.Join(r, " | ") + " |\n")
-	}
-	return b.String()
-}

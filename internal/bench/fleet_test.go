@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -21,32 +22,30 @@ func fleetScale() Scale {
 	return s
 }
 
-func runFleet(t *testing.T, shards int) *Report {
+// runSharded runs one sharded experiment on shards engine shards, every
+// span traced when trace is set.
+func runSharded(t *testing.T, id string, s Scale, shards int, trace bool) *Report {
 	t.Helper()
-	rn := &Runner{
-		Scale:    fleetScale(),
-		Seed:     DefaultSeed,
-		Parallel: 1,
-		Shards:   shards,
-		Quick:    true,
-		Trace:    &obs.Config{SampleN: 1},
+	rn := &Runner{Scale: s, Seed: DefaultSeed, Parallel: 1, Shards: shards, Quick: true}
+	if trace {
+		rn.Trace = &obs.Config{SampleN: 1}
 	}
-	rep := rn.Run([]string{"fleet"})
+	rep := rn.Run([]string{id})
 	if failed := rep.Failed(); len(failed) > 0 {
-		t.Fatalf("shards=%d: fleet failed: %s", shards, rep.Results[0].Error)
+		t.Fatalf("shards=%d: %s failed: %s", shards, id, rep.Results[0].Error)
 	}
 	return rep
 }
 
-// TestFleetShardCountInvariance pins the tentpole contract end to end:
-// the fleet experiment's tables, samples, histograms, and exported
-// traces are byte-identical at any shard count. Run with -race to also
-// exercise the cross-shard barrier for data races.
-func TestFleetShardCountInvariance(t *testing.T) {
-	ref := runFleet(t, 1)
+// checkShardInvariance pins the sharded event core's contract end to end:
+// tables, samples, histograms, virtual time and exported traces of id are
+// byte-identical at every shard count. Run with -race to also exercise the
+// cross-shard barrier for data races.
+func checkShardInvariance(t *testing.T, id string, s Scale, trace bool, shardCounts ...int) {
+	ref := runSharded(t, id, s, 1, trace)
 	refTrace := exportTraces(t, ref)
-	for _, shards := range []int{2, 3, 8} {
-		got := runFleet(t, shards)
+	for _, shards := range shardCounts {
+		got := runSharded(t, id, s, shards, trace)
 		a, b := &ref.Results[0], &got.Results[0]
 		if !reflect.DeepEqual(a.Tables, b.Tables) {
 			t.Errorf("shards=%d: tables differ from shards=1:\n%s\nvs\n%s",
@@ -62,24 +61,29 @@ func TestFleetShardCountInvariance(t *testing.T) {
 			t.Errorf("shards=%d: virtual time %d, shards=1 got %d",
 				shards, b.Stats.VirtualNanos, a.Stats.VirtualNanos)
 		}
-		if tr := exportTraces(t, got); !bytes.Equal(refTrace, tr) {
+		if exportTraces(t, got) != refTrace {
 			t.Errorf("shards=%d: exported traces differ from shards=1", shards)
 		}
 	}
 }
 
-// exportTraces renders the report's traces through both deterministic
-// exporters, concatenated, so a single byte-compare covers both formats.
-func exportTraces(t *testing.T, rep *Report) []byte {
+func TestFleetShardCountInvariance(t *testing.T) {
+	checkShardInvariance(t, "fleet", fleetScale(), true, 2, 3, 8)
+}
+
+// exportTraces hashes the report's traces through both deterministic
+// exporters, so a single compare covers both formats without holding
+// either export in memory.
+func exportTraces(t *testing.T, rep *Report) [sha256.Size]byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := obs.WritePerfetto(&buf, rep.Traces); err != nil {
+	h := sha256.New()
+	if err := obs.WritePerfetto(h, rep.Traces); err != nil {
 		t.Fatalf("perfetto export: %v", err)
 	}
-	if err := obs.WriteJSONL(&buf, rep.Traces); err != nil {
+	if err := obs.WriteJSONL(h, rep.Traces); err != nil {
 		t.Fatalf("jsonl export: %v", err)
 	}
-	return buf.Bytes()
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 func renderTables(ts []*Table) string {
@@ -94,22 +98,15 @@ func renderTables(ts []*Table) string {
 // TestFleetSanity checks the experiment does real work at test scale:
 // every client makes progress and cross-array hops actually happen.
 func TestFleetSanity(t *testing.T) {
-	rep := runFleet(t, 4)
+	rep := runSharded(t, "fleet", fleetScale(), 4, true)
 	res := &rep.Results[0]
 	if len(res.Tables) != 2 {
 		t.Fatalf("want 2 tables, got %d", len(res.Tables))
 	}
-	var fairness *Table
-	for _, tb := range res.Tables {
-		if tb.ID == "fleet-clients" {
-			fairness = tb
-		}
-	}
-	if fairness == nil {
-		t.Fatalf("no fleet-clients table in %s", renderTables(res.Tables))
-	}
-	row := fairness.Rows[0]
-	if row[1] == "0" {
+	c := &cells{tables: res.Tables}
+	fairness := c.table("fleet-clients")
+	c.must(t)
+	if row := fairness.Rows[0]; row[1] == "0" {
 		t.Errorf("some client completed zero ops: %v", row)
 	}
 	if res.Stats.VirtualNanos == 0 {

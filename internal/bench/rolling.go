@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"biza/internal/admin"
 	"biza/internal/blockdev"
@@ -280,9 +279,6 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 	return []*Table{tbl, win}
 }
 
-// rollingP99Col is the p99_us column index of the rolling table.
-const rollingP99Col = 4
-
 // assembleRolling merges the per-point tables and derives the SLO table:
 // each point's rolling-phase p99 against the fixed availability budget,
 // paired with the replacement window it bought.
@@ -292,23 +288,17 @@ func assembleRolling(parts [][]*Table) []*Table {
 	slo := &Table{ID: "rolling-slo",
 		Title:  "foreground p99 during rolling replacement vs availability budget",
 		Header: []string{"point", "roll_p99_us", "slo_us", "window_ms", "verdict"}}
-	windows := map[string]string{}
+	c := &cells{tables: out}
 	for _, row := range out[1].Rows {
-		windows[row[0]] = row[1]
-	}
-	for _, row := range out[0].Rows {
-		if row[1] != rollPhaseName[rollRolling] {
-			continue
-		}
-		p99, err := strconv.ParseFloat(row[rollingP99Col], 64)
-		if err != nil {
-			panic(fmt.Sprintf("rolling: unparsable p99 cell %q", row[rollingP99Col]))
-		}
+		roll := row[0] + "/" + rollPhaseName[rollRolling]
 		verdict := "ok"
-		if p99 > budget {
+		if c.num("rolling", roll, "p99_us") > budget {
 			verdict = "violated"
 		}
-		slo.Add(row[0], row[rollingP99Col], f1(budget), windows[row[0]], verdict)
+		slo.Add(row[0], c.text("rolling", roll, "p99_us"), f1(budget), row[1], verdict)
+	}
+	if c.err != nil {
+		panic("rolling: " + c.err.Error())
 	}
 	return append(out, slo)
 }

@@ -1,78 +1,23 @@
 package bench
 
-import (
-	"reflect"
-	"strconv"
-	"testing"
-)
-
-// parseFloatCell parses a numeric table cell.
-func parseFloatCell(t *testing.T, cell string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(cell, 64)
-	if err != nil {
-		t.Fatalf("unparsable cell %q", cell)
-	}
-	return v
-}
-
-func runRolling(t *testing.T, shards int) *Report {
-	t.Helper()
-	rn := &Runner{
-		Scale:    QuickScale(),
-		Seed:     DefaultSeed,
-		Parallel: 1,
-		Shards:   shards,
-		Quick:    true,
-	}
-	rep := rn.Run([]string{"rolling"})
-	if failed := rep.Failed(); len(failed) > 0 {
-		t.Fatalf("shards=%d: rolling failed: %s", shards, rep.Results[0].Error)
-	}
-	return rep
-}
-
-func rollingVerdict(t *testing.T, tbl *Table, point string) string {
-	t.Helper()
-	for _, row := range tbl.Rows {
-		if row[0] == point {
-			return row[len(row)-1]
-		}
-	}
-	t.Fatalf("no %q row in:\n%s", point, tbl.String())
-	return ""
-}
+import "testing"
 
 // TestRollingSLO pins the experiment's acceptance claim: a paced rolling
 // replacement holds the foreground p99 inside the availability budget
 // while the unpaced rebuild violates it, and the pacing's cost is a
 // longer replacement window.
 func TestRollingSLO(t *testing.T) {
-	rep := runRolling(t, 2)
-	slo := tenantsTable(t, rep, "rolling-slo")
-	if got := rollingVerdict(t, slo, "unpaced"); got != "violated" {
-		t.Errorf("unpaced verdict = %q, want violated:\n%s", got, slo.String())
-	}
-	for _, point := range []string{"paced", "slow"} {
-		if got := rollingVerdict(t, slo, point); got != "ok" {
-			t.Errorf("%s verdict = %q, want ok:\n%s", point, got, slo.String())
+	c := checkClaims(t, "rolling", runSharded(t, "rolling", QuickScale(), 2, false).Results[0].Tables)
+	for point, want := range map[string]string{"unpaced": "violated", "paced": "ok", "slow": "ok"} {
+		if got := c.text("rolling-slo", point, "verdict"); got != want {
+			c.must(t)
+			t.Errorf("%s verdict = %q, want %s:\n%s", point, got, want, c.table("rolling-slo"))
 		}
 	}
 
-	// Pacing trades replacement-window length for foreground latency:
-	// windows must grow monotonically as the rebuild slows down.
-	win := tenantsTable(t, rep, "rolling-window")
-	windows := map[string]float64{}
-	for _, row := range win.Rows {
-		windows[row[0]] = parseFloatCell(t, row[1])
-	}
-	if !(windows["unpaced"] < windows["paced"] && windows["paced"] < windows["slow"]) {
-		t.Errorf("windows not monotone: unpaced=%.2f paced=%.2f slow=%.2f",
-			windows["unpaced"], windows["paced"], windows["slow"])
-	}
-
 	// Every phase of every point saw foreground traffic.
-	main := tenantsTable(t, rep, "rolling")
+	main := c.table("rolling")
+	c.must(t)
 	if got := len(main.Rows); got != 9 {
 		t.Fatalf("rolling table has %d rows, want 9 (3 points x 3 phases)", got)
 	}
@@ -83,27 +28,7 @@ func TestRollingSLO(t *testing.T) {
 	}
 }
 
-// TestRollingShardCountInvariance pins the determinism contract for the
-// availability experiment: tables, samples, histograms, and virtual time
-// are byte-identical at any -shards value.
+// TestRollingShardCountInvariance: see checkShardInvariance.
 func TestRollingShardCountInvariance(t *testing.T) {
-	ref := runRolling(t, 1)
-	for _, shards := range []int{2, 8} {
-		got := runRolling(t, shards)
-		a, b := &ref.Results[0], &got.Results[0]
-		if !reflect.DeepEqual(a.Tables, b.Tables) {
-			t.Errorf("shards=%d: tables differ from shards=1:\n%s\nvs\n%s",
-				shards, renderTables(a.Tables), renderTables(b.Tables))
-		}
-		if !reflect.DeepEqual(a.Samples, b.Samples) {
-			t.Errorf("shards=%d: samples differ from shards=1", shards)
-		}
-		if !reflect.DeepEqual(a.Histograms, b.Histograms) {
-			t.Errorf("shards=%d: histograms differ from shards=1", shards)
-		}
-		if a.Stats.VirtualNanos != b.Stats.VirtualNanos {
-			t.Errorf("shards=%d: virtual time %d, shards=1 got %d",
-				shards, b.Stats.VirtualNanos, a.Stats.VirtualNanos)
-		}
-	}
+	checkShardInvariance(t, "rolling", QuickScale(), false, 2, 8)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -26,32 +27,30 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.Tables, b.Tables) {
 			t.Errorf("%s: tables differ between -parallel 1 and 8:\n%v\nvs\n%v",
-				a.Experiment, render(a.Tables), render(b.Tables))
+				a.Experiment, renderTables(a.Tables), renderTables(b.Tables))
 		}
 		if !reflect.DeepEqual(a.Samples, b.Samples) {
 			t.Errorf("%s: samples differ between -parallel 1 and 8", a.Experiment)
 		}
 		// The serialized metric payload must be byte-identical too.
-		ja, _ := json.Marshal(struct {
-			T []*Table
-			S []Sample
-		}{a.Tables, a.Samples})
-		jb, _ := json.Marshal(struct {
-			T []*Table
-			S []Sample
-		}{b.Tables, b.Samples})
-		if string(ja) != string(jb) {
+		if !sameJSON(t, []any{a.Tables, a.Samples}, []any{b.Tables, b.Samples}) {
 			t.Errorf("%s: JSON payloads differ", a.Experiment)
 		}
 	}
 }
 
-func render(ts []*Table) string {
-	out := ""
-	for _, tb := range ts {
-		out += tb.String()
+// sameJSON reports whether a and b marshal to the same bytes.
+func sameJSON(t *testing.T, a, b any) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb)
 }
 
 // TestRunnerSeedSensitivity guards against accidentally ignoring the base

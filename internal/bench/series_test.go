@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -29,16 +27,8 @@ func TestSeriesParallelDeterminism(t *testing.T) {
 	if len(a.Series) == 0 {
 		t.Fatal("no series collected with Runner.Series set")
 	}
-	j1, err := json.Marshal(a.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j8, err := json.Marshal(b.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j8) {
-		t.Fatalf("series differ between -parallel 1 and 8 (%d vs %d bytes)", len(j1), len(j8))
+	if !sameJSON(t, a.Series, b.Series) {
+		t.Fatal("series differ between -parallel 1 and 8")
 	}
 	for _, sd := range a.Series {
 		if sd.Name == "" || sd.IntervalNs <= 0 {
@@ -71,16 +61,8 @@ func TestSeriesShardCountInvariance(t *testing.T) {
 	if len(r1.Results[0].Series) == 0 {
 		t.Fatal("tenants collected no series")
 	}
-	j1, err := json.Marshal(r1.Results[0].Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j3, err := json.Marshal(r3.Results[0].Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j3) {
-		t.Fatalf("series differ between -shards 1 and 3 (%d vs %d bytes)", len(j1), len(j3))
+	if !sameJSON(t, r1.Results[0].Series, r3.Results[0].Series) {
+		t.Fatal("series differ between -shards 1 and 3")
 	}
 }
 
@@ -92,15 +74,7 @@ func TestSeriesDoesNotPerturbResults(t *testing.T) {
 	plain := (&Runner{Scale: s, Seed: 7, Parallel: 2}).Run([]string{"fig10"})
 	sampled := (&Runner{Scale: s, Seed: 7, Parallel: 2,
 		Series: &metrics.SamplerConfig{}}).Run([]string{"fig10"})
-	pj, err := json.Marshal(plain.Results[0].Samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(sampled.Results[0].Samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pj, sj) {
+	if !sameJSON(t, plain.Results[0].Samples, sampled.Results[0].Samples) {
 		t.Fatal("enabling series collection changed experiment samples")
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"biza/internal/blockdev"
 	"biza/internal/metrics"
@@ -263,9 +262,6 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 	return []*Table{tbl}
 }
 
-// tenantP99Col is the p99_us column index of the tenants table.
-const tenantP99Col = 6
-
 // assembleTenants merges the per-point tables and derives the isolation
 // table: each point's interactive p99 normalized to the idle baseline.
 func assembleTenants(parts [][]*Table) []*Table {
@@ -273,15 +269,14 @@ func assembleTenants(parts [][]*Table) []*Table {
 	iso := &Table{ID: "tenants-isolation",
 		Title:  "interactive p99 under aggressor saturation, vs idle baseline",
 		Header: []string{"point", "p99_us", "vs_baseline"}}
+	c := &cells{tables: out}
 	var base float64
 	for _, row := range out[0].Rows {
 		if row[1] != className[classInteractive] {
 			continue
 		}
-		p99, err := strconv.ParseFloat(row[tenantP99Col], 64)
-		if err != nil {
-			panic(fmt.Sprintf("tenants: unparsable p99 cell %q", row[tenantP99Col]))
-		}
+		label := row[0] + "/" + row[1]
+		p99 := c.num("tenants", label, "p99_us")
 		if row[0] == "baseline" {
 			base = p99
 		}
@@ -289,7 +284,10 @@ func assembleTenants(parts [][]*Table) []*Table {
 		if base > 0 {
 			ratio = f2(p99 / base)
 		}
-		iso.Add(row[0], row[tenantP99Col], ratio)
+		iso.Add(row[0], c.text("tenants", label, "p99_us"), ratio)
+	}
+	if c.err != nil {
+		panic("tenants: " + c.err.Error())
 	}
 	return append(out, iso)
 }

@@ -1,82 +1,21 @@
 package bench
 
 import (
-	"bytes"
-	"reflect"
-	"strconv"
 	"strings"
 	"testing"
-
-	"biza/internal/obs"
 )
-
-func runTenants(t *testing.T, shards int) *Report {
-	t.Helper()
-	rn := &Runner{
-		Scale:    QuickScale(),
-		Seed:     DefaultSeed,
-		Parallel: 1,
-		Shards:   shards,
-		Quick:    true,
-		Trace:    &obs.Config{SampleN: 1},
-	}
-	rep := rn.Run([]string{"tenants"})
-	if failed := rep.Failed(); len(failed) > 0 {
-		t.Fatalf("shards=%d: tenants failed: %s", shards, rep.Results[0].Error)
-	}
-	return rep
-}
-
-func tenantsTable(t *testing.T, rep *Report, id string) *Table {
-	t.Helper()
-	for _, tb := range rep.Results[0].Tables {
-		if tb.ID == id {
-			return tb
-		}
-	}
-	t.Fatalf("no %q table in %s", id, renderTables(rep.Results[0].Tables))
-	return nil
-}
-
-// isolationRatio parses a "1.43" cell of the tenants-isolation table.
-func isolationRatio(t *testing.T, tbl *Table, point string) float64 {
-	t.Helper()
-	for _, row := range tbl.Rows {
-		if row[0] != point {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[2], "x"), 64)
-		if err != nil {
-			t.Fatalf("%s: unparsable ratio %q", point, row[2])
-		}
-		return v
-	}
-	t.Fatalf("no %q row in:\n%s", point, tbl.String())
-	return 0
-}
 
 // TestTenantsIsolation pins the experiment's acceptance claim: under
 // aggressor saturation the interactive class's p99 degrades less than 2x
 // from the idle baseline with QoS on, while disabling QoS lets the
 // aggressor backlog blow it past that bound.
 func TestTenantsIsolation(t *testing.T) {
-	rep := runTenants(t, 2)
-	iso := tenantsTable(t, rep, "tenants-isolation")
-	qos := isolationRatio(t, iso, "qos")
-	noqos := isolationRatio(t, iso, "noqos")
-	if qos >= 2 {
-		t.Errorf("qos interactive p99 degraded %.2fx, want < 2x:\n%s", qos, iso.String())
-	}
-	if noqos <= 2 {
-		t.Errorf("noqos interactive p99 degraded only %.2fx, want > 2x:\n%s", noqos, iso.String())
-	}
-	if noqos <= qos {
-		t.Errorf("noqos (%.2fx) not worse than qos (%.2fx)", noqos, qos)
-	}
+	c := checkClaims(t, "tenants", runSharded(t, "tenants", QuickScale(), 2, true).Results[0].Tables)
 
 	// The per-class table does real work: every class except the idle
 	// baseline aggressor completes ops, and batch tenants hit the throttle.
-	main := tenantsTable(t, rep, "tenants")
+	main := c.table("tenants")
+	c.must(t)
 	if got := len(main.Rows); got != 9 {
 		t.Fatalf("tenants table has %d rows, want 9 (3 points x 3 classes)", got)
 	}
@@ -97,39 +36,15 @@ func TestTenantsIsolation(t *testing.T) {
 	}
 }
 
-// TestTenantsShardCountInvariance pins the determinism contract: tables,
-// samples, histograms, virtual time, and exported traces are byte-identical
-// at any -shards value. Run with -race to exercise the barrier.
+// TestTenantsShardCountInvariance: see checkShardInvariance.
 func TestTenantsShardCountInvariance(t *testing.T) {
-	ref := runTenants(t, 1)
-	refTrace := exportTraces(t, ref)
-	for _, shards := range []int{2, 3} {
-		got := runTenants(t, shards)
-		a, b := &ref.Results[0], &got.Results[0]
-		if !reflect.DeepEqual(a.Tables, b.Tables) {
-			t.Errorf("shards=%d: tables differ from shards=1:\n%s\nvs\n%s",
-				shards, renderTables(a.Tables), renderTables(b.Tables))
-		}
-		if !reflect.DeepEqual(a.Samples, b.Samples) {
-			t.Errorf("shards=%d: samples differ from shards=1", shards)
-		}
-		if !reflect.DeepEqual(a.Histograms, b.Histograms) {
-			t.Errorf("shards=%d: histograms differ from shards=1", shards)
-		}
-		if a.Stats.VirtualNanos != b.Stats.VirtualNanos {
-			t.Errorf("shards=%d: virtual time %d, shards=1 got %d",
-				shards, b.Stats.VirtualNanos, a.Stats.VirtualNanos)
-		}
-		if tr := exportTraces(t, got); !bytes.Equal(refTrace, tr) {
-			t.Errorf("shards=%d: exported traces differ from shards=1", shards)
-		}
-	}
+	checkShardInvariance(t, "tenants", QuickScale(), true, 2, 3)
 }
 
 // TestTenantsProbesEmitted: the per-tenant observability probes flow into
 // the platform traces when tracing is on.
 func TestTenantsProbesEmitted(t *testing.T) {
-	rep := runTenants(t, 1)
+	rep := runSharded(t, "tenants", QuickScale(), 1, true)
 	var qd, stalls, bts bool
 	for _, tr := range rep.Traces {
 		for _, ps := range tr.ProbeStats() {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
 
 	"biza/internal/obs"
@@ -31,26 +30,8 @@ func TestTraceParallelDeterminism(t *testing.T) {
 		t.Fatalf("trace counts differ: %d vs %d", len(r1.Traces), len(r8.Traces))
 	}
 
-	var p1, p8, j1, j8 bytes.Buffer
-	if err := obs.WritePerfetto(&p1, r1.Traces); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WritePerfetto(&p8, r8.Traces); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p1.Bytes(), p8.Bytes()) {
-		t.Errorf("Perfetto traces differ between -parallel 1 and 8 (%d vs %d bytes)",
-			p1.Len(), p8.Len())
-	}
-	if err := obs.WriteJSONL(&j1, r1.Traces); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteJSONL(&j8, r8.Traces); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1.Bytes(), j8.Bytes()) {
-		t.Errorf("JSONL traces differ between -parallel 1 and 8 (%d vs %d bytes)",
-			j1.Len(), j8.Len())
+	if exportTraces(t, r1) != exportTraces(t, r8) {
+		t.Error("exported traces differ between -parallel 1 and 8")
 	}
 
 	// The observability side-channel must not perturb results either:
