@@ -328,17 +328,7 @@ var ledger = []claim{
 // missing experiment, missing cell and row outside its band; the text is
 // written regardless.
 func RenderMarkdown(w io.Writer, rep *Report) error {
-	var errs []error
-	var tables []*Table
-	results := map[string]*Result{}
-	for i := range rep.Results {
-		res := &rep.Results[i]
-		if res.Error != "" {
-			errs = append(errs, fmt.Errorf("%s failed: %s", res.Experiment, res.Error))
-		}
-		results[res.Experiment] = res
-		tables = append(tables, res.Tables...)
-	}
+	tables, results, errs := collect(rep)
 	measured := make([]float64, len(ledger))
 	for i := range ledger {
 		cl := &ledger[i]
@@ -389,6 +379,70 @@ func RenderMarkdown(w io.Writer, rep *Report) error {
 		}
 		fmt.Fprint(w, "```\n")
 	}
+	return errors.Join(errs...)
+}
+
+// collect gathers a report's tables and results by experiment, with an
+// error for every experiment that failed.
+func collect(rep *Report) (tables []*Table, results map[string]*Result, errs []error) {
+	results = map[string]*Result{}
+	for i := range rep.Results {
+		res := &rep.Results[i]
+		if res.Error != "" {
+			errs = append(errs, fmt.Errorf("%s failed: %s", res.Experiment, res.Error))
+		}
+		results[res.Experiment] = res
+		tables = append(tables, res.Tables...)
+	}
+	return tables, results, errs
+}
+
+// CompareClaims evaluates every ledger row on two reports of the same
+// sweep, parent and change, and writes each row whose measured value moved.
+// It is the check for a change meant to move simulated numbers: the error
+// joins every row whose verdict changed, that left its band (a -quick sweep
+// starts some rows outside theirs), or whose value moved by more than
+// tol·|paper − null| (a row with no paper value is held to its band only),
+// and every experiment that failed. Rows of experiments neither report ran
+// are skipped.
+func CompareClaims(w io.Writer, parent, change *Report) error {
+	pt, pres, errs := collect(parent)
+	ct, cres, cerrs := collect(change)
+	errs = append(errs, cerrs...)
+	moved := 0
+	for i := range ledger {
+		cl := &ledger[i]
+		if pres[cl.exp] == nil && cres[cl.exp] == nil {
+			continue
+		}
+		p, err := cl.eval(pt)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: parent: %w", cl.name, err))
+			continue
+		}
+		c, err := cl.eval(ct)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: change: %w", cl.name, err))
+			continue
+		}
+		pv, cv := cl.verdict(p), cl.verdict(c)
+		if cl.inBand(p) && !cl.inBand(c) {
+			errs = append(errs, fmt.Errorf("%s: %.4g left [%g, %g]", cl.name, c, cl.wantLo, cl.wantHi))
+		}
+		if pv != cv {
+			errs = append(errs, fmt.Errorf("%s: verdict %s became %s", cl.name, pv, cv))
+		}
+		if p == c {
+			continue
+		}
+		moved++
+		d, allowed := math.Abs(c-p), cl.tol*math.Abs(cl.paper-cl.null)
+		fmt.Fprintf(w, "%-40s %10.4g -> %-10.4g %s -> %s, moved %s (tolerance %s)\n", cl.name, p, c, pv, cv, num(d), num(allowed))
+		if d > allowed { // false for NaN: a row with no paper value
+			errs = append(errs, fmt.Errorf("%s: moved %.4g, more than its tolerance %.4g", cl.name, d, allowed))
+		}
+	}
+	fmt.Fprintf(w, "%d ledger rows moved\n", moved)
 	return errors.Join(errs...)
 }
 

@@ -178,12 +178,14 @@ func (c *Core) getStripe() *openStripe {
 }
 
 // putStripe retires an open-stripe record and drops its hold on the SMT
-// entry. Accumulators still attached (a stripe sealed short by GC with no
-// parity generation in flight) are left to the collector, as they always
-// were: freeing them would move the pool's hit ratio, which is run output.
+// entry, freeing any accumulators still attached (a stripe sealed short by
+// GC with no parity generation in flight).
 func (c *Core) putStripe(st *openStripe) {
 	if !st.live {
 		panic("core: stripe record put twice")
+	}
+	for _, acc := range st.accs {
+		c.pool.Free(acc)
 	}
 	c.putVec(st.accs)
 	se := st.se

@@ -64,6 +64,36 @@ func TestPoolVecDropsReferences(t *testing.T) {
 	c.putVec(v2)
 }
 
+// TestShortSealFreesAccumulators: a stripe that GC seals short, with no
+// parity generation in flight, gives its parity accumulators back to the
+// pool when its record retires.
+func TestShortSealFreesAccumulators(t *testing.T) {
+	eng, c, _ := newCore(t, nil)
+	live, raw := c.pool.Live(), c.pool.RawLive()
+	if r := blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(3, c.blockSize)); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	var st *openStripe
+	for _, o := range c.open {
+		if o != nil {
+			st = o
+		}
+	}
+	if st == nil || st.accs == nil || st.parityBusy {
+		t.Fatal("want one open stripe, with accumulators and no parity generation in flight")
+	}
+	c.Trim(0, 1) // nothing left to migrate: the dissolution only seals and releases
+	done := false
+	c.dissolveStripe(st.sn, func() { done = true })
+	eng.Run()
+	if !done || st.live {
+		t.Fatalf("dissolution done %v, stripe record still out %v", done, st.live)
+	}
+	if l, r := c.pool.Live(), c.pool.RawLive(); l != live || r != raw {
+		t.Fatalf("pool holds %d buffers and %d raw slabs after the drain, want %d and %d", l, r, live, raw)
+	}
+}
+
 // TestPoolCycleAllocFree is the pool-discipline gate: once warm, a full
 // get/put cycle across every pool costs zero allocations.
 func TestPoolCycleAllocFree(t *testing.T) {

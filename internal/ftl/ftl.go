@@ -414,13 +414,12 @@ type req struct {
 
 // The stage a request's next event ends.
 const (
-	wCtrl = iota // write: controller overhead, then cache admission
-	wXfer        // write: host link transfer
-	wBuf         // write: buffer latency, then the acknowledgement
-	rCtrl        // read: controller overhead
-	rBus         // read: channel bus
-	rDie         // read: die
-	rXfer        // read: host link transfer, then the answer
+	wCtrl    = iota // write: controller overhead, then cache admission
+	wXferBuf        // write: host link transfer and buffer latency, then the acknowledgement
+	rCtrl           // read: controller overhead
+	rBus            // read: channel bus
+	rDie            // read: die
+	rXfer           // read: host link transfer, then the answer
 )
 
 func (d *Device) getReq() *req {
@@ -444,7 +443,8 @@ func (d *Device) putReq(r *req) {
 }
 
 // Fire implements sim.Handler: the stage that just ended, served from s to
-// e (now), starts the next one.
+// e (now, except where a fixed latency rode the station's event), starts
+// the next one.
 func (r *req) Fire(s, e sim.Time) {
 	if !r.live {
 		panic("ftl: request record used after put")
@@ -457,14 +457,12 @@ func (r *req) Fire(s, e sim.Time) {
 		// cache is the device's admission control, which bounds how far
 		// allocation can run ahead of GC and keeps free-block accounting safe.
 		d.acquireCache(r)
-	case wXfer:
+	case wXferBuf:
+		now := d.eng.Now()
 		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseXfer, d.trDev, -1, -1)
-		r.stage = wBuf
-		d.eng.AfterEvent(d.cfg.BufWriteLatency, r, e, e+d.cfg.BufWriteLatency)
-	case wBuf:
-		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseBuffer, d.trDev, -1, -1)
-		d.tr.SpanEnd(r.span, int64(e), false)
-		done, res := r.wdone, blockdev.WriteResult{Latency: e - r.start}
+		d.tr.Mark(r.span, int64(e), int64(now), obs.LayerFTL, obs.PhaseBuffer, d.trDev, -1, -1)
+		d.tr.SpanEnd(r.span, int64(now), false)
+		done, res := r.wdone, blockdev.WriteResult{Latency: now - r.start}
 		d.putReq(r)
 		if done != nil {
 			done(res)
@@ -519,8 +517,8 @@ func (r *req) program() {
 		d.programPage(ch)
 	}
 	d.maybeStartGC()
-	r.stage = wXfer
-	d.writeLink.SubmitEvent(r.n*bs*sim.Second/d.cfg.DeviceWriteBW, r)
+	r.stage = wXferBuf
+	d.writeLink.SubmitEventThen(r.n*bs*sim.Second/d.cfg.DeviceWriteBW, d.cfg.BufWriteLatency, r)
 }
 
 // programPage schedules the flash program of one page on channel ch and

@@ -17,6 +17,50 @@ func newDev(t *testing.T) (*sim.Engine, *Device) {
 	return eng, d
 }
 
+// TestEventsPerCommand pins the engine events a write and a read cost on an
+// idle device, and their latency. The buffer latency rides the host link's
+// completion event; each page program is a bus event and a die event. The
+// counts do not depend on the host, so CI gates them (-run EventsPer).
+func TestEventsPerCommand(t *testing.T) {
+	eng, d := newDev(t)
+	cfg := d.Config()
+	const n = 2
+	size := int64(n * cfg.BlockSize)
+	for _, c := range []struct {
+		name   string
+		events int
+		lat    sim.Time
+		submit func(done func(sim.Time, error))
+	}{
+		{"write", 2 + 2*n, cfg.CmdOverhead + size*sim.Second/cfg.DeviceWriteBW + cfg.BufWriteLatency, func(done func(sim.Time, error)) {
+			d.Write(0, n, nil, func(r blockdev.WriteResult) { done(r.Latency, r.Err) })
+		}},
+		{"read", 4, cfg.CmdOverhead + size*sim.Second/cfg.ChannelReadBW + cfg.DieReadLatency + size*sim.Second/cfg.DieReadBW + size*sim.Second/cfg.DeviceReadBW,
+			func(done func(sim.Time, error)) {
+				d.Read(0, n, func(r blockdev.ReadResult) { done(r.Latency, r.Err) })
+			}},
+	} {
+		var lat sim.Time
+		got := false
+		c.submit(func(l sim.Time, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			lat, got = l, true
+		})
+		events := 0
+		for eng.Step() {
+			events++
+		}
+		if !got {
+			t.Fatalf("%s never completed", c.name)
+		}
+		if events != c.events || lat != c.lat {
+			t.Errorf("%s: %d events, latency %d ns; want %d events, %d ns", c.name, events, lat, c.events, c.lat)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := TestConfig()
 	if err := good.Validate(); err != nil {

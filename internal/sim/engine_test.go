@@ -168,6 +168,32 @@ func TestResourceQueueSpillsToAllServers(t *testing.T) {
 	}
 }
 
+// TestResourceSubmitEventThen: the handler fires once, after the delay,
+// with the service window; the delay does not hold the server, so the job
+// behind starts when the service ends.
+func TestResourceSubmitEventThen(t *testing.T) {
+	e := NewEngine()
+	e.RunUntil(100)
+	r := NewResource(e, 1)
+	h := &countHandler{}
+	var firedAt Time
+	if at := r.SubmitEventThen(10, 5, timedHandler(func(a, b Time) { h.Fire(a, b); firedAt = e.Now() })); at != 115 {
+		t.Fatalf("SubmitEventThen returned %d, want 115", at)
+	}
+	var nextStart Time
+	r.Submit(10, func(start, _ Time) { nextStart = start })
+	e.Run()
+	if h.n != 1 || h.a != 100 || h.b != 110 || firedAt != 115 {
+		t.Fatalf("handler fired %d times with (%d, %d) at %d, want once with (100, 110) at 115", h.n, h.a, h.b, firedAt)
+	}
+	if nextStart != 110 {
+		t.Fatalf("the next job started at %d, want 110: the delay held the server", nextStart)
+	}
+	if r.BusyTime() != 20 {
+		t.Fatalf("busy = %d, want 20: the delay is not service", r.BusyTime())
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {

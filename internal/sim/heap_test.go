@@ -175,6 +175,25 @@ func TestResourceSubmitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestResourceSubmitEventThenZeroAlloc: a pooled record carried through a
+// station and a fixed delay costs no allocation either.
+func TestResourceSubmitEventThenZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, 2)
+	h := &countHandler{}
+	for i := 0; i < 64; i++ {
+		r.SubmitEventThen(10, 5, h)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.SubmitEventThen(10, 5, h)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Resource.SubmitEventThen+Run allocates %.1f per op, want 0", allocs)
+	}
+}
+
 // TestStopWhileIdleLatches: a Stop issued while the engine is idle halts
 // the next Run before it fires anything, and is consumed by that Run.
 func TestStopWhileIdleLatches(t *testing.T) {

@@ -33,11 +33,22 @@ func (r *Resource) Submit(service Time, done func(start, end Time)) Time {
 // SubmitEvent enqueues a job whose completion fires h.Fire(start, end).
 // With a pooled record this path performs zero allocations per submission.
 func (r *Resource) SubmitEvent(service Time, h Handler) Time {
+	return r.SubmitEventThen(service, 0, h)
+}
+
+// SubmitEventThen is SubmitEvent followed by a fixed delay: the server
+// frees at end, and h.Fire(start, end) runs once, at end+after, so a stage
+// that only waits a constant after this station costs no event of its own.
+// It returns end+after.
+func (r *Resource) SubmitEventThen(service, after Time, h Handler) Time {
+	if after < 0 {
+		panic("sim: negative delay after service")
+	}
 	start, end := r.reserve(service)
 	if h != nil {
-		r.eng.AtEvent(end, h, start, end)
+		r.eng.AtEvent(end+after, h, start, end)
 	}
-	return end
+	return end + after
 }
 
 // reserve assigns the job to the earliest-free server and returns its

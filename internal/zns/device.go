@@ -1019,15 +1019,17 @@ func (d *Device) ReadInto(z int, lba int64, nblocks int, dst []byte, withOOB boo
 		op.ownSpan = true
 	}
 
-	op.inBuffer = true
+	// A read wholly in the write buffer is served from DRAM: the buffer read
+	// rides the controller's event.
 	for b := lba; b < lba+n; b++ {
 		if zn.buffered.Get(b) == nil {
-			op.inBuffer = false
-			break
+			op.stage = rCtrl
+			d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
+			return
 		}
 	}
-	op.stage = rCtrl
-	d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
+	op.stage = rCtrlBuf
+	d.controller.SubmitEventThen(d.cfg.CmdOverhead, d.cfg.BufReadLatency, op)
 }
 
 // ackRange marks buffered blocks of an acknowledged write as

@@ -16,14 +16,13 @@ import (
 
 // writeOp stages (sequential, ZRWA, and failure paths share the record).
 const (
-	wFail    = iota // validation failed: deliver the error after CmdOverhead
-	wSeqCtrl        // controller overhead done -> host link transfer
-	wSeqXfer        // host link done -> channel program bus
-	wSeqBus         // channel bus done -> die program
-	wSeqDie         // die program done -> complete
-	wZCtrl          // controller overhead done -> acquire buffer credit
-	wZXfer          // host link done -> DRAM buffer write
-	wZBuf           // buffer write done -> complete
+	wFail     = iota // validation failed: deliver the error after CmdOverhead
+	wSeqCtrl         // controller overhead done -> host link transfer
+	wSeqXfer         // host link done -> channel program bus
+	wSeqBus          // channel bus done -> die program
+	wSeqDie          // die program done -> complete
+	wZCtrl           // controller overhead done -> acquire buffer credit
+	wZXferBuf        // host link, then the DRAM buffer write, done -> complete
 )
 
 type writeOp struct {
@@ -93,11 +92,12 @@ func (op *writeOp) complete() {
 	}
 }
 
-// creditGranted continues a ZRWA write once buffer slots are available.
+// creditGranted continues a ZRWA write once buffer slots are available: the
+// host link transfer, then the buffer write, as one event.
 func (op *writeOp) creditGranted() {
 	d := op.d
-	op.stage = wZXfer
-	d.writeLink.SubmitEvent(op.size*sim.Second/d.cfg.DeviceWriteBW, op)
+	op.stage = wZXferBuf
+	d.writeLink.SubmitEventThen(op.size*sim.Second/d.cfg.DeviceWriteBW, d.cfg.BufWriteLatency, op)
 }
 
 func (op *writeOp) Fire(s, e sim.Time) {
@@ -131,13 +131,9 @@ func (op *writeOp) Fire(s, e sim.Time) {
 		op.complete()
 	case wZCtrl:
 		d.acquireCreditOp(op.zn, op)
-	case wZXfer:
+	case wZXferBuf:
 		d.tr.Mark(op.span, int64(s), int64(e), obs.LayerZNS, obs.PhaseXfer, d.trDev, op.z, -1)
-		op.stage = wZBuf
-		now := d.eng.Now()
-		d.eng.AtEvent(now+d.cfg.BufWriteLatency, op, now, now+d.cfg.BufWriteLatency)
-	case wZBuf:
-		d.tr.Mark(op.span, int64(s), int64(e), obs.LayerZNS, obs.PhaseBuffer, d.trDev, op.z, -1)
+		d.tr.Mark(op.span, int64(e), int64(d.eng.Now()), obs.LayerZNS, obs.PhaseBuffer, d.trDev, op.z, -1)
 		// The completion below acknowledges the write: its buffered
 		// blocks become capacitor-protected against power loss.
 		d.ackRange(op.zn, op.lba, op.n)
@@ -147,28 +143,27 @@ func (op *writeOp) Fire(s, e sim.Time) {
 
 // readOp stages.
 const (
-	rFail = iota // validation failed
-	rCtrl        // controller overhead done -> buffer or flash path
-	rBuf         // DRAM buffer read done -> host link transfer
-	rBus         // channel read bus done -> die read
-	rDie         // die read done -> host link transfer
-	rXfer        // host link done -> complete
+	rFail    = iota // validation failed
+	rCtrl           // controller overhead done -> channel read bus
+	rCtrlBuf        // controller overhead, then the DRAM buffer read, done -> host link transfer
+	rBus            // channel read bus done -> die read
+	rDie            // die read done -> host link transfer
+	rXfer           // host link done -> complete
 )
 
 type readOp struct {
-	d        *Device
-	zn       *zone
-	z        int
-	lba      int64
-	n        int64
-	size     int64
-	epoch    uint64 // device power epoch at submission
-	inBuffer bool
-	span     obs.SpanID
-	ownSpan  bool
-	start    sim.Time
-	err      error
-	stage    uint8
+	d       *Device
+	zn      *zone
+	z       int
+	lba     int64
+	n       int64
+	size    int64
+	epoch   uint64 // device power epoch at submission
+	span    obs.SpanID
+	ownSpan bool
+	start   sim.Time
+	err     error
+	stage   uint8
 	// StoreData only: where gather puts the payload, and (recovery's zone
 	// scan) the OOB vector with the slab its records are carved from.
 	dst    []byte
@@ -258,16 +253,10 @@ func (op *readOp) Fire(s, e sim.Time) {
 	case rFail:
 		op.complete(ReadResult{Err: op.err})
 	case rCtrl:
-		if op.inBuffer {
-			op.stage = rBuf
-			now := d.eng.Now()
-			d.eng.AtEvent(now+d.cfg.BufReadLatency, op, now, now+d.cfg.BufReadLatency)
-			return
-		}
 		op.stage = rBus
 		d.chans[op.zn.channel].readBus.SubmitEvent(op.size*sim.Second/d.cfg.ChannelReadBW, op)
-	case rBuf:
-		d.tr.Mark(op.span, int64(s), int64(e), obs.LayerZNS, obs.PhaseBuffer, d.trDev, op.z, -1)
+	case rCtrlBuf:
+		d.tr.Mark(op.span, int64(e), int64(d.eng.Now()), obs.LayerZNS, obs.PhaseBuffer, d.trDev, op.z, -1)
 		op.stage = rXfer
 		d.readLink.SubmitEvent(op.size*sim.Second/d.cfg.DeviceReadBW, op)
 	case rBus:
