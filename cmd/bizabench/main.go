@@ -34,7 +34,6 @@ import (
 	"syscall"
 
 	"biza/internal/bench"
-	"biza/internal/metrics"
 	"biza/internal/obs"
 	"biza/internal/ops"
 )
@@ -111,12 +110,10 @@ func run() int {
 		}
 	}
 
-	runner := &bench.Runner{Scale: scale, Seed: *seed, Parallel: *parallel, Shards: *shards, Quick: *quick}
+	runner := &bench.Runner{Scale: scale, Seed: *seed, Parallel: *parallel, Shards: *shards, Quick: *quick,
+		Series: *series || *serve != ""}
 	if *tracePath != "" || *traceJSONL != "" {
 		runner.Trace = &obs.Config{SampleN: *traceSample}
-	}
-	if *series || *serve != "" {
-		runner.Series = &metrics.SamplerConfig{} // defaults: 50µs cadence, 512 points
 	}
 	if *live && *serve == "" {
 		fmt.Fprintln(os.Stderr, "bizabench: -live requires -serve")

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 		}
 	}
 	got, err := arr.ReadSync(7, 1)
-	if err != nil || got[0] != 0x5a {
+	if err != nil || !bytes.Equal(got, payload) {
 		log.Fatalf("read back: %v", err)
 	}
 

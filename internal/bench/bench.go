@@ -76,13 +76,13 @@ type Run struct {
 	// a fresh obs.Trace to every stack it assembles; PublishHistogram
 	// collects latency distributions. Both are drained by the Runner after
 	// RunPoint returns, in canonical point order, so the report is
-	// bit-identical for any Parallel value. seriesCfg additionally arms a
+	// bit-identical for any Parallel value. series additionally arms a
 	// virtual-time sampler on every attached trace (the report's "series"
 	// section).
-	traceCfg  *obs.Config
-	seriesCfg *metrics.SamplerConfig
-	traces    []*obs.Trace
-	hists     []HistogramDump
+	traceCfg *obs.Config
+	series   bool
+	traces   []*obs.Trace
+	hists    []HistogramDump
 }
 
 // NewRun returns a run context for one experiment. Tests and direct
@@ -148,8 +148,8 @@ func (r *Run) PlatformOn(eng *sim.Engine, kind stack.Kind, opts stack.Options) (
 			name += "/" + r.point
 		}
 		tr.SetName(fmt.Sprintf("%s/%d/%s", name, len(r.traces), kind))
-		if r.seriesCfg != nil {
-			tr.EnableSampler(*r.seriesCfg)
+		if r.series {
+			tr.EnableSampler()
 			// Extend the series through any probe-quiet tail: by finalize
 			// time the engine clock holds the run's end.
 			tr.OnFinalize(func() { tr.AdvanceSampler(eng.Now()) })
@@ -164,9 +164,8 @@ func (r *Run) PlatformOn(eng *sim.Engine, kind stack.Kind, opts stack.Options) (
 // attaches (the Runner does this when Runner.Series is set). Requires
 // tracing: enabling series on an untraced run also enables tracing with
 // the default config.
-func (r *Run) EnableSeries(cfg metrics.SamplerConfig) {
-	c := cfg
-	r.seriesCfg = &c
+func (r *Run) EnableSeries() {
+	r.series = true
 	if r.traceCfg == nil {
 		r.traceCfg = &obs.Config{}
 	}

@@ -32,7 +32,7 @@ type Runner struct {
 	// Series arms a virtual-time sampler on every attached trace; the
 	// sampled series land in Result.Series in canonical order. Implies
 	// tracing (a default Trace config is used when Trace is nil).
-	Series *metrics.SamplerConfig
+	Series bool
 
 	// Observer, when set, is called after each config point completes
 	// (successfully or not), from the worker goroutine that ran it. The
@@ -163,8 +163,8 @@ func (rn *Runner) runUnit(id string, e *Experiment, u unit,
 		}
 	}()
 	run := &Run{base: rn.Seed, exp: id, point: e.Points[u.point], shards: rn.Shards, vt: sink, traceCfg: rn.Trace}
-	if rn.Series != nil {
-		run.EnableSeries(*rn.Series)
+	if rn.Series {
+		run.EnableSeries()
 	}
 	runs[u.point] = run
 	if rn.Observer != nil {

@@ -3,8 +3,6 @@ package bench
 import (
 	"math"
 	"testing"
-
-	"biza/internal/metrics"
 )
 
 // TestSeriesParallelDeterminism: with series collection on, the sampled
@@ -17,7 +15,7 @@ func TestSeriesParallelDeterminism(t *testing.T) {
 	s.Duration /= 4
 	run := func(parallel int) *Report {
 		return (&Runner{Scale: s, Seed: 7, Parallel: parallel,
-			Series: &metrics.SamplerConfig{}}).Run([]string{"fig10"})
+			Series: true}).Run([]string{"fig10"})
 	}
 	r1, r8 := run(1), run(8)
 	if err := r1.Results[0].Error; err != "" {
@@ -52,7 +50,7 @@ func TestSeriesShardCountInvariance(t *testing.T) {
 	s := QuickScale()
 	run := func(shards int) *Report {
 		return (&Runner{Scale: s, Seed: 11, Parallel: 2, Shards: shards,
-			Series: &metrics.SamplerConfig{}}).Run([]string{"tenants"})
+			Series: true}).Run([]string{"tenants"})
 	}
 	r1, r3 := run(1), run(3)
 	if err := r1.Results[0].Error; err != "" {
@@ -73,7 +71,7 @@ func TestSeriesDoesNotPerturbResults(t *testing.T) {
 	s.Duration /= 4
 	plain := (&Runner{Scale: s, Seed: 7, Parallel: 2}).Run([]string{"fig10"})
 	sampled := (&Runner{Scale: s, Seed: 7, Parallel: 2,
-		Series: &metrics.SamplerConfig{}}).Run([]string{"fig10"})
+		Series: true}).Run([]string{"fig10"})
 	if !sameJSON(t, plain.Results[0].Samples, sampled.Results[0].Samples) {
 		t.Fatal("enabling series collection changed experiment samples")
 	}

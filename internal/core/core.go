@@ -81,10 +81,6 @@ type Config struct {
 	// OverProvisionZones are per-device zones withheld from capacity.
 	OverProvisionZones int
 
-	// Ghost is the selector's cache configuration. Zeroed fields are
-	// filled from ghostcache.DefaultConfig of the array's total ZRWA.
-	Ghost ghostcache.Config
-
 	// EnableSelector toggles the §4.2 zone group selector; disabled, all
 	// chunks are trivial (the BIZAw/oSelector ablation).
 	EnableSelector bool
@@ -315,6 +311,27 @@ type openStripe struct {
 // New builds a BIZA array over the member queues. Queues must wrap
 // homogeneous devices. acct may be nil.
 func New(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core, error) {
+	c, err := newCore(queues, cfg, acct)
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range queues {
+		ds, err := newDevState(c, i, q)
+		if err != nil {
+			return nil, err
+		}
+		c.devs = append(c.devs, ds)
+	}
+	for _, ds := range c.devs {
+		ds.diagnose(cfg.DiagnoseZones)
+	}
+	return c, nil
+}
+
+// newCore validates cfg against the member queues and returns an array
+// with no device state yet; New and Recover each add their own.
+// The ghost cache is sized from the array's total ZRWA (§4.2).
+func newCore(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core, error) {
 	if len(queues) < 3 {
 		return nil, fmt.Errorf("core: need >= 3 members, got %d", len(queues))
 	}
@@ -365,21 +382,7 @@ func New(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core, er
 	}
 	c.reconstructs = make([]uint64, len(queues))
 	totalZRWA := uint64(base.ZRWABlocks) * uint64(base.BlockSize) * uint64(base.MaxOpenZones) * uint64(len(queues))
-	gcfg := cfg.Ghost
-	if gcfg.LRUEntries == 0 {
-		gcfg = ghostcache.DefaultConfig(totalZRWA)
-	}
-	c.ghost = ghostcache.New(gcfg)
-	for i, q := range queues {
-		ds, err := newDevState(c, i, q)
-		if err != nil {
-			return nil, err
-		}
-		c.devs = append(c.devs, ds)
-	}
-	for _, ds := range c.devs {
-		ds.diagnose(cfg.DiagnoseZones)
-	}
+	c.ghost = ghostcache.New(ghostcache.DefaultConfig(totalZRWA))
 	return c, nil
 }
 

@@ -17,7 +17,7 @@ func devConfig() zns.Config {
 	return cfg
 }
 
-func newCore(t *testing.T, mutate func(*Config, *[]zns.Config)) (*sim.Engine, *Core, []*zns.Device) {
+func newTestCore(t *testing.T, mutate func(*Config, *[]zns.Config)) (*sim.Engine, *Core, []*zns.Device) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dcfgs := make([]zns.Config, 4)
@@ -66,8 +66,72 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestRecoverRejectsWhatNewRejects: recovery builds its array through the
+// same validated constructor, so every configuration New refuses, Recover
+// refuses too, before scanning a single zone.
+func TestRecoverRejectsWhatNewRejects(t *testing.T) {
+	cases := []struct {
+		name   string
+		n      int
+		mutate func(*Config, []zns.Config)
+	}{
+		{"two members", 2, nil},
+		{"parity leaves one data member", 4, func(c *Config, _ []zns.Config) { c.Parity = 3 }},
+		{"heterogeneous members", 4, func(_ *Config, d []zns.Config) { d[2].ZRWABlocks /= 2 }},
+		{"members without ZRWA", 4, func(_ *Config, d []zns.Config) {
+			for i := range d {
+				d[i].ZRWABlocks = 0
+			}
+		}},
+		{"open-zone budget", 4, func(_ *Config, d []zns.Config) {
+			for i := range d {
+				d[i].MaxOpenZones = 4
+			}
+		}},
+		{"over-provisioning", 4, func(c *Config, _ []zns.Config) { c.OverProvisionZones = 1 }},
+		{"GC watermarks", 4, func(c *Config, _ []zns.Config) { c.GCHighWater = c.GCLowWater }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*sim.Engine, []*nvme.Queue, Config) {
+				eng := sim.NewEngine()
+				dcfgs := make([]zns.Config, tc.n)
+				for i := range dcfgs {
+					dcfgs[i] = devConfig()
+				}
+				cfg := DefaultConfig(dcfgs[0].NumZones)
+				if tc.mutate != nil {
+					tc.mutate(&cfg, dcfgs)
+				}
+				var queues []*nvme.Queue
+				for i := range dcfgs {
+					d, err := zns.New(eng, dcfgs[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					queues = append(queues, nvme.New(d, nvme.Config{Seed: uint64(i)}))
+				}
+				return eng, queues, cfg
+			}
+			_, queues, cfg := build()
+			if _, err := New(queues, cfg, nil); err == nil {
+				t.Fatal("New accepted the configuration")
+			}
+			eng, queues, cfg := build()
+			called := false
+			var rc *Core
+			var rerr error
+			Recover(queues, cfg, nil, func(c *Core, err error) { called, rc, rerr = true, c, err })
+			eng.Run()
+			if !called || rerr == nil || rc != nil {
+				t.Fatalf("Recover: called=%v core=%v err=%v, want a rejection", called, rc != nil, rerr)
+			}
+		})
+	}
+}
+
 func TestWriteReadRoundTripSequential(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	payload := blockdev.Pattern(1, 48*4096)
 	if r := blockdev.WriteSync(eng, c, 0, 48, payload); r.Err != nil {
 		t.Fatal(r.Err)
@@ -79,7 +143,7 @@ func TestWriteReadRoundTripSequential(t *testing.T) {
 }
 
 func TestWriteReadRoundTripRandom(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	lbas := []int64{500, 3, 999, 250, 0, 77}
 	for i, lba := range lbas {
 		if r := blockdev.WriteSync(eng, c, lba, 1, blockdev.Pattern(byte(i+1), 4096)); r.Err != nil {
@@ -95,7 +159,7 @@ func TestWriteReadRoundTripRandom(t *testing.T) {
 }
 
 func TestOverwriteVisibility(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	for i := 0; i < 8; i++ {
 		blockdev.WriteSync(eng, c, 42, 1, blockdev.Pattern(byte(i), 4096))
 	}
@@ -106,7 +170,7 @@ func TestOverwriteVisibility(t *testing.T) {
 }
 
 func TestUnwrittenReadsZero(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	r := blockdev.ReadSync(eng, c, 123, 4)
 	for _, b := range r.Data {
 		if b != 0 {
@@ -116,7 +180,7 @@ func TestUnwrittenReadsZero(t *testing.T) {
 }
 
 func TestOutOfRange(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	if r := blockdev.WriteSync(eng, c, c.Blocks(), 1, nil); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
 		t.Fatalf("err = %v", r.Err)
 	}
@@ -125,7 +189,7 @@ func TestOutOfRange(t *testing.T) {
 func TestInPlaceAbsorption(t *testing.T) {
 	// A hot block rewritten many times must be absorbed in ZRWA: device
 	// flash programs stay far below issued writes.
-	eng, c, devs := newCore(t, nil)
+	eng, c, devs := newTestCore(t, nil)
 	for i := 0; i < 100; i++ {
 		blockdev.WriteSync(eng, c, 7, 1, blockdev.Pattern(byte(i), 4096))
 	}
@@ -149,7 +213,7 @@ func TestPartialParityAbsorbedInZRWA(t *testing.T) {
 	// Sequential writes form stripes; every chunk updates the partial
 	// parity in place. Parity flash programs must be close to one block
 	// per stripe, not one per chunk.
-	eng, c, devs := newCore(t, nil)
+	eng, c, devs := newTestCore(t, nil)
 	const blocks = 300
 	for lba := int64(0); lba < blocks; lba += 4 {
 		blockdev.WriteSync(eng, c, lba, 4, blockdev.Pattern(byte(lba), 4*4096))
@@ -175,7 +239,7 @@ func TestPartialParityAbsorbedInZRWA(t *testing.T) {
 func TestStripeParityConsistency(t *testing.T) {
 	// After sealing, parity slot content must equal XOR of the stripe's
 	// chunk slot contents (read back through the engine's own tables).
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	payload := blockdev.Pattern(3, 3*4096)
 	blockdev.WriteSync(eng, c, 0, 3, payload) // exactly one stripe (nData=3)
 	eng.Run()
@@ -207,7 +271,7 @@ func TestStripeParityConsistency(t *testing.T) {
 func TestSlidingWindowSurvivesReordering(t *testing.T) {
 	// Deep async burst through a jittery driver queue: the window
 	// scheduler must produce zero write failures.
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	failures, completions := 0, 0
 	for i := 0; i < 400; i++ {
 		c.Write(int64(i%150), 1, nil, func(r blockdev.WriteResult) {
@@ -227,7 +291,7 @@ func TestSlidingWindowSurvivesReordering(t *testing.T) {
 }
 
 func TestSelectorClassifiesHotBlocks(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	// Rewrite a small hot set with short reuse distance; the ghost cache
 	// must promote and the selector place them as ZRWA class.
 	for round := 0; round < 8; round++ {
@@ -247,7 +311,7 @@ func TestSelectorClassifiesHotBlocks(t *testing.T) {
 }
 
 func TestGCReclaimsAndPreservesData(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	span := c.Blocks() / 3
 	rng := sim.NewRNG(5)
 	written := make(map[int64]bool)
@@ -277,7 +341,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 }
 
 func TestDegradedReadReconstructs(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	payload := blockdev.Pattern(9, 12*4096)
 	blockdev.WriteSync(eng, c, 0, 12, payload)
 	eng.Run()
@@ -298,7 +362,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 
 func TestDegradedReadAfterOverwrites(t *testing.T) {
 	// Stale chunks feed parity: reconstruction must survive overwrites.
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	for i := 0; i < 6; i++ {
 		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
@@ -325,7 +389,7 @@ func TestDegradedReadAfterOverwrites(t *testing.T) {
 }
 
 func TestTrim(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	blockdev.WriteSync(eng, c, 10, 4, blockdev.Pattern(1, 4*4096))
 	c.Trim(10, 4)
 	r := blockdev.ReadSync(eng, c, 10, 4)
@@ -337,7 +401,7 @@ func TestTrim(t *testing.T) {
 }
 
 func TestChannelDetectionCorrectsShuffledZones(t *testing.T) {
-	eng, c, _ := newCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
+	eng, c, _ := newTestCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
 		for i := range *dcfgs {
 			(*dcfgs)[i].ShuffleFraction = 0.5
 			(*dcfgs)[i].Seed = uint64(i) + 11
@@ -368,7 +432,7 @@ func TestChannelDetectionCorrectsShuffledZones(t *testing.T) {
 }
 
 func TestRecoveryRestoresData(t *testing.T) {
-	eng, c, devs := newCore(t, nil)
+	eng, c, devs := newTestCore(t, nil)
 	rng := sim.NewRNG(31)
 	want := map[int64]byte{}
 	for i := 0; i < 600; i++ {
@@ -420,7 +484,7 @@ func TestSelectorAblationIncreasesFlashWrites(t *testing.T) {
 	// updates are absorbed: flash programs grow (Fig. 14's
 	// BIZAw/oSelector bar).
 	run := func(selector bool) uint64 {
-		eng, c, devs := newCore(t, func(cfg *Config, _ *[]zns.Config) {
+		eng, c, devs := newTestCore(t, func(cfg *Config, _ *[]zns.Config) {
 			cfg.EnableSelector = selector
 		})
 		rng := sim.NewRNG(17)
@@ -451,7 +515,7 @@ func TestSelectorAblationIncreasesFlashWrites(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (uint64, uint64, uint64) {
-		eng, c, _ := newCore(t, nil)
+		eng, c, _ := newTestCore(t, nil)
 		rng := sim.NewRNG(23)
 		for i := 0; i < 2000; i++ {
 			blockdev.WriteSync(eng, c, rng.Int63n(c.Blocks()/4), 1, nil)

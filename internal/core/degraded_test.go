@@ -31,7 +31,7 @@ func attachPlan(t *testing.T, c *Core, spec *fault.Spec, seed uint64) *fault.Pla
 }
 
 func TestInjectedDeathDetectedAndReadsReconstruct(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	want := map[int64]byte{}
 	for i := 0; i < 120; i++ {
 		lba := int64(i)
@@ -69,7 +69,7 @@ func TestInjectedDeathDetectedAndReadsReconstruct(t *testing.T) {
 }
 
 func TestDegradedWritesAckedAndReadable(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	// Member 2 is dead from the very first command.
 	attachPlan(t, c, &fault.Spec{Rules: []fault.Rule{
 		{Kind: fault.DeviceDeath, Dev: 2, AfterOps: 0, At: 1},
@@ -100,7 +100,7 @@ func TestDegradedWritesAckedAndReadable(t *testing.T) {
 func TestDegradedReadInFlightStripe(t *testing.T) {
 	// An open stripe's chunks must be reconstructible from its partial
 	// parity (still sitting in the parity member's ZRWA).
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	// Two chunks of a three-data-chunk stripe: the stripe stays open.
 	blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(50, 4096))
 	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(51, 4096))
@@ -181,7 +181,7 @@ func TestUnreadableBlocksReconstructWithoutDeath(t *testing.T) {
 	// Latent sector errors: every zone of member 0 refuses reads, yet the
 	// member is alive (writes land). Reads reconstruct; health stays
 	// nominal because nothing reported device death.
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	zb := int(devConfig().ZoneBlocks)
 	var rules []fault.Rule
 	for z := 0; z < devConfig().NumZones; z++ {
@@ -213,7 +213,7 @@ func TestUnreadableBlocksReconstructWithoutDeath(t *testing.T) {
 }
 
 func TestMemberDeathHandlerFiresOnce(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	var deaths []int
 	c.OnMemberDeath(func(dev int) { deaths = append(deaths, dev) })
 	attachPlan(t, c, &fault.Spec{Rules: []fault.Rule{
@@ -229,7 +229,7 @@ func TestMemberDeathHandlerFiresOnce(t *testing.T) {
 }
 
 func TestInjectedDeathThenReplaceRestoresTolerance(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	want := map[int64]byte{}
 	writeSome := func(base int) {
 		for i := 0; i < 80; i++ {
@@ -293,7 +293,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	// (GC or rebuild) capturing its live set mid-RMW would migrate the
 	// pre-update content over the acknowledged rewrite and silently lose
 	// it. Dissolution must wait for the stripe's in-flight update.
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	k := c.nData
 	for i := 0; i < k; i++ {
 		if r := blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(10+i), 4096)); r.Err != nil {

@@ -149,7 +149,7 @@ func TestModelRandomizedWithRecovery(t *testing.T) {
 func TestModelDegradedSweep(t *testing.T) {
 	// Write a model data set, then verify every block under each
 	// single-device failure.
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	rng := sim.NewRNG(31337)
 	version := make(map[int64]int)
 	bs := c.blockSize
@@ -191,7 +191,7 @@ func TestModelDegradedSweep(t *testing.T) {
 func TestModelConcurrentDepth(t *testing.T) {
 	// Concurrent in-flight writes to DISTINCT blocks with verification
 	// after drain: exercises the scheduler under reordering with payloads.
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	bs := c.blockSize
 	const n = 600
 	for round := 0; round < 3; round++ {
@@ -228,7 +228,7 @@ func TestModelChaosWithFaults(t *testing.T) {
 	// transient errors on every member, a latency spike on one, and a
 	// mid-run member death followed by a hot-swap — every read result is
 	// still checked byte-for-byte against the reference model.
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	const deadDev = 3
 	plan, err := fault.Compile(&fault.Spec{Rules: []fault.Rule{
 		fault.TransientErrors(-1, fault.AnyOp, 0.01),

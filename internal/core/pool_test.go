@@ -13,7 +13,7 @@ import (
 // relies on: AllocZero returns zeroed memory after a dirty Free, and
 // copyBuf snapshots its source (and counts the copy).
 func TestPoolBufSemantics(t *testing.T) {
-	_, c, _ := newCore(t, nil)
+	_, c, _ := newTestCore(t, nil)
 	b := c.pool.AllocZero(c.blockSize)
 	if len(b) != c.blockSize {
 		t.Fatalf("AllocZero len = %d, want %d", len(b), c.blockSize)
@@ -49,7 +49,7 @@ func TestPoolBufSemantics(t *testing.T) {
 // TestPoolVecDropsReferences: putVec must nil out elements so pooled
 // vectors do not pin block buffers.
 func TestPoolVecDropsReferences(t *testing.T) {
-	_, c, _ := newCore(t, nil)
+	_, c, _ := newTestCore(t, nil)
 	v := c.getVec(3)
 	for i := range v {
 		v[i] = c.pool.AllocZero(c.blockSize)
@@ -68,7 +68,7 @@ func TestPoolVecDropsReferences(t *testing.T) {
 // parity generation in flight, gives its parity accumulators back to the
 // pool when its record retires.
 func TestShortSealFreesAccumulators(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	live, raw := c.pool.Live(), c.pool.RawLive()
 	if r := blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(3, c.blockSize)); r.Err != nil {
 		t.Fatal(r.Err)
@@ -97,7 +97,7 @@ func TestShortSealFreesAccumulators(t *testing.T) {
 // TestPoolCycleAllocFree is the pool-discipline gate: once warm, a full
 // get/put cycle across every pool costs zero allocations.
 func TestPoolCycleAllocFree(t *testing.T) {
-	_, c, _ := newCore(t, nil)
+	_, c, _ := newTestCore(t, nil)
 	cycle := func() {
 		b := c.pool.AllocZero(c.blockSize)
 		cp := c.copyBuf(b)
@@ -140,7 +140,7 @@ func TestPoolCycleAllocFree(t *testing.T) {
 // a fraction of an object per stripe; one closure per chunk would be
 // three.
 func TestSteadyStateStripeWriteAllocs(t *testing.T) {
-	eng, c, _ := newCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
+	eng, c, _ := newTestCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
 		for i := range *dcfgs {
 			(*dcfgs)[i].StoreData = false
 		}

@@ -40,7 +40,7 @@ func TestReadCompletesAfterReturn(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, c, _ := newCore(t, nil)
+			eng, c, _ := newTestCore(t, nil)
 			lba := tc.prepare(eng, c)
 			issued := eng.Now()
 			var got *blockdev.ReadResult
@@ -81,7 +81,7 @@ func TestReadAllocFree(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, c, _ := newCore(t, func(_ *Config, dcfgs *[]zns.Config) {
+			eng, c, _ := newTestCore(t, func(_ *Config, dcfgs *[]zns.Config) {
 				for i := range *dcfgs {
 					(*dcfgs)[i].StoreData = tc.storeData
 				}
@@ -157,7 +157,7 @@ func TestReadAllocFree(t *testing.T) {
 // which sends that run's blocks through reconstruction one by one. Every
 // read returns the bytes written, and the one record is home at the end.
 func TestReentrantReadUnderMemberDeath(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	const n, reads = 24, 6 // blocks per read: a run or two on every member
 	want := blockdev.Pattern(5, reads*n*c.blockSize)
 	if r := blockdev.WriteSync(eng, c, 0, reads*n, want); r.Err != nil {

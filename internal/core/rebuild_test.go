@@ -11,7 +11,7 @@ import (
 )
 
 func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	rng := sim.NewRNG(404)
 	want := map[int64]byte{}
 	for i := 0; i < 500; i++ {
@@ -68,7 +68,7 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 }
 
 func TestReplaceDeviceGeometryMismatch(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	dc := devConfig()
 	dc.ZoneBlocks = 128 // wrong geometry
 	nd, _ := zns.New(eng, dc)

@@ -52,7 +52,7 @@ func TestChunkWriteAllocFree(t *testing.T) {
 	done := func(blockdev.WriteResult) {}
 
 	t.Run("append", func(t *testing.T) {
-		eng, c, _ := newCore(t, perfMode)
+		eng, c, _ := newTestCore(t, perfMode)
 		const n = 16
 		span := c.Blocks() / 2 / n * n
 		for lba := int64(0); lba < span; lba += n {
@@ -134,7 +134,7 @@ func TestChunkWriteAllocFree(t *testing.T) {
 	})
 
 	t.Run("inplace", func(t *testing.T) {
-		eng, c, _ := newCore(t, perfMode)
+		eng, c, _ := newTestCore(t, perfMode)
 		// One full stripe, sealed and still inside every slot's window.
 		k := int64(c.nData)
 		blockdev.WriteSync(eng, c, 0, int(k), nil)
@@ -165,7 +165,7 @@ func TestChunkWriteAllocFree(t *testing.T) {
 // every buffer it drew — the read destinations included — is back when it
 // completes.
 func TestPayloadRMWAllocFree(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	c.pool.SetPoison(true)
 	// One full stripe with content, sealed and still inside every slot's
 	// window.
@@ -230,7 +230,7 @@ func TestRecordDiscipline(t *testing.T) {
 		}()
 		f()
 	}
-	_, c, _ := newCore(t, nil)
+	_, c, _ := newTestCore(t, nil)
 	c.pool.SetPoison(true)
 
 	w := c.getWrite()
@@ -327,7 +327,7 @@ func TestParityRelocationFailureCompletesSynchronously(t *testing.T) {
 		assertNoStrayRecords(t, c)
 	}
 	t.Run("raid5-open", func(t *testing.T) {
-		eng, c, _ := newCore(t, nil)
+		eng, c, _ := newTestCore(t, nil)
 		run(t, c, 1, func(lba int64, n int) blockdev.WriteResult {
 			return blockdev.WriteSync(eng, c, lba, n, blockdev.Pattern(byte(lba), n*4096))
 		})
@@ -346,7 +346,7 @@ func TestParityRelocationFailureCompletesSynchronously(t *testing.T) {
 // and every chunk — failed data write or not, parity row lost or not —
 // reports to its parent exactly once, without error.
 func TestMemberDeathMidAppendAcksEachChunkOnce(t *testing.T) {
-	eng, c, _ := newCore(t, nil)
+	eng, c, _ := newTestCore(t, nil)
 	attachPlan(t, c, &fault.Spec{Rules: []fault.Rule{
 		{Kind: fault.DeviceDeath, Dev: 1, AfterOps: 3},
 	}}, 11)

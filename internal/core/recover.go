@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"biza/internal/buf"
 	"biza/internal/cpumodel"
-	"biza/internal/erasure"
-	"biza/internal/ghostcache"
 	"biza/internal/nvme"
 	"biza/internal/zns"
 )
@@ -28,40 +25,11 @@ type scanRecord struct {
 // DRAM lost). The scan runs in virtual time; done fires with the rebuilt
 // engine once every zone has been read.
 func Recover(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant, done func(*Core, error)) {
-	if len(queues) < 3 {
-		done(nil, fmt.Errorf("core: need >= 3 members"))
-		return
-	}
-	if acct == nil {
-		acct = &cpumodel.Accountant{}
-	}
-	base := queues[0].Device().Config()
-	coder, err := erasure.NewCoder(len(queues)-cfg.Parity, cfg.Parity)
+	c, err := newCore(queues, cfg, acct)
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	c := &Core{
-		cfg:        cfg,
-		eng:        queues[0].Device().Engine(),
-		acct:       acct,
-		coder:      coder,
-		nData:      len(queues) - cfg.Parity,
-		blockSize:  base.BlockSize,
-		zoneBlocks: base.ZoneBlocks,
-		zrwaBlocks: base.ZRWABlocks,
-		failed:     make([]bool, len(queues)),
-		dead:       make([]bool, len(queues)),
-		rebuilding: make([]bool, len(queues)),
-		pool:       buf.NewPool(),
-	}
-	c.reconstructs = make([]uint64, len(queues))
-	totalZRWA := uint64(base.ZRWABlocks) * uint64(base.BlockSize) * uint64(base.MaxOpenZones) * uint64(len(queues))
-	gcfg := cfg.Ghost
-	if gcfg.LRUEntries == 0 {
-		gcfg = ghostcache.DefaultConfig(totalZRWA)
-	}
-	c.ghost = ghostcache.New(gcfg)
 	for i, q := range queues {
 		ds := emptyDevState(c, i, q)
 		ds.diagnose(cfg.DiagnoseZones)

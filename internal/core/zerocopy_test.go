@@ -50,7 +50,7 @@ func totalBufCopied(devs []*zns.Device) uint64 {
 func TestZeroCopyUserDataPath(t *testing.T) {
 	const stripes = 64
 	run := func(pooled bool) (userBytes, copied uint64, c *Core, devs []*zns.Device, eng *sim.Engine) {
-		eng, c, devs = newCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
+		eng, c, devs = newTestCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
 			cfg.MaxBatchBlocks = 1 // no gather: payloads pass through by reference
 			for i := range *dcfgs {
 				(*dcfgs)[i].StoreData = true
@@ -118,7 +118,7 @@ func TestZeroCopyUserDataPath(t *testing.T) {
 // batch record on its free list, stripe records and SMT entries out only
 // for the stripes still open or mapped.
 func TestZeroCopyNoLeaks(t *testing.T) {
-	eng, c, _ := newCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
+	eng, c, _ := newTestCore(t, func(cfg *Config, dcfgs *[]zns.Config) {
 		for i := range *dcfgs {
 			(*dcfgs)[i].StoreData = false
 		}

@@ -19,17 +19,15 @@ import (
 type Config struct {
 	// MemtableBytes triggers a flush when the memtable reaches this size.
 	MemtableBytes int64
-	// L0Files triggers compaction into L1 when level 0 holds this many
-	// tables.
-	L0Files int
-	// BlockBytes is the SSTable block size (device block).
-	BlockBytes int
 }
 
 // DefaultConfig returns sizes suitable for simulation scale.
 func DefaultConfig() Config {
-	return Config{MemtableBytes: 256 << 10, L0Files: 4, BlockBytes: 4096}
+	return Config{MemtableBytes: 256 << 10}
 }
+
+// l0Files triggers compaction into L1 when level 0 holds more tables.
+const l0Files = 4
 
 type entry struct {
 	key   string
@@ -57,9 +55,10 @@ func (s *sstable) find(key string) int {
 
 // DB is the store instance.
 type DB struct {
-	cfg Config
-	fs  *lsfs.FS
-	eng *sim.Engine
+	cfg        Config
+	fs         *lsfs.FS
+	eng        *sim.Engine
+	blockBytes int64 // SSTable block size: the filesystem's block
 
 	mem      map[string][]byte
 	memBytes int64
@@ -81,7 +80,7 @@ var ErrNotFound = errors.New("kvstore: key not found")
 
 // Open creates a store on the filesystem.
 func Open(eng *sim.Engine, fs *lsfs.FS, cfg Config) (*DB, error) {
-	if cfg.MemtableBytes < 4096 || cfg.L0Files < 2 || cfg.BlockBytes < 512 {
+	if cfg.MemtableBytes < 4096 {
 		return nil, fmt.Errorf("kvstore: bad config %+v", cfg)
 	}
 	walID, err := fs.Create("WAL")
@@ -89,12 +88,13 @@ func Open(eng *sim.Engine, fs *lsfs.FS, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	return &DB{
-		cfg:    cfg,
-		fs:     fs,
-		eng:    eng,
-		mem:    make(map[string][]byte),
-		walID:  walID,
-		levels: make([][]*sstable, 2),
+		cfg:        cfg,
+		fs:         fs,
+		eng:        eng,
+		blockBytes: int64(fs.BlockSize()),
+		mem:        make(map[string][]byte),
+		walID:      walID,
+		levels:     make([][]*sstable, 2),
 	}, nil
 }
 
@@ -250,7 +250,7 @@ func (db *DB) flush() {
 		db.walID = id
 		db.walBlocks = 0
 	}
-	if len(db.levels[0]) > db.cfg.L0Files {
+	if len(db.levels[0]) > l0Files {
 		db.compact()
 	}
 }
@@ -258,7 +258,7 @@ func (db *DB) flush() {
 // writeTable persists a sorted run as an SSTable file.
 func (db *DB) writeTable(entries []entry, bytes int64) *sstable {
 	db.nextSST++
-	blocks := (bytes + int64(db.cfg.BlockBytes) - 1) / int64(db.cfg.BlockBytes)
+	blocks := (bytes + db.blockBytes - 1) / db.blockBytes
 	if blocks < 1 {
 		blocks = 1
 	}
@@ -267,7 +267,7 @@ func (db *DB) writeTable(entries []entry, bytes int64) *sstable {
 		panic(fmt.Sprintf("kvstore: create sstable: %v", err))
 	}
 	db.fs.WriteFile(fileID, 0, int(blocks), nil)
-	db.bytesFlushed += uint64(blocks) * uint64(db.cfg.BlockBytes)
+	db.bytesFlushed += uint64(blocks * db.blockBytes)
 	return &sstable{id: db.nextSST, fileID: fileID, entries: entries, blocks: blocks}
 }
 
@@ -304,7 +304,7 @@ func (db *DB) compact() {
 			return
 		}
 		out := db.writeTable(entries, bytes)
-		db.bytesCompacted += uint64(out.blocks) * uint64(db.cfg.BlockBytes)
+		db.bytesCompacted += uint64(out.blocks * db.blockBytes)
 		for _, in := range inputs {
 			db.fs.Delete(in.fileID)
 		}

@@ -26,23 +26,24 @@ type Config struct {
 	MetaBlocks int64
 	// SegmentBlocks is the cleaning/allocation unit of the main area.
 	SegmentBlocks int64
-	// MetaPerDataWrites issues one metadata block update per N data block
-	// writes (node/NAT/SIT traffic ratio).
-	MetaPerDataWrites int
-	// CleanThresholdFree triggers segment cleaning below this many free
-	// segments.
-	CleanThresholdFree int
 }
 
 // DefaultConfig sizes the filesystem for the device.
 func DefaultConfig() Config {
 	return Config{
-		MetaBlocks:         2048, // 8 MiB metadata region
-		SegmentBlocks:      512,  // 2 MiB segments
-		MetaPerDataWrites:  8,
-		CleanThresholdFree: 4,
+		MetaBlocks:    2048, // 8 MiB metadata region
+		SegmentBlocks: 512,  // 2 MiB segments
 	}
 }
+
+const (
+	// metaPerDataWrites issues one metadata block update per this many
+	// data block writes (node/NAT/SIT traffic ratio).
+	metaPerDataWrites = 8
+	// cleanThresholdFree triggers segment cleaning below this many free
+	// segments.
+	cleanThresholdFree = 4
+)
 
 // FS is the filesystem instance. Single simulation goroutine.
 type FS struct {
@@ -245,7 +246,7 @@ func (fs *FS) WriteFile(id int, fb int64, nblocks int, done func(error)) {
 		fs.dev.Write(r.dev, r.blocks, nil, func(w blockdev.WriteResult) { finish(w.Err) })
 	}
 	// Node/NAT metadata: random in-place updates in the metadata region.
-	metaCount := nblocks / fs.cfg.MetaPerDataWrites
+	metaCount := nblocks / metaPerDataWrites
 	if metaCount < 1 {
 		metaCount = 1
 	}
@@ -324,7 +325,7 @@ func (fs *FS) Delete(id int) error {
 // maybeClean runs segment cleaning when free segments are scarce: pick the
 // segment with the fewest live blocks, migrate them, trim the segment.
 func (fs *FS) maybeClean() {
-	if fs.cleaning || len(fs.freeSegs) >= fs.cfg.CleanThresholdFree {
+	if fs.cleaning || len(fs.freeSegs) >= cleanThresholdFree {
 		return
 	}
 	fs.cleaning = true
@@ -332,7 +333,7 @@ func (fs *FS) maybeClean() {
 }
 
 func (fs *FS) cleanStep() {
-	if len(fs.freeSegs) >= fs.cfg.CleanThresholdFree*2 {
+	if len(fs.freeSegs) >= cleanThresholdFree*2 {
 		fs.cleaning = false
 		return
 	}

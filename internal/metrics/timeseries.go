@@ -12,22 +12,13 @@ package metrics
 // directly), so sampled values are a pure function of the deterministic
 // event stream: byte-identical output at any -parallel or -shards value.
 
-// SamplerConfig sizes a Sampler.
-type SamplerConfig struct {
-	// Interval is the virtual-time cadence between samples in nanoseconds
-	// (0 = DefaultSeriesInterval).
-	Interval int64
-	// MaxPoints caps retained points per series (0 = DefaultSeriesPoints).
-	// On overflow the sampler decimates: it keeps every other point and
-	// doubles Interval, preserving full-run coverage.
-	MaxPoints int
-}
-
-// Default sampler sizing: 50 us ticks cover a 4 ms quick run in ~80
-// points and a 50 ms default-scale run in ~1000 (one decimation).
+// Sampler sizing: 50 us ticks cover a 4 ms quick run in ~80 points and a
+// 50 ms default-scale run in ~1000 (one decimation). A full ring of
+// seriesPoints decimates: every other point is kept and the interval
+// doubles, preserving full-run coverage.
 const (
-	DefaultSeriesInterval = 50 * 1000 // 50 us in virtual ns
-	DefaultSeriesPoints   = 512
+	seriesInterval = 50 * 1000 // 50 us in virtual ns
+	seriesPoints   = 512
 )
 
 // SeriesDump is one exported virtual-time series: the value of one source
@@ -44,27 +35,18 @@ type SeriesDump struct {
 // Sampler snapshots registered sources on a fixed virtual-time cadence.
 // It is single-goroutine, like the trace/engine that drives it.
 type Sampler struct {
-	interval  int64
-	maxPoints int
-	next      int64 // virtual time of the next tick (k*interval)
-	count     int   // ticks recorded so far (= len of every ring)
+	interval int64
+	next     int64 // virtual time of the next tick (k*interval)
+	count    int   // ticks recorded so far (= len of every ring)
 
 	names []string
 	kinds []ProbeKind
 	fns   []func() float64
-	rings [][]float64 // rings[i]: cap maxPoints, len count
+	rings [][]float64 // rings[i]: cap seriesPoints, len count
 }
 
-// NewSampler returns an empty sampler ticking at cfg.Interval.
-func NewSampler(cfg SamplerConfig) *Sampler {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultSeriesInterval
-	}
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = DefaultSeriesPoints
-	}
-	return &Sampler{interval: cfg.Interval, maxPoints: cfg.MaxPoints}
-}
+// NewSampler returns an empty sampler ticking every 50 us.
+func NewSampler() *Sampler { return &Sampler{interval: seriesInterval} }
 
 // Interval reports the current tick cadence (doubles on decimation).
 func (s *Sampler) Interval() int64 { return s.interval }
@@ -81,7 +63,7 @@ func (s *Sampler) Register(name string, kind ProbeKind, fn func() float64) {
 	s.names = append(s.names, name)
 	s.kinds = append(s.kinds, kind)
 	s.fns = append(s.fns, fn)
-	ring := make([]float64, s.count, s.maxPoints)
+	ring := make([]float64, s.count, seriesPoints)
 	s.rings = append(s.rings, ring)
 }
 
@@ -100,7 +82,7 @@ func (s *Sampler) Advance(ts int64) {
 
 // tick snapshots every source into its ring, decimating first when full.
 func (s *Sampler) tick() {
-	if s.count == s.maxPoints {
+	if s.count == seriesPoints {
 		s.decimate()
 	}
 	for i, fn := range s.fns {

@@ -4,21 +4,23 @@ import (
 	"testing"
 )
 
+const iv = seriesInterval
+
 func TestSamplerTicksAtInterval(t *testing.T) {
-	s := NewSampler(SamplerConfig{Interval: 100, MaxPoints: 1024})
+	s := NewSampler()
 	var v float64
 	s.Register("x", ProbeGauge, func() float64 { return v })
 
-	// First advance covers ticks at t=0..500 inclusive: 6 ticks.
+	// First advance covers ticks at t=0..5 intervals inclusive: 6 ticks.
 	v = 1
-	s.Advance(500)
+	s.Advance(5 * iv)
 	if s.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", s.Len())
 	}
 	// A catch-up jump records the missing ticks with the value visible at
 	// advance time (piecewise-constant interpolation).
 	v = 7
-	s.Advance(1000)
+	s.Advance(10 * iv)
 	if s.Len() != 11 {
 		t.Fatalf("Len = %d, want 11", s.Len())
 	}
@@ -35,65 +37,66 @@ func TestSamplerTicksAtInterval(t *testing.T) {
 			t.Fatalf("points[%d] = %v, want %v (all: %v)", i, p, want[i], want)
 		}
 	}
-	if d[0].Trace != "tr" || d[0].Name != "x" || d[0].Kind != ProbeGauge || d[0].IntervalNs != 100 {
+	if d[0].Trace != "tr" || d[0].Name != "x" || d[0].Kind != ProbeGauge || d[0].IntervalNs != 50_000 {
 		t.Fatalf("dump metadata wrong: %+v", d[0])
 	}
 }
 
 func TestSamplerAdvanceIsIdempotentAtSameTime(t *testing.T) {
-	s := NewSampler(SamplerConfig{Interval: 100, MaxPoints: 64})
+	s := NewSampler()
 	s.Register("x", ProbeCounter, func() float64 { return 1 })
-	s.Advance(250)
+	s.Advance(5 * iv / 2)
 	n := s.Len()
-	s.Advance(250)
-	s.Advance(250)
+	s.Advance(5 * iv / 2)
+	s.Advance(5 * iv / 2)
 	if s.Len() != n {
 		t.Fatalf("re-advancing at same ts grew series: %d -> %d", n, s.Len())
 	}
 }
 
+// TestSamplerDecimation feeds a ramp (at tick k the source reads k) one
+// tick at a time. The ring holds 512 points at 50 us; the 513th tick
+// decimates it to every other point and the cadence becomes 100 us.
 func TestSamplerDecimation(t *testing.T) {
-	s := NewSampler(SamplerConfig{Interval: 10, MaxPoints: 8})
+	s := NewSampler()
 	tick := 0.0
 	s.Register("t", ProbeGauge, func() float64 { return tick })
-
-	// Feed a ramp: at tick k the source reads k. Advance one tick at a time
-	// so every recorded point equals its tick index.
-	for k := 0; k < 20; k++ {
+	advance := func(k int) {
 		tick = float64(k)
-		s.Advance(int64(k * 10))
+		s.Advance(int64(k) * iv)
 	}
-	// 20 ticks through a MaxPoints=8 ring: decimation doubled the interval
-	// (possibly more than once) but points must remain a prefix-preserving
-	// subsample: point j holds the value from tick j*(interval/10).
-	d := s.Dump("")
-	stride := s.Interval() / 10
-	if stride < 2 {
-		t.Fatalf("expected at least one decimation, interval = %d", s.Interval())
+	for k := 0; k < 512; k++ {
+		advance(k)
 	}
-	if s.Len() > 8 {
-		t.Fatalf("Len = %d exceeds MaxPoints", s.Len())
+	if s.Len() != 512 || s.Interval() != 50_000 {
+		t.Fatalf("after 512 ticks: Len %d interval %d, want 512 at 50 us", s.Len(), s.Interval())
 	}
-	for j, p := range d[0].Points {
-		if want := float64(int64(j) * stride); p != want {
-			t.Fatalf("decimated points[%d] = %v, want %v (interval %d, points %v)",
-				j, p, want, s.Interval(), d[0].Points)
+	advance(512)
+	if s.Len() != 257 || s.Interval() != 100_000 {
+		t.Fatalf("after tick 513: Len %d interval %d, want 257 at 100 us", s.Len(), s.Interval())
+	}
+	// Odd ticks now fall between samples; even ones land on the cadence.
+	for k := 513; k < 800; k++ {
+		advance(k)
+	}
+	if s.Len() != 400 {
+		t.Fatalf("Len = %d, want 400 at the doubled cadence", s.Len())
+	}
+	// Point j holds the value from 50 us tick 2j: a prefix-preserving
+	// subsample whose last point is within one interval of the run's end.
+	for j, p := range s.Dump("")[0].Points {
+		if want := float64(2 * j); p != want {
+			t.Fatalf("decimated points[%d] = %v, want %v", j, p, want)
 		}
-	}
-	// Coverage must span the whole run: the last retained tick is within one
-	// (doubled) interval of the final advance time.
-	last := int64(s.Len()-1) * s.Interval()
-	if last < 190-s.Interval() {
-		t.Fatalf("series ends at %d, run ended at 190 (interval %d)", last, s.Interval())
 	}
 }
 
 func TestSamplerLateRegistrationBackfillsZero(t *testing.T) {
-	s := NewSampler(SamplerConfig{Interval: 10, MaxPoints: 64})
+	s := NewSampler()
 	s.Register("a", ProbeCounter, func() float64 { return 1 })
-	s.Advance(40) // 5 ticks
+	s.Advance(4 * iv) // 5 ticks
 	s.Register("b", ProbeCounter, func() float64 { return 2 })
-	s.Advance(80) // 4 more
+	s.Advance(8 * iv) // 4 more
 	d := s.Dump("")
 	if len(d) != 2 {
 		t.Fatalf("series = %d, want 2", len(d))
@@ -113,9 +116,9 @@ func TestSamplerLateRegistrationBackfillsZero(t *testing.T) {
 }
 
 func TestSamplerDumpCopies(t *testing.T) {
-	s := NewSampler(SamplerConfig{Interval: 10, MaxPoints: 16})
+	s := NewSampler()
 	s.Register("a", ProbeGauge, func() float64 { return 3 })
-	s.Advance(20)
+	s.Advance(2 * iv)
 	d := s.Dump("")
 	d[0].Points[0] = -1
 	d2 := s.Dump("")
@@ -133,14 +136,15 @@ func TestSamplerNilDump(t *testing.T) {
 
 // The sampler hot path (Due check + catch-up Advance) must never allocate
 // in steady state, including across decimations: rings are preallocated at
-// MaxPoints capacity and decimation compacts in place.
+// full capacity and decimation compacts in place. 5000 advances of 0.7
+// intervals cross three decimations.
 func TestSamplerAdvanceAllocFree(t *testing.T) {
-	s := NewSampler(SamplerConfig{Interval: 10, MaxPoints: 32})
+	s := NewSampler()
 	s.Register("a", ProbeGauge, func() float64 { return 1 })
 	s.Register("b", ProbeCounter, func() float64 { return 2 })
 	ts := int64(0)
 	allocs := testing.AllocsPerRun(5000, func() {
-		ts += 7
+		ts += 7 * iv / 10
 		if s.Due(ts) {
 			s.Advance(ts)
 		}
@@ -148,10 +152,13 @@ func TestSamplerAdvanceAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("sampler Advance allocates %.1f/op, want 0", allocs)
 	}
+	if s.Interval() < 8*iv {
+		t.Fatalf("interval %d: fewer than three decimations crossed", s.Interval())
+	}
 }
 
 func BenchmarkSamplerAdvance(b *testing.B) {
-	s := NewSampler(SamplerConfig{Interval: 10, MaxPoints: 512})
+	s := NewSampler()
 	for i := 0; i < 8; i++ {
 		v := float64(i)
 		s.Register("s", ProbeGauge, func() float64 { return v })
@@ -160,7 +167,7 @@ func BenchmarkSamplerAdvance(b *testing.B) {
 	b.ResetTimer()
 	ts := int64(0)
 	for i := 0; i < b.N; i++ {
-		ts += 10
+		ts += iv
 		s.Advance(ts)
 	}
 }

@@ -32,74 +32,16 @@ type Config struct {
 	// ordering hazard, so they are never held back.
 	ZoneOrdered bool
 	Seed        uint64
-	// MaxRetries bounds how often a command failing with
-	// storerr.ErrTransient is retried before the error surfaces. 0 uses
-	// DefaultMaxRetries; negative disables retries.
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// attempt. 0 uses DefaultRetryBackoff.
-	RetryBackoff sim.Time
-	// MaxRetryBackoff clamps the exponential backoff: once doubling
-	// reaches this delay, every further retry waits exactly this long.
-	// Without the clamp a large MaxRetries would shift the backoff past
-	// the width of sim.Time and schedule retries in the past. 0 uses
-	// DefaultMaxRetryBackoff.
-	MaxRetryBackoff sim.Time
 }
 
-// Retry defaults: three attempts spaced 20 µs, 40 µs, 80 µs apart —
-// comfortably above device command overhead, far below any host timeout.
-// The backoff cap matches a typical host I/O retry ceiling (10 ms):
-// generous against transient bus glitches, far below command timeouts.
+// A command failing with storerr.ErrTransient is retried maxRetries times,
+// retryBackoff after its first failure and doubling per attempt (20, 40,
+// 80 µs): comfortably above device command overhead, far below any host
+// timeout.
 const (
-	DefaultMaxRetries      = 3
-	DefaultRetryBackoff    = 20 * sim.Microsecond
-	DefaultMaxRetryBackoff = 10 * sim.Millisecond
+	maxRetries   = 3
+	retryBackoff = 20 * sim.Microsecond
 )
-
-func (c *Config) maxRetries() int {
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	if c.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	return c.MaxRetries
-}
-
-func (c *Config) retryBackoff() sim.Time {
-	if c.RetryBackoff <= 0 {
-		return DefaultRetryBackoff
-	}
-	return c.RetryBackoff
-}
-
-func (c *Config) maxRetryBackoff() sim.Time {
-	if c.MaxRetryBackoff <= 0 {
-		return DefaultMaxRetryBackoff
-	}
-	return c.MaxRetryBackoff
-}
-
-// backoffFor computes the clamped exponential delay before retry attempt
-// (1-based). Doubling stops at the cap rather than shifting blindly, so
-// arbitrarily large attempt counts can never overflow sim.Time into a
-// negative delay (which would schedule the retry in the past and panic
-// the engine).
-func (c *Config) backoffFor(attempt int) sim.Time {
-	b := c.retryBackoff()
-	clamp := c.maxRetryBackoff()
-	if b >= clamp {
-		return clamp
-	}
-	for i := 1; i < attempt; i++ {
-		b <<= 1
-		if b >= clamp || b <= 0 {
-			return clamp
-		}
-	}
-	return b
-}
 
 // Queue sits between one engine and one ZNS device.
 type Queue struct {
@@ -214,20 +156,19 @@ func (op *qop) deliverErr(err error) {
 // re-delivers a command the device never executed.
 func (op *qop) retryable(err error) bool {
 	q := op.q
-	if q.dead || op.attempt >= q.cfg.maxRetries() {
+	if q.dead || op.attempt >= maxRetries {
 		return false
 	}
 	return errors.Is(err, storerr.ErrTransient)
 }
 
-// retry re-schedules delivery with exponential backoff, clamped at
-// maxRetryBackoff so deep retry chains stay in causal order.
+// retry re-schedules delivery with exponential backoff.
 func (op *qop) retry() {
 	q := op.q
 	op.attempt++
 	q.retries++
 	op.delayed = false // consult the injector afresh on redelivery
-	op.at = q.eng.Now() + q.cfg.backoffFor(op.attempt)
+	op.at = q.eng.Now() + retryBackoff<<(op.attempt-1)
 	q.eng.AtEvent(op.at, op, 0, 0)
 }
 

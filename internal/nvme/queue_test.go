@@ -226,102 +226,8 @@ func TestRetriesExhaustedSurfaceTransient(t *testing.T) {
 	if !errors.Is(werr, storerr.ErrTransient) {
 		t.Fatalf("err = %v", werr)
 	}
-	if q.Retries() != DefaultMaxRetries {
-		t.Fatalf("retries = %d, want %d", q.Retries(), DefaultMaxRetries)
-	}
-}
-
-func TestRetriesDisabled(t *testing.T) {
-	eng, q := newStack(t, Config{Seed: 4, MaxRetries: -1})
-	q.SetInjector(injected(t, &fault.Spec{Rules: []fault.Rule{
-		{Kind: fault.Transient, Dev: 0, Rate: 1, MaxCount: 1},
-	}}, 4))
-	var werr error
-	q.Write(0, 0, 1, nil, nil, zns.TagUserData, func(r zns.WriteResult) { werr = r.Err })
-	eng.Run()
-	if !errors.Is(werr, storerr.ErrTransient) || q.Retries() != 0 {
-		t.Fatalf("err=%v retries=%d", werr, q.Retries())
-	}
-}
-
-// TestLargeMaxRetriesBackoffClamped is the regression test for the
-// backoff-shift overflow: with MaxRetries well past 63, the unclamped
-// retryBackoff()<<(attempt-1) wrapped sim.Time negative and scheduled
-// retries in the past (an engine panic). The clamped backoff must keep
-// every retry in causal order and surface the transient error after
-// exactly MaxRetries attempts.
-func TestLargeMaxRetriesBackoffClamped(t *testing.T) {
-	const retries = 200
-	eng, q := newStack(t, Config{Seed: 11, MaxRetries: retries})
-	q.SetInjector(injected(t, &fault.Spec{Rules: []fault.Rule{
-		fault.TransientErrors(0, fault.AnyOp, 1),
-	}}, 11))
-	var werr error
-	done := false
-	q.Write(0, 0, 1, nil, nil, zns.TagUserData, func(r zns.WriteResult) { werr = r.Err; done = true })
-	eng.Run()
-	if !done || !errors.Is(werr, storerr.ErrTransient) {
-		t.Fatalf("done=%v err=%v", done, werr)
-	}
-	if q.Retries() != retries {
-		t.Fatalf("retries = %d, want %d", q.Retries(), retries)
-	}
-	// Every post-doubling retry waits exactly the clamp, so total virtual
-	// time is bounded by retries * clamp (plus the doubling ramp) — and
-	// it must exceed the clamp itself, proving the deep retries waited.
-	if eng.Now() <= DefaultMaxRetryBackoff {
-		t.Fatalf("virtual time %d did not accumulate clamped backoffs", eng.Now())
-	}
-	if limit := sim.Time(retries+1) * DefaultMaxRetryBackoff; eng.Now() > limit {
-		t.Fatalf("virtual time %d exceeds %d — backoff not clamped", eng.Now(), limit)
-	}
-}
-
-// TestBackoffForNeverNegative sweeps deep attempt counts: the computed
-// delay must stay positive, monotonically non-decreasing, and clamped.
-func TestBackoffForNeverNegative(t *testing.T) {
-	cfg := Config{}
-	prev := sim.Time(0)
-	for attempt := 1; attempt <= 300; attempt++ {
-		b := cfg.backoffFor(attempt)
-		if b <= 0 {
-			t.Fatalf("attempt %d: backoff %d not positive", attempt, b)
-		}
-		if b < prev {
-			t.Fatalf("attempt %d: backoff %d below previous %d", attempt, b, prev)
-		}
-		if b > DefaultMaxRetryBackoff {
-			t.Fatalf("attempt %d: backoff %d above clamp", attempt, b)
-		}
-		prev = b
-	}
-	// A custom base above the clamp collapses to the clamp immediately.
-	high := Config{RetryBackoff: 20 * sim.Millisecond, MaxRetryBackoff: 5 * sim.Millisecond}
-	if b := high.backoffFor(1); b != 5*sim.Millisecond {
-		t.Fatalf("base above clamp: backoff %d, want clamp", b)
-	}
-}
-
-// TestRetriesDisabledReadAndReset extends the MaxRetries < 0 contract to
-// the read and reset paths: the first transient error surfaces directly,
-// with no retry scheduled.
-func TestRetriesDisabledReadAndReset(t *testing.T) {
-	eng, q := newStack(t, Config{Seed: 12, MaxRetries: -1})
-	q.SetInjector(injected(t, &fault.Spec{Rules: []fault.Rule{
-		fault.TransientErrors(0, fault.AnyOp, 1),
-	}}, 12))
-	var rerr, eerr error
-	q.ReadInto(0, 0, 1, nil, false, func(r zns.ReadResult) { rerr = r.Err })
-	q.Reset(0, func(err error) { eerr = err })
-	eng.Run()
-	if !errors.Is(rerr, storerr.ErrTransient) {
-		t.Fatalf("read err = %v, want first transient", rerr)
-	}
-	if !errors.Is(eerr, storerr.ErrTransient) {
-		t.Fatalf("reset err = %v, want first transient", eerr)
-	}
-	if q.Retries() != 0 {
-		t.Fatalf("retries = %d with retries disabled", q.Retries())
+	if q.Retries() != maxRetries {
+		t.Fatalf("retries = %d, want %d", q.Retries(), maxRetries)
 	}
 }
 
@@ -330,7 +236,7 @@ func TestRetriesDisabledReadAndReset(t *testing.T) {
 // must swallow the eventual redelivery — no completion fires, nothing
 // panics, and the pooled record is recycled rather than leaked.
 func TestKillDuringRetryBackoffDropsCompletion(t *testing.T) {
-	eng, q := newStack(t, Config{Seed: 13, MaxRetries: 5})
+	eng, q := newStack(t, Config{Seed: 13})
 	q.SetInjector(injected(t, &fault.Spec{Rules: []fault.Rule{
 		fault.TransientErrors(0, fault.AnyOp, 1),
 	}}, 13))

@@ -10,11 +10,11 @@ import "biza/internal/metrics"
 // EnableSampler attaches a virtual-time series sampler. Every probe the
 // trace has seen (or later sees) becomes a sampled source automatically,
 // in probe-first-seen order. Nil-safe; enabling twice replaces the sampler.
-func (t *Trace) EnableSampler(cfg metrics.SamplerConfig) {
+func (t *Trace) EnableSampler() {
 	if t == nil {
 		return
 	}
-	t.sampler = metrics.NewSampler(cfg)
+	t.sampler = metrics.NewSampler()
 	for _, key := range t.probeSeq {
 		t.registerProbeSeries(t.probes[key])
 	}

@@ -6,17 +6,19 @@ import (
 	"biza/internal/metrics"
 )
 
+const iv = 50_000 // the sampler's cadence in virtual ns
+
 func TestTraceSeriesFromProbes(t *testing.T) {
 	tr := New(Config{})
 	tr.SetName("eng0")
-	tr.EnableSampler(metrics.SamplerConfig{Interval: 100, MaxPoints: 64})
+	tr.EnableSampler()
 
 	qd := ProbeKey(ProbeQueueDepth, 0, 0)
 	busy := ProbeKey(ProbeChanWriteBusy, 0, 2)
-	tr.Counter(0, qd, 1)     // tick 0 records pre-update values (0)
-	tr.Counter(150, qd, 3)   // ticks through t=100 record qd=1
-	tr.Counter(220, busy, 9) // late probe: backfilled with zeros
-	tr.Counter(430, qd, 2)   // ticks 300, 400 record qd=3, busy=9
+	tr.Counter(0, qd, 1)          // tick 0 records pre-update values (0)
+	tr.Counter(3*iv/2, qd, 3)     // ticks through 1 record qd=1
+	tr.Counter(22*iv/10, busy, 9) // late probe: backfilled with zeros
+	tr.Counter(43*iv/10, qd, 2)   // ticks 3, 4 record qd=3, busy=9
 
 	d := tr.SeriesDumps()
 	if len(d) != 2 {
@@ -32,7 +34,7 @@ func TestTraceSeriesFromProbes(t *testing.T) {
 	if d[0].Trace != "eng0" {
 		t.Fatalf("trace label = %q", d[0].Trace)
 	}
-	// Ticks at t=0,100,200,300,400 (the t=430 emission catches up through 400).
+	// Ticks 0..4 (the emission at 4.3 ticks catches up through tick 4).
 	wantQD := []float64{0, 1, 3, 3, 3}
 	wantBusy := []float64{0, 0, 0, 9, 9}
 	for i, want := range wantQD {
@@ -51,14 +53,14 @@ func TestTraceSeriesFromProbes(t *testing.T) {
 func TestTraceSeriesEnableAfterProbes(t *testing.T) {
 	tr := New(Config{})
 	key := ProbeKey(ProbeOpenZones, 1, 0)
-	tr.Counter(50, key, 4)
-	tr.EnableSampler(metrics.SamplerConfig{Interval: 100, MaxPoints: 16})
-	tr.Counter(250, key, 6)
+	tr.Counter(iv/2, key, 4)
+	tr.EnableSampler()
+	tr.Counter(5*iv/2, key, 6)
 	d := tr.SeriesDumps()
 	if len(d) != 1 {
 		t.Fatalf("series = %d, want 1", len(d))
 	}
-	// Ticks 0, 100, 200 all see the pre-update value 4.
+	// Ticks 0, 1, 2 all see the pre-update value 4.
 	want := []float64{4, 4, 4}
 	if len(d[0].Points) != len(want) {
 		t.Fatalf("points %v, want %v", d[0].Points, want)
@@ -72,10 +74,10 @@ func TestTraceSeriesEnableAfterProbes(t *testing.T) {
 
 func TestTraceAdvanceSamplerExtendsSeries(t *testing.T) {
 	tr := New(Config{})
-	tr.EnableSampler(metrics.SamplerConfig{Interval: 100, MaxPoints: 16})
+	tr.EnableSampler()
 	key := ProbeKey(ProbeQueueDepth, 0, 0)
-	tr.Counter(10, key, 5)
-	tr.AdvanceSampler(510) // probe-quiet tail still gets sampled
+	tr.Counter(iv/10, key, 5)
+	tr.AdvanceSampler(51 * iv / 10) // probe-quiet tail still gets sampled
 	d := tr.SeriesDumps()
 	if got := len(d[0].Points); got != 6 {
 		t.Fatalf("points after AdvanceSampler = %d, want 6 (%v)", got, d[0].Points)
@@ -87,7 +89,7 @@ func TestTraceAdvanceSamplerExtendsSeries(t *testing.T) {
 
 func TestTraceSeriesNilSafety(t *testing.T) {
 	var tr *Trace
-	tr.EnableSampler(metrics.SamplerConfig{})
+	tr.EnableSampler()
 	tr.AdvanceSampler(100)
 	if tr.SeriesDumps() != nil {
 		t.Fatal("nil trace SeriesDumps should be nil")
@@ -102,12 +104,12 @@ func TestTraceSeriesNilSafety(t *testing.T) {
 // (after all probes have been seen once).
 func TestCounterWithSamplerAllocFree(t *testing.T) {
 	tr := New(Config{Capacity: 1 << 12})
-	tr.EnableSampler(metrics.SamplerConfig{Interval: 100, MaxPoints: 128})
+	tr.EnableSampler()
 	key := ProbeKey(ProbeQueueDepth, 0, 0)
 	tr.Counter(0, key, 1) // registration alloc happens here
 	ts := int64(0)
 	allocs := testing.AllocsPerRun(4000, func() {
-		ts += 33
+		ts += 33 * iv / 100
 		tr.Counter(ts, key, ts%7)
 	})
 	if allocs != 0 {

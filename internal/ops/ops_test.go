@@ -205,7 +205,7 @@ func TestAttachPublishesLiveSweep(t *testing.T) {
 	scale := bench.QuickScale()
 	scale.Duration /= 4
 	rn := &bench.Runner{Scale: scale, Seed: 7, Parallel: 2,
-		Series: &metrics.SamplerConfig{}}
+		Series: true}
 	s.Attach(rn)
 	rep := rn.Run([]string{"fig10"})
 	if rep.Results[0].Error != "" {

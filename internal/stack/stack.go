@@ -59,10 +59,6 @@ type Options struct {
 	BIZAConfig *core.Config
 	// RAIZNStripeCacheBytes enables RAIZN's volatile parity cache (§5.4).
 	RAIZNStripeCacheBytes int64
-	// MdraidConfig overrides mdraid defaults.
-	MdraidConfig *mdraid.Config
-	// ReorderWindow for the driver queues (default 5us).
-	ReorderWindow sim.Time
 
 	// Trace, when non-nil, instruments every layer of the platform: driver
 	// queues and devices record per-I/O spans and zone events, the array
@@ -141,9 +137,6 @@ func NewOn(eng *sim.Engine, kind Kind, opts Options) (*Platform, error) {
 	}
 	if opts.FTL.FlashBlocks == 0 {
 		opts.FTL = BenchFTL(2048)
-	}
-	if opts.ReorderWindow == 0 {
-		opts.ReorderWindow = 5 * sim.Microsecond
 	}
 	p := &Platform{Kind: kind, Eng: eng, Acct: &cpumodel.Accountant{}, opts: opts}
 
@@ -333,11 +326,7 @@ func (p *Platform) buildMdraid() error {
 	if err != nil {
 		return err
 	}
-	mcfg := mdraid.DefaultConfig()
-	if p.opts.MdraidConfig != nil {
-		mcfg = *p.opts.MdraidConfig
-	}
-	md, err := mdraid.New(p.Eng, members, mcfg, p.Acct)
+	md, err := mdraid.New(p.Eng, members, mdraid.DefaultConfig(), p.Acct)
 	if err != nil {
 		return err
 	}
@@ -590,12 +579,16 @@ func (s *seqZoneDevice) Trim(lba int64, nblocks int) {
 	}
 }
 
+// reorderWindow bounds the driver queues' extra delivery delay per
+// command (§3.2's host-stack reordering).
+const reorderWindow = 5 * sim.Microsecond
+
 // newMemberQueue builds member i's driver queue over dev, traced like the
 // rest of the platform and, when withFaults, carrying the member's
 // injector from the fault plan (with the state it has accumulated).
 func (p *Platform) newMemberQueue(i int, dev *zns.Device, seed uint64, zoneOrdered, withFaults bool) *nvme.Queue {
 	q := nvme.New(dev, nvme.Config{
-		ReorderWindow: p.opts.ReorderWindow,
+		ReorderWindow: reorderWindow,
 		ZoneOrdered:   zoneOrdered,
 		Seed:          seed,
 	})

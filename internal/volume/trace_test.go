@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"biza/internal/metrics"
 	"biza/internal/obs"
 )
 
@@ -106,7 +105,7 @@ func TestVolumeSpansAndStageMarks(t *testing.T) {
 func TestVolumeTracedSteadyStateAllocationFree(t *testing.T) {
 	eng, _, m := newManager(t, 1<<20, Config{MaxInflight: 4})
 	tr := obs.New(obs.Config{Capacity: 256}) // small ring: wraps during warm-up
-	tr.EnableSampler(metrics.SamplerConfig{Interval: int64(50 * 1000), MaxPoints: 64})
+	tr.EnableSampler()
 	m.SetTracer(tr)
 	v, _ := m.Open("v", Options{Blocks: 1 << 12})
 	warm := func(n int) {

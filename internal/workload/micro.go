@@ -26,14 +26,13 @@ func (p Pattern) String() string {
 // request size and pattern at a fixed queue depth for a virtual duration
 // (the paper uses one job, iodepth 32, sizes 4-192 KiB).
 type MicroSpec struct {
-	Pattern     Pattern
-	Read        bool
-	SizeBlocks  int
-	IODepth     int
-	Duration    sim.Time
-	SpanBlocks  int64 // address space to exercise; 0 = whole device
-	Seed        uint64
-	WarmupBytes uint64 // bytes completed before measurement starts
+	Pattern    Pattern
+	Read       bool
+	SizeBlocks int
+	IODepth    int
+	Duration   sim.Time
+	SpanBlocks int64 // address space to exercise; 0 = whole device
+	Seed       uint64
 	// Pooled makes writes carry real payloads drawn from the device's
 	// unified buffer pool (blockdev.BufWriter), exercising the zero-copy
 	// ownership-transfer path instead of the data=nil control path.
@@ -55,8 +54,8 @@ func (r MicroResult) Throughput() metrics.Throughput {
 	return metrics.Throughput{Bytes: r.Bytes, Elapsed: r.Elapsed}
 }
 
-// RunMicro drives dev with the spec and returns measurements taken after
-// the warmup volume. The loop is closed: IODepth requests stay in flight.
+// RunMicro drives dev with the spec and returns the requests completed
+// within its duration. The loop is closed: IODepth requests stay in flight.
 func RunMicro(eng *sim.Engine, dev blockdev.Device, spec MicroSpec) MicroResult {
 	if spec.IODepth < 1 {
 		spec.IODepth = 1
@@ -71,11 +70,9 @@ func RunMicro(eng *sim.Engine, dev blockdev.Device, spec MicroSpec) MicroResult 
 	}
 	rng := sim.NewRNG(spec.Seed ^ 0x4f10)
 	res := MicroResult{Lat: metrics.NewHistogram()}
-	var warmupLeft = spec.WarmupBytes
 	var cursor int64
-	measuringSince := sim.Time(-1)
-	deadline := eng.Now() + spec.Duration
-	stopAt := deadline + spec.Duration // hard stop covers warmup overrun
+	start := eng.Now()
+	deadline := start + spec.Duration
 
 	nextLBA := func() int64 {
 		if spec.Pattern == Seq {
@@ -100,26 +97,12 @@ func RunMicro(eng *sim.Engine, dev blockdev.Device, spec MicroSpec) MicroResult 
 		switch {
 		case err != nil:
 			res.Errors++
-		case warmupLeft > 0:
-			if warmupLeft > bytes {
-				warmupLeft -= bytes
-			} else {
-				warmupLeft = 0
-				measuringSince = eng.Now()
-				deadline = eng.Now() + spec.Duration
-			}
-		default:
-			if measuringSince < 0 {
-				measuringSince = eng.Now()
-				deadline = eng.Now() + spec.Duration
-			}
-			if eng.Now() <= deadline {
-				res.Ops++
-				res.Bytes += bytes
-				res.Lat.Record(lat)
-			}
+		case eng.Now() <= deadline:
+			res.Ops++
+			res.Bytes += bytes
+			res.Lat.Record(lat)
 		}
-		if eng.Now() < deadline && eng.Now() < stopAt {
+		if eng.Now() < deadline {
 			issue()
 		}
 	}
@@ -148,21 +131,15 @@ func RunMicro(eng *sim.Engine, dev blockdev.Device, spec MicroSpec) MicroResult 
 			dev.Write(lba, int(size), nil, func(r blockdev.WriteResult) { complete(r.Err, r.Latency) })
 		}
 	}
-	if spec.WarmupBytes == 0 {
-		measuringSince = eng.Now()
-	}
 	for i := 0; i < spec.IODepth; i++ {
 		issue()
 	}
 	eng.Run()
-	if measuringSince < 0 {
-		measuringSince = eng.Now()
-	}
 	end := eng.Now()
 	if end > deadline {
 		end = deadline
 	}
-	res.Elapsed = end - measuringSince
+	res.Elapsed = end - start
 	if res.Elapsed <= 0 {
 		res.Elapsed = 1
 	}

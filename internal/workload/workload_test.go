@@ -115,21 +115,6 @@ func TestRunMicroRandReadAfterPrecondition(t *testing.T) {
 	}
 }
 
-func TestRunMicroWarmupExcluded(t *testing.T) {
-	eng := sim.NewEngine()
-	dev, err := ftl.New(eng, ftl.TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	with := RunMicro(eng, dev, MicroSpec{
-		Pattern: Seq, SizeBlocks: 4, IODepth: 4,
-		Duration: 5 * sim.Millisecond, WarmupBytes: 1 << 20,
-	})
-	if with.Ops == 0 {
-		t.Fatal("no measured ops after warmup")
-	}
-}
-
 func TestDepthIncreasesThroughput(t *testing.T) {
 	run := func(depth int) float64 {
 		eng := sim.NewEngine()

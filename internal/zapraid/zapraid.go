@@ -26,8 +26,6 @@ import (
 
 // Config tunes the engine.
 type Config struct {
-	// OpenZonesPerDevice is how many zones accept appends concurrently.
-	OpenZonesPerDevice int
 	// GCLowWater / GCHighWater are per-device free-zone watermarks.
 	GCLowWater  int
 	GCHighWater int
@@ -36,8 +34,11 @@ type Config struct {
 // DefaultConfig sizes the engine for the device zone count.
 func DefaultConfig(zonesPerDevice int) Config {
 	_, low, high := raid.Watermarks(zonesPerDevice)
-	return Config{OpenZonesPerDevice: 2, GCLowWater: low, GCHighWater: high}
+	return Config{GCLowWater: low, GCHighWater: high}
 }
+
+// openZonesPerDevice is how many zones accept appends concurrently.
+const openZonesPerDevice = 2
 
 // stallFloor is the per-device free-zone count at which user writes park.
 const stallFloor = 2
@@ -163,7 +164,7 @@ func New(queues []*nvme.Queue, cfg Config) (*Array, error) {
 	for i, q := range queues {
 		a.storesData = a.storesData && q.Device().Config().StoreData
 		ds := &devState{idx: i, q: q}
-		for j := 0; j < cfg.OpenZonesPerDevice; j++ {
+		for j := 0; j < openZonesPerDevice; j++ {
 			z, ok := a.log.Take(i)
 			if !ok {
 				return nil, fmt.Errorf("zapraid: out of free zones")
