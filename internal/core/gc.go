@@ -79,10 +79,10 @@ func (c *Core) gcStep(ds *devState) {
 	// Collect the owning stripes of every slot in the victim, ascending.
 	var sns []int64
 	for off := int64(0); off < vzs.wpAlloc; off++ {
-		if sn := vzs.rmapStripe[off]; sn >= 0 {
+		if sn := vzs.stripeAt(off); sn >= 0 {
 			sns = append(sns, sn)
 		}
-		if sn := vzs.rmapSN[off]; sn >= 0 {
+		if sn := vzs.parityAt(off); sn >= 0 {
 			sns = append(sns, sn)
 		}
 	}

@@ -181,12 +181,12 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			live = true
 		}
 		zs := zoneOf(r.p)
-		zs.rmapStripe[r.p.off] = r.sn
+		zs.setStripe(r.p.off, r.sn)
 		if live {
 			se.lbns[r.idx] = r.lbn
 			se.valid++
 			c.bmt.Set(r.lbn, mapTo(r.p, r.sn))
-			zs.rmapLBN[r.p.off] = r.lbn
+			zs.setLBN(r.p.off, r.lbn)
 			zs.valid++
 		}
 	}
@@ -198,7 +198,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		se.parity[k.row] = w.p
 		se.sealed = true // recovered stripes are sealed (short if partial)
 		zs := zoneOf(w.p)
-		zs.rmapSN[w.p.off] = k.sn
+		zs.setParity(w.p.off, k.sn)
 		zs.valid++
 	}
 	// Drop stripes missing any parity record (never got their first
@@ -215,12 +215,13 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			for i, lbn := range se.lbns {
 				if lbn >= 0 {
 					c.bmt.Delete(lbn)
-					if zs := c.devs[se.chunks[i].dev].zones[se.chunks[i].zone]; zs != nil {
-						if zs.rmapLBN[se.chunks[i].off] == lbn {
-							zs.rmapLBN[se.chunks[i].off] = -1
+					p := se.chunks[i]
+					if zs := c.devs[p.dev].zones[p.zone]; zs != nil {
+						if zs.lbnAt(p.off) == lbn {
+							zs.setLBN(p.off, -1)
 							zs.valid--
 						}
-						zs.rmapStripe[se.chunks[i].off] = -1
+						zs.setStripe(p.off, -1)
 					}
 				}
 			}

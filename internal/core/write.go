@@ -535,8 +535,8 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	e := mapTo(at, sn)
 	e.pinned = old.pinned
 	c.bmt.Set(lbn, e)
-	zs.rmapLBN[off] = lbn
-	zs.rmapStripe[off] = sn
+	zs.setLBN(off, lbn)
+	zs.setStripe(off, sn)
 	zs.valid++
 	c.acct.Charge(cpumodel.CompBIZA, cpumodel.CostMapUpdate)
 
@@ -626,7 +626,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		// swaps in a fresh devState whose zones know nothing of slots
 		// handed out before the swap, and an in-place write through such a
 		// stale placement would corrupt the fresh zone's write pointer.
-		inWindow := pzs != nil && !pzs.sealedF && pzs.rmapSN[ppa.off] == st.sn &&
+		inWindow := pzs != nil && !pzs.sealedF && pzs.parityAt(ppa.off) == st.sn &&
 			ppa.off >= pzs.devWP(c.zrwaBlocks)
 		if inWindow {
 			pds.submitChunk(pzs, &schedOp{
@@ -639,8 +639,8 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		}
 		// Relocate: free the stale slot and append the full partial parity
 		// to a fresh slot on the same device (member distinctness holds).
-		if pzs != nil && pzs.rmapSN[ppa.off] == st.sn {
-			pzs.rmapSN[ppa.off] = -1
+		if pzs != nil && pzs.parityAt(ppa.off) == st.sn {
+			pzs.setParity(ppa.off, -1)
 			pzs.valid--
 		}
 		nzs, noff, err := pds.alloc(st.class)
@@ -650,7 +650,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 			continue
 		}
 		se.parity[r] = pa{dev: ppa.dev, zone: nzs.id, off: noff}
-		nzs.rmapSN[noff] = st.sn
+		nzs.setParity(noff, st.sn)
 		nzs.valid++
 		pds.submitChunk(nzs, &schedOp{
 			off: noff, data: parityData, ownData: parityData != nil,
@@ -756,8 +756,8 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 		if err != nil {
 			// Roll back slots already taken for this stripe.
 			for _, q := range se.parity[:r] {
-				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.rmapSN[q.off] == sn {
-					zs.rmapSN[q.off] = -1
+				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.parityAt(q.off) == sn {
+					zs.setParity(q.off, -1)
 					zs.valid--
 				}
 			}
@@ -765,7 +765,7 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 			return nil, err
 		}
 		se.parity[r] = pa{dev: pdev, zone: pzs.id, off: poff}
-		pzs.rmapSN[poff] = sn
+		pzs.setParity(poff, sn)
 		pzs.valid++
 	}
 	c.nextSN++
@@ -784,8 +784,8 @@ func (c *Core) invalidate(lbn int64, e bmtEntry) {
 		return
 	}
 	at := e.loc()
-	if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.rmapLBN[at.off] == lbn {
-		zs.rmapLBN[at.off] = -1
+	if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.lbnAt(at.off) == lbn {
+		zs.setLBN(at.off, -1)
 		zs.valid--
 	}
 	if se := c.smt.Get(e.sn); se != nil {
@@ -811,8 +811,8 @@ func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 		if p.dev < 0 {
 			continue
 		}
-		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.rmapSN[p.off] == sn {
-			zs.rmapSN[p.off] = -1
+		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.parityAt(p.off) == sn {
+			zs.setParity(p.off, -1)
 			zs.valid--
 		}
 	}
@@ -820,8 +820,8 @@ func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 		if p.dev < 0 {
 			continue
 		}
-		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.rmapStripe[p.off] == sn {
-			zs.rmapStripe[p.off] = -1
+		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.stripeAt(p.off) == sn {
+			zs.setStripe(p.off, -1)
 		}
 	}
 	c.smt.Delete(sn)
