@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"biza/internal/blockdev"
+	"biza/internal/fault"
 	"biza/internal/nvme"
 	"biza/internal/sim"
 	"biza/internal/zns"
@@ -287,6 +288,94 @@ func TestSlidingWindowSurvivesReordering(t *testing.T) {
 	}
 	if failures != 0 {
 		t.Fatalf("%d write failures — window scheduler broken", failures)
+	}
+}
+
+// TestZoneFinishWaitsForInPlaceUpdate: a payload in-place update pins its
+// slots, reads the old data and parity, and only then writes. When the
+// zone's last append completes during those reads, the zone must not be
+// FINISHed under the update (which would then land on a full zone and fail
+// a fault-free write with "zone is full"); it finishes once the update has
+// landed.
+func TestZoneFinishWaitsForInPlaceUpdate(t *testing.T) {
+	eng, c, _ := newTestCore(t, nil)
+	bs := c.blockSize
+	// Fresh blocks, a stripe at a time, until a group zone is at most four
+	// slots short of full with everything landed.
+	var zs *zoneState
+	lba := int64(0)
+	for zs == nil {
+		if r := blockdev.WriteSync(eng, c, lba, c.nData, blockdev.Pattern(byte(lba), c.nData*bs)); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		lba += int64(c.nData)
+		for _, ds := range c.devs {
+			for _, group := range ds.groups {
+				for _, g := range group {
+					if left := c.zoneBlocks - g.wpAlloc; left > 0 && left <= 4 {
+						zs = g
+					}
+				}
+			}
+		}
+	}
+	// The update's target: a block of a sealed stripe in the zone's last
+	// window, so the appends that fill the zone stay inside its pin's reach.
+	target := int64(-1)
+	for lbn := int64(0); lbn < lba && target < 0; lbn++ {
+		e := c.bmt.Get(lbn)
+		if at := e.loc(); at.dev == zs.ds.id && at.zone == zs.id && at.off >= c.zoneBlocks-c.zrwaBlocks {
+			if se := c.smt.Get(e.sn); se != nil && se.sealed {
+				target = lbn
+			}
+		}
+	}
+	if target < 0 {
+		t.Fatal("no block of a sealed stripe in the zone's last window")
+	}
+	// Slow reads: the update's old-data and old-parity reads are still out
+	// when the appends below have long completed.
+	attachPlan(t, c, &fault.Spec{Rules: []fault.Rule{
+		{Kind: fault.Latency, Dev: -1, Op: fault.Read, Delay: 200 * sim.Microsecond},
+	}}, 1)
+	want := blockdev.Pattern(0xA5, bs)
+	var upd *blockdev.WriteResult
+	hits := c.InPlaceHits()
+	c.Write(target, 1, want, func(r blockdev.WriteResult) { upd = &r })
+	if c.InPlaceHits() != hits+1 {
+		t.Fatal("the update did not take the in-place path")
+	}
+	for i := 0; zs.wpAlloc < c.zoneBlocks; i++ {
+		if i == 64 {
+			t.Fatal("fresh writes did not fill the zone")
+		}
+		c.Write(lba, 1, blockdev.Pattern(byte(lba), bs), func(r blockdev.WriteResult) {
+			if r.Err != nil {
+				t.Errorf("fresh write: %v", r.Err)
+			}
+		})
+		lba++
+	}
+	for zs.inflight > 0 || zs.pendq.Len() > 0 || zs.stage != nil {
+		if !eng.Step() {
+			t.Fatal("engine drained with the zone's appends outstanding")
+		}
+	}
+	if upd != nil {
+		t.Fatal("the update landed before the zone's last append: the race under test did not happen")
+	}
+	if zs.sealedF {
+		t.Fatal("zone finished while an in-place update was still reading its old content")
+	}
+	eng.Run()
+	if upd == nil || upd.Err != nil {
+		t.Fatalf("in-place update during the zone's last appends: %+v", upd)
+	}
+	if !zs.sealedF {
+		t.Fatal("zone not finished after the update landed")
+	}
+	if r := blockdev.ReadSync(eng, c, target, 1); r.Err != nil || !bytes.Equal(r.Data, want) {
+		t.Fatalf("updated block reads back wrong: %v", r.Err)
 	}
 }
 
