@@ -13,6 +13,7 @@ import (
 	"biza/internal/fifo"
 	"biza/internal/metrics"
 	"biza/internal/obs"
+	"biza/internal/pagetab"
 	"biza/internal/sim"
 )
 
@@ -168,8 +169,8 @@ type Device struct {
 	cfg Config
 	eng *sim.Engine
 
-	l2p  []int64 // logical page -> physical page (flat), invalidPPN if unmapped
-	p2l  []int64 // physical page -> logical page, invalidPPN if invalid/free
+	l2p  pagetab.Table[int64] // logical page -> physical page + 1; 0 (absent) decodes to invalidPPN
+	p2l  pagetab.Table[int64] // physical page -> logical page + 1; 0 if invalid or free
 	data map[int64][]byte
 
 	blocks   []flashBlock
@@ -239,8 +240,6 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:          cfg,
 		eng:          eng,
-		l2p:          make([]int64, logical),
-		p2l:          make([]int64, totalPages),
 		blocks:       make([]flashBlock, cfg.FlashBlocks),
 		active:       make([]int, cfg.NumChannels),
 		controller:   sim.NewResource(eng, 1),
@@ -252,12 +251,6 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 	}
 	if cfg.StoreData {
 		d.data = make(map[int64][]byte)
-	}
-	for i := range d.l2p {
-		d.l2p[i] = invalidPPN
-	}
-	for i := range d.p2l {
-		d.p2l[i] = invalidPPN
 	}
 	d.chans = make([]*channelRes, cfg.NumChannels)
 	for i := range d.chans {
@@ -362,12 +355,12 @@ func (d *Device) allocPage(lpn int64, gc bool) (ppn int64, ch int) {
 
 // mapPage installs lpn -> ppn, invalidating any previous mapping.
 func (d *Device) mapPage(lpn, ppn int64) {
-	if old := d.l2p[lpn]; old != invalidPPN {
-		d.p2l[old] = invalidPPN
+	if old := d.l2p.Get(lpn) - 1; old != invalidPPN {
+		d.p2l.Delete(old)
 		d.blocks[old/int64(d.cfg.PagesPerBlock)].valid--
 	}
-	d.l2p[lpn] = ppn
-	d.p2l[ppn] = lpn
+	d.l2p.Set(lpn, ppn+1)
+	d.p2l.Set(ppn, lpn+1)
 	d.blocks[ppn/int64(d.cfg.PagesPerBlock)].valid++
 }
 
@@ -593,7 +586,7 @@ func (d *Device) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	// a multi-page span touch several channels; one-channel routing is a
 	// conservative simplification).
 	ch := int(lba) % d.cfg.NumChannels
-	if ppn := d.l2p[lba]; ppn != invalidPPN {
+	if ppn := d.l2p.Get(lba) - 1; ppn != invalidPPN {
 		ch = d.blocks[ppn/int64(d.cfg.PagesPerBlock)].channel
 	}
 	r := d.getReq()
@@ -609,10 +602,10 @@ func (d *Device) Trim(lba int64, nblocks int) {
 		if lpn < 0 || lpn >= d.logicalPages {
 			continue
 		}
-		if old := d.l2p[lpn]; old != invalidPPN {
-			d.p2l[old] = invalidPPN
+		if old := d.l2p.Get(lpn) - 1; old != invalidPPN {
+			d.p2l.Delete(old)
 			d.blocks[old/int64(d.cfg.PagesPerBlock)].valid--
-			d.l2p[lpn] = invalidPPN
+			d.l2p.Delete(lpn)
 		}
 		if d.data != nil {
 			delete(d.data, lpn)
@@ -659,7 +652,7 @@ func (d *Device) gcStep() {
 	base := int64(victim) * int64(d.cfg.PagesPerBlock)
 	var migrate []int64
 	for p := int64(0); p < int64(d.cfg.PagesPerBlock); p++ {
-		if d.p2l[base+p] != invalidPPN {
+		if d.p2l.Get(base+p) != 0 {
 			migrate = append(migrate, base+p)
 		}
 	}
@@ -693,7 +686,7 @@ func (d *Device) gcStep() {
 	moved := sim.NewFanIn(finishVictim)
 	moved.Add(len(migrate))
 	for _, ppn := range migrate {
-		lpn := d.p2l[ppn]
+		lpn := d.p2l.Get(ppn) - 1
 		newPPN, ch := d.allocPage(lpn, true)
 		d.mapPage(lpn, newPPN)
 		// Read old page then program new page.

@@ -1,9 +1,12 @@
 package ftl
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"biza/internal/blockdev"
+	"biza/internal/pagetab"
 	"biza/internal/sim"
 )
 
@@ -15,6 +18,48 @@ func newDev(t *testing.T) (*sim.Engine, *Device) {
 		t.Fatal(err)
 	}
 	return eng, d
+}
+
+// checkMaps verifies what the device keeps in two places: l2p and p2l are
+// mutual inverses, and each flash block's valid count is its live p2l
+// pages. Mapping is synchronous, so it holds between any two events.
+func (d *Device) checkMaps() error {
+	var err error
+	d.l2p.Range(func(lpn, ppn1 int64) bool {
+		if got := d.p2l.Get(ppn1-1) - 1; got != lpn {
+			err = fmt.Errorf("logical page %d maps to physical page %d, which holds %d", lpn, ppn1-1, got)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	// l2p is one-to-one into p2l, so equal sizes make p2l its inverse.
+	if d.l2p.Len() != d.p2l.Len() {
+		return fmt.Errorf("%d logical pages mapped, %d physical pages live", d.l2p.Len(), d.p2l.Len())
+	}
+	live := make([]int, len(d.blocks))
+	d.p2l.Range(func(ppn, _ int64) bool {
+		live[ppn/int64(d.cfg.PagesPerBlock)]++
+		return true
+	})
+	for b, fb := range d.blocks {
+		if fb.valid != live[b] {
+			return fmt.Errorf("flash block %d counts %d valid pages, p2l holds %d", b, fb.valid, live[b])
+		}
+	}
+	return nil
+}
+
+// writeChecked is WriteSync followed by checkMaps on the drained device.
+func writeChecked(t *testing.T, eng *sim.Engine, d *Device, lba int64, n int, data []byte) {
+	t.Helper()
+	if r := blockdev.WriteSync(eng, d, lba, n, data); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if err := d.checkMaps(); err != nil {
+		t.Fatalf("after writing %d+%d: %v", lba, n, err)
+	}
 }
 
 // TestEventsPerCommand pins the engine events a write and a read cost on an
@@ -94,7 +139,7 @@ func TestOverwritesTriggerGC(t *testing.T) {
 	span := d.Blocks() / 2
 	for round := 0; round < 6; round++ {
 		for lba := int64(0); lba < span; lba += 8 {
-			blockdev.WriteSync(eng, d, lba, 8, nil)
+			writeChecked(t, eng, d, lba, 8, nil)
 		}
 	}
 	eng.Run()
@@ -114,7 +159,7 @@ func TestWriteAmpGrowsUnderRandomOverwrite(t *testing.T) {
 	rng := sim.NewRNG(3)
 	span := d.Blocks() * 3 / 4
 	for i := 0; i < 4000; i++ {
-		blockdev.WriteSync(eng, d, rng.Int63n(span), 1, nil)
+		writeChecked(t, eng, d, rng.Int63n(span), 1, nil)
 	}
 	eng.Run()
 	wa := d.WriteAmp()
@@ -145,8 +190,11 @@ func TestSequentialOverwriteLowWA(t *testing.T) {
 
 func TestTrimInvalidates(t *testing.T) {
 	eng, d := newDev(t)
-	blockdev.WriteSync(eng, d, 0, 8, blockdev.Pattern(9, 8*4096))
+	writeChecked(t, eng, d, 0, 8, blockdev.Pattern(9, 8*4096))
 	d.Trim(0, 8)
+	if d.l2p.Len() != 0 {
+		t.Fatalf("%d logical pages still mapped after trimming all", d.l2p.Len())
+	}
 	r := blockdev.ReadSync(eng, d, 0, 1)
 	for _, b := range r.Data {
 		if b != 0 {
@@ -158,8 +206,11 @@ func TestTrimInvalidates(t *testing.T) {
 	span := d.Blocks() / 2
 	for round := 0; round < 3; round++ {
 		for lba := int64(0); lba < span; lba += 8 {
-			blockdev.WriteSync(eng, d, lba, 8, nil)
+			writeChecked(t, eng, d, lba, 8, nil)
 			d.Trim(lba, 8)
+			if err := d.checkMaps(); err != nil {
+				t.Fatalf("after trimming %d+8: %v", lba, err)
+			}
 		}
 	}
 	eng.Run()
@@ -213,4 +264,59 @@ func TestDeterministicReplay(t *testing.T) {
 	if p1 != p2 || e1 != e2 {
 		t.Fatalf("replay diverged: %d/%d vs %d/%d", p1, e1, p2, e2)
 	}
+}
+
+// TestFTLMapsAllocFreeUntilWritten: New sizes no table by capacity. On the
+// 2048-block SN640 a stack defaults to, the flat l2p and p2l were 7.9 MB
+// filled with invalidPPN; New must now allocate under a tenth of that. After
+// the first write, k scattered one-page writes allocate at most the table
+// pages they touch, plus the directories: each grows by doubling, so all
+// the arrays it ever had add up to under four pointers per page.
+func TestFTLMapsAllocFreeUntilWritten(t *testing.T) {
+	eng := sim.NewEngine()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	d, err := New(eng, SN640(2048))
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	physical := int64(d.cfg.FlashBlocks * d.cfg.PagesPerBlock)
+	flat := 8 * (d.Blocks() + physical)
+	made := int64(m1.TotalAlloc - m0.TotalAlloc)
+	if made >= flat/10 {
+		t.Fatalf("New allocated %d bytes, want under a tenth of the %d two flat tables take", made, flat)
+	}
+
+	writeChecked(t, eng, d, 0, 1, nil) // the request record and the engine's queues
+	const k = 64
+	stride := d.Blocks() / k
+	runtime.ReadMemStats(&m0)
+	for i := int64(1); i < k; i++ {
+		if r := blockdev.WriteSync(eng, d, i*stride, 1, nil); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if err := d.checkMaps(); err != nil {
+		t.Fatal(err)
+	}
+	pages, dirs := int64(0), int64(0)
+	for _, tab := range []*pagetab.Table[int64]{&d.l2p, &d.p2l} {
+		seen, top := map[int64]bool{}, int64(0)
+		tab.Range(func(key, _ int64) bool {
+			seen[key/pagetab.PageSize], top = true, key
+			return true
+		})
+		pages, dirs = pages+int64(len(seen)), dirs+top/pagetab.PageSize+1
+	}
+	// A page is 256 int64 slots and its occupancy bits: 2 088 bytes, which
+	// the allocator serves from its 2 304-byte class.
+	limit := pages*2304 + 4*8*dirs
+	got := int64(m1.TotalAlloc - m0.TotalAlloc)
+	if got > limit {
+		t.Fatalf("%d scattered writes allocated %d bytes, want at most %d (%d table pages touched)", k-1, got, limit, pages)
+	}
+	t.Logf("New allocated %d bytes; %d scattered writes %d bytes over %d table pages (limit %d)", made, k-1, got, pages, limit)
 }

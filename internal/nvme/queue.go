@@ -50,8 +50,9 @@ type Queue struct {
 	cfg Config
 	rng *sim.RNG
 
-	// Per-zone last scheduled delivery time for ZoneOrdered mode.
-	zoneLast map[int]sim.Time
+	// Per-zone last scheduled delivery time, nil unless ZoneOrdered.
+	// Delivery times are never negative, so a zero entry clamps nothing.
+	zoneLast []sim.Time
 
 	submitted uint64
 	reordered uint64
@@ -315,13 +316,16 @@ func (op *qop) finishAppend(r zns.AppendResult) {
 
 // New wraps dev with a delivery queue.
 func New(dev *zns.Device, cfg Config) *Queue {
-	return &Queue{
-		eng:      dev.Engine(),
-		dev:      dev,
-		cfg:      cfg,
-		rng:      sim.NewRNG(cfg.Seed ^ 0x9a7e),
-		zoneLast: make(map[int]sim.Time),
+	q := &Queue{
+		eng: dev.Engine(),
+		dev: dev,
+		cfg: cfg,
+		rng: sim.NewRNG(cfg.Seed ^ 0x9a7e),
 	}
+	if cfg.ZoneOrdered {
+		q.zoneLast = make([]sim.Time, dev.Zones())
+	}
+	return q
 }
 
 // Device returns the underlying device (admin commands and stats go
@@ -373,10 +377,9 @@ func (q *Queue) deliverAt(z int, ordered bool) sim.Time {
 	if q.cfg.ReorderWindow > 0 {
 		at += q.rng.Int63n(int64(q.cfg.ReorderWindow) + 1)
 	}
-	if ordered && q.cfg.ZoneOrdered {
-		if last, ok := q.zoneLast[z]; ok && at < last {
-			at = last
-		}
+	// A zone outside the device stays unordered: the device refuses it.
+	if ordered && uint(z) < uint(len(q.zoneLast)) {
+		at = max(at, q.zoneLast[z])
 		q.zoneLast[z] = at
 	}
 	if at < q.lastPlan {

@@ -1,6 +1,9 @@
 package raid
 
-import "biza/internal/fifo"
+import (
+	"biza/internal/fifo"
+	"biza/internal/pagetab"
+)
 
 // Loc is where a logical block lives in a ZoneLog: a zone and the block
 // offset inside it. Zone < 0 means unmapped.
@@ -8,9 +11,6 @@ type Loc struct {
 	Zone int
 	Off  int64
 }
-
-// NoLoc is the location of an unmapped block.
-var NoLoc = Loc{Zone: -1}
 
 type zoneState uint8
 
@@ -29,7 +29,7 @@ type logZone struct {
 
 // ZoneLog is the bookkeeping of a log-structured block store over
 // sequential-write zones, shared by the dm-zap adapter and the append-based
-// array: the flat logical-to-physical table, each zone's reverse map, valid
+// array: the logical-to-physical table, each zone's reverse map, valid
 // count and fill, the free lists, and the greedy victim choice. Zones are
 // numbered across units (member devices): zone z of unit u is u*perUnit+z,
 // and each unit has its own FIFO free list. The log issues no I/O and
@@ -39,7 +39,8 @@ type logZone struct {
 type ZoneLog struct {
 	perUnit    int
 	zoneBlocks int64
-	l2p        []Loc
+	blocks     int64
+	l2p        pagetab.Table[Loc] // Zone+1: the zero value is unmapped
 	zones      []logZone
 	free       []fifo.Queue[int]
 }
@@ -50,12 +51,9 @@ func NewZoneLog(units, zonesPerUnit int, zoneBlocks, logicalBlocks int64) *ZoneL
 	l := &ZoneLog{
 		perUnit:    zonesPerUnit,
 		zoneBlocks: zoneBlocks,
-		l2p:        make([]Loc, logicalBlocks),
+		blocks:     logicalBlocks,
 		zones:      make([]logZone, units*zonesPerUnit),
 		free:       make([]fifo.Queue[int], units),
-	}
-	for i := range l.l2p {
-		l.l2p[i] = NoLoc
 	}
 	for z := range l.zones {
 		l.free[z/zonesPerUnit].Push(z)
@@ -64,7 +62,7 @@ func NewZoneLog(units, zonesPerUnit int, zoneBlocks, logicalBlocks int64) *ZoneL
 }
 
 // Blocks reports the logical capacity in blocks.
-func (l *ZoneLog) Blocks() int64 { return int64(len(l.l2p)) }
+func (l *ZoneLog) Blocks() int64 { return l.blocks }
 
 // FreeZones reports how many zones of unit are free.
 func (l *ZoneLog) FreeZones(unit int) int { return l.free[unit].Len() }
@@ -111,14 +109,20 @@ func (l *ZoneLog) Release(z int) {
 	l.free[z/l.perUnit].Push(z)
 }
 
-// At reports where lba lives.
-func (l *ZoneLog) At(lba int64) Loc { return l.l2p[lba] }
+// At reports where lba lives. An lba outside the log is a caller's bug.
+func (l *ZoneLog) At(lba int64) Loc {
+	if uint64(lba) >= uint64(l.blocks) {
+		panic("raid: logical block outside the log")
+	}
+	loc := l.l2p.Get(lba)
+	return Loc{Zone: loc.Zone - 1, Off: loc.Off}
+}
 
 // Map records that lba now lives at off of zone z and invalidates the copy
 // it replaces.
 func (l *ZoneLog) Map(lba int64, z int, off int64) {
 	l.invalidate(lba)
-	l.l2p[lba] = Loc{Zone: z, Off: off}
+	l.l2p.Set(lba, Loc{Zone: z + 1, Off: off})
 	zi := &l.zones[z]
 	zi.rmap[off] = lba
 	zi.valid++
@@ -127,14 +131,14 @@ func (l *ZoneLog) Map(lba int64, z int, off int64) {
 // Unmap forgets lba (a trim).
 func (l *ZoneLog) Unmap(lba int64) {
 	l.invalidate(lba)
-	l.l2p[lba] = NoLoc
+	l.l2p.Delete(lba)
 }
 
 // invalidate drops the current copy of lba from its zone's reverse map. A
 // location left behind in a zone that has since been released (its
 // migration failed) matches nothing there.
 func (l *ZoneLog) invalidate(lba int64) {
-	old := l.l2p[lba]
+	old := l.At(lba)
 	if old.Zone < 0 {
 		return
 	}

@@ -1,9 +1,58 @@
 package raid
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"biza/internal/pagetab"
 )
+
+// checkMaps verifies what the log keeps in two places: every mapped block's
+// (zone, offset) slot names it back, no live reverse-map slot names a block
+// mapped elsewhere, and each zone's valid count is its live slots. A block
+// mapped into a released zone fails it too; the engines leave one only when
+// a migration fails.
+func (l *ZoneLog) checkMaps() error {
+	var err error
+	l.l2p.Range(func(lba int64, _ Loc) bool {
+		loc := l.At(lba)
+		switch zi := &l.zones[loc.Zone]; {
+		case zi.state == zoneFree:
+			err = fmt.Errorf("block %d maps to %+v, a free zone", lba, loc)
+		case zi.rmap[loc.Off] != lba:
+			err = fmt.Errorf("block %d maps to %+v, whose slot names %d", lba, loc, zi.rmap[loc.Off])
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	for z := range l.zones {
+		zi := &l.zones[z]
+		if zi.state == zoneFree {
+			continue
+		}
+		live := int64(0)
+		for off, lba := range zi.rmap {
+			if lba < 0 {
+				continue
+			}
+			live++
+			if int64(off) >= zi.fill {
+				return fmt.Errorf("zone %d maps offset %d beyond its fill %d", z, off, zi.fill)
+			}
+			if got := l.At(lba); got != (Loc{Zone: z, Off: int64(off)}) {
+				return fmt.Errorf("zone %d offset %d names block %d, which maps to %+v", z, off, lba, got)
+			}
+		}
+		if live != zi.valid {
+			return fmt.Errorf("zone %d counts %d valid blocks, its reverse map %d", z, zi.valid, live)
+		}
+	}
+	return nil
+}
 
 // logModel drives a ZoneLog the way its two engines do — append to an
 // open zone per unit, retire it when full, collect the greedy victim when
@@ -17,6 +66,26 @@ type logModel struct {
 	full   [][]int // per unit, retirement order
 	mapped map[int64]bool
 	banned int // zones z with z%3 == banned are not eligible
+
+	pageLive map[int64]int // mapped blocks per page of the log's table
+	emptied  int           // times a page lost its last mapped block
+}
+
+// track records whether lba is mapped.
+func (m *logModel) track(lba int64, mapped bool) {
+	if m.mapped[lba] == mapped {
+		return
+	}
+	page := lba / pagetab.PageSize
+	if mapped {
+		m.mapped[lba] = true
+		m.pageLive[page]++
+		return
+	}
+	delete(m.mapped, lba)
+	if m.pageLive[page]--; m.pageLive[page] == 0 {
+		m.emptied++
+	}
 }
 
 func (m *logModel) eligible(z int) bool { return z%3 != m.banned }
@@ -46,7 +115,7 @@ func (m *logModel) room(unit int) int {
 func (m *logModel) write(lba int64, unit int) {
 	z := m.room(unit)
 	m.l.Map(lba, z, m.l.Reserve(z))
-	m.mapped[lba] = true
+	m.track(lba, true)
 }
 
 // collect empties and releases unit's victim, re-mapping its live blocks
@@ -61,7 +130,7 @@ func (m *logModel) collect(unit int) {
 	for _, lba := range m.l.Live(v) {
 		if m.l.Full(m.open[other]) {
 			m.l.Unmap(lba) // nowhere to put it: the model drops the block
-			delete(m.mapped, lba)
+			m.track(lba, false)
 			continue
 		}
 		z := m.open[other]
@@ -82,29 +151,12 @@ func (m *logModel) collect(unit int) {
 // check recounts everything the log maintains incrementally.
 func (m *logModel) check(step int) {
 	l := m.l
+	if err := l.checkMaps(); err != nil {
+		m.t.Fatalf("step %d: %v", step, err)
+	}
 	states := [3]int{}
 	for z := range l.zones {
-		zi := &l.zones[z]
-		states[zi.state]++
-		if zi.state == zoneFree {
-			continue
-		}
-		valid := int64(0)
-		for off, lba := range zi.rmap {
-			if lba < 0 {
-				continue
-			}
-			valid++
-			if int64(off) >= zi.fill {
-				m.t.Fatalf("step %d: zone %d maps offset %d beyond its fill %d", step, z, off, zi.fill)
-			}
-			if got := l.At(lba); got != (Loc{Zone: z, Off: int64(off)}) {
-				m.t.Fatalf("step %d: zone %d offset %d claims block %d, which lives at %+v", step, z, off, lba, got)
-			}
-		}
-		if valid != zi.valid {
-			m.t.Fatalf("step %d: zone %d valid = %d, recount %d", step, z, zi.valid, valid)
-		}
+		states[l.zones[z].state]++
 	}
 	free := 0
 	for u := range l.free {
@@ -113,13 +165,13 @@ func (m *logModel) check(step int) {
 	if free != states[zoneFree] || states[zoneFree]+states[zoneOpen]+states[zoneFull] != len(l.zones) {
 		m.t.Fatalf("step %d: free lists hold %d, states %v of %d zones", step, free, states, len(l.zones))
 	}
-	for lba := int64(0); lba < l.Blocks(); lba++ {
-		loc := l.At(lba)
-		if (loc.Zone >= 0) != m.mapped[lba] {
-			m.t.Fatalf("step %d: block %d at %+v, model mapped=%v", step, lba, loc, m.mapped[lba])
-		}
-		if loc.Zone >= 0 && l.zones[loc.Zone].rmap[loc.Off] != lba {
-			m.t.Fatalf("step %d: block %d at %+v, which holds %d", step, lba, loc, l.zones[loc.Zone].rmap[loc.Off])
+	// The log maps exactly the model's blocks.
+	if l.l2p.Len() != len(m.mapped) {
+		m.t.Fatalf("step %d: log maps %d blocks, model %d", step, l.l2p.Len(), len(m.mapped))
+	}
+	for lba := range m.mapped {
+		if loc := l.At(lba); loc.Zone < 0 {
+			m.t.Fatalf("step %d: block %d unmapped, model mapped", step, lba)
 		}
 	}
 	// The victim is the eligible full zone with the fewest valid blocks,
@@ -137,42 +189,121 @@ func (m *logModel) check(step int) {
 	}
 }
 
+// TestZoneLogMatchesRecount drives the log with 120 distinct blocks. Dense,
+// they share one page of the logical table; spread 37 apart, they span 18
+// pages of a few blocks each, which trims and collections empty and
+// refill.
 func TestZoneLogMatchesRecount(t *testing.T) {
-	const units, perUnit, zoneBlocks, logical = 2, 8, 16, 120
-	for seed := int64(1); seed <= 20; seed++ {
-		m := &logModel{
-			t:      t,
-			l:      NewZoneLog(units, perUnit, zoneBlocks, logical),
-			rng:    rand.New(rand.NewSource(seed)),
-			full:   make([][]int, units),
-			mapped: map[int64]bool{},
-			banned: int(seed % 3),
-		}
-		for u := 0; u < units; u++ {
-			z, _ := m.l.Take(u)
-			if m.unitOf(z) != u {
-				t.Fatalf("Take(%d) = zone %d of unit %d", u, z, m.unitOf(z))
-			}
-			m.open = append(m.open, z)
-		}
-		for step := 0; step < 3000; step++ {
-			lba := m.rng.Int63n(logical)
-			switch op := m.rng.Intn(10); {
-			case op < 7: // map or overwrite
-				m.write(lba, m.rng.Intn(units))
-			case op < 9: // trim a short range
-				for i := lba; i < min(lba+4, logical); i++ {
-					m.l.Unmap(i)
-					delete(m.mapped, i)
+	const units, perUnit, zoneBlocks, keys = 2, 8, 16, 120
+	for _, stride := range []int64{1, 37} {
+		t.Run(fmt.Sprintf("stride %d", stride), func(t *testing.T) {
+			emptied := 0
+			for seed := int64(1); seed <= 20; seed++ {
+				m := &logModel{
+					t:        t,
+					l:        NewZoneLog(units, perUnit, zoneBlocks, keys*stride),
+					rng:      rand.New(rand.NewSource(seed)),
+					full:     make([][]int, units),
+					mapped:   map[int64]bool{},
+					banned:   int(seed % 3),
+					pageLive: map[int64]int{},
 				}
-			default:
-				if u := m.rng.Intn(units); len(m.full[u]) > 0 {
-					m.collect(u)
+				for u := 0; u < units; u++ {
+					z, _ := m.l.Take(u)
+					if m.unitOf(z) != u {
+						t.Fatalf("Take(%d) = zone %d of unit %d", u, z, m.unitOf(z))
+					}
+					m.open = append(m.open, z)
 				}
+				for step := 0; step < 3000; step++ {
+					key := m.rng.Int63n(keys)
+					switch op := m.rng.Intn(10); {
+					case op < 7: // map or overwrite
+						m.write(key*stride, m.rng.Intn(units))
+					case op < 9: // trim a short range
+						for k := key; k < min(key+4, keys); k++ {
+							m.l.Unmap(k * stride)
+							m.track(k*stride, false)
+						}
+					default:
+						if u := m.rng.Intn(units); len(m.full[u]) > 0 {
+							m.collect(u)
+						}
+					}
+					m.check(step)
+				}
+				emptied += m.emptied
 			}
-			m.check(step)
+			if stride > 1 && emptied == 0 {
+				t.Fatal("no page of the logical table ever emptied")
+			}
+		})
+	}
+}
+
+// TestZoneLogRefusesBlocksOutsideIt: the table allocates on first touch and
+// reads a missing key as unmapped, so the log checks the range itself, as
+// the flat table's index did.
+func TestZoneLogRefusesBlocksOutsideIt(t *testing.T) {
+	l := NewZoneLog(1, 4, 16, 1000)
+	z, _ := l.Take(0)
+	for _, lba := range []int64{-1, l.Blocks(), 1 << 40} {
+		for name, f := range map[string]func(){
+			"At":    func() { l.At(lba) },
+			"Map":   func() { l.Map(lba, z, 0) },
+			"Unmap": func() { l.Unmap(lba) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) on a %d-block log did not panic", name, lba, l.Blocks())
+					}
+				}()
+				f()
+			}()
 		}
 	}
+}
+
+// TestZoneLogAllocFreeUntilMapped: a log's logical table holds only what is
+// mapped. Flat, 400 000 blocks took 6.4 MB before the first write; now New
+// allocates its zones and free lists alone. k scattered maps then allocate
+// at most the table pages they touch, plus the directory, whose arrays grow
+// by doubling and so add up to under four pointers per page.
+func TestZoneLogAllocFreeUntilMapped(t *testing.T) {
+	const blocks, k = 400_000, 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	l := NewZoneLog(1, 128, 4096, blocks)
+	runtime.ReadMemStats(&m1)
+	made := m1.TotalAlloc - m0.TotalAlloc
+	if made >= 64<<10 {
+		t.Fatalf("NewZoneLog of %d blocks allocated %d bytes, want under 64 KiB", blocks, made)
+	}
+
+	z, _ := l.Take(0) // the zone's reverse map
+	const stride = blocks / k
+	runtime.ReadMemStats(&m0)
+	for i := int64(0); i < k; i++ {
+		l.Map(i*stride, z, l.Reserve(z))
+	}
+	runtime.ReadMemStats(&m1)
+	if err := l.checkMaps(); err != nil {
+		t.Fatal(err)
+	}
+	pages := map[int64]bool{}
+	for i := int64(0); i < k; i++ {
+		pages[i*stride/pagetab.PageSize] = true
+	}
+	// A page is 256 16-byte Locs and its occupancy bits: 4 136 bytes, which
+	// the allocator serves from its 4 864-byte class.
+	limit := uint64(len(pages))*4864 + 4*8*((k-1)*stride/pagetab.PageSize+1)
+	got := m1.TotalAlloc - m0.TotalAlloc
+	if got > limit {
+		t.Fatalf("%d scattered maps allocated %d bytes, want at most %d (%d table pages touched)", k, got, limit, len(pages))
+	}
+	t.Logf("NewZoneLog allocated %d bytes; %d scattered maps %d bytes over %d table pages (limit %d)", made, k, got, len(pages), limit)
 }
 
 func TestWatermarks(t *testing.T) {
