@@ -9,8 +9,8 @@
 //	bizabench -exp all -quick -parallel 8    # sharded across 8 workers
 //	bizabench -exp all -json out.json        # machine-readable results
 //	bizabench -exp fig10 -trace fig10.json   # Perfetto trace of every platform
-//	bizabench -exp fleet -shards 8           # sharded fleet across 8 engine shards
 //	bizabench -exp tenants -shards 4         # multi-tenant QoS isolation, sharded
+//	bizabench -exp rolling -shards 8         # rolling replacement across 8 engine shards
 //	bizabench -exp fig10 -series -json out.json   # virtual-time series in the report
 //	bizabench -exp all -quick -serve :9178   # live ops endpoint during the sweep
 //
@@ -45,7 +45,7 @@ func run() int {
 	quick := flag.Bool("quick", false, "reduced scale (seconds instead of minutes)")
 	list := flag.Bool("list", false, "list experiment ids")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for independent experiment points")
-	shards := flag.Int("shards", runtime.NumCPU(), "engine shards per point for sharded experiments (fleet, tenants); output is identical at any value")
+	shards := flag.Int("shards", runtime.NumCPU(), "engine shards per point for sharded experiments (tenants, rolling); output is identical at any value")
 	seed := flag.Uint64("seed", bench.DefaultSeed, "base seed for all derived RNG streams")
 	jsonPath := flag.String("json", "", "write machine-readable results ("+bench.ReportSchema+" schema) to this file")
 	series := flag.Bool("series", false, "sample virtual-time series into the report's \"series\" section (deterministic at any -parallel/-shards)")

@@ -8,6 +8,7 @@ import (
 	"biza/internal/sim"
 	"biza/internal/stack"
 	"biza/internal/workload"
+	"biza/internal/zns"
 )
 
 func init() {
@@ -28,43 +29,12 @@ func AblationFutureZNS(s Scale, r *Run) *Table {
 	t := &Table{ID: "future", Title: "§6 future ZNS: channel mapping in OPEN completions",
 		Header: []string{"device", "corrections", "mispredict_after", "collide_rate"}}
 	run := func(name string, expose bool) {
-		z := stack.BenchZNS(48)
-		z.ZoneBlocks = 512
-		z.ZRWABlocks = 64
+		z := agedZNS()
 		z.ShuffleFraction = 0.75 // heavily aged: worst case for guessing
 		z.ExposeChannelOnOpen = expose
-		ccfg := core.DefaultConfig(z.NumZones)
-		p, err := r.Platform(stack.KindBIZA, stack.Options{ZNS: z, BIZAConfig: &ccfg,
-			Seed: r.Seed(name + "/stack")})
-		if err != nil {
-			panic(err)
-		}
-		devs := p.ZNSDevs
-		p.BIZA.SetChannelOracle(func(dev, zone int) int {
-			return devs[dev].TrueChannelOf(zone)
-		})
-		rng := sim.NewRNG(r.Seed(name + "/churn"))
-		span := p.Dev.Blocks() / 2
-		churn := int(span/8) * 4
-		if churn > s.TraceOps*8 {
-			churn = s.TraceOps * 8
-		}
-		outstanding := 0
-		for i := 0; i < churn; i++ {
-			outstanding++
-			p.Dev.Write(rng.Int63n(span-8), 8, nil, func(blockdev.WriteResult) { outstanding-- })
-			if outstanding >= 32 {
-				p.Eng.Run()
-			}
-		}
-		p.Eng.Run()
-		writes, hits := p.BIZA.BusyCollisions()
-		rate := 0.0
-		if writes > 0 {
-			rate = float64(hits) / float64(writes)
-		}
+		p := agedChurn(s, r, name, stack.KindBIZA, z, false)
 		t.Add(name, fmt.Sprintf("%d", p.BIZA.DetectCorrections()),
-			f3(mispredictRateCorrected(p)), f3(rate))
+			f3(mispredictRateCorrected(p)), f3(collideRate(p)))
 	}
 	run("opaque (today)", false)
 	run("CQE-informed (§6)", true)
@@ -158,52 +128,75 @@ func detectPoint(s Scale, r *Run, point string) []*Table {
 			"mispredict_before", "mispredict_after", "collide_avoid", "collide_noavoid"}}
 	fracs := map[string]float64{"0.00": 0, "0.25": 0.25, "0.50": 0.5, "0.75": 0.75}
 	frac := fracs[point]
-	run := func(kind stack.Kind) (*stack.Platform, float64) {
-		z := stack.BenchZNS(48)
-		z.ZoneBlocks = 512
-		z.ZRWABlocks = 64
+	run := func(kind stack.Kind) *stack.Platform {
+		z := agedZNS()
 		z.ShuffleFraction = frac
-		ccfg := core.DefaultConfig(z.NumZones)
-		cell := point + "/" + string(kind)
-		p, err := r.Platform(kind, stack.Options{ZNS: z, BIZAConfig: &ccfg,
-			Seed: r.Seed(cell + "/stack")})
-		if err != nil {
-			panic(err)
-		}
-		devs := p.ZNSDevs
-		p.BIZA.SetChannelOracle(func(dev, zone int) int {
-			return devs[dev].TrueChannelOf(zone)
-		})
-		rng := sim.NewRNG(r.Seed(cell + "/churn"))
-		span := p.Dev.Blocks() / 2
-		churn := int(span/8) * 4
-		if quick := s.TraceOps; churn > quick*8 {
-			churn = quick * 8
-		}
-		outstanding := 0
-		for i := 0; i < churn; i++ {
-			outstanding++
-			p.Dev.Write(rng.Int63n(span-8), 8, nil, func(blockdev.WriteResult) { outstanding-- })
-			if outstanding >= 32 {
-				p.Eng.Run()
-			}
-		}
-		p.Eng.Run()
-		writes, hits := p.BIZA.BusyCollisions()
-		rate := 0.0
-		if writes > 0 {
-			rate = float64(hits) / float64(writes)
-		}
-		return p, rate
+		return agedChurn(s, r, point+"/"+string(kind), kind, z, false)
 	}
-	pAvoid, collideAvoid := run(stack.KindBIZA)
-	_, collideNo := run(stack.KindBIZANoAvoid)
+	pAvoid := run(stack.KindBIZA)
+	pNo := run(stack.KindBIZANoAvoid)
 	t.Add(fmt.Sprintf("%.2f", frac),
 		fmt.Sprintf("%d", pAvoid.BIZA.GCEvents()),
 		fmt.Sprintf("%d", pAvoid.BIZA.DetectCorrections()),
 		f3(mispredictRate(pAvoid)), f3(mispredictRateCorrected(pAvoid)),
-		f3(collideAvoid), f3(collideNo))
+		f3(collideRate(pAvoid)), f3(collideRate(pNo)))
 	return []*Table{t}
+}
+
+// agedZNS is the aged-device member of detect, future and wear: 48 zones
+// of 512 blocks with a 64-block ZRWA, small enough that a short churn runs
+// GC on every device.
+func agedZNS() zns.Config {
+	z := stack.BenchZNS(48)
+	z.ZoneBlocks = 512
+	z.ZRWABlocks = 64
+	return z
+}
+
+// agedChurn assembles kind on members z and runs the churn detect, future
+// and wear share: 8-block random writes over half the array, 32 in flight,
+// up to TraceOps*8 of them. With hot set, every third write goes to the
+// first 64 blocks instead. A BIZA engine is scored against the true channel
+// mapping while it churns (collideRate). Streams: label+"/stack",
+// label+"/churn".
+func agedChurn(s Scale, r *Run, label string, kind stack.Kind, z zns.Config, hot bool) *stack.Platform {
+	p, err := r.Platform(kind, stack.Options{ZNS: z, Seed: r.Seed(label + "/stack")})
+	if err != nil {
+		panic(err)
+	}
+	if p.BIZA != nil {
+		devs := p.ZNSDevs
+		p.BIZA.SetChannelOracle(func(dev, zone int) int {
+			return devs[dev].TrueChannelOf(zone)
+		})
+	}
+	rng := sim.NewRNG(r.Seed(label + "/churn"))
+	span := p.Dev.Blocks() / 2
+	churn := min(int(span/8)*4, s.TraceOps*8)
+	outstanding := 0
+	for i := 0; i < churn; i++ {
+		lba := rng.Int63n(span - 8)
+		if hot && i%3 == 0 {
+			lba = rng.Int63n(64)
+		}
+		outstanding++
+		p.Dev.Write(lba, 8, nil, func(blockdev.WriteResult) { outstanding-- })
+		if outstanding >= 32 {
+			p.Eng.Run()
+		}
+	}
+	p.Eng.Run()
+	return p
+}
+
+// collideRate is the share of user writes dispatched while GC ran that
+// landed on a channel GC kept busy.
+func collideRate(p *stack.Platform) float64 {
+	writes, hits := p.BIZA.BusyCollisions()
+	if writes == 0 {
+		return 0
+	}
+	return float64(hits) / float64(writes)
 }
 
 // mispredictRate reports the fraction of zones whose round-robin guess
@@ -236,7 +229,7 @@ func mispredictRateCorrected(p *stack.Platform) float64 {
 		for z := 0; z < n; z++ {
 			if d.EraseCount(z) == 0 {
 				info, err := d.ZoneInfo(z)
-				if err != nil || info.State == 0 /* empty */ {
+				if err != nil || info.State == zns.ZoneEmpty {
 					continue
 				}
 			}
@@ -258,36 +251,11 @@ func mispredictRateCorrected(p *stack.Platform) float64 {
 func wearPoint(s Scale, r *Run, point string) []*Table {
 	t := &Table{ID: "wear", Title: "zone erase counts after identical churn",
 		Header: []string{"platform", "total_erases", "max_zone_erases", "mean_zone_erases", "flash_GB_programmed"}}
-	kind := stack.Kind(point)
-	z := stack.BenchZNS(48)
-	z.ZoneBlocks = 512
-	z.ZRWABlocks = 64
-	p, err := r.Platform(kind, stack.Options{ZNS: z, Seed: r.Seed(point + "/stack")})
-	if err != nil {
-		panic(err)
-	}
-	rng := sim.NewRNG(r.Seed(point + "/churn"))
-	span := p.Dev.Blocks() / 2
-	churn := int(span/8) * 4
-	if churn > s.TraceOps*8 {
-		churn = s.TraceOps * 8
-	}
-	outstanding := 0
-	for i := 0; i < churn; i++ {
-		outstanding++
-		lba := rng.Int63n(span - 8)
-		if i%3 == 0 {
-			lba = rng.Int63n(64) // hot head
-		}
-		p.Dev.Write(lba, 8, nil, func(blockdev.WriteResult) { outstanding-- })
-		if outstanding >= 32 {
-			p.Eng.Run()
-		}
-	}
-	p.Eng.Run()
-	var total, max uint64
+	p := agedChurn(s, r, point, stack.Kind(point), agedZNS(), true)
+	var total, max, programmed uint64
 	zones := 0
 	for _, d := range p.ZNSDevs {
+		programmed += d.Stats().TotalProgrammed()
 		for zi := 0; zi < d.Config().NumZones; zi++ {
 			e := d.EraseCount(zi)
 			total += e
@@ -297,15 +265,11 @@ func wearPoint(s Scale, r *Run, point string) []*Table {
 			zones++
 		}
 	}
-	var programmed uint64
-	for _, d := range p.ZNSDevs {
-		programmed += d.Stats().TotalProgrammed()
-	}
 	mean := 0.0
 	if zones > 0 {
 		mean = float64(total) / float64(zones)
 	}
-	t.Add(string(kind), fmt.Sprintf("%d", total), fmt.Sprintf("%d", max),
+	t.Add(point, fmt.Sprintf("%d", total), fmt.Sprintf("%d", max),
 		f2(mean), f2(float64(programmed)/(1<<30)))
 	return []*Table{t}
 }

@@ -30,10 +30,6 @@ type Scale struct {
 	TraceOps int      // synthesized ops per trace workload
 	Warmup   uint64   // warmup bytes before measuring
 
-	// Fleet sizing (the sharded fleet experiment).
-	FleetArrays  int // independent arrays partitioned across engine shards
-	FleetClients int // closed-loop clients hopping between arrays
-
 	// Tenant sizing (the multi-tenant QoS-isolation experiment).
 	TenantArrays int // arrays partitioned across engine shards
 	Tenants      int // tenant volumes per array (1 aggressor + mixed classes)
@@ -45,7 +41,6 @@ type Scale struct {
 // DefaultScale is used by the committed EXPERIMENTS.md results.
 func DefaultScale() Scale {
 	return Scale{Duration: 50 * sim.Millisecond, TraceOps: 60000, Warmup: 64 << 20,
-		FleetArrays: 192, FleetClients: 3072,
 		TenantArrays: 12, Tenants: 32,
 		RollingArrays: 8}
 }
@@ -53,7 +48,6 @@ func DefaultScale() Scale {
 // QuickScale runs every experiment in seconds (CI smoke).
 func QuickScale() Scale {
 	return Scale{Duration: 4 * sim.Millisecond, TraceOps: 4000, Warmup: 1 << 20,
-		FleetArrays: 16, FleetClients: 192,
 		TenantArrays: 2, Tenants: 24,
 		RollingArrays: 2}
 }
@@ -69,7 +63,7 @@ type Run struct {
 	base   uint64
 	exp    string
 	point  string        // current config point (trace naming)
-	shards int           // engine shards per point (fleet experiment); <1 = 1
+	shards int           // engine shards per point (tenants, rolling); <1 = 1
 	vt     *atomic.Int64 // optional virtual-time sink (Runner accounting)
 
 	// Observability side-channel: when traceCfg is set, Platform attaches
@@ -131,7 +125,7 @@ func (r *Run) Platform(kind stack.Kind, opts stack.Options) (*stack.Platform, er
 	return r.PlatformOn(r.NewEngine(), kind, opts)
 }
 
-// PlatformOnShard assembles a platform on a shard's engine (a fleet
+// PlatformOnShard assembles a platform on a shard's engine (one array's
 // partition). The trace does not record the shard, so trace artifacts stay
 // byte-identical at any shard count. Call it from the coordinating
 // goroutine, in canonical partition order, before the group starts running.
@@ -331,12 +325,13 @@ func registerPoints(id string, points []string, fn func(Scale, *Run, string) []*
 }
 
 // IDs returns the registered experiment ids in canonical order
-// (TestExperimentRegistry holds the two sets equal).
+// (TestExperimentRegistry holds the two sets equal, and every id to at
+// least one ledger row).
 func IDs() []string {
 	return []string{"table2", "table3", "table6", "fig4", "fig5", "fig10",
 		"fig11", "fig12", "fig13a", "fig13b", "fig14", "fig15", "fig16", "fig17",
-		"detect", "batching", "wear", "append", "avail", "fleet", "tenants",
-		"rolling", "future"}
+		"detect", "batching", "wear", "append", "avail", "tenants", "rolling",
+		"future"}
 }
 
 // newLatHist is shorthand for a latency histogram.

@@ -79,8 +79,9 @@ func TestFig14Shape(t *testing.T) {
 	checkClaims(t, "fig14", Experiments["fig14"].Tables(s, testRun("fig14")))
 }
 
-// TestExperimentRegistry holds IDs() equal to the registry: an experiment
-// left out of IDs() is never run by -exp all nor rendered.
+// TestExperimentRegistry holds IDs() equal to the registry, and every id to
+// a ledger row: an experiment left out of IDs() is never run by -exp all
+// nor rendered, and one without a row is printed but checked by nothing.
 func TestExperimentRegistry(t *testing.T) {
 	ids := IDs()
 	listed := map[string]bool{}
@@ -93,6 +94,15 @@ func TestExperimentRegistry(t *testing.T) {
 	for id := range Experiments {
 		if !listed[id] {
 			t.Errorf("experiment %s is registered but not in IDs()", id)
+		}
+	}
+	claimed := map[string]bool{}
+	for _, cl := range ledger {
+		claimed[cl.exp] = true
+	}
+	for _, id := range ids {
+		if !claimed[id] {
+			t.Errorf("experiment %s has no ledger row", id)
 		}
 	}
 }
@@ -122,6 +132,21 @@ func TestTableRendering(t *testing.T) {
 	out := tab.String()
 	if !strings.Contains(out, "x: t") || !strings.Contains(out, "bb") {
 		t.Fatalf("render: %q", out)
+	}
+}
+
+// TestExtensionShape holds the rows of the experiments whose tables need no
+// check beyond their ledger rows. table6 runs at the default trace length:
+// a 4 000-op trace reuses too little to reach past 56 MB.
+func TestExtensionShape(t *testing.T) {
+	for _, id := range []string{"table6", "batching", "wear", "append", "avail", "future"} {
+		t.Run(id, func(t *testing.T) {
+			s := QuickScale()
+			if id == "table6" {
+				s.TraceOps = DefaultScale().TraceOps
+			}
+			checkClaims(t, id, Experiments[id].Tables(s, testRun(id)))
+		})
 	}
 }
 

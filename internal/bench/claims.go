@@ -213,6 +213,10 @@ var ledger = []claim{
 	// ~4x; neither cites more, and the design document's value is kept.
 	{name: "table3/same-channel-p9999-x", exp: "table3", section: "Table 3", text: "sharing a channel triples p99.99 latency",
 		paper: 3, null: 1, tol: 0.25, measure: rowRatio("table3", "p9999_us", same, single), wantLo: 1.5, wantHi: inf},
+	{name: "table6/casa-beyond-56mb-pct", exp: "table6", section: "§5.4 Table 6", text: "8.3 % of casa's reuse distances exceed 56 MB",
+		paper: 8.3, tol: 0.1, measure: one("table6", "casa", "beyond56MB_%"), wantLo: 4, wantHi: 15},
+	{name: "table6/tencent-beyond-56mb-pct", exp: "table6", section: "§5.4 Table 6", text: "… and 90.2 % of tencent's",
+		paper: 90.2, tol: 0.1, measure: one("table6", "tencent", "beyond56MB_%"), wantLo: 70, wantHi: 100},
 	{name: "fig4/cdf-14mb", exp: "fig4", section: "Fig. 4", text: "only ~17 % of SYSTOR reuse distances fit in the ZN540's 14 MB of ZRWA",
 		paper: 0.17, null: 1, tol: 0.1, measure: one("fig4", "14MB", "cdf"), wantLo: 0, wantHi: 0.5},
 	{name: "fig5/retained-min", exp: "fig5", section: "Fig. 5", text: "one in-flight write keeps at least 34.7 % of a zone's bandwidth (4–192 KiB)",
@@ -312,6 +316,22 @@ var ledger = []claim{
 		paper: noPaper, measure: func(c cellFn) float64 {
 			return c("detect", "0.50", "collide_noavoid") - c("detect", "0.50", "collide_avoid")
 		}, wantLo: 0.001, wantHi: 1},
+	{name: "batching/speedup-64k", exp: "batching", section: "ext.", text: "merging contiguous chunks into one command speeds up 64 KiB sequential writes",
+		paper: noPaper, measure: one("batching", "64", "speedup"), wantLo: 1.3, wantHi: inf},
+	{name: "wear/biza-over-best-baseline-erases", exp: "wear", section: "ext.", text: "after identical churn BIZA erases at least 10 % less than either block-interface ZNS baseline",
+		paper: noPaper, measure: func(c cellFn) float64 {
+			return c("wear", "BIZA", "total_erases") / math.Min(c("wear", "dmzap+RAIZN", "total_erases"), c("wear", "mdraid+dmzap", "total_erases"))
+		}, wantLo: 0, wantHi: 0.9},
+	{name: "wear/biza-over-nosel-erases", exp: "wear", section: "ext.", text: "… and no more than without its selector",
+		paper: noPaper, measure: rowRatio("wear", "total_erases", "BIZA", "BIZAw/oSelector"), wantLo: 0, wantHi: 1},
+	{name: "append/hot-overwrite-wa-ratio", exp: "append", section: "ext. §3.2", text: "ZRWA absorbs hot overwrites that APPEND must write to flash",
+		paper: noPaper, measure: one("append", "hot_overwrite_WA", "ratio"), wantLo: 0, wantHi: 0.5},
+	{name: "append/seq64k-mbps-ratio", exp: "append", section: "ext. §3.2", text: "… and writes sequentially no more than 10 % slower",
+		paper: noPaper, measure: one("append", "seq64K_MBps", "ratio"), wantLo: 0.9, wantHi: inf},
+	{name: "avail/recovered-over-healthy-mbps", exp: "avail", section: "ext.", text: "after the rebuild the array serves what it served healthy, within 10 %",
+		paper: noPaper, measure: rowRatio("avail", "MBps", "recovered", "healthy"), wantLo: 0.9, wantHi: 1.1},
+	{name: "avail/faulted-recon", exp: "avail", section: "ext.", text: "with a member dead, reads are served by reconstruction",
+		paper: noPaper, measure: one("avail", "faulted", "recon"), wantLo: 1, wantHi: inf},
 	{name: "tenants/qos-p99-x", exp: "tenants", section: "ext.", text: "with QoS the interactive p99 stays under 2x its idle baseline",
 		paper: noPaper, measure: one("tenants-isolation", "qos", "vs_baseline"), wantLo: 0, wantHi: 1.99},
 	{name: "tenants/noqos-p99-x", exp: "tenants", section: "ext.", text: "without QoS it passes 2x",
@@ -320,6 +340,12 @@ var ledger = []claim{
 		paper: noPaper, measure: rowRatio("rolling-window", "window_ms", "paced", "unpaced"), wantLo: 1.01, wantHi: inf},
 	{name: "rolling/slow-over-paced-window", exp: "rolling", section: "ext.", text: "… and slower pacing lengthens it further",
 		paper: noPaper, measure: rowRatio("rolling-window", "window_ms", "slow", "paced"), wantLo: 1.01, wantHi: inf},
+	{name: "future/cqe-mispredict-after", exp: "future", section: "ext. §6", text: "with the channel in OPEN completions no zone's channel is mispredicted",
+		paper: noPaper, measure: one("future", "CQE-informed (§6)", "mispredict_after"), wantLo: 0, wantHi: 0},
+	{name: "future/collide-rate-cut", exp: "future", section: "ext. §6", text: "… and fewer user writes collide with GC than under guess-and-verify",
+		paper: noPaper, measure: func(c cellFn) float64 {
+			return c("future", "opaque (today)", "collide_rate") - c("future", "CQE-informed (§6)", "collide_rate")
+		}, wantLo: 0.001, wantHi: 1},
 }
 
 // RenderMarkdown writes the generated body of EXPERIMENTS.md for a

@@ -141,7 +141,7 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 	rollStart := 2 * s.Duration / 5
 	afterTail := s.Duration / 5
 
-	// Closed-loop foreground clients, fleet-style 40% writes. Completion
+	// Closed-loop foreground clients, 40% writes. Completion
 	// latency is recorded under the phase the op was issued in. A client
 	// retires once the nominal horizon has passed AND its array's rolling
 	// window has been closed for afterTail — slow rebuilds outlive the

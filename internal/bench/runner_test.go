@@ -2,10 +2,82 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"biza/internal/obs"
 )
+
+// runSharded runs one sharded experiment on shards engine shards, every
+// span traced when trace is set.
+func runSharded(t *testing.T, id string, s Scale, shards int, trace bool) *Report {
+	t.Helper()
+	rn := &Runner{Scale: s, Seed: DefaultSeed, Parallel: 1, Shards: shards, Quick: true}
+	if trace {
+		rn.Trace = &obs.Config{SampleN: 1}
+	}
+	rep := rn.Run([]string{id})
+	if failed := rep.Failed(); len(failed) > 0 {
+		t.Fatalf("shards=%d: %s failed: %s", shards, id, rep.Results[0].Error)
+	}
+	return rep
+}
+
+// checkShardInvariance pins the sharded event core's contract end to end:
+// tables, samples, histograms, virtual time and exported traces of id are
+// byte-identical at every shard count. Run with -race to also exercise the
+// cross-shard barrier for data races.
+func checkShardInvariance(t *testing.T, id string, s Scale, trace bool, shardCounts ...int) {
+	ref := runSharded(t, id, s, 1, trace)
+	refTrace := exportTraces(t, ref)
+	for _, shards := range shardCounts {
+		got := runSharded(t, id, s, shards, trace)
+		a, b := &ref.Results[0], &got.Results[0]
+		if !reflect.DeepEqual(a.Tables, b.Tables) {
+			t.Errorf("shards=%d: tables differ from shards=1:\n%s\nvs\n%s",
+				shards, renderTables(a.Tables), renderTables(b.Tables))
+		}
+		if !reflect.DeepEqual(a.Samples, b.Samples) {
+			t.Errorf("shards=%d: samples differ from shards=1", shards)
+		}
+		if !reflect.DeepEqual(a.Histograms, b.Histograms) {
+			t.Errorf("shards=%d: histograms differ from shards=1", shards)
+		}
+		if a.Stats.VirtualNanos != b.Stats.VirtualNanos {
+			t.Errorf("shards=%d: virtual time %d, shards=1 got %d",
+				shards, b.Stats.VirtualNanos, a.Stats.VirtualNanos)
+		}
+		if exportTraces(t, got) != refTrace {
+			t.Errorf("shards=%d: exported traces differ from shards=1", shards)
+		}
+	}
+}
+
+// exportTraces hashes the report's traces through both deterministic
+// exporters, so a single compare covers both formats without holding
+// either export in memory.
+func exportTraces(t *testing.T, rep *Report) [sha256.Size]byte {
+	t.Helper()
+	h := sha256.New()
+	if err := obs.WritePerfetto(h, rep.Traces); err != nil {
+		t.Fatalf("perfetto export: %v", err)
+	}
+	if err := obs.WriteJSONL(h, rep.Traces); err != nil {
+		t.Fatalf("jsonl export: %v", err)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+func renderTables(ts []*Table) string {
+	var buf bytes.Buffer
+	for _, tb := range ts {
+		buf.WriteString(tb.String())
+		buf.WriteByte('\n')
+	}
+	return buf.String()
+}
 
 // TestRunnerParallelDeterminism is the determinism contract of the issue:
 // a quick-scale experiment must produce identical Result values at

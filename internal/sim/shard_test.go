@@ -11,7 +11,7 @@ import (
 // a single raw Engine (the oracle) and ShardGroups of several sizes — and
 // require identical observable behavior. Actors hop between partitions
 // through sends keyed by their logical id, exactly the discipline the
-// fleet experiment uses.
+// benchmark's fleet-1shard workload uses.
 
 const (
 	tWindow    = Time(1 << 20) // barrier window and minimum fabric latency
