@@ -6,16 +6,13 @@
 //	bizabench -exp fig10,fig11               # a subset
 //	bizabench -exp all                       # everything (the EXPERIMENTS.md run)
 //	bizabench -exp fig14 -quick              # reduced scale for a fast look
-//	bizabench -exp all -quick -parallel 8    # sharded across 8 workers
+//	bizabench -exp all -quick -parallel 8    # points spread over 8 workers
 //	bizabench -exp all -json out.json        # machine-readable results
 //	bizabench -exp fig10 -trace fig10.json   # Perfetto trace of every platform
-//	bizabench -exp tenants -shards 4         # multi-tenant QoS isolation, sharded
-//	bizabench -exp rolling -shards 8         # rolling replacement across 8 engine shards
 //	bizabench -exp fig10 -series -json out.json   # virtual-time series in the report
 //	bizabench -exp all -quick -serve :9178   # live ops endpoint during the sweep
 //
-// Results are bit-identical for a given -seed regardless of -parallel
-// or -shards:
+// Results are bit-identical for a given -seed regardless of -parallel:
 // every experiment point derives its RNG streams from (seed, experiment,
 // stream label), never from scheduling order. A panicking experiment is
 // reported and skipped; the process then exits non-zero after the rest of
@@ -45,10 +42,9 @@ func run() int {
 	quick := flag.Bool("quick", false, "reduced scale (seconds instead of minutes)")
 	list := flag.Bool("list", false, "list experiment ids")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for independent experiment points")
-	shards := flag.Int("shards", runtime.NumCPU(), "engine shards per point for sharded experiments (tenants, rolling); output is identical at any value")
 	seed := flag.Uint64("seed", bench.DefaultSeed, "base seed for all derived RNG streams")
 	jsonPath := flag.String("json", "", "write machine-readable results ("+bench.ReportSchema+" schema) to this file")
-	series := flag.Bool("series", false, "sample virtual-time series into the report's \"series\" section (deterministic at any -parallel/-shards)")
+	series := flag.Bool("series", false, "sample virtual-time series into the report's \"series\" section (deterministic at any -parallel)")
 	serve := flag.String("serve", "", "serve the live ops endpoint (/v1/metrics /v1/vars /v1/series /v1/stream /v1/jobs /debug/pprof) on this address; blocks after the sweep until SIGINT/SIGTERM")
 	live := flag.Bool("live", false, "with -serve: skip the sweep and serve one long-lived array whose admin jobs are driven over POST /v1/jobs until SIGINT/SIGTERM")
 	stats := flag.Bool("stats", true, "print per-experiment wall/virtual-time accounting to stderr")
@@ -110,7 +106,7 @@ func run() int {
 		}
 	}
 
-	runner := &bench.Runner{Scale: scale, Seed: *seed, Parallel: *parallel, Shards: *shards, Quick: *quick,
+	runner := &bench.Runner{Scale: scale, Seed: *seed, Parallel: *parallel, Quick: *quick,
 		Series: *series || *serve != ""}
 	if *tracePath != "" || *traceJSONL != "" {
 		runner.Trace = &obs.Config{SampleN: *traceSample}

@@ -14,7 +14,10 @@ package bench
 
 import (
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"biza/internal/metrics"
@@ -31,11 +34,11 @@ type Scale struct {
 	Warmup   uint64   // warmup bytes before measuring
 
 	// Tenant sizing (the multi-tenant QoS-isolation experiment).
-	TenantArrays int // arrays partitioned across engine shards
+	TenantArrays int // independent arrays, one engine each
 	Tenants      int // tenant volumes per array (1 aggressor + mixed classes)
 
 	// Rolling sizing (the rolling-replacement availability experiment).
-	RollingArrays int // arrays partitioned across engine shards
+	RollingArrays int // independent arrays, one engine each
 }
 
 // DefaultScale is used by the committed EXPERIMENTS.md results.
@@ -60,11 +63,10 @@ const DefaultSeed uint64 = 1
 // derive, and (when driven by the Runner) the virtual-time accumulator
 // that credits simulated nanoseconds to the experiment's accounting.
 type Run struct {
-	base   uint64
-	exp    string
-	point  string        // current config point (trace naming)
-	shards int           // engine shards per point (tenants, rolling); <1 = 1
-	vt     *atomic.Int64 // optional virtual-time sink (Runner accounting)
+	base  uint64
+	exp   string
+	point string        // current config point (trace naming)
+	vt    *atomic.Int64 // optional virtual-time sink (Runner accounting)
 
 	// Observability side-channel: when traceCfg is set, Platform attaches
 	// a fresh obs.Trace to every stack it assembles; PublishHistogram
@@ -82,25 +84,6 @@ type Run struct {
 // NewRun returns a run context for one experiment. Tests and direct
 // callers get the same values the Runner produces for (seed, exp).
 func NewRun(seed uint64, exp string) *Run { return &Run{base: seed, exp: exp} }
-
-// Shards reports the configured engine-shard count (at least 1).
-func (r *Run) Shards() int {
-	if r.shards < 1 {
-		return 1
-	}
-	return r.shards
-}
-
-// ShardGroup returns a shard group of Shards() engines with the given
-// barrier window, its virtual-time advancement credited once (not per
-// shard) to this run's accounting.
-func (r *Run) ShardGroup(window sim.Time) *sim.ShardGroup {
-	g := sim.NewShardGroup(r.Shards(), window)
-	if r.vt != nil {
-		g.SetTimeSink(r.vt)
-	}
-	return g
-}
 
 // Seed derives the deterministic seed for a named stochastic stream.
 // Streams are identified by label only — never by execution order — so a
@@ -125,14 +108,6 @@ func (r *Run) Platform(kind stack.Kind, opts stack.Options) (*stack.Platform, er
 	return r.PlatformOn(r.NewEngine(), kind, opts)
 }
 
-// PlatformOnShard assembles a platform on a shard's engine (one array's
-// partition). The trace does not record the shard, so trace artifacts stay
-// byte-identical at any shard count. Call it from the coordinating
-// goroutine, in canonical partition order, before the group starts running.
-func (r *Run) PlatformOnShard(sh *sim.Shard, kind stack.Kind, opts stack.Options) (*stack.Platform, error) {
-	return r.PlatformOn(sh.Engine(), kind, opts)
-}
-
 // PlatformOn assembles a platform on the given engine.
 func (r *Run) PlatformOn(eng *sim.Engine, kind stack.Kind, opts stack.Options) (*stack.Platform, error) {
 	if r.traceCfg != nil && opts.Trace == nil {
@@ -152,6 +127,54 @@ func (r *Run) PlatformOn(eng *sim.Engine, kind stack.Kind, opts stack.Options) (
 		opts.Trace = tr
 	}
 	return stack.NewOn(eng, kind, opts)
+}
+
+// runArrays advances engs — one engine per array, arrays that never
+// interact — each on its own goroutine: to endAt, then in steps of window
+// until it has no pending event or reaches limit. Every engine then ends
+// on the first step boundary at which all arrays are quiet, so the arrays
+// share one end-of-run clock, credited once to the run's accounting. It
+// reports whether all arrays went quiet by limit. A panic on an array's
+// goroutine re-panics here, naming the lowest such array, once every
+// goroutine has returned.
+func (r *Run) runArrays(engs []*sim.Engine, endAt, window, limit sim.Time) bool {
+	ends := make([]sim.Time, len(engs))
+	fails := make([]string, len(engs))
+	var wg sync.WaitGroup
+	for i, eng := range engs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					fails[i] = fmt.Sprintf("array %d panicked: %v\n%s", i, p, debug.Stack())
+				}
+			}()
+			t := endAt
+			eng.RunUntil(t)
+			for eng.Pending() > 0 && t < limit {
+				t += window
+				eng.RunUntil(t)
+			}
+			ends[i] = t
+		}()
+	}
+	wg.Wait()
+	for _, msg := range fails {
+		if msg != "" {
+			panic(msg)
+		}
+	}
+	end := slices.Max(ends)
+	quiet := true
+	for _, eng := range engs {
+		eng.RunUntil(end)
+		quiet = quiet && eng.Pending() == 0
+	}
+	if r.vt != nil {
+		r.vt.Add(end)
+	}
+	return quiet
 }
 
 // EnableSeries arms a virtual-time series sampler on every trace this run

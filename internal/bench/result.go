@@ -48,7 +48,7 @@ type Result struct {
 	// Series holds the virtual-time series sampled from every trace the
 	// experiment attached (canonical construction order), when the sweep
 	// ran with series collection on. Deterministic: byte-identical at any
-	// -parallel or -shards value.
+	// -parallel value.
 	Series []metrics.SeriesDump `json:"series,omitempty"`
 	Stats  metrics.RunStats     `json:"stats"`
 	Error  string               `json:"error,omitempty"`
@@ -59,7 +59,6 @@ type Report struct {
 	Schema    string   `json:"schema"`
 	Seed      uint64   `json:"seed"`
 	Parallel  int      `json:"parallel"`
-	Shards    int      `json:"shards"` // engine shards per point (provenance)
 	Quick     bool     `json:"quick"`
 	WallNanos int64    `json:"wall_ns"` // elapsed wall time of the whole sweep
 	Results   []Result `json:"results"`

@@ -16,9 +16,8 @@ func init() {
 }
 
 // Rolling-replacement sizing. Arrays are independent — every event of an
-// array stays on its shard — so the barrier window only paces the
-// coordinator's initial sends and the tables are bit-identical at any
-// -shards value.
+// array stays on its own engine — so rollWindow only staggers the client
+// starts and steps the drain.
 const (
 	rollWindow   = 20 * sim.Microsecond
 	rollZones    = 16   // zones per member device
@@ -62,10 +61,10 @@ const (
 var rollPhaseName = [numRollPhases]string{"healthy", "rolling", "after"}
 
 // rollArray is one array under rolling replacement. All fields are
-// touched only on the owning shard's goroutine (or from the coordinator
-// before/after the group runs).
+// touched only on the array's engine goroutine (or from the caller
+// before/after the arrays run).
 type rollArray struct {
-	shard   *sim.Shard
+	eng     *sim.Engine
 	dev     blockdev.Device
 	orc     *admin.Orchestrator
 	members int
@@ -80,10 +79,10 @@ type rollArray struct {
 }
 
 // Rolling is the availability experiment for the admin control plane: a
-// closed-loop foreground workload runs against BIZA arrays (sharded
-// across engines) while a rolling device replacement — one replace job
-// per member, serialized by the per-array job queue — is submitted
-// mid-run through the orchestrator at three rebuild-rate settings.
+// closed-loop foreground workload runs against BIZA arrays (one engine
+// each) while a rolling device replacement — one replace job per member,
+// serialized by the per-array job queue — is submitted mid-run through
+// the orchestrator at three rebuild-rate settings.
 // Foreground latency is classified into healthy / rolling / after phases
 // by issue time, and the assembled rolling-slo table holds each point's
 // rolling-phase p99 against a fixed budget: pacing the rebuild keeps the
@@ -98,27 +97,26 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 	if !ok {
 		panic(fmt.Sprintf("rolling: unknown point %q", point))
 	}
-	g := r.ShardGroup(rollWindow)
-
-	// Construct arrays in canonical order on round-robin shards.
+	// Construct arrays in canonical order, one engine each.
 	arrays := make([]*rollArray, numArrays)
+	engs := make([]*sim.Engine, numArrays)
 	for i := range arrays {
-		sh := g.Shard(i % g.Shards())
-		p, err := r.PlatformOnShard(sh, stack.KindBIZA, stack.Options{
+		engs[i] = sim.NewEngine()
+		p, err := r.PlatformOn(engs[i], stack.KindBIZA, stack.Options{
 			ZNS:  stack.BenchZNS(rollZones),
 			Seed: r.Seed(fmt.Sprintf("%s/stack/a%02d", point, i)),
 		})
 		if err != nil {
 			panic(fmt.Sprintf("rolling: array %d: %v", i, err))
 		}
-		a := &rollArray{shard: sh, dev: p.Dev, orc: admin.New(p),
+		a := &rollArray{eng: engs[i], dev: p.Dev, orc: admin.New(p),
 			members: len(p.Queues())}
 		for ph := range a.lat {
 			a.lat[ph] = newLatHist()
 		}
 		// The array's rolling window closes when every replace job has
 		// reached a terminal state; the orchestrator's change hook observes
-		// that on the shard goroutine.
+		// that on the array's goroutine.
 		a.orc.SetOnChange(func() {
 			if a.rollEnd != 0 {
 				return
@@ -132,7 +130,7 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 					return
 				}
 			}
-			a.rollEnd = a.shard.Engine().Now()
+			a.rollEnd = a.eng.Now()
 		})
 		arrays[i] = a
 	}
@@ -147,13 +145,13 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 	// window has been closed for afterTail — slow rebuilds outlive the
 	// nominal duration by design, and the after phase needs samples at
 	// every rebuild rate. Retirement depends only on the owning array's
-	// state, so it is shard-count-invariant.
+	// state.
 	var issue func(a *rollArray, rng *sim.RNG)
 	issue = func(a *rollArray, rng *sim.RNG) {
-		eng := a.shard.Engine()
+		eng := a.eng
 		start := eng.Now()
 		if start >= endAt && a.rollEnd != 0 && start >= a.rollEnd+afterTail {
-			return // client retires; in-flight work drains the group
+			return // client retires; in-flight work drains the array
 		}
 		ph := rollHealthy
 		if start >= rollStart {
@@ -192,23 +190,20 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 		})
 	}
 
-	// Kick every client with a staggered start; src keys are globally
-	// unique so the injected order is canonical at any shard count.
+	// Kick every client with a staggered start.
 	for ai, a := range arrays {
 		for ci := 0; ci < rollClients; ci++ {
-			a := a
 			rng := sim.NewRNG(r.Seed(fmt.Sprintf("%s/client/a%02d/c%02d", point, ai, ci)))
 			at := rollWindow + sim.Time(rng.Intn(int(4*rollWindow)))
-			g.Send(a.shard.ID(), at, int64(ai*rollClients+ci), func() { issue(a, rng) })
+			a.eng.At(at, func() { issue(a, rng) })
 		}
 	}
 
 	// Mid-run, submit the rolling replacement through each array's
 	// orchestrator: one replace job per member, queued in device order and
 	// serialized by the control plane.
-	for ai, a := range arrays {
-		a := a
-		g.Send(a.shard.ID(), rollStart, int64(numArrays*rollClients+ai), func() {
+	for _, a := range arrays {
+		a.eng.At(rollStart, func() {
 			for d := 0; d < a.members; d++ {
 				if _, err := a.orc.Submit(admin.KindReplace, admin.Params{
 					Device: d, StripesPerStep: knob.per, StepGapNanos: knob.gap,
@@ -219,11 +214,10 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 		})
 	}
 
-	g.Run(endAt)
 	// Slow rebuilds outlive the measured horizon by design; the drain
 	// bound only caps the virtual tail.
-	if !g.Drain(endAt + 2*sim.Second) {
-		panic("rolling: group did not quiesce after the measured horizon")
+	if !r.runArrays(engs, endAt, rollWindow, endAt+2*sim.Second) {
+		panic("rolling: arrays did not quiesce after the measured horizon")
 	}
 
 	// Every replace job must have completed, and every window closed.

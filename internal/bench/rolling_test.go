@@ -7,7 +7,7 @@ import "testing"
 // while the unpaced rebuild violates it, and the pacing's cost is a
 // longer replacement window.
 func TestRollingSLO(t *testing.T) {
-	c := checkClaims(t, "rolling", runSharded(t, "rolling", QuickScale(), 2, false).Results[0].Tables)
+	c := checkClaims(t, "rolling", runExperiment(t, "rolling", QuickScale(), false).Results[0].Tables)
 	for point, want := range map[string]string{"unpaced": "violated", "paced": "ok", "slow": "ok"} {
 		if got := c.text("rolling-slo", point, "verdict"); got != want {
 			c.must(t)
@@ -26,9 +26,4 @@ func TestRollingSLO(t *testing.T) {
 			t.Errorf("%s/%s completed zero ops: %v", row[0], row[1], row)
 		}
 	}
-}
-
-// TestRollingShardCountInvariance: see checkShardInvariance.
-func TestRollingShardCountInvariance(t *testing.T) {
-	checkShardInvariance(t, "rolling", QuickScale(), false, 2, 8)
 }

@@ -21,7 +21,6 @@ type Runner struct {
 	Scale    Scale
 	Seed     uint64 // base seed for every derived RNG stream
 	Parallel int    // worker count; <=1 runs serially
-	Shards   int    // engine shards per point (sharded experiments); <=1 = 1
 	Quick    bool   // recorded in the report for provenance
 
 	// Trace enables per-platform observability collection: every stack a
@@ -99,11 +98,7 @@ func (rn *Runner) Run(ids []string) *Report {
 	close(queue)
 	wg.Wait()
 
-	shards := rn.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	rep := &Report{Schema: ReportSchema, Seed: rn.Seed, Parallel: workers, Shards: shards, Quick: rn.Quick}
+	rep := &Report{Schema: ReportSchema, Seed: rn.Seed, Parallel: workers, Quick: rn.Quick}
 	for e, id := range ids {
 		res := Result{Experiment: id, Seed: rn.Seed}
 		switch {
@@ -162,7 +157,7 @@ func (rn *Runner) runUnit(id string, e *Experiment, u unit,
 			perr[u.point] = fmt.Sprint(p)
 		}
 	}()
-	run := &Run{base: rn.Seed, exp: id, point: e.Points[u.point], shards: rn.Shards, vt: sink, traceCfg: rn.Trace}
+	run := &Run{base: rn.Seed, exp: id, point: e.Points[u.point], vt: sink, traceCfg: rn.Trace}
 	if rn.Series {
 		run.EnableSeries()
 	}

@@ -4,55 +4,29 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"biza/internal/obs"
+	"biza/internal/sim"
 )
 
-// runSharded runs one sharded experiment on shards engine shards, every
-// span traced when trace is set.
-func runSharded(t *testing.T, id string, s Scale, shards int, trace bool) *Report {
+// runExperiment runs one experiment at Parallel 1, every span traced
+// when trace is set.
+func runExperiment(t *testing.T, id string, s Scale, trace bool) *Report {
 	t.Helper()
-	rn := &Runner{Scale: s, Seed: DefaultSeed, Parallel: 1, Shards: shards, Quick: true}
+	rn := &Runner{Scale: s, Seed: DefaultSeed, Parallel: 1, Quick: true}
 	if trace {
 		rn.Trace = &obs.Config{SampleN: 1}
 	}
 	rep := rn.Run([]string{id})
 	if failed := rep.Failed(); len(failed) > 0 {
-		t.Fatalf("shards=%d: %s failed: %s", shards, id, rep.Results[0].Error)
+		t.Fatalf("%s failed: %s", id, rep.Results[0].Error)
 	}
 	return rep
-}
-
-// checkShardInvariance pins the sharded event core's contract end to end:
-// tables, samples, histograms, virtual time and exported traces of id are
-// byte-identical at every shard count. Run with -race to also exercise the
-// cross-shard barrier for data races.
-func checkShardInvariance(t *testing.T, id string, s Scale, trace bool, shardCounts ...int) {
-	ref := runSharded(t, id, s, 1, trace)
-	refTrace := exportTraces(t, ref)
-	for _, shards := range shardCounts {
-		got := runSharded(t, id, s, shards, trace)
-		a, b := &ref.Results[0], &got.Results[0]
-		if !reflect.DeepEqual(a.Tables, b.Tables) {
-			t.Errorf("shards=%d: tables differ from shards=1:\n%s\nvs\n%s",
-				shards, renderTables(a.Tables), renderTables(b.Tables))
-		}
-		if !reflect.DeepEqual(a.Samples, b.Samples) {
-			t.Errorf("shards=%d: samples differ from shards=1", shards)
-		}
-		if !reflect.DeepEqual(a.Histograms, b.Histograms) {
-			t.Errorf("shards=%d: histograms differ from shards=1", shards)
-		}
-		if a.Stats.VirtualNanos != b.Stats.VirtualNanos {
-			t.Errorf("shards=%d: virtual time %d, shards=1 got %d",
-				shards, b.Stats.VirtualNanos, a.Stats.VirtualNanos)
-		}
-		if exportTraces(t, got) != refTrace {
-			t.Errorf("shards=%d: exported traces differ from shards=1", shards)
-		}
-	}
 }
 
 // exportTraces hashes the report's traces through both deterministic
@@ -167,6 +141,63 @@ func TestRunnerRecoversPanics(t *testing.T) {
 	if failed := rep.Failed(); len(failed) != 1 || failed[0] != id {
 		t.Fatalf("Failed() = %v", failed)
 	}
+}
+
+// TestRunArrays: every array's engine ends on the first drain step at which
+// all arrays are quiet, credited once to the run; an array still busy at
+// the limit reports false; a panic on one array's goroutine reaches the
+// caller naming that array, after the other goroutines have returned.
+func TestRunArrays(t *testing.T) {
+	const w = 20 * sim.Microsecond
+	newEngines := func() []*sim.Engine {
+		return []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
+	}
+
+	var vt atomic.Int64
+	r := &Run{vt: &vt}
+	engs := newEngines()
+	engs[1].At(5*w+1, func() {}) // one array's tail outlives the horizon
+	if !r.runArrays(engs, 4*w, w, 100*w) {
+		t.Fatal("quiet arrays reported busy")
+	}
+	for i, eng := range engs {
+		if eng.Now() != 6*w {
+			t.Errorf("array %d ended at %d, want %d", i, eng.Now(), 6*w)
+		}
+	}
+	if vt.Load() != 6*w {
+		t.Errorf("virtual time credited %d, want %d", vt.Load(), 6*w)
+	}
+
+	engs = newEngines()
+	engs[2].At(200*w, func() {})
+	if r.runArrays(engs, 4*w, w, 100*w) {
+		t.Error("an array busy past the limit reported quiet")
+	}
+
+	engs = newEngines()
+	var fired [3]bool
+	for i, eng := range engs {
+		eng.At(w, func() {
+			if i == 1 {
+				panic("boom")
+			}
+			fired[i] = true
+		})
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.HasPrefix(msg, "array 1 panicked: boom") {
+			t.Fatalf("panic = %q, want it to name array 1", msg)
+		}
+		for _, i := range []int{0, 2} {
+			if !fired[i] || engs[i].Now() != 4*w {
+				t.Errorf("array %d had not finished when the panic surfaced", i)
+			}
+		}
+	}()
+	r.runArrays(engs, 4*w, w, 100*w)
+	t.Fatal("runArrays returned despite a panicking array")
 }
 
 // TestRunnerUnknownExperiment: unknown ids become recorded failures, not

@@ -43,27 +43,6 @@ func TestSeriesParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSeriesShardCountInvariance: the tenants experiment (sharded, with
-// the volume layer's new span instrumentation) must produce identical
-// series at -shards 1 and 3, alongside its existing table/trace contract.
-func TestSeriesShardCountInvariance(t *testing.T) {
-	s := QuickScale()
-	run := func(shards int) *Report {
-		return (&Runner{Scale: s, Seed: 11, Parallel: 2, Shards: shards,
-			Series: true}).Run([]string{"tenants"})
-	}
-	r1, r3 := run(1), run(3)
-	if err := r1.Results[0].Error; err != "" {
-		t.Fatalf("tenants failed: %s", err)
-	}
-	if len(r1.Results[0].Series) == 0 {
-		t.Fatal("tenants collected no series")
-	}
-	if !sameJSON(t, r1.Results[0].Series, r3.Results[0].Series) {
-		t.Fatal("series differ between -shards 1 and 3")
-	}
-}
-
 // Series collection must not perturb the simulation: a plain run and a
 // series-collecting run must produce identical tables and samples.
 func TestSeriesDoesNotPerturbResults(t *testing.T) {

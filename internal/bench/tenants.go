@@ -21,7 +21,7 @@ func init() {
 // demand derives from fixed per-array aggregates, so array utilization —
 // and therefore the isolation comparison — is the same at every Scale.
 const (
-	tenantWindow = 20 * sim.Microsecond // shard barrier window
+	tenantWindow = 20 * sim.Microsecond // kick stagger unit and drain step
 	tenantZones  = 16                   // zones per member device
 
 	tenantInflight = 8 // manager dispatch window into each array
@@ -67,7 +67,7 @@ func tenantClass(id int) int {
 }
 
 // tenantRef is one tenant's workload state. All fields are touched only
-// on the owning array's shard goroutine.
+// on the owning array's engine goroutine.
 type tenantRef struct {
 	v     *volume.Volume
 	eng   *sim.Engine
@@ -77,10 +77,10 @@ type tenantRef struct {
 	lat   *metrics.Histogram
 }
 
-// Tenants is the multi-tenant QoS-isolation experiment: arrays sharded
-// across engines, each multiplexed into ~a hundred tenant volumes through
-// internal/volume. The three points share one workload and differ only in
-// contention and discipline:
+// Tenants is the multi-tenant QoS-isolation experiment: independent
+// arrays, one engine each, each multiplexed into tens of tenant volumes
+// through internal/volume. The three points share one workload and
+// differ only in contention and discipline:
 //
 //   - baseline: aggressors idle, QoS on — the undisturbed reference.
 //   - qos: every array's aggressor saturates it with deep large writes;
@@ -88,18 +88,16 @@ type tenantRef struct {
 //   - noqos: same aggression with admission control disabled — the
 //     interactive class queues behind the full aggressor backlog.
 //
-// Every tenant lives entirely on its array's shard, so per-array behavior
-// is independent of the shard assignment and all tables are bit-identical
-// at any -shards value. The assembled tenants-isolation table divides
-// each point's interactive p99 by the baseline's: the qos row is the
-// paper-style isolation claim (< 2x), the noqos row the unbounded
-// counterfactual.
+// Every tenant lives entirely on its array's engine and no array talks to
+// another, so the arrays run in parallel without a barrier. The assembled
+// tenants-isolation table divides each point's interactive p99 by the
+// baseline's: the qos row is the paper-style isolation claim (< 2x), the
+// noqos row the unbounded counterfactual.
 func Tenants(s Scale, r *Run, point string) []*Table {
 	numArrays, perArray := s.TenantArrays, s.Tenants
 	if numArrays < 1 || perArray < 3 {
 		panic("tenants: scale has no tenant sizing")
 	}
-	g := r.ShardGroup(tenantWindow)
 
 	cfg := volume.Config{MaxInflight: tenantInflight}
 	if point == "noqos" {
@@ -121,21 +119,23 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 	interGap := sim.Time(int64(interBlocks*tenantBS) * nsPerSec * int64(numInter) / interArrayBytes)
 	batchRate := int64(batchArrayBytes) / int64(numBatch)
 
-	// Construct arrays and their tenants in canonical order on
-	// round-robin shards (construction order never depends on -shards).
-	// Latency histograms are per tenant — shards must not share one — and
-	// merge per class in canonical tenant order after the run.
+	// Construct arrays and their tenants in canonical order, one engine
+	// per array. Latency histograms are per tenant — array goroutines must
+	// not share one — and merge per class in canonical tenant order after
+	// the run.
+	engs := make([]*sim.Engine, numArrays)
 	tenants := make([]*tenantRef, 0, numArrays*perArray)
-	for ai := 0; ai < numArrays; ai++ {
-		sh := g.Shard(ai % g.Shards())
-		p, err := r.PlatformOnShard(sh, stack.KindBIZA, stack.Options{
+	for ai := range engs {
+		eng := sim.NewEngine()
+		engs[ai] = eng
+		p, err := r.PlatformOn(eng, stack.KindBIZA, stack.Options{
 			ZNS:  stack.BenchZNS(tenantZones),
 			Seed: r.Seed(fmt.Sprintf("%s/stack/a%02d", point, ai)),
 		})
 		if err != nil {
 			panic(fmt.Sprintf("tenants: array %d: %v", ai, err))
 		}
-		m := volume.New(sh.Engine(), p.Dev, cfg)
+		m := volume.New(eng, p.Dev, cfg)
 		m.SetTracer(p.Trace())
 		for ti := 0; ti < perArray; ti++ {
 			class := tenantClass(ti)
@@ -154,7 +154,7 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 				panic(fmt.Sprintf("tenants: array %d tenant %d: %v", ai, ti, err))
 			}
 			tenants = append(tenants, &tenantRef{
-				v: v, eng: sh.Engine(), class: class, lat: newLatHist(),
+				v: v, eng: eng, class: class, lat: newLatHist(),
 				rng: sim.NewRNG(r.Seed(fmt.Sprintf("%s/tenant/a%02d/t%03d", point, ai, ti))),
 			})
 		}
@@ -167,7 +167,7 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 	var issue func(t *tenantRef)
 	issue = func(t *tenantRef) {
 		if t.eng.Now() >= endAt {
-			return // tenant retires; in-flight work drains the group
+			return // tenant retires; in-flight work drains the array
 		}
 		done := func(res blockdev.WriteResult) {
 			if res.Err != nil {
@@ -198,17 +198,14 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 		}
 	}
 
-	// Kick every tenant from the coordinator with a staggered start; src
-	// keys are globally unique so the injected order is canonical at any
-	// shard count. Aggressors prime their full depth.
-	for gi, t := range tenants {
+	// Kick every tenant with a staggered start. Aggressors prime their
+	// full depth.
+	for _, t := range tenants {
 		if t.class == classAggressor && !aggressorsRun {
 			continue
 		}
-		t := t
 		at := tenantWindow + sim.Time(t.rng.Intn(int(4*tenantWindow)))
-		shard := (gi / perArray) % g.Shards()
-		g.Send(shard, at, int64(gi), func() {
+		t.eng.At(at, func() {
 			n := 1
 			if t.class == classAggressor {
 				n = aggDepth
@@ -219,9 +216,8 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 		})
 	}
 
-	g.Run(endAt)
-	if !g.Drain(endAt + 100*sim.Millisecond) {
-		panic("tenants: group did not quiesce after the measured horizon")
+	if !r.runArrays(engs, endAt, tenantWindow, endAt+100*sim.Millisecond) {
+		panic("tenants: arrays did not quiesce after the measured horizon")
 	}
 
 	// Per-class aggregation in canonical tenant order.

@@ -10,7 +10,7 @@ import (
 // from the idle baseline with QoS on, while disabling QoS lets the
 // aggressor backlog blow it past that bound.
 func TestTenantsIsolation(t *testing.T) {
-	c := checkClaims(t, "tenants", runSharded(t, "tenants", QuickScale(), 2, true).Results[0].Tables)
+	c := checkClaims(t, "tenants", runExperiment(t, "tenants", QuickScale(), true).Results[0].Tables)
 
 	// The per-class table does real work: every class except the idle
 	// baseline aggressor completes ops, and batch tenants hit the throttle.
@@ -36,15 +36,10 @@ func TestTenantsIsolation(t *testing.T) {
 	}
 }
 
-// TestTenantsShardCountInvariance: see checkShardInvariance.
-func TestTenantsShardCountInvariance(t *testing.T) {
-	checkShardInvariance(t, "tenants", QuickScale(), true, 2, 3)
-}
-
 // TestTenantsProbesEmitted: the per-tenant observability probes flow into
 // the platform traces when tracing is on.
 func TestTenantsProbesEmitted(t *testing.T) {
-	rep := runSharded(t, "tenants", QuickScale(), 1, true)
+	rep := runExperiment(t, "tenants", QuickScale(), true)
 	var qd, stalls, bts bool
 	for _, tr := range rep.Traces {
 		for _, ps := range tr.ProbeStats() {

@@ -10,7 +10,7 @@ package metrics
 // The sampler has no clock of its own. Callers advance it with virtual
 // timestamps (obs.Trace drives it from probe emissions; tests drive it
 // directly), so sampled values are a pure function of the deterministic
-// event stream: byte-identical output at any -parallel or -shards value.
+// event stream: byte-identical output at any -parallel value.
 
 // Sampler sizing: 50 us ticks cover a 4 ms quick run in ~80 points and a
 // 50 ms default-scale run in ~1000 (one decimation). A full ring of

@@ -393,7 +393,7 @@ type Trace struct {
 	// probe emissions: Counter advances it past any due ticks before
 	// applying the update, so each tick records the values visible at its
 	// exact virtual time. Probe emission order within one engine is
-	// shard-count- and worker-count-invariant, so the series are too.
+	// worker-count-invariant, so the series are too.
 	sampler *metrics.Sampler
 }
 

@@ -15,7 +15,7 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // DeriveSeed deterministically derives a child seed from a base seed and a
 // path of stream labels (experiment id, config point, stream name, ...).
 // The derivation depends only on its inputs — never on scheduling or
-// allocation order — so concurrent experiment shards draw from disjoint,
+// allocation order — so concurrent experiment points draw from disjoint,
 // reproducible streams regardless of worker count. Labels are hashed
 // FNV-1a style with a separator between path elements, then mixed with the
 // base seed through the splitmix64 finalizer.

@@ -2,7 +2,10 @@ package sim
 
 // Sharded deterministic simulation: a ShardGroup partitions one logical
 // simulation across several Engines, each advanced by its own goroutine,
-// while keeping the run bit-identical at any shard count.
+// while keeping the run bit-identical at any shard count. It exists for
+// partitions that really do interact — the benchmark's fleet, whose clients
+// hop between arrays over a modeled fabric. Arrays that never talk to one
+// another need no barrier: give each its own Engine instead.
 //
 // The synchronization model is a conservative time-window barrier. All
 // shards advance in lockstep windows of fixed virtual width W: during the
@@ -28,13 +31,13 @@ package sim
 // so the key assignment does not change when the partition-to-shard
 // mapping does. Under that discipline the observable behavior of each
 // partition is identical for any shard count, including a group of one
-// shard — which is exactly the property the CI determinism matrix pins.
+// shard — which is the property shard_test.go pins against a single-engine
+// oracle and under deliberate same-time ties.
 import (
 	"cmp"
 	"fmt"
 	"runtime/debug"
 	"slices"
-	"sync/atomic"
 )
 
 // xmsg is one cross-shard message awaiting deterministic delivery.
@@ -116,8 +119,6 @@ type ShardGroup struct {
 	pending []xmsg // merged, canonically sorted, not yet injected
 	seed    []xmsg // coordinator-side sends (initial placements)
 	seedSeq uint64
-
-	sink *atomic.Int64 // optional: credited once per window advance
 }
 
 // NewShardGroup returns a group of n shards with the given barrier window
@@ -148,12 +149,6 @@ func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
 // Now reports the group's completed-up-to virtual time: every shard's
 // engine has advanced exactly this far.
 func (g *ShardGroup) Now() Time { return g.now }
-
-// SetTimeSink registers an accumulator credited with every nanosecond of
-// virtual time the group advances. The group credits the sink once per
-// window — not once per engine — so the accounted simulated time is
-// independent of the shard count.
-func (g *ShardGroup) SetTimeSink(sink *atomic.Int64) { g.sink = sink }
 
 // Send schedules fn on shard dst at absolute time at from the
 // coordinating goroutine — the way initial work (client placements,
@@ -285,9 +280,6 @@ func (g *ShardGroup) Run(until Time) {
 				panic(fmt.Sprintf("sim: shard %d panicked: %v\n%s",
 					failed.shard, failed.panicVal, failed.stack))
 			}
-		}
-		if g.sink != nil {
-			g.sink.Add(wEnd - g.now)
 		}
 		g.now = wEnd
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -263,20 +262,6 @@ func TestShardPanicPropagates(t *testing.T) {
 		}
 	}()
 	g.Run(tWindow)
-}
-
-// TestShardGroupTimeSink: the group credits advanced virtual time once,
-// independent of the shard count.
-func TestShardGroupTimeSink(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		var sink atomic.Int64
-		g := NewShardGroup(shards, tWindow)
-		g.SetTimeSink(&sink)
-		g.Run(10*tWindow + 123)
-		if got := sink.Load(); got != int64(10*tWindow+123) {
-			t.Fatalf("shards=%d: sink %d, want %d", shards, got, 10*tWindow+123)
-		}
-	}
 }
 
 // TestShardDrain: Drain completes queued cross-shard chains and reports

@@ -21,9 +21,9 @@
 // when no tracer is attached — steady-state submission allocates nothing.
 //
 // Everything runs on the array's simulation engine; a manager (and all of
-// its volumes) belongs to one engine and therefore one shard. Determinism
-// follows from the engine's: identical request sequences replay
-// identically at any -parallel or -shards setting.
+// its volumes) belongs to one engine and therefore one goroutine.
+// Determinism follows from the engine's: identical request sequences
+// replay identically at any -parallel setting.
 package volume
 
 import (

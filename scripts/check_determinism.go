@@ -2,17 +2,18 @@
 
 // Command check_determinism gates CI on bit-identical bizabench output:
 // given two or more JSON reports produced by runs that differ only in
-// execution layout (-parallel worker count, -shards engine shards), it
-// fails (non-zero exit) unless every simulation-derived field matches the
-// first report exactly.
+// execution layout (the -parallel worker count) or only in code that must
+// not move simulated results (a refactor against its parent), it fails
+// (non-zero exit) unless every simulation-derived field matches the first
+// report exactly.
 //
 // Compared per result: experiment id, error, tables (cell for cell),
 // samples, histogram dumps, virtual-time series (point for point), and
 // observability probe readings; plus report schema, seed, quick flag, and
 // total virtual nanoseconds. Deliberately
 // ignored: wall-clock accounting (stats.wall_ns, wall_ns) and the
-// parallel/shards provenance fields, which are the only values allowed to
-// differ between layouts.
+// parallel provenance field, which are the only values allowed to differ
+// between layouts.
 //
 // Usage: go run scripts/check_determinism.go ref.json other.json [more.json ...]
 package main
