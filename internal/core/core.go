@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"biza/internal/buf"
 	"biza/internal/cpumodel"
@@ -133,11 +134,11 @@ func DefaultConfig(zonesPerDevice int) Config {
 	}
 }
 
-// pa is a physical chunk address: device, zone, block offset.
+// pa is a physical chunk address: device, zone, block offset. It is 16
+// bytes, and a 3+1 stripe's SMT entry holds four.
 type pa struct {
-	dev  int
-	zone int
-	off  int64
+	off       int64
+	zone, dev int32
 }
 
 var paNone = pa{dev: -1}
@@ -155,32 +156,43 @@ type bmtEntry struct {
 }
 
 func mapTo(p pa, sn int64) bmtEntry {
-	return bmtEntry{off: p.off, sn: sn, zone: int32(p.zone), dev1: int16(p.dev + 1)}
+	return bmtEntry{off: p.off, sn: sn, zone: p.zone, dev1: int16(p.dev + 1)}
 }
 
 func (e bmtEntry) mapped() bool { return e.dev1 != 0 }
 
 // loc is the chunk's address; paNone for an unmapped block.
-func (e bmtEntry) loc() pa { return pa{dev: int(e.dev1) - 1, zone: int(e.zone), off: e.off} }
+func (e bmtEntry) loc() pa { return pa{dev: int32(e.dev1) - 1, zone: e.zone, off: e.off} }
 
 // smtEntry records a stripe: its data chunk locations, parity locations,
 // and the logical blocks its chunks carry (needed for stripe-dissolving GC
 // and degraded reads). Entries are recycled (getSE in pool.go), their three
-// slices carved once at full-stripe capacity.
+// slices carved once at full-stripe capacity. The SMT holds one per stripe
+// written, so the counters and flags pack into 16 bytes after the slices:
+// 88 bytes, plus 88 of slots for a 3+1 stripe. A stripe has at most 255
+// data chunks (newCore), which bounds valid and pending.
 type smtEntry struct {
-	chunks  []pa    // data chunk slots; contents feed parity even when stale
-	lbns    []int64 // logical block carried by each chunk; -1 when stale
-	parity  []pa    // m parity locations
-	sealed  bool    // all k chunks written (final parity complete)
-	valid   int     // live data chunks
-	pending int     // chunk writes not yet completed (crash-consistency)
+	chunks []pa    // data chunk slots; contents feed parity even when stale
+	lbns   []int64 // logical block carried by each chunk; -1 when stale
+	parity []pa    // m parity locations
+
+	// Recycling: dead marks an entry removed from the SMT; holds counts the
+	// asynchronous users that may still touch it after that (its open
+	// stripe, in-place updates in flight, parked rewrites). The entry
+	// returns to the free list when it is dead and unheld.
+	holds int32
 
 	// In-place parity updates are read-modify-write on the parity slot;
 	// concurrent updates to one stripe must serialize or deltas are lost.
-	// ipq parks the rewrites (chunk records) and dissolutions that arrived
-	// meanwhile; each is fired as an event when its turn comes.
+	// The rewrites (chunk records) and dissolutions that arrive meanwhile
+	// park on a queue of Core.ipqs, which ipq names (index+1; 0 while
+	// nothing is parked); each is fired as an event when its turn comes.
+	ipq    int32
 	ipBusy bool
-	ipq    fifo.Queue[sim.Handler]
+
+	valid   uint8 // live data chunks
+	pending uint8 // chunk writes not yet completed (crash-consistency)
+	sealed  bool  // all k chunks written (final parity complete)
 
 	// dissolving marks a stripe claimed by GC or rebuild. In-place updates
 	// mutate slot content without moving the bmt mapping, so a migration
@@ -188,13 +200,8 @@ type smtEntry struct {
 	// acknowledged write; once set, rewrites take the append path instead.
 	dissolving bool
 
-	// Recycling: dead marks an entry removed from the SMT; holds counts the
-	// asynchronous users that may still touch it after that (its open
-	// stripe, in-place updates in flight, parked ipq entries). The entry
-	// returns to the free list when it is dead and unheld.
-	holds int
-	dead  bool
-	live  bool
+	dead bool
+	live bool
 }
 
 // Core is the BIZA engine. It implements blockdev.Device.
@@ -268,7 +275,9 @@ type Core struct {
 	chunkFree  []*chunkRec
 	stripeFree []*openStripe
 	smtFree    []*smtEntry
-	smtSlab    []smtEntry // fresh entries not yet handed out
+	smtSlab    []smtEntry                // fresh entries not yet handed out
+	ipqs       []fifo.Queue[sim.Handler] // parked-rewrite queues, named by smtEntry.ipq
+	ipqFree    []int32                   // ipqs indices not in use
 	batchFree  []*appendBatch
 	readFree   []*readRec
 	liveRecs   recCounts
@@ -337,6 +346,9 @@ func newCore(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core
 	}
 	if cfg.Parity < 1 || cfg.Parity >= len(queues)-1 {
 		return nil, fmt.Errorf("core: parity %d with %d members", cfg.Parity, len(queues))
+	}
+	if len(queues)-cfg.Parity > math.MaxUint8 {
+		return nil, fmt.Errorf("core: %d data members, at most %d", len(queues)-cfg.Parity, math.MaxUint8)
 	}
 	base := queues[0].Device().Config()
 	for _, q := range queues[1:] {

@@ -262,7 +262,7 @@ func TestStripeParityConsistency(t *testing.T) {
 	}
 	var got []byte
 	pp := se.parity[0]
-	c.devs[pp.dev].q.ReadInto(pp.zone, pp.off, 1, nil, false, func(r zns.ReadResult) { got = r.Data })
+	c.devs[pp.dev].q.ReadInto(int(pp.zone), pp.off, 1, nil, false, func(r zns.ReadResult) { got = r.Data })
 	eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatal("sealed parity != XOR of chunks")
@@ -324,7 +324,7 @@ func TestZoneFinishWaitsForInPlaceUpdate(t *testing.T) {
 	target := int64(-1)
 	for lbn := int64(0); lbn < lba && target < 0; lbn++ {
 		e := c.bmt.Get(lbn)
-		if at := e.loc(); at.dev == zs.ds.id && at.zone == zs.id && at.off >= c.zoneBlocks-c.zrwaBlocks {
+		if at := e.loc(); int(at.dev) == zs.ds.id && int(at.zone) == zs.id && at.off >= c.zoneBlocks-c.zrwaBlocks {
 			if se := c.smt.Get(e.sn); se != nil && se.sealed {
 				target = lbn
 			}
@@ -549,6 +549,7 @@ func TestRecoveryRestoresData(t *testing.T) {
 	if rc == nil {
 		t.Fatal("recovery did not complete")
 	}
+	assertTables(t, rc)
 	for lba, seed := range want {
 		r := blockdev.ReadSync(eng, rc, lba, 1)
 		if r.Err != nil {
@@ -566,6 +567,7 @@ func TestRecoveryRestoresData(t *testing.T) {
 	if !bytes.Equal(r.Data, blockdev.Pattern(200, 4*4096)) {
 		t.Fatal("post-recovery write not visible")
 	}
+	assertTables(t, rc)
 }
 
 func TestSelectorAblationIncreasesFlashWrites(t *testing.T) {

@@ -106,7 +106,7 @@ func TestDegradedReadInFlightStripe(t *testing.T) {
 	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(51, 4096))
 	eng.Run()
 	for lba := int64(0); lba < 2; lba++ {
-		dev := c.bmt.Get(lba).loc().dev
+		dev := int(c.bmt.Get(lba).loc().dev)
 		if err := c.SetDeviceFailed(dev, true); err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestRAID6DegradedInFlightDoubleLoss(t *testing.T) {
 	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(61, 4096))
 	eng.Run()
 	// Lose the owning member of each in-flight chunk simultaneously.
-	d0, d1 := c.bmt.Get(0).loc().dev, c.bmt.Get(1).loc().dev
+	d0, d1 := int(c.bmt.Get(0).loc().dev), int(c.bmt.Get(1).loc().dev)
 	if d0 == d1 {
 		t.Fatalf("chunks colocated on dev %d", d0)
 	}
@@ -307,7 +307,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	// Stall the rewrite's old-parity read so that, without the barrier, the
 	// dissolution's migration read would win the race.
 	attachPlan(t, c, &fault.Spec{Rules: []fault.Rule{
-		{Kind: fault.Latency, Dev: se.parity[0].dev, Op: fault.Read,
+		{Kind: fault.Latency, Dev: int(se.parity[0].dev), Op: fault.Read,
 			Delay: 2 * sim.Millisecond},
 	}}, 11)
 	var wres blockdev.WriteResult
@@ -318,7 +318,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	}
 	// While the RMW is stalled, hot-swap the member holding another chunk
 	// of the same stripe: the rebuild dissolves that stripe.
-	victim := c.bmt.Get(1).loc().dev
+	victim := int(c.bmt.Get(1).loc().dev)
 	dc := devConfig()
 	dc.Seed = 888
 	nd, err := zns.New(eng, dc)

@@ -78,6 +78,7 @@ func runModelSweep(t *testing.T, seed uint64) {
 			// Interleave partial drains to vary schedules per seed.
 			if rng.Intn(4) == 0 {
 				eng.Run()
+				assertTables(t, c)
 			}
 		}
 	}
@@ -85,6 +86,7 @@ func runModelSweep(t *testing.T, seed uint64) {
 	if outstanding != 0 {
 		t.Fatalf("seed %d: %d writes hung", seed, outstanding)
 	}
+	assertTables(t, c)
 	// Note: concurrent same-block writes are racy by API contract, but
 	// this sweep only writes each version once before a possible drain, so
 	// the LAST version observed must win after full drain for blocks whose
@@ -99,6 +101,7 @@ func runModelSweep(t *testing.T, seed uint64) {
 		if !ok {
 			t.Fatalf("final write %d failed", lba)
 		}
+		assertTables(t, c)
 	}
 	for lba := int64(0); lba < 96; lba += 7 {
 		var got []byte
@@ -119,6 +122,7 @@ func runModelSweep(t *testing.T, seed uint64) {
 			if rerr != nil {
 				t.Fatalf("seed %d dev %d lba %d: %v", seed, dev, lba, rerr)
 			}
+			assertTables(t, c)
 			if v, okv := version[lba]; okv && lba%7 == 0 {
 				if !bytes.Equal(got, modelPattern(lba, v, bs)) {
 					t.Fatalf("seed %d dev %d lba %d: degraded content wrong", seed, dev, lba)

@@ -136,8 +136,7 @@ func (d *dissolve) run() {
 	se.dissolving = true
 	if se.ipBusy {
 		d.parked = se
-		se.holds++
-		se.ipq.Push(d)
+		c.park(se, d)
 		return
 	}
 	if !se.sealed {
@@ -181,10 +180,10 @@ func (d *dissolve) run() {
 			continue
 		}
 		dst := c.readBuf(1)
-		c.devs[m.p.dev].q.ReadInto(m.p.zone, m.p.off, 1, dst, false, func(r zns.ReadResult) {
+		c.devs[m.p.dev].q.ReadInto(int(m.p.zone), m.p.off, 1, dst, false, func(r zns.ReadResult) {
 			data := dst
 			if r.Err != nil {
-				c.noteIOError(m.p.dev, r.Err)
+				c.noteIOError(int(m.p.dev), r.Err)
 				c.pool.Free(dst)
 				data = nil
 				if storerr.Reconstructable(r.Err) {

@@ -131,6 +131,7 @@ func TestModelRandomizedWithRecovery(t *testing.T) {
 			if rerr != nil {
 				t.Fatalf("recovery at step %d: %v", i, rerr)
 			}
+			assertTables(t, rc)
 			c = rc
 			queues = nq
 		}
@@ -183,6 +184,7 @@ func TestModelDegradedSweep(t *testing.T) {
 				t.Fatalf("dev %d failed, lba %d: wrong content (v%d)", dev, lba, v)
 			}
 		}
+		assertTables(t, c)
 		c.SetDeviceFailed(dev, false)
 	}
 	assertNoStrayRecords(t, c)
@@ -210,6 +212,7 @@ func TestModelConcurrentDepth(t *testing.T) {
 		if outstanding != 0 {
 			t.Fatalf("round %d: %d writes hung", round, outstanding)
 		}
+		assertTables(t, c)
 	}
 	for i := 0; i < n; i += 17 {
 		var got []byte
@@ -322,6 +325,7 @@ func TestModelChaosWithFaults(t *testing.T) {
 			if !okR || rerr != nil {
 				t.Fatalf("chaos replace at step %d: ok=%v err=%v", i, okR, rerr)
 			}
+			assertTables(t, c)
 			replaced = true
 		}
 	}

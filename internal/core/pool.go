@@ -254,7 +254,7 @@ func (c *Core) maybePutSE(se *smtEntry) {
 	if !se.dead || se.holds > 0 {
 		return
 	}
-	*se = smtEntry{chunks: se.chunks[:0], lbns: se.lbns[:0], parity: se.parity, ipq: se.ipq}
+	*se = smtEntry{chunks: se.chunks[:0], lbns: se.lbns[:0], parity: se.parity}
 	c.liveRecs.smt--
 	c.smtFree = append(c.smtFree, se)
 }

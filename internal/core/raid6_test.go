@@ -170,6 +170,7 @@ func TestRAID6Recovery(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
+	assertTables(t, rc)
 	for lba, seed := range want {
 		r := blockdev.ReadSync(eng, rc, lba, 1)
 		if r.Err != nil || !bytes.Equal(r.Data, blockdev.Pattern(seed, 4096)) {
@@ -206,7 +207,7 @@ func TestRAID6StripeDevicesDistinct(t *testing.T) {
 	blockdev.WriteSync(eng, c, 0, 9, blockdev.Pattern(1, 9*4096)) // 3 full stripes (k=3)
 	eng.Run()
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
-		used := map[int]bool{}
+		used := map[int32]bool{}
 		for _, p := range se.chunks {
 			if p.dev < 0 {
 				continue

@@ -113,7 +113,7 @@ func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 // read spans a handful of runs, so look for it from the back.
 func (rd *readRec) addBlock(at pa, i int64) {
 	for li := rd.nruns - 1; li >= 0; li-- {
-		if r := rd.runs[li]; r.dev == at.dev && r.zone == at.zone {
+		if r := rd.runs[li]; r.dev == int(at.dev) && r.zone == int(at.zone) {
 			if r.off+int64(len(r.bufIdx)) == at.off {
 				r.bufIdx = append(r.bufIdx, i)
 				return
@@ -128,7 +128,7 @@ func (rd *readRec) addBlock(at pa, i int64) {
 	}
 	r := rd.runs[rd.nruns]
 	rd.nruns++
-	r.dev, r.zone, r.off, r.scratch = at.dev, at.zone, at.off, nil
+	r.dev, r.zone, r.off, r.scratch = int(at.dev), int(at.zone), at.off, nil
 	r.bufIdx = append(r.bufIdx[:0], i)
 }
 
@@ -236,7 +236,7 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 	at := e.loc()
 	inner := done
 	done = func(data []byte, err error) {
-		c.noteReconstruct(at.dev, lbn, err)
+		c.noteReconstruct(int(at.dev), lbn, err)
 		inner(data, err)
 	}
 	se := c.smt.Get(e.sn)
@@ -322,9 +322,9 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 	for i := range fetches {
 		f := &fetches[i]
 		f.dst = c.readBuf(1)
-		c.devs[f.p.dev].q.ReadInto(f.p.zone, f.p.off, 1, f.dst, false, func(r zns.ReadResult) {
+		c.devs[f.p.dev].q.ReadInto(int(f.p.zone), f.p.off, 1, f.dst, false, func(r zns.ReadResult) {
 			if r.Err != nil {
-				c.noteIOError(f.p.dev, r.Err)
+				c.noteIOError(int(f.p.dev), r.Err)
 				// A reconstructable fetch failure just leaves this shard
 				// missing — the code may still recover from the rest.
 				if !storerr.Reconstructable(r.Err) && firstErr == nil {

@@ -93,7 +93,7 @@ func (c *Core) ReplaceDevicePaced(dev int, q *nvme.Queue, ctl RebuildControl, do
 
 	// Every stripe with a data or parity slot on the member needs
 	// dissolution, in ascending stripe number: the SMT's own order.
-	onMember := func(p pa) bool { return p.dev == dev }
+	onMember := func(p pa) bool { return int(p.dev) == dev }
 	var sns []int64
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
 		if slices.ContainsFunc(se.chunks, onMember) || slices.ContainsFunc(se.parity, onMember) {

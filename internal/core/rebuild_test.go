@@ -38,6 +38,7 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 	if !okR || rerr != nil {
 		t.Fatalf("rebuild ok=%v err=%v", okR, rerr)
 	}
+	assertTables(t, c)
 
 	// All data intact, with no degraded flag set.
 	for lba, seed := range want {
@@ -65,6 +66,7 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 	if nd.Stats().TotalProgrammed() == 0 && nd.Stats().AbsorbedBytes == 0 {
 		t.Fatal("replacement device received no traffic")
 	}
+	assertNoStrayRecords(t, c)
 }
 
 func TestReplaceDeviceGeometryMismatch(t *testing.T) {

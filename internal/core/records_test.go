@@ -19,9 +19,11 @@ import (
 // assertNoStrayRecords checks that a drained array has every record back
 // on its free list: no Write, Read, chunk or device command is in flight, an
 // open-stripe record is out only for the stripes still open, and an SMT
-// entry only for the stripes still mapped.
+// entry only for the stripes still mapped. Its mapping tables must agree
+// (checkTables).
 func assertNoStrayRecords(t *testing.T, c *Core) {
 	t.Helper()
+	assertTables(t, c)
 	open := 0
 	for _, st := range c.open {
 		if st != nil {
@@ -208,7 +210,7 @@ func TestPayloadRMWAllocFree(t *testing.T) {
 	assertNoStrayRecords(t, c)
 	// The parity the deltas produced still rebuilds the newest content.
 	last := (lba + k - 1) % k
-	if err := c.SetDeviceFailed(c.bmt.Get(last).loc().dev, true); err != nil {
+	if err := c.SetDeviceFailed(int(c.bmt.Get(last).loc().dev), true); err != nil {
 		t.Fatal(err)
 	}
 	var res blockdev.ReadResult

@@ -88,7 +88,7 @@ func Recover(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant, done f
 						continue
 					}
 					records = append(records, scanRecord{
-						p: pa{dev: d, zone: z, off: int64(off)}, kind: kind,
+						p: pa{dev: int32(d), zone: int32(z), off: int64(off)}, kind: kind,
 						lbn: lbn, sn: sn, seq: seq, idx: idx,
 					})
 					if int64(off)+1 > zoneWritten[d][z] {
@@ -144,7 +144,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		ds := c.devs[p.dev]
 		zs := ds.zones[p.zone]
 		if zs == nil {
-			zs = ds.newZoneState(p.zone)
+			zs = ds.newZoneState(int(p.zone))
 			zs.wpAlloc = zoneWritten[p.dev][p.zone]
 			zs.maxSubmitted = zs.wpAlloc - 1
 			zs.donePrefix = zs.wpAlloc
@@ -186,7 +186,6 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			se.lbns[r.idx] = r.lbn
 			se.valid++
 			c.bmt.Set(r.lbn, mapTo(r.p, r.sn))
-			zs.setLBN(r.p.off, r.lbn)
 			zs.valid++
 		}
 	}
@@ -217,8 +216,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 					c.bmt.Delete(lbn)
 					p := se.chunks[i]
 					if zs := c.devs[p.dev].zones[p.zone]; zs != nil {
-						if zs.lbnAt(p.off) == lbn {
-							zs.setLBN(p.off, -1)
+						if zs.stripeAt(p.off) == sn {
 							zs.valid--
 						}
 						zs.setStripe(p.off, -1)
@@ -240,14 +238,14 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 				ds.freeZones = append(ds.freeZones, z)
 			case zns.ZoneFull:
 				if ds.zones[z] == nil {
-					zoneOf(pa{dev: d, zone: z})
+					zoneOf(pa{dev: int32(d), zone: int32(z)})
 				}
 				ds.zones[z].sealedF = true
 				ds.zones[z].wpAlloc = c.zoneBlocks
 				ds.fullZones = append(ds.fullZones, z)
 			case zns.ZoneImplicitOpen, zns.ZoneExplicitOpen, zns.ZoneClosed:
 				if ds.zones[z] == nil {
-					zoneOf(pa{dev: d, zone: z})
+					zoneOf(pa{dev: int32(d), zone: int32(z)})
 				}
 				openPool = append(openPool, ds.zones[z])
 			}

@@ -1,9 +1,10 @@
 package core
 
-// The zone reverse map (zoneState.rmap): one slice of {lbn, sn} slots that
-// grows with the zone's written prefix. It must read exactly like the three
-// zone-length maps it replaced, cost nothing until a zone is written, and
-// rebuild after a power cut the tables the array held before it.
+// The zone reverse map (zoneState.rmap): one slice of stripe numbers that
+// grows with the zone's written prefix. It must read exactly like the flat
+// zone-length map it stands for, cost nothing until a zone is written and
+// 8 bytes a slot once it is, and rebuild after a power cut the tables the
+// array held before it.
 
 import (
 	"fmt"
@@ -17,37 +18,33 @@ import (
 )
 
 // TestReverseMapMatchesFlatMaps drives one zone's reverse map with random
-// sequences of its six operations against an oracle of three flat
-// zone-length maps (off -> live LBN, off -> parity stripe, off -> owning
-// stripe of a data slot). Sets follow the one rule the engine keeps — a
-// slot holds a data chunk or a parity chunk, never both — while clears
-// (-1) go anywhere, past the map's end included. Offsets run ahead of a
-// moving append prefix, and some land far beyond it as recovery's scan
-// does. Every offset reads as in the oracle, a read never grows the map,
-// and the map never outgrows the zone.
+// sequences of its four operations against an oracle of two flat
+// zone-length maps: a stripe number and a parity flag per offset. Sets
+// follow the one rule the engine keeps — a slot holds a data chunk or a
+// parity chunk, never both — while clears (-1) go anywhere, past the map's
+// end included. Offsets run ahead of a moving append prefix, and some land
+// far beyond it as recovery's scan does. Every offset reads as in the
+// oracle, a read never grows the map, and the map never outgrows the zone.
 func TestReverseMapMatchesFlatMaps(t *testing.T) {
 	for _, zb := range []int64{256, 3000, 4096} {
 		t.Run(fmt.Sprint(zb), func(t *testing.T) {
 			zs := (&devState{c: &Core{zoneBlocks: zb, zrwaBlocks: 16}}).newZoneState(0)
-			flat := func() []int64 {
-				m := make([]int64, zb)
-				for i := range m {
-					m[i] = -1
-				}
-				return m
+			sns, parity := make([]int64, zb), make([]bool, zb)
+			for i := range sns {
+				sns[i] = -1
 			}
-			lbns, parities, stripes := flat(), flat(), flat()
 			check := func(off int64) {
 				t.Helper()
 				n := len(zs.rmap)
-				if got := zs.lbnAt(off); got != lbns[off] {
-					t.Fatalf("lbnAt(%d) = %d, want %d", off, got, lbns[off])
+				wantData, wantParity := sns[off], int64(-1)
+				if parity[off] {
+					wantData, wantParity = -1, sns[off]
 				}
-				if got := zs.parityAt(off); got != parities[off] {
-					t.Fatalf("parityAt(%d) = %d, want %d", off, got, parities[off])
+				if got := zs.stripeAt(off); got != wantData {
+					t.Fatalf("stripeAt(%d) = %d, want %d", off, got, wantData)
 				}
-				if got := zs.stripeAt(off); got != stripes[off] {
-					t.Fatalf("stripeAt(%d) = %d, want %d", off, got, stripes[off])
+				if got := zs.parityAt(off); got != wantParity {
+					t.Fatalf("parityAt(%d) = %d, want %d", off, got, wantParity)
 				}
 				if len(zs.rmap) != n {
 					t.Fatalf("reading offset %d grew the map from %d to %d slots", off, n, len(zs.rmap))
@@ -70,23 +67,20 @@ func TestReverseMapMatchesFlatMaps(t *testing.T) {
 				if rng.Intn(3) > 0 {
 					v = rng.Int63n(1 << 40)
 				}
-				data := lbns[off] >= 0 || stripes[off] >= 0
-				parity := parities[off] >= 0
-				switch op := rng.Intn(6); {
-				case op == 0 && (v < 0 || !parity):
-					zs.setLBN(off, v)
-					if !parity {
-						lbns[off] = v
-					}
-				case op == 1 && (v < 0 || !parity):
+				data := sns[off] >= 0 && !parity[off]
+				switch op := rng.Intn(4); {
+				case op == 0 && (v < 0 || !parity[off]):
 					zs.setStripe(off, v)
-					if !parity {
-						stripes[off] = v
+					if !parity[off] {
+						sns[off] = v
 					}
-				case op == 2 && (v < 0 || !data):
+				case op == 1 && (v < 0 || !data):
 					zs.setParity(off, v)
-					if !data {
-						parities[off] = v
+					switch {
+					case v >= 0:
+						sns[off], parity[off] = v, true
+					case parity[off]:
+						sns[off], parity[off] = -1, false
 					}
 				default: // a read, or a set the rule forbids here
 					check(off)
@@ -137,6 +131,8 @@ func bigZoneCore(t *testing.T, zonesPerGroup int, storeData bool) (*sim.Engine, 
 // zone-length maps per zone that allocated 3.18 MB, and it must now stay
 // an order of magnitude below. After a run of appends, a zone with k
 // slots allocated holds at most max(256, 4k) map slots and at least k.
+// A slot is 8 bytes of heap: a zone written end to end holds 32 KiB of
+// map.
 func TestReverseMapAllocFreeUntilWritten(t *testing.T) {
 	eng, queues, cfg := bigZoneCore(t, 2, false)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -169,6 +165,13 @@ func TestReverseMapAllocFreeUntilWritten(t *testing.T) {
 	}
 	if !grown {
 		t.Fatal("no zone's map grew past 1 024 slots: the run is too short to test growth")
+	}
+	zs := c.devs[0].newZoneState(0)
+	runtime.ReadMemStats(&m0)
+	zs.setStripe(c.zoneBlocks-1, 0)
+	runtime.ReadMemStats(&m1)
+	if got, want := m1.TotalAlloc-m0.TotalAlloc, uint64(8*c.zoneBlocks); got != want || len(zs.rmap) != int(c.zoneBlocks) {
+		t.Fatalf("a %d-slot map allocated %d bytes, want %d (8 a slot)", len(zs.rmap), got, want)
 	}
 }
 
@@ -240,10 +243,9 @@ func TestRecoverRebuildsReverseMapsPastGrowth(t *testing.T) {
 				t.Fatalf("device %d zone %d: valid %d, want %d", d, z, got.valid, want.valid)
 			}
 			for off := int64(0); off < c.zoneBlocks; off++ {
-				if got.lbnAt(off) != want.lbnAt(off) || got.stripeAt(off) != want.stripeAt(off) || got.parityAt(off) != want.parityAt(off) {
-					t.Fatalf("device %d zone %d offset %d: recovered slot {lbn %d stripe %d parity %d}, want {%d %d %d}",
-						d, z, off, got.lbnAt(off), got.stripeAt(off), got.parityAt(off),
-						want.lbnAt(off), want.stripeAt(off), want.parityAt(off))
+				if got.stripeAt(off) != want.stripeAt(off) || got.parityAt(off) != want.parityAt(off) {
+					t.Fatalf("device %d zone %d offset %d: recovered slot {stripe %d parity %d}, want {%d %d}",
+						d, z, off, got.stripeAt(off), got.parityAt(off), want.stripeAt(off), want.parityAt(off))
 				}
 			}
 			grew = grew || len(got.rmap) > 1024
@@ -255,4 +257,6 @@ func TestRecoverRebuildsReverseMapsPastGrowth(t *testing.T) {
 	if grown != len(c.devs) {
 		t.Fatalf("%d of %d members have a zone past the 1 024-slot step", grown, len(c.devs))
 	}
+	assertTables(t, c)
+	assertTables(t, rc)
 }

@@ -7,6 +7,7 @@ import (
 	"biza/internal/buf"
 	"biza/internal/cpumodel"
 	"biza/internal/erasure"
+	"biza/internal/fifo"
 	"biza/internal/obs"
 	"biza/internal/sim"
 	"biza/internal/storerr"
@@ -323,8 +324,7 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 			// The parked record keeps the chunk's reference and re-enters
 			// writeChunk when the queue drains.
 			ch.se = se
-			se.holds++
-			se.ipq.Push(ch)
+			c.park(se, ch)
 			return true
 		}
 		se.ipBusy = true
@@ -363,11 +363,11 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	ch.oldParity = c.getVec(m)
 	ch.reads = 1 + m
 	ch.oldData = c.readBuf(1)
-	ds.q.ReadInto(at.zone, at.off, 1, ch.oldData, false, ch.onOldData)
+	ds.q.ReadInto(int(at.zone), at.off, 1, ch.oldData, false, ch.onOldData)
 	for r := 0; r < m; r++ {
 		ppa := se.parity[r]
 		ch.oldParity[r] = c.readBuf(1)
-		c.devs[ppa.dev].q.ReadInto(ppa.zone, ppa.off, 1, ch.oldParity[r], false, ch.onOldParity[r])
+		c.devs[ppa.dev].q.ReadInto(int(ppa.zone), ppa.off, 1, ch.oldParity[r], false, ch.onOldParity[r])
 	}
 	return true
 }
@@ -404,9 +404,9 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 		panic("core: chunk record used after put")
 	}
 	c, se := ch.c, ch.se
-	dev := ch.e.loc().dev
+	dev := int(ch.e.loc().dev)
 	if r >= 0 {
-		dev = se.parity[r].dev
+		dev = int(se.parity[r].dev)
 	}
 	if res.Err != nil {
 		c.noteIOError(dev, res.Err)
@@ -477,10 +477,33 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 // strand behind a path change (slot flushed, stripe dissolving). The
 // entry's own Fire calls ipNext again after its retry.
 func (c *Core) ipNext(se *smtEntry) {
-	if se.ipBusy || se.ipq.Len() == 0 {
+	if se.ipBusy || se.ipq == 0 {
 		return
 	}
-	c.eng.AfterEvent(0, se.ipq.Pop(), fireRewrite, 0)
+	q := &c.ipqs[se.ipq-1]
+	h := q.Pop()
+	if q.Len() == 0 {
+		c.ipqFree = append(c.ipqFree, se.ipq)
+		se.ipq = 0
+	}
+	c.eng.AfterEvent(0, h, fireRewrite, 0)
+}
+
+// park queues h behind the stripe's in-place update in flight, holding the
+// stripe until ipNext fires it. Only a stripe with something parked owns a
+// queue; an emptied one goes back to the core for the next.
+func (c *Core) park(se *smtEntry, h sim.Handler) {
+	if se.ipq == 0 {
+		if n := len(c.ipqFree); n > 0 {
+			se.ipq = c.ipqFree[n-1]
+			c.ipqFree = c.ipqFree[:n-1]
+		} else {
+			c.ipqs = append(c.ipqs, fifo.Queue[sim.Handler]{})
+			se.ipq = int32(len(c.ipqs))
+		}
+	}
+	se.holds++
+	c.ipqs[se.ipq-1].Push(h)
 }
 
 // appendChunk allocates a fresh slot for the chunk, joins it to the open
@@ -527,7 +550,7 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	c.invalidate(lbn, old)
 
 	sn, se := st.sn, st.se
-	at := pa{dev: dev, zone: zs.id, off: off}
+	at := pa{dev: int32(dev), zone: int32(zs.id), off: off}
 	se.chunks = append(se.chunks, at)
 	se.lbns = append(se.lbns, lbn)
 	se.valid++
@@ -535,7 +558,6 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	e := mapTo(at, sn)
 	e.pinned = old.pinned
 	c.bmt.Set(lbn, e)
-	zs.setLBN(off, lbn)
 	zs.setStripe(off, sn)
 	zs.valid++
 	c.acct.Charge(cpumodel.CompBIZA, cpumodel.CostMapUpdate)
@@ -649,7 +671,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 			st.ioDone(err)
 			continue
 		}
-		se.parity[r] = pa{dev: ppa.dev, zone: nzs.id, off: noff}
+		se.parity[r] = pa{dev: ppa.dev, zone: int32(nzs.id), off: noff}
 		nzs.setParity(noff, st.sn)
 		nzs.valid++
 		pds.submitChunk(nzs, &schedOp{
@@ -720,13 +742,13 @@ func (st *openStripe) ioDone(err error) {
 func (c *Core) stripeDataDevice(st *openStripe, idx int) int {
 	isParity := func(d int) bool {
 		for _, p := range st.se.parity {
-			if p.dev == d {
+			if int(p.dev) == d {
 				return true
 			}
 		}
 		return false
 	}
-	base := st.se.parity[0].dev
+	base := int(st.se.parity[0].dev)
 	seen := 0
 	for i := 1; i <= len(c.devs); i++ {
 		d := (base + i) % len(c.devs)
@@ -764,7 +786,7 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 			c.retireSE(se)
 			return nil, err
 		}
-		se.parity[r] = pa{dev: pdev, zone: pzs.id, off: poff}
+		se.parity[r] = pa{dev: int32(pdev), zone: int32(pzs.id), off: poff}
 		pzs.setParity(poff, sn)
 		pzs.valid++
 	}
@@ -777,30 +799,34 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 }
 
 // invalidate drops the copy of a logical block that e, its BMT entry, maps:
-// clears its zone slot and its stripe membership; fully dead sealed stripes
-// release their parity slots and vanish. The caller rewrites the BMT slot.
+// clears its stripe membership and counts it out of its zone; fully dead
+// sealed stripes release their parity slots and vanish. The caller
+// rewrites the BMT slot.
 func (c *Core) invalidate(lbn int64, e bmtEntry) {
 	if !e.mapped() {
 		return
 	}
-	at := e.loc()
-	if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.lbnAt(at.off) == lbn {
-		zs.setLBN(at.off, -1)
-		zs.valid--
+	se := c.smt.Get(e.sn)
+	if se == nil {
+		return
 	}
-	if se := c.smt.Get(e.sn); se != nil {
-		for i, p := range se.chunks {
-			if p == at && se.lbns[i] == lbn {
-				// Keep the slot address: its content still feeds the
-				// stripe's parity for reconstruction; only liveness drops.
-				se.lbns[i] = -1
-				se.valid--
-				break
+	at := e.loc()
+	for i, p := range se.chunks {
+		if p == at && se.lbns[i] == lbn {
+			// Keep the slot address: its content still feeds the stripe's
+			// parity for reconstruction; only liveness drops. The zone
+			// counted the chunk only if its slot is this stripe's (a
+			// replaced member's zones know nothing of older slots).
+			se.lbns[i] = -1
+			se.valid--
+			if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.stripeAt(at.off) == e.sn {
+				zs.valid--
 			}
+			break
 		}
-		if se.valid == 0 && se.sealed && se.pending == 0 {
-			c.releaseStripe(e.sn, se)
-		}
+	}
+	if se.valid == 0 && se.sealed && se.pending == 0 {
+		c.releaseStripe(e.sn, se)
 	}
 }
 

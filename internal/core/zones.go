@@ -27,11 +27,14 @@ type zoneState struct {
 	inflight     int
 	pendq        fifo.Queue[*appendBatch] // batches waiting for the window (ascending)
 
-	// stage accumulates contiguous appends submitted within one event so
-	// they go to the device as one multi-block command (the block layer's
-	// request merging; without it 4 KiB chunk traffic drowns in
-	// per-command overhead). The zone itself is the zero-delay event that
-	// flushes it (Fire); stagePending says one is scheduled.
+	// stage accumulates contiguous appends submitted at one instant of
+	// virtual time so they go to the device as one multi-block command (the
+	// block layer's request merging; without it 4 KiB chunk traffic drowns
+	// in per-command overhead). The zone itself is the zero-delay event that
+	// flushes it (Fire); stagePending says one is scheduled. That event runs
+	// after every event already queued for the same instant, so a batch
+	// closes only once they have all had their turn, not at the end of the
+	// event that opened it.
 	stage        *appendBatch
 	stagePending bool
 
@@ -46,19 +49,17 @@ type zoneState struct {
 	ipPins    int
 	ipMin     int64
 
-	rmap    []rmapSlot // off -> what the slot holds; see lbnAt, stripeAt, parityAt
+	rmap    []int64 // off -> the stripe the slot belongs to; see stripeAt, parityAt
 	valid   int64
 	sealedF bool // finishing/finished: no further writes accepted
 }
 
-// rmapSlot is one offset of a zone's reverse map. A data slot holds the
-// logical block its chunk carries (-1 once stale) and its owning stripe; a
-// parity slot holds rmapParity and its stripe. A slot is one or the other,
-// as its one OOB record is; {-1, -1} is unmapped.
-type rmapSlot struct{ lbn, sn int64 }
-
+// A reverse-map slot names the stripe its one OOB record names: sn for a
+// data slot of stripe sn, live or stale, and -(sn+2) for the parity slot
+// of stripe sn; rmapNone is unmapped. Whether a data slot is live is the
+// SMT's to say (smtEntry.lbns), so the map holds 8 bytes per slot.
 const (
-	rmapParity = -2 // rmapSlot.lbn of a parity slot
+	rmapNone = -1
 
 	// The reverse map covers the zone's written prefix only: it starts at
 	// rmapFirst slots on the first write and grows rmapGrowth-fold, capped
@@ -67,42 +68,27 @@ const (
 	rmapGrowth = 4
 )
 
-// lbnAt reports the logical block of the live data chunk at off, or -1.
-func (zs *zoneState) lbnAt(off int64) int64 {
-	if off >= int64(len(zs.rmap)) || zs.rmap[off].lbn < 0 {
-		return -1
-	}
-	return zs.rmap[off].lbn
-}
-
 // stripeAt reports the stripe owning the data slot at off, live or stale,
 // or -1.
 func (zs *zoneState) stripeAt(off int64) int64 {
-	if off >= int64(len(zs.rmap)) || zs.rmap[off].lbn == rmapParity {
+	if off >= int64(len(zs.rmap)) || zs.rmap[off] < 0 {
 		return -1
 	}
-	return zs.rmap[off].sn
+	return zs.rmap[off]
 }
 
 // parityAt reports the stripe whose parity slot is off, or -1.
 func (zs *zoneState) parityAt(off int64) int64 {
-	if off >= int64(len(zs.rmap)) || zs.rmap[off].lbn != rmapParity {
+	if off >= int64(len(zs.rmap)) || zs.rmap[off] >= rmapNone {
 		return -1
 	}
-	return zs.rmap[off].sn
-}
-
-// setLBN sets (or, with -1, clears) the live logical block of data slot off.
-func (zs *zoneState) setLBN(off, lbn int64) {
-	if s := zs.slot(off, lbn < 0); s != nil && s.lbn != rmapParity {
-		s.lbn = lbn
-	}
+	return -zs.rmap[off] - 2
 }
 
 // setStripe sets (or, with -1, clears) the owning stripe of data slot off.
 func (zs *zoneState) setStripe(off, sn int64) {
-	if s := zs.slot(off, sn < 0); s != nil && s.lbn != rmapParity {
-		s.sn = sn
+	if s := zs.slot(off, sn < 0); s != nil && *s >= rmapNone {
+		*s = sn
 	}
 }
 
@@ -113,15 +99,15 @@ func (zs *zoneState) setParity(off, sn int64) {
 	switch {
 	case s == nil:
 	case sn >= 0:
-		*s = rmapSlot{lbn: rmapParity, sn: sn}
-	case s.lbn == rmapParity:
-		*s = rmapSlot{lbn: -1, sn: -1}
+		*s = -(sn + 2)
+	case *s < rmapNone:
+		*s = rmapNone
 	}
 }
 
 // slot returns off's reverse-map entry, growing the map to reach it unless
 // the write is a clear (a slot past the map is unmapped already: nil).
-func (zs *zoneState) slot(off int64, clear bool) *rmapSlot {
+func (zs *zoneState) slot(off int64, clear bool) *int64 {
 	if n := int64(len(zs.rmap)); off >= n {
 		if clear {
 			return nil
@@ -132,9 +118,9 @@ func (zs *zoneState) slot(off int64, clear bool) *rmapSlot {
 		for n <= off {
 			n *= rmapGrowth
 		}
-		m := make([]rmapSlot, min(n, zs.ds.c.zoneBlocks))
+		m := make([]int64, min(n, zs.ds.c.zoneBlocks))
 		for i := copy(m, zs.rmap); i < len(m); i++ {
-			m[i] = rmapSlot{lbn: -1, sn: -1}
+			m[i] = rmapNone
 		}
 		zs.rmap = m
 	}

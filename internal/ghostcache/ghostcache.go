@@ -18,8 +18,8 @@
 package ghostcache
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"biza/internal/pagetab"
 )
@@ -81,6 +81,9 @@ func (c *Config) Validate() error {
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		return fmt.Errorf("ghostcache: alpha %v", c.Alpha)
 	}
+	if c.LRUEntries+c.HREntries+c.HPEntries >= math.MaxInt32 {
+		return fmt.Errorf("ghostcache: %d entries overflow the arena's int32 index", c.LRUEntries+c.HREntries+c.HPEntries)
+	}
 	return nil
 }
 
@@ -97,100 +100,100 @@ func DefaultConfig(totalZRWABytes uint64) Config {
 	}
 }
 
+// entry is one tracked block: 40 bytes in the arena, plus a 4-byte index
+// slot. Links are arena indices. At LevelLRU the entry sits on the LRU ring
+// through prev and next; at LevelHR or LevelHP it is off the ring and prev
+// holds its slot in that level's heap; an evicted entry chains the free
+// list through next.
 type entry struct {
 	key        uint64
 	lastSeen   uint64  // bytes-written clock at last access
-	reaccess   uint32  // accumulated reaccess count (revenue)
 	predRD     float64 // weighted moving average reuse distance (cost)
+	reaccess   uint32  // accumulated reaccess count (revenue)
+	prev, next int32
 	level      Level
-	prev, next *entry // LRU ring links when level == LevelLRU; next chains the free list
-	heapIdx    int    // when level == LevelHR or LevelHP
 }
 
-// hrHeap orders by reaccess ascending: the least-revenue entry evicts first.
-type hrHeap []*entry
-
-func (h hrHeap) Len() int           { return len(h) }
-func (h hrHeap) Less(i, j int) bool { return h[i].reaccess < h[j].reaccess }
-func (h hrHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *hrHeap) Push(x any)        { e := x.(*entry); e.heapIdx = len(*h); *h = append(*h, e) }
-func (h *hrHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// hpHeap orders by predicted reuse distance descending: the costliest
-// entry evicts first.
-type hpHeap []*entry
-
-func (h hpHeap) Len() int           { return len(h) }
-func (h hpHeap) Less(i, j int) bool { return h[i].predRD > h[j].predRD }
-func (h hpHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *hpHeap) Push(x any)        { e := x.(*entry); e.heapIdx = len(*h); *h = append(*h, e) }
-func (h *hpHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+// The arena grows in chunks of arenaChunk entries that never move, so an
+// *entry stays valid while the entry is in use. Index 0 is the LRU ring's
+// sentinel, which also makes 0 the index table's "absent".
+const (
+	arenaShift = 8
+	arenaChunk = 1 << arenaShift
+	arenaMask  = arenaChunk - 1
+)
 
 // Cache is the three-level ghost-cache hierarchy. Keys are logical block
-// numbers: the index is a direct-indexed table, so its memory follows the
-// largest key seen. Not safe for concurrent use; the simulation is
-// single-goroutine.
+// numbers: the index is a direct-indexed table of arena indices, so its
+// memory follows the largest key seen. Not safe for concurrent use; the
+// simulation is single-goroutine.
 type Cache struct {
 	cfg     Config
-	entries pagetab.Table[*entry]
-	lru     entry // ring sentinel of the intrusive LRU list: lru.next = MRU, lru.prev = LRU
+	entries pagetab.Table[int32]
+	arena   []*[arenaChunk]entry
+	used    int32 // arena indices handed out, the sentinel's included
 	lruLen  int
-	hr      hrHeap
-	hp      hpHeap
+	hr, hp  []int32 // heaps of arena indices; see less
 
-	// Entries evicted from the LRU level are reused for later misses, and
-	// fresh ones are carved from slabs, so a miss costs no allocation of
-	// its own once the hierarchy is full (and 1/entrySlab before that).
-	free *entry
-	slab []entry
+	// Entries evicted from the LRU level are reused for later misses, so a
+	// miss costs no allocation of its own once the hierarchy is full (and
+	// 1/arenaChunk before that).
+	free int32
 
 	hits, misses uint64
 }
-
-const entrySlab = 256
 
 // New builds the hierarchy; panics on invalid config (programmer error).
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
-	return c
+	return &Cache{cfg: cfg}
 }
+
+// at returns the arena entry at index i.
+func (c *Cache) at(i int32) *entry { return &c.arena[i>>arenaShift][i&arenaMask] }
 
 // Len reports tracked entries per level (lru, hr, hp).
 func (c *Cache) Len() (lru, hr, hp int) {
 	return c.lruLen, len(c.hr), len(c.hp)
 }
 
-// newEntry returns a zeroed entry: an evicted one if any, else the next of
-// the current slab.
-func (c *Cache) newEntry() *entry {
-	if e := c.free; e != nil {
+// newEntry returns the index of a zeroed entry: an evicted one if any, else
+// the next of the arena, which the first call opens with the sentinel.
+func (c *Cache) newEntry() int32 {
+	if i := c.free; i != 0 {
+		e := c.at(i)
 		c.free = e.next
 		*e = entry{}
-		return e
+		return i
 	}
-	if len(c.slab) == 0 {
-		c.slab = make([]entry, entrySlab)
+	if c.used == 0 {
+		c.arena = append(c.arena, new([arenaChunk]entry))
+		c.used = 1 // the sentinel: an empty ring links to itself
 	}
-	e := &c.slab[0]
-	c.slab = c.slab[1:]
-	return e
+	if int(c.used) == len(c.arena)*arenaChunk {
+		c.arena = append(c.arena, new([arenaChunk]entry))
+	}
+	i := c.used
+	c.used++
+	return i
 }
 
-// lruPushFront links e in as the most recently used LRU-level entry.
-func (c *Cache) lruPushFront(e *entry) {
-	e.prev, e.next = &c.lru, c.lru.next
-	e.prev.next, e.next.prev = e, e
+// lruPushFront links i in as the most recently used LRU-level entry.
+func (c *Cache) lruPushFront(i int32) {
+	s := c.at(0)
+	e, first := c.at(i), s.next
+	e.prev, e.next = 0, first
+	s.next, c.at(first).prev = i, i
 	c.lruLen++
 }
 
-// lruRemove unlinks e from the LRU ring.
-func (c *Cache) lruRemove(e *entry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
+// lruRemove unlinks i from the LRU ring.
+func (c *Cache) lruRemove(i int32) {
+	e := c.at(i)
+	c.at(e.prev).next, c.at(e.next).prev = e.next, e.prev
+	e.prev, e.next = 0, 0
 	c.lruLen--
 }
 
@@ -206,8 +209,8 @@ func (c *Cache) HitRate() float64 {
 // Level reports the key's current classification without recording an
 // access.
 func (c *Cache) Level(key uint64) Level {
-	if e := c.entries.Get(int64(key)); e != nil {
-		return e.level
+	if i := c.entries.Get(int64(key)); i != 0 {
+		return c.at(i).level
 	}
 	return LevelNone
 }
@@ -216,17 +219,19 @@ func (c *Cache) Level(key uint64) Level {
 // bytes-written clock and returns the classification AFTER the update —
 // the level the zone-group selector should place this chunk by.
 func (c *Cache) Access(key uint64, clock uint64) Level {
-	e := c.entries.Get(int64(key))
-	if e == nil {
+	i := c.entries.Get(int64(key))
+	if i == 0 {
 		c.misses++
-		e = c.newEntry()
+		i = c.newEntry()
+		e := c.at(i)
 		e.key, e.lastSeen, e.level = key, clock, LevelLRU
-		c.entries.Set(int64(key), e)
-		c.lruPushFront(e)
+		c.entries.Set(int64(key), i)
+		c.lruPushFront(i)
 		c.enforceLRUCap()
 		return LevelLRU
 	}
 	c.hits++
+	e := c.at(i)
 	rd := float64(clock - e.lastSeen)
 	e.lastSeen = clock
 	e.reaccess++
@@ -237,69 +242,160 @@ func (c *Cache) Access(key uint64, clock uint64) Level {
 	}
 	switch e.level {
 	case LevelLRU:
-		c.lruRemove(e)
+		c.lruRemove(i)
 		if e.reaccess >= c.cfg.RevenueThreshold {
-			c.promoteToHR(e)
+			c.promoteToHR(i)
 		} else {
-			c.lruPushFront(e)
+			c.lruPushFront(i)
 		}
 	case LevelHR:
-		heap.Fix(&c.hr, e.heapIdx)
+		c.fix(&c.hr, int(e.prev))
 		if e.predRD < float64(c.cfg.ProfitThreshold) {
-			heap.Remove(&c.hr, e.heapIdx)
-			c.promoteToHP(e)
+			c.remove(&c.hr, int(e.prev))
+			c.promoteToHP(i)
 		}
 	case LevelHP:
-		heap.Fix(&c.hp, e.heapIdx)
+		c.fix(&c.hp, int(e.prev))
 		if e.predRD >= float64(c.cfg.ProfitThreshold) {
 			// Cost grew: no longer profitable, demote to HR.
-			heap.Remove(&c.hp, e.heapIdx)
-			c.promoteToHR(e)
+			c.remove(&c.hp, int(e.prev))
+			c.promoteToHR(i)
 		}
 	}
 	return e.level
 }
 
-func (c *Cache) promoteToHR(e *entry) {
+func (c *Cache) promoteToHR(i int32) {
+	e := c.at(i)
 	e.level = LevelHR
-	heap.Push(&c.hr, e)
+	c.push(&c.hr, i)
 	if e.predRD < float64(c.cfg.ProfitThreshold) && e.reaccess >= c.cfg.RevenueThreshold {
-		heap.Remove(&c.hr, e.heapIdx)
-		c.promoteToHP(e)
+		c.remove(&c.hr, int(e.prev))
+		c.promoteToHP(i)
 		return
 	}
 	c.enforceHRCap()
 }
 
-func (c *Cache) promoteToHP(e *entry) {
-	e.level = LevelHP
-	heap.Push(&c.hp, e)
+func (c *Cache) promoteToHP(i int32) {
+	c.at(i).level = LevelHP
+	c.push(&c.hp, i)
 	c.enforceHPCap()
 }
 
 func (c *Cache) enforceLRUCap() {
 	for c.lruLen > c.cfg.LRUEntries {
-		e := c.lru.prev
-		c.lruRemove(e)
+		i := c.at(0).prev
+		c.lruRemove(i)
+		e := c.at(i)
 		c.entries.Delete(int64(e.key))
-		e.next, c.free = c.free, e
+		e.next, c.free = c.free, i
 	}
 }
 
 func (c *Cache) enforceHRCap() {
 	for len(c.hr) > c.cfg.HREntries {
-		e := heap.Pop(&c.hr).(*entry)
-		e.level = LevelLRU
-		c.lruPushFront(e)
+		i := c.pop(&c.hr)
+		c.at(i).level = LevelLRU
+		c.lruPushFront(i)
 		c.enforceLRUCap()
 	}
 }
 
 func (c *Cache) enforceHPCap() {
 	for len(c.hp) > c.cfg.HPEntries {
-		e := heap.Pop(&c.hp).(*entry)
-		e.level = LevelHR
-		heap.Push(&c.hr, e)
+		i := c.pop(&c.hp)
+		c.at(i).level = LevelHR
+		c.push(&c.hr, i)
 		c.enforceHRCap()
 	}
+}
+
+// The two levels' priority queues are binary heaps of arena indices, sifted
+// step for step as container/heap sifts them, so entries that tie leave in
+// the order they always have. HR orders by reaccess ascending (the
+// least-revenue entry evicts first), HP by predicted reuse distance
+// descending (the costliest evicts first). An entry's slot is its prev.
+
+// less reports whether heap h's slot a orders before slot b.
+func (c *Cache) less(h *[]int32, a, b int) bool {
+	x, y := c.at((*h)[a]), c.at((*h)[b])
+	if h == &c.hp {
+		return x.predRD > y.predRD
+	}
+	return x.reaccess < y.reaccess
+}
+
+func (c *Cache) swap(h *[]int32, a, b int) {
+	s := *h
+	s[a], s[b] = s[b], s[a]
+	c.at(s[a]).prev, c.at(s[b]).prev = int32(a), int32(b)
+}
+
+func (c *Cache) push(h *[]int32, i int32) {
+	c.at(i).prev = int32(len(*h))
+	*h = append(*h, i)
+	c.up(h, len(*h)-1)
+}
+
+func (c *Cache) pop(h *[]int32) int32 {
+	n := len(*h) - 1
+	c.swap(h, 0, n)
+	c.down(h, 0, n)
+	return c.truncate(h)
+}
+
+func (c *Cache) remove(h *[]int32, j int) {
+	if n := len(*h) - 1; n != j {
+		c.swap(h, j, n)
+		if !c.down(h, j, n) {
+			c.up(h, j)
+		}
+	}
+	c.truncate(h)
+}
+
+func (c *Cache) fix(h *[]int32, j int) {
+	if !c.down(h, j, len(*h)) {
+		c.up(h, j)
+	}
+}
+
+// truncate drops and returns the heap's last index.
+func (c *Cache) truncate(h *[]int32) int32 {
+	n := len(*h) - 1
+	i := (*h)[n]
+	*h = (*h)[:n]
+	return i
+}
+
+func (c *Cache) up(h *[]int32, j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !c.less(h, j, i) {
+			break
+		}
+		c.swap(h, i, j)
+		j = i
+	}
+}
+
+func (c *Cache) down(h *[]int32, i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && c.less(h, j2, j1) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !c.less(h, j, i) {
+			break
+		}
+		c.swap(h, i, j)
+		i = j
+	}
+	return i > i0
 }

@@ -1,6 +1,8 @@
 package ghostcache
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -198,7 +200,7 @@ func TestPredictedReuseDistanceWMA(t *testing.T) {
 	c := New(testCfg())
 	c.Access(1, 0)
 	c.Access(1, 100) // first observed rd = 100
-	e := c.entries.Get(1)
+	e := c.at(c.entries.Get(1))
 	if e.reaccess != 1 || e.predRD != 100 {
 		t.Fatalf("pred = %v after %d re-accesses, want 100", e.predRD, e.reaccess)
 	}
@@ -282,4 +284,115 @@ func TestMissAtCapacityAllocFree(t *testing.T) {
 	if lru, _, _ := c.Len(); lru != cfg.LRUEntries {
 		t.Fatalf("LRU level holds %d entries, want its capacity %d", lru, cfg.LRUEntries)
 	}
+}
+
+// TestArenaMatchesPointerCache drives Cache and the pointer-linked cache
+// it replaced (oracle_test.go) with the same accesses: 20 random
+// configurations, 200 000 accesses each. The keys mix a hot set, a warm
+// range a few times the LRU level, and never-seen scan keys; the clock
+// advances by one to eight blocks a step, so reuse distances straddle the
+// profit threshold. Every access must classify the same, and Len, HitRate
+// and the Level of probed keys must agree throughout; HR and HP must end
+// full in at least three configurations each. -short takes 20 000 accesses
+// per configuration.
+func TestArenaMatchesPointerCache(t *testing.T) {
+	accesses := 200000
+	if testing.Short() {
+		accesses = 20000
+	}
+	rng := rand.New(rand.NewSource(13))
+	hrFull, hpFull := 0, 0
+	for cfgN := 0; cfgN < 20; cfgN++ {
+		cfg := Config{
+			LRUEntries:       1 + rng.Intn(512),
+			HREntries:        1 + rng.Intn(128),
+			HPEntries:        1 + rng.Intn(32),
+			RevenueThreshold: uint32(1 + rng.Intn(5)),
+			ProfitThreshold:  uint64(4096) << rng.Intn(12),
+			Alpha:            []float64{0.25, 0.5, 0.75, 1, rng.Float64()*0.99 + 0.01}[rng.Intn(5)],
+		}
+		c, o := New(cfg), newPtrCache(cfg)
+		hot := uint64(1 + rng.Intn(64))
+		warm := uint64(cfg.LRUEntries * (1 + rng.Intn(4)))
+		scan, clock := hot+warm, uint64(0)
+		for i := 0; i < accesses; i++ {
+			var key uint64
+			switch r := rng.Intn(10); {
+			case r < 5:
+				key = uint64(rng.Int63n(int64(hot)))
+			case r < 9:
+				key = hot + uint64(rng.Int63n(int64(warm)))
+			default:
+				scan++
+				key = scan
+			}
+			clock += 4096 * uint64(1+rng.Intn(8))
+			if got, want := c.Access(key, clock), o.Access(key, clock); got != want {
+				t.Fatalf("config %d %+v, access %d: key %d classified %v, want %v", cfgN, cfg, i, key, got, want)
+			}
+			if i%97 == 0 {
+				probe := uint64(rng.Int63n(int64(hot + warm)))
+				if got, want := c.Level(probe), o.Level(probe); got != want {
+					t.Fatalf("config %d, access %d: Level(%d) = %v, want %v", cfgN, i, probe, got, want)
+				}
+				gl, gr, gp := c.Len()
+				wl, wr, wp := o.Len()
+				if gl != wl || gr != wr || gp != wp {
+					t.Fatalf("config %d, access %d: Len = %d/%d/%d, want %d/%d/%d", cfgN, i, gl, gr, gp, wl, wr, wp)
+				}
+			}
+		}
+		if _, hr, hp := c.Len(); hr == cfg.HREntries {
+			hrFull++
+			if hp == cfg.HPEntries {
+				hpFull++
+			}
+		}
+		if got, want := c.HitRate(), o.HitRate(); got != want {
+			t.Fatalf("config %d: HitRate = %v, want %v", cfgN, got, want)
+		}
+		for k := uint64(0); k < hot+warm; k++ {
+			if got, want := c.Level(k), o.Level(k); got != want {
+				t.Fatalf("config %d, end: Level(%d) = %v, want %v", cfgN, k, got, want)
+			}
+		}
+	}
+	if hrFull < 3 || hpFull < 3 {
+		t.Fatalf("HR ended full in %d configurations and HP in %d, want at least 3 each", hrFull, hpFull)
+	}
+}
+
+// TestTrackedBlockBytesAllocFree holds a tracked block to 52 bytes of live
+// heap: its arena entry and its slot of the key index, the tables' pages
+// and directories included.
+func TestTrackedBlockBytesAllocFree(t *testing.T) {
+	const n = 1 << 16
+	cfg := testCfg()
+	cfg.LRUEntries = n
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := heapBytes()
+	c := New(cfg)
+	for k := uint64(0); k < n; k++ {
+		c.Access(k, k*4096)
+	}
+	after := heapBytes()
+	if lru, _, _ := c.Len(); lru != n {
+		t.Fatalf("LRU level holds %d blocks, want %d", lru, n)
+	}
+	per := float64(after-before) / n
+	t.Logf("%.1f heap bytes per tracked block", per)
+	if per > 52 {
+		t.Fatalf("a tracked block costs %.1f heap bytes, want at most 52", per)
+	}
+	runtime.KeepAlive(c)
+}
+
+// heapBytes reports the live heap after two full collections (the second
+// frees what sync.Pool victim caches held through the first).
+func heapBytes() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
