@@ -24,6 +24,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -134,47 +135,68 @@ func DefaultConfig(zonesPerDevice int) Config {
 	}
 }
 
-// pa is a physical chunk address: device, zone, block offset. It is 16
-// bytes, and a 3+1 stripe's SMT entry holds four.
+// pa is a physical chunk address: device, zone, block offset. It is 8
+// bytes; newCore refuses members whose zones or offsets it cannot address.
 type pa struct {
-	off       int64
-	zone, dev int32
+	off  uint32
+	zone uint16
+	dev  int16 // -1: no slot
 }
 
 var paNone = pa{dev: -1}
 
-// bmtEntry maps a logical block to its chunk location and owning stripe.
-// The zero value is "no mapping, not pinned", which is what an absent BMT
-// slot reads as. The mapping and the pin are independent: a block trimmed
-// or not yet re-homed while GC migrates it has a pin and no mapping.
+// Bounds of the packed tables. Stripe numbers are 31 bits: a reverse-map
+// slot holds -(sn+2) for a parity slot in an int32, so maxSN is the highest
+// stripe number newStripe hands out and Recover adopts. newCore refuses
+// any geometry beyond the rest: pa holds a zone in 16 bits and an offset
+// in 32, and the BMT holds member + 1 in a byte (which also bounds the
+// SMT's uint8 chunk counts).
+const (
+	maxSN         = math.MaxInt32 - 1
+	maxMembers    = 254
+	maxZones      = math.MaxUint16
+	maxZoneBlocks = math.MaxUint32 + 1
+)
+
+// errStripeNumbers fails a write that needs a new stripe once every stripe
+// number up to maxSN has been handed out, and a recovery that finds one
+// beyond it.
+var errStripeNumbers = errors.New("core: stripe numbers exhausted")
+
+// bmtEntry maps a logical block to its chunk location and owning stripe,
+// in 12 bytes. The zero value is "no mapping, not pinned", which is what
+// an absent BMT slot reads as. The mapping and the pin are independent: a
+// block trimmed or not yet re-homed while GC migrates it has a pin and no
+// mapping.
 type bmtEntry struct {
-	off    int64
-	sn     int64
-	zone   int32
-	dev1   int16 // member device + 1; 0 = the block has no mapping
+	sn     int32
+	off    uint32
+	zone   uint16
+	dev1   uint8 // member device + 1; 0 = the block has no mapping
 	pinned bool  // being migrated by GC or rebuild: in-place updates defer
 }
 
 func mapTo(p pa, sn int64) bmtEntry {
-	return bmtEntry{off: p.off, sn: sn, zone: p.zone, dev1: int16(p.dev + 1)}
+	return bmtEntry{sn: int32(sn), off: p.off, zone: p.zone, dev1: uint8(p.dev + 1)}
 }
 
 func (e bmtEntry) mapped() bool { return e.dev1 != 0 }
 
 // loc is the chunk's address; paNone for an unmapped block.
-func (e bmtEntry) loc() pa { return pa{dev: int32(e.dev1) - 1, zone: e.zone, off: e.off} }
+func (e bmtEntry) loc() pa { return pa{dev: int16(e.dev1) - 1, zone: e.zone, off: e.off} }
 
-// smtEntry records a stripe: its data chunk locations, parity locations,
-// and the logical blocks its chunks carry (needed for stripe-dissolving GC
-// and degraded reads). Entries are recycled (getSE in pool.go), their three
-// slices carved once at full-stripe capacity. The SMT holds one per stripe
-// written, so the counters and flags pack into 16 bytes after the slices:
-// 88 bytes, plus 88 of slots for a 3+1 stripe. A stripe has at most 255
+// smtEntry records a stripe: its parity and data chunk locations, and the
+// logical blocks its chunks carry (needed for stripe-dissolving GC and
+// degraded reads). One slot slice holds the m parity rows and then the
+// chunks in stripe order, appended beside their blocks, so len(lbns) is the
+// chunk count. Entries are recycled (getSE in pool.go), their slices carved
+// once at full-stripe capacity. The SMT holds one per stripe written, so
+// the counters and flags pack into 16 bytes after the slices: 64 bytes,
+// plus 56 of slots and blocks for a 3+1 stripe. A stripe has at most 253
 // data chunks (newCore), which bounds valid and pending.
 type smtEntry struct {
-	chunks []pa    // data chunk slots; contents feed parity even when stale
-	lbns   []int64 // logical block carried by each chunk; -1 when stale
-	parity []pa    // m parity locations
+	slots []pa    // parity rows, then data chunk slots; chunk contents feed parity even when stale
+	lbns  []int64 // logical block carried by each chunk; -1 when stale
 
 	// Recycling: dead marks an entry removed from the SMT; holds counts the
 	// asynchronous users that may still touch it after that (its open
@@ -202,6 +224,18 @@ type smtEntry struct {
 
 	dead bool
 	live bool
+}
+
+// parity returns the stripe's m parity locations.
+func (se *smtEntry) parity() []pa { return se.slots[:len(se.slots)-len(se.lbns)] }
+
+// chunks returns the stripe's data chunk locations in stripe order.
+func (se *smtEntry) chunks() []pa { return se.slots[len(se.slots)-len(se.lbns):] }
+
+// addChunk appends a data chunk carrying lbn (-1: none) at p.
+func (se *smtEntry) addChunk(p pa, lbn int64) {
+	se.slots = append(se.slots, p)
+	se.lbns = append(se.lbns, lbn)
 }
 
 // Core is the BIZA engine. It implements blockdev.Device.
@@ -347,8 +381,8 @@ func newCore(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core
 	if cfg.Parity < 1 || cfg.Parity >= len(queues)-1 {
 		return nil, fmt.Errorf("core: parity %d with %d members", cfg.Parity, len(queues))
 	}
-	if len(queues)-cfg.Parity > math.MaxUint8 {
-		return nil, fmt.Errorf("core: %d data members, at most %d", len(queues)-cfg.Parity, math.MaxUint8)
+	if len(queues) > maxMembers {
+		return nil, fmt.Errorf("core: %d members, at most %d", len(queues), maxMembers)
 	}
 	base := queues[0].Device().Config()
 	for _, q := range queues[1:] {
@@ -357,6 +391,9 @@ func newCore(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core
 			c.BlockSize != base.BlockSize || c.ZRWABlocks != base.ZRWABlocks {
 			return nil, fmt.Errorf("core: heterogeneous members")
 		}
+	}
+	if base.NumZones > maxZones || base.ZoneBlocks > maxZoneBlocks {
+		return nil, fmt.Errorf("core: %d zones of %d blocks, at most %d of %d", base.NumZones, base.ZoneBlocks, maxZones, int64(maxZoneBlocks))
 	}
 	if base.ZRWABlocks == 0 {
 		return nil, fmt.Errorf("core: members lack ZRWA support")

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -69,28 +70,42 @@ func TestValidation(t *testing.T) {
 
 // TestRecoverRejectsWhatNewRejects: recovery builds its array through the
 // same validated constructor, so every configuration New refuses, Recover
-// refuses too, before scanning a single zone.
+// refuses too, before scanning a single zone. The last three are the
+// geometries the packed mapping tables cannot address; both refuse them by
+// name (want).
 func TestRecoverRejectsWhatNewRejects(t *testing.T) {
 	cases := []struct {
 		name   string
 		n      int
 		mutate func(*Config, []zns.Config)
+		want   string
 	}{
-		{"two members", 2, nil},
-		{"parity leaves one data member", 4, func(c *Config, _ []zns.Config) { c.Parity = 3 }},
-		{"heterogeneous members", 4, func(_ *Config, d []zns.Config) { d[2].ZRWABlocks /= 2 }},
+		{"two members", 2, nil, ""},
+		{"parity leaves one data member", 4, func(c *Config, _ []zns.Config) { c.Parity = 3 }, ""},
+		{"heterogeneous members", 4, func(_ *Config, d []zns.Config) { d[2].ZRWABlocks /= 2 }, ""},
 		{"members without ZRWA", 4, func(_ *Config, d []zns.Config) {
 			for i := range d {
 				d[i].ZRWABlocks = 0
 			}
-		}},
+		}, ""},
 		{"open-zone budget", 4, func(_ *Config, d []zns.Config) {
 			for i := range d {
 				d[i].MaxOpenZones = 4
 			}
-		}},
-		{"over-provisioning", 4, func(c *Config, _ []zns.Config) { c.OverProvisionZones = 1 }},
-		{"GC watermarks", 4, func(c *Config, _ []zns.Config) { c.GCHighWater = c.GCLowWater }},
+		}, ""},
+		{"over-provisioning", 4, func(c *Config, _ []zns.Config) { c.OverProvisionZones = 1 }, ""},
+		{"GC watermarks", 4, func(c *Config, _ []zns.Config) { c.GCHighWater = c.GCLowWater }, ""},
+		{"255 members", maxMembers + 1, nil, "255 members, at most 254"},
+		{"65 536 zones", 3, func(_ *Config, d []zns.Config) {
+			for i := range d {
+				d[i].NumZones = maxZones + 1
+			}
+		}, "65536 zones"},
+		{"zones over 2^32 blocks", 3, func(_ *Config, d []zns.Config) {
+			for i := range d {
+				d[i].ZoneBlocks = maxZoneBlocks + 1
+			}
+		}, "of 4294967297 blocks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,8 +130,8 @@ func TestRecoverRejectsWhatNewRejects(t *testing.T) {
 				return eng, queues, cfg
 			}
 			_, queues, cfg := build()
-			if _, err := New(queues, cfg, nil); err == nil {
-				t.Fatal("New accepted the configuration")
+			if _, err := New(queues, cfg, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: %v, want a rejection naming %q", err, tc.want)
 			}
 			eng, queues, cfg := build()
 			called := false
@@ -124,8 +139,8 @@ func TestRecoverRejectsWhatNewRejects(t *testing.T) {
 			var rerr error
 			Recover(queues, cfg, nil, func(c *Core, err error) { called, rc, rerr = true, c, err })
 			eng.Run()
-			if !called || rerr == nil || rc != nil {
-				t.Fatalf("Recover: called=%v core=%v err=%v, want a rejection", called, rc != nil, rerr)
+			if !called || rerr == nil || rc != nil || !strings.Contains(rerr.Error(), tc.want) {
+				t.Fatalf("Recover: called=%v core=%v err=%v, want a rejection naming %q", called, rc != nil, rerr, tc.want)
 			}
 		})
 	}
@@ -261,8 +276,8 @@ func TestStripeParityConsistency(t *testing.T) {
 		}
 	}
 	var got []byte
-	pp := se.parity[0]
-	c.devs[pp.dev].q.ReadInto(int(pp.zone), pp.off, 1, nil, false, func(r zns.ReadResult) { got = r.Data })
+	pp := se.parity()[0]
+	c.devs[pp.dev].q.ReadInto(int(pp.zone), int64(pp.off), 1, nil, false, func(r zns.ReadResult) { got = r.Data })
 	eng.Run()
 	if !bytes.Equal(got, want) {
 		t.Fatal("sealed parity != XOR of chunks")
@@ -324,8 +339,8 @@ func TestZoneFinishWaitsForInPlaceUpdate(t *testing.T) {
 	target := int64(-1)
 	for lbn := int64(0); lbn < lba && target < 0; lbn++ {
 		e := c.bmt.Get(lbn)
-		if at := e.loc(); int(at.dev) == zs.ds.id && int(at.zone) == zs.id && at.off >= c.zoneBlocks-c.zrwaBlocks {
-			if se := c.smt.Get(e.sn); se != nil && se.sealed {
+		if at := e.loc(); int(at.dev) == zs.ds.id && int(at.zone) == zs.id && int64(at.off) >= c.zoneBlocks-c.zrwaBlocks {
+			if se := c.smt.Get(int64(e.sn)); se != nil && se.sealed {
 				target = lbn
 			}
 		}

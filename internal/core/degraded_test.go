@@ -300,14 +300,14 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 			t.Fatalf("write %d: %v", i, r.Err)
 		}
 	}
-	se := c.smt.Get(c.bmt.Get(0).sn)
+	se := c.smt.Get(int64(c.bmt.Get(0).sn))
 	if se == nil || !se.sealed {
 		t.Fatal("stripe not sealed — test setup broken")
 	}
 	// Stall the rewrite's old-parity read so that, without the barrier, the
 	// dissolution's migration read would win the race.
 	attachPlan(t, c, &fault.Spec{Rules: []fault.Rule{
-		{Kind: fault.Latency, Dev: int(se.parity[0].dev), Op: fault.Read,
+		{Kind: fault.Latency, Dev: int(se.parity()[0].dev), Op: fault.Read,
 			Delay: 2 * sim.Millisecond},
 	}}, 11)
 	var wres blockdev.WriteResult

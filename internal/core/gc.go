@@ -159,9 +159,9 @@ func (d *dissolve) run() {
 		p   pa
 	}
 	var live []migrant
-	for i, lbn := range se.lbns {
-		if lbn >= 0 && se.chunks[i].dev >= 0 {
-			live = append(live, migrant{lbn: lbn, p: se.chunks[i]})
+	for i, p := range se.chunks() {
+		if lbn := se.lbns[i]; lbn >= 0 && p.dev >= 0 {
+			live = append(live, migrant{lbn: lbn, p: p})
 			c.setPinned(lbn, true)
 		}
 	}
@@ -180,7 +180,7 @@ func (d *dissolve) run() {
 			continue
 		}
 		dst := c.readBuf(1)
-		c.devs[m.p.dev].q.ReadInto(int(m.p.zone), m.p.off, 1, dst, false, func(r zns.ReadResult) {
+		c.devs[m.p.dev].q.ReadInto(int(m.p.zone), int64(m.p.off), 1, dst, false, func(r zns.ReadResult) {
 			data := dst
 			if r.Err != nil {
 				c.noteIOError(int(m.p.dev), r.Err)

@@ -195,8 +195,8 @@ func (c *Core) putStripe(st *openStripe) {
 	c.dropSE(se)
 }
 
-// getSE returns an empty SMT entry whose chunk, block and parity slices
-// have room for a full stripe, so filling it never allocates. The SMT
+// getSE returns an empty SMT entry whose slot and block slices have room
+// for a full stripe, so filling it never allocates. The SMT
 // grows by one entry per stripe until the array has been written once
 // (after that, releases feed the free list), so fresh entries come
 // smtSlabLen at a time, their slices carved from two shared arrays.
@@ -217,7 +217,10 @@ func (c *Core) getSE() *smtEntry {
 	return se
 }
 
-const smtSlabLen = 64
+// smtSlabLen is 63 rather than 64: entries hold pointers, so their array
+// carries an 8-byte allocation header, and 63 of them plus the header fill
+// a 4 KiB size class where 64 would take the next one up, 4 864 bytes.
+const smtSlabLen = 63
 
 func (c *Core) newSMTSlab() []smtEntry {
 	k, n := c.nData, c.nData+c.cfg.Parity
@@ -225,8 +228,7 @@ func (c *Core) newSMTSlab() []smtEntry {
 	slots := make([]pa, smtSlabLen*n)
 	lbns := make([]int64, smtSlabLen*k)
 	for i := range ents {
-		s := slots[i*n : (i+1)*n : (i+1)*n]
-		ents[i].chunks, ents[i].parity = s[:0:k], s[k:]
+		ents[i].slots = slots[i*n : i*n+c.cfg.Parity : (i+1)*n]
 		ents[i].lbns = lbns[i*k : i*k : (i+1)*k]
 	}
 	return ents
@@ -254,7 +256,7 @@ func (c *Core) maybePutSE(se *smtEntry) {
 	if !se.dead || se.holds > 0 {
 		return
 	}
-	*se = smtEntry{chunks: se.chunks[:0], lbns: se.lbns[:0], parity: se.parity}
+	*se = smtEntry{slots: se.parity(), lbns: se.lbns[:0]}
 	c.liveRecs.smt--
 	c.smtFree = append(c.smtFree, se)
 }

@@ -207,8 +207,8 @@ func TestRAID6StripeDevicesDistinct(t *testing.T) {
 	blockdev.WriteSync(eng, c, 0, 9, blockdev.Pattern(1, 9*4096)) // 3 full stripes (k=3)
 	eng.Run()
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
-		used := map[int32]bool{}
-		for _, p := range se.chunks {
+		used := map[int16]bool{}
+		for _, p := range se.chunks() {
 			if p.dev < 0 {
 				continue
 			}
@@ -217,7 +217,7 @@ func TestRAID6StripeDevicesDistinct(t *testing.T) {
 			}
 			used[p.dev] = true
 		}
-		for _, p := range se.parity {
+		for _, p := range se.parity() {
 			if p.dev < 0 {
 				continue
 			}

@@ -114,7 +114,7 @@ func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 func (rd *readRec) addBlock(at pa, i int64) {
 	for li := rd.nruns - 1; li >= 0; li-- {
 		if r := rd.runs[li]; r.dev == int(at.dev) && r.zone == int(at.zone) {
-			if r.off+int64(len(r.bufIdx)) == at.off {
+			if r.off+int64(len(r.bufIdx)) == int64(at.off) {
 				r.bufIdx = append(r.bufIdx, i)
 				return
 			}
@@ -128,7 +128,7 @@ func (rd *readRec) addBlock(at pa, i int64) {
 	}
 	r := rd.runs[rd.nruns]
 	rd.nruns++
-	r.dev, r.zone, r.off, r.scratch = int(at.dev), int(at.zone), at.off, nil
+	r.dev, r.zone, r.off, r.scratch = int(at.dev), int(at.zone), int64(at.off), nil
 	r.bufIdx = append(r.bufIdx[:0], i)
 }
 
@@ -239,12 +239,13 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 		c.noteReconstruct(int(at.dev), lbn, err)
 		inner(data, err)
 	}
-	se := c.smt.Get(e.sn)
+	se := c.smt.Get(int64(e.sn))
 	if se == nil {
 		done(nil, ErrUnrecoverable)
 		return
 	}
-	k, m := c.nData, len(se.parity)
+	chunks, parity := se.chunks(), se.parity()
+	k, m := c.nData, len(parity)
 	shards := make([][]byte, k+m)
 	// Shards that are zero by construction (and, in performance mode, every
 	// shard fetched without content) alias one zeroed block; the fetched
@@ -266,11 +267,11 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 	var fetches []fetch
 	target := -1
 	for i := 0; i < k; i++ {
-		if i >= len(se.chunks) {
+		if i >= len(chunks) {
 			shards[i] = zeroShard() // never written
 			continue
 		}
-		p := se.chunks[i]
+		p := chunks[i]
 		if p == at {
 			target = i
 			continue // the missing shard
@@ -289,8 +290,7 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 		done(nil, ErrUnrecoverable)
 		return
 	}
-	for r := 0; r < m; r++ {
-		p := se.parity[r]
+	for r, p := range parity {
 		if p.dev < 0 || c.failed[p.dev] {
 			continue
 		}
@@ -322,7 +322,7 @@ func (c *Core) reconstructChunk(lbn int64, done func([]byte, error)) {
 	for i := range fetches {
 		f := &fetches[i]
 		f.dst = c.readBuf(1)
-		c.devs[f.p.dev].q.ReadInto(int(f.p.zone), f.p.off, 1, f.dst, false, func(r zns.ReadResult) {
+		c.devs[f.p.dev].q.ReadInto(int(f.p.zone), int64(f.p.off), 1, f.dst, false, func(r zns.ReadResult) {
 			if r.Err != nil {
 				c.noteIOError(int(f.p.dev), r.Err)
 				// A reconstructable fetch failure just leaves this shard

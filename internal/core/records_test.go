@@ -299,9 +299,9 @@ func TestParityRelocationFailureCompletesSynchronously(t *testing.T) {
 	// are pushed behind the device window, and their devices are left with
 	// no zone to allocate from.
 	wedge := func(c *Core, st *openStripe) {
-		for _, ppa := range st.se.parity {
+		for _, ppa := range st.se.parity() {
 			pds := c.devs[ppa.dev]
-			pds.zones[ppa.zone].maxSubmitted = ppa.off + c.zrwaBlocks
+			pds.zones[ppa.zone].maxSubmitted = int64(ppa.off) + c.zrwaBlocks
 			for _, zs := range pds.groups[st.class] {
 				zs.wpAlloc = c.zoneBlocks
 			}

@@ -88,7 +88,7 @@ func Recover(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant, done f
 						continue
 					}
 					records = append(records, scanRecord{
-						p: pa{dev: int32(d), zone: int32(z), off: int64(off)}, kind: kind,
+						p: pa{dev: int16(d), zone: uint16(z), off: uint32(off)}, kind: kind,
 						lbn: lbn, sn: sn, seq: seq, idx: idx,
 					})
 					if int64(off)+1 > zoneWritten[d][z] {
@@ -124,6 +124,10 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		if r.seq > c.seq {
 			c.seq = r.seq
 		}
+		if r.sn < 0 || r.sn > maxSN {
+			done(nil, fmt.Errorf("core: stripe %d recorded at %+v: %w", r.sn, r.p, errStripeNumbers))
+			return
+		}
 		if r.sn >= c.nextSN {
 			c.nextSN = r.sn + 1
 		}
@@ -156,8 +160,8 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		se := c.smt.Get(sn)
 		if se == nil {
 			se = c.getSE()
-			for i := range se.parity {
-				se.parity[i] = paNone
+			for i := range se.slots {
+				se.slots[i] = paNone
 			}
 			c.smt.Set(sn, se)
 		}
@@ -171,17 +175,16 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			continue
 		}
 		se := smtOf(r.sn)
-		for len(se.chunks) <= r.idx {
-			se.chunks = append(se.chunks, paNone)
-			se.lbns = append(se.lbns, -1)
+		for len(se.lbns) <= r.idx {
+			se.addChunk(paNone, -1)
 		}
-		se.chunks[r.idx] = r.p
+		se.chunks()[r.idx] = r.p
 		live := false
 		if w, ok := dataWin[r.lbn]; ok && w.p == r.p && w.sn == r.sn {
 			live = true
 		}
 		zs := zoneOf(r.p)
-		zs.setStripe(r.p.off, r.sn)
+		zs.setStripe(int64(r.p.off), r.sn)
 		if live {
 			se.lbns[r.idx] = r.lbn
 			se.valid++
@@ -194,32 +197,31 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			continue
 		}
 		se := smtOf(k.sn)
-		se.parity[k.row] = w.p
+		se.parity()[k.row] = w.p
 		se.sealed = true // recovered stripes are sealed (short if partial)
 		zs := zoneOf(w.p)
-		zs.setParity(w.p.off, k.sn)
+		zs.setParity(int64(w.p.off), k.sn)
 		zs.valid++
 	}
 	// Drop stripes missing any parity record (never got their first
 	// parity write): their chunks were not acknowledged; forget them.
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
 		incomplete := false
-		for _, p := range se.parity {
+		for _, p := range se.parity() {
 			if p.dev < 0 {
 				incomplete = true
 				break
 			}
 		}
 		if incomplete {
-			for i, lbn := range se.lbns {
-				if lbn >= 0 {
+			for i, p := range se.chunks() {
+				if lbn := se.lbns[i]; lbn >= 0 {
 					c.bmt.Delete(lbn)
-					p := se.chunks[i]
 					if zs := c.devs[p.dev].zones[p.zone]; zs != nil {
-						if zs.stripeAt(p.off) == sn {
+						if zs.stripeAt(int64(p.off)) == sn {
 							zs.valid--
 						}
-						zs.setStripe(p.off, -1)
+						zs.setStripe(int64(p.off), -1)
 					}
 				}
 			}
@@ -238,14 +240,14 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 				ds.freeZones = append(ds.freeZones, z)
 			case zns.ZoneFull:
 				if ds.zones[z] == nil {
-					zoneOf(pa{dev: int32(d), zone: int32(z)})
+					zoneOf(pa{dev: int16(d), zone: uint16(z)})
 				}
 				ds.zones[z].sealedF = true
 				ds.zones[z].wpAlloc = c.zoneBlocks
 				ds.fullZones = append(ds.fullZones, z)
 			case zns.ZoneImplicitOpen, zns.ZoneExplicitOpen, zns.ZoneClosed:
 				if ds.zones[z] == nil {
-					zoneOf(pa{dev: int32(d), zone: int32(z)})
+					zoneOf(pa{dev: int16(d), zone: uint16(z)})
 				}
 				openPool = append(openPool, ds.zones[z])
 			}

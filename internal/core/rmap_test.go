@@ -3,7 +3,7 @@ package core
 // The zone reverse map (zoneState.rmap): one slice of stripe numbers that
 // grows with the zone's written prefix. It must read exactly like the flat
 // zone-length map it stands for, cost nothing until a zone is written and
-// 8 bytes a slot once it is, and rebuild after a power cut the tables the
+// 4 bytes a slot once it is, and rebuild after a power cut the tables the
 // array held before it.
 
 import (
@@ -25,6 +25,8 @@ import (
 // end included. Offsets run ahead of a moving append prefix, and some land
 // far beyond it as recovery's scan does. Every offset reads as in the
 // oracle, a read never grows the map, and the map never outgrows the zone.
+// Stripe numbers span the whole range a slot encodes, [0, maxSN], and one
+// draw in eight lands within eight of maxSN, where -(sn+2) is most negative.
 func TestReverseMapMatchesFlatMaps(t *testing.T) {
 	for _, zb := range []int64{256, 3000, 4096} {
 		t.Run(fmt.Sprint(zb), func(t *testing.T) {
@@ -64,8 +66,12 @@ func TestReverseMapMatchesFlatMaps(t *testing.T) {
 					off = min(max(prefix+rng.Int63n(64)-48, 0), zb-1)
 				}
 				v := int64(-1)
-				if rng.Intn(3) > 0 {
-					v = rng.Int63n(1 << 40)
+				switch rng.Intn(24) {
+				case 0, 1, 2, 3, 4, 5, 6, 7:
+				case 8, 9:
+					v = maxSN - rng.Int63n(8)
+				default:
+					v = rng.Int63n(maxSN + 1)
 				}
 				data := sns[off] >= 0 && !parity[off]
 				switch op := rng.Intn(4); {
@@ -131,7 +137,7 @@ func bigZoneCore(t *testing.T, zonesPerGroup int, storeData bool) (*sim.Engine, 
 // zone-length maps per zone that allocated 3.18 MB, and it must now stay
 // an order of magnitude below. After a run of appends, a zone with k
 // slots allocated holds at most max(256, 4k) map slots and at least k.
-// A slot is 8 bytes of heap: a zone written end to end holds 32 KiB of
+// A slot is 4 bytes of heap: a zone written end to end holds 16 KiB of
 // map.
 func TestReverseMapAllocFreeUntilWritten(t *testing.T) {
 	eng, queues, cfg := bigZoneCore(t, 2, false)
@@ -170,8 +176,8 @@ func TestReverseMapAllocFreeUntilWritten(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	zs.setStripe(c.zoneBlocks-1, 0)
 	runtime.ReadMemStats(&m1)
-	if got, want := m1.TotalAlloc-m0.TotalAlloc, uint64(8*c.zoneBlocks); got != want || len(zs.rmap) != int(c.zoneBlocks) {
-		t.Fatalf("a %d-slot map allocated %d bytes, want %d (8 a slot)", len(zs.rmap), got, want)
+	if got, want := m1.TotalAlloc-m0.TotalAlloc, uint64(4*c.zoneBlocks); got != want || len(zs.rmap) != int(c.zoneBlocks) {
+		t.Fatalf("a %d-slot map allocated %d bytes, want %d (4 a slot)", len(zs.rmap), got, want)
 	}
 }
 
@@ -223,7 +229,7 @@ func TestRecoverRebuildsReverseMapsPastGrowth(t *testing.T) {
 	}
 	c.smt.Range(func(sn int64, want *smtEntry) bool {
 		got := rc.smt.Get(sn)
-		if got == nil || got.valid != want.valid || fmt.Sprint(got.chunks, got.lbns, got.parity) != fmt.Sprint(want.chunks, want.lbns, want.parity) {
+		if got == nil || got.valid != want.valid || fmt.Sprint(got.slots, got.lbns) != fmt.Sprint(want.slots, want.lbns) {
 			t.Fatalf("SMT[%d] = %+v, want %+v", sn, got, want)
 		}
 		return true

@@ -6,22 +6,29 @@ package core
 // keeps only stripe numbers and leaves liveness to the SMT.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"biza/internal/blockdev"
 	"biza/internal/fault"
 	"biza/internal/nvme"
+	"biza/internal/pagetab"
 	"biza/internal/sim"
+	"biza/internal/zns"
 )
 
 // checkTables reports the first disagreement among the array's mapping
-// tables, or nil. It checks three things:
+// tables, or nil. It checks four things:
 //   - the BMT and the SMT agree on every live block: each chunk an SMT entry
 //     holds live is its block's BMT mapping, in that stripe and at that
 //     address, and the BMT maps no other block;
+//   - every live block's slot names, in its zone's reverse map, the stripe
+//     its BMT entry names;
 //   - every data slot of a reverse map is in its stripe's chunk list, and
 //     every parity slot in its stripe's parity list;
 //   - each zone's valid count equals a recount: its parity slots plus its
@@ -39,9 +46,9 @@ func (c *Core) checkTables() error {
 				continue
 			}
 			n++
-			if e := c.bmt.Get(lbn); !e.mapped() || e.sn != sn || e.loc() != se.chunks[i] {
+			if e := c.bmt.Get(lbn); !e.mapped() || int64(e.sn) != sn || e.loc() != se.chunks()[i] {
 				err = fmt.Errorf("stripe %d chunk %d carries block %d at %+v, but the BMT maps it to %+v in stripe %d",
-					sn, i, lbn, se.chunks[i], e.loc(), e.sn)
+					sn, i, lbn, se.chunks()[i], e.loc(), e.sn)
 				return false
 			}
 		}
@@ -56,12 +63,21 @@ func (c *Core) checkTables() error {
 		return err
 	}
 	mapped := 0
-	c.bmt.Range(func(_ int64, e bmtEntry) bool {
-		if e.mapped() {
-			mapped++
+	c.bmt.Range(func(lbn int64, e bmtEntry) bool {
+		if !e.mapped() {
+			return true
+		}
+		mapped++
+		at := e.loc()
+		if zs := c.devs[at.dev].zones[at.zone]; zs == nil || zs.stripeAt(int64(at.off)) != int64(e.sn) {
+			err = fmt.Errorf("block %d is in stripe %d at %+v, whose slot names another stripe", lbn, e.sn, at)
+			return false
 		}
 		return true
 	})
+	if err != nil {
+		return err
+	}
 	if mapped != live {
 		return fmt.Errorf("the BMT maps %d blocks and the SMT holds %d live chunks", mapped, live)
 	}
@@ -70,24 +86,24 @@ func (c *Core) checkTables() error {
 			if zs == nil {
 				continue
 			}
-			at := pa{dev: int32(ds.id), zone: int32(zs.id)}
+			at := pa{dev: int16(ds.id), zone: uint16(zs.id)}
 			var valid int64
 			for off := range zs.rmap {
-				at.off = int64(off)
-				if sn := zs.parityAt(at.off); sn >= 0 {
+				at.off = uint32(off)
+				if sn := zs.parityAt(int64(off)); sn >= 0 {
 					valid++
-					if se := c.smt.Get(sn); se != nil && !slices.Contains(se.parity, at) {
-						return fmt.Errorf("%+v is a parity slot of stripe %d, whose parity is %+v", at, sn, se.parity)
+					if se := c.smt.Get(sn); se != nil && !slices.Contains(se.parity(), at) {
+						return fmt.Errorf("%+v is a parity slot of stripe %d, whose parity is %+v", at, sn, se.parity())
 					}
 				}
-				sn := zs.stripeAt(at.off)
+				sn := zs.stripeAt(int64(off))
 				se := c.smt.Get(sn)
 				if sn < 0 || se == nil {
 					continue
 				}
-				i := slices.Index(se.chunks, at)
+				i := slices.Index(se.chunks(), at)
 				if i < 0 {
-					return fmt.Errorf("%+v is a data slot of stripe %d, whose chunks are %+v", at, sn, se.chunks)
+					return fmt.Errorf("%+v is a data slot of stripe %d, whose chunks are %+v", at, sn, se.chunks())
 				}
 				if se.lbns[i] >= 0 {
 					valid++
@@ -109,11 +125,12 @@ func assertTables(t *testing.T, c *Core) {
 	}
 }
 
-// TestSMTEntryBytesAllocFree holds a 3+1 stripe's SMT entry, its chunk,
-// parity and block slots included, to 192 bytes of heap. The SMT holds one
-// per stripe written, so this is most of BIZA's live heap. The figure is
-// what fresh entries allocate, slab arrays and size classes included, over
-// many slabs; none of it is garbage.
+// TestSMTEntryBytesAllocFree holds a 3+1 stripe's SMT entry, its parity,
+// chunk and block slots included, to 136 bytes of heap: a 64-byte entry,
+// four 8-byte slots and three 8-byte blocks. The SMT holds one per stripe
+// written, so this is much of BIZA's live heap. The figure is what fresh
+// entries allocate, slab arrays and size classes included, over many
+// slabs; none of it is garbage.
 func TestSMTEntryBytesAllocFree(t *testing.T) {
 	_, c, _ := newTestCore(t, nil)
 	if k, m := c.nData, c.cfg.Parity; k != 3 || m != 1 {
@@ -130,10 +147,114 @@ func TestSMTEntryBytesAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	per := float64(m1.TotalAlloc-m0.TotalAlloc) / n
 	t.Logf("%.1f heap bytes per 3+1 stripe", per)
-	if per > 192 {
-		t.Fatalf("a 3+1 stripe's SMT entry costs %.1f heap bytes, want at most 192", per)
+	if per > 136 {
+		t.Fatalf("a 3+1 stripe's SMT entry costs %.1f heap bytes, want at most 136", per)
 	}
 	runtime.KeepAlive(ents)
+}
+
+// TestBMTEntryBytesAllocFree holds the BMT to 12 bytes an entry and at
+// most 12.5 bytes of heap a mapped block, page headers and size classes
+// included: a 256-entry page is 3 072 bytes of entries in a 3 200-byte
+// size class. The BMT holds one entry per logical block written, so on a
+// large array it is the biggest table.
+func TestBMTEntryBytesAllocFree(t *testing.T) {
+	if got := unsafe.Sizeof(bmtEntry{}); got != 12 {
+		t.Fatalf("a BMT entry is %d bytes, want 12", got)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var bmt pagetab.Table[bmtEntry]
+	const n = 400 * pagetab.PageSize
+	bmt.Set(n-1, bmtEntry{}) // the directory, at its full length
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for lbn := int64(0); lbn < n; lbn++ {
+		bmt.Set(lbn, mapTo(pa{dev: 2, zone: 7, off: uint32(lbn)}, lbn))
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	t.Logf("%.2f heap bytes per mapped block", per)
+	if per > 12.5 {
+		t.Fatalf("the BMT costs %.2f heap bytes per mapped block, want at most 12.5", per)
+	}
+	runtime.KeepAlive(&bmt)
+}
+
+// TestStripeNumbersStopAtBound drives the next stripe number to maxSN:
+// the stripe it opens is written and read back like any other, and the
+// write after it, which needs stripe maxSN+1, fails with errStripeNumbers
+// without disturbing what the array holds. Recovery adopts maxSN, and a
+// record naming a stripe beyond it fails Recover with the same error.
+func TestStripeNumbersStopAtBound(t *testing.T) {
+	eng, c, devs := newTestCore(t, nil)
+	c.nextSN = maxSN
+	k := int64(c.nData)
+	data := blockdev.Pattern(3, int(k)*4096)
+	if r := blockdev.WriteSync(eng, c, 0, int(k), data); r.Err != nil {
+		t.Fatalf("the stripe numbered maxSN: %v", r.Err)
+	}
+	if e := c.bmt.Get(0); int64(e.sn) != maxSN || c.smt.Get(maxSN) == nil {
+		t.Fatalf("block 0 is in stripe %d, want maxSN = %d", e.sn, int64(maxSN))
+	}
+	r := blockdev.WriteSync(eng, c, k, 1, blockdev.Pattern(4, 4096))
+	if !errors.Is(r.Err, errStripeNumbers) {
+		t.Fatalf("a write past maxSN: %v, want %v", r.Err, errStripeNumbers)
+	}
+	eng.Run()
+	if got := blockdev.ReadSync(eng, c, 0, int(k)); got.Err != nil || !bytes.Equal(got.Data, data) {
+		t.Fatalf("the blocks in stripe maxSN read back wrong after the refused write (err %v)", got.Err)
+	}
+	if e := c.bmt.Get(k); e.mapped() {
+		t.Fatalf("the refused block is mapped at %+v", e.loc())
+	}
+	assertTables(t, c)
+	assertNoStrayRecords(t, c)
+
+	recoverAll := func(seed uint64) (*Core, error) {
+		t.Helper()
+		var nq []*nvme.Queue
+		for i, d := range devs {
+			c.devs[i].q.Kill()
+			d.PowerLoss()
+			nq = append(nq, nvme.New(d, nvme.Config{Seed: seed + uint64(i)}))
+		}
+		var rc *Core
+		var rerr error
+		called := false
+		Recover(nq, c.cfg, nil, func(n *Core, err error) { rc, rerr, called = n, err, true })
+		eng.Run()
+		if !called {
+			t.Fatal("recovery did not complete")
+		}
+		return rc, rerr
+	}
+	rc, err := recoverAll(500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.nextSN != maxSN+1 {
+		t.Fatalf("recovered next stripe number %d, want %d", rc.nextSN, int64(maxSN)+1)
+	}
+	assertTables(t, rc)
+
+	// A data record of stripe maxSN+1 in an empty zone, as a corrupt or
+	// foreign member would hold: the zone scan finds it and Recover refuses
+	// the array.
+	c = rc
+	z := 0
+	for info, _ := devs[0].ZoneInfo(z); info.State != zns.ZoneEmpty; info, _ = devs[0].ZoneInfo(z) {
+		z++
+	}
+	oob := c.encodeOOB(oobKindData, 0, maxSN+1, c.seq+1, 0)
+	werr := errors.New("the record's write never completed")
+	devs[0].Write(z, 0, 1, nil, [][]byte{oob}, zns.TagUserData, func(r zns.WriteResult) { werr = r.Err })
+	eng.Run()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if _, err := recoverAll(600); !errors.Is(err, errStripeNumbers) {
+		t.Fatalf("Recover over a record of stripe maxSN+1: %v, want %v", err, errStripeNumbers)
+	}
 }
 
 // TestRecoverDropsStripeMissingParity cuts power after a stripe's first
@@ -147,7 +268,7 @@ func TestRecoverDropsStripeMissingParity(t *testing.T) {
 	blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(1, 4096))
 	eng.Run()
 	e := c.bmt.Get(0)
-	pdev := int(c.smt.Get(e.sn).parity[0].dev)
+	pdev := int(c.smt.Get(int64(e.sn)).parity()[0].dev)
 
 	eng, c, devs := newTestCore(t, nil)
 	attachPlan(t, c, &fault.Spec{Rules: []fault.Rule{
@@ -177,16 +298,16 @@ func TestRecoverDropsStripeMissingParity(t *testing.T) {
 		t.Fatal("recovery did not complete")
 	}
 	at := e.loc()
-	if got := rc.bmt.Get(0); got.mapped() || rc.smt.Get(e.sn) != nil {
+	if got := rc.bmt.Get(0); got.mapped() || rc.smt.Get(int64(e.sn)) != nil {
 		t.Fatalf("block 0 recovered at %+v in stripe %d, whose parity never landed", got.loc(), e.sn)
 	}
 	zs := rc.devs[at.dev].zones[at.zone]
 	if zs == nil {
 		t.Fatalf("no zone state at %+v, where the dropped chunk landed", at)
 	}
-	if zs.valid != 0 || zs.stripeAt(at.off) != -1 {
+	if zs.valid != 0 || zs.stripeAt(int64(at.off)) != -1 {
 		t.Fatalf("the dropped chunk's zone counts %d valid slots and its slot names stripe %d, want 0 and -1",
-			zs.valid, zs.stripeAt(at.off))
+			zs.valid, zs.stripeAt(int64(at.off)))
 	}
 	assertTables(t, rc)
 }

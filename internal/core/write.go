@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
+	"slices"
 
 	"biza/internal/blockdev"
 	"biza/internal/buf"
@@ -291,31 +293,26 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	}
 	ds := c.devs[at.dev]
 	zs := ds.zones[at.zone]
-	if zs == nil || zs.sealedF || at.off < zs.devWP(c.zrwaBlocks) || !zs.slotDone(at.off) {
+	if zs == nil || zs.sealedF || int64(at.off) < zs.devWP(c.zrwaBlocks) || !zs.slotDone(int64(at.off)) {
 		return false
 	}
-	se := c.smt.Get(e.sn)
+	se := c.smt.Get(int64(e.sn))
 	if se == nil || !se.sealed || se.dissolving {
 		return false
 	}
 	// Every parity slot must still be in its window with its append done.
-	for _, ppa := range se.parity {
+	parity := se.parity()
+	for _, ppa := range parity {
 		if ppa.dev < 0 || c.failed[ppa.dev] {
 			return false
 		}
 		pzs := c.devs[ppa.dev].zones[ppa.zone]
-		if pzs == nil || pzs.sealedF || ppa.off < pzs.devWP(c.zrwaBlocks) || !pzs.slotDone(ppa.off) {
+		if pzs == nil || pzs.sealedF || int64(ppa.off) < pzs.devWP(c.zrwaBlocks) || !pzs.slotDone(int64(ppa.off)) {
 			return false
 		}
 	}
 	// The chunk's index within the stripe selects the parity coefficients.
-	chunkIdx := -1
-	for i, p := range se.chunks {
-		if p == at {
-			chunkIdx = i
-			break
-		}
-	}
+	chunkIdx := slices.Index(se.chunks(), at)
 	if chunkIdx < 0 {
 		return false
 	}
@@ -331,15 +328,15 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	}
 	c.inplaceHits++
 	c.seq++
-	m := len(se.parity)
+	m := len(parity)
 	ch.inplace, ch.se, ch.e, ch.zs, ch.idx, ch.seq = true, se, e, zs, chunkIdx, c.seq
 	ch.pending = 1 + m
 	se.holds++
 	// Pin every slot NOW: the payload path reads before writing, and the
 	// window must not slide past any of these offsets in the meantime.
-	zs.pin(at.off)
-	for _, ppa := range se.parity {
-		c.devs[ppa.dev].zones[ppa.zone].pin(ppa.off)
+	zs.pin(int64(at.off))
+	for _, ppa := range parity {
+		c.devs[ppa.dev].zones[ppa.zone].pin(int64(ppa.off))
 	}
 	if ch.payload == nil {
 		// Performance mode: traffic without content.
@@ -363,11 +360,10 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	ch.oldParity = c.getVec(m)
 	ch.reads = 1 + m
 	ch.oldData = c.readBuf(1)
-	ds.q.ReadInto(int(at.zone), at.off, 1, ch.oldData, false, ch.onOldData)
-	for r := 0; r < m; r++ {
-		ppa := se.parity[r]
+	ds.q.ReadInto(int(at.zone), int64(at.off), 1, ch.oldData, false, ch.onOldData)
+	for r, ppa := range parity {
 		ch.oldParity[r] = c.readBuf(1)
-		c.devs[ppa.dev].q.ReadInto(int(ppa.zone), ppa.off, 1, ch.oldParity[r], false, ch.onOldParity[r])
+		c.devs[ppa.dev].q.ReadInto(int(ppa.zone), int64(ppa.off), 1, ch.oldParity[r], false, ch.onOldParity[r])
 	}
 	return true
 }
@@ -376,8 +372,8 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 func (ch *chunkRec) writeData() {
 	c := ch.c
 	ch.zs.ds.submitChunk(ch.zs, &schedOp{
-		off: ch.e.off, inplace: true, reserved: true, data: ch.payload, own: ch.own,
-		oob: c.encodeOOB(oobKindData, ch.lbn, ch.e.sn, ch.seq, ch.idx), tag: ch.tag,
+		off: int64(ch.e.off), inplace: true, reserved: true, data: ch.payload, own: ch.own,
+		oob: c.encodeOOB(oobKindData, ch.lbn, int64(ch.e.sn), ch.seq, ch.idx), tag: ch.tag,
 		done: ch,
 	})
 }
@@ -385,13 +381,13 @@ func (ch *chunkRec) writeData() {
 // writeParity issues the in-place rewrite of parity row r.
 func (ch *chunkRec) writeParity(r int, parityData []byte) {
 	c := ch.c
-	ppa := ch.se.parity[r]
+	ppa := ch.se.parity()[r]
 	pds := c.devs[ppa.dev]
 	c.parityBytes += uint64(c.blockSize)
 	pds.submitChunk(pds.zones[ppa.zone], &schedOp{
-		off: ppa.off, inplace: true, reserved: true, data: parityData,
+		off: int64(ppa.off), inplace: true, reserved: true, data: parityData,
 		ownData: parityData != nil,
-		oob:     c.encodeOOB(oobKindParity, int64(r), ch.e.sn, ch.seq, r), tag: zns.TagParity,
+		oob:     c.encodeOOB(oobKindParity, int64(r), int64(ch.e.sn), ch.seq, r), tag: zns.TagParity,
 		done: ch,
 	})
 }
@@ -406,7 +402,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 	c, se := ch.c, ch.se
 	dev := int(ch.e.loc().dev)
 	if r >= 0 {
-		dev = int(se.parity[r].dev)
+		dev = int(se.parity()[r].dev)
 	}
 	if res.Err != nil {
 		c.noteIOError(dev, res.Err)
@@ -418,7 +414,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 	if ch.reads > 0 {
 		return
 	}
-	m := len(se.parity)
+	m := len(se.parity())
 	oldData, oldParity := ch.oldData, ch.oldParity
 	ch.oldData, ch.oldParity = nil, nil
 	if ch.readErr != nil {
@@ -432,7 +428,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 		}
 		c.putVec(oldParity)
 		c.unpin(ch.e.loc())
-		for _, ppa := range se.parity {
+		for _, ppa := range se.parity() {
 			c.unpin(ppa)
 		}
 		se.ipBusy = false
@@ -526,6 +522,15 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	st := c.open[class]
 	if st == nil || st.count >= c.nData {
 		ns, err := c.newStripe(class)
+		if errors.Is(err, errStripeNumbers) && class != classGC {
+			// Not transient: the write fails and the block keeps its copy.
+			// A GC migration parks below instead, so its victim is never
+			// reset under a chunk it could not move.
+			buf.Release(ch.own)
+			ch.own, ch.pending = nil, 1
+			ch.finish(err)
+			return
+		}
 		if err != nil {
 			// Transient: open-zone slots exhausted while retired zones
 			// drain. Park and retry when a slot frees.
@@ -550,9 +555,8 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	c.invalidate(lbn, old)
 
 	sn, se := st.sn, st.se
-	at := pa{dev: int32(dev), zone: int32(zs.id), off: off}
-	se.chunks = append(se.chunks, at)
-	se.lbns = append(se.lbns, lbn)
+	at := pa{dev: int16(dev), zone: uint16(zs.id), off: uint32(off)}
+	se.addChunk(at, lbn)
 	se.valid++
 	se.pending++
 	e := mapTo(at, sn)
@@ -623,16 +627,15 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 	se := st.se
 	st.parityBusy = true
 	st.parityDirty = false
-	m := len(se.parity)
-	st.remaining, st.firstErr = m, nil
+	parity := se.parity()
+	st.remaining, st.firstErr = len(parity), nil
 	wasWritten := st.parityWritten
 	st.parityWritten = true
 	// A sealed stripe takes no further appends, so this is the final parity
 	// generation: move the accumulators into the dispatch instead of
 	// copying them (ioDone's retirement sweep skips the nil slots).
 	final := se.sealed
-	for r := 0; r < m; r++ {
-		ppa := se.parity[r]
+	for r, ppa := range parity {
 		pds := c.devs[ppa.dev]
 		pzs := pds.zones[ppa.zone]
 		var parityData []byte
@@ -648,11 +651,12 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		// swaps in a fresh devState whose zones know nothing of slots
 		// handed out before the swap, and an in-place write through such a
 		// stale placement would corrupt the fresh zone's write pointer.
-		inWindow := pzs != nil && !pzs.sealedF && pzs.parityAt(ppa.off) == st.sn &&
-			ppa.off >= pzs.devWP(c.zrwaBlocks)
+		off := int64(ppa.off)
+		inWindow := pzs != nil && !pzs.sealedF && pzs.parityAt(off) == st.sn &&
+			off >= pzs.devWP(c.zrwaBlocks)
 		if inWindow {
 			pds.submitChunk(pzs, &schedOp{
-				off: ppa.off, inplace: wasWritten, data: parityData,
+				off: off, inplace: wasWritten, data: parityData,
 				ownData: parityData != nil,
 				oob:     c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
 				done: st,
@@ -661,8 +665,8 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		}
 		// Relocate: free the stale slot and append the full partial parity
 		// to a fresh slot on the same device (member distinctness holds).
-		if pzs != nil && pzs.parityAt(ppa.off) == st.sn {
-			pzs.setParity(ppa.off, -1)
+		if pzs != nil && pzs.parityAt(off) == st.sn {
+			pzs.setParity(off, -1)
 			pzs.valid--
 		}
 		nzs, noff, err := pds.alloc(st.class)
@@ -671,7 +675,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 			st.ioDone(err)
 			continue
 		}
-		se.parity[r] = pa{dev: ppa.dev, zone: int32(nzs.id), off: noff}
+		parity[r] = pa{dev: ppa.dev, zone: uint16(nzs.id), off: uint32(noff)}
 		nzs.setParity(noff, st.sn)
 		nzs.valid++
 		pds.submitChunk(nzs, &schedOp{
@@ -740,15 +744,16 @@ func (st *openStripe) ioDone(err error) {
 // stripeDataDevice maps a stripe's chunk index to a member device,
 // skipping the stripe's parity devices.
 func (c *Core) stripeDataDevice(st *openStripe, idx int) int {
+	parity := st.se.parity()
 	isParity := func(d int) bool {
-		for _, p := range st.se.parity {
+		for _, p := range parity {
 			if int(p.dev) == d {
 				return true
 			}
 		}
 		return false
 	}
-	base := int(st.se.parity[0].dev)
+	base := int(parity[0].dev)
 	seen := 0
 	for i := 1; i <= len(c.devs); i++ {
 		d := (base + i) % len(c.devs)
@@ -766,27 +771,30 @@ func (c *Core) stripeDataDevice(st *openStripe, idx int) int {
 // newStripe opens a stripe for a class: rotates the parity devices and
 // allocates one parity slot from each of their class groups.
 func (c *Core) newStripe(class Class) (*openStripe, error) {
-	m := c.cfg.Parity
+	sn := c.nextSN
+	if sn > maxSN {
+		return nil, errStripeNumbers
+	}
 	base := c.parityRot % len(c.devs)
 	c.parityRot++
-	sn := c.nextSN
 	se := c.getSE()
-	for r := 0; r < m; r++ {
+	parity := se.parity()
+	for r := range parity {
 		pdev := (base + r) % len(c.devs)
 		pds := c.devs[pdev]
 		pzs, poff, err := pds.alloc(class)
 		if err != nil {
 			// Roll back slots already taken for this stripe.
-			for _, q := range se.parity[:r] {
-				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.parityAt(q.off) == sn {
-					zs.setParity(q.off, -1)
+			for _, q := range parity[:r] {
+				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.parityAt(int64(q.off)) == sn {
+					zs.setParity(int64(q.off), -1)
 					zs.valid--
 				}
 			}
 			c.retireSE(se)
 			return nil, err
 		}
-		se.parity[r] = pa{dev: int32(pdev), zone: int32(pzs.id), off: poff}
+		parity[r] = pa{dev: int16(pdev), zone: uint16(pzs.id), off: uint32(poff)}
 		pzs.setParity(poff, sn)
 		pzs.valid++
 	}
@@ -806,12 +814,13 @@ func (c *Core) invalidate(lbn int64, e bmtEntry) {
 	if !e.mapped() {
 		return
 	}
-	se := c.smt.Get(e.sn)
+	sn := int64(e.sn)
+	se := c.smt.Get(sn)
 	if se == nil {
 		return
 	}
 	at := e.loc()
-	for i, p := range se.chunks {
+	for i, p := range se.chunks() {
 		if p == at && se.lbns[i] == lbn {
 			// Keep the slot address: its content still feeds the stripe's
 			// parity for reconstruction; only liveness drops. The zone
@@ -819,35 +828,35 @@ func (c *Core) invalidate(lbn int64, e bmtEntry) {
 			// replaced member's zones know nothing of older slots).
 			se.lbns[i] = -1
 			se.valid--
-			if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.stripeAt(at.off) == e.sn {
+			if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.stripeAt(int64(at.off)) == sn {
 				zs.valid--
 			}
 			break
 		}
 	}
 	if se.valid == 0 && se.sealed && se.pending == 0 {
-		c.releaseStripe(e.sn, se)
+		c.releaseStripe(sn, se)
 	}
 }
 
 // releaseStripe frees a dead stripe's parity slots, clears its slots'
 // stripe ownership, and forgets it.
 func (c *Core) releaseStripe(sn int64, se *smtEntry) {
-	for _, p := range se.parity {
+	for _, p := range se.parity() {
 		if p.dev < 0 {
 			continue
 		}
-		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.parityAt(p.off) == sn {
-			zs.setParity(p.off, -1)
+		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.parityAt(int64(p.off)) == sn {
+			zs.setParity(int64(p.off), -1)
 			zs.valid--
 		}
 	}
-	for _, p := range se.chunks {
+	for _, p := range se.chunks() {
 		if p.dev < 0 {
 			continue
 		}
-		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.stripeAt(p.off) == sn {
-			zs.setStripe(p.off, -1)
+		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.stripeAt(int64(p.off)) == sn {
+			zs.setStripe(int64(p.off), -1)
 		}
 	}
 	c.smt.Delete(sn)

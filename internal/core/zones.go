@@ -49,7 +49,7 @@ type zoneState struct {
 	ipPins    int
 	ipMin     int64
 
-	rmap    []int64 // off -> the stripe the slot belongs to; see stripeAt, parityAt
+	rmap    []int32 // off -> the stripe the slot belongs to; see stripeAt, parityAt
 	valid   int64
 	sealedF bool // finishing/finished: no further writes accepted
 }
@@ -57,7 +57,8 @@ type zoneState struct {
 // A reverse-map slot names the stripe its one OOB record names: sn for a
 // data slot of stripe sn, live or stale, and -(sn+2) for the parity slot
 // of stripe sn; rmapNone is unmapped. Whether a data slot is live is the
-// SMT's to say (smtEntry.lbns), so the map holds 8 bytes per slot.
+// SMT's to say (smtEntry.lbns), and stripe numbers stop at maxSN, so the
+// map holds 4 bytes per slot.
 const (
 	rmapNone = -1
 
@@ -74,7 +75,7 @@ func (zs *zoneState) stripeAt(off int64) int64 {
 	if off >= int64(len(zs.rmap)) || zs.rmap[off] < 0 {
 		return -1
 	}
-	return zs.rmap[off]
+	return int64(zs.rmap[off])
 }
 
 // parityAt reports the stripe whose parity slot is off, or -1.
@@ -82,13 +83,13 @@ func (zs *zoneState) parityAt(off int64) int64 {
 	if off >= int64(len(zs.rmap)) || zs.rmap[off] >= rmapNone {
 		return -1
 	}
-	return -zs.rmap[off] - 2
+	return -int64(zs.rmap[off]) - 2
 }
 
 // setStripe sets (or, with -1, clears) the owning stripe of data slot off.
 func (zs *zoneState) setStripe(off, sn int64) {
 	if s := zs.slot(off, sn < 0); s != nil && *s >= rmapNone {
-		*s = sn
+		*s = int32(sn)
 	}
 }
 
@@ -99,7 +100,7 @@ func (zs *zoneState) setParity(off, sn int64) {
 	switch {
 	case s == nil:
 	case sn >= 0:
-		*s = -(sn + 2)
+		*s = int32(-(sn + 2))
 	case *s < rmapNone:
 		*s = rmapNone
 	}
@@ -107,7 +108,7 @@ func (zs *zoneState) setParity(off, sn int64) {
 
 // slot returns off's reverse-map entry, growing the map to reach it unless
 // the write is a clear (a slot past the map is unmapped already: nil).
-func (zs *zoneState) slot(off int64, clear bool) *int64 {
+func (zs *zoneState) slot(off int64, clear bool) *int32 {
 	if n := int64(len(zs.rmap)); off >= n {
 		if clear {
 			return nil
@@ -118,7 +119,7 @@ func (zs *zoneState) slot(off int64, clear bool) *int64 {
 		for n <= off {
 			n *= rmapGrowth
 		}
-		m := make([]int64, min(n, zs.ds.c.zoneBlocks))
+		m := make([]int32, min(n, zs.ds.c.zoneBlocks))
 		for i := copy(m, zs.rmap); i < len(m); i++ {
 			m[i] = rmapNone
 		}
@@ -650,7 +651,7 @@ func (c *Core) unpin(p pa) {
 	if zs == nil {
 		return
 	}
-	if zs.unpin(p.off) {
+	if zs.unpin(int64(p.off)) {
 		ds.drain(zs)
 		ds.maybeFinish(zs)
 	}
