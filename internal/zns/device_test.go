@@ -35,9 +35,9 @@ func checkBuffered(d *Device) {
 	for _, zn := range d.zones {
 		zn.buffered.Range(func(b int64, bb *bufBlock) bool {
 			switch {
-			case bb.committed && b >= zn.wp:
+			case bb.committed() && b >= zn.wp:
 				panic(fmt.Sprintf("zone %d: committed block %d at or above wp %d", zn.idx, b, zn.wp))
-			case !bb.committed && (!zn.zrwa || b < zn.wp || b >= zn.wp+d.cfg.ZRWABlocks):
+			case !bb.committed() && (!zn.zrwa || b < zn.wp || b >= zn.wp+d.cfg.ZRWABlocks):
 				panic(fmt.Sprintf("zone %d (zrwa %v): dirty block %d outside [%d, %d)",
 					zn.idx, zn.zrwa, b, zn.wp, zn.wp+d.cfg.ZRWABlocks))
 			}
