@@ -74,7 +74,8 @@ type Options struct {
 	Engine *core.Config
 	// StoreData retains payloads for read-back. The simulated media is then
 	// held in host memory: what is currently programmed, in 256 KiB extents
-	// that a zone reset hands to the next zone to fill.
+	// that a zone reset or an erase-block erase hands to the next zone or
+	// erase block to fill.
 	StoreData bool
 	// Seed makes every stochastic element reproducible.
 	Seed uint64

@@ -11,6 +11,7 @@ import (
 
 	"biza/internal/blockdev"
 	"biza/internal/fifo"
+	"biza/internal/flash"
 	"biza/internal/metrics"
 	"biza/internal/obs"
 	"biza/internal/pagetab"
@@ -169,9 +170,11 @@ type Device struct {
 	cfg Config
 	eng *sim.Engine
 
-	l2p  pagetab.Table[int64] // logical page -> physical page + 1; 0 (absent) decodes to invalidPPN
-	p2l  pagetab.Table[int64] // physical page -> logical page + 1; 0 if invalid or free
-	data map[int64][]byte
+	l2p pagetab.Table[int64] // logical page -> physical page + 1; 0 (absent) decodes to invalidPPN
+	p2l pagetab.Table[int64] // physical page -> logical page + 1; 0 if invalid or free
+	// pages is the programmed payload, one store per erase block, nil
+	// without StoreData. Reads gather through l2p.
+	pages []flash.Store
 
 	blocks   []flashBlock
 	freeList []int
@@ -194,6 +197,7 @@ type Device struct {
 
 	gcRunning bool
 	gcWaiting bool // collector parked until an in-flight erase frees a block
+	erasing   int  // victims whose erase is in flight
 	rng       *sim.RNG
 
 	// Accounting.
@@ -250,7 +254,11 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		rng:          sim.NewRNG(cfg.Seed ^ 0xf71),
 	}
 	if cfg.StoreData {
-		d.data = make(map[int64][]byte)
+		pool := flash.NewPool(cfg.BlockSize, 0)
+		d.pages = make([]flash.Store, cfg.FlashBlocks)
+		for i := range d.pages {
+			d.pages[i] = pool.Store()
+		}
 	}
 	d.chans = make([]*channelRes, cfg.NumChannels)
 	for i := range d.chans {
@@ -351,6 +359,20 @@ func (d *Device) allocPage(lpn int64, gc bool) (ppn int64, ch int) {
 	ppn = int64(blk)*int64(d.cfg.PagesPerBlock) + int64(fb.nextPage)
 	fb.nextPage++
 	return ppn, fb.channel
+}
+
+// loadPage returns the payload programmed at physical page ppn, nil for
+// none (StoreData only).
+func (d *Device) loadPage(ppn int64) []byte {
+	ppb := int64(d.cfg.PagesPerBlock)
+	data, _ := d.pages[ppn/ppb].Get(ppn % ppb)
+	return data
+}
+
+// storePage programs data at physical page ppn (StoreData only).
+func (d *Device) storePage(ppn int64, data []byte) {
+	ppb := int64(d.cfg.PagesPerBlock)
+	d.pages[ppn/ppb].Put(ppn%ppb, data, nil)
 }
 
 // mapPage installs lpn -> ppn, invalidating any previous mapping.
@@ -475,12 +497,12 @@ func (r *req) Fire(s, e sim.Time) {
 		d.tr.Mark(r.span, int64(s), int64(e), obs.LayerFTL, obs.PhaseXfer, d.trDev, -1, -1)
 		d.tr.SpanEnd(r.span, int64(e), false)
 		done, res := r.rdone, blockdev.ReadResult{Latency: e - r.start}
-		if done != nil && d.data != nil {
+		if done != nil && d.pages != nil {
 			res.Data = make([]byte, size)
 			bs := int64(d.cfg.BlockSize)
 			for i := int64(0); i < r.n; i++ {
-				if src, ok := d.data[r.lba+i]; ok {
-					copy(res.Data[i*bs:(i+1)*bs], src)
+				if ppn := d.l2p.Get(r.lba+i) - 1; ppn != invalidPPN {
+					copy(res.Data[i*bs:(i+1)*bs], d.loadPage(ppn))
 				}
 			}
 		}
@@ -500,12 +522,8 @@ func (r *req) program() {
 		lpn := r.lba + i
 		ppn, ch := d.allocPage(lpn, false)
 		d.mapPage(lpn, ppn)
-		if d.data != nil {
-			if r.data != nil {
-				d.data[lpn] = append([]byte(nil), r.data[i*bs:(i+1)*bs]...)
-			} else {
-				delete(d.data, lpn)
-			}
+		if d.pages != nil && r.data != nil {
+			d.storePage(ppn, r.data[i*bs:(i+1)*bs])
 		}
 		d.programPage(ch)
 	}
@@ -607,9 +625,6 @@ func (d *Device) Trim(lba int64, nblocks int) {
 			d.blocks[old/int64(d.cfg.PagesPerBlock)].valid--
 			d.l2p.Delete(lpn)
 		}
-		if d.data != nil {
-			delete(d.data, lpn)
-		}
 	}
 }
 
@@ -638,7 +653,8 @@ func (d *Device) gcStep() {
 	}
 	// Migration may need a fresh GC block mid-victim; hold off until an
 	// in-flight erase restores stock rather than overdrawing the free list.
-	if d.blocks[victim].valid > 0 && len(d.freeList) < 2 {
+	// With none in flight nothing would wake the collector, so it goes on.
+	if d.blocks[victim].valid > 0 && len(d.freeList) < 2 && d.erasing > 0 {
 		d.gcWaiting = true
 		return
 	}
@@ -662,6 +678,7 @@ func (d *Device) gcStep() {
 		// collected concurrently so erases on different channels overlap.
 		cr := d.chans[fb.channel]
 		left := d.cfg.DiesPerChannel
+		d.erasing++
 		for i := 0; i < d.cfg.DiesPerChannel; i++ {
 			cr.dies.Submit(d.cfg.EraseLatency, func(s, e sim.Time) {
 				d.tr.Segment(int64(s), int64(e), obs.LayerFTL, obs.SegErase, d.trDev, victim, fb.channel, 0)
@@ -669,8 +686,12 @@ func (d *Device) gcStep() {
 				if left > 0 {
 					return
 				}
+				d.erasing--
 				fb.free = true
 				fb.nextPage = 0
+				if d.pages != nil {
+					d.pages[victim].Erase()
+				}
 				fb.erases++
 				d.erases++
 				d.freeList = append(d.freeList, victim)
@@ -689,6 +710,9 @@ func (d *Device) gcStep() {
 		lpn := d.p2l.Get(ppn) - 1
 		newPPN, ch := d.allocPage(lpn, true)
 		d.mapPage(lpn, newPPN)
+		if d.pages != nil {
+			d.storePage(newPPN, d.loadPage(ppn))
+		}
 		// Read old page then program new page.
 		src := d.chans[fb.channel]
 		src.readBus.Submit(size*sim.Second/d.cfg.ChannelReadBW, func(_, _ sim.Time) {

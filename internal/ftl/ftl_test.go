@@ -1,7 +1,9 @@
 package ftl
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -319,4 +321,97 @@ func TestFTLMapsAllocFreeUntilWritten(t *testing.T) {
 		t.Fatalf("%d scattered writes allocated %d bytes, want at most %d (%d table pages touched)", k-1, got, limit, pages)
 	}
 	t.Logf("New allocated %d bytes; %d scattered writes %d bytes over %d table pages (limit %d)", made, k-1, got, pages, limit)
+}
+
+// TestFTLStoreDataMatchesOracle makes random payload writes, nil-payload
+// overwrites and trims over three quarters of the device until GC has
+// migrated pages, checking the maps after each, then reads every block back
+// against a map oracle: the payload lives at the physical page, so only
+// reads through l2p and a collector that copies what it remaps return it.
+func TestFTLStoreDataMatchesOracle(t *testing.T) {
+	eng, d := newDev(t)
+	bs := d.Config().BlockSize
+	rng := rand.New(rand.NewSource(13))
+	span := d.Blocks() * 3 / 4
+	oracle := map[int64][]byte{}
+	for i := 0; i < 3000 || d.WriteAmp().GCMigratedBytes == 0; i++ {
+		lba := rng.Int63n(span)
+		n := int(min(1+rng.Int63n(8), span-lba))
+		switch rng.Intn(8) {
+		case 0:
+			d.Trim(lba, n)
+			if err := d.checkMaps(); err != nil {
+				t.Fatalf("after trimming %d+%d: %v", lba, n, err)
+			}
+			for b := lba; b < lba+int64(n); b++ {
+				delete(oracle, b)
+			}
+		case 1:
+			writeChecked(t, eng, d, lba, n, nil)
+			for b := lba; b < lba+int64(n); b++ {
+				delete(oracle, b)
+			}
+		default:
+			data := make([]byte, n*bs)
+			rng.Read(data)
+			writeChecked(t, eng, d, lba, n, data)
+			for k := 0; k < n; k++ {
+				oracle[lba+int64(k)] = data[k*bs : (k+1)*bs]
+			}
+		}
+	}
+	if d.GCEvents() == 0 || d.Erases() == 0 {
+		t.Fatalf("GC ran %d times and erased %d blocks: exercised too little", d.GCEvents(), d.Erases())
+	}
+	for b := int64(0); b < d.Blocks(); b++ {
+		r := blockdev.ReadSync(eng, d, b, 1)
+		want := oracle[b]
+		if want == nil {
+			want = make([]byte, bs)
+		}
+		if r.Err != nil || !bytes.Equal(r.Data, want) {
+			t.Fatalf("block %d reads %x..., want %x... (err %v)", b, r.Data[:8], want[:8], r.Err)
+		}
+	}
+}
+
+// TestFTLStoreDataAllocFree: once warm, payload overwrites through GC
+// allocate nothing for their payloads. Random overwrites keep the collector
+// migrating; they must allocate exactly what the same overwrites cost a
+// device that keeps no payloads (the collector's own bookkeeping), so no
+// page is copied into a fresh slice, and the stores of erased blocks refill
+// from recycled extents.
+func TestFTLStoreDataAllocFree(t *testing.T) {
+	allocs := func(store bool) (float64, uint64) {
+		cfg := TestConfig()
+		cfg.StoreData = store
+		eng := sim.NewEngine()
+		d, err := New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(5)
+		span := d.Blocks() * 3 / 4
+		data := blockdev.Pattern(1, cfg.BlockSize)
+		pass := func() {
+			for i := 0; i < 1000; i++ {
+				d.Write(rng.Int63n(span), 1, data, nil)
+			}
+			eng.Run()
+		}
+		for i := 0; i < 5; i++ {
+			pass()
+		}
+		moved := d.WriteAmp().GCMigratedBytes
+		a := testing.AllocsPerRun(5, pass)
+		return a, d.WriteAmp().GCMigratedBytes - moved
+	}
+	bare, _ := allocs(false)
+	got, moved := allocs(true)
+	if moved == 0 {
+		t.Fatal("the collector migrated nothing while measured")
+	}
+	if got != bare {
+		t.Fatalf("1000 payload overwrites allocate %.0f objects, %.0f without StoreData: want no more", got, bare)
+	}
 }

@@ -87,16 +87,14 @@ type qop struct {
 	span    obs.SpanID
 	start   sim.Time
 	at      sim.Time
-	attempt int  // transient-error retries so far
-	delayed bool // injector already charged its latency for this delivery
-	wdone   func(zns.WriteResult)
+	attempt int                   // transient-error retries so far
+	delayed bool                  // injector already charged its latency for this delivery
+	wdone   func(zns.WriteResult) // write or append
 	rdone   func(zns.ReadResult)
-	adone   func(zns.AppendResult)
 	edone   func(error)
 	// Cached forwarding callbacks: the record's finish methods, bound.
 	wfwd func(zns.WriteResult)
 	rfwd func(zns.ReadResult)
-	afwd func(zns.AppendResult)
 	efwd func(error)
 }
 
@@ -120,7 +118,7 @@ func (q *Queue) putOp(op *qop) {
 	buf.Release(op.own)
 	op.data, op.oob, op.own = nil, nil, nil
 	op.attempt, op.delayed, op.withOOB = 0, false, false
-	op.wdone, op.rdone, op.adone, op.edone = nil, nil, nil, nil
+	op.wdone, op.rdone, op.edone = nil, nil, nil
 	q.opFree = append(q.opFree, op)
 }
 
@@ -140,12 +138,10 @@ func (op *qop) faultOp() fault.Op {
 // the finish functions like any other completion.
 func (op *qop) deliverErr(err error) {
 	switch op.kind {
-	case opWrite:
+	case opWrite, opAppend:
 		op.finishWrite(zns.WriteResult{Err: err})
 	case opRead:
 		op.finishRead(zns.ReadResult{Err: err})
-	case opAppend:
-		op.finishAppend(zns.AppendResult{Err: err})
 	case opReset:
 		op.finishReset(err)
 	}
@@ -201,11 +197,13 @@ func (op *qop) Fire(_, _ sim.Time) {
 		q.dev.TraceSpan(op.span)
 	}
 	switch op.kind {
-	case opWrite:
+	case opWrite, opAppend:
 		if op.wfwd == nil {
 			op.wfwd = op.finishWrite
 		}
-		if op.own != nil {
+		if op.kind == opAppend {
+			q.dev.Append(op.z, op.nblocks, op.data, op.oob, op.tag, op.wfwd)
+		} else if op.own != nil {
 			// The record keeps its own reference across retries; each
 			// delivery transfers a fresh one to the device.
 			op.own.Retain()
@@ -218,11 +216,6 @@ func (op *qop) Fire(_, _ sim.Time) {
 			op.rfwd = op.finishRead
 		}
 		q.dev.ReadInto(op.z, op.lba, op.nblocks, op.data, op.withOOB, op.rfwd)
-	case opAppend:
-		if op.afwd == nil {
-			op.afwd = op.finishAppend
-		}
-		q.dev.Append(op.z, op.nblocks, op.data, op.oob, op.tag, op.afwd)
 	case opReset:
 		if op.efwd == nil {
 			op.efwd = op.finishReset
@@ -286,28 +279,6 @@ func (op *qop) finishRead(r zns.ReadResult) {
 		q.qd(-1)
 	}
 	done := op.rdone
-	q.putOp(op)
-	if done != nil {
-		done(r)
-	}
-}
-
-func (op *qop) finishAppend(r zns.AppendResult) {
-	q := op.q
-	if q.dead {
-		q.putOp(op)
-		return
-	}
-	if r.Err != nil && op.retryable(r.Err) {
-		op.retry()
-		return
-	}
-	r.Latency = q.eng.Now() - op.start
-	if q.tr != nil {
-		q.tr.SpanEnd(op.span, int64(q.eng.Now()), r.Err != nil)
-		q.qd(-1)
-	}
-	done := op.adone
 	q.putOp(op)
 	if done != nil {
 		done(r)
@@ -431,10 +402,10 @@ func (q *Queue) ReadInto(z int, lba int64, nblocks int, dst []byte, withOOB bool
 }
 
 // Append submits a zone append through the driver stack.
-func (q *Queue) Append(z int, nblocks int, data []byte, oob [][]byte, tag zns.WriteTag, done func(zns.AppendResult)) {
+func (q *Queue) Append(z int, nblocks int, data []byte, oob [][]byte, tag zns.WriteTag, done func(zns.WriteResult)) {
 	op := q.getOp()
 	op.kind, op.z, op.lba, op.nblocks = opAppend, z, -1, nblocks
-	op.data, op.oob, op.tag, op.adone = data, oob, tag, done
+	op.data, op.oob, op.tag, op.wdone = data, oob, tag, done
 	op.start = q.eng.Now()
 	op.at = q.deliverAt(z, true)
 	if q.tr != nil {

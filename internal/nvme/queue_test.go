@@ -126,7 +126,7 @@ func TestReadThroughQueue(t *testing.T) {
 func TestAppendAndResetThroughQueue(t *testing.T) {
 	eng, q := newStack(t, Config{ReorderWindow: 2 * sim.Microsecond, Seed: 9})
 	var lba int64 = -1
-	q.Append(1, 2, nil, nil, zns.TagUserData, func(r zns.AppendResult) {
+	q.Append(1, 2, nil, nil, zns.TagUserData, func(r zns.WriteResult) {
 		if r.Err == nil {
 			lba = r.LBA
 		}
@@ -365,9 +365,9 @@ func TestOpRecordAllocFree(t *testing.T) {
 		t.Errorf("the first write on a fresh record allocates %d times, want 2: the record and its write callback", got)
 	}
 	op := q.opFree[0]
-	if op.wfwd == nil || op.rfwd != nil || op.afwd != nil || op.efwd != nil {
-		t.Errorf("a record that has only written holds callbacks write=%t read=%t append=%t reset=%t",
-			op.wfwd != nil, op.rfwd != nil, op.afwd != nil, op.efwd != nil)
+	if op.wfwd == nil || op.rfwd != nil || op.efwd != nil {
+		t.Errorf("a record that has only written holds callbacks write=%t read=%t reset=%t",
+			op.wfwd != nil, op.rfwd != nil, op.efwd != nil)
 	}
 	if got := mallocs(read); got != 1 {
 		t.Errorf("the first read on a record that has written allocates %d times, want 1: its read callback", got)

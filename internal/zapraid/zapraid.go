@@ -66,8 +66,8 @@ type chunkRec struct {
 	tag      zns.WriteTag
 	ds       *devState
 	z        int
-	done     func(error)            // data: the chunk's owner
-	onAppend func(zns.AppendResult) // c.complete
+	done     func(error)           // data: the chunk's owner
+	onAppend func(zns.WriteResult) // c.complete
 }
 
 // writeReq is one block-interface Write: its chunks report to the fan-in
@@ -392,7 +392,7 @@ func (a *Array) appendChunk(c *chunkRec) {
 }
 
 // complete is the device's answer to c's append.
-func (c *chunkRec) complete(r zns.AppendResult) {
+func (c *chunkRec) complete(r zns.WriteResult) {
 	a, ds, z, lbn, done := c.a, c.ds, c.z, c.lbn, c.done
 	a.inflight[z]--
 	if c.tag == zns.TagParity {

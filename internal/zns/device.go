@@ -5,6 +5,7 @@ import (
 
 	"biza/internal/buf"
 	"biza/internal/fifo"
+	"biza/internal/flash"
 	"biza/internal/obs"
 	"biza/internal/pagetab"
 	"biza/internal/sim"
@@ -29,6 +30,10 @@ func (s ZoneState) String() string { return obs.ZoneStateName(int64(s)) }
 
 // IsOpen reports whether the state counts against the open-zone limit.
 func (s ZoneState) IsOpen() bool { return s == ZoneImplicitOpen || s == ZoneExplicitOpen }
+
+// active reports whether the state counts against the active-zone limit:
+// open or closed.
+func (s ZoneState) active() bool { return s.IsOpen() || s == ZoneClosed }
 
 // WriteTag classifies write traffic for flash accounting. The device itself
 // is oblivious to the distinction; the host engines label their commands so
@@ -61,16 +66,10 @@ func (t WriteTag) String() string {
 	return "unknown"
 }
 
-// WriteResult is the completion of a Write.
+// WriteResult is the completion of a Write or an Append.
 type WriteResult struct {
 	Err     error
-	Latency sim.Time
-}
-
-// AppendResult is the completion of an Append.
-type AppendResult struct {
-	Err     error
-	LBA     int64 // device-assigned start block within the zone
+	LBA     int64 // start block within the zone; an append's is the device's choice
 	Latency sim.Time
 }
 
@@ -110,7 +109,7 @@ func (f FlashStats) ProgrammedByTag(t WriteTag) uint64 { return f.ProgrammedByte
 // borrowed view into the caller's refcounted buffer (one reference held
 // per block) instead of a device-side copy — the zero-copy form of the
 // defensive payload copy. Either way the block only lends its bytes: the
-// flash store copies them out (persist), and the scratch or the reference
+// flash store copies them out, and the scratch or the reference
 // goes back where it came from when the block retires (putBufBlock).
 type bufBlock struct {
 	data  []byte
@@ -143,30 +142,11 @@ type zone struct {
 	buffered pagetab.Table[*bufBlock]
 	credit   int64              // free buffer slots (blocks)
 	waiters  fifo.Queue[waiter] // writes waiting for buffer credit
-	// store is the flash contents (StoreData only): extent i holds blocks
-	// [i*extentBlocks, (i+1)*extentBlocks), nil until one of them is
-	// programmed. Reset hands the extents to the device's free list.
-	store      []*extent
+	// store is the flash contents, OOB records included; it keeps nothing
+	// without StoreData. Reset erases it.
+	store      flash.Store
 	eraseCount uint64
 	channel    int
-}
-
-// extentBlocks is the flash store's allocation unit. An open zone holds at
-// most one partly filled extent, so the unit bounds what the store keeps
-// beyond the bytes programmed: at 64 blocks that is under 256 KiB per open
-// zone, and a zone's extent vector is one pointer per 256 KiB. (256 blocks
-// measured +4 % live heap on the payload benchmark.)
-const extentBlocks = 64
-
-// extent is the media behind extentBlocks consecutive blocks of one zone:
-// a data slab, an OOB slab of Config.OOBBytesPerBlock per block, which
-// blocks hold data, and how long each block's OOB record is (0 = none).
-// Slab bytes outside those marks are stale and never read.
-type extent struct {
-	data    []byte
-	oob     []byte
-	hasData uint64
-	oobLen  [extentBlocks]uint16
 }
 
 type channel struct {
@@ -217,9 +197,10 @@ type Device struct {
 	runFree [][]*bufBlock
 
 	// The zones' buffer tables share their pages, and their flash stores
-	// their extents: a reset zone's go to the next zone to fill.
+	// their extents (nil without StoreData): a reset zone's go to the next
+	// zone to fill.
 	bufPages pagetab.Pool[*bufBlock]
-	extFree  []*extent
+	media    *flash.Pool
 
 	// pool recycles the write buffer's payload and OOB copies. It is the
 	// device's own, never the array's: the array pool's Stats are published
@@ -253,6 +234,9 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 			dies:     sim.NewResource(eng, cfg.DiesPerChannel),
 		}
 	}
+	if cfg.StoreData {
+		d.media = flash.NewPool(cfg.BlockSize, cfg.OOBBytesPerBlock)
+	}
 	rng := sim.NewRNG(cfg.Seed ^ 0xb12a)
 	d.zones = make([]*zone, cfg.NumZones)
 	for i := range d.zones {
@@ -260,7 +244,7 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		if cfg.ShuffleFraction > 0 && rng.Float64() < cfg.ShuffleFraction {
 			ch = rng.Intn(cfg.NumChannels)
 		}
-		d.zones[i] = &zone{idx: i, channel: ch, buffered: d.bufPages.Table()}
+		d.zones[i] = &zone{idx: i, channel: ch, buffered: d.bufPages.Table(), store: d.media.Store()}
 	}
 	return d, nil
 }
@@ -287,21 +271,31 @@ func (d *Device) takeHint() (obs.SpanID, bool) {
 	return id, ok
 }
 
-// traceState records a zone state transition event.
-func (d *Device) traceState(zn *zone, old, next ZoneState) {
-	if d.tr == nil || old == next {
-		return
-	}
-	d.tr.Event(int64(d.eng.Now()), obs.LayerZNS, obs.EvZoneState, d.trDev, zn.idx,
-		int64(old), int64(next), 0)
-}
-
-// traceOpenCount samples the open-zone gauge.
-func (d *Device) traceOpenCount() {
+// setState moves zn to next, keeping the open and active zone counts in
+// step, and traces the transition and the open-zone gauge. Re-opening an
+// open zone leaves the gauge unsampled.
+func (d *Device) setState(zn *zone, next ZoneState) {
+	prev := zn.state
+	zn.state = next
+	d.openCount += b2i(next.IsOpen()) - b2i(prev.IsOpen())
+	d.activeCount += b2i(next.active()) - b2i(prev.active())
 	if d.tr == nil {
 		return
 	}
-	d.tr.Counter(int64(d.eng.Now()), obs.ProbeKey(obs.ProbeOpenZones, d.trDev, 0), int64(d.openCount))
+	now := int64(d.eng.Now())
+	if prev != next {
+		d.tr.Event(now, obs.LayerZNS, obs.EvZoneState, d.trDev, zn.idx, int64(prev), int64(next), 0)
+	}
+	if !prev.IsOpen() || !next.IsOpen() {
+		d.tr.Counter(now, obs.ProbeKey(obs.ProbeOpenZones, d.trDev, 0), int64(d.openCount))
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ChannelWriteBusy reports cumulative busy time of channel ch's program
@@ -415,23 +409,16 @@ func (d *Device) Open(z int, withZRWA bool) error {
 	if withZRWA && d.cfg.ZRWABlocks == 0 {
 		return ErrZRWANotSupported
 	}
-	prev := zn.state
 	switch zn.state {
 	case ZoneExplicitOpen, ZoneImplicitOpen:
-		zn.state = ZoneExplicitOpen
-		d.traceState(zn, prev, ZoneExplicitOpen)
+		d.setState(zn, ZoneExplicitOpen)
 		return nil
 	case ZoneFull, ZoneReadOnly:
 		return ErrWrongState
 	case ZoneEmpty:
-		if d.openCount >= d.cfg.MaxOpenZones {
+		if d.openCount >= d.cfg.MaxOpenZones || d.activeCount >= d.cfg.MaxActiveZone {
 			return ErrTooManyOpen
 		}
-		if d.activeCount >= d.cfg.MaxActiveZone {
-			return ErrTooManyOpen
-		}
-		d.openCount++
-		d.activeCount++
 	case ZoneClosed:
 		if d.openCount >= d.cfg.MaxOpenZones {
 			return ErrTooManyOpen
@@ -439,11 +426,8 @@ func (d *Device) Open(z int, withZRWA bool) error {
 		if withZRWA && zn.wp > 0 {
 			return ErrWrongState
 		}
-		d.openCount++
 	}
-	zn.state = ZoneExplicitOpen
-	d.traceState(zn, prev, ZoneExplicitOpen)
-	d.traceOpenCount()
+	d.setState(zn, ZoneExplicitOpen)
 	zn.zrwa = withZRWA
 	if withZRWA {
 		// Buffer credit equals the window: a block entering the ZRWA must
@@ -471,11 +455,7 @@ func (d *Device) Close(z int) error {
 		d.commitRange(zn, d.maxDirty(zn)+1, obs.CommitClose)
 		zn.zrwa = false
 	}
-	prev := zn.state
-	zn.state = ZoneClosed
-	d.openCount--
-	d.traceState(zn, prev, ZoneClosed)
-	d.traceOpenCount()
+	d.setState(zn, ZoneClosed)
 	return nil
 }
 
@@ -495,24 +475,12 @@ func (d *Device) Finish(z int) error {
 	if zn.waiters.Len() > 0 {
 		return ErrWrongState
 	}
-	wasOpen := zn.state.IsOpen()
 	if zn.zrwa {
 		d.commitRange(zn, d.cfg.ZoneBlocks, obs.CommitFinish)
 		zn.zrwa = false
 	}
-	// Active = open + closed; a finished zone stops counting against the
-	// active-zone resource limit.
-	if wasOpen || zn.state == ZoneClosed {
-		d.activeCount--
-	}
-	prev := zn.state
-	zn.state = ZoneFull
 	zn.wp = d.cfg.ZoneBlocks
-	if wasOpen {
-		d.openCount--
-	}
-	d.traceState(zn, prev, ZoneFull)
-	d.traceOpenCount()
+	d.setState(zn, ZoneFull)
 	return nil
 }
 
@@ -549,14 +517,7 @@ func (d *Device) Reset(z int, done func(error)) {
 		}
 		return
 	}
-	if zn.state.IsOpen() {
-		d.openCount--
-	}
-	if zn.state.IsOpen() || zn.state == ZoneClosed {
-		d.activeCount--
-	}
-	prev := zn.state
-	zn.state = ZoneEmpty
+	d.setState(zn, ZoneEmpty)
 	zn.zrwa = false
 	zn.wp = 0
 	zn.written = 0
@@ -564,8 +525,8 @@ func (d *Device) Reset(z int, done func(error)) {
 	// stay out: their in-flight programOps still reference them and will
 	// recycle them at retirement — recycling here would double-free. The
 	// entries go one by one, so the emptied pages return to the device's
-	// pool while the zone keeps its directory, as it keeps its extent
-	// vector below, for the refill.
+	// pool while the zone keeps its directory, as its store keeps its
+	// extent vector, for the refill.
 	zn.buffered.Range(func(b int64, bb *bufBlock) bool {
 		if !bb.committed() {
 			d.putBufBlock(bb)
@@ -574,17 +535,9 @@ func (d *Device) Reset(z int, done func(error)) {
 		return true
 	})
 	zn.credit = 0
-	for i, x := range zn.store {
-		if x != nil {
-			d.extFree = append(d.extFree, x)
-			zn.store[i] = nil
-		}
-	}
-	zn.store = zn.store[:0]
+	zn.store.Erase()
 	zn.eraseCount++
 	d.stats.Erases++
-	d.traceState(zn, prev, ZoneEmpty)
-	d.traceOpenCount()
 	if d.tr != nil {
 		d.tr.Event(int64(d.eng.Now()), obs.LayerZNS, obs.EvZoneReset, d.trDev, zn.idx,
 			int64(zn.eraseCount), 0, 0)
@@ -710,7 +663,7 @@ func (d *Device) acquireCreditOp(zn *zone, op *writeOp) {
 // commands, which is what makes kernel-level reordering dangerous (§3.2).
 func (d *Device) Write(z int, lba int64, nblocks int, data []byte, oob [][]byte, tag WriteTag, done func(WriteResult)) {
 	span, hinted := d.takeHint()
-	d.write(z, lba, nblocks, data, oob, tag, nil, span, hinted, done, nil)
+	d.write(z, lba, nblocks, data, oob, tag, nil, span, hinted, done)
 }
 
 // WriteOwned is Write for refcounted payloads: data must be a view into
@@ -722,7 +675,7 @@ func (d *Device) Write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 // write acknowledgment.
 func (d *Device) WriteOwned(z int, lba int64, nblocks int, data []byte, oob [][]byte, tag WriteTag, own *buf.Buf, done func(WriteResult)) {
 	span, hinted := d.takeHint()
-	d.write(z, lba, nblocks, data, oob, tag, own, span, hinted, done, nil)
+	d.write(z, lba, nblocks, data, oob, tag, own, span, hinted, done)
 }
 
 // write is the shared body of Write, WriteOwned, and Append, driven by a
@@ -730,12 +683,11 @@ func (d *Device) WriteOwned(z int, lba int64, nblocks int, data []byte, oob [][]
 // if non-nil, carries one transferred reference pinning data; the op
 // releases it on every termination path (putWriteOp).
 func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte, tag WriteTag,
-	own *buf.Buf, span obs.SpanID, hinted bool, done func(WriteResult), adone func(AppendResult)) {
+	own *buf.Buf, span obs.SpanID, hinted bool, done func(WriteResult)) {
 	op := d.getWriteOp()
 	op.z, op.lba, op.n = z, lba, int64(nblocks)
 	op.tag, op.data, op.oob, op.own = tag, data, oob, own
-	op.span, op.start = span, d.eng.Now()
-	op.done, op.adone = done, adone
+	op.span, op.start, op.done = span, d.eng.Now(), done
 	zn, err := d.zoneArg(z)
 	if err != nil {
 		op.fail(err)
@@ -774,14 +726,7 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 			op.fail(ErrTooManyOpen)
 			return
 		}
-		if zn.state == ZoneEmpty {
-			d.activeCount++
-		}
-		prev := zn.state
-		zn.state = ZoneImplicitOpen
-		d.openCount++
-		d.traceState(zn, prev, ZoneImplicitOpen)
-		d.traceOpenCount()
+		d.setState(zn, ZoneImplicitOpen)
 	}
 	// A device with no traced driver above it owns the span itself.
 	if !hinted && d.tr != nil {
@@ -803,12 +748,7 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 		if zn.wp == d.cfg.ZoneBlocks {
 			// Last sequential write fills the zone: full; its open and
 			// active slots are both freed.
-			prev := zn.state
-			zn.state = ZoneFull
-			d.openCount--
-			d.activeCount--
-			d.traceState(zn, prev, ZoneFull)
-			d.traceOpenCount()
+			d.setState(zn, ZoneFull)
 		}
 		op.stage = wSeqCtrl
 		d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
@@ -861,64 +801,8 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
 }
 
-// storeBlock programs block b of zn into the flash store (StoreData only):
-// one copy per part into the block's slot of its extent, taken from the
-// device's free list when the extent is first touched. A nil part leaves
-// what the slot holds.
-func (d *Device) storeBlock(zn *zone, b int64, data, oob []byte) {
-	if data == nil && len(oob) == 0 {
-		return
-	}
-	i, s := int(b/extentBlocks), int(b%extentBlocks)
-	for i >= len(zn.store) {
-		zn.store = append(zn.store, nil)
-	}
-	x := zn.store[i]
-	if x == nil {
-		x = d.getExtent()
-		zn.store[i] = x
-	}
-	if data != nil {
-		copy(x.data[s*d.cfg.BlockSize:(s+1)*d.cfg.BlockSize], data)
-		x.hasData |= 1 << s
-	}
-	if len(oob) > 0 {
-		x.oobLen[s] = uint16(copy(x.oob[s*d.cfg.OOBBytesPerBlock:(s+1)*d.cfg.OOBBytesPerBlock], oob))
-	}
-}
-
-// stored returns what the flash store holds at block b of zn, as views
-// into its extent: nil for a part never programmed.
-func (d *Device) stored(zn *zone, b int64) (data, oob []byte) {
-	i, s := int(b/extentBlocks), int(b%extentBlocks)
-	if i >= len(zn.store) || zn.store[i] == nil {
-		return nil, nil
-	}
-	x := zn.store[i]
-	if x.hasData&(1<<s) != 0 {
-		data = x.data[s*d.cfg.BlockSize : (s+1)*d.cfg.BlockSize]
-	}
-	if n := int(x.oobLen[s]); n > 0 {
-		oob = x.oob[s*d.cfg.OOBBytesPerBlock:][:n]
-	}
-	return data, oob
-}
-
-// getExtent takes an extent off the free list, or allocates one: both
-// slabs in one allocation.
-func (d *Device) getExtent() *extent {
-	if n := len(d.extFree); n > 0 {
-		x := d.extFree[n-1]
-		d.extFree[n-1] = nil
-		d.extFree = d.extFree[:n-1]
-		x.hasData, x.oobLen = 0, [extentBlocks]uint16{}
-		return x
-	}
-	nd := extentBlocks * d.cfg.BlockSize
-	mem := make([]byte, nd+extentBlocks*d.cfg.OOBBytesPerBlock)
-	return &extent{data: mem[:nd:nd], oob: mem[nd:]}
-}
-
+// storeDirect programs the blocks of a sequential write into the zone's
+// flash store.
 func (d *Device) storeDirect(zn *zone, lba int64, nblocks int, data []byte, oob [][]byte) {
 	bs := int64(d.cfg.BlockSize)
 	for i := int64(0); i < int64(nblocks); i++ {
@@ -929,29 +813,20 @@ func (d *Device) storeDirect(zn *zone, lba int64, nblocks int, data []byte, oob 
 		if int(i) < len(oob) {
 			rec = oob[i]
 		}
-		d.storeBlock(zn, lba+i, blk, rec)
-	}
-}
-
-// persist copies a buffered block's contents to the flash store (StoreData
-// only). The block keeps its scratch or its borrowed view; putBufBlock
-// returns them.
-func (d *Device) persist(zn *zone, b int64, bb *bufBlock) {
-	if d.cfg.StoreData {
-		d.storeBlock(zn, b, bb.data, bb.oob)
+		zn.store.Put(lba+i, blk, rec)
 	}
 }
 
 // Append submits a zone append: the device assigns the write position at
 // the current write pointer. Appends are rejected on zones opened with
 // ZRWA (NVMe makes the features mutually exclusive).
-func (d *Device) Append(z int, nblocks int, data []byte, oob [][]byte, tag WriteTag, done func(AppendResult)) {
+func (d *Device) Append(z int, nblocks int, data []byte, oob [][]byte, tag WriteTag, done func(WriteResult)) {
 	// Consume the caller's span hint now so failed validation cannot leave
 	// it armed for an unrelated command; pass it through to the write body.
 	span, hinted := d.takeHint()
 	fail := func(err error) {
 		op := d.getWriteOp()
-		op.start, op.adone = d.eng.Now(), done
+		op.start, op.done = d.eng.Now(), done
 		op.fail(err)
 	}
 	zn, err := d.zoneArg(z)
@@ -967,7 +842,7 @@ func (d *Device) Append(z int, nblocks int, data []byte, oob [][]byte, tag Write
 		fail(ErrZoneFull)
 		return
 	}
-	d.write(z, zn.wp, nblocks, data, oob, tag, nil, span, hinted, nil, done)
+	d.write(z, zn.wp, nblocks, data, oob, tag, nil, span, hinted, done)
 }
 
 // Read is ReadInto with a destination the device allocates and no OOB.
@@ -1052,7 +927,7 @@ func (d *Device) ackRange(zn *zone, lba, n int64) {
 // harden persists one buffered block during the power-loss capacitor
 // flush: contents move to flash at zero service cost.
 func (d *Device) harden(zn *zone, b int64, bb *bufBlock) {
-	d.persist(zn, b, bb)
+	zn.store.Put(b, bb.data, bb.oob)
 	d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
 	d.putBufBlock(bb)
 }
@@ -1113,15 +988,6 @@ func (d *Device) SetOffline(z int) error {
 	if err != nil {
 		return err
 	}
-	if zn.state.IsOpen() {
-		d.openCount--
-	}
-	if zn.state.IsOpen() || zn.state == ZoneClosed {
-		d.activeCount--
-	}
-	prev := zn.state
-	zn.state = ZoneOffline
-	d.traceState(zn, prev, ZoneOffline)
-	d.traceOpenCount()
+	d.setState(zn, ZoneOffline)
 	return nil
 }

@@ -408,7 +408,7 @@ func TestAppendAssignsLBA(t *testing.T) {
 	eng, d := newTestDev(t)
 	var lbas []int64
 	for i := 0; i < 3; i++ {
-		d.Append(0, 2, nil, nil, TagUserData, func(r AppendResult) {
+		d.Append(0, 2, nil, nil, TagUserData, func(r WriteResult) {
 			if r.Err != nil {
 				t.Errorf("append: %v", r.Err)
 			}
@@ -430,7 +430,7 @@ func TestAppendRejectedOnZRWAZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	d.Append(0, 1, nil, nil, TagUserData, func(r AppendResult) { got = r.Err })
+	d.Append(0, 1, nil, nil, TagUserData, func(r WriteResult) { got = r.Err })
 	eng.Run()
 	if !errors.Is(got, ErrAppendWithZRWA) {
 		t.Fatalf("append on zrwa zone err = %v", got)
@@ -927,7 +927,7 @@ func TestAppendAfterFinishFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	d.Append(5, 1, nil, nil, TagUserData, func(r AppendResult) { got = r.Err })
+	d.Append(5, 1, nil, nil, TagUserData, func(r WriteResult) { got = r.Err })
 	eng.Run()
 	if !errors.Is(got, ErrZoneFull) {
 		t.Fatalf("append after finish: %v", got)

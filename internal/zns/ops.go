@@ -44,7 +44,6 @@ type writeOp struct {
 	err     error
 	stage   uint8
 	done    func(WriteResult)
-	adone   func(AppendResult) // set instead of done for appends
 }
 
 func (d *Device) getWriteOp() *writeOp {
@@ -65,7 +64,7 @@ func (d *Device) putWriteOp(op *writeOp) {
 
 // fail delivers err after the command overhead, like any other completion.
 func (op *writeOp) fail(err error) {
-	if op.done == nil && op.adone == nil && !op.ownSpan {
+	if op.done == nil && !op.ownSpan {
 		op.d.putWriteOp(op)
 		return
 	}
@@ -81,14 +80,10 @@ func (op *writeOp) complete() {
 	if op.ownSpan {
 		d.tr.SpanEnd(op.span, int64(d.eng.Now()), op.err != nil)
 	}
-	done, adone := op.done, op.adone
-	err, lba := op.err, op.lba
-	lat := d.eng.Now() - op.start
+	done, res := op.done, WriteResult{Err: op.err, LBA: op.lba, Latency: d.eng.Now() - op.start}
 	d.putWriteOp(op)
-	if adone != nil {
-		adone(AppendResult{Err: err, LBA: lba, Latency: lat})
-	} else if done != nil {
-		done(WriteResult{Err: err, Latency: lat})
+	if done != nil {
+		done(res)
 	}
 }
 
@@ -124,9 +119,7 @@ func (op *writeOp) Fire(s, e sim.Time) {
 		d.chans[op.zn.channel].dies.SubmitEvent(op.size*sim.Second/d.cfg.DieWriteBW, op)
 	case wSeqDie:
 		d.tr.Mark(op.span, int64(s), int64(e), obs.LayerZNS, obs.PhaseDie, d.trDev, op.z, op.zn.channel)
-		if d.cfg.StoreData {
-			d.storeDirect(op.zn, op.lba, int(op.n), op.data, op.oob)
-		}
+		d.storeDirect(op.zn, op.lba, int(op.n), op.data, op.oob)
 		d.stats.ProgrammedBytes[op.tag] += uint64(op.size)
 		op.complete()
 	case wZCtrl:
@@ -227,7 +220,7 @@ func (op *readOp) gather() ReadResult {
 			src, so = bb.data, bb.oob
 		}
 		if src == nil {
-			src, so = d.stored(zn, b)
+			src, so = zn.store.Get(b)
 		}
 		if blk := op.dst[i*bs : (i+1)*bs]; src != nil {
 			copy(blk, src)
@@ -346,7 +339,7 @@ func (op *programOp) Fire(s, e sim.Time) {
 				zn.buffered.Delete(b)
 			}
 			if !stale {
-				d.persist(zn, b, bb)
+				zn.store.Put(b, bb.data, bb.oob)
 			}
 			d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
 			d.putBufBlock(bb)
@@ -396,8 +389,8 @@ func (op *resetOp) Fire(s, e sim.Time) {
 }
 
 // Write-buffer blocks. Their data and OOB copies are scratch from the
-// device's private pool, recycled when the flash program retires (with
-// StoreData the program first copies them into the flash store).
+// device's private pool, recycled when the flash program retires, which
+// first copies them into the flash store.
 
 func (d *Device) getBufBlock() *bufBlock {
 	if n := len(d.bbFree); n > 0 {

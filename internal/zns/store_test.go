@@ -7,18 +7,16 @@ import (
 	"testing"
 
 	"biza/internal/buf"
+	"biza/internal/flash"
 	"biza/internal/sim"
 )
 
-// extentsInUse counts the flash-store extents the zones hold.
-func extentsInUse(d *Device) int {
+// extentsHeld bounds the extents the zones' stores may hold: every block a
+// store keeps lies below its zone's written mark, which a reset zeroes.
+func extentsHeld(d *Device) int {
 	n := 0
 	for _, zn := range d.zones {
-		for _, x := range zn.store {
-			if x != nil {
-				n++
-			}
-		}
+		n += int((zn.written + flash.ExtentBlocks - 1) / flash.ExtentBlocks)
 	}
 	return n
 }
@@ -62,7 +60,7 @@ func TestProgramRetiringAfterResetDoesNotPersist(t *testing.T) {
 		if !bytes.Equal(got, want) || string(gotOOB) != wantOOB {
 			t.Errorf("block %d: data[0] %#x OOB %q, want data[0] %#x OOB %q", b, got[0], gotOOB, want[0], wantOOB)
 		}
-		if data, oob := d.stored(d.zones[0], b); b >= refilled && (data != nil || oob != nil) {
+		if data, oob := d.zones[0].store.Get(b); b >= refilled && (data != nil || oob != nil) {
 			t.Errorf("block %d of the erased tenant reached the refilled zone's store", b)
 		}
 	}
@@ -180,7 +178,7 @@ func TestStaleProgramLeavesNextTenantBuffered(t *testing.T) {
 func TestFlashStoreMatchesOracle(t *testing.T) {
 	cfg := TestConfig()
 	cfg.BlockSize = 256
-	cfg.ZoneBlocks = 3*extentBlocks + 8 // a partly filled last extent
+	cfg.ZoneBlocks = 3*flash.ExtentBlocks + 8 // a partly filled last extent
 	const zones = 3
 	type key [2]int64 // zone, block
 	type content struct {
@@ -234,6 +232,9 @@ func TestFlashStoreMatchesOracle(t *testing.T) {
 		check := func(step int) {
 			t.Helper()
 			checkBuffered(d)
+			if held, most := d.media.InUse(), extentsHeld(d); held > most {
+				t.Fatalf("seed %d step %d: the stores hold %d extents, their zones' written blocks %d", seed, step, held, most)
+			}
 			for z := 0; z < zones; z++ {
 				whole.zn = d.zones[z]
 				clear(whole.oob)
@@ -305,9 +306,6 @@ func TestFlashStoreMatchesOracle(t *testing.T) {
 				for b := int64(0); b < cfg.ZoneBlocks; b++ {
 					delete(oracle, key{int64(z), b})
 				}
-				if len(zn.store) != 0 {
-					t.Fatalf("seed %d step %d: zone %d holds %d extents after its reset", seed, step, z, len(zn.store))
-				}
 				if rng.Intn(2) == 0 {
 					// Refill at once, so the next tenant's blocks are buffered
 					// and committed while the erased one's programs still run.
@@ -340,7 +338,7 @@ func TestFlashStoreMatchesOracle(t *testing.T) {
 				d.CommitZRWA(z, zn.wp+rng.Int63n(cfg.ZRWABlocks+1))
 			case op < 11:
 				lba := rng.Int63n(cfg.ZoneBlocks)
-				n := min(1+rng.Int63n(2*extentBlocks), cfg.ZoneBlocks-lba)
+				n := min(1+rng.Int63n(2*flash.ExtentBlocks), cfg.ZoneBlocks-lba)
 				var dst []byte
 				if rng.Intn(2) == 0 {
 					dst = make([]byte, int(n)*bs)
@@ -376,18 +374,12 @@ func TestFlashStoreMatchesOracle(t *testing.T) {
 		if st := d.Stats(); st.TotalProgrammed() == 0 || st.AbsorbedBytes == 0 || st.Erases == 0 {
 			t.Fatalf("seed %d exercised too little: %+v", seed, st)
 		}
-		// Resets recycle: the device never made more extents than its zones
-		// can hold at once.
-		made := extentsInUse(d) + len(d.extFree)
-		if most := zones * int((cfg.ZoneBlocks+extentBlocks-1)/extentBlocks); made > most {
-			t.Fatalf("seed %d: %d extents allocated for zones that hold %d", seed, made, most)
-		}
 		for z := 0; z < zones; z++ {
 			d.Reset(z, nil)
 		}
 		runChecked(eng, d)
-		if extentsInUse(d) != 0 || len(d.extFree) != made {
-			t.Fatalf("seed %d: %d extents in use and %d of %d free after every zone was reset", seed, extentsInUse(d), len(d.extFree), made)
+		if got := d.media.InUse(); got != 0 {
+			t.Fatalf("seed %d: %d extents in use after every zone was reset", seed, got)
 		}
 		if pool.Live() != 0 || d.pool.RawLive() != 0 {
 			t.Fatalf("seed %d: %d owned payloads and %d scratch slabs still out with nothing buffered", seed, pool.Live(), d.pool.RawLive())
@@ -431,12 +423,12 @@ func TestStoreDataRefillAllocFree(t *testing.T) {
 			failed = err
 		}
 		eng.Run()
-		inUse = extentsInUse(d)
+		inUse = d.media.InUse()
 		d.Reset(0, nil)
 		eng.Run()
 	}
 	cycle()
-	if want := int(cfg.ZoneBlocks) / extentBlocks; inUse != want {
+	if want := int(cfg.ZoneBlocks) / flash.ExtentBlocks; inUse != want {
 		t.Fatalf("a full zone holds %d extents, want %d", inUse, want)
 	}
 	allocs := testing.AllocsPerRun(20, cycle)
@@ -446,7 +438,7 @@ func TestStoreDataRefillAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("refilling a reset zone allocates %.1f objects/op, want 0", allocs)
 	}
-	if got := extentsInUse(d); got != 0 {
+	if got := d.media.InUse(); got != 0 {
 		t.Fatalf("%d extents in use after the reset, want 0", got)
 	}
 }
@@ -502,7 +494,7 @@ func TestStoreRejectsWhatItCannotHold(t *testing.T) {
 	if werr == nil || rerr == nil {
 		t.Fatalf("oversized OOB record: %v; short read destination: %v; want both rejected", werr, rerr)
 	}
-	if info, _ := d.ZoneInfo(0); info.State != ZoneEmpty || extentsInUse(d) != 0 {
-		t.Fatalf("a rejected write left zone 0 %v with %d extents", info.State, extentsInUse(d))
+	if info, _ := d.ZoneInfo(0); info.State != ZoneEmpty || d.media.InUse() != 0 {
+		t.Fatalf("a rejected write left zone 0 %v with %d extents", info.State, d.media.InUse())
 	}
 }
