@@ -105,19 +105,36 @@ func (f FlashStats) ProgrammedByTag(t WriteTag) uint64 { return f.ProgrammedByte
 // bufBlock is one block in the device write buffer: dirty, or committed
 // with its flash program in flight. acked marks content whose write
 // completion reached the host: power loss hardens acked blocks (capacitor
-// flush) and drops unacknowledged ones. When own is non-nil, data is a
-// borrowed view into the caller's refcounted buffer (one reference held
-// per block) instead of a device-side copy — the zero-copy form of the
-// defensive payload copy. Either way the block only lends its bytes: the
-// flash store copies them out, and the scratch or the reference
-// goes back where it came from when the block retires (putBufBlock).
+// flush) and drops unacknowledged ones. pl holds what a read or a program
+// of the block can return, and exists only on a device with StoreData:
+// without it the buffer keeps no payload or OOB record, since nothing
+// would read them.
 type bufBlock struct {
-	data  []byte
-	oob   []byte
-	own   *buf.Buf   // reference pinning data when it is a borrowed view
+	pl    *payload
 	prog  *programOp // committed: below wp, owned by this program until it retires
 	tag   WriteTag
 	acked bool
+}
+
+// payload is a buffered block's contents. When own is non-nil, data is a
+// borrowed view into the caller's refcounted buffer (one reference held
+// per block) instead of a device-side copy — the zero-copy form of the
+// defensive payload copy. Either way the block only lends its bytes: the
+// flash store copies them at program time, and the scratch or the
+// reference goes back where it came from when the block retires
+// (putBufBlock).
+type payload struct {
+	data, oob []byte
+	own       *buf.Buf // reference pinning data when it is a borrowed view
+}
+
+// parts returns the block's payload and OOB record: nil, nil without
+// StoreData.
+func (bb *bufBlock) parts() (data, oob []byte) {
+	if bb.pl == nil {
+		return nil, nil
+	}
+	return bb.pl.data, bb.pl.oob
 }
 
 // committed reports whether the block is committed: below wp, with its
@@ -202,9 +219,10 @@ type Device struct {
 	bufPages pagetab.Pool[*bufBlock]
 	media    *flash.Pool
 
-	// pool recycles the write buffer's payload and OOB copies. It is the
-	// device's own, never the array's: the array pool's Stats are published
-	// run output, and device-internal scratch must not move them.
+	// pool recycles the write buffer's payload and OOB copies (StoreData
+	// only). It is the device's own, never the array's: the array pool's
+	// Stats are published run output, and device-internal scratch must not
+	// move them.
 	pool *buf.Pool
 }
 
@@ -667,9 +685,10 @@ func (d *Device) Write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 }
 
 // WriteOwned is Write for refcounted payloads: data must be a view into
-// own, and the call transfers exactly one reference. Blocks parked in the
-// ZRWA buffer hold further references of their own (released when their
-// flash program retires), so the device never copies the payload. The
+// own, and the call transfers exactly one reference. With StoreData, blocks
+// parked in the ZRWA buffer hold further references of their own (released
+// when their flash program retires), so the device never copies the
+// payload; without it they hold none. The
 // caller must not mutate the buffer after submission — the device may
 // read the view until the last program completes, which is after the
 // write acknowledgment.
@@ -786,11 +805,13 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 			d.stats.AbsorbedBytes += uint64(d.cfg.BlockSize)
 		}
 		bb.tag = tag
-		if data != nil {
-			d.setData(bb, data[i*bs:(i+1)*bs], own)
-		}
-		if oob != nil && int(i) < len(oob) && oob[i] != nil {
-			d.setOOB(bb, oob[i])
+		if pl := bb.pl; pl != nil {
+			if data != nil {
+				d.setData(pl, data[i*bs:(i+1)*bs], own)
+			}
+			if int(i) < len(oob) && oob[i] != nil {
+				d.setOOB(pl, oob[i])
+			}
 		}
 	}
 	if zn.written < lba+n {
@@ -927,7 +948,8 @@ func (d *Device) ackRange(zn *zone, lba, n int64) {
 // harden persists one buffered block during the power-loss capacitor
 // flush: contents move to flash at zero service cost.
 func (d *Device) harden(zn *zone, b int64, bb *bufBlock) {
-	zn.store.Put(b, bb.data, bb.oob)
+	data, oob := bb.parts()
+	zn.store.Put(b, data, oob)
 	d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
 	d.putBufBlock(bb)
 }

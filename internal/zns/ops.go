@@ -217,7 +217,7 @@ func (op *readOp) gather() ReadResult {
 		b := op.lba + i
 		var src, so []byte
 		if bb := zn.buffered.Get(b); bb != nil {
-			src, so = bb.data, bb.oob
+			src, so = bb.parts()
 		}
 		if src == nil {
 			src, so = zn.store.Get(b)
@@ -339,7 +339,8 @@ func (op *programOp) Fire(s, e sim.Time) {
 				zn.buffered.Delete(b)
 			}
 			if !stale {
-				zn.store.Put(b, bb.data, bb.oob)
+				data, oob := bb.parts()
+				zn.store.Put(b, data, oob)
 			}
 			d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
 			d.putBufBlock(bb)
@@ -388,9 +389,11 @@ func (op *resetOp) Fire(s, e sim.Time) {
 	}
 }
 
-// Write-buffer blocks. Their data and OOB copies are scratch from the
-// device's private pool, recycled when the flash program retires, which
-// first copies them into the flash store.
+// Write-buffer blocks. With StoreData a block and its payload are one
+// allocation, and stay together across recycling; the payload's data and
+// OOB copies are scratch from the device's private pool, recycled when the
+// flash program retires, after the flash store has copied them. Without
+// StoreData a block is the bare record.
 
 func (d *Device) getBufBlock() *bufBlock {
 	if n := len(d.bbFree); n > 0 {
@@ -398,19 +401,30 @@ func (d *Device) getBufBlock() *bufBlock {
 		d.bbFree = d.bbFree[:n-1]
 		return bb
 	}
-	return &bufBlock{}
+	if !d.cfg.StoreData {
+		return &bufBlock{}
+	}
+	x := &struct {
+		bufBlock
+		payload
+	}{}
+	x.pl = &x.payload
+	return &x.bufBlock
 }
 
 func (d *Device) putBufBlock(bb *bufBlock) {
-	if bb.own != nil {
-		// data is a borrowed view, not device scratch: drop the reference
-		// instead of recycling someone else's slab.
-		bb.own.Release()
-	} else {
-		d.pool.Free(bb.data)
+	if pl := bb.pl; pl != nil {
+		if pl.own != nil {
+			// data is a borrowed view, not device scratch: drop the
+			// reference instead of recycling someone else's slab.
+			pl.own.Release()
+		} else {
+			d.pool.Free(pl.data)
+		}
+		d.pool.Free(pl.oob)
+		*pl = payload{}
 	}
-	d.pool.Free(bb.oob)
-	*bb = bufBlock{}
+	*bb = bufBlock{pl: bb.pl}
 	d.bbFree = append(d.bbFree, bb)
 }
 
@@ -418,32 +432,32 @@ func (d *Device) putBufBlock(bb *bufBlock) {
 // borrows the caller's refcounted slab (one Retain per block, zero copy);
 // otherwise it defensively copies into pooled scratch, counted in
 // FlashStats.BufCopiedBytes — the copy the zero-copy gates assert away.
-func (d *Device) setData(bb *bufBlock, src []byte, own *buf.Buf) {
-	if bb.own != nil {
-		bb.own.Release()
-		bb.own, bb.data = nil, nil
+func (d *Device) setData(pl *payload, src []byte, own *buf.Buf) {
+	if pl.own != nil {
+		pl.own.Release()
+		pl.own, pl.data = nil, nil
 	}
 	if own != nil {
-		d.pool.Free(bb.data)
+		d.pool.Free(pl.data)
 		own.Retain()
-		bb.own = own
-		bb.data = src
+		pl.own = own
+		pl.data = src
 		return
 	}
-	if bb.data == nil {
-		bb.data = d.pool.Alloc(d.cfg.BlockSize)
+	if pl.data == nil {
+		pl.data = d.pool.Alloc(d.cfg.BlockSize)
 	}
-	bb.data = append(bb.data[:0], src...)
+	pl.data = append(pl.data[:0], src...)
 	d.stats.BufCopiedBytes += uint64(len(src))
 }
 
 // setOOB copies src into the block's OOB scratch.
-func (d *Device) setOOB(bb *bufBlock, src []byte) {
-	if cap(bb.oob) < len(src) {
-		d.pool.Free(bb.oob)
-		bb.oob = d.pool.Alloc(len(src))
+func (d *Device) setOOB(pl *payload, src []byte) {
+	if cap(pl.oob) < len(src) {
+		d.pool.Free(pl.oob)
+		pl.oob = d.pool.Alloc(len(src))
 	}
-	bb.oob = append(bb.oob[:0], src...)
+	pl.oob = append(pl.oob[:0], src...)
 }
 
 // getRun / putRun recycle the per-batch block slices used by commitRange.
