@@ -302,19 +302,14 @@ type Core struct {
 	// size-class-segregated pool shared down the stack, so steady-state
 	// stripe writes allocate nothing. The remaining free lists recycle
 	// vectors and the write and read paths' records, which have no
-	// byte-pool equivalent.
-	pool       *buf.Pool
-	vecFree    [][][]byte
-	writeFree  []*writeRec
-	chunkFree  []*chunkRec
-	stripeFree []*openStripe
-	smtFree    []*smtEntry
-	smtSlab    []smtEntry                // fresh entries not yet handed out
-	ipqs       []fifo.Queue[sim.Handler] // parked-rewrite queues, named by smtEntry.ipq
-	ipqFree    []int32                   // ipqs indices not in use
-	batchFree  []*appendBatch
-	readFree   []*readRec
-	liveRecs   recCounts
+	// byte-pool equivalent; recs are the engine's (see pool.go).
+	pool     *buf.Pool
+	recs     *recs
+	smtFree  []*smtEntry
+	smtSlab  []smtEntry                // fresh entries not yet handed out
+	ipqs     []fifo.Queue[sim.Handler] // parked-rewrite queues, named by smtEntry.ipq
+	ipqFree  []int32                   // ipqs indices not in use
+	liveRecs recCounts
 }
 
 // Pool returns the core's unified buffer pool. The stack layer publishes
@@ -428,6 +423,7 @@ func newCore(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core
 		dead:       make([]bool, len(queues)),
 		rebuilding: make([]bool, len(queues)),
 		pool:       buf.NewPool(),
+		recs:       sim.Local[recs](queues[0].Device().Engine()),
 	}
 	c.reconstructs = make([]uint64, len(queues))
 	totalZRWA := uint64(base.ZRWABlocks) * uint64(base.BlockSize) * uint64(base.MaxOpenZones) * uint64(len(queues))

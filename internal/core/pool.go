@@ -6,7 +6,8 @@ package core
 // copies. The simulation is single-goroutine, so no locking anywhere.
 //
 // The write path's control state lives in five recycled records instead
-// of per-chunk closures, each on a plain-slice free list below:
+// of per-chunk closures, each on a plain-slice free list below, the
+// engine's but for the SMT entries', which follow the array's geometry:
 //
 //   - writeRec (write.go): one block-interface Write; its chunks report
 //     to it, and it is put back after the caller's callback returns.
@@ -16,7 +17,8 @@ package core
 //     parity waiter; put back after its parent's chunkDone returns.
 //   - openStripe (core.go): a stripe's append-side state and its one
 //     in-flight parity generation; put back when the final generation of
-//     a sealed stripe has run its waiters.
+//     a sealed stripe has run its waiters, which is decided before they
+//     run (one may seal and finish the stripe re-entrantly).
 //   - smtEntry (core.go): put back when the stripe has left the SMT and its
 //     last asynchronous holder (open stripe, in-place update, parked
 //     retry) has let go.
@@ -38,11 +40,12 @@ package core
 // kind, so a drained array can be checked for strays.
 //
 // Ownership discipline: a raw buffer handed to the device layer may be
-// recycled in the write-done callback, because the ZNS model copies
-// payload and OOB bytes into its own pooled scratch at submission
-// (setData/setOOB) or before completion (storeDirect). Refcounted
-// payloads (schedOp.own) skip that copy entirely: the device holds
-// references instead — see zones.go.
+// recycled in the write-done callback, because the ZNS model keeps none of
+// it past that point. With StoreData it copies payload and OOB bytes into
+// its own pooled scratch at submission (setData/setOOB) or before
+// completion (storeDirect); without, it keeps no payload or OOB bytes at
+// all. Refcounted payloads (schedOp.own) skip the StoreData copy: the
+// device holds references instead — see zones.go.
 
 // readBuf returns pool scratch for an n-block device read to gather into,
 // to be Freed by whoever consumes the read; nil in performance mode, where
@@ -66,9 +69,9 @@ func (c *Core) copyBuf(src []byte) []byte {
 // getVec returns an n-element nil-filled [][]byte (parity accumulators,
 // old-parity scratch).
 func (c *Core) getVec(n int) [][]byte {
-	if l := len(c.vecFree); l > 0 {
-		v := c.vecFree[l-1]
-		c.vecFree = c.vecFree[:l-1]
+	if l := len(c.recs.vec); l > 0 {
+		v := c.recs.vec[l-1]
+		c.recs.vec = c.recs.vec[:l-1]
 		if cap(v) >= n {
 			return v[:n]
 		}
@@ -85,22 +88,35 @@ func (c *Core) putVec(v [][]byte) {
 	for i := range v {
 		v[i] = nil
 	}
-	c.vecFree = append(c.vecFree, v[:0])
+	c.recs.vec = append(c.recs.vec, v[:0])
 }
 
-// recCounts is the number of records currently out of their free lists.
+// recs are an engine's record free lists (sim.Local): every array on one
+// engine draws from them, so a fleet holds records for the engine's peak of
+// work in flight rather than the sum of each array's. A get sets the
+// record's array, whichever array put it back.
+type recs struct {
+	vec    [][][]byte
+	write  []*writeRec
+	chunk  []*chunkRec
+	stripe []*openStripe
+	batch  []*appendBatch
+	read   []*readRec
+}
+
+// recCounts is the number of records an array has out of the free lists.
 type recCounts struct{ write, chunk, stripe, smt, batch, read int }
 
 func (c *Core) getWrite() *writeRec {
 	c.liveRecs.write++
 	var w *writeRec
-	if n := len(c.writeFree); n > 0 {
-		w = c.writeFree[n-1]
-		c.writeFree = c.writeFree[:n-1]
+	if n := len(c.recs.write); n > 0 {
+		w = c.recs.write[n-1]
+		c.recs.write = c.recs.write[:n-1]
 	} else {
-		w = &writeRec{c: c}
+		w = &writeRec{}
 	}
-	w.live = true
+	w.c, w.live = c, true
 	return w
 }
 
@@ -110,19 +126,19 @@ func (c *Core) putWrite(w *writeRec) {
 	}
 	*w = writeRec{c: c}
 	c.liveRecs.write--
-	c.writeFree = append(c.writeFree, w)
+	c.recs.write = append(c.recs.write, w)
 }
 
 func (c *Core) getRead() *readRec {
 	c.liveRecs.read++
 	var rd *readRec
-	if n := len(c.readFree); n > 0 {
-		rd = c.readFree[n-1]
-		c.readFree = c.readFree[:n-1]
+	if n := len(c.recs.read); n > 0 {
+		rd = c.recs.read[n-1]
+		c.recs.read = c.recs.read[:n-1]
 	} else {
-		rd = &readRec{c: c}
+		rd = &readRec{}
 	}
-	rd.live = true
+	rd.c, rd.live = c, true
 	return rd
 }
 
@@ -134,19 +150,19 @@ func (c *Core) putRead(rd *readRec) {
 	}
 	*rd = readRec{c: c, runs: rd.runs, degraded: rd.degraded[:0]}
 	c.liveRecs.read--
-	c.readFree = append(c.readFree, rd)
+	c.recs.read = append(c.recs.read, rd)
 }
 
 func (c *Core) getChunk() *chunkRec {
 	c.liveRecs.chunk++
 	var ch *chunkRec
-	if n := len(c.chunkFree); n > 0 {
-		ch = c.chunkFree[n-1]
-		c.chunkFree = c.chunkFree[:n-1]
+	if n := len(c.recs.chunk); n > 0 {
+		ch = c.recs.chunk[n-1]
+		c.recs.chunk = c.recs.chunk[:n-1]
 	} else {
-		ch = &chunkRec{c: c}
+		ch = &chunkRec{}
 	}
-	ch.live = true
+	ch.c, ch.live = c, true
 	return ch
 }
 
@@ -161,19 +177,19 @@ func (c *Core) putChunk(ch *chunkRec) {
 	*ch = chunkRec{}
 	ch.c, ch.onOldData, ch.onOldParity = c, onOldData, onOldParity
 	c.liveRecs.chunk--
-	c.chunkFree = append(c.chunkFree, ch)
+	c.recs.chunk = append(c.recs.chunk, ch)
 }
 
 func (c *Core) getStripe() *openStripe {
 	c.liveRecs.stripe++
 	var st *openStripe
-	if n := len(c.stripeFree); n > 0 {
-		st = c.stripeFree[n-1]
-		c.stripeFree = c.stripeFree[:n-1]
+	if n := len(c.recs.stripe); n > 0 {
+		st = c.recs.stripe[n-1]
+		c.recs.stripe = c.recs.stripe[:n-1]
 	} else {
-		st = &openStripe{c: c}
+		st = &openStripe{}
 	}
-	st.live = true
+	st.c, st.live = c, true
 	return st
 }
 
@@ -191,7 +207,7 @@ func (c *Core) putStripe(st *openStripe) {
 	se := st.se
 	*st = openStripe{c: c}
 	c.liveRecs.stripe--
-	c.stripeFree = append(c.stripeFree, st)
+	c.recs.stripe = append(c.recs.stripe, st)
 	c.dropSE(se)
 }
 
@@ -264,9 +280,9 @@ func (c *Core) maybePutSE(se *smtEntry) {
 func (c *Core) getBatch() *appendBatch {
 	c.liveRecs.batch++
 	var b *appendBatch
-	if n := len(c.batchFree); n > 0 {
-		b = c.batchFree[n-1]
-		c.batchFree = c.batchFree[:n-1]
+	if n := len(c.recs.batch); n > 0 {
+		b = c.recs.batch[n-1]
+		c.recs.batch = c.recs.batch[:n-1]
 	} else {
 		b = &appendBatch{}
 		b.done = b.complete
@@ -287,5 +303,5 @@ func (c *Core) putBatch(b *appendBatch) {
 	*b = appendBatch{}
 	b.ops, b.oob, b.done = ops, oob, done
 	c.liveRecs.batch--
-	c.batchFree = append(c.batchFree, b)
+	c.recs.batch = append(c.recs.batch, b)
 }

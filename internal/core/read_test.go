@@ -138,7 +138,7 @@ func TestReadAllocFree(t *testing.T) {
 						t.Errorf("%d-block read of the %s region allocates %.0f per Read, want %.0f", n, region.name, allocs, tc.want)
 					}
 				}
-				slots = append(slots, len(c.readFree[0].runs))
+				slots = append(slots, len(c.recs.read[0].runs))
 			}
 			if slots[1] <= slots[0] {
 				t.Errorf("reads of the fragmented region took at most %d runs, of the striped one %d: the overwrites scattered nothing", slots[1], slots[0])
@@ -194,8 +194,8 @@ func TestReentrantReadUnderMemberDeath(t *testing.T) {
 	if diedUnder == reads-1 {
 		t.Fatal("the member died under the last read: nothing was issued from inside a degraded completion")
 	}
-	if len(c.readFree) != 1 {
-		t.Fatalf("the chain used %d read records, want the one each callback hands to the next Read", len(c.readFree))
+	if len(c.recs.read) != 1 {
+		t.Fatalf("the chain used %d read records, want the one each callback hands to the next Read", len(c.recs.read))
 	}
 	assertNoStrayRecords(t, c)
 }

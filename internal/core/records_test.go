@@ -8,11 +8,15 @@ package core
 // still deliver every completion exactly once.
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"biza/internal/blockdev"
 	"biza/internal/fault"
+	"biza/internal/nvme"
+	"biza/internal/sim"
 	"biza/internal/zns"
 )
 
@@ -161,6 +165,165 @@ func TestChunkWriteAllocFree(t *testing.T) {
 		}
 		assertNoStrayRecords(t, c)
 	})
+}
+
+// TestSecondArrayRecordsAllocFree gates the engine's shared free lists: a
+// second array on an engine takes its records from the lists the first one
+// filled, so its first burst allocates none. A and B are twins on one
+// engine, each written twice over and read (a burst: 64 16-block Writes
+// issued at once, then 64 Reads); B goes first, and then every record on
+// the lists is dropped, so B's tables are warm but the records of a third
+// burst must come from what A's bursts left. That burst makes no record,
+// and allocates no more than the same third burst on A, whose own records
+// were all warm: what a warm array's burst still allocates, the zones it
+// opens and the tables they grow, is A's measure. The slack is for records
+// whose kept slices (a batch's ops, a read's run slots) grow when they serve
+// a command shaped unlike their last one.
+func TestSecondArrayRecordsAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	build := func() *Core {
+		var queues []*nvme.Queue
+		for i := 0; i < 4; i++ {
+			dc := devConfig()
+			dc.Seed, dc.StoreData = uint64(i), false
+			d, err := zns.New(eng, dc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queues = append(queues, nvme.New(d, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: uint64(i) + 77}))
+		}
+		c, err := New(queues, DefaultConfig(devConfig().NumZones), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := build(), build()
+	eng.Run()
+	if a.recs != b.recs {
+		t.Fatal("two arrays on one engine keep separate free lists")
+	}
+	wdone := func(blockdev.WriteResult) {}
+	rdone := func(blockdev.ReadResult) {}
+	burst := func(c *Core) {
+		for lba := int64(0); lba < 1024; lba += 16 {
+			c.Write(lba, 16, nil, wdone)
+		}
+		eng.Run()
+		for lba := int64(0); lba < 1024; lba += 16 {
+			c.Read(lba, 16, rdone)
+		}
+		eng.Run()
+	}
+	// made counts the records there are, on the lists or out in an array.
+	made := func() recCounts {
+		r := a.recs
+		return recCounts{
+			write:  len(r.write) + a.liveRecs.write + b.liveRecs.write,
+			chunk:  len(r.chunk) + a.liveRecs.chunk + b.liveRecs.chunk,
+			stripe: len(r.stripe) + a.liveRecs.stripe + b.liveRecs.stripe,
+			batch:  len(r.batch) + a.liveRecs.batch + b.liveRecs.batch,
+			read:   len(r.read) + a.liveRecs.read + b.liveRecs.read,
+		}
+	}
+	mallocs := func(f func()) int {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return int(m1.Mallocs - m0.Mallocs)
+	}
+	burst(b)
+	burst(b)
+	*b.recs = recs{}
+	burst(a)
+	burst(a)
+	warm := mallocs(func() { burst(a) })
+	before := made()
+	second := mallocs(func() { burst(b) })
+	if got := made(); got != before {
+		t.Fatalf("the second array's burst made records: %+v there after it, %+v before", got, before)
+	}
+	const slack = 64
+	if second > warm+slack {
+		t.Fatalf("the second array's first burst on the engine's records allocates %d times, its twin's with its own records warm %d", second, warm)
+	}
+	assertNoStrayRecords(t, a)
+	assertNoStrayRecords(t, b)
+}
+
+// TestShardArraysDrawOwnRecords: arrays on the two shards of a
+// sim.ShardGroup run at once, on two goroutines, each pair drawing its
+// records from its own engine's lists. Under the race detector a record or
+// a list crossing shards fails the run; without it, every write must still
+// read back as written.
+func TestShardArraysDrawOwnRecords(t *testing.T) {
+	g := sim.NewShardGroup(2, 50*sim.Microsecond)
+	var arrays [2][2]*Core
+	for s := range arrays {
+		eng := g.Shard(s).Engine()
+		for a := range arrays[s] {
+			var queues []*nvme.Queue
+			for i := 0; i < 4; i++ {
+				d, err := zns.New(eng, devConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				queues = append(queues, nvme.New(d, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: uint64(10*s + i)}))
+			}
+			c, err := New(queues, DefaultConfig(devConfig().NumZones), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrays[s][a] = c
+		}
+	}
+	if arrays[0][0].recs != arrays[0][1].recs || arrays[0][0].recs == arrays[1][0].recs {
+		t.Fatal("arrays share free lists across engines, or not within one")
+	}
+	// Each array serves two closed-loop clients, each writing 8 blocks and
+	// reading them back, over its own range.
+	const rounds, n = 48, 8
+	var failures [2][]string
+	for s := range arrays {
+		for a, c := range arrays[s] {
+			for client := 0; client < 2; client++ {
+				base := int64(client * rounds * n)
+				var step func(k int)
+				step = func(k int) {
+					if k == rounds {
+						return
+					}
+					lba := base + int64(k*n)
+					want := blockdev.Pattern(byte(lba)+byte(a), n*c.blockSize)
+					c.Write(lba, n, want, func(r blockdev.WriteResult) {
+						if r.Err != nil {
+							failures[s] = append(failures[s], r.Err.Error())
+						}
+						c.Read(lba, n, func(r blockdev.ReadResult) {
+							if r.Err != nil || !bytes.Equal(r.Data, want) {
+								failures[s] = append(failures[s], fmt.Sprintf("block %d reads back wrong (err %v)", lba, r.Err))
+							}
+							step(k + 1)
+						})
+					})
+				}
+				g.Send(s, 0, int64(4*s+2*a+client), func() { step(0) })
+			}
+		}
+	}
+	if !g.Drain(sim.Second) {
+		t.Fatal("the shards did not drain")
+	}
+	for s := range arrays {
+		if len(failures[s]) > 0 {
+			t.Fatalf("shard %d: %s", s, failures[s][0])
+		}
+		for _, c := range arrays[s] {
+			assertNoStrayRecords(t, c)
+		}
+	}
 }
 
 // TestPayloadRMWAllocFree gates the payload read-modify-write once warm:

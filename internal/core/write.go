@@ -351,9 +351,11 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 	// scratch that goes back once folded.
 	if ch.onOldData == nil {
 		ch.onOldData = func(r zns.ReadResult) { ch.oldRead(-1, r) }
-		ch.onOldParity = make([]func(zns.ReadResult), m)
-		for r := range ch.onOldParity {
-			r := r
+	}
+	// A record that served an array with fewer parity rows binds the rest.
+	if have := len(ch.onOldParity); have < m {
+		ch.onOldParity = append(ch.onOldParity, make([]func(zns.ReadResult), m-have)...)
+		for r := have; r < m; r++ {
 			ch.onOldParity[r] = func(res zns.ReadResult) { ch.oldRead(r, res) }
 		}
 	}

@@ -66,8 +66,13 @@ type Queue struct {
 	trDev    int
 	inflight int64
 
-	opFree []*qop // pooled delivery records
+	// opFree is the engine's list of pooled delivery records, shared by
+	// every queue on it.
+	opFree *qops
 }
+
+// qops is an engine's free list of delivery records (sim.Local).
+type qops []*qop
 
 // qop is a pooled in-flight command record: one event schedules its
 // delivery to the device, and a completion callback cached on the record
@@ -106,9 +111,10 @@ const (
 )
 
 func (q *Queue) getOp() *qop {
-	if n := len(q.opFree); n > 0 {
-		op := q.opFree[n-1]
-		q.opFree = q.opFree[:n-1]
+	if free := *q.opFree; len(free) > 0 {
+		op := free[len(free)-1]
+		*q.opFree = free[:len(free)-1]
+		op.q = q
 		return op
 	}
 	return &qop{q: q}
@@ -119,7 +125,7 @@ func (q *Queue) putOp(op *qop) {
 	op.data, op.oob, op.own = nil, nil, nil
 	op.attempt, op.delayed, op.withOOB = 0, false, false
 	op.wdone, op.rdone, op.edone = nil, nil, nil
-	q.opFree = append(q.opFree, op)
+	*q.opFree = append(*q.opFree, op)
 }
 
 // faultOp classifies the command for the fault injector.
@@ -288,10 +294,11 @@ func (op *qop) finishRead(r zns.ReadResult) {
 // New wraps dev with a delivery queue.
 func New(dev *zns.Device, cfg Config) *Queue {
 	q := &Queue{
-		eng: dev.Engine(),
-		dev: dev,
-		cfg: cfg,
-		rng: sim.NewRNG(cfg.Seed ^ 0x9a7e),
+		eng:    dev.Engine(),
+		dev:    dev,
+		cfg:    cfg,
+		rng:    sim.NewRNG(cfg.Seed ^ 0x9a7e),
+		opFree: sim.Local[qops](dev.Engine()),
 	}
 	if cfg.ZoneOrdered {
 		q.zoneLast = make([]sim.Time, dev.Zones())

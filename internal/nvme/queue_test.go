@@ -253,8 +253,8 @@ func TestKillDuringRetryBackoffDropsCompletion(t *testing.T) {
 	if completions != 0 {
 		t.Fatalf("%d completions fired after Kill during backoff", completions)
 	}
-	if len(q.opFree) != 1 {
-		t.Fatalf("op record not recycled after dead-queue retry: pool=%d", len(q.opFree))
+	if len(*q.opFree) != 1 {
+		t.Fatalf("op record not recycled after dead-queue retry: pool=%d", len(*q.opFree))
 	}
 }
 
@@ -359,12 +359,12 @@ func TestOpRecordAllocFree(t *testing.T) {
 		write()
 		read()
 	}
-	q.opFree = q.opFree[:0] // the next command takes a fresh record
+	*q.opFree = (*q.opFree)[:0] // the next command takes a fresh record
 
 	if got := mallocs(write); got != 2 {
 		t.Errorf("the first write on a fresh record allocates %d times, want 2: the record and its write callback", got)
 	}
-	op := q.opFree[0]
+	op := (*q.opFree)[0]
 	if op.wfwd == nil || op.rfwd != nil || op.efwd != nil {
 		t.Errorf("a record that has only written holds callbacks write=%t read=%t reset=%t",
 			op.wfwd != nil, op.rfwd != nil, op.efwd != nil)

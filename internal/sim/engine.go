@@ -92,10 +92,28 @@ type Engine struct {
 	// credited is the clock reading it has been told about so far.
 	sink     *atomic.Int64
 	credited Time
+	// locals holds the engine-wide values Local hands out, one per type.
+	locals []any
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine { return &Engine{} }
+
+// Local returns e's single value of type T, made (zero) on first use. It is
+// state that every model on one engine shares, such as the free lists their
+// pooled records are drawn from. The value belongs to the engine's
+// goroutine, like every event the engine runs, so it takes no lock;
+// constructors look it up once and keep the pointer.
+func Local[T any](e *Engine) *T {
+	for _, v := range e.locals {
+		if p, ok := v.(*T); ok {
+			return p
+		}
+	}
+	p := new(T)
+	e.locals = append(e.locals, p)
+	return p
+}
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }

@@ -117,6 +117,29 @@ func TestEngineStep(t *testing.T) {
 	}
 }
 
+// TestLocal: an engine hands out one value per type, the same pointer at
+// every lookup; another engine, or another type of the same shape, gets its
+// own.
+func TestLocal(t *testing.T) {
+	type lists struct{ free []int }
+	type other struct{ free []int }
+	e1, e2 := NewEngine(), NewEngine()
+	p := Local[lists](e1)
+	p.free = append(p.free, 7)
+	if q := Local[lists](e1); q != p || len(q.free) != 1 {
+		t.Fatalf("second lookup on one engine gave %p holding %v, want %p holding [7]", q, q.free, p)
+	}
+	if q := Local[lists](e2); q == p || q.free != nil {
+		t.Fatal("two engines share one value")
+	}
+	if o := Local[other](e1); o.free != nil {
+		t.Fatal("a second type on one engine found the first type's value")
+	}
+	if Local[lists](e1) != p || Local[other](e1) != Local[other](e1) {
+		t.Fatal("a lookup moved after another type was added")
+	}
+}
+
 func TestResourceSingleServerSerializes(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)

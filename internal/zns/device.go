@@ -204,14 +204,11 @@ type Device struct {
 	spanHint  obs.SpanID
 	hintValid bool
 
-	// Free lists for pooled command records (the simulation is
-	// single-goroutine; see ops.go).
-	wopFree []*writeOp
-	ropFree []*readOp
-	popFree []*programOp
-	eopFree []*resetOp
-	bbFree  []*bufBlock
-	runFree [][]*bufBlock
+	// recs are the engine's record free lists, shared by every device on
+	// it; bbFree is the one of its buffer-block lists for this device's
+	// mode (see ops.go).
+	recs   *recs
+	bbFree *[]*bufBlock
 
 	// The zones' buffer tables share their pages, and their flash stores
 	// their extents (nil without StoreData): a reset zone's go to the next
@@ -243,6 +240,11 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		writeLink:  sim.NewResource(eng, 1),
 		readLink:   sim.NewResource(eng, 1),
 		pool:       buf.NewPool(),
+		recs:       sim.Local[recs](eng),
+	}
+	d.bbFree = &d.recs.bb
+	if cfg.StoreData {
+		d.bbFree = &d.recs.bbData
 	}
 	d.chans = make([]*channel, cfg.NumChannels)
 	for i := range d.chans {

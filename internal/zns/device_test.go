@@ -1245,13 +1245,13 @@ func TestPowerLossHardensAscending(t *testing.T) {
 	if len(blockOf) != 12 {
 		t.Fatalf("%d blocks buffered at the cut, want 12 (programs retired early?)", len(blockOf))
 	}
-	recycled := len(d.bbFree)
+	recycled := len(*d.bbFree)
 	d.PowerLoss()
 	checkBuffered(d)
 	// Every buffered block went back to the free list as it was hardened
 	// or dropped: that is the order PowerLoss visited them in.
 	var order []int64
-	for _, bb := range d.bbFree[recycled:] {
+	for _, bb := range (*d.bbFree)[recycled:] {
 		order = append(order, blockOf[bb])
 	}
 	want := []int64{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13}

@@ -10,9 +10,24 @@ import (
 // each flash program batch is driven by one record implementing
 // sim.Handler: the record carries a stage counter and re-schedules itself
 // through the resource pipeline, replacing the per-command closure chain.
-// Records live on device-local free lists (the simulation is
-// single-goroutine), so a steady-state command performs no allocation
-// inside the device.
+// Records live on free lists that every device on one engine shares (the
+// simulation is single-goroutine), so a steady-state command performs no
+// allocation inside the device, and a fleet of devices holds records for
+// the engine's peak of commands in flight, not for the sum of each
+// device's own. A get sets the record's device (and epoch), whichever
+// device put it back.
+
+// recs are an engine's free lists (sim.Local). Write-buffer blocks keep one
+// list per mode, because a StoreData block carries its payload record.
+type recs struct {
+	wop    []*writeOp
+	rop    []*readOp
+	pop    []*programOp
+	eop    []*resetOp
+	run    [][]*bufBlock
+	bb     []*bufBlock // without StoreData
+	bbData []*bufBlock // with StoreData
+}
 
 // writeOp stages (sequential, ZRWA, and failure paths share the record).
 const (
@@ -47,10 +62,10 @@ type writeOp struct {
 }
 
 func (d *Device) getWriteOp() *writeOp {
-	if n := len(d.wopFree); n > 0 {
-		op := d.wopFree[n-1]
-		d.wopFree = d.wopFree[:n-1]
-		op.epoch = d.epoch
+	if n := len(d.recs.wop); n > 0 {
+		op := d.recs.wop[n-1]
+		d.recs.wop = d.recs.wop[:n-1]
+		op.d, op.epoch = d, d.epoch
 		return op
 	}
 	return &writeOp{d: d, epoch: d.epoch}
@@ -59,7 +74,7 @@ func (d *Device) getWriteOp() *writeOp {
 func (d *Device) putWriteOp(op *writeOp) {
 	buf.Release(op.own)
 	*op = writeOp{d: d}
-	d.wopFree = append(d.wopFree, op)
+	d.recs.wop = append(d.recs.wop, op)
 }
 
 // fail delivers err after the command overhead, like any other completion.
@@ -166,10 +181,10 @@ type readOp struct {
 }
 
 func (d *Device) getReadOp() *readOp {
-	if n := len(d.ropFree); n > 0 {
-		op := d.ropFree[n-1]
-		d.ropFree = d.ropFree[:n-1]
-		op.epoch = d.epoch
+	if n := len(d.recs.rop); n > 0 {
+		op := d.recs.rop[n-1]
+		d.recs.rop = d.recs.rop[:n-1]
+		op.d, op.epoch = d, d.epoch
 		return op
 	}
 	return &readOp{d: d, epoch: d.epoch}
@@ -177,7 +192,7 @@ func (d *Device) getReadOp() *readOp {
 
 func (d *Device) putReadOp(op *readOp) {
 	*op = readOp{d: d}
-	d.ropFree = append(d.ropFree, op)
+	d.recs.rop = append(d.recs.rop, op)
 }
 
 func (op *readOp) fail(err error) {
@@ -284,10 +299,10 @@ type programOp struct {
 }
 
 func (d *Device) getProgramOp() *programOp {
-	if n := len(d.popFree); n > 0 {
-		op := d.popFree[n-1]
-		d.popFree = d.popFree[:n-1]
-		op.epoch = d.epoch
+	if n := len(d.recs.pop); n > 0 {
+		op := d.recs.pop[n-1]
+		d.recs.pop = d.recs.pop[:n-1]
+		op.d, op.epoch = d, d.epoch
 		return op
 	}
 	return &programOp{d: d, epoch: d.epoch}
@@ -302,7 +317,7 @@ func (op *programOp) Fire(s, e sim.Time) {
 		// before the cut: the erased tenant's, recycled here unhardened.
 		run := op.blocks
 		*op = programOp{d: d}
-		d.popFree = append(d.popFree, op)
+		d.recs.pop = append(d.recs.pop, op)
 		for i, bb := range run {
 			if bb != nil {
 				d.putBufBlock(bb)
@@ -350,7 +365,7 @@ func (op *programOp) Fire(s, e sim.Time) {
 		d.putRun(op.blocks)
 		op.blocks = nil
 		*op = programOp{d: d}
-		d.popFree = append(d.popFree, op)
+		d.recs.pop = append(d.recs.pop, op)
 		d.releaseCredit(zn, n)
 	}
 }
@@ -366,9 +381,10 @@ type resetOp struct {
 }
 
 func (d *Device) getResetOp() *resetOp {
-	if n := len(d.eopFree); n > 0 {
-		op := d.eopFree[n-1]
-		d.eopFree = d.eopFree[:n-1]
+	if n := len(d.recs.eop); n > 0 {
+		op := d.recs.eop[n-1]
+		d.recs.eop = d.recs.eop[:n-1]
+		op.d = d
 		return op
 	}
 	return &resetOp{d: d}
@@ -383,7 +399,7 @@ func (op *resetOp) Fire(s, e sim.Time) {
 	}
 	done := op.done
 	*op = resetOp{d: d}
-	d.eopFree = append(d.eopFree, op)
+	d.recs.eop = append(d.recs.eop, op)
 	if done != nil {
 		done(nil)
 	}
@@ -396,9 +412,9 @@ func (op *resetOp) Fire(s, e sim.Time) {
 // StoreData a block is the bare record.
 
 func (d *Device) getBufBlock() *bufBlock {
-	if n := len(d.bbFree); n > 0 {
-		bb := d.bbFree[n-1]
-		d.bbFree = d.bbFree[:n-1]
+	if free := *d.bbFree; len(free) > 0 {
+		bb := free[len(free)-1]
+		*d.bbFree = free[:len(free)-1]
 		return bb
 	}
 	if !d.cfg.StoreData {
@@ -425,7 +441,7 @@ func (d *Device) putBufBlock(bb *bufBlock) {
 		*pl = payload{}
 	}
 	*bb = bufBlock{pl: bb.pl}
-	d.bbFree = append(d.bbFree, bb)
+	*d.bbFree = append(*d.bbFree, bb)
 }
 
 // setData installs src as the block's contents. With own non-nil the block
@@ -462,14 +478,14 @@ func (d *Device) setOOB(pl *payload, src []byte) {
 
 // getRun / putRun recycle the per-batch block slices used by commitRange.
 func (d *Device) getRun() []*bufBlock {
-	if n := len(d.runFree); n > 0 {
-		r := d.runFree[n-1]
-		d.runFree = d.runFree[:n-1]
+	if n := len(d.recs.run); n > 0 {
+		r := d.recs.run[n-1]
+		d.recs.run = d.recs.run[:n-1]
 		return r
 	}
 	return make([]*bufBlock, 0, 16)
 }
 
 func (d *Device) putRun(r []*bufBlock) {
-	d.runFree = append(d.runFree, r[:0])
+	d.recs.run = append(d.recs.run, r[:0])
 }

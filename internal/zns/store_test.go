@@ -116,7 +116,7 @@ func TestPowerLossRecyclesResetPrograms(t *testing.T) {
 				t.Fatalf("%d owned payloads and %d scratch slabs still out (%d before), with nothing buffered",
 					pool.Live(), d.pool.RawLive(), raw0)
 			}
-			if got := len(d.bbFree); got != int(n) {
+			if got := len(*d.bbFree); got != int(n) {
 				t.Fatalf("%d buffer blocks on the free list, want the %d written", got, n)
 			}
 		})
