@@ -149,13 +149,14 @@ var paNone = pa{dev: -1}
 // slot holds -(sn+2) for a parity slot in an int32, so maxSN is the highest
 // stripe number newStripe hands out and Recover adopts. newCore refuses
 // any geometry beyond the rest: pa holds a zone in 16 bits and an offset
-// in 32, and the BMT holds member + 1 in a byte (which also bounds the
-// SMT's uint8 chunk counts).
+// in 32, the BMT holds member + 1 in a byte (which also bounds the SMT's
+// uint8 chunk counts), and the SMT holds a logical block + 1 in 32 bits.
 const (
 	maxSN         = math.MaxInt32 - 1
 	maxMembers    = 254
 	maxZones      = math.MaxUint16
 	maxZoneBlocks = math.MaxUint32 + 1
+	maxBlocks     = math.MaxUint32
 )
 
 // errStripeNumbers fails a write that needs a new stripe once every stripe
@@ -187,16 +188,15 @@ func (e bmtEntry) loc() pa { return pa{dev: int16(e.dev1) - 1, zone: e.zone, off
 
 // smtEntry records a stripe: its parity and data chunk locations, and the
 // logical blocks its chunks carry (needed for stripe-dissolving GC and
-// degraded reads). One slot slice holds the m parity rows and then the
-// chunks in stripe order, appended beside their blocks, so len(lbns) is the
-// chunk count. Entries are recycled (getSE in pool.go), their slices carved
-// once at full-stripe capacity. The SMT holds one per stripe written, so
-// the counters and flags pack into 16 bytes after the slices: 64 bytes,
-// plus 56 of slots and blocks for a 3+1 stripe. A stripe has at most 253
-// data chunks (newCore), which bounds valid and pending.
+// degraded reads). Both live in its slab (smtSlab, pool.go), at its row:
+// the m parity slots, then the chunks in stripe order beside their blocks;
+// n counts the chunks added. Entries are recycled (getSE in pool.go). The
+// SMT holds one per stripe written, so an entry is the slab pointer and the
+// counters and flags packed after it, 32 bytes, plus 32 of slots and 12 of
+// blocks in the slab for a 3+1 stripe. A stripe has at most 253 data chunks
+// (newCore), which bounds n, valid and pending.
 type smtEntry struct {
-	slots []pa    // parity rows, then data chunk slots; chunk contents feed parity even when stale
-	lbns  []int64 // logical block carried by each chunk; -1 when stale
+	slab *smtSlab
 
 	// Recycling: dead marks an entry removed from the SMT; holds counts the
 	// asynchronous users that may still touch it after that (its open
@@ -212,6 +212,8 @@ type smtEntry struct {
 	ipq    int32
 	ipBusy bool
 
+	row     uint8 // the entry's index in its slab
+	n       uint8 // data chunks added
 	valid   uint8 // live data chunks
 	pending uint8 // chunk writes not yet completed (crash-consistency)
 	sealed  bool  // all k chunks written (final parity complete)
@@ -226,16 +228,40 @@ type smtEntry struct {
 	live bool
 }
 
+// slots returns the stripe's parity locations, then its data chunks'; a
+// chunk's content feeds parity even when stale.
+func (se *smtEntry) slots() []pa {
+	s := se.slab
+	i := int(se.row) * int(s.m+s.k)
+	return s.slots[i : i+int(s.m)+int(se.n) : i+int(s.m+s.k)]
+}
+
 // parity returns the stripe's m parity locations.
-func (se *smtEntry) parity() []pa { return se.slots[:len(se.slots)-len(se.lbns)] }
+func (se *smtEntry) parity() []pa {
+	s := se.slab
+	i := int(se.row) * int(s.m+s.k)
+	return s.slots[i : i+int(s.m) : i+int(s.m)]
+}
 
 // chunks returns the stripe's data chunk locations in stripe order.
-func (se *smtEntry) chunks() []pa { return se.slots[len(se.slots)-len(se.lbns):] }
+func (se *smtEntry) chunks() []pa {
+	s := se.slab
+	i := int(se.row)*int(s.m+s.k) + int(s.m)
+	return s.slots[i : i+int(se.n) : i+int(s.k)]
+}
+
+// lbns returns the logical block + 1 each chunk carries, 0 when stale.
+func (se *smtEntry) lbns() []uint32 {
+	s := se.slab
+	i := int(se.row) * int(s.k)
+	return s.lbns[i : i+int(se.n) : i+int(s.k)]
+}
 
 // addChunk appends a data chunk carrying lbn (-1: none) at p.
 func (se *smtEntry) addChunk(p pa, lbn int64) {
-	se.slots = append(se.slots, p)
-	se.lbns = append(se.lbns, lbn)
+	se.n++
+	se.chunks()[se.n-1] = p
+	se.lbns()[se.n-1] = uint32(lbn + 1)
 }
 
 // Core is the BIZA engine. It implements blockdev.Device.
@@ -400,13 +426,17 @@ func newCore(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core
 	if cfg.OverProvisionZones < 2 || cfg.OverProvisionZones >= base.NumZones {
 		return nil, fmt.Errorf("core: bad over-provisioning %d", cfg.OverProvisionZones)
 	}
+	nData := len(queues) - cfg.Parity
+	if blocks := int64(base.NumZones-cfg.OverProvisionZones) * base.ZoneBlocks * int64(nData); blocks > maxBlocks {
+		return nil, fmt.Errorf("core: %d logical blocks, at most %d", blocks, int64(maxBlocks))
+	}
 	if cfg.GCLowWater < 1 || cfg.GCHighWater <= cfg.GCLowWater {
 		return nil, fmt.Errorf("core: bad GC watermarks")
 	}
 	if acct == nil {
 		acct = &cpumodel.Accountant{}
 	}
-	coder, err := erasure.NewCoder(len(queues)-cfg.Parity, cfg.Parity)
+	coder, err := erasure.NewCoder(nData, cfg.Parity)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +444,7 @@ func newCore(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant) (*Core
 		cfg:        cfg,
 		eng:        queues[0].Device().Engine(),
 		acct:       acct,
-		nData:      len(queues) - cfg.Parity,
+		nData:      nData,
 		coder:      coder,
 		blockSize:  base.BlockSize,
 		zoneBlocks: base.ZoneBlocks,

@@ -70,7 +70,7 @@ func TestValidation(t *testing.T) {
 
 // TestRecoverRejectsWhatNewRejects: recovery builds its array through the
 // same validated constructor, so every configuration New refuses, Recover
-// refuses too, before scanning a single zone. The last three are the
+// refuses too, before scanning a single zone. The last four are the
 // geometries the packed mapping tables cannot address; both refuse them by
 // name (want).
 func TestRecoverRejectsWhatNewRejects(t *testing.T) {
@@ -106,6 +106,11 @@ func TestRecoverRejectsWhatNewRejects(t *testing.T) {
 				d[i].ZoneBlocks = maxZoneBlocks + 1
 			}
 		}, "of 4294967297 blocks"},
+		{"over 2^32 - 1 logical blocks", 3, func(_ *Config, d []zns.Config) {
+			for i := range d {
+				d[i].ZoneBlocks = 1 << 26
+			}
+		}, "logical blocks, at most 4294967295"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -159,8 +159,9 @@ func (d *dissolve) run() {
 		p   pa
 	}
 	var live []migrant
+	lbns := se.lbns()
 	for i, p := range se.chunks() {
-		if lbn := se.lbns[i]; lbn >= 0 && p.dev >= 0 {
+		if lbn := int64(lbns[i]) - 1; lbn >= 0 && p.dev >= 0 {
 			live = append(live, migrant{lbn: lbn, p: p})
 			c.setPinned(lbn, true)
 		}

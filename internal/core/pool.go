@@ -211,11 +211,10 @@ func (c *Core) putStripe(st *openStripe) {
 	c.dropSE(se)
 }
 
-// getSE returns an empty SMT entry whose slot and block slices have room
-// for a full stripe, so filling it never allocates. The SMT
-// grows by one entry per stripe until the array has been written once
-// (after that, releases feed the free list), so fresh entries come
-// smtSlabLen at a time, their slices carved from two shared arrays.
+// getSE returns an empty SMT entry whose slab row has room for a full
+// stripe, so filling it never allocates. The SMT grows by one entry per
+// stripe until the array has been written once (after that, releases feed
+// the free list), so fresh entries come smtSlabLen at a time.
 func (c *Core) getSE() *smtEntry {
 	c.liveRecs.smt++
 	var se *smtEntry
@@ -233,21 +232,32 @@ func (c *Core) getSE() *smtEntry {
 	return se
 }
 
-// smtSlabLen is 63 rather than 64: entries hold pointers, so their array
-// carries an 8-byte allocation header, and 63 of them plus the header fill
-// a 4 KiB size class where 64 would take the next one up, 4 864 bytes.
-const smtSlabLen = 63
+// smtSlab holds smtSlabLen SMT entries and the rows of slots and blocks
+// they view: three allocations, the entries with the slices' headers.
+type smtSlab struct {
+	slots []pa     // per row: m parity slots, then k chunk slots
+	lbns  []uint32 // per row: k logical blocks + 1, 0 when stale
+	m, k  int32
+	ents  [smtSlabLen]smtEntry
+}
+
+// smtSlabLen is 62: an entry is 32 bytes, so the slab is 2 040 bytes, and
+// as it holds pointers the allocator adds an 8-byte header, which fills
+// the 2 KiB size class exactly; 63 would take the next one up, 2 304 bytes.
+const smtSlabLen = 62
 
 func (c *Core) newSMTSlab() []smtEntry {
-	k, n := c.nData, c.nData+c.cfg.Parity
-	ents := make([]smtEntry, smtSlabLen)
-	slots := make([]pa, smtSlabLen*n)
-	lbns := make([]int64, smtSlabLen*k)
-	for i := range ents {
-		ents[i].slots = slots[i*n : i*n+c.cfg.Parity : (i+1)*n]
-		ents[i].lbns = lbns[i*k : i*k : (i+1)*k]
+	k, m := c.nData, c.cfg.Parity
+	s := &smtSlab{
+		slots: make([]pa, smtSlabLen*(m+k)),
+		lbns:  make([]uint32, smtSlabLen*k),
+		m:     int32(m),
+		k:     int32(k),
 	}
-	return ents
+	for i := range s.ents {
+		s.ents[i] = smtEntry{slab: s, row: uint8(i)}
+	}
+	return s.ents[:]
 }
 
 // dropSE releases one asynchronous hold on an SMT entry; the entry is
@@ -272,7 +282,7 @@ func (c *Core) maybePutSE(se *smtEntry) {
 	if !se.dead || se.holds > 0 {
 		return
 	}
-	*se = smtEntry{slots: se.parity(), lbns: se.lbns[:0]}
+	*se = smtEntry{slab: se.slab, row: se.row}
 	c.liveRecs.smt--
 	c.smtFree = append(c.smtFree, se)
 }

@@ -96,7 +96,7 @@ func (c *Core) ReplaceDevicePaced(dev int, q *nvme.Queue, ctl RebuildControl, do
 	onMember := func(p pa) bool { return int(p.dev) == dev }
 	var sns []int64
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
-		if slices.ContainsFunc(se.slots, onMember) {
+		if slices.ContainsFunc(se.slots(), onMember) {
 			sns = append(sns, sn)
 		}
 		return true

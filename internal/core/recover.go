@@ -128,6 +128,10 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			done(nil, fmt.Errorf("core: stripe %d recorded at %+v: %w", r.sn, r.p, errStripeNumbers))
 			return
 		}
+		if r.kind == oobKindData && (uint64(r.lbn) >= uint64(c.Blocks()) || r.idx >= c.nData) {
+			done(nil, fmt.Errorf("core: block %d as chunk %d recorded at %+v, outside the array", r.lbn, r.idx, r.p))
+			return
+		}
 		if r.sn >= c.nextSN {
 			c.nextSN = r.sn + 1
 		}
@@ -160,8 +164,9 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		se := c.smt.Get(sn)
 		if se == nil {
 			se = c.getSE()
-			for i := range se.slots {
-				se.slots[i] = paNone
+			parity := se.parity()
+			for i := range parity {
+				parity[i] = paNone
 			}
 			c.smt.Set(sn, se)
 		}
@@ -175,7 +180,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			continue
 		}
 		se := smtOf(r.sn)
-		for len(se.lbns) <= r.idx {
+		for int(se.n) <= r.idx {
 			se.addChunk(paNone, -1)
 		}
 		se.chunks()[r.idx] = r.p
@@ -186,7 +191,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		zs := zoneOf(r.p)
 		zs.setStripe(int64(r.p.off), r.sn)
 		if live {
-			se.lbns[r.idx] = r.lbn
+			se.lbns()[r.idx] = uint32(r.lbn + 1)
 			se.valid++
 			c.bmt.Set(r.lbn, mapTo(r.p, r.sn))
 			zs.valid++
@@ -214,8 +219,9 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			}
 		}
 		if incomplete {
+			lbns := se.lbns()
 			for i, p := range se.chunks() {
-				if lbn := se.lbns[i]; lbn >= 0 {
+				if lbn := int64(lbns[i]) - 1; lbn >= 0 {
 					c.bmt.Delete(lbn)
 					if zs := c.devs[p.dev].zones[p.zone]; zs != nil {
 						if zs.stripeAt(int64(p.off)) == sn {

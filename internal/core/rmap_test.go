@@ -229,7 +229,7 @@ func TestRecoverRebuildsReverseMapsPastGrowth(t *testing.T) {
 	}
 	c.smt.Range(func(sn int64, want *smtEntry) bool {
 		got := rc.smt.Get(sn)
-		if got == nil || got.valid != want.valid || fmt.Sprint(got.slots, got.lbns) != fmt.Sprint(want.slots, want.lbns) {
+		if got == nil || got.valid != want.valid || fmt.Sprint(got.slots(), got.lbns()) != fmt.Sprint(want.slots(), want.lbns()) {
 			t.Fatalf("SMT[%d] = %+v, want %+v", sn, got, want)
 		}
 		return true

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -41,10 +42,11 @@ func (c *Core) checkTables() error {
 	live := 0
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
 		n := uint8(0)
-		for i, lbn := range se.lbns {
-			if lbn < 0 {
+		for i, lbn1 := range se.lbns() {
+			if lbn1 == 0 {
 				continue
 			}
+			lbn := int64(lbn1) - 1
 			n++
 			if e := c.bmt.Get(lbn); !e.mapped() || int64(e.sn) != sn || e.loc() != se.chunks()[i] {
 				err = fmt.Errorf("stripe %d chunk %d carries block %d at %+v, but the BMT maps it to %+v in stripe %d",
@@ -105,7 +107,7 @@ func (c *Core) checkTables() error {
 				if i < 0 {
 					return fmt.Errorf("%+v is a data slot of stripe %d, whose chunks are %+v", at, sn, se.chunks())
 				}
-				if se.lbns[i] >= 0 {
+				if se.lbns()[i] != 0 {
 					valid++
 				}
 			}
@@ -126,12 +128,15 @@ func assertTables(t *testing.T, c *Core) {
 }
 
 // TestSMTEntryBytesAllocFree holds a 3+1 stripe's SMT entry, its parity,
-// chunk and block slots included, to 136 bytes of heap: a 64-byte entry,
-// four 8-byte slots and three 8-byte blocks. The SMT holds one per stripe
-// written, so this is much of BIZA's live heap. The figure is what fresh
-// entries allocate, slab arrays and size classes included, over many
-// slabs; none of it is garbage.
+// chunk and block slots included, to 84 bytes of heap: a 32-byte entry,
+// four 8-byte slots and three 4-byte blocks, 76 bytes, and the size
+// classes' rounding of the slab's three arrays. The SMT holds one per
+// stripe written, so this is much of BIZA's live heap. The figure is what
+// fresh entries allocate over many slabs; none of it is garbage.
 func TestSMTEntryBytesAllocFree(t *testing.T) {
+	if got := unsafe.Sizeof(smtEntry{}); got > 32 {
+		t.Fatalf("an SMT entry is %d bytes, want at most 32", got)
+	}
 	_, c, _ := newTestCore(t, nil)
 	if k, m := c.nData, c.cfg.Parity; k != 3 || m != 1 {
 		t.Fatalf("test array is %d+%d, want 3+1", k, m)
@@ -147,8 +152,27 @@ func TestSMTEntryBytesAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	per := float64(m1.TotalAlloc-m0.TotalAlloc) / n
 	t.Logf("%.1f heap bytes per 3+1 stripe", per)
-	if per > 136 {
-		t.Fatalf("a 3+1 stripe's SMT entry costs %.1f heap bytes, want at most 136", per)
+	if per > 84 {
+		t.Fatalf("a 3+1 stripe's SMT entry costs %.1f heap bytes, want at most 84", per)
+	}
+	runtime.KeepAlive(ents)
+}
+
+// TestSMTSlabAllocFree: fresh SMT entries come a slab at a time, and a slab
+// is three allocations (entries, slots, blocks), not one more for a header
+// of its own.
+func TestSMTSlabAllocFree(t *testing.T) {
+	_, c, _ := newTestCore(t, nil)
+	const slabs = 100
+	ents := make([]*smtEntry, 0, slabs*smtSlabLen)
+	allocs := testing.AllocsPerRun(1, func() {
+		ents = ents[:0]
+		for i := 0; i < slabs*smtSlabLen; i++ {
+			ents = append(ents, c.getSE())
+		}
+	}) / slabs
+	if allocs > 3 {
+		t.Fatalf("a slab of %d SMT entries takes %.2f allocations, want at most 3", smtSlabLen, allocs)
 	}
 	runtime.KeepAlive(ents)
 }
@@ -254,6 +278,47 @@ func TestStripeNumbersStopAtBound(t *testing.T) {
 	}
 	if _, err := recoverAll(600); !errors.Is(err, errStripeNumbers) {
 		t.Fatalf("Recover over a record of stripe maxSN+1: %v, want %v", err, errStripeNumbers)
+	}
+}
+
+// TestRecoverRefusesRecordOutsideArray: the SMT holds a chunk's block + 1
+// in 32 bits and a stripe's chunks in a row of k, so a data record naming a
+// block past the array or a chunk index past k, as a corrupt or foreign
+// member would hold, fails Recover instead of wrapping or overrunning.
+func TestRecoverRefusesRecordOutsideArray(t *testing.T) {
+	tests := []struct {
+		name string
+		lbn  func(c *Core) int64
+		idx  func(c *Core) int
+	}{
+		{"block past the array", func(c *Core) int64 { return c.Blocks() }, func(*Core) int { return 0 }},
+		{"block 2^32 - 1", func(*Core) int64 { return 1<<32 - 1 }, func(*Core) int { return 0 }},
+		{"chunk index k", func(*Core) int64 { return 0 }, func(c *Core) int { return c.nData }},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, c, devs := newTestCore(t, nil)
+			oob := c.encodeOOB(oobKindData, tc.lbn(c), 0, 1, tc.idx(c))
+			werr := errors.New("the record's write never completed")
+			devs[0].Write(0, 0, 1, nil, [][]byte{oob}, zns.TagUserData, func(r zns.WriteResult) { werr = r.Err })
+			eng.Run()
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			var nq []*nvme.Queue
+			for i, d := range devs {
+				c.devs[i].q.Kill()
+				d.PowerLoss()
+				nq = append(nq, nvme.New(d, nvme.Config{Seed: uint64(i)}))
+			}
+			var rerr error
+			called := false
+			Recover(nq, c.cfg, nil, func(_ *Core, err error) { rerr, called = err, true })
+			eng.Run()
+			if !called || rerr == nil || !strings.Contains(rerr.Error(), "outside the array") {
+				t.Fatalf("Recover over the record: %v (completed %v), want a refusal naming it outside the array", rerr, called)
+			}
+		})
 	}
 }
 

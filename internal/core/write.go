@@ -822,13 +822,14 @@ func (c *Core) invalidate(lbn int64, e bmtEntry) {
 		return
 	}
 	at := e.loc()
+	lbns := se.lbns()
 	for i, p := range se.chunks() {
-		if p == at && se.lbns[i] == lbn {
+		if p == at && lbns[i] == uint32(lbn+1) {
 			// Keep the slot address: its content still feeds the stripe's
 			// parity for reconstruction; only liveness drops. The zone
 			// counted the chunk only if its slot is this stripe's (a
 			// replaced member's zones know nothing of older slots).
-			se.lbns[i] = -1
+			lbns[i] = 0
 			se.valid--
 			if zs := c.devs[at.dev].zones[at.zone]; zs != nil && zs.stripeAt(int64(at.off)) == sn {
 				zs.valid--

@@ -167,12 +167,16 @@ func New(backend zoneapi.Backend, cfg Config, acct *cpumodel.Accountant) (*Adapt
 		acct = &cpumodel.Accountant{}
 	}
 	logicalBlocks := int64(zones-cfg.OverProvisionZones) * backend.ZoneBlocks()
+	log, err := raid.NewZoneLog(1, zones, backend.ZoneBlocks(), logicalBlocks)
+	if err != nil {
+		return nil, fmt.Errorf("dmzap: %w", err)
+	}
 	a := &Adapter{
 		cfg:        cfg,
 		backend:    backend,
 		eng:        backend.Engine(),
 		acct:       acct,
-		log:        raid.NewZoneLog(1, zones, backend.ZoneBlocks(), logicalBlocks),
+		log:        log,
 		zones:      make([]zoneQueue, zones),
 		order:      make([]int, zones),
 		storesData: blockdev.StoresData(backend),

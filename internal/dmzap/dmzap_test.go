@@ -2,6 +2,7 @@ package dmzap
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -42,6 +43,34 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(backend, bad, nil); err == nil {
 			t.Fatalf("accepted bad config %+v", bad)
 		}
+	}
+}
+
+// TestNewRefusesWideGeometry: the zone log holds a logical block + 1 in 32
+// bits, so New refuses a backend whose capacity would need more, before it
+// opens a zone.
+func TestNewRefusesWideGeometry(t *testing.T) {
+	tests := []struct {
+		name       string
+		zoneBlocks int64
+		want       string
+	}{
+		{name: "over 2^32 - 1 logical blocks", zoneBlocks: 1 << 27, want: "logical blocks, at most 4294967295"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := zns.TestConfig()
+			cfg.ZoneBlocks = tc.zoneBlocks
+			dev, err := zns.New(sim.NewEngine(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend := zoneapi.SingleDevice{Q: nvme.New(dev, nvme.Config{})}
+			_, err = New(backend, DefaultConfig(backend.Zones(), backend.MaxOpenZones()), nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New over %d zones of %d blocks: %v, want a rejection naming %q", cfg.NumZones, tc.zoneBlocks, err, tc.want)
+			}
+		})
 	}
 }
 

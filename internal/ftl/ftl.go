@@ -8,6 +8,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 
 	"biza/internal/blockdev"
 	"biza/internal/fifo"
@@ -128,6 +129,10 @@ func TestConfig() Config {
 
 const invalidPPN = int64(-1)
 
+// maxPages bounds the flash a device may have: l2p and p2l hold a page
+// number + 1 in 32 bits, and no logical page outnumbers the physical ones.
+const maxPages = math.MaxUint32
+
 type flashBlock struct {
 	channel  int
 	nextPage int // allocation cursor
@@ -170,8 +175,8 @@ type Device struct {
 	cfg Config
 	eng *sim.Engine
 
-	l2p pagetab.Table[int64] // logical page -> physical page + 1; 0 (absent) decodes to invalidPPN
-	p2l pagetab.Table[int64] // physical page -> logical page + 1; 0 if invalid or free
+	l2p pagetab.Table[uint32] // logical page -> physical page + 1; 0 (absent) decodes to invalidPPN
+	p2l pagetab.Table[uint32] // physical page -> logical page + 1; 0 if invalid or free
 	// pages is the programmed payload, one store per erase block, nil
 	// without StoreData. Reads gather through l2p.
 	pages []flash.Store
@@ -240,6 +245,9 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		return nil, err
 	}
 	totalPages := int64(cfg.FlashBlocks) * int64(cfg.PagesPerBlock)
+	if totalPages > maxPages {
+		return nil, fmt.Errorf("ftl: %d flash pages, at most %d", totalPages, int64(maxPages))
+	}
 	logical := int64(float64(totalPages) * (1 - cfg.OverProvision))
 	d := &Device{
 		cfg:          cfg,
@@ -375,14 +383,17 @@ func (d *Device) storePage(ppn int64, data []byte) {
 	d.pages[ppn/ppb].Put(ppn%ppb, data, nil)
 }
 
+// ppnOf returns the physical page holding lpn, invalidPPN for none.
+func (d *Device) ppnOf(lpn int64) int64 { return int64(d.l2p.Get(lpn)) - 1 }
+
 // mapPage installs lpn -> ppn, invalidating any previous mapping.
 func (d *Device) mapPage(lpn, ppn int64) {
-	if old := d.l2p.Get(lpn) - 1; old != invalidPPN {
+	if old := d.ppnOf(lpn); old != invalidPPN {
 		d.p2l.Delete(old)
 		d.blocks[old/int64(d.cfg.PagesPerBlock)].valid--
 	}
-	d.l2p.Set(lpn, ppn+1)
-	d.p2l.Set(ppn, lpn+1)
+	d.l2p.Set(lpn, uint32(ppn+1))
+	d.p2l.Set(ppn, uint32(lpn+1))
 	d.blocks[ppn/int64(d.cfg.PagesPerBlock)].valid++
 }
 
@@ -501,7 +512,7 @@ func (r *req) Fire(s, e sim.Time) {
 			res.Data = make([]byte, size)
 			bs := int64(d.cfg.BlockSize)
 			for i := int64(0); i < r.n; i++ {
-				if ppn := d.l2p.Get(r.lba+i) - 1; ppn != invalidPPN {
+				if ppn := d.ppnOf(r.lba + i); ppn != invalidPPN {
 					copy(res.Data[i*bs:(i+1)*bs], d.loadPage(ppn))
 				}
 			}
@@ -604,7 +615,7 @@ func (d *Device) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	// a multi-page span touch several channels; one-channel routing is a
 	// conservative simplification).
 	ch := int(lba) % d.cfg.NumChannels
-	if ppn := d.l2p.Get(lba) - 1; ppn != invalidPPN {
+	if ppn := d.ppnOf(lba); ppn != invalidPPN {
 		ch = d.blocks[ppn/int64(d.cfg.PagesPerBlock)].channel
 	}
 	r := d.getReq()
@@ -620,7 +631,7 @@ func (d *Device) Trim(lba int64, nblocks int) {
 		if lpn < 0 || lpn >= d.logicalPages {
 			continue
 		}
-		if old := d.l2p.Get(lpn) - 1; old != invalidPPN {
+		if old := d.ppnOf(lpn); old != invalidPPN {
 			d.p2l.Delete(old)
 			d.blocks[old/int64(d.cfg.PagesPerBlock)].valid--
 			d.l2p.Delete(lpn)
@@ -707,7 +718,7 @@ func (d *Device) gcStep() {
 	moved := sim.NewFanIn(finishVictim)
 	moved.Add(len(migrate))
 	for _, ppn := range migrate {
-		lpn := d.p2l.Get(ppn) - 1
+		lpn := int64(d.p2l.Get(ppn)) - 1
 		newPPN, ch := d.allocPage(lpn, true)
 		d.mapPage(lpn, newPPN)
 		if d.pages != nil {

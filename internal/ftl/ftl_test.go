@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -27,9 +28,9 @@ func newDev(t *testing.T) (*sim.Engine, *Device) {
 // pages. Mapping is synchronous, so it holds between any two events.
 func (d *Device) checkMaps() error {
 	var err error
-	d.l2p.Range(func(lpn, ppn1 int64) bool {
-		if got := d.p2l.Get(ppn1-1) - 1; got != lpn {
-			err = fmt.Errorf("logical page %d maps to physical page %d, which holds %d", lpn, ppn1-1, got)
+	d.l2p.Range(func(lpn int64, ppn1 uint32) bool {
+		if got := int64(d.p2l.Get(int64(ppn1)-1)) - 1; got != lpn {
+			err = fmt.Errorf("logical page %d maps to physical page %d, which holds %d", lpn, int64(ppn1)-1, got)
 		}
 		return err == nil
 	})
@@ -41,7 +42,7 @@ func (d *Device) checkMaps() error {
 		return fmt.Errorf("%d logical pages mapped, %d physical pages live", d.l2p.Len(), d.p2l.Len())
 	}
 	live := make([]int, len(d.blocks))
-	d.p2l.Range(func(ppn, _ int64) bool {
+	d.p2l.Range(func(ppn int64, _ uint32) bool {
 		live[ppn/int64(d.cfg.PagesPerBlock)]++
 		return true
 	})
@@ -122,6 +123,40 @@ func TestConfigValidation(t *testing.T) {
 	bad.OverProvision = 0.95
 	if bad.Validate() == nil {
 		t.Fatal("accepted absurd over-provisioning")
+	}
+}
+
+// TestNewRefusesPagesPast32Bits: l2p and p2l hold page numbers + 1 in 32
+// bits, so New refuses a device of 2^32 pages before it allocates a block
+// table. One of 2^32 - 1 pages (65 537 blocks of 65 535) is the largest it
+// takes.
+func TestNewRefusesPagesPast32Bits(t *testing.T) {
+	tests := []struct {
+		name                string
+		blocks, pagesPerBlk int
+		want                string // "" for accepted
+	}{
+		{name: "2^32 - 1 pages", blocks: 65537, pagesPerBlk: 65535},
+		{name: "2^32 pages", blocks: 1 << 16, pagesPerBlk: 1 << 16, want: "4294967296 flash pages"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SN640(tc.blocks)
+			cfg.PagesPerBlock = tc.pagesPerBlk
+			d, err := New(sim.NewEngine(), cfg)
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("New: %v, want a rejection naming %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Blocks() >= int64(tc.blocks)*int64(tc.pagesPerBlk) {
+				t.Fatalf("%d logical pages on %d physical", d.Blocks(), tc.blocks*tc.pagesPerBlk)
+			}
+		})
 	}
 }
 
@@ -273,7 +308,8 @@ func TestDeterministicReplay(t *testing.T) {
 // filled with invalidPPN; New must now allocate under a tenth of that. After
 // the first write, k scattered one-page writes allocate at most the table
 // pages they touch, plus the directories: each grows by doubling, so all
-// the arrays it ever had add up to under four pointers per page.
+// the arrays it ever had add up to under four pointers per page. A slot of
+// either table is 4 bytes.
 func TestFTLMapsAllocFreeUntilWritten(t *testing.T) {
 	eng := sim.NewEngine()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -305,17 +341,17 @@ func TestFTLMapsAllocFreeUntilWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages, dirs := int64(0), int64(0)
-	for _, tab := range []*pagetab.Table[int64]{&d.l2p, &d.p2l} {
+	for _, tab := range []*pagetab.Table[uint32]{&d.l2p, &d.p2l} {
 		seen, top := map[int64]bool{}, int64(0)
-		tab.Range(func(key, _ int64) bool {
+		tab.Range(func(key int64, _ uint32) bool {
 			seen[key/pagetab.PageSize], top = true, key
 			return true
 		})
 		pages, dirs = pages+int64(len(seen)), dirs+top/pagetab.PageSize+1
 	}
-	// A page is 256 int64 slots and its occupancy bits: 2 088 bytes, which
-	// the allocator serves from its 2 304-byte class.
-	limit := pages*2304 + 4*8*dirs
+	// A page is 256 uint32 slots and its occupancy bits: 1 064 bytes, which
+	// the allocator serves from its 1 152-byte class.
+	limit := pages*1152 + 4*8*dirs
 	got := int64(m1.TotalAlloc - m0.TotalAlloc)
 	if got > limit {
 		t.Fatalf("%d scattered writes allocated %d bytes, want at most %d (%d table pages touched)", k-1, got, limit, pages)

@@ -1,6 +1,9 @@
 package raid
 
 import (
+	"fmt"
+	"math"
+
 	"biza/internal/fifo"
 	"biza/internal/pagetab"
 )
@@ -12,6 +15,19 @@ type Loc struct {
 	Off  int64
 }
 
+// loc32 is a Loc as the logical table stores it, in 8 bytes: zone1 is the
+// zone + 1, so the zero value (an absent slot) is unmapped.
+type loc32 struct{ zone1, off uint32 }
+
+// Bounds of the packed tables, which NewZoneLog refuses to exceed: a table
+// slot holds zone + 1 and the offset in 32 bits each, a reverse-map slot
+// the logical block + 1.
+const (
+	maxLogBlocks  = math.MaxUint32
+	maxZoneBlocks = math.MaxUint32 + 1
+	maxLogZones   = math.MaxUint32
+)
+
 type zoneState uint8
 
 const (
@@ -22,9 +38,9 @@ const (
 
 type logZone struct {
 	state zoneState
-	fill  int64   // offsets handed out since the zone was taken
-	valid int64   // offsets still holding the current copy of a block
-	rmap  []int64 // offset -> logical block, -1 when stale or unwritten
+	fill  int64    // offsets handed out since the zone was taken
+	valid int64    // offsets still holding the current copy of a block
+	rmap  []uint32 // offset -> logical block + 1, 0 when stale or unwritten
 }
 
 // ZoneLog is the bookkeeping of a log-structured block store over
@@ -40,14 +56,23 @@ type ZoneLog struct {
 	perUnit    int
 	zoneBlocks int64
 	blocks     int64
-	l2p        pagetab.Table[Loc] // Zone+1: the zero value is unmapped
+	l2p        pagetab.Table[loc32]
 	zones      []logZone
 	free       []fifo.Queue[int]
 }
 
 // NewZoneLog returns a log of units*zonesPerUnit free zones of zoneBlocks
-// blocks each, mapping logicalBlocks blocks, none of them mapped.
-func NewZoneLog(units, zonesPerUnit int, zoneBlocks, logicalBlocks int64) *ZoneLog {
+// blocks each, mapping logicalBlocks blocks, none of them mapped. It fails
+// when a block, an offset or a zone number would not fit its table slot.
+func NewZoneLog(units, zonesPerUnit int, zoneBlocks, logicalBlocks int64) (*ZoneLog, error) {
+	switch {
+	case logicalBlocks > maxLogBlocks:
+		return nil, fmt.Errorf("raid: %d logical blocks, at most %d", logicalBlocks, int64(maxLogBlocks))
+	case zoneBlocks > maxZoneBlocks:
+		return nil, fmt.Errorf("raid: zones of %d blocks, at most %d", zoneBlocks, int64(maxZoneBlocks))
+	case int64(units)*int64(zonesPerUnit) > maxLogZones:
+		return nil, fmt.Errorf("raid: %d units of %d zones, at most %d zones", units, zonesPerUnit, int64(maxLogZones))
+	}
 	l := &ZoneLog{
 		perUnit:    zonesPerUnit,
 		zoneBlocks: zoneBlocks,
@@ -58,7 +83,7 @@ func NewZoneLog(units, zonesPerUnit int, zoneBlocks, logicalBlocks int64) *ZoneL
 	for z := range l.zones {
 		l.free[z/zonesPerUnit].Push(z)
 	}
-	return l
+	return l, nil
 }
 
 // Blocks reports the logical capacity in blocks.
@@ -77,10 +102,9 @@ func (l *ZoneLog) Take(unit int) (z int, ok bool) {
 	zi := &l.zones[z]
 	zi.state, zi.fill, zi.valid = zoneOpen, 0, 0
 	if zi.rmap == nil {
-		zi.rmap = make([]int64, l.zoneBlocks)
-	}
-	for i := range zi.rmap {
-		zi.rmap[i] = -1
+		zi.rmap = make([]uint32, l.zoneBlocks)
+	} else {
+		clear(zi.rmap)
 	}
 	return z, true
 }
@@ -115,16 +139,16 @@ func (l *ZoneLog) At(lba int64) Loc {
 		panic("raid: logical block outside the log")
 	}
 	loc := l.l2p.Get(lba)
-	return Loc{Zone: loc.Zone - 1, Off: loc.Off}
+	return Loc{Zone: int(loc.zone1) - 1, Off: int64(loc.off)}
 }
 
 // Map records that lba now lives at off of zone z and invalidates the copy
 // it replaces.
 func (l *ZoneLog) Map(lba int64, z int, off int64) {
 	l.invalidate(lba)
-	l.l2p.Set(lba, Loc{Zone: z + 1, Off: off})
+	l.l2p.Set(lba, loc32{zone1: uint32(z + 1), off: uint32(off)})
 	zi := &l.zones[z]
-	zi.rmap[off] = lba
+	zi.rmap[off] = uint32(lba + 1)
 	zi.valid++
 }
 
@@ -143,8 +167,8 @@ func (l *ZoneLog) invalidate(lba int64) {
 		return
 	}
 	zi := &l.zones[old.Zone]
-	if zi.state != zoneFree && zi.rmap[old.Off] == lba {
-		zi.rmap[old.Off] = -1
+	if zi.state != zoneFree && zi.rmap[old.Off] == uint32(lba+1) {
+		zi.rmap[old.Off] = 0
 		zi.valid--
 	}
 }
@@ -154,9 +178,9 @@ func (l *ZoneLog) invalidate(lba int64) {
 func (l *ZoneLog) Live(z int) []int64 {
 	zi := &l.zones[z]
 	live := make([]int64, 0, zi.valid)
-	for _, lba := range zi.rmap[:zi.fill] {
-		if lba >= 0 {
-			live = append(live, lba)
+	for _, lba1 := range zi.rmap[:zi.fill] {
+		if lba1 != 0 {
+			live = append(live, int64(lba1)-1)
 		}
 	}
 	return live

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"biza/internal/pagetab"
 )
@@ -16,13 +18,13 @@ import (
 // a migration fails.
 func (l *ZoneLog) checkMaps() error {
 	var err error
-	l.l2p.Range(func(lba int64, _ Loc) bool {
+	l.l2p.Range(func(lba int64, _ loc32) bool {
 		loc := l.At(lba)
 		switch zi := &l.zones[loc.Zone]; {
 		case zi.state == zoneFree:
 			err = fmt.Errorf("block %d maps to %+v, a free zone", lba, loc)
-		case zi.rmap[loc.Off] != lba:
-			err = fmt.Errorf("block %d maps to %+v, whose slot names %d", lba, loc, zi.rmap[loc.Off])
+		case int64(zi.rmap[loc.Off])-1 != lba:
+			err = fmt.Errorf("block %d maps to %+v, whose slot names %d", lba, loc, int64(zi.rmap[loc.Off])-1)
 		}
 		return err == nil
 	})
@@ -35,10 +37,11 @@ func (l *ZoneLog) checkMaps() error {
 			continue
 		}
 		live := int64(0)
-		for off, lba := range zi.rmap {
-			if lba < 0 {
+		for off, lba1 := range zi.rmap {
+			if lba1 == 0 {
 				continue
 			}
+			lba := int64(lba1) - 1
 			live++
 			if int64(off) >= zi.fill {
 				return fmt.Errorf("zone %d maps offset %d beyond its fill %d", z, off, zi.fill)
@@ -52,6 +55,15 @@ func (l *ZoneLog) checkMaps() error {
 		}
 	}
 	return nil
+}
+
+func newLog(t *testing.T, units, zonesPerUnit int, zoneBlocks, logicalBlocks int64) *ZoneLog {
+	t.Helper()
+	l, err := NewZoneLog(units, zonesPerUnit, zoneBlocks, logicalBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // logModel drives a ZoneLog the way its two engines do — append to an
@@ -201,7 +213,7 @@ func TestZoneLogMatchesRecount(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
 				m := &logModel{
 					t:        t,
-					l:        NewZoneLog(units, perUnit, zoneBlocks, keys*stride),
+					l:        newLog(t, units, perUnit, zoneBlocks, keys*stride),
 					rng:      rand.New(rand.NewSource(seed)),
 					full:     make([][]int, units),
 					mapped:   map[int64]bool{},
@@ -245,7 +257,7 @@ func TestZoneLogMatchesRecount(t *testing.T) {
 // reads a missing key as unmapped, so the log checks the range itself, as
 // the flat table's index did.
 func TestZoneLogRefusesBlocksOutsideIt(t *testing.T) {
-	l := NewZoneLog(1, 4, 16, 1000)
+	l := newLog(t, 1, 4, 16, 1000)
 	z, _ := l.Take(0)
 	for _, lba := range []int64{-1, l.Blocks(), 1 << 40} {
 		for name, f := range map[string]func(){
@@ -265,17 +277,88 @@ func TestZoneLogRefusesBlocksOutsideIt(t *testing.T) {
 	}
 }
 
+// TestZoneLogRetakenZoneStartsEmpty: a released zone keeps the reverse-map
+// slots of blocks left behind in it (a failed migration) until it is taken
+// again. Taken again, it names none of them: no live block, and after a
+// partial refill checkMaps, which reads every slot, still holds.
+func TestZoneLogRetakenZoneStartsEmpty(t *testing.T) {
+	l := newLog(t, 1, 2, 8, 16)
+	z, _ := l.Take(0)
+	for lba := int64(0); lba < 8; lba++ {
+		l.Map(lba, z, l.Reserve(z))
+	}
+	l.Retire(z)
+	other, _ := l.Take(0)
+	for lba := int64(0); lba < 6; lba++ {
+		l.Map(lba, other, l.Reserve(other))
+	}
+	l.Release(z) // blocks 6 and 7 still name z
+	l.Unmap(6)
+	l.Unmap(7)
+	if again, _ := l.Take(0); again != z {
+		t.Fatalf("took zone %d, want the released %d", again, z)
+	}
+	if live := l.Live(z); len(live) != 0 || l.Valid(z) != 0 {
+		t.Fatalf("retaken zone reports live blocks %v, %d valid", live, l.Valid(z))
+	}
+	for lba := int64(8); lba < 11; lba++ {
+		l.Map(lba, z, l.Reserve(z))
+	}
+	if err := l.checkMaps(); err != nil {
+		t.Fatal(err)
+	}
+	if live := l.Live(z); fmt.Sprint(live) != "[8 9 10]" {
+		t.Fatalf("refilled zone reports live blocks %v, want [8 9 10]", live)
+	}
+}
+
+// TestNewZoneLogRefusesWideGeometry: a table slot holds zone + 1 and the
+// offset in 32 bits each, a reverse-map slot the block + 1, so NewZoneLog
+// refuses a geometry one past any of those before allocating anything
+// sized by it. A log of 2^32 - 1 blocks is the largest it takes.
+func TestNewZoneLogRefusesWideGeometry(t *testing.T) {
+	tests := []struct {
+		name                string
+		units, zonesPerUnit int
+		zoneBlocks, blocks  int64
+		want                string // "" for accepted
+	}{
+		{name: "2^32 - 1 logical blocks", units: 1, zonesPerUnit: 4, zoneBlocks: 16, blocks: 1<<32 - 1},
+		{name: "2^32 logical blocks", units: 1, zonesPerUnit: 4, zoneBlocks: 16, blocks: 1 << 32, want: "4294967296 logical blocks"},
+		{name: "zones of 2^32 + 1 blocks", units: 1, zonesPerUnit: 4, zoneBlocks: 1<<32 + 1, blocks: 16, want: "zones of 4294967297 blocks"},
+		{name: "2^32 zones", units: 1 << 16, zonesPerUnit: 1 << 16, zoneBlocks: 16, blocks: 16, want: "65536 units of 65536 zones"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := NewZoneLog(tc.units, tc.zonesPerUnit, tc.zoneBlocks, tc.blocks)
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("NewZoneLog: %v, want a rejection naming %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil || l.Blocks() != tc.blocks {
+				t.Fatalf("NewZoneLog: %v", err)
+			}
+		})
+	}
+}
+
 // TestZoneLogAllocFreeUntilMapped: a log's logical table holds only what is
 // mapped. Flat, 400 000 blocks took 6.4 MB before the first write; now New
 // allocates its zones and free lists alone. k scattered maps then allocate
 // at most the table pages they touch, plus the directory, whose arrays grow
-// by doubling and so add up to under four pointers per page.
+// by doubling and so add up to under four pointers per page. A table slot
+// is 8 bytes and a reverse-map slot 4.
 func TestZoneLogAllocFreeUntilMapped(t *testing.T) {
 	const blocks, k = 400_000, 64
+	if got := unsafe.Sizeof(loc32{}); got != 8 {
+		t.Fatalf("a logical table slot is %d bytes, want 8", got)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	l := NewZoneLog(1, 128, 4096, blocks)
+	l := newLog(t, 1, 128, 4096, blocks)
 	runtime.ReadMemStats(&m1)
 	made := m1.TotalAlloc - m0.TotalAlloc
 	if made >= 64<<10 {
@@ -283,6 +366,9 @@ func TestZoneLogAllocFreeUntilMapped(t *testing.T) {
 	}
 
 	z, _ := l.Take(0) // the zone's reverse map
+	if got := unsafe.Sizeof(l.zones[z].rmap[0]); got != 4 {
+		t.Fatalf("a reverse-map slot is %d bytes, want 4", got)
+	}
 	const stride = blocks / k
 	runtime.ReadMemStats(&m0)
 	for i := int64(0); i < k; i++ {
@@ -296,9 +382,9 @@ func TestZoneLogAllocFreeUntilMapped(t *testing.T) {
 	for i := int64(0); i < k; i++ {
 		pages[i*stride/pagetab.PageSize] = true
 	}
-	// A page is 256 16-byte Locs and its occupancy bits: 4 136 bytes, which
-	// the allocator serves from its 4 864-byte class.
-	limit := uint64(len(pages))*4864 + 4*8*((k-1)*stride/pagetab.PageSize+1)
+	// A page is 256 8-byte slots and its occupancy bits: 2 088 bytes, which
+	// the allocator serves from its 2 304-byte class.
+	limit := uint64(len(pages))*2304 + 4*8*((k-1)*stride/pagetab.PageSize+1)
 	got := m1.TotalAlloc - m0.TotalAlloc
 	if got > limit {
 		t.Fatalf("%d scattered maps allocated %d bytes, want at most %d (%d table pages touched)", k, got, limit, len(pages))

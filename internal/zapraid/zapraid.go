@@ -160,7 +160,11 @@ func New(queues []*nvme.Queue, cfg Config) (*Array, error) {
 		pool:        buf.NewPool(),
 	}
 	logical := int64(base.NumZones-cfg.GCHighWater-2) * a.zoneBlocks * int64(a.nData)
-	a.log = raid.NewZoneLog(len(queues), base.NumZones, a.zoneBlocks, logical)
+	log, err := raid.NewZoneLog(len(queues), base.NumZones, a.zoneBlocks, logical)
+	if err != nil {
+		return nil, fmt.Errorf("zapraid: %w", err)
+	}
+	a.log = log
 	for i, q := range queues {
 		a.storesData = a.storesData && q.Device().Config().StoreData
 		ds := &devState{idx: i, q: q}

@@ -2,6 +2,7 @@ package zapraid
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -35,6 +36,38 @@ func newArray(t *testing.T) (*sim.Engine, *Array, []*zns.Device) {
 }
 
 func dc(devs []*zns.Device) int { return devs[0].Config().NumZones }
+
+// TestNewRefusesWideGeometry: the zone log holds a logical block + 1 in 32
+// bits, so New refuses members whose capacity would need more, before it
+// opens a zone.
+func TestNewRefusesWideGeometry(t *testing.T) {
+	tests := []struct {
+		name       string
+		zoneBlocks int64
+		want       string
+	}{
+		{name: "over 2^32 - 1 logical blocks", zoneBlocks: 1 << 26, want: "logical blocks, at most 4294967295"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			var queues []*nvme.Queue
+			for i := 0; i < 4; i++ {
+				cfg := zns.TestConfig()
+				cfg.ZoneBlocks = tc.zoneBlocks
+				d, err := zns.New(eng, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queues = append(queues, nvme.New(d, nvme.Config{}))
+			}
+			_, err := New(queues, DefaultConfig(queues[0].Device().Config().NumZones))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New over zones of %d blocks: %v, want a rejection naming %q", tc.zoneBlocks, err, tc.want)
+			}
+		})
+	}
+}
 
 func TestRandomOverwrites(t *testing.T) {
 	eng, a, _ := newArray(t)
