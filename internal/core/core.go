@@ -295,6 +295,11 @@ type Core struct {
 	// allocWaiters holds chunks parked on transient open-slot exhaustion.
 	allocWaiters []*chunkRec
 
+	// round is the staging round zones staged now may join, nil when none
+	// is armed (zones.go); rounds counts the rounds fired.
+	round  *stageRound
+	rounds uint64
+
 	nextSN    int64
 	seq       uint64 // monotonic write sequence for OOB disambiguation
 	clock     uint64 // cumulative user bytes written (ghost-cache clock)

@@ -5,7 +5,7 @@ package core
 // (c.pool), which counts hits, misses (the pool_miss probe), and payload
 // copies. The simulation is single-goroutine, so no locking anywhere.
 //
-// The write path's control state lives in five recycled records instead
+// The write path's control state lives in six recycled records instead
 // of per-chunk closures, each on a plain-slice free list below, the
 // engine's but for the SMT entries', which follow the array's geometry:
 //
@@ -24,6 +24,9 @@ package core
 //     retry) has let go.
 //   - appendBatch (zones.go): one device command, staged through
 //     completion; keeps its op and OOB slices across reuse.
+//   - stageRound (zones.go): one zero-delay event flushing the zones
+//     staged at an instant; put back when it has flushed them, keeping its
+//     zone slice.
 //
 // The read path has one: readRec (read.go), a block-interface Read owning a
 // vector of run slots, one per device command, each with its blocks' buffer
@@ -102,10 +105,11 @@ type recs struct {
 	stripe []*openStripe
 	batch  []*appendBatch
 	read   []*readRec
+	round  []*stageRound
 }
 
 // recCounts is the number of records an array has out of the free lists.
-type recCounts struct{ write, chunk, stripe, smt, batch, read int }
+type recCounts struct{ write, chunk, stripe, smt, batch, read, round int }
 
 func (c *Core) getWrite() *writeRec {
 	c.liveRecs.write++
@@ -314,4 +318,29 @@ func (c *Core) putBatch(b *appendBatch) {
 	b.ops, b.oob, b.done = ops, oob, done
 	c.liveRecs.batch--
 	c.recs.batch = append(c.recs.batch, b)
+}
+
+func (c *Core) getRound() *stageRound {
+	c.liveRecs.round++
+	var r *stageRound
+	if n := len(c.recs.round); n > 0 {
+		r = c.recs.round[n-1]
+		c.recs.round = c.recs.round[:n-1]
+	} else {
+		r = &stageRound{}
+	}
+	r.c, r.live = c, true
+	return r
+}
+
+// putRound recycles a staging round, keeping its zone slice for its
+// capacity.
+func (c *Core) putRound(r *stageRound) {
+	if !r.live {
+		panic("core: staging round put twice")
+	}
+	clear(r.zones)
+	*r = stageRound{zones: r.zones[:0]}
+	c.liveRecs.round--
+	c.recs.round = append(c.recs.round, r)
 }

@@ -224,6 +224,7 @@ func TestSecondArrayRecordsAllocFree(t *testing.T) {
 			stripe: len(r.stripe) + a.liveRecs.stripe + b.liveRecs.stripe,
 			batch:  len(r.batch) + a.liveRecs.batch + b.liveRecs.batch,
 			read:   len(r.read) + a.liveRecs.read + b.liveRecs.read,
+			round:  len(r.round) + a.liveRecs.round + b.liveRecs.round,
 		}
 	}
 	mallocs := func(f func()) int {

@@ -41,6 +41,17 @@ func (c *Core) encodeOOB(kind byte, lbn, sn int64, seq uint64, idx int) []byte {
 	return b
 }
 
+// oob is the member's OOB record for a block about to be written to it:
+// encodeOOB's record where the member keeps records (StoreData), and nil
+// where it would drop them, so such a member costs no record and its
+// commands carry no OOB vector.
+func (ds *devState) oob(kind byte, lbn, sn int64, seq uint64, idx int) []byte {
+	if !ds.storeData {
+		return nil
+	}
+	return ds.c.encodeOOB(kind, lbn, sn, seq, idx)
+}
+
 func decodeOOB(b []byte) (kind byte, lbn, sn int64, seq uint64, idx int, ok bool) {
 	if len(b) < oobLen {
 		return 0, 0, 0, 0, 0, false
@@ -372,10 +383,10 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 
 // writeData issues the in-place rewrite of the chunk's data slot.
 func (ch *chunkRec) writeData() {
-	c := ch.c
-	ch.zs.ds.submitChunk(ch.zs, &schedOp{
+	ds := ch.zs.ds
+	ds.submitChunk(ch.zs, &schedOp{
 		off: int64(ch.e.off), inplace: true, reserved: true, data: ch.payload, own: ch.own,
-		oob: c.encodeOOB(oobKindData, ch.lbn, int64(ch.e.sn), ch.seq, ch.idx), tag: ch.tag,
+		oob: ds.oob(oobKindData, ch.lbn, int64(ch.e.sn), ch.seq, ch.idx), tag: ch.tag,
 		done: ch,
 	})
 }
@@ -389,7 +400,7 @@ func (ch *chunkRec) writeParity(r int, parityData []byte) {
 	pds.submitChunk(pds.zones[ppa.zone], &schedOp{
 		off: int64(ppa.off), inplace: true, reserved: true, data: parityData,
 		ownData: parityData != nil,
-		oob:     c.encodeOOB(oobKindParity, int64(r), int64(ch.e.sn), ch.seq, r), tag: zns.TagParity,
+		oob:     pds.oob(oobKindParity, int64(r), int64(ch.e.sn), ch.seq, r), tag: zns.TagParity,
 		done: ch,
 	})
 }
@@ -574,7 +585,7 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	ch.pending = 2 // the data write and the stripe's parity generation
 	ds.submitChunk(zs, &schedOp{
 		off: off, data: ch.payload, own: ch.own,
-		oob: c.encodeOOB(oobKindData, lbn, sn, seq, st.count), tag: ch.tag,
+		oob: ds.oob(oobKindData, lbn, sn, seq, st.count), tag: ch.tag,
 		done: ch,
 	})
 
@@ -660,7 +671,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 			pds.submitChunk(pzs, &schedOp{
 				off: off, inplace: wasWritten, data: parityData,
 				ownData: parityData != nil,
-				oob:     c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
+				oob:     pds.oob(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
 				done: st,
 			})
 			continue
@@ -682,7 +693,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		nzs.valid++
 		pds.submitChunk(nzs, &schedOp{
 			off: noff, data: parityData, ownData: parityData != nil,
-			oob: c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
+			oob: pds.oob(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
 			done: st,
 		})
 	}

@@ -30,8 +30,8 @@ type zoneState struct {
 	// stage accumulates contiguous appends submitted at one instant of
 	// virtual time so they go to the device as one multi-block command (the
 	// block layer's request merging; without it 4 KiB chunk traffic drowns
-	// in per-command overhead). The zone itself is the zero-delay event that
-	// flushes it (Fire); stagePending says one is scheduled. That event runs
+	// in per-command overhead). A zero-delay staging round flushes it
+	// (stageRound); stagePending says the zone is in one. The round runs
 	// after every event already queued for the same instant, so a batch
 	// closes only once they have all had their turn, not at the end of the
 	// event that opened it.
@@ -476,15 +476,55 @@ func (ds *devState) submitChunk(zs *zoneState, op *schedOp) {
 	zs.stage = b
 	if !zs.stagePending {
 		zs.stagePending = true
-		ds.c.eng.AfterEvent(0, zs, 0, 0)
+		ds.c.joinRound(zs)
 	}
 }
 
-// Fire implements sim.Handler: the zero-delay event that ends a staging
-// round.
-func (zs *zoneState) Fire(_, _ sim.Time) {
-	zs.stagePending = false
-	zs.ds.flushStage(zs)
+// stageRound is one zero-delay event that flushes every zone staged at its
+// instant, in the order they were staged: the order one event per zone
+// would flush them in, provided no other event for the instant falls
+// between two of them. So a zone joins the armed round only while the
+// round is still the last event scheduled for the current instant
+// (sim.Engine.NowSeq); otherwise it arms a fresh one. Events scheduled
+// for later instants cannot fire between two events of one instant, so
+// they do not matter. A recycled record (getRound in pool.go).
+type stageRound struct {
+	c     *Core
+	live  bool
+	seq   uint64 // the round's event, as NowSeq names it
+	zones []*zoneState
+}
+
+// joinRound adds a newly staged zone to the armed round, or arms a fresh
+// round for it when anything else has been scheduled for this instant
+// since the armed one (or none is armed).
+func (c *Core) joinRound(zs *zoneState) {
+	r := c.round
+	if r == nil || r.seq != c.eng.NowSeq() {
+		r = c.getRound()
+		c.eng.AfterEvent(0, r, 0, 0)
+		r.seq = c.eng.NowSeq()
+		c.round = r
+	}
+	r.zones = append(r.zones, zs)
+}
+
+// Fire implements sim.Handler: the staging round flushes its zones. A zone
+// staged while it runs arms a round of its own.
+func (r *stageRound) Fire(_, _ sim.Time) {
+	if !r.live {
+		panic("core: staging round used after put")
+	}
+	c := r.c
+	if c.round == r {
+		c.round = nil
+	}
+	c.rounds++
+	for _, zs := range r.zones {
+		zs.stagePending = false
+		zs.ds.flushStage(zs)
+	}
+	c.putRound(r)
 }
 
 // flushStage moves the staged batch to dispatch or the window queue.

@@ -88,6 +88,9 @@ type Engine struct {
 	events  []event // 4-ary min-heap ordered by (at, seq)
 	vacant  bool    // events[0] has fired (or is firing) and its slot awaits reuse
 	stopped bool
+	// nowSeq is the seq of the last event scheduled for the instant it was
+	// scheduled at (t == now); see NowSeq.
+	nowSeq uint64
 	// sink, optional, accumulates the virtual time this engine advances;
 	// credited is the clock reading it has been told about so far.
 	sink     *atomic.Int64
@@ -147,6 +150,17 @@ func (e *Engine) advanceTo(t Time) {
 		e.now = t
 	}
 }
+
+// NowSeq reports the sequence number of the last event scheduled for the
+// instant it was scheduled at, with zero delay. Read right after such an
+// event is scheduled, it names that event; while the event is pending and
+// a later read returns the same value, nothing else has been scheduled for
+// the current instant, so the event still fires after everything already
+// due now and before everything scheduled from here on. Work that rides
+// on a pending zero-delay event instead of scheduling its own (a batch
+// gathering what one instant submits) keeps the firing order exact as long
+// as NowSeq still names that event.
+func (e *Engine) NowSeq() uint64 { return e.nowSeq }
 
 // Pending reports the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int {
@@ -237,6 +251,13 @@ func (e *Engine) schedule(t Time, ev event) {
 	e.seq++
 	ev.at = t
 	ev.seq = e.seq
+	// Written so it compiles to a conditional move: zero-delay and later
+	// events interleave, and a branch on which one this is mispredicts.
+	ns := e.nowSeq
+	if t == e.now {
+		ns = e.seq
+	}
+	e.nowSeq = ns
 	if e.vacant {
 		e.vacant = false
 		e.siftDown(ev)
