@@ -80,3 +80,42 @@ func TestEventsPerWrite(t *testing.T) {
 	}
 	assertNoStrayRecords(t, c)
 }
+
+// TestEventsPerWriteAtDepth32 pins the engine events of 32 sequential
+// 64 KiB Writes issued at once to the same idle array: seq-write's depth,
+// where most member writes reach the end of their controller stage with
+// the zone's ZRWA credit taken by the writes ahead of them. Such a write's
+// controller completion would only have made it wait, and fires no event;
+// the burst fired 1292 events when every one did. The count does not depend
+// on the host, so CI gates it (-run EventsPer).
+func TestEventsPerWriteAtDepth32(t *testing.T) {
+	eng, c, _ := newTestCore(t, func(_ *Config, dcfgs *[]zns.Config) {
+		for i := range *dcfgs {
+			(*dcfgs)[i].StoreData = false
+		}
+	})
+	const depth = 32
+	n := 64 << 10 / c.blockSize
+	acked := 0
+	for i := 0; i < depth; i++ {
+		c.Write(int64(i*n), n, nil, func(r blockdev.WriteResult) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			acked++
+		})
+	}
+	events := 0
+	for eng.Step() {
+		events++
+	}
+	if acked != depth {
+		t.Fatalf("%d of %d writes acknowledged", acked, depth)
+	}
+	const wantEvents = 1076
+	if events != wantEvents {
+		t.Errorf("%d writes of %d blocks at once fired %d events; want %d", depth, n, events, wantEvents)
+	}
+	t.Logf("%d events, %.1f per write", events, float64(events)/depth)
+	assertNoStrayRecords(t, c)
+}

@@ -91,6 +91,10 @@ type Engine struct {
 	// nowSeq is the seq of the last event scheduled for the instant it was
 	// scheduled at (t == now); see NowSeq.
 	nowSeq uint64
+	// fired is the seq of the event firing or last fired, or every seq
+	// issued once a RunUntil reaches its horizon; settled is every seq
+	// issued when a Run last drained the heap. See Passed.
+	fired, settled uint64
 	// sink, optional, accumulates the virtual time this engine advances;
 	// credited is the clock reading it has been told about so far.
 	sink     *atomic.Int64
@@ -282,6 +286,45 @@ func (e *Engine) AtEvent(t Time, h Handler, a, b Time) {
 // AfterEvent schedules h.Fire(a, b) d nanoseconds from now.
 func (e *Engine) AfterEvent(d Time, h Handler, a, b Time) { e.AtEvent(e.now+d, h, a, b) }
 
+// Ticket reserves the sequence number of an event that may be scheduled
+// later, with AtTicket, or never. Taking it is what scheduling the event now
+// would do to the sequence, and nothing else: the event, if it is ever
+// armed, fires in the place it would have had, so a model can hold back an
+// event whose effect may turn out to be nothing and pay for it only when it
+// does something. NowSeq does not count a ticket: an event meant for the
+// current instant is scheduled, not ticketed (SubmitTicket does both).
+func (e *Engine) Ticket() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// AtTicket arms the ticket seq: h.Fire(a, b) runs at t in the place of the
+// event the ticket was taken for. It panics if that place has passed
+// (Passed). It leaves NowSeq alone, since the event counts as scheduled when
+// the ticket was taken.
+func (e *Engine) AtTicket(t Time, seq uint64, h Handler, a, b Time) {
+	if e.Passed(t, seq) {
+		panic(fmt.Sprintf("sim: arming ticket (%d, %d) at %d, after its place", t, seq, e.now))
+	}
+	ev := event{at: t, seq: seq, h: h, a: a, b: b}
+	if e.vacant { // as in schedule, which keeps its own copy to stay one call
+		e.vacant = false
+		e.siftDown(ev)
+		return
+	}
+	e.push(ev)
+}
+
+// Passed reports whether an event keyed (t, seq) has fired or is firing,
+// or, were it scheduled, would have: the key is at or before the event
+// firing's (or the last one fired's). After a RunUntil that reached its
+// horizon every seq issued so far counts at the horizon, and after a Run
+// that drained the heap every seq issued so far has passed, whatever its
+// time: a ticket never armed is an event that would have fired by then.
+func (e *Engine) Passed(t Time, seq uint64) bool {
+	return seq <= e.settled || t < e.now || t == e.now && seq <= e.fired
+}
+
 // atTimed schedules fn(a, b) at absolute time t without a wrapper closure
 // (package-internal: Resource completions).
 func (e *Engine) atTimed(t Time, fn func(a, b Time), a, b Time) {
@@ -297,6 +340,7 @@ func (e *Engine) fireRoot() {
 	e.events[0].h = nil // drop the handler so fired events don't pin memory
 	e.vacant = true
 	e.advanceTo(ev.at)
+	e.fired = ev.seq
 	ev.h.Fire(ev.a, ev.b)
 }
 
@@ -325,6 +369,7 @@ func (e *Engine) Run() {
 			return
 		}
 	}
+	e.settled = e.seq
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to t.
@@ -341,8 +386,9 @@ func (e *Engine) RunUntil(t Time) {
 			return
 		}
 	}
-	if e.now < t {
+	if e.now <= t {
 		e.advanceTo(t)
+		e.fired = e.seq
 	}
 }
 

@@ -51,6 +51,19 @@ func (r *Resource) SubmitEventThen(service, after Time, h Handler) Time {
 	return end + after
 }
 
+// SubmitTicket is SubmitEvent without the event: it enqueues the job and
+// takes the ticket its completion event would have had (Engine.Ticket), for
+// the caller to arm with Engine.AtTicket(end, seq, …) or never.
+func (r *Resource) SubmitTicket(service Time) (end Time, seq uint64) {
+	_, end = r.reserve(service)
+	e := r.eng
+	seq = e.Ticket()
+	if end == e.now {
+		e.nowSeq = seq // a zero-delay event, as scheduling it would record
+	}
+	return end, seq
+}
+
 // reserve assigns the job to the earliest-free server and returns its
 // service window.
 func (r *Resource) reserve(service Time) (start, end Time) {

@@ -21,6 +21,16 @@ const (
 	doNow          // schedule a zero-delay event, as core's ipNext does
 	doLater        // schedule an event at a later instant
 	numDos
+	doTicket = numDos // with tickets: the same as doLater, through a ticket
+)
+
+// How a script with tickets takes them: not at all (doTicket is not an
+// action), as the event a ticket stands for, scheduled when taken, or as a
+// ticket armed at the end of the unit's turn.
+const (
+	noTickets = iota
+	ticketsAsEvents
+	ticketsArmedLate
 )
 
 var laterDelays = [...]Time{1, 2, 7}
@@ -30,11 +40,23 @@ type roundScript struct {
 	script []byte
 	rounds bool // items ride rounds; else one zero-delay event each
 	naive  bool // with rounds: join the armed round whatever was scheduled since
-	armed  *testRound
-	units  int   // units made so far; a unit's id is its index
-	log    []int // unit ids in the order they ran
-	items  int   // items submitted
-	fired  int   // round events fired
+	// tickets is how doTicket is taken; late holds the tickets the unit
+	// running has taken, and nowSeqMoved is set if taking or arming one
+	// changed NowSeq.
+	tickets     int
+	late        []lateTicket
+	nowSeqMoved bool
+	armed       *testRound
+	units       int   // units made so far; a unit's id is its index
+	log         []int // unit ids in the order they ran
+	items       int   // items submitted
+	fired       int   // round events fired
+}
+
+type lateTicket struct {
+	at  Time
+	seq uint64
+	id  int
 }
 
 type testRound struct {
@@ -71,17 +93,41 @@ func (s *roundScript) newUnit() int {
 // run is a unit's turn: it logs itself, then takes up to three actions.
 func (s *roundScript) run(id int) {
 	s.log = append(s.log, id)
+	dos := byte(numDos)
+	if s.tickets != noTickets {
+		dos++
+	}
 	for n := s.next() & 3; n > 0; n-- {
 		b := s.next()
-		switch b % numDos {
+		switch b % dos {
 		case doJoin:
 			s.join(s.newUnit())
 		case doNow:
 			s.at(s.e.Now(), s.newUnit())
 		case doLater:
-			s.at(s.e.Now()+laterDelays[int(b/numDos)%len(laterDelays)], s.newUnit())
+			s.at(s.e.Now()+laterDelays[int(b/dos)%len(laterDelays)], s.newUnit())
+		case doTicket:
+			s.ticket(s.e.Now()+laterDelays[int(b/dos)%len(laterDelays)], s.newUnit())
 		}
 	}
+	for _, tk := range s.late {
+		ns := s.e.NowSeq()
+		s.e.AtTicket(tk.at, tk.seq, fnHandler(func() { s.run(tk.id) }), 0, 0)
+		s.nowSeqMoved = s.nowSeqMoved || s.e.NowSeq() != ns
+	}
+	s.late = s.late[:0]
+}
+
+// ticket schedules unit id at a later instant t: directly, or through a
+// ticket armed at the end of the turn.
+func (s *roundScript) ticket(t Time, id int) {
+	if s.tickets == ticketsAsEvents {
+		s.at(t, id)
+		return
+	}
+	ns := s.e.NowSeq()
+	s.late = append(s.late, lateTicket{at: t, seq: s.e.Ticket(), id: id})
+	s.nowSeqMoved = s.nowSeqMoved || s.e.NowSeq() != ns
 }
 
 func (s *roundScript) at(t Time, id int) { s.e.At(t, func() { s.run(id) }) }
@@ -108,7 +154,11 @@ func (s *roundScript) join(id int) {
 // an instant the next byte picks from 0, 1 and 2, and the engine runs until
 // the script is spent and the heap empty.
 func runRounds(script []byte, rounds, naive bool) *roundScript {
-	s := &roundScript{e: NewEngine(), script: script, rounds: rounds, naive: naive}
+	return runRoundsTickets(script, rounds, naive, noTickets)
+}
+
+func runRoundsTickets(script []byte, rounds, naive bool, tickets int) *roundScript {
+	s := &roundScript{e: NewEngine(), script: script, rounds: rounds, naive: naive, tickets: tickets}
 	for n := 1 + int(s.next())%8; n > 0; n-- {
 		s.at(Time(s.next()%3), s.newUnit())
 	}
@@ -133,6 +183,29 @@ func checkRounds(t *testing.T, script []byte) (ref, got *roundScript) {
 	return ref, got
 }
 
+// checkTicketRounds runs script with tickets: by the reference, and through
+// exact rounds with each ticket's event scheduled when taken and with the
+// ticket armed later. All three must run every unit in one order, and the
+// rounds must fire as many round events either way: a ticket neither moves
+// NowSeq when taken nor when armed, so it never makes a join arm a fresh
+// round.
+func checkTicketRounds(t *testing.T, script []byte) {
+	t.Helper()
+	ref := runRoundsTickets(script, false, false, ticketsAsEvents)
+	direct := runRoundsTickets(script, true, false, ticketsAsEvents)
+	late := runRoundsTickets(script, true, false, ticketsArmedLate)
+	for _, got := range []*roundScript{direct, late} {
+		if i := firstDiff(ref.log, got.log); i >= 0 {
+			t.Fatalf("unit %d-th to run: one event per item runs %v, rounds with tickets (%d) run %v",
+				i, logAt(ref.log, i), got.tickets, logAt(got.log, i))
+		}
+	}
+	if late.nowSeqMoved || late.fired != direct.fired {
+		t.Fatalf("tickets moved NowSeq: %v; rounds fired %d with tickets armed late, %d with their events scheduled",
+			late.nowSeqMoved, late.fired, direct.fired)
+	}
+}
+
 func firstDiff(a, b []int) int {
 	for i := 0; i < max(len(a), len(b)); i++ {
 		if logAt(a, i) != logAt(b, i) {
@@ -154,9 +227,9 @@ func logAt(a []int, i int) int {
 // script runs in the order one zero-delay event per item runs it, while the
 // rounds take in many of the items. A round that ignores the instant must
 // fail the same comparison, on ipNextScript and on some of the random
-// scripts, or the comparison could not tell the rules apart. (At this seed
-// about half the items join a round, and the instant-blind rule breaks most
-// scripts.)
+// scripts, or the comparison could not tell the rules apart. Each script
+// also runs with tickets (checkTicketRounds). (At this seed about half the
+// items join a round, and the instant-blind rule breaks most scripts.)
 func TestStagingRoundsKeepOrder(t *testing.T) {
 	t.Run("ipNext between two stagings", func(t *testing.T) {
 		ref, got := checkRounds(t, ipNextScript)
@@ -173,6 +246,7 @@ func TestStagingRoundsKeepOrder(t *testing.T) {
 		script := make([]byte, 64+rng.Intn(256))
 		rng.Read(script)
 		ref, got := checkRounds(t, script)
+		checkTicketRounds(t, script)
 		items, fired = items+got.items, fired+got.fired
 		if naive := runRounds(script, true, true); !slices.Equal(naive.log, ref.log) {
 			naiveWrong++
@@ -202,5 +276,6 @@ func FuzzStagingRounds(f *testing.F) {
 			script = script[:4096]
 		}
 		checkRounds(t, script)
+		checkTicketRounds(t, script)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"biza/internal/buf"
-	"biza/internal/fifo"
 	"biza/internal/flash"
 	"biza/internal/obs"
 	"biza/internal/pagetab"
@@ -141,11 +140,6 @@ func (bb *bufBlock) parts() (data, oob []byte) {
 // flash program in flight.
 func (bb *bufBlock) committed() bool { return bb.prog != nil }
 
-type waiter struct {
-	need int64 // buffer credit still required
-	op   *writeOp
-}
-
 type zone struct {
 	idx     int
 	state   ZoneState
@@ -157,8 +151,13 @@ type zone struct {
 	// commit takes every dirty block below the new wp — and committed ones
 	// below wp, wherever a caller driving the device directly put them.
 	buffered pagetab.Table[*bufBlock]
-	credit   int64              // free buffer slots (blocks)
-	waiters  fifo.Queue[waiter] // writes waiting for buffer credit
+	credit   int64 // free buffer slots (blocks)
+	// head and tail are the credit FIFO: every delivered ZRWA write not yet
+	// granted credit, linked through writeOp.next in controller order,
+	// which is the order of their controller completions' keys. armed
+	// marks head's completion as in the heap (see admit).
+	head, tail *writeOp
+	armed      bool
 	// store is the flash contents, OOB records included; it keeps nothing
 	// without StoreData. Reset erases it.
 	store      flash.Store
@@ -453,8 +452,11 @@ func (d *Device) Open(z int, withZRWA bool) error {
 		// Buffer credit equals the window: a block entering the ZRWA must
 		// wait for an evicted block's flash program to release its slot.
 		// This is what starves a single in-flight writer (Fig. 5) while a
-		// deep queue keeps the channel pipeline full.
+		// deep queue keeps the channel pipeline full. A write still in the
+		// controller may now find credit at its completion; one past it
+		// waits for the next release, as it always has.
 		zn.credit = d.cfg.ZRWABlocks
+		d.arm(zn)
 	}
 	return nil
 }
@@ -468,7 +470,7 @@ func (d *Device) Close(z int) error {
 	if !zn.state.IsOpen() {
 		return ErrWrongState
 	}
-	if zn.waiters.Len() > 0 {
+	if d.waiting(zn) {
 		return ErrWrongState
 	}
 	if zn.zrwa {
@@ -492,7 +494,7 @@ func (d *Device) Finish(z int) error {
 	default:
 		return ErrWrongState
 	}
-	if zn.waiters.Len() > 0 {
+	if d.waiting(zn) {
 		return ErrWrongState
 	}
 	if zn.zrwa {
@@ -527,7 +529,7 @@ func (d *Device) CommitZRWA(z int, upTo int64) error {
 // on the same channel. done (optional) fires when the erase finishes.
 func (d *Device) Reset(z int, done func(error)) {
 	zn, err := d.zoneArg(z)
-	if err != nil || zn.waiters.Len() > 0 {
+	if err != nil || d.waiting(zn) {
 		if err == nil {
 			err = ErrWrongState
 		}
@@ -635,7 +637,7 @@ func (d *Device) commitRange(zn *zone, upTo int64, reason uint8) {
 // program schedules the flash program of a contiguous run of committed
 // blocks through a pooled programOp: channel bus transfer, then a die
 // program. On completion it persists data/OOB, counts the traffic, releases
-// buffer credit, and admits waiting writes (see ops.go).
+// buffer credit, and admits waiting writes (see ops.go and admit).
 func (d *Device) program(zn *zone, start int64, blocks []*bufBlock) {
 	op := d.getProgramOp()
 	op.zn, op.start, op.blocks, op.stage = zn, start, blocks, pBus
@@ -647,27 +649,57 @@ func (d *Device) program(zn *zone, start int64, blocks []*bufBlock) {
 	d.chans[zn.channel].writeBus.SubmitEvent(size*sim.Second/d.cfg.ChannelWriteBW, op)
 }
 
-func (d *Device) releaseCredit(zn *zone, n int64) {
-	zn.credit += n
-	for zn.waiters.Len() > 0 {
-		if zn.credit < zn.waiters.Peek().need {
-			return
-		}
-		w := zn.waiters.Pop()
-		zn.credit -= w.need
-		w.op.creditGranted()
-	}
+// A ZRWA write takes buffer credit at the end of its controller stage, in
+// delivery order: granted then if nothing waits ahead of it and the credit
+// covers it, otherwise when a flash program releases enough. Its controller
+// completion is reserved as a ticket (sim.Resource.SubmitTicket) and enters
+// the heap only when it will grant: when the write heads the zone's credit
+// FIFO and the credit covers it. That is exact. Credit falls only when the
+// head is granted, so once it covers an unpassed head it keeps covering it
+// until that head's completion, which grants it at the key the event
+// always had; a head not covered by then would only have started waiting.
+// A Reset's zeroed credit is the exception, and the completion's admit
+// simply finds the head uncovered. What a ticket never armed leaves out is
+// an event whose only effect was that wait.
+
+// waiting reports whether a write past its controller stage waits for
+// buffer credit.
+func (d *Device) waiting(zn *zone) bool {
+	op := zn.head
+	return op != nil && d.eng.Passed(op.ctrlAt, op.tick)
 }
 
-// acquireCreditOp continues op once op.need buffer slots are available,
-// preserving FIFO order among waiters.
-func (d *Device) acquireCreditOp(zn *zone, op *writeOp) {
-	if zn.waiters.Len() == 0 && zn.credit >= op.need {
+// admit grants credit, in FIFO order, to the writes past their controller
+// stage while it covers them, then arms the next one's completion.
+func (d *Device) admit(zn *zone) {
+	for op := zn.head; op != nil && d.eng.Passed(op.ctrlAt, op.tick); op = zn.head {
+		if zn.credit < op.need {
+			return
+		}
 		zn.credit -= op.need
+		if zn.head = op.next; zn.head == nil {
+			zn.tail = nil
+		}
+		op.next = nil
 		op.creditGranted()
+	}
+	d.arm(zn)
+}
+
+// arm schedules the controller completion of the FIFO's head if the head
+// is still in the controller and the credit covers it.
+func (d *Device) arm(zn *zone) {
+	op := zn.head
+	if op == nil || zn.armed || zn.credit < op.need || d.eng.Passed(op.ctrlAt, op.tick) {
 		return
 	}
-	zn.waiters.Push(waiter{need: op.need, op: op})
+	zn.armed = true
+	d.eng.AtTicket(op.ctrlAt, op.tick, op, 0, 0)
+}
+
+func (d *Device) releaseCredit(zn *zone, n int64) {
+	zn.credit += n
+	d.admit(zn)
 }
 
 // Write submits an async write of nblocks starting at block lba of zone z.
@@ -791,7 +823,7 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	}
 	// Count slots needed (first-touch blocks only) and install contents in
 	// one pass — buffering happens at validation time, before the command
-	// queues for credit, so concurrent in-flight writes see consistent
+	// waits for credit, so concurrent in-flight writes see consistent
 	// dirty state. One table lookup per block; every block is inside the
 	// window here, so whatever is buffered at it is dirty.
 	var need int64
@@ -821,7 +853,14 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	}
 	op.need = need
 	op.stage = wZCtrl
-	d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
+	op.ctrlAt, op.tick = d.controller.SubmitTicket(d.cfg.CmdOverhead)
+	if zn.tail == nil {
+		zn.head = op
+		d.arm(zn)
+	} else {
+		zn.tail.next = op
+	}
+	zn.tail = op
 }
 
 // storeDirect programs the blocks of a sequential write into the zone's
@@ -968,8 +1007,10 @@ func (d *Device) harden(zn *zone, b int64, bb *bufBlock) {
 //     recycle them unhardened.
 //   - Unacknowledged ZRWA contents are dropped — the window truncation a
 //     crash exposes; recovery must tolerate the resulting holes.
-//   - Buffer-credit waiters are discarded with the host that submitted
-//     them.
+//   - Writes waiting for buffer credit are discarded with the host that
+//     submitted them; those still in the controller die at their
+//     controller completion, as every other command does at its next
+//     stage.
 //
 // Zone states, write pointers, and ZRWA configuration survive (firmware
 // journals its metadata). The host side must be torn down separately
@@ -978,9 +1019,17 @@ func (d *Device) PowerLoss() {
 	d.epoch++
 	var dropped, hardened int64
 	for _, zn := range d.zones {
-		for zn.waiters.Len() > 0 {
-			d.putWriteOp(zn.waiters.Pop().op)
+		for op := zn.head; op != nil; {
+			next := op.next
+			op.next = nil
+			if d.eng.Passed(op.ctrlAt, op.tick) {
+				d.putWriteOp(op)
+			} else if op != zn.head || !zn.armed {
+				d.eng.AtTicket(op.ctrlAt, op.tick, op, 0, 0)
+			}
+			op = next
 		}
+		zn.head, zn.tail, zn.armed = nil, nil, false
 		zn.buffered.Range(func(b int64, bb *bufBlock) bool {
 			if bb.committed() {
 				// The block recycles here, so its aborted program must not.

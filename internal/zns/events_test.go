@@ -12,8 +12,11 @@ import (
 // TestEventsPerCommand pins the engine events each command costs on an idle
 // device, and its latency. A fixed latency after a station rides that
 // station's completion event: a ZRWA write's buffer write rides the host
-// link's, a buffered read's DRAM read the controller's. The counts do not
-// depend on the host, so CI gates them (-run EventsPer).
+// link's, a buffered read's DRAM read the controller's. A ZRWA write's
+// controller completion fires only when it will be granted buffer credit:
+// behind a full window the write's own events are its link's alone, beside
+// the program its implicit commit starts. The counts do not depend on the
+// host, so CI gates them (-run EventsPer).
 func TestEventsPerCommand(t *testing.T) {
 	eng, d := newTestDev(t)
 	cfg := d.Config()
@@ -33,6 +36,21 @@ func TestEventsPerCommand(t *testing.T) {
 		{"ZRWA write", 2, cfg.CmdOverhead + wXfer + cfg.BufWriteLatency, func(done func(sim.Time, error)) {
 			d.Write(0, 0, n, nil, nil, TagUserData, func(r WriteResult) { done(r.Latency, r.Err) })
 		}},
+		// The window holds 16 dirty blocks and no credit is left: the write
+		// commits 4 of them, whose program (bus, die) releases the credit
+		// it takes. Its controller completion would only have found none,
+		// and fires no event (it did, for 2 of its own, when a write
+		// without credit joined a waiter queue there).
+		{"ZRWA write behind a full window", 2 + 1,
+			size*sim.Second/cfg.ChannelWriteBW + size*sim.Second/cfg.DieWriteBW + wXfer + cfg.BufWriteLatency,
+			func(done func(sim.Time, error)) {
+				// Fill the window first, to completion, outside the count.
+				if err := d.Open(2, true); err != nil {
+					t.Fatal(err)
+				}
+				writeSync(eng, d, 2, 0, int(cfg.ZRWABlocks), nil, TagUserData)
+				d.Write(2, cfg.ZRWABlocks, n, nil, nil, TagUserData, func(r WriteResult) { done(r.Latency, r.Err) })
+			}},
 		{"buffered read", 2, cfg.CmdOverhead + cfg.BufReadLatency + rXfer, func(done func(sim.Time, error)) {
 			d.ReadInto(0, 0, n, nil, false, func(r ReadResult) { done(r.Latency, r.Err) })
 		}},

@@ -36,7 +36,7 @@ const (
 	wSeqXfer         // host link done -> channel program bus
 	wSeqBus          // channel bus done -> die program
 	wSeqDie          // die program done -> complete
-	wZCtrl           // controller overhead done -> acquire buffer credit
+	wZCtrl           // controller overhead done, armed only to be granted buffer credit (admit)
 	wZXferBuf        // host link, then the DRAM buffer write, done -> complete
 )
 
@@ -59,6 +59,11 @@ type writeOp struct {
 	err     error
 	stage   uint8
 	done    func(WriteResult)
+	// ZRWA only: the controller completion's key, reserved at delivery
+	// (ctrlAt, tick), and the next write in the zone's credit FIFO.
+	ctrlAt sim.Time
+	tick   uint64
+	next   *writeOp
 }
 
 func (d *Device) getWriteOp() *writeOp {
@@ -138,7 +143,8 @@ func (op *writeOp) Fire(s, e sim.Time) {
 		d.stats.ProgrammedBytes[op.tag] += uint64(op.size)
 		op.complete()
 	case wZCtrl:
-		d.acquireCreditOp(op.zn, op)
+		op.zn.armed = false
+		d.admit(op.zn)
 	case wZXferBuf:
 		d.tr.Mark(op.span, int64(s), int64(e), obs.LayerZNS, obs.PhaseXfer, d.trDev, op.z, -1)
 		d.tr.Mark(op.span, int64(e), int64(d.eng.Now()), obs.LayerZNS, obs.PhaseBuffer, d.trDev, op.z, -1)
