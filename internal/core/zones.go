@@ -560,14 +560,10 @@ func (ds *devState) dispatchInPlace(zs *zoneState, op *schedOp) {
 	if op.oob != nil {
 		b.oob = append(b.oob, op.oob)
 	}
-	if op.own != nil {
-		// Zero-copy: the driver gets a fresh reference; ours is released in
-		// the completion.
-		op.own.Retain()
-		ds.q.WriteOwned(zs.id, op.off, 1, op.data, b.oobVec(), op.tag, op.own, b.done)
-		return
-	}
-	ds.q.Write(zs.id, op.off, 1, op.data, b.oobVec(), op.tag, b.done)
+	// Zero-copy: the driver gets a fresh reference; ours is released in
+	// the completion.
+	buf.Retain(op.own)
+	ds.q.WriteOwned(zs.id, op.off, 1, op.data, b.oobVec(), op.tag, op.own, b.done)
 }
 
 // oobVec returns the batch's OOB vector as the device expects it: nil when
@@ -622,13 +618,12 @@ func (ds *devState) dispatchBatch(zs *zoneState, b *appendBatch) {
 			b.oob = append(b.oob, b.ops[i].oob)
 		}
 	}
-	if n == 1 && b.ops[0].own != nil {
-		own := b.ops[0].own
-		own.Retain() // fresh reference for the driver; ours releases in complete
-		ds.q.WriteOwned(zs.id, b.off, 1, data, b.oobVec(), b.ops[0].tag, own, b.done)
-		return
+	var own *buf.Buf
+	if n == 1 {
+		own = b.ops[0].own
 	}
-	ds.q.Write(zs.id, b.off, n, data, b.oobVec(), b.ops[0].tag, b.done)
+	buf.Retain(own) // fresh reference for the driver; ours releases in complete
+	ds.q.WriteOwned(zs.id, b.off, n, data, b.oobVec(), b.ops[0].tag, own, b.done)
 }
 
 // complete is the device completion of a dispatched batch: it slides the

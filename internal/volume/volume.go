@@ -10,14 +10,14 @@
 //
 //   - a per-tenant token bucket (RateBytesPerSec, BurstBytes) that delays
 //     admission of requests exceeding the tenant's provisioned rate, and
-//   - weighted-fair queueing (nvme.WFQ, self-clocked fair queueing) over
+//   - weighted-fair queueing (fairQueue, self-clocked fair queueing) over
 //     the admitted backlog, dispatched into the array through a bounded
 //     in-flight window (MaxInflight) so one saturating tenant can neither
 //     monopolize the array's internal queues nor starve other tenants.
 //
 // The hot path follows the repository's event-core discipline: request
-// records are pooled per manager with cached completion closures, the WFQ
-// arbiter reuses its slices, and the per-tenant probes compile to nothing
+// records are pooled per manager with cached completion closures, the fair
+// queue reuses its slices, and the per-tenant probes compile to nothing
 // when no tracer is attached — steady-state submission allocates nothing.
 //
 // Everything runs on the array's simulation engine; a manager (and all of
@@ -29,10 +29,11 @@ package volume
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"biza/internal/blockdev"
-	"biza/internal/nvme"
+	"biza/internal/fifo"
 	"biza/internal/obs"
 	"biza/internal/sim"
 	"biza/internal/storerr"
@@ -45,12 +46,13 @@ var ErrIncomplete = errors.New("volume: operation did not complete")
 // Config parameterizes a Manager.
 type Config struct {
 	// MaxInflight bounds the ops concurrently outstanding at the array
-	// across all volumes — the WFQ dispatch window. 0 uses
+	// across all volumes — the fair queue's dispatch window. 0 uses
 	// DefaultMaxInflight.
 	MaxInflight int
-	// DisableQoS bypasses admission control entirely: requests map their
-	// LBA range and go straight to the array in arrival order. Stats are
-	// still kept. This is the noisy-neighbor baseline, not a fast path.
+	// DisableQoS bypasses admission control: no token bucket and no
+	// dispatch window, so requests map their LBA range and go straight to
+	// the array in arrival order. Stats are still kept. This is the
+	// noisy-neighbor baseline, not a fast path.
 	DisableQoS bool
 }
 
@@ -60,6 +62,9 @@ type Config struct {
 const DefaultMaxInflight = 32
 
 func (c *Config) maxInflight() int {
+	if c.DisableQoS {
+		return math.MaxInt
+	}
 	if c.MaxInflight < 1 {
 		return DefaultMaxInflight
 	}
@@ -68,8 +73,8 @@ func (c *Config) maxInflight() int {
 
 // QoS is one tenant's service class.
 type QoS struct {
-	// Weight is the tenant's WFQ share against other backlogged tenants
-	// (minimum 1).
+	// Weight is the tenant's fair-queueing share against other backlogged
+	// tenants (minimum 1).
 	Weight int
 	// RateBytesPerSec caps the tenant's sustained throughput via a token
 	// bucket; 0 = unlimited.
@@ -126,11 +131,11 @@ type Manager struct {
 	bs  int
 
 	vols   map[string]*Volume
-	byID   []*Volume // dense open-order ids; deleted volumes tombstone to nil
+	nextID int // open-order ids, never reused
 	nextLB int64
 	free   []extent // reclaimed ranges below nextLB, sorted and coalesced
 
-	wfq      *nvme.WFQ
+	fq       fairQueue
 	inflight int
 
 	opFree []*vop
@@ -146,7 +151,6 @@ func New(eng *sim.Engine, dev blockdev.Device, cfg Config) *Manager {
 		cfg:  cfg,
 		bs:   dev.BlockSize(),
 		vols: make(map[string]*Volume),
-		wfq:  nvme.NewWFQ(),
 	}
 }
 
@@ -178,25 +182,26 @@ func (m *Manager) Volumes() int { return len(m.vols) }
 // Volume returns the open volume with the given name, or nil.
 func (m *Manager) Volume(name string) *Volume { return m.vols[name] }
 
-// ByID returns the volume with the given dense id (open order), or nil
-// if that volume has been deleted.
-func (m *Manager) ByID(id int) *Volume { return m.byID[id] }
-
 // extent is one contiguous free LBA range of the array.
 type extent struct{ base, blocks int64 }
+
+// take removes blocks from the front of free extent i, dropping the
+// extent once it is used up.
+func (m *Manager) take(i int, blocks int64) {
+	if e := m.free[i]; e.blocks == blocks {
+		m.free = append(m.free[:i], m.free[i+1:]...)
+	} else {
+		m.free[i] = extent{base: e.base + blocks, blocks: e.blocks - blocks}
+	}
+}
 
 // alloc finds blocks of contiguous array space: first fit over the
 // reclaimed-extent list, else the untouched frontier.
 func (m *Manager) alloc(blocks int64) (int64, error) {
 	for i, e := range m.free {
 		if e.blocks >= blocks {
-			base := e.base
-			if e.blocks == blocks {
-				m.free = append(m.free[:i], m.free[i+1:]...)
-			} else {
-				m.free[i] = extent{base: e.base + blocks, blocks: e.blocks - blocks}
-			}
-			return base, nil
+			m.take(i, blocks)
+			return e.base, nil
 		}
 	}
 	if m.nextLB+blocks > m.dev.Blocks() {
@@ -246,22 +251,19 @@ func (m *Manager) Open(name string, opts Options) (*Volume, error) {
 	}
 	v := &Volume{
 		m:      m,
-		id:     len(m.byID),
+		id:     m.nextID,
 		name:   name,
 		base:   base,
 		blocks: opts.Blocks,
 		rate:   opts.QoS.RateBytesPerSec,
+		weight: uint64(opts.QoS.weight()),
 	}
 	if v.rate > 0 {
 		v.burstNs = opts.QoS.burst() * nsPerSec
 		v.tokensNs = v.burstNs // a fresh tenant starts with a full bucket
 	}
-	flow := m.wfq.AddFlow(opts.QoS.weight())
-	if flow != v.id {
-		panic("volume: wfq flow ids diverged from volume ids")
-	}
+	m.nextID++
 	m.vols[name] = v
-	m.byID = append(m.byID, v)
 	return v, nil
 }
 
@@ -298,11 +300,7 @@ func (m *Manager) Resize(name string, newBlocks int64) error {
 		i := sort.Search(len(m.free), func(i int) bool { return m.free[i].base >= end })
 		switch {
 		case i < len(m.free) && m.free[i].base == end && m.free[i].blocks >= grow:
-			if m.free[i].blocks == grow {
-				m.free = append(m.free[:i], m.free[i+1:]...)
-			} else {
-				m.free[i] = extent{base: end + grow, blocks: m.free[i].blocks - grow}
-			}
+			m.take(i, grow)
 		case end == m.nextLB && m.nextLB+grow <= m.dev.Blocks():
 			m.nextLB += grow
 		default:
@@ -317,9 +315,8 @@ func (m *Manager) Resize(name string, newBlocks int64) error {
 // Delete closes an open volume and reclaims its LBA range: the whole
 // range is trimmed on the array (dead-block advisory for GC) and returned
 // to the free list. The volume must be quiescent (storerr.ErrBusy
-// otherwise). Its dense id is tombstoned, never reused — WFQ flow ids
-// stay aligned with volume ids, and the dead flow can never pop because a
-// quiesced volume has nothing queued.
+// otherwise). Its id is never reused, so probes keyed by tenant id never
+// merge two volumes.
 func (m *Manager) Delete(name string) error {
 	v := m.vols[name]
 	if v == nil {
@@ -329,7 +326,6 @@ func (m *Manager) Delete(name string) error {
 		return fmt.Errorf("volume: %q has %d ops in flight: %w", name, v.st.QueueDepth, storerr.ErrBusy)
 	}
 	delete(m.vols, name)
-	m.byID[v.id] = nil
 	v.deleted = true
 	m.dev.Trim(v.base, int(v.blocks))
 	m.reclaim(v.base, v.blocks)
@@ -339,20 +335,21 @@ func (m *Manager) Delete(name string) error {
 const nsPerSec = int64(sim.Second)
 
 // vop is a pooled request record traveling from tenant submission through
-// the token bucket and WFQ into the array. The completion closures are
-// cached on the record (allocated once, reused across recycles) so a
-// steady-state request allocates nothing in this layer.
+// the token bucket and the fair queue into the array. The completion
+// closures are cached on the record (allocated once, reused across
+// recycles) so a steady-state request allocates nothing in this layer.
 type vop struct {
 	v       *Volume
 	write   bool
 	lba     int64 // array-space
 	nblocks int
 	data    []byte
-	cost    int64 // payload bytes (token-bucket and WFQ currency)
+	cost    int64  // payload bytes (token-bucket and fair-queue currency)
+	tag     uint64 // virtual finish tag in the fair queue
 	start   sim.Time
 	span    obs.SpanID // volume-layer span (0 when untraced)
 	gateAt  sim.Time   // when the op entered the token-bucket gate
-	admitAt sim.Time   // when the op entered the WFQ backlog
+	admitAt sim.Time   // when the op entered the fair-queue backlog
 	wdone   func(blockdev.WriteResult)
 	rdone   func(blockdev.ReadResult)
 	wfwd    func(blockdev.WriteResult)
@@ -393,13 +390,14 @@ type Volume struct {
 	burstNs  int64
 	tokensNs int64
 	refillAt sim.Time
-	gated    []*vop // FIFO awaiting tokens
-	gateHead int
-	gateSet  bool // admission timer scheduled
+	gated    fifo.Queue[*vop] // awaiting tokens
+	gateSet  bool             // admission timer scheduled
 
-	// ready is the admitted FIFO mirrored by the WFQ flow queue.
-	ready     []*vop
-	readyHead int
+	// Fair-queue state: the share, the last finish tag handed out, and
+	// the admitted ops in tag order.
+	weight  uint64
+	lastTag uint64
+	ready   fifo.Queue[*vop]
 
 	deleted bool
 
@@ -409,8 +407,8 @@ type Volume struct {
 // Name reports the volume's name.
 func (v *Volume) Name() string { return v.name }
 
-// ID reports the volume's dense id (open order) — the tenant id used in
-// probe names.
+// ID reports the volume's id (open order, never reused) — the tenant id
+// used in probe names.
 func (v *Volume) ID() int { return v.id }
 
 // Blocks reports the volume capacity in blocks.
@@ -533,15 +531,10 @@ func (v *Volume) Trim(lba int64, nblocks int) {
 // submit routes an op through admission control into the array.
 func (v *Volume) submit(op *vop) {
 	v.qd(+1)
-	m := v.m
-	if m.cfg.DisableQoS {
-		m.issue(op)
-		return
-	}
-	if v.rate > 0 {
+	if v.rate > 0 && !v.m.cfg.DisableQoS {
 		// FIFO behind any op already gated, so tenants cannot reorder
 		// around their own throttle.
-		if v.gateLen() > 0 || !v.takeTokens(op.cost) {
+		if v.gated.Len() > 0 || !v.takeTokens(op.cost) {
 			v.gatePush(op)
 			return
 		}
@@ -549,15 +542,10 @@ func (v *Volume) submit(op *vop) {
 	v.admit(op)
 }
 
-// admit hands an op to the WFQ backlog and kicks dispatch.
+// admit hands an op to the fair queue and kicks dispatch.
 func (v *Volume) admit(op *vop) {
-	if v.readyHead == len(v.ready) {
-		v.ready = v.ready[:0]
-		v.readyHead = 0
-	}
 	op.admitAt = v.m.eng.Now()
-	v.ready = append(v.ready, op)
-	v.m.wfq.Push(v.id, op.cost)
+	v.m.fq.push(v, op)
 	v.m.dispatch()
 }
 
@@ -586,16 +574,10 @@ func (v *Volume) takeTokens(cost int64) bool {
 	return true
 }
 
-func (v *Volume) gateLen() int { return len(v.gated) - v.gateHead }
-
 // gatePush queues an op behind the token bucket and (re)arms the
 // admission timer for the head op's ready time.
 func (v *Volume) gatePush(op *vop) {
-	if v.gateHead == len(v.gated) {
-		v.gated = v.gated[:0]
-		v.gateHead = 0
-	}
-	v.gated = append(v.gated, op)
+	v.gated.Push(op)
 	op.gateAt = v.m.eng.Now()
 	v.st.ThrottleStalls++
 	m := v.m
@@ -609,11 +591,11 @@ func (v *Volume) gatePush(op *vop) {
 // will afford the head gated op. The volume itself is the pooled event
 // record (sim.Handler), so arming allocates nothing.
 func (v *Volume) armGate() {
-	if v.gateSet || v.gateLen() == 0 {
+	if v.gateSet || v.gated.Len() == 0 {
 		return
 	}
 	v.refill()
-	need := v.gated[v.gateHead].cost*nsPerSec - v.tokensNs
+	need := v.gated.Peek().cost*nsPerSec - v.tokensNs
 	wait := (need + v.rate - 1) / v.rate // ceil: never wake a hair early
 	if wait < 1 {
 		wait = 1
@@ -623,17 +605,12 @@ func (v *Volume) armGate() {
 }
 
 // Fire implements sim.Handler: the admission timer. It drains every
-// affordable gated op into the WFQ backlog, re-arms for the next one, and
+// affordable gated op into the fair queue, re-arms for the next one, and
 // kicks dispatch.
 func (v *Volume) Fire(_, _ sim.Time) {
 	v.gateSet = false
-	for v.gateLen() > 0 {
-		op := v.gated[v.gateHead]
-		if !v.takeTokens(op.cost) {
-			break
-		}
-		v.gated[v.gateHead] = nil
-		v.gateHead++
+	for v.gated.Len() > 0 && v.takeTokens(v.gated.Peek().cost) {
+		op := v.gated.Pop()
 		now := v.m.eng.Now()
 		v.st.ThrottleNanos += now - op.start
 		// The admission stall is a span stage: attribution charges it to
@@ -644,35 +621,26 @@ func (v *Volume) Fire(_, _ sim.Time) {
 	v.armGate()
 }
 
-// --- WFQ dispatch (the submission shim into the array) ---
+// --- fair-queue dispatch (the submission shim into the array) ---
 
-// dispatch fills the bounded in-flight window from the WFQ backlog.
+// dispatch fills the bounded in-flight window from the fair queue.
 func (m *Manager) dispatch() {
 	for m.inflight < m.cfg.maxInflight() {
-		flow, ok := m.wfq.Pop()
-		if !ok {
+		op := m.fq.pop()
+		if op == nil {
 			return
 		}
-		v := m.byID[flow]
-		op := v.ready[v.readyHead]
-		v.ready[v.readyHead] = nil
-		v.readyHead++
 		m.inflight++
 		if now := m.eng.Now(); now > op.admitAt {
 			// Time spent backlogged in the fair queue or held by the
 			// in-flight window: the volume layer's "queue" stage.
-			m.tr.Mark(op.span, op.admitAt, now, obs.LayerVolume, obs.PhaseQueue, v.id, -1, -1)
+			m.tr.Mark(op.span, op.admitAt, now, obs.LayerVolume, obs.PhaseQueue, op.v.id, -1, -1)
 		}
-		m.issue(op)
-	}
-}
-
-// issue submits one op to the array front end.
-func (m *Manager) issue(op *vop) {
-	if op.write {
-		m.dev.Write(op.lba, op.nblocks, op.data, op.wfwd)
-	} else {
-		m.dev.Read(op.lba, op.nblocks, op.rfwd)
+		if op.write {
+			m.dev.Write(op.lba, op.nblocks, op.data, op.wfwd)
+		} else {
+			m.dev.Read(op.lba, op.nblocks, op.rfwd)
+		}
 	}
 }
 
@@ -681,9 +649,7 @@ func (m *Manager) issue(op *vop) {
 func (op *vop) account() (m *Manager, v *Volume) {
 	v = op.v
 	m = v.m
-	if !m.cfg.DisableQoS {
-		m.inflight--
-	}
+	m.inflight--
 	v.st.Ops++
 	v.st.Bytes += uint64(op.cost)
 	v.qd(-1)
@@ -703,9 +669,7 @@ func (op *vop) finishWrite(r blockdev.WriteResult) {
 	if done != nil {
 		done(r)
 	}
-	if !m.cfg.DisableQoS {
-		m.dispatch()
-	}
+	m.dispatch()
 }
 
 func (op *vop) finishRead(r blockdev.ReadResult) {
@@ -718,7 +682,5 @@ func (op *vop) finishRead(r blockdev.ReadResult) {
 	if done != nil {
 		done(r)
 	}
-	if !m.cfg.DisableQoS {
-		m.dispatch()
-	}
+	m.dispatch()
 }

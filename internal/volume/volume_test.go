@@ -118,7 +118,7 @@ func TestOpenAllocatesDisjointRanges(t *testing.T) {
 	if _, err := m.Open("z", Options{Blocks: 0}); err == nil {
 		t.Fatal("zero-capacity open succeeded")
 	}
-	if m.Volume("a") != a || m.ByID(b.ID()) != b || m.Volumes() != 2 {
+	if m.Volume("a") != a || m.Volume("b") != b || a.ID() == b.ID() || m.Volumes() != 2 {
 		t.Fatal("lookup mismatch")
 	}
 
