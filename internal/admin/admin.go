@@ -67,6 +67,16 @@ const (
 	KindSetFailed Kind = "set-failed"
 )
 
+// check refuses a kind that is not one of the above.
+func (k Kind) check() error {
+	switch k {
+	case KindReplace, KindScrub, KindVolumeResize, KindVolumeDelete,
+		KindCrash, KindRecover, KindSetFailed:
+		return nil
+	}
+	return fmt.Errorf("admin: unknown job kind %q: %w", k, storerr.ErrBadArgument)
+}
+
 // Params carries the union of job parameters; each kind reads its own
 // subset and ignores the rest.
 type Params struct {
@@ -290,11 +300,8 @@ func (o *Orchestrator) Submit(kind Kind, p Params) (uint64, error) {
 }
 
 func (o *Orchestrator) submit(cmd Command) (uint64, error) {
-	switch cmd.Kind {
-	case KindReplace, KindScrub, KindVolumeResize, KindVolumeDelete,
-		KindCrash, KindRecover, KindSetFailed:
-	default:
-		return 0, fmt.Errorf("admin: unknown job kind %q: %w", cmd.Kind, storerr.ErrBadArgument)
+	if err := cmd.Kind.check(); err != nil {
+		return 0, err
 	}
 	id := cmd.JobID
 	if id == 0 {

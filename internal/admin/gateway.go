@@ -39,11 +39,8 @@ func NewGateway(orc *Orchestrator) *Gateway {
 // returned id is live immediately for status polls. Implements
 // ops.JobSink.
 func (g *Gateway) SubmitJob(kind string, params []byte) (uint64, error) {
-	switch Kind(kind) {
-	case KindReplace, KindScrub, KindVolumeResize, KindVolumeDelete,
-		KindCrash, KindRecover, KindSetFailed:
-	default:
-		return 0, fmt.Errorf("admin: unknown job kind %q: %w", kind, storerr.ErrBadArgument)
+	if err := Kind(kind).check(); err != nil {
+		return 0, err
 	}
 	var p Params
 	if len(params) > 0 {

@@ -200,10 +200,35 @@ func TestUnwrittenReadsZero(t *testing.T) {
 	}
 }
 
+// Out-of-range writes and reads fail with ErrOutOfRange a microsecond later,
+// never inside the call; with a nil done they schedule nothing.
 func TestOutOfRange(t *testing.T) {
 	eng, c, _ := newTestCore(t, nil)
-	if r := blockdev.WriteSync(eng, c, c.Blocks(), 1, nil); !errors.Is(r.Err, blockdev.ErrOutOfRange) {
-		t.Fatalf("err = %v", r.Err)
+	n := c.Blocks()
+	for _, r := range []struct {
+		lba    int64
+		blocks int
+	}{{n, 1}, {n - 1, 2}, {-1, 1}, {0, 0}, {0, -1}} {
+		var w blockdev.WriteResult
+		var rd blockdev.ReadResult
+		wrote, read := false, false
+		c.Write(r.lba, r.blocks, nil, func(res blockdev.WriteResult) { w, wrote = res, true })
+		c.Read(r.lba, r.blocks, func(res blockdev.ReadResult) { rd, read = res, true })
+		if wrote || read {
+			t.Fatalf("%+v: answered inside the call", r)
+		}
+		eng.Run()
+		if !wrote || !errors.Is(w.Err, blockdev.ErrOutOfRange) || w.Latency != sim.Microsecond {
+			t.Fatalf("%+v: write answered %v with %+v", r, wrote, w)
+		}
+		if !read || !errors.Is(rd.Err, blockdev.ErrOutOfRange) || rd.Latency != sim.Microsecond || rd.Data != nil {
+			t.Fatalf("%+v: read answered %v with %+v", r, read, rd)
+		}
+		c.Write(r.lba, r.blocks, nil, nil)
+		c.Read(r.lba, r.blocks, nil)
+		if p := eng.Pending(); p != 0 {
+			t.Fatalf("%+v: a nil done left %d events", r, p)
+		}
 	}
 }
 

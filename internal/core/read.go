@@ -61,13 +61,11 @@ type readRun struct {
 // Read implements blockdev.Device: BMT lookups, coalesced per-zone reads,
 // and parity reconstruction for chunks on failed members.
 func (c *Core) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
-	rd := c.getRead()
-	rd.lba, rd.start, rd.done, rd.outstanding = lba, c.eng.Now(), done, 1
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > c.Blocks() {
-		rd.firstErr = blockdev.ErrOutOfRange
-		rd.submitted()
+	if !blockdev.CheckRead(c.eng, lba, nblocks, c.Blocks(), done) {
 		return
 	}
+	rd := c.getRead()
+	rd.lba, rd.start, rd.done, rd.outstanding = lba, c.eng.Now(), done, 1
 	rd.span = c.tr.SpanBegin(int64(rd.start), obs.LayerBIZA, obs.OpRead, -1, -1, lba, int64(nblocks))
 	bs := c.chunkBytes()
 	if c.StoresData() {
@@ -133,9 +131,9 @@ func (rd *readRec) addBlock(at pa, i int64) {
 }
 
 // submitted drops the count Read holds on its own record while it submits.
-// If that was the last — out of range, nothing mapped, or every block failed
-// reconstruction on the spot — nothing asynchronous is left to answer, so the
-// record is the event that does: no completion runs inside the call it answers.
+// If that was the last — nothing mapped, or every block failed reconstruction
+// on the spot — nothing asynchronous is left to answer, so the record is the
+// event that does: no completion runs inside the call it answers.
 func (rd *readRec) submitted() {
 	if rd.outstanding--; rd.outstanding > 0 {
 		return

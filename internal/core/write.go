@@ -240,12 +240,11 @@ func (ch *chunkRec) finish(err error) {
 // transferred reference pinning data; each chunk takes a reference of its
 // own before the original is dropped.
 func (c *Core) writeCommon(lba int64, nblocks int, data []byte, own *buf.Buf, done func(blockdev.WriteResult)) {
-	start := c.eng.Now()
-	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > c.Blocks() {
+	if !blockdev.CheckWrite(c.eng, lba, nblocks, c.Blocks(), done) {
 		buf.Release(own)
-		c.rejectWrite(done)
 		return
 	}
+	start := c.eng.Now()
 	bs := c.chunkBytes()
 	c.userBytes += uint64(nblocks) * uint64(bs)
 	w := c.getWrite()
@@ -265,17 +264,6 @@ func (c *Core) writeCommon(lba int64, nblocks int, data []byte, own *buf.Buf, do
 		c.writeChunk(ch)
 	}
 	buf.Release(own) // drop the caller's transferred reference
-}
-
-// rejectWrite fails an out-of-range Write a microsecond later.
-func (c *Core) rejectWrite(done func(blockdev.WriteResult)) {
-	if done == nil {
-		return
-	}
-	start := c.eng.Now()
-	c.eng.After(sim.Microsecond, func() {
-		done(blockdev.WriteResult{Err: blockdev.ErrOutOfRange, Latency: c.eng.Now() - start})
-	})
 }
 
 // writeChunk stores one chunk. If the current copy still sits inside its

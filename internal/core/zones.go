@@ -412,7 +412,7 @@ func (ds *devState) pickZone(class Class) (*zoneState, error) {
 				continue
 			}
 			if zs != nil {
-				ds.retireZone(zs)
+				ds.maybeFinish(zs) // it seals once its in-flight writes drain
 			}
 			group[slot] = nz
 			zs = nz
@@ -714,12 +714,6 @@ func (ds *devState) maybeFinish(zs *zoneState) {
 	}
 	ds.c.maybeStartGC(ds)
 	ds.c.runAllocWaiters()
-}
-
-// retireZone detaches a filled zone from its group (it seals itself once
-// its in-flight writes drain).
-func (ds *devState) retireZone(zs *zoneState) {
-	ds.maybeFinish(zs)
 }
 
 // freeZone returns a collected zone to the pool.

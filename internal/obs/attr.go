@@ -71,19 +71,6 @@ func newAttrGroup(name string) *AttrGroup {
 	return g
 }
 
-// AttrProc is one traced engine's attribution.
-type AttrProc struct {
-	Name   string
-	Groups []*AttrGroup // sorted by group name
-}
-
-// Attribution is the parsed, attributed view of a trace export.
-type Attribution struct {
-	Procs []*AttrProc // in first-seen order
-	Spans int         // spans attributed
-	Open  int         // spans with a begin but no end (ring drop / in flight)
-}
-
 type attrIv struct {
 	start, end int64
 	stage      int
@@ -93,64 +80,6 @@ type attrSpan struct {
 	begin int64
 	group *AttrGroup
 	ivs   []attrIv
-}
-
-type attrProcState struct {
-	pid    int
-	name   string
-	groups map[string]*AttrGroup
-	open   map[uint64]*attrSpan
-}
-
-type attrBuilder struct {
-	byProc map[int]*attrProcState
-	order  []*attrProcState
-	spans  int
-}
-
-func newAttrBuilder() *attrBuilder {
-	return &attrBuilder{byProc: map[int]*attrProcState{}}
-}
-
-func (b *attrBuilder) proc(pid int) *attrProcState {
-	p, ok := b.byProc[pid]
-	if !ok {
-		p = &attrProcState{pid: pid, groups: map[string]*AttrGroup{}, open: map[uint64]*attrSpan{}}
-		b.byProc[pid] = p
-		b.order = append(b.order, p)
-	}
-	return p
-}
-
-func (p *attrProcState) begin(id uint64, name string, ts int64) {
-	g, ok := p.groups[name]
-	if !ok {
-		g = newAttrGroup(name)
-		p.groups[name] = g
-	}
-	p.open[id] = &attrSpan{begin: ts, group: g}
-}
-
-func (p *attrProcState) mark(id uint64, start, dur int64, phase string) {
-	s, ok := p.open[id]
-	if !ok {
-		return // begin sampled out or overwritten in the ring
-	}
-	stage := attrStageOf(phase)
-	if stage < 0 || dur < 0 {
-		return
-	}
-	s.ivs = append(s.ivs, attrIv{start: start, end: start + dur, stage: stage})
-}
-
-func (b *attrBuilder) end(p *attrProcState, id uint64, ts int64) {
-	s, ok := p.open[id]
-	if !ok {
-		return
-	}
-	delete(p.open, id)
-	b.spans++
-	attributeSpan(s, ts)
 }
 
 // attributeSpan sweeps span s's timeline [begin, end] and records the
@@ -209,53 +138,6 @@ func attributeSpan(s *attrSpan, end int64) {
 	for st, d := range stageDur {
 		s.group.Stage[st].Record(d)
 	}
-}
-
-func (b *attrBuilder) finish() *Attribution {
-	a := &Attribution{Spans: b.spans}
-	for _, p := range b.order {
-		names := make([]string, 0, len(p.groups))
-		for n := range p.groups {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		ap := &AttrProc{Name: p.name}
-		if ap.Name == "" {
-			ap.Name = fmt.Sprintf("trace%d", p.pid)
-		}
-		for _, n := range names {
-			ap.Groups = append(ap.Groups, p.groups[n])
-		}
-		a.Procs = append(a.Procs, ap)
-		a.Open += len(p.open)
-	}
-	return a
-}
-
-// Attribute reads a trace exported with WritePerfetto or WriteJSONL and
-// computes per-stage latency attribution.
-func Attribute(r io.Reader) (*Attribution, error) {
-	b := newAttrBuilder()
-	err := ReadExport(r, func(rec ExportRec) error {
-		p := b.proc(rec.Proc)
-		switch rec.Kind {
-		case ExpMeta:
-			p.name = rec.Name
-		case ExpSpanBegin:
-			p.begin(rec.Span, rec.Name, rec.TS)
-		case ExpSlice:
-			if rec.Mark { // segments belong to no span
-				p.mark(rec.Span, rec.TS, rec.Dur, rec.Name)
-			}
-		case ExpSpanEnd:
-			b.end(p, rec.Span, rec.TS)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.finish(), nil
 }
 
 // WriteReport prints the attribution: per engine, per (layer, op), the

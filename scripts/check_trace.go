@@ -1,11 +1,13 @@
 //go:build ignore
 
 // Command check_trace gates CI on a bizabench -trace or -trace-jsonl
-// artifact, read through obs.ReadExport. It fails (non-zero exit) if the
-// trace is missing, malformed, has non-monotonic virtual timestamps within
-// any process, carries unmatched or zero I/O spans, lacks spans from the
-// nvme and zns layers plus at least one array engine (biza/raizn/zapraid),
-// or records zero zone events.
+// artifact, read once through obs.ReadFold. It fails (non-zero exit) if the
+// trace is missing or unreadable, if the fold counts any malformed record
+// (a timestamp going backwards or below 0, a negative duration, a span
+// begun twice, an end with no begin), if a span is left open or none was
+// traced, if the nvme and zns layers plus at least one array engine
+// (biza/raizn/zapraid) contribute no spans or slices, or if it records no
+// zone events.
 //
 // Usage: go run scripts/check_trace.go /tmp/fig10_trace.json
 package main
@@ -13,6 +15,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"biza/internal/obs"
@@ -29,69 +32,30 @@ func main() {
 	}
 	defer f.Close()
 
-	var (
-		n          int
-		lastTS     = map[int]int64{} // pid -> last seen ts (monotonicity)
-		openSpans  = map[int]map[uint64]bool{}
-		spanBegins int
-		zoneEvents int
-		layers     = map[string]int{} // span or slice layer -> count
-	)
-	err = obs.ReadExport(f, func(r obs.ExportRec) error {
-		n++
-		if r.Kind == obs.ExpMeta {
-			return nil // metadata carries no timestamp
-		}
-		if r.TS < 0 {
-			return fmt.Errorf("negative timestamp %d ns", r.TS)
-		}
-		if last, ok := lastTS[r.Proc]; ok && r.TS < last {
-			return fmt.Errorf("pid %d timestamp went backwards (%d < %d ns)", r.Proc, r.TS, last)
-		}
-		lastTS[r.Proc] = r.TS
-		switch r.Kind {
-		case obs.ExpSpanBegin:
-			spanBegins++
-			layers[r.Layer]++
-			if openSpans[r.Proc] == nil {
-				openSpans[r.Proc] = map[uint64]bool{}
-			}
-			if openSpans[r.Proc][r.Span] {
-				return fmt.Errorf("pid %d: span %d begun twice", r.Proc, r.Span)
-			}
-			openSpans[r.Proc][r.Span] = true
-		case obs.ExpSpanEnd:
-			if !openSpans[r.Proc][r.Span] {
-				return fmt.Errorf("pid %d: span %d ended without begin", r.Proc, r.Span)
-			}
-			delete(openSpans[r.Proc], r.Span)
-		case obs.ExpSlice:
-			if r.Dur < 0 {
-				return fmt.Errorf("%q: negative duration %d ns", r.Name, r.Dur)
-			}
-			// The async I/O span is owned by the driver queue; device
-			// layers contribute phase/segment slices to it.
-			if r.Layer != "" {
-				layers[r.Layer]++
-			}
-		case obs.ExpEvent:
-			zoneEvents++
-		}
-		return nil
-	})
+	fold, err := obs.ReadFold(f)
 	if err != nil {
 		fail("%s: %v", path, err)
 	}
+	layers := map[string]int{} // span begins and slices per layer
+	var zoneEvents int
+	for _, p := range fold.Procs {
+		if b := p.Bad; b != (obs.Anomalies{}) {
+			fail("%s: pid %d: %d timestamp(s) going backwards or below 0, %d negative duration(s), %d span(s) begun twice, %d span end(s) without a begin",
+				path, p.Pid, b.Backwards, b.NegDur, b.Rebegun, b.Orphans)
+		}
+		for l, c := range p.Layers {
+			layers[l] += c
+		}
+		for _, c := range p.Events {
+			zoneEvents += c
+		}
+	}
 
-	if spanBegins == 0 {
+	if fold.Spans == 0 {
 		fail("%s: no I/O spans", path)
 	}
-	var unterminated int
-	for _, open := range openSpans {
-		unterminated += len(open)
-	}
-	if unterminated > 0 {
-		fail("%s: %d unterminated span(s)", path, unterminated)
+	if fold.Open > 0 {
+		fail("%s: %d unterminated span(s)", path, fold.Open)
 	}
 	for _, want := range []string{"nvme", "zns"} {
 		if layers[want] == 0 {
@@ -108,17 +72,9 @@ func main() {
 	for l, c := range layers {
 		ls = append(ls, fmt.Sprintf("%s=%d", l, c))
 	}
+	sort.Strings(ls)
 	fmt.Printf("trace check ok: %d records, %d spans (%s), %d zone events, %d processes\n",
-		n, spanBegins, strings.Join(sorted(ls), " "), zoneEvents, len(lastTS))
-}
-
-func sorted(s []string) []string {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s
+		fold.Records, fold.Spans, strings.Join(ls, " "), zoneEvents, len(fold.Procs))
 }
 
 func fail(format string, args ...any) {
