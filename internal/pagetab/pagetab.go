@@ -69,7 +69,13 @@ func (t *Table[V]) Get(k int64) (v V) {
 // Set stores v at k, which must not be negative. Memory grows with the
 // largest key set, so keys must come from a bounded or slowly advancing
 // range.
-func (t *Table[V]) Set(k int64, v V) {
+func (t *Table[V]) Set(k int64, v V) { *t.Ptr(k) = v }
+
+// Ptr returns the address of the value at k, which must not be negative,
+// first setting a zero-valued entry there if k holds none: a
+// read-modify-write of an entry in one lookup. The address is good until
+// the entry is deleted or the table cleared.
+func (t *Table[V]) Ptr(k int64) *V {
 	i := int(k >> pageShift)
 	if i >= len(t.dir) {
 		t.growDir(i + 1)
@@ -85,7 +91,7 @@ func (t *Table[V]) Set(k int64, v V) {
 		p.n++
 		t.n++
 	}
-	p.vals[s] = v
+	return &p.vals[s]
 }
 
 // Delete removes the entry at k, if any.

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAgainstMap drives a Table and a map[int64]int with the same random
-// Set/Get/Delete/Range sequence over three key shapes and requires equal
+// Set/Ptr/Get/Delete/Range sequence over three key shapes and requires equal
 // contents, ascending Range, equal Len, and no page left in use once
 // everything is deleted.
 func TestAgainstMap(t *testing.T) {
@@ -29,12 +29,21 @@ func TestAgainstMap(t *testing.T) {
 			ref := map[int64]int{}
 			for step := 0; step < 40000; step++ {
 				k := tt.key(rng, step)
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(12); {
 				case op < 5:
 					v := rng.Int() | 1 // never the zero value: absence reads as 0
 					tab.Set(k, v)
 					ref[k] = v
-				case op < 8:
+				case op < 7:
+					// In place: a fresh entry reads as 0 through the
+					// pointer, an existing one as its value.
+					p := tab.Ptr(k)
+					if *p != ref[k] {
+						t.Fatalf("step %d: *Ptr(%d) = %d, want %d", step, k, *p, ref[k])
+					}
+					*p += 2
+					ref[k] += 2
+				case op < 10:
 					tab.Delete(k)
 					delete(ref, k)
 				default:

@@ -95,6 +95,9 @@ type Engine struct {
 	// issued once a RunUntil reaches its horizon; settled is every seq
 	// issued when a Run last drained the heap. See Passed.
 	fired, settled uint64
+	// census counts fires by handler type in a census build (census.go);
+	// otherwise it is empty and takes no space.
+	census census
 	// sink, optional, accumulates the virtual time this engine advances;
 	// credited is the clock reading it has been told about so far.
 	sink     *atomic.Int64
@@ -341,6 +344,7 @@ func (e *Engine) fireRoot() {
 	e.vacant = true
 	e.advanceTo(ev.at)
 	e.fired = ev.seq
+	e.count(ev.h)
 	ev.h.Fire(ev.a, ev.b)
 }
 

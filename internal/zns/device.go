@@ -101,44 +101,37 @@ func (f FlashStats) TotalProgrammed() uint64 {
 // ProgrammedByTag reports programmed bytes for one traffic class.
 func (f FlashStats) ProgrammedByTag(t WriteTag) uint64 { return f.ProgrammedBytes[t] }
 
-// bufBlock is one block in the device write buffer: dirty, or committed
-// with its flash program in flight. acked marks content whose write
-// completion reached the host: power loss hardens acked blocks (capacitor
-// flush) and drops unacknowledged ones. pl holds what a read or a program
-// of the block can return, and exists only on a device with StoreData:
-// without it the buffer keeps no payload or OOB record, since nothing
-// would read them.
-type bufBlock struct {
-	pl    *payload
-	prog  *programOp // committed: below wp, owned by this program until it retires
-	tag   WriteTag
-	acked bool
-}
+// slot is one block in the device write buffer, packed in a byte: its
+// write tag, whether it is acked, and a live bit that tells a buffered
+// block from the empty slot, which is zero. A live slot at or above the
+// zone's wp is dirty; below wp it is committed, its flash program in
+// flight. acked marks content whose write completion reached the host:
+// power loss hardens acked blocks (capacitor flush) and drops
+// unacknowledged ones.
+type slot uint8
 
-// payload is a buffered block's contents. When own is non-nil, data is a
-// borrowed view into the caller's refcounted buffer (one reference held
-// per block) instead of a device-side copy — the zero-copy form of the
-// defensive payload copy. Either way the block only lends its bytes: the
-// flash store copies them at program time, and the scratch or the
-// reference goes back where it came from when the block retires
-// (putBufBlock).
+const (
+	slotLive  slot = 1 << 7
+	slotAcked slot = 1 << 6
+)
+
+func (s slot) live() bool    { return s&slotLive != 0 }
+func (s slot) acked() bool   { return s&slotAcked != 0 }
+func (s slot) tag() WriteTag { return WriteTag(s &^ (slotLive | slotAcked)) }
+
+// payload is what a read or a program of a buffered block returns, kept
+// only on a device with StoreData: without it the buffer holds no payload
+// or OOB record, since nothing would read them. When own is non-nil, data
+// is a borrowed view into the caller's refcounted buffer (one reference
+// held per block) instead of a device-side copy — the zero-copy form of
+// the defensive payload copy. Either way the block only lends its bytes:
+// the flash store copies them at program time, and the scratch or the
+// reference goes back where it came from when the block leaves the buffer
+// (unbuffer).
 type payload struct {
 	data, oob []byte
 	own       *buf.Buf // reference pinning data when it is a borrowed view
 }
-
-// parts returns the block's payload and OOB record: nil, nil without
-// StoreData.
-func (bb *bufBlock) parts() (data, oob []byte) {
-	if bb.pl == nil {
-		return nil, nil
-	}
-	return bb.pl.data, bb.pl.oob
-}
-
-// committed reports whether the block is committed: below wp, with its
-// flash program in flight.
-func (bb *bufBlock) committed() bool { return bb.prog != nil }
 
 type zone struct {
 	idx     int
@@ -150,7 +143,11 @@ type zone struct {
 	// [wp, wp+ZRWABlocks) — the ZRWA path admits no write outside it and a
 	// commit takes every dirty block below the new wp — and committed ones
 	// below wp, wherever a caller driving the device directly put them.
-	buffered pagetab.Table[*bufBlock]
+	// With StoreData, payloads holds each buffered block's payload at the
+	// same offset; without it, it is nil (and the zone a size class
+	// smaller).
+	buffered pagetab.Table[slot]
+	payloads *pagetab.Table[payload]
 	credit   int64 // free buffer slots (blocks)
 	// head and tail are the credit FIFO: every delivered ZRWA write not yet
 	// granted credit, linked through writeOp.next in controller order,
@@ -204,15 +201,14 @@ type Device struct {
 	hintValid bool
 
 	// recs are the engine's record free lists, shared by every device on
-	// it; bbFree is the one of its buffer-block lists for this device's
-	// mode (see ops.go).
-	recs   *recs
-	bbFree *[]*bufBlock
+	// it (see ops.go).
+	recs *recs
 
-	// The zones' buffer tables share their pages, and their flash stores
-	// their extents (nil without StoreData): a reset zone's go to the next
-	// zone to fill.
-	bufPages pagetab.Pool[*bufBlock]
+	// The zones' buffer and payload tables share their pages, and their
+	// flash stores their extents (nil without StoreData): a reset zone's
+	// go to the next zone to fill.
+	bufPages pagetab.Pool[slot]
+	payPages pagetab.Pool[payload]
 	media    *flash.Pool
 
 	// pool recycles the write buffer's payload and OOB copies (StoreData
@@ -241,10 +237,6 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		pool:       buf.NewPool(),
 		recs:       sim.Local[recs](eng),
 	}
-	d.bbFree = &d.recs.bb
-	if cfg.StoreData {
-		d.bbFree = &d.recs.bbData
-	}
 	d.chans = make([]*channel, cfg.NumChannels)
 	for i := range d.chans {
 		d.chans[i] = &channel{
@@ -263,7 +255,12 @@ func New(eng *sim.Engine, cfg Config) (*Device, error) {
 		if cfg.ShuffleFraction > 0 && rng.Float64() < cfg.ShuffleFraction {
 			ch = rng.Intn(cfg.NumChannels)
 		}
-		d.zones[i] = &zone{idx: i, channel: ch, buffered: d.bufPages.Table(), store: d.media.Store()}
+		zn := &zone{idx: i, channel: ch, buffered: d.bufPages.Table(), store: d.media.Store()}
+		if cfg.StoreData {
+			pl := d.payPages.Table()
+			zn.payloads = &pl
+		}
+		d.zones[i] = zn
 	}
 	return d, nil
 }
@@ -543,17 +540,13 @@ func (d *Device) Reset(z int, done func(error)) {
 	zn.zrwa = false
 	zn.wp = 0
 	zn.written = 0
-	// Recycle the dirty buffer blocks the erase discards. Committed blocks
-	// stay out: their in-flight programOps still reference them and will
-	// recycle them at retirement — recycling here would double-free. The
+	// The erase discards every buffered block, committed ones included:
+	// their programs still in flight store nothing (see programOp). The
 	// entries go one by one, so the emptied pages return to the device's
 	// pool while the zone keeps its directory, as its store keeps its
 	// extent vector, for the refill.
-	zn.buffered.Range(func(b int64, bb *bufBlock) bool {
-		if !bb.committed() {
-			d.putBufBlock(bb)
-		}
-		zn.buffered.Delete(b)
+	zn.buffered.Range(func(b int64, _ slot) bool {
+		d.unbuffer(zn, b, false)
 		return true
 	})
 	zn.credit = 0
@@ -582,7 +575,7 @@ func (d *Device) windowEnd(zn *zone) int64 {
 // maxDirty returns the highest dirty block, or wp-1 when none is.
 func (d *Device) maxDirty(zn *zone) int64 {
 	for b := d.windowEnd(zn) - 1; b >= zn.wp; b-- {
-		if bb := zn.buffered.Get(b); bb != nil && !bb.committed() {
+		if zn.buffered.Get(b).live() {
 			return b
 		}
 	}
@@ -603,50 +596,45 @@ func (d *Device) commitRange(zn *zone, upTo int64, reason uint8) {
 		d.tr.Event(int64(d.eng.Now()), obs.LayerZNS, obs.EvZRWACommit, d.trDev, zn.idx,
 			upTo, upTo-zn.wp, reason)
 	}
-	var runStart int64 = -1
-	run := d.getRun()
+	// Every buffered block at or above wp is dirty: a run is a stretch of
+	// live slots, cut at maxBatch. A block's tag cannot change once it is
+	// below wp, so the run's program counts its blocks by tag here.
 	const maxBatch = 16 // 64 KiB batches spread commits across dies
+	var run *programOp
 	for b, end := zn.wp, min(upTo, d.windowEnd(zn)); b < end; b++ {
-		bb := zn.buffered.Get(b)
-		if bb == nil || bb.committed() {
-			if len(run) > 0 {
-				d.program(zn, runStart, run)
-				run = d.getRun()
+		s := zn.buffered.Get(b)
+		if !s.live() {
+			if run != nil {
+				d.program(run)
+				run = nil
 			}
-			runStart = -1
 			continue
 		}
-		if runStart < 0 {
-			runStart = b
+		if run == nil {
+			run = d.getProgramOp()
+			run.zn, run.start = zn, b
 		}
-		run = append(run, bb)
-		if len(run) >= maxBatch {
-			d.program(zn, runStart, run)
-			run = d.getRun()
-			runStart = -1
+		run.n++
+		run.tags[s.tag()]++
+		if run.n == maxBatch {
+			d.program(run)
+			run = nil
 		}
 	}
-	if len(run) > 0 {
-		d.program(zn, runStart, run)
-	} else {
-		d.putRun(run)
+	if run != nil {
+		d.program(run)
 	}
 	zn.wp = upTo
 }
 
-// program schedules the flash program of a contiguous run of committed
-// blocks through a pooled programOp: channel bus transfer, then a die
-// program. On completion it persists data/OOB, counts the traffic, releases
-// buffer credit, and admits waiting writes (see ops.go and admit).
-func (d *Device) program(zn *zone, start int64, blocks []*bufBlock) {
-	op := d.getProgramOp()
-	op.zn, op.start, op.blocks, op.stage = zn, start, blocks, pBus
-	op.erase = zn.eraseCount
-	for _, bb := range blocks {
-		bb.prog = op
-	}
-	size := int64(len(blocks)) * int64(d.cfg.BlockSize)
-	d.chans[zn.channel].writeBus.SubmitEvent(size*sim.Second/d.cfg.ChannelWriteBW, op)
+// program schedules the flash program of a run of committed blocks through
+// its pooled programOp: channel bus transfer, then a die program. On
+// completion it persists data/OOB, counts the traffic, releases buffer
+// credit, and admits waiting writes (see ops.go and admit).
+func (d *Device) program(op *programOp) {
+	op.erase, op.stage = op.zn.eraseCount, pBus
+	size := op.n * int64(d.cfg.BlockSize)
+	d.chans[op.zn.channel].writeBus.SubmitEvent(size*sim.Second/d.cfg.ChannelWriteBW, op)
 }
 
 // A ZRWA write takes buffer credit at the end of its controller stage, in
@@ -830,16 +818,15 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	bs := int64(d.cfg.BlockSize)
 	for i := int64(0); i < n; i++ {
 		b := lba + i
-		bb := zn.buffered.Get(b)
-		if bb == nil {
+		s := zn.buffered.Ptr(b)
+		if !s.live() {
 			need++
-			bb = d.getBufBlock()
-			zn.buffered.Set(b, bb)
 		} else {
 			d.stats.AbsorbedBytes += uint64(d.cfg.BlockSize)
 		}
-		bb.tag = tag
-		if pl := bb.pl; pl != nil {
+		*s = slotLive | *s&slotAcked | slot(tag)
+		if d.cfg.StoreData {
+			pl := zn.payloads.Ptr(b)
 			if data != nil {
 				d.setData(pl, data[i*bs:(i+1)*bs], own)
 			}
@@ -965,7 +952,7 @@ func (d *Device) ReadInto(z int, lba int64, nblocks int, dst []byte, withOOB boo
 	// A read wholly in the write buffer is served from DRAM: the buffer read
 	// rides the controller's event.
 	for b := lba; b < lba+n; b++ {
-		if zn.buffered.Get(b) == nil {
+		if !zn.buffered.Get(b).live() {
 			op.stage = rCtrl
 			d.controller.SubmitEvent(d.cfg.CmdOverhead, op)
 			return
@@ -980,19 +967,31 @@ func (d *Device) ReadInto(z int, lba int64, nblocks int, dst []byte, withOOB boo
 // drops them. Blocks already programmed to flash need no marking.
 func (d *Device) ackRange(zn *zone, lba, n int64) {
 	for b := lba; b < lba+n; b++ {
-		if bb := zn.buffered.Get(b); bb != nil {
-			bb.acked = true
+		if s := zn.buffered.Get(b); s.live() {
+			zn.buffered.Set(b, s|slotAcked)
 		}
 	}
 }
 
-// harden persists one buffered block during the power-loss capacitor
-// flush: contents move to flash at zero service cost.
-func (d *Device) harden(zn *zone, b int64, bb *bufBlock) {
-	data, oob := bb.parts()
-	zn.store.Put(b, data, oob)
-	d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
-	d.putBufBlock(bb)
+// unbuffer takes block b out of the zone's write buffer. With StoreData it
+// first programs the block's payload into the flash store when keep is
+// set, then releases the payload: the scratch copies go back to the
+// device's pool, a borrowed view drops its reference.
+func (d *Device) unbuffer(zn *zone, b int64, keep bool) {
+	if d.cfg.StoreData {
+		pl := zn.payloads.Get(b)
+		if keep {
+			zn.store.Put(b, pl.data, pl.oob)
+		}
+		if pl.own != nil {
+			pl.own.Release()
+		} else {
+			d.pool.Free(pl.data)
+		}
+		d.pool.Free(pl.oob)
+		zn.payloads.Delete(b)
+	}
+	zn.buffered.Delete(b)
 }
 
 // PowerLoss cuts device power at the current instant, modeling an
@@ -1002,9 +1001,9 @@ func (d *Device) harden(zn *zone, b int64, bb *bufBlock) {
 //     bump); their completions never fire.
 //   - Capacitor flush: committed blocks awaiting their flash program and
 //     ZRWA blocks whose writes were acknowledged harden to flash
-//     instantly at zero service cost. Committed blocks a reset took out
-//     of the buffer are the erased tenant's: their aborted programs
-//     recycle them unhardened.
+//     instantly at zero service cost, in ascending block order. Committed
+//     blocks a reset took out of the buffer were the erased tenant's, and
+//     are gone.
 //   - Unacknowledged ZRWA contents are dropped — the window truncation a
 //     crash exposes; recovery must tolerate the resulting holes.
 //   - Writes waiting for buffer credit are discarded with the host that
@@ -1030,18 +1029,15 @@ func (d *Device) PowerLoss() {
 			op = next
 		}
 		zn.head, zn.tail, zn.armed = nil, nil, false
-		zn.buffered.Range(func(b int64, bb *bufBlock) bool {
-			if bb.committed() {
-				// The block recycles here, so its aborted program must not.
-				bb.prog.blocks[b-bb.prog.start] = nil
-			}
-			if bb.committed() || bb.acked {
-				d.harden(zn, b, bb)
+		zn.buffered.Range(func(b int64, s slot) bool {
+			keep := b < zn.wp || s.acked()
+			if keep {
+				d.stats.ProgrammedBytes[s.tag()] += uint64(d.cfg.BlockSize)
 				hardened++
 			} else {
-				d.putBufBlock(bb)
 				dropped++
 			}
+			d.unbuffer(zn, b, keep)
 			return true
 		})
 		zn.buffered.Clear()

@@ -7,8 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"unsafe"
 
+	"biza/internal/flash"
 	"biza/internal/pagetab"
 	"biza/internal/sim"
 )
@@ -32,23 +32,37 @@ func block(seed byte, size int) []byte {
 }
 
 // checkBuffered panics unless every zone's write buffer is where the
-// device's tables assume it is: a dirty block inside the zone's ZRWA
-// window, a committed one below the write pointer, and a payload record
-// exactly when the device has StoreData.
+// device's tables assume it is: every entry a live slot of a known tag, a
+// dirty block (at or above the write pointer) inside the zone's ZRWA
+// window, and a payload record at each buffered block and nowhere else
+// when the device has StoreData, no payload table without it.
 func checkBuffered(d *Device) {
 	for _, zn := range d.zones {
-		zn.buffered.Range(func(b int64, bb *bufBlock) bool {
+		zn.buffered.Range(func(b int64, s slot) bool {
 			switch {
-			case (bb.pl != nil) != d.cfg.StoreData:
-				panic(fmt.Sprintf("zone %d block %d: payload record %v with StoreData %v", zn.idx, b, bb.pl != nil, d.cfg.StoreData))
-			case bb.committed() && b >= zn.wp:
-				panic(fmt.Sprintf("zone %d: committed block %d at or above wp %d", zn.idx, b, zn.wp))
-			case !bb.committed() && (!zn.zrwa || b < zn.wp || b >= zn.wp+d.cfg.ZRWABlocks):
+			case !s.live() || s.tag() >= numTags:
+				panic(fmt.Sprintf("zone %d block %d: slot %#x is not a buffered block", zn.idx, b, s))
+			case b >= zn.wp && (!zn.zrwa || b >= zn.wp+d.cfg.ZRWABlocks):
 				panic(fmt.Sprintf("zone %d (zrwa %v): dirty block %d outside [%d, %d)",
 					zn.idx, zn.zrwa, b, zn.wp, zn.wp+d.cfg.ZRWABlocks))
 			}
 			return true
 		})
+		if (zn.payloads != nil) != d.cfg.StoreData {
+			panic(fmt.Sprintf("zone %d: payload table %v with StoreData %v", zn.idx, zn.payloads != nil, d.cfg.StoreData))
+		}
+		if zn.payloads == nil {
+			continue
+		}
+		zn.payloads.Range(func(b int64, _ payload) bool {
+			if !zn.buffered.Get(b).live() {
+				panic(fmt.Sprintf("zone %d: payload record at unbuffered block %d", zn.idx, b))
+			}
+			return true
+		})
+		if zn.payloads.Len() != zn.buffered.Len() {
+			panic(fmt.Sprintf("zone %d: %d payload records for %d buffered blocks", zn.idx, zn.payloads.Len(), zn.buffered.Len()))
+		}
 	}
 }
 
@@ -1042,7 +1056,7 @@ func TestOpenReportChannelExposure(t *testing.T) {
 // TestZRWAOverwriteAllocFree gates the write buffer's steady state in
 // performance mode: once warm, filling a ZRWA window with payloads and OOB
 // records, overwriting it in place, and committing it to flash allocates
-// nothing — buffer records recycle when their flash programs retire, and
+// nothing — buffer pages recycle when their flash programs retire, and
 // no payload or OOB copy is made, since nothing could read it.
 func TestZRWAOverwriteAllocFree(t *testing.T) {
 	cfg := TestConfig()
@@ -1070,7 +1084,7 @@ func TestZRWAOverwriteAllocFree(t *testing.T) {
 	}
 	var lba int64
 	fill := func() {
-		d.Write(0, lba, n, data, oob, TagUserData, done) // first touch: a recycled record
+		d.Write(0, lba, n, data, oob, TagUserData, done) // first touch: a slot in a recycled page
 		d.Write(0, lba, n, data, oob, TagUserData, done) // overwrite: absorbed in place
 		eng.Run()
 	}
@@ -1079,7 +1093,7 @@ func TestZRWAOverwriteAllocFree(t *testing.T) {
 		if err := d.CommitZRWA(0, lba); err != nil {
 			failed = err
 		}
-		eng.Run() // programs retire, records return to the free list
+		eng.Run() // programs retire, emptied pages return to the pool
 	}
 	for i := 0; i < 8; i++ {
 		fill()
@@ -1106,13 +1120,11 @@ func TestZRWAOverwriteAllocFree(t *testing.T) {
 }
 
 // TestBufferedBlockBytesAllocFree gates what a buffered block costs in
-// performance mode: its 24-byte record and its share of the buffer table's
-// page, with no payload or OOB copy beside it. Windows of several zones are
-// filled with payload and OOB writes on a fresh device.
+// performance mode: its one-byte slot's share of the buffer table's page,
+// with no record, payload or OOB copy beside it. Windows of several zones
+// are filled with payload and OOB writes on a fresh device, so the write
+// commands' own records count too.
 func TestBufferedBlockBytesAllocFree(t *testing.T) {
-	if got := unsafe.Sizeof(bufBlock{}); got != 24 {
-		t.Errorf("a buffer record is %d bytes, want 24", got)
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := TestConfig()
 	cfg.StoreData = false
@@ -1149,8 +1161,8 @@ func TestBufferedBlockBytesAllocFree(t *testing.T) {
 	}
 	per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(blocks)
 	t.Logf("%.2f heap bytes per buffered block", per)
-	if per > 48 {
-		t.Fatalf("the write buffer costs %.2f heap bytes per buffered block, want at most 48", per)
+	if per > 4 {
+		t.Fatalf("the write buffer costs %.2f heap bytes per buffered block, want at most 4", per)
 	}
 	runChecked(eng, d)
 }
@@ -1211,65 +1223,154 @@ func TestBufferedBlocksStayInWindow(t *testing.T) {
 	}
 }
 
+// TestFreshZoneWindowsAllocFree: once the buffer table's pages exist,
+// opening zones reset to empty and filling their windows allocates
+// nothing: a buffered block is a byte in a page, not a record of its own.
+// A warm-up round buffers one block per zone, so the pages and every
+// command record exist but only one block's worth of buffer per zone was
+// ever needed. The measured round submits the writes that fill the
+// windows; they buffer their blocks at submission.
+func TestFreshZoneWindowsAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := TestConfig()
+	cfg.StoreData = false
+	eng := sim.NewEngine()
+	d, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones, n := cfg.MaxOpenZones, int(cfg.ZRWABlocks)
+	var failed error
+	done := func(r WriteResult) {
+		if r.Err != nil {
+			failed = r.Err
+		}
+	}
+	fill := func(blocks int) {
+		for z := 0; z < zones; z++ {
+			if err := d.Open(z, true); err != nil && failed == nil {
+				failed = err
+			}
+			d.Write(z, 0, blocks, nil, nil, TagUserData, done)
+		}
+	}
+	fill(1)
+	runChecked(eng, d)
+	for z := 0; z < zones; z++ {
+		d.Reset(z, nil)
+	}
+	runChecked(eng, d)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fill(n)
+	runtime.ReadMemStats(&m1)
+	runChecked(eng, d)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	blocks := 0
+	for z := 0; z < zones; z++ {
+		blocks += d.zones[z].buffered.Len()
+	}
+	if blocks != zones*n {
+		t.Fatalf("%d blocks buffered, want %d", blocks, zones*n)
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs != 0 {
+		t.Fatalf("filling %d fresh windows of %d blocks allocates %d objects, want 0", zones, n, allocs)
+	}
+}
+
 // TestPowerLossHardensAscending: the capacitor flush walks each zone's
 // buffer in block order, committed and acknowledged blocks alike, and
-// drops the unacknowledged ones.
+// drops the unacknowledged ones. The order shows in what the flash store
+// received: each block lies in an extent of its own, and a store takes
+// its extents from the device's pool last-freed first, so the extent a
+// block's contents landed in tells when the store was first handed it.
+// The pool is seeded with known extents by a sequential fill of another
+// zone and its reset; a slow channel keeps every program in flight until
+// the cut.
 func TestPowerLossHardensAscending(t *testing.T) {
-	eng, d := newTestDev(t)
-	bs := d.cfg.BlockSize
+	const e = flash.ExtentBlocks
+	cfg := TestConfig()
+	cfg.ZRWABlocks = 16 * e
+	cfg.ZoneBlocks = 2 * cfg.ZRWABlocks
+	cfg.ChannelWriteBW = 1e6 // a one-block program holds the bus for 4 ms
+	eng := sim.NewEngine()
+	d, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := cfg.BlockSize
+	const seeded = 14
+	if r := writeSync(eng, d, 1, 0, seeded*e, block(0xee, seeded*e*bs), TagUserData); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	popped := map[*byte]int{} // an extent's data slab -> how many pops until it comes back
+	for i := 0; i < seeded; i++ {
+		data, _ := d.zones[1].store.Get(int64(i * e))
+		popped[&data[0]] = seeded - 1 - i
+	}
+	d.Reset(1, nil)
+	runChecked(eng, d)
 	if err := d.Open(0, true); err != nil {
 		t.Fatal(err)
 	}
 	// Blocks 0-7 acknowledged, then committed with their programs in flight;
 	// 13, 9, 11 acknowledged out of order; 10 still unacknowledged at the cut.
-	for b := int64(7); b >= 0; b-- {
-		writeSync(eng, d, 0, b, 1, block(byte(b), bs), TagUserData)
+	// Block k is written at offset k*e.
+	for k := int64(7); k >= 0; k-- {
+		writeSync(eng, d, 0, k*e, 1, block(byte(k), bs), TagUserData)
 	}
-	if err := d.CommitZRWA(0, 8); err != nil {
+	if err := d.CommitZRWA(0, 8*e); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []int64{13, 9, 11} {
-		d.Write(0, b, 1, block(byte(b), bs), nil, TagUserData, nil)
+	for _, k := range []int64{13, 9, 11} {
+		d.Write(0, k*e, 1, block(byte(k), bs), nil, TagUserData, nil)
 	}
-	for !d.zones[0].buffered.Get(11).acked {
+	for !d.zones[0].buffered.Get(11 * e).acked() {
 		if !eng.Step() {
 			t.Fatal("writes never acknowledged")
 		}
+		checkBuffered(d)
 	}
-	d.Write(0, 10, 1, block(10, bs), nil, TagUserData, nil)
-	blockOf := map[*bufBlock]int64{}
-	d.zones[0].buffered.Range(func(b int64, bb *bufBlock) bool {
-		blockOf[bb] = b
-		return true
-	})
-	if len(blockOf) != 12 {
-		t.Fatalf("%d blocks buffered at the cut, want 12 (programs retired early?)", len(blockOf))
+	d.Write(0, 10*e, 1, block(10, bs), nil, TagUserData, nil)
+	if got := d.zones[0].buffered.Len(); got != 12 || d.Stats().TotalProgrammed() != uint64(seeded*e*bs) {
+		t.Fatalf("%d blocks buffered at the cut, %d bytes programmed: want 12 and zone 1's fill (programs retired early?)",
+			got, d.Stats().TotalProgrammed())
 	}
-	recycled := len(*d.bbFree)
 	d.PowerLoss()
 	checkBuffered(d)
-	// Every buffered block went back to the free list as it was hardened
-	// or dropped: that is the order PowerLoss visited them in.
-	var order []int64
-	for _, bb := range (*d.bbFree)[recycled:] {
-		order = append(order, blockOf[bb])
-	}
-	want := []int64{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("PowerLoss visited blocks %v, want %v", order, want)
-	}
 	if d.zones[0].buffered.Len() != 0 {
 		t.Fatalf("%d blocks still buffered after the cut", d.zones[0].buffered.Len())
 	}
+	want := []int64{0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13}
+	order := make([]int64, len(want))
+	for _, k := range append(want, 10) {
+		data, _ := d.zones[0].store.Get(k * e)
+		if k == 10 {
+			if data != nil {
+				t.Fatal("the unacknowledged block reached the flash store")
+			}
+			continue
+		}
+		at, ok := popped[&data[0]]
+		if !ok || at >= len(order) {
+			t.Fatalf("block %d hardened into an extent that was not seeded", k)
+		}
+		order[at] = k
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("the flash store received blocks %v, want %v", order, want)
+	}
 	eng.Run() // aborted programs and commands die silently
-	for _, b := range want {
-		r := readSync(eng, d, 0, b, 1)
-		wantData := block(byte(b), bs)
-		if b == 10 {
+	for _, k := range append(want, 10) {
+		r := readSync(eng, d, 0, k*e, 1)
+		wantData := block(byte(k), bs)
+		if k == 10 {
 			wantData = make([]byte, bs) // never acknowledged: dropped
 		}
 		if r.Err != nil || !bytes.Equal(r.Data, wantData) {
-			t.Fatalf("block %d after the cut: err %v, content wrong %v", b, r.Err, !bytes.Equal(r.Data, wantData))
+			t.Fatalf("block %d after the cut: err %v, content wrong %v", k, r.Err, !bytes.Equal(r.Data, wantData))
 		}
 	}
 }

@@ -17,16 +17,12 @@ import (
 // device's own. A get sets the record's device (and epoch), whichever
 // device put it back.
 
-// recs are an engine's free lists (sim.Local). Write-buffer blocks keep one
-// list per mode, because a StoreData block carries its payload record.
+// recs are an engine's free lists (sim.Local).
 type recs struct {
-	wop    []*writeOp
-	rop    []*readOp
-	pop    []*programOp
-	eop    []*resetOp
-	run    [][]*bufBlock
-	bb     []*bufBlock // without StoreData
-	bbData []*bufBlock // with StoreData
+	wop []*writeOp
+	rop []*readOp
+	pop []*programOp
+	eop []*resetOp
 }
 
 // writeOp stages (sequential, ZRWA, and failure paths share the record).
@@ -236,10 +232,8 @@ func (op *readOp) gather() ReadResult {
 	bs, ob := int64(d.cfg.BlockSize), int64(d.cfg.OOBBytesPerBlock)
 	for i := int64(0); i < op.n; i++ {
 		b := op.lba + i
-		var src, so []byte
-		if bb := zn.buffered.Get(b); bb != nil {
-			src, so = bb.parts()
-		}
+		pl := zn.payloads.Get(b)
+		src, so := pl.data, pl.oob
 		if src == nil {
 			src, so = zn.store.Get(b)
 		}
@@ -287,21 +281,24 @@ func (op *readOp) Fire(s, e sim.Time) {
 	}
 }
 
-// programOp drives one flash program batch: channel bus transfer, then die
-// program, then persistence/accounting and buffer-credit release.
+// programOp drives one flash program batch, the committed blocks [start,
+// start+n) of its zone: channel bus transfer, then die program, then
+// persistence/accounting and buffer-credit release. The blocks stay in the
+// zone's buffer until the program retires; tags counts them by write tag.
 const (
 	pBus = iota
 	pDie
 )
 
 type programOp struct {
-	d      *Device
-	zn     *zone
-	start  int64
-	epoch  uint64 // device power epoch at submission
-	erase  uint64 // the zone's erase count at submission
-	blocks []*bufBlock
-	stage  uint8
+	d     *Device
+	zn    *zone
+	start int64
+	n     int64
+	epoch uint64 // device power epoch at submission
+	erase uint64 // the zone's erase count at submission
+	tags  [numTags]uint8
+	stage uint8
 }
 
 func (d *Device) getProgramOp() *programOp {
@@ -317,27 +314,15 @@ func (d *Device) getProgramOp() *programOp {
 func (op *programOp) Fire(s, e sim.Time) {
 	d, zn := op.d, op.zn
 	if op.epoch != d.epoch {
-		// Power loss aborted the program mid-flight. PowerLoss hardened
-		// and recycled the blocks still in the buffer, and took them out of
-		// the batch. Any left were taken out of the buffer by a reset
-		// before the cut: the erased tenant's, recycled here unhardened.
-		run := op.blocks
+		// Power loss aborted the program mid-flight: PowerLoss hardened
+		// its blocks, unless a reset had dropped them before the cut.
 		*op = programOp{d: d}
 		d.recs.pop = append(d.recs.pop, op)
-		for i, bb := range run {
-			if bb != nil {
-				d.putBufBlock(bb)
-				run[i] = nil
-			}
-		}
-		if run != nil {
-			d.putRun(run)
-		}
 		return
 	}
 	chIdx := zn.channel
 	ch := d.chans[chIdx]
-	nblk := len(op.blocks)
+	nblk := int(op.n)
 	switch op.stage {
 	case pBus:
 		d.tr.Segment(int64(s), int64(e), obs.LayerZNS, obs.SegProgramBus, d.trDev, zn.idx, chIdx, nblk)
@@ -346,30 +331,21 @@ func (op *programOp) Fire(s, e sim.Time) {
 		ch.dies.SubmitEvent(dieTime, op)
 	case pDie:
 		d.tr.Segment(int64(s), int64(e), obs.LayerZNS, obs.SegProgramDie, d.trDev, zn.idx, chIdx, nblk)
-		// The zone was reset while the program was in flight: its blocks
-		// belong to the erased tenant and must not land in the store of the
-		// next one. Only the contents are dropped; the program still took
-		// its time, counts as programmed and releases its buffer slots.
-		stale := op.erase != zn.eraseCount
-		for i, bb := range op.blocks {
-			b := op.start + int64(i)
-			// bb leaves the buffer. After a reset that raced this program
-			// the buffer may hold the zone's next tenant of the slot
-			// instead, which stays until its own program retires.
-			if zn.buffered.Get(b) == bb {
-				zn.buffered.Delete(b)
+		// The blocks leave the buffer for the flash store, unless the zone
+		// was reset while the program was in flight: the reset dropped them,
+		// and the buffer may hold the zone's next tenant of the offsets
+		// instead, which stays until its own program retires. Either way the
+		// program took its time, counts as programmed and releases its
+		// buffer slots.
+		if op.erase == zn.eraseCount {
+			for b := op.start; b < op.start+op.n; b++ {
+				d.unbuffer(zn, b, true)
 			}
-			if !stale {
-				data, oob := bb.parts()
-				zn.store.Put(b, data, oob)
-			}
-			d.stats.ProgrammedBytes[bb.tag] += uint64(d.cfg.BlockSize)
-			d.putBufBlock(bb)
-			op.blocks[i] = nil
 		}
-		n := int64(nblk)
-		d.putRun(op.blocks)
-		op.blocks = nil
+		for t, k := range op.tags {
+			d.stats.ProgrammedBytes[t] += uint64(k) * uint64(d.cfg.BlockSize)
+		}
+		n := op.n
 		*op = programOp{d: d}
 		d.recs.pop = append(d.recs.pop, op)
 		d.releaseCredit(zn, n)
@@ -411,44 +387,9 @@ func (op *resetOp) Fire(s, e sim.Time) {
 	}
 }
 
-// Write-buffer blocks. With StoreData a block and its payload are one
-// allocation, and stay together across recycling; the payload's data and
-// OOB copies are scratch from the device's private pool, recycled when the
-// flash program retires, after the flash store has copied them. Without
-// StoreData a block is the bare record.
-
-func (d *Device) getBufBlock() *bufBlock {
-	if free := *d.bbFree; len(free) > 0 {
-		bb := free[len(free)-1]
-		*d.bbFree = free[:len(free)-1]
-		return bb
-	}
-	if !d.cfg.StoreData {
-		return &bufBlock{}
-	}
-	x := &struct {
-		bufBlock
-		payload
-	}{}
-	x.pl = &x.payload
-	return &x.bufBlock
-}
-
-func (d *Device) putBufBlock(bb *bufBlock) {
-	if pl := bb.pl; pl != nil {
-		if pl.own != nil {
-			// data is a borrowed view, not device scratch: drop the
-			// reference instead of recycling someone else's slab.
-			pl.own.Release()
-		} else {
-			d.pool.Free(pl.data)
-		}
-		d.pool.Free(pl.oob)
-		*pl = payload{}
-	}
-	*bb = bufBlock{pl: bb.pl}
-	*d.bbFree = append(*d.bbFree, bb)
-}
+// Write-buffer payloads (StoreData only). The data and OOB copies are
+// scratch from the device's private pool, recycled when the block leaves
+// the buffer, after the flash store has copied them.
 
 // setData installs src as the block's contents. With own non-nil the block
 // borrows the caller's refcounted slab (one Retain per block, zero copy);
@@ -480,18 +421,4 @@ func (d *Device) setOOB(pl *payload, src []byte) {
 		pl.oob = d.pool.Alloc(len(src))
 	}
 	pl.oob = append(pl.oob[:0], src...)
-}
-
-// getRun / putRun recycle the per-batch block slices used by commitRange.
-func (d *Device) getRun() []*bufBlock {
-	if n := len(d.recs.run); n > 0 {
-		r := d.recs.run[n-1]
-		d.recs.run = d.recs.run[:n-1]
-		return r
-	}
-	return make([]*bufBlock, 0, 16)
-}
-
-func (d *Device) putRun(r []*bufBlock) {
-	d.recs.run = append(d.recs.run, r[:0])
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // TestSharedRecordsChangeNothing: devices on one engine draw their command
-// records, write-buffer blocks and program runs from the engine's free
-// lists, so a record one device put back is the next one the other takes.
+// and program records from the engine's free lists, so a record one device put back is the next one the other takes.
 // Neither may notice. A random stream of window and sequential writes,
 // reads, commits, closes, finishes, resets, and power cuts of one device
 // while the other keeps drawing records, runs on two devices sharing an
@@ -77,7 +76,7 @@ func (w *recWorld) held() int {
 	n := 0
 	for _, e := range w.engs {
 		r := sim.Local[recs](e)
-		n += len(r.wop) + len(r.rop) + len(r.pop) + len(r.eop) + len(r.run) + len(r.bb) + len(r.bbData)
+		n += len(r.wop) + len(r.rop) + len(r.pop) + len(r.eop)
 	}
 	return n
 }

@@ -74,10 +74,10 @@ func TestProgramRetiringAfterResetDoesNotPersist(t *testing.T) {
 }
 
 // TestPowerLossRecyclesResetPrograms: a power cut while a reset zone's
-// programs are still in flight must leave no buffer block behind. The
-// blocks the reset took out of the buffer are the erased tenant's, so the
-// capacitor flush never sees them; their aborted programs recycle them,
-// and the ones the flush did harden exactly once. Half the blocks carry
+// programs are still in flight must leave no buffer block or payload
+// behind. The blocks the reset took out of the buffer are the erased
+// tenant's, so the capacitor flush never sees them and the reset released
+// their payloads; the ones the flush did harden are released exactly once. Half the blocks carry
 // owned payloads, half device copies with OOB records, and the cut comes
 // after the reset or before it.
 func TestPowerLossRecyclesResetPrograms(t *testing.T) {
@@ -116,8 +116,8 @@ func TestPowerLossRecyclesResetPrograms(t *testing.T) {
 				t.Fatalf("%d owned payloads and %d scratch slabs still out (%d before), with nothing buffered",
 					pool.Live(), d.pool.RawLive(), raw0)
 			}
-			if got := len(*d.bbFree); got != int(n) {
-				t.Fatalf("%d buffer blocks on the free list, want the %d written", got, n)
+			if zn := d.zones[0]; zn.buffered.Len() != 0 || zn.payloads.Len() != 0 {
+				t.Fatalf("%d blocks and %d payload records left in the buffer", zn.buffered.Len(), zn.payloads.Len())
 			}
 		})
 	}
@@ -167,6 +167,83 @@ func TestStaleProgramLeavesNextTenantBuffered(t *testing.T) {
 	}
 	if want := block(0x80, refilled*bs); !bytes.Equal(res.Data, want) {
 		t.Fatalf("the refilled blocks read data[0] %#x, want %#x", res.Data[0], want[0])
+	}
+}
+
+// TestResetRaceKeepsNextTenant: a zone reset while its committed blocks'
+// program is in flight, then written again at the same offsets before that
+// program retires. The reset drops the committed blocks and their payloads
+// at once. The stale program stores nothing, still counts its blocks as
+// programmed under the tags they were written with, and releases its
+// credit; the new blocks stay buffered with their own tags and contents.
+// The buffer invariant holds at every step.
+func TestResetRaceKeepsNextTenant(t *testing.T) {
+	eng, d := newTestDev(t)
+	bs, zn := d.cfg.BlockSize, d.zones[0]
+	pool := buf.NewPool()
+	raw0 := d.pool.RawLive()
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	// The erased tenant: two parity blocks, copied with OOB records, and
+	// two data blocks in one owned payload.
+	const old = 4
+	d.Write(0, 0, 2, block(0x10, 2*bs), [][]byte{[]byte("p0"), []byte("p1")}, TagParity, nil)
+	own := pool.Get(2*bs, 0)
+	copy(own.Bytes(), block(0x20, 2*bs))
+	d.WriteOwned(0, 2, 2, own.Bytes(), nil, TagUserData, own, nil)
+	runChecked(eng, d)
+	if err := d.CommitZRWA(0, old); err != nil {
+		t.Fatal(err)
+	}
+	d.Reset(0, nil)
+	checkBuffered(d)
+	if zn.buffered.Len() != 0 || pool.Live() != 0 || d.pool.RawLive() != raw0 {
+		t.Fatalf("after the reset: %d blocks buffered, %d owned payloads and %d scratch slabs out (%d before)",
+			zn.buffered.Len(), pool.Live(), d.pool.RawLive(), raw0)
+	}
+	// The next tenant, at the same offsets, before the stale program
+	// retires: three GC blocks, acknowledged, never committed.
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	const refilled = 3
+	d.Write(0, 0, refilled, block(0x80, refilled*bs), nil, TagGCData, nil)
+	credit := zn.credit
+	for d.Stats().TotalProgrammed() == 0 {
+		if !eng.Step() {
+			t.Fatal("the stale program never retired")
+		}
+		checkBuffered(d)
+		if d.Stats().TotalProgrammed() == 0 {
+			credit = zn.credit
+		}
+	}
+	st := d.Stats()
+	if st.ProgrammedByTag(TagParity) != 2*uint64(bs) || st.ProgrammedByTag(TagUserData) != 2*uint64(bs) ||
+		st.TotalProgrammed() != old*uint64(bs) {
+		t.Fatalf("the stale program counted %v bytes by tag, want two parity and two data blocks", st.ProgrammedBytes)
+	}
+	if zn.credit != credit+old {
+		t.Fatalf("credit %d after the stale program retired, %d before: want its %d blocks released", zn.credit, credit, old)
+	}
+	for b := int64(0); b < old; b++ {
+		if data, oob := zn.store.Get(b); data != nil || oob != nil {
+			t.Fatalf("block %d of the erased tenant reached the flash store", b)
+		}
+	}
+	if zn.buffered.Len() != refilled {
+		t.Fatalf("%d blocks buffered, want the next tenant's %d", zn.buffered.Len(), refilled)
+	}
+	for b := int64(0); b < refilled; b++ {
+		s, pl := zn.buffered.Get(b), zn.payloads.Get(b)
+		if want := block(0x80, refilled*bs)[b*int64(bs):][:bs]; s.tag() != TagGCData || !bytes.Equal(pl.data, want) || pl.oob != nil {
+			t.Fatalf("block %d of the next tenant: tag %v, content right %v, OOB %q", b, s.tag(), bytes.Equal(pl.data, want), pl.oob)
+		}
+	}
+	runChecked(eng, d)
+	if got := d.Stats().ProgrammedByTag(TagGCData); got != 0 {
+		t.Fatalf("the uncommitted next tenant was programmed: %d bytes", got)
 	}
 }
 
