@@ -2,12 +2,11 @@ package biza
 
 import (
 	"biza/internal/admin"
-	"biza/internal/ops"
 	"biza/internal/volume"
 )
 
-// Job is a typed admin operation record; see internal/admin for the full
-// lifecycle (pending → running → done|failed, with paused and canceled).
+// Job is a typed admin operation record; see internal/admin for the
+// lifecycle (pending → running → done|failed).
 type Job = admin.Job
 
 // JobKind names an admin job type.
@@ -41,28 +40,22 @@ type JobState = admin.State
 
 // Job states.
 const (
-	JobPending  = admin.StatePending
-	JobRunning  = admin.StateRunning
-	JobPaused   = admin.StatePaused
-	JobDone     = admin.StateDone
-	JobFailed   = admin.StateFailed
-	JobCanceled = admin.StateCanceled
+	JobPending = admin.StatePending
+	JobRunning = admin.StateRunning
+	JobDone    = admin.StateDone
+	JobFailed  = admin.StateFailed
 )
 
-// Admin is the array's mutating control plane: every administrative
-// operation — device replacement, scrubs, crash/recover, volume resize
-// and delete — is a typed Job executed by a deterministic per-array
-// orchestrator, one at a time, in submission order. The synchronous
-// helpers below submit a job and drive the simulation until it finishes;
-// event-driven callers use Submit and drive the engine themselves.
-//
-// The same jobs are reachable over HTTP: wire Gateway() into an
-// OpsServer via SetJobs and drain staged commands at the injection
-// boundary (see cmd/bizabench -live for the canonical loop).
+// Admin is the array's control plane: every administrative operation —
+// device replacement, scrubs, crash/recover, volume resize and delete —
+// is a typed Job executed by a deterministic per-array orchestrator, one
+// at a time, in submission order. The synchronous helpers below submit a
+// job and drive the simulation until it finishes; event-driven callers
+// use Submit and drive the engine themselves. Like the array, it belongs
+// to the goroutine that drives the simulation.
 type Admin struct {
 	a   *Array
 	orc *admin.Orchestrator
-	gw  *admin.Gateway
 }
 
 // Admin returns the array's admin control plane, creating it on first
@@ -83,37 +76,11 @@ func (ad *Admin) Submit(kind JobKind, p JobParams) (uint64, error) {
 	return ad.orc.Submit(kind, p)
 }
 
-// Job returns a snapshot of one job. Safe from any goroutine.
+// Job returns a copy of one job's record.
 func (ad *Admin) Job(id uint64) (Job, bool) { return ad.orc.Job(id) }
 
-// Jobs returns a snapshot of all jobs in submission order. Safe from any
-// goroutine.
+// Jobs returns copies of all job records in submission order.
 func (ad *Admin) Jobs() []Job { return ad.orc.Jobs() }
-
-// Pause parks a running paced job at its next step boundary.
-func (ad *Admin) Pause(id uint64) error { return ad.orc.Pause(id) }
-
-// Resume restarts a paused job.
-func (ad *Admin) Resume(id uint64) error { return ad.orc.Resume(id) }
-
-// Cancel stops a pending or cancelable running job; a running rebuild
-// refuses (it must restore redundancy).
-func (ad *Admin) Cancel(id uint64) error { return ad.orc.Cancel(id) }
-
-// Gateway returns the HTTP staging boundary for this control plane,
-// creating it on first use. Pass it to an OpsServer's SetJobs so the
-// /v1/jobs routes reach this array, and call its Drain on the simulation
-// driver at virtual-time boundaries to inject staged commands.
-func (ad *Admin) Gateway() *admin.Gateway {
-	if ad.gw == nil {
-		ad.gw = admin.NewGateway(ad.orc)
-	}
-	return ad.gw
-}
-
-// SetJobs is a convenience: wires this control plane's gateway into an
-// ops server.
-func (ad *Admin) SetJobs(s *ops.Server) { s.SetJobs(ad.Gateway()) }
 
 // run submits a job and drives the simulation until the queue drains,
 // returning the job's typed error.

@@ -348,10 +348,10 @@ func (a *Array) OpenKV(fs *lsfs.FS) (*kvstore.DB, error) {
 	return kvstore.Open(a.p.Eng, fs, kvstore.DefaultConfig())
 }
 
-// OpsServer is the embeddable live observability endpoint: it serves
+// OpsServer is the embeddable read-only observability endpoint: it serves
 // /v1/metrics (Prometheus exposition), /v1/vars (JSON snapshot),
-// /v1/series (virtual-time series), /v1/stream (server-sent events),
-// /v1/healthz, /v1/readyz, and /debug/pprof. Producers publish immutable
+// /v1/series (virtual-time series), /v1/healthz, /v1/readyz, and
+// /debug/pprof. Producers publish immutable
 // OpsSnapshot values; handlers only read published snapshots, so serving
 // never perturbs a deterministic simulation. bizabench -serve uses
 // exactly this server.

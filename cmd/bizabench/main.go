@@ -10,7 +10,7 @@
 //	bizabench -exp all -json out.json        # machine-readable results
 //	bizabench -exp fig10 -trace fig10.json   # Perfetto trace of every platform
 //	bizabench -exp fig10 -series -json out.json   # virtual-time series in the report
-//	bizabench -exp all -quick -serve :9178   # live ops endpoint during the sweep
+//	bizabench -exp all -quick -serve :9178   # read-only ops endpoint during the sweep
 //
 // Results are bit-identical for a given -seed regardless of -parallel:
 // every experiment point derives its RNG streams from (seed, experiment,
@@ -45,8 +45,7 @@ func run() int {
 	seed := flag.Uint64("seed", bench.DefaultSeed, "base seed for all derived RNG streams")
 	jsonPath := flag.String("json", "", "write machine-readable results ("+bench.ReportSchema+" schema) to this file")
 	series := flag.Bool("series", false, "sample virtual-time series into the report's \"series\" section (deterministic at any -parallel)")
-	serve := flag.String("serve", "", "serve the live ops endpoint (/v1/metrics /v1/vars /v1/series /v1/stream /v1/jobs /debug/pprof) on this address; blocks after the sweep until SIGINT/SIGTERM")
-	live := flag.Bool("live", false, "with -serve: skip the sweep and serve one long-lived array whose admin jobs are driven over POST /v1/jobs until SIGINT/SIGTERM")
+	serve := flag.String("serve", "", "serve the read-only ops endpoint (/v1/metrics /v1/vars /v1/series /v1/healthz /v1/readyz /debug/pprof) on this address; blocks after the sweep until SIGINT/SIGTERM")
 	stats := flag.Bool("stats", true, "print per-experiment wall/virtual-time accounting to stderr")
 	tracePath := flag.String("trace", "", "write a Perfetto trace_event JSON trace to this file")
 	traceJSONL := flag.String("trace-jsonl", "", "write a compact JSONL trace to this file")
@@ -111,10 +110,6 @@ func run() int {
 	if *tracePath != "" || *traceJSONL != "" {
 		runner.Trace = &obs.Config{SampleN: *traceSample}
 	}
-	if *live && *serve == "" {
-		fmt.Fprintln(os.Stderr, "bizabench: -live requires -serve")
-		return 1
-	}
 	var opsSrv *ops.Server
 	if *serve != "" {
 		opsSrv = ops.New()
@@ -123,14 +118,9 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "bizabench: ops endpoint: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "# ops endpoint on http://%s (/v1/metrics /v1/vars /v1/series /v1/stream /v1/jobs /debug/pprof)\n", addr)
-		if !*live {
-			opsSrv.Attach(runner)
-		}
+		fmt.Fprintf(os.Stderr, "# ops endpoint on http://%s (/v1/metrics /v1/vars /v1/series /v1/healthz /v1/readyz /debug/pprof)\n", addr)
+		opsSrv.Attach(runner)
 		defer opsSrv.Close()
-	}
-	if *live {
-		return runLive(opsSrv, *seed)
 	}
 	rep := runner.Run(ids)
 	if opsSrv != nil {

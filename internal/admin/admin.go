@@ -1,27 +1,21 @@
-// Package admin is the live-operations control plane: a deterministic
-// job orchestrator that executes mutating administrative operations —
-// device replacement, paced scrubs, crash/recover cycles, volume resize
-// and delete — against one array as paced virtual-time steps.
+// Package admin is the array's control plane: a deterministic job
+// orchestrator that executes administrative operations — device
+// replacement, paced scrubs, crash/recover cycles, volume resize and
+// delete — against one array as paced virtual-time steps.
 //
-// The design mirrors internal/ops in the opposite direction. ops
-// publishes immutable snapshots out of the simulation for concurrent HTTP
-// readers; admin carries mutating commands *into* the simulation across a
-// single injection boundary. HTTP handlers never touch the array: they
-// stage typed Commands on a Gateway (mutex-guarded, any goroutine), and
-// the simulation driver drains staged commands into the Orchestrator at
-// virtual-time boundaries of its choosing. Every injected command is
+// Commands enter the simulation through one injection boundary: Apply
+// (and Inject, which applies a batch) runs on the engine goroutine at a
+// virtual time the simulation driver chooses. Every applied command is
 // recorded in a journal of (virtual time, sequence, command) entries, so
-// a run that mixed live HTTP traffic into the simulation can be replayed
-// bit-identically by re-driving the journal — the acceptance test for the
-// whole control plane.
+// a run can be replayed bit-identically by re-applying the journal at the
+// same virtual times on a fresh array.
 //
 // One Orchestrator serves one array and runs one job at a time in
 // submission order; a rolling replacement is nothing more than submitting
 // one replace job per member and letting the queue serialize them.
 // Long-running kinds (replace, scrub) execute as paced steps with
 // configurable step size and virtual-time gap — the rebuild-rate versus
-// foreground-latency knob the `rolling` experiment sweeps — and can be
-// paused, resumed, and (while still pending) canceled. Crash and
+// foreground-latency knob the `rolling` experiment sweeps. Crash and
 // set-failed are immediate kinds: they model power cuts and member
 // failures, which do not wait politely behind queued work, so Submit
 // executes them inline, beside the queue: they never hold the running
@@ -32,7 +26,6 @@ package admin
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"biza/internal/blockdev"
 	"biza/internal/core"
@@ -102,21 +95,17 @@ type Params struct {
 // State is a job's lifecycle position.
 type State string
 
-// Job states. pending → running → done|failed, with paused reachable
-// from running (and back), and canceled reachable from pending or
-// paused.
+// Job states: pending → running → done|failed.
 const (
-	StatePending  State = "pending"
-	StateRunning  State = "running"
-	StatePaused   State = "paused"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
+	StatePending State = "pending"
+	StateRunning State = "running"
+	StateDone    State = "done"
+	StateFailed  State = "failed"
 )
 
 // Terminal reports whether s is a final state.
 func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
+	return s == StateDone || s == StateFailed
 }
 
 // Progress is a job's step counter.
@@ -139,25 +128,16 @@ type Job struct {
 	FinishedAt  int64    `json:"finished_at_nanos,omitempty"`
 }
 
-// Command is one mutating operation crossing the injection boundary.
+// Command is one operation crossing the injection boundary.
 type Command struct {
-	// Verb is one of submit, cancel, pause, resume.
-	Verb string `json:"verb"`
-	// JobID targets an existing job (cancel/pause/resume); on submit a
-	// non-zero JobID pins the new job's id (gateway pre-assignment and
-	// journal replay), 0 allocates the next id.
-	JobID  uint64 `json:"job_id,omitempty"`
+	// Verb is the operation; submit is the only one.
+	Verb   string `json:"verb"`
 	Kind   Kind   `json:"kind,omitempty"`
 	Params Params `json:"params,omitempty"`
 }
 
-// Command verbs.
-const (
-	VerbSubmit = "submit"
-	VerbCancel = "cancel"
-	VerbPause  = "pause"
-	VerbResume = "resume"
-)
+// VerbSubmit queues (or, for immediate kinds, executes) a new job.
+const VerbSubmit = "submit"
 
 // JournalEntry records one injected command at its virtual time; Seq
 // breaks ties between commands injected at the same instant.
@@ -167,48 +147,32 @@ type JournalEntry struct {
 	Cmd Command `json:"cmd"`
 }
 
-// jobRun pairs a job's published data with its runtime-only state.
+// jobRun pairs a job's record with the typed error it finished with.
 type jobRun struct {
-	job       Job
-	err       error  // the error a failed job finished with (typed)
-	parked    func() // continuation held while paused
-	cancelReq bool   // observed at the next step gate
+	job Job
+	err error
 }
 
 // Orchestrator executes admin jobs against one platform, one at a time,
-// in submission order. All methods except Job/Jobs/Journal must run on
-// the platform's engine goroutine (simulation discipline); Job and Jobs
-// read an atomically published snapshot and are safe from any goroutine
-// — that is what the ops HTTP handlers poll.
+// in submission order. Every method must run on the platform's engine
+// goroutine (simulation discipline).
 type Orchestrator struct {
 	eng  *sim.Engine
 	p    *stack.Platform
 	vols func() *volume.Manager
 
-	idAlloc *uint64 // shared with the gateway, advanced atomically
-
-	jobs    map[uint64]*jobRun
-	order   []uint64 // submission order (snapshot and journal iteration)
-	queue   []uint64 // pending, awaiting execution
-	running uint64   // id of the executing job, 0 = none
+	jobs    []*jobRun // by id - 1: ids count submissions from 1
+	queue   []uint64  // pending, awaiting execution
+	running uint64    // id of the executing job, 0 = none
 
 	journal []JournalEntry
-	seq     uint64
 
-	snap     atomic.Pointer[[]Job]
 	onChange func()
 }
 
 // New returns an orchestrator for the platform.
 func New(p *stack.Platform) *Orchestrator {
-	o := &Orchestrator{
-		eng:     p.Eng,
-		p:       p,
-		idAlloc: new(uint64),
-		jobs:    make(map[uint64]*jobRun),
-	}
-	o.publish()
-	return o
+	return &Orchestrator{eng: p.Eng, p: p}
 }
 
 // SetVolumeSource wires the volume manager lookup for volume jobs. A
@@ -216,57 +180,59 @@ func New(p *stack.Platform) *Orchestrator {
 // manager lazily.
 func (o *Orchestrator) SetVolumeSource(f func() *volume.Manager) { o.vols = f }
 
-// SetOnChange registers a hook fired after every published state change
-// (job transitions, progress steps). Live servers use it to republish
-// their ops snapshot. Runs on the engine goroutine.
+// SetOnChange registers a hook fired after every job state change (job
+// transitions, progress steps). Runs on the engine goroutine.
 func (o *Orchestrator) SetOnChange(f func()) { o.onChange = f }
 
-// idAllocator exposes the shared id counter for a Gateway.
-func (o *Orchestrator) idAllocator() *uint64 { return o.idAlloc }
-
-// Journal returns the injected-command journal (do not mutate).
+// Journal returns the applied-command journal (do not mutate).
 func (o *Orchestrator) Journal() []JournalEntry { return o.journal }
 
-// Job returns a snapshot of one job. Safe from any goroutine.
+// lookup returns the job with the given id, nil for an unknown one.
+func (o *Orchestrator) lookup(id uint64) *jobRun {
+	if id == 0 || id > uint64(len(o.jobs)) {
+		return nil
+	}
+	return o.jobs[id-1]
+}
+
+// Job returns a copy of one job's record.
 func (o *Orchestrator) Job(id uint64) (Job, bool) {
-	for _, j := range *o.snap.Load() {
-		if j.ID == id {
-			return j, true
-		}
+	if r := o.lookup(id); r != nil {
+		return r.job, true
 	}
 	return Job{}, false
 }
 
-// Jobs returns a snapshot of all jobs in submission order. Safe from any
-// goroutine.
-func (o *Orchestrator) Jobs() []Job { return *o.snap.Load() }
+// Jobs returns copies of all job records in submission order.
+func (o *Orchestrator) Jobs() []Job {
+	jobs := make([]Job, len(o.jobs))
+	for i, r := range o.jobs {
+		jobs[i] = r.job
+	}
+	return jobs
+}
 
 // Err returns the typed error a failed job finished with — unlike the
 // string in Job.Err it preserves storerr identities for errors.Is. Nil
-// for successful, canceled, or unfinished jobs. Engine goroutine only.
+// for successful or unfinished jobs.
 func (o *Orchestrator) Err(id uint64) error {
-	if r := o.jobs[id]; r != nil {
+	if r := o.lookup(id); r != nil {
 		return r.err
 	}
 	return nil
 }
 
-// publish rebuilds the immutable job snapshot and fires the change hook.
-func (o *Orchestrator) publish() {
-	s := make([]Job, 0, len(o.order))
-	for _, id := range o.order {
-		s = append(s, o.jobs[id].job)
-	}
-	o.snap.Store(&s)
+// changed fires the change hook.
+func (o *Orchestrator) changed() {
 	if o.onChange != nil {
 		o.onChange()
 	}
 }
 
-// Inject applies staged commands at the current virtual time — the
-// single deterministic injection boundary. Must run on the engine
-// goroutine; the commands' effects interleave with simulation events
-// exactly as if scheduled there, and each command lands in the journal.
+// Inject applies commands at the current virtual time — the single
+// deterministic injection boundary. Must run on the engine goroutine; the
+// commands' effects interleave with simulation events exactly as if
+// scheduled there, and each command lands in the journal.
 func (o *Orchestrator) Inject(cmds []Command) {
 	for _, c := range cmds {
 		o.Apply(c) // errors live in the job records
@@ -276,19 +242,12 @@ func (o *Orchestrator) Inject(cmds []Command) {
 // Apply executes one command, journaling it first. Returns the affected
 // job id. Must run on the engine goroutine.
 func (o *Orchestrator) Apply(cmd Command) (uint64, error) {
-	o.seq++
-	o.journal = append(o.journal, JournalEntry{At: int64(o.eng.Now()), Seq: o.seq, Cmd: cmd})
-	switch cmd.Verb {
-	case VerbSubmit:
-		return o.submit(cmd)
-	case VerbCancel:
-		return cmd.JobID, o.Cancel(cmd.JobID)
-	case VerbPause:
-		return cmd.JobID, o.Pause(cmd.JobID)
-	case VerbResume:
-		return cmd.JobID, o.Resume(cmd.JobID)
+	seq := uint64(len(o.journal)) + 1
+	o.journal = append(o.journal, JournalEntry{At: int64(o.eng.Now()), Seq: seq, Cmd: cmd})
+	if cmd.Verb != VerbSubmit {
+		return 0, fmt.Errorf("admin: unknown verb %q: %w", cmd.Verb, storerr.ErrBadArgument)
 	}
-	return 0, fmt.Errorf("admin: unknown verb %q: %w", cmd.Verb, storerr.ErrBadArgument)
+	return o.submit(cmd)
 }
 
 // Submit queues (or, for immediate kinds, executes) a new job and
@@ -303,27 +262,12 @@ func (o *Orchestrator) submit(cmd Command) (uint64, error) {
 	if err := cmd.Kind.check(); err != nil {
 		return 0, err
 	}
-	id := cmd.JobID
-	if id == 0 {
-		id = atomic.AddUint64(o.idAlloc, 1)
-	} else {
-		// Journal replay pins ids; keep the allocator ahead of them.
-		for {
-			cur := atomic.LoadUint64(o.idAlloc)
-			if cur >= id || atomic.CompareAndSwapUint64(o.idAlloc, cur, id) {
-				break
-			}
-		}
-	}
-	if _, dup := o.jobs[id]; dup {
-		return id, fmt.Errorf("admin: job %d resubmitted: %w", id, storerr.ErrExists)
-	}
+	id := uint64(len(o.jobs)) + 1
 	r := &jobRun{job: Job{
 		ID: id, Kind: cmd.Kind, Params: cmd.Params,
 		State: StatePending, SubmittedAt: int64(o.eng.Now()),
 	}}
-	o.jobs[id] = r
-	o.order = append(o.order, id)
+	o.jobs = append(o.jobs, r)
 	if cmd.Kind == KindCrash || cmd.Kind == KindSetFailed {
 		// Immediate kinds: power cuts and member failures take effect
 		// now, not after queued maintenance drains.
@@ -331,78 +275,9 @@ func (o *Orchestrator) submit(cmd Command) (uint64, error) {
 		return id, nil
 	}
 	o.queue = append(o.queue, id)
-	o.publish()
+	o.changed()
 	o.kick()
 	return id, nil
-}
-
-// Cancel stops a job that has not finished. Pending jobs cancel
-// outright; a paused or running scrub cancels at its next step gate; a
-// running or paused replace refuses (storerr.ErrBusy) — it has already
-// dissolved stripes and must run to completion to restore redundancy.
-func (o *Orchestrator) Cancel(id uint64) error {
-	r := o.jobs[id]
-	if r == nil {
-		return fmt.Errorf("admin: job %d: %w", id, storerr.ErrNotFound)
-	}
-	switch r.job.State {
-	case StatePending:
-		r.job.State = StateCanceled
-		r.job.FinishedAt = int64(o.eng.Now())
-		// Left in o.queue; kick skips canceled entries.
-		o.publish()
-		return nil
-	case StateRunning, StatePaused:
-		if r.job.Kind == KindReplace {
-			return fmt.Errorf("admin: job %d: rebuild in progress: %w", id, storerr.ErrBusy)
-		}
-		r.cancelReq = true
-		if r.parked != nil {
-			// Paused with a held continuation: run it so the step gate
-			// observes the cancel now rather than on a resume that may
-			// never come.
-			cont := r.parked
-			r.parked = nil
-			cont()
-		}
-		return nil
-	default:
-		return fmt.Errorf("admin: job %d already %s: %w", id, r.job.State, storerr.ErrWrongState)
-	}
-}
-
-// Pause parks a running paced job at its next step boundary. Immediate
-// and already-finished jobs refuse.
-func (o *Orchestrator) Pause(id uint64) error {
-	r := o.jobs[id]
-	if r == nil {
-		return fmt.Errorf("admin: job %d: %w", id, storerr.ErrNotFound)
-	}
-	if r.job.State != StateRunning {
-		return fmt.Errorf("admin: job %d is %s, not running: %w", id, r.job.State, storerr.ErrWrongState)
-	}
-	r.job.State = StatePaused
-	o.publish()
-	return nil
-}
-
-// Resume restarts a paused job.
-func (o *Orchestrator) Resume(id uint64) error {
-	r := o.jobs[id]
-	if r == nil {
-		return fmt.Errorf("admin: job %d: %w", id, storerr.ErrNotFound)
-	}
-	if r.job.State != StatePaused {
-		return fmt.Errorf("admin: job %d is %s, not paused: %w", id, r.job.State, storerr.ErrWrongState)
-	}
-	r.job.State = StateRunning
-	cont := r.parked
-	r.parked = nil
-	o.publish()
-	if cont != nil {
-		cont()
-	}
-	return nil
 }
 
 // kick starts the next runnable queued job if none is executing. While
@@ -413,19 +288,16 @@ func (o *Orchestrator) kick() {
 	for o.running == 0 && len(o.queue) > 0 {
 		id := o.queue[0]
 		o.queue = o.queue[1:]
-		r := o.jobs[id]
-		if r.job.State != StatePending {
-			continue // canceled while queued
-		}
+		r := o.lookup(id)
 		if o.p.Crashed() && r.job.Kind != KindRecover {
 			o.settle(r, fmt.Errorf("admin: job %d: %w", id, storerr.ErrCrashed))
-			o.publish()
+			o.changed()
 			continue
 		}
 		o.running = id
 		r.job.State = StateRunning
 		r.job.StartedAt = int64(o.eng.Now())
-		o.publish()
+		o.changed()
 		o.exec(r)
 		return
 	}
@@ -435,15 +307,10 @@ func (o *Orchestrator) kick() {
 func (o *Orchestrator) settle(r *jobRun, err error) {
 	r.job.FinishedAt = int64(o.eng.Now())
 	r.err = err
-	r.parked = nil
-	switch {
-	case err != nil:
+	r.job.State = StateDone
+	if err != nil {
 		r.job.State = StateFailed
 		r.job.Err = err.Error()
-	case r.cancelReq:
-		r.job.State = StateCanceled
-	default:
-		r.job.State = StateDone
 	}
 }
 
@@ -456,36 +323,26 @@ func (o *Orchestrator) finish(r *jobRun, err error) {
 	}
 	o.settle(r, err)
 	o.running = 0
-	o.publish()
+	o.changed()
 	o.kick()
 }
 
-// progress publishes a paced job's step counter. Like finish and gate it
+// progress records a paced job's step counter. Like finish and gate it
 // drops the late callbacks of a job a crash already failed.
 func (o *Orchestrator) progress(r *jobRun, p Progress) {
 	if r.job.State.Terminal() {
 		return
 	}
 	r.job.Progress = p
-	o.publish()
+	o.changed()
 }
 
-// gate is the step boundary for paced jobs: it observes cancel requests,
-// parks the continuation while paused, and otherwise proceeds. The
-// continuation of a job a crash aborted is dropped.
+// gate is the step boundary for paced jobs: the continuation of a job a
+// crash aborted is dropped.
 func (o *Orchestrator) gate(r *jobRun, cont func()) {
-	if r.job.State.Terminal() {
-		return
+	if !r.job.State.Terminal() {
+		cont()
 	}
-	if r.cancelReq {
-		o.finish(r, nil)
-		return
-	}
-	if r.job.State == StatePaused {
-		r.parked = cont
-		return
-	}
-	cont()
 }
 
 // execImmediate runs crash/set-failed synchronously at submit time.
@@ -510,8 +367,8 @@ func (o *Orchestrator) execImmediate(r *jobRun) {
 	}
 	r.job.Progress = Progress{Done: 1, Total: 1}
 	o.settle(r, err)
-	o.publish()
-	if run := o.jobs[o.running]; run != nil && r.job.Kind == KindCrash && err == nil {
+	o.changed()
+	if run := o.lookup(o.running); run != nil && r.job.Kind == KindCrash && err == nil {
 		o.finish(run, fmt.Errorf("admin: job %d interrupted by crash job %d: %w", run.job.ID, r.job.ID, storerr.ErrCrashed))
 	}
 }

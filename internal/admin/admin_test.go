@@ -93,7 +93,10 @@ func TestRollingReplaceSerializes(t *testing.T) {
 	}
 }
 
-func TestScrubPauseResumeAndCancel(t *testing.T) {
+// TestScrubRunsToCompletion: a paced scrub reads the whole array step by
+// step, its progress only ever advancing, and finishes done with every
+// block read; a second scrub queued behind it starts only after it.
+func TestScrubRunsToCompletion(t *testing.T) {
 	p, o := newBIZA(t, 3)
 	fill(t, p, 64)
 	gap := int64(200 * sim.Microsecond)
@@ -101,51 +104,32 @@ func TestScrubPauseResumeAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let a few steps run, then pause at a step boundary.
-	p.Eng.RunUntil(p.Eng.Now() + sim.Time(3*gap))
-	if err := o.Pause(id); err != nil {
-		t.Fatal(err)
-	}
-	p.Eng.Run() // drains to the parked continuation
+	next, _ := o.Submit(KindScrub, Params{BlocksPerStep: 2048})
+	var steps int
+	var last int64
+	o.SetOnChange(func() {
+		j, _ := o.Job(id)
+		if j.Progress.Done < last {
+			t.Errorf("progress went back from %d to %d", last, j.Progress.Done)
+		}
+		if j.Progress.Done > last {
+			steps++
+		}
+		last = j.Progress.Done
+	})
+	p.Eng.Run()
 	j, _ := o.Job(id)
-	if j.State != StatePaused {
-		t.Fatalf("state = %s, want paused", j.State)
+	if j.State != StateDone || j.Progress.Total != p.Dev.Blocks() || j.Progress.Done != j.Progress.Total {
+		t.Fatalf("scrub = %+v, want done over all %d blocks", j, p.Dev.Blocks())
 	}
-	if j.Progress.Done == 0 || j.Progress.Done >= j.Progress.Total {
-		t.Fatalf("paused progress = %+v, want partial", j.Progress)
+	if want := int((p.Dev.Blocks() + 511) / 512); steps != want {
+		t.Fatalf("scrub advanced in %d steps, want %d", steps, want)
 	}
-	mark := j.Progress.Done
-	p.Eng.RunUntil(p.Eng.Now() + sim.Time(10*gap))
-	if j, _ = o.Job(id); j.Progress.Done != mark {
-		t.Fatalf("progress advanced while paused: %d -> %d", mark, j.Progress.Done)
+	if min := (int64(steps) - 1) * gap; j.FinishedAt-j.StartedAt < min {
+		t.Fatalf("scrub took %d ns, less than its %d gaps of %d ns", j.FinishedAt-j.StartedAt, steps-1, gap)
 	}
-	if err := o.Resume(id); err != nil {
-		t.Fatal(err)
-	}
-	p.Eng.Run()
-	if j, _ = o.Job(id); j.State != StateDone || j.Progress.Done != j.Progress.Total {
-		t.Fatalf("after resume: %+v, want done", j)
-	}
-
-	// Cancel: a running scrub stops at its next gate; a pending job
-	// cancels outright.
-	id2, _ := o.Submit(KindScrub, Params{BlocksPerStep: 256, GapNanos: gap})
-	id3, _ := o.Submit(KindScrub, Params{BlocksPerStep: 256, GapNanos: gap})
-	p.Eng.RunUntil(p.Eng.Now() + sim.Time(2*gap))
-	if err := o.Cancel(id2); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Cancel(id3); err != nil {
-		t.Fatal(err)
-	}
-	p.Eng.Run()
-	j2, _ := o.Job(id2)
-	j3, _ := o.Job(id3)
-	if j2.State != StateCanceled || j2.Progress.Done >= j2.Progress.Total {
-		t.Fatalf("canceled running scrub = %+v", j2)
-	}
-	if j3.State != StateCanceled || j3.StartedAt != 0 {
-		t.Fatalf("canceled pending scrub = %+v", j3)
+	if j2, _ := o.Job(next); j2.State != StateDone || j2.StartedAt < j.FinishedAt {
+		t.Fatalf("queued scrub = %+v, want done, started after %d", j2, j.FinishedAt)
 	}
 }
 
@@ -275,79 +259,28 @@ func TestCrashFailsExecutingAndQueuedJobs(t *testing.T) {
 }
 
 func TestOrchestratorErrorSentinels(t *testing.T) {
-	p, o := newBIZA(t, 6)
+	_, o := newBIZA(t, 6)
 	if _, err := o.Submit(Kind("mystery"), Params{}); !errors.Is(err, storerr.ErrBadArgument) {
 		t.Fatalf("unknown kind: err = %v, want ErrBadArgument", err)
 	}
-	if err := o.Cancel(42); !errors.Is(err, storerr.ErrNotFound) {
-		t.Fatalf("cancel unknown: err = %v, want ErrNotFound", err)
+	for _, verb := range []string{"", "cancel", "pause", "resume"} {
+		if _, err := o.Apply(Command{Verb: verb, Kind: KindScrub}); !errors.Is(err, storerr.ErrBadArgument) {
+			t.Fatalf("verb %q: err = %v, want ErrBadArgument", verb, err)
+		}
 	}
-	if err := o.Pause(42); !errors.Is(err, storerr.ErrNotFound) {
-		t.Fatalf("pause unknown: err = %v, want ErrNotFound", err)
+	if jobs := o.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused commands left job records: %+v", jobs)
 	}
-	fill(t, p, 128)
-	id, _ := o.Submit(KindReplace, Params{Device: 0, StripesPerStep: 1, StepGapNanos: int64(sim.Millisecond)})
-	p.Eng.RunUntil(p.Eng.Now() + 2*sim.Millisecond)
-	if err := o.Cancel(id); !errors.Is(err, storerr.ErrBusy) {
-		t.Fatalf("cancel running replace: err = %v, want ErrBusy", err)
-	}
-	p.Eng.Run()
-	if err := o.Resume(id); !errors.Is(err, storerr.ErrWrongState) {
-		t.Fatalf("resume done job: err = %v, want ErrWrongState", err)
-	}
-	if err := o.Cancel(id); !errors.Is(err, storerr.ErrWrongState) {
-		t.Fatalf("cancel done job: err = %v, want ErrWrongState", err)
-	}
-}
-
-func TestGatewayStagingAndViews(t *testing.T) {
-	p, o := newBIZA(t, 7)
-	fill(t, p, 64)
-	g := NewGateway(o)
-	if _, err := g.SubmitJob("mystery", nil); !errors.Is(err, storerr.ErrBadArgument) {
-		t.Fatalf("unknown kind: err = %v, want ErrBadArgument", err)
-	}
-	if _, err := g.SubmitJob("scrub", []byte("{nope")); !errors.Is(err, storerr.ErrBadArgument) {
-		t.Fatalf("bad params json: err = %v, want ErrBadArgument", err)
-	}
-	if err := g.CancelJob(99); !errors.Is(err, storerr.ErrNotFound) {
-		t.Fatalf("cancel unknown: err = %v, want ErrNotFound", err)
-	}
-	id, err := g.SubmitJob("scrub", []byte(`{"blocks_per_step":512}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before injection the job is visible as pending.
-	b, ok := g.JobJSON(id)
-	if !ok {
-		t.Fatal("staged job invisible")
-	}
-	var j Job
-	if err := json.Unmarshal(b, &j); err != nil || j.State != StatePending || j.ID != id {
-		t.Fatalf("staged view = %s (err %v)", b, err)
-	}
-	if !bytes.Contains(g.JobsJSON(), []byte(`"state":"pending"`)) {
-		t.Fatalf("staged job missing from list: %s", g.JobsJSON())
-	}
-	if g.Staged() != 1 {
-		t.Fatalf("staged = %d, want 1", g.Staged())
-	}
-	g.Drain()
-	p.Eng.Run()
-	b, ok = g.JobJSON(id)
-	if !ok {
-		t.Fatal("injected job invisible")
-	}
-	if err := json.Unmarshal(b, &j); err != nil || j.State != StateDone {
-		t.Fatalf("post-run view = %s (err %v)", b, err)
+	if _, ok := o.Job(1); ok {
+		t.Fatal("job 1 exists before any submit")
 	}
 }
 
 // TestJournalReplayBitIdentical is the acceptance test for the injection
-// boundary: a live run mixing HTTP-style staged commands into the
-// simulation is replayed from its journal on a fresh array, and every
-// published job record — ids, states, progress, virtual timestamps — is
-// byte-identical.
+// boundary: a run whose commands the driver injects at virtual times of
+// its choosing, in the middle of a foreground workload, is replayed from
+// its journal on a fresh array, and every job record — ids, states,
+// progress, virtual timestamps — is byte-identical.
 func TestJournalReplayBitIdentical(t *testing.T) {
 	schedule := func(p *stack.Platform) {
 		// Foreground workload pinned to virtual times so both runs see
@@ -360,35 +293,33 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Live run: commands staged on the gateway (as HTTP handlers would)
-	// and drained at driver-chosen virtual boundaries.
+	// Live run: commands injected at driver-chosen virtual boundaries.
 	live, liveOrc := newBIZA(t, 42)
 	schedule(live)
-	g := NewGateway(liveOrc)
-	id1, err := g.SubmitJob("replace", []byte(`{"device":1,"stripes_per_step":2,"step_gap_nanos":100000}`))
-	if err != nil {
-		t.Fatal(err)
-	}
 	live.Eng.RunUntil(2 * sim.Millisecond)
-	g.Drain()
-	if _, err := g.SubmitJob("scrub", []byte(`{"blocks_per_step":4096}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.PauseJob(id1); err != nil {
-		t.Fatal(err)
-	}
+	liveOrc.Inject([]Command{
+		{Verb: VerbSubmit, Kind: KindReplace, Params: Params{Device: 1, StripesPerStep: 2, StepGapNanos: 100_000}},
+	})
 	live.Eng.RunUntil(4 * sim.Millisecond)
-	g.Drain()
-	if err := g.ResumeJob(id1); err != nil {
-		t.Fatal(err)
-	}
+	liveOrc.Inject([]Command{
+		{Verb: VerbSubmit, Kind: KindScrub, Params: Params{BlocksPerStep: 4096}},
+		{Verb: VerbSubmit, Kind: KindSetFailed, Params: Params{Device: 2, Failed: true}},
+	})
 	live.Eng.RunUntil(6 * sim.Millisecond)
-	g.Drain()
+	liveOrc.Inject([]Command{
+		{Verb: VerbSubmit, Kind: KindSetFailed, Params: Params{Device: 2}},
+		{Verb: VerbSubmit, Kind: KindReplace, Params: Params{Device: 0, StripesPerStep: 4}},
+	})
 	live.Eng.Run()
 
 	journal := liveOrc.Journal()
-	if len(journal) != 4 {
-		t.Fatalf("journal has %d entries, want 4", len(journal))
+	if len(journal) != 5 {
+		t.Fatalf("journal has %d entries, want 5", len(journal))
+	}
+	for _, j := range liveOrc.Jobs() {
+		if j.State != StateDone {
+			t.Fatalf("job %+v, want done", j)
+		}
 	}
 	liveJobs, err := json.Marshal(liveOrc.Jobs())
 	if err != nil {
@@ -413,8 +344,8 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 	if !bytes.Equal(liveJobs, replayJobs) {
 		t.Fatalf("replay diverged:\nlive:   %s\nreplay: %s", liveJobs, replayJobs)
 	}
-	if live.Replacements() != replay.Replacements() {
-		t.Fatalf("replacements diverged: live %d replay %d", live.Replacements(), replay.Replacements())
+	if live.Replacements() != replay.Replacements() || live.Replacements() != 2 {
+		t.Fatalf("replacements: live %d replay %d, want 2 each", live.Replacements(), replay.Replacements())
 	}
 	rj, err := json.Marshal(replayOrc.Journal())
 	if err != nil {

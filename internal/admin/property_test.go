@@ -17,15 +17,14 @@ func immediate(k Kind) bool { return k == KindCrash || k == KindSetFailed }
 // nextStates is the job lifecycle as a relation: every observed state
 // change must be one of these edges, and terminal states have none.
 var nextStates = map[State][]State{
-	StatePending: {StateRunning, StateDone, StateFailed, StateCanceled},
-	StateRunning: {StatePaused, StateDone, StateFailed, StateCanceled},
-	StatePaused:  {StateRunning, StateDone, StateFailed, StateCanceled},
+	StatePending: {StateRunning, StateDone, StateFailed},
+	StateRunning: {StateDone, StateFailed},
 }
 
 // queueChecker asserts the orchestrator's structural invariants against
 // what it last saw. It runs after every command and, through the
-// orchestrator's change hook, after every published job transition or
-// progress step — the only instants at which the checked state can move.
+// orchestrator's change hook, after every job transition or progress
+// step — the only instants at which the checked state can move.
 type queueChecker struct {
 	o    *Orchestrator
 	seen map[uint64]Job
@@ -34,7 +33,7 @@ type queueChecker struct {
 func (c *queueChecker) check() error {
 	var holder uint64
 	for _, j := range c.o.Jobs() {
-		if j.State == StateRunning || j.State == StatePaused {
+		if j.State == StateRunning {
 			if immediate(j.Kind) {
 				return fmt.Errorf("immediate job %d observed %s", j.ID, j.State)
 			}
@@ -65,7 +64,7 @@ func (c *queueChecker) check() error {
 		}
 	}
 	if holder != c.o.running {
-		return fmt.Errorf("running slot holds %d, published states say %d", c.o.running, holder)
+		return fmt.Errorf("running slot holds %d, job states say %d", c.o.running, holder)
 	}
 	return nil
 }
@@ -101,26 +100,12 @@ func propertyArray(t *testing.T, seed uint64) (*stack.Platform, *Orchestrator) {
 	return p, o
 }
 
-// randomCommand draws one command: a submit of any of the seven kinds
-// (paced kinds weighted up so the queue is usually busy), or a lifecycle
-// verb aimed at one of the last few job ids — executing, queued, finished
-// or not yet submitted. Half the resumes go to the last job a pause
-// parked, so paused jobs do get restarted.
-func randomCommand(rng *sim.RNG, submitted int, lastPaused uint64) Command {
+// randomCommand draws a submit of any of the seven kinds (paced kinds
+// weighted up so the queue is usually busy), immediates included.
+func randomCommand(rng *sim.RNG) Command {
 	kinds := []Kind{KindReplace, KindReplace, KindScrub, KindScrub, KindVolumeResize, KindVolumeDelete,
 		KindCrash, KindRecover, KindRecover, KindSetFailed, KindSetFailed}
 	gaps := []int64{0, int64(20 * sim.Microsecond), int64(200 * sim.Microsecond)}
-	if rng.Intn(10) >= 5 {
-		verb := []string{VerbPause, VerbResume, VerbCancel}[rng.Intn(3)]
-		id := submitted + 1 - rng.Intn(5)
-		if id < 1 {
-			id = 1
-		}
-		if verb == VerbResume && lastPaused != 0 && rng.Intn(2) == 0 {
-			id = int(lastPaused)
-		}
-		return Command{Verb: verb, JobID: uint64(id)}
-	}
 	c := Command{Verb: VerbSubmit, Kind: kinds[rng.Intn(len(kinds))]}
 	switch c.Kind {
 	case KindReplace:
@@ -137,14 +122,13 @@ func randomCommand(rng *sim.RNG, submitted int, lastPaused uint64) Command {
 	return c
 }
 
-// TestCommandSequenceProperties drives random command sequences —
-// submit/pause/resume/cancel over all seven kinds, immediates included —
-// into the orchestrator and asserts, at every command and every published
-// change, that at most one queued job holds the running slot, that job
-// states only move along lifecycle edges and finished records never
-// change, that queued jobs ran serially in submission order, and that
-// re-driving the journal on a fresh same-seed array reproduces the job
-// records byte for byte.
+// TestCommandSequenceProperties drives random submit sequences over all
+// seven kinds, immediates included, into the orchestrator and asserts, at
+// every command and every change, that at most one queued job holds the
+// running slot, that job states only move along lifecycle edges and
+// finished records never change, that queued jobs ran serially in
+// submission order, and that re-driving the journal on a fresh same-seed
+// array reproduces the job records byte for byte.
 func TestCommandSequenceProperties(t *testing.T) {
 	cases := []struct {
 		seed     uint64
@@ -167,16 +151,10 @@ func TestCommandSequenceProperties(t *testing.T) {
 			}
 			o.SetOnChange(verify)
 			rng := sim.NewRNG(tc.seed)
-			submitted := 0
-			var lastPaused uint64
 			for i := 0; i < tc.commands; i++ {
-				cmd := randomCommand(rng, submitted, lastPaused)
-				if cmd.Verb == VerbSubmit {
-					submitted++
-				}
-				// Refusals (unknown id, wrong state) are part of the sequence.
-				if id, err := o.Apply(cmd); err == nil && cmd.Verb == VerbPause {
-					lastPaused = id
+				cmd := randomCommand(rng)
+				if _, err := o.Apply(cmd); err != nil {
+					t.Fatalf("command %d (%+v): %v", i, cmd, err)
 				}
 				verify()
 				live.Eng.RunUntil(live.Eng.Now() + delays[rng.Intn(len(delays))])

@@ -27,8 +27,7 @@ type RebuildControl struct {
 	// Gate, when set, interposes on step scheduling: after each batch (and
 	// its StepGap) the rebuild hands the next-batch continuation to Gate
 	// instead of running it, and proceeds only when Gate invokes it. The
-	// admin orchestrator uses this to pause and resume rebuilds at step
-	// boundaries.
+	// admin orchestrator uses this to stop a rebuild a crash aborted.
 	Gate func(next func())
 }
 

@@ -43,8 +43,8 @@ func WriteJSONL(w io.Writer, traces []*Trace) error {
 
 // TailJSONL renders the newest n retained records as JSONL lines (oldest
 // of the tail first), using the same line schema as WriteJSONL with trace
-// index 1. It serves live record tails (the ops /v1/stream endpoint) without
-// exporting the whole ring. Nil-safe.
+// index 1. It serves the trace tail of the ops endpoint's snapshots (the
+// trace_tail field of /v1/vars) without exporting the whole ring. Nil-safe.
 func (t *Trace) TailJSONL(n int) []string {
 	if t == nil || n <= 0 || len(t.recs) == 0 {
 		return nil

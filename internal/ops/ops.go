@@ -1,41 +1,27 @@
-// Package ops embeds a live operations endpoint into benchmark and
+// Package ops embeds a read-only operations endpoint into benchmark and
 // simulation processes. Every route but the Go profiler's is under /v1/:
 //
 //	/v1/metrics       Prometheus exposition text (probe counters/gauges)
 //	/v1/vars          full JSON snapshot (probes, series, trace tail)
 //	/v1/series        virtual-time series dump (JSON)
-//	/v1/stream        server-sent events: one event per published snapshot
-//	/v1/jobs          admin jobs: POST submits, GET lists
-//	/v1/jobs/{id}     GET status, DELETE cancels
-//	/v1/jobs/{id}/pause, /v1/jobs/{id}/resume
 //	/v1/healthz       liveness (always 200)
-//	/v1/readyz        readiness (200 once Done or serving a live array)
+//	/v1/readyz        readiness (200 once the Done snapshot is published)
 //	/debug/pprof/     Go runtime profiles
 //
-// Determinism boundary, read side: the simulation never calls into this
-// package. Producers publish immutable Snapshot values via an atomic
-// pointer swap; handlers only ever read published snapshots, so wallclock
-// time — sanctioned in this package alone — cannot leak into simulation
-// inputs or outputs.
-//
-// Determinism boundary, write side: mutating handlers never touch the
-// simulation either. They stage typed commands on a JobSink (the admin
-// gateway), and the simulation driver drains staged commands across its
-// own injection boundary at virtual-time points of its choosing. A job
-// POST therefore answers 202 Accepted: the command is journaled and will
-// execute, but nothing has happened inside the simulation yet.
+// Determinism boundary: the simulation never calls into this package.
+// Producers publish immutable Snapshot values via an atomic pointer swap;
+// handlers only ever read published snapshots, so wallclock time —
+// sanctioned in this package alone — cannot leak into simulation inputs or
+// outputs. No route mutates anything.
 package ops
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,22 +29,7 @@ import (
 
 	"biza/internal/bench"
 	"biza/internal/metrics"
-	"biza/internal/storerr"
 )
-
-// JobSink is the write-side boundary: the admin gateway implements it.
-// Submit/Cancel/Pause/Resume stage commands for later injection into the
-// simulation (errors report only validation failures — unknown kinds,
-// unknown ids, malformed params); JobJSON/JobsJSON read published job
-// snapshots. All methods must be safe from any goroutine.
-type JobSink interface {
-	SubmitJob(kind string, params []byte) (uint64, error)
-	CancelJob(id uint64) error
-	PauseJob(id uint64) error
-	ResumeJob(id uint64) error
-	JobJSON(id uint64) ([]byte, bool)
-	JobsJSON() []byte
-}
 
 // Snapshot is one immutable published view of a running (or finished)
 // sweep. Producers build a fresh value per publish; handlers must not
@@ -71,18 +42,10 @@ type Snapshot struct {
 	PointsDone int    `json:"points_done"`          // config points completed so far
 	Failed     int    `json:"failed"`               // experiments that ended in error (final snapshot)
 
-	// Live marks a snapshot from a live array serving admin jobs rather
-	// than a finite sweep; /v1/readyz reports ready while Live even though
-	// Done never comes.
-	Live bool `json:"live,omitempty"`
-
 	VirtualNanos int64                `json:"virtual_ns"`           // simulated time covered
 	Probes       []metrics.ProbeStat  `json:"probes,omitempty"`     // cumulative probe readings
 	Series       []metrics.SeriesDump `json:"series,omitempty"`     // virtual-time series
 	TraceTail    []string             `json:"trace_tail,omitempty"` // last trace records, JSONL
-	// Jobs carries the admin job list (JSON array of admin.Job) when the
-	// producer runs a control plane; /v1/vars surfaces it verbatim.
-	Jobs json.RawMessage `json:"jobs,omitempty"`
 }
 
 // tailLines bounds the trace tail carried per snapshot.
@@ -94,33 +57,22 @@ type Server struct {
 	mux  *http.ServeMux
 	snap atomic.Pointer[Snapshot]
 
-	mu     sync.Mutex
-	change chan struct{} // closed and replaced on every Publish
-	httpd  *http.Server
-	ln     net.Listener
-
-	jobs atomic.Pointer[JobSink]
+	mu    sync.Mutex
+	httpd *http.Server
 }
 
 // New returns a server with an empty (not ready) snapshot published.
 func New() *Server {
-	s := &Server{mux: http.NewServeMux(), change: make(chan struct{})}
+	s := &Server{mux: http.NewServeMux()}
 	s.snap.Store(&Snapshot{})
 	// Method enforcement (405) comes from the pattern router.
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/vars", s.handleVars)
 	s.mux.HandleFunc("GET /v1/series", s.handleSeries)
-	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
 	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.HandleFunc("GET /v1/readyz", s.handleReady)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("POST /v1/jobs/{id}/pause", s.handleJobPause)
-	s.mux.HandleFunc("POST /v1/jobs/{id}/resume", s.handleJobResume)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -129,45 +81,19 @@ func New() *Server {
 	return s
 }
 
-// SetJobs wires the admin job sink; until it is set (or when passed
-// nil), every /v1/jobs route answers 503.
-func (s *Server) SetJobs(sink JobSink) {
-	if sink == nil {
-		s.jobs.Store(nil)
-		return
-	}
-	s.jobs.Store(&sink)
-}
-
-func (s *Server) jobSink() JobSink {
-	if p := s.jobs.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // Handler exposes the endpoint mux for embedding into an existing server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Snapshot returns the most recently published snapshot (never nil).
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Publish swaps in a new snapshot and wakes every /v1/stream subscriber.
-// The snapshot's Seq is assigned here; everything else is the caller's.
+// Publish swaps in a new snapshot. The snapshot's Seq is assigned here;
+// everything else is the caller's.
 func (s *Server) Publish(snap Snapshot) {
 	s.mu.Lock()
 	snap.Seq = s.snap.Load().Seq + 1
 	s.snap.Store(&snap)
-	close(s.change)
-	s.change = make(chan struct{})
 	s.mu.Unlock()
-}
-
-// changed returns a channel that closes at the next Publish.
-func (s *Server) changed() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.change
 }
 
 // Start listens on addr ("host:port"; port 0 picks a free one) and serves
@@ -179,7 +105,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	}
 	httpd := &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	s.mu.Lock()
-	s.httpd, s.ln = httpd, ln
+	s.httpd = httpd
 	s.mu.Unlock()
 	go httpd.Serve(ln) // returns ErrServerClosed on Close; nothing to report
 	return ln.Addr(), nil
@@ -254,148 +180,11 @@ func (s *Server) Finish(rep *bench.Report) {
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if snap := s.Snapshot(); !snap.Done && !snap.Live {
+	if !s.Snapshot().Done {
 		http.Error(w, "sweep in progress", http.StatusServiceUnavailable)
 		return
 	}
 	fmt.Fprintln(w, "ready")
-}
-
-// --- /v1/jobs: the mutating API ---
-
-// errStatus maps storerr sentinels (wrapped through every admin layer)
-// to HTTP statuses — the documented error contract of the jobs API.
-func errStatus(err error) int {
-	switch {
-	case errors.Is(err, storerr.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, storerr.ErrBadArgument):
-		return http.StatusBadRequest
-	case errors.Is(err, storerr.ErrNotSupported):
-		return http.StatusNotImplemented
-	case errors.Is(err, storerr.ErrExists),
-		errors.Is(err, storerr.ErrNoSpace),
-		errors.Is(err, storerr.ErrBusy),
-		errors.Is(err, storerr.ErrWrongState):
-		return http.StatusConflict
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// needSink fetches the job sink or answers 503 — a server without a
-// control plane (plain benchmark sweeps) has no mutating surface.
-func (s *Server) needSink(w http.ResponseWriter) (JobSink, bool) {
-	sink := s.jobSink()
-	if sink == nil {
-		http.Error(w, "no admin control plane attached", http.StatusServiceUnavailable)
-		return nil, false
-	}
-	return sink, true
-}
-
-func jobID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad job id", http.StatusBadRequest)
-		return 0, false
-	}
-	return id, true
-}
-
-// handleJobCreate accepts {"kind": "...", "params": {...}} and stages a
-// submit. 202: the job is journaled, not yet executed — poll its id.
-func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	sink, ok := s.needSink(w)
-	if !ok {
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req struct {
-		Kind   string          `json:"kind"`
-		Params json.RawMessage `json:"params"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	id, err := sink.SubmitJob(req.Kind, req.Params)
-	if err != nil {
-		http.Error(w, err.Error(), errStatus(err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", fmt.Sprintf("/v1/jobs/%d", id))
-	w.WriteHeader(http.StatusAccepted)
-	fmt.Fprintf(w, "{\"id\":%d}\n", id)
-}
-
-func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
-	sink, ok := s.needSink(w)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(sink.JobsJSON())
-}
-
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	sink, ok := s.needSink(w)
-	if !ok {
-		return
-	}
-	id, ok := jobID(w, r)
-	if !ok {
-		return
-	}
-	b, ok := sink.JobJSON(id)
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
-// stageVerb runs one staged mutation and answers 202 with the job's
-// current (pre-injection) view.
-func (s *Server) stageVerb(w http.ResponseWriter, r *http.Request, verb func(JobSink, uint64) error) {
-	sink, ok := s.needSink(w)
-	if !ok {
-		return
-	}
-	id, ok := jobID(w, r)
-	if !ok {
-		return
-	}
-	if err := verb(sink, id); err != nil {
-		http.Error(w, err.Error(), errStatus(err))
-		return
-	}
-	b, hasView := sink.JobJSON(id)
-	if hasView {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	w.WriteHeader(http.StatusAccepted)
-	if hasView {
-		w.Write(b)
-	}
-}
-
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.stageVerb(w, r, JobSink.CancelJob)
-}
-
-func (s *Server) handleJobPause(w http.ResponseWriter, r *http.Request) {
-	s.stageVerb(w, r, JobSink.PauseJob)
-}
-
-func (s *Server) handleJobResume(w http.ResponseWriter, r *http.Request) {
-	s.stageVerb(w, r, JobSink.ResumeJob)
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
@@ -440,46 +229,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Cumulative observability probe counters.", probes, metrics.ProbeCounter)
 	writeFamily(&b, "biza_probe_gauge", "gauge",
 		"Peak-tracking observability probe gauges.", probes, metrics.ProbeGauge)
-	if sink := s.jobSink(); sink != nil {
-		writeJobFamily(&b, sink)
-	}
 	w.Write([]byte(b.String()))
-}
-
-// writeJobFamily renders admin job counts by state and the cumulative
-// rebuild progress, read from the sink's published job list.
-func writeJobFamily(b *strings.Builder, sink JobSink) {
-	var jobs []struct {
-		Kind     string `json:"kind"`
-		State    string `json:"state"`
-		Progress struct {
-			Done int64 `json:"done"`
-		} `json:"progress"`
-	}
-	if json.Unmarshal(sink.JobsJSON(), &jobs) != nil {
-		return
-	}
-	counts := map[string]int{}
-	var rebuilt int64
-	for _, j := range jobs {
-		counts[j.State]++
-		if j.Kind == "replace" {
-			rebuilt += j.Progress.Done
-		}
-	}
-	fmt.Fprintf(b, "# HELP biza_admin_jobs Admin jobs by lifecycle state.\n")
-	fmt.Fprintf(b, "# TYPE biza_admin_jobs gauge\n")
-	states := make([]string, 0, len(counts))
-	for st := range counts {
-		states = append(states, st)
-	}
-	sort.Strings(states)
-	for _, st := range states {
-		fmt.Fprintf(b, "biza_admin_jobs{state=\"%s\"} %d\n", escapeLabel(st), counts[st])
-	}
-	fmt.Fprintf(b, "# HELP biza_admin_rebuilt_stripes_total Stripes rebuilt by replace jobs.\n")
-	fmt.Fprintf(b, "# TYPE biza_admin_rebuilt_stripes_total counter\n")
-	fmt.Fprintf(b, "biza_admin_rebuilt_stripes_total %d\n", rebuilt)
 }
 
 func writeFamily(b *strings.Builder, family, typ, help string, probes []metrics.ProbeStat, kind metrics.ProbeKind) {
@@ -507,63 +257,4 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// streamView is the compact per-event payload of /v1/stream: the snapshot
-// minus its bulky series points and full tail.
-type streamView struct {
-	Seq          uint64 `json:"seq"`
-	Done         bool   `json:"done"`
-	Experiment   string `json:"experiment,omitempty"`
-	Point        string `json:"point,omitempty"`
-	PointsDone   int    `json:"points_done"`
-	VirtualNanos int64  `json:"virtual_ns"`
-	Probes       int    `json:"probes"`
-	Series       int    `json:"series"`
-	LastRecord   string `json:"last_record,omitempty"`
-}
-
-// handleStream serves server-sent events: the current snapshot summary
-// immediately, then one event per Publish. The stream ends after the
-// final Done snapshot or when the client disconnects.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	var last uint64
-	sent := false
-	for {
-		ch := s.changed() // grab before reading so a racing Publish re-wakes us
-		snap := s.Snapshot()
-		if !sent || snap.Seq != last {
-			sent, last = true, snap.Seq
-			view := streamView{
-				Seq: snap.Seq, Done: snap.Done,
-				Experiment: snap.Experiment, Point: snap.Point,
-				PointsDone: snap.PointsDone, VirtualNanos: snap.VirtualNanos,
-				Probes: len(snap.Probes), Series: len(snap.Series),
-			}
-			if n := len(snap.TraceTail); n > 0 {
-				view.LastRecord = snap.TraceTail[n-1]
-			}
-			data, err := json.Marshal(view)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: snapshot\ndata: %s\n\n", data)
-			fl.Flush()
-			if snap.Done {
-				return
-			}
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ch:
-		}
-	}
 }

@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -36,7 +34,12 @@ func testSnapshot(done bool) Snapshot {
 
 func get(t *testing.T, srv *Server, path string) (*http.Response, string) {
 	t.Helper()
-	req := httptest.NewRequest("GET", path, nil)
+	return do(t, srv, "GET", path)
+}
+
+func do(t *testing.T, srv *Server, method, path string) (*http.Response, string) {
+	t.Helper()
+	req := httptest.NewRequest(method, path, nil)
 	rw := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rw, req)
 	res := rw.Result()
@@ -57,7 +60,7 @@ func TestHealthAndReadiness(t *testing.T) {
 	}
 	s.Publish(testSnapshot(false))
 	if res, _ := get(t, s, "/v1/readyz"); res.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/v1/readyz = %d on a live (not Done) snapshot, want 503", res.StatusCode)
+		t.Fatalf("/v1/readyz = %d on a snapshot before Done, want 503", res.StatusCode)
 	}
 	s.Publish(testSnapshot(true))
 	if res, _ := get(t, s, "/v1/readyz"); res.StatusCode != 200 {
@@ -145,56 +148,35 @@ func TestVarsAndSeriesJSON(t *testing.T) {
 	}
 }
 
-// The stream must deliver the current snapshot immediately, then one
-// event per publish, and terminate itself after the Done snapshot.
-func TestStreamDeliversPublishes(t *testing.T) {
+// TestRouteAndMethodErrors: unknown paths — the unversioned spellings and
+// the write routes this endpoint no longer has among them — 404; wrong
+// methods 405. Nothing answers a mutating method.
+func TestRouteAndMethodErrors(t *testing.T) {
 	s := New()
-	s.Publish(testSnapshot(false))
-
-	httpSrv := httptest.NewServer(s.Handler())
-	defer httpSrv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, "GET", httpSrv.URL+"/v1/stream", nil)
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	s.Publish(testSnapshot(true))
+	if res, _ := get(t, s, "/no/such/route"); res.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown route = %d, want 404", res.StatusCode)
 	}
-	defer res.Body.Close()
-	if ct := res.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-
-	sc := bufio.NewScanner(res.Body)
-	nextData := func() streamView {
-		t.Helper()
-		for sc.Scan() {
-			if line, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
-				var v streamView
-				if err := json.Unmarshal([]byte(line), &v); err != nil {
-					t.Fatalf("bad SSE data %q: %v", line, err)
-				}
-				return v
+	for _, path := range []string{"/metrics", "/vars", "/series", "/healthz", "/readyz"} {
+		if res, _ := get(t, s, path); res.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, res.StatusCode)
+		}
+		for _, method := range []string{"POST", "PUT", "DELETE"} {
+			if res, _ := do(t, s, method, "/v1"+path); res.StatusCode != http.StatusMethodNotAllowed {
+				t.Fatalf("%s /v1%s = %d, want 405", method, path, res.StatusCode)
 			}
 		}
-		t.Fatalf("stream ended early: %v", sc.Err())
-		return streamView{}
+		if res, _ := get(t, s, "/v1"+path); res.StatusCode != 200 {
+			t.Fatalf("GET /v1%s = %d, want 200", path, res.StatusCode)
+		}
 	}
-
-	if v := nextData(); v.Seq != 1 || v.Done || v.Point != "base" {
-		t.Fatalf("initial event %+v", v)
-	}
-	s.Publish(testSnapshot(false))
-	if v := nextData(); v.Seq != 2 {
-		t.Fatalf("second event %+v", v)
-	}
-	s.Publish(testSnapshot(true))
-	if v := nextData(); v.Seq != 3 || !v.Done {
-		t.Fatalf("final event %+v", v)
-	}
-	// After Done the server closes the stream.
-	if sc.Scan() && strings.HasPrefix(sc.Text(), "data: ") {
-		t.Fatal("stream kept producing events after Done")
+	for _, r := range []struct{ method, path string }{
+		{"POST", "/v1/jobs"}, {"GET", "/v1/jobs"}, {"GET", "/v1/jobs/1"}, {"DELETE", "/v1/jobs/1"},
+		{"POST", "/v1/jobs/1/pause"}, {"POST", "/v1/jobs/1/resume"}, {"GET", "/v1/stream"},
+	} {
+		if res, _ := do(t, s, r.method, r.path); res.StatusCode != http.StatusNotFound && res.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("%s %s = %d, want 404 or 405", r.method, r.path, res.StatusCode)
+		}
 	}
 }
 

@@ -549,7 +549,14 @@ func (d *Device) Reset(z int, done func(error)) {
 		d.unbuffer(zn, b, false)
 		return true
 	})
+	// The writes still in the credit FIFO lost their blocks with the
+	// erase, so they take no credit from the zone's next window; the head
+	// may now be armed.
+	for op := zn.head; op != nil; op = op.next {
+		op.need = 0
+	}
 	zn.credit = 0
+	d.arm(zn)
 	zn.store.Erase()
 	zn.eraseCount++
 	d.stats.Erases++
@@ -646,9 +653,9 @@ func (d *Device) program(op *programOp) {
 // head is granted, so once it covers an unpassed head it keeps covering it
 // until that head's completion, which grants it at the key the event
 // always had; a head not covered by then would only have started waiting.
-// A Reset's zeroed credit is the exception, and the completion's admit
-// simply finds the head uncovered. What a ticket never armed leaves out is
-// an event whose only effect was that wait.
+// A Reset zeroes the credit and the need of every write in the FIFO
+// together, so an armed head stays covered. What a ticket never armed
+// leaves out is an event whose only effect was that wait.
 
 // waiting reports whether a write past its controller stage waits for
 // buffer credit.

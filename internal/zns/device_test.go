@@ -48,6 +48,17 @@ func checkBuffered(d *Device) {
 			}
 			return true
 		})
+		// Credit never exceeds the window, except by slots a program
+		// released before the write that first buffered them took its
+		// credit: such a write still waits in the credit FIFO.
+		pending := int64(0)
+		for op := zn.head; op != nil; op = op.next {
+			pending += op.need
+		}
+		if zn.zrwa && zn.credit > d.cfg.ZRWABlocks+pending {
+			panic(fmt.Sprintf("zone %d: credit %d exceeds the %d-block window and the FIFO's %d pending blocks",
+				zn.idx, zn.credit, d.cfg.ZRWABlocks, pending))
+		}
 		if (zn.payloads != nil) != d.cfg.StoreData {
 			panic(fmt.Sprintf("zone %d: payload table %v with StoreData %v", zn.idx, zn.payloads != nil, d.cfg.StoreData))
 		}

@@ -331,24 +331,25 @@ func (op *programOp) Fire(s, e sim.Time) {
 		ch.dies.SubmitEvent(dieTime, op)
 	case pDie:
 		d.tr.Segment(int64(s), int64(e), obs.LayerZNS, obs.SegProgramDie, d.trDev, zn.idx, chIdx, nblk)
-		// The blocks leave the buffer for the flash store, unless the zone
-		// was reset while the program was in flight: the reset dropped them,
-		// and the buffer may hold the zone's next tenant of the offsets
-		// instead, which stays until its own program retires. Either way the
-		// program took its time, counts as programmed and releases its
-		// buffer slots.
-		if op.erase == zn.eraseCount {
-			for b := op.start; b < op.start+op.n; b++ {
-				d.unbuffer(zn, b, true)
-			}
-		}
+		// The blocks leave the buffer for the flash store and release their
+		// buffer slots, unless the zone was reset while the program was in
+		// flight: the reset dropped them and zeroed the credit, a re-Open
+		// granted the full window afresh, and the buffer may hold the zone's
+		// next tenant of the offsets, which stays until its own program
+		// retires. Either way the program took its time and counts as
+		// programmed.
 		for t, k := range op.tags {
 			d.stats.ProgrammedBytes[t] += uint64(k) * uint64(d.cfg.BlockSize)
 		}
-		n := op.n
+		start, n, live := op.start, op.n, op.erase == zn.eraseCount
 		*op = programOp{d: d}
 		d.recs.pop = append(d.recs.pop, op)
-		d.releaseCredit(zn, n)
+		if live {
+			for b := start; b < start+n; b++ {
+				d.unbuffer(zn, b, true)
+			}
+			d.releaseCredit(zn, n)
+		}
 	}
 }
 

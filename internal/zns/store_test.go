@@ -174,7 +174,7 @@ func TestStaleProgramLeavesNextTenantBuffered(t *testing.T) {
 // program is in flight, then written again at the same offsets before that
 // program retires. The reset drops the committed blocks and their payloads
 // at once. The stale program stores nothing, still counts its blocks as
-// programmed under the tags they were written with, and releases its
+// programmed under the tags they were written with, and releases no
 // credit; the new blocks stay buffered with their own tags and contents.
 // The buffer invariant holds at every step.
 func TestResetRaceKeepsNextTenant(t *testing.T) {
@@ -224,8 +224,8 @@ func TestResetRaceKeepsNextTenant(t *testing.T) {
 		st.TotalProgrammed() != old*uint64(bs) {
 		t.Fatalf("the stale program counted %v bytes by tag, want two parity and two data blocks", st.ProgrammedBytes)
 	}
-	if zn.credit != credit+old {
-		t.Fatalf("credit %d after the stale program retired, %d before: want its %d blocks released", zn.credit, credit, old)
+	if zn.credit != credit {
+		t.Fatalf("credit %d after the stale program retired, %d before: want none of its %d blocks released", zn.credit, credit, old)
 	}
 	for b := int64(0); b < old; b++ {
 		if data, oob := zn.store.Get(b); data != nil || oob != nil {
@@ -244,6 +244,36 @@ func TestResetRaceKeepsNextTenant(t *testing.T) {
 	runChecked(eng, d)
 	if got := d.Stats().ProgrammedByTag(TagGCData); got != 0 {
 		t.Fatalf("the uncommitted next tenant was programmed: %d bytes", got)
+	}
+}
+
+// TestStaleProgramReleasesNoCredit: a reset zeroes its zone's credit and a
+// re-Open with ZRWA grants the full window afresh, so a program of the
+// erased tenant that retires afterwards releases nothing: the credit stays
+// at the window instead of exceeding it by the stale blocks.
+func TestStaleProgramReleasesNoCredit(t *testing.T) {
+	eng, d := newTestDev(t)
+	bs, zn := d.cfg.BlockSize, d.zones[0]
+	const old = 4
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	d.Write(0, 0, old, block(0x10, old*bs), nil, TagUserData, nil)
+	runChecked(eng, d)
+	if err := d.CommitZRWA(0, old); err != nil {
+		t.Fatal(err)
+	}
+	d.Reset(0, nil)
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	for eng.Step() {
+	}
+	if got := d.Stats().TotalProgrammed(); got != old*uint64(bs) {
+		t.Fatalf("programmed %d bytes, want the stale program's %d", got, old*bs)
+	}
+	if zn.credit != d.cfg.ZRWABlocks {
+		t.Fatalf("credit %d after the stale program retired, want the %d-block window", zn.credit, d.cfg.ZRWABlocks)
 	}
 }
 
