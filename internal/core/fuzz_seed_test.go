@@ -46,6 +46,16 @@ func runModelSweep(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// drain runs the engine dry an event at a time, counting, so that a
+	// failure names the event it follows; the closing Run settles the
+	// tickets never armed, as a plain Run does.
+	events := 0
+	drain := func() {
+		for eng.Step() {
+			events++
+		}
+		eng.Run()
+	}
 	rng := sim.NewRNG(seed * 7)
 	span := c.Blocks() / 4
 	version := map[int64]int{}
@@ -77,16 +87,18 @@ func runModelSweep(t *testing.T, seed uint64) {
 			})
 			// Interleave partial drains to vary schedules per seed.
 			if rng.Intn(4) == 0 {
-				eng.Run()
+				drain()
 				assertTables(t, c)
+				assertStripes(t, c, events)
 			}
 		}
 	}
-	eng.Run()
+	drain()
 	if outstanding != 0 {
 		t.Fatalf("seed %d: %d writes hung", seed, outstanding)
 	}
 	assertTables(t, c)
+	assertStripes(t, c, events)
 	// Note: concurrent same-block writes are racy by API contract, but
 	// this sweep only writes each version once before a possible drain, so
 	// the LAST version observed must win after full drain for blocks whose
@@ -97,16 +109,18 @@ func runModelSweep(t *testing.T, seed uint64) {
 		version[lba] = v
 		ok := false
 		c.Write(lba, 1, modelPattern(lba, v, bs), func(r blockdev.WriteResult) { ok = r.Err == nil })
-		eng.Run()
+		drain()
 		if !ok {
 			t.Fatalf("final write %d failed", lba)
 		}
 		assertTables(t, c)
+		assertStripes(t, c, events)
 	}
 	for lba := int64(0); lba < 96; lba += 7 {
 		var got []byte
 		c.Read(lba, 1, func(r blockdev.ReadResult) { got = r.Data })
-		eng.Run()
+		drain()
+		assertStripes(t, c, events)
 		if !bytes.Equal(got, modelPattern(lba, version[lba], bs)) {
 			t.Fatalf("seed %d: lba %d wrong content", seed, lba)
 		}
@@ -118,11 +132,12 @@ func runModelSweep(t *testing.T, seed uint64) {
 			var rerr error
 			var got []byte
 			c.Read(lba, 1, func(r blockdev.ReadResult) { got, rerr = r.Data, r.Err })
-			eng.Run()
+			drain()
 			if rerr != nil {
 				t.Fatalf("seed %d dev %d lba %d: %v", seed, dev, lba, rerr)
 			}
 			assertTables(t, c)
+			assertStripes(t, c, events)
 			if v, okv := version[lba]; okv && lba%7 == 0 {
 				if !bytes.Equal(got, modelPattern(lba, v, bs)) {
 					t.Fatalf("seed %d dev %d lba %d: degraded content wrong", seed, dev, lba)
@@ -132,4 +147,13 @@ func runModelSweep(t *testing.T, seed uint64) {
 		c.SetDeviceFailed(dev, false)
 	}
 	assertNoStrayRecords(t, c)
+}
+
+// assertStripes fails the test at the first parity chunk VerifyStripes
+// finds wrong on the drained engine, which has fired events events.
+func assertStripes(t *testing.T, c *Core, events int) {
+	t.Helper()
+	c.VerifyStripes(func(m StripeMismatch) {
+		t.Fatalf("after event %d: stripe %d: parity slot %d differs from its chunks' at byte %d", events, m.Stripe, m.Slot, m.Byte)
+	})
 }

@@ -100,19 +100,27 @@ func DefaultConfig(totalZRWABytes uint64) Config {
 	}
 }
 
-// entry is one tracked block: 40 bytes in the arena, plus a 4-byte index
+// entry is one tracked block: 32 bytes in the arena, plus a 4-byte index
 // slot. Links are arena indices. At LevelLRU the entry sits on the LRU ring
-// through prev and next; at LevelHR or LevelHP it is off the ring and prev
-// holds its slot in that level's heap; an evicted entry chains the free
-// list through next.
+// through prev and next; at LevelHR or LevelHP it is off the ring, next
+// holds that level's sentinel (offHR, offHP) and prev its slot in the
+// level's heap; an evicted entry chains the free list through next.
 type entry struct {
-	key        uint64
 	lastSeen   uint64  // bytes-written clock at last access
 	predRD     float64 // weighted moving average reuse distance (cost)
-	reaccess   uint32  // accumulated reaccess count (revenue)
+	key        uint32
+	reaccess   uint32 // accumulated reaccess count (revenue)
 	prev, next int32
-	level      Level
 }
+
+// An off-ring entry's next names its level, negated; an entry on the ring
+// (next >= 0) is at LevelLRU.
+const (
+	offHR = -int32(LevelHR)
+	offHP = -int32(LevelHP)
+)
+
+func (e *entry) level() Level { return Level(max(-e.next, int32(LevelLRU))) }
 
 // The arena grows in chunks of arenaChunk entries that never move, so an
 // *entry stays valid while the entry is in use. Index 0 is the LRU ring's
@@ -124,16 +132,17 @@ const (
 )
 
 // Cache is the three-level ghost-cache hierarchy. Keys are logical block
-// numbers: the index is a direct-indexed table of arena indices, so its
-// memory follows the largest key seen. Not safe for concurrent use; the
-// simulation is single-goroutine.
+// numbers below 2^32: the index is a direct-indexed table of arena
+// indices, so its memory follows the largest key seen. Not safe for
+// concurrent use; the simulation is single-goroutine.
 type Cache struct {
 	cfg     Config
 	entries pagetab.Table[int32]
 	arena   []*[arenaChunk]entry
 	used    int32 // arena indices handed out, the sentinel's included
 	lruLen  int
-	hr, hp  []int32 // heaps of arena indices; see less
+	hr      levelHeap[uint32]  // reaccess ascending: the least revenue evicts first
+	hp      levelHeap[float64] // -predRD ascending: the costliest evicts first
 
 	// Entries evicted from the LRU level are reused for later misses, so a
 	// miss costs no allocation of its own once the hierarchy is full (and
@@ -210,7 +219,7 @@ func (c *Cache) HitRate() float64 {
 // access.
 func (c *Cache) Level(key uint64) Level {
 	if i := c.entries.Get(int64(key)); i != 0 {
-		return c.at(i).level
+		return c.at(i).level()
 	}
 	return LevelNone
 }
@@ -221,10 +230,13 @@ func (c *Cache) Level(key uint64) Level {
 func (c *Cache) Access(key uint64, clock uint64) Level {
 	i := c.entries.Get(int64(key))
 	if i == 0 {
+		if key > math.MaxUint32 {
+			panic(fmt.Sprintf("ghostcache: key %d past 32 bits", key))
+		}
 		c.misses++
 		i = c.newEntry()
 		e := c.at(i)
-		e.key, e.lastSeen, e.level = key, clock, LevelLRU
+		e.key, e.lastSeen = uint32(key), clock
 		c.entries.Set(int64(key), i)
 		c.lruPushFront(i)
 		c.enforceLRUCap()
@@ -240,37 +252,37 @@ func (c *Cache) Access(key uint64, clock uint64) Level {
 	} else {
 		e.predRD = c.cfg.Alpha*rd + (1-c.cfg.Alpha)*e.predRD
 	}
-	switch e.level {
-	case LevelLRU:
+	switch e.next {
+	case offHR:
+		c.hr.fix(c, int(e.prev), e.reaccess)
+		if e.predRD < float64(c.cfg.ProfitThreshold) {
+			c.hr.remove(c, int(e.prev))
+			c.promoteToHP(i)
+		}
+	case offHP:
+		c.hp.fix(c, int(e.prev), -e.predRD)
+		if e.predRD >= float64(c.cfg.ProfitThreshold) {
+			// Cost grew: no longer profitable, demote to HR.
+			c.hp.remove(c, int(e.prev))
+			c.promoteToHR(i)
+		}
+	default:
 		c.lruRemove(i)
 		if e.reaccess >= c.cfg.RevenueThreshold {
 			c.promoteToHR(i)
 		} else {
 			c.lruPushFront(i)
 		}
-	case LevelHR:
-		c.fix(&c.hr, int(e.prev))
-		if e.predRD < float64(c.cfg.ProfitThreshold) {
-			c.remove(&c.hr, int(e.prev))
-			c.promoteToHP(i)
-		}
-	case LevelHP:
-		c.fix(&c.hp, int(e.prev))
-		if e.predRD >= float64(c.cfg.ProfitThreshold) {
-			// Cost grew: no longer profitable, demote to HR.
-			c.remove(&c.hp, int(e.prev))
-			c.promoteToHR(i)
-		}
 	}
-	return e.level
+	return e.level()
 }
 
 func (c *Cache) promoteToHR(i int32) {
 	e := c.at(i)
-	e.level = LevelHR
-	c.push(&c.hr, i)
+	e.next = offHR
+	c.hr.push(c, i, e.reaccess)
 	if e.predRD < float64(c.cfg.ProfitThreshold) && e.reaccess >= c.cfg.RevenueThreshold {
-		c.remove(&c.hr, int(e.prev))
+		c.hr.remove(c, int(e.prev))
 		c.promoteToHP(i)
 		return
 	}
@@ -278,8 +290,9 @@ func (c *Cache) promoteToHR(i int32) {
 }
 
 func (c *Cache) promoteToHP(i int32) {
-	c.at(i).level = LevelHP
-	c.push(&c.hp, i)
+	e := c.at(i)
+	e.next = offHP
+	c.hp.push(c, i, -e.predRD)
 	c.enforceHPCap()
 }
 
@@ -295,8 +308,8 @@ func (c *Cache) enforceLRUCap() {
 
 func (c *Cache) enforceHRCap() {
 	for len(c.hr) > c.cfg.HREntries {
-		i := c.pop(&c.hr)
-		c.at(i).level = LevelLRU
+		i := c.hr[0].i
+		c.hr.remove(c, 0)
 		c.lruPushFront(i)
 		c.enforceLRUCap()
 	}
@@ -304,98 +317,83 @@ func (c *Cache) enforceHRCap() {
 
 func (c *Cache) enforceHPCap() {
 	for len(c.hp) > c.cfg.HPEntries {
-		i := c.pop(&c.hp)
-		c.at(i).level = LevelHR
-		c.push(&c.hr, i)
+		i := c.hp[0].i
+		c.hp.remove(c, 0)
+		e := c.at(i)
+		e.next = offHR
+		c.hr.push(c, i, e.reaccess)
 		c.enforceHRCap()
 	}
 }
 
-// The two levels' priority queues are binary heaps of arena indices, sifted
-// step for step as container/heap sifts them, so entries that tie leave in
-// the order they always have. HR orders by reaccess ascending (the
-// least-revenue entry evicts first), HP by predicted reuse distance
-// descending (the costliest evicts first). An entry's slot is its prev.
+// levelHeap is a level's binary min-heap of slots that carry their entry's
+// sort key, so a sift reads no entry and writes only moved entries' prev.
+// It compares step for step as container/heap does (holding the moving
+// slot aside instead of swapping), so tied entries leave in the same order.
+type levelHeap[K uint32 | float64] []slot[K]
 
-// less reports whether heap h's slot a orders before slot b.
-func (c *Cache) less(h *[]int32, a, b int) bool {
-	x, y := c.at((*h)[a]), c.at((*h)[b])
-	if h == &c.hp {
-		return x.predRD > y.predRD
-	}
-	return x.reaccess < y.reaccess
+type slot[K uint32 | float64] struct {
+	key K
+	i   int32 // arena index
 }
 
-func (c *Cache) swap(h *[]int32, a, b int) {
+func (h levelHeap[K]) put(c *Cache, j int, s slot[K]) {
+	h[j] = s
+	c.at(s.i).prev = int32(j)
+}
+
+func (h *levelHeap[K]) push(c *Cache, i int32, key K) {
+	*h = append(*h, slot[K]{key, i})
+	h.up(c, len(*h)-1)
+}
+
+func (h *levelHeap[K]) remove(c *Cache, j int) {
 	s := *h
-	s[a], s[b] = s[b], s[a]
-	c.at(s[a]).prev, c.at(s[b]).prev = int32(a), int32(b)
-}
-
-func (c *Cache) push(h *[]int32, i int32) {
-	c.at(i).prev = int32(len(*h))
-	*h = append(*h, i)
-	c.up(h, len(*h)-1)
-}
-
-func (c *Cache) pop(h *[]int32) int32 {
-	n := len(*h) - 1
-	c.swap(h, 0, n)
-	c.down(h, 0, n)
-	return c.truncate(h)
-}
-
-func (c *Cache) remove(h *[]int32, j int) {
-	if n := len(*h) - 1; n != j {
-		c.swap(h, j, n)
-		if !c.down(h, j, n) {
-			c.up(h, j)
+	if n := len(s) - 1; n != j {
+		s.put(c, j, s[n])
+		if !s[:n].down(c, j) {
+			s.up(c, j)
 		}
 	}
-	c.truncate(h)
+	*h = s[:len(s)-1]
 }
 
-func (c *Cache) fix(h *[]int32, j int) {
-	if !c.down(h, j, len(*h)) {
-		c.up(h, j)
+// fix gives slot j a new key and restores the order.
+func (h levelHeap[K]) fix(c *Cache, j int, key K) {
+	if h[j].key = key; !h.down(c, j) {
+		h.up(c, j)
 	}
 }
 
-// truncate drops and returns the heap's last index.
-func (c *Cache) truncate(h *[]int32) int32 {
-	n := len(*h) - 1
-	i := (*h)[n]
-	*h = (*h)[:n]
-	return i
-}
-
-func (c *Cache) up(h *[]int32, j int) {
-	for {
+func (h levelHeap[K]) up(c *Cache, j int) {
+	s := h[j]
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !c.less(h, j, i) {
+		if !(s.key < h[i].key) {
 			break
 		}
-		c.swap(h, i, j)
+		h.put(c, j, h[i])
 		j = i
 	}
+	h.put(c, j, s)
 }
 
-func (c *Cache) down(h *[]int32, i0, n int) bool {
-	i := i0
+func (h levelHeap[K]) down(c *Cache, i0 int) bool {
+	s, i, n := h[i0], i0, len(h)
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1         // left child
+		if j >= n || j < 0 { // j < 0 after int overflow
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && c.less(h, j2, j1) {
-			j = j2 // = 2*i + 2  // right child
+		if j2 := j + 1; j2 < n && h[j2].key < h[j].key {
+			j = j2 // right child
 		}
-		if !c.less(h, j, i) {
+		if !(h[j].key < s.key) {
 			break
 		}
-		c.swap(h, i, j)
+		h.put(c, i, h[j])
 		i = j
 	}
+	h.put(c, i, s)
 	return i > i0
 }

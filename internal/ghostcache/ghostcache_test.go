@@ -1,6 +1,7 @@
 package ghostcache
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -293,8 +294,8 @@ func TestMissAtCapacityAllocFree(t *testing.T) {
 // advances by one to eight blocks a step, so reuse distances straddle the
 // profit threshold. Every access must classify the same, and Len, HitRate
 // and the Level of probed keys must agree throughout; HR and HP must end
-// full in at least three configurations each. -short takes 20 000 accesses
-// per configuration.
+// full in at least three configurations each, and checkHeaps must hold
+// every 97 accesses. -short takes 20 000 accesses per configuration.
 func TestArenaMatchesPointerCache(t *testing.T) {
 	accesses := 200000
 	if testing.Short() {
@@ -331,6 +332,9 @@ func TestArenaMatchesPointerCache(t *testing.T) {
 				t.Fatalf("config %d %+v, access %d: key %d classified %v, want %v", cfgN, cfg, i, key, got, want)
 			}
 			if i%97 == 0 {
+				if err := checkHeaps(c); err != nil {
+					t.Fatalf("config %d, access %d: %v", cfgN, i, err)
+				}
 				probe := uint64(rng.Int63n(int64(hot + warm)))
 				if got, want := c.Level(probe), o.Level(probe); got != want {
 					t.Fatalf("config %d, access %d: Level(%d) = %v, want %v", cfgN, i, probe, got, want)
@@ -362,7 +366,25 @@ func TestArenaMatchesPointerCache(t *testing.T) {
 	}
 }
 
-// TestTrackedBlockBytesAllocFree holds a tracked block to 52 bytes of live
+// checkHeaps reports the first slot of the HR or HP heap that disagrees
+// with its entry: a key other than the entry's reaccess (HR) or -predRD
+// (HP), a prev that names another slot, or a level read from next other
+// than the slot's heap.
+func checkHeaps(c *Cache) error {
+	for j, s := range c.hr {
+		if e := c.at(s.i); s.key != e.reaccess || int(e.prev) != j || e.level() != LevelHR {
+			return fmt.Errorf("HR slot %d: key %d, entry %d has reaccess %d, prev %d, level %v", j, s.key, s.i, e.reaccess, e.prev, e.level())
+		}
+	}
+	for j, s := range c.hp {
+		if e := c.at(s.i); s.key != -e.predRD || int(e.prev) != j || e.level() != LevelHP {
+			return fmt.Errorf("HP slot %d: key %v, entry %d has predRD %v, prev %d, level %v", j, s.key, s.i, e.predRD, e.prev, e.level())
+		}
+	}
+	return nil
+}
+
+// TestTrackedBlockBytesAllocFree holds a tracked block to 40 bytes of live
 // heap: its arena entry and its slot of the key index, the tables' pages
 // and directories included.
 func TestTrackedBlockBytesAllocFree(t *testing.T) {
@@ -381,8 +403,8 @@ func TestTrackedBlockBytesAllocFree(t *testing.T) {
 	}
 	per := float64(after-before) / n
 	t.Logf("%.1f heap bytes per tracked block", per)
-	if per > 52 {
-		t.Fatalf("a tracked block costs %.1f heap bytes, want at most 52", per)
+	if per > 40 {
+		t.Fatalf("a tracked block costs %.1f heap bytes, want at most 40", per)
 	}
 	runtime.KeepAlive(c)
 }
@@ -395,4 +417,31 @@ func heapBytes() uint64 {
 	runtime.GC()
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
+}
+
+// BenchmarkAccessHRHeavy times Access at DefaultConfig on zipf(1.1) keys
+// over 512 Ki blocks, offset by 4096 ranks so the head is wide: a warm-up
+// of 2 Mi accesses leaves over 100 000 entries in HR, whose sifts then
+// walk a heap 17 levels deep.
+func BenchmarkAccessHRHeavy(b *testing.B) {
+	c := New(DefaultConfig(56 << 20))
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 4096, 1<<19-1)
+	keys := make([]uint64, 1<<21)
+	for i := range keys {
+		keys[i] = zipf.Uint64()
+	}
+	var clock uint64
+	for _, k := range keys {
+		clock += 4096
+		c.Access(k, clock)
+	}
+	if _, hr, _ := c.Len(); hr < 100000 {
+		b.Fatalf("HR holds %d entries after warm-up, want over 100 000", hr)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clock += 4096
+		c.Access(keys[i&(len(keys)-1)], clock)
+	}
 }

@@ -845,7 +845,7 @@ func (d *Device) write(z int, lba int64, nblocks int, data []byte, oob [][]byte,
 	if zn.written < lba+n {
 		zn.written = lba + n
 	}
-	op.need = need
+	op.need, op.erase = need, zn.eraseCount
 	op.stage = wZCtrl
 	op.ctrlAt, op.tick = d.controller.SubmitTicket(d.cfg.CmdOverhead)
 	if zn.tail == nil {
@@ -967,6 +967,23 @@ func (d *Device) ReadInto(z int, lba int64, nblocks int, dst []byte, withOOB boo
 	}
 	op.stage = rCtrlBuf
 	d.controller.SubmitEventThen(d.cfg.CmdOverhead, d.cfg.BufReadLatency, op)
+}
+
+// Contents returns block b of zone z as a read issued now would return
+// it: the write buffer's copy while the block is buffered, else the flash
+// store's, nil when neither holds one (or without StoreData). It schedules
+// nothing, so a scrub or a test oracle can look between events; the slice
+// is the device's own and must not be written or kept.
+func (d *Device) Contents(z int, b int64) []byte {
+	if !d.cfg.StoreData {
+		return nil
+	}
+	zn := d.zones[z]
+	if pl := zn.payloads.Get(b); pl.data != nil {
+		return pl.data
+	}
+	data, _ := zn.store.Get(b)
+	return data
 }
 
 // ackRange marks buffered blocks of an acknowledged write as

@@ -45,6 +45,7 @@ type writeOp struct {
 	size    int64
 	need    int64  // ZRWA buffer credit required
 	epoch   uint64 // device power epoch at submission
+	erase   uint64 // ZRWA only: the zone's erase count when the blocks were buffered
 	tag     WriteTag
 	data    []byte
 	oob     [][]byte
@@ -145,8 +146,12 @@ func (op *writeOp) Fire(s, e sim.Time) {
 		d.tr.Mark(op.span, int64(s), int64(e), obs.LayerZNS, obs.PhaseXfer, d.trDev, op.z, -1)
 		d.tr.Mark(op.span, int64(e), int64(d.eng.Now()), obs.LayerZNS, obs.PhaseBuffer, d.trDev, op.z, -1)
 		// The completion below acknowledges the write: its buffered
-		// blocks become capacitor-protected against power loss.
-		d.ackRange(op.zn, op.lba, op.n)
+		// blocks become capacitor-protected against power loss. A reset
+		// since they were buffered dropped them, and whatever the
+		// buffer now holds at those offsets is a later write's to ack.
+		if op.erase == op.zn.eraseCount {
+			d.ackRange(op.zn, op.lba, op.n)
+		}
 		op.complete()
 	}
 }

@@ -277,6 +277,47 @@ func TestStaleProgramReleasesNoCredit(t *testing.T) {
 	}
 }
 
+// TestStaleWriteAcksNothing: a ZRWA write whose zone is reset and reopened
+// before it completes acknowledges nothing at completion. Its blocks went
+// with the erase; the next tenant's unacknowledged blocks at the same
+// offsets stay unacknowledged, so a power loss drops rather than hardens
+// them.
+func TestStaleWriteAcksNothing(t *testing.T) {
+	eng, d := newTestDev(t)
+	bs, zn := d.cfg.BlockSize, d.zones[0]
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	staleDone := false
+	d.Write(0, 0, 4, block(0x10, 4*bs), nil, TagUserData, func(WriteResult) { staleDone = true })
+	d.Reset(0, nil)
+	if err := d.Open(0, true); err != nil {
+		t.Fatal(err)
+	}
+	nextDone := false
+	d.Write(0, 0, 2, block(0x80, 2*bs), nil, TagUserData, func(WriteResult) { nextDone = true })
+	for !staleDone {
+		if !eng.Step() {
+			t.Fatal("the stale write never completed")
+		}
+		checkBuffered(d)
+	}
+	if nextDone {
+		t.Fatal("the next tenant's write completed before the stale one")
+	}
+	for b := int64(0); b < 2; b++ {
+		if s := zn.buffered.Get(b); !s.live() || s.acked() {
+			t.Fatalf("block %d of the next tenant: live %v, acked %v; want live and unacknowledged", b, s.live(), s.acked())
+		}
+	}
+	runChecked(eng, d)
+	for b := int64(0); b < 2; b++ {
+		if s := zn.buffered.Get(b); !s.acked() {
+			t.Fatalf("block %d unacknowledged after its own write completed", b)
+		}
+	}
+}
+
 // TestFlashStoreMatchesOracle drives StoreData devices with random window
 // writes (copied and owned payloads, with and without OOB), overwrites,
 // sequential writes, commits, closes, finishes, resets, power cuts and
