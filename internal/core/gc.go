@@ -20,32 +20,52 @@ func (c *Core) maybeStartGC(ds *devState) {
 		return
 	}
 	ds.gcRunning = true
-	c.eng.After(0, func() { c.gcStep(ds) })
+	c.eng.AfterEvent(0, &ds.gc, 0, 0)
 }
 
-// gcStep collects one victim zone (§4.3's GC events): it dissolves every
-// stripe that owns a slot — live or stale — in the victim, migrating the
-// live chunks into GC-class stripes, then resets the victim. For the
-// duration, the victim's guessed channel and the GC destination zones'
-// guessed channels are tagged BUSY so pickZone steers user writes away.
-func (c *Core) gcStep(ds *devState) {
-	if len(ds.freeZones) >= c.cfg.GCHighWater && ds.stalled.Len() == 0 {
-		ds.gcRunning = false
-		return
+// gcRun is a device's collector: the event that collects the next victim,
+// the parent of the victim's stripe dissolutions, and the completion of its
+// reset. Each device holds one, its slices and callbacks kept across runs.
+type gcRun struct {
+	ds        *devState
+	victim    int
+	sns       []int64     // the victim's stripes, ascending
+	remaining int         // stripes not yet dissolved, plus Fire's own hold while it issues them
+	busy      []busyTag   // channels tagged BUSY until the victim is reset
+	onStripe  func()      // r.stripeDone, bound once
+	onReset   func(error) // r.resetDone, bound once
+}
+
+// busyTag is one channel a GC run holds BUSY.
+type busyTag struct {
+	ds *devState
+	ch int
+}
+
+// Fire implements sim.Handler: collect one victim zone (§4.3's GC
+// events). Every stripe that owns a slot — live or stale — in the victim
+// is dissolved, its live chunks migrating into GC-class stripes, then the
+// victim is reset. For the duration, the victim's guessed channel and the
+// GC destination zones' guessed channels are tagged BUSY so pickZone
+// steers user writes away.
+func (r *gcRun) Fire(_, _ sim.Time) {
+	ds, c := r.ds, r.ds.c
+	r.victim = -1
+	if len(ds.freeZones) < c.cfg.GCHighWater || ds.stalled.Len() > 0 {
+		r.victim = ds.pickVictim()
 	}
-	victim := ds.pickVictim()
-	if victim < 0 {
+	if r.victim < 0 {
 		ds.gcRunning = false
-		// Nothing collectible: release any stalled writers (no deadlock).
+		// Done or stuck: release any stalled writers (no deadlock).
 		for ds.stalled.Len() > 0 {
 			c.appendChunk(ds.stalled.Pop())
 		}
 		return
 	}
 	c.gcEvents++
-	vzs := ds.zones[victim]
+	vzs := ds.zones[r.victim]
 	if c.tr != nil {
-		c.tr.Event(int64(c.eng.Now()), obs.LayerBIZA, obs.EvGCVictim, ds.id, victim,
+		c.tr.Event(int64(c.eng.Now()), obs.LayerBIZA, obs.EvGCVictim, ds.id, r.victim,
 			vzs.valid, int64(len(ds.freeZones)), 0)
 	}
 
@@ -54,30 +74,17 @@ func (c *Core) gcStep(ds *devState) {
 	// BUSY bookkeeping runs regardless of the avoidance toggle (the
 	// ablation disables only the steering in pickZone), so collision
 	// diagnostics compare like for like.
-	var releases []func()
-	_, rel := ds.markBusy(victim)
-	releases = append(releases, rel)
+	r.busy = append(r.busy, busyTag{ds, ds.markBusy(r.victim)})
 	for _, d := range c.devs {
 		for _, zs := range d.groups[classGC] {
 			if zs != nil && !zs.sealedF {
-				_, r := d.markBusy(zs.id)
-				releases = append(releases, r)
+				r.busy = append(r.busy, busyTag{d, d.markBusy(zs.id)})
 			}
 		}
 	}
-	finish := func() {
-		ds.q.Reset(victim, func(err error) {
-			c.noteIOError(ds.id, err)
-			for _, r := range releases {
-				r()
-			}
-			ds.freeZone(victim)
-			c.eng.After(0, func() { c.gcStep(ds) })
-		})
-	}
 
 	// Collect the owning stripes of every slot in the victim, ascending.
-	var sns []int64
+	sns := r.sns[:0]
 	for off := int64(0); off < vzs.wpAlloc; off++ {
 		if sn := vzs.stripeAt(off); sn >= 0 {
 			sns = append(sns, sn)
@@ -87,38 +94,54 @@ func (c *Core) gcStep(ds *devState) {
 		}
 	}
 	slices.Sort(sns)
-	sns = slices.Compact(sns)
-
-	remaining := len(sns)
-	if remaining == 0 {
-		finish()
-		return
+	r.sns = slices.Compact(sns)
+	r.remaining = len(r.sns) + 1
+	for _, sn := range r.sns {
+		c.dissolveStripe(sn, r.onStripe)
 	}
-	for _, sn := range sns {
-		c.dissolveStripe(sn, func() {
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-		})
+	r.stripeDone()
+}
+
+// stripeDone counts one of the victim's stripes dissolved; after the last,
+// the victim is reset.
+func (r *gcRun) stripeDone() {
+	if r.remaining--; r.remaining == 0 {
+		r.ds.q.Reset(r.victim, r.onReset)
 	}
 }
 
+// resetDone returns the collected victim to the pool, releases the BUSY
+// tags, and schedules the next victim.
+func (r *gcRun) resetDone(err error) {
+	ds := r.ds
+	ds.c.noteIOError(ds.id, err)
+	for _, b := range r.busy {
+		b.ds.releaseBusy(b.ch)
+	}
+	clear(r.busy)
+	r.busy = r.busy[:0]
+	ds.freeZone(r.victim)
+	ds.c.eng.AfterEvent(0, r, 0, 0)
+}
+
 // dissolveStripe migrates every live chunk of a stripe into GC-class
-// stripes and releases the old stripe. Its live blocks are pinned for the
-// duration so in-place updates cannot race the migration reads.
+// stripes and releases the old stripe, then calls done. Its live blocks are
+// pinned for the duration so in-place updates cannot race the migration
+// reads.
 func (c *Core) dissolveStripe(sn int64, done func()) {
-	(&dissolve{c: c, sn: sn, done: done}).run()
+	c.getDissolve(sn, done).run()
 }
 
 // dissolve is one stripe dissolution: the parent of its migration chunks,
 // and the entry parked on the stripe's ipq while an in-place update is
-// still in flight.
+// still in flight. A recycled record (getDissolve in pool.go), put back
+// just before its done callback runs.
 type dissolve struct {
 	c         *Core
+	live      bool
 	sn        int64
 	done      func()
-	remaining int       // live chunks not yet re-homed
+	remaining int       // live chunks not yet re-homed, plus run's own hold while it issues them
 	parked    *smtEntry // the stripe whose ipq holds this dissolution
 }
 
@@ -126,7 +149,7 @@ func (d *dissolve) run() {
 	c, sn := d.c, d.sn
 	se := c.smt.Get(sn)
 	if se == nil {
-		d.done()
+		c.putDissolve(d)
 		return
 	}
 	// Claim the stripe: later rewrites of its blocks append elsewhere (the
@@ -154,57 +177,65 @@ func (d *dissolve) run() {
 			}
 		}
 	}
-	type migrant struct {
-		lbn int64
-		p   pa
-	}
-	var live []migrant
+	// Pin and migrate the live chunks in stripe order. The loop holds d, so
+	// a migration ending inside it (a reconstruction that fails at once)
+	// cannot finish d under it; with none live, dropping the hold releases
+	// the stripe (valid counts exactly the live chunks) once safe.
+	d.remaining = 1
 	lbns := se.lbns()
 	for i, p := range se.chunks() {
-		if lbn := int64(lbns[i]) - 1; lbn >= 0 && p.dev >= 0 {
-			live = append(live, migrant{lbn: lbn, p: p})
-			c.setPinned(lbn, true)
-		}
-	}
-	if len(live) == 0 {
-		if se.pending == 0 {
-			c.releaseStripe(sn, se)
-		}
-		d.done()
-		return
-	}
-	d.remaining = len(live)
-	for _, m := range live {
-		m := m
-		if c.failed[m.p.dev] {
-			d.reconstruct(m.lbn, m.p) // source member is gone (rebuild path)
+		lbn := int64(lbns[i]) - 1
+		if lbn < 0 || p.dev < 0 {
 			continue
 		}
-		dst := c.readBuf(1)
-		c.devs[m.p.dev].q.ReadInto(int(m.p.zone), int64(m.p.off), 1, dst, false, func(r zns.ReadResult) {
-			data := dst
-			if r.Err != nil {
-				c.noteIOError(int(m.p.dev), r.Err)
-				c.pool.Free(dst)
-				data = nil
-				if storerr.Reconstructable(r.Err) {
-					d.reconstruct(m.lbn, m.p) // it died (or rotted) under the read
-					return
-				}
-			}
-			d.migrate(m.lbn, m.p, data, data != nil)
-		})
+		d.remaining++
+		c.setPinned(lbn, true)
+		if c.failed[p.dev] {
+			d.reconstruct(lbn, p) // source member is gone (rebuild path)
+			continue
+		}
+		m := c.getMigrationRead(d, lbn, p, c.readBuf(1))
+		c.devs[p.dev].q.ReadInto(int(p.zone), int64(p.off), 1, m.dst, false, m.onDone)
 	}
+	d.chunkDone(-1, nil)
+}
+
+// migrationRead is one live chunk of a dissolving stripe read off its
+// member for migration. A recycled record (getMigrationRead in pool.go),
+// the completion target of its read, put back before the chunk migrates.
+type migrationRead struct {
+	d      *dissolve
+	live   bool
+	lbn    int64
+	p      pa
+	dst    []byte               // the read's pool scratch; nil in performance mode
+	onDone func(zns.ReadResult) // m.complete, bound once per record
+}
+
+func (m *migrationRead) complete(r zns.ReadResult) {
+	d, lbn, p, data := m.d, m.lbn, m.p, m.dst
+	d.c.putMigrationRead(m)
+	if r.Err != nil {
+		d.c.noteIOError(int(p.dev), r.Err)
+		d.c.pool.Free(data)
+		data = nil
+		if storerr.Reconstructable(r.Err) {
+			d.reconstruct(lbn, p) // it died (or rotted) under the read
+			return
+		}
+	}
+	d.migrate(lbn, p, data, data != nil)
 }
 
 // Fire implements sim.Handler: the in-place update that parked this
 // dissolution has finished, so retry, then let the stripe's queue go on.
+// The retry may finish the dissolution and put it back.
 func (d *dissolve) Fire(_, _ sim.Time) {
-	se := d.parked
+	c, se := d.c, d.parked
 	d.parked = nil
 	d.run()
-	d.c.ipNext(se)
-	d.c.dropSE(se)
+	c.ipNext(se)
+	c.dropSE(se)
 }
 
 // reconstruct migrates a live chunk whose source cannot be read, rebuilt
@@ -243,10 +274,14 @@ func (d *dissolve) migrate(lbn int64, p pa, data []byte, pooled bool) {
 }
 
 // chunkDone implements chunkParent: one live chunk is re-homed (or given
-// up on; the migration's own error is not the dissolution's).
+// up on; the migration's own error is not the dissolution's). lbn -1 drops
+// run's own hold instead. After the last, the dissolution is put back and
+// its done callback runs.
 func (d *dissolve) chunkDone(lbn int64, _ error) {
 	c := d.c
-	c.setPinned(lbn, false)
+	if lbn >= 0 {
+		c.setPinned(lbn, false)
+	}
 	d.remaining--
 	if d.remaining > 0 {
 		return
@@ -257,7 +292,7 @@ func (d *dissolve) chunkDone(lbn int64, _ error) {
 	if se := c.smt.Get(d.sn); se != nil && se.valid == 0 && se.pending == 0 {
 		c.releaseStripe(d.sn, se)
 	}
-	d.done()
+	d.c.putDissolve(d)
 }
 
 // setPinned sets or clears a block's GC pin, a bit of its BMT entry that

@@ -33,9 +33,15 @@ package core
 // indices and a completion callback bound once. It is put back before the
 // caller's callback runs, so a Read issued from inside may take it; the
 // block-by-block fallback when a member dies under a run, which can end the
-// read midway, therefore loops over a copy of the slot's indices. That
-// fallback, degraded blocks, GC's migration reads and the recovery scan keep
-// their closures: no fault-free user read reaches them.
+// read midway, therefore loops over a copy of the slot's indices.
+//
+// The collector has two (gc.go): dissolve, one stripe's dissolution, put
+// back just before its done callback runs, and migrationRead, one live
+// chunk's read off its member, its completion bound once; each device's
+// gcRun, in its devState, collects its victims on callbacks bound once.
+// Closures stay only where no fault-free Read or collection goes: the read
+// fallback above, degraded blocks and migrations (reconstructChunk), the
+// rebuild's per-stripe callback and the recovery scan.
 //
 // Every record carries a live flag: putting one back twice, or completing
 // through one that is already back, panics instead of corrupting whatever
@@ -94,6 +100,31 @@ func (c *Core) putVec(v [][]byte) {
 	c.recs.vec = append(c.recs.vec, v[:0])
 }
 
+// take pops a record off a free list, or makes one (fresh), and counts it
+// out of the lists in *out; give pushes one back, reset.
+func take[T any](free *[]*T, out *int) (r *T, fresh bool) {
+	*out++
+	if n := len(*free); n > 0 {
+		r = (*free)[n-1]
+		*free = (*free)[:n-1]
+		return r, false
+	}
+	return new(T), true
+}
+
+func give[T any](free *[]*T, r *T, out *int) {
+	*out--
+	*free = append(*free, r)
+}
+
+// mustBeOut panics unless a record being put back is out: one put back
+// twice would be handed to two users at once.
+func mustBeOut(live bool, kind string) {
+	if !live {
+		panic("core: " + kind + " put twice")
+	}
+}
+
 // recs are an engine's record free lists (sim.Local): every array on one
 // engine draws from them, so a fleet holds records for the engine's peak of
 // work in flight rather than the sum of each array's. A get sets the
@@ -106,42 +137,27 @@ type recs struct {
 	batch  []*appendBatch
 	read   []*readRec
 	round  []*stageRound
+	dis    []*dissolve
+	mig    []*migrationRead
 }
 
 // recCounts is the number of records an array has out of the free lists.
-type recCounts struct{ write, chunk, stripe, smt, batch, read, round int }
+type recCounts struct{ write, chunk, stripe, smt, batch, read, round, dis, mig int }
 
 func (c *Core) getWrite() *writeRec {
-	c.liveRecs.write++
-	var w *writeRec
-	if n := len(c.recs.write); n > 0 {
-		w = c.recs.write[n-1]
-		c.recs.write = c.recs.write[:n-1]
-	} else {
-		w = &writeRec{}
-	}
+	w, _ := take(&c.recs.write, &c.liveRecs.write)
 	w.c, w.live = c, true
 	return w
 }
 
 func (c *Core) putWrite(w *writeRec) {
-	if !w.live {
-		panic("core: write record put twice")
-	}
+	mustBeOut(w.live, "write record")
 	*w = writeRec{c: c}
-	c.liveRecs.write--
-	c.recs.write = append(c.recs.write, w)
+	give(&c.recs.write, w, &c.liveRecs.write)
 }
 
 func (c *Core) getRead() *readRec {
-	c.liveRecs.read++
-	var rd *readRec
-	if n := len(c.recs.read); n > 0 {
-		rd = c.recs.read[n-1]
-		c.recs.read = c.recs.read[:n-1]
-	} else {
-		rd = &readRec{}
-	}
+	rd, _ := take(&c.recs.read, &c.liveRecs.read)
 	rd.c, rd.live = c, true
 	return rd
 }
@@ -149,23 +165,13 @@ func (c *Core) getRead() *readRec {
 // putRead recycles a read record, keeping its run slots and its degraded
 // list for their capacity.
 func (c *Core) putRead(rd *readRec) {
-	if !rd.live {
-		panic("core: read record put twice")
-	}
+	mustBeOut(rd.live, "read record")
 	*rd = readRec{c: c, runs: rd.runs, degraded: rd.degraded[:0]}
-	c.liveRecs.read--
-	c.recs.read = append(c.recs.read, rd)
+	give(&c.recs.read, rd, &c.liveRecs.read)
 }
 
 func (c *Core) getChunk() *chunkRec {
-	c.liveRecs.chunk++
-	var ch *chunkRec
-	if n := len(c.recs.chunk); n > 0 {
-		ch = c.recs.chunk[n-1]
-		c.recs.chunk = c.recs.chunk[:n-1]
-	} else {
-		ch = &chunkRec{}
-	}
+	ch, _ := take(&c.recs.chunk, &c.liveRecs.chunk)
 	ch.c, ch.live = c, true
 	return ch
 }
@@ -174,25 +180,15 @@ func (c *Core) getChunk() *chunkRec {
 // once per record). The record is zeroed where it lies and the three kept
 // words written back, not overwritten with a temporary built beside it.
 func (c *Core) putChunk(ch *chunkRec) {
-	if !ch.live {
-		panic("core: chunk record put twice")
-	}
+	mustBeOut(ch.live, "chunk record")
 	onOldData, onOldParity := ch.onOldData, ch.onOldParity
 	*ch = chunkRec{}
 	ch.c, ch.onOldData, ch.onOldParity = c, onOldData, onOldParity
-	c.liveRecs.chunk--
-	c.recs.chunk = append(c.recs.chunk, ch)
+	give(&c.recs.chunk, ch, &c.liveRecs.chunk)
 }
 
 func (c *Core) getStripe() *openStripe {
-	c.liveRecs.stripe++
-	var st *openStripe
-	if n := len(c.recs.stripe); n > 0 {
-		st = c.recs.stripe[n-1]
-		c.recs.stripe = c.recs.stripe[:n-1]
-	} else {
-		st = &openStripe{}
-	}
+	st, _ := take(&c.recs.stripe, &c.liveRecs.stripe)
 	st.c, st.live = c, true
 	return st
 }
@@ -201,17 +197,14 @@ func (c *Core) getStripe() *openStripe {
 // entry, freeing any accumulators still attached (a stripe sealed short by
 // GC with no parity generation in flight).
 func (c *Core) putStripe(st *openStripe) {
-	if !st.live {
-		panic("core: stripe record put twice")
-	}
+	mustBeOut(st.live, "stripe record")
 	for _, acc := range st.accs {
 		c.pool.Free(acc)
 	}
 	c.putVec(st.accs)
 	se := st.se
 	*st = openStripe{c: c}
-	c.liveRecs.stripe--
-	c.recs.stripe = append(c.recs.stripe, st)
+	give(&c.recs.stripe, st, &c.liveRecs.stripe)
 	c.dropSE(se)
 }
 
@@ -292,13 +285,8 @@ func (c *Core) maybePutSE(se *smtEntry) {
 }
 
 func (c *Core) getBatch() *appendBatch {
-	c.liveRecs.batch++
-	var b *appendBatch
-	if n := len(c.recs.batch); n > 0 {
-		b = c.recs.batch[n-1]
-		c.recs.batch = c.recs.batch[:n-1]
-	} else {
-		b = &appendBatch{}
+	b, fresh := take(&c.recs.batch, &c.liveRecs.batch)
+	if fresh {
 		b.done = b.complete
 	}
 	b.live = true
@@ -308,27 +296,17 @@ func (c *Core) getBatch() *appendBatch {
 // putBatch recycles a device-command record, clearing its op and OOB
 // slices (kept for their capacity) so payload references do not linger.
 func (c *Core) putBatch(b *appendBatch) {
-	if !b.live {
-		panic("core: batch record put twice")
-	}
+	mustBeOut(b.live, "batch record")
 	clear(b.ops)
 	clear(b.oob)
 	ops, oob, done := b.ops[:0], b.oob[:0], b.done
 	*b = appendBatch{}
 	b.ops, b.oob, b.done = ops, oob, done
-	c.liveRecs.batch--
-	c.recs.batch = append(c.recs.batch, b)
+	give(&c.recs.batch, b, &c.liveRecs.batch)
 }
 
 func (c *Core) getRound() *stageRound {
-	c.liveRecs.round++
-	var r *stageRound
-	if n := len(c.recs.round); n > 0 {
-		r = c.recs.round[n-1]
-		c.recs.round = c.recs.round[:n-1]
-	} else {
-		r = &stageRound{}
-	}
+	r, _ := take(&c.recs.round, &c.liveRecs.round)
 	r.c, r.live = c, true
 	return r
 }
@@ -336,11 +314,40 @@ func (c *Core) getRound() *stageRound {
 // putRound recycles a staging round, keeping its zone slice for its
 // capacity.
 func (c *Core) putRound(r *stageRound) {
-	if !r.live {
-		panic("core: staging round put twice")
-	}
+	mustBeOut(r.live, "staging round")
 	clear(r.zones)
 	*r = stageRound{zones: r.zones[:0]}
-	c.liveRecs.round--
-	c.recs.round = append(c.recs.round, r)
+	give(&c.recs.round, r, &c.liveRecs.round)
+}
+
+func (c *Core) getDissolve(sn int64, done func()) *dissolve {
+	d, _ := take(&c.recs.dis, &c.liveRecs.dis)
+	d.c, d.live, d.sn, d.done = c, true, sn, done
+	return d
+}
+
+// putDissolve recycles a finished dissolution, then calls its done
+// callback, which may take the record again.
+func (c *Core) putDissolve(d *dissolve) {
+	mustBeOut(d.live, "dissolution")
+	done := d.done
+	*d = dissolve{}
+	give(&c.recs.dis, d, &c.liveRecs.dis)
+	done()
+}
+
+func (c *Core) getMigrationRead(d *dissolve, lbn int64, p pa, dst []byte) *migrationRead {
+	m, fresh := take(&c.recs.mig, &c.liveRecs.mig)
+	if fresh {
+		m.onDone = m.complete
+	}
+	m.d, m.live, m.lbn, m.p, m.dst = d, true, lbn, p, dst
+	return m
+}
+
+// putMigrationRead recycles a migration read, keeping its callback.
+func (c *Core) putMigrationRead(m *migrationRead) {
+	mustBeOut(m.live, "migration read")
+	*m = migrationRead{onDone: m.onDone}
+	give(&c.recs.mig, m, &c.liveRecs.mig)
 }

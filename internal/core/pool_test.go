@@ -121,6 +121,8 @@ func TestPoolCycleAllocFree(t *testing.T) {
 		se.holds++
 		se.dead = true
 		c.putStripe(st) // drops the last hold: the entry goes back too
+		c.putDissolve(c.getDissolve(0, func() {}))
+		c.putMigrationRead(c.getMigrationRead(nil, 0, pa{}, nil))
 	}
 	cycle() // warm every pool
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {

@@ -21,10 +21,10 @@ import (
 )
 
 // assertNoStrayRecords checks that a drained array has every record back
-// on its free list: no Write, Read, chunk or device command is in flight, an
-// open-stripe record is out only for the stripes still open, and an SMT
-// entry only for the stripes still mapped. Its mapping tables must agree
-// (checkTables).
+// on its free list: no Write, Read, chunk, device command, stripe
+// dissolution or migration read is in flight, an open-stripe record
+// is out only for the stripes still open, and an SMT entry only for the
+// stripes still mapped. Its mapping tables must agree (checkTables).
 func assertNoStrayRecords(t *testing.T, c *Core) {
 	t.Helper()
 	assertTables(t, c)
@@ -225,6 +225,8 @@ func TestSecondArrayRecordsAllocFree(t *testing.T) {
 			batch:  len(r.batch) + a.liveRecs.batch + b.liveRecs.batch,
 			read:   len(r.read) + a.liveRecs.read + b.liveRecs.read,
 			round:  len(r.round) + a.liveRecs.round + b.liveRecs.round,
+			dis:    len(r.dis) + a.liveRecs.dis + b.liveRecs.dis,
+			mig:    len(r.mig) + a.liveRecs.mig + b.liveRecs.mig,
 		}
 	}
 	mallocs := func(f func()) int {
@@ -434,6 +436,15 @@ func TestRecordDiscipline(t *testing.T) {
 	mustPanic("stripe record put twice", func() { c.putStripe(st) })
 	mustPanic("stripe record completed after put", func() { st.ioDone(nil) })
 	mustPanic("SMT entry dropped after put", func() { c.dropSE(se) })
+
+	d := c.getDissolve(0, func() {})
+	c.putDissolve(d)
+	mustPanic("dissolution put twice", func() { c.putDissolve(d) })
+
+	m := c.getMigrationRead(nil, 0, pa{}, nil)
+	c.putMigrationRead(m)
+	mustPanic("migration read put twice", func() { c.putMigrationRead(m) })
+	mustPanic("migration read completed after put", func() { m.onDone(zns.ReadResult{}) })
 }
 
 // chunkTally is a chunkParent that counts completions per block.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"biza/internal/buf"
 	"biza/internal/cpumodel"
@@ -248,6 +249,7 @@ type devState struct {
 	busyConf  []bool // channel marked from a confirmed zone
 	busyChans int    // channels with a refcount
 
+	gc        gcRun
 	gcRunning bool
 	stalled   fifo.Queue[*chunkRec] // user chunks parked at the free-zone cliff
 }
@@ -272,6 +274,7 @@ func emptyDevState(c *Core, id int, q *nvme.Queue) *devState {
 	for z := 0; z < cfg.NumZones; z++ {
 		ds.guessed[z] = z % cfg.NumChannels // round-robin guess (§4.3)
 	}
+	ds.gc.ds, ds.gc.onStripe, ds.gc.onReset = ds, ds.gc.stripeDone, ds.gc.resetDone
 	return ds
 }
 
@@ -365,10 +368,10 @@ func (ds *devState) channelBusy(ch int) bool { return ds.busy[ch] > 0 }
 // gcActive reports whether any channel carries GC traffic.
 func (ds *devState) gcActive() bool { return ds.busyChans > 0 }
 
-// markBusy tags the guessed channel of zone z as BUSY for the duration of
-// a GC phase; fromConfirmed notes whether the channel identity is certain.
-func (ds *devState) markBusy(z int) (ch int, release func()) {
-	ch = ds.guessed[z]
+// markBusy tags the guessed channel of zone z BUSY for a GC phase, noting
+// whether its identity is certain, and returns it for releaseBusy.
+func (ds *devState) markBusy(z int) int {
+	ch := ds.guessed[z]
 	if ds.busy[ch] == 0 {
 		ds.busyChans++
 	}
@@ -376,17 +379,15 @@ func (ds *devState) markBusy(z int) (ch int, release func()) {
 	if ds.confirmed[z] {
 		ds.busyConf[ch] = true
 	}
-	released := false
-	return ch, func() {
-		if released {
-			return
-		}
-		released = true
-		ds.busy[ch]--
-		if ds.busy[ch] == 0 {
-			ds.busyChans--
-			ds.busyConf[ch] = false
-		}
+	return ch
+}
+
+// releaseBusy drops one BUSY tag of a channel.
+func (ds *devState) releaseBusy(ch int) {
+	ds.busy[ch]--
+	if ds.busy[ch] == 0 {
+		ds.busyChans--
+		ds.busyConf[ch] = false
 	}
 }
 
@@ -719,11 +720,8 @@ func (ds *devState) maybeFinish(zs *zoneState) {
 // freeZone returns a collected zone to the pool.
 func (ds *devState) freeZone(z int) {
 	ds.zones[z] = nil
-	for i, fz := range ds.fullZones {
-		if fz == z {
-			ds.fullZones = append(ds.fullZones[:i], ds.fullZones[i+1:]...)
-			break
-		}
+	if i := slices.Index(ds.fullZones, z); i >= 0 {
+		ds.fullZones = slices.Delete(ds.fullZones, i, i+1)
 	}
 	ds.freeZones = append(ds.freeZones, z)
 	for ds.stalled.Len() > 0 && (len(ds.freeZones) > ds.c.stallFloor() || ds.pickVictim() < 0) {
