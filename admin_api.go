@@ -1,9 +1,6 @@
 package biza
 
-import (
-	"biza/internal/admin"
-	"biza/internal/volume"
-)
+import "biza/internal/admin"
 
 // Job is a typed admin operation record; see internal/admin for the
 // lifecycle (pending → running → done|failed).
@@ -20,10 +17,6 @@ const (
 	// JobScrub reads the whole array in paced steps, counting unreadable
 	// ranges.
 	JobScrub = admin.KindScrub
-	// JobVolumeResize grows or shrinks a named volume in place.
-	JobVolumeResize = admin.KindVolumeResize
-	// JobVolumeDelete deletes a named volume, reclaiming its range.
-	JobVolumeDelete = admin.KindVolumeDelete
 	// JobCrash cuts power immediately (executes at submit, not queued).
 	JobCrash = admin.KindCrash
 	// JobRecover rebuilds array state from the surviving devices.
@@ -47,10 +40,10 @@ const (
 )
 
 // Admin is the array's control plane: every administrative operation —
-// device replacement, scrubs, crash/recover, volume resize and delete —
-// is a typed Job executed by a deterministic per-array orchestrator, one
-// at a time, in submission order. The synchronous helpers below submit a
-// job and drive the simulation until it finishes; event-driven callers
+// device replacement, scrubs, crash/recover, member failures — is a typed
+// Job executed by a deterministic per-array orchestrator, one at a time,
+// in submission order. The synchronous helpers below submit a job and
+// drive the simulation until it finishes; event-driven callers
 // use Submit and drive the engine themselves. Like the array, it belongs
 // to the goroutine that drives the simulation.
 type Admin struct {
@@ -62,9 +55,7 @@ type Admin struct {
 // use.
 func (a *Array) Admin() *Admin {
 	if a.adm == nil {
-		orc := admin.New(a.p)
-		orc.SetVolumeSource(func() *volume.Manager { return a.vm })
-		a.adm = &Admin{a: a, orc: orc}
+		a.adm = &Admin{a: a, orc: admin.New(a.p)}
 	}
 	return a.adm
 }
@@ -146,16 +137,4 @@ func (ad *Admin) ReplaceDevicePaced(dev, stripesPerStep int, stepGapNanos int64)
 // to completion; unreadable ranges fail the job.
 func (ad *Admin) Scrub(blocksPerStep int, gapNanos int64) error {
 	return ad.run(JobScrub, JobParams{BlocksPerStep: blocksPerStep, GapNanos: gapNanos})
-}
-
-// ResizeVolume grows or shrinks a named volume in place via a job;
-// growth requires free space directly after the volume's range.
-func (ad *Admin) ResizeVolume(name string, newBlocks int64) error {
-	return ad.run(JobVolumeResize, JobParams{Volume: name, NewBlocks: newBlocks})
-}
-
-// DeleteVolume deletes a quiescent named volume via a job, trimming and
-// reclaiming its LBA range.
-func (ad *Admin) DeleteVolume(name string) error {
-	return ad.run(JobVolumeDelete, JobParams{Volume: name})
 }

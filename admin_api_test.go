@@ -44,32 +44,23 @@ func TestAdminFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := arr.OpenVolume("tenant", biza.VolumeOptions{Blocks: 1 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ad.ResizeVolume("tenant", 1<<11); err != nil {
-		t.Fatalf("resize: %v", err)
-	}
-	if err := ad.DeleteVolume("tenant"); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	if err := ad.DeleteVolume("ghost"); !errors.Is(err, storerr.ErrNotFound) {
-		t.Fatalf("ghost delete: err = %v, want ErrNotFound", err)
+	if err := ad.ReplaceDevice(9); !errors.Is(err, storerr.ErrNotFound) {
+		t.Fatalf("replace of member 9: err = %v, want ErrNotFound", err)
 	}
 
 	jobs := ad.Jobs()
-	// scrub, replace, crash, recover, 2×set-failed, replace, resize,
-	// delete, failed delete = 10 records.
-	if len(jobs) != 10 {
-		t.Fatalf("job records = %d, want 10", len(jobs))
+	// scrub, replace, crash, recover, 2×set-failed, replace, failed
+	// replace = 8 records.
+	if len(jobs) != 8 {
+		t.Fatalf("job records = %d, want 8", len(jobs))
 	}
-	for i, j := range jobs[:9] {
+	for i, j := range jobs[:7] {
 		if j.State != biza.JobDone {
 			t.Fatalf("job %d = %+v, want done", i, j)
 		}
 	}
-	if last := jobs[9]; last.State != biza.JobFailed {
-		t.Fatalf("ghost delete job = %+v, want failed", last)
+	if last := jobs[7]; last.State != biza.JobFailed {
+		t.Fatalf("replace of member 9 = %+v, want failed", last)
 	}
 }
 

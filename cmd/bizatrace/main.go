@@ -88,8 +88,6 @@ func main() {
 	replay := flag.String("replay", "", "platform to replay against (empty = analyze only)")
 	depth := flag.Int("depth", 32, "replay I/O depth")
 	list := flag.Bool("list", false, "list workload profiles")
-	save := flag.String("save", "", "write the synthesized trace to a file")
-	load := flag.String("load", "", "analyze/replay a saved trace instead of synthesizing")
 	flag.Parse()
 
 	if *list {
@@ -99,40 +97,12 @@ func main() {
 		}
 		return
 	}
-	var tr *trace.Trace
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		tr, err = trace.ReadFrom(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		prof := workload.ProfileByName(*name)
-		if prof == nil {
-			fmt.Fprintf(os.Stderr, "unknown workload %q (try -list)\n", *name)
-			os.Exit(1)
-		}
-		tr = prof.Synthesize(*seed, *ops)
+	prof := workload.ProfileByName(*name)
+	if prof == nil {
+		fmt.Fprintf(os.Stderr, "unknown workload %q (try -list)\n", *name)
+		os.Exit(1)
 	}
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if _, err := tr.WriteTo(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("saved %d ops to %s\n", len(tr.Ops), *save)
-	}
+	tr := prof.Synthesize(*seed, *ops)
 	st := tr.Characterize()
 	fmt.Printf("workload %s: %d ops, write ratio %.1f%%, avg read %.1f KB, avg write %.1f KB\n",
 		tr.Name, st.Ops, st.WriteRatio*100, st.AvgReadBytes/1024, st.AvgWriteBytes/1024)

@@ -1,14 +1,13 @@
 // Package admin is the array's control plane: a deterministic job
 // orchestrator that executes administrative operations — device
-// replacement, paced scrubs, crash/recover cycles, volume resize and
-// delete — against one array as paced virtual-time steps.
+// replacement, paced scrubs, crash/recover cycles and member failures —
+// against one array as paced virtual-time steps.
 //
-// Commands enter the simulation through one injection boundary: Apply
-// (and Inject, which applies a batch) runs on the engine goroutine at a
-// virtual time the simulation driver chooses. Every applied command is
-// recorded in a journal of (virtual time, sequence, command) entries, so
-// a run can be replayed bit-identically by re-applying the journal at the
-// same virtual times on a fresh array.
+// Commands enter the simulation one way: Submit runs on the engine
+// goroutine at a virtual time the simulation driver chooses. Every
+// submitted command is recorded in a journal of (virtual time, sequence,
+// command) entries, so a run can be replayed bit-identically by
+// resubmitting the journal at the same virtual times on a fresh array.
 //
 // One Orchestrator serves one array and runs one job at a time in
 // submission order; a rolling replacement is nothing more than submitting
@@ -32,7 +31,6 @@ import (
 	"biza/internal/sim"
 	"biza/internal/stack"
 	"biza/internal/storerr"
-	"biza/internal/volume"
 )
 
 // Kind names a job type.
@@ -46,11 +44,6 @@ const (
 	// KindScrub reads the whole array space in paced steps, counting
 	// unreadable ranges (BlocksPerStep/GapNanos).
 	KindScrub Kind = "scrub"
-	// KindVolumeResize grows or shrinks a named volume in place.
-	KindVolumeResize Kind = "volume-resize"
-	// KindVolumeDelete deletes a named volume and reclaims (trims) its
-	// LBA range.
-	KindVolumeDelete Kind = "volume-delete"
 	// KindCrash cuts power immediately (immediate kind: runs at submit,
 	// ahead of any queued jobs — power loss does not queue).
 	KindCrash Kind = "crash"
@@ -63,8 +56,7 @@ const (
 // check refuses a kind that is not one of the above.
 func (k Kind) check() error {
 	switch k {
-	case KindReplace, KindScrub, KindVolumeResize, KindVolumeDelete,
-		KindCrash, KindRecover, KindSetFailed:
+	case KindReplace, KindScrub, KindCrash, KindRecover, KindSetFailed:
 		return nil
 	}
 	return fmt.Errorf("admin: unknown job kind %q: %w", k, storerr.ErrBadArgument)
@@ -86,10 +78,6 @@ type Params struct {
 	BlocksPerStep int `json:"blocks_per_step,omitempty"`
 	// GapNanos idles the scrub between steps (scrub).
 	GapNanos int64 `json:"gap_nanos,omitempty"`
-	// Volume names the target volume (volume-resize, volume-delete).
-	Volume string `json:"volume,omitempty"`
-	// NewBlocks is the target capacity (volume-resize).
-	NewBlocks int64 `json:"new_blocks,omitempty"`
 }
 
 // State is a job's lifecycle position.
@@ -128,19 +116,14 @@ type Job struct {
 	FinishedAt  int64    `json:"finished_at_nanos,omitempty"`
 }
 
-// Command is one operation crossing the injection boundary.
+// Command is one submitted job request.
 type Command struct {
-	// Verb is the operation; submit is the only one.
-	Verb   string `json:"verb"`
 	Kind   Kind   `json:"kind,omitempty"`
 	Params Params `json:"params,omitempty"`
 }
 
-// VerbSubmit queues (or, for immediate kinds, executes) a new job.
-const VerbSubmit = "submit"
-
-// JournalEntry records one injected command at its virtual time; Seq
-// breaks ties between commands injected at the same instant.
+// JournalEntry records one submitted command at its virtual time; Seq
+// breaks ties between commands submitted at the same instant.
 type JournalEntry struct {
 	At  int64   `json:"at_nanos"`
 	Seq uint64  `json:"seq"`
@@ -157,9 +140,8 @@ type jobRun struct {
 // in submission order. Every method must run on the platform's engine
 // goroutine (simulation discipline).
 type Orchestrator struct {
-	eng  *sim.Engine
-	p    *stack.Platform
-	vols func() *volume.Manager
+	eng *sim.Engine
+	p   *stack.Platform
 
 	jobs    []*jobRun // by id - 1: ids count submissions from 1
 	queue   []uint64  // pending, awaiting execution
@@ -175,16 +157,11 @@ func New(p *stack.Platform) *Orchestrator {
 	return &Orchestrator{eng: p.Eng, p: p}
 }
 
-// SetVolumeSource wires the volume manager lookup for volume jobs. A
-// func (rather than the manager itself) because the facade creates its
-// manager lazily.
-func (o *Orchestrator) SetVolumeSource(f func() *volume.Manager) { o.vols = f }
-
 // SetOnChange registers a hook fired after every job state change (job
 // transitions, progress steps). Runs on the engine goroutine.
 func (o *Orchestrator) SetOnChange(f func()) { o.onChange = f }
 
-// Journal returns the applied-command journal (do not mutate).
+// Journal returns the submitted-command journal (do not mutate).
 func (o *Orchestrator) Journal() []JournalEntry { return o.journal }
 
 // lookup returns the job with the given id, nil for an unknown one.
@@ -229,46 +206,26 @@ func (o *Orchestrator) changed() {
 	}
 }
 
-// Inject applies commands at the current virtual time — the single
-// deterministic injection boundary. Must run on the engine goroutine; the
-// commands' effects interleave with simulation events exactly as if
-// scheduled there, and each command lands in the journal.
-func (o *Orchestrator) Inject(cmds []Command) {
-	for _, c := range cmds {
-		o.Apply(c) // errors live in the job records
-	}
-}
-
-// Apply executes one command, journaling it first. Returns the affected
-// job id. Must run on the engine goroutine.
-func (o *Orchestrator) Apply(cmd Command) (uint64, error) {
-	seq := uint64(len(o.journal)) + 1
-	o.journal = append(o.journal, JournalEntry{At: int64(o.eng.Now()), Seq: seq, Cmd: cmd})
-	if cmd.Verb != VerbSubmit {
-		return 0, fmt.Errorf("admin: unknown verb %q: %w", cmd.Verb, storerr.ErrBadArgument)
-	}
-	return o.submit(cmd)
-}
-
-// Submit queues (or, for immediate kinds, executes) a new job and
-// returns its id. Must run on the engine goroutine. The job's eventual
-// success or failure is reported in its State/Err fields; Submit itself
-// errors only on malformed commands.
+// Submit journals a command, then queues (or, for immediate kinds,
+// executes) a new job and returns its id. Must run on the engine
+// goroutine; its effects interleave with simulation events exactly as if
+// scheduled there. The job's eventual success or failure is reported in
+// its State/Err fields; Submit itself errors only on an unknown kind.
 func (o *Orchestrator) Submit(kind Kind, p Params) (uint64, error) {
-	return o.Apply(Command{Verb: VerbSubmit, Kind: kind, Params: p})
-}
-
-func (o *Orchestrator) submit(cmd Command) (uint64, error) {
-	if err := cmd.Kind.check(); err != nil {
+	o.journal = append(o.journal, JournalEntry{
+		At: int64(o.eng.Now()), Seq: uint64(len(o.journal)) + 1,
+		Cmd: Command{Kind: kind, Params: p},
+	})
+	if err := kind.check(); err != nil {
 		return 0, err
 	}
 	id := uint64(len(o.jobs)) + 1
 	r := &jobRun{job: Job{
-		ID: id, Kind: cmd.Kind, Params: cmd.Params,
+		ID: id, Kind: kind, Params: p,
 		State: StatePending, SubmittedAt: int64(o.eng.Now()),
 	}}
 	o.jobs = append(o.jobs, r)
-	if cmd.Kind == KindCrash || cmd.Kind == KindSetFailed {
+	if kind == KindCrash || kind == KindSetFailed {
 		// Immediate kinds: power cuts and member failures take effect
 		// now, not after queued maintenance drains.
 		o.execImmediate(r)
@@ -381,8 +338,6 @@ func (o *Orchestrator) exec(r *jobRun) {
 		o.execScrub(r)
 	case KindRecover:
 		o.p.Recover(func(err error) { o.finish(r, err) })
-	case KindVolumeResize, KindVolumeDelete:
-		o.execVolume(r)
 	}
 }
 
@@ -444,24 +399,4 @@ func (o *Orchestrator) execScrub(r *jobRun) {
 		})
 	}
 	step()
-}
-
-func (o *Orchestrator) execVolume(r *jobRun) {
-	var vm *volume.Manager
-	if o.vols != nil {
-		vm = o.vols()
-	}
-	if vm == nil {
-		o.finish(r, fmt.Errorf("admin: no volume manager configured: %w", storerr.ErrNotSupported))
-		return
-	}
-	var err error
-	switch r.job.Kind {
-	case KindVolumeResize:
-		err = vm.Resize(r.job.Params.Volume, r.job.Params.NewBlocks)
-	case KindVolumeDelete:
-		err = vm.Delete(r.job.Params.Volume)
-	}
-	r.job.Progress = Progress{Done: 1, Total: 1}
-	o.finish(r, err)
 }

@@ -10,7 +10,6 @@ import (
 	"biza/internal/sim"
 	"biza/internal/stack"
 	"biza/internal/storerr"
-	"biza/internal/volume"
 )
 
 func smallOpts(seed uint64) stack.Options {
@@ -133,37 +132,6 @@ func TestScrubRunsToCompletion(t *testing.T) {
 	}
 }
 
-func TestVolumeJobs(t *testing.T) {
-	p, o := newBIZA(t, 4)
-	vm := volume.New(p.Eng, p.Dev, volume.Config{})
-	o.SetVolumeSource(func() *volume.Manager { return vm })
-	if _, err := vm.Open("tenant", volume.Options{Blocks: 1 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	id, _ := o.Submit(KindVolumeResize, Params{Volume: "tenant", NewBlocks: 1 << 11})
-	p.Eng.Run()
-	if j, _ := o.Job(id); j.State != StateDone {
-		t.Fatalf("resize job = %+v", j)
-	}
-	if got := vm.Volume("tenant").Blocks(); got != 1<<11 {
-		t.Fatalf("blocks = %d, want %d", got, 1<<11)
-	}
-	id, _ = o.Submit(KindVolumeDelete, Params{Volume: "tenant"})
-	p.Eng.Run()
-	if j, _ := o.Job(id); j.State != StateDone {
-		t.Fatalf("delete job = %+v", j)
-	}
-	if vm.Volumes() != 0 {
-		t.Fatalf("volumes = %d, want 0", vm.Volumes())
-	}
-	// Unknown volume surfaces as a failed job carrying the sentinel text.
-	id, _ = o.Submit(KindVolumeDelete, Params{Volume: "ghost"})
-	p.Eng.Run()
-	if j, _ := o.Job(id); j.State != StateFailed || !strings.Contains(j.Err, storerr.ErrNotFound.Error()) {
-		t.Fatalf("ghost delete job = %+v, want failed/not-found", j)
-	}
-}
-
 // TestImmediateKindsBypassQueue: a crash submitted behind a queued scrub
 // executes immediately — power loss does not wait for maintenance.
 func TestImmediateKindsBypassQueue(t *testing.T) {
@@ -259,14 +227,12 @@ func TestCrashFailsExecutingAndQueuedJobs(t *testing.T) {
 }
 
 func TestOrchestratorErrorSentinels(t *testing.T) {
-	_, o := newBIZA(t, 6)
+	p, o := newBIZA(t, 6)
 	if _, err := o.Submit(Kind("mystery"), Params{}); !errors.Is(err, storerr.ErrBadArgument) {
 		t.Fatalf("unknown kind: err = %v, want ErrBadArgument", err)
 	}
-	for _, verb := range []string{"", "cancel", "pause", "resume"} {
-		if _, err := o.Apply(Command{Verb: verb, Kind: KindScrub}); !errors.Is(err, storerr.ErrBadArgument) {
-			t.Fatalf("verb %q: err = %v, want ErrBadArgument", verb, err)
-		}
+	if _, err := o.Submit("", Params{}); !errors.Is(err, storerr.ErrBadArgument) {
+		t.Fatalf("empty kind: err = %v, want ErrBadArgument", err)
 	}
 	if jobs := o.Jobs(); len(jobs) != 0 {
 		t.Fatalf("refused commands left job records: %+v", jobs)
@@ -274,17 +240,27 @@ func TestOrchestratorErrorSentinels(t *testing.T) {
 	if _, ok := o.Job(1); ok {
 		t.Fatal("job 1 exists before any submit")
 	}
+	// An accepted job whose operation fails carries the sentinel's text in
+	// its record and its identity in Err.
+	id, _ := o.Submit(KindReplace, Params{Device: 9})
+	p.Eng.Run()
+	if j, _ := o.Job(id); j.State != StateFailed || !strings.Contains(j.Err, storerr.ErrNotFound.Error()) {
+		t.Fatalf("replace of member 9 = %+v, want failed/not-found", j)
+	}
+	if err := o.Err(id); !errors.Is(err, storerr.ErrNotFound) {
+		t.Fatalf("Err = %v, want ErrNotFound", err)
+	}
 }
 
-// TestJournalReplayBitIdentical is the acceptance test for the injection
-// boundary: a run whose commands the driver injects at virtual times of
-// its choosing, in the middle of a foreground workload, is replayed from
-// its journal on a fresh array, and every job record — ids, states,
-// progress, virtual timestamps — is byte-identical.
+// TestJournalReplayBitIdentical is the acceptance test for the journal: a
+// run whose commands the driver submits at virtual times of its choosing,
+// in the middle of a foreground workload, is replayed from its journal on
+// a fresh array, and every job record — ids, states, progress, virtual
+// timestamps — is byte-identical.
 func TestJournalReplayBitIdentical(t *testing.T) {
 	schedule := func(p *stack.Platform) {
 		// Foreground workload pinned to virtual times so both runs see
-		// identical simulation state around the injections.
+		// identical simulation state around the submissions.
 		for i := 0; i < 400; i++ {
 			i := i
 			p.Eng.At(sim.Time(i)*20*sim.Microsecond, func() {
@@ -293,23 +269,24 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Live run: commands injected at driver-chosen virtual boundaries.
+	// Live run: commands submitted at driver-chosen virtual boundaries.
 	live, liveOrc := newBIZA(t, 42)
 	schedule(live)
+	submit := func(cmds ...Command) {
+		for _, c := range cmds {
+			if _, err := liveOrc.Submit(c.Kind, c.Params); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	live.Eng.RunUntil(2 * sim.Millisecond)
-	liveOrc.Inject([]Command{
-		{Verb: VerbSubmit, Kind: KindReplace, Params: Params{Device: 1, StripesPerStep: 2, StepGapNanos: 100_000}},
-	})
+	submit(Command{Kind: KindReplace, Params: Params{Device: 1, StripesPerStep: 2, StepGapNanos: 100_000}})
 	live.Eng.RunUntil(4 * sim.Millisecond)
-	liveOrc.Inject([]Command{
-		{Verb: VerbSubmit, Kind: KindScrub, Params: Params{BlocksPerStep: 4096}},
-		{Verb: VerbSubmit, Kind: KindSetFailed, Params: Params{Device: 2, Failed: true}},
-	})
+	submit(Command{Kind: KindScrub, Params: Params{BlocksPerStep: 4096}},
+		Command{Kind: KindSetFailed, Params: Params{Device: 2, Failed: true}})
 	live.Eng.RunUntil(6 * sim.Millisecond)
-	liveOrc.Inject([]Command{
-		{Verb: VerbSubmit, Kind: KindSetFailed, Params: Params{Device: 2}},
-		{Verb: VerbSubmit, Kind: KindReplace, Params: Params{Device: 0, StripesPerStep: 4}},
-	})
+	submit(Command{Kind: KindSetFailed, Params: Params{Device: 2}},
+		Command{Kind: KindReplace, Params: Params{Device: 0, StripesPerStep: 4}})
 	live.Eng.Run()
 
 	journal := liveOrc.Journal()
@@ -326,14 +303,14 @@ func TestJournalReplayBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replay: fresh identical array, commands re-applied at their
+	// Replay: fresh identical array, commands resubmitted at their
 	// journaled virtual times.
 	replay, replayOrc := newBIZA(t, 42)
 	schedule(replay)
 	for _, e := range journal {
 		replay.Eng.RunUntil(sim.Time(e.At))
-		if _, err := replayOrc.Apply(e.Cmd); err != nil {
-			t.Fatalf("replay apply %+v: %v", e.Cmd, err)
+		if _, err := replayOrc.Submit(e.Cmd.Kind, e.Cmd.Params); err != nil {
+			t.Fatalf("replay submit %+v: %v", e.Cmd, err)
 		}
 	}
 	replay.Eng.Run()

@@ -8,7 +8,6 @@ import (
 
 	"biza/internal/sim"
 	"biza/internal/stack"
-	"biza/internal/volume"
 )
 
 // immediate reports whether k executes at submit, beside the queue.
@@ -88,34 +87,25 @@ func serialized(jobs []Job) error {
 }
 
 // propertyArray builds the array every run of one seed starts from: same
-// platform seed, same preloaded blocks, one volume for the volume kinds.
+// platform seed, same preloaded blocks.
 func propertyArray(t *testing.T, seed uint64) (*stack.Platform, *Orchestrator) {
 	p, o := newBIZA(t, seed)
 	fill(t, p, 192)
-	vm := volume.New(p.Eng, p.Dev, volume.Config{})
-	if _, err := vm.Open("tenant", volume.Options{Blocks: 1 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	o.SetVolumeSource(func() *volume.Manager { return vm })
 	return p, o
 }
 
-// randomCommand draws a submit of any of the seven kinds (paced kinds
+// randomCommand draws a submit of any of the five kinds (paced kinds
 // weighted up so the queue is usually busy), immediates included.
 func randomCommand(rng *sim.RNG) Command {
-	kinds := []Kind{KindReplace, KindReplace, KindScrub, KindScrub, KindVolumeResize, KindVolumeDelete,
+	kinds := []Kind{KindReplace, KindReplace, KindScrub, KindScrub,
 		KindCrash, KindRecover, KindRecover, KindSetFailed, KindSetFailed}
 	gaps := []int64{0, int64(20 * sim.Microsecond), int64(200 * sim.Microsecond)}
-	c := Command{Verb: VerbSubmit, Kind: kinds[rng.Intn(len(kinds))]}
+	c := Command{Kind: kinds[rng.Intn(len(kinds))]}
 	switch c.Kind {
 	case KindReplace:
 		c.Params = Params{Device: rng.Intn(4), StripesPerStep: 1 + rng.Intn(4), StepGapNanos: gaps[rng.Intn(len(gaps))]}
 	case KindScrub:
 		c.Params = Params{BlocksPerStep: 512 << rng.Intn(4), GapNanos: gaps[rng.Intn(len(gaps))]}
-	case KindVolumeResize:
-		c.Params = Params{Volume: []string{"tenant", "ghost"}[rng.Intn(2)], NewBlocks: 512 << rng.Intn(3)}
-	case KindVolumeDelete:
-		c.Params = Params{Volume: []string{"tenant", "ghost"}[rng.Intn(2)]}
 	case KindSetFailed:
 		c.Params = Params{Device: rng.Intn(4), Failed: rng.Intn(2) == 0}
 	}
@@ -123,7 +113,7 @@ func randomCommand(rng *sim.RNG) Command {
 }
 
 // TestCommandSequenceProperties drives random submit sequences over all
-// seven kinds, immediates included, into the orchestrator and asserts, at
+// five kinds, immediates included, into the orchestrator and asserts, at
 // every command and every change, that at most one queued job holds the
 // running slot, that job states only move along lifecycle edges and
 // finished records never change, that queued jobs ran serially in
@@ -153,7 +143,7 @@ func TestCommandSequenceProperties(t *testing.T) {
 			rng := sim.NewRNG(tc.seed)
 			for i := 0; i < tc.commands; i++ {
 				cmd := randomCommand(rng)
-				if _, err := o.Apply(cmd); err != nil {
+				if _, err := o.Submit(cmd.Kind, cmd.Params); err != nil {
 					t.Fatalf("command %d (%+v): %v", i, cmd, err)
 				}
 				verify()
@@ -175,7 +165,7 @@ func TestCommandSequenceProperties(t *testing.T) {
 			replay, ro := propertyArray(t, tc.seed)
 			for _, e := range o.Journal() {
 				replay.Eng.RunUntil(sim.Time(e.At))
-				ro.Apply(e.Cmd)
+				ro.Submit(e.Cmd.Kind, e.Cmd.Params)
 			}
 			replay.Eng.Run()
 			want, _ := json.Marshal(o.Jobs())

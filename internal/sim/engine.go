@@ -83,11 +83,10 @@ func lt(a, b *event) int {
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use; the entire simulation runs on one goroutine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []event // 4-ary min-heap ordered by (at, seq)
-	vacant  bool    // events[0] has fired (or is firing) and its slot awaits reuse
-	stopped bool
+	now    Time
+	seq    uint64
+	events []event // 4-ary min-heap ordered by (at, seq)
+	vacant bool    // events[0] has fired (or is firing) and its slot awaits reuse
 	// nowSeq is the seq of the last event scheduled for the instant it was
 	// scheduled at (t == now); see NowSeq.
 	nowSeq uint64
@@ -141,9 +140,9 @@ func (e *Engine) SetTimeSink(sink *atomic.Int64) {
 }
 
 // credit tells the sink how far the clock has moved since it was last
-// told. Deferred by every call that moves the clock, so a nested call, a
-// Stop and a handler panic the caller recovers all leave the sink exact,
-// and no nanosecond is counted twice.
+// told. Deferred by every call that moves the clock, so a nested call and
+// a handler panic the caller recovers both leave the sink exact, and no
+// nanosecond is counted twice.
 func (e *Engine) credit() {
 	if e.sink != nil && e.now > e.credited {
 		e.sink.Add(e.now - e.credited)
@@ -348,47 +347,21 @@ func (e *Engine) fireRoot() {
 	ev.h.Fire(ev.a, ev.b)
 }
 
-// consumeStop reports whether a stop request is pending, clearing it. Each
-// Stop halts exactly one Run/RunUntil.
-func (e *Engine) consumeStop() bool {
-	if e.stopped {
-		e.stopped = false
-		return true
-	}
-	return false
-}
-
-// Run fires events until the heap is empty or Stop is called.
-//
-// A Stop issued while the engine is idle latches: the next Run (or
-// RunUntil) returns before firing anything, consuming the request.
+// Run fires events until the heap is empty.
 func (e *Engine) Run() {
 	defer e.credit()
-	if e.consumeStop() {
-		return
-	}
 	for e.closeRoot(); len(e.events) > 0; e.closeRoot() {
 		e.fireRoot()
-		if e.consumeStop() {
-			return
-		}
 	}
 	e.settled = e.seq
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to t.
-// Events scheduled beyond t remain pending. A pending or mid-run Stop halts
-// the call before the clock advances to t (and is consumed, like Run).
+// Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
 	defer e.credit()
-	if e.consumeStop() {
-		return
-	}
 	for e.closeRoot(); len(e.events) > 0 && e.events[0].at <= t; e.closeRoot() {
 		e.fireRoot()
-		if e.consumeStop() {
-			return
-		}
 	}
 	if e.now <= t {
 		e.advanceTo(t)
@@ -397,7 +370,6 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // Step fires exactly one event, if any, and reports whether one fired.
-// Step ignores pending stop requests.
 func (e *Engine) Step() bool {
 	defer e.credit()
 	e.closeRoot()
@@ -407,12 +379,3 @@ func (e *Engine) Step() bool {
 	e.fireRoot()
 	return true
 }
-
-// Stop requests a halt. The request latches: it halts the currently
-// executing Run/RunUntil after the running event returns or, if the engine
-// is idle, the next Run/RunUntil call, which then fires nothing. Each
-// request halts exactly one run.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopping reports whether a stop request is pending.
-func (e *Engine) Stopping() bool { return e.stopped }

@@ -91,17 +91,6 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(10, func() { fired++; e.Stop() })
-	e.At(20, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("Stop did not halt the loop: fired = %d", fired)
-	}
-}
-
 func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -255,52 +244,6 @@ func TestRNGFloat64Bounds(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
 		}
-	}
-}
-
-func TestZipfGenSkew(t *testing.T) {
-	r := NewRNG(13)
-	z := NewZipfGen(r, 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("zipf not skewed: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-	// Rank 0 should carry roughly 1/H(100) of the mass (~19%).
-	if counts[0] < 10000 || counts[0] > 30000 {
-		t.Fatalf("rank0 mass = %d, want roughly 19%% of 100000", counts[0])
-	}
-}
-
-func TestZipfGenUniformWhenThetaZero(t *testing.T) {
-	r := NewRNG(17)
-	z := NewZipfGen(r, 10, 0)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	for i, c := range counts {
-		if c < 8000 || c > 12000 {
-			t.Fatalf("theta=0 not uniform: counts[%d]=%d", i, c)
-		}
-	}
-}
-
-func TestZipfGenCoversRange(t *testing.T) {
-	r := NewRNG(19)
-	z := NewZipfGen(r, 5, 0.5)
-	seen := make(map[int]bool)
-	for i := 0; i < 10000; i++ {
-		v := z.Next()
-		if v < 0 || v >= 5 {
-			t.Fatalf("zipf out of range: %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 5 {
-		t.Fatalf("zipf never produced some ranks: %v", seen)
 	}
 }
 

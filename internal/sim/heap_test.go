@@ -193,81 +193,3 @@ func TestResourceSubmitEventThenZeroAlloc(t *testing.T) {
 		t.Fatalf("Resource.SubmitEventThen+Run allocates %.1f per op, want 0", allocs)
 	}
 }
-
-// TestStopWhileIdleLatches: a Stop issued while the engine is idle halts
-// the next Run before it fires anything, and is consumed by that Run.
-func TestStopWhileIdleLatches(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(10, func() { fired++ })
-	e.Stop()
-	if !e.Stopping() {
-		t.Fatal("Stopping() = false after Stop")
-	}
-	e.Run()
-	if fired != 0 {
-		t.Fatalf("Run fired %d events despite pending idle Stop", fired)
-	}
-	if e.Stopping() {
-		t.Fatal("Run did not consume the stop request")
-	}
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("second Run fired %d events, want 1 (stop must halt exactly one run)", fired)
-	}
-}
-
-// TestStopWhileIdleHaltsRunUntil: an idle Stop also halts RunUntil before
-// the clock advances, and is consumed.
-func TestStopWhileIdleHaltsRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(10, func() { fired++ })
-	e.Stop()
-	e.RunUntil(100)
-	if fired != 0 {
-		t.Fatalf("RunUntil fired %d events despite pending idle Stop", fired)
-	}
-	if e.Now() != 0 {
-		t.Fatalf("RunUntil advanced the clock to %d under a pending Stop", e.Now())
-	}
-	e.RunUntil(100)
-	if fired != 1 || e.Now() != 100 {
-		t.Fatalf("after consuming stop: fired=%d now=%d, want 1/100", fired, e.Now())
-	}
-}
-
-// TestStopMidRunConsumedOnce: a Stop fired from inside an event halts that
-// Run after the event returns; the next Run resumes normally.
-func TestStopMidRunConsumedOnce(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(10, func() { order = append(order, 1); e.Stop() })
-	e.At(20, func() { order = append(order, 2) })
-	e.Run()
-	if len(order) != 1 {
-		t.Fatalf("first Run fired %v, want just [1]", order)
-	}
-	e.Run()
-	if len(order) != 2 || order[1] != 2 {
-		t.Fatalf("second Run fired %v, want [1 2]", order)
-	}
-}
-
-// TestStepIgnoresStop: Step fires exactly one event even under a pending
-// stop request (documented semantics).
-func TestStepIgnoresStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(10, func() { fired++ })
-	e.Stop()
-	if !e.Step() {
-		t.Fatal("Step returned false with a pending event")
-	}
-	if fired != 1 {
-		t.Fatal("Step did not fire under a pending Stop")
-	}
-	if !e.Stopping() {
-		t.Fatal("Step must not consume the stop request")
-	}
-}

@@ -12,7 +12,6 @@ const (
 	actNone     = iota
 	actStep     // re-enter Step
 	actRunUntil // re-enter RunUntil
-	actStop
 	actPending  // Pending() must equal the reference's length at this instant
 	actStraddle // inside RunUntil(t): schedule one event at t and one at t+1
 	actPanic    // recovered by the caller of the top-level Run/RunUntil/Step
@@ -96,8 +95,6 @@ func (s *scripted) act(a byte) {
 		s.e.Step()
 	case actRunUntil:
 		s.runUntil(s.e.Now() + s.delay())
-	case actStop:
-		s.e.Stop()
 	case actPending:
 		if got := s.e.Pending(); got != s.ref.Len() {
 			s.t.Fatalf("Pending() = %d inside a handler, the reference holds %d", got, s.ref.Len())
@@ -110,16 +107,13 @@ func (s *scripted) act(a byte) {
 	}
 }
 
-// runUntil is RunUntil(t) and what it promises when no Stop cut it short:
-// the clock reached t and nothing due by t is left.
+// runUntil is RunUntil(t) and what it promises: the clock reached t and
+// nothing due by t is left.
 func (s *scripted) runUntil(t Time) {
-	outer, stops, latched := s.limit, s.acts[actStop], s.e.Stopping()
+	outer := s.limit
 	s.limit = t
 	defer func() { s.limit = outer }()
 	s.e.RunUntil(t)
-	if latched || s.acts[actStop] != stops {
-		return
-	}
 	if s.e.Now() < t {
 		s.t.Fatalf("RunUntil(%d) left the clock at %d", t, s.e.Now())
 	}
@@ -189,7 +183,6 @@ var orderRows = []struct {
 	{name: "handlers only schedule successors", act: actNone},
 	{name: "a handler re-enters Step", act: actStep, wantActs: 1000},
 	{name: "a handler re-enters RunUntil", act: actRunUntil, wantActs: 1000},
-	{name: "a handler calls Stop", act: actStop, wantActs: 1000},
 	{name: "a handler reads Pending", act: actPending, wantActs: 1000},
 	{name: "the last handlers of RunUntil(t) schedule at t and t+1", act: actStraddle, wantActs: 100},
 	{name: "a handler panics and the test recovers", act: actPanic, wantActs: 1000},

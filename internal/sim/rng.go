@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small deterministic pseudo-random generator (splitmix64 core).
 // Every stochastic element of the simulation draws from a seeded RNG so
 // experiments replay bit-identically.
@@ -63,43 +61,4 @@ func (r *RNG) Int63n(n int64) int64 {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// ZipfGen samples from a Zipf distribution over ranks [0, n) with exponent
-// theta using precomputed cumulative weights (exact inverse-CDF sampling).
-type ZipfGen struct {
-	rng *RNG
-	cum []float64
-}
-
-// NewZipfGen builds a sampler over n ranks with exponent theta >= 0.
-func NewZipfGen(rng *RNG, n int, theta float64) *ZipfGen {
-	if n <= 0 {
-		panic("sim: ZipfGen with non-positive n")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1.0 / math.Pow(float64(i+1), theta)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &ZipfGen{rng: rng, cum: cum}
-}
-
-// Next draws a rank in [0, n), rank 0 being the most popular.
-func (z *ZipfGen) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

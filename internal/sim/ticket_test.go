@@ -42,7 +42,6 @@ type ticketScript struct {
 	// nowSeq is what NowSeq must read: the last event scheduled for its own
 	// instant. Neither taking a ticket nor arming one moves it.
 	nowSeq uint64
-	stops  int
 	// Counts, for the tests' coverage checks.
 	armedLate, armedLast, never, zeroDelay int
 }
@@ -156,8 +155,8 @@ func (s *ticketScript) dropOpen(id int) {
 }
 
 // fire is a unit's handler. Its opcode byte says how many successors it
-// schedules (bits 0-1) and whether it calls Stop (bit 2); each successor
-// reads a byte for its kind and delay, and a ticket one more for its plan.
+// schedules (bits 0-1); each successor reads a byte for its kind and
+// delay, and a ticket one more for its plan.
 func (s *ticketScript) fire(id int) {
 	u := &s.units[id]
 	if want := s.ref.popID(); want != id {
@@ -184,10 +183,6 @@ func (s *ticketScript) fire(id int) {
 			s.ticket(s.e.Now()+delay, int(s.next()%4)-1)
 		}
 	}
-	if op&4 != 0 {
-		s.stops++
-		s.e.Stop()
-	}
 	// Arm the tickets whose plan is up, then whatever the reference needs.
 	open := s.open[:0]
 	for _, o := range s.open {
@@ -205,21 +200,16 @@ func (s *ticketScript) fire(id int) {
 
 // top makes one top-level call: Run, Step or RunUntil.
 func (s *ticketScript) top() {
-	latched, stops := s.e.Stopping(), s.stops
 	switch b := s.next(); b % 3 {
 	case 0:
 		s.e.Run()
-		if !latched && s.stops == stops {
-			s.settled = uint64(len(s.units)) // drained: everything issued
-		}
+		s.settled = uint64(len(s.units)) // drained: everything issued
 	case 1:
 		s.e.Step()
 	case 2:
 		t := s.e.Now() + scriptDelays[int(b/3)%len(scriptDelays)]
 		s.e.RunUntil(t)
-		if !latched && s.stops == stops {
-			s.curAt, s.curSeq = t, uint64(len(s.units)) // the horizon
-		}
+		s.curAt, s.curSeq = t, uint64(len(s.units)) // the horizon
 	}
 	s.settle()
 	s.checkPassed("after a top-level call")
@@ -247,8 +237,8 @@ func runTickets(t testing.TB, script []byte) *ticketScript {
 // TestTicketsKeepOrder: over random scripts, armed tickets fire in the
 // places the reference gives them, whether armed by plan or at the last
 // firing before their key, tickets never armed never fire, and Passed
-// tracks the reference in handlers and after Step, a draining or stopped
-// Run, and RunUntil.
+// tracks the reference in handlers and after Step, a draining Run, and
+// RunUntil.
 func TestTicketsKeepOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var late, last, never, zero, units int
@@ -287,11 +277,11 @@ func FuzzTickets(f *testing.F) {
 func TestPassed(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
-	e.At(5, nop)                 // (5, 1)
-	e.At(5, func() { e.Stop() }) // (5, 2)
-	tk := e.Ticket()             // (5, 3), never armed
-	e.At(9, nop)                 // (9, 4)
-	far := e.Ticket()            // (20, 5), never armed
+	e.At(5, nop)      // (5, 1)
+	e.At(5, nop)      // (5, 2)
+	tk := e.Ticket()  // (5, 3), never armed
+	e.At(9, nop)      // (9, 4)
+	far := e.Ticket() // (20, 5), never armed
 	want := func(when string, at Time, seq uint64, passed bool) {
 		t.Helper()
 		if got := e.Passed(at, seq); got != passed {
@@ -306,9 +296,9 @@ func TestPassed(t *testing.T) {
 	want("after Step", 4, 100, true)
 	want("after Step", 5, 2, false)
 
-	e.Run() // halted by (5, 2)'s Stop
-	want("after a stopped Run", 5, 2, true)
-	want("after a stopped Run", 5, tk, false)
+	e.Step()
+	want("after a second Step", 5, 2, true)
+	want("after a second Step", 5, tk, false)
 
 	e.RunUntil(7) // reaches its horizon
 	want("after RunUntil(7)", 5, tk, true)

@@ -69,14 +69,9 @@ var (
 	// (e.g. opening a volume twice). Maps to HTTP 409.
 	ErrExists = errors.New("already exists")
 
-	// ErrNoSpace reports an allocation that exceeds remaining capacity, or
-	// a volume grow with no contiguous free range. Maps to HTTP 409.
+	// ErrNoSpace reports an allocation that exceeds remaining capacity
+	// (opening a volume past the array's end). Maps to HTTP 409.
 	ErrNoSpace = errors.New("insufficient space")
-
-	// ErrBusy reports an operation refused because the object has work in
-	// flight (deleting a volume with queued I/O, cancelling a rebuild that
-	// already dissolved stripes). Retry once the object quiesces.
-	ErrBusy = errors.New("resource busy")
 
 	// ErrNotSupported reports an operation the platform kind cannot
 	// perform (crash-recovery or rebuild on a non-BIZA stack).

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -94,42 +93,5 @@ func TestReplayDrivesDevice(t *testing.T) {
 	}
 	if res.Throughput().MBps() <= 0 {
 		t.Fatal("throughput not positive")
-	}
-}
-
-func TestTraceSerializationRoundTrip(t *testing.T) {
-	orig := &Trace{Name: "rt", BlockSize: 4096}
-	rng := sim.NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		orig.Ops = append(orig.Ops, Op{
-			Write:  rng.Float64() < 0.5,
-			LBA:    rng.Int63n(1 << 30),
-			Blocks: 1 + rng.Intn(48),
-		})
-	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || got.BlockSize != orig.BlockSize || len(got.Ops) != len(orig.Ops) {
-		t.Fatalf("header mismatch: %s/%d/%d", got.Name, got.BlockSize, len(got.Ops))
-	}
-	for i := range orig.Ops {
-		if got.Ops[i] != orig.Ops[i] {
-			t.Fatalf("op %d mismatch", i)
-		}
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("NOPE1234"))); err == nil {
-		t.Fatal("accepted bad magic")
-	}
-	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
-		t.Fatal("accepted empty input")
 	}
 }

@@ -2,11 +2,12 @@
 // front end (any blockdev.Device) with per-tenant QoS isolation — the
 // "millions of users" layer over a biza.Array.
 //
-// Each volume is a contiguous LBA range of the array carved out at open
-// time; tenants address their own space from zero and the manager
-// relocates every request. Isolation is enforced at the manager's
-// submission shim into the array by two mechanisms, both running entirely
-// in virtual time:
+// Each volume is a fixed, contiguous LBA range of the array, taken from
+// the allocation frontier at open time and never resized or released;
+// tenants address their own space from zero and the manager relocates
+// every request. Isolation is enforced at the manager's submission shim
+// into the array by two mechanisms, both running entirely in virtual
+// time:
 //
 //   - a per-tenant token bucket (RateBytesPerSec, BurstBytes) that delays
 //     admission of requests exceeding the tenant's provisioned rate, and
@@ -30,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"biza/internal/blockdev"
 	"biza/internal/fifo"
@@ -131,9 +131,7 @@ type Manager struct {
 	bs  int
 
 	vols   map[string]*Volume
-	nextID int // open-order ids, never reused
-	nextLB int64
-	free   []extent // reclaimed ranges below nextLB, sorted and coalesced
+	nextLB int64 // allocation frontier: every block below it is a volume's
 
 	fq       fairQueue
 	inflight int
@@ -165,79 +163,14 @@ func (m *Manager) Engine() *sim.Engine { return m.eng }
 // BlockSize reports the array's logical block size in bytes.
 func (m *Manager) BlockSize() int { return m.bs }
 
-// FreeBlocks reports unallocated array capacity: the untouched frontier
-// plus every reclaimed extent (contiguity not guaranteed — Open needs one
-// extent large enough).
-func (m *Manager) FreeBlocks() int64 {
-	free := m.dev.Blocks() - m.nextLB
-	for _, e := range m.free {
-		free += e.blocks
-	}
-	return free
-}
-
 // Volumes reports the number of open volumes.
 func (m *Manager) Volumes() int { return len(m.vols) }
 
 // Volume returns the open volume with the given name, or nil.
 func (m *Manager) Volume(name string) *Volume { return m.vols[name] }
 
-// extent is one contiguous free LBA range of the array.
-type extent struct{ base, blocks int64 }
-
-// take removes blocks from the front of free extent i, dropping the
-// extent once it is used up.
-func (m *Manager) take(i int, blocks int64) {
-	if e := m.free[i]; e.blocks == blocks {
-		m.free = append(m.free[:i], m.free[i+1:]...)
-	} else {
-		m.free[i] = extent{base: e.base + blocks, blocks: e.blocks - blocks}
-	}
-}
-
-// alloc finds blocks of contiguous array space: first fit over the
-// reclaimed-extent list, else the untouched frontier.
-func (m *Manager) alloc(blocks int64) (int64, error) {
-	for i, e := range m.free {
-		if e.blocks >= blocks {
-			m.take(i, blocks)
-			return e.base, nil
-		}
-	}
-	if m.nextLB+blocks > m.dev.Blocks() {
-		return 0, fmt.Errorf("volume: %d blocks requested, %d free: %w",
-			blocks, m.FreeBlocks(), storerr.ErrNoSpace)
-	}
-	base := m.nextLB
-	m.nextLB += blocks
-	return base, nil
-}
-
-// reclaim returns [base, base+blocks) to the free list, coalescing with
-// adjacent extents and retracting the allocation frontier when the freed
-// range reaches it.
-func (m *Manager) reclaim(base, blocks int64) {
-	i := sort.Search(len(m.free), func(i int) bool { return m.free[i].base > base })
-	m.free = append(m.free, extent{})
-	copy(m.free[i+1:], m.free[i:])
-	m.free[i] = extent{base: base, blocks: blocks}
-	if i+1 < len(m.free) && m.free[i].base+m.free[i].blocks == m.free[i+1].base {
-		m.free[i].blocks += m.free[i+1].blocks
-		m.free = append(m.free[:i+1], m.free[i+2:]...)
-	}
-	if i > 0 && m.free[i-1].base+m.free[i-1].blocks == m.free[i].base {
-		m.free[i-1].blocks += m.free[i].blocks
-		m.free = append(m.free[:i], m.free[i+1:]...)
-	}
-	if n := len(m.free); n > 0 && m.free[n-1].base+m.free[n-1].blocks == m.nextLB {
-		m.nextLB = m.free[n-1].base
-		m.free = m.free[:n-1]
-	}
-}
-
 // Open carves a new named volume of opts.Blocks blocks out of the
-// array's remaining capacity (reclaimed extents first, then the
-// frontier).
+// array's remaining capacity, at the allocation frontier.
 func (m *Manager) Open(name string, opts Options) (*Volume, error) {
 	if opts.Blocks < 1 {
 		return nil, fmt.Errorf("volume: %q: capacity must be positive: %w", name, storerr.ErrBadArgument)
@@ -245,15 +178,15 @@ func (m *Manager) Open(name string, opts Options) (*Volume, error) {
 	if _, ok := m.vols[name]; ok {
 		return nil, fmt.Errorf("volume: %q already open: %w", name, storerr.ErrExists)
 	}
-	base, err := m.alloc(opts.Blocks)
-	if err != nil {
-		return nil, fmt.Errorf("volume: %q: %w", name, err)
+	if free := m.dev.Blocks() - m.nextLB; opts.Blocks > free {
+		return nil, fmt.Errorf("volume: %q: %d blocks requested, %d free: %w",
+			name, opts.Blocks, free, storerr.ErrNoSpace)
 	}
 	v := &Volume{
 		m:      m,
-		id:     m.nextID,
+		id:     len(m.vols),
 		name:   name,
-		base:   base,
+		base:   m.nextLB,
 		blocks: opts.Blocks,
 		rate:   opts.QoS.RateBytesPerSec,
 		weight: uint64(opts.QoS.weight()),
@@ -262,74 +195,9 @@ func (m *Manager) Open(name string, opts Options) (*Volume, error) {
 		v.burstNs = opts.QoS.burst() * nsPerSec
 		v.tokensNs = v.burstNs // a fresh tenant starts with a full bucket
 	}
-	m.nextID++
+	m.nextLB += opts.Blocks
 	m.vols[name] = v
 	return v, nil
-}
-
-// Resize grows or shrinks an open volume in place. Growth needs the
-// blocks immediately after the volume to be free (an adjacent reclaimed
-// extent or the allocation frontier) — volumes are contiguous ranges and
-// are never relocated, so a blocked grow returns storerr.ErrNoSpace even
-// when total free capacity would suffice. Shrink requires the volume
-// quiescent (no queued or in-flight I/O, else storerr.ErrBusy); the cut
-// tail is trimmed on the array and reclaimed for future opens.
-func (m *Manager) Resize(name string, newBlocks int64) error {
-	v := m.vols[name]
-	if v == nil {
-		return fmt.Errorf("volume: %q not open: %w", name, storerr.ErrNotFound)
-	}
-	if newBlocks < 1 {
-		return fmt.Errorf("volume: %q: capacity must be positive: %w", name, storerr.ErrBadArgument)
-	}
-	switch {
-	case newBlocks == v.blocks:
-		return nil
-	case newBlocks < v.blocks:
-		if v.st.QueueDepth > 0 {
-			return fmt.Errorf("volume: %q has %d ops in flight: %w", name, v.st.QueueDepth, storerr.ErrBusy)
-		}
-		cut := v.blocks - newBlocks
-		v.blocks = newBlocks
-		m.dev.Trim(v.base+newBlocks, int(cut))
-		m.reclaim(v.base+newBlocks, cut)
-		return nil
-	default:
-		grow := newBlocks - v.blocks
-		end := v.base + v.blocks
-		i := sort.Search(len(m.free), func(i int) bool { return m.free[i].base >= end })
-		switch {
-		case i < len(m.free) && m.free[i].base == end && m.free[i].blocks >= grow:
-			m.take(i, grow)
-		case end == m.nextLB && m.nextLB+grow <= m.dev.Blocks():
-			m.nextLB += grow
-		default:
-			return fmt.Errorf("volume: %q: no contiguous space to grow by %d blocks: %w",
-				name, grow, storerr.ErrNoSpace)
-		}
-		v.blocks = newBlocks
-		return nil
-	}
-}
-
-// Delete closes an open volume and reclaims its LBA range: the whole
-// range is trimmed on the array (dead-block advisory for GC) and returned
-// to the free list. The volume must be quiescent (storerr.ErrBusy
-// otherwise). Its id is never reused, so probes keyed by tenant id never
-// merge two volumes.
-func (m *Manager) Delete(name string) error {
-	v := m.vols[name]
-	if v == nil {
-		return fmt.Errorf("volume: %q not open: %w", name, storerr.ErrNotFound)
-	}
-	if v.st.QueueDepth > 0 {
-		return fmt.Errorf("volume: %q has %d ops in flight: %w", name, v.st.QueueDepth, storerr.ErrBusy)
-	}
-	delete(m.vols, name)
-	v.deleted = true
-	m.dev.Trim(v.base, int(v.blocks))
-	m.reclaim(v.base, v.blocks)
-	return nil
 }
 
 const nsPerSec = int64(sim.Second)
@@ -399,16 +267,14 @@ type Volume struct {
 	lastTag uint64
 	ready   fifo.Queue[*vop]
 
-	deleted bool
-
 	st Stats
 }
 
 // Name reports the volume's name.
 func (v *Volume) Name() string { return v.name }
 
-// ID reports the volume's id (open order, never reused) — the tenant id
-// used in probe names.
+// ID reports the volume's id (open order) — the tenant id used in probe
+// names.
 func (v *Volume) ID() int { return v.id }
 
 // Blocks reports the volume capacity in blocks.
@@ -421,9 +287,6 @@ func (v *Volume) BlockSize() int { return v.m.bs }
 func (v *Volume) Stats() Stats { return v.st }
 
 func (v *Volume) check(lba int64, nblocks int) error {
-	if v.deleted {
-		return fmt.Errorf("volume: %q deleted: %w", v.name, storerr.ErrNotFound)
-	}
 	if nblocks < 1 || lba < 0 {
 		return blockdev.ErrBadArgument
 	}

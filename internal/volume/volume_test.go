@@ -6,6 +6,7 @@ import (
 
 	"biza/internal/blockdev"
 	"biza/internal/sim"
+	"biza/internal/storerr"
 )
 
 // fakeDev is a deterministic single-server device: one op in service at a
@@ -130,6 +131,34 @@ func TestOpenAllocatesDisjointRanges(t *testing.T) {
 	eng.Run()
 	if len(dev.order) != 2 || dev.order[0] != 0 || dev.order[1] != 400 {
 		t.Fatalf("array-space lbas = %v, want [0 400]", dev.order)
+	}
+}
+
+// TestVolumeErrorSentinels pins the errors.Is contract of Open, and that
+// a refused Open takes no space from the frontier.
+func TestVolumeErrorSentinels(t *testing.T) {
+	_, _, m := newManager(t, 1000, Config{})
+	if _, err := m.Open("x", Options{Blocks: 0}); !errors.Is(err, storerr.ErrBadArgument) {
+		t.Fatalf("zero-capacity open: err = %v, want ErrBadArgument", err)
+	}
+	if _, err := m.Open("v", Options{Blocks: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Open("v", Options{Blocks: 100}); !errors.Is(err, storerr.ErrExists) {
+		t.Fatalf("duplicate open: err = %v, want ErrExists", err)
+	}
+	if _, err := m.Open("big", Options{Blocks: 10000}); !errors.Is(err, storerr.ErrNoSpace) {
+		t.Fatalf("oversize open: err = %v, want ErrNoSpace", err)
+	}
+	rest, err := m.Open("rest", Options{Blocks: 900})
+	if err != nil {
+		t.Fatalf("open of the exact remainder: %v", err)
+	}
+	if rest.base != 100 || rest.ID() != 1 {
+		t.Fatalf("remainder at base %d id %d, want 100 and 1", rest.base, rest.ID())
+	}
+	if _, err := m.Open("one", Options{Blocks: 1}); !errors.Is(err, storerr.ErrNoSpace) {
+		t.Fatalf("open past the frontier: err = %v, want ErrNoSpace", err)
 	}
 }
 
