@@ -116,16 +116,11 @@ func (ad *Admin) SetDeviceFailed(dev int, failed bool) error {
 // acknowledged data is readable afterwards.
 func (ad *Admin) Recover() error { return ad.run(JobRecover, JobParams{}) }
 
-// ReplaceDevice submits an unpaced device-replacement job — a failed member
+// ReplaceDevicePaced submits a device-replacement job — a failed member
 // hot-swapped for a fresh device — and drives the simulation until
-// redundancy is restored (BIZA kinds only).
-func (ad *Admin) ReplaceDevice(dev int) error {
-	return ad.run(JobReplace, JobParams{Device: dev})
-}
-
-// ReplaceDevicePaced is ReplaceDevice with the rebuild throttled:
-// stripesPerStep stripes dissolve per step with stepGapNanos of virtual
-// idle between steps — the rebuild-rate versus foreground-latency knob.
+// redundancy is restored (BIZA kinds only). stripesPerStep stripes
+// dissolve per step with stepGapNanos of virtual idle between steps — the
+// rebuild-rate versus foreground-latency knob; zeros do not throttle.
 func (ad *Admin) ReplaceDevicePaced(dev, stripesPerStep int, stepGapNanos int64) error {
 	return ad.run(JobReplace, JobParams{
 		Device: dev, StripesPerStep: stripesPerStep, StepGapNanos: stepGapNanos,

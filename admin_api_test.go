@@ -40,11 +40,11 @@ func TestAdminFacade(t *testing.T) {
 	if err := ad.SetDeviceFailed(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := ad.ReplaceDevice(2); err != nil {
+	if err := ad.ReplaceDevicePaced(2, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := ad.ReplaceDevice(9); !errors.Is(err, storerr.ErrNotFound) {
+	if err := ad.ReplaceDevicePaced(9, 0, 0); !errors.Is(err, storerr.ErrNotFound) {
 		t.Fatalf("replace of member 9: err = %v, want ErrNotFound", err)
 	}
 
@@ -78,7 +78,7 @@ func TestAdminFacadeNonBIZA(t *testing.T) {
 	if err := ad.SetDeviceFailed(0, true); !errors.Is(err, storerr.ErrNotSupported) {
 		t.Fatalf("set-failed: err = %v, want ErrNotSupported", err)
 	}
-	if err := ad.ReplaceDevice(0); !errors.Is(err, storerr.ErrNotSupported) {
+	if err := ad.ReplaceDevicePaced(0, 0, 0); !errors.Is(err, storerr.ErrNotSupported) {
 		t.Fatalf("replace: err = %v, want ErrNotSupported", err)
 	}
 }

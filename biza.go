@@ -31,7 +31,6 @@ import (
 	"biza/internal/kvstore"
 	"biza/internal/lsfs"
 	"biza/internal/metrics"
-	"biza/internal/ops"
 	"biza/internal/sim"
 	"biza/internal/stack"
 	"biza/internal/storerr"
@@ -212,7 +211,7 @@ func (a *Array) Now() int64 { return a.p.Eng.Now() }
 
 // ErrIncomplete reports an operation that did not finish when the event
 // queue drained (internal deadlock — please report).
-var ErrIncomplete = errors.New("biza: operation did not complete")
+var ErrIncomplete = blockdev.ErrIncomplete
 
 // ErrCrashed reports I/O submitted between Crash and a successful
 // Recover.
@@ -225,14 +224,7 @@ func (a *Array) WriteSync(lba int64, nblocks int, data []byte) error {
 	if a.p.Crashed() {
 		return ErrCrashed
 	}
-	var res blockdev.WriteResult
-	ok := false
-	a.p.Dev.Write(lba, nblocks, data, func(r blockdev.WriteResult) { res = r; ok = true })
-	a.p.Eng.Run()
-	if !ok {
-		return ErrIncomplete
-	}
-	return res.Err
+	return blockdev.WriteSync(a.p.Eng, a.p.Dev, lba, nblocks, data).Err
 }
 
 // ReadSync reads nblocks at lba, driving the simulation to completion.
@@ -241,14 +233,8 @@ func (a *Array) ReadSync(lba int64, nblocks int) ([]byte, error) {
 	if a.p.Crashed() {
 		return nil, ErrCrashed
 	}
-	var res blockdev.ReadResult
-	ok := false
-	a.p.Dev.Read(lba, nblocks, func(r blockdev.ReadResult) { res = r; ok = true })
-	a.p.Eng.Run()
-	if !ok {
-		return nil, ErrIncomplete
-	}
-	return res.Data, res.Err
+	r := blockdev.ReadSync(a.p.Eng, a.p.Dev, lba, nblocks)
+	return r.Data, r.Err
 }
 
 // Trim declares a range dead.
@@ -277,7 +263,7 @@ func (a *Array) GCEvents() uint64 {
 // Health reports the state of every member (BIZA kinds only; nil
 // otherwise). A dead or failed member reads as degraded while its chunks
 // are served via parity reconstruction; rebuilding members are mid
-// ReplaceDevice.
+// ReplaceDevicePaced.
 func (a *Array) Health() []MemberState {
 	if a.p.BIZA == nil {
 		return nil
@@ -347,23 +333,6 @@ func (a *Array) NewFS() (*lsfs.FS, error) {
 func (a *Array) OpenKV(fs *lsfs.FS) (*kvstore.DB, error) {
 	return kvstore.Open(a.p.Eng, fs, kvstore.DefaultConfig())
 }
-
-// OpsServer is the embeddable read-only observability endpoint: it serves
-// /v1/metrics (Prometheus exposition), /v1/vars (JSON snapshot),
-// /v1/series (virtual-time series), /v1/healthz, /v1/readyz, and
-// /debug/pprof. Producers publish immutable
-// OpsSnapshot values; handlers only read published snapshots, so serving
-// never perturbs a deterministic simulation. bizabench -serve uses
-// exactly this server.
-type OpsServer = ops.Server
-
-// OpsSnapshot is one immutable published view served by an OpsServer.
-type OpsSnapshot = ops.Snapshot
-
-// NewOpsServer returns a live ops endpoint with an empty (not yet ready)
-// snapshot published. Embed its Handler into an existing HTTP server or
-// call Start to listen on an address.
-func NewOpsServer() *OpsServer { return ops.New() }
 
 // Engine exposes the simulation engine for advanced event-driven callers.
 func (a *Array) Engine() *sim.Engine { return a.p.Eng }

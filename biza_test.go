@@ -114,11 +114,12 @@ func TestFSAndKVOnArray(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
+	var key string
 	var got []byte
-	db.Get("k", func(v []byte, e error) { got = v })
+	db.Seek("k", func(k string, v []byte, e error) { key, got = k, v })
 	a.Run()
-	if string(got) != "v" {
-		t.Fatalf("kv get = %q", got)
+	if key != "k" || string(got) != "v" {
+		t.Fatalf("kv seek = %q %q", key, got)
 	}
 }
 
@@ -132,7 +133,7 @@ func TestReplaceDevice(t *testing.T) {
 		payload[i] = byte(i * 5)
 	}
 	a.WriteSync(0, 12, payload)
-	if err := a.Admin().ReplaceDevice(2); err != nil {
+	if err := a.Admin().ReplaceDevicePaced(2, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.ReadSync(0, 12)

@@ -30,7 +30,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res := kvstore.RunBench(arr.Engine(), db, spec)
-		_, _, flushes, compactions := db.Stats()
+		_, flushes, compactions := db.Stats()
 		flushed, compacted := db.WriteAmpBytes()
 		fmt.Printf("%-12s %9.0f ops/s  errors=%d  flushes=%d compactions=%d  flushed=%dMB compacted=%dMB\n",
 			name, res.OpsPerSec(), res.Errors, flushes, compactions,

@@ -336,12 +336,6 @@ func register(id string, fn func(Scale, *Run) *Table) {
 		RunPoint: func(s Scale, r *Run, _ string) []*Table { return []*Table{fn(s, r)} }}
 }
 
-// registerMulti adds a single-point experiment emitting several tables.
-func registerMulti(id string, fn func(Scale, *Run) []*Table) {
-	Experiments[id] = &Experiment{ID: id, Points: []string{""},
-		RunPoint: func(s Scale, r *Run, _ string) []*Table { return fn(s, r) }}
-}
-
 // registerPoints adds an experiment whose config points run independently.
 func registerPoints(id string, points []string, fn func(Scale, *Run, string) []*Table) {
 	Experiments[id] = &Experiment{ID: id, Points: points, RunPoint: fn}

@@ -5,6 +5,7 @@
 package blockdev
 
 import (
+	"errors"
 	"fmt"
 
 	"biza/internal/buf"
@@ -91,4 +92,8 @@ var (
 	ErrOutOfRange = fmt.Errorf("blockdev: address out of range: %w", storerr.ErrOutOfRange)
 	// ErrBadArgument reports malformed request parameters.
 	ErrBadArgument = fmt.Errorf("blockdev: bad argument: %w", storerr.ErrBadArgument)
+	// ErrIncomplete reports a WriteSync or ReadSync whose request was still
+	// outstanding when the engine ran out of events: a hang in the stack
+	// below (or an array that crashed mid-flight).
+	ErrIncomplete = errors.New("blockdev: operation did not complete")
 )

@@ -58,28 +58,21 @@ func (rs *Runs) Add(unit int, off int64, at int) {
 }
 
 // WriteSync submits one write and runs eng dry. It is for callers with
-// nothing else in flight (tests, examples): a write still outstanding when
-// the engine has no event left is a hang in the stack below, and panics.
+// nothing else in flight (tests, examples, the facade's and Volume's sync
+// calls): a write still outstanding when the engine has no event left is a
+// hang in the stack below, and returns ErrIncomplete.
 func WriteSync(eng *sim.Engine, d Device, lba int64, nblocks int, data []byte) WriteResult {
-	var res WriteResult
-	ok := false
-	d.Write(lba, nblocks, data, func(r WriteResult) { res, ok = r, true })
+	res := WriteResult{Err: ErrIncomplete}
+	d.Write(lba, nblocks, data, func(r WriteResult) { res = r })
 	eng.Run()
-	if !ok {
-		panic("blockdev: write hung")
-	}
 	return res
 }
 
 // ReadSync is WriteSync for a read.
 func ReadSync(eng *sim.Engine, d Device, lba int64, nblocks int) ReadResult {
-	var res ReadResult
-	ok := false
-	d.Read(lba, nblocks, func(r ReadResult) { res, ok = r, true })
+	res := ReadResult{Err: ErrIncomplete}
+	d.Read(lba, nblocks, func(r ReadResult) { res = r })
 	eng.Run()
-	if !ok {
-		panic("blockdev: read hung")
-	}
 	return res
 }
 

@@ -75,3 +75,46 @@ func TestPrologue(t *testing.T) {
 	}
 	CheckWrite(eng, -1, 1, 100, nil) // a nil done is fine
 }
+
+// stuckDev completes every request with success a microsecond later, or,
+// with hang set, never calls done, as a stack that lost a request would.
+type stuckDev struct {
+	eng  *sim.Engine
+	hang bool
+}
+
+func (d *stuckDev) BlockSize() int  { return 4096 }
+func (d *stuckDev) Blocks() int64   { return 100 }
+func (d *stuckDev) Trim(int64, int) {}
+
+func (d *stuckDev) Write(_ int64, _ int, _ []byte, done func(WriteResult)) {
+	if !d.hang {
+		sim.Deliver(d.eng, sim.Microsecond, done, WriteResult{Latency: sim.Microsecond})
+	}
+}
+
+func (d *stuckDev) Read(_ int64, n int, done func(ReadResult)) {
+	if !d.hang {
+		sim.Deliver(d.eng, sim.Microsecond, done, ReadResult{Data: make([]byte, n*4096), Latency: sim.Microsecond})
+	}
+}
+
+// TestSyncLoops: WriteSync and ReadSync return what the device completes
+// with, and ErrIncomplete for a request the drained engine never completed.
+func TestSyncLoops(t *testing.T) {
+	eng := sim.NewEngine()
+	d := &stuckDev{eng: eng}
+	if r := WriteSync(eng, d, 0, 1, nil); r.Err != nil || r.Latency != sim.Microsecond {
+		t.Fatalf("write = %+v, want success after 1µs", r)
+	}
+	if r := ReadSync(eng, d, 0, 2); r.Err != nil || len(r.Data) != 2*4096 {
+		t.Fatalf("read = %v with %d bytes, want success with 8192", r.Err, len(r.Data))
+	}
+	d.hang = true
+	if r := WriteSync(eng, d, 0, 1, nil); !errors.Is(r.Err, ErrIncomplete) {
+		t.Fatalf("hung write = %v, want ErrIncomplete", r.Err)
+	}
+	if r := ReadSync(eng, d, 0, 1); !errors.Is(r.Err, ErrIncomplete) || r.Data != nil {
+		t.Fatalf("hung read = %v with %d bytes, want ErrIncomplete and none", r.Err, len(r.Data))
+	}
+}

@@ -284,7 +284,7 @@ type Core struct {
 	// Member health (see health.go): dead is permanent device death
 	// detected from completion errors; failed additionally routes reads
 	// through reconstruction during rebuilds; rebuilding tracks an
-	// in-progress ReplaceDevice for Health reporting.
+	// in-progress ReplaceDevicePaced for Health reporting.
 	dead           []bool
 	rebuilding     []bool
 	onDeath        func(dev int)

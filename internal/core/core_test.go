@@ -182,7 +182,7 @@ func TestWriteReadRoundTripRandom(t *testing.T) {
 func TestOverwriteVisibility(t *testing.T) {
 	eng, c, _ := newTestCore(t, nil)
 	for i := 0; i < 8; i++ {
-		blockdev.WriteSync(eng, c, 42, 1, blockdev.Pattern(byte(i), 4096))
+		mustWrite(t, eng, c, 42, 1, blockdev.Pattern(byte(i), 4096))
 	}
 	r := blockdev.ReadSync(eng, c, 42, 1)
 	if !bytes.Equal(r.Data, blockdev.Pattern(7, 4096)) {
@@ -237,7 +237,7 @@ func TestInPlaceAbsorption(t *testing.T) {
 	// flash programs stay far below issued writes.
 	eng, c, devs := newTestCore(t, nil)
 	for i := 0; i < 100; i++ {
-		blockdev.WriteSync(eng, c, 7, 1, blockdev.Pattern(byte(i), 4096))
+		mustWrite(t, eng, c, 7, 1, blockdev.Pattern(byte(i), 4096))
 	}
 	if c.InPlaceHits() == 0 {
 		t.Fatal("no in-place updates")
@@ -262,7 +262,7 @@ func TestPartialParityAbsorbedInZRWA(t *testing.T) {
 	eng, c, devs := newTestCore(t, nil)
 	const blocks = 300
 	for lba := int64(0); lba < blocks; lba += 4 {
-		blockdev.WriteSync(eng, c, lba, 4, blockdev.Pattern(byte(lba), 4*4096))
+		mustWrite(t, eng, c, lba, 4, blockdev.Pattern(byte(lba), 4*4096))
 	}
 	eng.Run()
 	var parityFlash, parityAbsorbed uint64
@@ -287,7 +287,7 @@ func TestStripeParityConsistency(t *testing.T) {
 	// chunk slot contents (read back through the engine's own tables).
 	eng, c, _ := newTestCore(t, nil)
 	payload := blockdev.Pattern(3, 3*4096)
-	blockdev.WriteSync(eng, c, 0, 3, payload) // exactly one stripe (nData=3)
+	mustWrite(t, eng, c, 0, 3, payload) // exactly one stripe (nData=3)
 	eng.Run()
 	var se *smtEntry
 	c.smt.Range(func(_ int64, e *smtEntry) bool {
@@ -430,7 +430,7 @@ func TestSelectorClassifiesHotBlocks(t *testing.T) {
 	// must promote and the selector place them as ZRWA class.
 	for round := 0; round < 8; round++ {
 		for lba := int64(0); lba < 4; lba++ {
-			blockdev.WriteSync(eng, c, lba, 1, nil)
+			mustWrite(t, eng, c, lba, 1, nil)
 		}
 	}
 	hp := 0
@@ -477,7 +477,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 func TestDegradedReadReconstructs(t *testing.T) {
 	eng, c, _ := newTestCore(t, nil)
 	payload := blockdev.Pattern(9, 12*4096)
-	blockdev.WriteSync(eng, c, 0, 12, payload)
+	mustWrite(t, eng, c, 0, 12, payload)
 	eng.Run()
 	for dev := 0; dev < 4; dev++ {
 		if err := c.SetDeviceFailed(dev, true); err != nil {
@@ -498,11 +498,11 @@ func TestDegradedReadAfterOverwrites(t *testing.T) {
 	// Stale chunks feed parity: reconstruction must survive overwrites.
 	eng, c, _ := newTestCore(t, nil)
 	for i := 0; i < 6; i++ {
-		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
+		mustWrite(t, eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	// Overwrite some blocks (their old slots become stale but remain).
-	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(101, 4096))
-	blockdev.WriteSync(eng, c, 3, 1, blockdev.Pattern(103, 4096))
+	mustWrite(t, eng, c, 1, 1, blockdev.Pattern(101, 4096))
+	mustWrite(t, eng, c, 3, 1, blockdev.Pattern(103, 4096))
 	eng.Run()
 	for dev := 0; dev < 4; dev++ {
 		c.SetDeviceFailed(dev, true)
@@ -524,7 +524,7 @@ func TestDegradedReadAfterOverwrites(t *testing.T) {
 
 func TestTrim(t *testing.T) {
 	eng, c, _ := newTestCore(t, nil)
-	blockdev.WriteSync(eng, c, 10, 4, blockdev.Pattern(1, 4*4096))
+	mustWrite(t, eng, c, 10, 4, blockdev.Pattern(1, 4*4096))
 	c.Trim(10, 4)
 	r := blockdev.ReadSync(eng, c, 10, 4)
 	for _, b := range r.Data {
@@ -633,7 +633,7 @@ func TestSelectorAblationIncreasesFlashWrites(t *testing.T) {
 			} else {
 				lba = hotSpan + rng.Int63n(coldSpan)
 			}
-			blockdev.WriteSync(eng, c, lba, 1, nil)
+			mustWrite(t, eng, c, lba, 1, nil)
 		}
 		eng.Run()
 		var programmed uint64
@@ -654,7 +654,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, c, _ := newTestCore(t, nil)
 		rng := sim.NewRNG(23)
 		for i := 0; i < 2000; i++ {
-			blockdev.WriteSync(eng, c, rng.Int63n(c.Blocks()/4), 1, nil)
+			mustWrite(t, eng, c, rng.Int63n(c.Blocks()/4), 1, nil)
 		}
 		eng.Run()
 		return c.userBytes, c.parityBytes, c.GCEvents()
@@ -663,5 +663,15 @@ func TestDeterministicReplay(t *testing.T) {
 	u2, p2, g2 := run()
 	if u1 != u2 || p1 != p2 || g1 != g2 {
 		t.Fatal("replay diverged")
+	}
+}
+
+// mustWrite is blockdev.WriteSync for a write whose result the test does
+// not read: any error fails the test, a hang (blockdev.ErrIncomplete)
+// included.
+func mustWrite(t testing.TB, eng *sim.Engine, d blockdev.Device, lba int64, n int, data []byte) {
+	t.Helper()
+	if r := blockdev.WriteSync(eng, d, lba, n, data); r.Err != nil {
+		t.Fatalf("write %d+%d: %v", lba, n, r.Err)
 	}
 }

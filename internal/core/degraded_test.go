@@ -3,7 +3,7 @@ package core
 // Degraded-mode coverage under injected faults: member death detected from
 // completion errors, reads served via parity reconstruction (including
 // open, in-flight stripes), degraded writes acknowledged within the fault
-// budget, and ReplaceDevice restoring full tolerance.
+// budget, and ReplaceDevicePaced restoring full tolerance.
 
 import (
 	"bytes"
@@ -102,8 +102,8 @@ func TestDegradedReadInFlightStripe(t *testing.T) {
 	// parity (still sitting in the parity member's ZRWA).
 	eng, c, _ := newTestCore(t, nil)
 	// Two chunks of a three-data-chunk stripe: the stripe stays open.
-	blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(50, 4096))
-	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(51, 4096))
+	mustWrite(t, eng, c, 0, 1, blockdev.Pattern(50, 4096))
+	mustWrite(t, eng, c, 1, 1, blockdev.Pattern(51, 4096))
 	eng.Run()
 	for lba := int64(0); lba < 2; lba++ {
 		dev := int(c.bmt.Get(lba).loc().dev)
@@ -123,8 +123,8 @@ func TestDegradedReadInFlightStripe(t *testing.T) {
 
 func TestRAID6DegradedInFlightDoubleLoss(t *testing.T) {
 	eng, c, _ := newCore6(t)
-	blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(60, 4096))
-	blockdev.WriteSync(eng, c, 1, 1, blockdev.Pattern(61, 4096))
+	mustWrite(t, eng, c, 0, 1, blockdev.Pattern(60, 4096))
+	mustWrite(t, eng, c, 1, 1, blockdev.Pattern(61, 4096))
 	eng.Run()
 	// Lose the owning member of each in-flight chunk simultaneously.
 	d0, d1 := int(c.bmt.Get(0).loc().dev), int(c.bmt.Get(1).loc().dev)
@@ -220,7 +220,7 @@ func TestMemberDeathHandlerFiresOnce(t *testing.T) {
 		{Kind: fault.DeviceDeath, Dev: 3, AfterOps: 1},
 	}}, 19)
 	for i := 0; i < 40; i++ {
-		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
+		mustWrite(t, eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	eng.Run()
 	if len(deaths) != 1 || deaths[0] != 3 {
@@ -262,7 +262,7 @@ func TestInjectedDeathThenReplaceRestoresTolerance(t *testing.T) {
 	nq := nvme.New(nd, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: 778})
 	var rerr error
 	ok := false
-	c.ReplaceDevice(2, nq, func(err error) { rerr = err; ok = true })
+	c.ReplaceDevicePaced(2, nq, RebuildControl{}, func(err error) { rerr = err; ok = true })
 	eng.Run()
 	if !ok || rerr != nil {
 		t.Fatalf("replace ok=%v err=%v", ok, rerr)
@@ -328,7 +328,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	nq := nvme.New(nd, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: 991})
 	rebuilt := false
 	var rerr error
-	c.ReplaceDevice(victim, nq, func(err error) { rerr = err; rebuilt = true })
+	c.ReplaceDevicePaced(victim, nq, RebuildControl{}, func(err error) { rerr = err; rebuilt = true })
 	eng.Run()
 	if !rebuilt || rerr != nil {
 		t.Fatalf("rebuild ok=%v err=%v", rebuilt, rerr)

@@ -46,13 +46,12 @@ func runModelSweep(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// drain runs the engine dry an event at a time, counting, so that a
-	// failure names the event it follows; the closing Run settles the
-	// tickets never armed, as a plain Run does.
-	events := 0
+	// drain runs the engine dry an event at a time under a watchdog, which
+	// counts them so that a failure names the event it follows; the closing
+	// Run settles the tickets never armed, as a plain Run does.
+	wd := newWatchdog(t, eng, c)
 	drain := func() {
-		for eng.Step() {
-			events++
+		for wd.step() {
 		}
 		eng.Run()
 	}
@@ -83,13 +82,14 @@ func runModelSweep(t *testing.T, seed uint64) {
 				if r.Err != nil {
 					t.Errorf("write: %v", r.Err)
 				}
+				wd.wrote()
 				outstanding--
 			})
 			// Interleave partial drains to vary schedules per seed.
 			if rng.Intn(4) == 0 {
 				drain()
 				assertTables(t, c)
-				assertStripes(t, c, events)
+				assertStripes(t, c, wd.events)
 			}
 		}
 	}
@@ -98,7 +98,7 @@ func runModelSweep(t *testing.T, seed uint64) {
 		t.Fatalf("seed %d: %d writes hung", seed, outstanding)
 	}
 	assertTables(t, c)
-	assertStripes(t, c, events)
+	assertStripes(t, c, wd.events)
 	// Note: concurrent same-block writes are racy by API contract, but
 	// this sweep only writes each version once before a possible drain, so
 	// the LAST version observed must win after full drain for blocks whose
@@ -108,19 +108,19 @@ func runModelSweep(t *testing.T, seed uint64) {
 		v := version[lba] + 1
 		version[lba] = v
 		ok := false
-		c.Write(lba, 1, modelPattern(lba, v, bs), func(r blockdev.WriteResult) { ok = r.Err == nil })
+		c.Write(lba, 1, modelPattern(lba, v, bs), func(r blockdev.WriteResult) { ok = r.Err == nil; wd.wrote() })
 		drain()
 		if !ok {
 			t.Fatalf("final write %d failed", lba)
 		}
 		assertTables(t, c)
-		assertStripes(t, c, events)
+		assertStripes(t, c, wd.events)
 	}
 	for lba := int64(0); lba < 96; lba += 7 {
 		var got []byte
 		c.Read(lba, 1, func(r blockdev.ReadResult) { got = r.Data })
 		drain()
-		assertStripes(t, c, events)
+		assertStripes(t, c, wd.events)
 		if !bytes.Equal(got, modelPattern(lba, version[lba], bs)) {
 			t.Fatalf("seed %d: lba %d wrong content", seed, lba)
 		}
@@ -137,7 +137,7 @@ func runModelSweep(t *testing.T, seed uint64) {
 				t.Fatalf("seed %d dev %d lba %d: %v", seed, dev, lba, rerr)
 			}
 			assertTables(t, c)
-			assertStripes(t, c, events)
+			assertStripes(t, c, wd.events)
 			if v, okv := version[lba]; okv && lba%7 == 0 {
 				if !bytes.Equal(got, modelPattern(lba, v, bs)) {
 					t.Fatalf("seed %d dev %d lba %d: degraded content wrong", seed, dev, lba)

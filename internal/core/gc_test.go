@@ -79,8 +79,9 @@ func TestCollectorMatchesParent(t *testing.T) {
 }
 
 // collectorScript runs one pinned workload and returns its log hash and GC
-// event count. It drives the engine by Step so it can look, between events,
-// for a dissolution at the head of a stripe's in-place queue.
+// event count. It drives the engine by Step, under a watchdog, so it can
+// look, between events, for a dissolution at the head of a stripe's
+// in-place queue.
 func collectorScript(t *testing.T, raid6 bool, seed uint64, mid midRun, cov *collectorCoverage) (uint64, uint64) {
 	var eng *sim.Engine
 	var c *Core
@@ -92,6 +93,7 @@ func collectorScript(t *testing.T, raid6 bool, seed uint64, mid midRun, cov *col
 	tr := obs.New(obs.Config{SampleN: 1 << 30}) // GC victim events, next to no spans
 	c.SetTracer(tr)
 	h := fnv.New64a()
+	wd := newWatchdog(t, eng, c)
 	rng := sim.NewRNG(seed)
 	span := c.Blocks() / 3
 	const hotSet = 64
@@ -111,13 +113,14 @@ func collectorScript(t *testing.T, raid6 bool, seed uint64, mid midRun, cov *col
 		}
 		c.Write(lba, 1, blockdev.Pattern(byte(issued), c.blockSize), func(r blockdev.WriteResult) {
 			fmt.Fprintf(h, "%d %d %v\n", eng.Now(), lba, r.Err)
+			wd.wrote()
 			issue()
 		})
 	}
 	for i := 0; i < 8; i++ {
 		issue()
 	}
-	for eng.Step() {
+	for wd.step() {
 		for i := range c.ipqs {
 			if q := &c.ipqs[i]; q.Len() > 0 {
 				if _, ok := q.Peek().(*dissolve); ok {
@@ -157,7 +160,7 @@ func midway(t *testing.T, eng *sim.Engine, c *Core, mid midRun) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.ReplaceDevice(1, nvme.New(d, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: 901}), func(err error) {
+		c.ReplaceDevicePaced(1, nvme.New(d, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: 901}), RebuildControl{}, func(err error) {
 			if err != nil {
 				t.Errorf("rebuild: %v", err)
 			}

@@ -55,7 +55,7 @@ func (c *Core) Degraded() bool {
 
 // OnMemberDeath registers a handler fired (via a zero-delay event, so the
 // failing completion unwinds first) when a member is declared dead. The
-// usual handler swaps in a spare via ReplaceDevice.
+// usual handler swaps in a spare via ReplaceDevicePaced.
 func (c *Core) OnMemberDeath(fn func(dev int)) { c.onDeath = fn }
 
 // Reconstructions reports how many chunk reads were served by parity

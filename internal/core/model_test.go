@@ -320,7 +320,7 @@ func TestModelChaosWithFaults(t *testing.T) {
 			nq := nvme.New(nd, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: 31001})
 			var rerr error
 			okR := false
-			c.ReplaceDevice(deadDev, nq, func(err error) { rerr = err; okR = true })
+			c.ReplaceDevicePaced(deadDev, nq, RebuildControl{}, func(err error) { rerr = err; okR = true })
 			eng.Run()
 			if !okR || rerr != nil {
 				t.Fatalf("chaos replace at step %d: ok=%v err=%v", i, okR, rerr)

@@ -39,10 +39,10 @@ func TestOOBOnlyWhereKept(t *testing.T) {
 			return blockdev.Pattern(seed, 16*c.blockSize)
 		}
 		for lba := int64(0); lba < span; lba += 16 {
-			blockdev.WriteSync(eng, c, lba, 16, data(byte(lba)))
+			mustWrite(t, eng, c, lba, 16, data(byte(lba)))
 		}
 		hits := c.InPlaceHits()
-		blockdev.WriteSync(eng, c, 0, 16, data(99))
+		mustWrite(t, eng, c, 0, 16, data(99))
 		if c.InPlaceHits() == hits {
 			t.Fatal("no rewrite went in place")
 		}

@@ -150,7 +150,7 @@ func TestSteadyStateStripeWriteAllocs(t *testing.T) {
 	k := c.nData
 	span := c.Blocks() / 2
 	for lba := int64(0); lba+int64(k) <= span; lba += int64(k) {
-		blockdev.WriteSync(eng, c, lba, k, nil)
+		mustWrite(t, eng, c, lba, k, nil)
 	}
 	done := func(r blockdev.WriteResult) {}
 	lba := int64(0)

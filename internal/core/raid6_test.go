@@ -55,7 +55,7 @@ func TestRAID6RoundTrip(t *testing.T) {
 func TestRAID6SingleFailure(t *testing.T) {
 	eng, c, _ := newCore6(t)
 	payload := blockdev.Pattern(7, 12*4096)
-	blockdev.WriteSync(eng, c, 0, 12, payload)
+	mustWrite(t, eng, c, 0, 12, payload)
 	eng.Run()
 	for dev := 0; dev < 5; dev++ {
 		c.SetDeviceFailed(dev, true)
@@ -70,7 +70,7 @@ func TestRAID6SingleFailure(t *testing.T) {
 func TestRAID6DoubleFailure(t *testing.T) {
 	eng, c, _ := newCore6(t)
 	payload := blockdev.Pattern(9, 12*4096)
-	blockdev.WriteSync(eng, c, 0, 12, payload)
+	mustWrite(t, eng, c, 0, 12, payload)
 	eng.Run()
 	for a := 0; a < 5; a++ {
 		for b := a + 1; b < 5; b++ {
@@ -90,12 +90,12 @@ func TestRAID6DoubleFailureAfterOverwrites(t *testing.T) {
 	// In-place RS parity deltas must keep BOTH parities consistent.
 	eng, c, _ := newCore6(t)
 	for i := 0; i < 9; i++ {
-		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
+		mustWrite(t, eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	// Rewrite some blocks several times (in-place path).
 	for round := 0; round < 5; round++ {
-		blockdev.WriteSync(eng, c, 2, 1, blockdev.Pattern(byte(50+round), 4096))
-		blockdev.WriteSync(eng, c, 5, 1, blockdev.Pattern(byte(80+round), 4096))
+		mustWrite(t, eng, c, 2, 1, blockdev.Pattern(byte(50+round), 4096))
+		mustWrite(t, eng, c, 5, 1, blockdev.Pattern(byte(80+round), 4096))
 	}
 	eng.Run()
 	expect := map[int64]byte{0: 0, 1: 1, 2: 54, 3: 3, 4: 4, 5: 84, 6: 6, 7: 7, 8: 8}
@@ -204,7 +204,7 @@ func TestRAID6RejectsTooFewMembers(t *testing.T) {
 
 func TestRAID6StripeDevicesDistinct(t *testing.T) {
 	eng, c, _ := newCore6(t)
-	blockdev.WriteSync(eng, c, 0, 9, blockdev.Pattern(1, 9*4096)) // 3 full stripes (k=3)
+	mustWrite(t, eng, c, 0, 9, blockdev.Pattern(1, 9*4096)) // 3 full stripes (k=3)
 	eng.Run()
 	c.smt.Range(func(sn int64, se *smtEntry) bool {
 		used := map[int16]bool{}

@@ -31,7 +31,7 @@ func TestReadCompletesAfterReturn(t *testing.T) {
 		{name: "out of range", prepare: func(_ *sim.Engine, c *Core) int64 { return c.Blocks() }, wantErr: blockdev.ErrOutOfRange},
 		{name: "unmapped", prepare: func(*sim.Engine, *Core) int64 { return 7 }},
 		{name: "unrecoverable", prepare: func(eng *sim.Engine, c *Core) int64 {
-			blockdev.WriteSync(eng, c, 0, 3, blockdev.Pattern(1, 3*4096))
+			mustWrite(t, eng, c, 0, 3, blockdev.Pattern(1, 3*4096))
 			for dev := range c.devs {
 				c.SetDeviceFailed(dev, true)
 			}
@@ -104,11 +104,11 @@ func TestReadAllocFree(t *testing.T) {
 			// window, every third block of the second is rewritten alone and
 			// lands elsewhere.
 			for lba := int64(0); lba < 4*span; lba += 64 {
-				blockdev.WriteSync(eng, c, lba, 64, payload(64))
+				mustWrite(t, eng, c, lba, 64, payload(64))
 			}
 			inPlace := c.InPlaceHits()
 			for lba := int64(span); lba < 2*span; lba += 3 {
-				blockdev.WriteSync(eng, c, lba, 1, payload(1))
+				mustWrite(t, eng, c, lba, 1, payload(1))
 			}
 			if c.InPlaceHits() != inPlace {
 				t.Fatal("the 4 KiB overwrites were meant to fragment the region, but some went in place")

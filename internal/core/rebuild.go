@@ -9,9 +9,9 @@ import (
 	"biza/internal/storerr"
 )
 
-// RebuildControl paces a ReplaceDevice rebuild against foreground latency.
-// The rebuild dissolves the replaced member's stripes in batches of
-// StripesPerStep, idling StepGap of virtual time between batches, so
+// RebuildControl paces a ReplaceDevicePaced rebuild against foreground
+// latency. The rebuild dissolves the replaced member's stripes in batches
+// of StripesPerStep, idling StepGap of virtual time between batches, so
 // foreground I/O drains the device queues the rebuild would otherwise
 // saturate. The zero value disables pacing: every stripe dissolves at
 // once (the fastest rebuild, and the worst foreground tail).
@@ -31,7 +31,7 @@ type RebuildControl struct {
 	Gate func(next func())
 }
 
-// ReplaceDevice swaps a failed member for a fresh device and rebuilds
+// ReplaceDevicePaced swaps a failed member for a fresh device and rebuilds
 // redundancy: every stripe with a slot on the replaced member is
 // dissolved — its live chunks are re-homed into new stripes across the
 // full array (chunks that lived on the dead member are reconstructed from
@@ -41,14 +41,10 @@ type RebuildControl struct {
 // The log-structured rebuild mirrors how BIZA's GC migrates data, so it
 // reuses the same dissolution machinery rather than copying block-for-
 // block onto the spare (the spare simply joins the allocation rotation).
-func (c *Core) ReplaceDevice(dev int, q *nvme.Queue, done func(error)) {
-	c.ReplaceDevicePaced(dev, q, RebuildControl{}, done)
-}
-
-// ReplaceDevicePaced is ReplaceDevice with the rebuild throttled by ctl:
-// stripes dissolve StripesPerStep at a time with StepGap of virtual idle
-// between batches. Stripe order is deterministic (ascending stripe
-// number), so the same control settings replay bit-identically.
+// ctl paces it: stripes dissolve StripesPerStep at a time with StepGap of
+// virtual idle between batches, and the zero RebuildControl dissolves them
+// all at once. Stripe order is deterministic (ascending stripe number), so
+// the same control settings replay bit-identically.
 func (c *Core) ReplaceDevicePaced(dev int, q *nvme.Queue, ctl RebuildControl, done func(error)) {
 	fail := func(err error) {
 		if done != nil {

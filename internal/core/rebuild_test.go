@@ -33,7 +33,7 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 	nq := nvme.New(nd, nvme.Config{ReorderWindow: 5 * sim.Microsecond, Seed: 444})
 	var rerr error
 	okR := false
-	c.ReplaceDevice(2, nq, func(err error) { rerr = err; okR = true })
+	c.ReplaceDevicePaced(2, nq, RebuildControl{}, func(err error) { rerr = err; okR = true })
 	eng.Run()
 	if !okR || rerr != nil {
 		t.Fatalf("rebuild ok=%v err=%v", okR, rerr)
@@ -60,7 +60,7 @@ func TestReplaceDeviceRebuildsRedundancy(t *testing.T) {
 	}
 	// The fresh member participates in new writes.
 	for i := 0; i < 200; i++ {
-		blockdev.WriteSync(eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
+		mustWrite(t, eng, c, int64(i), 1, blockdev.Pattern(byte(i), 4096))
 	}
 	eng.Run()
 	if nd.Stats().TotalProgrammed() == 0 && nd.Stats().AbsorbedBytes == 0 {
@@ -76,7 +76,7 @@ func TestReplaceDeviceGeometryMismatch(t *testing.T) {
 	nd, _ := zns.New(eng, dc)
 	nq := nvme.New(nd, nvme.Config{})
 	var rerr error
-	c.ReplaceDevice(0, nq, func(err error) { rerr = err })
+	c.ReplaceDevicePaced(0, nq, RebuildControl{}, func(err error) { rerr = err })
 	eng.Run()
 	if rerr == nil {
 		t.Fatal("accepted mismatched replacement")

@@ -63,7 +63,7 @@ func TestChunkWriteAllocFree(t *testing.T) {
 		const n = 16
 		span := c.Blocks() / 2 / n * n
 		for lba := int64(0); lba < span; lba += n {
-			blockdev.WriteSync(eng, c, lba, n, nil)
+			mustWrite(t, eng, c, lba, n, nil)
 		}
 		lba := int64(0)
 		step := func() {
@@ -145,7 +145,7 @@ func TestChunkWriteAllocFree(t *testing.T) {
 		eng, c, _ := newTestCore(t, perfMode)
 		// One full stripe, sealed and still inside every slot's window.
 		k := int64(c.nData)
-		blockdev.WriteSync(eng, c, 0, int(k), nil)
+		mustWrite(t, eng, c, 0, int(k), nil)
 		lba := int64(0)
 		step := func() {
 			c.Write(lba, 1, nil, done)

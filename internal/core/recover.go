@@ -258,7 +258,6 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 				openPool = append(openPool, ds.zones[z])
 			}
 		}
-		_ = d
 	}
 	// Seed every device's class groups, reusing its recovered open zones
 	// first and opening fresh ones as needed; finish leftovers.

@@ -155,7 +155,7 @@ func TestReverseMapAllocFreeUntilWritten(t *testing.T) {
 	}
 	grown := false
 	for lba := int64(0); lba < 12000; lba += 16 {
-		blockdev.WriteSync(eng, c, lba, 16, nil)
+		mustWrite(t, eng, c, lba, 16, nil)
 		for _, ds := range c.devs {
 			for _, zs := range ds.zones {
 				if zs == nil {

@@ -330,7 +330,7 @@ func TestRecoverRefusesRecordOutsideArray(t *testing.T) {
 // the second delays that member's writes past the cut.
 func TestRecoverDropsStripeMissingParity(t *testing.T) {
 	eng, c, _ := newTestCore(t, nil)
-	blockdev.WriteSync(eng, c, 0, 1, blockdev.Pattern(1, 4096))
+	mustWrite(t, eng, c, 0, 1, blockdev.Pattern(1, 4096))
 	eng.Run()
 	e := c.bmt.Get(0)
 	pdev := int(c.smt.Get(int64(e.sn)).parity()[0].dev)

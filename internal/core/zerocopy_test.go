@@ -59,7 +59,7 @@ func TestZeroCopyUserDataPath(t *testing.T) {
 		k := c.nData
 		span := c.Blocks() / 2
 		for lba := int64(0); lba+int64(k) <= span; lba += int64(k) {
-			blockdev.WriteSync(eng, c, lba, k, nil)
+			mustWrite(t, eng, c, lba, k, nil)
 		}
 		before := totalBufCopied(devs)
 		lba := int64(0)

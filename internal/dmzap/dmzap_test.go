@@ -134,7 +134,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 	rng := sim.NewRNG(3)
 	for i := 0; i < int(span)*6; i++ {
 		lba := rng.Int63n(span)
-		blockdev.WriteSync(eng, a, lba, 1, blockdev.Pattern(byte(lba), 4096))
+		mustWrite(t, eng, a, lba, 1, blockdev.Pattern(byte(lba), 4096))
 	}
 	eng.Run()
 	if a.GCEvents() == 0 {
@@ -161,7 +161,7 @@ func TestTrimPreventsMigration(t *testing.T) {
 	span := a.Blocks() / 2
 	for round := 0; round < 4; round++ {
 		for lba := int64(0); lba < span; lba++ {
-			blockdev.WriteSync(eng, a, lba, 1, nil)
+			mustWrite(t, eng, a, lba, 1, nil)
 		}
 		a.Trim(0, int(span))
 	}
@@ -175,7 +175,7 @@ func TestTrimPreventsMigration(t *testing.T) {
 func TestFlashAccountingMatchesBackend(t *testing.T) {
 	eng, a, dev, _ := newAdapter(t)
 	for i := 0; i < 64; i++ {
-		blockdev.WriteSync(eng, a, int64(i), 1, nil)
+		mustWrite(t, eng, a, int64(i), 1, nil)
 	}
 	// Flush open zones so every block reaches flash.
 	eng.Run()
@@ -190,7 +190,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, a, _, _ := newAdapter(t)
 		rng := sim.NewRNG(21)
 		for i := 0; i < 1500; i++ {
-			blockdev.WriteSync(eng, a, rng.Int63n(a.Blocks()/3), 1, nil)
+			mustWrite(t, eng, a, rng.Int63n(a.Blocks()/3), 1, nil)
 		}
 		eng.Run()
 		wa := a.WriteAmp()
@@ -200,5 +200,15 @@ func TestDeterministicReplay(t *testing.T) {
 	a2, g2 := run()
 	if a1 != a2 || g1 != g2 {
 		t.Fatalf("replay diverged: %d/%d vs %d/%d", a1, g1, a2, g2)
+	}
+}
+
+// mustWrite is blockdev.WriteSync for a write whose result the test does
+// not read: any error fails the test, a hang (blockdev.ErrIncomplete)
+// included.
+func mustWrite(t testing.TB, eng *sim.Engine, d blockdev.Device, lba int64, n int, data []byte) {
+	t.Helper()
+	if r := blockdev.WriteSync(eng, d, lba, n, data); r.Err != nil {
+		t.Fatalf("write %d+%d: %v", lba, n, r.Err)
 	}
 }

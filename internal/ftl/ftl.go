@@ -691,8 +691,9 @@ func (d *Device) gcStep() {
 		left := d.cfg.DiesPerChannel
 		d.erasing++
 		for i := 0; i < d.cfg.DiesPerChannel; i++ {
-			cr.dies.Submit(d.cfg.EraseLatency, func(s, e sim.Time) {
-				d.tr.Segment(int64(s), int64(e), obs.LayerFTL, obs.SegErase, d.trDev, victim, fb.channel, 0)
+			end := cr.dies.SubmitEvent(d.cfg.EraseLatency, nil)
+			d.eng.At(end, func() {
+				d.tr.Segment(int64(end-d.cfg.EraseLatency), int64(end), obs.LayerFTL, obs.SegErase, d.trDev, victim, fb.channel, 0)
 				left--
 				if left > 0 {
 					return
@@ -726,11 +727,11 @@ func (d *Device) gcStep() {
 		}
 		// Read old page then program new page.
 		src := d.chans[fb.channel]
-		src.readBus.Submit(size*sim.Second/d.cfg.ChannelReadBW, func(_, _ sim.Time) {
-			src.dies.Submit(d.cfg.DieReadLatency+size*sim.Second/d.cfg.DieReadBW, func(_, _ sim.Time) {
+		d.eng.At(src.readBus.SubmitEvent(size*sim.Second/d.cfg.ChannelReadBW, nil), func() {
+			d.eng.At(src.dies.SubmitEvent(d.cfg.DieReadLatency+size*sim.Second/d.cfg.DieReadBW, nil), func() {
 				dst := d.chans[ch]
-				dst.writeBus.Submit(size*sim.Second/d.cfg.ChannelWriteBW, func(_, _ sim.Time) {
-					dst.dies.Submit(size*sim.Second/d.cfg.DieWriteBW, func(_, _ sim.Time) {
+				d.eng.At(dst.writeBus.SubmitEvent(size*sim.Second/d.cfg.ChannelWriteBW, nil), func() {
+					d.eng.At(dst.dies.SubmitEvent(size*sim.Second/d.cfg.DieWriteBW, nil), func() {
 						d.programmed += uint64(size)
 						d.gcMigrated += uint64(size)
 						moved.Done(nil)

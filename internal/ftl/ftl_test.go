@@ -215,7 +215,7 @@ func TestSequentialOverwriteLowWA(t *testing.T) {
 	span := d.Blocks() * 3 / 4
 	for round := 0; round < 8; round++ {
 		for lba := int64(0); lba+8 <= span; lba += 8 {
-			blockdev.WriteSync(eng, d, lba, 8, nil)
+			mustWrite(t, eng, d, lba, 8, nil)
 		}
 	}
 	eng.Run()
@@ -290,7 +290,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, d := newDev(t)
 		rng := sim.NewRNG(11)
 		for i := 0; i < 2000; i++ {
-			blockdev.WriteSync(eng, d, rng.Int63n(d.Blocks()/2), 1, nil)
+			mustWrite(t, eng, d, rng.Int63n(d.Blocks()/2), 1, nil)
 		}
 		eng.Run()
 		wa := d.WriteAmp()
@@ -449,5 +449,15 @@ func TestFTLStoreDataAllocFree(t *testing.T) {
 	}
 	if got != bare {
 		t.Fatalf("1000 payload overwrites allocate %.0f objects, %.0f without StoreData: want no more", got, bare)
+	}
+}
+
+// mustWrite is blockdev.WriteSync for a write whose result the test does
+// not read: any error fails the test, a hang (blockdev.ErrIncomplete)
+// included.
+func mustWrite(t testing.TB, eng *sim.Engine, d blockdev.Device, lba int64, n int, data []byte) {
+	t.Helper()
+	if r := blockdev.WriteSync(eng, d, lba, n, data); r.Err != nil {
+		t.Fatalf("write %d+%d: %v", lba, n, r.Err)
 	}
 }

@@ -41,17 +41,7 @@ type sstable struct {
 	blocks  int64
 }
 
-func (s *sstable) min() string { return s.entries[0].key }
 func (s *sstable) max() string { return s.entries[len(s.entries)-1].key }
-
-// find returns the entry index holding key, or -1.
-func (s *sstable) find(key string) int {
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].key >= key })
-	if i < len(s.entries) && s.entries[i].key == key {
-		return i
-	}
-	return -1
-}
 
 // DB is the store instance.
 type DB struct {
@@ -71,8 +61,8 @@ type DB struct {
 
 	compacting bool
 
-	puts, gets, flushes, compactions uint64
-	bytesFlushed, bytesCompacted     uint64
+	puts, flushes, compactions   uint64
+	bytesFlushed, bytesCompacted uint64
 }
 
 // ErrNotFound reports a missing key.
@@ -99,8 +89,8 @@ func Open(eng *sim.Engine, fs *lsfs.FS, cfg Config) (*DB, error) {
 }
 
 // Stats reports operation and flush/compaction counters.
-func (db *DB) Stats() (puts, gets, flushes, compactions uint64) {
-	return db.puts, db.gets, db.flushes, db.compactions
+func (db *DB) Stats() (puts, flushes, compactions uint64) {
+	return db.puts, db.flushes, db.compactions
 }
 
 // WriteAmpBytes reports flush and compaction volume.
@@ -125,56 +115,6 @@ func (db *DB) Put(key string, value []byte, done func(error)) {
 			done(err)
 		}
 	})
-}
-
-// Get fetches a key: memtable first, then levels newest-first. The lookup
-// performs one block read per consulted table (index-directed).
-func (db *DB) Get(key string, done func([]byte, error)) {
-	db.gets++
-	if v, ok := db.mem[key]; ok {
-		db.eng.After(sim.Microsecond, func() { done(append([]byte(nil), v...), nil) })
-		return
-	}
-	var tables []*sstable
-	for _, lvl := range db.levels {
-		tables = append(tables, lvl...)
-	}
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(tables) {
-			done(nil, ErrNotFound)
-			return
-		}
-		t := tables[i]
-		if len(t.entries) == 0 || key < t.min() || key > t.max() {
-			step(i + 1)
-			return
-		}
-		idx := t.find(key)
-		if idx < 0 {
-			step(i + 1)
-			return
-		}
-		// One data-block read at the key's position.
-		blk := int64(idx) * int64(len(t.entries)) / maxI64(t.blocks, 1)
-		_ = blk
-		pos := int64(idx) % maxI64(t.blocks, 1)
-		db.fs.ReadFile(t.fileID, pos, 1, func(err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			done(append([]byte(nil), t.entries[idx].value...), nil)
-		})
-	}
-	step(0)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Seek positions at the first key >= key and returns it (fillseekseq's

@@ -49,16 +49,19 @@ func put(eng *sim.Engine, db *DB, k string, v []byte) error {
 	return res
 }
 
-func get(eng *sim.Engine, db *DB, k string) ([]byte, error) {
+// seek drives a Seek to completion: the first key at or after k, and its
+// value. A stored key seeks to itself.
+func seek(eng *sim.Engine, db *DB, k string) (string, []byte, error) {
+	var key string
 	var v []byte
 	var res error
 	ok := false
-	db.Get(k, func(val []byte, err error) { v, res = val, err; ok = true })
+	db.Seek(k, func(gk string, val []byte, err error) { key, v, res = gk, val, err; ok = true })
 	eng.Run()
 	if !ok {
-		panic("get hung")
+		panic("seek hung")
 	}
-	return v, res
+	return key, v, res
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -66,11 +69,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := put(eng, db, "alpha", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := get(eng, db, "alpha")
-	if err != nil || !bytes.Equal(v, []byte("one")) {
-		t.Fatalf("get: %q %v", v, err)
+	k, v, err := seek(eng, db, "alpha")
+	if err != nil || k != "alpha" || !bytes.Equal(v, []byte("one")) {
+		t.Fatalf("seek: %q %q %v", k, v, err)
 	}
-	if _, err := get(eng, db, "missing"); err != ErrNotFound {
+	if _, _, err := seek(eng, db, "missing"); err != ErrNotFound {
 		t.Fatalf("missing key err = %v", err)
 	}
 }
@@ -79,9 +82,9 @@ func TestOverwriteLatestWins(t *testing.T) {
 	eng, db := newDB(t)
 	put(eng, db, "k", []byte("v1"))
 	put(eng, db, "k", []byte("v2"))
-	v, _ := get(eng, db, "k")
-	if !bytes.Equal(v, []byte("v2")) {
-		t.Fatalf("got %q", v)
+	k, v, _ := seek(eng, db, "k")
+	if k != "k" || !bytes.Equal(v, []byte("v2")) {
+		t.Fatalf("got %q %q", k, v)
 	}
 }
 
@@ -91,17 +94,18 @@ func TestFlushAndReadFromSSTable(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		put(eng, db, fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte{byte(i)}, 512))
 	}
-	_, _, flushes, _ := db.Stats()
+	_, flushes, _ := db.Stats()
 	if flushes == 0 {
 		t.Fatal("no flush despite memtable overflow")
 	}
 	// All keys still readable (from memtable or tables).
 	for i := 0; i < 100; i += 7 {
-		v, err := get(eng, db, fmt.Sprintf("key-%03d", i))
+		want := fmt.Sprintf("key-%03d", i)
+		k, v, err := seek(eng, db, want)
 		if err != nil {
 			t.Fatalf("key %d: %v", i, err)
 		}
-		if len(v) != 512 || v[0] != byte(i) {
+		if k != want || len(v) != 512 || v[0] != byte(i) {
 			t.Fatalf("key %d value wrong", i)
 		}
 	}
@@ -112,7 +116,7 @@ func TestCompactionPreservesData(t *testing.T) {
 	for i := 0; i < 700; i++ {
 		put(eng, db, fmt.Sprintf("key-%04d", i%150), bytes.Repeat([]byte{byte(i)}, 400))
 	}
-	_, _, _, compactions := db.Stats()
+	_, _, compactions := db.Stats()
 	if compactions == 0 {
 		t.Fatal("compaction never ran")
 	}
@@ -121,12 +125,12 @@ func TestCompactionPreservesData(t *testing.T) {
 		t.Fatal("write volumes not accounted")
 	}
 	// Latest value of a sampled key survives compaction.
-	v, err := get(eng, db, "key-0010")
+	k, v, err := seek(eng, db, "key-0010")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v) != 400 {
-		t.Fatalf("value len %d", len(v))
+	if k != "key-0010" || len(v) != 400 || v[0] != byte(610%256) { // i = 610 wrote it last
+		t.Fatalf("seek returns %q with value len %d", k, len(v))
 	}
 }
 

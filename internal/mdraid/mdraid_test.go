@@ -68,7 +68,7 @@ func TestFullStripeRoundTrip(t *testing.T) {
 func TestPartialWriteRoundTripThroughCacheAndFlush(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
 	payload := blockdev.Pattern(9, 2*4096)
-	blockdev.WriteSync(eng, a, 5, 2, payload)
+	mustWrite(t, eng, a, 5, 2, payload)
 	// Read while dirty (served from cache).
 	r := blockdev.ReadSync(eng, a, 5, 2)
 	if !bytes.Equal(r.Data, payload) {
@@ -89,7 +89,7 @@ func TestRandomOverwriteRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		lba := rng.Int63n(a.Blocks())
 		seed := byte(i)
-		blockdev.WriteSync(eng, a, lba, 1, blockdev.Pattern(seed, 4096))
+		mustWrite(t, eng, a, lba, 1, blockdev.Pattern(seed, 4096))
 		want[lba] = seed
 	}
 	eng.RunUntil(eng.Now() + 50*sim.Millisecond)
@@ -103,7 +103,7 @@ func TestRandomOverwriteRoundTrip(t *testing.T) {
 
 func TestFullStripeAvoidsRMW(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
-	blockdev.WriteSync(eng, a, 0, 12, blockdev.Pattern(1, 12*4096)) // exactly one full stripe
+	mustWrite(t, eng, a, 0, 12, blockdev.Pattern(1, 12*4096)) // exactly one full stripe
 	eng.Run()
 	if a.RMWReads() != 0 {
 		t.Fatalf("full-stripe write incurred %d RMW read bytes", a.RMWReads())
@@ -116,7 +116,7 @@ func TestFullStripeAvoidsRMW(t *testing.T) {
 
 func TestPartialStripeIncursRMW(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
-	blockdev.WriteSync(eng, a, 0, 1, blockdev.Pattern(1, 4096))
+	mustWrite(t, eng, a, 0, 1, blockdev.Pattern(1, 4096))
 	eng.RunUntil(eng.Now() + 20*sim.Millisecond) // timer flush
 	if a.RMWReads() == 0 {
 		t.Fatal("partial flush did not read-modify-write")
@@ -141,8 +141,8 @@ func TestCachePressureEvicts(t *testing.T) {
 	cfg.StripeCacheBytes = 12 * 4096 // exactly one stripe
 	cfg.FlushInterval = 0
 	eng, a, _ := newArray(t, cfg)
-	blockdev.WriteSync(eng, a, 0, 1, nil)   // stripe 0 dirty
-	blockdev.WriteSync(eng, a, 100, 1, nil) // stripe far away: evicts stripe 0
+	mustWrite(t, eng, a, 0, 1, nil)   // stripe 0 dirty
+	mustWrite(t, eng, a, 100, 1, nil) // stripe far away: evicts stripe 0
 	eng.Run()
 	wa := a.WriteAmp()
 	if wa.FlashDataBytes == 0 {
@@ -155,7 +155,7 @@ func TestWriteMergingBenefitsSequential(t *testing.T) {
 	// engine-level data-out equals user bytes (no RMW, no re-writes).
 	eng, a, _ := newArray(t, testCfg())
 	for lba := int64(0); lba < 480; lba += 12 {
-		blockdev.WriteSync(eng, a, lba, 12, nil)
+		mustWrite(t, eng, a, lba, 12, nil)
 	}
 	eng.Run()
 	wa := a.WriteAmp()
@@ -205,7 +205,7 @@ func TestDeterministicReplay(t *testing.T) {
 		eng, a, _ := newArray(t, testCfg())
 		rng := sim.NewRNG(77)
 		for i := 0; i < 800; i++ {
-			blockdev.WriteSync(eng, a, rng.Int63n(a.Blocks()/2), 2, nil)
+			mustWrite(t, eng, a, rng.Int63n(a.Blocks()/2), 2, nil)
 		}
 		eng.RunUntil(eng.Now() + 50*sim.Millisecond)
 		wa := a.WriteAmp()
@@ -215,5 +215,15 @@ func TestDeterministicReplay(t *testing.T) {
 	d2, p2 := run()
 	if d1 != d2 || p1 != p2 {
 		t.Fatal("replay diverged")
+	}
+}
+
+// mustWrite is blockdev.WriteSync for a write whose result the test does
+// not read: any error fails the test, a hang (blockdev.ErrIncomplete)
+// included.
+func mustWrite(t testing.TB, eng *sim.Engine, d blockdev.Device, lba int64, n int, data []byte) {
+	t.Helper()
+	if r := blockdev.WriteSync(eng, d, lba, n, data); r.Err != nil {
+		t.Fatalf("write %d+%d: %v", lba, n, r.Err)
 	}
 }

@@ -532,21 +532,6 @@ func (a *Array) Reset(z int, done func(error)) {
 	f.Seal()
 }
 
-// Finish implements zoneapi.Backend.
-func (a *Array) Finish(z int) error {
-	if z < 0 || z >= a.logicalZones {
-		return zns.ErrBadZone
-	}
-	var first error // the first member's failure, if any
-	for _, q := range a.queues {
-		if err := q.Device().Finish(a.physZone(z)); first == nil {
-			first = err
-		}
-	}
-	a.wp[z] = a.ZoneBlocks()
-	return first
-}
-
 // insert adds a key to the FIFO cache and returns evicted keys, valid
 // until the next insert.
 func (c *stripeCache) insert(k rowKey) []rowKey {

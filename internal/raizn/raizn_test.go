@@ -251,17 +251,6 @@ func TestResetLogicalZone(t *testing.T) {
 	}
 }
 
-func TestFinishLogicalZone(t *testing.T) {
-	eng, a, _ := newArray(t, Config{})
-	wsync(eng, a, 0, 0, 3, nil)
-	if err := a.Finish(0); err != nil {
-		t.Fatal(err)
-	}
-	if r := wsync(eng, a, 0, a.ZoneBlocks(), 1, nil); r.Err == nil {
-		t.Fatal("write accepted after finish")
-	}
-}
-
 func TestCentralJournalThroughputCap(t *testing.T) {
 	// The §3.3 claim: with all partial parity funneling to one zone, array
 	// write throughput caps well below the member aggregate. Sequential

@@ -11,8 +11,7 @@
 // per-event allocation inside the engine), and hot schedulers can avoid
 // caller-side closure allocation entirely by scheduling a pooled record
 // through the Handler interface (AtEvent/AfterEvent). Plain callbacks
-// travel as Handlers too (fnHandler, timedHandler). See DESIGN.md, "Event
-// core".
+// travel as Handlers too (fnHandler). See DESIGN.md, "Event core".
 package sim
 
 import (
@@ -42,16 +41,12 @@ type Handler interface {
 	Fire(a, b Time)
 }
 
-// fnHandler and timedHandler carry a plain callback as a Handler. Func
-// values are pointer-shaped, so the conversion to the interface stores the
-// value itself and does not allocate.
+// fnHandler carries a plain callback as a Handler. Func values are
+// pointer-shaped, so the conversion to the interface stores the value
+// itself and does not allocate.
 type fnHandler func()
 
 func (f fnHandler) Fire(_, _ Time) { f() }
-
-type timedHandler func(a, b Time)
-
-func (f timedHandler) Fire(a, b Time) { f(a, b) }
 
 // event is one scheduled callback, stored by value in the heap: six words,
 // two of them the handler.
@@ -325,12 +320,6 @@ func (e *Engine) AtTicket(t Time, seq uint64, h Handler, a, b Time) {
 // time: a ticket never armed is an event that would have fired by then.
 func (e *Engine) Passed(t Time, seq uint64) bool {
 	return seq <= e.settled || t < e.now || t == e.now && seq <= e.fired
-}
-
-// atTimed schedules fn(a, b) at absolute time t without a wrapper closure
-// (package-internal: Resource completions).
-func (e *Engine) atTimed(t Time, fn func(a, b Time), a, b Time) {
-	e.schedule(t, event{h: timedHandler(fn), a: a, b: b})
 }
 
 // fireRoot fires the earliest event and leaves its slot vacant for the

@@ -134,7 +134,8 @@ func TestResourceSingleServerSerializes(t *testing.T) {
 	r := NewResource(e, 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		r.Submit(10, func(start, end Time) { ends = append(ends, end) })
+		end := r.SubmitEvent(10, nil)
+		e.At(end, func() { ends = append(ends, end) })
 	}
 	e.Run()
 	want := []Time{10, 20, 30}
@@ -150,7 +151,8 @@ func TestResourceParallelServers(t *testing.T) {
 	r := NewResource(e, 4)
 	var ends []Time
 	for i := 0; i < 4; i++ {
-		r.Submit(10, func(start, end Time) { ends = append(ends, end) })
+		end := r.SubmitEvent(10, nil)
+		e.At(end, func() { ends = append(ends, end) })
 	}
 	e.Run()
 	for _, end := range ends {
@@ -165,7 +167,8 @@ func TestResourceQueueSpillsToAllServers(t *testing.T) {
 	r := NewResource(e, 2)
 	var last Time
 	for i := 0; i < 6; i++ {
-		r.Submit(10, func(_, end Time) {
+		end := r.SubmitEvent(10, nil)
+		e.At(end, func() {
 			if end > last {
 				last = end
 			}
@@ -188,18 +191,23 @@ func TestResourceSubmitEventThen(t *testing.T) {
 	e.RunUntil(100)
 	r := NewResource(e, 1)
 	h := &countHandler{}
-	var firedAt Time
-	if at := r.SubmitEventThen(10, 5, timedHandler(func(a, b Time) { h.Fire(a, b); firedAt = e.Now() })); at != 115 {
+	if at := r.SubmitEventThen(10, 5, h); at != 115 {
 		t.Fatalf("SubmitEventThen returned %d, want 115", at)
 	}
-	var nextStart Time
-	r.Submit(10, func(start, _ Time) { nextStart = start })
-	e.Run()
-	if h.n != 1 || h.a != 100 || h.b != 110 || firedAt != 115 {
-		t.Fatalf("handler fired %d times with (%d, %d) at %d, want once with (100, 110) at 115", h.n, h.a, h.b, firedAt)
+	if end := r.SubmitEvent(10, nil); end != 120 {
+		t.Fatalf("the next job ended at %d, want 120: the delay held the server", end)
 	}
-	if nextStart != 110 {
-		t.Fatalf("the next job started at %d, want 110: the delay held the server", nextStart)
+	e.RunUntil(114)
+	if h.n != 0 {
+		t.Fatalf("handler fired at %d, before its delay ran out", e.Now())
+	}
+	e.RunUntil(115)
+	if h.n != 1 {
+		t.Fatalf("handler had not fired by 115, when its delay ran out")
+	}
+	e.Run()
+	if h.n != 1 || h.a != 100 || h.b != 110 {
+		t.Fatalf("handler fired %d times with (%d, %d), want once with (100, 110) at 115", h.n, h.a, h.b)
 	}
 	if r.BusyTime() != 20 {
 		t.Fatalf("busy = %d, want 20: the delay is not service", r.BusyTime())
@@ -262,7 +270,8 @@ func TestResourceMakespanProperty(t *testing.T) {
 		for _, d := range durs {
 			dur := Time(d%1000) + 1
 			total += dur
-			r.Submit(dur, func(_, end Time) {
+			end := r.SubmitEvent(dur, nil)
+			e.At(end, func() {
 				if end > makespan {
 					makespan = end
 				}

@@ -156,22 +156,23 @@ func TestAtEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestResourceSubmitZeroAlloc gates the Resource fast path: a steady-state
-// submit/complete cycle through a pooled grant record must not allocate.
+// TestResourceSubmitZeroAlloc gates the Resource fast path for a plain
+// callback: reserving a server and scheduling the callback at the job's end
+// must not allocate in steady state.
 func TestResourceSubmitZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 2)
-	fn := func(start, end Time) {}
+	fn := func() {}
 	for i := 0; i < 64; i++ {
-		r.Submit(10, fn)
+		e.At(r.SubmitEvent(10, nil), fn)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Submit(10, fn)
+		e.At(r.SubmitEvent(10, nil), fn)
 		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("Resource.Submit+Run allocates %.1f per op, want 0", allocs)
+		t.Fatalf("Resource.SubmitEvent+At+Run allocates %.1f per op, want 0", allocs)
 	}
 }
 

@@ -19,19 +19,11 @@ func NewResource(eng *Engine, servers int) *Resource {
 	return &Resource{eng: eng, freeAt: make([]Time, servers)}
 }
 
-// Submit enqueues a job with the given service time. done, if non-nil, runs
-// when the job completes; start is when service began (after queueing) and
-// end when it finished. Submit returns the completion time.
-func (r *Resource) Submit(service Time, done func(start, end Time)) Time {
-	start, end := r.reserve(service)
-	if done != nil {
-		r.eng.atTimed(end, done, start, end)
-	}
-	return end
-}
-
-// SubmitEvent enqueues a job whose completion fires h.Fire(start, end).
-// With a pooled record this path performs zero allocations per submission.
+// SubmitEvent enqueues a job whose completion fires h.Fire(start, end),
+// start being when service began (after queueing) and end when it
+// finished, and returns end. With a pooled record this path performs zero
+// allocations per submission; with a nil h it only reserves the server,
+// for a caller that schedules its own completion at end.
 func (r *Resource) SubmitEvent(service Time, h Handler) Time {
 	return r.SubmitEventThen(service, 0, h)
 }

@@ -253,10 +253,18 @@ func TestDeviceConformance(t *testing.T) {
 			run := func(eng *sim.Engine, d blockdev.Device) []sim.Time {
 				var lat []sim.Time
 				for i := int64(0); i < 40; i++ {
-					lat = append(lat, blockdev.WriteSync(eng, d, i*4, 4, nil).Latency)
+					r := blockdev.WriteSync(eng, d, i*4, 4, nil)
+					if r.Err != nil {
+						t.Fatalf("write %d: %v", i*4, r.Err)
+					}
+					lat = append(lat, r.Latency)
 				}
 				for i := int64(0); i < 40; i += 3 {
-					lat = append(lat, blockdev.ReadSync(eng, d, i*4, 4).Latency)
+					r := blockdev.ReadSync(eng, d, i*4, 4)
+					if r.Err != nil {
+						t.Fatalf("read %d: %v", i*4, r.Err)
+					}
+					lat = append(lat, r.Latency)
 				}
 				return lat
 			}

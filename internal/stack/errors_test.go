@@ -24,7 +24,7 @@ func TestStackErrorSentinels(t *testing.T) {
 	if !errors.Is(rerr, storerr.ErrNotSupported) {
 		t.Fatalf("RAIZN recover: err = %v, want ErrNotSupported", rerr)
 	}
-	raizn.ReplaceDevice(0, func(e error) { rerr = e })
+	raizn.ReplaceDevicePaced(0, core.RebuildControl{}, func(e error) { rerr = e })
 	raizn.Eng.Run()
 	if !errors.Is(rerr, storerr.ErrNotSupported) {
 		t.Fatalf("RAIZN replace: err = %v, want ErrNotSupported", rerr)
@@ -54,7 +54,7 @@ func TestStackErrorSentinels(t *testing.T) {
 	if err := biza.BIZA.SetDeviceFailed(99, true); !errors.Is(err, storerr.ErrNotFound) {
 		t.Fatalf("set-failed out of range: err = %v, want ErrNotFound", err)
 	}
-	biza.ReplaceDevice(99, func(e error) { perr = e })
+	biza.ReplaceDevicePaced(99, core.RebuildControl{}, func(e error) { perr = e })
 	biza.Eng.Run()
 	if !errors.Is(perr, storerr.ErrNotFound) {
 		t.Fatalf("replace out of range: err = %v, want ErrNotFound", perr)

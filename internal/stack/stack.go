@@ -74,8 +74,8 @@ type Options struct {
 	// only).
 	Faults *fault.Spec
 
-	// AutoReplace hot-swaps a fresh spare (via ReplaceDevice) as soon as
-	// the engine declares a member dead. BIZA platforms only.
+	// AutoReplace hot-swaps a fresh spare (via ReplaceDevicePaced, unpaced)
+	// as soon as the engine declares a member dead. BIZA platforms only.
 	AutoReplace bool
 }
 
@@ -613,21 +613,15 @@ func (p *Platform) installBIZA(c *core.Core) {
 	p.BIZA = c
 	p.Dev = c
 	if p.opts.AutoReplace {
-		c.OnMemberDeath(func(dev int) { p.ReplaceDevice(dev, nil) })
+		c.OnMemberDeath(func(dev int) { p.ReplaceDevicePaced(dev, core.RebuildControl{}, nil) })
 	}
 }
 
-// ReplaceDevice hot-swaps BIZA member dev with a freshly simulated device
-// of the same geometry and rebuilds redundancy; done fires when the
-// rebuild completes. The spare sits outside the fault plan (its injector,
-// if any, is dropped). BIZA platforms only.
-func (p *Platform) ReplaceDevice(dev int, done func(error)) {
-	p.ReplaceDevicePaced(dev, core.RebuildControl{}, done)
-}
-
-// ReplaceDevicePaced is ReplaceDevice with the rebuild throttled by ctl
-// (see core.RebuildControl): the admin orchestrator uses it to trade
-// rebuild rate against foreground tail latency.
+// ReplaceDevicePaced hot-swaps BIZA member dev with a freshly simulated
+// device of the same geometry and rebuilds redundancy at the pace ctl sets
+// (see core.RebuildControl; the zero value does not throttle); done fires
+// when the rebuild completes. The spare sits outside the fault plan (its
+// injector, if any, is dropped). BIZA platforms only.
 func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done func(error)) {
 	if p.BIZA == nil {
 		sim.Deliver(p.Eng, 0, done, fmt.Errorf("stack: %s cannot rebuild: %w", p.Kind, storerr.ErrNotSupported))

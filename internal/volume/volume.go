@@ -28,7 +28,6 @@
 package volume
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -38,10 +37,6 @@ import (
 	"biza/internal/sim"
 	"biza/internal/storerr"
 )
-
-// ErrIncomplete reports a synchronous operation that did not finish when
-// the event queue drained (e.g. the underlying array crashed mid-flight).
-var ErrIncomplete = errors.New("volume: operation did not complete")
 
 // Config parameterizes a Manager.
 type Config struct {
@@ -355,30 +350,17 @@ func (v *Volume) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 }
 
 // WriteSync writes nblocks at the volume-relative lba and drives the
-// simulation until the write completes.
+// simulation until the write completes (blockdev.WriteSync).
 func (v *Volume) WriteSync(lba int64, nblocks int, data []byte) error {
-	var res blockdev.WriteResult
-	ok := false
-	v.Write(lba, nblocks, data, func(r blockdev.WriteResult) { res = r; ok = true })
-	v.m.eng.Run()
-	if !ok {
-		return ErrIncomplete
-	}
-	return res.Err
+	return blockdev.WriteSync(v.m.eng, v, lba, nblocks, data).Err
 }
 
 // ReadSync reads nblocks at the volume-relative lba, driving the
-// simulation to completion. The payload is nil unless the array stores
-// data.
+// simulation to completion (blockdev.ReadSync). The payload is nil unless
+// the array stores data.
 func (v *Volume) ReadSync(lba int64, nblocks int) ([]byte, error) {
-	var res blockdev.ReadResult
-	ok := false
-	v.Read(lba, nblocks, func(r blockdev.ReadResult) { res = r; ok = true })
-	v.m.eng.Run()
-	if !ok {
-		return nil, ErrIncomplete
-	}
-	return res.Data, res.Err
+	r := blockdev.ReadSync(v.m.eng, v, lba, nblocks)
+	return r.Data, r.Err
 }
 
 // Trim declares a volume-relative range dead and forwards it to the

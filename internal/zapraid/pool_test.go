@@ -46,7 +46,7 @@ func TestSteadyStateWriteNoBufferAllocs(t *testing.T) {
 	k := len(devs) - 1
 	span := a.Blocks() / 2
 	for lba := int64(0); lba+int64(k) <= span; lba += int64(k) {
-		blockdev.WriteSync(eng, a, lba, k, nil)
+		mustWrite(t, eng, a, lba, k, nil)
 	}
 	done := func(r blockdev.WriteResult) {}
 	lba := int64(0)

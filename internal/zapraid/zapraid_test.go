@@ -72,7 +72,7 @@ func TestNewRefusesWideGeometry(t *testing.T) {
 func TestRandomOverwrites(t *testing.T) {
 	eng, a, _ := newArray(t)
 	for i := 0; i < 6; i++ {
-		blockdev.WriteSync(eng, a, 9, 1, blockdev.Pattern(byte(i), 4096))
+		mustWrite(t, eng, a, 9, 1, blockdev.Pattern(byte(i), 4096))
 	}
 	r := blockdev.ReadSync(eng, a, 9, 1)
 	if !bytes.Equal(r.Data, blockdev.Pattern(5, 4096)) {
@@ -84,7 +84,7 @@ func TestNoAbsorptionEveryOverwriteHitsFlash(t *testing.T) {
 	// The design contrast with BIZA: appends cannot absorb overwrites.
 	eng, a, devs := newArray(t)
 	for i := 0; i < 50; i++ {
-		blockdev.WriteSync(eng, a, 3, 1, nil)
+		mustWrite(t, eng, a, 3, 1, nil)
 	}
 	eng.Run()
 	var programmed, absorbed uint64
@@ -102,7 +102,7 @@ func TestNoAbsorptionEveryOverwriteHitsFlash(t *testing.T) {
 
 func TestParityPerStripe(t *testing.T) {
 	eng, a, devs := newArray(t)
-	blockdev.WriteSync(eng, a, 0, 9, nil) // 3 stripes (k=3)
+	mustWrite(t, eng, a, 0, 9, nil) // 3 stripes (k=3)
 	eng.Run()
 	var parity uint64
 	for _, d := range devs {
@@ -156,5 +156,15 @@ func TestConcurrentAppendsNoFailures(t *testing.T) {
 	eng.Run()
 	if completions != 500 || failures != 0 {
 		t.Fatalf("completions=%d failures=%d", completions, failures)
+	}
+}
+
+// mustWrite is blockdev.WriteSync for a write whose result the test does
+// not read: any error fails the test, a hang (blockdev.ErrIncomplete)
+// included.
+func mustWrite(t testing.TB, eng *sim.Engine, d blockdev.Device, lba int64, n int, data []byte) {
+	t.Helper()
+	if r := blockdev.WriteSync(eng, d, lba, n, data); r.Err != nil {
+		t.Fatalf("write %d+%d: %v", lba, n, r.Err)
 	}
 }

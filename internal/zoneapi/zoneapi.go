@@ -31,8 +31,6 @@ type Backend interface {
 	Read(z int, lba int64, nblocks int, done func(zns.ReadResult))
 	// Reset erases zone z.
 	Reset(z int, done func(error))
-	// Finish transitions zone z to full, releasing its open slot.
-	Finish(z int) error
 }
 
 // SingleDevice adapts one ZNS SSD behind a driver queue to Backend. The
@@ -72,6 +70,3 @@ func (s SingleDevice) StoresData() bool { return s.Q.Device().Config().StoreData
 
 // Reset implements Backend.
 func (s SingleDevice) Reset(z int, done func(error)) { s.Q.Reset(z, done) }
-
-// Finish implements Backend.
-func (s SingleDevice) Finish(z int) error { return s.Q.Device().Finish(z) }
