@@ -151,9 +151,8 @@ type WriteAmp = metrics.WriteAmp
 
 // Array is a block-interface all-flash array in a private simulation.
 type Array struct {
-	p   *stack.Platform
-	vm  *volume.Manager
-	adm *Admin
+	p  *stack.Platform
+	vm *volume.Manager
 }
 
 // New builds an array.

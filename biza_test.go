@@ -76,7 +76,7 @@ func TestDegradedMode(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	a.WriteSync(0, 12, payload)
-	if err := a.Admin().SetDeviceFailed(1, true); err != nil {
+	if err := a.SetDeviceFailed(1, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.ReadSync(0, 12)
@@ -133,7 +133,7 @@ func TestReplaceDevice(t *testing.T) {
 		payload[i] = byte(i * 5)
 	}
 	a.WriteSync(0, 12, payload)
-	if err := a.Admin().ReplaceDevicePaced(2, 0, 0); err != nil {
+	if err := a.ReplaceDevicePaced(2, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.ReadSync(0, 12)
@@ -141,7 +141,7 @@ func TestReplaceDevice(t *testing.T) {
 		t.Fatalf("post-rebuild read: %v", err)
 	}
 	// Redundancy restored.
-	a.Admin().SetDeviceFailed(0, true)
+	a.SetDeviceFailed(0, true)
 	got, err = a.ReadSync(0, 12)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("post-rebuild degraded read: %v", err)

@@ -46,13 +46,13 @@ func main() {
 	}
 
 	fmt.Println("CRASH: power loss — host state gone, queues dead")
-	if err := arr.Admin().Crash(); err != nil {
+	if err := arr.Crash(); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := arr.ReadSync(0, 1); err == nil {
 		log.Fatal("crashed array served a read")
 	}
-	if err := arr.Admin().Recover(); err != nil {
+	if err := arr.Recover(); err != nil {
 		log.Fatalf("recovery failed: %v", err)
 	}
 	fmt.Printf("recovered at %.2f ms of virtual time\n", float64(arr.Now())/1e6)
@@ -90,11 +90,11 @@ func main() {
 
 	// The array remains fully fault tolerant: fail any one member.
 	for dev := 0; dev < 4; dev++ {
-		if err := arr.Admin().SetDeviceFailed(dev, true); err != nil {
+		if err := arr.SetDeviceFailed(dev, true); err != nil {
 			log.Fatal(err)
 		}
 		verify(512, fmt.Sprintf("with member %d failed", dev))
-		arr.Admin().SetDeviceFailed(dev, false)
+		arr.SetDeviceFailed(dev, false)
 	}
 
 	if err := arr.WriteSync(1000, 1, pattern(1000)); err != nil {

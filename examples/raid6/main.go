@@ -42,8 +42,8 @@ func main() {
 	}
 
 	fmt.Println("failing members 1 and 3 simultaneously...")
-	arr.Admin().SetDeviceFailed(1, true)
-	arr.Admin().SetDeviceFailed(3, true)
+	arr.SetDeviceFailed(1, true)
+	arr.SetDeviceFailed(3, true)
 	for lba := int64(0); lba < blocks; lba++ {
 		got, err := arr.ReadSync(lba, 1)
 		if err != nil {
@@ -54,8 +54,8 @@ func main() {
 		}
 	}
 	fmt.Printf("all %d blocks reconstructed under double failure\n", blocks)
-	arr.Admin().SetDeviceFailed(1, false)
-	arr.Admin().SetDeviceFailed(3, false)
+	arr.SetDeviceFailed(1, false)
+	arr.SetDeviceFailed(3, false)
 	arr.Flush()
 	wa := arr.WriteAmp()
 	fmt.Printf("write amp: %.2f (data %.2f + parity %.2f)\n",

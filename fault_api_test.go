@@ -28,7 +28,7 @@ func TestCrashRejectsIOUntilRecovered(t *testing.T) {
 	if err := a.WriteSync(0, 4, fpat(1, 4*4096)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Admin().Crash(); err != nil {
+	if err := a.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.WriteSync(8, 1, nil); !errors.Is(err, ErrCrashed) {
@@ -37,10 +37,10 @@ func TestCrashRejectsIOUntilRecovered(t *testing.T) {
 	if _, err := a.ReadSync(0, 1); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("read while crashed: %v", err)
 	}
-	if err := a.Admin().Crash(); err == nil {
+	if err := a.Crash(); err == nil {
 		t.Fatal("double crash accepted")
 	}
-	if err := a.Admin().Recover(); err != nil {
+	if err := a.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.ReadSync(0, 4)
@@ -57,10 +57,10 @@ func TestCrashRecoverRequiresBIZA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Admin().Crash(); err == nil {
+	if err := a.Crash(); err == nil {
 		t.Fatal("RAIZN accepted Crash")
 	}
-	if err := a.Admin().Recover(); err == nil {
+	if err := a.Recover(); err == nil {
 		t.Fatal("RAIZN accepted Recover")
 	}
 	// A power-cut schedule needs the recovery path, so non-BIZA kinds
@@ -111,10 +111,10 @@ func TestPowerLossSweepRestoresAckedData(t *testing.T) {
 			})
 		}
 		a.RunFor(cut + 1)
-		if err := a.Admin().Crash(); err != nil {
+		if err := a.Crash(); err != nil {
 			t.Fatalf("cut %d: %v", p, err)
 		}
-		if err := a.Admin().Recover(); err != nil {
+		if err := a.Recover(); err != nil {
 			t.Fatalf("cut %d recover: %v", p, err)
 		}
 		for lba, want := range acked {
@@ -225,7 +225,7 @@ func TestMemberDeathMidWorkloadAutoReplace(t *testing.T) {
 	}
 	// Full tolerance restored: any single member may fail.
 	for dev := 0; dev < 4; dev++ {
-		if err := a.Admin().SetDeviceFailed(dev, true); err != nil {
+		if err := a.SetDeviceFailed(dev, true); err != nil {
 			t.Fatal(err)
 		}
 		for lba, data := range want {
@@ -234,7 +234,7 @@ func TestMemberDeathMidWorkloadAutoReplace(t *testing.T) {
 				t.Fatalf("dev %d down, lba %d: %v", dev, lba, err)
 			}
 		}
-		a.Admin().SetDeviceFailed(dev, false)
+		a.SetDeviceFailed(dev, false)
 	}
 }
 

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"biza/internal/admin"
 	"biza/internal/blockdev"
+	"biza/internal/core"
 	"biza/internal/metrics"
 	"biza/internal/sim"
 	"biza/internal/stack"
@@ -34,8 +34,8 @@ const (
 
 // rollKnob is one point's rebuild-rate setting: how many stripes dissolve
 // concurrently per rebuild step and how long the rebuild idles between
-// steps — the rebuild-rate versus foreground-latency knob of the admin
-// control plane.
+// steps — the rebuild-rate versus foreground-latency knob of a paced
+// device replacement.
 type rollKnob struct {
 	per int   // stripes per step (0 = the whole rebuild in one step)
 	gap int64 // virtual idle between steps, ns
@@ -48,9 +48,8 @@ var rollKnobs = map[string]rollKnob{
 }
 
 // Foreground phases, classified by op issue time against the array's own
-// rolling window: before the first replace job is submitted, while the
-// queue still holds unfinished replace jobs, and after the last one
-// completed.
+// rolling window: before the first replacement starts, while a member is
+// being replaced, and after the last replacement completed.
 const (
 	rollHealthy = iota
 	rollRolling
@@ -65,11 +64,11 @@ var rollPhaseName = [numRollPhases]string{"healthy", "rolling", "after"}
 // before/after the arrays run).
 type rollArray struct {
 	eng     *sim.Engine
-	dev     blockdev.Device
-	orc     *admin.Orchestrator
+	p       *stack.Platform
 	members int
 
-	rollEnd sim.Time // when the last replace job reached a terminal state
+	rollEnd sim.Time // when the last member's rebuild completed
+	stripes int64    // stripes the rebuilds dissolved
 
 	next    int64 // next sequential write lba (wraps over the span)
 	written int64 // high-water mark of written lbas (read eligibility)
@@ -78,11 +77,11 @@ type rollArray struct {
 	lat [numRollPhases]*metrics.Histogram
 }
 
-// Rolling is the availability experiment for the admin control plane: a
+// Rolling is the availability experiment for paced device replacement: a
 // closed-loop foreground workload runs against BIZA arrays (one engine
-// each) while a rolling device replacement — one replace job per member,
-// serialized by the per-array job queue — is submitted mid-run through
-// the orchestrator at three rebuild-rate settings.
+// each) while a rolling device replacement — member 0 replaced, then
+// member 1 once its rebuild completes, and so on — starts mid-run at
+// three rebuild-rate settings.
 // Foreground latency is classified into healthy / rolling / after phases
 // by issue time, and the assembled rolling-slo table holds each point's
 // rolling-phase p99 against a fixed budget: pacing the rebuild keeps the
@@ -109,29 +108,10 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 		if err != nil {
 			panic(fmt.Sprintf("rolling: array %d: %v", i, err))
 		}
-		a := &rollArray{eng: engs[i], dev: p.Dev, orc: admin.New(p),
-			members: len(p.Queues())}
+		a := &rollArray{eng: engs[i], p: p, members: len(p.Queues())}
 		for ph := range a.lat {
 			a.lat[ph] = newLatHist()
 		}
-		// The array's rolling window closes when every replace job has
-		// reached a terminal state; the orchestrator's change hook observes
-		// that on the array's goroutine.
-		a.orc.SetOnChange(func() {
-			if a.rollEnd != 0 {
-				return
-			}
-			jobs := a.orc.Jobs()
-			if len(jobs) < a.members {
-				return
-			}
-			for _, j := range jobs {
-				if !j.State.Terminal() {
-					return
-				}
-			}
-			a.rollEnd = a.eng.Now()
-		})
 		arrays[i] = a
 	}
 
@@ -175,7 +155,7 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 			if a.written < rollSpan {
 				a.written = lba + rollOpBlocks
 			}
-			a.dev.Write(lba, rollOpBlocks, nil, func(res blockdev.WriteResult) {
+			a.p.Dev.Write(lba, rollOpBlocks, nil, func(res blockdev.WriteResult) {
 				finish("write", res.Err)
 			})
 			return
@@ -185,7 +165,7 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 			lim = 1
 		}
 		lba := rng.Int63n(lim)
-		a.dev.Read(lba, rollOpBlocks, func(res blockdev.ReadResult) {
+		a.p.Dev.Read(lba, rollOpBlocks, func(res blockdev.ReadResult) {
 			finish("read", res.Err)
 		})
 	}
@@ -199,19 +179,31 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 		}
 	}
 
-	// Mid-run, submit the rolling replacement through each array's
-	// orchestrator: one replace job per member, queued in device order and
-	// serialized by the control plane.
+	// Mid-run, replace every member in device order: each rebuild's
+	// completion starts the next, and the last one closes the array's
+	// rolling window.
+	ctl := core.RebuildControl{StripesPerStep: knob.per, StepGap: sim.Time(knob.gap)}
 	for _, a := range arrays {
-		a.eng.At(rollStart, func() {
-			for d := 0; d < a.members; d++ {
-				if _, err := a.orc.Submit(admin.KindReplace, admin.Params{
-					Device: d, StripesPerStep: knob.per, StepGapNanos: knob.gap,
-				}); err != nil {
-					panic(fmt.Sprintf("rolling: submit replace dev %d: %v", d, err))
-				}
+		ctl := ctl
+		ctl.OnProgress = func(done, total int) {
+			if done == total {
+				a.stripes += int64(total)
 			}
-		})
+		}
+		var replace func(d int)
+		replace = func(d int) {
+			a.p.ReplaceDevicePaced(d, ctl, func(err error) {
+				if err != nil {
+					panic(fmt.Sprintf("rolling: replace dev %d: %v", d, err))
+				}
+				if d+1 < a.members {
+					replace(d + 1)
+				} else {
+					a.rollEnd = a.eng.Now()
+				}
+			})
+		}
+		a.eng.At(rollStart, func() { replace(0) })
 	}
 
 	// Slow rebuilds outlive the measured horizon by design; the drain
@@ -220,20 +212,11 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 		panic("rolling: arrays did not quiesce after the measured horizon")
 	}
 
-	// Every replace job must have completed, and every window closed.
+	// Every rolling window must have closed: the last rebuild completed.
 	var stripes int64
 	var window sim.Time
 	for ai, a := range arrays {
-		jobs := a.orc.Jobs()
-		if len(jobs) != a.members {
-			panic(fmt.Sprintf("rolling: array %d has %d jobs, want %d", ai, len(jobs), a.members))
-		}
-		for _, j := range jobs {
-			if j.State != admin.StateDone {
-				panic(fmt.Sprintf("rolling: array %d job %d is %s: %s", ai, j.ID, j.State, j.Err))
-			}
-			stripes += j.Progress.Done
-		}
+		stripes += a.stripes
 		if a.rollEnd == 0 {
 			panic(fmt.Sprintf("rolling: array %d rolling window never closed", ai))
 		}

@@ -22,7 +22,7 @@ import (
 // and migrated bytes), and its victim count to read alongside. No RAID 6
 // run hot-swaps a member: under this load its rebuild and the collector
 // live-lock with every member's free pool empty, a fault older than this
-// test.
+// test (TestCollectorRebuildLeaksSlots pins its cause).
 var collectorParity = []struct {
 	raid6 bool
 	seed  uint64
@@ -65,7 +65,7 @@ func TestCollectorMatchesParent(t *testing.T) {
 	var cov collectorCoverage
 	for _, want := range collectorParity {
 		t.Run(fmt.Sprintf("raid6=%v/seed=%d/mid=%d", want.raid6, want.seed, want.mid), func(t *testing.T) {
-			hash, gc := collectorScript(t, want.raid6, want.seed, want.mid, &cov)
+			hash, gc := collectorScript(t, want.raid6, want.seed, want.mid, &cov, nil)
 			t.Logf("log hash %#x, %d victims", hash, gc)
 			if hash != want.hash || gc != want.gc {
 				t.Errorf("log hash %#x after %d victims, want %#x after %d", hash, gc, want.hash, want.gc)
@@ -78,11 +78,31 @@ func TestCollectorMatchesParent(t *testing.T) {
 	}
 }
 
+// TestCollectorRebuildLeaksSlots pins the cause of ROADMAP item 22's
+// live-lock, a known defect, rather than hiding it. On RAID 6 seed 6, with
+// member 1 hot-swapped halfway through the collector load, the rebuild's
+// migrations soon open a stripe whose first parity row finds a zone and
+// whose second does not: newStripe rolls the stripe back and abandons the
+// first row's slot, and slotsClaimed breaks. Unwatched, the run wedges:
+// the parked migrations retry on every zone the collector frees and
+// abandon a slot each time, until the zone is full of them, so no
+// migration lands and the user writes at the cliff never resume. When
+// item 22 is mended this test fails; move the row into collectorParity.
+func TestCollectorRebuildLeaksSlots(t *testing.T) {
+	var leak string
+	collectorScript(t, true, 6, midReplace, &collectorCoverage{}, func(msg string) { leak = msg })
+	if leak == "" {
+		t.Fatal("the hot-swapped RAID 6 run abandoned no slot: item 22's cause is mended, so pin the row in collectorParity")
+	}
+	t.Logf("as pinned: %s", leak)
+}
+
 // collectorScript runs one pinned workload and returns its log hash and GC
 // event count. It drives the engine by Step, under a watchdog, so it can
 // look, between events, for a dissolution at the head of a stripe's
-// in-place queue.
-func collectorScript(t *testing.T, raid6 bool, seed uint64, mid midRun, cov *collectorCoverage) (uint64, uint64) {
+// in-place queue. A non-nil leak takes the watchdog's slotsClaimed
+// failure, which ends the run there.
+func collectorScript(t *testing.T, raid6 bool, seed uint64, mid midRun, cov *collectorCoverage, leak func(string)) (uint64, uint64) {
 	var eng *sim.Engine
 	var c *Core
 	if raid6 {
@@ -94,6 +114,7 @@ func collectorScript(t *testing.T, raid6 bool, seed uint64, mid midRun, cov *col
 	c.SetTracer(tr)
 	h := fnv.New64a()
 	wd := newWatchdog(t, eng, c)
+	wd.leak = leak
 	rng := sim.NewRNG(seed)
 	span := c.Blocks() / 3
 	const hotSet = 64
@@ -130,6 +151,9 @@ func collectorScript(t *testing.T, raid6 bool, seed uint64, mid midRun, cov *col
 		}
 	}
 	if issued != total {
+		if leak != nil {
+			return 0, 0 // the watchdog stopped the run at a slotsClaimed failure
+		}
 		t.Fatalf("%d of %d writes issued when the engine ran dry", issued, total)
 	}
 	fmt.Fprintf(h, "gc %d migrated %d\n", c.GCEvents(), c.gcMigrated)

@@ -24,11 +24,6 @@ type RebuildControl struct {
 	// OnProgress, when set, fires after each completed step with the
 	// stripes rebuilt so far out of the rebuild's total.
 	OnProgress func(done, total int)
-	// Gate, when set, interposes on step scheduling: after each batch (and
-	// its StepGap) the rebuild hands the next-batch continuation to Gate
-	// instead of running it, and proceeds only when Gate invokes it. The
-	// admin orchestrator uses this to stop a rebuild a crash aborted.
-	Gate func(next func())
 }
 
 // ReplaceDevicePaced swaps a failed member for a fresh device and rebuilds
@@ -133,14 +128,10 @@ func (c *Core) ReplaceDevicePaced(dev int, q *nvme.Queue, ctl RebuildControl, do
 					}
 					return
 				}
-				next := step
-				if ctl.Gate != nil {
-					next = func() { ctl.Gate(step) }
-				}
 				if ctl.StepGap > 0 {
-					c.eng.After(ctl.StepGap, next)
+					c.eng.After(ctl.StepGap, step)
 				} else {
-					next()
+					step()
 				}
 			})
 		}

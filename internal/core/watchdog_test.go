@@ -15,13 +15,28 @@ import (
 // watchBudget of virtual time with no user write completing, step fails
 // the test. The message names the event index and, per member, the free
 // pool, the reserve the cliff keeps for the collector (stallFloor) and the
-// parked chunks. A watched run fires the same events as an unwatched one.
+// parked chunks. After every event step also checks slotsClaimed, the
+// live-lock's cause stated as an invariant. A watched run fires the same
+// events as an unwatched one.
 type watchdog struct {
 	t      *testing.T
 	eng    *sim.Engine
 	c      *Core
 	events int      // events fired through step
 	since  sim.Time // when the current wait began; -1 while nothing is parked
+
+	// zones holds, per member, the zone in each class-group slot at the
+	// last check and how far it had handed out slots then.
+	zones [][]watchedZone
+	// leak, when set, takes the first slotsClaimed failure instead of the
+	// test, and step stops there (a known-defect test's way in).
+	leak func(msg string)
+}
+
+// watchedZone is a zone slotsClaimed has seen and its wpAlloc at the time.
+type watchedZone struct {
+	zs *zoneState
+	wp int64
 }
 
 // watchBudget is the virtual time user chunks may stay parked with no user
@@ -31,7 +46,8 @@ type watchdog struct {
 const watchBudget = 100 * sim.Millisecond
 
 func newWatchdog(t *testing.T, eng *sim.Engine, c *Core) *watchdog {
-	return &watchdog{t: t, eng: eng, c: c, since: -1}
+	return &watchdog{t: t, eng: eng, c: c, since: -1,
+		zones: make([][]watchedZone, len(c.devs))}
 }
 
 // wrote records a user write's completion: the wait, if any, starts over.
@@ -43,6 +59,14 @@ func (w *watchdog) step() bool {
 		return false
 	}
 	w.events++
+	if err := w.slotsClaimed(); err != nil {
+		msg := fmt.Sprintf("after event %d at %d ns: %v\n%s", w.events, w.eng.Now(), err, w.state())
+		if w.leak == nil {
+			w.t.Fatal(msg)
+		}
+		w.leak(msg)
+		return false
+	}
 	if !w.parked() {
 		w.since = -1
 		return true
@@ -81,4 +105,64 @@ func (w *watchdog) state() string {
 			ds.id, len(ds.freeZones), w.c.stallFloor(), ds.stalled.Len(), ds.gcRunning)
 	}
 	return b.String()
+}
+
+// slotsClaimed is the invariant whose breach wedges the RAID 6 collector
+// beside a hot-swap rebuild (ROADMAP item 22): every slot a zone hands out
+// belongs to a stripe — as a data chunk or a parity row — when the event
+// that handed it out ends. A slot is claimed in the same call that takes
+// it and given up only by releaseStripe, after its write completed, so an
+// unclaimed slot below a zone's wpAlloc is one taken and abandoned: it is
+// never written, never counted valid, and the zone fills without holding
+// anything. newStripe does this when it takes a stripe's first parity
+// rows and finds no zone for a later one: the rollback clears the rows'
+// claims but not the slots. Only RAID 6 has a later row.
+//
+// Slots are handed out only from the zones of the members' class groups,
+// and a zone that fills is replaced in its group slot, so the check walks
+// the group slots and, where a slot's zone changed during the event, the
+// zone that left as well as the one that came. (A zone that came and left
+// within one event goes unseen.)
+func (w *watchdog) slotsClaimed() error {
+	for d, ds := range w.c.devs {
+		seen := w.zones[d]
+		p := 0
+		for class := range ds.groups {
+			for _, zs := range ds.groups[class] {
+				if p == len(seen) {
+					seen = append(seen, watchedZone{})
+				}
+				old := &seen[p]
+				p++
+				if old.zs != zs {
+					if err := unclaimed(d, old.zs, old.wp); err != nil {
+						return err
+					}
+					*old = watchedZone{zs: zs}
+				}
+				if err := unclaimed(d, zs, old.wp); err != nil {
+					return err
+				}
+				if zs != nil {
+					old.wp = zs.wpAlloc
+				}
+			}
+		}
+		w.zones[d] = seen
+	}
+	return nil
+}
+
+// unclaimed reports the first slot of zs from off up to its wpAlloc that
+// belongs to no stripe.
+func unclaimed(dev int, zs *zoneState, off int64) error {
+	if zs == nil {
+		return nil
+	}
+	for ; off < zs.wpAlloc; off++ {
+		if zs.stripeAt(off) < 0 && zs.parityAt(off) < 0 {
+			return fmt.Errorf("member %d zone %d: slot %d handed out to no stripe", dev, zs.id, off)
+		}
+	}
+	return nil
 }

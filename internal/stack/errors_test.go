@@ -9,7 +9,7 @@ import (
 )
 
 // TestStackErrorSentinels pins the errors.Is contract of the platform's
-// mutating surface (the admin layers branch on these identities).
+// mutating surface (biza.Array's administrative methods return them).
 func TestStackErrorSentinels(t *testing.T) {
 	raizn, err := New(KindRAIZN, smallOpts())
 	if err != nil {

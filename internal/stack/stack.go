@@ -648,7 +648,7 @@ func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done fun
 }
 
 // Replacements reports how many device replacements the platform has
-// started (auto-replace plus explicit admin jobs).
+// started (auto-replace plus explicit ReplaceDevicePaced calls).
 func (p *Platform) Replacements() uint64 { return p.replacements }
 
 // Crash models a host power loss: every member driver queue dies with its

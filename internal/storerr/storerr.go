@@ -22,8 +22,9 @@ var (
 	// behind the committed (immutable) boundary.
 	ErrWritePointer = errors.New("write pointer violation")
 
-	// ErrWrongState reports a zone-state-machine violation (e.g. commit on
-	// an empty zone, finish on an offline zone).
+	// ErrWrongState reports a state-machine violation: a zone's (commit on
+	// an empty zone, finish on an offline zone) or an array's (a second
+	// crash, a recover of an array that is not crashed).
 	ErrWrongState = errors.New("invalid zone state for command")
 
 	// ErrZoneOffline reports access to a dead zone.
@@ -61,16 +62,15 @@ var (
 	ErrCrashed = errors.New("array crashed; recover first")
 
 	// ErrNotFound reports a lookup of an object that does not exist: an
-	// unknown volume name, an admin job id never issued, a member index
-	// beyond the array. Admin surfaces map it to HTTP 404.
+	// unknown volume name, a member index beyond the array.
 	ErrNotFound = errors.New("not found")
 
 	// ErrExists reports creation of an object whose name is already taken
-	// (e.g. opening a volume twice). Maps to HTTP 409.
+	// (e.g. opening a volume twice).
 	ErrExists = errors.New("already exists")
 
 	// ErrNoSpace reports an allocation that exceeds remaining capacity
-	// (opening a volume past the array's end). Maps to HTTP 409.
+	// (opening a volume past the array's end).
 	ErrNoSpace = errors.New("insufficient space")
 
 	// ErrNotSupported reports an operation the platform kind cannot

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Measures which statements the repository's own runs reach (ROADMAP item
-# 18's method). It builds bizabench, bizatrace, the benchmark and the five
-# examples with coverage over every package, runs `bizabench -exp all
-# -quick -seed 1`, CI's traced run (`-exp fig10 -quick -series` with both
-# trace exports) and `bizatrace explain`/`attr` on each export, each
-# benchmark workload for 2 s with --trace 1, and each example, and merges
-# the profiles. It prints `go tool covdata percent`, the share
+# 18's method). It builds bizabench, bizatrace, compare_claims, the
+# benchmark and the five examples with coverage over every package, runs
+# `bizabench -exp all -quick -seed 1` and compare_claims on its report
+# against itself (so the claims ledger's evaluation counts), CI's traced
+# run (`-exp fig10 -quick -series` with both trace exports) and `bizatrace
+# explain`/`attr` on each export, each benchmark workload for 2 s with
+# --trace 1, and each example, and merges the profiles. It prints `go tool covdata percent`, the share
 # of statements that never ran and the number of functions at 0.0 %, and
 # leaves `go tool covdata func` in OUT/func.txt. It reports; it gates
 # nothing.
@@ -21,13 +22,15 @@ out=$(cd "$out" && pwd)
 build() { go build -cover -coverpkg=./... -o "$out/bin/$1" "$2"; }
 build bizabench ./cmd/bizabench
 build bizatrace ./cmd/bizatrace
+build compare_claims ./scripts/compare_claims.go
 build benchmark ./benchmark
 for ex in examples/*/; do
 	build "example-$(basename "$ex")" "./$ex"
 done
 
 export GOCOVERDIR="$out/raw"
-"$out/bin/bizabench" -exp all -quick -seed 1 >/dev/null 2>&1
+"$out/bin/bizabench" -exp all -quick -seed 1 -json "$out/quick.json" >/dev/null 2>&1
+"$out/bin/compare_claims" "$out/quick.json" "$out/quick.json" >/dev/null 2>&1
 # The traces are about 100 MB each; they are removed once read.
 "$out/bin/bizabench" -exp fig10 -quick -seed 1 -series \
 	-trace "$out/fig10.json" -trace-jsonl "$out/fig10.jsonl" >/dev/null 2>&1
