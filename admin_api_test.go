@@ -129,20 +129,24 @@ func TestScrubRunsToCompletion(t *testing.T) {
 // TestAdminMethodSentinels pins the errors.Is identities of the
 // administrative methods: ErrCrashed for every one but Recover while
 // crashed, ErrWrongState for a double crash or a recover of a live array,
-// ErrNotFound for a member beyond the array. TestAdminFacadeNonBIZA
+// ErrNotFound for a member beyond the array. A refused replace, like one
+// while crashed, counts no replacement. TestAdminFacadeNonBIZA
 // checks ErrNotSupported on kinds without a BIZA engine.
 func TestAdminMethodSentinels(t *testing.T) {
 	arr, _ := adminArray(t, biza.Options{Seed: 6}, 16)
 	if err := arr.Recover(); !errors.Is(err, storerr.ErrWrongState) {
 		t.Fatalf("recover of a live array: err = %v, want ErrWrongState", err)
 	}
+	replacements := arr.Platform().Replacements()
 	if err := arr.ReplaceDevicePaced(9, 0, 0); !errors.Is(err, storerr.ErrNotFound) {
 		t.Fatalf("replace of member 9: err = %v, want ErrNotFound", err)
+	}
+	if n := arr.Platform().Replacements(); n != replacements {
+		t.Fatalf("replacements = %d after a refused replace of member 9, want %d", n, replacements)
 	}
 	if err := arr.SetDeviceFailed(9, true); !errors.Is(err, storerr.ErrNotFound) {
 		t.Fatalf("fail member 9: err = %v, want ErrNotFound", err)
 	}
-	replacements := arr.Platform().Replacements()
 	if err := arr.Crash(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@
 //	bizabench -exp all -json out.json        # machine-readable results
 //	bizabench -exp fig10 -trace fig10.json   # Perfetto trace of every platform
 //	bizabench -exp fig10 -series -json out.json   # virtual-time series in the report
-//	bizabench -exp all -quick -serve :9178   # read-only ops endpoint during the sweep
 //
 // Results are bit-identical for a given -seed regardless of -parallel:
 // every experiment point derives its RNG streams from (seed, experiment,
@@ -24,15 +23,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 
 	"biza/internal/bench"
 	"biza/internal/obs"
-	"biza/internal/ops"
 )
 
 func main() { os.Exit(run()) }
@@ -45,7 +41,6 @@ func run() int {
 	seed := flag.Uint64("seed", bench.DefaultSeed, "base seed for all derived RNG streams")
 	jsonPath := flag.String("json", "", "write machine-readable results ("+bench.ReportSchema+" schema) to this file")
 	series := flag.Bool("series", false, "sample virtual-time series into the report's \"series\" section (deterministic at any -parallel)")
-	serve := flag.String("serve", "", "serve the read-only ops endpoint (/v1/metrics /v1/vars /v1/series /v1/healthz /v1/readyz /debug/pprof) on this address; blocks after the sweep until SIGINT/SIGTERM")
 	stats := flag.Bool("stats", true, "print per-experiment wall/virtual-time accounting to stderr")
 	tracePath := flag.String("trace", "", "write a Perfetto trace_event JSON trace to this file")
 	traceJSONL := flag.String("trace-jsonl", "", "write a compact JSONL trace to this file")
@@ -106,26 +101,11 @@ func run() int {
 	}
 
 	runner := &bench.Runner{Scale: scale, Seed: *seed, Parallel: *parallel, Quick: *quick,
-		Series: *series || *serve != ""}
+		Series: *series}
 	if *tracePath != "" || *traceJSONL != "" {
 		runner.Trace = &obs.Config{SampleN: *traceSample}
 	}
-	var opsSrv *ops.Server
-	if *serve != "" {
-		opsSrv = ops.New()
-		addr, err := opsSrv.Start(*serve)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bizabench: ops endpoint: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "# ops endpoint on http://%s (/v1/metrics /v1/vars /v1/series /v1/healthz /v1/readyz /debug/pprof)\n", addr)
-		opsSrv.Attach(runner)
-		defer opsSrv.Close()
-	}
 	rep := runner.Run(ids)
-	if opsSrv != nil {
-		opsSrv.Finish(rep)
-	}
 
 	writeTrace := func(path string, write func(w *os.File, trs []*obs.Trace) error) bool {
 		f, err := os.Create(path)
@@ -189,13 +169,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "bizabench: writing %s: %v\n", *jsonPath, err)
 			return 1
 		}
-	}
-
-	if opsSrv != nil {
-		fmt.Fprintln(os.Stderr, "# sweep complete; ops endpoint serving until SIGINT/SIGTERM")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
 	}
 
 	if failed := rep.Failed(); len(failed) > 0 {

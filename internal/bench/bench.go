@@ -188,16 +188,6 @@ func (r *Run) EnableSeries() {
 	}
 }
 
-// Series drains the sampled virtual-time series of every attached trace,
-// in construction order (finalizing each trace first).
-func (r *Run) Series() []metrics.SeriesDump {
-	var out []metrics.SeriesDump
-	for _, tr := range r.Traces() {
-		out = append(out, tr.SeriesDumps()...)
-	}
-	return out
-}
-
 // Traces returns the traces attached so far, in construction order. Each
 // is finalized so counter probes snapshot their final values.
 func (r *Run) Traces() []*obs.Trace {

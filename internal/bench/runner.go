@@ -32,13 +32,6 @@ type Runner struct {
 	// sampled series land in Result.Series in canonical order. Implies
 	// tracing (a default Trace config is used when Trace is nil).
 	Series bool
-
-	// Observer, when set, is called after each config point completes
-	// (successfully or not), from the worker goroutine that ran it. The
-	// run's traces and histograms are final by then. The live ops endpoint
-	// publishes progress snapshots from this hook; it must be safe for
-	// concurrent calls.
-	Observer func(experiment, point string, run *Run)
 }
 
 // unit is one schedulable shard: a single config point of one experiment.
@@ -162,10 +155,5 @@ func (rn *Runner) runUnit(id string, e *Experiment, u unit,
 		run.EnableSeries()
 	}
 	runs[u.point] = run
-	if rn.Observer != nil {
-		// Deferred so panicking points publish their partial state too
-		// (the panic itself is recorded by the outer recover afterwards).
-		defer func() { rn.Observer(id, e.Points[u.point], run) }()
-	}
 	parts[u.point] = e.RunPoint(rn.Scale, run, e.Points[u.point])
 }

@@ -2,10 +2,8 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteJSONL serializes traces as one compact JSON object per line — a
@@ -39,31 +37,6 @@ func WriteJSONL(w io.Writer, traces []*Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// TailJSONL renders the newest n retained records as JSONL lines (oldest
-// of the tail first), using the same line schema as WriteJSONL with trace
-// index 1. It serves the trace tail of the ops endpoint's snapshots (the
-// trace_tail field of /v1/vars) without exporting the whole ring. Nil-safe.
-func (t *Trace) TailJSONL(n int) []string {
-	if t == nil || n <= 0 || len(t.recs) == 0 {
-		return nil
-	}
-	recs := t.Records()
-	sortRecords(recs)
-	if len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	out := make([]string, 0, len(recs))
-	for _, r := range recs {
-		buf.Reset()
-		writeJSONLRecord(bw, 1, r)
-		bw.Flush()
-		out = append(out, strings.TrimSuffix(buf.String(), "\n"))
-	}
-	return out
 }
 
 func writeJSONLRecord(bw *bufio.Writer, trace int, r Record) {

@@ -8,9 +8,9 @@ import (
 )
 
 // Every ProbeKind must render a stable, non-fallback name: the JSONL
-// exporter, the probe snapshot, and the ops /v1/metrics endpoint all key on
-// it, so a probe added without a registry row would silently export under
-// the "probe%d" placeholder or an empty family.
+// exporter and the probe snapshot key on it, so a probe added without a
+// registry row would silently export under the "probe%d" placeholder or an
+// empty family.
 func TestProbeNameExhaustive(t *testing.T) {
 	families := map[string]ProbeKind{}
 	for kind := ProbeKind(0); kind < numProbeKinds; kind++ {
@@ -19,7 +19,7 @@ func TestProbeNameExhaustive(t *testing.T) {
 			t.Fatalf("ProbeKind %d has no probeDefs row, or a '/' or '%%' in its family %q", kind, d.family)
 		}
 		if name := ProbeName(ProbeKey(kind, 3, 1)); strings.ContainsAny(name, " \"\\\n") {
-			t.Fatalf("ProbeKind %d name %q contains characters unsafe for JSONL/Prometheus export", kind, name)
+			t.Fatalf("ProbeKind %d name %q contains characters unsafe for JSONL export", kind, name)
 		}
 		if d.nature != metrics.ProbeGauge && d.nature != metrics.ProbeCounter {
 			t.Fatalf("ProbeKind %d has nature %q", kind, d.nature)

@@ -116,25 +116,3 @@ func TestCounterWithSamplerAllocFree(t *testing.T) {
 		t.Fatalf("Counter with sampler allocates %.2f/op, want 0", allocs)
 	}
 }
-
-func TestTailJSONL(t *testing.T) {
-	tr := New(Config{})
-	tr.SetName("x")
-	id := tr.SpanBegin(100, LayerBIZA, OpWrite, 0, 1, 8, 4)
-	tr.SpanEnd(id, 300, false)
-	tr.Counter(400, ProbeKey(ProbeQueueDepth, 0, 0), 2)
-	lines := tr.TailJSONL(2)
-	if len(lines) != 2 {
-		t.Fatalf("tail = %d lines, want 2", len(lines))
-	}
-	if want := `{"trace":1,"ts":400,"rec":"counter","probe":"qd/dev0","value":2}`; lines[1] != want {
-		t.Fatalf("tail[1] = %s, want %s", lines[1], want)
-	}
-	if lines[0] == "" || lines[0][0] != '{' {
-		t.Fatalf("tail[0] not JSONL: %s", lines[0])
-	}
-	var nilT *Trace
-	if nilT.TailJSONL(5) != nil {
-		t.Fatal("nil trace TailJSONL should be nil")
-	}
-}

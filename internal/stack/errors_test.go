@@ -54,10 +54,16 @@ func TestStackErrorSentinels(t *testing.T) {
 	if err := biza.BIZA.SetDeviceFailed(99, true); !errors.Is(err, storerr.ErrNotFound) {
 		t.Fatalf("set-failed out of range: err = %v, want ErrNotFound", err)
 	}
-	biza.ReplaceDevicePaced(99, core.RebuildControl{}, func(e error) { perr = e })
-	biza.Eng.Run()
-	if !errors.Is(perr, storerr.ErrNotFound) {
-		t.Fatalf("replace out of range: err = %v, want ErrNotFound", perr)
+	for _, dev := range []int{99, -1} {
+		perr = nil
+		biza.ReplaceDevicePaced(dev, core.RebuildControl{}, func(e error) { perr = e })
+		biza.Eng.Run()
+		if !errors.Is(perr, storerr.ErrNotFound) {
+			t.Fatalf("replace of member %d: err = %v, want ErrNotFound", dev, perr)
+		}
+	}
+	if n := biza.Replacements(); n != 0 {
+		t.Fatalf("replacements = %d after refused replaces, want 0", n)
 	}
 }
 

@@ -621,10 +621,15 @@ func (p *Platform) installBIZA(c *core.Core) {
 // device of the same geometry and rebuilds redundancy at the pace ctl sets
 // (see core.RebuildControl; the zero value does not throttle); done fires
 // when the rebuild completes. The spare sits outside the fault plan (its
-// injector, if any, is dropped). BIZA platforms only.
+// injector, if any, is dropped). BIZA platforms only; a member beyond the
+// array is refused before a spare is built or counted.
 func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done func(error)) {
 	if p.BIZA == nil {
 		sim.Deliver(p.Eng, 0, done, fmt.Errorf("stack: %s cannot rebuild: %w", p.Kind, storerr.ErrNotSupported))
+		return
+	}
+	if dev < 0 || dev >= len(p.ZNSDevs) {
+		sim.Deliver(p.Eng, 0, done, fmt.Errorf("stack: device %d out of range: %w", dev, storerr.ErrNotFound))
 		return
 	}
 	p.replacements++
@@ -637,13 +642,9 @@ func (p *Platform) ReplaceDevicePaced(dev int, ctl core.RebuildControl, done fun
 		sim.Deliver(p.Eng, 0, done, err)
 		return
 	}
-	if dev >= 0 && dev < len(p.ZNSDevs) {
-		p.ZNSDevs[dev] = nd
-	}
+	p.ZNSDevs[dev] = nd
 	nq := p.newMemberQueue(dev, nd, sim.DeriveSeed(p.opts.Seed, "replace-queue", gen, member), false, false)
-	if dev >= 0 && dev < len(p.queues) {
-		p.queues[dev] = nq
-	}
+	p.queues[dev] = nq
 	p.BIZA.ReplaceDevicePaced(dev, nq, ctl, done)
 }
 
