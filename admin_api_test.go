@@ -1,4 +1,4 @@
-package biza_test
+package biza
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"biza"
 	"biza/internal/core"
 	"biza/internal/fault"
 	"biza/internal/sim"
@@ -19,19 +18,19 @@ import (
 // adminArray is a small StoreData array (2 MiB zones) holding n
 // acknowledged blocks, each its own pattern; want maps every lba to its
 // payload.
-func adminArray(t *testing.T, opts biza.Options, n int) (*biza.Array, map[int64][]byte) {
+func adminArray(t *testing.T, opts Options, n int) (*Array, map[int64][]byte) {
 	t.Helper()
 	opts.StoreData = true
 	opts.ZNS = stack.BenchZNS(32)
 	opts.ZNS.ZoneBlocks, opts.ZNS.ZRWABlocks = 512, 64
-	arr, err := biza.New(opts)
+	arr, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[int64][]byte, n)
 	for i := 0; i < n; i++ {
 		lba := int64(i)
-		data := bytes.Repeat([]byte{byte(i + 1)}, arr.BlockSize())
+		data := bytes.Repeat([]byte{byte(i + 1)}, arr.p.Dev.BlockSize())
 		if err := arr.WriteSync(lba, 1, data); err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +40,7 @@ func adminArray(t *testing.T, opts biza.Options, n int) (*biza.Array, map[int64]
 }
 
 // readsBack asserts every block in want reads back intact.
-func readsBack(t *testing.T, arr *biza.Array, want map[int64][]byte, when string) {
+func readsBack(t *testing.T, arr *Array, want map[int64][]byte, when string) {
 	t.Helper()
 	for lba, data := range want {
 		got, err := arr.ReadSync(lba, 1)
@@ -55,7 +54,7 @@ func readsBack(t *testing.T, arr *biza.Array, want map[int64][]byte, when string
 // member to healthy, takes at least one step gap of virtual time, and
 // leaves every block readable with any one member failed.
 func TestReplaceDevicePacedCompletes(t *testing.T) {
-	arr, want := adminArray(t, biza.Options{Seed: 1}, 256)
+	arr, want := adminArray(t, Options{Seed: 1}, 256)
 	gap := int64(100 * sim.Microsecond)
 	start := arr.Now()
 	if err := arr.ReplaceDevicePaced(1, 2, gap); err != nil {
@@ -64,11 +63,11 @@ func TestReplaceDevicePacedCompletes(t *testing.T) {
 	if arr.Now()-start < gap {
 		t.Fatalf("paced rebuild took %d ns, less than one step gap of %d", arr.Now()-start, gap)
 	}
-	if n := arr.Platform().Replacements(); n != 1 {
+	if n := arr.p.Replacements(); n != 1 {
 		t.Fatalf("replacements = %d, want 1", n)
 	}
 	for i, s := range arr.Health() {
-		if s != biza.MemberHealthy {
+		if s != MemberHealthy {
 			t.Fatalf("member %d = %v after the rebuild", i, s)
 		}
 	}
@@ -87,7 +86,7 @@ func TestReplaceDevicePacedCompletes(t *testing.T) {
 func TestScrubRunsToCompletion(t *testing.T) {
 	const per = 4096
 	gap := int64(200 * sim.Microsecond)
-	scrub := func(arr *biza.Array) error {
+	scrub := func(arr *Array) error {
 		t.Helper()
 		start := arr.Now()
 		err := arr.Scrub(per, gap)
@@ -98,7 +97,7 @@ func TestScrubRunsToCompletion(t *testing.T) {
 		return err
 	}
 
-	clean, _ := adminArray(t, biza.Options{Seed: 3}, 64)
+	clean, _ := adminArray(t, Options{Seed: 3}, 64)
 	if err := scrub(clean); err != nil {
 		t.Fatalf("clean scrub: %v", err)
 	}
@@ -107,11 +106,11 @@ func TestScrubRunsToCompletion(t *testing.T) {
 	}
 
 	var rules []fault.Rule
-	cfg := clean.Platform().ZNSDevs[0].Config()
+	cfg := clean.p.ZNSDevs[0].Config()
 	for z := 0; z < cfg.NumZones; z++ {
 		rules = append(rules, fault.BadBlocks(0, z, 0, int(cfg.ZoneBlocks)))
 	}
-	rotten, _ := adminArray(t, biza.Options{Seed: 3, Faults: &biza.FaultSpec{Rules: rules}}, 64)
+	rotten, _ := adminArray(t, Options{Seed: 3, Faults: &FaultSpec{Rules: rules}}, 64)
 	if err := scrub(rotten); err != nil {
 		t.Fatalf("scrub over unreadable member 0: %v", err)
 	}
@@ -133,15 +132,15 @@ func TestScrubRunsToCompletion(t *testing.T) {
 // while crashed, counts no replacement. TestAdminFacadeNonBIZA
 // checks ErrNotSupported on kinds without a BIZA engine.
 func TestAdminMethodSentinels(t *testing.T) {
-	arr, _ := adminArray(t, biza.Options{Seed: 6}, 16)
+	arr, _ := adminArray(t, Options{Seed: 6}, 16)
 	if err := arr.Recover(); !errors.Is(err, storerr.ErrWrongState) {
 		t.Fatalf("recover of a live array: err = %v, want ErrWrongState", err)
 	}
-	replacements := arr.Platform().Replacements()
+	replacements := arr.p.Replacements()
 	if err := arr.ReplaceDevicePaced(9, 0, 0); !errors.Is(err, storerr.ErrNotFound) {
 		t.Fatalf("replace of member 9: err = %v, want ErrNotFound", err)
 	}
-	if n := arr.Platform().Replacements(); n != replacements {
+	if n := arr.p.Replacements(); n != replacements {
 		t.Fatalf("replacements = %d after a refused replace of member 9, want %d", n, replacements)
 	}
 	if err := arr.SetDeviceFailed(9, true); !errors.Is(err, storerr.ErrNotFound) {
@@ -160,11 +159,11 @@ func TestAdminMethodSentinels(t *testing.T) {
 		"write":       arr.WriteSync(0, 1, nil),
 		"set-healthy": arr.SetDeviceFailed(0, false),
 	} {
-		if !errors.Is(err, biza.ErrCrashed) {
+		if !errors.Is(err, ErrCrashed) {
 			t.Fatalf("%s while crashed: err = %v, want ErrCrashed", name, err)
 		}
 	}
-	if n := arr.Platform().Replacements(); n != replacements {
+	if n := arr.p.Replacements(); n != replacements {
 		t.Fatalf("replacements = %d after a replace while crashed, want %d", n, replacements)
 	}
 	if err := arr.Recover(); err != nil {
@@ -178,7 +177,7 @@ func TestAdminMethodSentinels(t *testing.T) {
 // TestAdminFacadeNonBIZA: the administrative methods that need a BIZA
 // engine fail with ErrNotSupported on a baseline kind.
 func TestAdminFacadeNonBIZA(t *testing.T) {
-	raizn, err := biza.New(biza.Options{Kind: biza.RAIZN, Seed: 12})
+	raizn, err := New(Options{Kind: RAIZN, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestAdminFacadeNonBIZA(t *testing.T) {
 // ErrNotFound, and afterwards every member is healthy and every acknowledged block
 // reads back.
 func TestAdminFacade(t *testing.T) {
-	arr, want := adminArray(t, biza.Options{Seed: 11}, 64)
+	arr, want := adminArray(t, Options{Seed: 11}, 64)
 	for _, c := range []struct {
 		name string
 		call func() error
@@ -217,14 +216,14 @@ func TestAdminFacade(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 	}
-	if n := arr.Platform().Replacements(); n != 2 {
+	if n := arr.p.Replacements(); n != 2 {
 		t.Fatalf("replacements = %d, want 2", n)
 	}
 	if err := arr.ReplaceDevicePaced(9, 0, 0); !errors.Is(err, storerr.ErrNotFound) {
 		t.Fatalf("replace of member 9: err = %v, want ErrNotFound", err)
 	}
 	for i, s := range arr.Health() {
-		if s != biza.MemberHealthy {
+		if s != MemberHealthy {
 			t.Fatalf("member %d = %v after the sequence", i, s)
 		}
 	}
@@ -239,14 +238,14 @@ func TestAdminFacade(t *testing.T) {
 // write amplification; the two logs must be byte-identical.
 func TestAdminScheduleReplayBitIdentical(t *testing.T) {
 	run := func() string {
-		arr, err := biza.New(biza.Options{Seed: 42})
+		arr, err := New(Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 400; i++ {
 			lba := int64(i % 256)
 			arr.Engine().At(sim.Time(i)*20*sim.Microsecond, func() {
-				arr.Device().Write(lba, 1, nil, nil)
+				arr.p.Dev.Write(lba, 1, nil, nil)
 			})
 		}
 		var log strings.Builder
@@ -255,7 +254,7 @@ func TestAdminScheduleReplayBitIdentical(t *testing.T) {
 				t.Fatalf("%s: %v", call, err)
 			}
 			fmt.Fprintf(&log, "%d %s %v %v %d %d %+v\n", arr.Now(), call, err, arr.Health(),
-				arr.Platform().Replacements(), arr.Reconstructions(), arr.WriteAmp())
+				arr.p.Replacements(), arr.Reconstructions(), arr.WriteAmp())
 		}
 		runUntil := func(at sim.Time) { arr.RunFor(int64(at) - arr.Now()) }
 		runUntil(2 * sim.Millisecond)
@@ -283,8 +282,8 @@ func TestAdminScheduleReplayBitIdentical(t *testing.T) {
 // replacement count and member devices stay as Recover left them. Every
 // acknowledged write reads back but those ROADMAP item 1(k) loses.
 func TestCrashMidPacedRebuild(t *testing.T) {
-	arr, want := adminArray(t, biza.Options{Seed: 9}, 256)
-	p := arr.Platform()
+	arr, want := adminArray(t, Options{Seed: 9}, 256)
+	p := arr.p
 	gap := 50 * sim.Millisecond
 	staleAt := sim.Time(-1)
 	rebuilt := false
@@ -359,7 +358,7 @@ func TestCrashMidPacedRebuild(t *testing.T) {
 	// looks never acknowledged and is dropped whole. Either way the block
 	// comes back unmapped: it reads as zeros, without an error. Every
 	// other block reads back intact.
-	zero := make([]byte, arr.BlockSize())
+	zero := make([]byte, arr.p.Dev.BlockSize())
 	lost := 0
 	for lba, data := range want {
 		got, err := arr.ReadSync(lba, 1)
@@ -399,7 +398,7 @@ func TestCommandSequenceProperties(t *testing.T) {
 
 // commandSequence runs one seed's sequence and returns its log.
 func commandSequence(t *testing.T, seed uint64) string {
-	arr, want := adminArray(t, biza.Options{Seed: seed}, 32)
+	arr, want := adminArray(t, Options{Seed: seed}, 32)
 	members := len(arr.Health())
 	rng := sim.NewRNG(seed)
 	var log strings.Builder
@@ -433,7 +432,7 @@ func commandSequence(t *testing.T, seed uint64) string {
 			call, err = fmt.Sprintf("replace %d", dev), arr.ReplaceDevicePaced(dev, per, gap)
 			switch {
 			case crashed:
-				expect = biza.ErrCrashed
+				expect = ErrCrashed
 			case dev == members:
 				expect = storerr.ErrNotFound
 			default:
@@ -442,7 +441,7 @@ func commandSequence(t *testing.T, seed uint64) string {
 		case 3:
 			call, err = "scrub", arr.Scrub(1024<<rng.Intn(3), 0)
 			if crashed {
-				expect = biza.ErrCrashed
+				expect = ErrCrashed
 			}
 		case 4:
 			dev, fail := rng.Intn(members+1), true
@@ -452,7 +451,7 @@ func commandSequence(t *testing.T, seed uint64) string {
 			call, err = fmt.Sprintf("set-failed %d %v", dev, fail), arr.SetDeviceFailed(dev, fail)
 			switch {
 			case crashed:
-				expect = biza.ErrCrashed
+				expect = ErrCrashed
 			case dev == members:
 				expect = storerr.ErrNotFound
 			case fail:
@@ -462,10 +461,10 @@ func commandSequence(t *testing.T, seed uint64) string {
 			}
 		default:
 			lba := rng.Int63n(64)
-			data := bytes.Repeat([]byte{byte(i + 1)}, arr.BlockSize())
+			data := bytes.Repeat([]byte{byte(i + 1)}, arr.p.Dev.BlockSize())
 			call, err = fmt.Sprintf("write %d", lba), arr.WriteSync(lba, 1, data)
 			if crashed {
-				expect = biza.ErrCrashed
+				expect = ErrCrashed
 			} else {
 				want[lba] = data
 			}
@@ -478,9 +477,9 @@ func commandSequence(t *testing.T, seed uint64) string {
 			continue
 		}
 		for m, s := range arr.Health() {
-			wantS := biza.MemberHealthy
+			wantS := MemberHealthy
 			if m == failed {
-				wantS = biza.MemberDegraded
+				wantS = MemberDegraded
 			}
 			if s != wantS {
 				t.Fatalf("call %d, %s: member %d is %v with member %d failed\n%s", i, call, m, s, failed, log.String())

@@ -13,8 +13,8 @@ func TestNewDefaultsToBIZA(t *testing.T) {
 	if a.Kind() != BIZA {
 		t.Fatalf("kind = %v", a.Kind())
 	}
-	if a.BlockSize() != 4096 || a.Blocks() <= 0 {
-		t.Fatalf("geometry %d/%d", a.BlockSize(), a.Blocks())
+	if a.p.Dev.BlockSize() != 4096 || a.Blocks() <= 0 {
+		t.Fatalf("geometry %d/%d", a.p.Dev.BlockSize(), a.Blocks())
 	}
 }
 
@@ -145,5 +145,26 @@ func TestReplaceDevice(t *testing.T) {
 	got, err = a.ReadSync(0, 12)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("post-rebuild degraded read: %v", err)
+	}
+}
+
+// TestHealthNilForNonBIZAKinds pins the documented Health contract:
+// baseline platforms have no member-state tracking and report nil.
+func TestHealthNilForNonBIZAKinds(t *testing.T) {
+	for _, k := range []Kind{RAIZN, MdraidConvSSD, DmzapRAIZN} {
+		a, err := New(Options{Kind: k, Seed: 2})
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if h := a.Health(); h != nil {
+			t.Fatalf("%v: Health() = %v, want nil", k, h)
+		}
+	}
+	a, err := New(Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := a.Health(); len(h) == 0 {
+		t.Fatal("BIZA kind: Health() empty, want member states")
 	}
 }

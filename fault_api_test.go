@@ -104,7 +104,7 @@ func TestPowerLossSweepRestoresAckedData(t *testing.T) {
 		for i := 0; i < writes; i++ {
 			lba := int64(i * 3)
 			data := fpat(byte(i+1), 4096)
-			a.Device().Write(lba, 1, data, func(r blockdev.WriteResult) {
+			a.p.Dev.Write(lba, 1, data, func(r blockdev.WriteResult) {
 				if r.Err == nil {
 					acked[lba] = data
 				}
@@ -146,7 +146,7 @@ func TestFaultSpecPowerCutAutoRecovers(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		lba := int64(i * 5)
 		data := fpat(byte(i+7), 4096)
-		a.Device().Write(lba, 1, data, func(r blockdev.WriteResult) {
+		a.p.Dev.Write(lba, 1, data, func(r blockdev.WriteResult) {
 			if r.Err == nil {
 				want[lba] = data
 			}
@@ -158,11 +158,11 @@ func TestFaultSpecPowerCutAutoRecovers(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no write acked before the cut — test degenerate")
 	}
-	if a.Platform().Crashed() {
+	if a.p.Crashed() {
 		t.Fatal("platform crashed before the scheduled cut")
 	}
 	a.Run() // cross the cut: crash, then the automatic recovery scan
-	if a.Platform().Crashed() {
+	if a.p.Crashed() {
 		t.Fatal("platform still crashed after scheduled recovery")
 	}
 	for lba, data := range want {
@@ -264,7 +264,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 			sum = append(sum, got...)
 		}
 		var faults uint64
-		for _, q := range a.Platform().Queues() {
+		for _, q := range a.p.Queues() {
 			faults += q.Injector().Injected()
 		}
 		return a.Reconstructions(), faults, a.WriteAmp(), sum

@@ -105,7 +105,7 @@ func Avail(s Scale, r *Run) *Table {
 	names := [numPhases]string{"healthy", "faulted", "recovered"}
 	hists := [numPhases]*availHist{}
 	for i := range hists {
-		hists[i] = &availHist{h: newLatHist()}
+		hists[i] = &availHist{h: metrics.NewHistogram()}
 	}
 	var (
 		phase        = phHealthy

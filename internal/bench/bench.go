@@ -81,10 +81,6 @@ type Run struct {
 	hists    []HistogramDump
 }
 
-// NewRun returns a run context for one experiment. Tests and direct
-// callers get the same values the Runner produces for (seed, exp).
-func NewRun(seed uint64, exp string) *Run { return &Run{base: seed, exp: exp} }
-
 // Seed derives the deterministic seed for a named stochastic stream.
 // Streams are identified by label only — never by execution order — so a
 // point sharded off to another worker draws exactly the same numbers.
@@ -340,6 +336,3 @@ func IDs() []string {
 		"detect", "batching", "wear", "append", "avail", "tenants", "rolling",
 		"future"}
 }
-
-// newLatHist is shorthand for a latency histogram.
-func newLatHist() *metrics.Histogram { return metrics.NewHistogram() }

@@ -8,7 +8,7 @@ import (
 
 // testRun returns the run context the Runner would hand experiment exp at
 // the default seed, so direct calls reproduce registry results.
-func testRun(exp string) *Run { return NewRun(DefaultSeed, exp) }
+func testRun(exp string) *Run { return &Run{base: DefaultSeed, exp: exp} }
 
 // checkClaims asserts the band of every ledger row that reads exp and
 // returns the tables' cell reader for the test's own checks.

@@ -26,8 +26,7 @@ func gcOptions(seed uint64, noGC bool) stack.Options {
 	z := stack.BenchZNS(zones)
 	z.ZoneBlocks = 512 // 2 MiB zones
 	z.ZRWABlocks = 64  // 256 KiB ZRWA
-	f := stack.BenchFTL(512)
-	return stack.Options{ZNS: z, FTL: f, Seed: seed}
+	return stack.Options{ZNS: z, Seed: seed}
 }
 
 // dirtyForGC churns a span of the device with random overwrites until the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"biza/internal/metrics"
 	"biza/internal/sim"
 	"biza/internal/stack"
 	"biza/internal/workload"
@@ -118,7 +119,7 @@ func table3Point(s Scale, r *Run, point string) []*Table {
 	if err != nil {
 		panic(err)
 	}
-	hist := newLatHist()
+	hist := metrics.NewHistogram()
 	var bytes int64
 	for _, z := range sc.zones {
 		zoneStream(eng, dev, z, cfg.NumChannels*len(sc.zones), 8, 16, hist.Record, &bytes)

@@ -110,7 +110,7 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 		}
 		a := &rollArray{eng: engs[i], p: p, members: len(p.Queues())}
 		for ph := range a.lat {
-			a.lat[ph] = newLatHist()
+			a.lat[ph] = metrics.NewHistogram()
 		}
 		arrays[i] = a
 	}
@@ -230,7 +230,7 @@ func Rolling(s Scale, r *Run, point string) []*Table {
 		LabelCols: 2,
 		Header:    []string{"point", "phase", "ops", "p50_us", "p99_us"}}
 	for ph := 0; ph < numRollPhases; ph++ {
-		h := newLatHist()
+		h := metrics.NewHistogram()
 		var ops int64
 		for _, a := range arrays {
 			h.Merge(a.lat[ph])

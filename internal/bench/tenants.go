@@ -154,7 +154,7 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 				panic(fmt.Sprintf("tenants: array %d tenant %d: %v", ai, ti, err))
 			}
 			tenants = append(tenants, &tenantRef{
-				v: v, eng: eng, class: class, lat: newLatHist(),
+				v: v, eng: eng, class: class, lat: metrics.NewHistogram(),
 				rng: sim.NewRNG(r.Seed(fmt.Sprintf("%s/tenant/a%02d/t%03d", point, ai, ti))),
 			})
 		}
@@ -232,7 +232,7 @@ func Tenants(s Scale, r *Run, point string) []*Table {
 		var count int
 		var ops, bytes, stalls uint64
 		var perTenant []float64
-		h := newLatHist()
+		h := metrics.NewHistogram()
 		for _, t := range tenants {
 			if t.class != class {
 				continue

@@ -97,13 +97,13 @@ func classFor(total int) int {
 	return bits.Len(uint(total-1)) - minClassShift
 }
 
-// Buf is one refcounted buffer. Access the payload with Bytes and the
-// out-of-band area with OOB. Created with one reference.
+// Buf is one refcounted buffer. Access the payload with Bytes; the
+// out-of-band area Get reserves follows it in the slab. Created with one
+// reference.
 type Buf struct {
 	pool  *Pool
 	mem   []byte // whole slab: data, then OOB
 	n     int    // data length
-	oobN  int
 	refs  int32
 	class int16 // -1: oversize, slab not recycled
 }
@@ -141,7 +141,6 @@ func (p *Pool) Get(n, oob int) *Buf {
 	}
 	b.pool = p
 	b.n = n
-	b.oobN = oob
 	b.refs = 1
 	b.class = int16(class)
 	p.live++
@@ -248,15 +247,9 @@ func (b *Buf) checkPoison() {
 	}
 }
 
-// Len reports the data length.
-func (b *Buf) Len() int { return b.n }
-
 // Bytes returns the data area. The slice stays valid until the final
 // Release.
 func (b *Buf) Bytes() []byte { return b.mem[:b.n] }
-
-// OOB returns the out-of-band area, which follows the data.
-func (b *Buf) OOB() []byte { return b.mem[b.n : b.n+b.oobN] }
 
 // Retain on a nil receiver is a no-op, so code holding an optional
 // ownership pointer can fan out without nil checks.

@@ -203,9 +203,6 @@ func (a *Adapter) StoresData() bool { return a.storesData }
 // Blocks implements blockdev.Device.
 func (a *Adapter) Blocks() int64 { return a.log.Blocks() }
 
-// GCEvents reports completed victim collections.
-func (a *Adapter) GCEvents() uint64 { return a.gcEvents }
-
 // WriteAmp reports adapter-level accounting: user bytes in versus user plus
 // GC-migrated bytes pushed to the backend. Flash-level truth lives in the
 // backend device counters.

@@ -137,7 +137,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 		mustWrite(t, eng, a, lba, 1, blockdev.Pattern(byte(lba), 4096))
 	}
 	eng.Run()
-	if a.GCEvents() == 0 {
+	if a.gcEvents == 0 {
 		t.Fatal("GC never ran")
 	}
 	// All data must survive migration.
@@ -194,7 +194,7 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		eng.Run()
 		wa := a.WriteAmp()
-		return wa.FlashDataBytes, a.GCEvents()
+		return wa.FlashDataBytes, a.gcEvents
 	}
 	a1, g1 := run()
 	a2, g2 := run()

@@ -84,7 +84,7 @@ func TestRecordsComeHome(t *testing.T) {
 	a.Read(a.Blocks()-4, 4, func(blockdev.ReadResult) { reads++ }) // nothing mapped
 	a.Read(a.Blocks()-4, 4, nil)                                   // and nobody to tell
 	eng.Run()
-	if a.GCEvents() == 0 {
+	if a.gcEvents == 0 {
 		t.Fatal("GC never ran: the parked-block path was not exercised")
 	}
 	if reads != int(span)*4+1 {

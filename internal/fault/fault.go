@@ -294,9 +294,6 @@ func (in *Injector) SetTracer(tr *obs.Trace, dev int) {
 	}
 }
 
-// Dead reports whether a DeviceDeath rule has triggered.
-func (in *Injector) Dead() bool { return in != nil && in.dead }
-
 // Injected reports how many faults this injector has delivered.
 func (in *Injector) Injected() uint64 {
 	if in == nil {

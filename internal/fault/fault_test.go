@@ -54,7 +54,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil injector injected")
 	}
 	in.SetTracer(nil, 0)
-	if in.Dead() || in.Injected() != 0 {
+	if in.Injected() != 0 {
 		t.Error("nil injector reports state")
 	}
 	var p *Plan
@@ -140,7 +140,7 @@ func TestDeviceDeathAt(t *testing.T) {
 	if !errors.Is(d.Err, storerr.ErrDeviceDead) {
 		t.Fatalf("at trigger: %v", d.Err)
 	}
-	if !in.Dead() {
+	if !in.dead {
 		t.Fatal("Dead() false after trigger")
 	}
 	// Death is permanent and answers every command class.

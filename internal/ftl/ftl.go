@@ -310,15 +310,6 @@ func (d *Device) WriteAmp() metrics.WriteAmp {
 	}
 }
 
-// GCEvents reports how many victim collections have run.
-func (d *Device) GCEvents() uint64 { return d.gcEvents }
-
-// Erases reports total erase-block erases.
-func (d *Device) Erases() uint64 { return d.erases }
-
-// FreeBlocks reports the current free erase-block count.
-func (d *Device) FreeBlocks() int { return len(d.freeList) }
-
 // takeFreeBlock pops a free block, preferring blocks on channel ch.
 func (d *Device) takeFreeBlock(ch int) int {
 	for i, b := range d.freeList {

@@ -180,13 +180,13 @@ func TestOverwritesTriggerGC(t *testing.T) {
 		}
 	}
 	eng.Run()
-	if d.GCEvents() == 0 {
+	if d.gcEvents == 0 {
 		t.Fatal("no GC despite sustained overwrites")
 	}
-	if d.Erases() == 0 {
+	if d.erases == 0 {
 		t.Fatal("GC ran but erased nothing")
 	}
-	if d.FreeBlocks() == 0 {
+	if len(d.freeList) == 0 {
 		t.Fatal("device ran out of free blocks")
 	}
 }
@@ -294,7 +294,7 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		eng.Run()
 		wa := d.WriteAmp()
-		return wa.FlashDataBytes, d.Erases()
+		return wa.FlashDataBytes, d.erases
 	}
 	p1, e1 := run()
 	p2, e2 := run()
@@ -396,8 +396,8 @@ func TestFTLStoreDataMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	if d.GCEvents() == 0 || d.Erases() == 0 {
-		t.Fatalf("GC ran %d times and erased %d blocks: exercised too little", d.GCEvents(), d.Erases())
+	if d.gcEvents == 0 || d.erases == 0 {
+		t.Fatalf("GC ran %d times and erased %d blocks: exercised too little", d.gcEvents, d.erases)
 	}
 	for b := int64(0); b < d.Blocks(); b++ {
 		r := blockdev.ReadSync(eng, d, b, 1)

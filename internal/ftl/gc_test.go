@@ -63,16 +63,16 @@ func TestFTLCollectorMatchesParent(t *testing.T) {
 			fmt.Fprintf(h, "%d %d %d %d %d %d %d\n", r.Kind, r.Sub, r.TS, r.Arg0, r.Arg1, r.Zone, r.Flag)
 		}
 	}
-	fmt.Fprintf(h, "gc %d erases %d migrated %d\n", d.GCEvents(), d.Erases(), d.gcMigrated)
+	fmt.Fprintf(h, "gc %d erases %d migrated %d\n", d.gcEvents, d.erases, d.gcMigrated)
 	if err := d.checkMaps(); err != nil {
 		t.Fatal(err)
 	}
 	got := h.Sum64()
-	t.Logf("log hash %#x, %d victims, %d erases, %d bytes migrated", got, d.GCEvents(), d.Erases(), d.gcMigrated)
+	t.Logf("log hash %#x, %d victims, %d erases, %d bytes migrated", got, d.gcEvents, d.erases, d.gcMigrated)
 	if d.gcMigrated == 0 {
 		t.Fatal("the collector migrated nothing: the load misses the path")
 	}
-	if got != wantHash || d.GCEvents() != wantGC {
-		t.Errorf("log hash %#x after %d victims, want %#x after %d", got, d.GCEvents(), wantHash, wantGC)
+	if got != wantHash || d.gcEvents != wantGC {
+		t.Errorf("log hash %#x after %d victims, want %#x after %d", got, d.gcEvents, wantHash, wantGC)
 	}
 }

@@ -63,9 +63,9 @@ func TestRecordsComeHome(t *testing.T) {
 	if writes != rounds || reads != rounds {
 		t.Fatalf("%d writes and %d reads of %d completed", writes, reads, rounds)
 	}
-	if d.GCEvents() == 0 || waited == 0 || parked == 0 {
+	if d.gcEvents == 0 || waited == 0 || parked == 0 {
 		t.Fatalf("gc events %d, most waiting for cache credit %d, most parked at the cliff %d: a queue was not exercised",
-			d.GCEvents(), waited, parked)
+			d.gcEvents, waited, parked)
 	}
 	if d.waiters.Len() != 0 || d.stalled.Len() != 0 || d.cacheCredit != d.cfg.CacheBlocks {
 		t.Fatalf("after drain: %d waiting, %d parked, cache credit %d of %d",

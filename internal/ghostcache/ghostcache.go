@@ -163,11 +163,6 @@ func New(cfg Config) *Cache {
 // at returns the arena entry at index i.
 func (c *Cache) at(i int32) *entry { return &c.arena[i>>arenaShift][i&arenaMask] }
 
-// Len reports tracked entries per level (lru, hr, hp).
-func (c *Cache) Len() (lru, hr, hp int) {
-	return c.lruLen, len(c.hr), len(c.hp)
-}
-
 // newEntry returns the index of a zeroed entry: an evicted one if any, else
 // the next of the arena, which the first call opens with the sentinel.
 func (c *Cache) newEntry() int32 {

@@ -236,7 +236,7 @@ func TestCapacityInvariantsQuick(t *testing.T) {
 			}
 			clock += g
 			c.Access(uint64(k%16), clock)
-			l, h, p := c.Len()
+			l, h, p := c.lruLen, len(c.hr), len(c.hp)
 			if l > cfg.LRUEntries || h > cfg.HREntries || p > cfg.HPEntries {
 				return false
 			}
@@ -256,7 +256,7 @@ func TestScanResistance(t *testing.T) {
 			t.Fatalf("scan promoted key %d to %v", k, lvl)
 		}
 	}
-	_, hr, hp := c.Len()
+	hr, hp := len(c.hr), len(c.hp)
 	if hr != 0 || hp != 0 {
 		t.Fatalf("scan polluted hr=%d hp=%d", hr, hp)
 	}
@@ -282,7 +282,7 @@ func TestMissAtCapacityAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, miss); allocs != 0 {
 		t.Fatalf("miss at capacity allocates %.1f, want 0", allocs)
 	}
-	if lru, _, _ := c.Len(); lru != cfg.LRUEntries {
+	if lru := c.lruLen; lru != cfg.LRUEntries {
 		t.Fatalf("LRU level holds %d entries, want its capacity %d", lru, cfg.LRUEntries)
 	}
 }
@@ -339,14 +339,14 @@ func TestArenaMatchesPointerCache(t *testing.T) {
 				if got, want := c.Level(probe), o.Level(probe); got != want {
 					t.Fatalf("config %d, access %d: Level(%d) = %v, want %v", cfgN, i, probe, got, want)
 				}
-				gl, gr, gp := c.Len()
+				gl, gr, gp := c.lruLen, len(c.hr), len(c.hp)
 				wl, wr, wp := o.Len()
 				if gl != wl || gr != wr || gp != wp {
 					t.Fatalf("config %d, access %d: Len = %d/%d/%d, want %d/%d/%d", cfgN, i, gl, gr, gp, wl, wr, wp)
 				}
 			}
 		}
-		if _, hr, hp := c.Len(); hr == cfg.HREntries {
+		if hr, hp := len(c.hr), len(c.hp); hr == cfg.HREntries {
 			hrFull++
 			if hp == cfg.HPEntries {
 				hpFull++
@@ -398,7 +398,7 @@ func TestTrackedBlockBytesAllocFree(t *testing.T) {
 		c.Access(k, k*4096)
 	}
 	after := heapBytes()
-	if lru, _, _ := c.Len(); lru != n {
+	if lru := c.lruLen; lru != n {
 		t.Fatalf("LRU level holds %d blocks, want %d", lru, n)
 	}
 	per := float64(after-before) / n
@@ -436,7 +436,7 @@ func BenchmarkAccessHRHeavy(b *testing.B) {
 		clock += 4096
 		c.Access(k, clock)
 	}
-	if _, hr, _ := c.Len(); hr < 100000 {
+	if hr := len(c.hr); hr < 100000 {
 		b.Fatalf("HR holds %d entries after warm-up, want over 100 000", hr)
 	}
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 
+	"biza/internal/metrics"
 	"biza/internal/sim"
 )
 
@@ -43,12 +44,7 @@ type BenchResult struct {
 }
 
 // OpsPerSec reports the operation rate.
-func (r BenchResult) OpsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / (float64(r.Elapsed) / 1e9)
-}
+func (r BenchResult) OpsPerSec() float64 { return metrics.OpsPerSec(r.Ops, int64(r.Elapsed)) }
 
 // RunBench drives the spec against db with a closed loop.
 func RunBench(eng *sim.Engine, db *DB, spec BenchSpec) BenchResult {

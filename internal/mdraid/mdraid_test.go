@@ -105,8 +105,8 @@ func TestFullStripeAvoidsRMW(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
 	mustWrite(t, eng, a, 0, 12, blockdev.Pattern(1, 12*4096)) // exactly one full stripe
 	eng.Run()
-	if a.RMWReads() != 0 {
-		t.Fatalf("full-stripe write incurred %d RMW read bytes", a.RMWReads())
+	if a.rmwReads != 0 {
+		t.Fatalf("full-stripe write incurred %d RMW read bytes", a.rmwReads)
 	}
 	wa := a.WriteAmp()
 	if wa.FlashParityBytes != 4*4096 {
@@ -118,7 +118,7 @@ func TestPartialStripeIncursRMW(t *testing.T) {
 	eng, a, _ := newArray(t, testCfg())
 	mustWrite(t, eng, a, 0, 1, blockdev.Pattern(1, 4096))
 	eng.RunUntil(eng.Now() + 20*sim.Millisecond) // timer flush
-	if a.RMWReads() == 0 {
+	if a.rmwReads == 0 {
 		t.Fatal("partial flush did not read-modify-write")
 	}
 }

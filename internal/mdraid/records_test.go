@@ -127,8 +127,8 @@ func TestRecordsComeHome(t *testing.T) {
 			if ackFromCache && stalled == 0 {
 				t.Fatal("no ack ever waited for the flush budget: ackWaiters was not exercised")
 			}
-			if a.RMWReads() == 0 || a.FlushErrors() != 0 {
-				t.Fatalf("rmw reads %d, flush errors %d", a.RMWReads(), a.FlushErrors())
+			if a.rmwReads == 0 || a.FlushErrors() != 0 {
+				t.Fatalf("rmw reads %d, flush errors %d", a.rmwReads, a.FlushErrors())
 			}
 			assertRecordsHome(t, a)
 		})

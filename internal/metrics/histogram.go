@@ -178,15 +178,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sumHi, h.sumLo, h.max = 0, 0, 0, 0
-	h.min = math.MaxInt64
-}
-
 // Bucket is one non-empty histogram bucket: samples in [Lo, Hi) with the
 // stated count. The bucket vector lets downstream tooling re-derive
 // arbitrary percentiles instead of settling for the Summary scalars.

@@ -103,19 +103,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(123)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("reset did not clear histogram")
-	}
-	h.Record(7)
-	if h.Min() != 7 {
-		t.Fatal("histogram unusable after reset")
-	}
-}
-
 func TestHistogramPercentileMonotonic(t *testing.T) {
 	h := NewHistogram()
 	r := uint64(1)

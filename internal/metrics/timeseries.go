@@ -48,12 +48,6 @@ type Sampler struct {
 // NewSampler returns an empty sampler ticking every 50 us.
 func NewSampler() *Sampler { return &Sampler{interval: seriesInterval} }
 
-// Interval reports the current tick cadence (doubles on decimation).
-func (s *Sampler) Interval() int64 { return s.interval }
-
-// Len reports recorded ticks per series.
-func (s *Sampler) Len() int { return s.count }
-
 // Register adds a named source sampled by fn at every subsequent tick.
 // Ticks recorded before registration backfill as zero, so every series in
 // a sampler spans the same window. Registration order is the export order

@@ -14,15 +14,15 @@ func TestSamplerTicksAtInterval(t *testing.T) {
 	// First advance covers ticks at t=0..5 intervals inclusive: 6 ticks.
 	v = 1
 	s.Advance(5 * iv)
-	if s.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", s.Len())
+	if s.count != 6 {
+		t.Fatalf("Len = %d, want 6", s.count)
 	}
 	// A catch-up jump records the missing ticks with the value visible at
 	// advance time (piecewise-constant interpolation).
 	v = 7
 	s.Advance(10 * iv)
-	if s.Len() != 11 {
-		t.Fatalf("Len = %d, want 11", s.Len())
+	if s.count != 11 {
+		t.Fatalf("Len = %d, want 11", s.count)
 	}
 	d := s.Dump("tr")
 	if len(d) != 1 {
@@ -46,11 +46,11 @@ func TestSamplerAdvanceIsIdempotentAtSameTime(t *testing.T) {
 	s := NewSampler()
 	s.Register("x", ProbeCounter, func() float64 { return 1 })
 	s.Advance(5 * iv / 2)
-	n := s.Len()
+	n := s.count
 	s.Advance(5 * iv / 2)
 	s.Advance(5 * iv / 2)
-	if s.Len() != n {
-		t.Fatalf("re-advancing at same ts grew series: %d -> %d", n, s.Len())
+	if s.count != n {
+		t.Fatalf("re-advancing at same ts grew series: %d -> %d", n, s.count)
 	}
 }
 
@@ -68,19 +68,19 @@ func TestSamplerDecimation(t *testing.T) {
 	for k := 0; k < 512; k++ {
 		advance(k)
 	}
-	if s.Len() != 512 || s.Interval() != 50_000 {
-		t.Fatalf("after 512 ticks: Len %d interval %d, want 512 at 50 us", s.Len(), s.Interval())
+	if s.count != 512 || s.interval != 50_000 {
+		t.Fatalf("after 512 ticks: Len %d interval %d, want 512 at 50 us", s.count, s.interval)
 	}
 	advance(512)
-	if s.Len() != 257 || s.Interval() != 100_000 {
-		t.Fatalf("after tick 513: Len %d interval %d, want 257 at 100 us", s.Len(), s.Interval())
+	if s.count != 257 || s.interval != 100_000 {
+		t.Fatalf("after tick 513: Len %d interval %d, want 257 at 100 us", s.count, s.interval)
 	}
 	// Odd ticks now fall between samples; even ones land on the cadence.
 	for k := 513; k < 800; k++ {
 		advance(k)
 	}
-	if s.Len() != 400 {
-		t.Fatalf("Len = %d, want 400 at the doubled cadence", s.Len())
+	if s.count != 400 {
+		t.Fatalf("Len = %d, want 400 at the doubled cadence", s.count)
 	}
 	// Point j holds the value from 50 us tick 2j: a prefix-preserving
 	// subsample whose last point is within one interval of the run's end.
@@ -152,8 +152,8 @@ func TestSamplerAdvanceAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("sampler Advance allocates %.1f/op, want 0", allocs)
 	}
-	if s.Interval() < 8*iv {
-		t.Fatalf("interval %d: fewer than three decimations crossed", s.Interval())
+	if s.interval < 8*iv {
+		t.Fatalf("interval %d: fewer than three decimations crossed", s.interval)
 	}
 }
 

@@ -346,9 +346,6 @@ func (q *Queue) Injector() *fault.Injector { return q.inj }
 // separately via zns.Device.PowerLoss.
 func (q *Queue) Kill() { q.dead = true }
 
-// Killed reports whether Kill has been called.
-func (q *Queue) Killed() bool { return q.dead }
-
 // deliverAt computes the delivery time for a command to zone z.
 func (q *Queue) deliverAt(z int, ordered bool) sim.Time {
 	at := q.eng.Now()

@@ -312,8 +312,8 @@ func TestKillDropsInFlightSilently(t *testing.T) {
 	if completions != 0 {
 		t.Fatalf("%d completions fired after Kill", completions)
 	}
-	if !q.Killed() {
-		t.Fatal("Killed() false")
+	if !q.dead {
+		t.Fatal("Kill left the queue live")
 	}
 }
 

@@ -22,14 +22,8 @@ func NewLayout(disks, parity int, chunkBlocks int64) (*Layout, error) {
 	return &Layout{disks: disks, parity: parity, chunkBlocks: chunkBlocks}, nil
 }
 
-// Parity reports parity chunks per stripe (1 = RAID 5, 2 = RAID 6).
-func (l *Layout) Parity() int { return l.parity }
-
 // DataDisks reports data chunks per stripe.
 func (l *Layout) DataDisks() int { return l.disks - l.parity }
-
-// ChunkBlocks reports the chunk (stripe unit) size in blocks.
-func (l *Layout) ChunkBlocks() int64 { return l.chunkBlocks }
 
 // StripeBlocks reports the user-visible blocks per stripe.
 func (l *Layout) StripeBlocks() int64 { return l.chunkBlocks * int64(l.DataDisks()) }

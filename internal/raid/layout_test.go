@@ -75,7 +75,7 @@ func TestLocateLBARoundTrip(t *testing.T) {
 	if err := quick.Check(func(x uint32) bool {
 		lba := int64(x)
 		s, c, o := l.Locate(lba)
-		return l.LBA(s, c, o) == lba && c >= 0 && c < l.DataDisks() && o >= 0 && o < l.ChunkBlocks()
+		return l.LBA(s, c, o) == lba && c >= 0 && c < l.DataDisks() && o >= 0 && o < l.chunkBlocks
 	}, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ type Array struct {
 
 	userBytes   uint64
 	parityBytes uint64
-	metaBytes   uint64
+	metaBytes   uint64 // partial-parity journal volume
 
 	// Recycled request records and how many of each were ever made.
 	writeFree []*writeReq
@@ -273,9 +273,6 @@ func (a *Array) WriteAmp() metrics.WriteAmp {
 		FlashParityBytes: a.parityBytes + a.metaBytes,
 	}
 }
-
-// MetaBytes reports the partial-parity journal volume.
-func (a *Array) MetaBytes() uint64 { return a.metaBytes }
 
 // physZone maps a logical zone to its members' physical zone index.
 func (a *Array) physZone(z int) int { return z + metaZonesReserved }

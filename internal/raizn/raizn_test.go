@@ -154,13 +154,13 @@ func TestPartialWriteJournalsMetadata(t *testing.T) {
 	eng, a, _ := newArray(t, Config{})
 	// A single block leaves row 0 incomplete: one journal block expected.
 	wsync(eng, a, 0, 0, 1, nil)
-	if a.MetaBytes() != 4096 {
-		t.Fatalf("meta bytes = %d, want 4096", a.MetaBytes())
+	if a.metaBytes != 4096 {
+		t.Fatalf("meta bytes = %d, want 4096", a.metaBytes)
 	}
 	// Completing the row must not journal again.
 	wsync(eng, a, 0, 1, 2, nil)
-	if a.MetaBytes() != 4096 {
-		t.Fatalf("meta bytes after completion = %d", a.MetaBytes())
+	if a.metaBytes != 4096 {
+		t.Fatalf("meta bytes after completion = %d", a.metaBytes)
 	}
 	if a.parityBytes != 4096 {
 		t.Fatalf("final parity bytes = %d", a.parityBytes)
@@ -202,8 +202,8 @@ func TestJournalZoneRotation(t *testing.T) {
 	if count < 300 {
 		t.Fatalf("setup wrote only %d rows", count)
 	}
-	if a.MetaBytes() < 300*4096 {
-		t.Fatalf("meta bytes = %d", a.MetaBytes())
+	if a.metaBytes < 300*4096 {
+		t.Fatalf("meta bytes = %d", a.metaBytes)
 	}
 	// Rotation happened: device 0 zone 0 or 1 was reset at least once.
 	if devs[0].EraseCount(0)+devs[0].EraseCount(1) == 0 {
@@ -216,8 +216,8 @@ func TestStripeCacheAbsorbsPartialParity(t *testing.T) {
 	// Rows complete across two requests; with the cache, no journal writes.
 	wsync(eng, a, 0, 0, 1, nil)
 	wsync(eng, a, 0, 1, 2, nil)
-	if a.MetaBytes() != 0 {
-		t.Fatalf("cache failed to absorb partial parity: %d bytes", a.MetaBytes())
+	if a.metaBytes != 0 {
+		t.Fatalf("cache failed to absorb partial parity: %d bytes", a.metaBytes)
 	}
 	if a.parityBytes == 0 {
 		t.Fatal("final parity missing")
@@ -229,8 +229,8 @@ func TestStripeCacheEvictionJournals(t *testing.T) {
 	eng, a, _ := newArray(t, Config{StripeCacheBytes: 4096})
 	wsync(eng, a, 0, 0, 1, nil) // row 0 cached
 	wsync(eng, a, 1, 0, 1, nil) // row (z1,0) cached, row (z0,0) evicted -> journaled
-	if a.MetaBytes() != 4096 {
-		t.Fatalf("meta bytes = %d, want 4096", a.MetaBytes())
+	if a.metaBytes != 4096 {
+		t.Fatalf("meta bytes = %d, want 4096", a.metaBytes)
 	}
 }
 
@@ -311,7 +311,7 @@ func TestDeterministicReplay(t *testing.T) {
 				wsync(eng, a, z, lba, 4, nil)
 			}
 		}
-		return a.userBytes, a.MetaBytes()
+		return a.userBytes, a.metaBytes
 	}
 	u1, m1 := run()
 	u2, m2 := run()

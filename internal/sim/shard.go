@@ -140,9 +140,6 @@ func NewShardGroup(n int, window Time) *ShardGroup {
 	return g
 }
 
-// Shards reports the shard count.
-func (g *ShardGroup) Shards() int { return len(g.shards) }
-
 // Shard returns shard i.
 func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
 

@@ -59,7 +59,7 @@ type groupFabric struct {
 	g *ShardGroup
 }
 
-func (f *groupFabric) home(actor int) *Shard { return f.g.Shard(actor % f.g.Shards()) }
+func (f *groupFabric) home(actor int) *Shard { return f.g.Shard(actor % len(f.g.shards)) }
 func (f *groupFabric) now(actor int) Time    { return f.home(actor).Engine().Now() }
 func (f *groupFabric) schedule(actor int, at Time, fn func()) {
 	f.home(actor).Engine().At(at, fn)

@@ -396,16 +396,6 @@ func (p *Platform) AbsorbedBytes() uint64 {
 // layers — e.g. the volume manager — off the same trace.
 func (p *Platform) Trace() *obs.Trace { return p.opts.Trace }
 
-// TrimDrops reports how many blocks of trim advisories the platform has
-// silently dropped (RAIZN's sequential shim has no discard path; all
-// other platforms forward trims and report 0).
-func (p *Platform) TrimDrops() uint64 {
-	if sd, ok := p.Dev.(*seqZoneDevice); ok {
-		return sd.trimDrops
-	}
-	return 0
-}
-
 // seqZoneDevice exposes RAIZN's zoned interface as a linear block space
 // for sequential-only benchmarks (random writes fail, matching the paper's
 // missing RAIZN bars in random tests).

@@ -378,14 +378,15 @@ func TestRAIZNTrimDropsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TrimDrops() != 0 {
-		t.Fatalf("fresh platform reports %d trim drops", p.TrimDrops())
+	sd := p.Dev.(*seqZoneDevice)
+	if sd.trimDrops != 0 {
+		t.Fatalf("fresh platform reports %d trim drops", sd.trimDrops)
 	}
 	p.Dev.Trim(0, 8)
 	p.Dev.Trim(100, 4)
 	p.Dev.Trim(50, 0) // degenerate range: not counted
-	if got := p.TrimDrops(); got != 12 {
-		t.Fatalf("TrimDrops = %d, want 12", got)
+	if got := sd.trimDrops; got != 12 {
+		t.Fatalf("trimDrops = %d, want 12", got)
 	}
 	// The drop counter must be visible through the probe stream too.
 	found := false
@@ -397,15 +398,20 @@ func TestRAIZNTrimDropsCounted(t *testing.T) {
 	if !found {
 		t.Fatal("trim_dropped probe not emitted at final value 12")
 	}
-	// Other platforms forward trims and report zero drops.
-	p2, err := New(KindBIZA, smallOpts())
+	// Other platforms forward trims and emit no drop probe.
+	opts = smallOpts()
+	tr = obs.New(obs.Config{})
+	opts.Trace = tr
+	p2, err := New(KindBIZA, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2.Dev.Trim(0, 8)
 	p2.Eng.Run()
-	if p2.TrimDrops() != 0 {
-		t.Fatalf("BIZA platform reports %d trim drops", p2.TrimDrops())
+	for _, ps := range tr.ProbeStats() {
+		if ps.Name == "trim_dropped" {
+			t.Fatalf("BIZA platform emitted trim_dropped = %v", ps.Value)
+		}
 	}
 }
 

@@ -152,18 +152,6 @@ func New(eng *sim.Engine, dev blockdev.Device, cfg Config) *Manager {
 // Nil detaches (hot-path emission then costs one pointer check).
 func (m *Manager) SetTracer(tr *obs.Trace) { m.tr = tr }
 
-// Engine returns the simulation engine the manager runs on.
-func (m *Manager) Engine() *sim.Engine { return m.eng }
-
-// BlockSize reports the array's logical block size in bytes.
-func (m *Manager) BlockSize() int { return m.bs }
-
-// Volumes reports the number of open volumes.
-func (m *Manager) Volumes() int { return len(m.vols) }
-
-// Volume returns the open volume with the given name, or nil.
-func (m *Manager) Volume(name string) *Volume { return m.vols[name] }
-
 // Open carves a new named volume of opts.Blocks blocks out of the
 // array's remaining capacity, at the allocation frontier.
 func (m *Manager) Open(name string, opts Options) (*Volume, error) {
@@ -180,7 +168,6 @@ func (m *Manager) Open(name string, opts Options) (*Volume, error) {
 	v := &Volume{
 		m:      m,
 		id:     len(m.vols),
-		name:   name,
 		base:   m.nextLB,
 		blocks: opts.Blocks,
 		rate:   opts.QoS.RateBytesPerSec,
@@ -242,8 +229,7 @@ func (m *Manager) putOp(op *vop) {
 // run on the manager's engine goroutine (simulation discipline).
 type Volume struct {
 	m      *Manager
-	id     int
-	name   string
+	id     int // open order: the tenant id in probe names
 	base   int64
 	blocks int64
 
@@ -264,13 +250,6 @@ type Volume struct {
 
 	st Stats
 }
-
-// Name reports the volume's name.
-func (v *Volume) Name() string { return v.name }
-
-// ID reports the volume's id (open order) — the tenant id used in probe
-// names.
-func (v *Volume) ID() int { return v.id }
 
 // Blocks reports the volume capacity in blocks.
 func (v *Volume) Blocks() int64 { return v.blocks }
@@ -347,20 +326,6 @@ func (v *Volume) Read(lba int64, nblocks int, done func(blockdev.ReadResult)) {
 	op.rdone = done
 	v.st.Reads++
 	v.submit(op)
-}
-
-// WriteSync writes nblocks at the volume-relative lba and drives the
-// simulation until the write completes (blockdev.WriteSync).
-func (v *Volume) WriteSync(lba int64, nblocks int, data []byte) error {
-	return blockdev.WriteSync(v.m.eng, v, lba, nblocks, data).Err
-}
-
-// ReadSync reads nblocks at the volume-relative lba, driving the
-// simulation to completion (blockdev.ReadSync). The payload is nil unless
-// the array stores data.
-func (v *Volume) ReadSync(lba int64, nblocks int) ([]byte, error) {
-	r := blockdev.ReadSync(v.m.eng, v, lba, nblocks)
-	return r.Data, r.Err
 }
 
 // Trim declares a volume-relative range dead and forwards it to the

@@ -1,11 +1,13 @@
 package volume
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"biza/internal/blockdev"
 	"biza/internal/sim"
+	"biza/internal/stack"
 	"biza/internal/storerr"
 )
 
@@ -119,7 +121,7 @@ func TestOpenAllocatesDisjointRanges(t *testing.T) {
 	if _, err := m.Open("z", Options{Blocks: 0}); err == nil {
 		t.Fatal("zero-capacity open succeeded")
 	}
-	if m.Volume("a") != a || m.Volume("b") != b || a.ID() == b.ID() || m.Volumes() != 2 {
+	if m.vols["a"] != a || m.vols["b"] != b || a.id == b.id || len(m.vols) != 2 {
 		t.Fatal("lookup mismatch")
 	}
 
@@ -131,6 +133,41 @@ func TestOpenAllocatesDisjointRanges(t *testing.T) {
 	eng.Run()
 	if len(dev.order) != 2 || dev.order[0] != 0 || dev.order[1] != 400 {
 		t.Fatalf("array-space lbas = %v, want [0 400]", dev.order)
+	}
+}
+
+// TestOpenVolumeRoundTrip: two tenants on a real BIZA array that stores
+// data read back their own payloads at the same volume-relative LBA.
+func TestOpenVolumeRoundTrip(t *testing.T) {
+	opts := stack.Options{Seed: 11, ZNS: stack.BenchZNS(128)}
+	opts.ZNS.StoreData = true
+	p, err := stack.New(stack.KindBIZA, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(p.Eng, p.Dev, Config{})
+	va, err := m.Open("tenant-a", Options{Blocks: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, err := m.Open("tenant-b", Options{Blocks: 256, QoS: QoS{Weight: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Volume{va, vb} {
+		pat := bytes.Repeat([]byte{byte(0xaa + v.id)}, 4*m.bs)
+		if r := blockdev.WriteSync(p.Eng, v, 0, 4, pat); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	for _, v := range []*Volume{va, vb} {
+		pat := bytes.Repeat([]byte{byte(0xaa + v.id)}, 4*m.bs)
+		if r := blockdev.ReadSync(p.Eng, v, 0, 4); r.Err != nil || !bytes.Equal(r.Data, pat) {
+			t.Fatalf("volume %d read back: err=%v match=%v", v.id, r.Err, bytes.Equal(r.Data, pat))
+		}
+		if st := v.Stats(); st.Writes != 1 || st.Reads != 1 {
+			t.Fatalf("volume %d stats %+v", v.id, st)
+		}
 	}
 }
 
@@ -154,8 +191,8 @@ func TestVolumeErrorSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open of the exact remainder: %v", err)
 	}
-	if rest.base != 100 || rest.ID() != 1 {
-		t.Fatalf("remainder at base %d id %d, want 100 and 1", rest.base, rest.ID())
+	if rest.base != 100 || rest.id != 1 {
+		t.Fatalf("remainder at base %d id %d, want 100 and 1", rest.base, rest.id)
 	}
 	if _, err := m.Open("one", Options{Blocks: 1}); !errors.Is(err, storerr.ErrNoSpace) {
 		t.Fatalf("open past the frontier: err = %v, want ErrNoSpace", err)
@@ -206,7 +243,7 @@ func TestPerVolumeFIFO(t *testing.T) {
 // exactly the provisioned rate once the burst is spent, in virtual time.
 func TestTokenBucketPacing(t *testing.T) {
 	eng, _, m := newManager(t, 1<<20, Config{})
-	bs := int64(m.BlockSize())
+	bs := int64(m.bs)
 	// 4 MiB/s with a one-block burst: after the first block, each
 	// subsequent block must wait bs/4MiB seconds = bs/4Mi * 1e9 ns.
 	v, _ := m.Open("v", Options{Blocks: 1 << 10, QoS: QoS{
@@ -345,7 +382,7 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Ops != 10 || st.Writes != 5 || st.Reads != 5 {
 		t.Fatalf("counts %+v", st)
 	}
-	wantBytes := uint64(5*2+5*1) * uint64(m.BlockSize())
+	wantBytes := uint64(5*2+5*1) * uint64(m.bs)
 	if st.Bytes != wantBytes {
 		t.Fatalf("bytes = %d, want %d", st.Bytes, wantBytes)
 	}

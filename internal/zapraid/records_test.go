@@ -86,7 +86,7 @@ func TestRecordsComeHome(t *testing.T) {
 	if writes != rounds || reads != rounds+1 {
 		t.Fatalf("%d of %d writes and %d of %d reads completed", writes, rounds, reads, rounds+1)
 	}
-	if a.GCEvents() == 0 {
+	if a.gcEvents == 0 {
 		t.Fatal("GC never ran")
 	}
 	if a.stalled.Len() != 0 {
@@ -136,7 +136,7 @@ func TestReleaseAtCliffTerminates(t *testing.T) {
 	if a.stalled.Len() != 0 {
 		t.Fatalf("%d chunks still parked", a.stalled.Len())
 	}
-	if a.GCEvents() == 0 {
+	if a.gcEvents == 0 {
 		t.Fatal("GC never ran")
 	}
 }

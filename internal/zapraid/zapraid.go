@@ -200,9 +200,6 @@ func (a *Array) WriteAmp() metrics.WriteAmp {
 	}
 }
 
-// GCEvents reports completed collections.
-func (a *Array) GCEvents() uint64 { return a.gcEvents }
-
 // ResetAccounting zeroes traffic counters.
 func (a *Array) ResetAccounting() {
 	a.userBytes, a.parityBytes, a.gcMigrated, a.gcEvents = 0, 0, 0, 0

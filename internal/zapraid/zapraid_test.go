@@ -126,7 +126,7 @@ func TestGCReclaimsAndPreserves(t *testing.T) {
 		written[lba] = true
 	}
 	eng.Run()
-	if a.GCEvents() == 0 {
+	if a.gcEvents == 0 {
 		t.Fatal("GC never ran")
 	}
 	for lba := int64(0); lba < span; lba += 9 {

@@ -8,8 +8,10 @@
 # explain`/`attr` on each export, each benchmark workload for 2 s with
 # --trace 1, and each example, and merges the profiles. It prints `go tool covdata percent`, the share
 # of statements that never ran and the number of functions at 0.0 %, and
-# leaves `go tool covdata func` in OUT/func.txt. It reports; it gates
-# nothing.
+# leaves `go tool covdata func` in OUT/func.txt. compare_claims is built
+# from a file, so its lines name the checkout's absolute path; that prefix
+# is cut from func.txt and profile.txt, and two checkouts of one commit
+# give the same files. It reports; it gates nothing.
 #
 #	scripts/coverage.sh OUT
 set -euo pipefail
@@ -49,8 +51,9 @@ unset GOCOVERDIR
 
 go tool covdata merge -i="$out/raw" -o="$out/merged"
 go tool covdata percent -i="$out/merged"
-go tool covdata func -i="$out/merged" >"$out/func.txt"
+go tool covdata func -i="$out/merged" | sed "s|^$PWD/||" >"$out/func.txt"
 go tool covdata textfmt -i="$out/merged" -o="$out/profile.txt"
+sed -i "s|^$PWD/||" "$out/profile.txt"
 # profile.txt: "file:start,end statements count", one line per block.
 awk 'NR > 1 { total += $2; if ($3 == 0) never += $2 }
 	END { printf "never-run statements: %d of %d (%.1f %%)\n", never, total, 100 * never / total }' "$out/profile.txt"
