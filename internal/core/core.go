@@ -192,16 +192,15 @@ func (e bmtEntry) loc() pa { return pa{dev: int16(e.dev1) - 1, zone: e.zone, off
 // the m parity slots, then the chunks in stripe order beside their blocks;
 // n counts the chunks added. Entries are recycled (getSE in pool.go). The
 // SMT holds one per stripe written, so an entry is the slab pointer and the
-// counters and flags packed after it, 32 bytes, plus 32 of slots and 12 of
+// counters and state packed after it, 24 bytes, plus 32 of slots and 12 of
 // blocks in the slab for a 3+1 stripe. A stripe has at most 253 data chunks
 // (newCore), which bounds n, valid and pending.
 type smtEntry struct {
 	slab *smtSlab
 
-	// Recycling: dead marks an entry removed from the SMT; holds counts the
-	// asynchronous users that may still touch it after that (its open
-	// stripe, in-place updates in flight, parked rewrites). The entry
-	// returns to the free list when it is dead and unheld.
+	// holds counts the SMT (the entry's taker until the stripe enters it)
+	// and the asynchronous users that may touch the entry (its open stripe,
+	// in-place updates in flight, parked rewrites); dropSE recycles it at 0.
 	holds int32
 
 	// In-place parity updates are read-modify-write on the parity slot;
@@ -209,23 +208,64 @@ type smtEntry struct {
 	// The rewrites (chunk records) and dissolutions that arrive meanwhile
 	// park on a queue of Core.ipqs, which ipq names (index+1; 0 while
 	// nothing is parked); each is fired as an event when its turn comes.
-	ipq    int32
-	ipBusy bool
+	ipq int32
 
 	row     uint8 // the entry's index in its slab
 	n       uint8 // data chunks added
 	valid   uint8 // live data chunks
 	pending uint8 // chunk writes not yet completed (crash-consistency)
-	sealed  bool  // all k chunks written (final parity complete)
+	state   stripeState
+}
 
-	// dissolving marks a stripe claimed by GC or rebuild. In-place updates
-	// mutate slot content without moving the bmt mapping, so a migration
-	// racing one would re-home the pre-update content and silently lose an
-	// acknowledged write; once set, rewrites take the append path instead.
-	dissolving bool
+// stripeState is where a stripe stands in its lifecycle (§4.2, §4.4); every
+// move goes through Core.setState.
+type stripeState uint8
 
-	dead bool
-	live bool
+const (
+	stripeFree     stripeState = iota // recycled, or taken with no parity row yet
+	stripeClaiming                    // newStripe holds some of its parity rows
+	stripeOpen                        // taking chunks, its partial parity in ZRWA
+	stripeSealing                     // every chunk added; the final parity generation waits behind one in flight
+	stripeSealed                      // the final parity generation issued: in-place updates may start
+	stripeUpdating                    // a payload in-place update in flight; rewrites park behind it
+	// Claimed by GC or rebuild: a migration racing an in-place update would
+	// lose it, so rewrites append elsewhere, and a claim of a stripe with an
+	// update in flight parks the dissolution behind it.
+	stripeDissolving
+	stripeDissolvingUpdate
+)
+
+// isSealed reports whether the stripe takes no more chunks.
+func (s stripeState) isSealed() bool { return s >= stripeSealing }
+
+// updating reports whether a payload in-place update is in flight.
+func (s stripeState) updating() bool { return s == stripeUpdating || s == stripeDissolvingUpdate }
+
+// stripeMoves[s] has bit t set when a stripe in state s may move to t.
+// Two moves the code makes are missing, each a known defect:
+//   - sealing → updating: tryInPlace admits a stripe whose final parity
+//     generation is not issued yet, so the update's read-modify-write reads
+//     parity short of the last chunks, or that generation overwrites the
+//     update's delta (ROADMAP 1(f));
+//   - claiming → free: newStripe's rollback leaves the rows' slots taken
+//     (ROADMAP item 22).
+var stripeMoves = [...]uint16{
+	stripeFree:             1<<stripeFree | 1<<stripeClaiming | 1<<stripeSealed, // the last: Recover
+	stripeClaiming:         1<<stripeClaiming | 1<<stripeOpen,
+	stripeOpen:             1<<stripeSealing | 1<<stripeDissolving,
+	stripeSealing:          1<<stripeSealed | 1<<stripeDissolving,
+	stripeSealed:           1<<stripeSealed | 1<<stripeUpdating | 1<<stripeDissolving | 1<<stripeFree,
+	stripeUpdating:         1<<stripeSealed | 1<<stripeDissolvingUpdate,
+	stripeDissolving:       1<<stripeDissolving | 1<<stripeFree,
+	stripeDissolvingUpdate: 1<<stripeDissolvingUpdate | 1<<stripeDissolving,
+}
+
+// setState moves se to next, counting a move stripeMoves lacks.
+func (c *Core) setState(se *smtEntry, next stripeState) {
+	if stripeMoves[se.state]&(1<<next) == 0 {
+		c.illegalMoves++
+	}
+	se.state = next
 }
 
 // slots returns the stripe's parity locations, then its data chunks'; a
@@ -237,18 +277,10 @@ func (se *smtEntry) slots() []pa {
 }
 
 // parity returns the stripe's m parity locations.
-func (se *smtEntry) parity() []pa {
-	s := se.slab
-	i := int(se.row) * int(s.m+s.k)
-	return s.slots[i : i+int(s.m) : i+int(s.m)]
-}
+func (se *smtEntry) parity() []pa { m := se.slab.m; return se.slots()[:m:m] }
 
 // chunks returns the stripe's data chunk locations in stripe order.
-func (se *smtEntry) chunks() []pa {
-	s := se.slab
-	i := int(se.row)*int(s.m+s.k) + int(s.m)
-	return s.slots[i : i+int(se.n) : i+int(s.k)]
-}
+func (se *smtEntry) chunks() []pa { return se.slots()[se.slab.m:] }
 
 // lbns returns the logical block + 1 each chunk carries, 0 when stale.
 func (se *smtEntry) lbns() []uint32 {
@@ -325,6 +357,7 @@ type Core struct {
 	gcEvents       uint64
 	inplaceHits    uint64
 	detectCorrects uint64
+	illegalMoves   uint64 // stripe state moves stripeMoves lacks
 
 	tr *obs.Trace
 
@@ -357,25 +390,33 @@ func (c *Core) SetTracer(tr *obs.Trace) { c.tr = tr }
 // still writing parity. Its parity slots are its SMT entry's (se.parity),
 // which it holds until retired. A recycled record (getStripe in pool.go).
 type openStripe struct {
-	c             *Core
-	live          bool
-	sn            int64
-	se            *smtEntry
-	class         Class
-	count         int
-	accs          [][]byte // running partial parity per row; nil without payloads
-	parityWritten bool     // first parity write is an append, later in-place
+	c     *Core
+	live  bool
+	sn    int64
+	se    *smtEntry
+	class Class
+	count int
+	accs  [][]byte // running partial parity per row; nil without payloads
 
 	// One parity generation in flight per stripe; extra appends coalesce.
 	// remaining and firstErr belong to that generation; the chunks waiting
 	// for parity form a FIFO list through chunkRec.nextWaiter.
-	parityBusy  bool
-	parityDirty bool
-	remaining   int
-	firstErr    error
-	waitHead    *chunkRec
-	waitTail    *chunkRec
+	gen       parityGen
+	remaining int
+	firstErr  error
+	waitHead  *chunkRec
+	waitTail  *chunkRec
 }
+
+// parityGen is an open stripe's parity generation state.
+type parityGen uint8
+
+const (
+	genUnwritten parityGen = iota // none issued: the first appends, later ones rewrite in place
+	genIdle
+	genBusy  // one in flight
+	genDirty // one in flight, and appends since that the next must carry
+)
 
 // New builds a BIZA array over the member queues. Queues must wrap
 // homogeneous devices. acct may be nil.

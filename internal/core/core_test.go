@@ -291,7 +291,7 @@ func TestStripeParityConsistency(t *testing.T) {
 	eng.Run()
 	var se *smtEntry
 	c.smt.Range(func(_ int64, e *smtEntry) bool {
-		if e.sealed && e.valid == 3 {
+		if e.state == stripeSealed && e.valid == 3 {
 			se = e
 		}
 		return se == nil
@@ -370,7 +370,7 @@ func TestZoneFinishWaitsForInPlaceUpdate(t *testing.T) {
 	for lbn := int64(0); lbn < lba && target < 0; lbn++ {
 		e := c.bmt.Get(lbn)
 		if at := e.loc(); int(at.dev) == zs.ds.id && int(at.zone) == zs.id && int64(at.off) >= c.zoneBlocks-c.zrwaBlocks {
-			if se := c.smt.Get(int64(e.sn)); se != nil && se.sealed {
+			if se := c.smt.Get(int64(e.sn)); se != nil && se.state == stripeSealed {
 				target = lbn
 			}
 		}

@@ -301,7 +301,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 		}
 	}
 	se := c.smt.Get(int64(c.bmt.Get(0).sn))
-	if se == nil || !se.sealed {
+	if se == nil || se.state != stripeSealed {
 		t.Fatal("stripe not sealed — test setup broken")
 	}
 	// Stall the rewrite's old-parity read so that, without the barrier, the
@@ -313,7 +313,7 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	var wres blockdev.WriteResult
 	acked := false
 	c.Write(0, 1, blockdev.Pattern(99, 4096), func(r blockdev.WriteResult) { wres = r; acked = true })
-	if !se.ipBusy {
+	if se.state != stripeUpdating {
 		t.Fatal("rewrite did not take the in-place path — test setup broken")
 	}
 	// While the RMW is stalled, hot-swap the member holding another chunk
@@ -329,6 +329,9 @@ func TestDissolveWaitsForInFlightInPlaceUpdate(t *testing.T) {
 	rebuilt := false
 	var rerr error
 	c.ReplaceDevicePaced(victim, nq, RebuildControl{}, func(err error) { rerr = err; rebuilt = true })
+	if se.state != stripeDissolvingUpdate {
+		t.Fatalf("the rebuild's claim left the stripe in state %d, want it waiting for the update", se.state)
+	}
 	eng.Run()
 	if !rebuilt || rerr != nil {
 		t.Fatalf("rebuild ok=%v err=%v", rebuilt, rerr)

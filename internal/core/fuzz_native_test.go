@@ -13,6 +13,6 @@ func FuzzModelSweep(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		runModelSweep(t, seed)
+		runModelSweep(t, seed, nil)
 	})
 }

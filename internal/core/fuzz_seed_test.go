@@ -1,10 +1,12 @@
 package core
 
 // Extended randomized sweep: the model test's logic across many seeds.
-// Kept cheap in CI (4 seeds); crank seedCount locally for deep fuzzing.
+// Kept cheap in CI (6 seeds); FuzzModelSweep explores more.
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"biza/internal/blockdev"
@@ -14,19 +16,41 @@ import (
 )
 
 func TestModelSeedSweep(t *testing.T) {
-	seeds := []uint64{101, 202, 303, 404}
+	seeds := []uint64{101, 202, 303, 404, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
 		seed := seed
 		t.Run("", func(t *testing.T) {
-			runModelSweep(t, seed)
+			runModelSweep(t, seed, nil)
 		})
 	}
 }
 
-func runModelSweep(t *testing.T, seed uint64) {
+// TestModelSweepRacesFinalParity pins ROADMAP 1(f), a known defect, on the
+// seeds whose sweep finds a parity chunk wrong: each admits an in-place
+// update while the stripe's final parity generation waits behind an
+// earlier one, a move stripeMoves lacks, and the sweep stops there (seed
+// 1's stripe 33 would read wrong after event 806). When 1(f) is mended this
+// test fails; move the seeds into TestModelSeedSweep.
+func TestModelSweepRacesFinalParity(t *testing.T) {
+	for _, seed := range []uint64{1, 222, 368, 372, 425, 1319} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			var race string
+			runModelSweep(t, seed, func(msg string) { race = msg })
+			if !strings.Contains(race, "illegal stripe moves") {
+				t.Fatalf("the sweep made no illegal stripe move (1(f) mended? then move the seed into TestModelSeedSweep): %q", race)
+			}
+			t.Logf("as pinned: %s", race)
+		})
+	}
+}
+
+// runModelSweep drives one seed's sweep. A non-nil leak takes the
+// watchdog's first failure, an illegal stripe move or an abandoned slot,
+// and the sweep ends there.
+func runModelSweep(t *testing.T, seed uint64, leak func(string)) {
 	eng := sim.NewEngine()
 	var queues []*nvme.Queue
 	for i := 0; i < 4; i++ {
@@ -48,12 +72,21 @@ func runModelSweep(t *testing.T, seed uint64) {
 	}
 	// drain runs the engine dry an event at a time under a watchdog, which
 	// counts them so that a failure names the event it follows; the closing
-	// Run settles the tickets never armed, as a plain Run does.
+	// Run settles the tickets never armed, as a plain Run does. It reports
+	// false when the watchdog handed a failure to leak instead.
 	wd := newWatchdog(t, eng, c)
-	drain := func() {
+	stopped := false
+	if leak != nil {
+		wd.leak = func(msg string) { leak(msg); stopped = true }
+	}
+	drain := func() bool {
 		for wd.step() {
 		}
+		if stopped {
+			return false
+		}
 		eng.Run()
+		return true
 	}
 	rng := sim.NewRNG(seed * 7)
 	span := c.Blocks() / 4
@@ -87,13 +120,17 @@ func runModelSweep(t *testing.T, seed uint64) {
 			})
 			// Interleave partial drains to vary schedules per seed.
 			if rng.Intn(4) == 0 {
-				drain()
+				if !drain() {
+					return
+				}
 				assertTables(t, c)
 				assertStripes(t, c, wd.events)
 			}
 		}
 	}
-	drain()
+	if !drain() {
+		return
+	}
 	if outstanding != 0 {
 		t.Fatalf("seed %d: %d writes hung", seed, outstanding)
 	}
@@ -109,7 +146,9 @@ func runModelSweep(t *testing.T, seed uint64) {
 		version[lba] = v
 		ok := false
 		c.Write(lba, 1, modelPattern(lba, v, bs), func(r blockdev.WriteResult) { ok = r.Err == nil; wd.wrote() })
-		drain()
+		if !drain() {
+			return
+		}
 		if !ok {
 			t.Fatalf("final write %d failed", lba)
 		}
@@ -119,7 +158,9 @@ func runModelSweep(t *testing.T, seed uint64) {
 	for lba := int64(0); lba < 96; lba += 7 {
 		var got []byte
 		c.Read(lba, 1, func(r blockdev.ReadResult) { got = r.Data })
-		drain()
+		if !drain() {
+			return
+		}
 		assertStripes(t, c, wd.events)
 		if !bytes.Equal(got, modelPattern(lba, version[lba], bs)) {
 			t.Fatalf("seed %d: lba %d wrong content", seed, lba)
@@ -132,7 +173,9 @@ func runModelSweep(t *testing.T, seed uint64) {
 			var rerr error
 			var got []byte
 			c.Read(lba, 1, func(r blockdev.ReadResult) { got, rerr = r.Data, r.Err })
-			drain()
+			if !drain() {
+				return
+			}
 			if rerr != nil {
 				t.Fatalf("seed %d dev %d lba %d: %v", seed, dev, lba, rerr)
 			}

@@ -152,26 +152,24 @@ func (d *dissolve) run() {
 		c.putDissolve(d)
 		return
 	}
-	// Claim the stripe: later rewrites of its blocks append elsewhere (the
-	// bmt guard in migrate() then skips them). An in-place update already in
-	// flight mutates slot content without remapping — invisible to that
-	// guard — so wait for it to finish before capturing the live set.
-	se.dissolving = true
-	if se.ipBusy {
+	// Claim the stripe: later rewrites append elsewhere, and migrate()'s bmt
+	// guard skips them. An in-place update in flight does not remap, so
+	// that guard cannot see it: wait for it before capturing the live set.
+	if se.state.updating() {
+		c.setState(se, stripeDissolvingUpdate)
 		d.parked = se
 		c.park(se, d)
 		return
 	}
-	if !se.sealed {
-		// The stripe is still open: seal it short. Its partial parity is
-		// the valid parity of the chunks written so far. With no parity
-		// generation in flight to retire the open-stripe record, it
-		// retires here.
-		se.sealed = true
+	open := se.state == stripeOpen
+	c.setState(se, stripeDissolving)
+	if open {
+		// Seal it short: its partial parity covers the chunks written so
+		// far. With no generation in flight to retire its record, it retires here.
 		for class := Class(0); class < numClasses; class++ {
 			if st := c.open[class]; st != nil && st.sn == sn {
 				c.open[class] = nil
-				if !st.parityBusy {
+				if st.gen < genBusy {
 					c.putStripe(st)
 				}
 			}

@@ -19,9 +19,9 @@ package core
 //     in-flight parity generation; put back when the final generation of
 //     a sealed stripe has run its waiters, which is decided before they
 //     run (one may seal and finish the stripe re-entrantly).
-//   - smtEntry (core.go): put back when the stripe has left the SMT and its
-//     last asynchronous holder (open stripe, in-place update, parked
-//     retry) has let go.
+//   - smtEntry (core.go): put back when the SMT and every asynchronous
+//     holder (open stripe, in-place update, parked retry) have let go,
+//     its state byte having walked core.go's stripeMoves.
 //   - appendBatch (zones.go): one device command, staged through
 //     completion; keeps its op and OOB slices across reuse.
 //   - stageRound (zones.go): one zero-delay event flushing the zones
@@ -43,10 +43,11 @@ package core
 // fallback above, degraded blocks and migrations (reconstructChunk), the
 // rebuild's per-stripe callback and the recovery scan.
 //
-// Every record carries a live flag: putting one back twice, or completing
-// through one that is already back, panics instead of corrupting whatever
-// write the record was handed to next. liveRecs counts records out per
-// kind, so a drained array can be checked for strays.
+// Every record carries a live flag (an SMT entry, its hold count): putting
+// one back twice, or completing through one that is already back, panics
+// instead of corrupting whatever write the record was handed to next.
+// liveRecs counts records out per kind, so a drained array can be checked
+// for strays.
 //
 // Ownership discipline: a raw buffer handed to the device layer may be
 // recycled in the write-done callback, because the ZNS model keeps none of
@@ -117,11 +118,11 @@ func give[T any](free *[]*T, r *T, out *int) {
 	*free = append(*free, r)
 }
 
-// mustBeOut panics unless a record being put back is out: one put back
-// twice would be handed to two users at once.
-func mustBeOut(live bool, kind string) {
+// mustBeLive panics unless a record is out of its free list: one put back
+// twice would go to two users at once, one used after its put to another.
+func mustBeLive(live bool, misuse string) {
 	if !live {
-		panic("core: " + kind + " put twice")
+		panic("core: " + misuse)
 	}
 }
 
@@ -151,7 +152,7 @@ func (c *Core) getWrite() *writeRec {
 }
 
 func (c *Core) putWrite(w *writeRec) {
-	mustBeOut(w.live, "write record")
+	mustBeLive(w.live, "write record put twice")
 	*w = writeRec{c: c}
 	give(&c.recs.write, w, &c.liveRecs.write)
 }
@@ -165,7 +166,7 @@ func (c *Core) getRead() *readRec {
 // putRead recycles a read record, keeping its run slots and its degraded
 // list for their capacity.
 func (c *Core) putRead(rd *readRec) {
-	mustBeOut(rd.live, "read record")
+	mustBeLive(rd.live, "read record put twice")
 	*rd = readRec{c: c, runs: rd.runs, degraded: rd.degraded[:0]}
 	give(&c.recs.read, rd, &c.liveRecs.read)
 }
@@ -180,7 +181,7 @@ func (c *Core) getChunk() *chunkRec {
 // once per record). The record is zeroed where it lies and the three kept
 // words written back, not overwritten with a temporary built beside it.
 func (c *Core) putChunk(ch *chunkRec) {
-	mustBeOut(ch.live, "chunk record")
+	mustBeLive(ch.live, "chunk record put twice")
 	onOldData, onOldParity := ch.onOldData, ch.onOldParity
 	*ch = chunkRec{}
 	ch.c, ch.onOldData, ch.onOldParity = c, onOldData, onOldParity
@@ -197,7 +198,7 @@ func (c *Core) getStripe() *openStripe {
 // entry, freeing any accumulators still attached (a stripe sealed short by
 // GC with no parity generation in flight).
 func (c *Core) putStripe(st *openStripe) {
-	mustBeOut(st.live, "stripe record")
+	mustBeLive(st.live, "stripe record put twice")
 	for _, acc := range st.accs {
 		c.pool.Free(acc)
 	}
@@ -208,10 +209,10 @@ func (c *Core) putStripe(st *openStripe) {
 	c.dropSE(se)
 }
 
-// getSE returns an empty SMT entry whose slab row has room for a full
-// stripe, so filling it never allocates. The SMT grows by one entry per
-// stripe until the array has been written once (after that, releases feed
-// the free list), so fresh entries come smtSlabLen at a time.
+// getSE returns an empty SMT entry held by its taker, its slab row room for
+// a full stripe, so filling it never allocates. The SMT grows by one entry
+// per stripe until the array has been written once (then releases feed the
+// free list), so fresh entries come smtSlabLen at a time.
 func (c *Core) getSE() *smtEntry {
 	c.liveRecs.smt++
 	var se *smtEntry
@@ -225,7 +226,7 @@ func (c *Core) getSE() *smtEntry {
 		se = &c.smtSlab[0]
 		c.smtSlab = c.smtSlab[1:]
 	}
-	se.live = true
+	se.holds = 1
 	return se
 }
 
@@ -238,10 +239,10 @@ type smtSlab struct {
 	ents  [smtSlabLen]smtEntry
 }
 
-// smtSlabLen is 62: an entry is 32 bytes, so the slab is 2 040 bytes, and
-// as it holds pointers the allocator adds an 8-byte header, which fills
-// the 2 KiB size class exactly; 63 would take the next one up, 2 304 bytes.
-const smtSlabLen = 62
+// smtSlabLen is 82: an entry is 24 bytes, so the slab is 2 024 bytes, and
+// as it holds pointers the allocator adds an 8-byte header, which fits the
+// 2 KiB size class; 83 would take the next one up, 2 304 bytes.
+const smtSlabLen = 82
 
 func (c *Core) newSMTSlab() []smtEntry {
 	k, m := c.nData, c.cfg.Parity
@@ -257,28 +258,16 @@ func (c *Core) newSMTSlab() []smtEntry {
 	return s.ents[:]
 }
 
-// dropSE releases one asynchronous hold on an SMT entry; the entry is
-// recycled once it has also left the SMT.
+// dropSE releases one hold on an SMT entry, the SMT's (its taker's until
+// the stripe enters it) or an asynchronous user's; the last recycles it.
 func (c *Core) dropSE(se *smtEntry) {
-	if !se.live || se.holds <= 0 {
+	if se.holds <= 0 {
 		panic("core: SMT entry dropped without a hold")
 	}
-	se.holds--
-	c.maybePutSE(se)
-}
-
-// retireSE takes an entry that has just left the SMT (or never entered
-// it) out of service; it is recycled at once if nothing holds it.
-func (c *Core) retireSE(se *smtEntry) {
-	se.dead = true
-	c.maybePutSE(se)
-}
-
-// maybePutSE recycles an entry that is out of the SMT and unheld.
-func (c *Core) maybePutSE(se *smtEntry) {
-	if !se.dead || se.holds > 0 {
+	if se.holds--; se.holds > 0 {
 		return
 	}
+	c.setState(se, stripeFree)
 	*se = smtEntry{slab: se.slab, row: se.row}
 	c.liveRecs.smt--
 	c.smtFree = append(c.smtFree, se)
@@ -296,7 +285,7 @@ func (c *Core) getBatch() *appendBatch {
 // putBatch recycles a device-command record, clearing its op and OOB
 // slices (kept for their capacity) so payload references do not linger.
 func (c *Core) putBatch(b *appendBatch) {
-	mustBeOut(b.live, "batch record")
+	mustBeLive(b.live, "batch record put twice")
 	clear(b.ops)
 	clear(b.oob)
 	ops, oob, done := b.ops[:0], b.oob[:0], b.done
@@ -314,7 +303,7 @@ func (c *Core) getRound() *stageRound {
 // putRound recycles a staging round, keeping its zone slice for its
 // capacity.
 func (c *Core) putRound(r *stageRound) {
-	mustBeOut(r.live, "staging round")
+	mustBeLive(r.live, "staging round put twice")
 	clear(r.zones)
 	*r = stageRound{zones: r.zones[:0]}
 	give(&c.recs.round, r, &c.liveRecs.round)
@@ -329,7 +318,7 @@ func (c *Core) getDissolve(sn int64, done func()) *dissolve {
 // putDissolve recycles a finished dissolution, then calls its done
 // callback, which may take the record again.
 func (c *Core) putDissolve(d *dissolve) {
-	mustBeOut(d.live, "dissolution")
+	mustBeLive(d.live, "dissolution put twice")
 	done := d.done
 	*d = dissolve{}
 	give(&c.recs.dis, d, &c.liveRecs.dis)
@@ -347,7 +336,7 @@ func (c *Core) getMigrationRead(d *dissolve, lbn int64, p pa, dst []byte) *migra
 
 // putMigrationRead recycles a migration read, keeping its callback.
 func (c *Core) putMigrationRead(m *migrationRead) {
-	mustBeOut(m.live, "migration read")
+	mustBeLive(m.live, "migration read put twice")
 	*m = migrationRead{onDone: m.onDone}
 	give(&c.recs.mig, m, &c.liveRecs.mig)
 }

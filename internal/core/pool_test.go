@@ -79,7 +79,7 @@ func TestShortSealFreesAccumulators(t *testing.T) {
 			st = o
 		}
 	}
-	if st == nil || st.accs == nil || st.parityBusy {
+	if st == nil || st.accs == nil || st.gen >= genBusy {
 		t.Fatal("want one open stripe, with accumulators and no parity generation in flight")
 	}
 	c.Trim(0, 1) // nothing left to migrate: the dissolution only seals and releases
@@ -118,9 +118,7 @@ func TestPoolCycleAllocFree(t *testing.T) {
 		se := c.getSE()
 		st := c.getStripe()
 		st.se = se
-		se.holds++
-		se.dead = true
-		c.putStripe(st) // drops the last hold: the entry goes back too
+		c.putStripe(st) // drops getSE's hold: the entry goes back too
 		c.putDissolve(c.getDissolve(0, func() {}))
 		c.putMigrationRead(c.getMigrationRead(nil, 0, pa{}, nil))
 	}

@@ -150,9 +150,7 @@ func (rd *readRec) Fire(_, _ sim.Time) { rd.finish() }
 
 // finishOne counts one run or reconstruction done; the last answers.
 func (rd *readRec) finishOne(err error) {
-	if !rd.live {
-		panic("core: read record used after put")
-	}
+	mustBeLive(rd.live, "read record used after put")
 	if err != nil && rd.firstErr == nil {
 		rd.firstErr = err
 	}
@@ -177,9 +175,7 @@ func (rd *readRec) finish() {
 // complete is the run's device completion: de-stripe and count it done.
 func (r *readRun) complete(res zns.ReadResult) {
 	rd := r.rd
-	if !rd.live {
-		panic("core: read record used after put")
-	}
+	mustBeLive(rd.live, "read record used after put")
 	c, bs := rd.c, rd.c.chunkBytes()
 	if res.Err != nil {
 		c.pool.Free(r.scratch)

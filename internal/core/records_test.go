@@ -430,8 +430,6 @@ func TestRecordDiscipline(t *testing.T) {
 	se := c.getSE()
 	st := c.getStripe()
 	st.se = se
-	se.holds++
-	se.dead = true
 	c.putStripe(st)
 	mustPanic("stripe record put twice", func() { c.putStripe(st) })
 	mustPanic("stripe record completed after put", func() { st.ioDone(nil) })
@@ -500,7 +498,7 @@ func TestParityRelocationFailureCompletesSynchronously(t *testing.T) {
 		if sealing && c.open[ClassTrivial] != nil {
 			t.Fatal("stripe still open after its last chunk")
 		}
-		if !sealing && (c.open[ClassTrivial] != st || st.parityBusy || st.waitHead != nil) {
+		if !sealing && (c.open[ClassTrivial] != st || st.gen >= genBusy || st.waitHead != nil) {
 			t.Fatal("open stripe left busy or with waiters after the failed generation")
 		}
 		assertNoStrayRecords(t, c)

@@ -203,7 +203,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		}
 		se := smtOf(k.sn)
 		se.parity()[k.row] = w.p
-		se.sealed = true // recovered stripes are sealed (short if partial)
+		c.setState(se, stripeSealed) // recovered stripes are sealed (short if partial)
 		zs := zoneOf(w.p)
 		zs.setParity(int64(w.p.off), k.sn)
 		zs.valid++
@@ -232,7 +232,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 				}
 			}
 			c.smt.Delete(sn)
-			c.retireSE(se)
+			c.dropSE(se)
 		}
 		return true
 	})

@@ -128,14 +128,14 @@ func assertTables(t *testing.T, c *Core) {
 }
 
 // TestSMTEntryBytesAllocFree holds a 3+1 stripe's SMT entry, its parity,
-// chunk and block slots included, to 84 bytes of heap: a 32-byte entry,
-// four 8-byte slots and three 4-byte blocks, 76 bytes, and the size
-// classes' rounding of the slab's three arrays. The SMT holds one per
+// chunk and block slots included, to 71 bytes of heap: a 24-byte entry,
+// four 8-byte slots and three 4-byte blocks, 68 bytes, and the size
+// classes' rounding of the slab's three arrays (70.2 measured). The SMT holds one per
 // stripe written, so this is much of BIZA's live heap. The figure is what
 // fresh entries allocate over many slabs; none of it is garbage.
 func TestSMTEntryBytesAllocFree(t *testing.T) {
-	if got := unsafe.Sizeof(smtEntry{}); got > 32 {
-		t.Fatalf("an SMT entry is %d bytes, want at most 32", got)
+	if got := unsafe.Sizeof(smtEntry{}); got > 24 {
+		t.Fatalf("an SMT entry is %d bytes, want at most 24", got)
 	}
 	_, c, _ := newTestCore(t, nil)
 	if k, m := c.nData, c.cfg.Parity; k != 3 || m != 1 {
@@ -152,8 +152,8 @@ func TestSMTEntryBytesAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	per := float64(m1.TotalAlloc-m0.TotalAlloc) / n
 	t.Logf("%.1f heap bytes per 3+1 stripe", per)
-	if per > 84 {
-		t.Fatalf("a 3+1 stripe's SMT entry costs %.1f heap bytes, want at most 84", per)
+	if per > 71 {
+		t.Fatalf("a 3+1 stripe's SMT entry costs %.1f heap bytes, want at most 71", per)
 	}
 	runtime.KeepAlive(ents)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,8 +17,9 @@ import (
 // the test. The message names the event index and, per member, the free
 // pool, the reserve the cliff keeps for the collector (stallFloor) and the
 // parked chunks. After every event step also checks slotsClaimed, the
-// live-lock's cause stated as an invariant. A watched run fires the same
-// events as an unwatched one.
+// live-lock's cause stated as an invariant, and that the array has made no
+// stripe state move the table lacks beyond the known ones. A watched run
+// fires the same events as an unwatched one.
 type watchdog struct {
 	t      *testing.T
 	eng    *sim.Engine
@@ -28,9 +30,13 @@ type watchdog struct {
 	// zones holds, per member, the zone in each class-group slot at the
 	// last check and how far it had handed out slots then.
 	zones [][]watchedZone
-	// leak, when set, takes the first slotsClaimed failure instead of the
-	// test, and step stops there (a known-defect test's way in).
+	// leak, when set, takes the first slotsClaimed failure or illegal move
+	// instead of the test, and step stops there (a known-defect test's way
+	// in).
 	leak func(msg string)
+	// known is how many illegal stripe moves a pinned run makes (ROADMAP
+	// 1(f)); step fails on the next.
+	known uint64
 }
 
 // watchedZone is a zone slotsClaimed has seen and its wpAlloc at the time.
@@ -59,7 +65,11 @@ func (w *watchdog) step() bool {
 		return false
 	}
 	w.events++
-	if err := w.slotsClaimed(); err != nil {
+	var moves error
+	if n := w.c.illegalMoves; n > w.known {
+		moves = fmt.Errorf("%d illegal stripe moves, %d known", n, w.known)
+	}
+	if err := errors.Join(moves, w.slotsClaimed()); err != nil {
 		msg := fmt.Sprintf("after event %d at %d ns: %v\n%s", w.events, w.eng.Now(), err, w.state())
 		if w.leak == nil {
 			w.t.Fatal(msg)

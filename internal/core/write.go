@@ -111,9 +111,7 @@ type writeRec struct {
 }
 
 func (w *writeRec) chunkDone(_ int64, err error) {
-	if !w.live {
-		panic("core: write record used after put")
-	}
+	mustBeLive(w.live, "write record used after put")
 	if err != nil && w.firstErr == nil {
 		w.firstErr = err
 	}
@@ -177,9 +175,7 @@ const (
 
 // Fire implements sim.Handler for a parked chunk whose turn has come.
 func (ch *chunkRec) Fire(kind, _ sim.Time) {
-	if !ch.live {
-		panic("core: chunk record used after put")
-	}
+	mustBeLive(ch.live, "chunk record used after put")
 	c := ch.c
 	if kind == fireAppend {
 		c.appendChunk(ch)
@@ -198,9 +194,7 @@ func (ch *chunkRec) Fire(kind, _ sim.Time) {
 // covered by the surviving slots (in place), so the chunk remains
 // reconstructable and the write is acknowledged degraded.
 func (ch *chunkRec) ioDone(err error) {
-	if !ch.live {
-		panic("core: chunk record used after put")
-	}
+	mustBeLive(ch.live, "chunk record used after put")
 	if !ch.inplace {
 		ch.se.pending--
 	}
@@ -224,8 +218,7 @@ func (ch *chunkRec) finish(err error) {
 	c := ch.c
 	if ch.inplace {
 		if ch.payload != nil {
-			ch.se.ipBusy = false
-			c.ipNext(ch.se)
+			c.updateDone(ch.se)
 		}
 		c.dropSE(ch.se)
 	}
@@ -296,7 +289,7 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 		return false
 	}
 	se := c.smt.Get(int64(e.sn))
-	if se == nil || !se.sealed || se.dissolving {
+	if se == nil || se.state < stripeSealing || se.state > stripeUpdating {
 		return false
 	}
 	// Every parity slot must still be in its window with its append done.
@@ -316,14 +309,14 @@ func (c *Core) tryInPlace(ch *chunkRec, e bmtEntry) bool {
 		return false
 	}
 	if ch.payload != nil {
-		if se.ipBusy {
+		if se.state == stripeUpdating {
 			// The parked record keeps the chunk's reference and re-enters
 			// writeChunk when the queue drains.
 			ch.se = se
 			c.park(se, ch)
 			return true
 		}
-		se.ipBusy = true
+		c.setState(se, stripeUpdating)
 	}
 	c.inplaceHits++
 	c.seq++
@@ -397,9 +390,7 @@ func (ch *chunkRec) writeParity(r int, parityData []byte) {
 // chunk (r < 0) or old parity row r, gathered into ch.oldData and
 // ch.oldParity[r]. The last one folds the deltas and issues the writes.
 func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
-	if !ch.live {
-		panic("core: chunk record used after put")
-	}
+	mustBeLive(ch.live, "chunk record used after put")
 	c, se := ch.c, ch.se
 	dev := int(ch.e.loc().dev)
 	if r >= 0 {
@@ -432,8 +423,7 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 		for _, ppa := range se.parity() {
 			c.unpin(ppa)
 		}
-		se.ipBusy = false
-		c.ipNext(se)
+		c.updateDone(se)
 		ch.inplace, ch.se, ch.zs, ch.readErr = false, nil, nil, nil
 		c.dropSE(se)
 		c.appendChunk(ch)
@@ -467,14 +457,24 @@ func (ch *chunkRec) oldRead(r int, res zns.ReadResult) {
 	c.putVec(oldParity)
 }
 
+// updateDone ends se's payload in-place update and lets its queue go on.
+func (c *Core) updateDone(se *smtEntry) {
+	next := stripeSealed
+	if se.state == stripeDissolvingUpdate {
+		next = stripeDissolving
+	}
+	c.setState(se, next)
+	c.ipNext(se)
+}
+
 // ipNext drains a stripe's queued rewrites. Each popped entry either takes
-// the in-place path again (sets ipBusy; its completion resumes the drain)
-// or falls through to an append (which never pops), so the drain continues
-// until the stripe is busy or the queue is empty — queued writes can never
+// the in-place path again (its completion resumes the drain) or falls
+// through to an append (which never pops), so the drain continues until an
+// update is in flight or the queue is empty — queued writes can never
 // strand behind a path change (slot flushed, stripe dissolving). The
 // entry's own Fire calls ipNext again after its retry.
 func (c *Core) ipNext(se *smtEntry) {
-	if se.ipBusy || se.ipq == 0 {
+	if se.state.updating() || se.ipq == 0 {
 		return
 	}
 	q := &c.ipqs[se.ipq-1]
@@ -596,7 +596,7 @@ func (c *Core) appendChunk(ch *chunkRec) {
 	}
 	st.count++
 	if st.count >= c.nData {
-		se.sealed = true
+		c.setState(se, stripeSealing)
 		c.open[class] = nil
 	}
 	c.writeStripeParity(st, seq, ch)
@@ -614,8 +614,8 @@ func (c *Core) writeStripeParity(st *openStripe, seq uint64, ch *chunkRec) {
 		st.waitTail.nextWaiter = ch
 	}
 	st.waitTail = ch
-	if st.parityBusy {
-		st.parityDirty = true
+	if st.gen >= genBusy {
+		st.gen = genDirty
 		return
 	}
 	c.issueParity(st, seq)
@@ -626,16 +626,17 @@ func (c *Core) writeStripeParity(st *openStripe, seq uint64, ch *chunkRec) {
 // synchronously, inside the loop.
 func (c *Core) issueParity(st *openStripe, seq uint64) {
 	se := st.se
-	st.parityBusy = true
-	st.parityDirty = false
+	wasWritten := st.gen != genUnwritten
+	st.gen = genBusy
 	parity := se.parity()
 	st.remaining, st.firstErr = len(parity), nil
-	wasWritten := st.parityWritten
-	st.parityWritten = true
 	// A sealed stripe takes no further appends, so this is the final parity
 	// generation: move the accumulators into the dispatch instead of
 	// copying them (ioDone's retirement sweep skips the nil slots).
-	final := se.sealed
+	final := se.state.isSealed()
+	if se.state == stripeSealing {
+		c.setState(se, stripeSealed)
+	}
 	for r, ppa := range parity {
 		pds := c.devs[ppa.dev]
 		pzs := pds.zones[ppa.zone]
@@ -666,10 +667,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 		}
 		// Relocate: free the stale slot and append the full partial parity
 		// to a fresh slot on the same device (member distinctness holds).
-		if pzs != nil && pzs.parityAt(off) == st.sn {
-			pzs.setParity(off, -1)
-			pzs.valid--
-		}
+		c.dropParity(ppa, st.sn)
 		nzs, noff, err := pds.alloc(st.class)
 		if err != nil {
 			c.pool.Free(parityData)
@@ -692,9 +690,7 @@ func (c *Core) issueParity(st *openStripe, seq uint64) {
 // arrived meanwhile) or reports to every waiting chunk; a sealed stripe's
 // record retires after that.
 func (st *openStripe) ioDone(err error) {
-	if !st.live {
-		panic("core: stripe record used after put")
-	}
+	mustBeLive(st.live, "stripe record used after put")
 	c := st.c
 	if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
 		// A parity member died: this row is missing, but the data
@@ -710,17 +706,17 @@ func (st *openStripe) ioDone(err error) {
 	if st.remaining > 0 {
 		return
 	}
-	if st.parityDirty {
+	if st.gen == genDirty {
 		c.issueParity(st, c.seq)
 		return
 	}
-	st.parityBusy = false
+	st.gen = genIdle
 	// A sealed stripe takes no more appends, and the last parity copy
 	// is on its way to the device — the accumulators retire here, and the
 	// record once the waiters have heard. (An unsealed stripe may be
 	// appended to, and even sealed and finished, from inside a waiter's
 	// callback, so nothing below touches st unless it retires here.)
-	retire := st.se.sealed
+	retire := st.se.state.isSealed()
 	if retire && st.accs != nil {
 		for r := range st.accs {
 			c.pool.Free(st.accs[r])
@@ -742,31 +738,11 @@ func (st *openStripe) ioDone(err error) {
 	}
 }
 
-// stripeDataDevice maps a stripe's chunk index to a member device,
-// skipping the stripe's parity devices.
+// stripeDataDevice maps a chunk index to a member: the ones after the run
+// of consecutive members newStripe gave the stripe's parity rows.
 func (c *Core) stripeDataDevice(st *openStripe, idx int) int {
 	parity := st.se.parity()
-	isParity := func(d int) bool {
-		for _, p := range parity {
-			if int(p.dev) == d {
-				return true
-			}
-		}
-		return false
-	}
-	base := int(parity[0].dev)
-	seen := 0
-	for i := 1; i <= len(c.devs); i++ {
-		d := (base + i) % len(c.devs)
-		if isParity(d) {
-			continue
-		}
-		if seen == idx {
-			return d
-		}
-		seen++
-	}
-	panic("core: stripe data device out of range")
+	return (int(parity[0].dev) + len(parity) + idx) % len(c.devs)
 }
 
 // newStripe opens a stripe for a class: rotates the parity devices and
@@ -785,24 +761,23 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 		pds := c.devs[pdev]
 		pzs, poff, err := pds.alloc(class)
 		if err != nil {
-			// Roll back slots already taken for this stripe.
+			// Roll back the rows' claims; their slots stay taken.
 			for _, q := range parity[:r] {
-				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.parityAt(int64(q.off)) == sn {
-					zs.setParity(int64(q.off), -1)
-					zs.valid--
-				}
+				c.dropParity(q, sn)
 			}
-			c.retireSE(se)
+			c.dropSE(se)
 			return nil, err
 		}
 		parity[r] = pa{dev: int16(pdev), zone: uint16(pzs.id), off: uint32(poff)}
 		pzs.setParity(poff, sn)
 		pzs.valid++
+		c.setState(se, stripeClaiming)
 	}
 	c.nextSN++
 	st := c.getStripe()
 	st.sn, st.se, st.class = sn, se, class
-	se.holds++
+	c.setState(se, stripeOpen)
+	se.holds++ // the open stripe's
 	c.smt.Set(sn, se)
 	return st, nil
 }
@@ -836,7 +811,7 @@ func (c *Core) invalidate(lbn int64, e bmtEntry) {
 			break
 		}
 	}
-	if se.valid == 0 && se.sealed && se.pending == 0 {
+	if se.valid == 0 && se.state.isSealed() && se.pending == 0 {
 		c.releaseStripe(sn, se)
 	}
 }
@@ -845,12 +820,8 @@ func (c *Core) invalidate(lbn int64, e bmtEntry) {
 // stripe ownership, and forgets it.
 func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 	for _, p := range se.parity() {
-		if p.dev < 0 {
-			continue
-		}
-		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.parityAt(int64(p.off)) == sn {
-			zs.setParity(int64(p.off), -1)
-			zs.valid--
+		if p.dev >= 0 {
+			c.dropParity(p, sn)
 		}
 	}
 	for _, p := range se.chunks() {
@@ -862,7 +833,15 @@ func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 		}
 	}
 	c.smt.Delete(sn)
-	c.retireSE(se)
+	c.dropSE(se)
+}
+
+// dropParity gives up stripe sn's claim on parity slot p, where p's zone holds it.
+func (c *Core) dropParity(p pa, sn int64) {
+	if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.parityAt(int64(p.off)) == sn {
+		zs.setParity(int64(p.off), -1)
+		zs.valid--
+	}
 }
 
 // Trim implements blockdev.Device.

@@ -513,9 +513,7 @@ func (c *Core) joinRound(zs *zoneState) {
 // Fire implements sim.Handler: the staging round flushes its zones. A zone
 // staged while it runs arms a round of its own.
 func (r *stageRound) Fire(_, _ sim.Time) {
-	if !r.live {
-		panic("core: staging round used after put")
-	}
+	mustBeLive(r.live, "staging round used after put")
 	c := r.c
 	if c.round == r {
 		c.round = nil
@@ -633,9 +631,7 @@ func (ds *devState) dispatchBatch(zs *zoneState, b *appendBatch) {
 // holds its own references), so the gather buffer, the OOB records, owned
 // payloads and the record itself all go back here.
 func (b *appendBatch) complete(r zns.WriteResult) {
-	if !b.live {
-		panic("core: batch record used after put")
-	}
+	mustBeLive(b.live, "batch record used after put")
 	zs := b.zs
 	ds := zs.ds
 	c := ds.c
